@@ -1,12 +1,14 @@
 //! Wall-clock sorting benches (Table 1 "Sort" row, real execution on the
 //! work-stealing pool): oblivious practical sort vs the insecure REC-SORT
-//! baseline vs parallel mergesort vs std.
+//! baseline vs parallel mergesort vs std — plus the §C.1 placement kernel
+//! and its comparator-free expansion step on their own.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use fj::Pool;
+use metrics::Tracked;
 use obliv_core::{
-    composite_key, oblivious_sort_u64, par_merge_sort, rec_sort_items, with_retries, Engine, Item,
-    OSortParams, ScratchPool,
+    bin_place, composite_key, expand, oblivious_sort_u64, par_merge_sort, rec_sort_items,
+    with_retries, Engine, Item, OSortParams, ScratchPool, Slot,
 };
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
@@ -82,5 +84,61 @@ fn bench_sorts(cr: &mut Criterion) {
     g.finish();
 }
 
-criterion_group!(benches, bench_sorts);
+/// `bin_place` at ORBA's base-case shape for n = 65536 (16 bins of 512,
+/// half full, labels round-robin) and at a 64k-slot shape, and `expand` alone on the same
+/// arrays (every real moves right by a quarter of the array).
+fn bench_placement(cr: &mut Criterion) {
+    let pool = Pool::with_default_threads();
+    let scratch = ScratchPool::new();
+    let mut g = cr.benchmark_group("bin_place");
+    g.sample_size(10);
+
+    for &(nbins, zcap) in &[(16usize, 512usize), (64, 1024)] {
+        let m = nbins * zcap;
+        let input: Vec<Slot<u64>> = (0..m)
+            .map(|i| {
+                if i % 2 == 0 {
+                    let v = i as u64;
+                    Slot::real(Item::new(v as u128, v), v / 2)
+                } else {
+                    Slot::filler()
+                }
+            })
+            .collect();
+        g.bench_with_input(BenchmarkId::new("bin_place", m), &m, |b, _| {
+            b.iter(|| {
+                let mut v = input.clone();
+                pool.run(|c| {
+                    let mut t = Tracked::new(c, &mut v);
+                    bin_place(c, &scratch, &mut t, nbins, zcap, 0, Engine::BitonicRec)
+                        .expect("round-robin labels fill every bin exactly half")
+                });
+                v
+            })
+        });
+
+        let packed: Vec<Slot<u64>> = (0..m)
+            .map(|i| {
+                if i < m / 2 {
+                    Slot {
+                        sk: (m / 4) as u128,
+                        ..Slot::real(Item::new(i as u128, i as u64), 0)
+                    }
+                } else {
+                    Slot::filler()
+                }
+            })
+            .collect();
+        g.bench_with_input(BenchmarkId::new("expand", m), &m, |b, _| {
+            b.iter(|| {
+                let mut v = packed.clone();
+                pool.run(|c| expand(c, &scratch, &mut Tracked::new(c, &mut v)));
+                v
+            })
+        });
+    }
+    g.finish();
+}
+
+criterion_group!(benches, bench_sorts, bench_placement);
 criterion_main!(benches);

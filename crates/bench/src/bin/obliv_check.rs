@@ -10,8 +10,8 @@
 use metrics::{measure, CacheConfig, TraceMode};
 use obliv_core::scan::{seg_propagate, Schedule, Seg};
 use obliv_core::{
-    bin_place, compact_cells, oblivious_sort_kv, oblivious_sort_u64, orp_once, send_receive,
-    Engine, Item, OSortParams, OrbaParams, ScratchPool, Slot, TagCell,
+    bin_place, compact_cells, expand, oblivious_sort_kv, oblivious_sort_u64, orp_once,
+    send_receive, Engine, Item, OSortParams, OrbaParams, ScratchPool, Slot, TagCell,
 };
 use pram::{run_oblivious_sb, HistogramProgram};
 use sortnet::sort_slice_rec;
@@ -174,6 +174,40 @@ fn main() {
         })
         .collect();
     all_ok &= check("tag-cell tight compaction", &t);
+
+    // Monotone expansion (bin placement's distribution step): which slots
+    // are real, how far they move, and whether the displacements are even
+    // admissible must all be invisible — input 1 packs 512 reals into the
+    // left half and spreads them, input 2 moves nothing, input 3 is all
+    // fillers, input 4 breaks the monotone promise (everything collides).
+    let m = 2 * n;
+    let patterns: [Vec<Option<usize>>; 4] = [
+        (0..m).map(|i| (i < n).then_some(i)).collect(),
+        (0..m).map(|i| (i % 3 == 0).then_some(0)).collect(),
+        vec![None; m],
+        (0..m).map(|i| Some(m - 1 - i)).collect(),
+    ];
+    let t: Vec<_> = patterns
+        .iter()
+        .map(|pattern| {
+            trace(|c| {
+                let mut slots: Vec<Slot<u64>> = pattern
+                    .iter()
+                    .enumerate()
+                    .map(|(i, d)| match d {
+                        Some(d) => Slot {
+                            sk: *d as u128,
+                            ..Slot::real(Item::new(i as u128, i as u64), 0)
+                        },
+                        None => Slot::filler(),
+                    })
+                    .collect();
+                let mut tr = metrics::Tracked::new(c, &mut slots);
+                expand(c, &scratch, &mut tr);
+            })
+        })
+        .collect();
+    all_ok &= check("expand (monotone distribution)", &t);
 
     // Vectorized compare-exchange: the AVX2 backend must leave the very
     // same trace as the scalar gates (accounting replay, DESIGN.md §14) —

@@ -4,67 +4,37 @@
 //! element wants to go to bin `g = (label >> shift) & (nbins-1)`, and the
 //! promise that no bin is wanted by more than `Z` elements, move every real
 //! element into its bin and pad each bin to exactly `Z` slots with fillers.
-//! Output is the concatenation of the `nbins` bins, in place.
+//! Output is the concatenation of the `nbins` bins, in place, reals packed
+//! in front of each bin.
 //!
-//! The algorithm is Chan–Shi's: append `Z` *temp* placeholders per bin,
-//! sort by (group, real-before-temp), compute each element's offset within
-//! its group via oblivious propagation, tag offsets `≥ Z` as *excess*, sort
-//! again moving excess/filler to the end, truncate, and convert surviving
-//! temps to fillers. Every step is an oblivious sort, a fixed-pattern scan,
-//! or a parallel map — the access pattern depends only on `(nbins, Z)`.
+//! The algorithm is sort + rank + expansion (`place`, shared with
+//! [`crate::oblivious_scatter`]; DESIGN.md §4 records it as a substitution
+//! for Chan–Shi's two-sort placement): **one** oblivious sort of the
+//! `nbins · Z` slots by `(group ‖ tiebreak)` with fillers last, a segmented
+//! propagation that gives every real its rank `r` within its group, and a
+//! comparator-free monotone [`expand`] that moves the real at sorted index
+//! `i` right by `d = g·Z + r − i`. Reals before `i` number at most `g·Z + r`
+//! under the promise, so `d ≥ 0`; a later real of the same group has the
+//! same `d` and a later group's target jumps by at least the index gap, so
+//! `d` is non-decreasing — the no-collision condition of the expansion.
+//! Every step is an oblivious sort, a fixed-pattern scan, or a parallel
+//! map: the access pattern depends only on `(nbins, Z)`.
 //!
-//! A real element tagged excess means the §C.1 promise was violated (bin
-//! overflow); we finish the pass (keeping the trace fixed) and report
-//! [`OblivError::BinOverflow`] so the caller can retry with fresh labels.
+//! A real of rank `≥ Z` means the §C.1 promise was violated (bin
+//! overflow): it is dropped, the pass finishes on its fixed trace, and the
+//! caller gets [`OblivError::BinOverflow`] to retry with fresh labels.
 
 use crate::engine::Engine;
 use crate::error::{OblivError, Result};
+use crate::expand::expand;
 use crate::scan::{seg_propagate_in, Schedule, Seg};
-use crate::slot::{flags, Slot, Val};
+use crate::slot::{composite_key, Slot, Val};
 use fj::{grain_for, par_for, Ctx};
 use metrics::{ScratchPool, Tracked};
 
-/// Sort key: (group ‖ class) with fillers last. Class orders real < temp
-/// within a group.
-#[inline]
-fn key_group_class<V: Val>(s: &Slot<V>, shift: u32, nbins: u64) -> u128 {
-    if s.is_real() {
-        let g = (s.label >> shift) & (nbins - 1);
-        (g as u128) << 1
-    } else if s.is_temp() {
-        ((s.label as u128) << 1) | 1
-    } else {
-        u128::MAX
-    }
-}
-
-/// Group id for offset computation; fillers get the past-the-end group.
-#[inline]
-fn group_of<V: Val>(s: &Slot<V>, shift: u32, nbins: u64) -> u64 {
-    if s.is_real() {
-        (s.label >> shift) & (nbins - 1)
-    } else if s.is_temp() {
-        s.label
-    } else {
-        nbins
-    }
-}
-
-/// Second sort key: surviving slots by (group, real-before-temp) so each
-/// output bin has its reals packed in front; excess and fillers last.
-#[inline]
-fn key_final<V: Val>(s: &Slot<V>, shift: u32, nbins: u64) -> u128 {
-    if s.is_excess() {
-        u128::MAX - 1
-    } else if s.is_filler() {
-        u128::MAX
-    } else {
-        ((group_of(s, shift, nbins) as u128) << 1) | s.is_temp() as u128
-    }
-}
-
 /// Oblivious bin placement over `io` (whose length must be `nbins · zcap`,
-/// with `nbins` and `zcap` powers of two).
+/// with `nbins` and `zcap` powers of two). Order within a bin is
+/// unspecified.
 pub fn bin_place<C: Ctx, V: Val>(
     c: &C,
     scratch: &ScratchPool,
@@ -74,90 +44,93 @@ pub fn bin_place<C: Ctx, V: Val>(
     shift: u32,
     engine: Engine,
 ) -> Result<()> {
-    let n_io = io.len();
+    let mask = nbins as u64 - 1;
+    place(c, scratch, io, nbins, zcap, engine, &|s| {
+        ((s.label >> shift) & mask, 0)
+    })
+}
+
+/// The placement kernel: move every real of `w` (`nbins · zcap` slots,
+/// both powers of two) into the bin named by `key(slot).0`, in ascending
+/// order of `key(slot).1` within the bin. `key` is only asked about reals
+/// and must return a bin below `nbins`.
+pub(crate) fn place<C: Ctx, V: Val>(
+    c: &C,
+    scratch: &ScratchPool,
+    w: &mut Tracked<'_, Slot<V>>,
+    nbins: usize,
+    zcap: usize,
+    engine: Engine,
+    key: &(impl Fn(&Slot<V>) -> (u64, u64) + Sync),
+) -> Result<()> {
+    let n_io = w.len();
     assert_eq!(n_io, nbins * zcap, "bin placement shape mismatch");
     assert!(nbins.is_power_of_two() && zcap.is_power_of_two());
-    let nb64 = nbins as u64;
 
-    // Step 1: working array = input ++ Z temps per bin (leased scratch:
-    // filled on lease, then every slot rewritten below anyway).
-    let mut w_store = scratch.lease(2 * n_io, Slot::<V>::filler());
-    let mut w = Tracked::new(c, &mut w_store);
-    {
-        let wr = w.as_raw();
-        let ir = io.as_raw();
+    // Step 1: sort by (group ‖ tiebreak), fillers last. The group rides in
+    // the high half of `sk`, where the later steps read it back (a
+    // filler's reads as `u64::MAX`, the past-the-end group).
+    set_keys(c, w, &|s| {
+        if s.is_real() {
+            let (g, tiebreak) = key(s);
+            composite_key(g, tiebreak)
+        } else {
+            u128::MAX
+        }
+    });
+    engine.sort_slots(c, scratch, w);
+    let group_of = |s: &Slot<V>| (s.sk >> 64) as u64;
+
+    // Steps 2–3 in a block so the rank lease is back in the pool before
+    // the expansion leases its double buffer.
+    let overflow = {
+        // Step 2: rank within group, by propagating each group's leftmost
+        // index.
+        let mut seg_store = scratch.lease(n_io, Seg::new(false, 0u64));
+        let mut seg = Tracked::new(c, &mut seg_store);
+        let (sr, wr) = (seg.as_raw(), w.as_raw());
         par_for(c, 0, n_io, grain_for(c), &|c, i| unsafe {
-            wr.set(c, i, ir.get(c, i));
-        });
-        par_for(c, 0, n_io, grain_for(c), &|c, i| unsafe {
-            wr.set(c, n_io + i, Slot::temp((i / zcap) as u64));
-        });
-    }
-
-    // Step 2: sort by (group, real-before-temp), fillers last.
-    set_keys(c, &mut w, &|s| key_group_class(s, shift, nb64));
-    engine.sort_slots(c, scratch, &mut w);
-
-    // Step 3: offset within group via propagation of the leftmost index,
-    // then tag offsets ≥ Z as excess. Overflow iff a *real* slot is excess.
-    let mut seg_store = scratch.lease(2 * n_io, Seg::new(false, 0u64));
-    let mut seg = Tracked::new(c, &mut seg_store);
-    {
-        let sr = seg.as_raw();
-        let wr = w.as_raw();
-        par_for(c, 0, 2 * n_io, grain_for(c), &|c, i| unsafe {
-            let g = group_of(&wr.get(c, i), shift, nb64);
-            let head = if i == 0 {
-                true
-            } else {
-                g != group_of(&wr.get(c, i - 1), shift, nb64)
-            };
+            let head = i == 0 || group_of(&wr.get(c, i)) != group_of(&wr.get(c, i - 1));
             sr.set(c, i, Seg::new(head, i as u64));
         });
-    }
-    seg_propagate_in(c, scratch, &mut seg, Schedule::Tree);
-    let overflow = {
+        seg_propagate_in(c, scratch, &mut seg, Schedule::Tree);
+
+        // Step 3: each real of rank < Z trades its sort key for its
+        // displacement; everything else becomes a canonical filler.
+        // Overflow iff a real is dropped. The write is unconditional.
         let sr = seg.as_raw();
-        let wr = w.as_raw();
         fj::par_reduce(
             c,
             0,
-            2 * n_io,
+            n_io,
             grain_for(c),
             &|c, i| unsafe {
-                let start = sr.get(c, i).v;
-                let mut s = wr.get(c, i);
-                let excess = (i as u64 - start) >= zcap as u64;
-                // Branch-free flag update keeps the write unconditional.
-                s.flags |= flags::EXCESS * excess as u8;
-                wr.set(c, i, s);
-                s.is_real() && excess
+                let s = wr.get(c, i);
+                let rank = i as u64 - sr.get(c, i).v;
+                let keep = s.is_real() && rank < zcap as u64;
+                let out = if keep {
+                    // Saturating: after an overflow the target can lie
+                    // left of `i`; the result is discarded anyway.
+                    let target = group_of(&s) * zcap as u64 + rank;
+                    Slot {
+                        sk: target.saturating_sub(i as u64) as u128,
+                        ..s
+                    }
+                } else {
+                    Slot::filler()
+                };
+                wr.set(c, i, out);
+                s.is_real() && !keep
             },
             &|a, b| a | b,
         )
         .unwrap_or(false)
     };
 
-    // Step 4: sort surviving slots by group; excess and fillers to the end.
-    set_keys(c, &mut w, &|s| key_final(s, shift, nb64));
-    engine.sort_slots(c, scratch, &mut w);
-
-    // Steps 5–6: truncate to nbins·Z, convert temps to fillers, clear tags.
-    {
-        let wr = w.as_raw();
-        let ir = io.as_raw();
-        par_for(c, 0, n_io, grain_for(c), &|c, i| unsafe {
-            let s = wr.get(c, i);
-            let keep_real = s.is_real() && !s.is_excess();
-            let out = if keep_real {
-                Slot { sk: 0, ..s }
-            } else {
-                Slot::filler()
-            };
-            ir.set(c, i, out);
-        });
-    }
-
+    // Step 4: comparator-free distribution. Without an overflow the
+    // displacements are non-decreasing, so nothing can collide.
+    let placed = expand(c, scratch, w);
+    debug_assert!(overflow || placed, "monotone displacements collided");
     if overflow {
         Err(OblivError::BinOverflow)
     } else {
@@ -188,6 +161,7 @@ mod tests {
     use crate::slot::Item;
     use fj::SeqCtx;
     use metrics::{measure, CacheConfig, TraceMode};
+    use proptest::prelude::*;
 
     /// Build an input of `nbins` bins of `zcap` slots with the given
     /// (bin-choice, value) pairs packed from the front.
@@ -250,10 +224,41 @@ mod tests {
     }
 
     #[test]
-    fn no_temps_survive() {
+    fn output_holds_only_reals_and_canonical_fillers() {
         let out = run(4, 4, &[(0, 1), (3, 2)]).unwrap();
-        assert!(out.iter().all(|s| !s.is_temp() && !s.is_excess()));
+        assert!(out.iter().all(|s| s.sk == 0), "scratch keys not cleared");
+        assert!(out.iter().all(|s| s.is_real() || *s == Slot::filler()));
         assert_eq!(out.iter().filter(|s| s.is_real()).count(), 2);
+    }
+
+    #[test]
+    fn costs_exactly_one_sorting_network() {
+        // One sort of the nbins·Z input slots and nothing else that
+        // compares: the rank scan and the expansion are comparator-free.
+        for (nbins, zcap) in [(4usize, 16usize), (16, 64)] {
+            let elems: Vec<(u64, u64)> = (0..(nbins * zcap / 2) as u64)
+                .map(|v| (v % nbins as u64, v))
+                .collect();
+            let (_, placed) = measure(CacheConfig::default(), TraceMode::Off, |c| {
+                let sp = ScratchPool::new();
+                let mut v = input(nbins, zcap, &elems);
+                bin_place(
+                    c,
+                    &sp,
+                    &mut Tracked::new(c, &mut v),
+                    nbins,
+                    zcap,
+                    0,
+                    Engine::BitonicRec,
+                )
+                .unwrap();
+            });
+            let (_, network) = measure(CacheConfig::default(), TraceMode::Off, |c| {
+                let mut v = vec![0u64; nbins * zcap];
+                sortnet::sort_slice_rec(c, &mut v, &|x: &u64| *x as u128, true);
+            });
+            assert_eq!(placed.comparisons, network.comparisons, "{nbins}×{zcap}");
+        }
     }
 
     #[test]
@@ -374,5 +379,64 @@ mod tests {
         let ok = run_trace((0..8).map(|i| (i % 4, i)).collect());
         let over = run_trace((0..8).map(|i| (0, i)).collect());
         assert_eq!(ok, over);
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(48))]
+
+        /// Both faces of the kernel against a `Vec<Vec<_>>` reference:
+        /// `bin_place` (unordered within a bin) and `oblivious_scatter`
+        /// (stable), reals and fillers interleaved, overflow included.
+        #[test]
+        fn prop_placement_matches_reference(
+            lg_bins in 0u32..4,
+            lg_z in 0u32..5,
+            picks in proptest::collection::vec((any::<bool>(), any::<u64>()), 0..128),
+        ) {
+            let (nbins, zcap) = (1usize << lg_bins, 1usize << lg_z);
+            let picks = &picks[..picks.len().min(nbins * zcap)];
+            // Input position j holds a real for bin `g` valued j, or a filler.
+            let items: Vec<Slot<u64>> = picks
+                .iter()
+                .enumerate()
+                .map(|(j, &(real, g))| {
+                    if real {
+                        Slot::real(Item::new(j as u128, j as u64), g % nbins as u64)
+                    } else {
+                        Slot::filler()
+                    }
+                })
+                .collect();
+            let mut reference = vec![Vec::new(); nbins];
+            for s in items.iter().filter(|s| s.is_real()) {
+                reference[s.label as usize].push(s.item.val);
+            }
+            let fits = reference.iter().all(|bin| bin.len() <= zcap);
+            let bins_of = |out: &[Slot<u64>]| -> Vec<Vec<u64>> {
+                out.chunks(zcap)
+                    .map(|bin| {
+                        let load = bin.iter().take_while(|s| s.is_real()).count();
+                        assert!(bin[load..].iter().all(|s| s.is_filler()), "reals not packed");
+                        bin[..load].iter().map(|s| s.item.val).collect()
+                    })
+                    .collect()
+            };
+
+            let c = SeqCtx::new();
+            let sp = ScratchPool::new();
+            let stable = crate::oblivious_scatter(&c, &sp, &items, nbins, zcap, Engine::BitonicRec);
+            let mut io = items.clone();
+            io.resize(nbins * zcap, Slot::filler());
+            let unordered =
+                bin_place(&c, &sp, &mut Tracked::new(&c, &mut io), nbins, zcap, 0, Engine::BitonicRec);
+            prop_assert_eq!(stable.is_ok(), fits);
+            prop_assert_eq!(unordered.is_ok(), fits);
+            if fits {
+                prop_assert_eq!(bins_of(&stable.unwrap()), reference.clone());
+                let mut got = bins_of(&io);
+                got.iter_mut().for_each(|bin| bin.sort_unstable());
+                prop_assert_eq!(got, reference);
+            }
+        }
     }
 }

@@ -3,7 +3,8 @@
 //! Data-oblivious algorithms for the binary fork-join model
 //! (Ramachandran & Shi, SPAA 2021), cache-agnostically:
 //!
-//! * [`binplace`] — oblivious bin placement (§C.1);
+//! * [`binplace`] — oblivious bin placement (§C.1): sort + rank +
+//!   [`expand`](mod@expand), the comparator-free monotone distribution;
 //! * [`meta_orba`](mod@meta_orba) / [`rec_orba`](mod@rec_orba) — oblivious random bin assignment, flat
 //!   meta-algorithm (§C.2) and the recursive cache-agnostic schedule
 //!   (§3.2, §D.1, Lemma 3.1);
@@ -31,6 +32,7 @@ pub mod binplace;
 pub mod compact;
 pub mod engine;
 pub mod error;
+pub mod expand;
 pub mod meta_orba;
 pub mod orp;
 pub mod osort;
@@ -47,6 +49,7 @@ pub use binplace::{bin_place, set_keys};
 pub use compact::oblivious_compact;
 pub use engine::Engine;
 pub use error::{with_retries, OblivError, Result};
+pub use expand::expand;
 pub use meta_orba::meta_orba;
 pub use metrics::{ScratchGuard, ScratchPool};
 pub use orp::{orp, orp_into, orp_once, orp_once_into};

@@ -85,15 +85,43 @@ pub fn oblivious_sort<C: Ctx, V: Val>(
     p: OSortParams,
     seed: u64,
 ) -> SortOutcome {
-    // Composite keys (key ‖ input index): strict total order for REC-SORT's
-    // load balance and stability for callers.
-    let mut items = scratch.lease(data.len(), Item::<(u64, V)>::default());
-    for (it, (i, &(k, v))) in items.iter_mut().zip(data.iter().enumerate()) {
-        *it = Item::new(composite_key(k, i as u64), (k, v));
+    sort_records(c, scratch, data, p, seed, &|&(k, v)| (k, v), &|k, v| (k, v))
+}
+
+/// Convenience: obliviously sort plain `u64` keys. The working element is
+/// `Item<()>`, so a key travels once (in the composite sort key) and a
+/// `Slot` is 48 bytes.
+pub fn oblivious_sort_u64<C: Ctx>(
+    c: &C,
+    scratch: &ScratchPool,
+    keys: &mut [u64],
+    p: OSortParams,
+    seed: u64,
+) -> SortOutcome {
+    sort_records(c, scratch, keys, p, seed, &|&k| (k, ()), &|k, ()| k)
+}
+
+/// The pipeline behind both entry points: `split` a record into its key
+/// and payload, sort `Item`s keyed by (key ‖ input index) — a strict total
+/// order for REC-SORT's load balance, stability for callers — and `join`
+/// each record back from the key's high half and its payload.
+fn sort_records<C: Ctx, T, V: Val>(
+    c: &C,
+    scratch: &ScratchPool,
+    data: &mut [T],
+    p: OSortParams,
+    seed: u64,
+    split: &impl Fn(&T) -> (u64, V),
+    join: &impl Fn(u64, V) -> T,
+) -> SortOutcome {
+    let mut items = scratch.lease(data.len(), Item::<V>::default());
+    for (i, (it, d)) in items.iter_mut().zip(data.iter()).enumerate() {
+        let (k, v) = split(d);
+        *it = Item::new(composite_key(k, i as u64), v);
     }
     c.charge_par(data.len() as u64);
 
-    let mut permuted = scratch.lease(data.len(), Item::<(u64, V)>::default());
+    let mut permuted = scratch.lease(data.len(), Item::<V>::default());
     let orp_attempts = orp_into(c, scratch, &items, p.orba, seed, &mut permuted);
 
     let sort_attempts = match p.final_sorter {
@@ -122,32 +150,13 @@ pub fn oblivious_sort<C: Ctx, V: Val>(
     };
 
     for (out, it) in data.iter_mut().zip(permuted.iter()) {
-        *out = it.val;
+        *out = join((it.key >> 64) as u64, it.val);
     }
     c.charge_par(data.len() as u64);
     SortOutcome {
         orp_attempts,
         sort_attempts,
     }
-}
-
-/// Convenience: obliviously sort plain `u64` keys.
-pub fn oblivious_sort_u64<C: Ctx>(
-    c: &C,
-    scratch: &ScratchPool,
-    keys: &mut [u64],
-    p: OSortParams,
-    seed: u64,
-) -> SortOutcome {
-    let mut data = scratch.lease(keys.len(), (0u64, ()));
-    for (d, &k) in data.iter_mut().zip(keys.iter()) {
-        *d = (k, ());
-    }
-    let outcome = oblivious_sort(c, scratch, &mut data, p, seed);
-    for (k, (nk, ())) in keys.iter_mut().zip(data.iter()) {
-        *k = *nk;
-    }
-    outcome
 }
 
 #[cfg(test)]
@@ -161,6 +170,13 @@ mod tests {
         (0..n as u64)
             .map(|i| i.wrapping_mul(0x9E3779B97F4A7C15) >> 20)
             .collect()
+    }
+
+    #[test]
+    fn u64_sort_carries_the_key_once() {
+        use crate::slot::Slot;
+        assert_eq!(std::mem::size_of::<Item<()>>(), 16);
+        assert_eq!(std::mem::size_of::<Slot<()>>(), 48);
     }
 
     #[test]

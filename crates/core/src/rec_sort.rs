@@ -14,7 +14,14 @@
 //!
 //! REC-SORT need not be data-oblivious (the input permutation already
 //! decorrelates its trace from the data), which is why base cases may
-//! binary-search and reveal loads.
+//! binary-search and reveal loads — and why they sort only their reals:
+//! a base case packs the reals of its bins (`pack_bins`, the readout's
+//! pattern), sorts `next_power_of_two(total)` slots instead of the whole
+//! 4×-padded layout, and deals the sorted run back into bins.
+//!
+//! Layout invariant: every bin holds its reals in front of its fillers —
+//! true of the initial layout and of every base-case output, and preserved
+//! by the bin-granular transposes. Packing and readout rely on it.
 
 use crate::engine::Engine;
 use crate::error::{OblivError, Result};
@@ -82,30 +89,35 @@ pub fn rec_sort_items<C: Ctx, V: Val>(
     let lg = (usize::BITS - n.leading_zeros()) as usize;
 
     // --- Pivot selection (§E.2): Bernoulli(1/log n) sample, sorted with
-    // bitonic; every (log² n)-th sample becomes a pivot.
-    let mut rng = StdRng::seed_from_u64(seed);
-    let sample: Vec<Item<V>> = items
-        .iter()
-        .filter(|_| rng.gen_range(0..lg) == 0)
-        .copied()
-        .collect();
-    let mut sorted_sample = sample;
-    sort_small(c, scratch, &mut sorted_sample, engine)?;
+    // bitonic; every (log² n)-th sample becomes a pivot. The coins are
+    // drawn twice from the same seed — once to size the sample lease, once
+    // to fill it.
+    let coins = || {
+        let mut rng = StdRng::seed_from_u64(seed);
+        move || rng.gen_range(0..lg) == 0
+    };
+    let mut coin = coins();
+    let picked = items.iter().filter(|_| coin()).count();
+    let mut sample = scratch.lease(picked, Item::<V>::default());
+    let mut coin = coins();
+    for (slot, it) in sample.iter_mut().zip(items.iter().filter(|_| coin())) {
+        *slot = *it;
+    }
+    sort_small(c, scratch, &mut sample, engine)?;
     let stride = lg * lg;
-    let pivot_keys: Vec<u128> = sorted_sample
-        .iter()
-        .skip(stride - 1)
-        .step_by(stride)
-        .map(|it| it.key)
-        .collect();
 
-    let regions = pivot_keys.len() + 1;
+    let regions = picked / stride + 1;
     let nbins = regions.next_power_of_two();
     let chunk = n.div_ceil(nbins);
     let cap = (4 * chunk).next_power_of_two().max(16);
 
     let mut pivots_store = scratch.lease((nbins - 1).max(1), u128::MAX);
-    pivots_store[..pivot_keys.len()].copy_from_slice(&pivot_keys);
+    for (p, it) in pivots_store
+        .iter_mut()
+        .zip(sample.iter().skip(stride - 1).step_by(stride))
+    {
+        *p = it.key;
+    }
 
     // --- Build the bin layout: β bins of `cap`, input chunked across bins.
     let mut slots = scratch.lease(nbins * cap, filler_hi::<V>());
@@ -147,40 +159,72 @@ pub fn rec_sort_items<C: Ctx, V: Val>(
         return Err(OblivError::PivotOverflow);
     }
 
-    // --- Read out: bins are sorted with reals packed in front. Per-bin
-    // loads + a prefix sum keep the span logarithmic.
+    // --- Read out: bins are sorted with reals packed in front.
     {
         let mut t = Tracked::new(c, &mut slots);
         let tr = t.as_raw();
-        let mut loads = scratch.lease(nbins, 0u64);
-        {
-            let mut lt = Tracked::new(c, &mut loads);
-            metrics::par_fill(c, &mut lt, &|c, b| {
-                (0..cap)
-                    .map(|i| {
-                        // SAFETY: read-only phase.
-                        u64::from(unsafe { tr.get(c, b * cap + i) }.is_real())
-                    })
-                    .sum()
-            });
-            crate::scan::prefix_sum_in(c, scratch, &mut lt, false, crate::scan::Schedule::Tree);
-        }
-        let offsets = &*loads;
         let mut out_t = Tracked::new(c, items);
         let or = out_t.as_raw();
-        par_for(c, 0, nbins, grain_for(c), &|c, b| {
-            let mut at = offsets[b] as usize;
-            for i in 0..cap {
-                // SAFETY: bins write disjoint output ranges.
-                let s = unsafe { tr.get(c, b * cap + i) };
-                if s.is_real() {
-                    unsafe { or.set(c, at, s.item) };
-                    at += 1;
-                }
-            }
+        let total = pack_bins(c, scratch, &tr, nbins, cap, &|c, at, s| {
+            // SAFETY: `pack_bins` hands every real a distinct position.
+            unsafe { or.set(c, at, s.item) }
         });
+        debug_assert_eq!(total, n);
     }
     Ok(())
+}
+
+/// Hand the reals of a bin layout (`nbins` bins of `cap` slots, reals in
+/// front of each bin) to `emit(c, position, slot)` with the positions
+/// `0..total` in bin order, and return `total`. Per-bin loads by binary
+/// search, a prefix sum, and one flat parallel pass, so the span stays
+/// logarithmic.
+fn pack_bins<C: Ctx, V: Val>(
+    c: &C,
+    pool: &ScratchPool,
+    bins: &RawTracked<Slot<V>>,
+    nbins: usize,
+    cap: usize,
+    emit: &(impl Fn(&C, usize, Slot<V>) + Sync),
+) -> usize {
+    // One extra entry: after the exclusive prefix sum it holds the total.
+    let mut loads = pool.lease(nbins + 1, 0u64);
+    {
+        let mut lt = Tracked::new(c, &mut loads);
+        metrics::par_fill(c, &mut lt, &|c, b| {
+            if b == nbins {
+                return 0;
+            }
+            // First filler of bin b.
+            let (mut lo, mut hi) = (b * cap, (b + 1) * cap);
+            while lo < hi {
+                let mid = (lo + hi) / 2;
+                // SAFETY: read-only phase.
+                if unsafe { bins.get(c, mid) }.is_real() {
+                    lo = mid + 1;
+                } else {
+                    hi = mid;
+                }
+            }
+            (lo - b * cap) as u64
+        });
+        crate::scan::prefix_sum_in(c, pool, &mut lt, false, crate::scan::Schedule::Tree);
+    }
+    let offsets = &*loads;
+    par_for(c, 0, nbins * cap, grain_for(c), &|c, i| {
+        let (b, j) = (i / cap, i % cap);
+        // SAFETY: read-only phase.
+        let s = unsafe { bins.get(c, i) };
+        debug_assert_eq!(
+            s.is_real(),
+            (j as u64) < offsets[b + 1] - offsets[b],
+            "bin {b} does not hold its reals in front"
+        );
+        if s.is_real() {
+            emit(c, offsets[b] as usize + j, s);
+        }
+    });
+    offsets[nbins] as usize
 }
 
 /// Padded bitonic sort for small instances (and the pivot sample).
@@ -332,9 +376,9 @@ fn rec<C: Ctx, V: Val>(
     });
 }
 
-/// Base case: sort the whole group, then split the sorted run into bins at
-/// the pivot boundaries (binary searches — the input permutation makes this
-/// safe to do non-obliviously).
+/// Base case: pack the group's reals into `scratch`, sort them, then deal
+/// the sorted run back into `slots`' bins at the pivot boundaries (binary
+/// searches — the input permutation makes this safe to do non-obliviously).
 #[allow(clippy::too_many_arguments)]
 fn base_case<C: Ctx, V: Val>(
     c: &C,
@@ -348,22 +392,20 @@ fn base_case<C: Ctx, V: Val>(
     engine: Engine,
     overflow: &AtomicBool,
 ) {
-    engine.sort_slots(c, pool, slots);
-    // Count reals: first index whose slot is a filler (sk = MAX sorts last;
-    // real keys are < MAX by construction).
-    let total = {
-        let mut lo = 0;
-        let mut hi = slots.len();
-        while lo < hi {
-            let mid = (lo + hi) / 2;
-            if slots.get(c, mid).is_real() {
-                lo = mid + 1;
-            } else {
-                hi = mid;
-            }
-        }
-        lo
-    };
+    let (sr, dr) = (slots.as_raw(), scratch.as_raw());
+    let total = pack_bins(c, pool, &sr, nbins, cap, &|c, at, s| {
+        // SAFETY: `pack_bins` hands every real a distinct position.
+        unsafe { dr.set(c, at, s) }
+    });
+    // Both are powers of two and total ≤ nbins·cap, so the padded run fits.
+    let padded = total.next_power_of_two();
+    par_for(c, total, padded, grain_for(c), &|c, i| unsafe {
+        // SAFETY: disjoint writes past the packed reals.
+        dr.set(c, i, filler_hi::<V>());
+    });
+    let mut run = scratch.range(0, padded);
+    engine.sort_slots(c, pool, &mut run);
+
     // Boundary positions via binary search (upper bound of each pivot key).
     let mut pos = pool.lease(nbins + 1, 0usize);
     pos[nbins] = total;
@@ -373,7 +415,7 @@ fn base_case<C: Ctx, V: Val>(
         let mut hi = total;
         while lo < hi {
             let mid = (lo + hi) / 2;
-            if slots.get(c, mid).sk <= key {
+            if run.get(c, mid).sk <= key {
                 lo = mid + 1;
             } else {
                 hi = mid;
@@ -381,33 +423,22 @@ fn base_case<C: Ctx, V: Val>(
         }
         *p = lo;
     }
-    // Distribute the sorted segments into fixed-capacity bins in scratch.
-    {
-        let sr = slots.as_raw();
-        let dr = scratch.as_raw();
-        let pos = &*pos;
-        par_for(c, 0, nbins, grain_for(c), &|c, b| {
-            let (lo, hi) = (pos[b], pos[b + 1]);
-            let load = hi - lo;
-            if load > cap {
-                overflow.store(true, Ordering::Relaxed);
-            }
-            let take = load.min(cap);
-            // SAFETY: bins write disjoint cap-chunks of scratch.
-            unsafe {
-                dr.copy_from(c, &sr, lo, b * cap, take);
-                for i in take..cap {
-                    dr.set(c, b * cap + i, filler_hi::<V>());
-                }
-            }
-        });
+    let pos = &*pos;
+    if pos.windows(2).any(|w| w[1] - w[0] > cap) {
+        overflow.store(true, Ordering::Relaxed);
     }
-    // Copy back.
-    let sr = scratch.as_raw();
-    let dr = slots.as_raw();
-    par_for(c, 0, nbins, grain_for(c), &|c, b| unsafe {
-        // SAFETY: disjoint chunks.
-        dr.copy_from(c, &sr, b * cap, b * cap, cap);
+    // Deal the sorted segments into the fixed-capacity bins of `slots`
+    // (an overflowing bin keeps its first `cap`; the attempt is void).
+    par_for(c, 0, nbins * cap, grain_for(c), &|c, i| unsafe {
+        let (b, j) = (i / cap, i % cap);
+        // SAFETY: reads hit only `scratch`, each `slots` position is
+        // written once.
+        let s = if j < pos[b + 1] - pos[b] {
+            dr.get(c, pos[b] + j)
+        } else {
+            filler_hi::<V>()
+        };
+        sr.set(c, i, s);
     });
 }
 

@@ -11,55 +11,26 @@
 //! while preserving submission order — the sequential within-epoch
 //! semantics of its merge path depend on it.
 //!
-//! The algorithm is the Chan–Shi bin-placement pattern (§C.1) with
-//! order-carrying sort keys: append `Z` temp placeholders per bin, sort by
-//! `(bin, real-before-temp, item.key)`, compute each element's offset in
-//! its bin via oblivious propagation, tag offsets `≥ Z` as excess, sort
-//! again moving excess/fillers to the end, truncate. Every step is an
-//! oblivious sort, a fixed-pattern scan, or a parallel map, so the
-//! adversary trace is a function of `(|items|, nbins, Z)` only — in
-//! particular it does not depend on how full each bin is (the send-receive
-//! routing guarantee of §F).
+//! The algorithm is bin placement's sort + rank + expansion kernel
+//! ([`crate::binplace`]) with the low 64 bits of `item.key` as the sort's
+//! tiebreak. Every step is an oblivious sort, a fixed-pattern scan, or a
+//! parallel map, so the adversary trace is a function of `(nbins, Z)` only
+//! — in particular it does not depend on how full each bin is (the
+//! send-receive routing guarantee of §F).
 //!
-//! A real element tagged excess means some bin was wanted by more than `Z`
-//! elements. The pass still completes with its fixed trace and reports
-//! [`OblivError::BinOverflow`]; callers either provision `Z` so overflow
-//! is impossible (`Z ≥ |items|`) or treat the retry-with-larger-`Z` as a
-//! deliberate public signal (see `dob-store`'s routing fallback).
+//! A bin wanted by more than `Z` elements loses the surplus; the pass
+//! still completes with its fixed trace and reports
+//! [`crate::OblivError::BinOverflow`]. Callers either provision `Z` so
+//! overflow is impossible (`Z ≥ |items|`) or treat the
+//! retry-with-larger-`Z` as a deliberate public signal (see `dob-store`'s
+//! routing fallback).
 
-use crate::binplace::set_keys;
+use crate::binplace::place;
 use crate::engine::Engine;
-use crate::error::{OblivError, Result};
-use crate::scan::{seg_propagate_in, Schedule, Seg};
-use crate::slot::{flags, Slot, Val};
-use fj::{grain_for, par_for, Ctx};
+use crate::error::Result;
+use crate::slot::{Slot, Val};
+use fj::Ctx;
 use metrics::{ScratchPool, Tracked};
-
-/// Bin id used for ordering; fillers get the past-the-end bin.
-#[inline]
-fn bin_of<V: Val>(s: &Slot<V>, nbins: u64) -> u64 {
-    if s.is_filler() {
-        nbins
-    } else {
-        s.label & (nbins - 1)
-    }
-}
-
-/// Sort key `(bin ‖ real-before-temp ‖ stable tiebreak)`, fillers last.
-/// The tiebreak is the low 64 bits of `item.key`, so reals keep their
-/// caller-assigned order within a bin; temps carry tiebreak 0 but sort
-/// after every real of their bin via the class bit.
-#[inline]
-fn key_stable<V: Val>(s: &Slot<V>, nbins: u64) -> u128 {
-    if s.is_excess() {
-        u128::MAX - 1
-    } else if s.is_filler() {
-        u128::MAX
-    } else {
-        let tb = if s.is_temp() { 0 } else { s.item.key as u64 };
-        ((bin_of(s, nbins) as u128) << 65) | ((s.is_temp() as u128) << 64) | tb as u128
-    }
-}
 
 /// Padded multi-way oblivious scatter over `items` (at most `nbins · zcap`
 /// slots; `nbins` and `zcap` powers of two). Returns the `nbins · zcap`
@@ -73,102 +44,32 @@ pub fn oblivious_scatter<C: Ctx, V: Val>(
     zcap: usize,
     engine: Engine,
 ) -> Result<Vec<Slot<V>>> {
-    assert!(nbins.is_power_of_two() && zcap.is_power_of_two());
-    let n_io = nbins * zcap;
-    assert!(items.len() <= n_io, "scatter input exceeds nbins * zcap");
-    let nb64 = nbins as u64;
-
-    // Step 1: working array = items ++ filler pad ++ Z temps per bin.
-    let mut w_store = scratch.lease(2 * n_io, Slot::<V>::filler());
-    let mut w = Tracked::new(c, &mut w_store);
-    {
-        let wr = w.as_raw();
-        par_for(c, 0, 2 * n_io, grain_for(c), &|c, i| unsafe {
-            // `items.len()` is public; the branch selects what to write,
-            // every slot is written exactly once.
-            let s = if i < items.len() {
-                items[i]
-            } else if i < n_io {
-                Slot::filler()
-            } else {
-                Slot::temp(((i - n_io) / zcap) as u64)
-            };
-            wr.set(c, i, s);
-        });
-    }
-
-    // Step 2: stable sort by (bin, real-before-temp, caller order).
-    set_keys(c, &mut w, &|s| key_stable(s, nb64));
-    engine.sort_slots(c, scratch, &mut w);
-
-    // Step 3: offset within bin via propagation of the leftmost index,
-    // then tag offsets ≥ Z as excess. Overflow iff a *real* slot is excess.
-    let mut seg_store = scratch.lease(2 * n_io, Seg::new(false, 0u64));
-    let mut seg = Tracked::new(c, &mut seg_store);
-    {
-        let sr = seg.as_raw();
-        let wr = w.as_raw();
-        par_for(c, 0, 2 * n_io, grain_for(c), &|c, i| unsafe {
-            let g = bin_of(&wr.get(c, i), nb64);
-            let head = if i == 0 {
-                true
-            } else {
-                g != bin_of(&wr.get(c, i - 1), nb64)
-            };
-            sr.set(c, i, Seg::new(head, i as u64));
-        });
-    }
-    seg_propagate_in(c, scratch, &mut seg, Schedule::Tree);
-    let overflow = {
-        let sr = seg.as_raw();
-        let wr = w.as_raw();
-        fj::par_reduce(
-            c,
-            0,
-            2 * n_io,
-            grain_for(c),
-            &|c, i| unsafe {
-                let start = sr.get(c, i).v;
-                let mut s = wr.get(c, i);
-                let excess = (i as u64 - start) >= zcap as u64;
-                s.flags |= flags::EXCESS * excess as u8;
-                wr.set(c, i, s);
-                s.is_real() && excess
-            },
-            &|a, b| a | b,
-        )
-        .unwrap_or(false)
-    };
-
-    // Step 4: sort survivors back by (bin, class, caller order); excess and
-    // fillers to the end. `key_stable` already routes them there.
-    set_keys(c, &mut w, &|s| key_stable(s, nb64));
-    engine.sort_slots(c, scratch, &mut w);
-
-    // Steps 5–6: truncate to nbins·Z, convert temps to fillers, clear tags.
-    let out = {
-        let wr = w.as_raw();
-        metrics::par_collect(c, n_io, &|c, i| {
-            // SAFETY: read-only phase.
-            let s = unsafe { wr.get(c, i) };
-            if s.is_real() && !s.is_excess() {
-                Slot { sk: 0, ..s }
-            } else {
-                Slot::filler()
-            }
-        })
-    };
-
-    if overflow {
-        Err(OblivError::BinOverflow)
-    } else {
-        Ok(out)
-    }
+    assert!(
+        items.len() <= nbins * zcap,
+        "scatter input exceeds nbins * zcap"
+    );
+    // `items.len()` is public; every slot is written exactly once.
+    let mut out = metrics::par_collect(c, nbins * zcap, &|_, i| {
+        items.get(i).copied().unwrap_or_else(Slot::filler)
+    });
+    let mask = nbins as u64 - 1;
+    let key = |s: &Slot<V>| (s.label & mask, s.item.key as u64);
+    place(
+        c,
+        scratch,
+        &mut Tracked::new(c, &mut out),
+        nbins,
+        zcap,
+        engine,
+        &key,
+    )?;
+    Ok(out)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::error::OblivError;
     use crate::slot::Item;
     use fj::{Pool, SeqCtx};
     use metrics::{measure, CacheConfig, TraceMode};
@@ -246,9 +147,10 @@ mod tests {
     }
 
     #[test]
-    fn no_temps_or_excess_survive() {
+    fn output_holds_only_reals_and_canonical_fillers() {
         let out = run(4, 4, &[(0, 1), (3, 2)]).unwrap();
-        assert!(out.iter().all(|s| !s.is_temp() && !s.is_excess()));
+        assert!(out.iter().all(|s| s.sk == 0), "scratch keys not cleared");
+        assert!(out.iter().all(|s| s.is_real() || *s == Slot::filler()));
         assert_eq!(out.iter().filter(|s| s.is_real()).count(), 2);
     }
 

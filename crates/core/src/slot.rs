@@ -4,8 +4,8 @@
 //! Internally, algorithms work on [`Slot`]s, which extend items with the
 //! bookkeeping the paper's constructions need: a routing *label* (the
 //! random bin choice of ORBA, §C.2), a scratch *sort key* recomputed before
-//! each oblivious sort, and status flags (`REAL` / `TEMP` / `EXCESS`;
-//! a slot with no flags is a *filler*, the padding element `⊥`).
+//! each oblivious sort, and a status flag (`REAL`; a slot with no flags
+//! is a *filler*, the padding element `⊥`).
 
 /// Payload bound for everything flowing through the oblivious algorithms.
 pub trait Val: Copy + Default + Send + Sync + 'static {}
@@ -29,20 +29,17 @@ impl<V: Val> Item<V> {
 pub mod flags {
     /// Carries a real element.
     pub const REAL: u8 = 1;
-    /// Temporary placeholder inserted by bin placement (§C.1 step 1).
-    pub const TEMP: u8 = 2;
-    /// Marked as beyond its bin's capacity (§C.1 step 3).
-    pub const EXCESS: u8 = 4;
 }
 
 /// Internal working element.
-#[derive(Clone, Copy, Debug, Default)]
+#[derive(Clone, Copy, Debug, Default, PartialEq)]
 pub struct Slot<V> {
     /// Scratch sort key for the current phase (recomputed before each
-    /// oblivious sort).
+    /// oblivious sort; bin placement's expansion reads a displacement
+    /// from it).
     pub sk: u128,
     /// Routing label: the element's random bin choice (ORBA) or random
-    /// permutation label (ORP); temp slots reuse it for their group id.
+    /// permutation label (ORP).
     pub label: u64,
     /// Status bits from [`flags`].
     pub flags: u8,
@@ -68,35 +65,14 @@ impl<V: Val> Slot<V> {
         }
     }
 
-    /// A temp placeholder for group `g` (§C.1 step 1).
-    #[inline]
-    pub fn temp(g: u64) -> Self {
-        Slot {
-            sk: 0,
-            label: g,
-            flags: flags::TEMP,
-            item: Item::default(),
-        }
-    }
-
     #[inline]
     pub fn is_real(&self) -> bool {
         self.flags & flags::REAL != 0
     }
 
     #[inline]
-    pub fn is_temp(&self) -> bool {
-        self.flags & flags::TEMP != 0
-    }
-
-    #[inline]
     pub fn is_filler(&self) -> bool {
-        self.flags & (flags::REAL | flags::TEMP) == 0
-    }
-
-    #[inline]
-    pub fn is_excess(&self) -> bool {
-        self.flags & flags::EXCESS != 0
+        self.flags & flags::REAL == 0
     }
 }
 
@@ -119,12 +95,10 @@ mod tests {
     #[test]
     fn flag_predicates() {
         let f = Slot::<u64>::filler();
-        assert!(f.is_filler() && !f.is_real() && !f.is_temp());
+        assert!(f.is_filler() && !f.is_real());
         let r = Slot::real(Item::new(1, 2u64), 3);
         assert!(r.is_real() && !r.is_filler());
-        let t = Slot::<u64>::temp(5);
-        assert!(t.is_temp() && !t.is_filler() && !t.is_real());
-        assert_eq!(t.label, 5);
+        assert_eq!(r.label, 3);
     }
 
     #[test]

@@ -172,3 +172,44 @@ pub fn grain_for<C: Ctx>(c: &C) -> usize {
         DEFAULT_GRAIN
     }
 }
+
+/// Base-case size of the recursive sorting networks in the cost model.
+const MODEL_BASE: usize = 32;
+
+/// Bytes of elements a host executor sorts with the flat network before
+/// the recursion's transposes pay for themselves: one L1 data cache.
+const HOST_BASE_BYTES: usize = 32 * 1024;
+
+/// Base-case size (in elements of `elem_bytes` each, a power of two) for
+/// the recursive networks on this context — [`grain_for`]'s rule applied
+/// to the recursion cut-off: metered executors get 32 so the measured span
+/// and cache complexity are the model's; real executors switch to the flat
+/// network once a subproblem fits in L1 (1024 32-byte cells). The
+/// comparator set is identical either way — only the order comparators
+/// are evaluated in differs, and only off-meter.
+#[inline]
+pub fn base_for<C: Ctx>(c: &C, elem_bytes: usize) -> usize {
+    if c.is_metered() {
+        MODEL_BASE
+    } else {
+        let fit = (HOST_BASE_BYTES / elem_bytes.max(1)).max(MODEL_BASE);
+        // Round down to a power of two.
+        1 << fit.ilog2()
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::SeqCtx;
+
+    #[test]
+    fn host_base_is_an_l1_sized_power_of_two() {
+        let c = SeqCtx::new();
+        assert_eq!(base_for(&c, 32), 1024);
+        assert_eq!(base_for(&c, 48), 512);
+        assert_eq!(base_for(&c, 8), 4096);
+        assert_eq!(base_for(&c, 0), 32 * 1024);
+        assert_eq!(base_for(&c, 1 << 20), MODEL_BASE);
+    }
+}

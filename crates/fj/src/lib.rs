@@ -33,7 +33,7 @@ mod seq;
 mod task;
 pub mod topo;
 
-pub use ctx::{counters, grain_for, Access, BufId, Ctx, DEFAULT_GRAIN};
+pub use ctx::{base_for, counters, grain_for, Access, BufId, Ctx, DEFAULT_GRAIN};
 pub use par::{par_chunks_mut, par_for, par_reduce, par_zip_mut, par_zip_mut_affine};
 pub use pool::{current_worker_index, Pool, PoolConfig};
 pub use seq::SeqCtx;

@@ -18,14 +18,9 @@
 use crate::bitonic::{bitonic_merge_seq, bitonic_sort_seq};
 use crate::cx::KeyFn;
 use crate::transpose::transpose;
-use fj::{counters, Ctx};
+use fj::{base_for, counters, Ctx};
 use metrics::Tracked;
-
-/// Below this size, fall back to the sequential network (fits in any
-/// realistic cache line budget and keeps the recursion shallow). Shared
-/// with the cell networks in [`crate::tag`], which must evaluate the
-/// *same* comparator schedule (enforced by a parity test there).
-pub(crate) const BASE: usize = 32;
+use std::mem::size_of;
 
 /// Run `f(row_index, a_row, b_row)` over matching length-`rowlen` rows of
 /// two equally sized tracked slices, forking in a balanced binary tree.
@@ -71,7 +66,11 @@ pub fn bitonic_merge_rec<C: Ctx, T: Copy + Send>(
 ) {
     let m = t.len();
     debug_assert_eq!(tmp.len(), m);
-    if m <= BASE {
+    // At or below `base_for` (32 in the model, an L1's worth on a host),
+    // fall back to the sequential network. The cell networks in
+    // [`crate::tag`] use the same rule, so both evaluate the same
+    // comparator schedule (a parity test there enforces it).
+    if m <= base_for(c, size_of::<T>()) {
         bitonic_merge_seq(c, t, key, up);
         return;
     }
@@ -131,7 +130,7 @@ pub fn bitonic_sort_rec<C: Ctx, T: Copy + Send>(
         n.is_power_of_two(),
         "bitonic sort requires power-of-two length, got {n}"
     );
-    if n <= BASE {
+    if n <= base_for(c, size_of::<T>()) {
         bitonic_sort_seq(c, t, key, up);
         return;
     }

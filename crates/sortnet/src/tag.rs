@@ -13,9 +13,9 @@
 //! Two properties make the cells a drop-in for the `Slot` networks:
 //!
 //! * **Same schedule.** [`cells_sort_rec`]/[`cells_merge_rec`] evaluate the
-//!   §E.1 recursive bitonic network with the same base-case size (the
-//!   threshold constant is shared with `bitonic_rec`, not copied) and the
-//!   same transpose blocking as the generic `bitonic_sort_rec`, so the
+//!   §E.1 recursive bitonic network with the same base-case size (both
+//!   ask [`fj::base_for`]: 32 in the model, an L1's worth on a host) and
+//!   the same transpose blocking as the generic `bitonic_sort_rec`, so the
 //!   comparator sequence — and hence the adversary trace shape — is the
 //!   same function of `n`. A unit test pins comparator-count parity
 //!   against the generic network; keep the two drivers in lockstep when
@@ -28,12 +28,13 @@
 //! Fillers are cells whose tag is `u128::MAX`; real tags must stay below
 //! it (every caller packs a key that cannot reach the all-ones pattern).
 
-use crate::bitonic_rec::{par_rows2, BASE};
+use crate::bitonic_rec::par_rows2;
 use crate::cx::select_u128;
 use crate::transpose::transpose;
 use crate::vec::{active_backend, cex_cells_slab_with, Backend};
-use fj::{counters, Ctx};
+use fj::{base_for, counters, Ctx};
 use metrics::{RawTracked, Tracked};
+use std::mem::size_of;
 
 /// A 32-byte comparator-network element: 16-byte sort tag, 16-byte payload.
 ///
@@ -216,7 +217,7 @@ pub fn cells_merge_rec_with<C: Ctx>(
 ) {
     let m = t.len();
     debug_assert_eq!(tmp.len(), m);
-    if m <= BASE {
+    if m <= base_for(c, size_of::<TagCell>()) {
         cells_merge_seq_with(backend, c, t, up);
         return;
     }
@@ -281,7 +282,7 @@ pub fn cells_sort_rec_with<C: Ctx>(
         n.is_power_of_two(),
         "bitonic cell sort requires power-of-two length, got {n}"
     );
-    if n <= BASE {
+    if n <= base_for(c, size_of::<TagCell>()) {
         cells_sort_seq_with(backend, c, t, up);
         return;
     }

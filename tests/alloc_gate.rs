@@ -11,8 +11,9 @@
 //!
 //! * pre-arena main (PR 1): 448 allocations per call — every engine sort,
 //!   bin placement, scan tree, and ORP intermediate hit the allocator;
-//! * with the `ScratchPool` arena: a handful (the REC-SORT pivot sample
-//!   and a few result `Vec`s), far below the 10× line of 44.
+//! * with the `ScratchPool` arena (PR 2): 11 — the REC-SORT pivot sample
+//!   and its pivot keys were still `Vec`s;
+//! * with those two leased as well: 0.
 //!
 //! The budget below is the enforced ceiling: raising it means the arena
 //! win regressed, and that needs to be a deliberate decision, not drift.
@@ -20,9 +21,9 @@
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 
-/// Steady-state ceiling: 10× below the 448 allocations/call measured on
-/// main before the arena landed.
-const STEADY_BUDGET: u64 = 44;
+/// Steady-state ceiling: every intermediate of the sort pipelines is a
+/// lease, so a call on a warm pool does not touch the allocator.
+const STEADY_BUDGET: u64 = 0;
 
 struct Counting;
 
@@ -91,10 +92,10 @@ fn oblivious_sort_allocation_budget() {
         scratch.resident_bytes()
     );
 
-    assert!(
-        steady <= STEADY_BUDGET,
+    assert_eq!(
+        steady, STEADY_BUDGET,
         "steady-state oblivious_sort_u64 performed {steady} heap allocations, \
-         budget is {STEADY_BUDGET} (10x below the 448 measured without the arena)"
+         budget is {STEADY_BUDGET} (448 were measured without the arena)"
     );
     // The pool itself must be warm: the second call may not grow the
     // backing set at all.
@@ -136,8 +137,8 @@ fn tag_sort_allocation_budget() {
     println!("tag-sort cold allocations:   {cold}");
     println!("tag-sort steady allocations: {steady}");
 
-    assert!(
-        steady <= STEADY_BUDGET,
+    assert_eq!(
+        steady, STEADY_BUDGET,
         "steady-state oblivious_sort_kv performed {steady} heap allocations, \
          budget is {STEADY_BUDGET}"
     );
