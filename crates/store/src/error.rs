@@ -1,10 +1,12 @@
-//! Typed failures for the durable paths, the retry policy that guards
-//! them, and the store's observable health.
+//! Typed failures — rejected client input and durable-path faults — the
+//! retry policy that guards the durable paths, and the store's observable
+//! health.
 //!
 //! # Staging and acknowledgement
 //!
-//! Every durable front end upholds one contract: **an epoch's merge
-//! effects are staged and applied only after its WAL durability point**.
+//! The engine upholds one contract at every shard count, synchronous or
+//! pipelined: **an epoch's merge effects are staged and applied only
+//! after its WAL durability point**.
 //! `execute_epoch` appends (and syncs, per the group-commit cadence)
 //! before any counter bumps or table mutation, so an append that fails —
 //! even after retries — rejects the epoch *atomically*: the store is
@@ -29,10 +31,27 @@ use std::fmt;
 use std::io;
 use std::time::Duration;
 
-/// Why a durable store operation failed. Everything a commit, checkpoint
-/// or recovery can surface instead of panicking.
+/// Why a store operation failed. Everything a commit, checkpoint or
+/// recovery can surface instead of panicking.
 #[derive(Debug)]
 pub enum StoreError {
+    /// An op in the submitted batch breaks the client contract. The whole
+    /// epoch was rejected before anything was logged or applied; the
+    /// store is untouched and still healthy.
+    InvalidOp {
+        /// Position of the first offending op in the batch.
+        index: usize,
+        /// Which contract it breaks.
+        reason: &'static str,
+    },
+    /// `checkpoint` was called while the pending log is non-empty (the
+    /// last epoch took the ORAM path). Snapshots only capture the table,
+    /// so checkpoint at a merge close. Nothing was written; the store is
+    /// untouched and still healthy.
+    CheckpointPending {
+        /// Public length of the pending log.
+        pending: usize,
+    },
     /// A non-retryable I/O fault on a durable path (ENOSPC, permissions,
     /// a vanished directory…). The epoch being committed, if any, was
     /// rejected atomically.
@@ -87,6 +106,14 @@ pub enum StoreError {
 impl fmt::Display for StoreError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
+            StoreError::InvalidOp { index, reason } => {
+                write!(f, "op {index} of the epoch was rejected: {reason}")
+            }
+            StoreError::CheckpointPending { pending } => write!(
+                f,
+                "checkpoint requires an empty pending log ({pending} ops pending); \
+                 checkpoint at a merge close"
+            ),
             StoreError::Io { context, source } => {
                 write!(f, "durable {context} failed: {source}")
             }

@@ -11,11 +11,15 @@
 //! for sub-threshold batches over a bounded key space — with per-op
 //! recursive tree-ORAM point lookups (§4.2).
 //!
-//! A [`ShardedStore`] scales the engine across shards: keys are assigned
-//! to shards by the public hash [`shard_of`], each epoch's ops are routed
-//! to their shards *obliviously* (every sub-batch padded to the same
-//! public class), all shards commit in parallel on the fork-join pool,
-//! and the results are obliviously routed back to submission order.
+//! There is one engine, [`ShardedStore`]; [`Store`] names its 1-shard
+//! configuration (`Store::new(StoreConfig)`), which routes nothing and
+//! is the only one with the ORAM path. With more shards, keys are
+//! assigned to shards by the public hash [`shard_of`], each epoch's ops
+//! are routed to their shards *obliviously* (every sub-batch padded to
+//! the same public class), all shards commit in parallel on the
+//! fork-join pool, and the results are obliviously routed back to
+//! submission order. Validation, the WAL append, snapshots and health
+//! are the same code at every shard count.
 //!
 //! **Leakage contract:** the client-visible access trace of every epoch is
 //! a function of *public* quantities only — the padded batch class, the
@@ -32,22 +36,22 @@
 //! with contents fresh-coin simulatable (the classic tree-ORAM argument).
 //! See DESIGN.md §8–§9 and `tests/store.rs` / `tests/sharded.rs`.
 //!
-//! A [`PipelinedStore`] adds a double-buffered front end on top of either
+//! A [`PipelinedStore`] adds a double-buffered front end on top of the
 //! engine: ops for epoch N+1 are accepted while epoch N's merge runs as a
 //! detached fork-join task, with strict read-your-writes through an
 //! oblivious consult of the in-flight epoch's padded op log. Its handoff
 //! cadence and every consult shape are functions of batch sizes only —
 //! the same contract as above (DESIGN.md §11).
 //!
-//! **Durability** is opt-in: open a store with [`Store::recover`] (or
-//! [`ShardedStore::recover`]) under [`Durability::Epoch`] and every epoch
-//! is appended to a write-ahead log *before* its merge runs — one framed,
-//! checksummed record per epoch whose on-disk size is fixed by the public
-//! batch class. The `sync_every` knob group-commits the log: one `fsync`
+//! **Durability** is opt-in: open a store with [`ShardedStore::recover`]
+//! under [`Durability::Epoch`] and every epoch is appended to a
+//! write-ahead log *before* its merge runs — one framed, checksummed
+//! record per shard per epoch whose on-disk size is fixed by the public
+//! (sub-)batch class. The `sync_every` knob group-commits the log: one `fsync`
 //! per `sync_every` appends, trading at most that many trailing
 //! un-acknowledged epochs on a crash for far fewer flushes. Snapshots of the packed table are written on the public
 //! [`ShrinkPolicy::snapshot`] cadence (or explicitly via
-//! [`Store::checkpoint`]), truncating the WAL. Recovery replays the
+//! [`ShardedStore::checkpoint`]), truncating the WAL. Recovery replays the
 //! logged batches through the normal epoch path, so the recovered trace —
 //! and the disk image itself — is the same public function of batch sizes
 //! as a fresh run (DESIGN.md §13, `tests/durability.rs`).
@@ -67,8 +71,10 @@
 //! assert_eq!(results[get].value(), Some(700));
 //! ```
 //!
-//! **Failure model** (DESIGN.md §15): every durable-path fault surfaces
-//! as a typed [`StoreError`], never a panic. Transient faults are retried
+//! **Failure model** (DESIGN.md §15): every durable-path fault — and
+//! every op that breaks the client contract ([`StoreError::InvalidOp`],
+//! rejected before anything is logged or applied) — surfaces as a typed
+//! [`StoreError`], never a panic. Transient faults are retried
 //! under the configurable [`RetryPolicy`]; a terminal fault rejects the
 //! epoch *atomically* (merge effects apply only after the WAL durability
 //! point) and flips the store to a sticky [`Health::Degraded`] read-only
@@ -87,12 +93,10 @@ mod store;
 pub mod vfs;
 mod wal;
 
-pub use crate::store::{
-    Epoch, EpochTarget, ShardConfig, ShardedStore, ShrinkPolicy, Store, StoreConfig,
-};
+pub use crate::store::{Epoch, ShardConfig, ShardedStore, ShrinkPolicy, Store, StoreConfig};
 pub use error::{Health, RetryPolicy, StoreError};
 pub use merge::Rec;
 pub use op::{size_class, EpochPath, Op, OpResult, StoreStats, MIN_CLASS};
-pub use pipeline::{EpochHandle, PipelineTarget, PipelinedStore, Ticket};
+pub use pipeline::{EpochHandle, PipelinedStore, Ticket};
 pub use router::{shard_class, shard_of};
 pub use wal::Durability;

@@ -101,11 +101,8 @@ pub(crate) mod kind {
 }
 
 /// Flat, `Copy` encoding of an op (internal; also the pending-log entry).
-/// Nominally `pub` only because the sealed pipeline-source trait returns
-/// it; not re-exported, not API.
-#[doc(hidden)]
 #[derive(Clone, Copy, Debug, Default)]
-pub struct FlatOp {
+pub(crate) struct FlatOp {
     pub kind: u8,
     pub key: u64,
     pub val: u64,

@@ -1,8 +1,9 @@
 //! Pipelined epochs: a double-buffered front end that overlaps one
 //! epoch's merge with the next epoch's submission.
 //!
-//! [`PipelinedStore`] wraps a [`Store`] or [`ShardedStore`] and splits the
-//! synchronous `submit → commit → results` cycle into two buffers:
+//! [`PipelinedStore`] wraps a [`ShardedStore`] (at any shard count,
+//! [`Store`](crate::Store) included) and splits the synchronous
+//! `submit → commit → results` cycle into two buffers:
 //!
 //! * the **open epoch** — an op log accepting [`submit`]s at memory speed;
 //! * the **in-flight epoch** — at most one batch whose merge runs as a
@@ -40,7 +41,7 @@
 //! # Durability and drop
 //!
 //! Wrapping a durable store (one opened via
-//! [`Store::recover`](crate::Store::recover) with
+//! [`ShardedStore::recover`] with
 //! [`Durability::Epoch`](crate::Durability::Epoch)) keeps the WAL-before-
 //! merge contract: [`commit_async`] appends and flushes the epoch's WAL
 //! record on the **caller's** thread *before* spawning the detached merge
@@ -59,109 +60,13 @@
 use crate::error::{Health, StoreError};
 use crate::merge::{merge_epoch, Rec};
 use crate::op::{FlatOp, Op, OpResult, StoreStats};
-use crate::store::{validate_and_pad, EpochTarget, ShardedStore, Store, StoreConfig};
+use crate::store::{validate_and_pad, ShardedStore, StoreConfig};
 use fj::{Ctx, Deferred};
 use metrics::{ScratchPool, Tracked};
 use obliv_core::scan::Schedule;
 use obliv_core::{Engine, TagCell};
 use std::collections::VecDeque;
 use std::sync::Arc;
-
-mod sealed {
-    use crate::error::{Health, StoreError};
-    use crate::merge::Rec;
-    use crate::op::{FlatOp, Op};
-    use crate::store::StoreConfig;
-    use fj::Ctx;
-    use metrics::ScratchPool;
-
-    /// Snapshot surface the pipeline needs from a wrapped store. Sealed:
-    /// the methods traffic in crate-private types, and the consult's
-    /// correctness depends on invariants (`records` sortedness, pending
-    /// ordering) only the stores in this crate uphold.
-    pub trait Source {
-        fn config(&self) -> &StoreConfig;
-        /// Concatenated resident tables (public length).
-        fn records(&self) -> Vec<Rec>;
-        /// Un-merged pending ops, oldest first (public length).
-        fn pending(&self) -> Vec<FlatOp>;
-        /// True when `records` is key-sorted with reals leading (single
-        /// shard); multi-shard snapshots are sorted by the consult.
-        fn records_sorted(&self) -> bool;
-        /// Append the sealed epoch's padded batch to the store's WAL (a
-        /// no-op for non-durable stores) *before* the epoch is handed to
-        /// a detached task — the pipelined durability point. A terminal
-        /// fault rejects the epoch atomically and degrades the store.
-        fn wal_prelog<C: Ctx>(
-            &mut self,
-            c: &C,
-            scratch: &ScratchPool,
-            ops: &[Op],
-        ) -> Result<(), StoreError>;
-        /// The wrapped store's observable health.
-        fn health(&self) -> Health;
-    }
-}
-
-impl sealed::Source for Store {
-    fn config(&self) -> &StoreConfig {
-        Store::config(self)
-    }
-    fn records(&self) -> Vec<Rec> {
-        self.snapshot_records()
-    }
-    fn pending(&self) -> Vec<FlatOp> {
-        self.snapshot_pending()
-    }
-    fn records_sorted(&self) -> bool {
-        true
-    }
-    fn wal_prelog<C: Ctx>(
-        &mut self,
-        c: &C,
-        scratch: &ScratchPool,
-        ops: &[Op],
-    ) -> Result<(), StoreError> {
-        Store::wal_prelog(self, c, scratch, ops)
-    }
-    fn health(&self) -> Health {
-        Store::health(self)
-    }
-}
-
-impl sealed::Source for ShardedStore {
-    fn config(&self) -> &StoreConfig {
-        ShardedStore::config(self)
-    }
-    fn records(&self) -> Vec<Rec> {
-        self.snapshot_records()
-    }
-    fn pending(&self) -> Vec<FlatOp> {
-        self.snapshot_pending()
-    }
-    fn records_sorted(&self) -> bool {
-        self.shard_count() == 1
-    }
-    fn wal_prelog<C: Ctx>(
-        &mut self,
-        c: &C,
-        scratch: &ScratchPool,
-        ops: &[Op],
-    ) -> Result<(), StoreError> {
-        ShardedStore::wal_prelog(self, c, scratch, ops)
-    }
-    fn health(&self) -> Health {
-        ShardedStore::health(self)
-    }
-}
-
-/// Epoch engines a [`PipelinedStore`] can drive: both store front ends.
-/// `Send + 'static` because the wrapped store travels into the detached
-/// merge task and back.
-pub trait PipelineTarget: EpochTarget + sealed::Source + Send + 'static {}
-
-impl PipelineTarget for Store {}
-impl PipelineTarget for ShardedStore {}
 
 /// Names one committed epoch; redeem it with
 /// [`PipelinedStore::wait`] for that epoch's results.
@@ -211,7 +116,10 @@ struct InFlight<T> {
 /// let results = p.wait(&h).unwrap();
 /// assert_eq!(results[put.index].value(), None); // first put: no prior value
 /// ```
-pub struct PipelinedStore<T: PipelineTarget> {
+///
+/// The engine is [`ShardedStore`]; the type parameter only spells that
+/// out at use sites (`PipelinedStore<ShardedStore>`).
+pub struct PipelinedStore<T = ShardedStore> {
     /// `None` exactly while an epoch is in flight (the store travels into
     /// the detached task and comes back at the handoff).
     store: Option<T>,
@@ -219,10 +127,13 @@ pub struct PipelinedStore<T: PipelineTarget> {
     cfg: StoreConfig,
     engine: Engine,
     schedule: Schedule,
-    /// Resident records as of the last handoff (see `sealed::Source`).
+    /// Concatenated resident tables as of the last handoff (public
+    /// length). Key-sorted with reals leading iff `snapshot_sorted`.
     snapshot: Vec<Rec>,
     /// Pre-handoff pending log (nonzero only for ORAM-path stores).
     snapshot_pending: Vec<FlatOp>,
+    /// True for a single shard; multi-shard snapshots are sorted by the
+    /// consult.
     snapshot_sorted: bool,
     open: Vec<Op>,
     inflight: Option<InFlight<T>>,
@@ -240,20 +151,20 @@ pub struct PipelinedStore<T: PipelineTarget> {
     poisoned: bool,
 }
 
-impl<T: PipelineTarget> PipelinedStore<T> {
+impl PipelinedStore<ShardedStore> {
     /// Wrap `store` with a private scratch arena.
-    pub fn new(store: T) -> Self {
+    pub fn new(store: ShardedStore) -> Self {
         Self::with_scratch(store, Arc::new(ScratchPool::new()))
     }
 
     /// Wrap `store`, leasing consult/merge scratch from `scratch` (shared
     /// arenas amortize across stores; the pool is thread-safe).
-    pub fn with_scratch(store: T, scratch: Arc<ScratchPool>) -> Self {
-        let cfg = *sealed::Source::config(&store);
+    pub fn with_scratch(store: ShardedStore, scratch: Arc<ScratchPool>) -> Self {
+        let cfg = *store.config();
         PipelinedStore {
-            snapshot: store.records(),
-            snapshot_pending: store.pending(),
-            snapshot_sorted: store.records_sorted(),
+            snapshot: store.snapshot_records(),
+            snapshot_pending: store.snapshot_pending(),
+            snapshot_sorted: store.shard_count() == 1,
             cfg,
             engine: cfg.engine,
             schedule: cfg.schedule,
@@ -316,14 +227,15 @@ impl<T: PipelineTarget> PipelinedStore<T> {
 
     /// `(started, retired)` engine epochs: epochs handed off, and epochs
     /// whose merge has been joined back. Empty commits are public no-ops
-    /// and counted in neither (mirroring [`Store::execute_epoch`]).
+    /// and counted in neither (mirroring
+    /// [`ShardedStore::execute_epoch`]).
     pub fn epoch_counts(&self) -> (u64, u64) {
         (self.started, self.retired)
     }
 
     /// The wrapped store, available while no epoch is in flight (it
     /// travels into the detached merge task otherwise).
-    pub fn inner(&self) -> Option<&T> {
+    pub fn inner(&self) -> Option<&ShardedStore> {
         self.store.as_ref()
     }
 
@@ -337,10 +249,10 @@ impl<T: PipelineTarget> PipelinedStore<T> {
     /// the synchronous engines: no handoff, no merge, no trace — the
     /// returned handle redeems to an empty result slice.
     ///
-    /// A commit that fails its durable pre-log does not panic and does
-    /// not merge: the epoch is rejected atomically and the typed error
-    /// is parked under the returned handle, surfacing at
-    /// [`wait`](PipelinedStore::wait).
+    /// A commit that holds an invalid op ([`StoreError::InvalidOp`]) or
+    /// fails its durable pre-log does not panic and does not merge: the
+    /// epoch is rejected atomically and the typed error is parked under
+    /// the returned handle, surfacing at [`wait`](PipelinedStore::wait).
     pub fn commit_async<C: Ctx>(&mut self, c: &C) -> EpochHandle {
         let id = self.next_epoch;
         self.next_epoch += 1;
@@ -359,9 +271,8 @@ impl<T: PipelineTarget> PipelinedStore<T> {
         // Pad the log to the epoch's public class *before* the handoff:
         // this validates the batch on the caller's thread and is what
         // `read_now` consults while the merge runs.
-        let ops = std::mem::take(&mut self.open);
-        let log = validate_and_pad(&self.cfg, &ops);
-        // Pre-log (durable stores only): the epoch's WAL record is
+        //
+        // Then pre-log (durable stores only): the epoch's WAL record is
         // written on the *caller's* thread, before the merge is handed to
         // a detached task. With `sync_every == 1` that write is flushed
         // and this method returning is the durability point; with group
@@ -370,18 +281,25 @@ impl<T: PipelineTarget> PipelinedStore<T> {
         // append completing the group and a crash drops at most the
         // k − 1 trailing un-synced epochs (a clean suffix — see
         // `Durability::Epoch`).
-        if let Err(e) = sealed::Source::wal_prelog(&mut store, c, &self.scratch, &ops) {
-            // The epoch never reached its durability point: nothing
-            // merged, nothing acknowledged. The (degraded) store stays
-            // here for reads and recovery.
-            self.store = Some(store);
-            self.done.push_back((id, Err(e)));
-            return EpochHandle { id };
-        }
+        let ops = std::mem::take(&mut self.open);
+        let logged = validate_and_pad(&self.cfg, &ops)
+            .and_then(|log| store.wal_prelog(c, &self.scratch, &ops).map(|()| log));
+        let log = match logged {
+            Ok(log) => log,
+            Err(e) => {
+                // An invalid op, or an epoch that never reached its
+                // durability point: nothing merged, nothing acknowledged.
+                // The store (degraded, if the pre-log failed) stays here
+                // for reads and recovery.
+                self.store = Some(store);
+                self.done.push_back((id, Err(e)));
+                return EpochHandle { id };
+            }
+        };
         let scratch = Arc::clone(&self.scratch);
         let task = c.spawn_detached(move |c| {
             let mut store = store;
-            let results = store.run_epoch(c, &scratch, &ops);
+            let results = store.execute_epoch(c, &scratch, &ops);
             (store, results)
         });
         self.inflight = Some(InFlight { id, log, task });
@@ -413,8 +331,9 @@ impl<T: PipelineTarget> PipelinedStore<T> {
     ///
     /// [`StoreError::UnknownEpoch`] for a handle this store never issued
     /// or whose results were already taken; the commit's own error
-    /// ([`StoreError::RetriesExhausted`], [`StoreError::Io`]…) if its
-    /// WAL pre-log failed; [`StoreError::Poisoned`] if the epoch's
+    /// ([`StoreError::InvalidOp`], [`StoreError::RetriesExhausted`],
+    /// [`StoreError::Io`]…) if its batch was invalid or its WAL pre-log
+    /// failed; [`StoreError::Poisoned`] if the epoch's
     /// detached merge panicked (the panic is contained to the worker —
     /// it does not unwind through `wait`).
     pub fn wait(&mut self, h: &EpochHandle) -> Result<Vec<OpResult>, StoreError> {
@@ -442,7 +361,7 @@ impl<T: PipelineTarget> PipelinedStore<T> {
     /// panicked and the store was lost with it (see
     /// [`health`](PipelinedStore::health)) — not on durable I/O faults,
     /// which surface as typed errors at [`wait`](PipelinedStore::wait).
-    pub fn into_inner<C: Ctx>(mut self, c: &C) -> T {
+    pub fn into_inner<C: Ctx>(mut self, c: &C) -> ShardedStore {
         self.drain(c);
         self.store
             .take()
@@ -458,7 +377,7 @@ impl<T: PipelineTarget> PipelinedStore<T> {
             return Health::Degraded;
         }
         match &self.store {
-            Some(s) => sealed::Source::health(s),
+            Some(s) => s.health(),
             // In flight: the store travels with the merge task; the
             // pipeline itself is healthy.
             None => Health::Ok,
@@ -473,8 +392,8 @@ impl<T: PipelineTarget> PipelinedStore<T> {
                     // and the next handoff read the just-merged table
                     // (plus any pending log the epoch left behind on the
                     // ORAM path).
-                    self.snapshot = store.records();
-                    self.snapshot_pending = store.pending();
+                    self.snapshot = store.snapshot_records();
+                    self.snapshot_pending = store.snapshot_pending();
                     self.done.push_back((inf.id, results));
                     self.store = Some(store);
                     self.retired += 1;
@@ -504,13 +423,23 @@ impl<T: PipelineTarget> PipelinedStore<T> {
     /// trace is a function of the snapshot capacity and those public
     /// classes plus the query class — never of key contents. The copy is
     /// discarded; the engine's state is untouched.
+    ///
+    /// # Panics
+    ///
+    /// If a queried key — or an op sitting in the open buffer — breaks the
+    /// client contract (see [`StoreError::InvalidOp`]): this signature
+    /// has no error channel. A commit reports the same condition as a
+    /// typed error under its handle.
     pub fn read_now<C: Ctx>(&self, c: &C, keys: &[u64]) -> Vec<Option<u64>> {
         let c_ref = c;
         let scratch = &*self.scratch;
+        let pad = |ops: &[Op]| {
+            validate_and_pad(&self.cfg, ops).unwrap_or_else(|e| panic!("read_now: {e}"))
+        };
         // Queries as a padded Get batch (validates key-space contracts
         // the same way a real epoch would).
         let queries: Vec<Op> = keys.iter().map(|&key| Op::Get { key }).collect();
-        let batch = validate_and_pad(&self.cfg, &queries);
+        let batch = pad(&queries);
 
         // 1. A discardable copy of the handoff snapshot; multi-shard
         //    concatenations are key-sorted first (public branch: the
@@ -527,7 +456,7 @@ impl<T: PipelineTarget> PipelinedStore<T> {
             log.extend_from_slice(&inf.log);
         }
         if !self.open.is_empty() {
-            log.extend(validate_and_pad(&self.cfg, &self.open));
+            log.extend(pad(&self.open));
         }
 
         // 3. One merge-path replay; capacity is unchanged (`cap_new =
@@ -587,7 +516,7 @@ fn sort_snapshot<C: Ctx>(c: &C, scratch: &ScratchPool, engine: Engine, table: &m
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::store::{ShardConfig, ShrinkPolicy};
+    use crate::store::{ShardConfig, ShrinkPolicy, Store};
     use fj::SeqCtx;
 
     fn ops_mix(n: u64, salt: u64) -> Vec<Op> {
@@ -770,6 +699,31 @@ mod tests {
         let h2 = p.commit_async(&c);
         assert_eq!(p.wait(&h2).unwrap().len(), 1);
         assert_eq!(p.health(), crate::Health::Ok);
+    }
+
+    #[test]
+    fn invalid_op_is_parked_under_its_handle() {
+        // A hostile op rejects its whole epoch as a typed error at
+        // `wait`, like a failed pre-log — and unlike one it leaves the
+        // store healthy, so the next epoch commits.
+        let c = SeqCtx::new();
+        let mut p = PipelinedStore::new(Store::new(StoreConfig::default()));
+        p.submit(Op::Put { key: 1, val: 10 });
+        p.submit(Op::Put {
+            key: 2,
+            val: u64::MAX,
+        });
+        let bad = p.commit_async(&c);
+        assert!(matches!(
+            p.wait(&bad),
+            Err(StoreError::InvalidOp { index: 1, .. })
+        ));
+        assert_eq!(p.health(), crate::Health::Ok);
+        assert_eq!(p.epoch_counts(), (0, 0), "nothing was handed off");
+        p.submit(Op::Put { key: 2, val: 20 });
+        let good = p.commit_async(&c);
+        assert_eq!(p.wait(&good).unwrap().len(), 1);
+        assert_eq!(p.read_now(&c, &[1, 2]), vec![None, Some(20)]);
     }
 
     #[test]

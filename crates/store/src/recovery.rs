@@ -45,7 +45,7 @@ use fj::Ctx;
 use metrics::ScratchPool;
 use std::path::Path;
 
-/// What [`recover_shards`] hands back to the front-end constructors.
+/// What [`recover_shards`] hands back to the store constructor.
 pub(crate) struct RecoveredState {
     pub shards: Vec<Shard>,
     /// Epochs applied (the next WAL sequence number).
@@ -57,8 +57,7 @@ pub(crate) struct RecoveredState {
 
 /// Load `n_shards` shards from `dir`: per shard, restore the snapshot (if
 /// any), then replay the WAL records in `[next_seq, horizon)` through the
-/// normal epoch paths. Shared by [`crate::Store::recover`] and
-/// [`crate::ShardedStore::recover`].
+/// normal epoch paths — the body of [`crate::ShardedStore::recover`].
 pub(crate) fn recover_shards<C: Ctx>(
     c: &C,
     scratch: &ScratchPool,

@@ -7,8 +7,9 @@
 //! shards concurrently on the fork-join pool — each shard's
 //! [`merge_epoch`](crate::merge) takes the shard's table by `&mut`, leases
 //! its scratch from the shared (thread-safe) [`ScratchPool`], and touches
-//! no state outside the shard, so commits are fully independent. A plain
-//! [`crate::Store`] is exactly the 1-shard special case.
+//! no state outside the shard, so commits are fully independent. A
+//! 1-shard store ([`crate::Store`]) hands its whole padded batch to its
+//! one shard.
 
 use crate::merge::{merge_epoch, Rec};
 use crate::op::{kind, size_class, EpochPath, FlatOp, OpResult, StoreStats};
@@ -214,18 +215,17 @@ impl Shard {
         self.merges
     }
 
-    /// Copy of the resident table for a pipelined consult: key-sorted,
-    /// present records leading, padded to the public capacity. Public
-    /// length; contents stay host-side until the consult sorts/merges
-    /// them under tracked kernels.
-    pub fn records(&self) -> Vec<Rec> {
-        self.table.clone()
+    /// The resident table: key-sorted, present records leading, padded
+    /// to the public capacity. Public length; contents stay host-side
+    /// until a snapshot serializes them or a pipelined consult
+    /// sorts/merges a copy under tracked kernels.
+    pub fn records(&self) -> &[Rec] {
+        &self.table
     }
 
-    /// Copy of the pending log (ops applied to the ORAM mirror but not
-    /// yet merged). Public length: it is a concatenation of padded
-    /// batches.
-    pub fn pending_ops(&self) -> Vec<FlatOp> {
-        self.pending.clone()
+    /// The pending log (ops applied to the ORAM mirror but not yet
+    /// merged). Public length: it is a concatenation of padded batches.
+    pub fn pending_ops(&self) -> &[FlatOp] {
+        &self.pending
     }
 }

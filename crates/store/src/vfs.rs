@@ -6,8 +6,8 @@
 //! WAL or recovery logic. Two implementations ship:
 //!
 //! * [`OsVfs`] — a thin passthrough to `std::fs`, the production default
-//!   (and what [`Store::recover`](crate::Store::recover) binds when no
-//!   VFS is supplied).
+//!   (and what [`ShardedStore::recover`](crate::ShardedStore::recover)
+//!   binds when no VFS is supplied).
 //! * [`FaultVfs`] — a fully in-memory filesystem that injects faults from
 //!   a seeded, **public** schedule ([`FaultPlan`]): EIO/ENOSPC on the
 //!   k-th write, short (torn) appends, syncs that report success but

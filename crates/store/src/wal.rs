@@ -40,8 +40,9 @@
 //! truncated; a crash between the two steps is benign because recovery
 //! skips WAL records with `seq < next_seq`. Snapshot points follow the
 //! public [`ShrinkPolicy::snapshot`](crate::ShrinkPolicy::snapshot)
-//! cadence (or an explicit [`Store::checkpoint`](crate::Store::checkpoint)
-//! call), both functions of the public merge counter — never of the data.
+//! cadence (or an explicit
+//! [`ShardedStore::checkpoint`](crate::ShardedStore::checkpoint) call),
+//! both functions of the public merge counter — never of the data.
 //!
 //! # Torn tails
 //!
@@ -66,11 +67,10 @@ use std::path::{Path, PathBuf};
 /// unchanged and nothing touches the filesystem.
 ///
 /// [`Durability::Epoch`] only takes effect through
-/// [`Store::recover`](crate::Store::recover) /
-/// [`ShardedStore::recover`](crate::ShardedStore::recover), which bind
+/// [`ShardedStore::recover`](crate::ShardedStore::recover), which binds
 /// the store to a directory; a store built with
-/// [`Store::new`](crate::Store::new) has nowhere to log and stays
-/// in-memory regardless of the knob.
+/// [`ShardedStore::new`](crate::ShardedStore::new) has nowhere to log
+/// and stays in-memory regardless of the knob.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum Durability {
     /// In-memory only (the default): no WAL, no snapshots, no recovery.

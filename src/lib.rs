@@ -50,8 +50,8 @@ pub mod prelude {
     pub use pram::{run_direct, run_oblivious_sb, Opram, OramConfig};
     pub use sortnet::{sort_slice_rec, Network};
     pub use store::{
-        shard_of, Durability, Epoch, EpochHandle, EpochPath, EpochTarget, Health, Op, OpResult,
-        PipelineTarget, PipelinedStore, RetryPolicy, ShardConfig, ShardedStore, ShrinkPolicy,
-        Store, StoreConfig, StoreError, StoreStats, Ticket,
+        shard_of, Durability, Epoch, EpochHandle, EpochPath, Health, Op, OpResult, PipelinedStore,
+        RetryPolicy, ShardConfig, ShardedStore, ShrinkPolicy, Store, StoreConfig, StoreError,
+        StoreStats, Ticket,
     };
 }

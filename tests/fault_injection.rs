@@ -1,6 +1,7 @@
-//! Fault-injection chaos suite (DESIGN.md §15): every durable front end,
-//! killed at every I/O boundary, recovered, and compared against an
-//! oracle replaying exactly the acknowledged prefix.
+//! Fault-injection chaos suite (DESIGN.md §15): the durable engine —
+//! unrouted and routed, synchronous and pipelined — killed at every I/O
+//! boundary, recovered, and compared against an oracle replaying exactly
+//! the acknowledged prefix.
 //!
 //! The injectable filesystem is [`store::vfs::FaultVfs`]: faults — EIO
 //! and ENOSPC on the k-th write, torn appends, lying syncs, a crash at
@@ -12,17 +13,17 @@
 //!   operations a fixed workload performs; the sweep then crashes at
 //!   *every* index in that range, recovers from the frozen durable
 //!   image, and asserts the recovered state equals a `HashMap` oracle
-//!   that replayed only the acknowledged epochs. Runs over the plain
-//!   `Store`, `ShardedStore` at 1 and 4 shards, and the pipelined front
-//!   end, under `SeqCtx` fully and a pinned `Pool(4)`.
+//!   that replayed only the acknowledged epochs. Runs at 1 and 4 shards,
+//!   synchronous and pipelined, under `SeqCtx` fully and a pinned
+//!   `Pool(4)`.
 //! * **Seeded schedules** (proptest): probabilistic EIO / torn / sync
-//!   faults across seeds × shard counts × front ends — recovery always
+//!   faults across seeds × shard counts × commit modes — recovery always
 //!   reproduces the acked prefix, and the fault log is identical across
 //!   datasets of the same shape (schedule-public).
-//! * **Taxonomy edges**: ENOSPC fails fast (no retry spin) and degrades
-//!   the store; a deterministic k-th-write EIO is absorbed by the retry
-//!   policy with no observable effect; fsync lies lose only a clean
-//!   suffix of acknowledged epochs.
+//! * **Taxonomy edges** (1 and 4 shards): ENOSPC fails fast (no retry
+//!   spin) and degrades the store; a deterministic k-th-write EIO is
+//!   absorbed by the retry policy with no observable effect; fsync lies
+//!   lose only a clean suffix of acknowledged epochs.
 //! * **Definition 1 under faults**: the recovery-replay trace of a
 //!   fault-built image equals that of an unfaulted build of the same
 //!   shapes.
@@ -92,16 +93,43 @@ fn apply(oracle: &mut HashMap<u64, u64>, ops: &[Op]) {
     }
 }
 
-/// Which durable front end a run drives. `Pipelined` wraps a plain
-/// `Store`, so its WAL format recovers through `Store::recover_with`.
+/// How a run commits its epochs: synchronously or through the pipelined
+/// wrapper, each over a durable engine of the given shard count (1 = the
+/// plain `Store`: nothing routed, one WAL).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 enum Front {
-    Plain,
     Sharded(usize),
-    Pipelined,
+    Pipelined(usize),
 }
 
+impl Front {
+    fn shards(self) -> usize {
+        let (Front::Sharded(shards) | Front::Pipelined(shards)) = self;
+        shards
+    }
+}
+
+const FRONTS: [Front; 4] = [
+    Front::Sharded(1),
+    Front::Sharded(4),
+    Front::Pipelined(1),
+    Front::Pipelined(4),
+];
+
 const DIR: &str = "/chaos/store";
+
+/// Open (or recover) `shards` durable shards in [`DIR`] on `vfs`.
+fn open<C: Ctx>(
+    c: &C,
+    sp: &ScratchPool,
+    shards: usize,
+    attempts: u32,
+    vfs: Arc<FaultVfs>,
+) -> Result<ShardedStore, StoreError> {
+    let mut cfg = ShardConfig::with_shards(shards);
+    cfg.store = durable_cfg(attempts);
+    ShardedStore::recover_with(c, sp, DIR, cfg, vfs)
+}
 
 /// Drive `epochs` epochs of the fixed workload against `front` on `vfs`,
 /// stopping at the first rejected epoch. Returns the **acknowledged**
@@ -116,11 +144,11 @@ fn drive<C: Ctx>(
     salt: u64,
 ) -> Vec<Vec<Op>> {
     let mut acked = Vec::new();
+    let Ok(mut s) = open(c, sp, front.shards(), 2, vfs) else {
+        return acked;
+    };
     match front {
-        Front::Plain => {
-            let Ok(mut s) = Store::recover_with(c, sp, DIR, durable_cfg(2), vfs) else {
-                return acked;
-            };
+        Front::Sharded(_) => {
             for e in 0..epochs {
                 let ops = epoch_ops(e, salt);
                 if s.execute_epoch(c, sp, &ops).is_err() {
@@ -129,24 +157,7 @@ fn drive<C: Ctx>(
                 acked.push(ops);
             }
         }
-        Front::Sharded(shards) => {
-            let mut cfg = ShardConfig::with_shards(shards);
-            cfg.store = durable_cfg(2);
-            let Ok(mut s) = ShardedStore::recover_with(c, sp, DIR, cfg, vfs) else {
-                return acked;
-            };
-            for e in 0..epochs {
-                let ops = epoch_ops(e, salt);
-                if s.execute_epoch(c, sp, &ops).is_err() {
-                    return acked;
-                }
-                acked.push(ops);
-            }
-        }
-        Front::Pipelined => {
-            let Ok(s) = Store::recover_with(c, sp, DIR, durable_cfg(2), vfs) else {
-                return acked;
-            };
+        Front::Pipelined(_) => {
             let mut p = PipelinedStore::with_scratch(s, Arc::new(ScratchPool::new()));
             let mut pending: Option<(EpochHandle, Vec<Op>)> = None;
             for e in 0..epochs {
@@ -174,14 +185,14 @@ fn drive<C: Ctx>(
     acked
 }
 
-/// Recover `front`'s directory from the (fault-free) crash image and
-/// assert the recovered state is exactly the acked-prefix oracle: the
-/// replayed epoch count matches, and every key in the workload's
-/// universe probes to the oracle's answer.
+/// Recover `shards` shards from the (fault-free) crash image and assert
+/// the recovered state is exactly the acked-prefix oracle: the replayed
+/// epoch count matches, and every key in the workload's universe probes
+/// to the oracle's answer.
 fn assert_recovers_acked<C: Ctx>(
     c: &C,
     sp: &ScratchPool,
-    front: Front,
+    shards: usize,
     image: FaultVfs,
     acked: &[Vec<Op>],
 ) {
@@ -189,36 +200,20 @@ fn assert_recovers_acked<C: Ctx>(
     for ops in acked {
         apply(&mut oracle, ops);
     }
+    let mut r =
+        open(c, sp, shards, 1, Arc::new(image)).expect("recovery from a crash image must succeed");
+    assert_eq!(
+        r.epoch_counts().0,
+        acked.len() as u64,
+        "recovered epoch count != acknowledged epochs"
+    );
     let probes: Vec<Op> = (0..41).map(|key| Op::Get { key }).collect();
-    let res = match front {
-        Front::Plain | Front::Pipelined => {
-            let mut r = Store::recover_with(c, sp, DIR, durable_cfg(1), Arc::new(image))
-                .expect("recovery from a crash image must succeed");
-            assert_eq!(
-                r.epoch_counts().0,
-                acked.len() as u64,
-                "recovered epoch count != acknowledged epochs"
-            );
-            r.execute_epoch(c, sp, &probes).unwrap()
-        }
-        Front::Sharded(shards) => {
-            let mut cfg = ShardConfig::with_shards(shards);
-            cfg.store = durable_cfg(1);
-            let mut r = ShardedStore::recover_with(c, sp, DIR, cfg, Arc::new(image))
-                .expect("recovery from a crash image must succeed");
-            assert_eq!(
-                r.epoch_counts().0,
-                acked.len() as u64,
-                "recovered epoch count != acknowledged epochs"
-            );
-            r.execute_epoch(c, sp, &probes).unwrap()
-        }
-    };
+    let res = r.execute_epoch(c, sp, &probes).unwrap();
     for (key, got) in (0..41u64).zip(&res) {
         assert_eq!(
             got.value(),
             oracle.get(&key).copied(),
-            "{front:?}: key {key} diverged from the acked-prefix oracle"
+            "{shards} shard(s): key {key} diverged from the acked-prefix oracle"
         );
     }
 }
@@ -226,6 +221,7 @@ fn assert_recovers_acked<C: Ctx>(
 /// One exhaustive sweep of a front end: dry-run to count I/O operations,
 /// then crash at every index in that range and check recovery.
 fn sweep_front<C: Ctx>(c: &C, sp: &ScratchPool, front: Front, salt: u64) {
+    let shards = front.shards();
     let dry = Arc::new(FaultVfs::unfaulted());
     let full = drive(c, sp, front, dry.clone(), 4, salt);
     assert_eq!(
@@ -235,7 +231,7 @@ fn sweep_front<C: Ctx>(c: &C, sp: &ScratchPool, front: Front, salt: u64) {
     );
     let n = dry.io_ops();
     assert!(n > 0);
-    assert_recovers_acked(c, sp, front, dry.durable_image(), &full);
+    assert_recovers_acked(c, sp, shards, dry.durable_image(), &full);
 
     for k in 0..n {
         let vfs = Arc::new(FaultVfs::new(FaultPlan {
@@ -248,7 +244,7 @@ fn sweep_front<C: Ctx>(c: &C, sp: &ScratchPool, front: Front, salt: u64) {
             "{front:?}: crash point {k} (of {n}) never fired"
         );
         assert!(acked.len() < 4, "{front:?}: crash at {k} lost no epoch");
-        assert_recovers_acked(c, sp, front, vfs.durable_image(), &acked);
+        assert_recovers_acked(c, sp, shards, vfs.durable_image(), &acked);
     }
 }
 
@@ -257,12 +253,7 @@ fn crash_point_sweep_recovers_exactly_the_acked_prefix() {
     let c = SeqCtx::new();
     let sp = ScratchPool::new();
     let salt = env_seed();
-    for front in [
-        Front::Plain,
-        Front::Sharded(1),
-        Front::Sharded(4),
-        Front::Pipelined,
-    ] {
+    for front in FRONTS {
         sweep_front(&c, &sp, front, salt);
     }
 }
@@ -277,7 +268,7 @@ fn crash_point_sweep_under_pinned_pool() {
     });
     let sp = ScratchPool::new();
     let salt = env_seed().wrapping_add(1);
-    for front in [Front::Sharded(4), Front::Pipelined] {
+    for front in [Front::Sharded(4), Front::Pipelined(1), Front::Pipelined(4)] {
         pool.run(|c| sweep_front(c, &sp, front, salt));
     }
 }
@@ -286,86 +277,95 @@ fn crash_point_sweep_under_pinned_pool() {
 fn enospc_fails_fast_and_degrades_the_store() {
     let c = SeqCtx::new();
     let sp = ScratchPool::new();
-    // Appends are the only writes here (no snapshots), so the 2nd write
-    // is epoch 2's WAL record: epochs 0 and 1 ack, epoch 2 hits ENOSPC.
-    let vfs = Arc::new(FaultVfs::new(FaultPlan {
-        enospc_write: Some(2),
-        ..FaultPlan::default()
-    }));
-    let mut s = Store::recover_with(&c, &sp, DIR, durable_cfg(4), vfs.clone()).unwrap();
-    let mut acked = Vec::new();
-    for e in 0..2u64 {
-        let ops = epoch_ops(e, 3);
-        s.execute_epoch(&c, &sp, &ops).unwrap();
-        acked.push(ops);
+    for shards in [1usize, 4] {
+        // Appends are the only writes here (no snapshots), one per shard
+        // per epoch, so write 2·shards is epoch 2's first WAL record:
+        // epochs 0 and 1 ack, epoch 2 hits ENOSPC.
+        let vfs = Arc::new(FaultVfs::new(FaultPlan {
+            enospc_write: Some(2 * shards as u64),
+            ..FaultPlan::default()
+        }));
+        let mut s = open(&c, &sp, shards, 4, vfs.clone()).unwrap();
+        let mut acked = Vec::new();
+        for e in 0..2u64 {
+            let ops = epoch_ops(e, 3);
+            s.execute_epoch(&c, &sp, &ops).unwrap();
+            acked.push(ops);
+        }
+        let err = s.execute_epoch(&c, &sp, &epoch_ops(2, 3)).unwrap_err();
+        // Permanent fault: surfaced as Io (fail-fast), never
+        // RetriesExhausted.
+        assert!(
+            matches!(
+                err,
+                StoreError::Io {
+                    context: "wal append",
+                    ..
+                }
+            ),
+            "ENOSPC must fail fast, got: {err}"
+        );
+        let kinds: Vec<_> = vfs.fault_log().iter().map(|f| f.kind).collect();
+        assert_eq!(kinds, vec!["write-enospc"], "ENOSPC must not be retried");
+
+        // Sticky degraded mode: commits refused, reads still answered.
+        assert_eq!(s.health(), Health::Degraded);
+        assert!(s.last_fault().is_some());
+        let refused = s.execute_epoch(&c, &sp, &epoch_ops(3, 3)).unwrap_err();
+        assert!(matches!(refused, StoreError::Poisoned));
+        let _ = s.stats();
+
+        // The rejected epoch left nothing behind: recovery sees epochs 0–1.
+        assert_recovers_acked(&c, &sp, shards, vfs.durable_image(), &acked);
     }
-    let err = s.execute_epoch(&c, &sp, &epoch_ops(2, 3)).unwrap_err();
-    // Permanent fault: surfaced as Io (fail-fast), never RetriesExhausted.
-    assert!(
-        matches!(
-            err,
-            StoreError::Io {
-                context: "wal append",
-                ..
-            }
-        ),
-        "ENOSPC must fail fast, got: {err}"
-    );
-    let kinds: Vec<_> = vfs.fault_log().iter().map(|f| f.kind).collect();
-    assert_eq!(kinds, vec!["write-enospc"], "ENOSPC must not be retried");
-
-    // Sticky degraded mode: commits refused, reads still answered.
-    assert_eq!(s.health(), Health::Degraded);
-    assert!(s.last_fault().is_some());
-    let refused = s.execute_epoch(&c, &sp, &epoch_ops(3, 3)).unwrap_err();
-    assert!(matches!(refused, StoreError::Poisoned));
-    let _ = s.stats();
-
-    // The rejected epoch left nothing behind: recovery sees epochs 0–1.
-    assert_recovers_acked(&c, &sp, Front::Plain, vfs.durable_image(), &acked);
 }
 
 #[test]
 fn transient_kth_write_eio_is_absorbed_by_retry() {
     let c = SeqCtx::new();
     let sp = ScratchPool::new();
-    let vfs = Arc::new(FaultVfs::new(FaultPlan {
-        eio_write: Some(1),
-        ..FaultPlan::default()
-    }));
-    let mut s = Store::recover_with(&c, &sp, DIR, durable_cfg(3), vfs.clone()).unwrap();
-    let mut acked = Vec::new();
-    for e in 0..4u64 {
-        let ops = epoch_ops(e, 5);
-        s.execute_epoch(&c, &sp, &ops)
-            .expect("transient EIO must be retried to success");
-        acked.push(ops);
+    for shards in [1usize, 4] {
+        let vfs = Arc::new(FaultVfs::new(FaultPlan {
+            eio_write: Some(1),
+            ..FaultPlan::default()
+        }));
+        let mut s = open(&c, &sp, shards, 3, vfs.clone()).unwrap();
+        let mut acked = Vec::new();
+        for e in 0..4u64 {
+            let ops = epoch_ops(e, 5);
+            s.execute_epoch(&c, &sp, &ops)
+                .expect("transient EIO must be retried to success");
+            acked.push(ops);
+        }
+        assert_eq!(s.health(), Health::Ok);
+        let kinds: Vec<_> = vfs.fault_log().iter().map(|f| f.kind).collect();
+        assert_eq!(kinds, vec!["write-eio"], "exactly one injected fault");
+        assert_recovers_acked(&c, &sp, shards, vfs.durable_image(), &acked);
     }
-    assert_eq!(s.health(), Health::Ok);
-    let kinds: Vec<_> = vfs.fault_log().iter().map(|f| f.kind).collect();
-    assert_eq!(kinds, vec!["write-eio"], "exactly one injected fault");
-    assert_recovers_acked(&c, &sp, Front::Plain, vfs.durable_image(), &acked);
 }
 
 #[test]
 fn retries_exhausted_rejects_atomically() {
     let c = SeqCtx::new();
     let sp = ScratchPool::new();
-    // Crash-like persistent EIO from the first write on: with a bounded
-    // budget the append exhausts its attempts and the epoch is rejected.
-    let vfs = Arc::new(FaultVfs::new(FaultPlan {
-        seed: env_seed() ^ 0xE10,
-        write_fault: 255,
-        ..FaultPlan::default()
-    }));
-    let mut s = Store::recover_with(&c, &sp, DIR, durable_cfg(3), vfs.clone()).unwrap();
-    let err = s.execute_epoch(&c, &sp, &epoch_ops(0, 9)).unwrap_err();
-    assert!(
-        matches!(err, StoreError::RetriesExhausted { attempts: 3, .. }),
-        "expected RetriesExhausted, got: {err}"
-    );
-    assert_eq!(s.health(), Health::Degraded);
-    assert_recovers_acked(&c, &sp, Front::Plain, vfs.durable_image(), &[]);
+    for shards in [1usize, 4] {
+        // Crash-like persistent EIO from the first write on: with a
+        // bounded budget the append exhausts its attempts and the epoch
+        // is rejected.
+        let vfs = Arc::new(FaultVfs::new(FaultPlan {
+            seed: env_seed() ^ 0xE10,
+            write_fault: 255,
+            ..FaultPlan::default()
+        }));
+        let mut s = open(&c, &sp, shards, 3, vfs.clone()).unwrap();
+        let err = s.execute_epoch(&c, &sp, &epoch_ops(0, 9)).unwrap_err();
+        assert!(
+            matches!(err, StoreError::RetriesExhausted { attempts: 3, .. }),
+            "expected RetriesExhausted, got: {err}"
+        );
+        assert_eq!(s.health(), Health::Degraded);
+        assert_recovers_acked(&c, &sp, shards, vfs.durable_image(), &[]);
+    }
 }
 
 #[test]
@@ -375,41 +375,31 @@ fn fsync_lies_lose_only_a_clean_acked_suffix() {
     // Lying syncs ack epochs the disk never saw. The store cannot detect
     // the lie (neither can SQLite); the contract is containment: what
     // recovery finds is a clean *prefix* of the acked epochs — never a
-    // gap, never a reorder, never a partial epoch.
-    let vfs = Arc::new(FaultVfs::new(FaultPlan {
-        seed: env_seed() ^ 0x11E5,
-        sync_lie: 140,
-        ..FaultPlan::default()
-    }));
-    let mut s = Store::recover_with(&c, &sp, DIR, durable_cfg(1), vfs.clone()).unwrap();
-    let mut per_epoch = Vec::new();
-    for e in 0..6u64 {
-        let ops = epoch_ops(e, 7);
-        s.execute_epoch(&c, &sp, &ops).unwrap();
-        per_epoch.push(ops);
-    }
-    assert!(
-        vfs.fault_log().iter().any(|f| f.kind == "sync-lie"),
-        "schedule never lied; pick a different seed"
-    );
-    drop(s);
-
-    let mut r =
-        Store::recover_with(&c, &sp, DIR, durable_cfg(1), Arc::new(vfs.durable_image())).unwrap();
-    let m = r.epoch_counts().0;
-    assert!(m <= 6, "recovered more epochs than were committed");
-    let mut oracle: HashMap<u64, u64> = HashMap::new();
-    for ops in per_epoch.iter().take(m as usize) {
-        apply(&mut oracle, ops);
-    }
-    let probes: Vec<Op> = (0..41).map(|key| Op::Get { key }).collect();
-    let res = r.execute_epoch(&c, &sp, &probes).unwrap();
-    for (key, got) in (0..41u64).zip(&res) {
-        assert_eq!(
-            got.value(),
-            oracle.get(&key).copied(),
-            "recovered state is not the clean prefix of length {m}"
+    // gap, never a reorder, never a partial epoch (at 4 shards: the
+    // commit horizon drops whatever some shard's lying sync lost).
+    for shards in [1usize, 4] {
+        let vfs = Arc::new(FaultVfs::new(FaultPlan {
+            seed: env_seed() ^ 0x11E5,
+            sync_lie: 140,
+            ..FaultPlan::default()
+        }));
+        let mut s = open(&c, &sp, shards, 1, vfs.clone()).unwrap();
+        let mut per_epoch = Vec::new();
+        for e in 0..6u64 {
+            let ops = epoch_ops(e, 7);
+            s.execute_epoch(&c, &sp, &ops).unwrap();
+            per_epoch.push(ops);
+        }
+        assert!(
+            vfs.fault_log().iter().any(|f| f.kind == "sync-lie"),
+            "schedule never lied; pick a different seed"
         );
+        drop(s);
+
+        let r = open(&c, &sp, shards, 1, Arc::new(vfs.durable_image())).unwrap();
+        let m = r.epoch_counts().0 as usize;
+        assert!(m <= 6, "recovered more epochs than were committed");
+        assert_recovers_acked(&c, &sp, shards, vfs.durable_image(), &per_epoch[..m]);
     }
 }
 
@@ -429,7 +419,7 @@ fn fault_log_is_a_function_of_the_schedule_not_the_data() {
             sync_fault: 24,
             ..FaultPlan::default()
         }));
-        let acked = drive(&c, &sp, Front::Plain, vfs.clone(), 4, salt);
+        let acked = drive(&c, &sp, Front::Sharded(1), vfs.clone(), 4, salt);
         (vfs.fault_log(), vfs.io_ops(), acked.len())
     };
     let (log_a, ops_a, acked_a) = run(17);
@@ -447,51 +437,42 @@ fn recovery_replay_trace_under_faults_equals_unfaulted_build() {
     // recovery replays leave the same adversary trace.
     let c = SeqCtx::new();
     let sp = ScratchPool::new();
-    let build = |vfs: Arc<FaultVfs>, salt: u64| {
-        let mut s = Store::recover_with(
-            &c,
-            &sp,
-            DIR,
-            StoreConfig {
-                durability: Durability::epoch(),
-                retry: retry(12),
-                ..StoreConfig::default()
-            },
-            vfs,
-        )
-        .unwrap();
-        for e in 0..4u64 {
-            s.execute_epoch(&c, &sp, &epoch_ops(e, salt))
-                .expect("the retry budget must absorb this schedule");
-        }
-    };
-    let faulted = Arc::new(FaultVfs::new(FaultPlan {
-        seed: env_seed() ^ 0x7AB1E,
-        write_fault: 96,
-        torn: 128,
-        sync_fault: 64,
-        ..FaultPlan::default()
-    }));
-    build(faulted.clone(), 31);
-    assert!(
-        !faulted.fault_log().is_empty(),
-        "schedule injected nothing; the check is vacuous"
-    );
-    let clean = Arc::new(FaultVfs::unfaulted());
-    build(clean.clone(), 62);
+    for shards in [1usize, 4] {
+        let build = |vfs: Arc<FaultVfs>, salt: u64| {
+            let mut s = open(&c, &sp, shards, 12, vfs).unwrap();
+            for e in 0..4u64 {
+                s.execute_epoch(&c, &sp, &epoch_ops(e, salt))
+                    .expect("the retry budget must absorb this schedule");
+            }
+        };
+        let faulted = Arc::new(FaultVfs::new(FaultPlan {
+            seed: env_seed() ^ 0x7AB1E,
+            write_fault: 96,
+            torn: 128,
+            sync_fault: 64,
+            ..FaultPlan::default()
+        }));
+        build(faulted.clone(), 31);
+        assert!(
+            !faulted.fault_log().is_empty(),
+            "schedule injected nothing; the check is vacuous"
+        );
+        let clean = Arc::new(FaultVfs::unfaulted());
+        build(clean.clone(), 62);
 
-    let replay = |image: FaultVfs| {
-        let (_, rep) = measure(CacheConfig::default(), TraceMode::Hash, |c| {
-            let _ =
-                Store::recover_with(c, &sp, DIR, StoreConfig::default(), Arc::new(image)).unwrap();
-        });
-        (rep.trace_hash, rep.trace_len)
-    };
-    assert_eq!(
-        replay(faulted.durable_image()),
-        replay(clean.durable_image()),
-        "fault-built image replays a different trace than an unfaulted build"
-    );
+        let replay = |image: FaultVfs| {
+            let (_, rep) = measure(CacheConfig::default(), TraceMode::Hash, |c| {
+                let cfg = ShardConfig::with_shards(shards);
+                let _ = ShardedStore::recover_with(c, &sp, DIR, cfg, Arc::new(image)).unwrap();
+            });
+            (rep.trace_hash, rep.trace_len)
+        };
+        assert_eq!(
+            replay(faulted.durable_image()),
+            replay(clean.durable_image()),
+            "{shards} shard(s): fault-built image replays a different trace than an unfaulted build"
+        );
+    }
 }
 
 mod seeded_schedules {
@@ -513,12 +494,7 @@ mod seeded_schedules {
         ) {
             let c = SeqCtx::new();
             let sp = ScratchPool::new();
-            let front = [
-                Front::Plain,
-                Front::Sharded(1),
-                Front::Sharded(4),
-                Front::Pipelined,
-            ][which];
+            let front = FRONTS[which];
             let vfs = Arc::new(FaultVfs::new(FaultPlan {
                 seed: seed ^ env_seed().rotate_left(17),
                 write_fault: 32,
@@ -527,7 +503,7 @@ mod seeded_schedules {
                 ..FaultPlan::default()
             }));
             let acked = drive(&c, &sp, front, vfs.clone(), 4, salt);
-            assert_recovers_acked(&c, &sp, front, vfs.durable_image(), &acked);
+            assert_recovers_acked(&c, &sp, front.shards(), vfs.durable_image(), &acked);
         }
 
         /// The same schedule against different data acks the same number
@@ -540,12 +516,7 @@ mod seeded_schedules {
         ) {
             let c = SeqCtx::new();
             let sp = ScratchPool::new();
-            let front = [
-                Front::Plain,
-                Front::Sharded(1),
-                Front::Sharded(4),
-                Front::Pipelined,
-            ][which];
+            let front = FRONTS[which];
             let run = |salt: u64| {
                 let vfs = Arc::new(FaultVfs::new(FaultPlan {
                     seed: seed ^ env_seed().rotate_left(29),

