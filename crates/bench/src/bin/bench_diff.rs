@@ -139,7 +139,7 @@ fn pinned_pool_headline(files: &[dob_bench::diff::BenchFile]) -> Option<String> 
     (wp > 0).then(|| {
         format!(
             "**Pinned-pool headline** (n = {}, t = 4): unpinned / pinned = {:.2}× epoch wall \
-             (locality-aware pinned workers, same oblivious schedule; ≈1.0× on runners where \
+             (workers pinned to cores, same oblivious schedule; ≈1.0× on runners where \
              pinning degrades).",
             unpinned.n,
             wu as f64 / wp as f64,

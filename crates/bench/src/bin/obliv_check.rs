@@ -468,27 +468,15 @@ fn main() {
 
     // --- Hardware-shaped runtime rows ---
 
-    // Pinned pool: the trace must be independent of the pin layout. Three
-    // executors (unpinned, pinned round-robin, pinned via an explicit
-    // affinity list) dirty three scratch pools with the same workload —
+    // Pinned pool: the trace must be independent of the pin layout. Two
+    // executors (unpinned, pinned round-robin) dirty two scratch pools
+    // with the same workload —
     // their per-worker lanes end up holding different physical buffers —
     // and the adversary trace of a sort + store epoch on each pool must be
     // bit-identical.
     {
-        use fj::{Pool, PoolConfig};
-        let layouts: Vec<Pool> = vec![
-            Pool::new(4),
-            Pool::with_config(PoolConfig {
-                threads: Some(4),
-                pin: true,
-                affinity: None,
-            }),
-            Pool::with_config(PoolConfig {
-                threads: Some(4),
-                pin: true,
-                affinity: Some(vec![0, 0, 0, 0]),
-            }),
-        ];
+        use fj::Pool;
+        let layouts = [Pool::new(4), Pool::pinned(4)];
         let t: Vec<_> = layouts
             .iter()
             .map(|exec| {

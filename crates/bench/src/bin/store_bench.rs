@@ -586,7 +586,6 @@ fn main() {
             Pool::with_config(PoolConfig {
                 threads: Some(threads),
                 pin,
-                affinity: None,
             })
         })
         .collect();

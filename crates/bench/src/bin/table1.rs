@@ -256,7 +256,6 @@ fn main() {
             Pool::with_config(PoolConfig {
                 threads: Some(threads),
                 pin,
-                affinity: None,
             })
         })
         .collect();

@@ -55,31 +55,6 @@ pub trait Ctx: Sync {
         RA: Send,
         RB: Send;
 
-    /// [`join`](Ctx::join) with *placement hints*: `hint_a`/`hint_b` name
-    /// the executor slot (worker index, modulo pool size) that should
-    /// preferably run each side. Hints are pure scheduling advice — they
-    /// never affect results, and executors are free to ignore them (the
-    /// default does exactly that, so sequential and metered contexts keep
-    /// their fork structure, and hence their adversary trace, unchanged).
-    /// The pool executor routes hinted tasks to the named worker's inbox so
-    /// repeated calls with the same hints land on the same core — this is
-    /// what keeps shard *i*'s table hot in core *i*'s cache across store
-    /// epochs. Hints must be derived from *public* values only (sizes,
-    /// indices), exactly like the fork structure itself.
-    fn join_hint<RA, RB>(
-        &self,
-        _hint_a: usize,
-        _hint_b: usize,
-        a: impl FnOnce(&Self) -> RA + Send,
-        b: impl FnOnce(&Self) -> RB + Send,
-    ) -> (RA, RB)
-    where
-        RA: Send,
-        RB: Send,
-    {
-        self.join(a, b)
-    }
-
     /// Account `n` units of work (each unit also contributes one step of
     /// sequential depth on the current path).
     #[inline(always)]

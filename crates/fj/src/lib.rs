@@ -12,10 +12,10 @@
 //! * [`Ctx`] — the execution-context trait every algorithm in the workspace
 //!   is written against (fork-join plus cost-accounting hooks);
 //! * [`SeqCtx`] — sequential executor;
-//! * [`Pool`] — a work-stealing thread pool (Chase–Lev deques via
-//!   `crossbeam`, LIFO owner side), hardware-shaped: optionally pinned
-//!   workers ([`topo`]), nearest-neighbor wake/steal order, and affine
-//!   inboxes behind [`Ctx::join_hint`];
+//! * [`Pool`] — a plain work-stealing thread pool: one LIFO deque per
+//!   worker (`crossbeam::deque`'s API; the in-tree `crossbeam` is a
+//!   mutex-guarded `VecDeque`), one global injector, round-robin stealing,
+//!   and optionally pinned workers ([`topo`]);
 //! * [`par`] — parallel loop/reduce helpers that expand into balanced
 //!   binary fork trees.
 //!
@@ -34,7 +34,7 @@ mod task;
 pub mod topo;
 
 pub use ctx::{base_for, counters, grain_for, Access, BufId, Ctx, DEFAULT_GRAIN};
-pub use par::{par_chunks_mut, par_for, par_reduce, par_zip_mut, par_zip_mut_affine};
+pub use par::{par_chunks_mut, par_for, par_reduce, par_zip_mut};
 pub use pool::{current_worker_index, Pool, PoolConfig};
 pub use seq::SeqCtx;
 pub use task::Deferred;

@@ -155,54 +155,6 @@ where
     go(c, a, b, 0, f)
 }
 
-/// [`par_zip_mut`] with *placement affinity*: leaf `i` carries the hint
-/// that executor slot `i` should run it, via [`Ctx::join_hint`]. On the
-/// pool this makes element `i`'s task land on worker `i % nthreads` every
-/// call — `dob-store` commits shard *i* through this so the shard's table
-/// stays hot in the same core's cache across epochs. On executors that
-/// ignore hints (sequential, metered) it is exactly [`par_zip_mut`]: same
-/// fork tree, same trace.
-pub fn par_zip_mut_affine<C: Ctx, A, B, F>(c: &C, a: &mut [A], b: &mut [B], f: &F)
-where
-    A: Send,
-    B: Send,
-    F: Fn(&C, usize, &mut A, &mut B) + Sync,
-{
-    assert_eq!(
-        a.len(),
-        b.len(),
-        "par_zip_mut_affine slices must zip exactly"
-    );
-
-    fn go<C: Ctx, A: Send, B: Send, F: Fn(&C, usize, &mut A, &mut B) + Sync>(
-        c: &C,
-        a: &mut [A],
-        b: &mut [B],
-        first: usize,
-        f: &F,
-    ) {
-        match a.len() {
-            0 => {}
-            1 => f(c, first, &mut a[0], &mut b[0]),
-            n => {
-                let mid = n / 2;
-                let (a0, a1) = a.split_at_mut(mid);
-                let (b0, b1) = b.split_at_mut(mid);
-                // Hint each half at its first element's slot; the leaves
-                // refine the hint until element i is pinned to slot i.
-                c.join_hint(
-                    first,
-                    first + mid,
-                    move |c| go(c, a0, b0, first, f),
-                    move |c| go(c, a1, b1, first + mid, f),
-                );
-            }
-        }
-    }
-
-    go(c, a, b, 0, f)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -314,42 +266,6 @@ mod chunk_tests {
             .iter()
             .enumerate()
             .all(|(i, ys)| ys == &[i as u64, i as u64]));
-    }
-
-    #[test]
-    fn par_zip_mut_affine_matches_par_zip_mut() {
-        let c = SeqCtx::new();
-        let mut a: Vec<u64> = (0..37).collect();
-        let mut b = vec![0u64; 37];
-        par_zip_mut_affine(&c, &mut a, &mut b, &|_, i, x, y| {
-            *x += 1;
-            *y = i as u64 * 10;
-        });
-        assert!(a.iter().enumerate().all(|(i, &x)| x == i as u64 + 1));
-        assert!(b.iter().enumerate().all(|(i, &y)| y == i as u64 * 10));
-    }
-
-    #[test]
-    fn par_zip_mut_affine_on_pinned_pool() {
-        let pool = Pool::pinned(4);
-        let mut a = vec![0u64; 16];
-        let mut b = vec![0u64; 16];
-        pool.run(|p| {
-            par_zip_mut_affine(p, &mut a, &mut b, &|_, i, x, y| {
-                *x = i as u64;
-                *y = fj_worker_or_max();
-            });
-        });
-        assert!(a.iter().enumerate().all(|(i, &x)| x == i as u64));
-        // Every leaf ran on *some* pool worker (affinity is advice, but
-        // execution always happens inside the pool).
-        assert!(b.iter().all(|&w| w < 4));
-    }
-
-    fn fj_worker_or_max() -> u64 {
-        crate::pool::current_worker_index()
-            .map(|i| i as u64)
-            .unwrap_or(u64::MAX)
     }
 
     #[test]

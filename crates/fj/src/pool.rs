@@ -1,49 +1,32 @@
-//! Work-stealing thread pool implementing the binary fork-join model,
-//! shaped to the hardware it runs on.
+//! Work-stealing thread pool implementing the binary fork-join model.
 //!
-//! The design follows the classic Cilk/rayon architecture the paper's model
-//! assumes (§A.2, [BL99]): each worker owns a LIFO deque of jobs; `join`
-//! pushes the second task, runs the first inline, and then either pops the
-//! second task back (the common, allocation-free fast path) or *steals other
-//! work* while waiting for a thief to finish it. On top of that baseline the
-//! pool is **topology-aware** in the `sched-local` style:
+//! This is the classic Blumofe–Leiserson / Cilk scheduler the paper's cost
+//! model assumes (§A.2, [BL99]) and nothing more. Each worker owns a LIFO
+//! deque; `join` pushes the second task, runs the first inline, and then
+//! either pops the second back (the common, allocation-free fast path) or
+//! *runs other work* while a thief finishes it. Jobs from outside
+//! ([`Pool::run`], detached tasks) enter through one global FIFO injector.
+//! A worker looks in its own deque, then the injector, then the other
+//! deques round-robin from its right-hand neighbour, and sleeps on the
+//! pool's one condvar when all are empty. The queues are `crossbeam::deque`
+//! (in tree: a mutex-guarded `VecDeque` with the same LIFO/FIFO order).
 //!
-//! * **Pinned workers.** With [`PoolConfig::pin`] set, worker *i* pins
-//!   itself to core *i* (or to `affinity[i]`) via `sched_setaffinity`, so a
-//!   worker's L1/L2 contents survive across epochs instead of following the
-//!   OS scheduler around the die. Pinning is best-effort: failure degrades
-//!   to an unpinned worker with a one-time warning (see [`crate::topo`]).
-//! * **Locality-aware wake.** Every worker has its own sleep slot; a
-//!   notification wakes the *nearest sleeping neighbor* (smallest ring
-//!   distance from the notifier) rather than broadcasting to a global
-//!   condvar — on a pinned pool ring distance approximates cache distance.
-//! * **Nearest-first stealing.** An idle worker scans victims by increasing
-//!   ring distance (random side first at each distance) instead of in
-//!   uniformly random order, so spilled work is picked up by the core most
-//!   likely to share cache with the victim.
-//! * **Affine inboxes.** [`Ctx::join_hint`] routes tasks to a named
-//!   worker's inbox. Workers drain their inbox before touching the global
-//!   injector, and inboxes are stolen from only as a last resort, so a
-//!   hinted task runs on its target worker whenever that worker is live —
-//!   this is what keeps shard *i*'s table hot in core *i*'s cache across
-//!   `dob-store` epochs.
-//! * **Bounded local deques.** A deque that outgrows
-//!   [`LOCAL_QUEUE_CAP`] spills to the global injector, bounding the
-//!   worst-case burst a single victim has to serve.
-//!
-//! Every scheduling decision above is a function of worker indices, queue
-//! occupancy and public sizes — never of element *values* — so the
-//! schedule leaks nothing the fork structure itself does not (DESIGN.md
-//! §12 gives the full argument).
+//! With [`PoolConfig::pin`], worker *i* pins itself to core `i % online_cpus`
+//! (best effort, see [`crate::topo`]). The scheduler takes no placement
+//! advice: which worker runs a job depends on worker indices and queue
+//! occupancy only — never on element *values* — so the schedule leaks
+//! nothing the fork structure does not (DESIGN.md §12).
 //!
 //! # Safety
 //!
 //! Jobs are type-erased pointers into the stack frame of the `join` (or
 //! `run`) call that created them ([`StackJob`]). This is sound because the
-//! creating frame never returns before the job has executed: `join` loops
-//! until the job's latch is set (even when the first closure panics), and
-//! `run` blocks on a mutex-based latch. Results travel through an
-//! `UnsafeCell` guarded by the latch's release/acquire pair.
+//! creating frame never returns before the job has executed: `join` keeps
+//! running queued work until the job's latch is set (even when the first
+//! closure panics), and `run` parks on the latch. Results travel through an
+//! `UnsafeCell` guarded by the latch's release/acquire pair. A [`JobRef`] is
+//! not `Clone` and is consumed by executing it, so a job pushed to exactly
+//! one queue runs exactly once.
 
 use crate::ctx::Ctx;
 use crate::task::{Deferred, TaskState};
@@ -52,134 +35,91 @@ use crossbeam::deque::{Injector, Steal, Stealer, Worker as Deque};
 use parking_lot::{Condvar, Mutex};
 use std::cell::{Cell, UnsafeCell};
 use std::panic::{self, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::{Arc, Once, OnceLock};
+use std::sync::atomic::{fence, AtomicBool, AtomicUsize, Ordering};
+use std::sync::{Arc, Once};
 use std::thread;
 use std::time::Duration;
 
-/// Local deque occupancy beyond which freshly forked jobs spill to the
-/// global injector. Fork trees are depth-bounded so this is rarely hit; it
-/// caps the burst a single victim can accumulate.
-const LOCAL_QUEUE_CAP: usize = 256;
-
-// --------------------------------------------------------------------------
-// Latches
-// --------------------------------------------------------------------------
-
-/// A one-shot flag set by the executor of a job and probed by its owner.
-struct SpinLatch {
+/// A one-shot flag set by the executor of a job. Workers that own the job
+/// [`probe`](Latch::probe) it between other jobs; a thread outside the
+/// pool names itself as `waiter` and parks until it is set.
+struct Latch {
     set: AtomicBool,
+    waiter: Option<thread::Thread>,
 }
 
-impl SpinLatch {
-    fn new() -> Self {
-        SpinLatch {
-            set: AtomicBool::new(false),
-        }
-    }
-
+impl Latch {
     #[inline]
     fn probe(&self) -> bool {
         self.set.load(Ordering::Acquire)
     }
 
-    #[inline]
-    fn set(&self) {
-        self.set.store(true, Ordering::Release);
-    }
-}
-
-/// A blocking latch for threads that are not pool workers.
-struct LockLatch {
-    m: Mutex<bool>,
-    cv: Condvar,
-}
-
-impl LockLatch {
-    fn new() -> Self {
-        LockLatch {
-            m: Mutex::new(false),
-            cv: Condvar::new(),
+    /// # Safety
+    ///
+    /// `this` must be valid when called. It may dangle as soon as the flag
+    /// is stored — the owning frame is then free to return — which is why
+    /// this takes a pointer and reads `waiter` first.
+    unsafe fn set(this: *const Latch) {
+        let waiter = (*this).waiter.clone();
+        (*this).set.store(true, Ordering::Release);
+        if let Some(thread) = waiter {
+            thread.unpark();
         }
     }
 
-    fn set(&self) {
-        let mut done = self.m.lock();
-        *done = true;
-        self.cv.notify_all();
-    }
-
+    /// Park the calling (non-worker) thread until set. `park` may wake
+    /// spuriously, and an `unpark` that comes first is not lost.
     fn wait(&self) {
-        let mut done = self.m.lock();
-        while !*done {
-            self.cv.wait(&mut done);
+        while !self.probe() {
+            thread::park();
         }
     }
 }
 
-// --------------------------------------------------------------------------
-// Jobs
-// --------------------------------------------------------------------------
-
-/// Type-erased pointer to a job living on some `join`/`run` stack frame.
-#[derive(Clone, Copy)]
+/// Type-erased pointer to a job; executing it consumes it.
 struct JobRef {
     data: *const (),
     exec: unsafe fn(*const ()),
 }
 
-// SAFETY: a JobRef is only ever executed once, and the frame it points to
-// outlives the execution (see module docs).
+// SAFETY: whoever creates a JobRef promises (`StackJob::as_job_ref`,
+// `heap_job`) that the closure behind `data` is `Send` and stays alive until
+// the job has executed, so the pointer may be executed on any thread.
 unsafe impl Send for JobRef {}
 
-enum JobLatch {
-    Spin(SpinLatch),
-    Lock(LockLatch),
-}
-
-impl JobLatch {
-    fn set(&self) {
-        match self {
-            JobLatch::Spin(l) => l.set(),
-            JobLatch::Lock(l) => l.set(),
-        }
-    }
-
-    fn as_spin(&self) -> &SpinLatch {
-        match self {
-            JobLatch::Spin(l) => l,
-            JobLatch::Lock(_) => unreachable!("spin latch expected"),
-        }
-    }
-
-    fn as_lock(&self) -> &LockLatch {
-        match self {
-            JobLatch::Lock(l) => l,
-            JobLatch::Spin(_) => unreachable!("lock latch expected"),
-        }
+impl JobRef {
+    #[inline]
+    fn execute(self) {
+        // SAFETY: `data` and `exec` were paired by the creator, who keeps
+        // `data` alive until this call returns; taking `self` by value (no
+        // `Clone`) makes this the only execution.
+        unsafe { (self.exec)(self.data) }
     }
 }
 
+/// A job living on the stack frame of the `join`/`run` that forked it.
 struct StackJob<F, R> {
     f: UnsafeCell<Option<F>>,
     result: UnsafeCell<Option<thread::Result<R>>>,
-    latch: JobLatch,
+    latch: Latch,
 }
 
-impl<F, R> StackJob<F, R>
-where
-    F: FnOnce() -> R,
-{
-    fn new(f: F, latch: JobLatch) -> Self {
+impl<F: FnOnce() -> R + Send, R: Send> StackJob<F, R> {
+    fn new(f: F, waiter: Option<thread::Thread>) -> Self {
         StackJob {
             f: UnsafeCell::new(Some(f)),
             result: UnsafeCell::new(None),
-            latch,
+            latch: Latch {
+                set: AtomicBool::new(false),
+                waiter,
+            },
         }
     }
 
-    /// SAFETY: caller must guarantee the job is executed at most once and
-    /// that `self` outlives the execution.
+    /// # Safety
+    ///
+    /// At most one `JobRef` may be made per job, and `self` must not move
+    /// or die before the latch is set.
     unsafe fn as_job_ref(&self) -> JobRef {
         JobRef {
             data: self as *const Self as *const (),
@@ -187,16 +127,22 @@ where
         }
     }
 
+    /// # Safety
+    ///
+    /// `data` must come from [`as_job_ref`](Self::as_job_ref), whose
+    /// contract makes this the only access to `f` and `result` until the
+    /// latch is set.
     unsafe fn execute(data: *const ()) {
-        let this = &*(data as *const Self);
-        let f = (*this.f.get()).take().expect("job executed twice");
-        let result = panic::catch_unwind(AssertUnwindSafe(f));
-        *this.result.get() = Some(result);
-        this.latch.set();
+        let this = data as *const Self;
+        let f = (*(*this).f.get()).take().expect("job executed twice");
+        *(*this).result.get() = Some(panic::catch_unwind(AssertUnwindSafe(f)));
+        Latch::set(&(*this).latch);
     }
 
-    /// SAFETY: only call after the latch has been set (or after executing
-    /// the job on the current thread).
+    /// # Safety
+    ///
+    /// Only call after the latch has been observed set: the acquire load
+    /// orders the executor's write of `result` before this read.
     unsafe fn take_result(&self) -> R {
         match (*self.result.get()).take().expect("job result missing") {
             Ok(r) => r,
@@ -205,253 +151,160 @@ where
     }
 }
 
-/// A heap-owned job for detached tasks: unlike [`StackJob`], its lifetime
-/// is decoupled from any stack frame, so it can sit in the injector after
-/// the spawning call has returned.
-fn heap_job(f: Box<dyn FnOnce() + Send>) -> JobRef {
-    unsafe fn execute(data: *const ()) {
-        // SAFETY: `data` came from `Box::into_raw` below and each JobRef is
-        // executed exactly once, so reconstituting the box is sound.
-        let f = unsafe { Box::from_raw(data as *mut Box<dyn FnOnce() + Send>) };
-        f();
+/// A heap-owned job: a detached task outlives the call that spawned it.
+fn heap_job<F: FnOnce() + Send + 'static>(f: F) -> JobRef {
+    /// # Safety
+    ///
+    /// `data` must be the `Box<F>` leaked below, and this its one execution.
+    unsafe fn execute<F: FnOnce()>(data: *const ()) {
+        Box::from_raw(data as *mut F)()
     }
     JobRef {
         data: Box::into_raw(Box::new(f)) as *const (),
-        exec: execute,
+        exec: execute::<F>,
     }
 }
 
-// --------------------------------------------------------------------------
-// Sleep machinery: one slot per worker, nearest-neighbor wake
-// --------------------------------------------------------------------------
-
-/// Per-worker sleep slot. `asleep` is the cheap outside probe; the
-/// `pending` flag under the mutex closes the wake/sleep race (a wake that
-/// lands between the probe and the wait is not lost), and the 1 ms timeout
-/// bounds the damage of any remaining missed edge.
-struct Sleeper {
-    m: Mutex<bool>,
-    cv: Condvar,
-    asleep: AtomicBool,
-}
-
-impl Sleeper {
-    fn new() -> Self {
-        Sleeper {
-            m: Mutex::new(false),
-            cv: Condvar::new(),
-            asleep: AtomicBool::new(false),
-        }
-    }
-}
-
-// --------------------------------------------------------------------------
-// Registry and workers
-// --------------------------------------------------------------------------
-
+/// State shared by the workers of one pool and every handle on it.
 struct Registry {
+    /// Jobs entering from outside the workers: `run` and detached tasks.
     injector: Injector<JobRef>,
     stealers: Vec<Stealer<JobRef>>,
-    /// Per-worker affine inboxes: tasks placed by [`Ctx::join_hint`].
-    /// Drained by their owner before the global injector; stolen by others
-    /// only as a last resort.
-    inboxes: Vec<Injector<JobRef>>,
-    sleepers: Vec<Sleeper>,
+    /// Guards the sleep/wake protocol (see [`Registry::sleep`]).
+    sleep: Mutex<()>,
+    wake: Condvar,
+    /// Workers inside [`Registry::sleep`].
+    idle: AtomicUsize,
     terminate: AtomicBool,
-    nthreads: usize,
-    /// Worker→CPU map; `None` entries run unpinned.
-    pin_map: Vec<Option<usize>>,
+    pin: bool,
     /// Workers whose `sched_setaffinity` actually succeeded (diagnostics).
     pinned_ok: AtomicUsize,
-    /// Detached tasks spawned but not yet finished. The owning `Pool`'s
-    /// drop drains this to zero before telling workers to terminate, so a
-    /// queued detached job is never abandoned un-run.
+    /// Detached tasks spawned but not yet finished; the owning `Pool`'s drop
+    /// waits for zero before terminating the workers (the drop barrier).
     detached: AtomicUsize,
 }
 
 impl Registry {
-    /// Wake worker `target` if it is asleep. Returns whether a wake was
-    /// delivered.
-    fn wake(&self, target: usize) -> bool {
-        let s = &self.sleepers[target];
-        if !s.asleep.load(Ordering::SeqCst) {
-            return false;
+    /// Put the calling worker to sleep until there may be work again. The
+    /// sleep/wake protocol — **sleeper:** take the `sleep` lock → `idle += 1`
+    /// → re-check every queue → wait on `wake` (releasing the lock);
+    /// **producer** ([`notify`](Registry::notify)): push the job → read
+    /// `idle` → if non-zero, pass through the lock, then `notify_one`. The
+    /// `SeqCst` fences make "write mine, then read theirs" a Dekker pair:
+    /// either the re-check sees the job, or the producer sees `idle > 0` —
+    /// and then it cannot get the lock before the sleeper is inside `wait`,
+    /// so the wake is not lost (notifying after the unlock spares the woken
+    /// worker a block on the lock). The 1 ms timeout is only a backstop.
+    fn sleep(&self) {
+        let mut guard = self.sleep.lock();
+        self.idle.fetch_add(1, Ordering::SeqCst);
+        fence(Ordering::SeqCst);
+        let work = || !self.injector.is_empty() || self.stealers.iter().any(|s| !s.is_empty());
+        if !self.terminate.load(Ordering::Acquire) && !work() {
+            self.wake.wait_for(&mut guard, Duration::from_millis(1));
         }
-        let mut pending = s.m.lock();
-        *pending = true;
-        s.cv.notify_one();
-        true
+        self.idle.fetch_sub(1, Ordering::SeqCst);
     }
 
-    /// Wake the sleeping worker nearest to `origin` on the worker ring
-    /// (`origin` itself is probed first — free when the caller *is* that
-    /// worker, since it is awake). Ring distance approximates cache
-    /// distance on a pinned pool, so new work lands next to its producer.
-    fn notify_near(&self, origin: usize) {
-        let n = self.nthreads;
-        let origin = origin % n;
-        if self.wake(origin) {
-            return;
-        }
-        let mut d = 1;
-        while d <= n / 2 {
-            if self.wake((origin + d) % n) || self.wake((origin + n - d) % n) {
-                return;
-            }
-            d += 1;
-        }
-    }
-
-    fn notify_all(&self) {
-        for i in 0..self.nthreads {
-            self.wake(i);
+    /// Producer side of the protocol above; call after pushing a job.
+    #[inline]
+    fn notify(&self) {
+        fence(Ordering::SeqCst);
+        if self.idle.load(Ordering::SeqCst) > 0 {
+            drop(self.sleep.lock());
+            self.wake.notify_one();
         }
     }
 
-    /// Put worker `me` to sleep until woken or until `has_work` might be
-    /// true again (re-checked under the lock; 1 ms timeout as backstop).
-    fn sleep_worker(&self, me: usize, has_work: impl Fn() -> bool) {
-        let s = &self.sleepers[me];
-        s.asleep.store(true, Ordering::SeqCst);
-        {
-            let mut pending = s.m.lock();
-            if !*pending && !has_work() {
-                s.cv.wait_for(&mut pending, Duration::from_millis(1));
-            }
-            *pending = false;
-        }
-        s.asleep.store(false, Ordering::SeqCst);
+    /// Queue a job from outside the workers' own deques.
+    fn inject(&self, job: JobRef) {
+        self.injector.push(job);
+        self.notify();
     }
 }
 
+/// A worker's own end of the scheduler; lives on `worker_main`'s stack.
 struct WorkerThread {
     deque: Deque<JobRef>,
     index: usize,
-    registry: *const Registry,
-    rng: Cell<u64>,
+    registry: Arc<Registry>,
 }
 
 thread_local! {
     static WORKER: Cell<*const WorkerThread> = const { Cell::new(std::ptr::null()) };
 }
 
-/// Index of the pool worker running the current thread, if any.
-///
-/// This is what keys per-core resources *outside* the pool — most notably
-/// `metrics::ScratchPool`'s per-worker freelist lanes — so a worker keeps
-/// hitting the same lane (and on a pinned pool, the same core's cache)
-/// without threading the index through every call.
+/// Index of the pool worker running the current thread, if any. It keys
+/// per-worker resources *outside* the pool (`metrics::ScratchPool`'s lanes).
 pub fn current_worker_index() -> Option<usize> {
-    let wt = WorkerThread::current();
-    // SAFETY: non-null worker pointers are valid for the thread's life.
-    (!wt.is_null()).then(|| unsafe { (*wt).index })
+    WorkerThread::current().map(|wt| wt.index)
+}
+
+/// If the calling thread is a pool worker, keep it running queued jobs until
+/// `done()`; otherwise return at once. A worker must never block on what a
+/// queued job will produce — the job may be queued behind it — so
+/// [`Deferred::join`] comes through here before it parks.
+pub(crate) fn help_until(done: impl Fn() -> bool) {
+    if let Some(wt) = WorkerThread::current() {
+        wt.work_until(done, thread::yield_now);
+    }
+}
+
+/// One steal attempt, retried while the queue reports a lost race.
+fn steal_from(steal: impl Fn() -> Steal<JobRef>) -> Option<JobRef> {
+    loop {
+        match steal() {
+            Steal::Success(job) => return Some(job),
+            Steal::Empty => return None,
+            Steal::Retry => {}
+        }
+    }
 }
 
 impl WorkerThread {
     #[inline]
-    fn current() -> *const WorkerThread {
-        WORKER.with(|w| w.get())
+    fn current<'a>() -> Option<&'a WorkerThread> {
+        // SAFETY: non-null only while `worker_main`, whose frame owns the
+        // `WorkerThread`, is live further up this very thread's stack (it
+        // clears the pointer before returning); no caller keeps the borrow.
+        unsafe { WORKER.with(Cell::get).as_ref() }
     }
 
-    fn next_rand(&self) -> u64 {
-        // xorshift64*: cheap, good-enough tie-breaking.
-        let mut x = self.rng.get();
-        x ^= x << 13;
-        x ^= x >> 7;
-        x ^= x << 17;
-        self.rng.set(x);
-        x
-    }
-
-    fn registry(&self) -> &Registry {
-        // SAFETY: the registry outlives every worker (workers are joined in
-        // Pool::drop while the Arc is still alive).
-        unsafe { &*self.registry }
-    }
-
-    fn try_steal(source: &Stealer<JobRef>) -> Option<JobRef> {
-        loop {
-            match source.steal() {
-                Steal::Success(job) => return Some(job),
-                Steal::Empty => return None,
-                Steal::Retry => continue,
-            }
-        }
-    }
-
-    fn try_inbox(inbox: &Injector<JobRef>) -> Option<JobRef> {
-        loop {
-            match inbox.steal() {
-                Steal::Success(job) => return Some(job),
-                Steal::Empty => return None,
-                Steal::Retry => continue,
-            }
-        }
-    }
-
-    /// Steal one job: own inbox (affine work addressed to us), then the
-    /// global injector, then victims' deques by increasing ring distance,
-    /// then — only if every deque is dry — victims' inboxes, so hinted
-    /// work migrates off its target core only when nothing else runs.
-    fn steal(&self) -> Option<JobRef> {
-        let reg = self.registry();
-        if let Some(job) = Self::try_inbox(&reg.inboxes[self.index]) {
-            return Some(job);
-        }
-        loop {
-            match reg.injector.steal_batch_and_pop(&self.deque) {
-                Steal::Success(job) => return Some(job),
-                Steal::Empty => break,
-                Steal::Retry => continue,
-            }
-        }
-        let n = reg.stealers.len();
-        for victim in self.victim_order(n) {
-            if let Some(job) = Self::try_steal(&reg.stealers[victim]) {
-                return Some(job);
-            }
-        }
-        for victim in self.victim_order(n) {
-            if let Some(job) = Self::try_inbox(&reg.inboxes[victim]) {
-                return Some(job);
-            }
-        }
-        None
-    }
-
-    /// Victims ordered by increasing ring distance from this worker, the
-    /// side at each distance chosen by a coin flip (keeps symmetric
-    /// neighbors from always being raided in the same order).
-    fn victim_order(&self, n: usize) -> impl Iterator<Item = usize> + '_ {
-        let me = self.index;
-        (1..=n / 2).flat_map(move |d| {
-            let (a, b) = ((me + d) % n, (me + n - d) % n);
-            let (first, second) = if self.next_rand() & 1 == 0 {
-                (a, b)
-            } else {
-                (b, a)
-            };
-            [first, second]
-                .into_iter()
-                .filter(move |&v| v != me)
-                // The two sides coincide when 2d == n; visit once.
-                .enumerate()
-                .filter(move |&(i, v)| i == 0 || v != first)
-                .map(|(_, v)| v)
-        })
-    }
-
+    /// Next job for this worker: own deque (newest first), then the
+    /// injector, then the other workers' deques (oldest first) scanned
+    /// round-robin from `index + 1`.
     fn find_work(&self) -> Option<JobRef> {
-        self.deque.pop().or_else(|| self.steal())
+        let reg = &*self.registry;
+        let n = reg.stealers.len();
+        self.deque
+            .pop()
+            .or_else(|| steal_from(|| reg.injector.steal_batch_and_pop(&self.deque)))
+            .or_else(|| {
+                (1..n)
+                    .map(|d| &reg.stealers[(self.index + d) % n])
+                    .find_map(|victim| steal_from(|| victim.steal()))
+            })
+    }
+
+    /// The scheduling loop: execute available jobs until `done()`, calling
+    /// `idle` whenever there is none. A worker waiting for one particular
+    /// job idles with `yield_now`, giving the core to whoever runs that job.
+    fn work_until(&self, done: impl Fn() -> bool, idle: impl Fn()) {
+        while !done() {
+            match self.find_work() {
+                Some(job) => job.execute(),
+                None => idle(),
+            }
+        }
     }
 }
 
 fn worker_main(registry: Arc<Registry>, index: usize, deque: Deque<JobRef>) {
-    if let Some(cpu) = registry.pin_map[index] {
+    if registry.pin {
+        let cpu = index % topo::online_cpus();
         if topo::pin_current_thread(cpu).is_ok() {
-            if topo::supported() {
-                registry.pinned_ok.fetch_add(1, Ordering::SeqCst);
-            }
+            let took_effect = topo::supported() as usize;
+            registry.pinned_ok.fetch_add(took_effect, Ordering::SeqCst);
         } else {
             static PIN_WARN: Once = Once::new();
             PIN_WARN.call_once(|| {
@@ -466,84 +319,40 @@ fn worker_main(registry: Arc<Registry>, index: usize, deque: Deque<JobRef>) {
     let wt = WorkerThread {
         deque,
         index,
-        registry: Arc::as_ptr(&registry),
-        rng: Cell::new(0x9E37_79B9_7F4A_7C15 ^ ((index as u64 + 1) << 17)),
+        registry,
     };
-    WORKER.with(|w| w.set(&wt as *const WorkerThread));
+    WORKER.with(|w| w.set(&wt));
 
-    while !registry.terminate.load(Ordering::Acquire) {
-        if let Some(job) = wt.find_work() {
-            unsafe { (job.exec)(job.data) };
-        } else {
-            let reg = &*registry;
-            reg.sleep_worker(index, || {
-                reg.terminate.load(Ordering::Acquire)
-                    || !reg.injector.is_empty()
-                    || reg.inboxes.iter().any(|ib| !ib.is_empty())
-                    || reg
-                        .stealers
-                        .iter()
-                        .enumerate()
-                        .any(|(i, s)| i != index && !s.is_empty())
-            });
-        }
-    }
-
+    let reg = &*wt.registry;
+    wt.work_until(|| reg.terminate.load(Ordering::Acquire), || reg.sleep());
     WORKER.with(|w| w.set(std::ptr::null()));
 }
 
-// --------------------------------------------------------------------------
-// Pool
-// --------------------------------------------------------------------------
-
-/// How to build a [`Pool`]: thread count, pinning, and an explicit
-/// worker→CPU map. [`PoolConfig::from_env`] reads the `DOB_*` knobs.
+/// How to build a [`Pool`]; [`PoolConfig::from_env`] reads the `DOB_*` knobs.
 #[derive(Clone, Debug, Default)]
 pub struct PoolConfig {
     /// Worker count; `None` = machine parallelism.
     pub threads: Option<usize>,
-    /// Pin worker *i* to a core (see `affinity` for which).
+    /// Pin worker *i* to core `i % online_cpus`.
     pub pin: bool,
-    /// Explicit CPU list; worker *i* pins to `affinity[i % len]`. `None`
-    /// with `pin` set pins worker *i* to core `i % online_cpus`.
-    pub affinity: Option<Vec<usize>>,
 }
 
 impl PoolConfig {
     /// Read the environment knobs:
     ///
     /// * `DOB_THREADS=<n>` — worker count (CI runs a thread matrix).
-    /// * `DOB_PIN=1|0` — pin workers to cores / force off.
-    /// * `DOB_AFFINITY=<c0,c1,…>` — explicit CPU list (implies pinning
-    ///   unless `DOB_PIN=0`).
+    /// * `DOB_PIN=1|0` — pin workers to cores / leave them unpinned.
     pub fn from_env() -> Self {
         let threads = std::env::var("DOB_THREADS")
             .ok()
             .and_then(|s| s.parse().ok())
             .filter(|&n: &usize| n >= 1);
-        let affinity = std::env::var("DOB_AFFINITY").ok().and_then(|s| {
-            let cpus: Vec<usize> = s
-                .split(',')
-                .map(str::trim)
-                .filter(|t| !t.is_empty())
-                .filter_map(|t| t.parse().ok())
-                .collect();
-            (!cpus.is_empty()).then_some(cpus)
-        });
-        let pin = match std::env::var("DOB_PIN").ok().as_deref() {
-            Some("0") => false,
-            Some(_) => true,
-            None => affinity.is_some(),
-        };
-        PoolConfig {
-            threads,
-            pin,
-            affinity,
-        }
+        let pin = std::env::var("DOB_PIN").is_ok_and(|v| v != "0");
+        PoolConfig { threads, pin }
     }
 }
 
-/// A binary fork-join thread pool with locality-aware work stealing.
+/// A binary fork-join thread pool scheduled by work stealing.
 ///
 /// `Pool` implements [`Ctx`], so any algorithm written against the context
 /// abstraction runs in parallel by passing `&pool`:
@@ -557,10 +366,9 @@ impl PoolConfig {
 /// ```
 pub struct Pool {
     registry: Arc<Registry>,
-    handles: Mutex<Vec<thread::JoinHandle<()>>>,
-    /// Only the pool that spawned the workers tears them down; non-owning
-    /// handles (created for detached tasks) drop without side effects.
-    owner: bool,
+    /// The workers, held by the pool that spawned them. Empty on the
+    /// non-owning handles detached tasks run with, whose drop does nothing.
+    handles: Vec<thread::JoinHandle<()>>,
 }
 
 impl Pool {
@@ -568,7 +376,7 @@ impl Pool {
     pub fn new(nthreads: usize) -> Self {
         Pool::with_config(PoolConfig {
             threads: Some(nthreads),
-            ..PoolConfig::default()
+            pin: false,
         })
     }
 
@@ -578,34 +386,21 @@ impl Pool {
         Pool::with_config(PoolConfig {
             threads: Some(nthreads),
             pin: true,
-            affinity: None,
         })
     }
 
     /// Spawn a pool from an explicit [`PoolConfig`].
     pub fn with_config(cfg: PoolConfig) -> Self {
         let nthreads = cfg.threads.unwrap_or_else(topo::online_cpus).max(1);
-        let pin_map: Vec<Option<usize>> = (0..nthreads)
-            .map(|i| {
-                if !cfg.pin {
-                    return None;
-                }
-                Some(match &cfg.affinity {
-                    Some(cpus) => cpus[i % cpus.len()] % topo::MAX_CPUS,
-                    None => i % topo::online_cpus(),
-                })
-            })
-            .collect();
         let deques: Vec<Deque<JobRef>> = (0..nthreads).map(|_| Deque::new_lifo()).collect();
-        let stealers = deques.iter().map(|d| d.stealer()).collect();
         let registry = Arc::new(Registry {
             injector: Injector::new(),
-            stealers,
-            inboxes: (0..nthreads).map(|_| Injector::new()).collect(),
-            sleepers: (0..nthreads).map(|_| Sleeper::new()).collect(),
+            stealers: deques.iter().map(|d| d.stealer()).collect(),
+            sleep: Mutex::new(()),
+            wake: Condvar::new(),
+            idle: AtomicUsize::new(0),
             terminate: AtomicBool::new(false),
-            nthreads,
-            pin_map,
+            pin: cfg.pin,
             pinned_ok: AtomicUsize::new(0),
             detached: AtomicUsize::new(0),
         });
@@ -620,49 +415,35 @@ impl Pool {
                     .expect("failed to spawn fj worker")
             })
             .collect();
-        Pool {
-            registry,
-            handles: Mutex::new(handles),
-            owner: true,
-        }
+        Pool { registry, handles }
     }
 
     /// A non-owning handle on the same registry: detached tasks receive
-    /// one as their `&Pool` context, so nested joins inside the task still
-    /// resolve [`current_worker`](Pool::current_worker) against the right
-    /// registry (the check is by registry pointer, which the handle
-    /// shares). Dropping a handle never terminates the workers.
+    /// one as their `&Pool` context, so joins nested inside the task find
+    /// their worker ([`current_worker`](Pool::current_worker) compares
+    /// registries). Dropping a handle never terminates the workers.
     fn handle(&self) -> Pool {
         Pool {
             registry: Arc::clone(&self.registry),
-            handles: Mutex::new(Vec::new()),
-            owner: false,
+            handles: Vec::new(),
         }
     }
 
-    /// A pool configured by the environment: `DOB_THREADS` sizes it (CI
-    /// runs the suite under a thread-count matrix through it), `DOB_PIN` /
-    /// `DOB_AFFINITY` control core pinning (see [`PoolConfig::from_env`]);
-    /// unset variables fall back to the machine (`available_parallelism`,
-    /// unpinned).
+    /// A pool configured by the environment ([`PoolConfig::from_env`]):
+    /// `DOB_THREADS` sizes it, `DOB_PIN` turns core pinning on; unset means
+    /// `available_parallelism` workers, unpinned.
     pub fn with_default_threads() -> Self {
         Pool::with_config(PoolConfig::from_env())
     }
 
-    /// Process-wide shared pool, created on first use.
-    pub fn global() -> &'static Pool {
-        static GLOBAL: OnceLock<Pool> = OnceLock::new();
-        GLOBAL.get_or_init(Pool::with_default_threads)
-    }
-
     /// Number of worker threads.
     pub fn num_threads(&self) -> usize {
-        self.registry.nthreads
+        self.registry.stealers.len()
     }
 
     /// Whether this pool was configured to pin its workers.
     pub fn is_pinned(&self) -> bool {
-        self.registry.pin_map.iter().any(Option::is_some)
+        self.registry.pin
     }
 
     /// Workers whose pin actually took effect (0 on unsupported platforms
@@ -671,15 +452,10 @@ impl Pool {
         self.registry.pinned_ok.load(Ordering::SeqCst)
     }
 
+    /// The calling thread's worker, if it is a worker of *this* pool.
     #[inline]
     fn current_worker(&self) -> Option<&WorkerThread> {
-        let wt = WorkerThread::current();
-        if wt.is_null() {
-            return None;
-        }
-        // SAFETY: non-null worker pointers are valid for the thread's life.
-        let wt = unsafe { &*wt };
-        (std::ptr::eq(wt.registry, Arc::as_ptr(&self.registry))).then_some(wt)
+        WorkerThread::current().filter(|wt| Arc::ptr_eq(&wt.registry, &self.registry))
     }
 
     /// Run `f` on a pool worker, blocking the calling thread until done.
@@ -688,189 +464,45 @@ impl Pool {
         if self.current_worker().is_some() {
             return f(self);
         }
-        let job = StackJob::new(|| f(self), JobLatch::Lock(LockLatch::new()));
-        // SAFETY: we block on the latch below, so the job outlives execution
-        // and is executed exactly once.
-        let job_ref = unsafe { job.as_job_ref() };
-        self.registry.injector.push(job_ref);
-        self.registry.notify_near(0);
-        job.latch.as_lock().wait();
+        let job = StackJob::new(|| f(self), Some(thread::current()));
+        // SAFETY: the one JobRef goes into one queue, and this frame parks
+        // on the latch below, so the job outlives its execution.
+        self.registry.inject(unsafe { job.as_job_ref() });
+        job.latch.wait();
+        // SAFETY: `wait` returned, so the latch is set.
         unsafe { job.take_result() }
-    }
-
-    /// The wait side of a join: keep executing available work until
-    /// `job_b`'s latch is set. `job_b` may sit in our deque, in a remote
-    /// inbox, or already be running on a thief — all cases converge here.
-    fn wait_for_job<F, R>(&self, wt: &WorkerThread, job_b: &StackJob<F, R>, job_ref: JobRef)
-    where
-        F: FnOnce() -> R,
-    {
-        let latch = job_b.latch.as_spin();
-        while !latch.probe() {
-            if let Some(job) = wt.deque.pop() {
-                // With LIFO semantics this is either our own b or a job some
-                // nested computation left behind; executing it inline is
-                // always correct.
-                unsafe { (job.exec)(job.data) };
-                if std::ptr::eq(job.data, job_ref.data) {
-                    break;
-                }
-            } else if let Some(job) = wt.steal() {
-                unsafe { (job.exec)(job.data) };
-            } else {
-                std::hint::spin_loop();
-            }
-        }
-    }
-
-    fn join_worker<RA, RB>(
-        &self,
-        wt: &WorkerThread,
-        a: impl FnOnce(&Self) -> RA + Send,
-        b: impl FnOnce(&Self) -> RB + Send,
-    ) -> (RA, RB)
-    where
-        RA: Send,
-        RB: Send,
-    {
-        self.join_worker_to(wt, a, b, wt.index)
-    }
-
-    /// `join` with `b` placed at worker `target_b`: on our own deque when
-    /// `target_b` is us (the classic pop-back fast path), otherwise in the
-    /// target's affine inbox.
-    fn join_worker_to<RA, RB>(
-        &self,
-        wt: &WorkerThread,
-        a: impl FnOnce(&Self) -> RA + Send,
-        b: impl FnOnce(&Self) -> RB + Send,
-        target_b: usize,
-    ) -> (RA, RB)
-    where
-        RA: Send,
-        RB: Send,
-    {
-        let job_b = StackJob::new(|| b(self), JobLatch::Spin(SpinLatch::new()));
-        // SAFETY: this frame does not return before job_b has run (the wait
-        // loop runs even when `a` panics), and job_b runs once: popped back,
-        // stolen, or drained from an inbox — never twice (queue semantics).
-        let job_ref = unsafe { job_b.as_job_ref() };
-        if target_b != wt.index {
-            self.registry.inboxes[target_b].push(job_ref);
-        } else if wt.deque.len() >= LOCAL_QUEUE_CAP {
-            // Bounded local deque: spill the overflow to the injector.
-            self.registry.injector.push(job_ref);
-        } else {
-            wt.deque.push(job_ref);
-        }
-        self.registry.notify_near(target_b);
-
-        let ra = panic::catch_unwind(AssertUnwindSafe(|| a(self)));
-
-        self.wait_for_job(wt, &job_b, job_ref);
-
-        let rb = unsafe { job_b.take_result() };
-        match ra {
-            Ok(ra) => (ra, rb),
-            Err(payload) => panic::resume_unwind(payload),
-        }
-    }
-
-    /// Both sides hinted away from this worker: ship both jobs to their
-    /// target inboxes and service other work until both complete.
-    fn join_both_shipped<RA, RB>(
-        &self,
-        wt: &WorkerThread,
-        target_a: usize,
-        a: impl FnOnce(&Self) -> RA + Send,
-        target_b: usize,
-        b: impl FnOnce(&Self) -> RB + Send,
-    ) -> (RA, RB)
-    where
-        RA: Send,
-        RB: Send,
-    {
-        let job_a = StackJob::new(|| a(self), JobLatch::Spin(SpinLatch::new()));
-        let job_b = StackJob::new(|| b(self), JobLatch::Spin(SpinLatch::new()));
-        // SAFETY: as in join_worker_to — this frame blocks below until both
-        // latches are set, and each job executes exactly once.
-        let ref_a = unsafe { job_a.as_job_ref() };
-        let ref_b = unsafe { job_b.as_job_ref() };
-        self.registry.inboxes[target_a].push(ref_a);
-        self.registry.notify_near(target_a);
-        self.registry.inboxes[target_b].push(ref_b);
-        self.registry.notify_near(target_b);
-
-        while !(job_a.latch.as_spin().probe() && job_b.latch.as_spin().probe()) {
-            if let Some(job) = wt.find_work() {
-                unsafe { (job.exec)(job.data) };
-            } else {
-                std::hint::spin_loop();
-            }
-        }
-        // Both latches are set; panics (if any) re-raise here, after the
-        // stack frames they point into are no longer shared.
-        unsafe { (job_a.take_result(), job_b.take_result()) }
     }
 }
 
 impl Ctx for Pool {
-    fn join<RA, RB>(
+    fn join<RA: Send, RB: Send>(
         &self,
         a: impl FnOnce(&Self) -> RA + Send,
         b: impl FnOnce(&Self) -> RB + Send,
-    ) -> (RA, RB)
-    where
-        RA: Send,
-        RB: Send,
-    {
-        match self.current_worker() {
-            Some(wt) => self.join_worker(wt, a, b),
+    ) -> (RA, RB) {
+        let Some(wt) = self.current_worker() else {
             // Calls from outside the pool enter it first; the nested join
             // then lands on a worker and takes the parallel path.
-            None => self.run(move |p| p.join_worker(p.current_worker().unwrap(), a, b)),
-        }
-    }
+            return self.run(move |p| p.join(a, b));
+        };
+        let job_b = StackJob::new(|| b(self), None);
+        // SAFETY: the one JobRef goes into one queue, and this frame does
+        // not return before job_b has run: `work_until` below is reached
+        // even when `a` panics, and only returns once the latch is set.
+        wt.deque.push(unsafe { job_b.as_job_ref() });
+        self.registry.notify();
 
-    /// [`join`](Ctx::join) routed by placement hints: each side prefers the
-    /// worker `hint % num_threads`. The side hinted at the current worker
-    /// (or an arbitrary one, when neither matches) runs inline; remote
-    /// sides go to their target's affine inbox.
-    fn join_hint<RA, RB>(
-        &self,
-        hint_a: usize,
-        hint_b: usize,
-        a: impl FnOnce(&Self) -> RA + Send,
-        b: impl FnOnce(&Self) -> RB + Send,
-    ) -> (RA, RB)
-    where
-        RA: Send,
-        RB: Send,
-    {
-        let n = self.registry.nthreads;
-        let (ta, tb) = (hint_a % n, hint_b % n);
-        match self.current_worker() {
-            Some(wt) => {
-                if ta == wt.index || ta == tb || n == 1 {
-                    self.join_worker_to(wt, a, b, tb)
-                } else if tb == wt.index {
-                    let (rb, ra) = self.join_worker_to(wt, b, a, ta);
-                    (ra, rb)
-                } else {
-                    self.join_both_shipped(wt, ta, a, tb, b)
-                }
-            }
-            None => self.run(move |p| {
-                let wt = p.current_worker().unwrap();
-                if ta == wt.index || ta == tb || n == 1 {
-                    p.join_worker_to(wt, a, b, tb)
-                } else if tb == wt.index {
-                    let (rb, ra) = p.join_worker_to(wt, b, a, ta);
-                    (ra, rb)
-                } else {
-                    p.join_both_shipped(wt, ta, a, tb, b)
-                }
-            }),
+        let ra = panic::catch_unwind(AssertUnwindSafe(|| a(self)));
+
+        // job_b is still in our deque (popped back and run here) or was
+        // stolen; either way, stay useful until its latch is set.
+        wt.work_until(|| job_b.latch.probe(), thread::yield_now);
+
+        // SAFETY: `work_until` returned, so the latch is set.
+        let rb = unsafe { job_b.take_result() };
+        match ra {
+            Ok(ra) => (ra, rb),
+            Err(payload) => panic::resume_unwind(payload),
         }
     }
 
@@ -886,48 +518,41 @@ impl Ctx for Pool {
         let state = Arc::new(TaskState::new());
         let task_state = Arc::clone(&state);
         let ctx = self.handle();
-        let registry = Arc::clone(&self.registry);
-        registry.detached.fetch_add(1, Ordering::SeqCst);
-        let job: Box<dyn FnOnce() + Send> = Box::new(move || {
+        self.registry.detached.fetch_add(1, Ordering::SeqCst);
+        self.registry.inject(heap_job(move || {
             let result = panic::catch_unwind(AssertUnwindSafe(|| f(&ctx)));
             // Publish the result before releasing the drop barrier: once
             // `detached` hits zero the owner may tear the pool down, and
             // joiners must already be able to observe completion.
             task_state.complete(result);
-            let reg = &*ctx.registry;
-            reg.detached.fetch_sub(1, Ordering::SeqCst);
-            reg.notify_all();
-        });
-        self.registry.injector.push(heap_job(job));
-        self.registry.notify_near(0);
+            ctx.registry.detached.fetch_sub(1, Ordering::SeqCst);
+        }));
         Deferred::from_task(state)
     }
 }
 
 impl Drop for Pool {
     fn drop(&mut self) {
-        if !self.owner {
+        if self.handles.is_empty() {
             return;
         }
-        // Drop barrier: let every spawned-but-unfinished detached task run
-        // to completion before workers terminate. Unjoined tasks are thus
-        // never silently dropped, and a `Deferred` held past the pool's
-        // life joins an already-completed slot. Durable stores lean on
-        // this: a `PipelinedStore` appends an epoch's WAL record *before*
-        // it spawns the detached commit task, and this barrier guarantees
-        // the in-flight merge itself also completes on a graceful drop —
-        // an acknowledged durable epoch is never lost to pool teardown
+        // Drop barrier: every spawned-but-unfinished detached task runs to
+        // completion before workers terminate, so an unjoined task is never
+        // silently dropped and a `Deferred` held past the pool's life joins
+        // a completed slot. Durable stores lean on this: `PipelinedStore`
+        // appends an epoch's WAL record *before* it spawns the detached
+        // commit, and the barrier completes that merge on a graceful drop
         // (see `tests/durability.rs`).
         while self.registry.detached.load(Ordering::SeqCst) > 0 {
-            self.registry.notify_all();
             thread::yield_now();
         }
         self.registry.terminate.store(true, Ordering::Release);
-        let handles = std::mem::take(&mut *self.handles.lock());
-        for h in handles {
-            // Workers wake at least every millisecond, observe `terminate`,
-            // and exit.
-            self.registry.notify_all();
+        // As in `notify`: past the lock, no sleeper is between its
+        // `terminate` check and its wait when the broadcast goes out.
+        drop(self.registry.sleep.lock());
+        self.registry.wake.notify_all();
+        for h in self.handles.drain(..) {
+            // Workers only run catch-all jobs, so they do not panic.
             let _ = h.join();
         }
     }
@@ -988,51 +613,6 @@ mod tests {
     }
 
     #[test]
-    fn affinity_list_wraps_over_workers() {
-        let pool = Pool::with_config(PoolConfig {
-            threads: Some(3),
-            pin: true,
-            affinity: Some(vec![0]),
-        });
-        assert!(pool.is_pinned());
-        assert_eq!(fib(&pool, 20), fib_seq(20));
-    }
-
-    #[test]
-    fn join_hint_routes_and_returns_in_order() {
-        let pool = Pool::new(4);
-        pool.run(|p| {
-            // All four placements: both local, a remote, b remote, both
-            // remote. Results must always come back in (a, b) order.
-            for (ha, hb) in [(0, 0), (1, 0), (0, 1), (2, 3)] {
-                let (a, b) = p.join_hint(ha, hb, |_| 10, |_| 20);
-                assert_eq!((a, b), (10, 20));
-            }
-        });
-    }
-
-    #[test]
-    fn join_hint_from_external_thread() {
-        let pool = Pool::new(2);
-        let (a, b) = pool.join_hint(0, 1, |c| fib(c, 16), |c| fib(c, 14));
-        assert_eq!((a, b), (fib_seq(16), fib_seq(14)));
-    }
-
-    #[test]
-    fn join_hint_is_just_advice_under_load() {
-        let pool = Pool::new(2);
-        pool.run(|p| {
-            let total: u64 = (0..64)
-                .map(|i| {
-                    let (a, b) = p.join_hint(i, i + 1, |_| 1u64, |_| 2u64);
-                    a + b
-                })
-                .sum();
-            assert_eq!(total, 64 * 3);
-        });
-    }
-
-    #[test]
     fn current_worker_index_inside_and_outside() {
         assert_eq!(current_worker_index(), None);
         let pool = Pool::new(3);
@@ -1079,16 +659,6 @@ mod tests {
             pool.join(|_| 1, |_| -> i32 { panic!("boom-b") })
         }));
         assert!(result.is_err());
-    }
-
-    #[test]
-    fn panic_under_join_hint_propagates() {
-        let pool = Pool::new(4);
-        let result = panic::catch_unwind(AssertUnwindSafe(|| {
-            pool.run(|p| p.join_hint(1, 2, |_| 1, |_| -> i32 { panic!("boom-hint") }))
-        }));
-        assert!(result.is_err());
-        assert_eq!(pool.join(|_| 1, |_| 2), (1, 2));
     }
 
     #[test]
@@ -1160,19 +730,66 @@ mod tests {
         assert_eq!(d.join(), 1);
     }
 
+    /// Run `f` on its own thread and fail (rather than hang the suite) if
+    /// it has not returned after `secs` seconds.
+    fn within<R: Send + 'static>(secs: u64, f: impl FnOnce() -> R + Send + 'static) -> R {
+        use std::sync::mpsc::{channel, RecvTimeoutError};
+        let (tx, rx) = channel();
+        let runner = thread::spawn(move || tx.send(f()));
+        match rx.recv_timeout(Duration::from_secs(secs)) {
+            Ok(r) => r,
+            Err(RecvTimeoutError::Timeout) => panic!("deadlock: the pool made no progress"),
+            // `f` panicked and dropped the sender: re-raise its panic.
+            Err(RecvTimeoutError::Disconnected) => panic::resume_unwind(runner.join().unwrap_err()),
+        }
+    }
+
+    #[test]
+    fn deferred_join_on_the_only_worker_runs_the_task() {
+        // The detached task is queued behind the very job that joins it;
+        // the worker has to run it itself.
+        let v = within(20, || {
+            Pool::new(1).run(|c| c.spawn_detached(|_| 7u64).join())
+        });
+        assert_eq!(v, 7);
+    }
+
+    #[test]
+    fn every_worker_joining_its_own_detached_task_makes_progress() {
+        // The barrier holds both arms until each occupies one of the two
+        // workers, so both tasks are spawned and joined with no idle
+        // worker left to run them.
+        let v = within(20, || {
+            let both_busy = std::sync::Barrier::new(2);
+            let arm = |c: &Pool, x: u64| {
+                both_busy.wait();
+                c.spawn_detached(move |_| x).join()
+            };
+            Pool::new(2).join(|c| arm(c, 1), |c| arm(c, 2))
+        });
+        assert_eq!(v, (1, 2));
+    }
+
+    #[test]
+    fn external_runs_do_not_wait_out_the_sleep_timeout() {
+        // Each `run` finds both workers asleep. A wake-up lost to the
+        // sleep/wake race would cost the 1 ms timeout per call (≥ 2 s in
+        // total); a delivered one costs tens of microseconds.
+        let pool = Pool::new(2);
+        let start = std::time::Instant::now();
+        for _ in 0..2000 {
+            pool.run(|_| ());
+        }
+        let took = start.elapsed();
+        assert!(took < Duration::from_secs(1), "2000 runs took {took:?}");
+    }
+
     #[test]
     fn seq_ctx_spawn_detached_resolves_inline() {
         let c = crate::SeqCtx::new();
         let d = c.spawn_detached(|_| 6 * 7);
         assert!(d.is_done());
         assert_eq!(d.join(), 42);
-    }
-
-    #[test]
-    fn seq_ctx_join_hint_ignores_hints() {
-        let c = crate::SeqCtx::new();
-        let (a, b) = c.join_hint(17, 3, |_| 1, |_| 2);
-        assert_eq!((a, b), (1, 2));
     }
 
     #[test]
@@ -1189,7 +806,7 @@ mod tests {
         std::env::remove_var("DOB_THREADS");
         assert_eq!(Pool::with_default_threads().num_threads(), fallback);
 
-        // DOB_PIN turns pinning on; DOB_PIN=0 overrides DOB_AFFINITY.
+        // DOB_PIN turns pinning on; DOB_PIN=0 leaves it off.
         std::env::set_var("DOB_THREADS", "2");
         std::env::set_var("DOB_PIN", "1");
         let p = Pool::with_default_threads();
@@ -1197,21 +814,11 @@ mod tests {
         assert_eq!(p.join(|_| 2, |_| 3), (2, 3));
         drop(p);
 
-        std::env::set_var("DOB_AFFINITY", "0, 1");
         std::env::set_var("DOB_PIN", "0");
         assert!(!Pool::with_default_threads().is_pinned());
 
-        // DOB_AFFINITY alone implies pinning.
         std::env::remove_var("DOB_PIN");
-        let p = Pool::with_default_threads();
-        assert!(p.is_pinned());
-        drop(p);
-
-        // Garbage affinity lists are ignored (no panic, no pin).
-        std::env::set_var("DOB_AFFINITY", ",,junk,");
         assert!(!Pool::with_default_threads().is_pinned());
-
-        std::env::remove_var("DOB_AFFINITY");
         std::env::remove_var("DOB_THREADS");
     }
 }

@@ -22,7 +22,8 @@ use std::thread;
 
 /// Shared completion slot between a running detached task and its
 /// [`Deferred`] handle: a mutex-guarded `(done, result)` pair plus a
-/// condvar for blocking joins from non-worker threads.
+/// condvar for blocking joins from non-worker threads (pool workers keep
+/// executing queued jobs instead, see [`crate::pool::help_until`]).
 pub(crate) struct TaskState<R> {
     slot: Mutex<(bool, Option<thread::Result<R>>)>,
     cv: Condvar,
@@ -49,6 +50,10 @@ impl<R> TaskState<R> {
     }
 
     fn take_blocking(&self) -> thread::Result<R> {
+        // A pool worker must not park here: the task may be queued behind
+        // the job it is running. It runs queued jobs until the slot is
+        // done; any other thread falls straight through to the condvar.
+        crate::pool::help_until(|| self.probe());
         let mut g = self.slot.lock();
         while !g.0 {
             self.cv.wait(&mut g);

@@ -1,13 +1,12 @@
 //! Best-effort CPU topology: pinning worker threads to cores.
 //!
-//! The pool's locality story (nearest-neighbor wake, shard-affine
-//! scheduling, per-core scratch lanes) only pays off when worker *i* really
-//! stays on core *i* across epochs — otherwise the OS scheduler shuffles
-//! workers and every "affine" cache is cold anyway. On linux we pin with
-//! `sched_setaffinity(2)`; the symbol comes straight from the glibc that
-//! `std` already links, so no new dependency is needed (the build container
-//! is offline). Everywhere else pinning is a documented no-op: the pool
-//! still runs, merely unpinned.
+//! Per-worker resources (the scratch arena's per-worker lanes) only stay
+//! warm in one core's cache when worker *i* really stays on core *i* across
+//! epochs — otherwise the OS scheduler moves workers around. On linux we
+//! pin with `sched_setaffinity(2)`; the symbol comes straight from the
+//! glibc that `std` already links, so no new dependency is needed (the
+//! build container is offline). Everywhere else pinning is a documented
+//! no-op: the pool still runs, merely unpinned.
 //!
 //! Pinning is *best effort* by contract: a failed `sched_setaffinity`
 //! (restricted cpuset, exotic sandbox) degrades to an unpinned worker and a

@@ -228,8 +228,8 @@ impl ScratchPool {
     }
 
     /// Worker leases served from the shared tier or a foreign lane —
-    /// recycled storage that crossed cores. Steady-state affine workloads
-    /// should hold this near zero; it never implies a fresh allocation.
+    /// recycled storage that crossed cores. It never implies a fresh
+    /// allocation.
     pub fn spill_leases(&self) -> u64 {
         self.spills.load(Ordering::Relaxed)
     }

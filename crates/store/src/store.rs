@@ -21,9 +21,7 @@
 //! A [`ShardedStore`] partitions the key space across `shards` shards by
 //! the public hash [`shard_of`](crate::shard_of). Each epoch is routed
 //! obliviously (every shard's sub-batch padded to the same public class),
-//! committed on all shards in parallel via [`fj::par_zip_mut_affine`]
-//! (shard *i* hinted at worker *i*, so on a pinned pool each shard's
-//! table stays hot in the same core's cache across epochs), and the
+//! committed on all shards in parallel via [`fj::par_zip_mut`], and the
 //! results are obliviously routed back to submission order — the
 //! adversary trace of the whole epoch is a function of `(batch class,
 //! shard count, capacity history)` only. With one shard there is nothing
@@ -39,7 +37,7 @@ use crate::router::{gather_results, route_ops, shard_class, OpResultSlot, SubBat
 use crate::shard::Shard;
 use crate::vfs::{OsVfs, Vfs};
 use crate::wal::{self, Durability, SnapMeta, Wal};
-use fj::{par_zip_mut_affine, Ctx};
+use fj::{par_zip_mut, Ctx};
 use metrics::ScratchPool;
 use obliv_core::scan::Schedule;
 use obliv_core::Engine;
@@ -600,11 +598,8 @@ impl ShardedStore {
         n_results: usize,
     ) -> Vec<OpResult> {
         // Every shard owns its table and leases scratch from the shared
-        // pool, so the commits are independent fork-join tasks. The
-        // affine zip hints shard i at executor slot i — a public function
-        // of the shard index — so a pinned pool re-runs each shard's
-        // commit on the core whose cache already holds that shard's table.
-        par_zip_mut_affine(c, &mut self.shards, &mut jobs, &|c, _s, shard, job| {
+        // pool, so the commits are independent fork-join tasks.
+        par_zip_mut(c, &mut self.shards, &mut jobs, &|c, _s, shard, job| {
             let res = shard.execute(c, scratch, &job.batch, job.n_real, EpochPath::Merge);
             job.results = res
                 .into_iter()

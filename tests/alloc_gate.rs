@@ -260,16 +260,12 @@ fn merge_epoch_pool_stays_warm_on_tag_path() {
 
 #[test]
 fn merge_epoch_pool_stays_warm_under_pinned_pool() {
-    use fj::{Pool, PoolConfig};
+    use fj::Pool;
     use obliv_core::ScratchPool;
     use store::{Op, ShrinkPolicy, Store, StoreConfig};
 
     let _gate = GATE.lock().unwrap_or_else(|e| e.into_inner());
-    let pool = Pool::with_config(PoolConfig {
-        threads: Some(4),
-        pin: true,
-        affinity: None,
-    });
+    let pool = Pool::pinned(4);
     let scratch = ScratchPool::new();
     let cfg = StoreConfig {
         shrink: Some(ShrinkPolicy {

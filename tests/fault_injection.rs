@@ -260,12 +260,7 @@ fn crash_point_sweep_recovers_exactly_the_acked_prefix() {
 
 #[test]
 fn crash_point_sweep_under_pinned_pool() {
-    use fj::PoolConfig;
-    let pool = Pool::with_config(PoolConfig {
-        threads: Some(4),
-        pin: true,
-        affinity: None,
-    });
+    let pool = Pool::pinned(4);
     let sp = ScratchPool::new();
     let salt = env_seed().wrapping_add(1);
     for front in [Front::Sharded(4), Front::Pipelined(1), Front::Pipelined(4)] {

@@ -326,8 +326,6 @@ fn durable_retry_path_trace_survives_reuse() {
 /// the trace is a function of the logical address space only.
 #[test]
 fn pinned_vs_unpinned_pools_leave_identical_traces() {
-    use fj::PoolConfig;
-
     let dirty_under = |exec: &Pool, pool: &ScratchPool| {
         exec.run(|c| {
             let mut v: Vec<u64> = (0..1200u64).map(|i| i.wrapping_mul(0x9E37) | 1).collect();
@@ -346,11 +344,7 @@ fn pinned_vs_unpinned_pools_leave_identical_traces() {
         });
     };
 
-    let pinned_exec = Pool::with_config(PoolConfig {
-        threads: Some(4),
-        pin: true,
-        affinity: None,
-    });
+    let pinned_exec = Pool::pinned(4);
     let unpinned_exec = Pool::new(4);
 
     let pinned_pool = ScratchPool::new();
@@ -411,17 +405,8 @@ fn pinned_vs_unpinned_pools_leave_identical_traces() {
 /// byte-identical results regardless of executor and pin layout.
 mod pinned_output_equality {
     use super::*;
-    use fj::PoolConfig;
     use pram::HistogramProgram;
     use proptest::prelude::*;
-
-    fn pinned4() -> Pool {
-        Pool::with_config(PoolConfig {
-            threads: Some(4),
-            pin: true,
-            affinity: None,
-        })
-    }
 
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(8))]
@@ -437,7 +422,7 @@ mod pinned_output_equality {
                 .collect();
             let seq = connected_components(
                 &SeqCtx::new(), &ScratchPool::new(), n, &edges, Engine::BitonicRec);
-            let par = pinned4().run(|c| connected_components(
+            let par = Pool::pinned(4).run(|c| connected_components(
                 c, &ScratchPool::new(), n, &edges, Engine::BitonicRec));
             prop_assert_eq!(seq, par);
         }
@@ -452,7 +437,7 @@ mod pinned_output_equality {
                 .map(|&(a, b, w)| ((a % n as u64) as usize, (b % n as u64) as usize, w))
                 .collect();
             let seq = msf(&SeqCtx::new(), &ScratchPool::new(), n, &edges, Engine::BitonicRec);
-            let par = pinned4().run(|c| msf(c, &ScratchPool::new(), n, &edges, Engine::BitonicRec));
+            let par = Pool::pinned(4).run(|c| msf(c, &ScratchPool::new(), n, &edges, Engine::BitonicRec));
             prop_assert_eq!(seq.total_weight, par.total_weight);
             prop_assert_eq!(seq.in_forest, par.in_forest);
             prop_assert_eq!(seq.components, par.components);
@@ -472,7 +457,7 @@ mod pinned_output_equality {
                 .collect();
             let seq = rooted_tree_stats(
                 &SeqCtx::new(), &ScratchPool::new(), n, &edges, 0, Engine::BitonicRec, seed);
-            let par = pinned4().run(|c| rooted_tree_stats(
+            let par = Pool::pinned(4).run(|c| rooted_tree_stats(
                 c, &ScratchPool::new(), n, &edges, 0, Engine::BitonicRec, seed));
             prop_assert_eq!(seq, par);
         }
@@ -484,7 +469,7 @@ mod pinned_output_equality {
             let prog = HistogramProgram::new(vals.len(), 8);
             let seq = run_oblivious_sb(
                 &SeqCtx::new(), &ScratchPool::new(), &prog, &vals, Engine::BitonicRec);
-            let par = pinned4().run(|c| run_oblivious_sb(
+            let par = Pool::pinned(4).run(|c| run_oblivious_sb(
                 c, &ScratchPool::new(), &prog, &vals, Engine::BitonicRec));
             prop_assert_eq!(seq, par);
         }
@@ -504,7 +489,7 @@ mod pinned_output_equality {
             prop_assert_eq!(seq_warm, par_warm);
             // Second batch: SeqCtx vs pinned Pool(4) on identically warmed ORAMs.
             let seq = seq_o.access_batch(&SeqCtx::new(), &reqs);
-            let par = pinned4().run(|c| par_o.access_batch(c, &reqs));
+            let par = Pool::pinned(4).run(|c| par_o.access_batch(c, &reqs));
             prop_assert_eq!(seq, par);
         }
 
@@ -522,7 +507,7 @@ mod pinned_output_equality {
             let seq = obliv_core::send_receive_u64(
                 &SeqCtx::new(), &ScratchPool::new(), &sources, &dests,
                 Engine::BitonicRec, Schedule::Tree);
-            let par = pinned4().run(|c| obliv_core::send_receive_u64(
+            let par = Pool::pinned(4).run(|c| obliv_core::send_receive_u64(
                 c, &ScratchPool::new(), &sources, &dests,
                 Engine::BitonicRec, Schedule::Tree));
             prop_assert_eq!(seq, par);
