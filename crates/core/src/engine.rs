@@ -16,8 +16,8 @@ use crate::slot::{sk_of, Slot, Val};
 use fj::Ctx;
 use metrics::{ScratchPool, Tracked};
 use sortnet::{
-    bitonic_sort_flat_par, bitonic_sort_rec, cells_merge_rec, cells_sort_rec, oddeven_sort,
-    randomized_shellsort, tag_of, TagCell,
+    active_backend, bitonic_sort_flat_par, bitonic_sort_rec, cells_merge_rec, oddeven_sort,
+    randomized_shellsort, Gate, TagCell,
 };
 
 /// Selects the data-oblivious network used for small sorts.
@@ -36,68 +36,58 @@ pub enum Engine {
 }
 
 impl Engine {
-    /// Sort `t` ascending by the slots' scratch key `sk`. Length must be a
-    /// power of two (callers pad with fillers whose `sk` is `u128::MAX`).
+    /// Sort `t` ascending through `gate` with this engine's network.
     ///
     /// Merge scratch is leased from `scratch` rather than allocated; lease
-    /// contents start dirty at the byte level but are filled before use,
-    /// and the networks write every scratch position before reading it.
+    /// contents start dirty at the byte level but are filled (with
+    /// `filler`) before use, and the networks write every scratch position
+    /// before reading it.
+    fn sort_through<C: Ctx, T: Copy + Send>(
+        &self,
+        c: &C,
+        scratch: &ScratchPool,
+        t: &mut Tracked<'_, T>,
+        filler: T,
+        gate: &impl Gate<T>,
+    ) {
+        match *self {
+            Engine::BitonicRec => {
+                let mut lease = scratch.lease(t.len(), filler);
+                let mut tmp = Tracked::new(c, &mut lease);
+                bitonic_sort_rec(c, t, &mut tmp, gate, true);
+            }
+            Engine::BitonicFlat => bitonic_sort_flat_par(c, t, gate, true),
+            Engine::OddEven => oddeven_sort(c, t, gate),
+            Engine::Shellsort { seed } => {
+                // Mix in the length so different call sites draw different
+                // coins while staying deterministic per (seed, n).
+                let seed = seed ^ (t.len() as u64).wrapping_mul(0x9E37);
+                randomized_shellsort(c, scratch, t, gate, seed);
+            }
+        }
+    }
+
+    /// Sort `t` ascending by the slots' scratch key `sk`. Length must be a
+    /// power of two (callers pad with fillers whose `sk` is `u128::MAX`).
     pub fn sort_slots<C: Ctx, V: Val>(
         &self,
         c: &C,
         scratch: &ScratchPool,
         t: &mut Tracked<'_, Slot<V>>,
     ) {
-        match *self {
-            Engine::BitonicRec => {
-                let mut lease = scratch.lease(t.len(), Slot::<V>::filler());
-                let mut tmp = Tracked::new(c, &mut lease);
-                bitonic_sort_rec(c, t, &mut tmp, &sk_of, true);
-            }
-            Engine::BitonicFlat => bitonic_sort_flat_par(c, t, &sk_of, true),
-            Engine::OddEven => oddeven_sort(c, t, &sk_of),
-            Engine::Shellsort { seed } => {
-                // Mix in the length so different call sites draw different
-                // coins while staying deterministic per (seed, n).
-                randomized_shellsort(
-                    c,
-                    scratch,
-                    t,
-                    &sk_of,
-                    seed ^ (t.len() as u64).wrapping_mul(0x9E37),
-                );
-            }
-        }
+        self.sort_through(c, scratch, t, Slot::filler(), &sk_of);
     }
 
     /// Sort packed [`TagCell`]s ascending by tag (the tag-sort fast path).
     /// Length must be a power of two; callers pad with [`TagCell::filler`]
     /// (tag `u128::MAX`, sorts last).
     ///
-    /// The bitonic engines run the dedicated branchless cell network (same
-    /// comparator schedule, 32-byte elements, `select_u128` exchanges);
-    /// the remaining engines drive their generic networks with the cell's
-    /// tag extractor. Either way the trace is the engine's fixed function
-    /// of `n`.
+    /// Every engine runs the same network it runs for slots, through the
+    /// branchless cell gate (32-byte elements, `select_u128` exchanges,
+    /// AVX2 slabs under the bitonic base case where the hardware has
+    /// them), so the trace is the engine's fixed function of `n`.
     pub fn sort_cells<C: Ctx>(&self, c: &C, scratch: &ScratchPool, t: &mut Tracked<'_, TagCell>) {
-        match *self {
-            Engine::BitonicRec => {
-                let mut lease = scratch.lease(t.len(), TagCell::filler());
-                let mut tmp = Tracked::new(c, &mut lease);
-                cells_sort_rec(c, t, &mut tmp, true);
-            }
-            Engine::BitonicFlat => bitonic_sort_flat_par(c, t, &tag_of, true),
-            Engine::OddEven => oddeven_sort(c, t, &tag_of),
-            Engine::Shellsort { seed } => {
-                randomized_shellsort(
-                    c,
-                    scratch,
-                    t,
-                    &tag_of,
-                    seed ^ (t.len() as u64).wrapping_mul(0x9E37),
-                );
-            }
-        }
+        self.sort_through(c, scratch, t, TagCell::filler(), &active_backend());
     }
 
     /// Merge an already *bitonic* cell sequence (e.g. an ascending sorted

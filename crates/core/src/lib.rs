@@ -19,7 +19,6 @@
 //! * [`sendrecv`] — oblivious send-receive / routing (§F);
 //! * [`scatter`] — padded multi-way oblivious scatter (stable §F routing
 //!   into fixed-capacity bins; the op→shard router of `dob-store`);
-//! * [`compact`] — sorting-based oblivious tight compaction;
 //! * [`tag_sort`] — the tag-sort fast path: stable KV sorting and tight
 //!   compaction over packed 32-byte cells (the store's hot-path kernels);
 //! * [`baseline`] — insecure parallel mergesort (SPMS substitute).
@@ -29,7 +28,6 @@
 
 pub mod baseline;
 pub mod binplace;
-pub mod compact;
 pub mod engine;
 pub mod error;
 pub mod expand;
@@ -46,7 +44,6 @@ pub mod tag_sort;
 
 pub use baseline::par_merge_sort;
 pub use binplace::{bin_place, set_keys};
-pub use compact::oblivious_compact;
 pub use engine::Engine;
 pub use error::{with_retries, OblivError, Result};
 pub use expand::expand;

@@ -15,9 +15,9 @@
 //! * [`compact_cells`] — stable oblivious tight compaction of a cell
 //!   array: all non-filler cells move to the front, in order, through
 //!   `log n` fixed-pattern shift levels (`O(n log n)` work, no
-//!   comparators) — cheaper than the sort-based
-//!   [`crate::oblivious_compact`] and the routing half of the tag-sort
-//!   trick: sort the dense tags, then move each wide lane exactly once.
+//!   comparators) — cheaper than compacting with a sort, and the routing
+//!   half of the tag-sort trick: sort the dense tags, then move each wide
+//!   lane exactly once.
 //!
 //! Obliviousness: the cell networks touch a fixed comparator schedule, the
 //! compaction reads/writes every position of every level, and the shift

@@ -8,15 +8,45 @@
 //! both as the correctness oracle and as the "prior best" baseline for the
 //! `E1.bitonic` experiment.
 
-use crate::cx::{cex, cex_raw, KeyFn};
+use crate::cx::{cex, Gate};
 use fj::{counters, par_for, Ctx, DEFAULT_GRAIN};
 use metrics::Tracked;
+
+/// The `log k` comparator levels that merge every aligned `k`-block of
+/// `t` (`k` a power of two dividing `t.len()`), blocks alternating
+/// direction starting with `up`.
+///
+/// Level `j` pairs `(i, i ^ j)` for every `i` with bit `j` clear, visited
+/// with `i` ascending: slabs of `j` consecutive pairs starting at the
+/// multiples of `2j`, which is how [`Gate::slab`] receives them. The
+/// direction `((i & k) == 0) == up` is constant within a slab because
+/// `k ≥ 2j`: no index of the slab differs from `s` in bit `k`.
+fn merge_levels<C: Ctx, T: Copy>(
+    c: &C,
+    t: &mut Tracked<'_, T>,
+    gate: &impl Gate<T>,
+    k: usize,
+    up: bool,
+) {
+    let n = t.len();
+    debug_assert!(k.is_power_of_two() && n.is_multiple_of(k));
+    let raw = t.as_raw();
+    let mut j = k / 2;
+    while j >= 1 {
+        for s in (0..n).step_by(2 * j) {
+            // SAFETY: `&mut t` gives exclusive, sequential access, and
+            // `s + 2j ≤ n` because `2j` divides `k`, which divides `n`.
+            unsafe { gate.slab(c, &raw, s, j, ((s & k) == 0) == up) };
+        }
+        j /= 2;
+    }
+}
 
 /// Sequential bitonic sort of a power-of-two-length slice.
 pub fn bitonic_sort_seq<C: Ctx, T: Copy>(
     c: &C,
     t: &mut Tracked<'_, T>,
-    key: &impl KeyFn<T>,
+    gate: &impl Gate<T>,
     up: bool,
 ) {
     let n = t.len();
@@ -30,27 +60,18 @@ pub fn bitonic_sort_seq<C: Ctx, T: Copy>(
     c.count(counters::SORTS, 1);
     let mut k = 2;
     while k <= n {
-        let mut j = k / 2;
-        while j >= 1 {
-            for i in 0..n {
-                let l = i ^ j;
-                if l > i {
-                    let dir = ((i & k) == 0) == up;
-                    cex(c, t, key, i, l, dir);
-                }
-            }
-            j /= 2;
-        }
+        merge_levels(c, t, gate, k, up);
         k *= 2;
     }
 }
 
 /// Sequential bitonic *merge*: sorts a bitonic input (ascending then
-/// descending half, or any rotation thereof) of power-of-two length.
+/// descending half, or any rotation thereof) of power-of-two length —
+/// the last `log m` levels of [`bitonic_sort_seq`].
 pub fn bitonic_merge_seq<C: Ctx, T: Copy>(
     c: &C,
     t: &mut Tracked<'_, T>,
-    key: &impl KeyFn<T>,
+    gate: &impl Gate<T>,
     up: bool,
 ) {
     let m = t.len();
@@ -58,15 +79,7 @@ pub fn bitonic_merge_seq<C: Ctx, T: Copy>(
         return;
     }
     assert!(m.is_power_of_two());
-    let mut d = m / 2;
-    while d >= 1 {
-        for i in 0..m {
-            if i & d == 0 {
-                cex(c, t, key, i, i + d, up);
-            }
-        }
-        d /= 2;
-    }
+    merge_levels(c, t, gate, m, up);
 }
 
 /// Naive parallel bitonic sort: every layer is a parallel loop over its
@@ -74,7 +87,7 @@ pub fn bitonic_merge_seq<C: Ctx, T: Copy>(
 pub fn bitonic_sort_flat_par<C: Ctx, T: Copy + Send>(
     c: &C,
     t: &mut Tracked<'_, T>,
-    key: &impl KeyFn<T>,
+    gate: &impl Gate<T>,
     up: bool,
 ) {
     let n = t.len();
@@ -93,8 +106,9 @@ pub fn bitonic_sort_flat_par<C: Ctx, T: Copy + Send>(
                 // bit j; disjoint across p, so raw access is safe.
                 let lo = ((p & !(j - 1)) << 1) | (p & (j - 1));
                 let dir = ((lo & k) == 0) == up;
-                // SAFETY: distinct p yield disjoint {lo, lo+j} pairs.
-                unsafe { cex_raw(c, &raw, key, lo, lo + j, dir) };
+                // SAFETY: distinct p yield disjoint {lo, lo+j} pairs, all
+                // below n.
+                unsafe { cex(c, &raw, gate, lo, lo + j, dir) };
             });
             j /= 2;
         }

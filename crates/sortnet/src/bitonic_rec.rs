@@ -16,7 +16,7 @@
 //! of Frigo et al. and is shared with REC-ORBA/REC-SORT in `obliv-core`.
 
 use crate::bitonic::{bitonic_merge_seq, bitonic_sort_seq};
-use crate::cx::KeyFn;
+use crate::cx::Gate;
 use crate::transpose::transpose;
 use fj::{base_for, counters, Ctx};
 use metrics::Tracked;
@@ -61,17 +61,15 @@ pub fn bitonic_merge_rec<C: Ctx, T: Copy + Send>(
     c: &C,
     t: &mut Tracked<'_, T>,
     tmp: &mut Tracked<'_, T>,
-    key: &impl KeyFn<T>,
+    gate: &impl Gate<T>,
     up: bool,
 ) {
     let m = t.len();
     debug_assert_eq!(tmp.len(), m);
     // At or below `base_for` (32 in the model, an L1's worth on a host),
-    // fall back to the sequential network. The cell networks in
-    // [`crate::tag`] use the same rule, so both evaluate the same
-    // comparator schedule (a parity test there enforces it).
+    // fall back to the sequential network.
     if m <= base_for(c, size_of::<T>()) {
-        bitonic_merge_seq(c, t, key, up);
+        bitonic_merge_seq(c, t, gate, up);
         return;
     }
     debug_assert!(m.is_power_of_two());
@@ -91,7 +89,7 @@ pub fn bitonic_merge_rec<C: Ctx, T: Copy + Send>(
         rdim,
         0,
         &|c, _, mut row, mut scratch| {
-            bitonic_merge_rec(c, &mut row, &mut scratch, key, up);
+            bitonic_merge_rec(c, &mut row, &mut scratch, gate, up);
         },
     );
 
@@ -106,7 +104,7 @@ pub fn bitonic_merge_rec<C: Ctx, T: Copy + Send>(
         cdim,
         0,
         &|c, _, mut row, mut scratch| {
-            bitonic_merge_rec(c, &mut row, &mut scratch, key, up);
+            bitonic_merge_rec(c, &mut row, &mut scratch, gate, up);
         },
     );
 }
@@ -118,7 +116,7 @@ pub fn bitonic_sort_rec<C: Ctx, T: Copy + Send>(
     c: &C,
     t: &mut Tracked<'_, T>,
     tmp: &mut Tracked<'_, T>,
-    key: &impl KeyFn<T>,
+    gate: &impl Gate<T>,
     up: bool,
 ) {
     let n = t.len();
@@ -131,7 +129,7 @@ pub fn bitonic_sort_rec<C: Ctx, T: Copy + Send>(
         "bitonic sort requires power-of-two length, got {n}"
     );
     if n <= base_for(c, size_of::<T>()) {
-        bitonic_sort_seq(c, t, key, up);
+        bitonic_sort_seq(c, t, gate, up);
         return;
     }
     c.count(counters::SORTS, 1);
@@ -141,15 +139,15 @@ pub fn bitonic_sort_rec<C: Ctx, T: Copy + Send>(
         c.join(
             move |c| {
                 let (mut t_lo, mut s_lo) = (t_lo, s_lo);
-                bitonic_sort_rec(c, &mut t_lo, &mut s_lo, key, up);
+                bitonic_sort_rec(c, &mut t_lo, &mut s_lo, gate, up);
             },
             move |c| {
                 let (mut t_hi, mut s_hi) = (t_hi, s_hi);
-                bitonic_sort_rec(c, &mut t_hi, &mut s_hi, key, !up);
+                bitonic_sort_rec(c, &mut t_hi, &mut s_hi, gate, !up);
             },
         );
     }
-    bitonic_merge_rec(c, t, tmp, key, up);
+    bitonic_merge_rec(c, t, tmp, gate, up);
 }
 
 /// Convenience wrapper: sort a plain slice (power-of-two length) with the
@@ -158,11 +156,11 @@ pub fn bitonic_sort_rec<C: Ctx, T: Copy + Send>(
 pub fn sort_slice_rec<C: Ctx, T: Copy + Send + Default>(
     c: &C,
     data: &mut [T],
-    key: &impl KeyFn<T>,
+    gate: &impl Gate<T>,
     up: bool,
 ) {
     let scratch = metrics::ScratchPool::new();
-    sort_slice_rec_in(c, &scratch, data, key, up);
+    sort_slice_rec_in(c, &scratch, data, gate, up);
 }
 
 /// [`sort_slice_rec`] drawing its merge scratch from a [`ScratchPool`](metrics::ScratchPool)
@@ -171,13 +169,13 @@ pub fn sort_slice_rec_in<C: Ctx, T: Copy + Send + Default>(
     c: &C,
     scratch: &metrics::ScratchPool,
     data: &mut [T],
-    key: &impl KeyFn<T>,
+    gate: &impl Gate<T>,
     up: bool,
 ) {
     let mut lease = scratch.lease(data.len(), T::default());
     let mut t = Tracked::new(c, data);
     let mut tmp = Tracked::new(c, &mut lease);
-    bitonic_sort_rec(c, &mut t, &mut tmp, key, up);
+    bitonic_sort_rec(c, &mut t, &mut tmp, gate, up);
 }
 
 #[cfg(test)]
@@ -304,6 +302,62 @@ mod tests {
         let z = run(vec![0u64; n]);
         assert_eq!(a, b);
         assert_eq!(a, z);
+    }
+
+    #[test]
+    fn golden_trace_and_counters_at_4096() {
+        // `[trace_hash, trace_len, work, span, comparisons, cache_misses]`
+        // of the three instances of the §E.1 driver, captured at the commit
+        // before the cell driver was folded into this one (PR 14). Any
+        // reordering of a single comparator pair changes the hash.
+        use crate::{cells_merge_rec, cells_sort_rec, TagCell};
+        const N: usize = 4096;
+        fn golden<T: Copy + Default>(
+            data: &mut [T],
+            f: impl FnOnce(&metrics::MeterCtx, &mut Tracked<'_, T>, &mut Tracked<'_, T>),
+        ) -> [u64; 6] {
+            let (_, r) = measure(CacheConfig::default(), TraceMode::Hash, |c| {
+                let mut tmp = vec![T::default(); data.len()];
+                let mut t = Tracked::new(c, data);
+                let mut s = Tracked::new(c, &mut tmp);
+                f(c, &mut t, &mut s);
+            });
+            [
+                r.trace_hash,
+                r.trace_len,
+                r.work,
+                r.span,
+                r.comparisons,
+                r.cache_misses,
+            ]
+        }
+
+        let mut cells: Vec<TagCell> = scrambled(N)
+            .iter()
+            .map(|&k| TagCell::new(k as u128, !k as u128))
+            .collect();
+        let sort = golden(&mut cells, |c, t, s| cells_sort_rec(c, t, s, true));
+        assert_eq!(
+            sort,
+            [0x790e33d2f5de825, 0xc4000, 0xda286, 0x1590, 0x27000, 0x2774]
+        );
+
+        let mut bitonic: Vec<TagCell> = (0..N as u128 / 2)
+            .chain((0..N as u128 / 2).rev())
+            .map(|k| TagCell::new(k, k))
+            .collect();
+        let merge = golden(&mut bitonic, |c, t, s| cells_merge_rec(c, t, s, true));
+        assert_eq!(
+            merge,
+            [0xc2be4c0585197725, 0x24000, 0x24ff8, 0x2b8, 0x6000, 0x1f74]
+        );
+
+        let (mut v, key) = (scrambled(N), |x: &u64| *x as u128);
+        let by_closure = golden(&mut v, |c, t, s| bitonic_sort_rec(c, t, s, &key, true));
+        assert_eq!(
+            by_closure,
+            [0x10eaa4825f2608e5, 0xc4000, 0xda286, 0x1590, 0x27000, 0x200]
+        );
     }
 
     proptest! {

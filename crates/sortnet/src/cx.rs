@@ -1,52 +1,80 @@
-//! Oblivious compare-exchange gates.
+//! Oblivious compare-exchange: the one gate every network in this crate is
+//! written over.
 //!
 //! A comparator network touches a *fixed* sequence of addresses regardless
 //! of the data, which is what makes it data-oblivious under Definition 1:
 //! both inputs are always read and both outputs always written, so the only
 //! data-dependence is in register-level values, which the paper's adversary
-//! cannot observe. We additionally keep the value selection branch-light
-//! (a single well-predicted select) as a best-effort hardening.
+//! cannot observe. What rides through the comparators never changes that
+//! schedule, so the networks take the element-specific part — how to key an
+//! element and how to route a pair — as a [`Gate`] parameter: any
+//! `Fn(&T) -> u128` closure is a gate (one well-predicted select per pair),
+//! and [`crate::Backend`] is the branchless gate for packed
+//! [`crate::TagCell`]s.
 
 use fj::{counters, Ctx};
-use metrics::{RawTracked, Tracked};
+use metrics::RawTracked;
 
-/// Key extractor used by every sorting network in this crate. `u128` keys
-/// are wide enough for every composite key the oblivious algorithms build
-/// (flag ‖ group ‖ label ‖ tiebreak).
-pub trait KeyFn<T>: Fn(&T) -> u128 + Sync {}
-impl<T, F: Fn(&T) -> u128 + Sync> KeyFn<T> for F {}
+/// What a comparator network needs from its elements: a key, the routed
+/// pair for a swap verdict, and a batched form of one bitonic-level slab.
+/// None of the three can change which addresses are touched or what is
+/// charged — [`cex`] fixes that for every gate.
+pub trait Gate<T: Copy>: Sync {
+    /// The sort key of `x`. `u128` is wide enough for every composite key
+    /// the oblivious algorithms build (flag ‖ group ‖ label ‖ tiebreak).
+    fn key(&self, x: &T) -> u128;
 
-/// Compare-exchange elements `i` and `j` of `t`: after the call the element
-/// with the smaller key is at `i` if `up`, at `j` otherwise. Always performs
-/// two reads and two writes.
-#[inline]
-pub fn cex<C: Ctx, T: Copy>(
-    c: &C,
-    t: &mut Tracked<'_, T>,
-    key: &impl KeyFn<T>,
-    i: usize,
-    j: usize,
-    up: bool,
-) {
-    let a = t.get(c, i);
-    let b = t.get(c, j);
-    c.work(1);
-    c.count(counters::COMPARISONS, 1);
-    let swap = (key(&a) > key(&b)) == up;
-    let (x, y) = if swap { (b, a) } else { (a, b) };
-    t.set(c, i, x);
-    t.set(c, j, y);
+    /// `(b, a)` if `swap`, `(a, b)` otherwise.
+    fn route(&self, swap: bool, a: T, b: T) -> (T, T);
+
+    /// Compare-exchange a bitonic-level slab: the `stride` independent
+    /// pairs `(s + k, s + k + stride)` for `k in 0..stride`, in that
+    /// order, all with direction `up`. An override must leave the same
+    /// data, trace and counters as this per-pair loop.
+    ///
+    /// # Safety
+    /// `s + 2 * stride <= t.len()`, and no concurrent task may access
+    /// `s..s + 2 * stride`.
+    #[inline]
+    unsafe fn slab<C: Ctx>(&self, c: &C, t: &RawTracked<T>, s: usize, stride: usize, up: bool) {
+        debug_assert!(s + 2 * stride <= t.len());
+        for k in 0..stride {
+            cex(c, t, self, s + k, s + k + stride, up);
+        }
+    }
 }
 
-/// [`cex`] through a raw parallel view.
+/// Every key-extractor closure is a gate that moves `T` through a select.
+impl<T: Copy, F: Fn(&T) -> u128 + Sync> Gate<T> for F {
+    #[inline]
+    fn key(&self, x: &T) -> u128 {
+        self(x)
+    }
+
+    // `always`: inlined early, the pair stays a choice between two source
+    // addresses; left to the optimizer's inliner it is built on the stack
+    // and copied out, 3× slower per comparator on 64-byte slots.
+    #[inline(always)]
+    fn route(&self, swap: bool, a: T, b: T) -> (T, T) {
+        if swap {
+            (b, a)
+        } else {
+            (a, b)
+        }
+    }
+}
+
+/// Compare-exchange elements `i` and `j` of `t`: after the call the element
+/// with the smaller key is at `i` if `up`, at `j` otherwise; equal keys
+/// never swap. Always two reads, one comparator charge and two writes.
 ///
 /// # Safety
-/// No concurrent task may access indices `i` or `j`.
+/// `i` and `j` must be in bounds, and no concurrent task may access them.
 #[inline]
-pub unsafe fn cex_raw<C: Ctx, T: Copy>(
+pub unsafe fn cex<C: Ctx, T: Copy>(
     c: &C,
     t: &RawTracked<T>,
-    key: &impl KeyFn<T>,
+    gate: &(impl Gate<T> + ?Sized),
     i: usize,
     j: usize,
     up: bool,
@@ -55,8 +83,7 @@ pub unsafe fn cex_raw<C: Ctx, T: Copy>(
     let b = t.get(c, j);
     c.work(1);
     c.count(counters::COMPARISONS, 1);
-    let swap = (key(&a) > key(&b)) == up;
-    let (x, y) = if swap { (b, a) } else { (a, b) };
+    let (x, y) = gate.route((gate.key(&a) > gate.key(&b)) == up, a, b);
     t.set(c, i, x);
     t.set(c, j, y);
 }
@@ -80,30 +107,31 @@ pub fn select_u128(cond: bool, a: u128, b: u128) -> u128 {
 mod tests {
     use super::*;
     use fj::SeqCtx;
+    use metrics::Tracked;
+
+    fn cex01<T: Copy>(v: &mut [T], key: &impl Gate<T>, up: bool) {
+        let c = SeqCtx::new();
+        let mut t = Tracked::new(&c, v);
+        // SAFETY: both indices are in bounds of the two-element slice and
+        // nothing else runs.
+        unsafe { cex(&c, &t.as_raw(), key, 0, 1, up) };
+    }
 
     #[test]
     fn cex_orders_ascending_and_descending() {
-        let c = SeqCtx::new();
         let key = |x: &u64| *x as u128;
-        let mut v = vec![5u64, 3];
-        let mut t = Tracked::new(&c, &mut v);
-        cex(&c, &mut t, &key, 0, 1, true);
-        assert_eq!(v, vec![3, 5]);
-
-        let mut v = vec![3u64, 5];
-        let mut t = Tracked::new(&c, &mut v);
-        cex(&c, &mut t, &key, 0, 1, false);
-        assert_eq!(v, vec![5, 3]);
+        let mut v = [5u64, 3];
+        cex01(&mut v, &key, true);
+        assert_eq!(v, [3, 5]);
+        cex01(&mut v, &key, false);
+        assert_eq!(v, [5, 3]);
     }
 
     #[test]
     fn cex_is_stable_on_equal_keys() {
-        let c = SeqCtx::new();
-        let key = |x: &(u64, u64)| x.0 as u128;
-        let mut v = vec![(7u64, 0u64), (7, 1)];
-        let mut t = Tracked::new(&c, &mut v);
-        cex(&c, &mut t, &key, 0, 1, true);
-        assert_eq!(v, vec![(7, 0), (7, 1)], "equal keys must not swap");
+        let mut v = [(7u64, 0u64), (7, 1)];
+        cex01(&mut v, &|x: &(u64, u64)| x.0 as u128, true);
+        assert_eq!(v, [(7, 0), (7, 1)], "equal keys must not swap");
     }
 
     #[test]

@@ -2,8 +2,12 @@
 //!
 //! Comparator networks are data-oblivious by construction: the sequence of
 //! compared addresses is fixed in advance. This crate supplies every
-//! network the paper's constructions need:
+//! network the paper's constructions need, each written once over the
+//! compare-exchange [`Gate`] — what rides through the comparators (a
+//! `Slot`, a `u64`, a packed cell) is a parameter, never a second network:
 //!
+//! * [`cx`] — the gate: one `cex` body, the closure gates, and the slab
+//!   hook a gate may batch;
 //! * [`bitonic`] — Batcher's bitonic network, sequential and naively
 //!   parallelized (the strawman with `O(log³ n)` span);
 //! * [`bitonic_rec`] — the paper's cache-agnostic recursive bitonic sort
@@ -13,13 +17,13 @@
 //! * [`shellsort`] — Goodrich's randomized Shellsort, the `O(n log n)`-
 //!   comparison stand-in for the AKS network (see DESIGN.md §4);
 //! * [`network`] — explicit layered networks, used to regenerate Figure 1;
-//! * [`tag`] — packed 32-byte tag cells (`key ‖ payload` lanes) and the
-//!   branchless recursive bitonic over them: the tag-sort fast path that
-//!   keeps wide records out of the comparator layers;
-//! * [`vec`](mod@vec) — runtime-dispatched SIMD (AVX2) batched
-//!   compare-exchange for the cell comparator slabs, scalar fallback via
-//!   `DOB_NO_SIMD=1`, trace-identical to the scalar gates by accounting
-//!   replay (DESIGN.md §14);
+//! * [`tag`] — packed 32-byte tag cells (`key ‖ payload` lanes): the
+//!   tag-sort fast path that keeps wide records out of the comparator
+//!   layers;
+//! * [`vec`](mod@vec) — [`Backend`], the branchless gate for cells:
+//!   `select_u128` lanes, and where the hardware has it a runtime-
+//!   dispatched AVX2 slab (scalar via `DOB_NO_SIMD=1`), trace-identical
+//!   to the per-pair gate by accounting replay (DESIGN.md §14);
 //! * [`transpose`](mod@transpose) — cache-agnostic parallel matrix transposition, the
 //!   shared skeleton of every recursive butterfly in the workspace.
 
@@ -37,13 +41,10 @@ pub use bitonic::{bitonic_merge_seq, bitonic_sort_flat_par, bitonic_sort_seq};
 pub use bitonic_rec::{
     bitonic_merge_rec, bitonic_sort_rec, par_rows2, sort_slice_rec, sort_slice_rec_in,
 };
-pub use cx::{cex, cex_raw, select_u128, select_u64, KeyFn};
+pub use cx::{cex, select_u128, select_u64, Gate};
 pub use network::{Comparator, Network};
 pub use oddeven::oddeven_sort;
 pub use shellsort::randomized_shellsort;
-pub use tag::{
-    cells_merge_rec, cells_merge_rec_with, cells_sort_rec, cells_sort_rec_with, cex_cell,
-    cex_cell_raw, tag_of, TagCell,
-};
+pub use tag::{cells_merge_rec, cells_sort_rec, cells_sort_rec_with, TagCell};
 pub use transpose::transpose;
-pub use vec::{active_backend, cex_cells_slab, cex_cells_slab_with, select_cell, Backend};
+pub use vec::{active_backend, cex_cells_slab, select_cell, Backend};

@@ -2,14 +2,14 @@
 //! sorting network. Used as an alternative engine for the poly-log-sized
 //! oblivious sub-sorts and as a cross-check oracle for bitonic.
 
-use crate::cx::{cex_raw, KeyFn};
+use crate::cx::{cex, Gate};
 use fj::{counters, Ctx};
 use metrics::{RawTracked, Tracked};
 
 /// Sort a power-of-two-length tracked slice with odd-even mergesort.
 /// Recursion forks the two half-sorts; merges fork their even/odd
 /// sub-merges (which interleave, hence the raw view).
-pub fn oddeven_sort<C: Ctx, T: Copy + Send>(c: &C, t: &mut Tracked<'_, T>, key: &impl KeyFn<T>) {
+pub fn oddeven_sort<C: Ctx, T: Copy + Send>(c: &C, t: &mut Tracked<'_, T>, gate: &impl Gate<T>) {
     let n = t.len();
     if n <= 1 {
         return;
@@ -22,13 +22,13 @@ pub fn oddeven_sort<C: Ctx, T: Copy + Send>(c: &C, t: &mut Tracked<'_, T>, key: 
     let raw = t.as_raw();
     // SAFETY: sort_rec partitions index ranges disjointly; merge_rec's
     // even/odd sub-merges touch disjoint index classes.
-    sort_rec(c, &raw, key, 0, n);
+    sort_rec(c, &raw, gate, 0, n);
 }
 
 fn sort_rec<C: Ctx, T: Copy + Send>(
     c: &C,
     t: &RawTracked<T>,
-    key: &impl KeyFn<T>,
+    gate: &impl Gate<T>,
     lo: usize,
     n: usize,
 ) {
@@ -37,10 +37,10 @@ fn sort_rec<C: Ctx, T: Copy + Send>(
     }
     let m = n / 2;
     c.join(
-        |c| sort_rec(c, t, key, lo, m),
-        |c| sort_rec(c, t, key, lo + m, m),
+        |c| sort_rec(c, t, gate, lo, m),
+        |c| sort_rec(c, t, gate, lo + m, m),
     );
-    merge_rec(c, t, key, lo, n, 1);
+    merge_rec(c, t, gate, lo, n, 1);
 }
 
 /// Odd-even merge of the sequence `lo, lo+r, lo+2r, …` (n elements counted
@@ -48,7 +48,7 @@ fn sort_rec<C: Ctx, T: Copy + Send>(
 fn merge_rec<C: Ctx, T: Copy + Send>(
     c: &C,
     t: &RawTracked<T>,
-    key: &impl KeyFn<T>,
+    gate: &impl Gate<T>,
     lo: usize,
     n: usize,
     r: usize,
@@ -56,19 +56,19 @@ fn merge_rec<C: Ctx, T: Copy + Send>(
     let step = r * 2;
     if step < n {
         c.join(
-            |c| merge_rec(c, t, key, lo, n, step),
-            |c| merge_rec(c, t, key, lo + r, n, step),
+            |c| merge_rec(c, t, gate, lo, n, step),
+            |c| merge_rec(c, t, gate, lo + r, n, step),
         );
         let mut i = lo + r;
         while i + r < lo + n {
             // SAFETY: this post-pass runs after both sub-merges joined; its
             // pairs are sequential on this task.
-            unsafe { cex_raw(c, t, key, i, i + r, true) };
+            unsafe { cex(c, t, gate, i, i + r, true) };
             i += step;
         }
     } else {
         // SAFETY: single comparator, no concurrency at this leaf.
-        unsafe { cex_raw(c, t, key, lo, lo + r, true) };
+        unsafe { cex(c, t, gate, lo, lo + r, true) };
     }
 }
 

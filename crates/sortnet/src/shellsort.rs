@@ -15,7 +15,7 @@
 //! re-run with fresh coins on failure — the same negligible-failure retry
 //! contract as ORBA overflow.
 
-use crate::cx::{cex_raw, KeyFn};
+use crate::cx::{cex, Gate};
 use fj::{counters, grain_for, par_for, Ctx};
 use metrics::{ScratchPool, Tracked};
 use rand::rngs::StdRng;
@@ -34,7 +34,7 @@ const MATCHINGS: usize = 4;
 fn compare_regions<C: Ctx, T: Copy + Send>(
     c: &C,
     t: &mut Tracked<'_, T>,
-    key: &impl KeyFn<T>,
+    gate: &impl Gate<T>,
     rng: &mut StdRng,
     a: usize,
     b: usize,
@@ -52,7 +52,7 @@ fn compare_regions<C: Ctx, T: Copy + Send>(
         par_for(c, 0, len, grain_for(c), &|c, k| {
             // SAFETY: π is a permutation, so the pairs (a+k, b+π(k)) are
             // pairwise disjoint within a matching.
-            unsafe { cex_raw(c, &raw, key, a + k, b + perm_ref[k], true) };
+            unsafe { cex(c, &raw, gate, a + k, b + perm_ref[k], true) };
         });
     }
 }
@@ -64,7 +64,7 @@ fn shellsort_pass<C: Ctx, T: Copy + Send>(
     c: &C,
     scratch: &ScratchPool,
     t: &mut Tracked<'_, T>,
-    key: &impl KeyFn<T>,
+    gate: &impl Gate<T>,
     rng: &mut StdRng,
 ) {
     let n = t.len();
@@ -75,22 +75,22 @@ fn shellsort_pass<C: Ctx, T: Copy + Send>(
         let regions = n / gap;
         // Shaker pass: left-to-right then right-to-left over neighbours.
         for i in 0..regions.saturating_sub(1) {
-            compare_regions(c, t, key, rng, i * gap, (i + 1) * gap, gap, &mut perm);
+            compare_regions(c, t, gate, rng, i * gap, (i + 1) * gap, gap, &mut perm);
         }
         for i in (0..regions.saturating_sub(1)).rev() {
-            compare_regions(c, t, key, rng, i * gap, (i + 1) * gap, gap, &mut perm);
+            compare_regions(c, t, gate, rng, i * gap, (i + 1) * gap, gap, &mut perm);
         }
         // Extended brick passes: distances 3 and 2.
         for d in [3usize, 2] {
             for i in 0..regions.saturating_sub(d) {
-                compare_regions(c, t, key, rng, i * gap, (i + d) * gap, gap, &mut perm);
+                compare_regions(c, t, gate, rng, i * gap, (i + d) * gap, gap, &mut perm);
             }
         }
         // Odd-even passes over neighbours.
         for parity in [1usize, 0] {
             let mut i = parity;
             while i + 1 < regions {
-                compare_regions(c, t, key, rng, i * gap, (i + 1) * gap, gap, &mut perm);
+                compare_regions(c, t, gate, rng, i * gap, (i + 1) * gap, gap, &mut perm);
                 i += 2;
             }
         }
@@ -102,7 +102,7 @@ fn shellsort_pass<C: Ctx, T: Copy + Send>(
 fn is_sorted_oblivious<C: Ctx, T: Copy + Send>(
     c: &C,
     t: &mut Tracked<'_, T>,
-    key: &impl KeyFn<T>,
+    gate: &impl Gate<T>,
 ) -> bool {
     let mut ok = true;
     for i in 1..t.len() {
@@ -110,7 +110,7 @@ fn is_sorted_oblivious<C: Ctx, T: Copy + Send>(
         let b = t.get(c, i);
         c.work(1);
         // Accumulate without branching so the scan stays fixed-pattern.
-        ok &= key(&a) <= key(&b);
+        ok &= gate.key(&a) <= gate.key(&b);
     }
     ok
 }
@@ -122,7 +122,7 @@ pub fn randomized_shellsort<C: Ctx, T: Copy + Send>(
     c: &C,
     scratch: &ScratchPool,
     t: &mut Tracked<'_, T>,
-    key: &impl KeyFn<T>,
+    gate: &impl Gate<T>,
     seed: u64,
 ) -> usize {
     let n = t.len();
@@ -136,8 +136,8 @@ pub fn randomized_shellsort<C: Ctx, T: Copy + Send>(
     c.count(counters::SORTS, 1);
     let mut rng = StdRng::seed_from_u64(seed);
     for attempt in 1..=64 {
-        shellsort_pass(c, scratch, t, key, &mut rng);
-        if is_sorted_oblivious(c, t, key) {
+        shellsort_pass(c, scratch, t, gate, &mut rng);
+        if is_sorted_oblivious(c, t, gate) {
             return attempt;
         }
         c.count(counters::RETRIES, 1);

@@ -10,31 +10,24 @@
 //! moved per comparator by 3× and keeps far longer runs L1/L2-resident
 //! during the cache-blocked merge layers.
 //!
-//! Two properties make the cells a drop-in for the `Slot` networks:
-//!
-//! * **Same schedule.** [`cells_sort_rec`]/[`cells_merge_rec`] evaluate the
-//!   §E.1 recursive bitonic network with the same base-case size (both
-//!   ask [`fj::base_for`]: 32 in the model, an L1's worth on a host) and
-//!   the same transpose blocking as the generic `bitonic_sort_rec`, so the
-//!   comparator sequence — and hence the adversary trace shape — is the
-//!   same function of `n`. A unit test pins comparator-count parity
-//!   against the generic network; keep the two drivers in lockstep when
-//!   touching either.
-//! * **Branchless exchange.** [`cex_cell_raw`] routes both lanes with
-//!   [`select_u128`] masks: two reads, one compare, four selects, two
-//!   writes, no data-dependent branch — a best-effort hardening the
-//!   generic `cex` (which moves `T` through an `if`) cannot offer.
+//! Cells have no network of their own: they go through the one §E.1
+//! driver ([`bitonic_sort_rec`] / [`bitonic_merge_rec`]) with a
+//! [`Backend`] as the gate, so the comparator schedule — and hence the
+//! adversary trace shape — is the same function of `n` and the element
+//! size as for any other `T`. What the cell gate adds is a **branchless
+//! exchange**: both lanes are routed with `select_u128` masks (two reads,
+//! one compare, four selects, two writes, no data-dependent branch), a
+//! best-effort hardening the closure gates, which move `T` through an
+//! `if`, cannot offer — and on AVX2 hardware a vectorized slab
+//! ([`crate::vec`]).
 //!
 //! Fillers are cells whose tag is `u128::MAX`; real tags must stay below
 //! it (every caller packs a key that cannot reach the all-ones pattern).
 
-use crate::bitonic_rec::par_rows2;
-use crate::cx::select_u128;
-use crate::transpose::transpose;
-use crate::vec::{active_backend, cex_cells_slab_with, Backend};
-use fj::{base_for, counters, Ctx};
-use metrics::{RawTracked, Tracked};
-use std::mem::size_of;
+use crate::bitonic_rec::{bitonic_merge_rec, bitonic_sort_rec};
+use crate::vec::{active_backend, Backend};
+use fj::Ctx;
+use metrics::Tracked;
 
 /// A 32-byte comparator-network element: 16-byte sort tag, 16-byte payload.
 ///
@@ -71,201 +64,19 @@ impl TagCell {
     }
 }
 
-/// Key extractor for driving the *generic* networks with cells (the
-/// engines without a specialized cell implementation use this).
-#[inline]
-pub fn tag_of(cell: &TagCell) -> u128 {
-    cell.tag
-}
-
-/// Branchless compare-exchange of cells `i` and `j`: the smaller tag ends
-/// at `i` if `up`. Both lanes are routed with [`select_u128`] masks —
-/// always two reads, four selects and two writes, no data-dependent branch.
-///
-/// # Safety
-/// No concurrent task may access indices `i` or `j`.
-#[inline]
-pub unsafe fn cex_cell_raw<C: Ctx>(c: &C, t: &RawTracked<TagCell>, i: usize, j: usize, up: bool) {
-    let a = t.get(c, i);
-    let b = t.get(c, j);
-    c.work(1);
-    c.count(counters::COMPARISONS, 1);
-    let swap = (a.tag > b.tag) == up;
-    t.set(
-        c,
-        i,
-        TagCell {
-            tag: select_u128(swap, a.tag, b.tag),
-            aux: select_u128(swap, a.aux, b.aux),
-        },
-    );
-    t.set(
-        c,
-        j,
-        TagCell {
-            tag: select_u128(swap, b.tag, a.tag),
-            aux: select_u128(swap, b.aux, a.aux),
-        },
-    );
-}
-
-/// [`cex_cell_raw`] through a tracked slice.
-#[inline]
-pub fn cex_cell<C: Ctx>(c: &C, t: &mut Tracked<'_, TagCell>, i: usize, j: usize, up: bool) {
-    // SAFETY: exclusive access via &mut.
-    unsafe { cex_cell_raw(c, &t.as_raw(), i, j, up) }
-}
-
-/// Sequential bitonic sort of a power-of-two cell slice (the base case).
-///
-/// Each `(k, j)` level is walked as slabs of `j` consecutive pairs with a
-/// constant direction and handed to the batched compare-exchange kernel
-/// ([`crate::vec::cex_cells_slab`]), which visits the identical pair
-/// sequence the classic `i ^ j` loop visits — the slab decomposition
-/// only regroups it.
-pub fn cells_sort_seq<C: Ctx>(c: &C, t: &mut Tracked<'_, TagCell>, up: bool) {
-    cells_sort_seq_with(active_backend(), c, t, up)
-}
-
-/// [`cells_sort_seq`] with an explicit compare-exchange backend.
-pub fn cells_sort_seq_with<C: Ctx>(
-    backend: Backend,
-    c: &C,
-    t: &mut Tracked<'_, TagCell>,
-    up: bool,
-) {
-    let n = t.len();
-    if n <= 1 {
-        return;
-    }
-    assert!(n.is_power_of_two(), "cell sort needs power-of-two, got {n}");
-    c.count(counters::SORTS, 1);
-    let raw = t.as_raw();
-    let mut k = 2;
-    while k <= n {
-        let mut j = k / 2;
-        while j >= 1 {
-            // Level (k, j): pairs (i, i ^ j) for every i with bit j clear,
-            // i.e. slabs of j consecutive pairs starting at multiples of
-            // 2j. Within a slab the direction ((i & k) == 0) == up is
-            // constant because i & k is (k ≥ 2j, so bits below bit(j)
-            // cannot reach bit(k)).
-            let mut s = 0;
-            while s < n {
-                let dir = ((s & k) == 0) == up;
-                // SAFETY: sequential evaluation.
-                unsafe { cex_cells_slab_with(backend, c, &raw, s, j, dir) };
-                s += 2 * j;
-            }
-            j /= 2;
-        }
-        k *= 2;
-    }
-}
-
-/// Sequential bitonic merge of a bitonic power-of-two cell slice. Like
-/// [`cells_sort_seq`], each halving level runs as batched slabs.
-pub fn cells_merge_seq<C: Ctx>(c: &C, t: &mut Tracked<'_, TagCell>, up: bool) {
-    cells_merge_seq_with(active_backend(), c, t, up)
-}
-
-/// [`cells_merge_seq`] with an explicit compare-exchange backend.
-pub fn cells_merge_seq_with<C: Ctx>(
-    backend: Backend,
-    c: &C,
-    t: &mut Tracked<'_, TagCell>,
-    up: bool,
-) {
-    let m = t.len();
-    if m <= 1 {
-        return;
-    }
-    assert!(m.is_power_of_two());
-    let raw = t.as_raw();
-    let mut d = m / 2;
-    while d >= 1 {
-        let mut s = 0;
-        while s < m {
-            // SAFETY: sequential evaluation.
-            unsafe { cex_cells_slab_with(backend, c, &raw, s, d, up) };
-            s += 2 * d;
-        }
-        d /= 2;
-    }
-}
-
-/// Cache-agnostic recursive bitonic merge over cells — the §E.1.2
-/// transpose blocking of [`crate::bitonic_merge_rec`], with the branchless
-/// cell base case. `t` must hold a bitonic sequence of power-of-two
-/// length; `tmp` is equally sized scratch (garbage on return).
-pub fn cells_merge_rec<C: Ctx>(
-    c: &C,
-    t: &mut Tracked<'_, TagCell>,
-    tmp: &mut Tracked<'_, TagCell>,
-    up: bool,
-) {
-    cells_merge_rec_with(active_backend(), c, t, tmp, up)
-}
-
-/// [`cells_merge_rec`] with an explicit compare-exchange backend.
-pub fn cells_merge_rec_with<C: Ctx>(
-    backend: Backend,
-    c: &C,
-    t: &mut Tracked<'_, TagCell>,
-    tmp: &mut Tracked<'_, TagCell>,
-    up: bool,
-) {
-    let m = t.len();
-    debug_assert_eq!(tmp.len(), m);
-    if m <= base_for(c, size_of::<TagCell>()) {
-        cells_merge_seq_with(backend, c, t, up);
-        return;
-    }
-    debug_assert!(m.is_power_of_two());
-    let k = m.trailing_zeros() as usize;
-    let cdim = 1usize << (k / 2);
-    let rdim = m / cdim;
-
-    transpose(c, t, tmp, rdim, cdim, 1);
-    par_rows2(
-        c,
-        tmp.borrow_mut(),
-        t.borrow_mut(),
-        cdim,
-        rdim,
-        0,
-        &|c, _, mut row, mut scratch| {
-            cells_merge_rec_with(backend, c, &mut row, &mut scratch, up);
-        },
-    );
-
-    transpose(c, tmp, t, cdim, rdim, 1);
-    par_rows2(
-        c,
-        t.borrow_mut(),
-        tmp.borrow_mut(),
-        rdim,
-        cdim,
-        0,
-        &|c, _, mut row, mut scratch| {
-            cells_merge_rec_with(backend, c, &mut row, &mut scratch, up);
-        },
-    );
-}
-
-/// Cache-agnostic recursive bitonic sort over cells (§E.1.1 on the packed
-/// representation): same schedule as [`crate::bitonic_sort_rec`], 32-byte
-/// elements, branchless exchanges.
+/// [`bitonic_sort_rec`] over cells through the process-wide gate
+/// ([`active_backend`]). `tmp` is equally sized scratch.
 pub fn cells_sort_rec<C: Ctx>(
     c: &C,
     t: &mut Tracked<'_, TagCell>,
     tmp: &mut Tracked<'_, TagCell>,
     up: bool,
 ) {
-    cells_sort_rec_with(active_backend(), c, t, tmp, up)
+    bitonic_sort_rec(c, t, tmp, &active_backend(), up)
 }
 
-/// [`cells_sort_rec`] with an explicit compare-exchange backend.
+/// [`cells_sort_rec`] through an explicit gate (an `Avx2` request runs
+/// scalar where AVX2 was not detected).
 pub fn cells_sort_rec_with<C: Ctx>(
     backend: Backend,
     c: &C,
@@ -273,40 +84,24 @@ pub fn cells_sort_rec_with<C: Ctx>(
     tmp: &mut Tracked<'_, TagCell>,
     up: bool,
 ) {
-    let n = t.len();
-    debug_assert_eq!(tmp.len(), n);
-    if n <= 1 {
-        return;
-    }
-    assert!(
-        n.is_power_of_two(),
-        "bitonic cell sort requires power-of-two length, got {n}"
-    );
-    if n <= base_for(c, size_of::<TagCell>()) {
-        cells_sort_seq_with(backend, c, t, up);
-        return;
-    }
-    c.count(counters::SORTS, 1);
-    {
-        let (t_lo, t_hi) = t.split_at_mut(n / 2);
-        let (s_lo, s_hi) = tmp.split_at_mut(n / 2);
-        c.join(
-            move |c| {
-                let (mut t_lo, mut s_lo) = (t_lo, s_lo);
-                cells_sort_rec_with(backend, c, &mut t_lo, &mut s_lo, up);
-            },
-            move |c| {
-                let (mut t_hi, mut s_hi) = (t_hi, s_hi);
-                cells_sort_rec_with(backend, c, &mut t_hi, &mut s_hi, !up);
-            },
-        );
-    }
-    cells_merge_rec_with(backend, c, t, tmp, up);
+    bitonic_sort_rec(c, t, tmp, &backend, up)
+}
+
+/// [`bitonic_merge_rec`] over a bitonic cell sequence through the
+/// process-wide gate. `tmp` is equally sized scratch.
+pub fn cells_merge_rec<C: Ctx>(
+    c: &C,
+    t: &mut Tracked<'_, TagCell>,
+    tmp: &mut Tracked<'_, TagCell>,
+    up: bool,
+) {
+    bitonic_merge_rec(c, t, tmp, &active_backend(), up)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::cx::Gate;
     use fj::{Pool, SeqCtx};
     use metrics::{measure, CacheConfig, TraceMode};
     use proptest::prelude::*;
@@ -368,23 +163,27 @@ mod tests {
     }
 
     #[test]
-    fn same_comparator_schedule_as_generic_network() {
-        // The specialized cell network must evaluate exactly as many
-        // comparators as the generic recursive bitonic at every size.
-        for n in [32usize, 64, 1024, 4096] {
-            let keys: Vec<u64> = (0..n as u64).map(|i| i.wrapping_mul(40503) >> 3).collect();
-            let (_, generic) = measure(CacheConfig::default(), TraceMode::Off, |c| {
-                let mut v = keys.clone();
-                crate::sort_slice_rec(c, &mut v, &|x: &u64| *x as u128, true);
-            });
-            let (_, cells) = measure(CacheConfig::default(), TraceMode::Off, |c| {
-                let mut cs = cells_of(&keys);
-                let mut tmp = vec![TagCell::filler(); n];
+    fn key_gate_and_cell_gate_agree() {
+        // The closure gate moves whole cells through an `if`; the cell gate
+        // routes lanes through masks. Same driver, so they must leave the
+        // same cells and the same adversary trace.
+        fn run(keys: &[u64], gate: &impl Gate<TagCell>) -> (Vec<TagCell>, u64, u64, u64, u64) {
+            let mut cs = cells_of(keys);
+            let (_, rep) = measure(CacheConfig::default(), TraceMode::Hash, |c| {
+                let mut tmp = vec![TagCell::filler(); keys.len()];
                 let mut t = Tracked::new(c, &mut cs);
                 let mut s = Tracked::new(c, &mut tmp);
-                cells_sort_rec(c, &mut t, &mut s, true);
+                bitonic_sort_rec(c, &mut t, &mut s, gate, true);
             });
-            assert_eq!(generic.comparisons, cells.comparisons, "n = {n}");
+            (cs, rep.trace_hash, rep.trace_len, rep.work, rep.comparisons)
+        }
+        for n in [32usize, 64, 1024, 4096] {
+            let keys: Vec<u64> = (0..n as u64).map(|i| i.wrapping_mul(40503) >> 3).collect();
+            assert_eq!(
+                run(&keys, &|c: &TagCell| c.tag),
+                run(&keys, &Backend::Scalar),
+                "n = {n}"
+            );
         }
     }
 
@@ -459,7 +258,7 @@ mod tests {
             })
             .collect();
         let mut t = Tracked::new(&c, &mut cells);
-        cells_sort_seq(&c, &mut t, true);
+        crate::bitonic_sort_seq(&c, &mut t, &active_backend(), true);
         assert!(cells[..4].iter().all(|cell| !cell.is_filler()));
         assert!(cells[4..].iter().all(|cell| cell.is_filler()));
     }

@@ -1,50 +1,52 @@
-//! Vectorized oblivious kernels: runtime-dispatched SIMD batched
-//! compare-exchange for the comparator slabs, plus the branchless
-//! whole-cell selects the compaction/rewrite loops route through.
+//! The branchless cell gate: [`Backend`] is the [`Gate`] for packed
+//! [`TagCell`]s, with a runtime-dispatched AVX2 form of the comparator
+//! slab, plus the whole-cell select the compaction/rewrite loops route
+//! through.
 //!
 //! # Dispatch model
 //!
-//! The backend is chosen **once per process** ([`active_backend`]):
-//! AVX2 when `is_x86_feature_detected!("avx2")` says the hardware has it
-//! and `DOB_NO_SIMD` is unset, scalar otherwise. Which backend runs is a
-//! public *hardware* fact — like the cache-line size or the core count,
-//! it is a property of the machine, not of the data — so dispatching on
-//! it leaks nothing under Definition 1. Every kernel also has a
-//! `_with(Backend, ..)` form so tests and benches can run both backends
-//! in one process and compare outputs and traces bit for bit.
+//! [`Backend::Scalar`] is the gate's default per-pair loop over
+//! `select_u128` lanes; [`Backend::Avx2`] overrides [`Gate::slab`] only:
+//! the accounting replay below, then the 256-bit kernel. The process-wide
+//! choice ([`active_backend`]) is made **once**: AVX2 when
+//! `is_x86_feature_detected!("avx2")` says the hardware has it and
+//! `DOB_NO_SIMD` is unset, scalar otherwise — a public *hardware* fact,
+//! like the cache-line size or the core count, so dispatching on it leaks
+//! nothing under Definition 1.
+//!
+//! Tests and benches pass either variant to the networks to compare the
+//! two bit for bit, so safe code can name `Avx2` on a machine without it.
+//! The slab therefore runs the kernel only when `resolve` of the request
+//! against that cached detection says so, and the scalar gate otherwise;
+//! under `DOB_NO_SIMD=1` every request runs exactly what hardware without
+//! AVX2 executes.
 //!
 //! # Why the trace cannot change
 //!
-//! A batched kernel differs from its scalar twin only in ALU width. It
-//! first replays, pair by pair in the scalar order, the exact
-//! [`fj::Ctx::touch`]/[`fj::Ctx::work`]/[`fj::Ctx::count`] sequence the
-//! scalar gate emits (free on non-metering executors — the `Ctx` methods
-//! are inlined no-ops there), and only then moves the data with a
-//! branchless scalar tag verdict + 256-bit masked xor-swap. Same addresses
-//! in the same order, same work and comparator counters, no
-//! data-dependent branch: the adversary-visible trace and the gated cost
-//! model are *identical* across backends, on every input. DESIGN.md §14
-//! gives the full argument and the per-kernel coverage table.
+//! The AVX2 slab differs from the per-pair loop only in ALU width. It
+//! first replays, pair by pair in the same order, the exact
+//! [`fj::Ctx::touch`]/[`fj::Ctx::work`]/[`fj::Ctx::count`] sequence
+//! [`cex`] emits (free on non-metering executors — the `Ctx` methods are
+//! inlined no-ops there), and only then moves the data with a branchless
+//! scalar tag verdict + 256-bit masked xor-swap. Same addresses in the
+//! same order, same work and comparator counters, no data-dependent
+//! branch: the adversary-visible trace and the gated cost model are
+//! *identical* across backends, on every input. DESIGN.md §14 gives the
+//! full argument and the per-kernel coverage table.
 
-use crate::cx::select_u128;
-use crate::tag::{cex_cell_raw, TagCell};
-use fj::{counters, Access, Ctx};
+use crate::cx::{cex, select_u128, Gate};
+use crate::tag::TagCell;
+use fj::Ctx;
 use metrics::RawTracked;
 use std::sync::OnceLock;
 
-/// How many independent cell pairs the AVX2 slab kernel retires per
-/// unrolled iteration (each 32-byte [`TagCell`] is one 256-bit vector).
-/// Shorter slabs still run vectorized — one pair is one vector — this
-/// only bounds the unroll.
-pub const LANES: usize = 4;
-
-/// The compare-exchange backend for the cell comparator slabs.
+/// The compare-exchange gate for [`TagCell`]s.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Backend {
     /// Per-pair `select_u128` masks — the portable branchless gate.
     Scalar,
-    /// Scalar tag verdict + 256-bit masked xor-swap of whole cells,
-    /// four independent pairs per unrolled iteration.
+    /// Scalar tag verdict + 256-bit masked xor-swap of whole cells, four
+    /// pairs per unrolled iteration; `Scalar` where AVX2 was not detected.
     Avx2,
 }
 
@@ -72,37 +74,83 @@ fn detect() -> Backend {
 /// The process-wide backend, detected once: AVX2 where the hardware has
 /// it, scalar otherwise or under `DOB_NO_SIMD=1`. A public hardware
 /// fact — see the module docs for why dispatching on it is oblivious.
+///
+/// `#[inline]` because the cell gate consults it once per slab, and a slab
+/// can be a single pair: as a cross-crate call it cost ~7 % of
+/// `kv-sharded-pipelined`; inlined it is two loads and a compare.
+#[inline]
 pub fn active_backend() -> Backend {
     static ACTIVE: OnceLock<Backend> = OnceLock::new();
     *ACTIVE.get_or_init(detect)
 }
 
-/// Replay the accounting of one scalar [`cex_cell_raw`] on `(i, j)`
-/// without touching the data: two reads, the comparator charge, two
-/// writes. Batched kernels call this per pair, in scalar order, before
-/// the vector data movement.
-#[inline(always)]
-fn account_cex<C: Ctx>(c: &C, t: &RawTracked<TagCell>, i: usize, j: usize) {
-    let (buf, off, wpe) = (t.buf(), t.off(), t.wpe());
-    c.touch(buf, off + i as u64 * wpe, wpe, Access::Read);
-    c.work(1);
-    c.touch(buf, off + j as u64 * wpe, wpe, Access::Read);
-    c.work(1);
-    c.work(1);
-    c.count(counters::COMPARISONS, 1);
-    c.touch(buf, off + i as u64 * wpe, wpe, Access::Write);
-    c.work(1);
-    c.touch(buf, off + j as u64 * wpe, wpe, Access::Write);
-    c.work(1);
+/// The backend a slab actually runs: `Avx2` only when it was both
+/// requested and detected.
+fn resolve(requested: Backend, detected: Backend) -> Backend {
+    match (requested, detected) {
+        (Backend::Avx2, Backend::Avx2) => Backend::Avx2,
+        _ => Backend::Scalar,
+    }
 }
 
-/// Compare-exchange a bitonic-level slab: the `stride` independent pairs
-/// `(s + k, s + k + stride)` for `k in 0..stride`, all with direction
-/// `up`, exactly as the scalar level loop visits them. Dispatches on
-/// [`active_backend`].
+impl Gate<TagCell> for Backend {
+    #[inline]
+    fn key(&self, cell: &TagCell) -> u128 {
+        cell.tag
+    }
+
+    /// Both lanes of both outputs go through [`select_u128`] masks: four
+    /// selects, no data-dependent branch.
+    #[inline]
+    fn route(&self, swap: bool, a: TagCell, b: TagCell) -> (TagCell, TagCell) {
+        (select_cell(swap, a, b), select_cell(swap, b, a))
+    }
+
+    /// The AVX2 override; every other request runs the default loop.
+    ///
+    /// # Safety
+    /// As [`Gate::slab`]: `s + 2 * stride <= t.len()` — the kernel writes
+    /// through a raw pointer with no further check — and no concurrent
+    /// task may access `s..s + 2 * stride`.
+    #[inline]
+    unsafe fn slab<C: Ctx>(
+        &self,
+        c: &C,
+        t: &RawTracked<TagCell>,
+        s: usize,
+        stride: usize,
+        up: bool,
+    ) {
+        debug_assert!(s + 2 * stride <= t.len());
+        // `detect` never reports Avx2 off x86_64, so there the branch is
+        // empty and dead.
+        if resolve(*self, active_backend()) == Backend::Avx2 {
+            #[cfg(target_arch = "x86_64")]
+            {
+                for k in 0..stride {
+                    avx2::account_cex(c, t, s + k, s + k + stride);
+                }
+                // SAFETY: AVX2 is available — `resolve` returns Avx2 only
+                // if `active_backend()` did, i.e. only after
+                // `is_x86_feature_detected!("avx2")` succeeded in this
+                // process, whichever variant the caller named. Bounds and
+                // exclusivity of `s..s + 2*stride` are this function's own
+                // contract.
+                return avx2::cex_slab(t.as_mut_ptr(), s, stride, up);
+            }
+        }
+        for k in 0..stride {
+            cex(c, t, self, s + k, s + k + stride, up);
+        }
+    }
+}
+
+/// Compare-exchange one slab of cells through the process-wide gate:
+/// [`Gate::slab`] on [`active_backend`].
 ///
 /// # Safety
-/// As [`cex_cell_raw`]: no concurrent task may access `s..s + 2*stride`.
+/// As [`Gate::slab`]: `s + 2 * stride <= t.len()`, and no concurrent task
+/// may access `s..s + 2 * stride`.
 #[inline]
 pub unsafe fn cex_cells_slab<C: Ctx>(
     c: &C,
@@ -111,44 +159,15 @@ pub unsafe fn cex_cells_slab<C: Ctx>(
     stride: usize,
     up: bool,
 ) {
-    cex_cells_slab_with(active_backend(), c, t, s, stride, up)
-}
-
-/// [`cex_cells_slab`] with an explicit backend — the hook equivalence
-/// tests and the simd-vs-scalar bench ablation drive both paths through.
-///
-/// # Safety
-/// As [`cex_cells_slab`].
-pub unsafe fn cex_cells_slab_with<C: Ctx>(
-    backend: Backend,
-    c: &C,
-    t: &RawTracked<TagCell>,
-    s: usize,
-    stride: usize,
-    up: bool,
-) {
-    debug_assert!(s + 2 * stride <= t.len());
-    #[cfg(target_arch = "x86_64")]
-    if backend == Backend::Avx2 {
-        for k in 0..stride {
-            account_cex(c, t, s + k, s + k + stride);
-        }
-        // SAFETY: backend is Avx2 only when detection succeeded; the
-        // index range is the caller's exclusive slab.
-        avx2::cex_slab(t.as_mut_ptr(), s, stride, up);
-        return;
-    }
-    let _ = backend; // non-x86_64 builds have exactly one backend
-    for k in 0..stride {
-        cex_cell_raw(c, t, s + k, s + k + stride, up);
-    }
+    active_backend().slab(c, t, s, stride, up)
 }
 
 /// Branchless whole-cell select: `b` if `cond` else `a`. Both lanes go
 /// through [`select_u128`] masks, which the compiler lowers to vector
-/// selects on SSE2+ targets — the rewrite loops (compaction shifts,
-/// merge fix-up, LWW projection) route every cell choice through here so
-/// no secret-dependent branch reappears at a call site.
+/// selects on SSE2+ targets — the cell gate and the rewrite loops
+/// (compaction shifts, merge fix-up, LWW projection) route every cell
+/// choice through here so no secret-dependent branch reappears at a call
+/// site.
 #[inline(always)]
 pub fn select_cell(cond: bool, a: TagCell, b: TagCell) -> TagCell {
     TagCell {
@@ -160,8 +179,28 @@ pub fn select_cell(cond: bool, a: TagCell, b: TagCell) -> TagCell {
 #[cfg(target_arch = "x86_64")]
 mod avx2 {
     use super::TagCell;
-    #[cfg(target_arch = "x86_64")]
     use core::arch::x86_64::*;
+    use fj::{counters, Access, Ctx};
+    use metrics::RawTracked;
+
+    /// Replay the accounting of one [`cex`](crate::cx::cex) on `(i, j)`
+    /// without touching the data: two reads, the comparator charge, two
+    /// writes. The AVX2 slab calls this per pair, in slab order, before
+    /// the vector data movement.
+    #[inline(always)]
+    pub fn account_cex<C: Ctx>(c: &C, t: &RawTracked<TagCell>, i: usize, j: usize) {
+        let (buf, off, wpe) = (t.buf(), t.off(), t.wpe());
+        c.touch(buf, off + i as u64 * wpe, wpe, Access::Read);
+        c.work(1);
+        c.touch(buf, off + j as u64 * wpe, wpe, Access::Read);
+        c.work(1);
+        c.work(1);
+        c.count(counters::COMPARISONS, 1);
+        c.touch(buf, off + i as u64 * wpe, wpe, Access::Write);
+        c.work(1);
+        c.touch(buf, off + j as u64 * wpe, wpe, Access::Write);
+        c.work(1);
+    }
 
     /// One branchless compare-exchange: `*pa`/`*pb` are 32-byte cells
     /// handled as one 256-bit vector each. The tag verdict is computed
@@ -227,8 +266,9 @@ mod tests {
         let c = SeqCtx::new();
         let mut t = Tracked::new(&c, cells);
         let raw = t.as_raw();
-        // SAFETY: exclusive access, sequential.
-        unsafe { cex_cells_slab_with(backend, &c, &raw, 0, stride, up) };
+        // SAFETY: exclusive access, sequential; every caller passes
+        // 2 * stride cells.
+        unsafe { backend.slab(&c, &raw, 0, stride, up) };
         let _ = t;
     }
 
@@ -279,6 +319,15 @@ mod tests {
     #[test]
     fn active_backend_is_stable() {
         assert_eq!(active_backend(), active_backend());
+    }
+
+    #[test]
+    fn avx2_runs_only_when_requested_and_detected() {
+        use Backend::{Avx2, Scalar};
+        assert_eq!(resolve(Scalar, Scalar), Scalar);
+        assert_eq!(resolve(Scalar, Avx2), Scalar);
+        assert_eq!(resolve(Avx2, Scalar), Scalar, "no kernel without detection");
+        assert_eq!(resolve(Avx2, Avx2), Avx2);
     }
 
     #[test]

@@ -810,7 +810,7 @@ impl ShardedStore {
     }
 
     /// Epochs executed (total, and merge epochs among them — every shard
-    /// merges in lockstep, so shard 0's counter is the store's).
+    /// merges together, so shard 0's counter is the store's).
     pub fn epoch_counts(&self) -> (u64, u64) {
         (self.epochs, self.shards[0].merges())
     }

@@ -11,7 +11,7 @@ mod common;
 use common::dirty;
 use dob::prelude::*;
 use proptest::prelude::*;
-use sortnet::{cells_merge_rec_with, cells_sort_rec_with, Backend, TagCell};
+use sortnet::{bitonic_merge_rec, cells_sort_rec_with, Backend, TagCell};
 
 /// Pack keys into tag cells (`key ‖ index` tags keep comparisons strict;
 /// a salted payload lane catches any lane swap in the vector shuffle).
@@ -93,7 +93,7 @@ proptest! {
                 let mut tmp = vec![TagCell::filler(); cells.len()];
                 let mut t = Tracked::new(c, &mut cells);
                 let mut s = Tracked::new(c, &mut tmp);
-                cells_merge_rec_with(backend, c, &mut t, &mut s, true);
+                bitonic_merge_rec(c, &mut t, &mut s, &backend, true);
             });
             (cells, rep.trace_hash, rep.trace_len, rep.work)
         };
