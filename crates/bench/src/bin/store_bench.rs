@@ -16,7 +16,8 @@
 use dob_bench::{header, meter_timed, sweep_from_args, BenchSink, Row};
 use fj::{Pool, PoolConfig, SeqCtx};
 use metrics::{ScratchPool, Tracked};
-use obliv_core::{composite_key, Engine, Item, Slot, TagCell};
+use obliv_core::scan::{scan_in, seg_combine_u64, Schedule, Seg};
+use obliv_core::{compact_cells, composite_key, Engine, Item, Slot, TagCell};
 use std::sync::Arc;
 use store::vfs::FaultVfs;
 use store::{
@@ -141,6 +142,35 @@ fn headline_record_sort<C: fj::Ctx>(c: &C, scratch: &ScratchPool, m: usize) {
     }
     let mut t = Tracked::new(c, &mut slots);
     Engine::BitonicRec.sort_slots(c, scratch, &mut t);
+}
+
+/// Core kernel row: stable compaction of an `m`-cell lane, one cell in
+/// three real.
+fn core_compact<C: fj::Ctx>(c: &C, scratch: &ScratchPool, m: usize) {
+    let mut cells = scratch.lease(m, TagCell::filler());
+    for (i, cell) in cells.iter_mut().enumerate().step_by(3) {
+        *cell = TagCell::new(i as u128, i as u128);
+    }
+    compact_cells(c, scratch, &mut Tracked::new(c, &mut cells));
+}
+
+/// Core kernel row: the merge epoch's scan shape — a segmented exclusive
+/// forward scan of 16-byte elements under a last-writer-wins monoid.
+fn core_lww_scan<C: fj::Ctx>(c: &C, scratch: &ScratchPool, n: usize) {
+    let mut segs = scratch.lease(n, Seg::new(false, 0u64));
+    for (i, seg) in segs.iter_mut().enumerate() {
+        *seg = Seg::new(i % 5 == 0, i as u64);
+    }
+    scan_in(
+        c,
+        scratch,
+        &mut Tracked::new(c, &mut segs),
+        Seg::new(false, 0),
+        &seg_combine_u64(|_, later| later),
+        false,
+        false,
+        Schedule::Tree,
+    );
 }
 
 /// The thread-scaling family: every `DOB_THREADS ∈ {1,2,4}` pool size the
@@ -683,6 +713,39 @@ fn main() {
         },
         wall_rec,
     );
+
+    // ---- Core kernels of the merge epoch ---------------------------------
+    // The two `obliv_core` kernels a merge epoch spends its `core` share
+    // in, alone, at a cache-resident and a past-cache size, so the gate
+    // holds each one's W and Q(M,B) to its bound (DESIGN.md §10):
+    // `Q = O((m/B) log(m/M))` for the compaction recursion, `O(n/B)` for
+    // the scan.
+    println!("\n== core kernels: cell compaction and the LWW scan ==\n");
+    header();
+    for n in [4096usize, 65536] {
+        let (rep, _) = meter_timed(|c| core_compact(c, &scratch, n));
+        let wall = dob_bench::wall_unmetered(3, |c| core_compact(c, &scratch, n));
+        sink.record(
+            Row {
+                task: "store",
+                algo: "core: compact cells",
+                n,
+                rep,
+            },
+            wall,
+        );
+        let (rep, _) = meter_timed(|c| core_lww_scan(c, &scratch, n));
+        let wall = dob_bench::wall_unmetered(3, |c| core_lww_scan(c, &scratch, n));
+        sink.record(
+            Row {
+                task: "store",
+                algo: "core: lww scan",
+                n,
+                rep,
+            },
+            wall,
+        );
+    }
 
     // ---- Durable recovery: snapshot load + WAL replay --------------------
     // The durability family: a shrink-pinned table checkpointed to disk,

@@ -1,5 +1,8 @@
 //! Oblivious monotone expansion: the comparator-free distribution step of
-//! bin placement, and the exact mirror of [`crate::compact_cells`].
+//! bin placement — the inverse problem of [`crate::compact_cells`] (spread
+//! a packed run out to given positions), solved with a displacement
+//! network of full-array select passes rather than compaction's swap
+//! butterfly.
 //!
 //! Input: a power-of-two slot array in which every real slot at index `i`
 //! carries a displacement `d_i` in its scratch key `sk`, with `i + d_i`
@@ -14,8 +17,8 @@
 //! non-decreasing over the reals (in index order) their positions stay
 //! strictly increasing at every level and no two reals ever contend for a
 //! position — each output position has at most one candidate. (Least
-//! significant first, compaction's order, would collide: `d = 1, 2` at
-//! positions `0, 1` meet at position 1.)
+//! significant first would collide: `d = 1, 2` at positions `0, 1` meet at
+//! position 1.)
 //!
 //! Obliviousness: every level reads positions `pos` and `pos − 2^k` and
 //! writes `pos`, for every `pos` — the access pattern is a function of the

@@ -8,7 +8,13 @@
 //! "Prop"). Both schedules are implemented here:
 //!
 //! * [`Schedule::Tree`] — recursive reduce/distribute tree: each tree node
-//!   is a constant-work fork, so the span is `O(log n)` (ours);
+//!   is a constant-work fork, so the span is `O(log n)` (ours). A leaf of
+//!   the tree is a sequential run of [`fj::grain_for`] elements, reduced
+//!   and re-swept in place — the rule every loop and recursion cut-off in
+//!   the workspace follows (`grain_for` / [`fj::base_for`]): one element
+//!   on metered contexts, so the measured span is the model's; a
+//!   fork-amortizing run on host executors, where the tree then spans
+//!   only the `⌈n/grain⌉` block totals;
 //! * [`Schedule::Levels`] — the Blelloch up/down sweeps evaluated level by
 //!   level with a parallel loop (and its fork tree) per level:
 //!   `Σ_d O(log(n/2^d)) = O(log² n)` span (prior best).
@@ -76,6 +82,163 @@ pub fn scan_in<C, S, OP>(
     if n == 0 {
         return;
     }
+    match sched {
+        Schedule::Tree => {
+            // Leaf width: see the module docs.
+            let grain = grain_for(c);
+            let blocks = n.div_ceil(grain);
+            let m = blocks.next_power_of_two();
+            // Block totals live at [m, m + blocks), their reduce tree
+            // above them; the padding leaves keep the lease's `id`.
+            let mut tree_store = scratch.lease(2 * m, id);
+            let mut tree = Tracked::new(c, &mut tree_store);
+            let t = TreeScan {
+                tree: tree.as_raw(),
+                data: data.as_raw(),
+                combine,
+                n,
+                grain,
+                blocks,
+                m,
+                inclusive,
+                reverse,
+            };
+            t.up(c, 1);
+            t.down(c, 1, id);
+        }
+        Schedule::Levels => levels_scan(c, scratch, data, id, combine, inclusive, reverse),
+    }
+}
+
+/// One [`Schedule::Tree`] scan: `data` cut into `blocks` runs of `grain`
+/// logical positions (the last may be short), and a reduce tree of `2m`
+/// nodes over the block totals (root 1, block `b` at leaf `m + b`).
+struct TreeScan<'a, S, OP> {
+    tree: metrics::RawTracked<S>,
+    data: metrics::RawTracked<S>,
+    combine: &'a OP,
+    n: usize,
+    grain: usize,
+    blocks: usize,
+    m: usize,
+    inclusive: bool,
+    reverse: bool,
+}
+
+impl<S: Val, OP: Fn(S, S) -> S + Sync> TreeScan<'_, S, OP> {
+    /// Physical index of logical (scan-order) position `j`.
+    #[inline(always)]
+    fn at(&self, j: usize) -> usize {
+        if self.reverse {
+            self.n - 1 - j
+        } else {
+            j
+        }
+    }
+
+    /// Whether every leaf under `node` is padding (prunes the walks so
+    /// work stays `O(n)` whatever `m − blocks` is).
+    fn is_empty(&self, mut node: usize) -> bool {
+        while node < self.m {
+            node *= 2;
+        }
+        node - self.m >= self.blocks
+    }
+
+    /// Up-sweep: reduce every block straight out of `data`, then combine
+    /// the totals pairwise up the tree.
+    fn up<C: Ctx>(&self, c: &C, node: usize) {
+        if self.is_empty(node) {
+            return;
+        }
+        if node >= self.m {
+            let b = node - self.m;
+            // The last block's total is no position's prefix.
+            if b + 1 < self.blocks {
+                let lo = b * self.grain;
+                // SAFETY: nothing writes `data` during the up-sweep; this
+                // leaf is written only here.
+                unsafe {
+                    let mut acc = self.data.get(c, self.at(lo));
+                    for j in lo + 1..lo + self.grain {
+                        c.work(1);
+                        acc = (self.combine)(acc, self.data.get(c, self.at(j)));
+                    }
+                    self.tree.set(c, node, acc);
+                }
+            }
+            return;
+        }
+        c.join(|c| self.up(c, 2 * node), |c| self.up(c, 2 * node + 1));
+        // SAFETY: children finished; this node written only here.
+        unsafe {
+            let l = self.tree.get(c, 2 * node);
+            let r = self.tree.get(c, 2 * node + 1);
+            c.work(1);
+            self.tree.set(c, node, (self.combine)(l, r));
+        }
+    }
+
+    /// Down-sweep: `acc` is the combined value of everything before the
+    /// leaves under `node`; each block finishes with a sequential pass.
+    fn down<C: Ctx>(&self, c: &C, node: usize, acc: S) {
+        if self.is_empty(node) {
+            return;
+        }
+        if node >= self.m {
+            let lo = (node - self.m) * self.grain;
+            let hi = (lo + self.grain).min(self.n);
+            let mut acc = acc;
+            // SAFETY: blocks are disjoint and `at` is a bijection, so each
+            // data slot is read and written by this task alone.
+            unsafe {
+                if self.inclusive {
+                    for j in lo..hi {
+                        let i = self.at(j);
+                        c.work(1);
+                        acc = (self.combine)(acc, self.data.get(c, i));
+                        self.data.set(c, i, acc);
+                    }
+                } else {
+                    // The block's last element feeds no later prefix, so
+                    // it is overwritten unread.
+                    for j in lo..hi - 1 {
+                        let i = self.at(j);
+                        let x = self.data.get(c, i);
+                        self.data.set(c, i, acc);
+                        c.work(1);
+                        acc = (self.combine)(acc, x);
+                    }
+                    self.data.set(c, self.at(hi - 1), acc);
+                }
+            }
+            return;
+        }
+        // SAFETY: the left child's total was finalized during `up`.
+        let left_total = unsafe { self.tree.get(c, 2 * node) };
+        c.work(1);
+        let right_acc = (self.combine)(acc, left_total);
+        c.join(
+            |c| self.down(c, 2 * node, acc),
+            |c| self.down(c, 2 * node + 1, right_acc),
+        );
+    }
+}
+
+fn levels_scan<C, S, OP>(
+    c: &C,
+    scratch: &ScratchPool,
+    data: &mut Tracked<'_, S>,
+    id: S,
+    combine: &OP,
+    inclusive: bool,
+    reverse: bool,
+) where
+    C: Ctx,
+    S: Val,
+    OP: Fn(S, S) -> S + Sync,
+{
+    let n = data.len();
     let m = n.next_power_of_two();
 
     // Gather leaves (logical order: reversed for suffix scans) into a
@@ -92,147 +255,6 @@ pub fn scan_in<C, S, OP>(
         });
     }
 
-    match sched {
-        Schedule::Tree => {
-            let tr = tree.as_raw();
-            // SAFETY: `up` writes each internal node once (its owner task);
-            // `down` writes each data element once via the bijective
-            // logical-index map.
-            up(c, &tr, combine, 1, m);
-            let dr = data.as_raw();
-            down(c, &tr, &dr, combine, 1, m, n, id, inclusive, reverse);
-        }
-        Schedule::Levels => {
-            levels_scan(
-                c, scratch, &mut tree, data, id, combine, inclusive, reverse, m, n,
-            );
-        }
-    }
-}
-
-fn up<C, S, OP>(c: &C, tree: &metrics::RawTracked<S>, combine: &OP, node: usize, m: usize)
-where
-    C: Ctx,
-    S: Val,
-    OP: Fn(S, S) -> S + Sync,
-{
-    if node >= m {
-        return;
-    }
-    c.join(
-        |c| up(c, tree, combine, 2 * node, m),
-        |c| up(c, tree, combine, 2 * node + 1, m),
-    );
-    // SAFETY: children finished; this node written only here.
-    unsafe {
-        let l = tree.get(c, 2 * node);
-        let r = tree.get(c, 2 * node + 1);
-        c.work(1);
-        tree.set(c, node, combine(l, r));
-    }
-}
-
-#[allow(clippy::too_many_arguments)]
-fn down<C, S, OP>(
-    c: &C,
-    tree: &metrics::RawTracked<S>,
-    data: &metrics::RawTracked<S>,
-    combine: &OP,
-    node: usize,
-    m: usize,
-    n: usize,
-    acc: S,
-    inclusive: bool,
-    reverse: bool,
-) where
-    C: Ctx,
-    S: Val,
-    OP: Fn(S, S) -> S + Sync,
-{
-    if node >= m {
-        let j = node - m;
-        if j < n {
-            let dst = if reverse { n - 1 - j } else { j };
-            // SAFETY: each logical leaf maps to a unique data slot.
-            unsafe {
-                let out = if inclusive {
-                    let leaf = tree.get(c, node);
-                    c.work(1);
-                    combine(acc, leaf)
-                } else {
-                    acc
-                };
-                data.set(c, dst, out);
-            }
-        }
-        return;
-    }
-    // Prune empty subtrees (all-padding) to keep work at O(n).
-    let leaves_lo = node_first_leaf(node, m);
-    if leaves_lo >= n {
-        return;
-    }
-    // SAFETY: left child's subtotal was finalized during `up`.
-    let left_total = unsafe { tree.get(c, 2 * node) };
-    c.work(1);
-    let right_acc = combine(acc, left_total);
-    c.join(
-        |c| {
-            down(
-                c,
-                tree,
-                data,
-                combine,
-                2 * node,
-                m,
-                n,
-                acc,
-                inclusive,
-                reverse,
-            )
-        },
-        |c| {
-            down(
-                c,
-                tree,
-                data,
-                combine,
-                2 * node + 1,
-                m,
-                n,
-                right_acc,
-                inclusive,
-                reverse,
-            )
-        },
-    );
-}
-
-/// Index of the first leaf (relative to the leaf row) under `node`.
-fn node_first_leaf(mut node: usize, m: usize) -> usize {
-    while node < m {
-        node *= 2;
-    }
-    node - m
-}
-
-#[allow(clippy::too_many_arguments)]
-fn levels_scan<C, S, OP>(
-    c: &C,
-    scratch: &ScratchPool,
-    tree: &mut Tracked<'_, S>,
-    data: &mut Tracked<'_, S>,
-    id: S,
-    combine: &OP,
-    inclusive: bool,
-    reverse: bool,
-    m: usize,
-    n: usize,
-) where
-    C: Ctx,
-    S: Val,
-    OP: Fn(S, S) -> S + Sync,
-{
     // Work on the leaf row [m, 2m) of the scratch; keep original leaves for
     // the inclusive fix-up.
     let mut orig_store = scratch.lease(if inclusive { m } else { 0 }, id);
@@ -671,6 +693,103 @@ mod tests {
                 );
             }
         }
+    }
+
+    /// `scan_in` against a sequential fold, every direction and
+    /// inclusivity, at sizes around the host leaf width `g`.
+    fn check_against_fold<C: Ctx, S: Val + PartialEq + std::fmt::Debug>(
+        c: &C,
+        g: usize,
+        gen: impl Fn(usize) -> S,
+        id: S,
+        combine: &(impl Fn(S, S) -> S + Sync),
+    ) {
+        let sp = ScratchPool::new();
+        for n in [1, g - 1, g, g + 1, 3 * g + 7, 65536] {
+            let input: Vec<S> = (0..n).map(&gen).collect();
+            for (inclusive, reverse) in [(true, false), (false, false), (true, true), (false, true)]
+            {
+                let mut expect = input.clone();
+                let mut acc = id;
+                for j in 0..n {
+                    let i = if reverse { n - 1 - j } else { j };
+                    let next = combine(acc, input[i]);
+                    expect[i] = if inclusive { next } else { acc };
+                    acc = next;
+                }
+                let mut got = input.clone();
+                let mut t = Tracked::new(c, &mut got);
+                scan_in(
+                    c,
+                    &sp,
+                    &mut t,
+                    id,
+                    combine,
+                    inclusive,
+                    reverse,
+                    Schedule::Tree,
+                );
+                assert!(
+                    got == expect,
+                    "n = {n}, inclusive = {inclusive}, reverse = {reverse}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn host_leaf_runs_match_a_sequential_fold() {
+        // Metered contexts never see a leaf wider than one element; the
+        // host executors scan `grain_for` runs, so the block seams are
+        // tested here, with monoids that do not commute.
+        let seg = |i: usize| Seg::new(i.wrapping_mul(0x9E37).is_multiple_of(5), i as u64 + 1);
+        let seg_add = seg_combine_u64(|a, b| a.wrapping_add(b));
+        // Last writer wins: the right operand, unless it is a no-op.
+        let lww = |i: usize| (i.wrapping_mul(0x79B9).is_multiple_of(3), i as u64);
+        let right_wins = |a: (bool, u64), b: (bool, u64)| if b.0 { b } else { a };
+
+        let c = SeqCtx::new();
+        let g = grain_for(&c);
+        check_against_fold(&c, g, seg, Seg::new(false, 0), &seg_add);
+        check_against_fold(&c, g, lww, (false, 0), &right_wins);
+        fj::Pool::pinned(4).run(|c| {
+            check_against_fold(c, g, seg, Seg::new(false, 0), &seg_add);
+            check_against_fold(c, g, lww, (false, 0), &right_wins);
+        });
+    }
+
+    #[test]
+    fn metered_counters_not_above_the_leaf_copy_tree() {
+        // `[work, span, cache_misses, trace_len]` at n = 4096 of the scan
+        // that copied every leaf into a `2m` tree first (the parent of the
+        // grain-leaf rewrite); one-element leaves must not cost more.
+        let n = 4096;
+        let at_most = |r: metrics::CostReport, old: [u64; 4], what: &str| {
+            let new = [r.work, r.span, r.cache_misses, r.trace_len];
+            assert!(
+                new.iter().zip(&old).all(|(a, b)| a <= b),
+                "{what}: {new:?} above {old:?}"
+            );
+        };
+        for (inclusive, old) in [
+            (false, [61428, 147, 768, 28668]),
+            (true, [69620, 149, 768, 32764]),
+        ] {
+            let (_, r) = measure(CacheConfig::default(), TraceMode::Hash, |c| {
+                let sp = ScratchPool::new();
+                let mut v = vec![1u64; n];
+                let mut t = Tracked::new(c, &mut v);
+                prefix_sum_in(c, &sp, &mut t, inclusive, Schedule::Tree);
+            });
+            at_most(r, old, "prefix_sum_in");
+        }
+        let (_, r) = measure(CacheConfig::default(), TraceMode::Hash, |c| {
+            let sp = ScratchPool::new();
+            let mut v = vec![Seg::new(true, 1u64); n];
+            let mut t = Tracked::new(c, &mut v);
+            seg_propagate_in(c, &sp, &mut t, Schedule::Tree);
+        });
+        at_most(r, [69621, 150, 3555, 32765], "seg_propagate_in");
     }
 
     proptest! {

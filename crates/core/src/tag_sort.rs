@@ -13,24 +13,30 @@
 //!   tiebreak ([`composite_key`]), so equal keys keep their input order
 //!   and every comparison is strict.
 //! * [`compact_cells`] — stable oblivious tight compaction of a cell
-//!   array: all non-filler cells move to the front, in order, through
-//!   `log n` fixed-pattern shift levels (`O(n log n)` work, no
-//!   comparators) — cheaper than compacting with a sort, and the routing
-//!   half of the tag-sort trick: sort the dense tags, then move each wide
-//!   lane exactly once.
+//!   array: all non-filler cells move to the front, in order, through the
+//!   order-preserving offset-compaction butterfly — a rank scan, then
+//!   `(n/2) log n` index-driven conditional swaps evaluated as a
+//!   depth-first recursion (`O(n log n)` work, `O(log² n)` span,
+//!   `Q = O((n/B) log(n/M))`, in place, no comparators). Cheaper than
+//!   compacting with a sort, and the routing half of the tag-sort trick:
+//!   sort the dense tags, then move each wide lane exactly once.
 //!
-//! Obliviousness: the cell networks touch a fixed comparator schedule, the
-//! compaction reads/writes every position of every level, and the shift
-//! amounts live in tracked scratch — for a fixed length the adversary
-//! trace is bit-identical across inputs (no distributional argument
-//! needed, unlike the post-ORP phases; see `obliv_check`'s tag-sort row).
+//! Obliviousness: the cell networks touch a fixed comparator schedule, and
+//! the compaction reads and writes both cells of every pair of every
+//! level whatever its (secret, rank-derived) swap verdict — for a fixed
+//! length the adversary trace is bit-identical across inputs (no
+//! distributional argument needed, unlike the post-ORP phases; see
+//! `obliv_check`'s tag-sort rows). Nor does the compaction need the
+//! no-collision argument of a displacement network such as
+//! [`crate::expand()`]: every step is a swap, so the array is permuted, never
+//! overwritten.
 
 use crate::engine::Engine;
 use crate::scan::{prefix_sum_in, Schedule};
 use crate::slot::composite_key;
-use fj::{grain_for, par_for, Ctx};
-use metrics::{ScratchPool, Tracked};
-use sortnet::{select_cell, select_u64, TagCell};
+use fj::{base_for, grain_for, par_for, Ctx};
+use metrics::{RawTracked, ScratchPool, Tracked};
+use sortnet::{active_backend, select_cell, TagCell};
 
 /// Stable, data-oblivious sort of `(key, val)` records ascending by key:
 /// one branchless cell network over `(key ‖ index, val)` tags.
@@ -93,21 +99,33 @@ pub fn oblivious_sort_kv<C: Ctx>(
 
 /// Stable oblivious tight compaction of a power-of-two cell array: every
 /// non-filler cell moves to the front, preserving order; the suffix is
-/// canonical fillers. Fixed access pattern (a prefix sum plus `log n`
-/// full-array shift levels), `O(n log n)` work, `O(log n · log n)` span.
+/// canonical fillers (whatever the input fillers carried in `aux`).
 ///
-/// The routing is the classic order-preserving displacement network: cell
-/// `i` with rank `r_i` (its index among the non-fillers) must move left by
-/// `d_i = i − r_i`; processing the bits of `d` from least to most
-/// significant, a level-`k` pass moves each cell left by `2^k` iff bit `k`
-/// of its remaining displacement is set. Because `d` is non-decreasing
-/// over the non-fillers, no two cells ever collide at any level (the
-/// mod-`2^{k+1}` positions stay strictly increasing), so each output
-/// position has at most one candidate and both lanes route with branchless
-/// selects.
+/// The network is the order-preserving offset-compaction butterfly
+/// (ORCompact): a marking pass canonicalizes the fillers and an exclusive
+/// scan ranks the reals; then, bottom-up, every aligned block
+/// `[lo, lo + n)` gathers its reals — in order, cyclically — from
+/// position `rank[lo] mod n` of the block onwards. A block's halves are
+/// already gathered at their own offsets, so pair `(lo + i, lo + n/2 + i)`
+/// holds at most one real bound for each side and one conditional swap
+/// settles it; whether the pairs below or from `t = rank[lo + n/2] mod n/2`
+/// swap is one bit `s` per block. The top block's offset is `rank[0] = 0`:
+/// the reals end up in front. Correctness needs no collision argument —
+/// every step permutes the array.
+///
+/// `(m/2) log m` swaps, `O(m log m)` work, in place (one leased rank lane).
+/// The recursion is depth-first down to [`base_for`]-sized blocks, which
+/// run their levels flat, so a block is finished while it is
+/// cache-resident: `Q = O((m/B) log(m/M))`; span `O(log² m)` (a `par_for`
+/// per level of the recursion spine).
+///
+/// Obliviousness: `s`, `t` and the ranks are secret, and feed nothing but
+/// the swap verdict of a pair whose two cells are both read and both
+/// written regardless — addresses, loop bounds and the fork tree depend on
+/// `m` alone.
 pub fn compact_cells<C: Ctx>(c: &C, scratch: &ScratchPool, t: &mut Tracked<'_, TagCell>) {
     let m = t.len();
-    if m <= 1 {
+    if m == 0 {
         return;
     }
     assert!(
@@ -115,77 +133,86 @@ pub fn compact_cells<C: Ctx>(c: &C, scratch: &ScratchPool, t: &mut Tracked<'_, T
         "cell compaction requires power-of-two length, got {m}"
     );
 
-    // Displacements: exclusive prefix count of non-fillers, then d = i - r.
-    let mut shift_store = scratch.lease(m, 0u64);
+    let mut rank_store = scratch.lease(m, 0u64);
+    let mut rank = Tracked::new(c, &mut rank_store);
     {
-        let mut st = Tracked::new(c, &mut shift_store);
-        {
-            let sr = st.as_raw();
-            let tr = t.as_raw();
-            par_for(c, 0, m, grain_for(c), &|c, i| unsafe {
-                // SAFETY: disjoint writes; read-only cells.
-                let real = !tr.get(c, i).is_filler();
-                sr.set(c, i, real as u64);
-            });
-        }
-        prefix_sum_in(c, scratch, &mut st, false, Schedule::Tree);
-        {
-            let sr = st.as_raw();
-            par_for(c, 0, m, grain_for(c), &|c, i| unsafe {
-                // SAFETY: each index rewritten once.
-                let rank = sr.get(c, i);
-                sr.set(c, i, i as u64 - rank);
-            });
-        }
+        let rr = rank.as_raw();
+        let tr = t.as_raw();
+        par_for(c, 0, m, grain_for(c), &|c, i| unsafe {
+            // SAFETY: each index read and written once, by this task.
+            let cell = tr.get(c, i);
+            let real = !cell.is_filler();
+            rr.set(c, i, real as u64);
+            tr.set(c, i, select_cell(real, TagCell::filler(), cell));
+        });
     }
+    prefix_sum_in(c, scratch, &mut rank, false, Schedule::Tree);
+    let base = base_for(c, std::mem::size_of::<TagCell>());
+    gather(c, &t.as_raw(), &rank.as_raw(), 0, m, base);
+}
 
-    // log m shift levels, ping-ponging between the caller's array and a
-    // leased double buffer (both lanes ride together with their shifts).
-    let mut cell_buf = scratch.lease(m, TagCell::filler());
-    let mut shift_buf = scratch.lease(m, 0u64);
-    let levels = m.trailing_zeros() as usize;
-    {
-        let mut cb = Tracked::new(c, &mut cell_buf);
-        let mut st = Tracked::new(c, &mut shift_store);
-        let mut sb = Tracked::new(c, &mut shift_buf);
-        let a = (t.as_raw(), st.as_raw());
-        let b = (cb.as_raw(), sb.as_raw());
-        for k in 0..levels {
-            let ((src, src_s), (dst, dst_s)) = if k % 2 == 0 { (a, b) } else { (b, a) };
-            let step = 1usize << k;
-            par_for(c, 0, m, grain_for(c), &|c, pos| unsafe {
-                // SAFETY: level-synchronous: reads hit only `src`, writes
-                // only `dst`, each position written once.
-                let here = src.get(c, pos);
-                let here_d = src_s.get(c, pos);
-                let stays = !here.is_filler() && (here_d >> k) & 1 == 0;
-                let (inc, inc_d) = if pos + step < m {
-                    (src.get(c, pos + step), src_s.get(c, pos + step))
-                } else {
-                    (TagCell::filler(), 0)
-                };
-                c.work(1);
-                let arrives = !inc.is_filler() && (inc_d >> k) & 1 == 1;
-                debug_assert!(!(stays && arrives), "compaction collision at {pos}");
-                // Branchless two-way select: arrival wins, else the stayer,
-                // else a canonical filler. Whole cells route through the
-                // vectorizable `select_cell`; the shift lane stays a word
-                // select.
-                let keep = select_cell(stays, TagCell::filler(), here);
-                let keep_d = select_u64(stays, 0, here_d);
-                dst.set(c, pos, select_cell(arrives, keep, inc));
-                dst_s.set(c, pos, select_u64(arrives, keep_d, inc_d));
-            });
+/// Gather the reals of the aligned block `[lo, lo + n)` cyclically from
+/// position `rank[lo] mod n`: both halves first (in parallel above
+/// `base`, level by level below it), then one swap level across them.
+fn gather<C: Ctx>(
+    c: &C,
+    t: &RawTracked<TagCell>,
+    rank: &RawTracked<u64>,
+    lo: usize,
+    n: usize,
+    base: usize,
+) {
+    if n <= base {
+        let mut w = 2;
+        while w <= n {
+            swap_level(c, t, rank, lo, n, w);
+            w *= 2;
         }
-        // Odd level count: the result lives in the double buffer.
-        if levels % 2 == 1 {
-            let (src, dst) = (b.0, a.0);
-            par_for(c, 0, m, grain_for(c), &|c, i| unsafe {
-                // SAFETY: disjoint per-index copy.
-                dst.set(c, i, src.get(c, i));
-            });
-        }
+        return;
     }
+    c.join(
+        |c| gather(c, t, rank, lo, n / 2, base),
+        |c| gather(c, t, rank, lo + n / 2, n / 2, base),
+    );
+    swap_level(c, t, rank, lo, n, n);
+}
+
+/// One swap level over `[lo, lo + n)`: every aligned block of width `w`
+/// in it, its halves already gathered, gathers itself. With
+/// `z = rank[block] mod w` the block's offset and `cnt` the reals of its
+/// left half, the right half's reals start at `t = (z + cnt) mod w/2`, and
+/// pair `i` swaps iff `s ⊕ (i ≥ t)`, where `s` says whether the left
+/// half's run `[z mod w/2, z mod w/2 + cnt)` wraps exactly when `z` itself
+/// lies in the upper half. The pairs go through the cell gate's
+/// [`swap_slab`](sortnet::Backend::swap_slab), a grain at a time.
+fn swap_level<C: Ctx>(
+    c: &C,
+    t: &RawTracked<TagCell>,
+    rank: &RawTracked<u64>,
+    lo: usize,
+    n: usize,
+    w: usize,
+) {
+    let h = w / 2;
+    let grain = grain_for(c);
+    let gate = active_backend();
+    par_for(c, 0, n / w, (grain / h).max(1), &|c, b| {
+        let lo = lo + b * w;
+        // SAFETY: the rank lane is read-only here.
+        let (r_lo, r_mid) = unsafe { (rank.get(c, lo), rank.get(c, lo + h)) };
+        c.work(1);
+        let z = r_lo & (w as u64 - 1);
+        let pivot = (r_mid & (h as u64 - 1)) as i64;
+        let wraps = (z & (h as u64 - 1)) + (r_mid - r_lo) >= h as u64;
+        let s = wraps ^ (z >= h as u64);
+        par_for(c, 0, h.div_ceil(grain), 1, &|c, k| {
+            let from = k * grain;
+            let run = lo + from..lo + h.min(from + grain);
+            // SAFETY: the caller owns `[lo, lo + n)` of the cells; blocks,
+            // and the runs of one block, are disjoint.
+            unsafe { gate.swap_slab(c, t, run, h, pivot - from as i64, s) };
+        });
+    });
 }
 
 #[cfg(test)]
@@ -283,21 +310,27 @@ mod tests {
 
     #[test]
     fn compact_exhaustive_small_patterns() {
-        // Every flag pattern at m = 8: the no-collision displacement
-        // argument exercised on all 256 cases.
-        for mask in 0u32..256 {
-            let mut cells: Vec<TagCell> = (0..8u128)
-                .map(|i| {
-                    if (mask >> i) & 1 == 1 {
-                        TagCell::new(i * 10, i + 100)
-                    } else {
-                        TagCell::filler()
-                    }
-                })
-                .collect();
-            let expect = compact_oracle(&cells);
-            run_compact(&mut cells);
-            assert_eq!(cells, expect, "mask {mask:08b}");
+        // Every flag pattern up to m = 16 (four swap levels, every offset
+        // and wrap case of the butterfly), with the non-canonical fillers
+        // `merge_epoch`'s results lane really produces (`tag = MAX`,
+        // `aux ≠ 0`): the output suffix must be canonical.
+        let c = SeqCtx::new();
+        let sp = ScratchPool::new();
+        for m in [1u32, 2, 4, 8, 16] {
+            for mask in 0u32..1 << m {
+                let mut cells: Vec<TagCell> = (0..m as u128)
+                    .map(|i| {
+                        if (mask >> i) & 1 == 1 {
+                            TagCell::new(i * 10, i + 100)
+                        } else {
+                            TagCell::new(u128::MAX, i + 1)
+                        }
+                    })
+                    .collect();
+                let expect = compact_oracle(&cells);
+                compact_cells(&c, &sp, &mut Tracked::new(&c, &mut cells));
+                assert_eq!(cells, expect, "m {m} mask {mask:016b}");
+            }
         }
     }
 
@@ -317,54 +350,79 @@ mod tests {
         assert_eq!(cells, expect);
     }
 
+    /// Meter one compaction of `m` cells, position `i` real iff `real(i)`.
+    fn metered_compact(m: usize, real: impl Fn(usize) -> bool) -> metrics::CostReport {
+        let (_, rep) = measure(CacheConfig::default(), TraceMode::Hash, |c| {
+            let sp = ScratchPool::new();
+            let mut cells: Vec<TagCell> = (0..m)
+                .map(|i| {
+                    if real(i) {
+                        TagCell::new(i as u128, 1)
+                    } else {
+                        TagCell::filler()
+                    }
+                })
+                .collect();
+            let mut t = Tracked::new(c, &mut cells);
+            compact_cells(c, &sp, &mut t);
+        });
+        rep
+    }
+
     #[test]
     fn compact_trace_independent_of_flag_positions() {
-        let m = 256usize;
-        let run = |flags: Vec<bool>| {
-            let (_, rep) = measure(CacheConfig::default(), TraceMode::Hash, |c| {
-                let sp = ScratchPool::new();
-                let mut cells: Vec<TagCell> = flags
-                    .iter()
-                    .enumerate()
-                    .map(|(i, &f)| {
-                        if f {
-                            TagCell::new(i as u128, 1)
-                        } else {
-                            TagCell::filler()
-                        }
-                    })
-                    .collect();
-                let mut t = Tracked::new(c, &mut cells);
-                compact_cells(c, &sp, &mut t);
-            });
-            (rep.trace_hash, rep.trace_len)
-        };
-        let a = run((0..m).map(|i| i % 2 == 0).collect());
-        let b = run((0..m).map(|i| i >= m / 2).collect());
-        let z = run(vec![false; m]);
-        assert_eq!(a, b, "flag positions leaked into the compaction trace");
-        assert_eq!(a, z, "flag count leaked into the compaction trace");
+        // m = 4096 crosses the metered `base_for` cut: joined recursion
+        // above 32-cell blocks, flat levels inside them.
+        let m = 4096usize;
+        let trace = |rep: metrics::CostReport| (rep.trace_hash, rep.trace_len);
+        let alternating = trace(metered_compact(m, |i| i % 2 == 0));
+        let front = trace(metered_compact(m, |i| i < m / 2));
+        let back = trace(metered_compact(m, |i| i >= m / 2));
+        let empty = trace(metered_compact(m, |_| false));
+        let full = trace(metered_compact(m, |_| true));
+        assert_eq!(alternating, front, "flag positions leaked into the trace");
+        assert_eq!(alternating, back, "flag positions leaked into the trace");
+        assert_eq!(alternating, empty, "flag count leaked into the trace");
+        assert_eq!(alternating, full, "flag count leaked into the trace");
+    }
+
+    #[test]
+    fn compact_golden_counters_at_4096() {
+        // `[work, span, cache_misses, trace_len]` of the butterfly at the
+        // default cache geometry.
+        let r = metered_compact(4096, |i| i % 3 == 0);
+        assert_eq!(
+            [r.work, r.span, r.cache_misses, r.trace_len],
+            [256751, 412, 3459, 147448]
+        );
     }
 
     #[test]
     fn compact_parallel_matches() {
-        let pool = Pool::new(4);
+        // m = 65536 crosses the host `base_for` cut and every `par_for`
+        // grain: the pool's forked recursion must land every cell where
+        // the sequential walk does.
+        let pool = Pool::pinned(4);
         let sp = ScratchPool::new();
-        let mut cells: Vec<TagCell> = (0..4096u128)
+        let input: Vec<TagCell> = (0..65536u128)
             .map(|i| {
-                if i % 7 < 3 {
+                if i.wrapping_mul(0x9E37_79B9) % 7 < 3 {
                     TagCell::new(i, i * 2)
                 } else {
-                    TagCell::filler()
+                    TagCell::new(u128::MAX, i)
                 }
             })
             .collect();
-        let expect = compact_oracle(&cells);
+        let expect = compact_oracle(&input);
+        let mut seq = input.clone();
+        run_compact(&mut seq);
+        assert_eq!(seq, expect);
+        let mut par = input;
         pool.run(|c| {
-            let mut t = Tracked::new(c, &mut cells);
+            let mut t = Tracked::new(c, &mut par);
             compact_cells(c, &sp, &mut t);
         });
-        assert_eq!(cells, expect);
+        assert_eq!(par, expect);
     }
 
     proptest! {

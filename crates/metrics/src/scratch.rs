@@ -51,9 +51,27 @@
 //! or not. Lane residency affects only *backing identity*, which the
 //! adversary trace cannot see (the trace-equality tests cover the lane
 //! configuration too).
+//!
+//! ## Large classes are page mappings
+//!
+//! A class of 128 KiB or more is an anonymous `mmap` of its own (linux;
+//! elsewhere every class comes from the global allocator), unmapped when
+//! the pool drops. Going through `malloc` made the process footprint depend
+//! on allocator state the pool cannot see: glibc serves such a request from
+//! a mapping only until some large block is freed, after which its
+//! threshold climbs and the request is carved from the *calling thread's*
+//! arena, which keeps the pages when the pool is dropped. A program that
+//! builds pool after pool on fresh [`fj::Pool`] workers (the host-time
+//! benchmark sets up seven) then peaks at one pool or two, by which arena
+//! each new worker happened to draw: `kv-merge-pool` read 17 or 26 MiB from
+//! one run to the next. Mapped directly, a pool's large buffers cost the
+//! pages a lease has written — the unwritten tail of a power-of-two class
+//! costs nothing — and all of it goes back on drop.
 
+use std::alloc::Layout;
 use std::marker::PhantomData;
 use std::ops::{Deref, DerefMut};
+use std::ptr::NonNull;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 
@@ -69,8 +87,147 @@ const NCLASSES: usize = 48;
 /// the maximum alignment of the workspace's element types).
 const MIN_BYTES: usize = 16;
 
-/// Backing storage is `Vec<u128>` so every buffer is 16-byte aligned.
-type Backing = Vec<u128>;
+/// Backing storage of one size class: 16-byte aligned, zeroed when fresh.
+///
+/// Classes of [`pages::MIN_BYTES`] and up are anonymous page mappings of
+/// their own, taken from and returned to the kernel directly (module docs,
+/// "Large classes are page mappings"); smaller ones come from the global
+/// allocator. `words == 0` is the empty backing a dropped guard leaves
+/// behind; it owns nothing.
+#[derive(Debug)]
+struct Backing {
+    ptr: NonNull<u128>,
+    words: usize,
+}
+
+// SAFETY: a `Backing` owns its storage exclusively, like the `Vec<u128>`
+// it replaced.
+unsafe impl Send for Backing {}
+unsafe impl Sync for Backing {}
+
+impl Backing {
+    fn layout(words: usize) -> Layout {
+        Layout::array::<u128>(words).expect("scratch class size overflow")
+    }
+
+    fn zeroed(words: usize) -> Backing {
+        let layout = Self::layout(words);
+        let raw = if layout.size() >= pages::MIN_BYTES {
+            pages::map(layout.size())
+        } else {
+            // SAFETY: every class is at least `MIN_BYTES` long, so the
+            // layout is never zero-sized.
+            unsafe { std::alloc::alloc_zeroed(layout) }
+        };
+        match NonNull::new(raw.cast()) {
+            Some(ptr) => Backing { ptr, words },
+            None => std::alloc::handle_alloc_error(layout),
+        }
+    }
+}
+
+impl Default for Backing {
+    fn default() -> Self {
+        Backing {
+            ptr: NonNull::dangling(),
+            words: 0,
+        }
+    }
+}
+
+impl Drop for Backing {
+    fn drop(&mut self) {
+        if self.words == 0 {
+            return;
+        }
+        let layout = Self::layout(self.words);
+        // SAFETY: `ptr` came from `zeroed` with this very layout — mapped
+        // or allocated by the same size test — and is released once.
+        unsafe {
+            if layout.size() >= pages::MIN_BYTES {
+                pages::unmap(self.ptr.as_ptr().cast(), layout.size());
+            } else {
+                std::alloc::dealloc(self.ptr.as_ptr().cast(), layout);
+            }
+        }
+    }
+}
+
+/// Anonymous page mappings for the large classes. `std` links libc on
+/// linux, so the two prototypes are declared here (as `fj::topo` does for
+/// `sched_setaffinity`) rather than pulling in a `libc` crate the offline
+/// container does not have. Elsewhere `MIN_BYTES` is out of reach and every
+/// class comes from the global allocator.
+#[cfg(all(
+    target_os = "linux",
+    any(target_arch = "x86_64", target_arch = "aarch64")
+))]
+mod pages {
+    use std::ffi::c_void;
+
+    extern "C" {
+        fn mmap(
+            addr: *mut c_void,
+            len: usize,
+            prot: i32,
+            flags: i32,
+            fd: i32,
+            offset: i64,
+        ) -> *mut c_void;
+        fn munmap(addr: *mut c_void, len: usize) -> i32;
+    }
+
+    const PROT_READ_WRITE: i32 = 0x1 | 0x2;
+    const MAP_PRIVATE_ANONYMOUS: i32 = 0x02 | 0x20;
+
+    /// Smallest class mapped directly: glibc's static `M_MMAP_THRESHOLD`,
+    /// a multiple of every page size in use.
+    pub const MIN_BYTES: usize = 128 << 10;
+
+    /// `bytes` of zeroed pages; null when the kernel refuses.
+    pub fn map(bytes: usize) -> *mut u8 {
+        // SAFETY: a fresh private anonymous mapping aliases nothing.
+        let p = unsafe {
+            mmap(
+                std::ptr::null_mut(),
+                bytes,
+                PROT_READ_WRITE,
+                MAP_PRIVATE_ANONYMOUS,
+                -1,
+                0,
+            )
+        };
+        if p as usize == usize::MAX {
+            return std::ptr::null_mut(); // MAP_FAILED
+        }
+        p.cast()
+    }
+
+    /// # Safety
+    /// `ptr` must be a live mapping of exactly `bytes` from [`map`].
+    pub unsafe fn unmap(ptr: *mut u8, bytes: usize) {
+        let rc = munmap(ptr.cast(), bytes);
+        debug_assert_eq!(rc, 0, "munmap of a scratch backing failed");
+    }
+}
+
+#[cfg(not(all(
+    target_os = "linux",
+    any(target_arch = "x86_64", target_arch = "aarch64")
+)))]
+mod pages {
+    pub const MIN_BYTES: usize = usize::MAX;
+
+    pub fn map(_bytes: usize) -> *mut u8 {
+        unreachable!("no scratch class reaches MIN_BYTES on this platform")
+    }
+
+    /// # Safety
+    /// Never called: no class reaches `MIN_BYTES` on this platform.
+    pub unsafe fn unmap(_ptr: *mut u8, _bytes: usize) {
+        unreachable!("no scratch class reaches MIN_BYTES on this platform")
+    }
+}
 
 fn class_of(bytes: usize) -> usize {
     let b = bytes.next_power_of_two().max(MIN_BYTES);
@@ -182,15 +339,15 @@ impl ScratchPool {
             .max(1);
         let class = class_of(bytes);
         let recycled = self.recycle(class, Self::lane_of_current());
-        let mut store = recycled.unwrap_or_else(|| {
+        let store = recycled.unwrap_or_else(|| {
             self.fresh.fetch_add(1, Ordering::Relaxed);
             self.resident
                 .fetch_add((MIN_BYTES << class) as u64, Ordering::Relaxed);
-            vec![0u128; class_words(class)]
+            Backing::zeroed(class_words(class))
         });
         self.leases.fetch_add(1, Ordering::Relaxed);
-        debug_assert_eq!(store.len(), class_words(class));
-        let ptr = store.as_mut_ptr().cast::<T>();
+        debug_assert_eq!(store.words, class_words(class));
+        let ptr = store.ptr.as_ptr().cast::<T>();
         for i in 0..len {
             // SAFETY: `len * size_of::<T>()` bytes fit in the class, the
             // base pointer is 16-byte aligned, and `T: Copy` needs no drop.
@@ -237,10 +394,10 @@ impl ScratchPool {
     /// Returned buffers land in the lane of the worker that *drops* the
     /// guard: the storage stays with the core whose cache last touched it.
     fn give_back(&self, store: Backing) {
-        if store.is_empty() {
+        if store.words == 0 {
             return;
         }
-        let class = class_of(store.len() * std::mem::size_of::<u128>());
+        let class = class_of(store.words * std::mem::size_of::<u128>());
         let slot = match Self::lane_of_current() {
             Some(l) => &self.lanes[l][class],
             None => &self.classes[class],
@@ -267,14 +424,14 @@ impl<T: Copy + Send> Deref for ScratchGuard<'_, T> {
 
     fn deref(&self) -> &[T] {
         // SAFETY: lease() initialized self.len elements of T at the base.
-        unsafe { std::slice::from_raw_parts(self.store.as_ptr().cast(), self.len) }
+        unsafe { std::slice::from_raw_parts(self.store.ptr.as_ptr().cast(), self.len) }
     }
 }
 
 impl<T: Copy + Send> DerefMut for ScratchGuard<'_, T> {
     fn deref_mut(&mut self) -> &mut [T] {
         // SAFETY: as in Deref; exclusivity via &mut self.
-        unsafe { std::slice::from_raw_parts_mut(self.store.as_mut_ptr().cast(), self.len) }
+        unsafe { std::slice::from_raw_parts_mut(self.store.ptr.as_ptr().cast(), self.len) }
     }
 }
 
@@ -321,6 +478,27 @@ mod tests {
         assert_eq!(sp.fresh_allocs(), 2);
         assert!(a.iter().all(|&x| x == 1));
         assert!(b.iter().all(|&x| x == 2));
+    }
+
+    #[test]
+    fn large_classes_round_trip_through_page_mappings() {
+        // 128 KiB is the first mapped class on linux: straddle it, and
+        // drop the pool (which unmaps) on a thread that mapped nothing.
+        let sp = ScratchPool::new();
+        for bytes in [64 << 10, (64 << 10) + 8, 128 << 10, (1 << 20) + 24] {
+            let len = bytes / 8;
+            {
+                let mut g = sp.lease(len, 0xA5A5u64);
+                assert!(g.iter().all(|&x| x == 0xA5A5));
+                g[len - 1] = 1;
+            }
+            let fresh = sp.fresh_allocs();
+            let g = sp.lease(len, 7u64);
+            assert!(g.iter().all(|&x| x == 7), "recycled pages are re-filled");
+            assert_eq!(sp.fresh_allocs(), fresh, "same class must be reused");
+        }
+        assert_eq!(sp.resident_bytes(), (64 << 10) + (128 << 10) + (2 << 20));
+        std::thread::spawn(move || drop(sp)).join().unwrap();
     }
 
     #[test]

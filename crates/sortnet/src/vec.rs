@@ -1,7 +1,8 @@
 //! The branchless cell gate: [`Backend`] is the [`Gate`] for packed
-//! [`TagCell`]s, with a runtime-dispatched AVX2 form of the comparator
-//! slab, plus the whole-cell select the compaction/rewrite loops route
-//! through.
+//! [`TagCell`]s, with runtime-dispatched AVX2 forms of the comparator
+//! slab and of compaction's index-driven swap slab
+//! ([`Backend::swap_slab`]), plus the whole-cell select the rewrite loops
+//! route through.
 //!
 //! # Dispatch model
 //!
@@ -23,12 +24,13 @@
 //!
 //! # Why the trace cannot change
 //!
-//! The AVX2 slab differs from the per-pair loop only in ALU width. It
+//! An AVX2 slab differs from the per-pair loop only in ALU width. It
 //! first replays, pair by pair in the same order, the exact
 //! [`fj::Ctx::touch`]/[`fj::Ctx::work`]/[`fj::Ctx::count`] sequence
-//! [`cex`] emits (free on non-metering executors — the `Ctx` methods are
-//! inlined no-ops there), and only then moves the data with a branchless
-//! scalar tag verdict + 256-bit masked xor-swap. Same addresses in the
+//! [`cex`] (or the scalar swap loop) emits (free on non-metering
+//! executors — the `Ctx` methods are inlined no-ops there), and only then
+//! moves the data with a branchless
+//! scalar verdict + 256-bit masked xor-swap. Same addresses in the
 //! same order, same work and comparator counters, no data-dependent
 //! branch: the adversary-visible trace and the gated cost model are
 //! *identical* across backends, on every input. DESIGN.md §14 gives the
@@ -38,6 +40,7 @@ use crate::cx::{cex, select_u128, Gate};
 use crate::tag::TagCell;
 use fj::Ctx;
 use metrics::RawTracked;
+use std::ops::Range;
 use std::sync::OnceLock;
 
 /// The compare-exchange gate for [`TagCell`]s.
@@ -90,6 +93,49 @@ fn resolve(requested: Backend, detected: Backend) -> Backend {
     match (requested, detected) {
         (Backend::Avx2, Backend::Avx2) => Backend::Avx2,
         _ => Backend::Scalar,
+    }
+}
+
+impl Backend {
+    /// Conditionally exchange the cell pairs `(i, i + stride)` for `i` in
+    /// `run`: the `k`-th pair swaps iff `flip ^ (k >= pivot)` — the swap
+    /// level of `obliv_core::compact_cells`, whose verdict is an index
+    /// compare against a secret pivot rather than a tag compare. Both
+    /// cells of every pair are read and written whatever the verdict;
+    /// `pivot` and `flip` only ever feed the select mask.
+    ///
+    /// # Safety
+    /// `run.end + stride <= t.len()`, `run.end <= run.start + stride`, and
+    /// no concurrent task may access either run.
+    #[inline]
+    pub unsafe fn swap_slab<C: Ctx>(
+        self,
+        c: &C,
+        t: &RawTracked<TagCell>,
+        run: Range<usize>,
+        stride: usize,
+        pivot: i64,
+        flip: bool,
+    ) {
+        debug_assert!(run.end + stride <= t.len() && run.end <= run.start + stride);
+        if resolve(self, active_backend()) == Backend::Avx2 {
+            #[cfg(target_arch = "x86_64")]
+            {
+                for i in run.clone() {
+                    avx2::account_pair(c, t, i, i + stride);
+                }
+                // SAFETY: AVX2 was detected (see `slab`); bounds and
+                // exclusivity are this function's own contract.
+                return avx2::swap_slab(t.as_mut_ptr(), run, stride, pivot, flip);
+            }
+        }
+        for (k, i) in run.enumerate() {
+            let (a, b) = (t.get(c, i), t.get(c, i + stride));
+            c.work(1);
+            let (lo, hi) = self.route(flip ^ (k as i64 >= pivot), a, b);
+            t.set(c, i, lo);
+            t.set(c, i + stride, hi);
+        }
     }
 }
 
@@ -165,7 +211,7 @@ pub unsafe fn cex_cells_slab<C: Ctx>(
 /// Branchless whole-cell select: `b` if `cond` else `a`. Both lanes go
 /// through [`select_u128`] masks, which the compiler lowers to vector
 /// selects on SSE2+ targets — the cell gate and the rewrite loops
-/// (compaction shifts, merge fix-up, LWW projection) route every cell
+/// (compaction marking, merge fix-up, LWW projection) route every cell
 /// choice through here so no secret-dependent branch reappears at a call
 /// site.
 #[inline(always)]
@@ -182,24 +228,48 @@ mod avx2 {
     use core::arch::x86_64::*;
     use fj::{counters, Access, Ctx};
     use metrics::RawTracked;
+    use std::ops::Range;
 
-    /// Replay the accounting of one [`cex`](crate::cx::cex) on `(i, j)`
-    /// without touching the data: two reads, the comparator charge, two
-    /// writes. The AVX2 slab calls this per pair, in slab order, before
-    /// the vector data movement.
+    /// Replay the accounting of one scalar pair exchange on `(i, j)`
+    /// without touching the data: two reads, the verdict's unit of work,
+    /// two writes. The AVX2 slabs call this per pair, in slab order,
+    /// before the vector data movement.
     #[inline(always)]
-    pub fn account_cex<C: Ctx>(c: &C, t: &RawTracked<TagCell>, i: usize, j: usize) {
+    pub fn account_pair<C: Ctx>(c: &C, t: &RawTracked<TagCell>, i: usize, j: usize) {
         let (buf, off, wpe) = (t.buf(), t.off(), t.wpe());
         c.touch(buf, off + i as u64 * wpe, wpe, Access::Read);
         c.work(1);
         c.touch(buf, off + j as u64 * wpe, wpe, Access::Read);
         c.work(1);
         c.work(1);
-        c.count(counters::COMPARISONS, 1);
         c.touch(buf, off + i as u64 * wpe, wpe, Access::Write);
         c.work(1);
         c.touch(buf, off + j as u64 * wpe, wpe, Access::Write);
         c.work(1);
+    }
+
+    /// [`account_pair`] plus the comparator count of a
+    /// [`cex`](crate::cx::cex).
+    #[inline(always)]
+    pub fn account_cex<C: Ctx>(c: &C, t: &RawTracked<TagCell>, i: usize, j: usize) {
+        account_pair(c, t, i, j);
+        c.count(counters::COMPARISONS, 1);
+    }
+
+    /// Masked xor-swap of two 32-byte cells, each one 256-bit vector: two
+    /// loads and two stores whatever `swap` is, exactly like the scalar
+    /// gate.
+    ///
+    /// # Safety
+    /// AVX2 must be available; `pa`/`pb` must be valid, disjoint cells.
+    #[inline(always)]
+    unsafe fn swap1(pa: *mut TagCell, pb: *mut TagCell, swap: bool) {
+        let m = _mm256_set1_epi64x(-(swap as i64));
+        let a = _mm256_loadu_si256(pa as *const __m256i);
+        let b = _mm256_loadu_si256(pb as *const __m256i);
+        let diff = _mm256_and_si256(_mm256_xor_si256(a, b), m);
+        _mm256_storeu_si256(pa as *mut __m256i, _mm256_xor_si256(a, diff));
+        _mm256_storeu_si256(pb as *mut __m256i, _mm256_xor_si256(b, diff));
     }
 
     /// One branchless compare-exchange: `*pa`/`*pb` are 32-byte cells
@@ -210,22 +280,15 @@ mod avx2 {
     /// verdict off the vector unit beats an all-SIMD compare chain: the
     /// cross-lane verdict broadcast it needs is a latency-3,
     /// port-5-only permute, while the scalar compare runs on the ports
-    /// the swap leaves idle. Two loads and two stores, exactly like the
-    /// scalar gate.
+    /// the swap leaves idle.
     ///
     /// # Safety
-    /// AVX2 must be available; `pa`/`pb` must be valid, disjoint cells.
+    /// As [`swap1`].
     #[inline(always)]
     unsafe fn cex1(pa: *mut TagCell, pb: *mut TagCell, up: bool) {
         let ta = (pa as *const u128).read_unaligned();
         let tb = (pb as *const u128).read_unaligned();
-        let swap = (ta > tb) == up;
-        let m = _mm256_set1_epi64x(-(swap as i64));
-        let a = _mm256_loadu_si256(pa as *const __m256i);
-        let b = _mm256_loadu_si256(pb as *const __m256i);
-        let diff = _mm256_and_si256(_mm256_xor_si256(a, b), m);
-        _mm256_storeu_si256(pa as *mut __m256i, _mm256_xor_si256(a, diff));
-        _mm256_storeu_si256(pb as *mut __m256i, _mm256_xor_si256(b, diff));
+        swap1(pa, pb, (ta > tb) == up);
     }
 
     /// The slab data movement: pairs `(s+k, s+k+stride)`, `k in
@@ -250,6 +313,40 @@ mod avx2 {
         }
         while k < stride {
             cex1(lo.add(k), hi.add(k), up);
+            k += 1;
+        }
+    }
+
+    /// The data movement of [`Backend::swap_slab`](super::Backend::swap_slab):
+    /// the `k`-th pair `(run.start + k, run.start + k + stride)` swaps iff
+    /// `flip ^ (k >= pivot)`, four independent pairs per unrolled
+    /// iteration.
+    ///
+    /// # Safety
+    /// AVX2 must be available; both runs must be valid, disjoint and
+    /// exclusively owned by the caller.
+    #[target_feature(enable = "avx2")]
+    pub unsafe fn swap_slab(
+        ptr: *mut TagCell,
+        run: Range<usize>,
+        stride: usize,
+        pivot: i64,
+        flip: bool,
+    ) {
+        let lo = ptr.add(run.start);
+        let hi = lo.add(stride);
+        let len = run.len();
+        let verdict = |k: usize| flip ^ (k as i64 >= pivot);
+        let mut k = 0;
+        while k + 4 <= len {
+            swap1(lo.add(k), hi.add(k), verdict(k));
+            swap1(lo.add(k + 1), hi.add(k + 1), verdict(k + 1));
+            swap1(lo.add(k + 2), hi.add(k + 2), verdict(k + 2));
+            swap1(lo.add(k + 3), hi.add(k + 3), verdict(k + 3));
+            k += 4;
+        }
+        while k < len {
+            swap1(lo.add(k), hi.add(k), verdict(k));
             k += 1;
         }
     }
@@ -314,6 +411,56 @@ mod tests {
             run_slab(Backend::Avx2, &mut b, 4, up);
             assert_eq!(a, b, "up {up}");
         }
+    }
+
+    #[test]
+    fn swap_slab_follows_the_index_verdict_on_both_backends() {
+        let c = SeqCtx::new();
+        for len in [1usize, 3, 4, 7, 16] {
+            for stride in [len, len + 5] {
+                for pivot in [-2i64, 0, 1, len as i64 / 2, len as i64, len as i64 + 3] {
+                    for flip in [false, true] {
+                        let input: Vec<TagCell> = (0..(stride + len) as u128)
+                            .map(|i| TagCell::new(i, !i))
+                            .collect();
+                        let mut expect = input.clone();
+                        for k in 0..len {
+                            if flip ^ (k as i64 >= pivot) {
+                                expect.swap(k, k + stride);
+                            }
+                        }
+                        for backend in [Backend::Scalar, Backend::Avx2] {
+                            let mut cells = input.clone();
+                            let mut t = Tracked::new(&c, &mut cells);
+                            // SAFETY: `0..len` and `stride..stride + len`
+                            // are in bounds and disjoint; nothing else runs.
+                            unsafe {
+                                backend.swap_slab(&c, &t.as_raw(), 0..len, stride, pivot, flip)
+                            };
+                            assert_eq!(
+                                cells, expect,
+                                "{backend:?} len {len} stride {stride} pivot {pivot} flip {flip}"
+                            );
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn swap_slab_accounting_is_backend_independent() {
+        use metrics::{measure, CacheConfig, TraceMode};
+        let run = |backend: Backend| {
+            let (_, r) = measure(CacheConfig::default(), TraceMode::Hash, |c| {
+                let mut cells = vec![TagCell::new(1, 2); 64];
+                let mut t = Tracked::new(c, &mut cells);
+                // SAFETY: 0..24 and 32..56 are in bounds and disjoint.
+                unsafe { backend.swap_slab(c, &t.as_raw(), 0..24, 32, 5, true) };
+            });
+            (r.trace_hash, r.trace_len, r.work, r.span, r.cache_misses)
+        };
+        assert_eq!(run(Backend::Scalar), run(Backend::Avx2));
     }
 
     #[test]

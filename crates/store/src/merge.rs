@@ -21,10 +21,11 @@
 //!    monoid hands every op the value state produced by the record and all
 //!    earlier writes of its run (sequential within-epoch semantics), and
 //!    every run-last element the key's final state;
-//! 4. the fix-up projects two fresh cell lanes from the (still key-sorted)
-//!    merged array: a *results* lane tagged by submission index and a
-//!    *candidates* lane tagged by key — the wide per-element state never
-//!    rides through another network;
+//! 4. the fix-up projects two cell lanes from the (still key-sorted)
+//!    merged array: a *results* lane tagged by submission index, written
+//!    over the merged cells themselves, and a fresh *candidates* lane
+//!    tagged by key — the wide per-element state never rides through
+//!    another network;
 //! 5. results: one stable [`compact_cells`] pass moves the batch answers
 //!    to the front, then one small sort of the `|batch|`-cell window
 //!    restores submission order for the fixed-prefix readout;
@@ -37,10 +38,10 @@
 //! compactions over dense cells — several-fold less work and far less data
 //! through the cache (the `store_bench`/`bench_diff` rows gate both).
 //!
-//! Because every comparator network, compaction level, scan and parallel
-//! map above touches addresses that depend only on the public shape, two
-//! epochs with the same shape but different keys/values/op-kinds generate
-//! identical traces (`tests/store.rs`, `obliv_check`).
+//! Because every comparator network, compaction swap level, scan and
+//! parallel map above touches addresses that depend only on the public
+//! shape, two epochs with the same shape but different keys/values/op-kinds
+//! generate identical traces (`tests/store.rs`, `obliv_check`).
 
 use crate::op::{kind, FlatOp, OpResult, StoreStats};
 use fj::{grain_for, par_for, par_reduce, Ctx};
@@ -249,14 +250,16 @@ pub(crate) fn merge_epoch<C: Ctx>(
         };
     }
     c.charge_par(m as u64);
+    // The op cells live on in `cells`; their lease goes back before the
+    // `m`-sized lanes below are drawn.
+    drop(ops);
 
     let mut t = Tracked::new(c, &mut cells);
     engine.merge_cells(c, scratch, &mut t);
 
-    // 3. Mark run boundaries, run the segmented exclusive LWW scan, and
-    //    project the two output lanes — the merged array itself stays
-    //    key-sorted and is never sorted again.
-    let mut res_store = scratch.lease(m, TagCell::filler());
+    // 3. Mark run boundaries and run the segmented exclusive LWW scan —
+    //    the merged array itself stays key-sorted and is never sorted
+    //    again.
     let mut cand_store = scratch.lease(m, TagCell::filler());
     {
         let mut bounds_store = scratch.lease(m, Bounds::default());
@@ -301,13 +304,14 @@ pub(crate) fn merge_epoch<C: Ctx>(
             sched,
         );
 
-        // Fix-up: every op learns its pre-op state; every run-last element
-        // learns its key's final state. Both lanes written unconditionally
-        // at every position.
+        // 4. Fix-up: every op learns its pre-op state; every run-last
+        //    element learns its key's final state. Both lanes written
+        //    unconditionally at every position — the results lane over
+        //    the merged cell it was computed from (nothing reads the
+        //    merged array after this pass), the candidates lane in a
+        //    lease of its own.
         let lr = lww.as_raw();
-        let mut res_t = Tracked::new(c, &mut res_store);
         let mut cand_t = Tracked::new(c, &mut cand_store);
-        let rr = res_t.as_raw();
         let cr = cand_t.as_raw();
         par_for(c, 0, m, grain_for(c), &|c, i| unsafe {
             let s = tr.get(c, i);
@@ -329,7 +333,7 @@ pub(crate) fn merge_epoch<C: Ctx>(
             // The submission index is computed unconditionally (wrapping:
             // table records carry seq 0) and selected away for non-batch
             // positions.
-            rr.set(
+            tr.set(
                 c,
                 i,
                 TagCell {
@@ -355,19 +359,18 @@ pub(crate) fn merge_epoch<C: Ctx>(
         });
     }
 
-    // 4. Results: stable-compact the batch answers to the front, then one
+    // 5. Results: stable-compact the batch answers to the front, then one
     //    small sort of the padded-batch window restores submission order.
     //    The readout covers the *whole padded batch prefix* — reading
     //    exactly `n_results` slots would leak the real op count within the
     //    size class; the padding suffix is dropped host-side below.
     let outs: Vec<OutRes> = {
-        let mut res_t = Tracked::new(c, &mut res_store);
-        compact_cells(c, scratch, &mut res_t);
+        compact_cells(c, scratch, &mut t);
         {
-            let mut win = res_t.range(0, b);
+            let mut win = t.range(0, b);
             engine.sort_cells(c, scratch, &mut win);
         }
-        let rr = res_t.as_raw();
+        let rr = t.as_raw();
         metrics::par_collect(c, b, &|c, j| {
             // SAFETY: read-only phase.
             let s = unsafe { rr.get(c, j) };
@@ -380,7 +383,7 @@ pub(crate) fn merge_epoch<C: Ctx>(
         })
     };
 
-    // 5. Rebuild: the candidates lane inherited key order from the merged
+    // 6. Rebuild: the candidates lane inherited key order from the merged
     //    array, so one stable compaction (no sort) moves the surviving
     //    final states to the front at the new public capacity.
     let mut cand_t = Tracked::new(c, &mut cand_store);

@@ -244,7 +244,7 @@ fn merge_epoch_pool_stays_warm_on_tag_path() {
 
     // Steady epochs on the tag-sort merge path: zero pool growth — every
     // cell lane (op sort, merge array, result/candidate lanes, compaction
-    // double buffers) is leased, never allocated per call.
+    // rank lane) is leased, never allocated per call.
     for round in 3..6u64 {
         store
             .execute_epoch(&c, &scratch, &epoch_ops(round))
