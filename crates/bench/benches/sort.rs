@@ -85,8 +85,10 @@ fn bench_sorts(cr: &mut Criterion) {
 }
 
 /// `bin_place` at ORBA's base-case shape for n = 65536 (16 bins of 512,
-/// half full, labels round-robin) and at a 64k-slot shape, and `expand` alone on the same
-/// arrays (every real moves right by a quarter of the array).
+/// half full, labels round-robin) and at a 64k-slot shape, and `expand`
+/// alone on the same arrays (a packed run in the front half, every real
+/// bound a quarter of the array to its right — its target rides in the
+/// high half of `sk`).
 fn bench_placement(cr: &mut Criterion) {
     let pool = Pool::with_default_threads();
     let scratch = ScratchPool::new();
@@ -120,10 +122,7 @@ fn bench_placement(cr: &mut Criterion) {
         let packed: Vec<Slot<u64>> = (0..m)
             .map(|i| {
                 if i < m / 2 {
-                    Slot {
-                        sk: (m / 4) as u128,
-                        ..Slot::real(Item::new(i as u128, i as u64), 0)
-                    }
+                    Slot::real(Item::new(i as u128, i as u64), 0).with_phase_key((i + m / 4) as u64)
                 } else {
                     Slot::filler()
                 }
@@ -132,7 +131,7 @@ fn bench_placement(cr: &mut Criterion) {
         g.bench_with_input(BenchmarkId::new("expand", m), &m, |b, _| {
             b.iter(|| {
                 let mut v = packed.clone();
-                pool.run(|c| expand(c, &scratch, &mut Tracked::new(c, &mut v)));
+                pool.run(|c| expand(c, &mut Tracked::new(c, &mut v)));
                 v
             })
         });

@@ -7,11 +7,12 @@
 //! comparison phases) are checked for the finite consequences that do hold
 //! exactly: value-independence and trace-length invariance.
 
-use metrics::{measure, CacheConfig, TraceMode};
+use metrics::{measure, CacheConfig, MeterCtx, TraceMode};
 use obliv_core::scan::{seg_propagate, Schedule, Seg};
 use obliv_core::{
     bin_place, compact_cells, expand, oblivious_sort_kv, oblivious_sort_u64, orp_once,
-    send_receive, Engine, Item, OSortParams, OrbaParams, ScratchPool, Slot, TagCell,
+    rec_sort_items, send_receive, Engine, Item, OSortParams, OrbaParams, ScratchPool, Slot,
+    TagCell,
 };
 use pram::{run_oblivious_sb, HistogramProgram};
 use sortnet::sort_slice_rec;
@@ -176,10 +177,12 @@ fn main() {
     all_ok &= check("tag-cell tight compaction", &t);
 
     // Monotone expansion (bin placement's distribution step): which slots
-    // are real, how far they move, and whether the displacements are even
+    // are real, how far they move, and whether the targets are even
     // admissible must all be invisible — input 1 packs 512 reals into the
     // left half and spreads them, input 2 moves nothing, input 3 is all
     // fillers, input 4 breaks the monotone promise (everything collides).
+    // A real at `i` with displacement `d` carries its target `i + d` in
+    // the high half of `sk`, its label in the low half.
     let m = 2 * n;
     let patterns: [Vec<Option<usize>>; 4] = [
         (0..m).map(|i| (i < n).then_some(i)).collect(),
@@ -195,19 +198,50 @@ fn main() {
                     .iter()
                     .enumerate()
                     .map(|(i, d)| match d {
-                        Some(d) => Slot {
-                            sk: *d as u128,
-                            ..Slot::real(Item::new(i as u128, i as u64), 0)
-                        },
+                        Some(d) => Slot::real(Item::new(i as u128, i as u64), 0)
+                            .with_phase_key((i + d) as u64),
                         None => Slot::filler(),
                     })
                     .collect();
                 let mut tr = metrics::Tracked::new(c, &mut slots);
-                expand(c, &scratch, &mut tr);
+                expand(c, &mut tr);
             })
         })
         .collect();
     all_ok &= check("expand (monotone distribution)", &t);
+
+    // Reserved key: `u128::MAX` marks a filler, so REC-SORT rejects it —
+    // in one fixed-pattern pass that an accepted input of the same length
+    // goes through too. Wherever the key sits and however many there are,
+    // the rejected run's trace is the accepted run's, cut at the verdict.
+    {
+        let events = |reserved: &[usize]| {
+            let ctx = MeterCtx::new(CacheConfig::default(), TraceMode::Full);
+            let mut items: Vec<Item<u64>> = (0..n as u64)
+                .map(|i| Item::new((i * 7 + 3) as u128, i))
+                .collect();
+            for &i in reserved {
+                items[i].key = u128::MAX;
+            }
+            let r = rec_sort_items(&ctx, &scratch, &mut items, Engine::BitonicRec, 16, 77);
+            assert_eq!(r.is_err(), !reserved.is_empty());
+            ctx.trace_events()
+        };
+        let accepted = events(&[]);
+        let all: Vec<usize> = (0..n).collect();
+        // One row per rejected input: (is a proper prefix of the accepted
+        // trace, its length) — all equal, and equal to "yes".
+        let mut t: Vec<_> = [&[0][..], &[n - 1], &[3, n / 2], &all]
+            .iter()
+            .map(|reserved| {
+                let rejected = events(reserved);
+                let cut = rejected.len() < accepted.len() && accepted.starts_with(&rejected);
+                (cut as u64, rejected.len() as u64)
+            })
+            .collect();
+        t.push((1, t[0].1));
+        all_ok &= check("reserved-key rejection (fixed-pattern)", &t);
+    }
 
     // Vectorized compare-exchange: the AVX2 backend must leave the very
     // same trace as the scalar gates (accounting replay, DESIGN.md §14) —

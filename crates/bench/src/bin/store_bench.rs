@@ -17,7 +17,7 @@ use dob_bench::{header, meter_timed, sweep_from_args, BenchSink, Row};
 use fj::{Pool, PoolConfig, SeqCtx};
 use metrics::{ScratchPool, Tracked};
 use obliv_core::scan::{scan_in, seg_combine_u64, Schedule, Seg};
-use obliv_core::{compact_cells, composite_key, Engine, Item, Slot, TagCell};
+use obliv_core::{compact_cells, composite_key, expand, Engine, Item, Slot, TagCell};
 use std::sync::Arc;
 use store::vfs::FaultVfs;
 use store::{
@@ -113,9 +113,10 @@ fn reps_from_env() -> u64 {
         .unwrap_or(7)
 }
 
-/// The ~96-byte payload shape the merge path's comparator layers carried
+/// The wide payload shape the merge path's comparator layers carried
 /// before the tag-sort fast path (`Slot<[u64; 6]>` mirrors the retired
-/// `Slot<MergeVal>` footprint) — the record-sort side of the headline.
+/// `Slot<MergeVal>`: ~96 bytes then, 80 now that a slot is `sk` + item) —
+/// the record-sort side of the headline.
 type WideVal = [u64; 6];
 
 /// Headline, tag side: sort `m` packed 32-byte cells.
@@ -135,10 +136,7 @@ fn headline_record_sort<C: fj::Ctx>(c: &C, scratch: &ScratchPool, m: usize) {
     let mut slots = scratch.lease(m, Slot::<WideVal>::filler());
     for (i, slot) in slots.iter_mut().enumerate() {
         let k = (i as u64).wrapping_mul(0x9E3779B97F4A7C15) >> 16;
-        *slot = Slot {
-            sk: composite_key(k, i as u64),
-            ..Slot::real(Item::new(composite_key(k, i as u64), [i as u64; 6]), 0)
-        };
+        *slot = Slot::keyed(Item::new(composite_key(k, i as u64), [i as u64; 6]));
     }
     let mut t = Tracked::new(c, &mut slots);
     Engine::BitonicRec.sort_slots(c, scratch, &mut t);
@@ -152,6 +150,17 @@ fn core_compact<C: fj::Ctx>(c: &C, scratch: &ScratchPool, m: usize) {
         *cell = TagCell::new(i as u128, i as u128);
     }
     compact_cells(c, scratch, &mut Tracked::new(c, &mut cells));
+}
+
+/// Core kernel row: bin placement's distribution step alone — a packed run
+/// of `m/2` unit-payload (32-byte) slots spread to every other position,
+/// each real's target in the high half of its `sk`.
+fn core_expand<C: fj::Ctx>(c: &C, scratch: &ScratchPool, m: usize) {
+    let mut slots = scratch.lease(m, Slot::<()>::filler());
+    for (j, slot) in slots.iter_mut().take(m / 2).enumerate() {
+        *slot = Slot::real(Item::new(j as u128, ()), 0).with_phase_key(2 * j as u64 + 1);
+    }
+    expand(c, &mut Tracked::new(c, &mut slots));
 }
 
 /// Core kernel row: the merge epoch's scan shape — a segmented exclusive
@@ -204,10 +213,7 @@ fn graphs_cc_tag_sort<C: fj::Ctx>(c: &C, scratch: &ScratchPool, props: &[(u64, u
 fn graphs_cc_slot_sort<C: fj::Ctx>(c: &C, scratch: &ScratchPool, props: &[(u64, u64)]) {
     let mut slots = scratch.lease(props.len(), Slot::<(u64, u64)>::filler());
     for (slot, &(t, v)) in slots.iter_mut().zip(props.iter()) {
-        *slot = Slot {
-            sk: composite_key(t, v),
-            ..Slot::real(Item::new(composite_key(t, v), (t, v)), 0)
-        };
+        *slot = Slot::keyed(Item::new(composite_key(t, v), (t, v)));
     }
     let mut tr = Tracked::new(c, &mut slots);
     Engine::BitonicRec.sort_slots(c, scratch, &mut tr);
@@ -714,13 +720,14 @@ fn main() {
         wall_rec,
     );
 
-    // ---- Core kernels of the merge epoch ---------------------------------
+    // ---- Core kernels: the two swap butterflies and the scan -------------
     // The two `obliv_core` kernels a merge epoch spends its `core` share
-    // in, alone, at a cache-resident and a past-cache size, so the gate
-    // holds each one's W and Q(M,B) to its bound (DESIGN.md §10):
-    // `Q = O((m/B) log(m/M))` for the compaction recursion, `O(n/B)` for
-    // the scan.
-    println!("\n== core kernels: cell compaction and the LWW scan ==\n");
+    // in, and compaction's mirror — bin placement's expansion — alone, at
+    // a cache-resident and a past-cache size, so the gate holds each one's
+    // W and Q(M,B) to its bound (DESIGN.md §10, §4 row 6): `(m/2) log m`
+    // swaps and `Q = O((m/B) log(m/M))` for either recursion, `O(n/B)`
+    // for the scan.
+    println!("\n== core kernels: cell compaction, expansion and the LWW scan ==\n");
     header();
     for n in [4096usize, 65536] {
         let (rep, _) = meter_timed(|c| core_compact(c, &scratch, n));
@@ -729,6 +736,17 @@ fn main() {
             Row {
                 task: "store",
                 algo: "core: compact cells",
+                n,
+                rep,
+            },
+            wall,
+        );
+        let (rep, _) = meter_timed(|c| core_expand(c, &scratch, n));
+        let wall = dob_bench::wall_unmetered(3, |c| core_expand(c, &scratch, n));
+        sink.record(
+            Row {
+                task: "store",
+                algo: "core: expand",
                 n,
                 rep,
             },

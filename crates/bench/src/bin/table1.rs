@@ -46,10 +46,7 @@ fn ablation_tag_sort<C: fj::Ctx>(c: &C, scratch: &ScratchPool, records: &[(u64, 
 fn ablation_record_sort<C: fj::Ctx>(c: &C, scratch: &ScratchPool, records: &[(u64, u64)]) {
     let mut slots = scratch.lease(records.len(), Slot::<(u64, u64)>::filler());
     for (i, (slot, &(k, v))) in slots.iter_mut().zip(records.iter()).enumerate() {
-        *slot = Slot {
-            sk: composite_key(k, i as u64),
-            ..Slot::real(Item::new(composite_key(k, i as u64), (k, v)), 0)
-        };
+        *slot = Slot::keyed(Item::new(composite_key(k, i as u64), (k, v)));
     }
     let mut t = Tracked::new(c, &mut slots);
     Engine::BitonicRec.sort_slots(c, scratch, &mut t);

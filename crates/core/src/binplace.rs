@@ -10,18 +10,19 @@
 //! The algorithm is sort + rank + expansion (`place`, shared with
 //! [`crate::oblivious_scatter`]; DESIGN.md §4 records it as a substitution
 //! for Chan–Shi's two-sort placement): **one** oblivious sort of the
-//! `nbins · Z` slots by `(group ‖ tiebreak)` with fillers last, a segmented
-//! propagation that gives every real its rank `r` within its group, and a
-//! comparator-free monotone [`expand`] that moves the real at sorted index
-//! `i` right by `d = g·Z + r − i`. Reals before `i` number at most `g·Z + r`
-//! under the promise, so `d ≥ 0`; a later real of the same group has the
-//! same `d` and a later group's target jumps by at least the index gap, so
-//! `d` is non-decreasing — the no-collision condition of the expansion.
+//! `nbins · Z` slots by `sk = group ‖ low half` with fillers (`MAX`) last, a
+//! segmented propagation that gives every real its rank `r` within its
+//! group, a pass that trades the group in the high half of `sk` for the
+//! absolute target `g·Z + r`, and a comparator-free monotone [`expand`]
+//! that swaps every real to its target. The sorted reals are a packed run
+//! and, under the promise, their targets strictly increase along it — the
+//! no-collision condition of the expansion.
 //! Every step is an oblivious sort, a fixed-pattern scan, or a parallel
 //! map: the access pattern depends only on `(nbins, Z)`.
 //!
 //! A real of rank `≥ Z` means the §C.1 promise was violated (bin
-//! overflow): it is dropped, the pass finishes on its fixed trace, and the
+//! overflow): its target belongs to the next bin, the pass finishes on its
+//! fixed trace with the reals permuted arbitrarily (none is lost), and the
 //! caller gets [`OblivError::BinOverflow`] to retry with fresh labels.
 
 use crate::engine::Engine;
@@ -34,7 +35,8 @@ use metrics::{ScratchPool, Tracked};
 
 /// Oblivious bin placement over `io` (whose length must be `nbins · zcap`,
 /// with `nbins` and `zcap` powers of two). Order within a bin is
-/// unspecified.
+/// unspecified. Labels are preserved; the high half of a real's `sk` holds
+/// its position on return (see [`expand`]), and fillers are canonical.
 pub fn bin_place<C: Ctx, V: Val>(
     c: &C,
     scratch: &ScratchPool,
@@ -46,14 +48,15 @@ pub fn bin_place<C: Ctx, V: Val>(
 ) -> Result<()> {
     let mask = nbins as u64 - 1;
     place(c, scratch, io, nbins, zcap, engine, &|s| {
-        ((s.label >> shift) & mask, 0)
+        ((s.label() >> shift) & mask, s.label())
     })
 }
 
 /// The placement kernel: move every real of `w` (`nbins · zcap` slots,
 /// both powers of two) into the bin named by `key(slot).0`, in ascending
-/// order of `key(slot).1` within the bin. `key` is only asked about reals
-/// and must return a bin below `nbins`.
+/// order of `key(slot).1` within the bin; `key(slot).1` becomes the low
+/// half of the slot's `sk`. `key` is only asked about reals and must
+/// return a bin below `nbins`.
 pub(crate) fn place<C: Ctx, V: Val>(
     c: &C,
     scratch: &ScratchPool,
@@ -67,22 +70,21 @@ pub(crate) fn place<C: Ctx, V: Val>(
     assert_eq!(n_io, nbins * zcap, "bin placement shape mismatch");
     assert!(nbins.is_power_of_two() && zcap.is_power_of_two());
 
-    // Step 1: sort by (group ‖ tiebreak), fillers last. The group rides in
+    // Step 1: sort by (group ‖ low half), fillers last. The group rides in
     // the high half of `sk`, where the later steps read it back (a
     // filler's reads as `u64::MAX`, the past-the-end group).
     set_keys(c, w, &|s| {
         if s.is_real() {
-            let (g, tiebreak) = key(s);
-            composite_key(g, tiebreak)
+            let (g, low) = key(s);
+            composite_key(g, low)
         } else {
             u128::MAX
         }
     });
     engine.sort_slots(c, scratch, w);
-    let group_of = |s: &Slot<V>| (s.sk >> 64) as u64;
 
     // Steps 2–3 in a block so the rank lease is back in the pool before
-    // the expansion leases its double buffer.
+    // the caller's next lease.
     let overflow = {
         // Step 2: rank within group, by propagating each group's leftmost
         // index.
@@ -90,14 +92,14 @@ pub(crate) fn place<C: Ctx, V: Val>(
         let mut seg = Tracked::new(c, &mut seg_store);
         let (sr, wr) = (seg.as_raw(), w.as_raw());
         par_for(c, 0, n_io, grain_for(c), &|c, i| unsafe {
-            let head = i == 0 || group_of(&wr.get(c, i)) != group_of(&wr.get(c, i - 1));
+            let head = i == 0 || wr.get(c, i).phase_key() != wr.get(c, i - 1).phase_key();
             sr.set(c, i, Seg::new(head, i as u64));
         });
         seg_propagate_in(c, scratch, &mut seg, Schedule::Tree);
 
-        // Step 3: each real of rank < Z trades its sort key for its
-        // displacement; everything else becomes a canonical filler.
-        // Overflow iff a real is dropped. The write is unconditional.
+        // Step 3: each real trades its group for its absolute target;
+        // fillers are rewritten canonical. Overflow iff a real's rank is
+        // `≥ Z`. The write is unconditional.
         let sr = seg.as_raw();
         fj::par_reduce(
             c,
@@ -107,30 +109,23 @@ pub(crate) fn place<C: Ctx, V: Val>(
             &|c, i| unsafe {
                 let s = wr.get(c, i);
                 let rank = i as u64 - sr.get(c, i).v;
-                let keep = s.is_real() && rank < zcap as u64;
-                let out = if keep {
-                    // Saturating: after an overflow the target can lie
-                    // left of `i`; the result is discarded anyway.
-                    let target = group_of(&s) * zcap as u64 + rank;
-                    Slot {
-                        sk: target.saturating_sub(i as u64) as u128,
-                        ..s
-                    }
+                let out = if s.is_real() {
+                    s.with_phase_key(s.phase_key() * zcap as u64 + rank)
                 } else {
                     Slot::filler()
                 };
                 wr.set(c, i, out);
-                s.is_real() && !keep
+                s.is_real() && rank >= zcap as u64
             },
             &|a, b| a | b,
         )
         .unwrap_or(false)
     };
 
-    // Step 4: comparator-free distribution. Without an overflow the
-    // displacements are non-decreasing, so nothing can collide.
-    let placed = expand(c, scratch, w);
-    debug_assert!(overflow || placed, "monotone displacements collided");
+    // Step 4: comparator-free distribution. Without an overflow the reals
+    // are a packed run with increasing targets, so nothing can collide.
+    let placed = expand(c, w);
+    debug_assert!(overflow || placed, "monotone targets collided");
     if overflow {
         Err(OblivError::BinOverflow)
     } else {
@@ -142,6 +137,10 @@ pub(crate) fn place<C: Ctx, V: Val>(
 /// pass — the standard prelude to each [`crate::engine::Engine::sort_slots`]
 /// call. Public because downstream subsystems (e.g. `dob-store`) drive the
 /// same sort-then-scan pipelines the core kernels use.
+///
+/// `sk == u128::MAX` is what makes a slot a filler, so an `f` that returns
+/// `MAX` for a real demotes it to one (its record stays in `item`, but
+/// `is_real` is false from then on).
 pub fn set_keys<C: Ctx, V: Val>(
     c: &C,
     t: &mut Tracked<'_, Slot<V>>,
@@ -225,9 +224,17 @@ mod tests {
 
     #[test]
     fn output_holds_only_reals_and_canonical_fillers() {
+        // The stated `sk` contract: a real keeps its label in the low half
+        // and holds its own position in the high half; fillers are `⊥`.
         let out = run(4, 4, &[(0, 1), (3, 2)]).unwrap();
-        assert!(out.iter().all(|s| s.sk == 0), "scratch keys not cleared");
-        assert!(out.iter().all(|s| s.is_real() || *s == Slot::filler()));
+        for (pos, s) in out.iter().enumerate() {
+            if s.is_real() {
+                assert_eq!(s.phase_key(), pos as u64, "target not left in sk");
+                assert_eq!(s.label(), pos as u64 / 4, "label lost");
+            } else {
+                assert_eq!(*s, Slot::filler());
+            }
+        }
         assert_eq!(out.iter().filter(|s| s.is_real()).count(), 2);
     }
 
@@ -409,7 +416,7 @@ mod tests {
                 .collect();
             let mut reference = vec![Vec::new(); nbins];
             for s in items.iter().filter(|s| s.is_real()) {
-                reference[s.label as usize].push(s.item.val);
+                reference[s.label() as usize].push(s.item.val);
             }
             let fits = reference.iter().all(|bin| bin.len() <= zcap);
             let bins_of = |out: &[Slot<u64>]| -> Vec<Vec<u64>> {

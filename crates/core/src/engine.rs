@@ -19,6 +19,7 @@ use sortnet::{
     active_backend, bitonic_sort_flat_par, bitonic_sort_rec, cells_merge_rec, oddeven_sort,
     randomized_shellsort, Gate, TagCell,
 };
+use std::mem::{align_of, size_of};
 
 /// Selects the data-oblivious network used for small sorts.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
@@ -68,13 +69,30 @@ impl Engine {
     }
 
     /// Sort `t` ascending by the slots' scratch key `sk`. Length must be a
-    /// power of two (callers pad with fillers whose `sk` is `u128::MAX`).
+    /// power of two (callers pad with [`Slot::filler`], whose `sk` is
+    /// `u128::MAX`).
+    ///
+    /// A slot with a zero-sized payload is laid out like a [`TagCell`]
+    /// (`sk` = `tag`, `item.key` = `aux`) and is sorted as one, through
+    /// the cell gate: the same network, trace and counters, AVX2 slabs
+    /// where the hardware has them (DESIGN.md §14 has the pairs that
+    /// justify the cast).
     pub fn sort_slots<C: Ctx, V: Val>(
         &self,
         c: &C,
         scratch: &ScratchPool,
         t: &mut Tracked<'_, Slot<V>>,
     ) {
+        if size_of::<Slot<V>>() == size_of::<TagCell>()
+            && align_of::<Slot<V>>() == align_of::<TagCell>()
+        {
+            // SAFETY: both types are `repr(C)` and start with two `u128`
+            // lanes (`Slot`: `sk`, then `Item`'s `key`); at equal size
+            // there is no room left for `val`, so `V` is zero-sized and
+            // the two lanes are the whole slot. Every bit pattern is a
+            // valid `u128`, so either type's values are the other's.
+            return self.sort_cells(c, scratch, &mut unsafe { t.cast() });
+        }
         self.sort_through(c, scratch, t, Slot::filler(), &sk_of);
     }
 
@@ -174,6 +192,48 @@ mod tests {
                 "engine {engine:?}"
             );
         }
+    }
+
+    #[test]
+    fn unit_slots_sort_as_cells_on_the_closure_gates_trace() {
+        // `Slot<()>` takes the cell gate; the network, the trace and every
+        // counter must be the closure gate's, fillers and payload lane
+        // (`item.key`) included.
+        use metrics::{measure, CacheConfig, TraceMode};
+        let input: Vec<Slot<()>> = (0..4096u64)
+            .map(|i| match i % 5 {
+                0 => Slot::filler(),
+                _ => Slot::keyed(Item::new((i.wrapping_mul(2654435761) % 1021) as u128, ())),
+            })
+            .collect();
+        let run = |as_cells: bool| {
+            let mut slots = input.clone();
+            let (_, rep) = measure(CacheConfig::default(), TraceMode::Hash, |c| {
+                let sp = ScratchPool::new();
+                let mut t = Tracked::new(c, &mut slots);
+                if as_cells {
+                    Engine::BitonicRec.sort_slots(c, &sp, &mut t);
+                } else {
+                    Engine::BitonicRec.sort_through(c, &sp, &mut t, Slot::filler(), &sk_of);
+                }
+            });
+            (
+                slots,
+                [
+                    rep.trace_hash,
+                    rep.trace_len,
+                    rep.work,
+                    rep.span,
+                    rep.comparisons,
+                ],
+            )
+        };
+        let (cells, cell_costs) = run(true);
+        let (closure, closure_costs) = run(false);
+        assert!(cells == closure);
+        assert_eq!(cell_costs, closure_costs);
+        assert!(cells.windows(2).all(|w| w[0].sk <= w[1].sk));
+        assert!(cells.iter().all(|s| s.is_filler() || s.item.key == s.sk));
     }
 
     #[test]

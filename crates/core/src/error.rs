@@ -21,6 +21,10 @@ pub enum OblivError {
     LabelCollision,
     /// A REC-SORT bin exceeded its capacity (§E.2 overflow analysis).
     PivotOverflow,
+    /// An input key is `u128::MAX`, the value that marks a filler slot
+    /// (and a filler [`TagCell`](sortnet::TagCell)). Deterministic — a
+    /// retry cannot help.
+    ReservedKey,
 }
 
 impl fmt::Display for OblivError {
@@ -31,6 +35,7 @@ impl fmt::Display for OblivError {
             OblivError::PivotOverflow => {
                 write!(f, "REC-SORT bin overflow (retry with fresh pivots)")
             }
+            OblivError::ReservedKey => write!(f, "key u128::MAX is reserved for fillers"),
         }
     }
 }
@@ -41,11 +46,15 @@ pub type Result<T> = std::result::Result<T, OblivError>;
 
 /// Retry `attempt -> Result` with derived seeds until success, panicking
 /// after `limit` consecutive failures (which at sane parameters indicates a
-/// bug, not bad luck). Returns the value and the attempt count.
+/// bug, not bad luck) or at once on [`OblivError::ReservedKey`] (which
+/// fresh coins cannot cure). Returns the value and the attempt count.
 pub fn with_retries<T>(limit: u32, mut f: impl FnMut(u32) -> Result<T>) -> (T, u32) {
     for attempt in 0..limit {
         match f(attempt) {
             Ok(v) => return (v, attempt + 1),
+            Err(e @ OblivError::ReservedKey) => {
+                panic!("oblivious algorithm rejected its input: {e}")
+            }
             Err(_) if attempt + 1 < limit => continue,
             Err(e) => panic!("oblivious algorithm failed {limit} consecutive attempts: {e}"),
         }

@@ -59,6 +59,6 @@ pub use scan::{
 };
 pub use scatter::oblivious_scatter;
 pub use sendrecv::{send_receive, send_receive_u64};
-pub use slot::{composite_key, flags, Item, Slot, Val};
+pub use slot::{composite_key, Item, Slot, Val};
 pub use sortnet::{select_cell, select_u128, select_u64, TagCell};
 pub use tag_sort::{compact_cells, oblivious_sort_kv};

@@ -143,7 +143,7 @@ mod tests {
         let (layout, _) = with_retries(64, |a| meta_orba(&c, &sp, &its, p, 10 + a as u64));
         for (b, bin) in layout.slots.chunks(layout.z).enumerate() {
             for s in bin.iter().filter(|s| s.is_real()) {
-                assert_eq!(s.label as usize, b);
+                assert_eq!(s.label() as usize, b);
             }
         }
         let total: usize = layout.loads().iter().sum();

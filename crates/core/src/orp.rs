@@ -1,8 +1,9 @@
 //! Oblivious random permutation (§C.3, §D.2).
 //!
 //! ORBA followed by a per-bin shake-out: every slot (real or filler) draws
-//! a fresh 64-bit label, fillers are forced to `u64::MAX`, each bin is
-//! sorted by label with the oblivious engine, and the fillers are removed.
+//! a fresh 64-bit label, which takes the high half of a real's `sk` while a
+//! filler's `sk` stays `u128::MAX`, each bin is sorted by `sk` with the
+//! oblivious engine, and the fillers are removed.
 //! The final removal is allowed to be non-oblivious: the revealed per-bin
 //! loads are simulatable from `(n, Z)` alone, as argued in
 //! [CGLS18, ACN+20] (the loads are a balls-into-bins pattern independent of
@@ -12,7 +13,6 @@
 //! they are detected with a fixed-pattern scan and surface as
 //! [`OblivError::LabelCollision`] (probability ≤ Z²·β/2⁶⁴ — negligible).
 
-use crate::binplace::set_keys;
 use crate::error::{with_retries, OblivError, Result};
 use crate::rec_orba::{bins_for, rec_orba_into, OrbaParams};
 use crate::scan::{prefix_sum_in, Schedule};
@@ -57,34 +57,28 @@ pub fn orp_once_into<C: Ctx, V: Val>(
     rec_orba_into(c, scratch, items, p, seed, &mut slots)?;
 
     // Fresh permutation labels for every slot; the draw order is fixed, so
-    // the stream depends only on (n, seed). Fillers are forced to MAX.
+    // the stream depends only on (n, seed).
     let mut rng = StdRng::seed_from_u64(seed ^ PERM_SALT);
     let mut perm_labels = scratch.lease(nbins * z, 0u64);
     for l in perm_labels.iter_mut() {
         *l = rng.gen();
     }
+    // One sweep: a real's `sk` becomes `permutation label ‖ bin label`, a
+    // filler stays `MAX`.
     let mut t = Tracked::new(c, &mut slots);
     {
-        let tr = t.as_raw();
         let perm_labels = &*perm_labels;
+        let tr = t.as_raw();
         par_for(c, 0, tr.len(), grain_for(c), &|c, i| unsafe {
-            let mut s = tr.get(c, i);
-            let lbl = if s.is_real() {
-                perm_labels[i]
+            let s = tr.get(c, i);
+            let out = if s.is_real() {
+                s.with_phase_key(perm_labels[i])
             } else {
-                u64::MAX
+                s
             };
-            s.label = lbl;
-            tr.set(c, i, s);
+            tr.set(c, i, out);
         });
     }
-    set_keys(c, &mut t, &|s: &Slot<V>| {
-        if s.is_real() {
-            s.label as u128
-        } else {
-            u128::MAX
-        }
-    });
 
     // Sort each bin by permutation label (fillers sink to the end).
     let engine = p.engine;
@@ -103,7 +97,7 @@ pub fn orp_once_into<C: Ctx, V: Val>(
             // SAFETY: read-only phase.
             let (a, b) = unsafe { (tr.get(c, i - 1), tr.get(c, i)) };
             c.work(1);
-            if a.is_real() && b.is_real() && a.label == b.label {
+            if a.is_real() && b.is_real() && a.phase_key() == b.phase_key() {
                 collision.store(true, Ordering::Relaxed);
             }
         });

@@ -89,8 +89,7 @@ pub fn oblivious_sort<C: Ctx, V: Val>(
 }
 
 /// Convenience: obliviously sort plain `u64` keys. The working element is
-/// `Item<()>`, so a key travels once (in the composite sort key) and a
-/// `Slot` is 48 bytes.
+/// `Item<()>`, so a `Slot` is one 32-byte cell (`sk` + the composite key).
 pub fn oblivious_sort_u64<C: Ctx>(
     c: &C,
     scratch: &ScratchPool,
@@ -104,7 +103,9 @@ pub fn oblivious_sort_u64<C: Ctx>(
 /// The pipeline behind both entry points: `split` a record into its key
 /// and payload, sort `Item`s keyed by (key ‖ input index) — a strict total
 /// order for REC-SORT's load balance, stability for callers — and `join`
-/// each record back from the key's high half and its payload.
+/// each record back from the key's high half and its payload. The index
+/// tiebreak is `< n`, so no composite key is the reserved `u128::MAX` —
+/// `u64::MAX` keys included — and REC-SORT's `ReservedKey` cannot fire.
 fn sort_records<C: Ctx, T, V: Val>(
     c: &C,
     scratch: &ScratchPool,
@@ -173,10 +174,20 @@ mod tests {
     }
 
     #[test]
-    fn u64_sort_carries_the_key_once() {
-        use crate::slot::Slot;
-        assert_eq!(std::mem::size_of::<Item<()>>(), 16);
-        assert_eq!(std::mem::size_of::<Slot<()>>(), 48);
+    fn max_keys_sort_like_any_other() {
+        // `u64::MAX` is not reserved at this level: the composite key ends
+        // in the input index. Both the small path and the full pipeline.
+        let c = SeqCtx::new();
+        let sp = ScratchPool::new();
+        for n in [5usize, 3000] {
+            let mut v = scrambled(n);
+            v[0] = u64::MAX;
+            v[n / 2] = u64::MAX;
+            let mut expect = v.clone();
+            expect.sort_unstable();
+            oblivious_sort_u64(&c, &sp, &mut v, OSortParams::practical(n), 42);
+            assert_eq!(v, expect, "n = {n}");
+        }
     }
 
     #[test]

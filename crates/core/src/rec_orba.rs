@@ -295,7 +295,7 @@ mod tests {
             assert_eq!(bin.len(), layout.z);
             // All reals in a bin share the same label (= bin index).
             for s in bin.iter().filter(|s| s.is_real()) {
-                assert_eq!(s.label as usize, b, "element in wrong bin");
+                assert_eq!(s.label() as usize, b, "element in wrong bin");
             }
         }
     }

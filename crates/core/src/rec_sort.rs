@@ -19,6 +19,17 @@
 //! pattern), sorts `next_power_of_two(total)` slots instead of the whole
 //! 4×-padded layout, and deals the sorted run back into bins.
 //!
+//! When the sample yields no more than `γ` bins the whole butterfly would
+//! be that one base case — pack all `n` reals, sort them, deal them into
+//! 4×-capacity bins, read them straight back — so the 4×-padded layout is
+//! not staged at all: the input goes through the same network directly
+//! (`sort_small`), and no pivot is ever consulted (n = 65536 at the
+//! paper's parameters: 14 regions → 16 bins ≤ γ = 32).
+//!
+//! A slot's `sk` is its `item.key`, so `u128::MAX` — the filler mark — is
+//! reserved: [`rec_sort_items`] rejects it up front with
+//! [`OblivError::ReservedKey`] instead of losing the element.
+//!
 //! Layout invariant: every bin holds its reals in front of its fillers —
 //! true of the initial layout and of every base-case output, and preserved
 //! by the bin-granular transposes. Packing and readout rely on it.
@@ -26,7 +37,7 @@
 use crate::engine::Engine;
 use crate::error::{OblivError, Result};
 use crate::slot::{Item, Slot, Val};
-use fj::{grain_for, par_for, Ctx};
+use fj::{grain_for, par_for, par_reduce, Ctx};
 use metrics::{RawTracked, ScratchPool, Tracked};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -36,14 +47,6 @@ use std::sync::atomic::{AtomicBool, Ordering};
 /// Inputs at or below this size skip the butterfly and use one padded
 /// bitonic sort.
 const SMALL: usize = 2048;
-
-/// Filler slot that sorts after every real key.
-fn filler_hi<V: Val>() -> Slot<V> {
-    Slot {
-        sk: u128::MAX,
-        ..Slot::filler()
-    }
-}
 
 /// A window into the global pivot array: the boundary between this
 /// subproblem's bins `t-1` and `t` is `pivots[r0 + t·stride − 1]`.
@@ -70,10 +73,12 @@ impl PivotView {
 /// [`crate::slot::composite_key`]); `items` should be in random order for
 /// the performance (and overflow) guarantees, per §E.2.
 ///
-/// On `Err` (pivot overflow) `items` is left **unmodified** — the butterfly
-/// works entirely in leased scratch and only the final readout (which runs
-/// after the overflow check) writes back — so callers retry in place with
-/// fresh coins, no defensive clone needed.
+/// On `Err` `items` is left **unmodified**: a key of `u128::MAX`
+/// ([`OblivError::ReservedKey`]) is rejected by one fixed-pattern pass
+/// before anything moves, and on pivot overflow the butterfly has worked
+/// entirely in leased scratch — only the final readout (which runs after
+/// the overflow check) writes back — so callers retry in place with fresh
+/// coins, no defensive clone needed.
 pub fn rec_sort_items<C: Ctx, V: Val>(
     c: &C,
     scratch: &ScratchPool,
@@ -83,6 +88,15 @@ pub fn rec_sort_items<C: Ctx, V: Val>(
     seed: u64,
 ) -> Result<()> {
     let n = items.len();
+    {
+        let mut t = Tracked::new(c, items);
+        let tr = t.as_raw();
+        // SAFETY: read-only pass.
+        let reserved = |c: &C, i| unsafe { tr.get(c, i) }.key == u128::MAX;
+        if par_reduce(c, 0, n, grain_for(c), &reserved, &|a, b| a | b).unwrap_or(false) {
+            return Err(OblivError::ReservedKey);
+        }
+    }
     if n <= SMALL {
         return sort_small(c, scratch, items, engine);
     }
@@ -90,26 +104,30 @@ pub fn rec_sort_items<C: Ctx, V: Val>(
 
     // --- Pivot selection (§E.2): Bernoulli(1/log n) sample, sorted with
     // bitonic; every (log² n)-th sample becomes a pivot. The coins are
-    // drawn twice from the same seed — once to size the sample lease, once
-    // to fill it.
+    // drawn twice from the same seed — once to size the sample (and with it
+    // the bin count), once to fill it.
     let coins = || {
         let mut rng = StdRng::seed_from_u64(seed);
         move || rng.gen_range(0..lg) == 0
     };
     let mut coin = coins();
     let picked = items.iter().filter(|_| coin()).count();
+    let stride = lg * lg;
+    let regions = picked / stride + 1;
+    let nbins = regions.next_power_of_two();
+    if nbins <= gamma {
+        // One base case would sort everything: skip its staging.
+        return sort_small(c, scratch, items, engine);
+    }
+    let chunk = n.div_ceil(nbins);
+    let cap = (4 * chunk).next_power_of_two().max(16);
+
     let mut sample = scratch.lease(picked, Item::<V>::default());
     let mut coin = coins();
     for (slot, it) in sample.iter_mut().zip(items.iter().filter(|_| coin())) {
         *slot = *it;
     }
     sort_small(c, scratch, &mut sample, engine)?;
-    let stride = lg * lg;
-
-    let regions = picked / stride + 1;
-    let nbins = regions.next_power_of_two();
-    let chunk = n.div_ceil(nbins);
-    let cap = (4 * chunk).next_power_of_two().max(16);
 
     let mut pivots_store = scratch.lease((nbins - 1).max(1), u128::MAX);
     for (p, it) in pivots_store
@@ -120,16 +138,14 @@ pub fn rec_sort_items<C: Ctx, V: Val>(
     }
 
     // --- Build the bin layout: β bins of `cap`, input chunked across bins.
-    let mut slots = scratch.lease(nbins * cap, filler_hi::<V>());
+    let mut slots = scratch.lease(nbins * cap, Slot::filler());
     {
         let mut t = Tracked::new(c, &mut slots);
         let tr = t.as_raw();
         par_for(c, 0, n, grain_for(c), &|c, i| {
             let (b, off) = (i / chunk, i % chunk);
-            let mut s = Slot::real(items[i], 0);
-            s.sk = items[i].key;
             // SAFETY: (b, off) pairs are distinct.
-            unsafe { tr.set(c, b * cap + off, s) };
+            unsafe { tr.set(c, b * cap + off, Slot::keyed(items[i])) };
         });
     }
 
@@ -139,7 +155,7 @@ pub fn rec_sort_items<C: Ctx, V: Val>(
         let mut pivots_t = Tracked::new(c, &mut pivots_store);
         let pv = pivots_t.as_raw();
         let mut t = Tracked::new(c, &mut slots);
-        let mut scratch_store = scratch.lease(t.len(), filler_hi::<V>());
+        let mut scratch_store = scratch.lease(t.len(), Slot::filler());
         let mut tmp = Tracked::new(c, &mut scratch_store);
         rec(
             c,
@@ -227,7 +243,8 @@ fn pack_bins<C: Ctx, V: Val>(
     offsets[nbins] as usize
 }
 
-/// Padded bitonic sort for small instances (and the pivot sample).
+/// Padded bitonic sort for small instances, the pivot sample, and inputs
+/// whose butterfly would be a single base case.
 fn sort_small<C: Ctx, V: Val>(
     c: &C,
     scratch: &ScratchPool,
@@ -239,23 +256,14 @@ fn sort_small<C: Ctx, V: Val>(
         return Ok(());
     }
     let m = n.next_power_of_two();
-    let mut slots = scratch.lease(m, filler_hi::<V>());
+    let mut slots = scratch.lease(m, Slot::filler());
     {
         let mut t = Tracked::new(c, &mut slots);
         let tr = t.as_raw();
         let items_ref: &[Item<V>] = items;
         par_for(c, 0, n, grain_for(c), &|c, i| {
             // SAFETY: disjoint writes per i.
-            unsafe {
-                tr.set(
-                    c,
-                    i,
-                    Slot {
-                        sk: items_ref[i].key,
-                        ..Slot::real(items_ref[i], 0)
-                    },
-                )
-            };
+            unsafe { tr.set(c, i, Slot::keyed(items_ref[i])) };
         });
         engine.sort_slots(c, scratch, &mut t);
         let tr = t.as_raw();
@@ -401,7 +409,7 @@ fn base_case<C: Ctx, V: Val>(
     let padded = total.next_power_of_two();
     par_for(c, total, padded, grain_for(c), &|c, i| unsafe {
         // SAFETY: disjoint writes past the packed reals.
-        dr.set(c, i, filler_hi::<V>());
+        dr.set(c, i, Slot::filler());
     });
     let mut run = scratch.range(0, padded);
     engine.sort_slots(c, pool, &mut run);
@@ -436,7 +444,7 @@ fn base_case<C: Ctx, V: Val>(
         let s = if j < pos[b + 1] - pos[b] {
             dr.get(c, pos[b] + j)
         } else {
-            filler_hi::<V>()
+            Slot::filler()
         };
         sr.set(c, i, s);
     });
@@ -448,6 +456,7 @@ mod tests {
     use crate::error::with_retries;
     use crate::slot::composite_key;
     use fj::{Pool, SeqCtx};
+    use metrics::{measure, CacheConfig, TraceMode};
     use rand::seq::SliceRandom;
 
     fn shuffled_items(n: usize, seed: u64) -> Vec<Item<u64>> {
@@ -489,6 +498,70 @@ mod tests {
         let mut vals: Vec<u64> = items.iter().map(|i| i.val).collect();
         vals.sort_unstable();
         assert_eq!(vals, (0..n as u64).collect::<Vec<_>>());
+    }
+
+    #[test]
+    fn reserved_key_is_rejected_and_leaves_the_input_alone() {
+        // On the small path and above it, wherever the key sits.
+        let c = SeqCtx::new();
+        let sp = ScratchPool::new();
+        for n in [1usize, 100, 5000] {
+            for at in [0, n / 2, n - 1] {
+                let mut items = shuffled_items(n, 3);
+                items[at].key = u128::MAX;
+                let before = items.clone();
+                assert_eq!(
+                    rec_sort_items(&c, &sp, &mut items, Engine::BitonicRec, 16, 5),
+                    Err(OblivError::ReservedKey)
+                );
+                assert_eq!(items, before, "n = {n}, at = {at}");
+            }
+        }
+        // The largest admissible key is an ordinary key.
+        let mut items = shuffled_items(100, 3);
+        items[7].key = u128::MAX - 1;
+        rec_sort_items(&c, &sp, &mut items, Engine::BitonicRec, 16, 5).unwrap();
+        assert_sorted(&items);
+        assert_eq!(items[99].key, u128::MAX - 1);
+    }
+
+    #[test]
+    fn shortcut_and_butterfly_agree_on_each_side_of_the_gamma_boundary() {
+        // n = 8192 samples ≈ 585 → 3–4 regions → 4 bins; n = 20000 samples
+        // ≈ 1333 → 6–7 regions → 8 bins. At γ = 4 the first is one base case
+        // (the shortcut) and the second a real butterfly; a smaller γ forces
+        // the butterfly on the first, a larger one the shortcut on the
+        // second. Same input and seeds ⇒ identical output every way.
+        let sp = ScratchPool::new();
+        let comparisons = |n: usize, gamma: usize| {
+            let mut items = shuffled_items(n, 17);
+            let (_, rep) = measure(CacheConfig::default(), TraceMode::Off, |c| {
+                with_retries(16, |a| {
+                    rec_sort_items(c, &sp, &mut items, Engine::BitonicRec, gamma, 40 + a as u64)
+                })
+            });
+            (items, rep.comparisons)
+        };
+        let network = |m: usize| {
+            let (_, rep) = measure(CacheConfig::default(), TraceMode::Off, |c| {
+                let mut v = vec![0u64; m];
+                sortnet::sort_slice_rec(c, &mut v, &|x: &u64| *x as u128, true);
+            });
+            rep.comparisons
+        };
+        for (n, shortcut_gamma, butterfly_gamma) in [(8192usize, 4usize, 2usize), (20000, 8, 4)] {
+            let (direct, cmp_direct) = comparisons(n, shortcut_gamma);
+            let (staged, cmp_staged) = comparisons(n, butterfly_gamma);
+            assert_sorted(&direct);
+            assert!(direct == staged, "n = {n}: outputs differ");
+            // The shortcut is exactly one network over the padded input;
+            // the butterfly also sorts its pivot sample.
+            assert_eq!(cmp_direct, network(n.next_power_of_two()), "n = {n}");
+            assert_ne!(
+                cmp_staged, cmp_direct,
+                "n = {n}: γ did not force the butterfly"
+            );
+        }
     }
 
     #[test]

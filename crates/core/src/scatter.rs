@@ -2,8 +2,8 @@
 //! reusable kernel.
 //!
 //! Functionality: given up to `nbins · Z` slots whose real elements carry
-//! a destination bin in `label` (`0..nbins`), produce the concatenation of
-//! `nbins` bins of exactly `Z` slots, with every real element in its bin,
+//! a destination bin in their label (`0..nbins`), produce the concatenation
+//! of `nbins` bins of exactly `Z` slots, with every real element in its bin,
 //! reals packed in front, and fillers padding each bin to `Z`. Unlike
 //! [`crate::bin_place`], the placement is **stable**: within a bin, reals
 //! appear in ascending `item.key` order (callers use the input position as
@@ -13,12 +13,15 @@
 //!
 //! The algorithm is bin placement's sort + rank + expansion kernel
 //! ([`crate::binplace`]) with the low 64 bits of `item.key` as the sort's
-//! tiebreak. Every step is an oblivious sort, a fixed-pattern scan, or a
-//! parallel map, so the adversary trace is a function of `(nbins, Z)` only
-//! — in particular it does not depend on how full each bin is (the
-//! send-receive routing guarantee of §F).
+//! tiebreak — it takes the label's place in the low half of `sk`, so the
+//! label is consumed: on return a real's `sk` is `position ‖ tiebreak`
+//! (see [`crate::expand()`]) and fillers are canonical. Every step is an
+//! oblivious sort, a fixed-pattern scan, or a parallel map, so the
+//! adversary trace is a function of `(nbins, Z)` only — in particular it
+//! does not depend on how full each bin is (the send-receive routing
+//! guarantee of §F).
 //!
-//! A bin wanted by more than `Z` elements loses the surplus; the pass
+//! A bin wanted by more than `Z` elements voids the placement; the pass
 //! still completes with its fixed trace and reports
 //! [`crate::OblivError::BinOverflow`]. Callers either provision `Z` so
 //! overflow is impossible (`Z ≥ |items|`) or treat the
@@ -53,7 +56,7 @@ pub fn oblivious_scatter<C: Ctx, V: Val>(
         items.get(i).copied().unwrap_or_else(Slot::filler)
     });
     let mask = nbins as u64 - 1;
-    let key = |s: &Slot<V>| (s.label & mask, s.item.key as u64);
+    let key = |s: &Slot<V>| (s.label() & mask, s.item.key as u64);
     place(
         c,
         scratch,
@@ -70,7 +73,7 @@ pub fn oblivious_scatter<C: Ctx, V: Val>(
 mod tests {
     use super::*;
     use crate::error::OblivError;
-    use crate::slot::Item;
+    use crate::slot::{composite_key, Item};
     use fj::{Pool, SeqCtx};
     use metrics::{measure, CacheConfig, TraceMode};
 
@@ -148,9 +151,16 @@ mod tests {
 
     #[test]
     fn output_holds_only_reals_and_canonical_fillers() {
+        // The stated `sk` contract: position ‖ tiebreak in a real (the
+        // tiebreak is the input index `item.key`), `⊥` everywhere else.
         let out = run(4, 4, &[(0, 1), (3, 2)]).unwrap();
-        assert!(out.iter().all(|s| s.sk == 0), "scratch keys not cleared");
-        assert!(out.iter().all(|s| s.is_real() || *s == Slot::filler()));
+        for (pos, s) in out.iter().enumerate() {
+            if s.is_real() {
+                assert_eq!(s.sk, composite_key(pos as u64, s.item.key as u64));
+            } else {
+                assert_eq!(*s, Slot::filler());
+            }
+        }
         assert_eq!(out.iter().filter(|s| s.is_real()).count(), 2);
     }
 

@@ -137,7 +137,10 @@ pub fn send_receive<C: Ctx, V: Val>(
         });
     }
 
-    // Sort receivers back to input order; everything else to the end.
+    // Sort receivers back to input order; everything else to the end. A
+    // sender keyed `MAX` reads as a filler from here on (`set_keys`), on
+    // purpose: the readout takes the first `|dests|` slots and never asks
+    // `is_real` again.
     set_keys(c, &mut t, &|s: &Slot<Route<V>>| {
         if s.is_real() && s.item.val.tag == 1 {
             s.item.val.idx as u128
@@ -179,7 +182,7 @@ struct OptSlot<V> {
 /// and PRAM kernels.
 ///
 /// Identical phase structure and head-propagation as the generic path, but
-/// both sorts move 32-byte cells instead of ~96-byte `Slot<Route<u64>>`
+/// both sorts move 32-byte cells instead of 64-byte `Slot<Route<u64>>`
 /// records. Packing (all lanes are functions of public position or ride
 /// the network unread):
 ///
@@ -268,7 +271,10 @@ pub fn send_receive_u64<C: Ctx>(
         });
     }
 
-    // Sort receivers back to input order; everything else to the end.
+    // Sort receivers back to input order; everything else to the end. A
+    // sender keyed `MAX` reads as a filler from here on (`set_keys`), on
+    // purpose: the readout takes the first `|dests|` slots and never asks
+    // `is_real` again.
     engine.sort_cells(c, scratch, &mut t);
 
     // Parallel readout (keeps the span at O(log n)).

@@ -1,11 +1,17 @@
 //! Element representation shared by every oblivious routine.
 //!
 //! Public inputs are [`Item`]s — a 128-bit sort key plus a `Copy` payload.
-//! Internally, algorithms work on [`Slot`]s, which extend items with the
-//! bookkeeping the paper's constructions need: a routing *label* (the
-//! random bin choice of ORBA, §C.2), a scratch *sort key* recomputed before
-//! each oblivious sort, and a status flag (`REAL`; a slot with no flags
-//! is a *filler*, the padding element `⊥`).
+//! Internally, algorithms work on [`Slot`]s: a cell plus a payload. The
+//! 128-bit scratch key `sk` is the only bookkeeping lane — the phase key
+//! (ORBA group, ORP permutation label, placement target, REC-SORT key)
+//! rides in its high half, the routing *label* (the random bin choice of
+//! ORBA, §C.2) in its low half, and `sk == u128::MAX` *is* the padding
+//! element `⊥`, exactly as `tag == MAX` is a filler [`TagCell`]. A
+//! `Slot<()>` is 32 bytes and lane for lane a `TagCell` (`sk` = `tag`,
+//! `item.key` = `aux`) — [`crate::Engine::sort_slots`] sorts it as one;
+//! DESIGN.md §10 has the per-phase lane table.
+//!
+//! [`TagCell`]: sortnet::TagCell
 
 /// Payload bound for everything flowing through the oblivious algorithms.
 pub trait Val: Copy + Default + Send + Sync + 'static {}
@@ -13,7 +19,13 @@ impl<T: Copy + Default + Send + Sync + 'static> Val for T {}
 
 /// A keyed record. Keys are `u128` so callers can pack composite keys
 /// (primary ‖ tiebreak) without loss; plain `u64` keys are widened.
+///
+/// `u128::MAX` is reserved wherever the key becomes a slot's `sk`
+/// ([`crate::rec_sort_items`] and the sorts built on it reject it with
+/// [`crate::OblivError::ReservedKey`]); [`composite_key`] never produces it
+/// for an index tiebreak below `u64::MAX`.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+#[repr(C)]
 pub struct Item<V> {
     pub key: u128,
     pub val: V,
@@ -25,54 +37,86 @@ impl<V: Val> Item<V> {
     }
 }
 
-/// Slot status bits.
-pub mod flags {
-    /// Carries a real element.
-    pub const REAL: u8 = 1;
+/// Internal working element. `repr(C)` pins `sk` in front of the record,
+/// the lane order of a [`sortnet::TagCell`].
+#[derive(Clone, Copy, Debug, PartialEq)]
+#[repr(C)]
+pub struct Slot<V> {
+    /// Scratch key of the current phase, recomputed before each oblivious
+    /// sort ([`crate::set_keys`]): phase key in the high half, routing label
+    /// in the low half. `u128::MAX` is reserved: it marks a filler, and
+    /// every real key stays below it by construction (a group or a label is
+    /// `< β`, a composite key ends in an index `< n`).
+    pub sk: u128,
+    /// The carried record (meaningless in a filler).
+    pub item: Item<V>,
 }
 
-/// Internal working element.
-#[derive(Clone, Copy, Debug, Default, PartialEq)]
-pub struct Slot<V> {
-    /// Scratch sort key for the current phase (recomputed before each
-    /// oblivious sort; bin placement's expansion reads a displacement
-    /// from it).
-    pub sk: u128,
-    /// Routing label: the element's random bin choice (ORBA) or random
-    /// permutation label (ORP).
-    pub label: u64,
-    /// Status bits from [`flags`].
-    pub flags: u8,
-    /// The carried record (meaningless unless `REAL`).
-    pub item: Item<V>,
+impl<V: Val> Default for Slot<V> {
+    fn default() -> Self {
+        Slot::filler()
+    }
 }
 
 impl<V: Val> Slot<V> {
     /// A filler (`⊥`) slot.
     #[inline]
     pub fn filler() -> Self {
-        Slot::default()
+        Slot {
+            sk: u128::MAX,
+            item: Item::default(),
+        }
     }
 
-    /// A real slot carrying `item` with routing label `label`.
+    /// A real slot carrying `item` with routing label `label` (low half of
+    /// `sk`; the high half starts at 0).
     #[inline]
     pub fn real(item: Item<V>, label: u64) -> Self {
         Slot {
-            sk: 0,
-            label,
-            flags: flags::REAL,
+            sk: label as u128,
             item,
         }
     }
 
+    /// A real slot sorted by its own `item.key` (which must not be the
+    /// reserved `u128::MAX`).
+    #[inline]
+    pub fn keyed(item: Item<V>) -> Self {
+        Slot { sk: item.key, item }
+    }
+
+    /// This slot with `key` as its phase key (high half of `sk`), label
+    /// kept. Must not be called on a filler.
+    #[inline]
+    pub fn with_phase_key(self, key: u64) -> Self {
+        Slot {
+            sk: composite_key(key, self.label()),
+            ..self
+        }
+    }
+
+    /// The routing label: the element's random bin choice (ORBA) or its
+    /// destination bin (scatter). Meaningless in a filler.
+    #[inline]
+    pub fn label(&self) -> u64 {
+        self.sk as u64
+    }
+
+    /// The phase key (high half of `sk`): ORBA group, placement target or
+    /// ORP permutation label. `u64::MAX` in a filler.
+    #[inline]
+    pub fn phase_key(&self) -> u64 {
+        (self.sk >> 64) as u64
+    }
+
     #[inline]
     pub fn is_real(&self) -> bool {
-        self.flags & flags::REAL != 0
+        self.sk != u128::MAX
     }
 
     #[inline]
     pub fn is_filler(&self) -> bool {
-        self.flags & flags::REAL == 0
+        self.sk == u128::MAX
     }
 }
 
@@ -91,14 +135,31 @@ pub fn composite_key(key: u64, tiebreak: u64) -> u128 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use sortnet::TagCell;
+    use std::mem::{align_of, offset_of, size_of};
 
     #[test]
-    fn flag_predicates() {
+    fn filler_and_real_predicates() {
         let f = Slot::<u64>::filler();
         assert!(f.is_filler() && !f.is_real());
         let r = Slot::real(Item::new(1, 2u64), 3);
         assert!(r.is_real() && !r.is_filler());
-        assert_eq!(r.label, 3);
+        assert_eq!(r.label(), 3);
+        // A label of all ones is still a real: the high half starts at 0.
+        assert!(Slot::real(Item::new(0, 0u64), u64::MAX).is_real());
+    }
+
+    #[test]
+    fn unit_slot_is_laid_out_like_a_tag_cell() {
+        assert_eq!(size_of::<Item<()>>(), 16);
+        assert_eq!(size_of::<Slot<()>>(), 32);
+        assert_eq!(align_of::<Slot<()>>(), 16);
+        assert_eq!(size_of::<Slot<()>>(), size_of::<TagCell>());
+        assert_eq!(align_of::<Slot<()>>(), align_of::<TagCell>());
+        assert_eq!(offset_of!(Slot<()>, sk), offset_of!(TagCell, tag));
+        assert_eq!(offset_of!(Slot<()>, item), offset_of!(TagCell, aux));
+        assert_eq!(offset_of!(Item<()>, key), 0);
+        assert!(Slot::<u64>::default().is_filler());
     }
 
     #[test]

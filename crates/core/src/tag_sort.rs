@@ -26,10 +26,11 @@
 //! level whatever its (secret, rank-derived) swap verdict — for a fixed
 //! length the adversary trace is bit-identical across inputs (no
 //! distributional argument needed, unlike the post-ORP phases; see
-//! `obliv_check`'s tag-sort rows). Nor does the compaction need the
-//! no-collision argument of a displacement network such as
-//! [`crate::expand()`]: every step is a swap, so the array is permuted, never
-//! overwritten.
+//! `obliv_check`'s tag-sort rows). Every step is a swap, so the array is
+//! permuted, never overwritten, and the offsets make each pair's verdict
+//! unambiguous — the compaction needs no collision argument, where its
+//! top-down mirror [`crate::expand()`] has to show that no pair holds two
+//! reals bound for the same half.
 
 use crate::engine::Engine;
 use crate::scan::{prefix_sum_in, Schedule};

@@ -273,13 +273,7 @@ fn compact_nodes<C: Ctx>(
     engine: Engine,
 ) {
     let m = nodes.len().next_power_of_two();
-    let mut slots = scratch.lease(
-        m,
-        Slot {
-            sk: u128::MAX,
-            ..Slot::<CNode>::filler()
-        },
-    );
+    let mut slots = scratch.lease(m, Slot::<CNode>::filler());
     for (slot, (i, r)) in slots.iter_mut().zip(nodes.iter().enumerate()) {
         *slot = Slot::real(Item::new(0, *r), 0);
         slot.sk = if r.alive { i as u128 } else { u128::MAX - 1 };

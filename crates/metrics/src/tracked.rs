@@ -122,6 +122,32 @@ impl<'a, T: Copy> Tracked<'a, T> {
         }
     }
 
+    /// The same elements (same buffer identity, same addresses) viewed as
+    /// `U` — for a kernel written over a layout-identical type, e.g. a
+    /// unit-payload slot sorted as the packed cell it is laid out as.
+    ///
+    /// # Safety
+    /// `T` and `U` must have the same size (checked) and alignment
+    /// (checked), and every value of either type must be a valid value of
+    /// the other at the byte level: what the view writes is read back as
+    /// `T`.
+    #[inline]
+    pub unsafe fn cast<U: Copy>(&mut self) -> Tracked<'_, U> {
+        assert!(
+            std::mem::size_of::<T>() == std::mem::size_of::<U>()
+                && std::mem::align_of::<T>() == std::mem::align_of::<U>(),
+            "Tracked::cast between differently laid out types"
+        );
+        Tracked {
+            // SAFETY: same length, size and alignment; validity of the
+            // bytes as `U` is the caller's contract.
+            data: std::slice::from_raw_parts_mut(self.data.as_mut_ptr().cast(), self.data.len()),
+            buf: self.buf,
+            off: self.off,
+            wpe: self.wpe,
+        }
+    }
+
     /// Split into `k` equal chunks (length must be divisible by `k`) —
     /// convenience for bin-structured arrays.
     pub fn chunks_exact_mut(&mut self, chunk: usize) -> Vec<Tracked<'_, T>> {
