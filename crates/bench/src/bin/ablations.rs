@@ -38,35 +38,27 @@ fn main() {
     header();
     for n in sweep_from_args(&[1 << 11, 1 << 12, 1 << 13, 1 << 14]) {
         let cfg = CacheConfig::new(1 << 10, 16); // small cache stresses Q
-        let t0 = std::time::Instant::now();
         let rep = meter_with(cfg, |c| {
             let mut v = scrambled(n);
             sort_slice_rec(c, &mut v, &key64, true);
         });
-        sink.record(
-            Row {
-                task: "E1",
-                algo: "bitonic recursive (ours)",
-                n,
-                rep,
-            },
-            t0.elapsed().as_nanos(),
-        );
-        let t0 = std::time::Instant::now();
+        sink.record(Row {
+            task: "E1",
+            algo: "bitonic recursive (ours)",
+            n,
+            rep,
+        });
         let rep = meter_with(cfg, |c| {
             let mut v = scrambled(n);
             let mut t = Tracked::new(c, &mut v);
             bitonic_sort_flat_par(c, &mut t, &key64, true);
         });
-        sink.record(
-            Row {
-                task: "E1",
-                algo: "bitonic flat (naive)",
-                n,
-                rep,
-            },
-            t0.elapsed().as_nanos(),
-        );
+        sink.record(Row {
+            task: "E1",
+            algo: "bitonic flat (naive)",
+            n,
+            rep,
+        });
     }
     println!("(same comparator count; recursive wins on span and on Q — Thm E.1)\n");
 
@@ -75,19 +67,15 @@ fn main() {
     for n in sweep_from_args(&[1 << 11, 1 << 12, 1 << 13]) {
         let p = OrbaParams::for_n(n);
         let items: Vec<Item<u64>> = (0..n as u64).map(|i| Item::new(i as u128, i)).collect();
-        let t0 = std::time::Instant::now();
         let rep = meter(|c| {
             let _ = with_retries(64, |a| rec_orba(c, &scratch, &items, p, 77 + a as u64));
         });
-        sink.record(
-            Row {
-                task: "E2",
-                algo: "REC-ORBA (paper params)",
-                n,
-                rep,
-            },
-            t0.elapsed().as_nanos(),
-        );
+        sink.record(Row {
+            task: "E2",
+            algo: "REC-ORBA (paper params)",
+            n,
+            rep,
+        });
     }
     // Load concentration & overflow frequency at paper vs aggressive Z.
     let n = 1 << 12;
@@ -174,21 +162,17 @@ fn main() {
             ("practical (bitonic+recsort)", OSortParams::practical(n)),
             ("theory (shellsort+merge)", OSortParams::theory(n)),
         ] {
-            let t0 = std::time::Instant::now();
             let rep = meter(|c| {
                 let mut v = scrambled(n);
                 oblivious_sort_u64(c, &scratch, &mut v, params, 5);
             });
             let cmp_per = rep.comparisons as f64 / (n as f64 * lg(n));
-            sink.record(
-                Row {
-                    task: "E6",
-                    algo,
-                    n,
-                    rep,
-                },
-                t0.elapsed().as_nanos(),
-            );
+            sink.record(Row {
+                task: "E6",
+                algo,
+                n,
+                rep,
+            });
             println!("    -> comparisons / (n log n) = {cmp_per:.2}");
         }
     }

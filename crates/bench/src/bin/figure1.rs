@@ -9,7 +9,7 @@
 //! cost profile) is pinned by `bench_diff` — the figure cannot silently
 //! drift from the implementation.
 
-use dob_bench::{header, meter_timed, BenchSink, Row};
+use dob_bench::{header, meter, BenchSink, Row};
 use metrics::Tracked;
 use sortnet::{bitonic_sort_flat_par, oddeven_sort, sort_slice_rec, Network};
 
@@ -62,50 +62,41 @@ fn main() {
     // exactly `oe.size()` — asserted here and gated in CI.
     println!("\n== metered executions of the figure's networks (n = 16) ==\n");
     header();
-    let (rep, wall) = meter_timed(|c| {
+    let rep = meter(|c| {
         let mut v = scrambled16();
         sort_slice_rec(c, &mut v, &key64, true);
     });
     assert_eq!(rep.comparisons as usize, net.size(), "fig.1 drifted");
-    sink.record(
-        Row {
-            task: "figure1",
-            algo: "bitonic recursive (fig. 1)",
-            n: 16,
-            rep,
-        },
-        wall,
-    );
-    let (rep, wall) = meter_timed(|c| {
+    sink.record(Row {
+        task: "figure1",
+        algo: "bitonic recursive (fig. 1)",
+        n: 16,
+        rep,
+    });
+    let rep = meter(|c| {
         let mut v = scrambled16();
         let mut t = Tracked::new(c, &mut v);
         bitonic_sort_flat_par(c, &mut t, &key64, true);
     });
     assert_eq!(rep.comparisons as usize, net.size(), "fig.1 drifted");
-    sink.record(
-        Row {
-            task: "figure1",
-            algo: "bitonic flat (strawman)",
-            n: 16,
-            rep,
-        },
-        wall,
-    );
-    let (rep, wall) = meter_timed(|c| {
+    sink.record(Row {
+        task: "figure1",
+        algo: "bitonic flat (strawman)",
+        n: 16,
+        rep,
+    });
+    let rep = meter(|c| {
         let mut v = scrambled16();
         let mut t = Tracked::new(c, &mut v);
         oddeven_sort(c, &mut t, &key64);
     });
     assert_eq!(rep.comparisons as usize, oe.size(), "odd-even drifted");
-    sink.record(
-        Row {
-            task: "figure1",
-            algo: "odd-even merge (contrast)",
-            n: 16,
-            rep,
-        },
-        wall,
-    );
+    sink.record(Row {
+        task: "figure1",
+        algo: "odd-even merge (contrast)",
+        n: 16,
+        rep,
+    });
 
     sink.finish().expect("failed to write BENCH_figure1.json");
 }

@@ -18,7 +18,7 @@ use pram::{run_oblivious_sb, HistogramProgram};
 use sortnet::sort_slice_rec;
 use store::{Op, PipelinedStore, ShardConfig, ShardedStore, Store, StoreConfig};
 
-fn trace<F: FnOnce(&metrics::MeterCtx)>(f: F) -> (u64, u64) {
+fn trace<F: FnOnce(&MeterCtx)>(f: F) -> (u64, u64) {
     let (_, rep) = measure(CacheConfig::default(), TraceMode::Hash, f);
     (rep.trace_hash, rep.trace_len)
 }
@@ -28,6 +28,15 @@ fn check(name: &str, traces: &[(u64, u64)]) -> bool {
     println!("{:<44} {}", name, if ok { "PASS" } else { "FAIL" });
     ok
 }
+
+/// One row of the matrix: `f` traced once per input, all traces equal.
+fn row<I>(name: &str, inputs: &[I], f: impl Fn(&MeterCtx, &I)) -> bool {
+    let traces: Vec<_> = inputs.iter().map(|v| trace(|c| f(c, v))).collect();
+    check(name, &traces)
+}
+
+/// Salts / seeds of the rows whose inputs are generated, not listed.
+const FOUR: [u64; 4] = [0, 1, 2, 3];
 
 /// Durable-path results carry typed errors now; the check harness has no
 /// recovery story, so name the step and bail.
@@ -55,126 +64,83 @@ fn main() {
     ];
 
     // Bitonic network.
-    let t: Vec<_> = inputs
-        .iter()
-        .map(|v| {
-            trace(|c| {
-                let mut v = v.clone();
-                sort_slice_rec(c, &mut v, &|x: &u64| *x as u128, true);
-            })
-        })
-        .collect();
-    all_ok &= check("bitonic sort (recursive)", &t);
+    all_ok &= row("bitonic sort (recursive)", &inputs, |c, v| {
+        let mut v = v.clone();
+        sort_slice_rec(c, &mut v, &|x: &u64| *x as u128, true);
+    });
 
     // Bin placement.
-    let t: Vec<_> = inputs
-        .iter()
-        .map(|v| {
-            trace(|c| {
-                let mut slots: Vec<Slot<u64>> = v
-                    .iter()
-                    .enumerate()
-                    .map(|(i, &x)| Slot::real(Item::new(x as u128, x), (i % 16) as u64))
-                    .collect();
-                slots.resize(16 * 64, Slot::filler());
-                let mut tr = metrics::Tracked::new(c, &mut slots);
-                let _ = bin_place(c, &scratch, &mut tr, 16, 64, 0, Engine::BitonicRec);
-            })
-        })
-        .collect();
-    all_ok &= check("oblivious bin placement", &t);
+    all_ok &= row("oblivious bin placement", &inputs, |c, v| {
+        let mut slots: Vec<Slot<u64>> = v
+            .iter()
+            .enumerate()
+            .map(|(i, &x)| Slot::real(Item::new(x as u128, x), (i % 16) as u64))
+            .collect();
+        slots.resize(16 * 64, Slot::filler());
+        let mut tr = metrics::Tracked::new(c, &mut slots);
+        let _ = bin_place(c, &scratch, &mut tr, 16, 64, 0, Engine::BitonicRec);
+    });
 
     // ORBA + ORP (one attempt, fixed seed).
-    let t: Vec<_> = inputs
-        .iter()
-        .map(|v| {
-            trace(|c| {
-                let items: Vec<Item<u64>> = v.iter().map(|&x| Item::new(x as u128, x)).collect();
-                let _ = orp_once(c, &scratch, &items, OrbaParams::for_n(n), 1234);
-            })
-        })
-        .collect();
-    all_ok &= check("oblivious random permutation", &t);
+    all_ok &= row("oblivious random permutation", &inputs, |c, v| {
+        let items: Vec<Item<u64>> = v.iter().map(|&x| Item::new(x as u128, x)).collect();
+        let _ = orp_once(c, &scratch, &items, OrbaParams::for_n(n), 1234);
+    });
 
     // Scans.
-    let t: Vec<_> = inputs
-        .iter()
-        .map(|v| {
-            trace(|c| {
-                let mut segs: Vec<Seg<u64>> = v
-                    .iter()
-                    .enumerate()
-                    .map(|(i, &x)| Seg::new(i % 4 == 0, x))
-                    .collect();
-                let mut tr = metrics::Tracked::new(c, &mut segs);
-                seg_propagate(c, &mut tr, Schedule::Tree);
-            })
-        })
-        .collect();
-    all_ok &= check("oblivious propagation", &t);
+    all_ok &= row("oblivious propagation", &inputs, |c, v| {
+        let mut segs: Vec<Seg<u64>> = v
+            .iter()
+            .enumerate()
+            .map(|(i, &x)| Seg::new(i % 4 == 0, x))
+            .collect();
+        let mut tr = metrics::Tracked::new(c, &mut segs);
+        seg_propagate(c, &mut tr, Schedule::Tree);
+    });
 
     // Send-receive.
-    let t: Vec<_> = inputs
-        .iter()
-        .map(|v| {
-            trace(|c| {
-                let sources: Vec<(u64, u64)> = v
-                    .iter()
-                    .enumerate()
-                    .map(|(i, &x)| (i as u64 * 3 + x % 2, x))
-                    .collect();
-                let dests: Vec<u64> = v.iter().map(|&x| x % 600).collect();
-                send_receive(
-                    c,
-                    &scratch,
-                    &sources,
-                    &dests,
-                    Engine::BitonicRec,
-                    Schedule::Tree,
-                );
-            })
-        })
-        .collect();
-    all_ok &= check("oblivious send-receive", &t);
+    all_ok &= row("oblivious send-receive", &inputs, |c, v| {
+        let sources: Vec<(u64, u64)> = v
+            .iter()
+            .enumerate()
+            .map(|(i, &x)| (i as u64 * 3 + x % 2, x))
+            .collect();
+        let dests: Vec<u64> = v.iter().map(|&x| x % 600).collect();
+        send_receive(
+            c,
+            &scratch,
+            &sources,
+            &dests,
+            Engine::BitonicRec,
+            Schedule::Tree,
+        );
+    });
 
     // Tag-sort fast path: a pure comparator network over packed cells, so
     // — unlike the post-ORP phases below — equality holds unconditionally,
     // duplicate keys included.
-    let t: Vec<_> = inputs
-        .iter()
-        .map(|v| {
-            trace(|c| {
-                let mut kv: Vec<(u64, u64)> =
-                    v.iter().enumerate().map(|(i, &x)| (x, i as u64)).collect();
-                oblivious_sort_kv(c, &scratch, &mut kv, Engine::BitonicRec);
-            })
-        })
-        .collect();
-    all_ok &= check("tag-sort (packed key-value cells)", &t);
+    all_ok &= row("tag-sort (packed key-value cells)", &inputs, |c, v| {
+        let mut kv: Vec<(u64, u64)> = v.iter().enumerate().map(|(i, &x)| (x, i as u64)).collect();
+        oblivious_sort_kv(c, &scratch, &mut kv, Engine::BitonicRec);
+    });
 
     // Tag-cell tight compaction: flag positions and flag count must both be
     // invisible (the fixed shift schedule reads every level fully).
-    let t: Vec<_> = inputs
-        .iter()
-        .map(|v| {
-            trace(|c| {
-                let mut cells: Vec<TagCell> = v
-                    .iter()
-                    .enumerate()
-                    .map(|(i, &x)| {
-                        if x % 3 == 0 {
-                            TagCell::new(i as u128, x as u128)
-                        } else {
-                            TagCell::filler()
-                        }
-                    })
-                    .collect();
-                let mut tr = metrics::Tracked::new(c, &mut cells);
-                compact_cells(c, &scratch, &mut tr);
+    all_ok &= row("tag-cell tight compaction", &inputs, |c, v| {
+        let mut cells: Vec<TagCell> = v
+            .iter()
+            .enumerate()
+            .map(|(i, &x)| {
+                if x % 3 == 0 {
+                    TagCell::new(i as u128, x as u128)
+                } else {
+                    TagCell::filler()
+                }
             })
-        })
-        .collect();
-    all_ok &= check("tag-cell tight compaction", &t);
+            .collect();
+        let mut tr = metrics::Tracked::new(c, &mut cells);
+        compact_cells(c, &scratch, &mut tr);
+    });
 
     // Monotone expansion (bin placement's distribution step): which slots
     // are real, how far they move, and whether the targets are even
@@ -190,25 +156,20 @@ fn main() {
         vec![None; m],
         (0..m).map(|i| Some(m - 1 - i)).collect(),
     ];
-    let t: Vec<_> = patterns
-        .iter()
-        .map(|pattern| {
-            trace(|c| {
-                let mut slots: Vec<Slot<u64>> = pattern
-                    .iter()
-                    .enumerate()
-                    .map(|(i, d)| match d {
-                        Some(d) => Slot::real(Item::new(i as u128, i as u64), 0)
-                            .with_phase_key((i + d) as u64),
-                        None => Slot::filler(),
-                    })
-                    .collect();
-                let mut tr = metrics::Tracked::new(c, &mut slots);
-                expand(c, &mut tr);
+    all_ok &= row("expand (monotone distribution)", &patterns, |c, pattern| {
+        let mut slots: Vec<Slot<u64>> = pattern
+            .iter()
+            .enumerate()
+            .map(|(i, d)| match d {
+                Some(d) => {
+                    Slot::real(Item::new(i as u128, i as u64), 0).with_phase_key((i + d) as u64)
+                }
+                None => Slot::filler(),
             })
-        })
-        .collect();
-    all_ok &= check("expand (monotone distribution)", &t);
+            .collect();
+        let mut tr = metrics::Tracked::new(c, &mut slots);
+        expand(c, &mut tr);
+    });
 
     // Reserved key: `u128::MAX` marks a filler, so REC-SORT rejects it —
     // in one fixed-pattern pass that an accepted input of the same length
@@ -247,25 +208,25 @@ fn main() {
     // same trace as the scalar gates (accounting replay, DESIGN.md §14) —
     // across backends AND across same-length inputs, so all 2×|inputs|
     // traces collapse to one.
-    let t: Vec<_> = inputs
+    let per_backend: Vec<(&Vec<u64>, sortnet::Backend)> = inputs
         .iter()
-        .flat_map(|v| {
-            [sortnet::Backend::Scalar, sortnet::Backend::Avx2].map(|backend| {
-                trace(|c| {
-                    let mut cells: Vec<TagCell> = v
-                        .iter()
-                        .enumerate()
-                        .map(|(i, &x)| TagCell::new(((x as u128) << 64) | i as u128, x as u128))
-                        .collect();
-                    let mut lease = scratch.lease(cells.len(), TagCell::filler());
-                    let mut tr = metrics::Tracked::new(c, &mut cells);
-                    let mut tmp = metrics::Tracked::new(c, &mut lease);
-                    sortnet::cells_sort_rec_with(backend, c, &mut tr, &mut tmp, true);
-                })
-            })
-        })
+        .flat_map(|v| [sortnet::Backend::Scalar, sortnet::Backend::Avx2].map(|b| (v, b)))
         .collect();
-    all_ok &= check("vectorized compare-exchange (simd vs scalar)", &t);
+    all_ok &= row(
+        "vectorized compare-exchange (simd vs scalar)",
+        &per_backend,
+        |c, &(v, backend)| {
+            let mut cells: Vec<TagCell> = v
+                .iter()
+                .enumerate()
+                .map(|(i, &x)| TagCell::new(((x as u128) << 64) | i as u128, x as u128))
+                .collect();
+            let mut lease = scratch.lease(cells.len(), TagCell::filler());
+            let mut tr = metrics::Tracked::new(c, &mut cells);
+            let mut tmp = metrics::Tracked::new(c, &mut lease);
+            sortnet::cells_sort_rec_with(backend, c, &mut tr, &mut tmp, true);
+        },
+    );
 
     // Full oblivious sort — distinct-key inputs (see DESIGN.md: the rank
     // pattern after ORP is seed-determined for distinct keys).
@@ -274,89 +235,79 @@ fn main() {
         (0..n as u64).rev().collect(),
         (0..n as u64).map(|i| i * 3 + 1).collect(),
     ];
-    let t: Vec<_> = distinct
-        .iter()
-        .map(|v| {
-            trace(|c| {
-                let mut v = v.clone();
-                oblivious_sort_u64(c, &scratch, &mut v, OSortParams::practical(n), 999);
-            })
-        })
-        .collect();
-    all_ok &= check("oblivious sort (uniform distinct keys)", &t);
+    all_ok &= row(
+        "oblivious sort (uniform distinct keys)",
+        &distinct,
+        |c, v| {
+            let mut v = v.clone();
+            oblivious_sort_u64(c, &scratch, &mut v, OSortParams::practical(n), 999);
+        },
+    );
 
     // dob-store epochs (merge path): same batch *shapes*, entirely
     // different keys/values/op-kinds.
-    let t: Vec<_> = inputs
-        .iter()
-        .map(|v| {
-            trace(|c| {
-                let sp = ScratchPool::new();
-                let mut s = Store::new(StoreConfig::default());
-                let e1: Vec<Op> = v
-                    .iter()
-                    .take(48)
-                    .enumerate()
-                    .map(|(i, &x)| match i % 3 {
-                        0 => Op::Put { key: x, val: x * 3 },
-                        1 => Op::Get { key: x / 2 },
-                        _ => Op::Delete { key: x },
-                    })
-                    .collect();
-                s.execute_epoch(c, &sp, &e1).unwrap();
-                let e2: Vec<Op> = v
-                    .iter()
-                    .take(16)
-                    .map(|&x| {
-                        if x % 2 == 0 {
-                            Op::Get { key: x }
-                        } else {
-                            Op::Aggregate
-                        }
-                    })
-                    .collect();
-                s.execute_epoch(c, &sp, &e2).unwrap();
+    all_ok &= row("oblivious KV store (batched epochs)", &inputs, |c, v| {
+        let sp = ScratchPool::new();
+        let mut s = Store::new(StoreConfig::default());
+        let e1: Vec<Op> = v
+            .iter()
+            .take(48)
+            .enumerate()
+            .map(|(i, &x)| match i % 3 {
+                0 => Op::Put { key: x, val: x * 3 },
+                1 => Op::Get { key: x / 2 },
+                _ => Op::Delete { key: x },
             })
-        })
-        .collect();
-    all_ok &= check("oblivious KV store (batched epochs)", &t);
+            .collect();
+        s.execute_epoch(c, &sp, &e1).unwrap();
+        let e2: Vec<Op> = v
+            .iter()
+            .take(16)
+            .map(|&x| {
+                if x % 2 == 0 {
+                    Op::Get { key: x }
+                } else {
+                    Op::Aggregate
+                }
+            })
+            .collect();
+        s.execute_epoch(c, &sp, &e2).unwrap();
+    });
 
     // Sharded store epochs: for fixed (batch size, shard count) the whole
     // pipeline — oblivious routing, all four shard commits, result gather
     // — must be byte-identical across distinct key/value workloads.
-    let t: Vec<_> = inputs
-        .iter()
-        .map(|v| {
-            trace(|c| {
-                let sp = ScratchPool::new();
-                let mut s = ShardedStore::new(ShardConfig::with_shards(4));
-                let e1: Vec<Op> = v
-                    .iter()
-                    .take(48)
-                    .enumerate()
-                    .map(|(i, &x)| match i % 3 {
-                        0 => Op::Put { key: x, val: x * 3 },
-                        1 => Op::Get { key: x / 2 },
-                        _ => Op::Delete { key: x },
-                    })
-                    .collect();
-                s.execute_epoch(c, &sp, &e1).unwrap();
-                let e2: Vec<Op> = v
-                    .iter()
-                    .take(16)
-                    .map(|&x| {
-                        if x % 2 == 0 {
-                            Op::Get { key: x }
-                        } else {
-                            Op::Aggregate
-                        }
-                    })
-                    .collect();
-                s.execute_epoch(c, &sp, &e2).unwrap();
-            })
-        })
-        .collect();
-    all_ok &= check("sharded-store (route + commits + gather)", &t);
+    all_ok &= row(
+        "sharded-store (route + commits + gather)",
+        &inputs,
+        |c, v| {
+            let sp = ScratchPool::new();
+            let mut s = ShardedStore::new(ShardConfig::with_shards(4));
+            let e1: Vec<Op> = v
+                .iter()
+                .take(48)
+                .enumerate()
+                .map(|(i, &x)| match i % 3 {
+                    0 => Op::Put { key: x, val: x * 3 },
+                    1 => Op::Get { key: x / 2 },
+                    _ => Op::Delete { key: x },
+                })
+                .collect();
+            s.execute_epoch(c, &sp, &e1).unwrap();
+            let e2: Vec<Op> = v
+                .iter()
+                .take(16)
+                .map(|&x| {
+                    if x % 2 == 0 {
+                        Op::Get { key: x }
+                    } else {
+                        Op::Aggregate
+                    }
+                })
+                .collect();
+            s.execute_epoch(c, &sp, &e2).unwrap();
+        },
+    );
 
     // Pipelined store: the double-buffered front end. Handoff cadence,
     // the in-flight epoch's padded log, and the read-your-writes consult
@@ -365,36 +316,30 @@ fn main() {
     // metered executor the detached merge resolves inline but stays "in
     // flight" until joined, so the consult deterministically exercises
     // the snapshot ++ in-flight-log ++ open-buffer path.
-    let t: Vec<_> = inputs
-        .iter()
-        .map(|v| {
-            trace(|c| {
-                let sp = std::sync::Arc::new(ScratchPool::new());
-                let mut p = PipelinedStore::with_scratch(Store::new(StoreConfig::default()), sp);
-                for (i, &x) in v.iter().take(48).enumerate() {
-                    p.submit(match i % 3 {
-                        0 => Op::Put { key: x, val: x * 3 },
-                        1 => Op::Get { key: x / 2 },
-                        _ => Op::Delete { key: x },
-                    });
-                }
-                let h = p.commit_async(c);
-                for &x in v.iter().take(16) {
-                    p.submit(if x % 2 == 0 {
-                        Op::Get { key: x }
-                    } else {
-                        Op::Put { key: x, val: x }
-                    });
-                }
-                let keys: Vec<u64> = v.iter().take(8).map(|&x| x / 3).collect();
-                let _ = p.read_now(c, &keys);
-                let _ = p.wait(&h);
-                let h2 = p.commit_async(c);
-                let _ = p.wait(&h2);
-            })
-        })
-        .collect();
-    all_ok &= check("pipelined store (handoff + consult)", &t);
+    all_ok &= row("pipelined store (handoff + consult)", &inputs, |c, v| {
+        let sp = std::sync::Arc::new(ScratchPool::new());
+        let mut p = PipelinedStore::with_scratch(Store::new(StoreConfig::default()), sp);
+        for (i, &x) in v.iter().take(48).enumerate() {
+            p.submit(match i % 3 {
+                0 => Op::Put { key: x, val: x * 3 },
+                1 => Op::Get { key: x / 2 },
+                _ => Op::Delete { key: x },
+            });
+        }
+        let h = p.commit_async(c);
+        for &x in v.iter().take(16) {
+            p.submit(if x % 2 == 0 {
+                Op::Get { key: x }
+            } else {
+                Op::Put { key: x, val: x }
+            });
+        }
+        let keys: Vec<u64> = v.iter().take(8).map(|&x| x / 3).collect();
+        let _ = p.read_now(c, &keys);
+        let _ = p.wait(&h);
+        let h2 = p.commit_async(c);
+        let _ = p.wait(&h2);
+    });
 
     // Durable store: WAL append + recovery replay. Build four durable
     // crash images with the same epoch shapes but entirely different
@@ -446,11 +391,11 @@ fn main() {
     // never sees host I/O — must stay bit-identical across both the
     // schedule *and* the data. Every retry the faults provoke happens
     // outside the metered address stream.
-    let t: Vec<_> = inputs
-        .iter()
-        .enumerate()
-        .map(|(k, v)| {
-            use std::sync::Arc;
+    let numbered: Vec<(usize, &Vec<u64>)> = inputs.iter().enumerate().collect();
+    all_ok &= row(
+        "fault-injected WAL (schedule-public trace)",
+        &numbered,
+        |c, &(k, v)| {
             let plan = store::vfs::FaultPlan {
                 seed: 0xFA17 + k as u64,
                 write_fault: 24,
@@ -466,39 +411,30 @@ fn main() {
                 },
                 ..StoreConfig::default()
             };
-            trace(|c| {
-                let vfs = Arc::new(store::vfs::FaultVfs::new(plan));
-                let mut s = or_die(
-                    Store::recover_with(c, &scratch, "/obliv/faulty", cfg, vfs),
-                    "open fault-injected store",
-                );
-                for chunk in v.chunks(64) {
-                    let ops: Vec<Op> = chunk
-                        .iter()
-                        .map(|&x| Op::Put {
-                            key: x % 97,
-                            val: x,
-                        })
-                        .collect();
-                    or_die(s.execute_epoch(c, &scratch, &ops), "fault-injected epoch");
-                }
-            })
-        })
-        .collect();
-    all_ok &= check("fault-injected WAL (schedule-public trace)", &t);
+            let vfs = std::sync::Arc::new(store::vfs::FaultVfs::new(plan));
+            let mut s = or_die(
+                Store::recover_with(c, &scratch, "/obliv/faulty", cfg, vfs),
+                "open fault-injected store",
+            );
+            for chunk in v.chunks(64) {
+                let ops: Vec<Op> = chunk
+                    .iter()
+                    .map(|&x| Op::Put {
+                        key: x % 97,
+                        val: x,
+                    })
+                    .collect();
+                or_die(s.execute_epoch(c, &scratch, &ops), "fault-injected epoch");
+            }
+        },
+    );
 
     // PRAM simulation with data-dependent write addresses.
-    let t: Vec<_> = inputs
-        .iter()
-        .map(|v| {
-            trace(|c| {
-                let vals: Vec<u64> = v.iter().take(32).map(|&x| x % 8).collect();
-                let prog = HistogramProgram::new(vals.len(), 8);
-                run_oblivious_sb(c, &scratch, &prog, &vals, Engine::BitonicRec);
-            })
-        })
-        .collect();
-    all_ok &= check("oblivious PRAM step (Thm 4.1)", &t);
+    all_ok &= row("oblivious PRAM step (Thm 4.1)", &inputs, |c, v| {
+        let vals: Vec<u64> = v.iter().take(32).map(|&x| x % 8).collect();
+        let prog = HistogramProgram::new(vals.len(), 8);
+        run_oblivious_sb(c, &scratch, &prog, &vals, Engine::BitonicRec);
+    });
 
     // --- Hardware-shaped runtime rows ---
 
@@ -533,51 +469,44 @@ fn main() {
     }
 
     // Cell send-receive (the u64 fast path): same shapes, different data.
-    let t: Vec<_> = inputs
-        .iter()
-        .map(|v| {
-            trace(|c| {
-                let sources: Vec<(u64, u64)> = v
-                    .iter()
-                    .enumerate()
-                    .map(|(i, &x)| (i as u64 * 3 + x % 2, x))
-                    .collect();
-                let dests: Vec<u64> = v.iter().map(|&x| x % 600).collect();
-                obliv_core::send_receive_u64(
-                    c,
-                    &scratch,
-                    &sources,
-                    &dests,
-                    Engine::BitonicRec,
-                    Schedule::Tree,
-                );
-            })
-        })
-        .collect();
-    all_ok &= check("cell send-receive (u64 fast path)", &t);
+    all_ok &= row("cell send-receive (u64 fast path)", &inputs, |c, v| {
+        let sources: Vec<(u64, u64)> = v
+            .iter()
+            .enumerate()
+            .map(|(i, &x)| (i as u64 * 3 + x % 2, x))
+            .collect();
+        let dests: Vec<u64> = v.iter().map(|&x| x % 600).collect();
+        obliv_core::send_receive_u64(
+            c,
+            &scratch,
+            &sources,
+            &dests,
+            Engine::BitonicRec,
+            Schedule::Tree,
+        );
+    });
 
     // List ranking on packed cells. The pointer-jumping phase walks the
     // hidden random permutation (distributionally oblivious), so exact
     // equality holds for *value*-independence: same list topology,
     // different weights.
     let (lr_succ, _) = graphs::random_list(96, 5);
-    let t: Vec<_> = (0..4u64)
-        .map(|salt| {
-            trace(|c| {
-                let weights: Vec<u64> = (0..96u64).map(|i| i * 31 + salt * 7 + 1).collect();
-                let _ = graphs::list_rank_oblivious(
-                    c,
-                    &scratch,
-                    &lr_succ,
-                    &weights,
-                    OrbaParams::for_n(96),
-                    Engine::BitonicRec,
-                    31,
-                );
-            })
-        })
-        .collect();
-    all_ok &= check("list ranking (packed cells, value-indep)", &t);
+    all_ok &= row(
+        "list ranking (packed cells, value-indep)",
+        &FOUR,
+        |c, &salt| {
+            let weights: Vec<u64> = (0..96u64).map(|i| i * 31 + salt * 7 + 1).collect();
+            let _ = graphs::list_rank_oblivious(
+                c,
+                &scratch,
+                &lr_succ,
+                &weights,
+                OrbaParams::for_n(96),
+                Engine::BitonicRec,
+                31,
+            );
+        },
+    );
 
     // ...and trace-*length* invariance across different list topologies.
     let t: Vec<_> = (0..4u64)
@@ -593,58 +522,37 @@ fn main() {
     all_ok &= check("list ranking (packed cells, trace-len)", &t);
 
     // Euler tour on packed arc cells: four random trees, same vertex count.
-    let t: Vec<_> = (0..4u64)
-        .map(|seed| {
-            trace(|c| {
-                let edges = graphs::random_tree(48, seed);
-                let _ = graphs::euler_tour(c, &scratch, &edges, Engine::BitonicRec);
-            })
-        })
-        .collect();
-    all_ok &= check("Euler tour (packed arc cells)", &t);
+    all_ok &= row("Euler tour (packed arc cells)", &FOUR, |c, &seed| {
+        let edges = graphs::random_tree(48, seed);
+        let _ = graphs::euler_tour(c, &scratch, &edges, Engine::BitonicRec);
+    });
 
     // CC min-hook on packed cells: same (n, m), different graphs.
-    let t: Vec<_> = (0..4u64)
-        .map(|seed| {
-            trace(|c| {
-                let edges = graphs::random_graph(40, 64, seed);
-                let _ = graphs::connected_components(c, &scratch, 40, &edges, Engine::BitonicRec);
-            })
-        })
-        .collect();
-    all_ok &= check("CC min-hook (packed cells)", &t);
+    all_ok &= row("CC min-hook (packed cells)", &FOUR, |c, &seed| {
+        let edges = graphs::random_graph(40, 64, seed);
+        let _ = graphs::connected_components(c, &scratch, 40, &edges, Engine::BitonicRec);
+    });
 
     // MSF proposal/chosen cells: same (n, m), different graphs/weights.
-    let t: Vec<_> = (0..4u64)
-        .map(|seed| {
-            trace(|c| {
-                let edges: Vec<(usize, usize, u64)> = graphs::random_graph(32, 48, seed)
-                    .into_iter()
-                    .enumerate()
-                    .map(|(i, (u, v))| (u, v, (i as u64 * 7 + seed) % 97 + 1))
-                    .collect();
-                let _ = graphs::msf(c, &scratch, 32, &edges, Engine::BitonicRec);
-            })
-        })
-        .collect();
-    all_ok &= check("MSF proposal/chosen cells", &t);
+    all_ok &= row("MSF proposal/chosen cells", &FOUR, |c, &seed| {
+        let edges: Vec<(usize, usize, u64)> = graphs::random_graph(32, 48, seed)
+            .into_iter()
+            .enumerate()
+            .map(|(i, (u, v))| (u, v, (i as u64 * 7 + seed) % 97 + 1))
+            .collect();
+        let _ = graphs::msf(c, &scratch, 32, &edges, Engine::BitonicRec);
+    });
 
     // ORAM batched fetch on packed cells. Tree walks follow random leaves
     // (distributionally oblivious), so exact equality holds for value-
     // independence: same address sequence, different written values.
-    let t: Vec<_> = (0..4u64)
-        .map(|salt| {
-            trace(|c| {
-                let mut o =
-                    pram::Opram::new(64, pram::OramConfig::default(), Engine::BitonicRec, 9);
-                let reqs: Vec<(u64, Option<u64>)> = (0..24u64)
-                    .map(|j| ((j * 13) % 64, (j % 2 == 0).then_some(j * 1000 + salt)))
-                    .collect();
-                let _ = o.access_batch(c, &reqs);
-            })
-        })
-        .collect();
-    all_ok &= check("ORAM batched fetch (packed cells)", &t);
+    all_ok &= row("ORAM batched fetch (packed cells)", &FOUR, |c, &salt| {
+        let mut o = pram::Opram::new(64, pram::OramConfig::default(), Engine::BitonicRec, 9);
+        let reqs: Vec<(u64, Option<u64>)> = (0..24u64)
+            .map(|j| ((j * 13) % 64, (j % 2 == 0).then_some(j * 1000 + salt)))
+            .collect();
+        let _ = o.access_batch(c, &reqs);
+    });
 
     println!(
         "\n{}",

@@ -1,21 +1,22 @@
-//! `dob-store` throughput/complexity sweep: one row per (path, size
-//! class), measuring the model costs (work, span, cache) and host ops/s of
-//! whole epochs. With `--json`, writes `BENCH_store.json` for the CI
-//! perf-regression gate (`bench_diff`), including the scratch-arena
-//! fresh-allocation delta of every measured epoch.
+//! `dob-store` complexity sweep: one row per (path, size class),
+//! measuring the model costs (work, span, cache) of whole epochs and of
+//! the kernels they are built from. With `--json`, writes
+//! `BENCH_store.json` for the CI perf-regression gate (`bench_diff`),
+//! including the scratch-arena fresh-allocation delta of every measured
+//! epoch.
 //!
 //! The merge and ORAM paths are reported at overlapping batch sizes so the
 //! crossover the size-class dispatcher exploits (per-op merge cost falls
 //! with batch size; per-op ORAM cost is flat) is visible in the table.
 //!
-//! `DOB_BENCH_REPS` bounds the interleaved min-of-reps wall-clock loop of
-//! the sharded scenario (default 7; CI uses a smaller count to cut the
-//! bench job). Only host wall rows are affected — every gated
-//! deterministic counter comes from single metered runs.
+//! Every row has one shape — set up outside the meter, run one closure
+//! under it, record — written once in [`row`]; [`SCENARIOS`] lists the
+//! families. Host time (ops/s, thread scaling, pipelined throughput,
+//! recovery latency) is `benchmark/`'s job: see `benchmark/README.md`.
 
-use dob_bench::{header, meter_timed, sweep_from_args, BenchSink, Row};
-use fj::{Pool, PoolConfig, SeqCtx};
-use metrics::{ScratchPool, Tracked};
+use dob_bench::{header, meter, sweep_from_args, BenchSink, Row};
+use fj::SeqCtx;
+use metrics::{CostReport, MeterCtx, ScratchPool, Tracked};
 use obliv_core::scan::{scan_in, seg_combine_u64, Schedule, Seg};
 use obliv_core::{compact_cells, composite_key, expand, Engine, Item, Slot, TagCell};
 use std::sync::Arc;
@@ -71,10 +72,8 @@ const SHARD_BATCH: usize = 1024;
 
 /// Resident-table size of the pipelined scenario (shrink-pinned).
 const PIPE_TABLE: usize = 8192;
-/// Client batch size of the pipelined stream.
+/// Client batch size of the pipelined scenario.
 const PIPE_BATCH: usize = 256;
-/// Client batches per pipelined stream.
-const PIPE_STREAM: usize = 24;
 /// Open-buffer cap: up to 4 client batches coalesce into one merge while
 /// the engine is busy. `size_class(PIPE_TABLE + PIPE_OPEN_LIMIT)` equals
 /// `size_class(PIPE_TABLE + PIPE_BATCH)`, so a coalesced merge touches
@@ -100,17 +99,6 @@ fn pipe_store(scratch: &ScratchPool) -> Store {
     }
     assert_eq!(st.capacity(), PIPE_TABLE, "shrink policy pins capacity");
     st
-}
-
-/// Interleaved wall-clock repetitions, overridable with `DOB_BENCH_REPS`
-/// (CI sets a smaller count to cut bench-job time; the deterministic
-/// counter rows are untouched — they come from single metered runs).
-fn reps_from_env() -> u64 {
-    std::env::var("DOB_BENCH_REPS")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .filter(|&r| r >= 1)
-        .unwrap_or(7)
 }
 
 /// The wide payload shape the merge path's comparator layers carried
@@ -182,18 +170,6 @@ fn core_lww_scan<C: fj::Ctx>(c: &C, scratch: &ScratchPool, n: usize) {
     );
 }
 
-/// The thread-scaling family: every `DOB_THREADS ∈ {1,2,4}` pool size the
-/// CI test matrix exercises, unpinned and pinned. Names are static so the
-/// JSON rows keep stable identities for the regression gate.
-const SCALE_CONFIGS: [(usize, bool, &str); 6] = [
-    (1, false, "scaling t=1 unpinned: epoch wall"),
-    (1, true, "scaling t=1 pinned: epoch wall"),
-    (2, false, "scaling t=2 unpinned: epoch wall"),
-    (2, true, "scaling t=2 pinned: epoch wall"),
-    (4, false, "scaling t=4 unpinned: epoch wall"),
-    (4, true, "scaling t=4 pinned: epoch wall"),
-];
-
 /// Graphs headline, tag side: the CC min-hook proposal sort — per-edge
 /// `(target, value)` proposals ride as packed 32-byte cells with the
 /// composite pair in the tag, exactly as `min_per_target` packs them
@@ -252,111 +228,97 @@ fn sharded_mixed(keys: &[u64], n: usize, salt: u64) -> Vec<Op> {
         .collect()
 }
 
-fn main() {
-    let scratch = ScratchPool::new();
-    let mut sink = BenchSink::from_args("store");
-    let mut rates: Vec<(&'static str, usize, f64)> = Vec::new();
-    println!("== dob-store: oblivious batched KV epochs, per size class ==\n");
-    header();
+/// The one row shape of this file: `f` runs once under the metering
+/// executor, and the row records its counters with the number of buffers
+/// `arena` had to allocate fresh meanwhile. `None` records 0: the gate
+/// does not watch the allocator on that row (kernel and recovery rows,
+/// whose first lease of a bench-only buffer class says nothing about an
+/// epoch). Returns what it recorded.
+fn row(
+    sink: &mut BenchSink,
+    algo: &'static str,
+    n: usize,
+    arena: Option<&ScratchPool>,
+    f: impl FnOnce(&MeterCtx),
+) -> (CostReport, u64) {
+    let fresh = || arena.map_or(0, ScratchPool::fresh_allocs);
+    let before = fresh();
+    let rep = meter(f);
+    let allocs = fresh() - before;
+    sink.record_alloc(
+        Row {
+            task: "store",
+            algo,
+            n,
+            rep,
+        },
+        allocs,
+    );
+    (rep, allocs)
+}
 
-    // ---- Merge path (arbitrary u64 keys, every epoch merges) -------------
+fn section(title: &str) {
+    println!("\n== {title} ==\n");
+    header();
+}
+
+/// The merge path (arbitrary u64 keys, every epoch merges) and the ORAM
+/// path (bounded key space, sub-threshold batches) at overlapping sizes.
+fn size_classes(sink: &mut BenchSink, scratch: &ScratchPool) {
+    section("dob-store: oblivious batched KV epochs, per size class");
     for n in sweep_from_args(&[64, 256, 1024]) {
         let key_space = (2 * n) as u64;
         let mut store = Store::new(StoreConfig::default());
         let load = puts(n, key_space);
-        let a0 = scratch.fresh_allocs();
-        let (rep, wall) = meter_timed(|c| {
-            store.execute_epoch(c, &scratch, &load).unwrap();
+        row(sink, "merge: bulk load", n, Some(scratch), |c| {
+            store.execute_epoch(c, scratch, &load).unwrap();
         });
-        sink.record_alloc(
-            Row {
-                task: "store",
-                algo: "merge: bulk load",
-                n,
-                rep,
-            },
-            wall,
-            scratch.fresh_allocs() - a0,
-        );
-        rates.push(("merge: bulk load", n, n as f64 * 1e9 / wall as f64));
-
         let steady = mixed_ops(n, key_space, 7);
-        let a0 = scratch.fresh_allocs();
-        let (rep, wall) = meter_timed(|c| {
-            store.execute_epoch(c, &scratch, &steady).unwrap();
+        row(sink, "merge: steady mixed", n, Some(scratch), |c| {
+            store.execute_epoch(c, scratch, &steady).unwrap();
         });
-        sink.record_alloc(
-            Row {
-                task: "store",
-                algo: "merge: steady mixed",
-                n,
-                rep,
-            },
-            wall,
-            scratch.fresh_allocs() - a0,
-        );
-        rates.push(("merge: steady mixed", n, n as f64 * 1e9 / wall as f64));
     }
 
-    // ---- ORAM path (bounded key space, sub-threshold batches) ------------
     let key_space = 2048usize;
     let mut cfg = StoreConfig::with_oram(key_space);
     cfg.oram_threshold = 128;
     cfg.pending_limit = 1 << 20; // keep the sweep on the ORAM path
     let mut store = Store::new(cfg);
-    // Populate through one merge epoch (unmetered setup).
-    {
-        let c = SeqCtx::new();
-        store
-            .execute_epoch(&c, &scratch, &puts(512, key_space as u64))
-            .unwrap();
-    }
+    // Populate through one merge epoch.
+    store
+        .execute_epoch(&SeqCtx::new(), scratch, &puts(512, key_space as u64))
+        .unwrap();
     for n in [8usize, 16, 64] {
         let steady = mixed_ops(n, key_space as u64, 13);
-        let a0 = scratch.fresh_allocs();
-        let (rep, wall) = meter_timed(|c| {
-            store.execute_epoch(c, &scratch, &steady).unwrap();
+        row(sink, "oram: steady mixed", n, Some(scratch), |c| {
+            store.execute_epoch(c, scratch, &steady).unwrap();
         });
-        sink.record_alloc(
-            Row {
-                task: "store",
-                algo: "oram: steady mixed",
-                n,
-                rep,
-            },
-            wall,
-            scratch.fresh_allocs() - a0,
-        );
-        rates.push(("oram: steady mixed", n, n as f64 * 1e9 / wall as f64));
     }
+    println!(
+        "\ncrossover: compare per-op work of 'merge: steady mixed' vs \
+         'oram: steady mixed' at n=64 — the size-class dispatcher picks \
+         the cheaper side of this line."
+    );
+}
 
-    // ---- Sharded epoch engine --------------------------------------------
-    // The scaling scenario: a pinned resident table of SHARD_TABLE keys
-    // (shrink policy compacts every merge, so capacity is stable in steady
-    // state) served with SHARD_BATCH-op mixed epochs, at 1 shard vs 4
-    // shards. The 4-shard runs pay the oblivious routing (scatter + gather
-    // on O(batch)-sized arrays) and win it back on the commits: each shard
-    // sorts a 4x smaller table slice (two log factors smaller networks,
-    // L2-resident working sets) and all four commit in parallel on the
-    // fj pool.
-    println!("\n== sharded epochs: {SHARD_TABLE}-key table, {SHARD_BATCH}-op steady epochs ==\n");
-    header();
+/// A pinned resident table of SHARD_TABLE keys (the shrink policy compacts
+/// every merge, so capacity is stable in steady state) served with
+/// SHARD_BATCH-op mixed epochs, at 1 shard vs 4 shards. The 4-shard run
+/// pays the oblivious routing (scatter + gather on O(batch)-sized arrays)
+/// and wins it back on the commits: each shard sorts a 4x smaller table
+/// slice — two log factors smaller networks, L2-resident working sets.
+fn sharded(sink: &mut BenchSink, scratch: &ScratchPool) {
+    section(&format!(
+        "sharded epochs: {SHARD_TABLE}-key table, {SHARD_BATCH}-op steady epochs"
+    ));
     let keys = balanced_keys(SHARD_TABLE, 4);
     let configs = [
-        (
-            1usize,
-            "sharded s=1: steady mixed",
-            "sharded s=1: pool4 wall",
-        ),
-        (
-            4usize,
-            "sharded s=4: steady mixed",
-            "sharded s=4: pool4 wall",
-        ),
+        (1usize, "sharded s=1: steady mixed"),
+        (4usize, "sharded s=4: steady mixed"),
     ];
     let mut stores: Vec<ShardedStore> = configs
         .iter()
-        .map(|&(shards, _, _)| {
+        .map(|&(shards, _)| {
             let mut cfg = ShardConfig::with_shards(shards);
             cfg.route_slack = 2;
             cfg.store.shrink = Some(ShrinkPolicy {
@@ -365,418 +327,171 @@ fn main() {
                 snapshot: 0,
             });
             let mut st = ShardedStore::new(cfg);
-            // Load the table (unmetered setup).
             let c = SeqCtx::new();
             for chunk in keys.chunks(4096) {
                 let puts: Vec<Op> = chunk.iter().map(|&k| Op::Put { key: k, val: k }).collect();
-                st.execute_epoch(&c, &scratch, &puts).unwrap();
+                st.execute_epoch(&c, scratch, &puts).unwrap();
             }
             assert_eq!(st.capacity(), SHARD_TABLE, "shrink policy pins capacity");
             st
         })
         .collect();
-
-    // Model costs (deterministic, gated) under the metering executor.
-    let mut model_reps = Vec::new();
-    for (st, &(_, algo, _)) in stores.iter_mut().zip(configs.iter()) {
-        let steady = sharded_mixed(&keys, SHARD_BATCH, 7);
-        let a0 = scratch.fresh_allocs();
-        let (rep, wall) = meter_timed(|c| {
-            st.execute_epoch(c, &scratch, &steady).unwrap();
+    let steady = sharded_mixed(&keys, SHARD_BATCH, 7);
+    for (st, &(_, algo)) in stores.iter_mut().zip(configs.iter()) {
+        row(sink, algo, SHARD_BATCH, Some(scratch), |c| {
+            st.execute_epoch(c, scratch, &steady).unwrap();
         });
-        sink.record_alloc(
-            Row {
-                task: "store",
-                algo,
-                n: SHARD_BATCH,
-                rep,
-            },
-            wall,
-            scratch.fresh_allocs() - a0,
-        );
-        model_reps.push(rep);
     }
+}
 
-    // Host wall-clock of real (unmetered) epochs on a 4-thread pool. The
-    // configs' reps are interleaved so transient host noise hits both
-    // equally, and each config reports its min — every rep runs the same
-    // public shapes, so the fastest one is the least noise-contaminated
-    // estimate of the true epoch cost.
-    let pool = Pool::new(4);
-    for st in stores.iter_mut() {
-        let warm = sharded_mixed(&keys, SHARD_BATCH, 11);
-        pool.run(|c| st.execute_epoch(c, &scratch, &warm).unwrap());
-    }
-    let mut wall_mins = [u128::MAX; 2];
-    for r in 0..reps_from_env() {
-        let ops = sharded_mixed(&keys, SHARD_BATCH, 13 + r);
-        for (k, st) in stores.iter_mut().enumerate() {
-            let t0 = std::time::Instant::now();
-            pool.run(|c| {
-                st.execute_epoch(c, &scratch, &ops).unwrap();
-            });
-            wall_mins[k] = wall_mins[k].min(t0.elapsed().as_nanos());
-        }
-    }
-    let mut pool_walls: Vec<(usize, u128)> = Vec::new();
-    for (k, &(shards, _, algo_pool)) in configs.iter().enumerate() {
-        sink.rows_push_quiet("store", algo_pool, SHARD_BATCH, model_reps[k], wall_mins[k]);
-        pool_walls.push((shards, wall_mins[k]));
-        rates.push((
-            algo_pool,
-            SHARD_BATCH,
-            SHARD_BATCH as f64 * 1e9 / wall_mins[k] as f64,
-        ));
-    }
-
-    // ---- Pipelined epochs: double-buffered commit vs synchronous ---------
-    // The steady-state scenario: a shrink-pinned PIPE_TABLE-key store
-    // served a stream of PIPE_STREAM client batches of PIPE_BATCH mixed
-    // ops. The synchronous driver merges once per batch; the pipelined
-    // driver submits into the open buffer and `try_commit`s, so batches
-    // coalesce (group commit) while a merge is in flight — fewer merges
-    // over the *same* padded array size (see PIPE_OPEN_LIMIT), which is
-    // where the throughput headline comes from.
-    println!(
-        "\n== pipelined epochs: {PIPE_TABLE}-key table, {PIPE_STREAM}x{PIPE_BATCH}-op stream ==\n"
-    );
-    header();
+/// A shrink-pinned PIPE_TABLE-key store and PIPE_BATCH-op client batches.
+/// The synchronous driver merges once per batch; the pipelined driver
+/// submits into the open buffer, so batches coalesce (group commit) while
+/// a merge is in flight — fewer merges over the *same* padded array size
+/// (see PIPE_OPEN_LIMIT). The rows price one merge of each kind and the
+/// read-your-writes consult; how many merges a stream needs, and what
+/// that buys on a host, is `kv-sharded-pipelined` and
+/// `store.pipeline.merges_per_batch` in `benchmark/`.
+fn pipelined(sink: &mut BenchSink, scratch: &ScratchPool) {
+    section(&format!(
+        "pipelined epochs: {PIPE_TABLE}-key table, {PIPE_BATCH}-op batches, \
+         open limit {PIPE_OPEN_LIMIT}"
+    ));
     let pipe_scratch = Arc::new(ScratchPool::new());
 
-    // Deterministic, gated counters: one per-batch merge vs one fully
-    // coalesced merge, both against the pinned table.
-    let mut sync_store = pipe_store(&scratch);
+    let mut sync_store = pipe_store(scratch);
     let steady = mixed_ops(PIPE_BATCH, PIPE_TABLE as u64, 7);
-    let a0 = scratch.fresh_allocs();
-    let (rep_sync, wall) = meter_timed(|c| {
-        sync_store.execute_epoch(c, &scratch, &steady).unwrap();
-    });
-    sink.record_alloc(
-        Row {
-            task: "store",
-            algo: "sync: per-batch commit",
-            n: PIPE_BATCH,
-            rep: rep_sync,
-        },
-        wall,
-        scratch.fresh_allocs() - a0,
-    );
-    rates.push((
+    row(
+        sink,
         "sync: per-batch commit",
         PIPE_BATCH,
-        PIPE_BATCH as f64 * 1e9 / wall as f64,
-    ));
+        Some(scratch),
+        |c| {
+            sync_store.execute_epoch(c, scratch, &steady).unwrap();
+        },
+    );
 
     let mut coalesced =
         PipelinedStore::with_scratch(pipe_store(&pipe_scratch), Arc::clone(&pipe_scratch));
     for op in mixed_ops(PIPE_OPEN_LIMIT, PIPE_TABLE as u64, 7) {
         coalesced.submit(op);
     }
-    let a0 = pipe_scratch.fresh_allocs();
-    let (rep_pipe, wall) = meter_timed(|c| {
-        let h = coalesced.commit_async(c);
-        let _ = coalesced.wait(&h).unwrap();
-    });
-    sink.record_alloc(
-        Row {
-            task: "store",
-            algo: "pipelined: coalesced commit",
-            n: PIPE_OPEN_LIMIT,
-            rep: rep_pipe,
-        },
-        wall,
-        pipe_scratch.fresh_allocs() - a0,
-    );
-    rates.push((
-        "pipelined: coalesced",
+    row(
+        sink,
+        "pipelined: coalesced commit",
         PIPE_OPEN_LIMIT,
-        PIPE_OPEN_LIMIT as f64 * 1e9 / wall as f64,
-    ));
+        Some(&pipe_scratch),
+        |c| {
+            let h = coalesced.commit_async(c);
+            let _ = coalesced.wait(&h).unwrap();
+        },
+    );
 
-    // The read-your-writes consult, measured with a full batch in flight
-    // and a partial batch open (also deterministic and gated).
+    // The consult, with a full batch in flight and a partial batch open.
     let mut consult =
         PipelinedStore::with_scratch(pipe_store(&pipe_scratch), Arc::clone(&pipe_scratch));
-    {
-        let seq = SeqCtx::new();
-        for op in mixed_ops(PIPE_BATCH, PIPE_TABLE as u64, 19) {
-            consult.submit(op);
-        }
-        let _ = consult.commit_async(&seq);
-        for op in mixed_ops(64, PIPE_TABLE as u64, 23) {
-            consult.submit(op);
-        }
+    for op in mixed_ops(PIPE_BATCH, PIPE_TABLE as u64, 19) {
+        consult.submit(op);
+    }
+    let _ = consult.commit_async(&SeqCtx::new());
+    for op in mixed_ops(64, PIPE_TABLE as u64, 23) {
+        consult.submit(op);
     }
     let probe: Vec<u64> = (0..64u64).map(|i| (i * 127) % PIPE_TABLE as u64).collect();
-    let a0 = pipe_scratch.fresh_allocs();
-    let (rep, wall) = meter_timed(|c| {
-        let _ = consult.read_now(c, &probe);
-    });
-    sink.record_alloc(
-        Row {
-            task: "store",
-            algo: "pipelined: read_now consult",
-            n: probe.len(),
-            rep,
-        },
-        wall,
-        pipe_scratch.fresh_allocs() - a0,
-    );
-    rates.push((
-        "pipelined: consult",
+    row(
+        sink,
+        "pipelined: read_now consult",
         probe.len(),
-        probe.len() as f64 * 1e9 / wall as f64,
-    ));
-
-    // Host wall-clock of the two stream drivers on the 4-thread pool,
-    // interleaved min-of-reps like the sharded scenario. Each rep replays
-    // the same public shapes; the pipelined driver's merge count is a
-    // public function of those shapes (handoff cadence), asserted stable
-    // across reps below.
-    let mut stream_mins = [u128::MAX; 2];
-    let mut pipe_merges = 0u64;
-    for r in 0..reps_from_env().min(3) {
-        let batches: Vec<Vec<Op>> = (0..PIPE_STREAM as u64)
-            .map(|b| mixed_ops(PIPE_BATCH, PIPE_TABLE as u64, 100 + r * 37 + b))
-            .collect();
-
-        let mut s = pipe_store(&scratch);
-        let t0 = std::time::Instant::now();
-        for ops in &batches {
-            pool.run(|c| {
-                s.execute_epoch(c, &scratch, ops).unwrap();
-            });
-        }
-        stream_mins[0] = stream_mins[0].min(t0.elapsed().as_nanos());
-
-        let mut p =
-            PipelinedStore::with_scratch(pipe_store(&pipe_scratch), Arc::clone(&pipe_scratch))
-                .with_open_limit(PIPE_OPEN_LIMIT);
-        let t0 = std::time::Instant::now();
-        for ops in &batches {
-            for op in ops {
-                p.submit(*op);
-            }
-            let _ = p.try_commit(&pool);
-        }
-        p.drain(&pool);
-        stream_mins[1] = stream_mins[1].min(t0.elapsed().as_nanos());
-        pipe_merges = p.epoch_counts().1;
-    }
-    let stream_ops = PIPE_STREAM * PIPE_BATCH;
-    sink.rows_push_quiet(
-        "store",
-        "sync: stream pool4 wall",
-        stream_ops,
-        rep_sync,
-        stream_mins[0],
-    );
-    sink.rows_push_quiet(
-        "store",
-        "pipelined: stream pool4 wall",
-        stream_ops,
-        rep_pipe,
-        stream_mins[1],
-    );
-    rates.push((
-        "sync: stream pool4",
-        stream_ops,
-        stream_ops as f64 * 1e9 / stream_mins[0] as f64,
-    ));
-    rates.push((
-        "pipelined: stream pool4",
-        stream_ops,
-        stream_ops as f64 * 1e9 / stream_mins[1] as f64,
-    ));
-
-    // ---- Thread scaling: pool size x pinning on the steady epoch ---------
-    // The hardware-shaped runtime family: the same shrink-pinned steady
-    // epoch (PIPE_TABLE-key table, PIPE_BATCH mixed ops) under every
-    // DOB_THREADS ∈ {1,2,4} pool size, unpinned and pinned. The model
-    // counters are executor-independent by construction (the trace-equality
-    // suite asserts it), so one metered run backs every row of the family
-    // and is what the gate tracks; the per-config walls are interleaved
-    // min-of-reps host measurements.
-    println!("\n== thread scaling: {PIPE_TABLE}-key table, {PIPE_BATCH}-op epochs, t x pin ==\n");
-    header();
-    let mut scale_store = pipe_store(&scratch);
-    let steady = mixed_ops(PIPE_BATCH, PIPE_TABLE as u64, 29);
-    let a0 = scratch.fresh_allocs();
-    let (rep_scale, wall) = meter_timed(|c| {
-        scale_store.execute_epoch(c, &scratch, &steady).unwrap();
-    });
-    sink.record_alloc(
-        Row {
-            task: "store",
-            algo: "scaling: steady mixed",
-            n: PIPE_BATCH,
-            rep: rep_scale,
+        Some(&pipe_scratch),
+        |c| {
+            let _ = consult.read_now(c, &probe);
         },
-        wall,
-        scratch.fresh_allocs() - a0,
     );
 
-    let scale_pools: Vec<Pool> = SCALE_CONFIGS
-        .iter()
-        .map(|&(threads, pin, _)| {
-            Pool::with_config(PoolConfig {
-                threads: Some(threads),
-                pin,
-            })
-        })
-        .collect();
-    let mut scale_stores: Vec<Store> = SCALE_CONFIGS.iter().map(|_| pipe_store(&scratch)).collect();
-    // One warm epoch per config primes each pool's per-worker scratch lanes.
-    for (pool, st) in scale_pools.iter().zip(scale_stores.iter_mut()) {
-        let warm = mixed_ops(PIPE_BATCH, PIPE_TABLE as u64, 31);
-        pool.run(|c| st.execute_epoch(c, &scratch, &warm).unwrap());
-    }
-    let mut scale_mins = [u128::MAX; SCALE_CONFIGS.len()];
-    for r in 0..reps_from_env() {
-        let ops = mixed_ops(PIPE_BATCH, PIPE_TABLE as u64, 37 + r);
-        for (k, (pool, st)) in scale_pools.iter().zip(scale_stores.iter_mut()).enumerate() {
-            let t0 = std::time::Instant::now();
-            pool.run(|c| {
-                st.execute_epoch(c, &scratch, &ops).unwrap();
-            });
-            scale_mins[k] = scale_mins[k].min(t0.elapsed().as_nanos());
-        }
-    }
-    for (k, &(_, _, algo)) in SCALE_CONFIGS.iter().enumerate() {
-        sink.rows_push_quiet("store", algo, PIPE_BATCH, rep_scale, scale_mins[k]);
-        rates.push((
-            algo,
-            PIPE_BATCH,
-            PIPE_BATCH as f64 * 1e9 / scale_mins[k] as f64,
-        ));
-    }
+    // The steady epoch again under another op mix. Model counters are
+    // executor-independent by construction (the trace-equality suite
+    // asserts it), so this one metered row stands for every pool size and
+    // pin layout; what threads do to host time is `kv-merge-pool` against
+    // `kv-merge-seq` and `fj.sort_speedup.64k` in `benchmark/`.
+    let mut scale_store = pipe_store(scratch);
+    let steady = mixed_ops(PIPE_BATCH, PIPE_TABLE as u64, 29);
+    row(
+        sink,
+        "scaling: steady mixed",
+        PIPE_BATCH,
+        Some(scratch),
+        |c| {
+            scale_store.execute_epoch(c, scratch, &steady).unwrap();
+        },
+    );
+}
 
-    // ---- Graphs kernel: tag cells vs record slots ------------------------
-    // The migrated-kernel ablation: the CC min-hook proposal sort at a
-    // graph-scale working set, packed 32-byte cells vs the Slot records
-    // the kernel carried before the migration. Same comparator schedule —
-    // the cache-miss ratio is the tracked payoff on the graphs side.
+/// One comparator network, once over packed 32-byte tag cells and once
+/// over the Slot records the same site carried before its migration: the
+/// CC min-hook proposal sort at a graph-scale working set, and a network
+/// of the merge path's working-set size. Same schedule, same comparator
+/// count — the difference is pure data movement, and the cache-miss ratio
+/// is the tracked payoff (host ratio: `core.sort_kv_ns_per_elem.64k`).
+fn cells_vs_records(sink: &mut BenchSink, scratch: &ScratchPool) {
+    section("tag cells vs record slots");
     let gm = 8192usize;
     let props: Vec<(u64, u64)> = (0..gm as u64)
         .map(|i| (i.wrapping_mul(0x9E3779B9) % 1024, i))
         .collect();
-    let (rep_gtag, _) = meter_timed(|c| graphs_cc_tag_sort(c, &scratch, &props));
-    let wall_gtag = dob_bench::wall_unmetered(3, |c| graphs_cc_tag_sort(c, &scratch, &props));
-    sink.record(
-        Row {
-            task: "store",
-            algo: "graphs cc: tag cells",
-            n: gm,
-            rep: rep_gtag,
-        },
-        wall_gtag,
-    );
-    let (rep_gslot, _) = meter_timed(|c| graphs_cc_slot_sort(c, &scratch, &props));
-    let wall_gslot = dob_bench::wall_unmetered(3, |c| graphs_cc_slot_sort(c, &scratch, &props));
-    sink.record(
-        Row {
-            task: "store",
-            algo: "graphs cc: record slots",
-            n: gm,
-            rep: rep_gslot,
-        },
-        wall_gslot,
-    );
-
-    // ---- Tag-sort vs record-sort, on the merge path's working set --------
-    // The ablation behind the epoch rows above: one comparator network of
-    // the merge working-set size, once over packed 32-byte tag cells and
-    // once over the ~96-byte Slot records the pipeline used to push through
-    // every layer. Same schedule, same comparator count — the difference is
-    // pure data movement, which is exactly what the fast path removes.
-    // Counters are metered (gated); walls come from unmetered runs, since
-    // the simulator's per-access overhead is width-independent.
-    println!(
-        "\n== tag-sort vs record-sort ({} comparator slots) ==\n",
-        2 * SHARD_TABLE
-    );
-    header();
     let m = 2 * SHARD_TABLE;
-    let (rep_tag, _) = meter_timed(|c| headline_tag_sort(c, &scratch, m));
-    let wall_tag = dob_bench::wall_unmetered(3, |c| headline_tag_sort(c, &scratch, m));
-    sink.record(
-        Row {
-            task: "store",
-            algo: "sort: tag cells",
-            n: m,
-            rep: rep_tag,
-        },
-        wall_tag,
-    );
-    let (rep_rec, _) = meter_timed(|c| headline_record_sort(c, &scratch, m));
-    let wall_rec = dob_bench::wall_unmetered(3, |c| headline_record_sort(c, &scratch, m));
-    sink.record(
-        Row {
-            task: "store",
-            algo: "sort: record slots",
-            n: m,
-            rep: rep_rec,
-        },
-        wall_rec,
-    );
+    let headline = |what: &str, tag: CostReport, rec: CostReport| {
+        println!(
+            "{what}: record / tag = {:.2}x cache misses (identical {} comparators)",
+            rec.cache_misses as f64 / tag.cache_misses.max(1) as f64,
+            tag.comparisons,
+        );
+    };
+    let (tag, _) = row(sink, "graphs cc: tag cells", gm, None, |c| {
+        graphs_cc_tag_sort(c, scratch, &props)
+    });
+    let (rec, _) = row(sink, "graphs cc: record slots", gm, None, |c| {
+        graphs_cc_slot_sort(c, scratch, &props)
+    });
+    headline("graphs tag-cell headline (CC min-hook sort)", tag, rec);
+    let (tag, _) = row(sink, "sort: tag cells", m, None, |c| {
+        headline_tag_sort(c, scratch, m)
+    });
+    let (rec, _) = row(sink, "sort: record slots", m, None, |c| {
+        headline_record_sort(c, scratch, m)
+    });
+    headline("tag-sort vs record-sort headline", tag, rec);
+}
 
-    // ---- Core kernels: the two swap butterflies and the scan -------------
-    // The two `obliv_core` kernels a merge epoch spends its `core` share
-    // in, and compaction's mirror — bin placement's expansion — alone, at
-    // a cache-resident and a past-cache size, so the gate holds each one's
-    // W and Q(M,B) to its bound (DESIGN.md §10, §4 row 6): `(m/2) log m`
-    // swaps and `Q = O((m/B) log(m/M))` for either recursion, `O(n/B)`
-    // for the scan.
-    println!("\n== core kernels: cell compaction, expansion and the LWW scan ==\n");
-    header();
+/// The two `obliv_core` kernels a merge epoch spends its `core` share in,
+/// and compaction's mirror — bin placement's expansion — alone, at a
+/// cache-resident and a past-cache size, so the gate holds each one's W
+/// and Q(M,B) to its bound (DESIGN.md §10, §4 row 6): `(m/2) log m` swaps
+/// and `Q = O((m/B) log(m/M))` for either recursion, `O(n/B)` for the
+/// scan.
+fn core_kernels(sink: &mut BenchSink, scratch: &ScratchPool) {
+    section("core kernels: cell compaction, expansion and the LWW scan");
     for n in [4096usize, 65536] {
-        let (rep, _) = meter_timed(|c| core_compact(c, &scratch, n));
-        let wall = dob_bench::wall_unmetered(3, |c| core_compact(c, &scratch, n));
-        sink.record(
-            Row {
-                task: "store",
-                algo: "core: compact cells",
-                n,
-                rep,
-            },
-            wall,
-        );
-        let (rep, _) = meter_timed(|c| core_expand(c, &scratch, n));
-        let wall = dob_bench::wall_unmetered(3, |c| core_expand(c, &scratch, n));
-        sink.record(
-            Row {
-                task: "store",
-                algo: "core: expand",
-                n,
-                rep,
-            },
-            wall,
-        );
-        let (rep, _) = meter_timed(|c| core_lww_scan(c, &scratch, n));
-        let wall = dob_bench::wall_unmetered(3, |c| core_lww_scan(c, &scratch, n));
-        sink.record(
-            Row {
-                task: "store",
-                algo: "core: lww scan",
-                n,
-                rep,
-            },
-            wall,
-        );
+        row(sink, "core: compact cells", n, None, |c| {
+            core_compact(c, scratch, n)
+        });
+        row(sink, "core: expand", n, None, |c| {
+            core_expand(c, scratch, n)
+        });
+        row(sink, "core: lww scan", n, None, |c| {
+            core_lww_scan(c, scratch, n)
+        });
     }
+}
 
-    // ---- Durable recovery: snapshot load + WAL replay --------------------
-    // The durability family: a shrink-pinned table checkpointed to disk,
-    // then four more merge epochs left in the WAL — exactly the crash
-    // image `Store::recover` is built for. The metered run is recovery
-    // itself: read the snapshot, rebuild the table, and replay the logged
-    // epochs through the normal merge path, so the gated counters are the
-    // same public function of the logged batch classes as a fresh run (the
-    // trace-equality suite asserts this). The checkpoint rows are host
-    // I/O only — their counters are zero by construction and the wall is
-    // the cost of writing `cap` packed cells plus the fsync.
-    println!("\n== durable recovery: snapshot + 4x256-op WAL replay ==\n");
-    header();
+/// A shrink-pinned table checkpointed to disk, then four more merge
+/// epochs left in the WAL — exactly the crash image `Store::recover` is
+/// built for. The metered run is recovery itself: read the snapshot,
+/// rebuild the table, and replay the logged epochs through the normal
+/// merge path, so the gated counters are the same public function of the
+/// logged batch classes as a fresh run (the trace-equality suite asserts
+/// this). Host cost: `recover_s` and `store.vfs.snapshot_ms_p50`.
+fn recovery(sink: &mut BenchSink, scratch: &ScratchPool) {
+    section("durable recovery: snapshot + 4x256-op WAL replay");
     for size in [4096usize, 8192, 16384] {
         let dir =
             std::env::temp_dir().join(format!("dob_bench_recovery_{}_{size}", std::process::id()));
@@ -792,70 +507,43 @@ fn main() {
             ..StoreConfig::default()
         };
         let mut st = or_die(
-            Store::recover(&seq, &scratch, &dir, cfg),
+            Store::recover(&seq, scratch, &dir, cfg),
             "open durable store",
         );
         for chunk in (0..size as u64).collect::<Vec<_>>().chunks(4096) {
             let ops: Vec<Op> = chunk.iter().map(|&k| Op::Put { key: k, val: k }).collect();
-            or_die(st.execute_epoch(&seq, &scratch, &ops), "durable load epoch");
+            or_die(st.execute_epoch(&seq, scratch, &ops), "durable load epoch");
         }
-        let (rep, wall) = meter_timed(|_| or_die(st.checkpoint(), "checkpoint"));
-        sink.record(
-            Row {
-                task: "store",
-                algo: "recovery: checkpoint write",
-                n: size,
-                rep,
-            },
-            wall,
-        );
+        or_die(st.checkpoint(), "checkpoint");
         for r in 0..4u64 {
             let ops = mixed_ops(256, size as u64, 41 + r);
             or_die(
-                st.execute_epoch(&seq, &scratch, &ops),
+                st.execute_epoch(&seq, scratch, &ops),
                 "durable steady epoch",
             );
         }
         drop(st);
-        let (rep, wall) = meter_timed(|c| {
-            let _ = or_die(Store::recover(c, &scratch, &dir, cfg), "recover store");
+        row(sink, "recovery: snapshot + replay", size, None, |c| {
+            let _ = or_die(Store::recover(c, scratch, &dir, cfg), "recover store");
         });
-        sink.record(
-            Row {
-                task: "store",
-                algo: "recovery: snapshot + replay",
-                n: size,
-                rep,
-            },
-            wall,
-        );
-        rates.push((
-            "recovery: snap+replay",
-            size,
-            size as f64 * 1e9 / wall as f64,
-        ));
         let _ = std::fs::remove_dir_all(&dir);
     }
+}
 
-    // ---- Retry machinery on the no-fault durable path --------------------
-    // The robustness-layer ablation: the same durable steady epoch (WAL
-    // append + fsync per commit, on an in-memory fault-free `FaultVfs` so
-    // the counters are host-independent) under `RetryPolicy::none()` vs
-    // the default 4-attempt policy. Retry decisions read only the I/O
-    // outcome, so on a healthy disk the policies must be byte-identical:
-    // the gated rows pin both counter sets, the alloc assertion proves the
-    // retry plumbing allocates nothing, and the wall headline below tracks
-    // its (sub-1%) time cost.
-    println!("\n== durable commits: retry machinery on the no-fault path ==\n");
-    header();
+/// The same durable steady epoch (WAL append + fsync per commit, on an
+/// in-memory fault-free `FaultVfs` so the counters are host-independent)
+/// under `RetryPolicy::none()` vs the default 4-attempt policy. Retry
+/// decisions read only the I/O outcome, so on a healthy disk the policies
+/// must be byte-identical: the gated rows pin both counter sets and the
+/// alloc assertion proves the retry plumbing allocates nothing.
+fn retry_machinery(sink: &mut BenchSink, scratch: &ScratchPool) {
+    section("durable commits: retry machinery on the no-fault path");
     let retry_cfgs = [
         (RetryPolicy::none(), "durable: commit retry=1"),
         (RetryPolicy::default(), "durable: commit retry=4"),
     ];
-    let mut retry_allocs = [0u64; 2];
-    let mut retry_walls = [0u128; 2];
-    for (k, &(retry, algo)) in retry_cfgs.iter().enumerate() {
-        let vfs = Arc::new(FaultVfs::unfaulted()); // fault-free schedule
+    let allocs = retry_cfgs.map(|(retry, algo)| {
+        let vfs = Arc::new(FaultVfs::unfaulted());
         let seq = SeqCtx::new();
         let cfg = StoreConfig {
             durability: Durability::epoch(),
@@ -864,11 +552,11 @@ fn main() {
         };
         let dir = std::path::Path::new("/bench/retry");
         let mut st = or_die(
-            Store::recover_with(&seq, &scratch, dir, cfg, vfs),
+            Store::recover_with(&seq, scratch, dir, cfg, vfs),
             "open durable store (fault vfs)",
         );
         or_die(
-            st.execute_epoch(&seq, &scratch, &puts(512, 1024)),
+            st.execute_epoch(&seq, scratch, &puts(512, 1024)),
             "durable warm epoch",
         );
         let steady = mixed_ops(256, 1024, 43);
@@ -877,111 +565,46 @@ fn main() {
         // one-time cost would land on whichever config runs first. Both
         // configs must measure steady state.
         or_die(
-            st.execute_epoch(&seq, &scratch, &mixed_ops(256, 1024, 41)),
+            st.execute_epoch(&seq, scratch, &mixed_ops(256, 1024, 41)),
             "durable steady-shape warm epoch",
         );
-        let a0 = scratch.fresh_allocs();
-        let (rep, wall) = meter_timed(|c| {
+        let (_, allocs) = row(sink, algo, 256, Some(scratch), |c| {
             or_die(
-                st.execute_epoch(c, &scratch, &steady),
+                st.execute_epoch(c, scratch, &steady),
                 "durable steady epoch",
             );
         });
-        sink.record_alloc(
-            Row {
-                task: "store",
-                algo,
-                n: 256,
-                rep,
-            },
-            wall,
-            scratch.fresh_allocs() - a0,
-        );
-        retry_allocs[k] = scratch.fresh_allocs() - a0;
-        retry_walls[k] = dob_bench::wall_unmetered(5, |c| {
-            let ops = mixed_ops(256, 1024, 47);
-            or_die(st.execute_epoch(c, &scratch, &ops), "durable wall epoch");
-        });
-    }
+        allocs
+    });
     assert_eq!(
-        retry_allocs[0], retry_allocs[1],
+        allocs[0], allocs[1],
         "retry machinery must be alloc-free on the no-fault durable path"
     );
+    println!(
+        "retry headline (no-fault durable commit, n=256): {} fresh allocs under either \
+         policy — the policy itself allocates nothing",
+        allocs[0],
+    );
+}
 
+/// Every family of rows, in the order `BENCH_store.json` lists them. The
+/// order is part of the allocation counts: the families share one arena,
+/// and a buffer class is fresh only the first time any row leases it.
+const SCENARIOS: [fn(&mut BenchSink, &ScratchPool); 7] = [
+    size_classes,
+    sharded,
+    pipelined,
+    cells_vs_records,
+    core_kernels,
+    recovery,
+    retry_machinery,
+];
+
+fn main() {
+    let scratch = ScratchPool::new();
+    let mut sink = BenchSink::from_args("store");
+    for scenario in SCENARIOS {
+        scenario(&mut sink, &scratch);
+    }
     sink.finish().expect("failed to write BENCH_store.json");
-
-    println!(
-        "\nretry headline (no-fault durable commit, n=256): retry=4 / retry=1 \
-         wall = {:.3}x ({} fresh allocs each — the policy itself allocates nothing)",
-        retry_walls[1] as f64 / retry_walls[0].max(1) as f64,
-        retry_allocs[0],
-    );
-
-    println!(
-        "\ntag-sort vs record-sort headline ({} slots): {:.2}x wall, {:.2}x cache misses \
-         (identical {} comparators)",
-        m,
-        wall_rec as f64 / wall_tag.max(1) as f64,
-        rep_rec.cache_misses as f64 / rep_tag.cache_misses.max(1) as f64,
-        rep_tag.comparisons,
-    );
-
-    println!("\n== host throughput (ops per second, epoch wall-clock) ==");
-    for (algo, n, rate) in &rates {
-        println!("{algo:<22} n={n:<6} {rate:>12.0} ops/s");
-    }
-    println!(
-        "\ncrossover: compare per-op work of 'merge: steady mixed' vs \
-         'oram: steady mixed' at n=64 — the size-class dispatcher picks \
-         the cheaper side of this line."
-    );
-
-    let w1 = pool_walls.iter().find(|&&(s, _)| s == 1).unwrap().1;
-    let w4 = pool_walls.iter().find(|&&(s, _)| s == 4).unwrap().1;
-    println!(
-        "\nsharded epoch speedup (4 shards / 4 threads vs 1 shard, \
-         {SHARD_TABLE}-key table, n={SHARD_BATCH}): {:.2}x",
-        w1 as f64 / w4 as f64
-    );
-
-    let batches_per_sec = |wall: u128| PIPE_STREAM as f64 * 1e9 / wall as f64;
-    println!(
-        "\npipelined epoch headline ({PIPE_TABLE}-key table, {PIPE_STREAM}x{PIPE_BATCH}-op \
-         stream, open limit {PIPE_OPEN_LIMIT}): {:.2}x client-batch throughput vs \
-         synchronous ({:.1} vs {:.1} batches/s; {pipe_merges} merges vs {PIPE_STREAM})",
-        stream_mins[0] as f64 / stream_mins[1] as f64,
-        batches_per_sec(stream_mins[1]),
-        batches_per_sec(stream_mins[0]),
-    );
-
-    // Pinned-vs-unpinned at the largest pool of the scaling family. On a
-    // CI runner without that many cores (or with pinning denied) the pool
-    // degrades to unpinned and this ratio reads ≈1.0 — the wall rows are
-    // context, never gated.
-    let unpinned4 = scale_mins[4];
-    let pinned4 = scale_mins[5];
-    println!(
-        "\npinned-pool headline ({PIPE_TABLE}-key table, n={PIPE_BATCH}, t=4): \
-         unpinned / pinned = {:.2}x epoch wall",
-        unpinned4 as f64 / pinned4 as f64,
-    );
-
-    println!(
-        "\ngraphs tag-cell headline (CC min-hook sort, {gm} proposals): {:.2}x wall, \
-         {:.2}x cache misses (identical {} comparators)",
-        wall_gslot as f64 / wall_gtag.max(1) as f64,
-        rep_gslot.cache_misses as f64 / rep_gtag.cache_misses.max(1) as f64,
-        rep_gtag.comparisons,
-    );
-
-    let recov = rates
-        .iter()
-        .filter(|&&(a, _, _)| a == "recovery: snap+replay")
-        .max_by_key(|&&(_, n, _)| n);
-    if let Some(&(_, n, rate)) = recov {
-        println!(
-            "\nrecovery headline ({n}-key snapshot + 4x256-op WAL replay): \
-             {rate:.0} recovered keys/s"
-        );
-    }
 }

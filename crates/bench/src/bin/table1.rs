@@ -8,10 +8,7 @@
 //! columns between the oblivious algorithm and its baseline, and the span
 //! separations Table 1 claims. Run with `--full` for two more doublings.
 
-use dob_bench::{
-    growth_exponent, header, lg, meter_timed, sweep_from_args, wall_unmetered, BenchSink, Row,
-};
-use fj::{Pool, PoolConfig};
+use dob_bench::{growth_exponent, header, lg, meter, sweep_from_args, BenchSink, Row};
 use graphs::{
     connected_components, connected_components_insecure, contract_eval, list_rank_insecure_unit,
     list_rank_oblivious_unit, msf, random_expr_tree, random_list, random_tree,
@@ -62,22 +59,19 @@ fn main() {
     // ---- Sort ----------------------------------------------------------
     let mut ours = Vec::new();
     for n in sweep_from_args(&[1 << 10, 1 << 11, 1 << 12, 1 << 13]) {
-        let (rep, wall) = meter_timed(|c| {
+        let rep = meter(|c| {
             let mut v = scrambled(n);
             oblivious_sort_u64(c, &scratch, &mut v, OSortParams::practical(n), 42);
         });
-        sink.record(
-            Row {
-                task: "sort",
-                algo: "ours: oblivious practical",
-                n,
-                rep,
-            },
-            wall,
-        );
+        sink.record(Row {
+            task: "sort",
+            algo: "ours: oblivious practical",
+            n,
+            rep,
+        });
         ours.push((n, rep.work as f64));
 
-        let (rep, wall) = meter_timed(|c| {
+        let rep = meter(|c| {
             // Insecure baseline: REC-SORT after a (free) random shuffle —
             // the SPMS substitute of DESIGN.md §4.
             let mut items: Vec<Item<u64>> = scrambled(n)
@@ -97,15 +91,12 @@ fn main() {
                 )
             });
         });
-        sink.record(
-            Row {
-                task: "sort",
-                algo: "insecure: rec-sort",
-                n,
-                rep,
-            },
-            wall,
-        );
+        sink.record(Row {
+            task: "sort",
+            algo: "insecure: rec-sort",
+            n,
+            rep,
+        });
     }
     shapes.push(("sort work", ours));
 
@@ -123,42 +114,28 @@ fn main() {
             .enumerate()
             .map(|(i, k)| (k, i as u64))
             .collect();
-        // Counters come from one metered run; wall-clock from unmetered
-        // runs — the simulator's per-access overhead is width-independent
-        // and would mask exactly the movement win being measured.
-        let (rep, _) = meter_timed(|c| ablation_tag_sort(c, &scratch, &records));
-        let wall = wall_unmetered(3, |c| ablation_tag_sort(c, &scratch, &records));
-        sink.record(
-            Row {
-                task: "sort",
-                algo: "ours: tag-sort",
-                n,
-                rep,
-            },
-            wall,
-        );
-        tag_rows.push((rep, wall));
+        let rep = meter(|c| ablation_tag_sort(c, &scratch, &records));
+        sink.record(Row {
+            task: "sort",
+            algo: "ours: tag-sort",
+            n,
+            rep,
+        });
+        tag_rows.push(rep);
 
-        let (rep, _) = meter_timed(|c| ablation_record_sort(c, &scratch, &records));
-        let wall = wall_unmetered(3, |c| ablation_record_sort(c, &scratch, &records));
-        sink.record(
-            Row {
-                task: "sort",
-                algo: "ours: record-sort",
-                n,
-                rep,
-            },
-            wall,
-        );
-        rec_rows.push((rep, wall));
+        let rep = meter(|c| ablation_record_sort(c, &scratch, &records));
+        sink.record(Row {
+            task: "sort",
+            algo: "ours: record-sort",
+            n,
+            rep,
+        });
+        rec_rows.push(rep);
     }
-    if let (Some(&(tag_rep, tag_wall)), Some(&(rec_rep, rec_wall))) =
-        (tag_rows.last(), rec_rows.last())
-    {
+    if let (Some(tag_rep), Some(rec_rep)) = (tag_rows.last(), rec_rows.last()) {
         println!(
-            "tag-sort vs record-sort headline (largest n): {:.2}x wall, {:.2}x cache misses, \
+            "tag-sort vs record-sort headline (largest n): {:.2}x cache misses, \
              same {} comparators",
-            rec_wall as f64 / tag_wall.max(1) as f64,
             rec_rep.cache_misses as f64 / tag_rep.cache_misses.max(1) as f64,
             tag_rep.comparisons,
         );
@@ -168,7 +145,8 @@ fn main() {
     // The same packed cells through the *identical* comparator schedule,
     // trace, and counters (accounting replay, DESIGN.md §14) — only the
     // compare-exchange ALU width differs. The gate pins the shared
-    // counters; the wall columns carry the measured vector win.
+    // counters; the measured vector win is `benchmark/`'s
+    // `sortnet.scalar_over_simd.64k`.
     let mut simd_rows = Vec::new();
     let mut scalar_rows = Vec::new();
     for n in sweep_from_args(&[1 << 12, 1 << 14, 1 << 16]) {
@@ -181,35 +159,23 @@ fn main() {
             (Backend::Avx2, "sort: simd cells", &mut simd_rows),
             (Backend::Scalar, "sort: scalar cells", &mut scalar_rows),
         ] {
-            let (rep, _) = meter_timed(|c| {
+            let rep = meter(|c| {
                 let mut v = cells.clone();
                 let mut lease = scratch.lease(n, TagCell::filler());
                 let mut t = Tracked::new(c, &mut v);
                 let mut tmp = Tracked::new(c, &mut lease);
                 cells_sort_rec_with(backend, c, &mut t, &mut tmp, true);
             });
-            let wall = wall_unmetered(3, |c| {
-                let mut v = cells.clone();
-                let mut lease = scratch.lease(n, TagCell::filler());
-                let mut t = Tracked::new(c, &mut v);
-                let mut tmp = Tracked::new(c, &mut lease);
-                cells_sort_rec_with(backend, c, &mut t, &mut tmp, true);
+            sink.record(Row {
+                task: "sort",
+                algo,
+                n,
+                rep,
             });
-            sink.record(
-                Row {
-                    task: "sort",
-                    algo,
-                    n,
-                    rep,
-                },
-                wall,
-            );
-            rows.push((rep, wall));
+            rows.push(rep);
         }
     }
-    if let (Some(&(simd_rep, simd_wall)), Some(&(scalar_rep, scalar_wall))) =
-        (simd_rows.last(), scalar_rows.last())
-    {
+    if let (Some(simd_rep), Some(scalar_rep)) = (simd_rows.last(), scalar_rows.last()) {
         assert_eq!(
             (simd_rep.work, simd_rep.comparisons, simd_rep.trace_len),
             (
@@ -220,203 +186,127 @@ fn main() {
             "SIMD and scalar backends must share every deterministic counter"
         );
         println!(
-            "simd vs scalar cells headline (largest n): {:.2}x wall, identical {} comparators \
+            "simd vs scalar cells headline (largest n): identical work, trace and {} comparators \
              (backend: {})",
-            scalar_wall as f64 / simd_wall.max(1) as f64,
             simd_rep.comparisons,
             sortnet::active_backend().name(),
         );
-    }
-
-    // ---- Thread scaling: pool size x pinning on the sort -----------------
-    // The hardware-shaped runtime family: the practical oblivious sort
-    // under every DOB_THREADS ∈ {1,2,4} pool size, unpinned and pinned.
-    // The model counters are executor-independent (one metered run backs
-    // the whole family and is what the gate tracks); walls are interleaved
-    // min-of-3 host measurements per config.
-    const SORT_SCALE: [(usize, bool, &str); 6] = [
-        (1, false, "sort scaling t=1 unpinned wall"),
-        (1, true, "sort scaling t=1 pinned wall"),
-        (2, false, "sort scaling t=2 unpinned wall"),
-        (2, true, "sort scaling t=2 pinned wall"),
-        (4, false, "sort scaling t=4 unpinned wall"),
-        (4, true, "sort scaling t=4 pinned wall"),
-    ];
-    let scale_n = 1 << 12;
-    let (scale_rep, _) = meter_timed(|c| {
-        let mut v = scrambled(scale_n);
-        oblivious_sort_u64(c, &scratch, &mut v, OSortParams::practical(scale_n), 42);
-    });
-    let scale_pools: Vec<Pool> = SORT_SCALE
-        .iter()
-        .map(|&(threads, pin, _)| {
-            Pool::with_config(PoolConfig {
-                threads: Some(threads),
-                pin,
-            })
-        })
-        .collect();
-    // One warm run per pool primes its per-worker scratch lanes.
-    for pool in &scale_pools {
-        let mut v = scrambled(scale_n);
-        pool.run(|c| oblivious_sort_u64(c, &scratch, &mut v, OSortParams::practical(scale_n), 42));
-    }
-    let mut scale_mins = [u128::MAX; SORT_SCALE.len()];
-    for _ in 0..3 {
-        for (k, pool) in scale_pools.iter().enumerate() {
-            let mut v = scrambled(scale_n);
-            let t0 = std::time::Instant::now();
-            pool.run(|c| {
-                oblivious_sort_u64(c, &scratch, &mut v, OSortParams::practical(scale_n), 42)
-            });
-            scale_mins[k] = scale_mins[k].min(t0.elapsed().as_nanos());
-        }
-    }
-    for (k, &(_, _, algo)) in SORT_SCALE.iter().enumerate() {
-        sink.rows_push_quiet("sort", algo, scale_n, scale_rep, scale_mins[k]);
     }
 
     // ---- List ranking ----------------------------------------------------
     let mut ours = Vec::new();
     for n in sweep_from_args(&[1 << 10, 1 << 11, 1 << 12]) {
         let (succ, _) = random_list(n, n as u64);
-        let (rep, wall) = meter_timed(|c| {
+        let rep = meter(|c| {
             list_rank_oblivious_unit(c, &scratch, &succ, 7);
         });
-        sink.record(
-            Row {
-                task: "LR",
-                algo: "ours: oblivious",
-                n,
-                rep,
-            },
-            wall,
-        );
+        sink.record(Row {
+            task: "LR",
+            algo: "ours: oblivious",
+            n,
+            rep,
+        });
         ours.push((n, rep.work as f64));
-        let (rep, wall) = meter_timed(|c| {
+        let rep = meter(|c| {
             list_rank_insecure_unit(c, &scratch, &succ);
         });
-        sink.record(
-            Row {
-                task: "LR",
-                algo: "insecure: pointer jumping",
-                n,
-                rep,
-            },
-            wall,
-        );
+        sink.record(Row {
+            task: "LR",
+            algo: "insecure: pointer jumping",
+            n,
+            rep,
+        });
     }
     shapes.push(("LR work", ours));
 
     // ---- Euler tour / tree computations ---------------------------------
     for n in sweep_from_args(&[1 << 8, 1 << 9, 1 << 10]) {
         let edges = random_tree(n, 3);
-        let (rep, wall) = meter_timed(|c| {
+        let rep = meter(|c| {
             rooted_tree_stats(c, &scratch, n, &edges, 0, Engine::BitonicRec, 5);
         });
-        sink.record(
-            Row {
-                task: "ET-Tree",
-                algo: "ours: oblivious",
-                n,
-                rep,
-            },
-            wall,
-        );
+        sink.record(Row {
+            task: "ET-Tree",
+            algo: "ours: oblivious",
+            n,
+            rep,
+        });
         let (succ, _) = random_list(2 * (n - 1), 4);
-        let (rep, wall) = meter_timed(|c| {
+        let rep = meter(|c| {
             // The insecure bound is dominated by list ranking the tour.
             list_rank_insecure_unit(c, &scratch, &succ);
         });
-        sink.record(
-            Row {
-                task: "ET-Tree",
-                algo: "insecure: LR on tour",
-                n,
-                rep,
-            },
-            wall,
-        );
+        sink.record(Row {
+            task: "ET-Tree",
+            algo: "insecure: LR on tour",
+            n,
+            rep,
+        });
     }
 
     // ---- Tree contraction -----------------------------------------------
     for leaves in sweep_from_args(&[1 << 6, 1 << 7, 1 << 8]) {
         let t = random_expr_tree(leaves, 5);
         let n = t.nodes.len();
-        let (rep, wall) = meter_timed(|c| {
+        let rep = meter(|c| {
             contract_eval(c, &scratch, &t, Engine::BitonicRec, 11);
         });
-        sink.record(
-            Row {
-                task: "TC",
-                algo: "ours: oblivious shunt",
-                n,
-                rep,
-            },
-            wall,
-        );
-        let (rep, wall) = meter_timed(|c| {
+        sink.record(Row {
+            task: "TC",
+            algo: "ours: oblivious shunt",
+            n,
+            rep,
+        });
+        let rep = meter(|c| {
             // Prior-best schedule: the same contraction driven by the naive
             // flat network (the per-PRAM-step forking strawman).
             contract_eval(c, &scratch, &t, Engine::BitonicFlat, 11);
         });
-        sink.record(
-            Row {
-                task: "TC",
-                algo: "naive: flat-network shunt",
-                n,
-                rep,
-            },
-            wall,
-        );
+        sink.record(Row {
+            task: "TC",
+            algo: "naive: flat-network shunt",
+            n,
+            rep,
+        });
     }
 
     // ---- Connected components -------------------------------------------
     for n in sweep_from_args(&[1 << 7, 1 << 8, 1 << 9]) {
         let m = 2 * n;
         let edges = graphs::random_graph(n, m, 9);
-        let (rep, wall) = meter_timed(|c| {
+        let rep = meter(|c| {
             connected_components(c, &scratch, n, &edges, Engine::BitonicRec);
         });
-        sink.record(
-            Row {
-                task: "CC",
-                algo: "ours: oblivious SV-style",
-                n: m,
-                rep,
-            },
-            wall,
-        );
-        let (rep, wall) = meter_timed(|c| {
+        sink.record(Row {
+            task: "CC",
+            algo: "ours: oblivious SV-style",
+            n: m,
+            rep,
+        });
+        let rep = meter(|c| {
             connected_components_insecure(c, n, &edges);
         });
-        sink.record(
-            Row {
-                task: "CC",
-                algo: "insecure: direct SV-style",
-                n: m,
-                rep,
-            },
-            wall,
-        );
+        sink.record(Row {
+            task: "CC",
+            algo: "insecure: direct SV-style",
+            n: m,
+            rep,
+        });
     }
 
     // ---- Minimum spanning forest ----------------------------------------
     for n in sweep_from_args(&[1 << 6, 1 << 7, 1 << 8]) {
         let m = 2 * n;
         let edges = random_weighted_graph(n, m, 13);
-        let (rep, wall) = meter_timed(|c| {
+        let rep = meter(|c| {
             msf(c, &scratch, n, &edges, Engine::BitonicRec);
         });
-        sink.record(
-            Row {
-                task: "MSF",
-                algo: "ours: oblivious Boruvka",
-                n: m,
-                rep,
-            },
-            wall,
-        );
+        sink.record(Row {
+            task: "MSF",
+            algo: "ours: oblivious Boruvka",
+            n: m,
+            rep,
+        });
     }
 
     sink.finish().expect("failed to write BENCH_table1.json");

@@ -9,7 +9,7 @@
 //! * PRAM: per-step `O(sort(s))` via the space-bounded simulation, and the
 //!   `p log² s` OPRAM alternative that wins once `s ≫ p` (crossover).
 
-use dob_bench::{header, meter_timed, sweep_from_args, BenchSink, Row};
+use dob_bench::{header, meter, sweep_from_args, BenchSink, Row};
 use metrics::{ScratchPool, Tracked};
 use obliv_core::scan::{seg_propagate_in, seg_sum_right_in, Schedule, Seg};
 use obliv_core::{send_receive, Engine};
@@ -27,22 +27,19 @@ fn main() {
             ("ours: tree schedule", Schedule::Tree),
             ("prior: level-by-level", Schedule::Levels),
         ] {
-            let (rep, wall) = meter_timed(|c| {
+            let rep = meter(|c| {
                 let mut v: Vec<Seg<u64>> = (0..n)
                     .map(|i| Seg::new(i % 8 == 7, (i % 5) as u64))
                     .collect();
                 let mut t = Tracked::new(c, &mut v);
                 seg_sum_right_in(c, &scratch, &mut t, sched);
             });
-            sink.record(
-                Row {
-                    task: "Aggr",
-                    algo,
-                    n,
-                    rep,
-                },
-                wall,
-            );
+            sink.record(Row {
+                task: "Aggr",
+                algo,
+                n,
+                rep,
+            });
         }
     }
 
@@ -52,20 +49,17 @@ fn main() {
             ("ours: tree schedule", Schedule::Tree),
             ("prior: level-by-level", Schedule::Levels),
         ] {
-            let (rep, wall) = meter_timed(|c| {
+            let rep = meter(|c| {
                 let mut v: Vec<Seg<u64>> = (0..n).map(|i| Seg::new(i % 8 == 0, i as u64)).collect();
                 let mut t = Tracked::new(c, &mut v);
                 seg_propagate_in(c, &scratch, &mut t, sched);
             });
-            sink.record(
-                Row {
-                    task: "Prop",
-                    algo,
-                    n,
-                    rep,
-                },
-                wall,
-            );
+            sink.record(Row {
+                task: "Prop",
+                algo,
+                n,
+                rep,
+            });
         }
     }
 
@@ -85,18 +79,15 @@ fn main() {
                 Schedule::Levels,
             ),
         ] {
-            let (rep, wall) = meter_timed(|c| {
+            let rep = meter(|c| {
                 send_receive(c, &scratch, &sources, &dests, engine, sched);
             });
-            sink.record(
-                Row {
-                    task: "S-R",
-                    algo,
-                    n: 2 * n,
-                    rep,
-                },
-                wall,
-            );
+            sink.record(Row {
+                task: "S-R",
+                algo,
+                n: 2 * n,
+                rep,
+            });
         }
     }
 
@@ -110,18 +101,15 @@ fn main() {
             ("ours: Thm 4.1 (s≈p)", Engine::BitonicRec),
             ("prior: flat networks", Engine::BitonicFlat),
         ] {
-            let (rep, wall) = meter_timed(|c| {
+            let rep = meter(|c| {
                 run_oblivious_sb(c, &scratch, &prog, &vals, engine);
             });
-            sink.record(
-                Row {
-                    task: "PRAM",
-                    algo,
-                    n: p,
-                    rep,
-                },
-                wall,
-            );
+            sink.record(Row {
+                task: "PRAM",
+                algo,
+                n: p,
+                rep,
+            });
         }
     }
 
@@ -137,7 +125,7 @@ fn main() {
     let p = 32usize;
     for s in sweep_from_args(&[1 << 7, 1 << 9, 1 << 11]) {
         // One read step of p processors against s cells via Thm 4.1.
-        let (sb, sb_wall) = meter_timed(|c| {
+        let sb = meter(|c| {
             let sources: Vec<(u64, u64)> = (0..s as u64).map(|i| (i, i * 2)).collect();
             let dests: Vec<u64> = (0..p as u64).map(|i| (i * 37) % s as u64).collect();
             send_receive(
@@ -150,14 +138,14 @@ fn main() {
             );
         });
         // The same batch through the recursive tree ORAM.
-        let (op, op_wall) = meter_timed(|c| {
+        let op = meter(|c| {
             let mut o = Opram::new(s, OramConfig::default(), Engine::BitonicRec, 7);
             let reqs: Vec<(u64, Option<u64>)> =
                 (0..p as u64).map(|i| ((i * 37) % s as u64, None)).collect();
             o.access_batch(c, &reqs);
         });
-        sink.rows_push_quiet("PRAM-xover", "space-bounded", s, sb, sb_wall);
-        sink.rows_push_quiet("PRAM-xover", "opram", s, op, op_wall);
+        sink.rows_push_quiet("PRAM-xover", "space-bounded", s, sb);
+        sink.rows_push_quiet("PRAM-xover", "opram", s, op);
         let winner = if op.work < sb.work {
             "opram"
         } else {

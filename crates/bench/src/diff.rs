@@ -3,16 +3,16 @@
 //! The `BENCH_*.json` artifacts are produced by [`crate::BenchSink`] under
 //! the metering executor, so every gated counter (work, span, cache,
 //! comparisons, moves, allocs) is **deterministic** for a given source tree
-//! — any drift is a real change, not noise. Wall-clock is reported for
-//! context but never gated. The parser below reads exactly the flat shape
-//! `BenchSink::finish` writes (the container has no serde; see DESIGN.md
-//! §6).
+//! — any drift is a real change, not noise, and a source change that is
+//! meant to keep behaviour must regenerate every artifact bit for bit
+//! ([`DiffOutcome::changed`]). The parser below reads exactly the flat
+//! shape `BenchSink::finish` writes (the container has no serde; see
+//! DESIGN.md §6).
 
 use std::collections::BTreeMap;
 
-/// Counters gated at the >10% threshold. `wall_ns` is intentionally
-/// absent (host noise); `retries` is absent because a seed change
-/// legitimately moves it between small integers.
+/// Counters gated at the >10% threshold. `retries` is absent because a
+/// seed change legitimately moves it between small integers.
 pub const GATED: &[&str] = &[
     "work",
     "span",
@@ -55,16 +55,23 @@ pub struct BenchFile {
 /// array of flat objects whose values are strings or non-negative
 /// integers. Strings are read verbatim between quotes — no escape
 /// handling — which `BenchSink::finish` guarantees by rejecting row names
-/// containing `"` or `\`.
+/// containing `"` or `\`. Two rows under one `(task, algo, n)` identity
+/// are an error: [`diff_benches`] could only compare one of them.
 pub fn parse_bench_json(text: &str) -> Result<BenchFile, String> {
     let bin = find_string_field(text, "bin").ok_or("missing \"bin\" field")?;
     let rows_at = text.find("\"rows\"").ok_or("missing \"rows\" field")?;
-    let mut rows = Vec::new();
+    let mut rows: Vec<BenchRow> = Vec::new();
     let mut rest = &text[rows_at..];
     while let Some(open) = rest.find('{') {
         let close = rest[open..].find('}').ok_or("unterminated row object")? + open;
-        let obj = &rest[open + 1..close];
-        rows.push(parse_row(obj)?);
+        let row = parse_row(&rest[open + 1..close])?;
+        if rows
+            .iter()
+            .any(|r| (&r.task, &r.algo, r.n) == (&row.task, &row.algo, row.n))
+        {
+            return Err(format!("duplicate row {}", row.id()));
+        }
+        rows.push(row);
         rest = &rest[close + 1..];
     }
     Ok(BenchFile { bin, rows })
@@ -154,6 +161,26 @@ pub struct DiffOutcome {
     /// Fresh rows absent from the baseline (new coverage — fine; commit a
     /// new baseline to start gating them).
     pub added: Vec<String>,
+    /// Rows present on both sides.
+    pub compared: usize,
+    /// Of those, the ones that are not bit-identical: any counter — gated
+    /// or not, up or down — differs. Each entry names the row and its
+    /// moved counters. Informational; see [`changed_summary`].
+    pub changed: Vec<String>,
+}
+
+/// "N rows, K with any counter changed", then one line per changed row —
+/// what a behaviour-preserving change shows as `K = 0` in the CI log
+/// instead of claiming in prose.
+pub fn changed_summary(compared: usize, changed: &[String]) -> String {
+    let mut s = format!(
+        "{compared} rows, {} with any counter changed\n",
+        changed.len()
+    );
+    for row in changed {
+        s.push_str(&format!("- {row}\n"));
+    }
+    s
 }
 
 /// Did `fresh` regress past the gate relative to `baseline`?
@@ -184,15 +211,28 @@ pub fn diff_benches(baseline: &BenchFile, fresh: &BenchFile) -> DiffOutcome {
 
     let mut md = String::new();
     md.push_str(&format!("### `{}`\n\n", baseline.bin));
-    md.push_str("| row | work | span | cache misses | allocs | wall | status |\n");
-    md.push_str("|---|---|---|---|---|---|---|\n");
+    md.push_str("| row | work | span | cache misses | allocs | status |\n");
+    md.push_str("|---|---|---|---|---|---|\n");
     for brow in &baseline.rows {
         let id = brow.id();
         let Some(frow) = fresh_by_id.get(&id) else {
-            md.push_str(&format!("| {id} | — | — | — | — | — | ❌ missing |\n"));
+            md.push_str(&format!("| {id} | — | — | — | — | ❌ missing |\n"));
             out.missing.push(id);
             continue;
         };
+        out.compared += 1;
+        if brow.counters != frow.counters {
+            let names: std::collections::BTreeSet<&String> =
+                brow.counters.keys().chain(frow.counters.keys()).collect();
+            let show = |v: Option<&u64>| v.map_or("absent".to_string(), u64::to_string);
+            let moved: Vec<String> = names
+                .into_iter()
+                .map(|k| (k, brow.counters.get(k), frow.counters.get(k)))
+                .filter(|(_, b, f)| b != f)
+                .map(|(k, b, f)| format!("{k} {} → {}", show(b), show(f)))
+                .collect();
+            out.changed.push(format!("{id}: {}", moved.join(", ")));
+        }
         let mut row_regressed = false;
         for &counter in GATED {
             // A counter the baseline gates but the fresh artifact no
@@ -225,12 +265,11 @@ pub fn diff_benches(baseline: &BenchFile, fresh: &BenchFile) -> DiffOutcome {
             format!("{f} ({})", pct(b, f))
         };
         md.push_str(&format!(
-            "| {id} | {} | {} | {} | {} | {} | {} |\n",
+            "| {id} | {} | {} | {} | {} | {} |\n",
             cell("work"),
             cell("span"),
             cell("cache_misses"),
             cell("allocs"),
-            cell("wall_ns"),
             if row_regressed {
                 "❌ regressed"
             } else {
@@ -241,7 +280,7 @@ pub fn diff_benches(baseline: &BenchFile, fresh: &BenchFile) -> DiffOutcome {
     for frow in &fresh.rows {
         let id = frow.id();
         if !base_ids.contains(&id) {
-            md.push_str(&format!("| {id} | — | — | — | — | — | 🆕 unbaselined |\n"));
+            md.push_str(&format!("| {id} | — | — | — | — | 🆕 unbaselined |\n"));
             out.added.push(id);
         }
     }
@@ -260,7 +299,7 @@ mod tests {
              {{\"task\": \"store\", \"algo\": \"merge path\", \"n\": 256, \"work\": {work}, \
              \"span\": 120, \"cache_misses\": 300, \"cache_accesses\": 900, \
              \"comparisons\": 50, \"moves\": 60, \"retries\": 0, \"allocs\": {allocs}, \
-             \"m_words\": 32768, \"b_words\": 8, \"wall_ns\": 1234}}\n  ]\n}}\n"
+             \"m_words\": 32768, \"b_words\": 8}}\n  ]\n}}\n"
         )
     }
 
@@ -350,9 +389,36 @@ mod tests {
     }
 
     #[test]
-    fn wall_clock_is_reported_but_never_gated() {
+    fn a_repeated_row_identity_is_a_parse_error() {
+        let one = sample(1000, 4);
+        let row = one.lines().nth(3).unwrap();
+        let two = one.replace(row, &format!("{row},\n{}", row.replace("1000", "2000")));
+        let err = parse_bench_json(&two).unwrap_err();
+        assert!(
+            err.contains("duplicate row store / merge path / n=256"),
+            "{err}"
+        );
+    }
+
+    #[test]
+    fn changed_rows_are_counted_below_the_gate_too() {
         let base = parse_bench_json(&sample(1000, 4)).unwrap();
-        let noisy = parse_bench_json(&sample(1000, 4).replace("1234", "999999")).unwrap();
-        assert!(diff_benches(&base, &noisy).regressions.is_empty());
+        let same = diff_benches(&base, &base);
+        assert_eq!((same.compared, same.changed.len()), (1, 0));
+        assert_eq!(
+            changed_summary(same.compared, &same.changed),
+            "1 rows, 0 with any counter changed\n"
+        );
+        // One unit of work and one ungated counter: far inside the 10 %
+        // gate, and still not bit-identical.
+        let moved =
+            parse_bench_json(&sample(999, 4).replace("\"retries\": 0", "\"retries\": 1")).unwrap();
+        let d = diff_benches(&base, &moved);
+        assert!(d.regressions.is_empty() && d.missing.is_empty());
+        assert_eq!(
+            changed_summary(d.compared, &d.changed),
+            "1 rows, 1 with any counter changed\n\
+             - store / merge path / n=256: retries 0 → 1, work 1000 → 999\n"
+        );
     }
 }

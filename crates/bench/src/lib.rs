@@ -1,4 +1,4 @@
-//! Shared harness for the table/figure generators and Criterion benches.
+//! Shared harness for the table/figure generators.
 //!
 //! Every generator measures the model quantities the paper's tables are
 //! stated in — work `W`, span `T∞`, cache misses `Q(M,B)` — through the
@@ -6,6 +6,10 @@
 //! normalized columns so the asymptotic *shape* (the reproduction target)
 //! is visible at a glance: `W / (n·log n)`, `T∞ / log² n`, and
 //! `Q / ((n/B)·log_M n)`.
+//!
+//! Model quantities are all this crate reports: a `BENCH_*.json` is a pure
+//! function of the source tree. Host time is measured by `benchmark/`
+//! (see `benchmark/README.md`).
 
 use metrics::{measure, CacheConfig, CostReport, MeterCtx, TraceMode};
 
@@ -25,33 +29,9 @@ pub fn meter<F: FnOnce(&MeterCtx)>(f: F) -> CostReport {
     measure(CacheConfig::default(), TraceMode::Off, f).1
 }
 
-/// [`meter`] plus host wall-clock time of the metered run (nanoseconds) —
-/// the raw material for the machine-readable `BENCH_*.json` artifacts.
-pub fn meter_timed<F: FnOnce(&MeterCtx)>(f: F) -> (CostReport, u128) {
-    let t0 = std::time::Instant::now();
-    let rep = meter(f);
-    (rep, t0.elapsed().as_nanos())
-}
-
 /// Measure under an explicit cache geometry.
 pub fn meter_with<F: FnOnce(&MeterCtx)>(cfg: CacheConfig, f: F) -> CostReport {
     measure(cfg, TraceMode::Off, f).1
-}
-
-/// Host wall-clock (nanoseconds) of `f` run *unmetered* on the sequential
-/// executor — the min over `reps` runs. Use this for rows whose point is
-/// real data movement: under the metering executor the per-access
-/// simulation overhead is width-independent, so wall-clock there hides
-/// exactly the effect (e.g. tag cells vs wide records) being measured.
-pub fn wall_unmetered<F: FnMut(&fj::SeqCtx)>(reps: u32, mut f: F) -> u128 {
-    let c = fj::SeqCtx::new();
-    let mut best = u128::MAX;
-    for _ in 0..reps.max(1) {
-        let t0 = std::time::Instant::now();
-        f(&c);
-        best = best.min(t0.elapsed().as_nanos());
-    }
-    best
 }
 
 pub fn lg(n: usize) -> f64 {
@@ -99,7 +79,7 @@ pub fn print_row(r: &Row) {
 /// can archive the perf trajectory of every push.
 pub struct BenchSink {
     bin: &'static str,
-    rows: Vec<(Row, u128, u64)>,
+    rows: Vec<(Row, u64)>,
     json: bool,
 }
 
@@ -114,17 +94,16 @@ impl BenchSink {
     }
 
     /// Print the row (human table) and retain it for the JSON artifact.
-    /// `wall_ns` is the host wall-clock time of the measured closure.
-    pub fn record(&mut self, row: Row, wall_ns: u128) {
-        self.record_alloc(row, wall_ns, 0);
+    pub fn record(&mut self, row: Row) {
+        self.record_alloc(row, 0);
     }
 
     /// [`BenchSink::record`] with an explicit fresh-allocation count (the
     /// scratch-arena `fresh_allocs` delta of the measured closure) so the
     /// CI regression gate can also watch allocator behaviour.
-    pub fn record_alloc(&mut self, row: Row, wall_ns: u128, allocs: u64) {
+    pub fn record_alloc(&mut self, row: Row, allocs: u64) {
         print_row(&row);
-        self.rows.push((row, wall_ns, allocs));
+        self.push(row, allocs);
     }
 
     /// Retain a row for the JSON artifact without printing it — for
@@ -135,9 +114,24 @@ impl BenchSink {
         algo: &'static str,
         n: usize,
         rep: CostReport,
-        wall_ns: u128,
     ) {
-        self.rows.push((Row { task, algo, n, rep }, wall_ns, 0));
+        self.push(Row { task, algo, n, rep }, 0);
+    }
+
+    /// `(task, algo, n)` is what `bench_diff` keys a row by, so a second
+    /// row under one identity could only shadow the first.
+    fn push(&mut self, row: Row, allocs: u64) {
+        assert!(
+            !self
+                .rows
+                .iter()
+                .any(|(r, _)| (r.task, r.algo, r.n) == (row.task, row.algo, row.n)),
+            "duplicate bench row: {} / {} / n={}",
+            row.task,
+            row.algo,
+            row.n,
+        );
+        self.rows.push((row, allocs));
     }
 
     /// Write `BENCH_<bin>.json` when `--json` was requested. Hand-rolled
@@ -149,7 +143,7 @@ impl BenchSink {
         }
         let mut out = String::from("{\n");
         out.push_str(&format!("  \"bin\": \"{}\",\n  \"rows\": [\n", self.bin));
-        for (i, (r, wall_ns, allocs)) in self.rows.iter().enumerate() {
+        for (i, (r, allocs)) in self.rows.iter().enumerate() {
             // The regression gate's parser (`diff::parse_bench_json`) reads
             // plain quoted strings; keep names free of escape sequences so
             // `{:?}` serialization stays a verbatim quote.
@@ -163,7 +157,7 @@ impl BenchSink {
                 "    {{\"task\": {:?}, \"algo\": {:?}, \"n\": {}, \"work\": {}, \"span\": {}, \
                  \"cache_misses\": {}, \"cache_accesses\": {}, \"comparisons\": {}, \
                  \"moves\": {}, \"retries\": {}, \"allocs\": {}, \"m_words\": {}, \
-                 \"b_words\": {}, \"wall_ns\": {}}}{}\n",
+                 \"b_words\": {}}}{}\n",
                 r.task,
                 r.algo,
                 r.n,
@@ -177,7 +171,6 @@ impl BenchSink {
                 allocs,
                 r.rep.m_words,
                 r.rep.b_words,
-                wall_ns,
                 if i + 1 == self.rows.len() { "" } else { "," },
             ));
         }
@@ -246,5 +239,15 @@ mod tests {
             fj::par_for(c, 0, 100, 1, &|c, _| c.work(1));
         });
         assert!(rep.work >= 100);
+    }
+
+    #[test]
+    #[should_panic(expected = "duplicate bench row: store / merge path / n=256")]
+    fn a_repeated_row_identity_panics() {
+        let rep = meter(|_| {});
+        let mut sink = BenchSink::from_args("store");
+        sink.rows_push_quiet("store", "merge path", 256, rep);
+        sink.rows_push_quiet("store", "merge path", 512, rep);
+        sink.rows_push_quiet("store", "merge path", 256, rep);
     }
 }

@@ -44,6 +44,13 @@ pub enum StoreError {
         /// Which contract it breaks.
         reason: &'static str,
     },
+    /// The configuration names a shape no engine exists for (a shard
+    /// count that is not a power of two, or the ORAM path on more than
+    /// one shard). Recovery refused before touching the directory.
+    InvalidConfig {
+        /// Which rule the configuration breaks.
+        reason: &'static str,
+    },
     /// `checkpoint` was called while the pending log is non-empty (the
     /// last epoch took the ORAM path). Snapshots only capture the table,
     /// so checkpoint at a merge close. Nothing was written; the store is
@@ -108,6 +115,9 @@ impl fmt::Display for StoreError {
         match self {
             StoreError::InvalidOp { index, reason } => {
                 write!(f, "op {index} of the epoch was rejected: {reason}")
+            }
+            StoreError::InvalidConfig { reason } => {
+                write!(f, "invalid store configuration: {reason}")
             }
             StoreError::CheckpointPending { pending } => write!(
                 f,

@@ -321,24 +321,33 @@ enum Routed {
 }
 
 impl ShardedStore {
-    fn validate_cfg(cfg: &ShardConfig) {
-        assert!(
-            cfg.shards >= 1 && cfg.shards.is_power_of_two(),
-            "shard count must be a power of two"
-        );
-        assert!(
-            cfg.store.oram_key_space.is_none() || cfg.shards == 1,
-            "the ORAM path requires a single shard (sharded stores are merge-only)"
-        );
+    /// The two shapes no engine exists for. One check for both
+    /// constructors: [`ShardedStore::new`] panics with the reason,
+    /// [`ShardedStore::recover_with`] returns it.
+    fn check_cfg(cfg: &ShardConfig) -> Result<(), &'static str> {
+        if !cfg.shards.is_power_of_two() {
+            return Err("shard count must be a power of two");
+        }
+        if cfg.store.oram_key_space.is_some() && cfg.shards != 1 {
+            return Err("the ORAM path requires a single shard (sharded stores are merge-only)");
+        }
+        Ok(())
     }
 
     /// An in-memory store: [`ShardConfig`] for a sharded one, a bare
     /// [`StoreConfig`] for a single shard. [`StoreConfig::durability`] is
     /// ignored here — there is no directory to log into; use
     /// [`ShardedStore::recover`] to open (or create) a durable store.
+    ///
+    /// # Panics
+    ///
+    /// If the shard count is not a power of two, or the ORAM path is
+    /// configured with more than one shard.
     pub fn new(cfg: impl Into<ShardConfig>) -> Self {
         let cfg = cfg.into();
-        Self::validate_cfg(&cfg);
+        if let Err(reason) = Self::check_cfg(&cfg) {
+            panic!("{reason}");
+        }
         let shards = (0..cfg.shards)
             .map(|i| Shard::new(cfg.store, i as u64))
             .collect();
@@ -386,6 +395,10 @@ impl ShardedStore {
     ///
     /// [`ShardedStore::routing_fallbacks`] restarts at 0: the fallback
     /// count is diagnostic, not state, and is not persisted.
+    ///
+    /// A configuration [`ShardedStore::new`] would panic on is
+    /// [`StoreError::InvalidConfig`] here, returned before `dir` is
+    /// created or read.
     pub fn recover<C: Ctx>(
         c: &C,
         scratch: &ScratchPool,
@@ -406,7 +419,7 @@ impl ShardedStore {
         vfs: Arc<dyn Vfs>,
     ) -> Result<ShardedStore, StoreError> {
         let cfg = cfg.into();
-        Self::validate_cfg(&cfg);
+        Self::check_cfg(&cfg).map_err(|reason| StoreError::InvalidConfig { reason })?;
         let dir = dir.as_ref();
         vfs.create_dir_all(dir).map_err(|source| StoreError::Io {
             context: "store directory create",

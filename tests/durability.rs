@@ -350,6 +350,38 @@ fn sharded_kill_and_recover_matches_oracle() {
 }
 
 #[test]
+fn hostile_configs_are_typed_errors_and_create_nothing() {
+    let c = SeqCtx::new();
+    let sp = ScratchPool::new();
+    let three_shards = ShardConfig {
+        shards: 3,
+        store: durable_cfg(),
+        ..ShardConfig::default()
+    };
+    let sharded_oram = ShardConfig {
+        shards: 4,
+        store: StoreConfig {
+            durability: Durability::epoch(),
+            ..StoreConfig::with_oram(64)
+        },
+        ..ShardConfig::default()
+    };
+    for (name, cfg) in [
+        ("three_shards", three_shards),
+        ("sharded_oram", sharded_oram),
+    ] {
+        let dir = tdir(name);
+        let r = ShardedStore::recover(&c, &sp, &dir, cfg);
+        assert!(
+            matches!(r, Err(StoreError::InvalidConfig { .. })),
+            "{name}: {:?}",
+            r.err()
+        );
+        assert!(!dir.exists(), "{name}: recover created {dir:?}");
+    }
+}
+
+#[test]
 fn sharded_ragged_tail_drops_the_uncommitted_epoch() {
     let c = SeqCtx::new();
     let sp = ScratchPool::new();
