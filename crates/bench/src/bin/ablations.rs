@@ -136,7 +136,10 @@ fn main() {
     }
     println!("\nend-to-end OPRAM miss counts (effect diluted by eviction/stash scans):");
     for s in sweep_from_args(&[1 << 10, 1 << 12]) {
-        for (label, layout) in [("vEB", TreeLayout::Veb), ("level", TreeLayout::Level)] {
+        for (algo, layout) in [
+            ("opram vEB", TreeLayout::Veb),
+            ("opram level", TreeLayout::Level),
+        ] {
             let rep = meter_with(CacheConfig::new(512, 8), |c| {
                 let cfg = OramConfig {
                     layout,
@@ -148,9 +151,10 @@ fn main() {
                 }
             });
             println!(
-                "opram s={s:<6} layout={label:<6} Q={:<8} (48 accesses, M=512,B=8 words)",
+                "{algo:<11} s={s:<6} Q={:<8} (48 accesses, M=512,B=8 words)",
                 rep.cache_misses
             );
+            sink.rows_push_quiet("E4", algo, s, rep);
         }
     }
     println!("(§4.2: vEB paths cost O(log_B s) blocks instead of O(log s))\n");

@@ -554,6 +554,21 @@ fn main() {
         let _ = o.access_batch(c, &reqs);
     });
 
+    // ORAM point path: one fused tree pass per recursion level. Same
+    // address sequence and coins; the values written, and which accesses
+    // write at all, differ.
+    all_ok &= row(
+        "ORAM point access (values, hit location)",
+        &FOUR,
+        |c, &salt| {
+            let mut o = pram::Opram::new(200, pram::OramConfig::default(), Engine::BitonicRec, 9);
+            for i in 0..60u64 {
+                let write = ((i + salt) % (salt + 2) == 0).then_some(i * 1000 + salt);
+                o.access(c, (i * 13) % 200, write);
+            }
+        },
+    );
+
     println!(
         "\n{}",
         if all_ok {

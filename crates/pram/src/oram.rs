@@ -10,11 +10,40 @@
 //!   level k packs the leaves of two level-(k−1) addresses per entry, down
 //!   to a constant-size top map that is scanned in full (fixed pattern);
 //! * **fixed-capacity stash** with deterministic reverse-lexicographic
-//!   eviction of two paths per access (overflow is monitored, not proven);
+//!   eviction of two paths per access, evicted *jointly* (overflow is
+//!   monitored, not proven);
 //! * **batched accesses**: conflict resolution by oblivious sort, one tree
 //!   walk per distinct address, results broadcast back with oblivious
 //!   send-receive — the fetch/route structure of \[CCS17\]'s per-step
 //!   simulation.
+//!
+//! # One fused pass per tree
+//!
+//! [`TreeOram::access`] touches tracked memory in one fixed sequence, a
+//! function of `(height, bucket, stash, layout, read leaf, evict_ctr)` and
+//! nothing else. With `h` = height and `b` = bucket (the two eviction paths
+//! of one access are `evict_ctr` and `evict_ctr + 1` bit-reversed, `evict_ctr`
+//! even: they differ in their top bit and share the root only):
+//!
+//! 1. the `h·b` slots of the read path are read and rewritten (the
+//!    looked-up block blinded in passing);
+//! 2. the `(2h − 1)·b` bucket slots of the two eviction paths and then the
+//!    `stash` slots are read once each — the shared root once, not once per
+//!    path;
+//! 3. in private, untraced staging the looked-up block is dropped and the
+//!    re-leafed block added, every slot is keyed by the deepest bucket on
+//!    either path that its leaf allows (`leading_zeros` of `leaf ⊕ path`;
+//!    free slots sort last), the slots are counting-sorted by that bucket
+//!    and the buckets filled deepest-first — linear in the staged slots,
+//!    and every loop of it runs a public number of times: free slots are
+//!    staged, sorted and written like real ones, so the work of an access
+//!    does not follow how full the tree is or where the block was;
+//! 4. the same `(2h − 1)·b` bucket slots and `stash` slots are written
+//!    once each, leaves first, then the root, then the stash.
+//!
+//! That is `2b·h + 2b·(2h − 1) + 2·stash` tracked slot touches per tree —
+//! `30h + 192` at the default `b = 5`, `stash = 96`, less the `10` of the
+//! shared root — whatever the tree holds and wherever the block is found.
 //!
 //! Path choices are fresh uniform leaves independent of the address
 //! sequence (the classic tree-ORAM argument); bucket and stash scans are
@@ -30,13 +59,27 @@ use obliv_core::{send_receive_u64, Engine, TagCell};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-/// One storage slot in a bucket, the stash, or a gathered path.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+/// `OramSlot::addr` of a free slot.
+const EMPTY: u32 = u32::MAX;
+
+/// One storage slot in a bucket, the stash, or private staging: 16 bytes.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct OramSlot {
-    pub full: bool,
-    pub addr: u64,
-    pub leaf: u64,
+    /// Block address; `u32::MAX` marks a free slot.
+    pub addr: u32,
+    pub leaf: u32,
     pub val: u64,
+}
+
+impl Default for OramSlot {
+    /// The free slot.
+    fn default() -> Self {
+        OramSlot {
+            addr: EMPTY,
+            leaf: 0,
+            val: 0,
+        }
+    }
 }
 
 /// Tuning for the tree ORAM.
@@ -68,14 +111,19 @@ pub struct TreeOram {
     store: Vec<OramSlot>,
     stash: Vec<OramSlot>,
     evict_ctr: u64,
-    /// Peak stash occupancy observed (monitoring, §4.2 simplification).
+    /// Most real blocks any one access has written back to the stash — the
+    /// quantity the overflow assert bounds by the stash capacity
+    /// (monitoring, §4.2 simplification).
     pub max_stash: usize,
-    /// Reusable eviction scratch (private, untraced memory): gathered
-    /// path∪stash slots, placement marks, and the staged bucket layout.
-    /// Field-held so steady-state accesses perform no heap allocation.
-    evict_pool: Vec<OramSlot>,
-    evict_used: Vec<bool>,
-    evict_layout: Vec<OramSlot>,
+    /// Private, untraced staging, sized once in [`TreeOram::new`] so
+    /// steady-state accesses perform no heap allocation: every gathered
+    /// slot, the same slots counting-sorted by deepest legal bucket, the
+    /// first slot of every bucket the access visits, and where each
+    /// bucket's blocks end in `sorted`.
+    pool: Vec<OramSlot>,
+    sorted: Vec<OramSlot>,
+    bases: Vec<usize>,
+    ends: Vec<usize>,
 }
 
 impl TreeOram {
@@ -84,6 +132,7 @@ impl TreeOram {
         // Leaves ≈ capacity/bucket, height = log2(leaves) + 1; min height 1.
         let leaves = (capacity.div_ceil(cfg.bucket)).next_power_of_two().max(1);
         let height = leaves.trailing_zeros() as usize + 1;
+        let staged = 2 * height * cfg.bucket + cfg.stash + 1;
         TreeOram {
             height,
             bucket: cfg.bucket,
@@ -92,9 +141,10 @@ impl TreeOram {
             stash: vec![OramSlot::default(); cfg.stash],
             evict_ctr: 0,
             max_stash: 0,
-            evict_pool: Vec::new(),
-            evict_used: Vec::new(),
-            evict_layout: Vec::new(),
+            pool: Vec::with_capacity(staged),
+            sorted: vec![OramSlot::default(); staged],
+            bases: vec![0; 3 * height - 1],
+            ends: vec![0; 2 * height],
         }
     }
 
@@ -103,14 +153,19 @@ impl TreeOram {
         1u64 << (self.height - 1)
     }
 
-    #[allow(dead_code)]
-    fn bucket_base(&self, depth: usize, idx: usize) -> usize {
-        self.layout.pos(self.height, depth, idx) * self.bucket
-    }
-
     /// Read-and-remove `addr` along the path to `leaf`, then reinsert it
     /// with `new_leaf` and value `new_val(old)`; returns the old value
-    /// (0 if absent). All scans are fixed-size.
+    /// (`None` if absent), and evict the next two reverse-lexicographic
+    /// paths jointly — one fused pass, see the module doc.
+    ///
+    /// The two eviction paths and the stash form one pool. A block may sit
+    /// in any bucket whose path prefix its leaf shares, on either path; the
+    /// buckets are refilled deepest-first, each taking `min(bucket,
+    /// |eligible|)` of the blocks not yet placed, and what is left returns
+    /// to the stash. Which slots are real, where the looked-up block was
+    /// found and where anything is placed live only in private memory: the
+    /// tracked pattern reads every slot it visits and unconditionally
+    /// rewrites it, and every staging loop runs a public number of times.
     pub fn access<C: Ctx>(
         &mut self,
         c: &C,
@@ -119,175 +174,191 @@ impl TreeOram {
         new_leaf: u64,
         new_val: impl FnOnce(Option<u64>) -> u64,
     ) -> Option<u64> {
-        let height = self.height;
-        let bucket = self.bucket;
-        let mut found: Option<u64> = None;
+        // Slots hold addresses and leaves as `u32`, `u32::MAX` = free.
+        assert!(
+            addr < EMPTY as u64 && leaf < self.leaves() && new_leaf < self.leaves(),
+            "ORAM access out of range: addr {addr}, leaves {leaf} → {new_leaf}"
+        );
+        let (addr, leaf) = (addr as u32, leaf as u32);
+        let TreeOram {
+            height: h,
+            bucket,
+            layout,
+            ref mut store,
+            ref mut stash,
+            ref mut evict_ctr,
+            ref mut max_stash,
+            ref mut pool,
+            ref mut sorted,
+            ref mut bases,
+            ref mut ends,
+        } = *self;
 
-        // Scan the path buckets (read + conditional blind, fixed pattern).
-        {
-            let mut st = Tracked::new(c, &mut self.store);
-            for d in 0..height {
-                let idx = (leaf >> (height - 1 - d)) as usize;
-                let base = self.layout.pos(height, d, idx) * bucket;
-                for k in 0..bucket {
-                    let mut sl = st.get(c, base + k);
-                    let hit = sl.full && sl.addr == addr;
-                    if hit {
-                        found = Some(sl.val);
-                    }
-                    sl.full &= !hit;
-                    st.set(c, base + k, sl); // unconditional write-back
-                }
+        // `evict_ctr` is even, so the two paths differ in their top bit:
+        // they share the root and nothing below it, whatever the counter.
+        let bits = (h - 1) as u32;
+        let paths = [
+            reverse_bits(*evict_ctr, bits),
+            reverse_bits(*evict_ctr + 1, bits),
+        ];
+        *evict_ctr += 2;
+        debug_assert_eq!(meet(h, paths[0], paths[1]), 0);
+        // The eviction buckets are numbered along the walk from path 1's
+        // leaf up to the root (`0..root`) and down to path 0's leaf
+        // (`root + 1..nodes`): depth `d` is `root − d` on path 1 and
+        // `root + d` on path 0, and a block may sit anywhere between its
+        // deepest legal bucket and the root.
+        let (root, nodes) = (h - 1, 2 * h - 1);
+        let node_of = |block_leaf: u32| {
+            let d = paths.map(|path| meet(h, block_leaf, path));
+            if d[1] > d[0] {
+                root - d[1]
+            } else {
+                root + d[0]
             }
+        };
+
+        // The only place bucket positions are computed: the read path, then
+        // the eviction buckets in their numbering.
+        let base_of =
+            |path: u32, d: usize| layout.pos(h, d, (path >> (h - 1 - d)) as usize) * bucket;
+        let (read_bases, evict_bases) = bases.split_at_mut(h);
+        for d in 0..h {
+            read_bases[d] = base_of(leaf, d);
+            evict_bases[root + d] = base_of(paths[0], d);
+            evict_bases[root - d] = base_of(paths[1], d);
         }
-        // Scan the whole stash.
-        {
-            let mut st = Tracked::new(c, &mut self.stash);
-            for k in 0..st.len() {
-                let mut sl = st.get(c, k);
-                let hit = sl.full && sl.addr == addr;
-                if hit {
-                    found = Some(sl.val);
-                }
-                sl.full &= !hit;
+        let evict_bases = &*evict_bases;
+
+        let mut found: Option<u64> = None;
+        // The slot as it goes on: freed, and its value kept, if it is the
+        // looked-up block.
+        let mut blind = |sl: OramSlot| {
+            if sl.addr == addr {
+                found = Some(sl.val);
+                OramSlot::default()
+            } else {
+                sl
+            }
+        };
+        let mut st = Tracked::new(c, store);
+        let mut ss = Tracked::new(c, stash);
+
+        // 1. Read path: read + conditional blind + unconditional rewrite.
+        for &base in read_bases.iter() {
+            for k in base..base + bucket {
+                let sl = blind(st.get(c, k));
                 st.set(c, k, sl);
             }
         }
 
-        // Reinsert into the stash with the fresh leaf.
-        let fresh = OramSlot {
-            full: true,
-            addr,
-            leaf: new_leaf,
-            val: new_val(found),
-        };
-        self.stash_insert(c, fresh);
-
-        // Deterministic reverse-lexicographic eviction of two paths.
-        for _ in 0..2 {
-            let path = reverse_bits(self.evict_ctr, (height - 1) as u32) % self.leaves();
-            self.evict_ctr += 1;
-            self.evict_path(c, path);
-        }
-        let occupied = self.stash.iter().filter(|s| s.full).count();
-        self.max_stash = self.max_stash.max(occupied);
-        found
-    }
-
-    fn stash_insert<C: Ctx>(&mut self, c: &C, slot: OramSlot) {
-        let mut st = Tracked::new(c, &mut self.stash);
-        let mut placed = false;
-        for k in 0..st.len() {
-            let cur = st.get(c, k);
-            let take = !placed && !cur.full;
-            // Unconditional write keeps the pattern fixed.
-            st.set(c, k, if take { slot } else { cur });
-            placed |= take;
-        }
-        assert!(placed, "ORAM stash overflow (capacity {})", st.len());
-    }
-
-    /// Greedy write-back along the path to `leaf`: gather path ∪ stash,
-    /// then refill buckets deepest-first with elements whose leaf shares
-    /// the required prefix; leftovers return to the stash.
-    ///
-    /// The host-visible pattern is fixed for a given `(height, bucket,
-    /// stash, leaf)`: the gather reads every path/stash slot, the
-    /// placement is computed in untraced private memory, and the
-    /// write-back unconditionally rewrites every path bucket slot and
-    /// every stash slot — how many slots carry real elements never shows.
-    fn evict_path<C: Ctx>(&mut self, c: &C, leaf: u64) {
-        let height = self.height;
-        let bucket = self.bucket;
-        // Reusable scratch (taken out so `self`'s tracked slices can be
-        // borrowed alongside); no allocation once warm.
-        let mut pool = std::mem::take(&mut self.evict_pool);
-        let mut used = std::mem::take(&mut self.evict_used);
-        let mut layout = std::mem::take(&mut self.evict_layout);
+        // 2. Gather both eviction paths and the stash, once: every slot is
+        // staged, free or not. The looked-up block is dropped here if the
+        // stash held it, and the re-leafed block joins last.
         pool.clear();
-
-        {
-            let st = Tracked::new(c, &mut self.store);
-            for d in 0..height {
-                let idx = (leaf >> (height - 1 - d)) as usize;
-                let base = self.layout.pos(height, d, idx) * bucket;
-                for k in 0..bucket {
-                    pool.push(st.get(c, base + k));
-                }
-            }
-        }
-        {
-            let st = Tracked::new(c, &mut self.stash);
-            for k in 0..st.len() {
+        for &base in evict_bases {
+            for k in base..base + bucket {
                 pool.push(st.get(c, k));
             }
         }
-
-        // Deepest-first placement, staged in private memory.
-        used.clear();
-        used.resize(pool.len(), false);
-        layout.clear();
-        layout.resize(height * bucket, OramSlot::default());
-        for d in (0..height).rev() {
-            let mut filled = 0;
-            for (i, sl) in pool.iter().enumerate() {
-                if filled == bucket {
-                    break;
-                }
-                if used[i] || !sl.full {
-                    continue;
-                }
-                // Slot may live at depth d iff its leaf shares the top
-                // d+1-bit prefix with the eviction path.
-                let shift = height - 1 - d;
-                if (sl.leaf >> shift) == (leaf >> shift) {
-                    layout[d * bucket + filled] = *sl;
-                    used[i] = true;
-                    filled += 1;
-                }
-            }
-            c.work(pool.len() as u64);
+        for k in 0..ss.len() {
+            pool.push(blind(ss.get(c, k)));
         }
+        pool.push(OramSlot {
+            addr,
+            leaf: new_leaf as u32,
+            val: new_val(found),
+        });
 
-        // Fixed-pattern write-back: every path bucket slot, then every
-        // stash slot, written exactly once.
-        {
-            let mut st = Tracked::new(c, &mut self.store);
-            for d in 0..height {
-                let idx = (leaf >> (height - 1 - d)) as usize;
-                let base = self.layout.pos(height, d, idx) * bucket;
-                for k in 0..bucket {
-                    st.set(c, base + k, layout[d * bucket + k]);
-                }
+        // 3. Counting sort by deepest legal bucket, free slots last:
+        // afterwards `ends[n − 1]..ends[n]` of `sorted` holds the blocks of
+        // bucket `n`. One unit of work per staged slot for the sort, one for
+        // the fill.
+        c.work(2 * pool.len() as u64);
+        let class = |sl: &OramSlot| {
+            if sl.addr == EMPTY {
+                nodes
+            } else {
+                node_of(sl.leaf)
             }
+        };
+        let counts = &mut ends[..nodes + 1];
+        counts.fill(0);
+        for sl in pool.iter() {
+            counts[class(sl)] += 1;
         }
-        {
-            let mut st = Tracked::new(c, &mut self.stash);
-            let mut leftovers = pool
-                .iter()
-                .zip(used.iter())
-                .filter(|(sl, &u)| !u && sl.full)
-                .map(|(sl, _)| *sl);
-            for k in 0..st.len() {
-                st.set(c, k, leftovers.next().unwrap_or_default());
+        let mut at = 0;
+        for n in counts.iter_mut() {
+            at += std::mem::replace(n, at);
+        }
+        for sl in pool.iter() {
+            let n = class(sl);
+            sorted[ends[n]] = *sl;
+            ends[n] += 1;
+        }
+        // Slot `i` of `sorted` if `live`, else a free slot.
+        let pick = |i: usize, live: bool| {
+            if live {
+                sorted[i]
+            } else {
+                OramSlot::default()
             }
-            assert!(
-                leftovers.next().is_none(),
-                "ORAM stash overflow during eviction"
-            );
-        }
+        };
 
-        self.evict_pool = pool;
-        self.evict_used = used;
-        self.evict_layout = layout;
+        // 4. Deepest-first fill and write-back, every slot written once.
+        // Path 1's blocks lie deepest-first from the left of `sorted`, path
+        // 0's deepest-first from the right end of the real blocks, the
+        // root's own in between: each bucket takes from its path's end what
+        // its level and the deeper ones have left, so the two ends close in
+        // on exactly the blocks that the root, and then the stash, may hold.
+        let (mut lo, mut hi) = (0, ends[nodes - 1]);
+        for n in 0..root {
+            let take = bucket.min(ends[n] - lo);
+            for k in 0..bucket {
+                st.set(c, evict_bases[n] + k, pick(lo + k, k < take));
+            }
+            lo += take;
+        }
+        for n in (root + 1..nodes).rev() {
+            let take = bucket.min(hi - ends[n - 1]);
+            for k in 0..bucket {
+                st.set(
+                    c,
+                    evict_bases[n] + k,
+                    pick(hi.wrapping_sub(k + 1), k < take),
+                );
+            }
+            hi -= take;
+        }
+        let left = hi - lo;
+        assert!(
+            left <= bucket + ss.len(),
+            "ORAM stash overflow (capacity {})",
+            ss.len()
+        );
+        *max_stash = (*max_stash).max(left.saturating_sub(bucket));
+        for k in 0..bucket {
+            st.set(c, evict_bases[root] + k, pick(lo + k, k < left));
+        }
+        for k in 0..ss.len() {
+            ss.set(c, k, pick(lo + bucket + k, bucket + k < left));
+        }
+        found
     }
 }
 
-fn reverse_bits(x: u64, bits: u32) -> u64 {
+/// Depth of the deepest bucket the paths to leaves `a` and `b` share in a
+/// tree of `height` levels: the length of their common prefix in the
+/// `(height − 1)`-bit window (0 = the root only).
+fn meet(height: usize, a: u32, b: u32) -> usize {
+    height - 1 - (32 - (a ^ b).leading_zeros() as usize)
+}
+
+fn reverse_bits(x: u64, bits: u32) -> u32 {
     if bits == 0 {
         return 0;
     }
-    x.reverse_bits() >> (64 - bits)
+    (x.reverse_bits() >> (64 - bits)) as u32
 }
 
 // ---------------------------------------------------------------------------
@@ -330,6 +401,8 @@ fn set_half(v: u64, bit: u64, leaf: u32) -> u64 {
 
 impl Opram {
     pub fn new(s: usize, cfg: OramConfig, engine: Engine, seed: u64) -> Self {
+        // Addresses and leaves are stored as `u32`, `u32::MAX` = free slot.
+        assert!(s <= u32::MAX as usize, "ORAM address space exceeds u32");
         let mut rng = StdRng::seed_from_u64(seed);
         let data = TreeOram::new(s.max(1), cfg);
         let mut maps = Vec::new();
@@ -560,6 +633,209 @@ mod tests {
         assert_eq!(got, vec![50, 60, 50, 60]);
         let after = o.access_batch(&c, &[(6, None)]);
         assert_eq!(after, vec![61]);
+    }
+
+    #[test]
+    fn slot_is_16_bytes() {
+        assert_eq!(std::mem::size_of::<OramSlot>(), 16);
+        assert_eq!(OramSlot::default().addr, EMPTY);
+    }
+
+    /// Buckets too small for the load, so blocks really do wait in the
+    /// stash: the monitor must see them, and stay under the capacity the
+    /// overflow assert enforces.
+    #[test]
+    fn starved_buckets_show_up_in_max_stash() {
+        let c = SeqCtx::new();
+        let s = 300usize;
+        for layout in [TreeLayout::Veb, TreeLayout::Level] {
+            let cfg = OramConfig {
+                bucket: 1,
+                stash: 64,
+                layout,
+            };
+            let mut o = Opram::new(s, cfg, Engine::BitonicRec, 5);
+            let mut reference: HashMap<u64, u64> = HashMap::new();
+            let mut rng = StdRng::seed_from_u64(1);
+            for step in 0..1500u64 {
+                let addr = rng.gen_range(0..s as u64);
+                let write = rng.gen_bool(0.5).then_some(step + 1);
+                let got = o.access(&c, addr, write);
+                assert_eq!(got, reference.get(&addr).copied().unwrap_or(0));
+                if let Some(v) = write {
+                    reference.insert(addr, v);
+                }
+            }
+            let peak = o.max_stash();
+            assert!(peak > 0, "{layout:?}: the monitor saw nothing");
+            assert!(peak <= cfg.stash, "{layout:?}: peak {peak}");
+        }
+    }
+
+    /// Every real block of `t`, as `(addr, leaf, val)`, sorted; panics if a
+    /// block sits in a bucket off its own leaf's path.
+    fn blocks_on_their_paths(t: &TreeOram) -> Vec<(u32, u32, u64)> {
+        let mut all = Vec::new();
+        for d in 0..t.height {
+            for idx in 0..1usize << d {
+                let base = t.layout.pos(t.height, d, idx) * t.bucket;
+                for sl in &t.store[base..base + t.bucket] {
+                    if sl.addr != EMPTY {
+                        assert_eq!(
+                            sl.leaf as usize >> (t.height - 1 - d),
+                            idx,
+                            "block {sl:?} is off its path at depth {d}"
+                        );
+                        all.push((sl.addr, sl.leaf, sl.val));
+                    }
+                }
+            }
+        }
+        all.extend(
+            t.stash
+                .iter()
+                .filter(|sl| sl.addr != EMPTY)
+                .map(|sl| (sl.addr, sl.leaf, sl.val)),
+        );
+        all.sort_unstable();
+        all
+    }
+
+    #[test]
+    fn placement_keeps_every_block_legal_and_is_greedy() {
+        let c = SeqCtx::new();
+        let mut leftovers_seen = 0;
+        for (seed, capacity, bucket, layout) in [
+            (1u64, 100usize, 1usize, TreeLayout::Veb),
+            (2, 100, 2, TreeLayout::Level),
+            (3, 37, 3, TreeLayout::Veb),
+            (4, 1, 2, TreeLayout::Veb),
+        ] {
+            let cfg = OramConfig {
+                bucket,
+                stash: 64,
+                layout,
+            };
+            let mut t = TreeOram::new(capacity, cfg);
+            let (h, leaves) = (t.height, t.leaves());
+            let mut rng = StdRng::seed_from_u64(seed);
+            // addr → (leaf, val): what the tree must hold.
+            let mut held: HashMap<u64, (u64, u64)> = HashMap::new();
+            for step in 0..600u64 {
+                let addr = rng.gen_range(0..capacity as u64);
+                let new_leaf = rng.gen_range(0..leaves);
+                let (at, old) = match held.get(&addr) {
+                    Some(&(leaf, val)) => (leaf, Some(val)),
+                    None => (rng.gen_range(0..leaves), None),
+                };
+                let ctr = t.evict_ctr;
+                assert_eq!(t.access(&c, addr, at, new_leaf, |_| step), old);
+                held.insert(addr, (new_leaf, step));
+
+                // Nothing lost, nothing duplicated, everything on its path
+                // (a bucket is `bucket` slots, so none can hold more).
+                let mut expect: Vec<(u32, u32, u64)> = held
+                    .iter()
+                    .map(|(&a, &(l, v))| (a as u32, l as u32, v))
+                    .collect();
+                expect.sort_unstable();
+                assert_eq!(blocks_on_their_paths(&t), expect, "step {step}");
+
+                // Greedy maximality: a block left in the stash found every
+                // bucket it could have used, on either path, full.
+                for sl in t.stash.iter().filter(|sl| sl.addr != EMPTY) {
+                    leftovers_seen += 1;
+                    for path in [ctr, ctr + 1].map(|x| reverse_bits(x, (h - 1) as u32)) {
+                        for d in 0..=meet(h, sl.leaf, path) {
+                            let idx = (path >> (h - 1 - d)) as usize;
+                            let base = t.layout.pos(h, d, idx) * bucket;
+                            assert!(
+                                t.store[base..base + bucket].iter().all(|b| b.addr != EMPTY),
+                                "step {step}: {sl:?} fits depth {d} of path {path}"
+                            );
+                        }
+                    }
+                }
+            }
+        }
+        assert!(leftovers_seen > 0, "no config ever left a block behind");
+    }
+
+    /// The module doc's closed form, `2b·h + 2b·(2h − p) + 2·stash`: the
+    /// eviction paths of one access share the root and nothing else, `p = 1`.
+    fn touches_per_access(t: &TreeOram) -> u64 {
+        let (h, b) = (t.height, t.bucket);
+        (2 * b * h + 2 * b * (2 * h - 1) + 2 * t.stash.len()) as u64
+    }
+
+    #[test]
+    fn tracked_events_per_access_are_a_constant() {
+        let traced = |t: &mut TreeOram, addr: u64, leaf: u64| {
+            let (_, rep) = measure(CacheConfig::default(), TraceMode::Hash, |c| {
+                t.access(c, addr, leaf, 0, |old| old.unwrap_or(7));
+            });
+            (rep.trace_hash, rep.trace_len)
+        };
+        let starved = OramConfig {
+            bucket: 1,
+            stash: 40,
+            layout: TreeLayout::Level,
+        };
+        for (capacity, cfg) in [
+            (64usize, starved),
+            (200, OramConfig::default()),
+            (1, OramConfig::default()),
+        ] {
+            // A loaded tree: with `bucket = 1` some blocks wait in the stash.
+            let mut full = TreeOram::new(capacity, cfg);
+            let leaves = full.leaves();
+            let mut rng = StdRng::seed_from_u64(3);
+            let mut pos: HashMap<u64, u64> = HashMap::new();
+            let c = SeqCtx::new();
+            let waiting = |t: &TreeOram| t.stash.iter().find(|sl| sl.addr != EMPTY).copied();
+            for round in 0.. {
+                // Load it, then (starved tree) go on until a block waits.
+                if round >= 4 * capacity && (cfg.bucket > 1 || waiting(&full).is_some()) {
+                    break;
+                }
+                let a = (round % capacity) as u64;
+                let leaf = rng.gen_range(0..leaves);
+                let at = pos.insert(a, leaf).unwrap_or(0);
+                full.access(&c, a, at, leaf, |_| a);
+            }
+            let want = touches_per_access(&full);
+            if cfg.bucket == 5 && cfg.stash == 96 {
+                assert_eq!(want, (30 * full.height + 192 - 10) as u64);
+            }
+
+            // Hit in the stash (starved tree only), hit in a bucket, absent —
+            // each picked from the tree as the access before left it.
+            for case in ["stash", "bucket", "absent"] {
+                let (addr, leaf) = match (case, waiting(&full)) {
+                    ("stash", Some(sl)) => (sl.addr as u64, sl.leaf as u64),
+                    ("stash", None) => {
+                        assert!(cfg.bucket > 1, "a starved tree keeps blocks waiting");
+                        continue;
+                    }
+                    ("bucket", _) => {
+                        let in_stash = |a: u64| full.stash.iter().any(|sl| sl.addr as u64 == a);
+                        let a = (0..capacity as u64).find(|&a| !in_stash(a)).unwrap();
+                        (a, pos[&a])
+                    }
+                    _ => (capacity as u64, 0),
+                };
+                let ctr = full.evict_ctr;
+                let on_full = traced(&mut full, addr, leaf);
+                // Re-leafed to 0 by `traced`; keep the map in step.
+                pos.insert(addr, 0);
+                assert_eq!(on_full.1, want, "addr {addr}");
+                // An empty tree at the same counter, reading the same leaf:
+                // the same events, not just as many.
+                let mut empty = TreeOram::new(capacity, cfg);
+                empty.evict_ctr = ctr;
+                assert_eq!(traced(&mut empty, addr, leaf), on_full, "addr {addr}");
+            }
+        }
     }
 
     #[test]

@@ -104,9 +104,16 @@ proptest! {
     #[test]
     fn oram_single_accesses_match_map(
         ops in proptest::collection::vec((0u64..128, proptest::option::of(0u64..1000)), 1..80),
+        bucket in 0usize..3,
+        layout in 0usize..2,
     ) {
         let c = SeqCtx::new();
-        let mut o = Opram::new(128, OramConfig::default(), Engine::BitonicRec, 77);
+        let cfg = OramConfig {
+            bucket: [2, 3, 5][bucket],
+            layout: [pram::TreeLayout::Veb, pram::TreeLayout::Level][layout],
+            ..OramConfig::default()
+        };
+        let mut o = Opram::new(128, cfg, Engine::BitonicRec, 77);
         let mut reference = std::collections::HashMap::new();
         for (addr, write) in ops {
             let got = o.access(&c, addr, write);
