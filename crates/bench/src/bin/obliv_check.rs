@@ -16,7 +16,7 @@ use obliv_core::{
 };
 use pram::{run_oblivious_sb, HistogramProgram};
 use sortnet::sort_slice_rec;
-use store::{Op, PipelinedStore, ShardConfig, ShardedStore, Store, StoreConfig};
+use store::{shard_of, Op, PipelinedStore, ShardConfig, ShardedStore, Store, StoreConfig};
 
 fn trace<F: FnOnce(&MeterCtx)>(f: F) -> (u64, u64) {
     let (_, rep) = measure(CacheConfig::default(), TraceMode::Hash, f);
@@ -276,10 +276,16 @@ fn main() {
 
     // Sharded store epochs: for fixed (batch size, shard count) the whole
     // pipeline — oblivious routing, all four shard commits, result gather
-    // — must be byte-identical across distinct key/value workloads.
+    // — must be byte-identical across distinct key/value workloads, and
+    // across *where the ops land*: the last input sends every op of both
+    // epochs to shard 0, where key 0 and with it the aggregates live (one
+    // full gather run, three empty ones); the others spread theirs.
+    let on_shard = |s: usize| (0u64..).filter(move |&k| shard_of(k, 4) == s);
+    let one_shard: Vec<u64> = on_shard(0).take(n).collect();
+    let routed: Vec<&Vec<u64>> = inputs.iter().chain([&one_shard]).collect();
     all_ok &= row(
         "sharded-store (route + commits + gather)",
-        &inputs,
+        &routed,
         |c, v| {
             let sp = ScratchPool::new();
             let mut s = ShardedStore::new(ShardConfig::with_shards(4));
@@ -289,7 +295,7 @@ fn main() {
                 .enumerate()
                 .map(|(i, &x)| match i % 3 {
                     0 => Op::Put { key: x, val: x * 3 },
-                    1 => Op::Get { key: x / 2 },
+                    1 => Op::Get { key: x },
                     _ => Op::Delete { key: x },
                 })
                 .collect();
@@ -309,37 +315,77 @@ fn main() {
         },
     );
 
-    // Pipelined store: the double-buffered front end. Handoff cadence,
-    // the in-flight epoch's padded log, and the read-your-writes consult
-    // must all be shape-only — same trace for same (epoch sizes, query
-    // count) across entirely different keys/values/op-kinds. Under the
-    // metered executor the detached merge resolves inline but stays "in
-    // flight" until joined, so the consult deterministically exercises
-    // the snapshot ++ in-flight-log ++ open-buffer path.
-    all_ok &= row("pipelined store (handoff + consult)", &inputs, |c, v| {
-        let sp = std::sync::Arc::new(ScratchPool::new());
-        let mut p = PipelinedStore::with_scratch(Store::new(StoreConfig::default()), sp);
-        for (i, &x) in v.iter().take(48).enumerate() {
-            p.submit(match i % 3 {
-                0 => Op::Put { key: x, val: x * 3 },
-                1 => Op::Get { key: x / 2 },
-                _ => Op::Delete { key: x },
-            });
-        }
-        let h = p.commit_async(c);
-        for &x in v.iter().take(16) {
-            p.submit(if x % 2 == 0 {
-                Op::Get { key: x }
-            } else {
-                Op::Put { key: x, val: x }
-            });
-        }
-        let keys: Vec<u64> = v.iter().take(8).map(|&x| x / 3).collect();
-        let _ = p.read_now(c, &keys);
-        let _ = p.wait(&h);
-        let h2 = p.commit_async(c);
-        let _ = p.wait(&h2);
-    });
+    // Pipelined store: the double-buffered front end at 4 shards. Handoff
+    // cadence, the in-flight epoch's padded log, and the read-your-writes
+    // consult must all be shape-only. Under the metered executor the
+    // detached merge resolves inline but stays "in flight" until joined,
+    // so the consult deterministically sees tables ++ in-flight log ++
+    // open buffer. Each input is (settled keys, in-flight keys, open
+    // keys, queried keys): the rows differ in *where an answer comes
+    // from* — open log, in-flight log, a table, nowhere — and in *which
+    // shard owns the queried keys* (spread, or all on one shard).
+    let spread: Vec<u64> = (0..64).collect();
+    let lone: Vec<u64> = on_shard(1).take(64).collect();
+    let consults: Vec<[Vec<u64>; 4]> = vec![
+        // Every answer from a table, keys spread over the shards.
+        [
+            spread[..48].to_vec(),
+            (100..148).collect(),
+            (200..216).collect(),
+            spread[..8].to_vec(),
+        ],
+        // Every answer from the in-flight log; all queried keys on shard 1.
+        [
+            (100..148).collect(),
+            lone[..48].to_vec(),
+            (200..216).collect(),
+            lone[..8].to_vec(),
+        ],
+        // Every answer from the open log (one queried key repeated).
+        [
+            spread[..48].to_vec(),
+            spread[..48].to_vec(),
+            vec![spread[5]; 16],
+            vec![spread[5]; 8],
+        ],
+        // No answer anywhere: absent keys, all owned by shard 3; every
+        // op of every epoch routed to shard 1.
+        [
+            lone[..48].to_vec(),
+            lone[..48].to_vec(),
+            lone[48..].to_vec(),
+            on_shard(3).take(8).collect(),
+        ],
+    ];
+    all_ok &= row(
+        "pipelined store (handoff + consult)",
+        &consults,
+        |c, [settled, flying, open, queried]| {
+            let sp = std::sync::Arc::new(ScratchPool::new());
+            let store = ShardedStore::new(ShardConfig::with_shards(4));
+            let mut p = PipelinedStore::with_scratch(store, sp);
+            for &x in settled {
+                p.submit(Op::Put { key: x, val: x * 3 });
+            }
+            let h = p.commit_async(c);
+            let _ = p.wait(&h);
+            for (i, &x) in flying.iter().enumerate() {
+                p.submit(match i % 3 {
+                    0 => Op::Put { key: x, val: x * 5 },
+                    1 => Op::Get { key: x },
+                    _ => Op::Delete { key: x },
+                });
+            }
+            let h = p.commit_async(c);
+            for &x in open {
+                p.submit(Op::Put { key: x, val: x + 1 });
+            }
+            let _ = p.read_now(c, queried);
+            let _ = p.wait(&h);
+            let h2 = p.commit_async(c);
+            let _ = p.wait(&h2);
+        },
+    );
 
     // Durable store: WAL append + recovery replay. Build four durable
     // crash images with the same epoch shapes but entirely different

@@ -10,7 +10,8 @@
 //! The algorithm is sort + rank + expansion (`place`, shared with
 //! [`crate::oblivious_scatter`]; DESIGN.md §4 records it as a substitution
 //! for Chan–Shi's two-sort placement): **one** oblivious sort of the
-//! `nbins · Z` slots by `sk = group ‖ low half` with fillers (`MAX`) last, a
+//! `nbins · Z` slots by `sk = group ‖ low half` with fillers (`MAX`) last
+//! (the scatter, whose reals all sit in a public prefix, sorts only that), a
 //! segmented propagation that gives every real its rank `r` within its
 //! group, a pass that trades the group in the high half of `sk` for the
 //! absolute target `g·Z + r`, and a comparator-free monotone [`expand`]
@@ -47,7 +48,8 @@ pub fn bin_place<C: Ctx, V: Val>(
     engine: Engine,
 ) -> Result<()> {
     let mask = nbins as u64 - 1;
-    place(c, scratch, io, nbins, zcap, engine, &|s| {
+    // Reals may sit anywhere in `io`: the prefix is the whole array.
+    place(c, scratch, io, io.len(), nbins, zcap, engine, &|s| {
         ((s.label() >> shift) & mask, s.label())
     })
 }
@@ -57,10 +59,17 @@ pub fn bin_place<C: Ctx, V: Val>(
 /// order of `key(slot).1` within the bin; `key(slot).1` becomes the low
 /// half of the slot's `sk`. `key` is only asked about reals and must
 /// return a bin below `nbins`.
+///
+/// `prefix` (public, a power of two) bounds where the reals are: every slot
+/// of `w[prefix..]` is a canonical filler on entry. The sort and the rank
+/// pass run over `w[..prefix]` only — sorted, it is the whole array's
+/// sorted order — and the expansion alone spans all of `w`.
+#[allow(clippy::too_many_arguments)]
 pub(crate) fn place<C: Ctx, V: Val>(
     c: &C,
     scratch: &ScratchPool,
     w: &mut Tracked<'_, Slot<V>>,
+    prefix: usize,
     nbins: usize,
     zcap: usize,
     engine: Engine,
@@ -69,29 +78,34 @@ pub(crate) fn place<C: Ctx, V: Val>(
     let n_io = w.len();
     assert_eq!(n_io, nbins * zcap, "bin placement shape mismatch");
     assert!(nbins.is_power_of_two() && zcap.is_power_of_two());
+    assert!(prefix.is_power_of_two() && prefix <= n_io);
+    debug_assert!(w.raw()[prefix..].iter().all(Slot::is_filler));
 
-    // Step 1: sort by (group ‖ low half), fillers last. The group rides in
-    // the high half of `sk`, where the later steps read it back (a
-    // filler's reads as `u64::MAX`, the past-the-end group).
-    set_keys(c, w, &|s| {
-        if s.is_real() {
-            let (g, low) = key(s);
-            composite_key(g, low)
-        } else {
-            u128::MAX
-        }
-    });
-    engine.sort_slots(c, scratch, w);
-
-    // Steps 2–3 in a block so the rank lease is back in the pool before
-    // the caller's next lease.
+    // Steps 1–3 run over the prefix, in a block so the rank lease is back
+    // in the pool before the caller's next lease.
     let overflow = {
+        let mut front = w.range(0, prefix);
+        let w = &mut front;
+
+        // Step 1: sort by (group ‖ low half), fillers last. The group rides
+        // in the high half of `sk`, where the later steps read it back (a
+        // filler's reads as `u64::MAX`, the past-the-end group).
+        set_keys(c, w, &|s| {
+            if s.is_real() {
+                let (g, low) = key(s);
+                composite_key(g, low)
+            } else {
+                u128::MAX
+            }
+        });
+        engine.sort_slots(c, scratch, w);
+
         // Step 2: rank within group, by propagating each group's leftmost
         // index.
-        let mut seg_store = scratch.lease(n_io, Seg::new(false, 0u64));
+        let mut seg_store = scratch.lease(prefix, Seg::new(false, 0u64));
         let mut seg = Tracked::new(c, &mut seg_store);
         let (sr, wr) = (seg.as_raw(), w.as_raw());
-        par_for(c, 0, n_io, grain_for(c), &|c, i| unsafe {
+        par_for(c, 0, prefix, grain_for(c), &|c, i| unsafe {
             let head = i == 0 || wr.get(c, i).phase_key() != wr.get(c, i - 1).phase_key();
             sr.set(c, i, Seg::new(head, i as u64));
         });
@@ -104,7 +118,7 @@ pub(crate) fn place<C: Ctx, V: Val>(
         fj::par_reduce(
             c,
             0,
-            n_io,
+            prefix,
             grain_for(c),
             &|c, i| unsafe {
                 let s = wr.get(c, i);

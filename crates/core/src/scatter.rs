@@ -12,14 +12,16 @@
 //! semantics of its merge path depend on it.
 //!
 //! The algorithm is bin placement's sort + rank + expansion kernel
-//! ([`crate::binplace`]) with the low 64 bits of `item.key` as the sort's
+//! ([`crate::binplace`]) — the sort and the rank pass over the
+//! `pow2(|items|)` leading slots only, since the padding behind them is
+//! fillers already — with the low 64 bits of `item.key` as the sort's
 //! tiebreak — it takes the label's place in the low half of `sk`, so the
 //! label is consumed: on return a real's `sk` is `position ‖ tiebreak`
 //! (see [`crate::expand()`]) and fillers are canonical. Every step is an
 //! oblivious sort, a fixed-pattern scan, or a parallel map, so the
-//! adversary trace is a function of `(nbins, Z)` only — in particular it
-//! does not depend on how full each bin is (the send-receive routing
-//! guarantee of §F).
+//! adversary trace is a function of `(|items|, nbins, Z)` only — in
+//! particular it does not depend on how full each bin is (the
+//! send-receive routing guarantee of §F).
 //!
 //! A bin wanted by more than `Z` elements voids the placement; the pass
 //! still completes with its fixed trace and reports
@@ -57,10 +59,13 @@ pub fn oblivious_scatter<C: Ctx, V: Val>(
     });
     let mask = nbins as u64 - 1;
     let key = |s: &Slot<V>| (s.label() & mask, s.item.key as u64);
+    // Only the `items.len()` leading slots can be real: the sort and the
+    // rank pass cover their (public) class, not all `nbins · zcap` slots.
     place(
         c,
         scratch,
         &mut Tracked::new(c, &mut out),
+        items.len().next_power_of_two(),
         nbins,
         zcap,
         engine,

@@ -42,10 +42,22 @@
 //! parallel map above touches addresses that depend only on the public
 //! shape, two epochs with the same shape but different keys/values/op-kinds
 //! generate identical traces (`tests/store.rs`, `obliv_check`).
+//!
+//! # The read-only consult
+//!
+//! [`consult`] answers a batch of point reads against tables it must not
+//! change — the pipelined front end's read-your-writes path — and is §F's
+//! send-receive in its plain form: sort and scan *the requests*, leave the
+//! table where it is. Same cells, same LWW monoid, three steps: collapse
+//! the un-merged log onto the queries (one sort over the log-and-query
+//! class), probe every shard's table with them (one merge, one scan and
+//! one compaction per shard, in parallel), and combine the per-shard
+//! answers position by position. Nothing is rebuilt and nothing but the
+//! query window is ever sorted; see DESIGN.md §11.
 
 use crate::op::{kind, FlatOp, OpResult, StoreStats};
 use fj::{grain_for, par_for, par_reduce, Ctx};
-use metrics::{ScratchPool, Tracked};
+use metrics::{par_tracked_chunks, ScratchGuard, ScratchPool, Tracked};
 use obliv_core::scan::{scan_in, Schedule};
 use obliv_core::{compact_cells, select_u128, select_u64, Engine, TagCell};
 
@@ -63,10 +75,13 @@ pub struct Rec {
 const REC_KIND: u8 = 255;
 
 /// Last-writer-wins transformer: what an element does to its key's value
-/// state. `KEEP` (gets, aggregates, padding) is the monoid identity.
-const T_KEEP: u8 = 0;
-const T_SET: u8 = 1;
-const T_CLEAR: u8 = 2;
+/// state. `KEEP` (gets, aggregates, padding) is the monoid identity. The
+/// three are numbered like the client ops that cause them, so a composed
+/// state is itself an op cell — the consult hands a query its log verdict
+/// that way.
+const T_KEEP: u8 = kind::GET;
+const T_SET: u8 = kind::PUT;
+const T_CLEAR: u8 = kind::DELETE;
 
 // --- Cell packing -----------------------------------------------------------
 //
@@ -209,47 +224,14 @@ pub(crate) fn merge_epoch<C: Ctx>(
     let m = (cap + b2).next_power_of_two();
     debug_assert!(cap_new <= m, "new capacity must fit the merge array");
 
-    // 1. Pack and sort the epoch's ops by (key, seq); dummies become
-    //    fillers — every position is written exactly once regardless of
-    //    contents, and the sort is over the small op class only.
-    let mut ops = scratch.lease(b2, TagCell::filler());
-    for (j, (cell, f)) in ops
-        .iter_mut()
-        .zip(pending.iter().chain(batch.iter()))
-        .enumerate()
-    {
-        *cell = if f.kind == kind::DUMMY {
-            TagCell::filler()
-        } else {
-            op_cell(f.key, 1 + j as u64, f.kind, f.val)
-        };
-    }
-    c.charge_par(b2 as u64);
-    {
-        let mut ot = Tracked::new(c, &mut ops);
-        engine.sort_cells(c, scratch, &mut ot);
-    }
+    // 1. Pack and sort the epoch's ops by (key, seq) — the only full sort,
+    //    over the small op class.
+    let ops = sorted_ops(c, scratch, engine, pending, batch);
 
     // 2. Merged array: the resident table is key-sorted (reals ascending,
-    //    fillers last) by the previous rebuild, so `[table | fillers |
-    //    sorted ops reversed]` is a bitonic sequence — one merge butterfly
+    //    fillers last) by the previous rebuild, so one merge butterfly
     //    replaces the full sort of the concatenation.
-    let mut cells = scratch.lease(m, TagCell::filler());
-    for (i, cell) in cells.iter_mut().enumerate() {
-        *cell = if i < cap {
-            let r = table[i];
-            if r.present {
-                op_cell(r.key, 0, REC_KIND, r.val)
-            } else {
-                TagCell::filler()
-            }
-        } else if i >= m - b2 {
-            ops[m - 1 - i]
-        } else {
-            TagCell::filler()
-        };
-    }
-    c.charge_par(m as u64);
+    let mut cells = bitonic_with_table(c, scratch, table, &ops);
     // The op cells live on in `cells`; their lease goes back before the
     // `m`-sized lanes below are drawn.
     drop(ops);
@@ -466,6 +448,209 @@ pub(crate) fn merge_epoch<C: Ctx>(
     (results, stats)
 }
 
+/// Pack `first ++ second` into cells keyed `(key ‖ 1-based position)` over
+/// their class `pow2(|first| + |second|)` and sort them. Dummies become
+/// fillers — every position is written exactly once regardless of contents.
+fn sorted_ops<'s, C: Ctx>(
+    c: &C,
+    scratch: &'s ScratchPool,
+    engine: Engine,
+    first: &[FlatOp],
+    second: &[FlatOp],
+) -> ScratchGuard<'s, TagCell> {
+    let b2 = (first.len() + second.len()).next_power_of_two();
+    let mut ops = scratch.lease(b2, TagCell::filler());
+    for (j, (cell, f)) in ops.iter_mut().zip(first.iter().chain(second)).enumerate() {
+        *cell = if f.kind == kind::DUMMY {
+            TagCell::filler()
+        } else {
+            op_cell(f.key, 1 + j as u64, f.kind, f.val)
+        };
+    }
+    c.charge_par(b2 as u64);
+    engine.sort_cells(c, scratch, &mut Tracked::new(c, &mut ops));
+    ops
+}
+
+/// `[table | fillers | lane reversed]` over `pow2(|table| + |lane|)` cells.
+/// `table` is key-sorted with its present records leading and `lane` is
+/// sorted with fillers last, so the result is bitonic: one
+/// [`Engine::merge_cells`] sorts it, each record (seq 0) heading its key's
+/// run.
+fn bitonic_with_table<'s, C: Ctx>(
+    c: &C,
+    scratch: &'s ScratchPool,
+    table: &[Rec],
+    lane: &[TagCell],
+) -> ScratchGuard<'s, TagCell> {
+    let cap = table.len();
+    let m = (cap + lane.len()).next_power_of_two();
+    let mut cells = scratch.lease(m, TagCell::filler());
+    for (i, cell) in cells.iter_mut().enumerate() {
+        *cell = if i < cap {
+            let r = table[i];
+            if r.present {
+                op_cell(r.key, 0, REC_KIND, r.val)
+            } else {
+                TagCell::filler()
+            }
+        } else if i >= m - lane.len() {
+            lane[m - 1 - i]
+        } else {
+            TagCell::filler()
+        };
+    }
+    c.charge_par(m as u64);
+    cells
+}
+
+/// Over a key-sorted lane: give every cell the value state its key's run
+/// has reached *at* it — one boundary-marking map and one inclusive
+/// segmented LWW scan — and rewrite the cell in place as
+/// `fix(cell, kind, val)` of that state. `fix` must be branch-free.
+fn resolve_runs<C: Ctx>(
+    c: &C,
+    scratch: &ScratchPool,
+    sched: Schedule,
+    t: &mut Tracked<'_, TagCell>,
+    fix: &(impl Fn(TagCell, u8, u64) -> TagCell + Sync),
+) {
+    let m = t.len();
+    let mut lww_store = scratch.lease(m, Lww::default());
+    let mut lww = Tracked::new(c, &mut lww_store);
+    let (tr, lr) = (t.as_raw(), lww.as_raw());
+    par_for(c, 0, m, grain_for(c), &|c, i| unsafe {
+        let s = tr.get(c, i);
+        let mut l = transformer_of(&s);
+        l.head = i == 0 || {
+            let prev = tr.get(c, i - 1);
+            c.work(1);
+            prev.is_filler() != s.is_filler() || cell_key(&prev) != cell_key(&s)
+        };
+        lr.set(c, i, l);
+    });
+    scan_in(
+        c,
+        scratch,
+        &mut lww,
+        Lww::default(),
+        &lww_combine,
+        true,
+        false,
+        sched,
+    );
+    let lr = lww.as_raw();
+    par_for(c, 0, m, grain_for(c), &|c, i| unsafe {
+        let state = lr.get(c, i);
+        tr.set(c, i, fix(tr.get(c, i), state.kind, state.val));
+    });
+}
+
+/// Answer `queries` (a padded `Get` batch of public class `q`, its `n`
+/// leading slots real) against `tables` — one key-sorted table per shard,
+/// keys unique across them — as the tables will read once `log` (every
+/// accepted but un-merged op, oldest first, public length) has been
+/// applied. Read-only: nothing is rebuilt.
+///
+/// 1. `log ++ queries` are sorted as cells over their own class and the
+///    LWW scan hands every query its **log verdict** — `KEEP`, `SET v` or
+///    `CLEAR`, written back as the `Get`, `Put` or `Delete` the log
+///    amounts to for that key. One stable compaction brings the `q`-cell
+///    window of key-sorted queries to the front.
+/// 2. Per shard, in parallel: `[table ascending | fillers | queries
+///    descending]` is bitonic, so **one merge** groups each query behind
+///    its record, one scan composes table state and verdict into the
+///    query's answer, and one compaction returns the window.
+/// 3. Every window lists the same queries in the same order. A key lives
+///    in at most one table and a `SET`/`CLEAR` verdict reads the same
+///    everywhere, so `or`-ing the windows position by position is the
+///    answer; one `q`-cell sort restores submission order.
+///
+/// Trace: a function of the table capacities, `|log|` and `q`.
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn consult<C: Ctx>(
+    c: &C,
+    scratch: &ScratchPool,
+    engine: Engine,
+    sched: Schedule,
+    tables: &[&[Rec]],
+    log: &[FlatOp],
+    queries: &[FlatOp],
+    n: usize,
+) -> Vec<Option<u64>> {
+    let l = log.len() as u64;
+    let q = queries.len();
+    debug_assert!(q.is_power_of_two() && n <= q);
+    // 1. Verdicts. Queries follow the whole log in `seq`, so the state a
+    //    query's run has reached at it is the log's net effect on its key.
+    let mut ops = sorted_ops(c, scratch, engine, log, queries);
+    let mut asked = Tracked::new(c, &mut ops);
+    resolve_runs(c, scratch, sched, &mut asked, &|s, verdict, val| {
+        let is_query = !s.is_filler() && cell_seq(&s) > l;
+        TagCell {
+            tag: select_u128(is_query, u128::MAX, s.tag),
+            aux: ((verdict as u128) << 64) | val as u128,
+        }
+    });
+    compact_cells(c, scratch, &mut asked);
+
+    {
+        // 2. One probe per shard, each into its own window of `wins`.
+        let window = &asked.raw()[..q];
+        let mut wins_store = scratch.lease(tables.len() * q, TagCell::filler());
+        let mut wins = Tracked::new(c, &mut wins_store);
+        par_tracked_chunks(c, wins.borrow_mut(), q, &|c, s, mut win| {
+            let mut cells = bitonic_with_table(c, scratch, tables[s], window);
+            let mut t = Tracked::new(c, &mut cells);
+            engine.merge_cells(c, scratch, &mut t);
+            resolve_runs(c, scratch, sched, &mut t, &|s, state, val| {
+                // Records carry seq 0; a query keeps its tag and learns
+                // whether its key ends up set, and to what.
+                let is_query = !s.is_filler() && cell_seq(&s) != 0;
+                let found = state == T_SET;
+                TagCell {
+                    tag: select_u128(is_query, u128::MAX, s.tag),
+                    aux: ((found as u128) << 64) | select_u64(found, 0, val) as u128,
+                }
+            });
+            compact_cells(c, scratch, &mut t);
+            win.copy_from(c, &t, 0, 0, q);
+        });
+
+        // 3. Combine: each answer goes back where its question stood,
+        //    tagged by submission index now.
+        let (wr, ar) = (wins.as_raw(), asked.as_raw());
+        par_for(c, 0, q, grain_for(c), &|c, j| unsafe {
+            // SAFETY: task `j` reads slot `j` of every window and writes
+            // slot `j` of the query lane.
+            let mut cell = wr.get(c, j);
+            for s in 1..tables.len() {
+                cell.aux |= wr.get(c, s * q + j).aux;
+            }
+            let index = cell_seq(&cell).wrapping_sub(1 + l);
+            cell.tag = select_u128(cell.is_filler(), index as u128, u128::MAX);
+            ar.set(c, j, cell);
+        });
+    }
+    // One small sort restores submission order. The readout covers the
+    // whole padded class (see `merge_epoch`); the padding suffix is dropped
+    // host-side.
+    let mut win = asked.range(0, q);
+    engine.sort_cells(c, scratch, &mut win);
+    let rr = win.as_raw();
+    let answers = metrics::par_collect(c, q, &|c, j| {
+        // SAFETY: read-only phase.
+        let s = unsafe { rr.get(c, j) };
+        debug_assert!(j >= n || s.tag == j as u128);
+        ((s.aux >> 64) & 1 == 1, s.aux as u64)
+    });
+    answers
+        .into_iter()
+        .take(n)
+        .map(|(found, val)| found.then_some(val))
+        .collect()
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -659,6 +844,66 @@ mod tests {
         assert!(table[..first_absent]
             .windows(2)
             .all(|w| w[0].key < w[1].key));
+    }
+
+    #[test]
+    fn consult_composes_table_state_and_log_verdict_across_tables() {
+        // Two shard tables with disjoint keys; the log overwrites one
+        // record, deletes another and creates a key neither table holds.
+        let c = SeqCtx::new();
+        let scratch = ScratchPool::new();
+        let rec = |key, val| Rec {
+            present: true,
+            key,
+            val,
+        };
+        let mut left = vec![rec(2, 20), rec(4, 40), rec(u64::MAX, 9)];
+        left.resize(8, Rec::default());
+        let mut right = vec![rec(1, 10), rec(3, 30)];
+        right.resize(8, Rec::default());
+        let before = (left.clone(), right.clone());
+        let mut log: Vec<FlatOp> = [
+            Op::Put { key: 4, val: 41 },
+            Op::Delete { key: 3 },
+            Op::Put { key: 7, val: 70 },
+            Op::Get { key: 2 },
+            Op::Put { key: 4, val: 42 },
+        ]
+        .iter()
+        .map(FlatOp::of)
+        .collect();
+        log.resize(8, FlatOp::dummy());
+        let keys = [7u64, 4, 3, 2, 4, 5, u64::MAX, 1, 0];
+        let mut queries: Vec<FlatOp> = keys
+            .iter()
+            .map(|&key| FlatOp::of(&Op::Get { key }))
+            .collect();
+        queries.resize(16, FlatOp::dummy());
+        let got = consult(
+            &c,
+            &scratch,
+            Engine::BitonicRec,
+            Schedule::Tree,
+            &[&left, &right],
+            &log,
+            &queries,
+            keys.len(),
+        );
+        assert_eq!(
+            got,
+            vec![
+                Some(70), // SET verdict, in no table
+                Some(42), // SET verdict over a record: last write wins
+                None,     // CLEAR verdict over a record
+                Some(20), // KEEP verdict (a logged get): the left table's record
+                Some(42), // duplicate query
+                None,     // absent everywhere
+                Some(9),  // key u64::MAX is a key like any other
+                Some(10), // untouched, in the right table
+                None,
+            ]
+        );
+        assert_eq!((left, right), before, "the consult is read-only");
     }
 
     #[test]

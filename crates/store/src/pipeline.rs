@@ -34,9 +34,15 @@
 //! A `Get` submitted while its key's `Put` is still mid-merge must
 //! observe it. [`read_now`](PipelinedStore::read_now) therefore consults,
 //! obliviously, the **padded op logs** of the in-flight and open epochs
-//! against the handoff snapshot of the table, reusing the merge path's
-//! LWW-transformer scan — the consult's trace is a function of the
-//! snapshot capacity and the logs' public size classes only.
+//! and the per-shard tables as copied at the last handoff. The consult
+//! ([`crate::merge`], "The read-only consult") is not a merge: it sorts
+//! log and queries over their own small class to give every query its
+//! log verdict, probes each shard's table copy in place with one bitonic
+//! merge of the query window into it, and combines the per-shard windows
+//! position by position — no table is sorted, rebuilt or even cloned,
+//! and the executor is entered once. Its trace is a function of the
+//! per-shard capacities, the logs' public size classes and the query
+//! class only.
 //!
 //! # Durability and drop
 //!
@@ -58,13 +64,13 @@
 //! [`try_commit`]: PipelinedStore::try_commit
 
 use crate::error::{Health, StoreError};
-use crate::merge::{merge_epoch, Rec};
-use crate::op::{FlatOp, Op, OpResult, StoreStats};
+use crate::merge::{consult, Rec};
+use crate::op::{FlatOp, Op, OpResult};
 use crate::store::{validate_and_pad, ShardedStore, StoreConfig};
 use fj::{Ctx, Deferred};
-use metrics::{ScratchPool, Tracked};
+use metrics::ScratchPool;
 use obliv_core::scan::Schedule;
-use obliv_core::{Engine, TagCell};
+use obliv_core::Engine;
 use std::collections::VecDeque;
 use std::sync::Arc;
 
@@ -127,14 +133,11 @@ pub struct PipelinedStore<T = ShardedStore> {
     cfg: StoreConfig,
     engine: Engine,
     schedule: Schedule,
-    /// Concatenated resident tables as of the last handoff (public
-    /// length). Key-sorted with reals leading iff `snapshot_sorted`.
-    snapshot: Vec<Rec>,
+    /// Every shard's resident table as of the last handoff (each
+    /// key-sorted with reals leading, public length).
+    snapshot: Vec<Vec<Rec>>,
     /// Pre-handoff pending log (nonzero only for ORAM-path stores).
     snapshot_pending: Vec<FlatOp>,
-    /// True for a single shard; multi-shard snapshots are sorted by the
-    /// consult.
-    snapshot_sorted: bool,
     open: Vec<Op>,
     inflight: Option<InFlight<T>>,
     /// Outcomes of retired epochs awaiting
@@ -164,7 +167,6 @@ impl PipelinedStore<ShardedStore> {
         PipelinedStore {
             snapshot: store.snapshot_records(),
             snapshot_pending: store.snapshot_pending(),
-            snapshot_sorted: store.shard_count() == 1,
             cfg,
             engine: cfg.engine,
             schedule: cfg.schedule,
@@ -417,100 +419,76 @@ impl PipelinedStore<ShardedStore> {
     /// still running. Results do not consume tickets; the keys' ops still
     /// resolve normally in their epochs.
     ///
-    /// Obliviously: the consult replays `pending ++ in-flight log ++
-    /// open` (each already padded to a public class) against a copy of
-    /// the handoff snapshot using the merge path's LWW machinery, so its
-    /// trace is a function of the snapshot capacity and those public
-    /// classes plus the query class — never of key contents. The copy is
-    /// discarded; the engine's state is untouched.
+    /// Obliviously: `pending ++ in-flight log ++ open` (each already
+    /// padded to a public class) and the queries are sorted together,
+    /// over their own class, so each query learns what the un-merged log
+    /// does to its key; the key-sorted query window is then merged into
+    /// every shard's table copy (one bitonic merge, one scan and one
+    /// compaction per shard, as parallel tasks) and the per-shard answers
+    /// are combined position by position. The trace is a function of the
+    /// per-shard capacities and those public classes plus the query class
+    /// — never of key contents, of which shard owns a key, or of whether
+    /// an answer came from a log or a table. Nothing is written back: the
+    /// snapshot and the engine's state are untouched. The caller's thread
+    /// enters the executor once for the whole consult.
     ///
-    /// # Panics
+    /// # Errors
     ///
-    /// If a queried key — or an op sitting in the open buffer — breaks the
-    /// client contract (see [`StoreError::InvalidOp`]): this signature
-    /// has no error channel. A commit reports the same condition as a
-    /// typed error under its handle.
-    pub fn read_now<C: Ctx>(&self, c: &C, keys: &[u64]) -> Vec<Option<u64>> {
-        let c_ref = c;
-        let scratch = &*self.scratch;
-        let pad = |ops: &[Op]| {
-            validate_and_pad(&self.cfg, ops).unwrap_or_else(|e| panic!("read_now: {e}"))
-        };
+    /// [`StoreError::InvalidOp`] if a queried key — or an op sitting in
+    /// the open buffer — breaks the client contract. Nothing ran, the
+    /// store stays healthy, and a commit reports the same op under its
+    /// handle.
+    pub fn try_read_now<C: Ctx>(
+        &self,
+        c: &C,
+        keys: &[u64],
+    ) -> Result<Vec<Option<u64>>, StoreError> {
         // Queries as a padded Get batch (validates key-space contracts
         // the same way a real epoch would).
         let queries: Vec<Op> = keys.iter().map(|&key| Op::Get { key }).collect();
-        let batch = pad(&queries);
+        let queries = validate_and_pad(&self.cfg, &queries)?;
 
-        // 1. A discardable copy of the handoff snapshot; multi-shard
-        //    concatenations are key-sorted first (public branch: the
-        //    shard count is public).
-        let mut table = self.snapshot.clone();
-        if !self.snapshot_sorted {
-            sort_snapshot(c_ref, scratch, self.engine, &mut table);
-        }
-
-        // 2. The consult log: everything the engine has accepted but not
-        //    merged, oldest first. All three parts have public lengths.
+        // The consult log: everything the engine has accepted but not
+        // merged, oldest first. All three parts have public lengths.
         let mut log = self.snapshot_pending.clone();
         if let Some(inf) = &self.inflight {
             log.extend_from_slice(&inf.log);
         }
         if !self.open.is_empty() {
-            log.extend(pad(&self.open));
+            log.extend(validate_and_pad(&self.cfg, &self.open)?);
         }
 
-        // 3. One merge-path replay; capacity is unchanged (`cap_new =
-        //    cap`), the live bound is not enforced (the copy is never
-        //    rebuilt into the engine), and the refreshed stats are
-        //    discarded along with the table.
-        let cap = table.len();
-        let (results, _) = merge_epoch(
-            c_ref,
-            scratch,
-            self.engine,
-            self.schedule,
-            &mut table,
-            cap,
-            &log,
-            &batch,
-            keys.len(),
-            StoreStats::default(),
-            false,
-        );
-        results.into_iter().map(|r| r.value()).collect()
-    }
-}
-
-/// Key-sort a concatenated multi-shard snapshot (reals ascending by key,
-/// fillers to the back), padding to the next power of two. Keys are
-/// unique across shards, so the order is total.
-fn sort_snapshot<C: Ctx>(c: &C, scratch: &ScratchPool, engine: Engine, table: &mut Vec<Rec>) {
-    let m = table.len().next_power_of_two().max(1);
-    let mut cells = scratch.lease(m, TagCell::filler());
-    for (cell, r) in cells.iter_mut().zip(table.iter()) {
-        *cell = if r.present {
-            TagCell::new((r.key as u128) << 64, r.val as u128)
-        } else {
-            TagCell::filler()
+        let tables: Vec<&[Rec]> = self.snapshot.iter().map(Vec::as_slice).collect();
+        let (scratch, engine, schedule) = (&*self.scratch, self.engine, self.schedule);
+        // One entry into the executor: a pool runs the whole consult on a
+        // worker, where its nested forks are deque pushes instead of an
+        // inject and a park apiece.
+        let run = |c: &C| {
+            consult(
+                c,
+                scratch,
+                engine,
+                schedule,
+                &tables,
+                &log,
+                &queries,
+                keys.len(),
+            )
         };
+        Ok(c.join(run, |_| ()).0)
     }
-    c.charge_par(m as u64);
-    {
-        let mut t = Tracked::new(c, &mut cells);
-        engine.sort_cells(c, scratch, &mut t);
+
+    /// [`try_read_now`](PipelinedStore::try_read_now) for callers with no
+    /// error channel.
+    ///
+    /// # Panics
+    ///
+    /// If a queried key — or an op sitting in the open buffer — breaks the
+    /// client contract (see [`StoreError::InvalidOp`]).
+    pub fn read_now<C: Ctx>(&self, c: &C, keys: &[u64]) -> Vec<Option<u64>> {
+        self.try_read_now(c, keys)
+            .unwrap_or_else(|e| panic!("read_now: {e}"))
     }
-    table.clear();
-    table.resize(m, Rec::default());
-    for (r, cell) in table.iter_mut().zip(cells.iter()) {
-        if !cell.is_filler() {
-            *r = Rec {
-                present: true,
-                key: (cell.tag >> 64) as u64,
-                val: cell.aux as u64,
-            };
-        }
-    }
-    c.charge_par(m as u64);
 }
 
 #[cfg(test)]
@@ -585,7 +563,7 @@ mod tests {
     }
 
     #[test]
-    fn read_now_on_sharded_store_sorts_the_snapshot() {
+    fn read_now_on_sharded_store_probes_every_shard() {
         let c = SeqCtx::new();
         let mut p = PipelinedStore::new(ShardedStore::new(ShardConfig::with_shards(4)));
         for i in 0..32u64 {

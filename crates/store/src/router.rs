@@ -13,17 +13,18 @@
 //! on the same key always share a shard and arrive in submission order.
 //!
 //! [`gather_results`] is the send-receive return trip: per-shard results,
-//! tagged with their submission index, flow through one oblivious sort
-//! back to submission order, followed by a fixed-prefix readout of the
-//! whole padded batch. The gather rides the tag-sort fast path (DESIGN.md
-//! §10): each result packs into one 32-byte [`TagCell`] — submission index
-//! in the tag lane, `(agg ‖ found ‖ val)` in the payload lane — so the
-//! return-trip network moves dense cells instead of `Slot`-wrapped
-//! records.
+//! tagged with their submission index, arrive as one ascending run per
+//! shard (the scatter was stable) and are merged pairwise back to
+//! submission order — bitonic merges, not a sort — followed by a
+//! fixed-prefix readout of the whole padded batch. The gather rides the
+//! tag-sort fast path (DESIGN.md §10): each result packs into one 32-byte
+//! [`TagCell`] — submission index in the tag lane, `(agg ‖ found ‖ val)` in
+//! the payload lane — so the return-trip network moves dense cells instead
+//! of `Slot`-wrapped records.
 
 use crate::op::{kind, FlatOp, MIN_CLASS};
-use fj::Ctx;
-use metrics::{ScratchPool, Tracked};
+use fj::{grain_for, par_for, Ctx};
+use metrics::{par_tracked_chunks, ScratchPool, Tracked};
 use obliv_core::scatter::oblivious_scatter;
 use obliv_core::{Engine, Item, Result, Slot, TagCell};
 
@@ -133,22 +134,40 @@ pub(crate) fn route_ops<C: Ctx>(
         .collect())
 }
 
-/// Route per-shard results back to submission order: one oblivious sort
-/// keyed by submission index (padding last), then a fixed-prefix readout
-/// of the whole padded batch class `b`. `entries` has public length
-/// `shards · zcap`.
+/// Route per-shard results back to submission order. `entries` is the
+/// concatenation of the shards' result runs, `zcap` slots each (public
+/// length `shards · zcap`, both powers of two).
+///
+/// **Input contract:** every run is ascending by submission index with its
+/// padding (`u64::MAX`) last. [`route_ops`] scatters stably and a shard
+/// answers its sub-batch slot for slot, so the runs `commit_split` hands
+/// over always are. Sorted runs are merged, not re-sorted: `log₂ shards`
+/// rounds of pairwise bitonic merges (`O(n log n)` comparators in total
+/// against the `O(n log² n)` of a sort), then a fixed-prefix readout of
+/// the whole padded batch class `b`.
 pub(crate) fn gather_results<C: Ctx>(
     c: &C,
     scratch: &ScratchPool,
     engine: Engine,
     entries: &[(u64, OpResultSlot)],
+    zcap: usize,
     b: usize,
 ) -> Vec<OpResultSlot> {
-    debug_assert!(entries.len() >= b);
-    let m = entries.len().next_power_of_two();
-    let mut cells = scratch.lease(m, TagCell::filler());
-    for (cell, &(i, v)) in cells.iter_mut().zip(entries.iter()) {
-        *cell = if i == u64::MAX {
+    let n = entries.len();
+    debug_assert!(n >= b && zcap.is_power_of_two() && n.is_power_of_two() && zcap <= n);
+    debug_assert!(
+        entries.chunks(zcap).all(|run| run
+            .windows(2)
+            .all(|w| w[0].0 < w[1].0 || w[1].0 == u64::MAX)),
+        "gather runs must ascend by submission index, padding last"
+    );
+    // Odd runs are laid down back to front, so every pair of runs is one
+    // bitonic sequence.
+    let mut cells = scratch.lease(n, TagCell::filler());
+    for (j, &(i, v)) in entries.iter().enumerate() {
+        let (run, z) = (j / zcap, j % zcap);
+        let at = if run % 2 == 1 { zcap - 1 - z } else { z };
+        cells[run * zcap + at] = if i == u64::MAX {
             TagCell::filler()
         } else {
             TagCell::new(
@@ -157,10 +176,30 @@ pub(crate) fn gather_results<C: Ctx>(
             )
         };
     }
-    c.charge_par(entries.len() as u64);
+    c.charge_par(n as u64);
 
     let mut t = Tracked::new(c, &mut cells);
-    engine.sort_cells(c, scratch, &mut t);
+    let mut w = zcap;
+    while w < n {
+        // Every `2w`-block is [ascending | descending]: one merge each.
+        par_tracked_chunks(c, t.borrow_mut(), 2 * w, &|c, _, mut block| {
+            engine.merge_cells(c, scratch, &mut block);
+        });
+        w *= 2;
+        if w < n {
+            // The merges leave every block ascending; the next round wants
+            // the odd ones descending again. Fixed pattern: `n/4` swaps.
+            let tr = t.as_raw();
+            par_for(c, 0, n / 4, grain_for(c), &|c, j| unsafe {
+                // SAFETY: swap `j` owns its two cells.
+                let (block, i) = (j / (w / 2), j % (w / 2));
+                let (lo, hi) = ((2 * block + 1) * w + i, (2 * block + 2) * w - 1 - i);
+                let (a, z) = (tr.get(c, lo), tr.get(c, hi));
+                tr.set(c, lo, z);
+                tr.set(c, hi, a);
+            });
+        }
+    }
 
     // Fixed-pattern readout over the whole padded batch prefix — reading
     // fewer slots would leak the real op count within the class.
@@ -239,30 +278,86 @@ mod tests {
     }
 
     #[test]
-    fn gather_returns_submission_order() {
+    fn routing_never_overflows_at_full_provisioning() {
+        // `zcap = b` and every op on one key: the scatter sorts only the
+        // `b`-slot prefix of the `shards · b` array, and one bin takes it
+        // all, in submission order.
         let c = SeqCtx::new();
         let sp = ScratchPool::new();
-        // 2 shards × 4 slots, 5 real results scattered across them.
-        let mk = |v: u64| OpResultSlot {
+        let ops: Vec<FlatOp> = (0..16u64)
+            .map(|i| FlatOp::of(&Op::Put { key: 7, val: i }))
+            .collect();
+        let subs = route_ops(&c, &sp, Engine::BitonicRec, &ops, 4, 16).unwrap();
+        let home = shard_of(7, 4);
+        for (s, sub) in subs.iter().enumerate() {
+            assert_eq!(sub.n_real, if s == home { 16 } else { 0 });
+        }
+        assert_eq!(subs[home].idx, (0..16).collect::<Vec<u64>>());
+        let vals: Vec<u64> = subs[home].batch.iter().map(|f| f.val).collect();
+        assert_eq!(vals, (0..16).collect::<Vec<u64>>());
+    }
+
+    fn found(v: u64) -> OpResultSlot {
+        OpResultSlot {
             agg: false,
             found: true,
             val: v,
-        };
-        let entries = vec![
-            (3, mk(30)),
-            (0, mk(0)),
-            (u64::MAX, OpResultSlot::default()),
-            (u64::MAX, OpResultSlot::default()),
-            (1, mk(10)),
-            (4, mk(40)),
-            (2, mk(20)),
-            (u64::MAX, OpResultSlot::default()),
-        ];
-        let out = gather_results(&c, &sp, Engine::BitonicRec, &entries, 8);
+        }
+    }
+
+    /// `zcap`-slot runs holding the given submission indices (ascending),
+    /// padded — the shape `commit_split` produces.
+    fn runs(zcap: usize, idx: &[&[u64]]) -> Vec<(u64, OpResultSlot)> {
+        idx.iter()
+            .flat_map(|run| {
+                assert!(run.len() <= zcap && run.windows(2).all(|w| w[0] < w[1]));
+                let real = run.iter().map(|&i| (i, found(i * 10)));
+                let pad = std::iter::repeat((u64::MAX, OpResultSlot::default()));
+                real.chain(pad).take(zcap).collect::<Vec<_>>()
+            })
+            .collect()
+    }
+
+    #[test]
+    fn gather_returns_submission_order() {
+        let c = SeqCtx::new();
+        let sp = ScratchPool::new();
+        // 2 shards × 4 slots, 5 real results between them.
+        let entries = runs(4, &[&[0, 3], &[1, 2, 4]]);
+        let out = gather_results(&c, &sp, Engine::BitonicRec, &entries, 4, 8);
         for (j, r) in out.iter().take(5).enumerate() {
             assert!(r.found);
             assert_eq!(r.val, j as u64 * 10);
         }
         assert!(out[5..].iter().all(|r| !r.found));
+    }
+
+    #[test]
+    fn gather_merges_empty_full_and_ragged_runs() {
+        // 4 shards × 4 slots: an empty run, a full one and two ragged
+        // ones, on the merge engine and on the engines that fall back to
+        // a full sort.
+        let c = SeqCtx::new();
+        let sp = ScratchPool::new();
+        let entries = runs(4, &[&[], &[1, 2, 5, 7], &[0], &[3, 4, 6]]);
+        for engine in [
+            Engine::BitonicRec,
+            Engine::BitonicFlat,
+            Engine::OddEven,
+            Engine::Shellsort { seed: 5 },
+        ] {
+            let out = gather_results(&c, &sp, engine, &entries, 4, 8);
+            let vals: Vec<u64> = out.iter().map(|r| r.val).collect();
+            assert_eq!(vals, (0..8).map(|j| j * 10).collect::<Vec<u64>>());
+            assert!(out.iter().all(|r| r.found && !r.agg), "{engine:?}");
+        }
+        // Eight runs: three merge rounds, two of them behind a reversal.
+        let idx: Vec<Vec<u64>> = (0..8u64)
+            .map(|s| (0..32).filter(|j| j % 11 % 8 == s).collect())
+            .collect();
+        let idx: Vec<&[u64]> = idx.iter().map(Vec::as_slice).collect();
+        let out = gather_results(&c, &sp, Engine::BitonicRec, &runs(16, &idx), 16, 32);
+        let vals: Vec<u64> = out.iter().map(|r| r.val).collect();
+        assert_eq!(vals, (0..32).map(|j| j * 10).collect::<Vec<u64>>());
     }
 }

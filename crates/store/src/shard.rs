@@ -217,8 +217,8 @@ impl Shard {
 
     /// The resident table: key-sorted, present records leading, padded
     /// to the public capacity. Public length; contents stay host-side
-    /// until a snapshot serializes them or a pipelined consult
-    /// sorts/merges a copy under tracked kernels.
+    /// until a snapshot serializes them or a pipelined consult merges
+    /// its queries into a copy under tracked kernels.
     pub fn records(&self) -> &[Rec] {
         &self.table
     }

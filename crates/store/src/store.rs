@@ -643,7 +643,7 @@ impl ShardedStore {
             })
             .collect();
         let b = size_class(n_results);
-        let gathered = gather_results(c, scratch, self.cfg.store.engine, &entries, b);
+        let gathered = gather_results(c, scratch, self.cfg.store.engine, &entries, zcap, b);
 
         // Aggregates observe the pre-epoch global snapshot (each shard
         // only knows its own slice); `self.snapshot` is refreshed by the
@@ -839,15 +839,11 @@ impl ShardedStore {
         &self.cfg.store
     }
 
-    /// Concatenated per-shard tables. Key-sorted only when there is a
-    /// single shard; a multi-shard consult re-sorts (publicly: the shard
-    /// count is public).
-    pub(crate) fn snapshot_records(&self) -> Vec<crate::merge::Rec> {
-        let mut records = Vec::with_capacity(self.capacity());
-        for s in &self.shards {
-            records.extend_from_slice(s.records());
-        }
-        records
+    /// A copy of every shard's resident table (each key-sorted, reals
+    /// leading, public length) — what a pipelined consult probes while
+    /// the store itself is away merging.
+    pub(crate) fn snapshot_records(&self) -> Vec<Vec<crate::merge::Rec>> {
+        self.shards.iter().map(|s| s.records().to_vec()).collect()
     }
 
     /// Un-merged pending ops, oldest first (only 1-shard ORAM stores ever

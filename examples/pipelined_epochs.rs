@@ -59,8 +59,10 @@ fn main() {
         if round == 0 {
             // Mid-stream read-your-writes: this round's writes are visible
             // even though no commit for them has been joined yet. (The
-            // consult costs a merge-sized replay, so a throughput-minded
-            // client probes sparingly — here once, to show it works.)
+            // consult is not a replay: it sorts the un-merged log with the
+            // queries and merges the query window into each table copy, so
+            // it costs one table-sized merge pass, not an epoch — here it
+            // runs once, to show it works.)
             let probe = (round * 29 + 1) % universe; // this round's i = 0 put
             let seen = p.read_now(&pool, &[probe]);
             assert_eq!(seen[0], Some(round * 1_000), "read_now missed an open put");

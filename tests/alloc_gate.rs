@@ -2,10 +2,10 @@
 //!
 //! A counting global allocator measures how many heap allocations the
 //! steady-state hot paths perform (`oblivious_sort_u64`, the tag-sort
-//! fast path, and a full store merge epoch). This file is its own
-//! integration-test binary, so the global allocator and the tests below
-//! own the whole process — and the tests serialize on a mutex so no
-//! concurrent test pollutes another's counts.
+//! fast path, a full store merge epoch and a pipelined `read_now`
+//! consult). This file is its own integration-test binary, so the global
+//! allocator and the tests below own the whole process — and the tests
+//! serialize on a mutex so no concurrent test pollutes another's counts.
 //!
 //! Measured history (SeqCtx, n = 20_000, practical params):
 //!
@@ -255,6 +255,56 @@ fn merge_epoch_pool_stays_warm_on_tag_path() {
         fresh_after_warmup,
         "steady merge epochs grew the scratch pool: a tag-sort lane is \
          being allocated per call instead of leased"
+    );
+}
+
+#[test]
+fn read_now_pool_stays_warm() {
+    use fj::SeqCtx;
+    use obliv_core::ScratchPool;
+    use std::sync::Arc;
+    use store::{Op, PipelinedStore, ShardConfig, ShardedStore};
+
+    let _gate = GATE.lock().unwrap_or_else(|e| e.into_inner());
+    let c = SeqCtx::new();
+    let scratch = Arc::new(ScratchPool::new());
+    let store = ShardedStore::new(ShardConfig::with_shards(4));
+    let mut p = PipelinedStore::with_scratch(store, Arc::clone(&scratch));
+    let put = |i: u64| Op::Put {
+        key: i.wrapping_mul(0x9E37_79B9_7F4A_7C15),
+        val: i,
+    };
+    let submit = |p: &mut PipelinedStore, range: std::ops::Range<u64>| {
+        for i in range {
+            p.submit(put(i));
+        }
+    };
+    submit(&mut p, 0..200);
+    let h = p.commit_async(&c);
+    p.wait(&h).unwrap();
+    // An epoch in flight and an open buffer: the consult's widest shape.
+    submit(&mut p, 200..300);
+    let _in_flight = p.commit_async(&c);
+    submit(&mut p, 300..320);
+    let keys: Vec<u64> = (0..40u64)
+        .map(|i| (i * 9).wrapping_mul(0x9E37_79B9_7F4A_7C15))
+        .collect();
+
+    // Warm-up consult: the log-and-query class, the per-shard probe
+    // arrays and the query windows are leased here for the first time.
+    let want = p.read_now(&c, &keys);
+    let fresh_after_warmup = scratch.fresh_allocs();
+
+    // Steady state: every lane of the consult — op sort, verdict scan,
+    // per-shard merge arrays, windows, rank lanes — is a lease.
+    for _ in 0..3 {
+        assert_eq!(p.read_now(&c, &keys), want);
+    }
+    assert_eq!(
+        scratch.fresh_allocs(),
+        fresh_after_warmup,
+        "steady read_now consults grew the scratch pool: a consult lane \
+         is being allocated per call instead of leased"
     );
 }
 

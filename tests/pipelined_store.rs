@@ -4,6 +4,7 @@
 //! public handoff cadence.
 
 use dob::prelude::*;
+use proptest::prelude::*;
 use std::collections::HashMap;
 
 fn mixed_ops(n: u64, salt: u64, key_space: u64) -> Vec<Op> {
@@ -208,4 +209,145 @@ fn handoff_cadence_depends_on_sizes_not_contents() {
         observed
     };
     assert_eq!(run(1), run(0xDEAD_BEEF), "cadence depended on contents");
+}
+
+/// A contract-breaking query key or open-buffer op is a typed error from
+/// `try_read_now` — nothing runs, nothing degrades, and the pipeline
+/// carries on (the bad open op then rejects its own epoch at `wait`).
+#[test]
+fn try_read_now_reports_invalid_ops_and_leaves_the_store_healthy() {
+    let c = SeqCtx::new();
+    let mut p = PipelinedStore::new(Store::new(StoreConfig::with_oram(16)));
+    p.submit(Op::Put { key: 3, val: 30 });
+    let h = p.commit_async(&c);
+
+    // A query outside the key space, named by its position in `keys`.
+    let err = p.try_read_now(&c, &[3, 99]);
+    assert!(
+        matches!(err, Err(StoreError::InvalidOp { index: 1, .. })),
+        "{err:?}"
+    );
+    assert_eq!(p.try_read_now(&c, &[3]).unwrap(), vec![Some(30)]);
+
+    // A hostile op in the open buffer, named by its position there.
+    p.submit(Op::Put { key: 4, val: 40 });
+    p.submit(Op::Put {
+        key: 5,
+        val: u64::MAX,
+    });
+    let err = p.try_read_now(&c, &[4]);
+    assert!(
+        matches!(err, Err(StoreError::InvalidOp { index: 1, .. })),
+        "{err:?}"
+    );
+    assert_eq!(p.health(), Health::Ok);
+    assert_eq!(p.wait(&h).unwrap().len(), 1);
+
+    // That open epoch is rejected as a whole; the next one commits and
+    // the consult answers again.
+    let bad = p.commit_async(&c);
+    assert!(matches!(p.wait(&bad), Err(StoreError::InvalidOp { .. })));
+    p.submit(Op::Put { key: 4, val: 41 });
+    let good = p.commit_async(&c);
+    assert_eq!(p.wait(&good).unwrap().len(), 1);
+    assert_eq!(p.health(), Health::Ok);
+    assert_eq!(p.read_now(&c, &[3, 4, 5]), vec![Some(30), Some(41), None]);
+}
+
+/// `(kind, key index, value)` triples as ops over `key_of`.
+fn ops_of(raw: &[(u8, u64, u64)], key_of: impl Fn(u64) -> u64) -> Vec<Op> {
+    raw.iter()
+        .map(|&(kind, k, val)| match kind {
+            0 | 1 => Op::Put {
+                key: key_of(k),
+                val,
+            },
+            2 => Op::Delete { key: key_of(k) },
+            _ => Op::Get { key: key_of(k) },
+        })
+        .collect()
+}
+
+fn raw_ops(len: std::ops::Range<usize>) -> impl Strategy<Value = Vec<(u8, u64, u64)>> {
+    proptest::collection::vec((0u8..4, 0u64..48, 0u64..1_000_000), len)
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// `read_now` against a `HashMap`, wherever the answer lives: shards
+    /// {1, 2, 4} and a 1-shard ORAM store with a non-empty pending log,
+    /// each with nothing in flight, an epoch in flight, or an epoch in
+    /// flight plus an open buffer. Key indices 48..64 are never written
+    /// (absent keys), index 15 is `u64::MAX`, probes repeat keys, and
+    /// their count runs from 1 to past the per-shard capacity (128 once
+    /// loaded, 8 when the load is empty).
+    #[test]
+    fn read_now_matches_a_hashmap_wherever_the_answer_lives(
+        config in 0usize..4,
+        stage in 0usize..3,
+        load in raw_ops(0..100),
+        settled in raw_ops(1..20),
+        flying in raw_ops(1..40),
+        open in raw_ops(1..40),
+        probes in proptest::collection::vec(0u64..64, 1..300),
+    ) {
+        let c = SeqCtx::new();
+        let oram = config == 3;
+        let key_of = |k: u64| match (oram, k) {
+            (true, _) => k,
+            (false, 15) => u64::MAX,
+            (false, _) => k.wrapping_mul(0x9E37_79B9_7F4A_7C15),
+        };
+        let store = if oram {
+            Store::new(StoreConfig::with_oram(64))
+        } else {
+            ShardedStore::new(ShardConfig::with_shards(1 << config))
+        };
+        let mut p = PipelinedStore::new(store);
+        let mut oracle: HashMap<u64, u64> = HashMap::new();
+        let mut submit = |p: &mut PipelinedStore, raw: &[(u8, u64, u64)]| {
+            for op in ops_of(raw, key_of) {
+                p.submit(op);
+                match op {
+                    Op::Put { key, val } => drop(oracle.insert(key, val)),
+                    Op::Delete { key } => drop(oracle.remove(&key)),
+                    _ => {}
+                }
+            }
+        };
+
+        // Two retired epochs: a load, and a small one that an ORAM store
+        // serves by point lookups and leaves in its pending log.
+        for raw in [&load, &settled] {
+            submit(&mut p, raw);
+            let h = p.commit_async(&c);
+            prop_assert!(p.wait(&h).is_ok());
+        }
+        if oram {
+            prop_assert!(p.inner().unwrap().pending_len() > 0);
+        }
+        // Under `SeqCtx` the merge has run by now, but the epoch stays in
+        // flight — log consulted, snapshot not refreshed — until joined.
+        let flight = (stage >= 1).then(|| {
+            submit(&mut p, &flying);
+            p.commit_async(&c)
+        });
+        if stage == 2 {
+            submit(&mut p, &open);
+        }
+        prop_assert_eq!(p.in_flight(), stage >= 1);
+
+        let keys: Vec<u64> = probes.iter().map(|&k| key_of(k)).collect();
+        let want: Vec<Option<u64>> = keys.iter().map(|k| oracle.get(k).copied()).collect();
+        prop_assert_eq!(p.read_now(&c, &keys), want.clone());
+
+        // The consult wrote nothing back: once everything has merged, the
+        // tables alone give the same answers.
+        if let Some(h) = flight {
+            prop_assert!(p.wait(&h).is_ok());
+        }
+        p.drain(&c);
+        prop_assert_eq!(p.read_now(&c, &keys), want);
+    }
 }
