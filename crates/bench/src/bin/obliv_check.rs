@@ -8,7 +8,7 @@
 //! exactly: value-independence and trace-length invariance.
 
 use metrics::{measure, CacheConfig, MeterCtx, TraceMode};
-use obliv_core::scan::{seg_propagate, Schedule, Seg};
+use obliv_core::scan::{seg_propagate_in, Schedule, Seg};
 use obliv_core::{
     bin_place, compact_cells, expand, oblivious_sort_kv, oblivious_sort_u64, orp_once,
     rec_sort_items, send_receive, Engine, Item, OSortParams, OrbaParams, ScratchPool, Slot,
@@ -95,7 +95,7 @@ fn main() {
             .map(|(i, &x)| Seg::new(i % 4 == 0, x))
             .collect();
         let mut tr = metrics::Tracked::new(c, &mut segs);
-        seg_propagate(c, &mut tr, Schedule::Tree);
+        seg_propagate_in(c, &scratch, &mut tr, Schedule::Tree);
     });
 
     // Send-receive.

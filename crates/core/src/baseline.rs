@@ -53,10 +53,7 @@ fn msort<'x, C: Ctx, V: Val>(
             a.set(c, j, x);
         }
         if to_b {
-            let ar = a.as_raw();
-            let br = b.as_raw();
-            // SAFETY: leaf owns both ranges exclusively.
-            unsafe { br.copy_from(c, &ar, 0, 0, n) };
+            b.copy_from(c, &a, 0, 0, n);
         }
         return;
     }

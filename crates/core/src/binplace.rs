@@ -31,8 +31,9 @@ use crate::error::{OblivError, Result};
 use crate::expand::expand;
 use crate::scan::{seg_propagate_in, Schedule, Seg};
 use crate::slot::{composite_key, Slot, Val};
-use fj::{grain_for, par_for, Ctx};
-use metrics::{ScratchPool, Tracked};
+use fj::Ctx;
+use metrics::{par_fill, par_update, ScratchPool, Tracked};
+use std::sync::atomic::{AtomicBool, Ordering};
 
 /// Oblivious bin placement over `io` (whose length must be `nbins · zcap`,
 /// with `nbins` and `zcap` powers of two). Order within a bin is
@@ -104,36 +105,29 @@ pub(crate) fn place<C: Ctx, V: Val>(
         // index.
         let mut seg_store = scratch.lease(prefix, Seg::new(false, 0u64));
         let mut seg = Tracked::new(c, &mut seg_store);
-        let (sr, wr) = (seg.as_raw(), w.as_raw());
-        par_for(c, 0, prefix, grain_for(c), &|c, i| unsafe {
-            let head = i == 0 || wr.get(c, i).phase_key() != wr.get(c, i - 1).phase_key();
-            sr.set(c, i, Seg::new(head, i as u64));
+        par_fill(c, &mut seg, &|c, i| {
+            let head = i == 0 || w.get(c, i).phase_key() != w.get(c, i - 1).phase_key();
+            Seg::new(head, i as u64)
         });
         seg_propagate_in(c, scratch, &mut seg, Schedule::Tree);
 
         // Step 3: each real trades its group for its absolute target;
         // fillers are rewritten canonical. Overflow iff a real's rank is
-        // `≥ Z`. The write is unconditional.
-        let sr = seg.as_raw();
-        fj::par_reduce(
-            c,
-            0,
-            prefix,
-            grain_for(c),
-            &|c, i| unsafe {
-                let s = wr.get(c, i);
-                let rank = i as u64 - sr.get(c, i).v;
-                let out = if s.is_real() {
-                    s.with_phase_key(s.phase_key() * zcap as u64 + rank)
-                } else {
-                    Slot::filler()
-                };
-                wr.set(c, i, out);
-                s.is_real() && rank >= zcap as u64
-            },
-            &|a, b| a | b,
-        )
-        .unwrap_or(false)
+        // `≥ Z` — a public outcome (the caller retries), so it may take a
+        // branch. The write is unconditional.
+        let overflow = AtomicBool::new(false);
+        par_update(c, w, &|c, i, s| {
+            let rank = i as u64 - seg.get(c, i).v;
+            if s.is_real() && rank >= zcap as u64 {
+                overflow.store(true, Ordering::Relaxed);
+            }
+            if s.is_real() {
+                s.with_phase_key(s.phase_key() * zcap as u64 + rank)
+            } else {
+                Slot::filler()
+            }
+        });
+        overflow.into_inner()
     };
 
     // Step 4: comparator-free distribution. Without an overflow the reals
@@ -160,11 +154,9 @@ pub fn set_keys<C: Ctx, V: Val>(
     t: &mut Tracked<'_, Slot<V>>,
     f: &(impl Fn(&Slot<V>) -> u128 + Sync),
 ) {
-    let tr = t.as_raw();
-    par_for(c, 0, tr.len(), grain_for(c), &|c, i| unsafe {
-        let mut s = tr.get(c, i);
+    par_update(c, t, &|_, _, mut s| {
         s.sk = f(&s);
-        tr.set(c, i, s);
+        s
     });
 }
 

@@ -54,8 +54,7 @@ pub use osort::{oblivious_sort, oblivious_sort_u64, FinalSorter, OSortParams, So
 pub use rec_orba::{bins_for, rec_orba, rec_orba_into, BinLayout, OrbaParams};
 pub use rec_sort::rec_sort_items;
 pub use scan::{
-    prefix_sum, prefix_sum_in, scan, scan_in, seg_combine_u64, seg_propagate, seg_propagate_in,
-    seg_sum_right, seg_sum_right_in, Schedule, Seg,
+    prefix_sum_in, scan_in, seg_combine_u64, seg_propagate_in, seg_sum_right_in, Schedule, Seg,
 };
 pub use scatter::oblivious_scatter;
 pub use sendrecv::{send_receive, send_receive_u64};

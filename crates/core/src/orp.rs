@@ -18,7 +18,7 @@ use crate::rec_orba::{bins_for, rec_orba_into, OrbaParams};
 use crate::scan::{prefix_sum_in, Schedule};
 use crate::slot::{Item, Slot, Val};
 use fj::{grain_for, par_for, Ctx};
-use metrics::{par_tracked_chunks, ScratchPool, Tracked};
+use metrics::{par_fill, par_tracked_chunks, par_update, ScratchPool, Tracked};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -68,15 +68,12 @@ pub fn orp_once_into<C: Ctx, V: Val>(
     let mut t = Tracked::new(c, &mut slots);
     {
         let perm_labels = &*perm_labels;
-        let tr = t.as_raw();
-        par_for(c, 0, tr.len(), grain_for(c), &|c, i| unsafe {
-            let s = tr.get(c, i);
-            let out = if s.is_real() {
+        par_update(c, &mut t, &|_, i, s| {
+            if s.is_real() {
                 s.with_phase_key(perm_labels[i])
             } else {
                 s
-            };
-            tr.set(c, i, out);
+            }
         });
     }
 
@@ -88,20 +85,16 @@ pub fn orp_once_into<C: Ctx, V: Val>(
 
     // Detect label collisions among adjacent reals (fixed-pattern scan).
     let collision = AtomicBool::new(false);
-    {
-        let tr = t.as_raw();
-        par_for(c, 0, tr.len(), grain_for(c), &|c, i| {
-            if i % z == 0 {
-                return;
-            }
-            // SAFETY: read-only phase.
-            let (a, b) = unsafe { (tr.get(c, i - 1), tr.get(c, i)) };
-            c.work(1);
-            if a.is_real() && b.is_real() && a.phase_key() == b.phase_key() {
-                collision.store(true, Ordering::Relaxed);
-            }
-        });
-    }
+    par_for(c, 0, t.len(), grain_for(c), &|c, i| {
+        if i % z == 0 {
+            return;
+        }
+        let (a, b) = (t.get(c, i - 1), t.get(c, i));
+        c.work(1);
+        if a.is_real() && b.is_real() && a.phase_key() == b.phase_key() {
+            collision.store(true, Ordering::Relaxed);
+        }
+    });
     if collision.load(Ordering::Relaxed) {
         return Err(OblivError::LabelCollision);
     }
@@ -110,15 +103,10 @@ pub fn orp_once_into<C: Ctx, V: Val>(
     // public. Loads -> exclusive prefix sum -> parallel bin copy-out.
     let mut loads = scratch.lease(nbins, 0u64);
     {
-        let tr = t.as_raw();
         let mut lt = Tracked::new(c, &mut loads);
-        metrics::par_fill(c, &mut lt, &|c, b| {
+        par_fill(c, &mut lt, &|c, b| {
             (0..z)
-                .map(|i| {
-                    // SAFETY: read-only phase.
-                    let s = unsafe { tr.get(c, b * z + i) };
-                    u64::from(s.is_real())
-                })
+                .map(|i| u64::from(t.get(c, b * z + i).is_real()))
                 .sum()
         });
     }
@@ -131,16 +119,16 @@ pub fn orp_once_into<C: Ctx, V: Val>(
     let offsets = &*loads;
 
     {
+        // Variable-length output runs: a scatter, so the raw view.
         let mut out_t = Tracked::new(c, out);
         let or = out_t.as_raw();
-        let tr = t.as_raw();
         par_for(c, 0, nbins, grain_for(c), &|c, b| {
             let mut at = offsets[b] as usize;
             for i in 0..z {
-                // SAFETY: bins write disjoint output ranges
-                // [offsets[b], offsets[b] + load_b).
-                let s = unsafe { tr.get(c, b * z + i) };
+                let s = t.get(c, b * z + i);
                 if s.is_real() {
+                    // SAFETY: bins write disjoint output ranges
+                    // [offsets[b], offsets[b] + load_b).
                     unsafe { or.set(c, at, s.item) };
                     at += 1;
                 }

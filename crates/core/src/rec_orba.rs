@@ -24,7 +24,7 @@ use crate::engine::Engine;
 use crate::error::{OblivError, Result};
 use crate::slot::{Item, Slot, Val};
 use fj::{grain_for, par_for, Ctx};
-use metrics::{ScratchPool, Tracked};
+use metrics::{par_tracked_chunks, ScratchPool, Tracked};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use sortnet::{par_rows2, transpose};
@@ -162,6 +162,7 @@ fn build_layout<C: Ctx, V: Val>(
     z: usize,
     slots: &mut [Slot<V>],
 ) {
+    // The front half of every bin: a strided write, so the raw view.
     let half = z / 2;
     let mut t = Tracked::new(c, slots);
     let tr = t.as_raw();
@@ -235,14 +236,9 @@ fn rec<C: Ctx, V: Val>(
     );
 
     // Result currently lives in `scratch`; copy back (scan-bound).
-    {
-        let sr = scratch.as_raw();
-        let dr = slots.as_raw();
-        par_for(c, 0, nbins, grain_for(c), &|c, b| unsafe {
-            // SAFETY: disjoint z-slot chunks per b.
-            dr.copy_from(c, &sr, b * z, b * z, z);
-        });
-    }
+    par_tracked_chunks(c, slots, z, &|c, b, mut bin| {
+        bin.copy_from(c, &scratch, b * z, 0, z);
+    });
 }
 
 #[cfg(test)]

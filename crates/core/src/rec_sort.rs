@@ -38,7 +38,7 @@ use crate::engine::Engine;
 use crate::error::{OblivError, Result};
 use crate::slot::{Item, Slot, Val};
 use fj::{grain_for, par_for, par_reduce, Ctx};
-use metrics::{RawTracked, ScratchPool, Tracked};
+use metrics::{par_fill, par_tracked_chunks, ScratchPool, Tracked};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use sortnet::{par_rows2, transpose};
@@ -58,11 +58,10 @@ struct PivotView {
 
 impl PivotView {
     /// Key of boundary `t` (1 ≤ t < nbins); out-of-range ⇒ +∞.
-    fn boundary<C: Ctx>(&self, c: &C, pivots: &RawTracked<u128>, t: usize) -> u128 {
+    fn boundary<C: Ctx>(&self, c: &C, pivots: &Tracked<'_, u128>, t: usize) -> u128 {
         let idx = self.r0 + t * self.stride - 1;
         if idx < pivots.len() {
-            // SAFETY: pivots are read-only during the butterfly.
-            unsafe { pivots.get(c, idx) }
+            pivots.get(c, idx)
         } else {
             u128::MAX
         }
@@ -89,10 +88,8 @@ pub fn rec_sort_items<C: Ctx, V: Val>(
 ) -> Result<()> {
     let n = items.len();
     {
-        let mut t = Tracked::new(c, items);
-        let tr = t.as_raw();
-        // SAFETY: read-only pass.
-        let reserved = |c: &C, i| unsafe { tr.get(c, i) }.key == u128::MAX;
+        let t = Tracked::new(c, items);
+        let reserved = |c: &C, i| t.get(c, i).key == u128::MAX;
         if par_reduce(c, 0, n, grain_for(c), &reserved, &|a, b| a | b).unwrap_or(false) {
             return Err(OblivError::ReservedKey);
         }
@@ -140,6 +137,8 @@ pub fn rec_sort_items<C: Ctx, V: Val>(
     // --- Build the bin layout: β bins of `cap`, input chunked across bins.
     let mut slots = scratch.lease(nbins * cap, Slot::filler());
     {
+        // Input chunk `b` fills the front of bin `b`: a strided write, so
+        // the raw view.
         let mut t = Tracked::new(c, &mut slots);
         let tr = t.as_raw();
         par_for(c, 0, n, grain_for(c), &|c, i| {
@@ -152,8 +151,7 @@ pub fn rec_sort_items<C: Ctx, V: Val>(
     // --- Butterfly.
     let overflow = AtomicBool::new(false);
     {
-        let mut pivots_t = Tracked::new(c, &mut pivots_store);
-        let pv = pivots_t.as_raw();
+        let pv = Tracked::new(c, &mut pivots_store);
         let mut t = Tracked::new(c, &mut slots);
         let mut scratch_store = scratch.lease(t.len(), Slot::filler());
         let mut tmp = Tracked::new(c, &mut scratch_store);
@@ -177,11 +175,10 @@ pub fn rec_sort_items<C: Ctx, V: Val>(
 
     // --- Read out: bins are sorted with reals packed in front.
     {
-        let mut t = Tracked::new(c, &mut slots);
-        let tr = t.as_raw();
+        let t = Tracked::new(c, &mut slots);
         let mut out_t = Tracked::new(c, items);
         let or = out_t.as_raw();
-        let total = pack_bins(c, scratch, &tr, nbins, cap, &|c, at, s| {
+        let total = pack_bins(c, scratch, &t, nbins, cap, &|c, at, s| {
             // SAFETY: `pack_bins` hands every real a distinct position.
             unsafe { or.set(c, at, s.item) }
         });
@@ -198,7 +195,7 @@ pub fn rec_sort_items<C: Ctx, V: Val>(
 fn pack_bins<C: Ctx, V: Val>(
     c: &C,
     pool: &ScratchPool,
-    bins: &RawTracked<Slot<V>>,
+    bins: &Tracked<'_, Slot<V>>,
     nbins: usize,
     cap: usize,
     emit: &(impl Fn(&C, usize, Slot<V>) + Sync),
@@ -215,8 +212,7 @@ fn pack_bins<C: Ctx, V: Val>(
             let (mut lo, mut hi) = (b * cap, (b + 1) * cap);
             while lo < hi {
                 let mid = (lo + hi) / 2;
-                // SAFETY: read-only phase.
-                if unsafe { bins.get(c, mid) }.is_real() {
+                if bins.get(c, mid).is_real() {
                     lo = mid + 1;
                 } else {
                     hi = mid;
@@ -229,8 +225,7 @@ fn pack_bins<C: Ctx, V: Val>(
     let offsets = &*loads;
     par_for(c, 0, nbins * cap, grain_for(c), &|c, i| {
         let (b, j) = (i / cap, i % cap);
-        // SAFETY: read-only phase.
-        let s = unsafe { bins.get(c, i) };
+        let s = bins.get(c, i);
         debug_assert_eq!(
             s.is_real(),
             (j as u64) < offsets[b + 1] - offsets[b],
@@ -259,21 +254,13 @@ fn sort_small<C: Ctx, V: Val>(
     let mut slots = scratch.lease(m, Slot::filler());
     {
         let mut t = Tracked::new(c, &mut slots);
-        let tr = t.as_raw();
         let items_ref: &[Item<V>] = items;
-        par_for(c, 0, n, grain_for(c), &|c, i| {
-            // SAFETY: disjoint writes per i.
-            unsafe { tr.set(c, i, Slot::keyed(items_ref[i])) };
-        });
+        par_fill(c, &mut t.range(0, n), &|_, i| Slot::keyed(items_ref[i]));
         engine.sort_slots(c, scratch, &mut t);
-        let tr = t.as_raw();
-        let mut out_t = Tracked::new(c, items);
-        let or = out_t.as_raw();
-        par_for(c, 0, n, grain_for(c), &|c, i| unsafe {
-            // SAFETY: disjoint per-index slots.
-            let s = tr.get(c, i);
+        par_fill(c, &mut Tracked::new(c, items), &|c, i| {
+            let s = t.get(c, i);
             debug_assert!(s.is_real());
-            or.set(c, i, s.item);
+            s.item
         });
     }
     Ok(())
@@ -290,7 +277,7 @@ fn rec<C: Ctx, V: Val>(
     nbins: usize,
     cap: usize,
     view: PivotView,
-    pivots: &RawTracked<u128>,
+    pivots: &Tracked<'_, u128>,
     engine: Engine,
     gamma: usize,
     overflow: &AtomicBool,
@@ -376,11 +363,8 @@ fn rec<C: Ctx, V: Val>(
     );
 
     // Copy the result back into `slots`.
-    let sr = scratch.as_raw();
-    let dr = slots.as_raw();
-    par_for(c, 0, nbins, grain_for(c), &|c, b| unsafe {
-        // SAFETY: disjoint cap-slot chunks per b.
-        dr.copy_from(c, &sr, b * cap, b * cap, cap);
+    par_tracked_chunks(c, slots, cap, &|c, b, mut bin| {
+        bin.copy_from(c, &scratch, b * cap, 0, cap);
     });
 }
 
@@ -396,21 +380,18 @@ fn base_case<C: Ctx, V: Val>(
     nbins: usize,
     cap: usize,
     view: PivotView,
-    pivots: &RawTracked<u128>,
+    pivots: &Tracked<'_, u128>,
     engine: Engine,
     overflow: &AtomicBool,
 ) {
-    let (sr, dr) = (slots.as_raw(), scratch.as_raw());
-    let total = pack_bins(c, pool, &sr, nbins, cap, &|c, at, s| {
+    let dr = scratch.as_raw();
+    let total = pack_bins(c, pool, slots, nbins, cap, &|c, at, s| {
         // SAFETY: `pack_bins` hands every real a distinct position.
         unsafe { dr.set(c, at, s) }
     });
     // Both are powers of two and total ≤ nbins·cap, so the padded run fits.
     let padded = total.next_power_of_two();
-    par_for(c, total, padded, grain_for(c), &|c, i| unsafe {
-        // SAFETY: disjoint writes past the packed reals.
-        dr.set(c, i, Slot::filler());
-    });
+    par_fill(c, &mut scratch.range(total, padded), &|_, _| Slot::filler());
     let mut run = scratch.range(0, padded);
     engine.sort_slots(c, pool, &mut run);
 
@@ -437,16 +418,13 @@ fn base_case<C: Ctx, V: Val>(
     }
     // Deal the sorted segments into the fixed-capacity bins of `slots`
     // (an overflowing bin keeps its first `cap`; the attempt is void).
-    par_for(c, 0, nbins * cap, grain_for(c), &|c, i| unsafe {
+    par_fill(c, slots, &|c, i| {
         let (b, j) = (i / cap, i % cap);
-        // SAFETY: reads hit only `scratch`, each `slots` position is
-        // written once.
-        let s = if j < pos[b + 1] - pos[b] {
-            dr.get(c, pos[b] + j)
+        if j < pos[b + 1] - pos[b] {
+            run.get(c, pos[b] + j)
         } else {
             Slot::filler()
-        };
-        sr.set(c, i, s);
+        }
     });
 }
 

@@ -24,7 +24,7 @@
 
 use crate::slot::Val;
 use fj::{grain_for, par_for, Ctx};
-use metrics::{ScratchPool, Tracked};
+use metrics::{par_fill, ScratchPool, Tracked};
 use sortnet::select_u64;
 
 /// Which parallel schedule evaluates the scan.
@@ -38,31 +38,13 @@ pub enum Schedule {
 
 /// Generic scan with an associative `combine` and two-sided identity `id`
 /// (identity is only ever combined on the right of live data, so a
-/// right-identity suffices — see [`seg_propagate`]).
+/// right-identity suffices — see [`seg_propagate_in`]).
 ///
 /// * `inclusive` — include the element itself in its result;
 /// * `reverse` — scan right-to-left (suffix scan).
 ///
-/// Work `O(n)`, cache `O(n/B)`, span per [`Schedule`].
-pub fn scan<C, S, OP>(
-    c: &C,
-    data: &mut Tracked<'_, S>,
-    id: S,
-    combine: &OP,
-    inclusive: bool,
-    reverse: bool,
-    sched: Schedule,
-) where
-    C: Ctx,
-    S: Val,
-    OP: Fn(S, S) -> S + Sync,
-{
-    let scratch = ScratchPool::new();
-    scan_in(c, &scratch, data, id, combine, inclusive, reverse, sched);
-}
-
-/// [`scan`] drawing its tree scratch from a [`ScratchPool`] lease instead
-/// of a fresh allocation — the variant every hot path uses.
+/// Work `O(n)`, cache `O(n/B)`, span per [`Schedule`]. The tree scratch is
+/// a [`ScratchPool`] lease.
 #[allow(clippy::too_many_arguments)]
 pub fn scan_in<C, S, OP>(
     c: &C,
@@ -245,26 +227,16 @@ fn levels_scan<C, S, OP>(
     // padded scratch tree of size 2m; leaves live at [m, 2m).
     let mut tree_store = scratch.lease(2 * m, id);
     let mut tree = Tracked::new(c, &mut tree_store);
-    {
-        let tr = tree.as_raw();
-        let dr = data.as_raw();
-        par_for(c, 0, n, grain_for(c), &|c, j| {
-            let src = if reverse { n - 1 - j } else { j };
-            // SAFETY: leaf m+j written once; data[src] only read.
-            unsafe { tr.set(c, m + j, dr.get(c, src)) };
-        });
-    }
+    par_fill(c, &mut tree.range(m, m + n), &|c, j| {
+        data.get(c, if reverse { n - 1 - j } else { j })
+    });
 
     // Work on the leaf row [m, 2m) of the scratch; keep original leaves for
     // the inclusive fix-up.
     let mut orig_store = scratch.lease(if inclusive { m } else { 0 }, id);
     let mut orig = Tracked::new(c, &mut orig_store);
     if inclusive {
-        let or = orig.as_raw();
-        let tr = tree.as_raw();
-        par_for(c, 0, m, grain_for(c), &|c, j| unsafe {
-            or.set(c, j, tr.get(c, m + j));
-        });
+        par_fill(c, &mut orig, &|c, j| tree.get(c, m + j));
     }
 
     let tr = tree.as_raw();
@@ -285,8 +257,8 @@ fn levels_scan<C, S, OP>(
         offset = step;
     }
     // Down-sweep (exclusive).
-    // SAFETY: single write to the root slot.
-    unsafe { tr.set(c, 2 * m - 1, id) };
+    tree.set(c, 2 * m - 1, id);
+    let tr = tree.as_raw();
     let mut offset = m / 2;
     while offset >= 1 {
         let step = offset * 2;
@@ -306,22 +278,19 @@ fn levels_scan<C, S, OP>(
         });
         offset /= 2;
     }
-    // Write back (with inclusive fix-up).
+    // Write back (with inclusive fix-up); a suffix scan lands mirrored.
     let dr = data.as_raw();
-    let or = orig.as_raw();
     par_for(c, 0, n, grain_for(c), &|c, j| {
         let dst = if reverse { n - 1 - j } else { j };
+        let ex = tree.get(c, m + j);
+        let out = if inclusive {
+            c.work(1);
+            combine(ex, orig.get(c, j))
+        } else {
+            ex
+        };
         // SAFETY: bijective logical-index map.
-        unsafe {
-            let ex = tr.get(c, m + j);
-            let out = if inclusive {
-                c.work(1);
-                combine(ex, or.get(c, j))
-            } else {
-                ex
-            };
-            dr.set(c, dst, out);
-        }
+        unsafe { dr.set(c, dst, out) };
     });
 }
 
@@ -330,12 +299,6 @@ fn levels_scan<C, S, OP>(
 // ---------------------------------------------------------------------------
 
 /// In-place prefix sum over `u64` (wrapping).
-pub fn prefix_sum<C: Ctx>(c: &C, t: &mut Tracked<'_, u64>, inclusive: bool, sched: Schedule) {
-    let scratch = ScratchPool::new();
-    prefix_sum_in(c, &scratch, t, inclusive, sched);
-}
-
-/// [`prefix_sum`] with pooled scratch.
 pub fn prefix_sum_in<C: Ctx>(
     c: &C,
     scratch: &ScratchPool,
@@ -416,12 +379,6 @@ pub fn seg_combine_u64(
 /// workspace).
 ///
 /// `O(n)` work, `O(n/B)` cache, span `O(log n)` with [`Schedule::Tree`].
-pub fn seg_propagate<C: Ctx, V: Val>(c: &C, t: &mut Tracked<'_, Seg<V>>, sched: Schedule) {
-    let scratch = ScratchPool::new();
-    seg_propagate_in(c, &scratch, t, sched);
-}
-
-/// [`seg_propagate`] with pooled scratch.
 pub fn seg_propagate_in<C: Ctx, V: Val>(
     c: &C,
     scratch: &ScratchPool,
@@ -450,12 +407,6 @@ pub fn seg_propagate_in<C: Ctx, V: Val>(
 /// values of its own group at its position and to its right. Heads must
 /// mark each segment's *last* element (the first in right-to-left scan
 /// order).
-pub fn seg_sum_right<C: Ctx>(c: &C, t: &mut Tracked<'_, Seg<u64>>, sched: Schedule) {
-    let scratch = ScratchPool::new();
-    seg_sum_right_in(c, &scratch, t, sched);
-}
-
-/// [`seg_sum_right`] with pooled scratch.
 pub fn seg_sum_right_in<C: Ctx>(
     c: &C,
     scratch: &ScratchPool,
@@ -483,33 +434,36 @@ mod tests {
 
     #[test]
     fn prefix_sum_inclusive_and_exclusive() {
+        let sp = ScratchPool::new();
         let c = SeqCtx::new();
         for sched in [Schedule::Tree, Schedule::Levels] {
             let mut v: Vec<u64> = (1..=10).collect();
             let mut t = Tracked::new(&c, &mut v);
-            prefix_sum(&c, &mut t, true, sched);
+            prefix_sum_in(&c, &sp, &mut t, true, sched);
             assert_eq!(v, vec![1, 3, 6, 10, 15, 21, 28, 36, 45, 55], "{sched:?}");
 
             let mut v: Vec<u64> = (1..=10).collect();
             let mut t = Tracked::new(&c, &mut v);
-            prefix_sum(&c, &mut t, false, sched);
+            prefix_sum_in(&c, &sp, &mut t, false, sched);
             assert_eq!(v, vec![0, 1, 3, 6, 10, 15, 21, 28, 36, 45], "{sched:?}");
         }
     }
 
     #[test]
     fn suffix_scan_reverses() {
+        let sp = ScratchPool::new();
         let c = SeqCtx::new();
         for sched in [Schedule::Tree, Schedule::Levels] {
             let mut v: Vec<u64> = vec![1, 2, 3, 4, 5];
             let mut t = Tracked::new(&c, &mut v);
-            scan(&c, &mut t, 0u64, &|a, b| a + b, true, true, sched);
+            scan_in(&c, &sp, &mut t, 0u64, &|a, b| a + b, true, true, sched);
             assert_eq!(v, vec![15, 14, 12, 9, 5], "{sched:?}");
         }
     }
 
     #[test]
     fn propagate_carries_head_values() {
+        let sp = ScratchPool::new();
         let c = SeqCtx::new();
         for sched in [Schedule::Tree, Schedule::Levels] {
             // Segments: [10, _, _], [20, _], [30, _, _, _]
@@ -524,7 +478,7 @@ mod tests {
                 Seg::new(false, 0),
             ];
             let mut t = Tracked::new(&c, &mut v);
-            seg_propagate(&c, &mut t, sched);
+            seg_propagate_in(&c, &sp, &mut t, sched);
             let got: Vec<u64> = v.iter().map(|s| s.v).collect();
             assert_eq!(got, vec![10, 10, 10, 20, 20, 30, 30, 30], "{sched:?}");
         }
@@ -532,6 +486,7 @@ mod tests {
 
     #[test]
     fn aggregate_sums_suffix_within_group() {
+        let sp = ScratchPool::new();
         let c = SeqCtx::new();
         for sched in [Schedule::Tree, Schedule::Levels] {
             // Two groups of values: [1,2,3 | 4,5]; heads mark group *ends*.
@@ -543,7 +498,7 @@ mod tests {
                 Seg::new(true, 5),
             ];
             let mut t = Tracked::new(&c, &mut v);
-            seg_sum_right(&c, &mut t, sched);
+            seg_sum_right_in(&c, &sp, &mut t, sched);
             let got: Vec<u64> = v.iter().map(|s| s.v).collect();
             assert_eq!(got, vec![6, 5, 3, 9, 5], "{sched:?}");
         }
@@ -551,12 +506,13 @@ mod tests {
 
     #[test]
     fn tree_schedule_has_log_span_levels_has_log_squared() {
+        let sp = ScratchPool::new();
         let n = 1 << 14;
         let run = |sched| {
             let (_, rep) = measure(CacheConfig::default(), TraceMode::Off, |c| {
                 let mut v = vec![1u64; n];
                 let mut t = Tracked::new(c, &mut v);
-                prefix_sum(c, &mut t, true, sched);
+                prefix_sum_in(c, &sp, &mut t, true, sched);
             });
             rep
         };
@@ -587,11 +543,12 @@ mod tests {
 
     #[test]
     fn scan_trace_is_input_independent() {
+        let sp = ScratchPool::new();
         let run = |vals: Vec<u64>| {
             let (_, rep) = measure(CacheConfig::default(), TraceMode::Hash, |c| {
                 let mut v = vals.clone();
                 let mut t = Tracked::new(c, &mut v);
-                prefix_sum(c, &mut t, true, Schedule::Tree);
+                prefix_sum_in(c, &sp, &mut t, true, Schedule::Tree);
             });
             (rep.trace_hash, rep.trace_len)
         };
@@ -616,6 +573,7 @@ mod tests {
 
     #[test]
     fn prefix_sum_degenerate_sizes() {
+        let sp = ScratchPool::new();
         let c = SeqCtx::new();
         for sched in [Schedule::Tree, Schedule::Levels] {
             for n in [0usize, 1, 2] {
@@ -623,7 +581,7 @@ mod tests {
                     let mut v: Vec<u64> = (10..10 + n as u64).collect();
                     let expect = prefix_reference(&v, inclusive);
                     let mut t = Tracked::new(&c, &mut v);
-                    prefix_sum(&c, &mut t, inclusive, sched);
+                    prefix_sum_in(&c, &sp, &mut t, inclusive, sched);
                     assert_eq!(v, expect, "n = {n}, inclusive = {inclusive}, {sched:?}");
                 }
             }
@@ -632,6 +590,7 @@ mod tests {
 
     #[test]
     fn prefix_sum_n_1000_non_power_of_two_matches_reference() {
+        let sp = ScratchPool::new();
         // 1000 forces a padded scratch tree (next_power_of_two = 1024) with
         // a partial last level — the shape both schedules must prune.
         let c = SeqCtx::new();
@@ -643,7 +602,7 @@ mod tests {
                 let mut v = input.clone();
                 let expect = prefix_reference(&v, inclusive);
                 let mut t = Tracked::new(&c, &mut v);
-                prefix_sum(&c, &mut t, inclusive, sched);
+                prefix_sum_in(&c, &sp, &mut t, inclusive, sched);
                 assert_eq!(v, expect, "inclusive = {inclusive}, {sched:?}");
             }
         }
@@ -651,6 +610,7 @@ mod tests {
 
     #[test]
     fn seg_propagate_degenerate_and_odd_sizes() {
+        let sp = ScratchPool::new();
         let c = SeqCtx::new();
         for sched in [Schedule::Tree, Schedule::Levels] {
             for n in [1usize, 2, 7, 1000] {
@@ -667,7 +627,7 @@ mod tests {
                     expect[i] = cur;
                 }
                 let mut t = Tracked::new(&c, &mut v);
-                seg_propagate(&c, &mut t, sched);
+                seg_propagate_in(&c, &sp, &mut t, sched);
                 let got: Vec<u64> = v.iter().map(|s| s.v).collect();
                 assert_eq!(got, expect, "n = {n}, {sched:?}");
             }
@@ -679,13 +639,14 @@ mod tests {
         // Multiset-style invariant: the last inclusive prefix equals the
         // total, independent of the (non-power-of-two) length.
         let c = SeqCtx::new();
+        let sp = ScratchPool::new();
         for n in [3usize, 5, 100, 1000] {
             let input: Vec<u64> = (1..=n as u64).collect();
             let total: u64 = input.iter().sum();
             for sched in [Schedule::Tree, Schedule::Levels] {
                 let mut v = input.clone();
                 let mut t = Tracked::new(&c, &mut v);
-                prefix_sum(&c, &mut t, true, sched);
+                prefix_sum_in(&c, &sp, &mut t, true, sched);
                 assert_eq!(v[n - 1], total, "n = {n}, {sched:?}");
                 assert!(
                     v.windows(2).all(|w| w[0] <= w[1]),
@@ -796,6 +757,7 @@ mod tests {
         #![proptest_config(ProptestConfig::with_cases(48))]
         #[test]
         fn prop_prefix_sum_matches_reference(v in proptest::collection::vec(any::<u32>(), 1..200)) {
+            let sp = ScratchPool::new();
             let v: Vec<u64> = v.into_iter().map(u64::from).collect();
             let mut expect = Vec::with_capacity(v.len());
             let mut acc = 0u64;
@@ -807,7 +769,7 @@ mod tests {
                 let c = SeqCtx::new();
                 let mut got = v.clone();
                 let mut t = Tracked::new(&c, &mut got);
-                prefix_sum(&c, &mut t, true, sched);
+                prefix_sum_in(&c, &sp, &mut t, true, sched);
                 prop_assert_eq!(&got, &expect);
             }
         }
@@ -826,8 +788,9 @@ mod tests {
                 expect[i] = cur;
             }
             let c = SeqCtx::new();
+            let sp = ScratchPool::new();
             let mut t = Tracked::new(&c, &mut segs);
-            seg_propagate(&c, &mut t, Schedule::Tree);
+            seg_propagate_in(&c, &sp, &mut t, Schedule::Tree);
             let got: Vec<u64> = segs.iter().map(|s| s.v).collect();
             prop_assert_eq!(got, expect);
         }

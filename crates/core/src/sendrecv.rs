@@ -14,8 +14,8 @@ use crate::binplace::set_keys;
 use crate::engine::Engine;
 use crate::scan::{seg_propagate_in, Schedule, Seg};
 use crate::slot::{Item, Slot, Val};
-use fj::{grain_for, par_for, Ctx};
-use metrics::{ScratchPool, Tracked};
+use fj::Ctx;
+use metrics::{par_fill, par_update, ScratchPool, Tracked};
 
 /// Record carried through the routing network.
 #[derive(Clone, Copy, Debug, Default)]
@@ -100,42 +100,33 @@ pub fn send_receive<C: Ctx, V: Val>(
     // Propagate each key-run's head to the whole run.
     let mut seg_store = scratch.lease(m, Seg::<Head<V>>::default());
     let mut seg = Tracked::new(c, &mut seg_store);
-    {
-        let sr = seg.as_raw();
-        let tr = t.as_raw();
-        par_for(c, 0, m, grain_for(c), &|c, i| unsafe {
-            let s = tr.get(c, i);
-            let head = if i == 0 {
-                true
-            } else {
-                let prev = tr.get(c, i - 1);
-                c.work(1);
-                prev.is_filler() != s.is_filler() || prev.item.val.key != s.item.val.key
-            };
-            let h = Head {
-                key: s.item.val.key,
-                is_sender: s.is_real() && s.item.val.tag == 0,
-                val: s.item.val.val,
-            };
-            sr.set(c, i, Seg::new(head, h));
-        });
-    }
+    par_fill(c, &mut seg, &|c, i| {
+        let s = t.get(c, i);
+        let head = if i == 0 {
+            true
+        } else {
+            let prev = t.get(c, i - 1);
+            c.work(1);
+            prev.is_filler() != s.is_filler() || prev.item.val.key != s.item.val.key
+        };
+        let h = Head {
+            key: s.item.val.key,
+            is_sender: s.is_real() && s.item.val.tag == 0,
+            val: s.item.val.val,
+        };
+        Seg::new(head, h)
+    });
     seg_propagate_in(c, scratch, &mut seg, sched);
 
     // Receivers compare the propagated head against their own key.
-    {
-        let sr = seg.as_raw();
-        let tr = t.as_raw();
-        par_for(c, 0, m, grain_for(c), &|c, i| unsafe {
-            let mut s = tr.get(c, i);
-            let h = sr.get(c, i).v;
-            let hit = s.is_real() && s.item.val.tag == 1 && h.is_sender && h.key == s.item.val.key;
-            // Unconditional writes keep the pattern fixed.
-            s.item.val.found = hit;
-            s.item.val.val = if hit { h.val } else { s.item.val.val };
-            tr.set(c, i, s);
-        });
-    }
+    par_update(c, &mut t, &|c, i, mut s| {
+        let h = seg.get(c, i).v;
+        let hit = s.is_real() && s.item.val.tag == 1 && h.is_sender && h.key == s.item.val.key;
+        // The write is unconditional: only the value depends on the data.
+        s.item.val.found = hit;
+        s.item.val.val = if hit { h.val } else { s.item.val.val };
+        s
+    });
 
     // Sort receivers back to input order; everything else to the end. A
     // sender keyed `MAX` reads as a filler from here on (`set_keys`), on
@@ -151,10 +142,8 @@ pub fn send_receive<C: Ctx, V: Val>(
     engine.sort_slots(c, scratch, &mut t);
 
     // Parallel readout (keeps the span at O(log n)).
-    let tr = t.as_raw();
     metrics::par_collect(c, dests.len(), &|c, j| {
-        // SAFETY: read-only phase.
-        let s = unsafe { tr.get(c, j) };
+        let s = t.get(c, j);
         debug_assert_eq!(s.item.val.idx as usize, j);
         if s.item.val.found {
             OptSlot {
@@ -231,57 +220,45 @@ pub fn send_receive_u64<C: Ctx>(
     // Propagate each key-run's head to the whole run.
     let mut seg_store = scratch.lease(m, Seg::<Head<u64>>::default());
     let mut seg = Tracked::new(c, &mut seg_store);
-    {
-        let sr = seg.as_raw();
-        let tr = t.as_raw();
-        par_for(c, 0, m, grain_for(c), &|c, i| unsafe {
-            let s = tr.get(c, i);
-            let head = if i == 0 {
-                true
-            } else {
-                let prev = tr.get(c, i - 1);
-                c.work(1);
-                prev.tag >> 1 != s.tag >> 1
-            };
-            let h = Head {
-                key: (s.tag >> 1) as u64,
-                is_sender: !s.is_filler() && s.tag & 1 == 0,
-                val: s.aux as u64,
-            };
-            sr.set(c, i, Seg::new(head, h));
-        });
-    }
+    par_fill(c, &mut seg, &|c, i| {
+        let s = t.get(c, i);
+        let head = if i == 0 {
+            true
+        } else {
+            let prev = t.get(c, i - 1);
+            c.work(1);
+            prev.tag >> 1 != s.tag >> 1
+        };
+        let h = Head {
+            key: (s.tag >> 1) as u64,
+            is_sender: !s.is_filler() && s.tag & 1 == 0,
+            val: s.aux as u64,
+        };
+        Seg::new(head, h)
+    });
     seg_propagate_in(c, scratch, &mut seg, sched);
 
     // One fixed pass: receivers compare the propagated head against their
     // own key, fold the outcome into `aux`, and move their input position
     // into the tag for the order-restoring sort. Writes are unconditional;
     // only the selected *values* depend on the data.
-    {
-        let sr = seg.as_raw();
-        let tr = t.as_raw();
-        par_for(c, 0, m, grain_for(c), &|c, i| unsafe {
-            let s = tr.get(c, i);
-            let h = sr.get(c, i).v;
-            let is_recv = !s.is_filler() && s.tag & 1 == 1;
-            let hit = is_recv && h.is_sender && (h.key as u128) == s.tag >> 1;
-            let tag = if is_recv { s.aux } else { u128::MAX };
-            let aux = ((hit as u128) << 64) | if hit { h.val as u128 } else { 0 };
-            tr.set(c, i, TagCell::new(tag, aux));
-        });
-    }
+    par_update(c, &mut t, &|c, i, s| {
+        let h = seg.get(c, i).v;
+        let is_recv = !s.is_filler() && s.tag & 1 == 1;
+        let hit = is_recv && h.is_sender && (h.key as u128) == s.tag >> 1;
+        let tag = if is_recv { s.aux } else { u128::MAX };
+        let aux = ((hit as u128) << 64) | if hit { h.val as u128 } else { 0 };
+        TagCell::new(tag, aux)
+    });
 
-    // Sort receivers back to input order; everything else to the end. A
-    // sender keyed `MAX` reads as a filler from here on (`set_keys`), on
-    // purpose: the readout takes the first `|dests|` slots and never asks
-    // `is_real` again.
+    // Sort receivers back to input order; everything else — re-tagged
+    // `MAX` by the pass above, so a filler from here on — to the end. The
+    // readout takes the first `|dests|` cells.
     engine.sort_cells(c, scratch, &mut t);
 
     // Parallel readout (keeps the span at O(log n)).
-    let tr = t.as_raw();
     metrics::par_collect(c, dests.len(), &|c, j| {
-        // SAFETY: read-only phase.
-        let s = unsafe { tr.get(c, j) };
+        let s = t.get(c, j);
         debug_assert_eq!(s.tag, j as u128);
         OptSlot {
             some: s.aux >> 64 != 0,

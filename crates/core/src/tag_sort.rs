@@ -36,7 +36,7 @@ use crate::engine::Engine;
 use crate::scan::{prefix_sum_in, Schedule};
 use crate::slot::composite_key;
 use fj::{base_for, grain_for, par_for, Ctx};
-use metrics::{RawTracked, ScratchPool, Tracked};
+use metrics::{par_fill, RawTracked, ScratchPool, Tracked};
 use sortnet::{active_backend, select_cell, TagCell};
 
 /// Stable, data-oblivious sort of `(key, val)` records ascending by key:
@@ -70,32 +70,23 @@ pub fn oblivious_sort_kv<C: Ctx>(
     let mut cells = scratch.lease(m, TagCell::filler());
     let mut t = Tracked::new(c, &mut cells);
     {
-        let tr = t.as_raw();
         let input: &[(u64, u64)] = data;
-        par_for(c, 0, m, grain_for(c), &|c, i| {
+        par_fill(c, &mut t, &|_, i| {
             // `n` is public; every cell is written exactly once.
-            let cell = if i < input.len() {
+            if i < input.len() {
                 let (k, v) = input[i];
                 TagCell::new(composite_key(k, i as u64), v as u128)
             } else {
                 TagCell::filler()
-            };
-            // SAFETY: disjoint writes per i.
-            unsafe { tr.set(c, i, cell) };
+            }
         });
     }
     engine.sort_cells(c, scratch, &mut t);
-    {
-        let tr = t.as_raw();
-        let mut out = Tracked::new(c, data);
-        let or = out.as_raw();
-        par_for(c, 0, n, grain_for(c), &|c, i| unsafe {
-            // SAFETY: disjoint per-index reads/writes.
-            let cell = tr.get(c, i);
-            debug_assert!(!cell.is_filler());
-            or.set(c, i, ((cell.tag >> 64) as u64, cell.aux as u64));
-        });
-    }
+    par_fill(c, &mut Tracked::new(c, data), &|c, i| {
+        let cell = t.get(c, i);
+        debug_assert!(!cell.is_filler());
+        ((cell.tag >> 64) as u64, cell.aux as u64)
+    });
 }
 
 /// Stable oblivious tight compaction of a power-of-two cell array: every
@@ -137,8 +128,9 @@ pub fn compact_cells<C: Ctx>(c: &C, scratch: &ScratchPool, t: &mut Tracked<'_, T
     let mut rank_store = scratch.lease(m, 0u64);
     let mut rank = Tracked::new(c, &mut rank_store);
     {
-        let rr = rank.as_raw();
-        let tr = t.as_raw();
+        // Rank lane first, then the cell: the one two-lane order the
+        // combinators do not write, so the raw view.
+        let (rr, tr) = (rank.as_raw(), t.as_raw());
         par_for(c, 0, m, grain_for(c), &|c, i| unsafe {
             // SAFETY: each index read and written once, by this task.
             let cell = tr.get(c, i);
@@ -149,7 +141,7 @@ pub fn compact_cells<C: Ctx>(c: &C, scratch: &ScratchPool, t: &mut Tracked<'_, T
     }
     prefix_sum_in(c, scratch, &mut rank, false, Schedule::Tree);
     let base = base_for(c, std::mem::size_of::<TagCell>());
-    gather(c, &t.as_raw(), &rank.as_raw(), 0, m, base);
+    gather(c, &t.as_raw(), &rank, 0, m, base);
 }
 
 /// Gather the reals of the aligned block `[lo, lo + n)` cyclically from
@@ -158,7 +150,7 @@ pub fn compact_cells<C: Ctx>(c: &C, scratch: &ScratchPool, t: &mut Tracked<'_, T
 fn gather<C: Ctx>(
     c: &C,
     t: &RawTracked<TagCell>,
-    rank: &RawTracked<u64>,
+    rank: &Tracked<'_, u64>,
     lo: usize,
     n: usize,
     base: usize,
@@ -189,7 +181,7 @@ fn gather<C: Ctx>(
 fn swap_level<C: Ctx>(
     c: &C,
     t: &RawTracked<TagCell>,
-    rank: &RawTracked<u64>,
+    rank: &Tracked<'_, u64>,
     lo: usize,
     n: usize,
     w: usize,
@@ -199,8 +191,7 @@ fn swap_level<C: Ctx>(
     let gate = active_backend();
     par_for(c, 0, n / w, (grain / h).max(1), &|c, b| {
         let lo = lo + b * w;
-        // SAFETY: the rank lane is read-only here.
-        let (r_lo, r_mid) = unsafe { (rank.get(c, lo), rank.get(c, lo + h)) };
+        let (r_lo, r_mid) = (rank.get(c, lo), rank.get(c, lo + h));
         c.work(1);
         let z = r_lo & (w as u64 - 1);
         let pivot = (r_mid & (h as u64 - 1)) as i64;

@@ -21,7 +21,7 @@
 //! paths and cycles — the adversarial diameters).
 
 use fj::Ctx;
-use metrics::{ScratchPool, Tracked};
+use metrics::{par_update, ScratchPool, Tracked};
 use obliv_core::scan::Schedule;
 use obliv_core::slot::composite_key;
 use obliv_core::{send_receive_u64, Engine, TagCell};
@@ -83,17 +83,9 @@ pub fn connected_components<C: Ctx>(
 
         // Apply hooks: D[t] = min(D[t], proposal).
         let hook_res = send_receive_u64(c, scratch, &winners, &all_v, engine, Schedule::Tree);
-        {
-            let mut dt = Tracked::new(c, &mut d);
-            let dr = dt.as_raw();
-            let hook_ref = &hook_res;
-            fj::par_for(c, 0, n, fj::grain_for(c), &|c, v| unsafe {
-                // SAFETY: per-vertex slots.
-                let cur = dr.get(c, v);
-                let prop = hook_ref[v].unwrap_or(cur);
-                dr.set(c, v, cur.min(prop));
-            });
-        }
+        par_update(c, &mut Tracked::new(c, &mut d), &|_, v, cur| {
+            cur.min(hook_res[v].unwrap_or(cur))
+        });
 
         // Two shortcut (pointer-doubling) steps.
         for _ in 0..2 {

@@ -16,6 +16,8 @@
 //!   Borůvka;
 //! * [`gen`] — workload generators and oracles (union-find, Kruskal, DFS).
 
+#![forbid(unsafe_code)]
+
 pub mod cc;
 pub mod contraction;
 pub mod euler;

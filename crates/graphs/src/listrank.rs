@@ -11,8 +11,8 @@
 //!   the answers back with send-receive. Matches the insecure bounds:
 //!   `O(n log n)` work, `O((n/B) log_M n)` cache, span `Õ(log² n)`.
 
-use fj::{grain_for, par_for, Ctx};
-use metrics::{ScratchPool, Tracked};
+use fj::Ctx;
+use metrics::{par_fill2, ScratchPool, Tracked};
 use obliv_core::scan::Schedule;
 use obliv_core::slot::Item;
 use obliv_core::{orp, send_receive_u64, Engine, OrbaParams};
@@ -41,20 +41,14 @@ pub fn list_rank_insecure<C: Ctx>(
     let mut r2 = scratch.lease(n, 0u64);
     for _ in 0..rounds {
         {
-            let mut st = Tracked::new(c, &mut s);
-            let sr = st.as_raw();
-            let mut rt = Tracked::new(c, &mut r);
-            let rr = rt.as_raw();
+            let st = Tracked::new(c, &mut s);
+            let rt = Tracked::new(c, &mut r);
             let mut s2t = Tracked::new(c, &mut s2);
-            let s2r = s2t.as_raw();
             let mut r2t = Tracked::new(c, &mut r2);
-            let r2r = r2t.as_raw();
-            par_for(c, 0, n, grain_for(c), &|c, i| unsafe {
-                // SAFETY: reads of the old arrays, disjoint writes of new.
-                let si = sr.get(c, i) as usize;
-                let add = if si == i { 0 } else { rr.get(c, si) };
-                r2r.set(c, i, rr.get(c, i).wrapping_add(add));
-                s2r.set(c, i, sr.get(c, si));
+            par_fill2(c, &mut r2t, &mut s2t, &|c, i| {
+                let si = st.get(c, i) as usize;
+                let add = if si == i { 0 } else { rt.get(c, si) };
+                (rt.get(c, i).wrapping_add(add), st.get(c, si))
             });
         }
         std::mem::swap(&mut s, &mut s2);

@@ -21,7 +21,7 @@
 //! engine's extra log, as everywhere).
 
 use fj::Ctx;
-use metrics::{ScratchPool, Tracked};
+use metrics::{par_update, ScratchPool, Tracked};
 use obliv_core::scan::Schedule;
 use obliv_core::{send_receive_u64, Engine, TagCell};
 
@@ -125,32 +125,22 @@ pub fn msf<C: Ctx>(
             .map(|&(comp, (_, other))| (comp, other))
             .collect();
         let hooks = send_receive_u64(c, scratch, &hook_sources, &all_v, engine, Schedule::Tree);
-        {
-            let mut dt = Tracked::new(c, &mut d);
-            let dr = dt.as_raw();
-            let hooks_ref = &hooks;
-            fj::par_for(c, 0, n, fj::grain_for(c), &|c, v| unsafe {
-                // SAFETY: per-vertex slots.
-                let cur = dr.get(c, v);
-                dr.set(c, v, hooks_ref[v].unwrap_or(cur));
-            });
-        }
+        par_update(c, &mut Tracked::new(c, &mut d), &|_, v, cur| {
+            hooks[v].unwrap_or(cur)
+        });
         // Break 2-cycles: if D[D[v]] == v, the smaller id becomes root.
         let sources: Vec<(u64, u64)> = (0..n).map(|v| (v as u64, d[v])).collect();
         let dd = send_receive_u64(c, scratch, &sources, &d, engine, Schedule::Tree);
-        {
-            let mut dt = Tracked::new(c, &mut d);
-            let dr = dt.as_raw();
-            let dd_ref = &dd;
-            fj::par_for(c, 0, n, fj::grain_for(c), &|c, v| unsafe {
-                // SAFETY: per-vertex slots.
-                let cur = dr.get(c, v);
-                let ddv = dd_ref[v].expect("label in range");
-                let two_cycle = ddv == v as u64 && cur != v as u64;
-                let fix = two_cycle && (v as u64) < cur;
-                dr.set(c, v, if fix { v as u64 } else { cur });
-            });
-        }
+        par_update(c, &mut Tracked::new(c, &mut d), &|_, v, cur| {
+            let ddv = dd[v].expect("label in range");
+            let two_cycle = ddv == v as u64 && cur != v as u64;
+            let fix = two_cycle && (v as u64) < cur;
+            if fix {
+                v as u64
+            } else {
+                cur
+            }
+        });
 
         // 5. Deduplicate chosen edges (oblivious sort by edge id) and route
         // the selection flags back to the edges with send-receive, so the

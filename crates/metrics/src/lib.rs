@@ -30,4 +30,7 @@ pub use meter::{measure, Counter, MeterCtx};
 pub use report::CostReport;
 pub use scratch::{ScratchGuard, ScratchPool};
 pub use trace::{TraceEvent, TraceMode, TraceRec};
-pub use tracked::{par_collect, par_fill, par_tracked_chunks, words_per, RawTracked, Tracked};
+pub use tracked::{
+    par_collect, par_fill, par_fill2, par_tracked_chunks, par_update, par_update_fill, words_per,
+    RawTracked, Tracked,
+};

@@ -148,41 +148,11 @@ impl<'a, T: Copy> Tracked<'a, T> {
         }
     }
 
-    /// Split into `k` equal chunks (length must be divisible by `k`) —
-    /// convenience for bin-structured arrays.
-    pub fn chunks_exact_mut(&mut self, chunk: usize) -> Vec<Tracked<'_, T>> {
-        assert!(chunk > 0 && self.data.len().is_multiple_of(chunk));
-        let buf = self.buf;
-        let off = self.off;
-        let wpe = self.wpe;
-        self.data
-            .chunks_exact_mut(chunk)
-            .enumerate()
-            .map(|(i, data)| Tracked {
-                data,
-                buf,
-                off: off + (i * chunk) as u64 * wpe,
-                wpe,
-            })
-            .collect()
-    }
-
-    /// Untracked escape hatch: callers must `touch_all` (or otherwise
-    /// account) if they use this on a metered run.
+    /// Untracked escape hatch: callers must account for what they read
+    /// through it themselves on a metered run.
     #[inline]
     pub fn raw(&self) -> &[T] {
         self.data
-    }
-
-    /// Untracked mutable escape hatch; see [`Tracked::raw`].
-    #[inline]
-    pub fn raw_mut(&mut self) -> &mut [T] {
-        self.data
-    }
-
-    /// Report one access covering the whole slice (bulk sequential pass).
-    pub fn touch_all<C: Ctx>(&self, c: &C, kind: Access) {
-        c.touch(self.buf, self.off, self.data.len() as u64 * self.wpe, kind);
     }
 
     /// Copy `len` elements from `src[src_i..]` to `self[dst_i..]`, with
@@ -395,6 +365,20 @@ where
     out
 }
 
+// --- Elementwise combinators ------------------------------------------------
+//
+// In the binary fork-join model an oblivious "map" phase is a fork tree
+// whose leaf `i` reads what it likes and writes position `i` of its output
+// lanes, whatever the data. The combinators below are that one fact,
+// written once. They build the tree of `par_for(c, 0, len, grain_for(c), …)`
+// by *splitting* the lanes (`mid = len / 2`, sequential leaves of at most a
+// grain), so a task holds `&mut` to its own positions only and the borrow
+// checker carries the disjoint-index proof. A closure receives a value and
+// returns a value: it reads other lanes through shared `&Tracked` +
+// [`Tracked::get`] and cannot name a write address at all. Per index the
+// touch order is fixed — the old element of an updated lane, whatever the
+// closure reads, then the writes in lane order.
+
 /// Fill an existing tracked slice in parallel, one tracked write per
 /// element — the allocation-free sibling of [`par_collect`] for buffers
 /// leased from a [`crate::ScratchPool`].
@@ -404,11 +388,126 @@ where
     T: Copy + Send,
     F: Fn(&C, usize) -> T + Sync,
 {
-    let r = t.as_raw();
-    fj::par_for(c, 0, r.len(), fj::grain_for(c), &|c, i| {
-        // SAFETY: each index written exactly once.
-        unsafe { r.set(c, i, f(c, i)) };
+    leaves(c, t.borrow_mut(), 0, fj::grain_for(c), &|c, first, t| {
+        for k in 0..t.len() {
+            t.set(c, k, f(c, first + k));
+        }
     });
+}
+
+/// Rewrite a tracked slice in place: element `i` becomes `f(ctx, i, old)`,
+/// one tracked read and one tracked write per element.
+pub fn par_update<C, T, F>(c: &C, t: &mut Tracked<'_, T>, f: &F)
+where
+    C: Ctx,
+    T: Copy + Send,
+    F: Fn(&C, usize, T) -> T + Sync,
+{
+    leaves(c, t.borrow_mut(), 0, fj::grain_for(c), &|c, first, t| {
+        for k in 0..t.len() {
+            let old = t.get(c, k);
+            t.set(c, k, f(c, first + k, old));
+        }
+    });
+}
+
+/// [`par_fill`] over two equal-length lanes from one closure: `a[i]`, then
+/// `b[i]`.
+pub fn par_fill2<C, A, B, F>(c: &C, a: &mut Tracked<'_, A>, b: &mut Tracked<'_, B>, f: &F)
+where
+    C: Ctx,
+    A: Copy + Send,
+    B: Copy + Send,
+    F: Fn(&C, usize) -> (A, B) + Sync,
+{
+    let grain = fj::grain_for(c);
+    leaves2(
+        c,
+        a.borrow_mut(),
+        b.borrow_mut(),
+        0,
+        grain,
+        &|c, first, a, b| {
+            for k in 0..a.len() {
+                let (x, y) = f(c, first + k);
+                a.set(c, k, x);
+                b.set(c, k, y);
+            }
+        },
+    );
+}
+
+/// [`par_update`] of `t` zipped with a [`par_fill`] of `side`: `f(ctx, i,
+/// old)` returns the new `t[i]` and `side[i]`, written in that order.
+pub fn par_update_fill<C, T, U, F>(c: &C, t: &mut Tracked<'_, T>, side: &mut Tracked<'_, U>, f: &F)
+where
+    C: Ctx,
+    T: Copy + Send,
+    U: Copy + Send,
+    F: Fn(&C, usize, T) -> (T, U) + Sync,
+{
+    let grain = fj::grain_for(c);
+    leaves2(
+        c,
+        t.borrow_mut(),
+        side.borrow_mut(),
+        0,
+        grain,
+        &|c, first, t, side| {
+            for k in 0..t.len() {
+                let (new, other) = f(c, first + k, t.get(c, k));
+                t.set(c, k, new);
+                side.set(c, k, other);
+            }
+        },
+    );
+}
+
+/// `leaf(ctx, first, run)` over the runs of at most `grain` elements that
+/// `par_for(c, 0, t.len(), grain, …)` would execute sequentially, forking
+/// where it forks; `first` is the run's position in the whole lane.
+fn leaves<C, T, F>(c: &C, mut t: Tracked<'_, T>, first: usize, grain: usize, leaf: &F)
+where
+    C: Ctx,
+    T: Copy + Send,
+    F: Fn(&C, usize, &mut Tracked<'_, T>) + Sync,
+{
+    if t.len() <= grain.max(1) {
+        return leaf(c, first, &mut t);
+    }
+    let mid = t.len() / 2;
+    let (lo, hi) = t.split_at_mut(mid);
+    c.join(
+        move |c| leaves(c, lo, first, grain, leaf),
+        move |c| leaves(c, hi, first + mid, grain, leaf),
+    );
+}
+
+/// [`leaves`] over two lanes of one length, split together.
+fn leaves2<C, A, B, F>(
+    c: &C,
+    mut a: Tracked<'_, A>,
+    mut b: Tracked<'_, B>,
+    first: usize,
+    grain: usize,
+    leaf: &F,
+) where
+    C: Ctx,
+    A: Copy + Send,
+    B: Copy + Send,
+    F: Fn(&C, usize, &mut Tracked<'_, A>, &mut Tracked<'_, B>) + Sync,
+{
+    assert_eq!(a.len(), b.len(), "zipped lanes must have one length");
+    if a.len() <= grain.max(1) {
+        return leaf(c, first, &mut a, &mut b);
+    }
+    let mid = a.len() / 2;
+    let (a_lo, a_hi) = a.split_at_mut(mid);
+    let (b_lo, b_hi) = b.split_at_mut(mid);
+    c.join(
+        move |c| leaves2(c, a_lo, b_lo, first, grain, leaf),
+        move |c| leaves2(c, a_hi, b_hi, first + mid, grain, leaf),
+    );
 }
 
 /// Run `f(ctx, chunk_index, chunk)` over the `len/chunk` equal chunks of a
@@ -448,9 +547,6 @@ where
         );
     }
 }
-
-// SAFETY: Tracked is a &mut slice plus plain-old-data bookkeeping.
-unsafe impl<T: Send> Send for Tracked<'_, T> {}
 
 #[cfg(test)]
 mod tests {
@@ -502,26 +598,14 @@ mod tests {
         tb.copy_from(&c, &ta, 1, 0, 3);
         assert_eq!(b, vec![2, 3, 4, 0]);
     }
-
-    #[test]
-    fn chunks_exact_mut_partitions() {
-        let c = SeqCtx::new();
-        let mut v: Vec<u64> = (0..12).collect();
-        let mut t = Tracked::new(&c, &mut v);
-        let mut chunks = t.chunks_exact_mut(4);
-        assert_eq!(chunks.len(), 3);
-        for (k, ch) in chunks.iter_mut().enumerate() {
-            assert_eq!(ch.get(&c, 0), 4 * k as u64);
-        }
-    }
 }
 
 #[cfg(test)]
 mod helper_tests {
     use super::*;
     use crate::cache::CacheConfig;
-    use crate::meter::measure;
-    use crate::trace::TraceMode;
+    use crate::meter::{measure, MeterCtx};
+    use crate::trace::{TraceEvent, TraceMode};
     use fj::SeqCtx;
 
     #[test]
@@ -564,5 +648,127 @@ mod helper_tests {
         for (i, &x) in v.iter().enumerate() {
             assert_eq!(x, (i / 8) as u64);
         }
+    }
+
+    /// `(a, b)` after `f(ctx, input, a, b)` under the meter, with the full
+    /// touch sequence, the work and the span. `input` is a read-only lane
+    /// the phases consult at `i` and its neighbour.
+    fn metered(
+        n: usize,
+        f: impl Fn(&MeterCtx, &Tracked<'_, u64>, &mut Tracked<'_, u64>, &mut Tracked<'_, u128>),
+    ) -> (Vec<u64>, Vec<u128>, Vec<TraceEvent>, u64, u64) {
+        let c = MeterCtx::new(CacheConfig::default(), TraceMode::Full);
+        let mut input: Vec<u64> = (0..n as u64).map(|i| i * i + 1).collect();
+        let (mut a, mut b) = (vec![7u64; n], vec![9u128; n]);
+        {
+            let input = Tracked::new(&c, &mut input);
+            f(
+                &c,
+                &input,
+                &mut Tracked::new(&c, &mut a),
+                &mut Tracked::new(&c, &mut b),
+            );
+        }
+        let rep = c.report();
+        (a, b, c.trace_events(), rep.work, rep.span)
+    }
+
+    #[test]
+    fn combinators_replay_the_raw_loops_they_replace() {
+        use fj::{grain_for, par_for};
+        // Odd length: the fork tree is not a perfect one.
+        let n = 37;
+        let next = |i: usize| (i + 1) % n;
+
+        // par_fill: leaf i reads two input slots and writes a[i].
+        let safe = metered(n, |c, input, a, _| {
+            par_fill(c, a, &|c, i| input.get(c, i) + input.get(c, next(i)));
+        });
+        let raw = metered(n, |c, input, a, _| {
+            let ar = a.as_raw();
+            par_for(c, 0, n, grain_for(c), &|c, i| unsafe {
+                ar.set(c, i, input.get(c, i) + input.get(c, next(i)));
+            });
+        });
+        assert!(safe == raw, "par_fill");
+        assert_eq!(safe.2.len(), 3 * n);
+
+        // par_update: old a[i] first, then the closure's reads, then a[i].
+        let safe = metered(n, |c, input, a, _| {
+            par_update(c, a, &|c, i, old| old ^ input.get(c, i));
+        });
+        let raw = metered(n, |c, input, a, _| {
+            let ar = a.as_raw();
+            par_for(c, 0, n, grain_for(c), &|c, i| unsafe {
+                let old = ar.get(c, i);
+                ar.set(c, i, old ^ input.get(c, i));
+            });
+        });
+        assert!(safe == raw, "par_update");
+
+        // par_fill2: the closure's reads, then a[i], then b[i].
+        let safe = metered(n, |c, input, a, b| {
+            par_fill2(c, a, b, &|c, i| {
+                let x = input.get(c, next(i));
+                (x + 1, (x as u128) << 64)
+            });
+        });
+        let raw = metered(n, |c, input, a, b| {
+            let (ar, br) = (a.as_raw(), b.as_raw());
+            par_for(c, 0, n, grain_for(c), &|c, i| unsafe {
+                let x = input.get(c, next(i));
+                ar.set(c, i, x + 1);
+                br.set(c, i, (x as u128) << 64);
+            });
+        });
+        assert!(safe == raw, "par_fill2");
+
+        // par_update_fill: old a[i], the closure's reads, a[i], b[i].
+        let safe = metered(n, |c, input, a, b| {
+            par_update_fill(c, a, b, &|c, i, old| {
+                let x = input.get(c, i);
+                (old + x, (old * x) as u128)
+            });
+        });
+        let raw = metered(n, |c, input, a, b| {
+            let (ar, br) = (a.as_raw(), b.as_raw());
+            par_for(c, 0, n, grain_for(c), &|c, i| unsafe {
+                let old = ar.get(c, i);
+                let x = input.get(c, i);
+                ar.set(c, i, old + x);
+                br.set(c, i, (old * x) as u128);
+            });
+        });
+        assert!(safe == raw, "par_update_fill");
+        assert_eq!(safe.2.len(), 4 * n);
+    }
+
+    #[test]
+    fn combinators_on_a_pool_match_the_sequential_result() {
+        // Several grains long, so the pool really forks.
+        let n = 5 * fj::DEFAULT_GRAIN + 123;
+        fn run<C: Ctx>(c: &C, n: usize) -> (Vec<u64>, Vec<u128>) {
+            let mut input: Vec<u64> = (0..n as u64).map(|i| i.wrapping_mul(0x9E37_79B9)).collect();
+            let (mut a, mut b) = (vec![0u64; n], vec![0u128; n]);
+            {
+                let input = Tracked::new(c, &mut input);
+                let (mut a, mut b) = (Tracked::new(c, &mut a), Tracked::new(c, &mut b));
+                par_fill(c, &mut a, &|c, i| input.get(c, n - 1 - i));
+                par_update(c, &mut a, &|c, i, old| old.rotate_left(7) ^ input.get(c, i));
+                par_update_fill(c, &mut a, &mut b, &|_, i, old| {
+                    (old + i as u64, old as u128)
+                });
+                let mut a2 = vec![0u64; n];
+                par_fill2(c, &mut Tracked::new(c, &mut a2), &mut b, &|c, i| {
+                    let x = a.get(c, i);
+                    (x / 3, (x as u128) << 7)
+                });
+                par_update(c, &mut a, &|_, i, old| old ^ a2[i]);
+            }
+            (a, b)
+        }
+        let seq = run(&SeqCtx::new(), n);
+        let pooled = fj::Pool::new(4).run(|c| run(c, n));
+        assert!(seq == pooled);
     }
 }

@@ -8,8 +8,8 @@
 //! rule.
 
 use crate::model::{resolve_priority, Program, WriteReq};
-use fj::{grain_for, par_for, Ctx};
-use metrics::Tracked;
+use fj::Ctx;
+use metrics::{par_fill, par_update_fill, Tracked};
 
 /// Execute `prog` against memory initialized from `mem_init` (padded with
 /// zeros to `prog.space()`); returns the final memory.
@@ -27,32 +27,19 @@ pub fn run_direct<C: Ctx, P: Program>(c: &C, prog: &P, mem_init: &[u64]) -> Vec<
     for t in 0..prog.steps() {
         // Read phase (concurrent reads are free on a CRCW PRAM).
         {
-            let mut mem_t = Tracked::new(c, &mut mem);
-            let mr = mem_t.as_raw();
-            let mut f_t = Tracked::new(c, &mut fetched);
-            let fr = f_t.as_raw();
-            let states_ref = &states;
-            par_for(c, 0, p, grain_for(c), &|c, pid| {
-                let got = prog
-                    .read_addr(t, pid, &states_ref[pid])
-                    // SAFETY: read-only on mem; fetched[pid] unique per pid.
-                    .map(|a| unsafe { mr.get(c, a) });
-                unsafe { fr.set(c, pid, got) };
+            let mem_t = Tracked::new(c, &mut mem);
+            par_fill(c, &mut Tracked::new(c, &mut fetched), &|c, pid| {
+                prog.read_addr(t, pid, &states[pid])
+                    .map(|a| mem_t.get(c, a))
             });
         }
         // Compute phase.
         {
             let mut w_t = Tracked::new(c, &mut writes);
-            let wr = w_t.as_raw();
             let mut st_t = Tracked::new(c, &mut states);
-            let sr = st_t.as_raw();
-            let fetched_ref = &fetched;
-            par_for(c, 0, p, grain_for(c), &|c, pid| unsafe {
-                // SAFETY: per-pid slots are disjoint.
-                let mut st = sr.get(c, pid);
-                let w = prog.compute(t, pid, &mut st, fetched_ref[pid]);
-                sr.set(c, pid, st);
-                wr.set(c, pid, w);
+            par_update_fill(c, &mut st_t, &mut w_t, &|_, pid, mut st| {
+                let w = prog.compute(t, pid, &mut st, fetched[pid]);
+                (st, w)
             });
         }
         // Write phase (reference priority semantics).

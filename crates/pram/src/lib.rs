@@ -13,6 +13,8 @@
 //!   and oblivious conflict resolution / result routing;
 //! * [`progs`] — demo PRAM programs (max, histogram, pointer jumping).
 
+#![forbid(unsafe_code)]
+
 pub mod direct;
 pub mod model;
 pub mod obliv_sb;

@@ -19,8 +19,8 @@
 //! travel as *data* (sort keys), never as host addresses.
 
 use crate::model::{Program, WriteReq};
-use fj::{grain_for, par_for, Ctx};
-use metrics::{ScratchPool, Tracked};
+use fj::Ctx;
+use metrics::{par_fill, par_update, par_update_fill, ScratchPool, Tracked};
 use obliv_core::scan::Schedule;
 use obliv_core::slot::composite_key;
 use obliv_core::{send_receive_u64, Engine, TagCell};
@@ -48,18 +48,10 @@ pub fn run_oblivious_sb<C: Ctx, P: Program>(
     for t in 0..prog.steps() {
         // --- Read step: one send-receive serves the whole batch.
         let mut dests = vec![DUMMY; p];
-        {
-            let mut d_t = Tracked::new(c, &mut dests);
-            let dr = d_t.as_raw();
-            let states_ref = &states;
-            par_for(c, 0, p, grain_for(c), &|c, pid| {
-                let a = prog
-                    .read_addr(t, pid, &states_ref[pid])
-                    .map_or(DUMMY, |a| a as u64);
-                // SAFETY: per-pid slot.
-                unsafe { dr.set(c, pid, a) };
-            });
-        }
+        par_fill(c, &mut Tracked::new(c, &mut dests), &|_, pid| {
+            prog.read_addr(t, pid, &states[pid])
+                .map_or(DUMMY, |a| a as u64)
+        });
         let sources: Vec<(u64, u64)> = snapshot_memory(c, &mut mem);
         let fetched = send_receive_u64(c, scratch, &sources, &dests, engine, Schedule::Tree);
 
@@ -67,51 +59,31 @@ pub fn run_oblivious_sb<C: Ctx, P: Program>(
         let mut writes: Vec<Option<WriteReq>> = vec![None; p];
         {
             let mut w_t = Tracked::new(c, &mut writes);
-            let wr = w_t.as_raw();
             let mut st_t = Tracked::new(c, &mut states);
-            let sr = st_t.as_raw();
-            let fetched_ref = &fetched;
-            par_for(c, 0, p, grain_for(c), &|c, pid| unsafe {
-                // SAFETY: per-pid slots.
-                let mut st = sr.get(c, pid);
-                let w = prog.compute(t, pid, &mut st, fetched_ref[pid]);
-                sr.set(c, pid, st);
-                wr.set(c, pid, w);
+            par_update_fill(c, &mut st_t, &mut w_t, &|_, pid, mut st| {
+                let w = prog.compute(t, pid, &mut st, fetched[pid]);
+                (st, w)
             });
         }
 
         // --- Write step: conflict resolution + memory update.
         let winners = resolve_conflicts(c, scratch, &writes, engine);
         let updates = send_receive_u64(c, scratch, &winners, &all_addrs, engine, Schedule::Tree);
-        {
-            let mut mem_t = Tracked::new(c, &mut mem);
-            let mr = mem_t.as_raw();
-            let updates_ref = &updates;
-            par_for(c, 0, s, grain_for(c), &|c, i| unsafe {
-                // SAFETY: per-cell slot. Unconditional read-modify-write
-                // keeps the pattern fixed.
-                let old = mr.get(c, i);
-                let new = updates_ref[i].unwrap_or(old);
-                mr.set(c, i, new);
-            });
-        }
+        // Unconditional read-modify-write keeps the pattern fixed.
+        par_update(c, &mut Tracked::new(c, &mut mem), &|_, i, old| {
+            updates[i].unwrap_or(old)
+        });
     }
     mem
 }
 
 /// Fixed-pattern snapshot of memory as (address, value) sender pairs.
 fn snapshot_memory<C: Ctx>(c: &C, mem: &mut [u64]) -> Vec<(u64, u64)> {
-    let mut mem_t = Tracked::new(c, mem);
-    let mr = mem_t.as_raw();
-    let mut out = vec![(0u64, 0u64); mr.len()];
-    {
-        let mut o_t = Tracked::new(c, &mut out);
-        let or = o_t.as_raw();
-        par_for(c, 0, mr.len(), grain_for(c), &|c, i| unsafe {
-            // SAFETY: per-cell slots.
-            or.set(c, i, (i as u64, mr.get(c, i)));
-        });
-    }
+    let mem_t = Tracked::new(c, mem);
+    let mut out = vec![(0u64, 0u64); mem_t.len()];
+    par_fill(c, &mut Tracked::new(c, &mut out), &|c, i| {
+        (i as u64, mem_t.get(c, i))
+    });
     out
 }
 
@@ -144,35 +116,21 @@ fn resolve_conflicts<C: Ctx>(
     // Two phases so neighbour reads never observe blinded slots (a fused
     // read-modify pass would let iteration i see i−1 already blinded and
     // mistake a run continuation for a head).
-    let winner: Vec<bool> = {
-        let tr = t.as_raw();
-        metrics::par_collect(c, m, &|c, i| {
-            // SAFETY: read-only phase.
-            let sl = unsafe { tr.get(c, i) };
-            let addr = (sl.tag >> 64) as u64;
-            let head = i == 0 || (unsafe { tr.get(c, i - 1) }.tag >> 64) as u64 != addr;
-            c.work(1);
-            !sl.is_filler() && head && addr != DUMMY
-        })
-    };
-    {
-        let tr = t.as_raw();
-        let winner_ref = &winner;
-        par_for(c, 0, m, grain_for(c), &|c, i| unsafe {
-            // SAFETY: per-slot read-modify-write, no neighbour access.
-            let mut sl = tr.get(c, i);
-            sl.aux = if winner_ref[i] {
-                sl.aux
-            } else {
-                (DUMMY as u128) << 64
-            };
-            tr.set(c, i, sl);
-        });
-    }
-    let tr = t.as_raw();
-    // SAFETY: read-only parallel readout.
+    let winner: Vec<bool> = metrics::par_collect(c, m, &|c, i| {
+        let sl = t.get(c, i);
+        let addr = (sl.tag >> 64) as u64;
+        let head = i == 0 || (t.get(c, i - 1).tag >> 64) as u64 != addr;
+        c.work(1);
+        !sl.is_filler() && head && addr != DUMMY
+    });
+    par_update(c, &mut t, &|_, i, mut sl| {
+        if !winner[i] {
+            sl.aux = (DUMMY as u128) << 64;
+        }
+        sl
+    });
     metrics::par_collect(c, p, &|c, i| {
-        let sl = unsafe { tr.get(c, i) };
+        let sl = t.get(c, i);
         ((sl.aux >> 64) as u64, sl.aux as u64)
     })
 }

@@ -82,6 +82,9 @@
 //! drives the crash-point chaos suite in `tests/fault_injection.rs` from
 //! seeded, *public* fault schedules.
 
+// One raw view in the crate: `router::reverse_odd_blocks`.
+#![deny(unsafe_code)]
+
 mod error;
 mod merge;
 mod op;

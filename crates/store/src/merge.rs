@@ -56,10 +56,18 @@
 //! query window is ever sorted; see DESIGN.md §11.
 
 use crate::op::{kind, FlatOp, OpResult, StoreStats};
-use fj::{grain_for, par_for, par_reduce, Ctx};
-use metrics::{par_tracked_chunks, ScratchGuard, ScratchPool, Tracked};
+use fj::{grain_for, par_reduce, Ctx};
+use metrics::{
+    par_fill, par_fill2, par_tracked_chunks, par_update, par_update_fill, ScratchGuard,
+    ScratchPool, Tracked,
+};
 use obliv_core::scan::{scan_in, Schedule};
 use obliv_core::{compact_cells, select_u128, select_u64, Engine, TagCell};
+
+/// The sorting engine and scan schedule of every store path (the ORAM's
+/// conflict resolution included).
+pub(crate) const ENGINE: Engine = Engine::BitonicRec;
+const SCHED: Schedule = Schedule::Tree;
 
 /// One resident-table slot. Absent slots are padding: the number of
 /// *present* records is secret, the physical length is public.
@@ -207,8 +215,6 @@ struct OutRes {
 pub(crate) fn merge_epoch<C: Ctx>(
     c: &C,
     scratch: &ScratchPool,
-    engine: Engine,
-    sched: Schedule,
     table: &mut Vec<Rec>,
     cap_new: usize,
     pending: &[FlatOp],
@@ -226,7 +232,7 @@ pub(crate) fn merge_epoch<C: Ctx>(
 
     // 1. Pack and sort the epoch's ops by (key, seq) — the only full sort,
     //    over the small op class.
-    let ops = sorted_ops(c, scratch, engine, pending, batch);
+    let ops = sorted_ops(c, scratch, pending, batch);
 
     // 2. Merged array: the resident table is key-sorted (reals ascending,
     //    fillers last) by the previous rebuild, so one merge butterfly
@@ -237,7 +243,7 @@ pub(crate) fn merge_epoch<C: Ctx>(
     drop(ops);
 
     let mut t = Tracked::new(c, &mut cells);
-    engine.merge_cells(c, scratch, &mut t);
+    ENGINE.merge_cells(c, scratch, &mut t);
 
     // 3. Mark run boundaries and run the segmented exclusive LWW scan —
     //    the merged array itself stays key-sorted and is never sorted
@@ -248,29 +254,25 @@ pub(crate) fn merge_epoch<C: Ctx>(
         let mut lww_store = scratch.lease(m, Lww::default());
         let mut bounds = Tracked::new(c, &mut bounds_store);
         let mut lww = Tracked::new(c, &mut lww_store);
-        let br = bounds.as_raw();
-        let lr = lww.as_raw();
-        let tr = t.as_raw();
-        par_for(c, 0, m, grain_for(c), &|c, i| unsafe {
-            let s = tr.get(c, i);
+        par_fill2(c, &mut bounds, &mut lww, &|c, i| {
+            let s = t.get(c, i);
             let head = if i == 0 {
                 true
             } else {
-                let prev = tr.get(c, i - 1);
+                let prev = t.get(c, i - 1);
                 c.work(1);
                 prev.is_filler() != s.is_filler() || cell_key(&prev) != cell_key(&s)
             };
             let last = if i + 1 == m {
                 true
             } else {
-                let next = tr.get(c, i + 1);
+                let next = t.get(c, i + 1);
                 c.work(1);
                 next.is_filler() != s.is_filler() || cell_key(&next) != cell_key(&s)
             };
-            br.set(c, i, Bounds { head, last });
             let mut l = transformer_of(&s);
             l.head = head;
-            lr.set(c, i, l);
+            (Bounds { head, last }, l)
         });
 
         // Segmented exclusive scan: position i receives the composed state
@@ -283,7 +285,7 @@ pub(crate) fn merge_epoch<C: Ctx>(
             &lww_combine,
             false,
             false,
-            sched,
+            SCHED,
         );
 
         // 4. Fix-up: every op learns its pre-op state; every run-last
@@ -292,13 +294,10 @@ pub(crate) fn merge_epoch<C: Ctx>(
         //    the merged cell it was computed from (nothing reads the
         //    merged array after this pass), the candidates lane in a
         //    lease of its own.
-        let lr = lww.as_raw();
         let mut cand_t = Tracked::new(c, &mut cand_store);
-        let cr = cand_t.as_raw();
-        par_for(c, 0, m, grain_for(c), &|c, i| unsafe {
-            let s = tr.get(c, i);
-            let bd = br.get(c, i);
-            let scanned = lr.get(c, i);
+        par_update_fill(c, &mut t, &mut cand_t, &|c, i, s| {
+            let bd = bounds.get(c, i);
+            let scanned = lww.get(c, i);
             // Run heads see the empty state no matter what the scan
             // carried over from the previous run. Selected, not branched:
             // the head flag derives from secret keys.
@@ -315,29 +314,20 @@ pub(crate) fn merge_epoch<C: Ctx>(
             // The submission index is computed unconditionally (wrapping:
             // table records carry seq 0) and selected away for non-batch
             // positions.
-            tr.set(
-                c,
-                i,
-                TagCell {
-                    tag: select_u128(
-                        is_batch_op,
-                        u128::MAX,
-                        cell_seq(&s).wrapping_sub(1 + p as u64) as u128,
-                    ),
-                    aux: ((cell_kind(&s) as u128) << 72)
-                        | ((found as u128) << 64)
-                        | prev_val as u128,
-                },
-            );
+            let result = TagCell {
+                tag: select_u128(
+                    is_batch_op,
+                    u128::MAX,
+                    cell_seq(&s).wrapping_sub(1 + p as u64) as u128,
+                ),
+                aux: ((cell_kind(&s) as u128) << 72) | ((found as u128) << 64) | prev_val as u128,
+            };
             let cand = bd.last && inc_kind == T_SET && !s.is_filler();
-            cr.set(
-                c,
-                i,
-                TagCell {
-                    tag: select_u128(cand, u128::MAX, cell_key(&s) as u128),
-                    aux: inc_val as u128,
-                },
-            );
+            let candidate = TagCell {
+                tag: select_u128(cand, u128::MAX, cell_key(&s) as u128),
+                aux: inc_val as u128,
+            };
+            (result, candidate)
         });
     }
 
@@ -350,12 +340,10 @@ pub(crate) fn merge_epoch<C: Ctx>(
         compact_cells(c, scratch, &mut t);
         {
             let mut win = t.range(0, b);
-            engine.sort_cells(c, scratch, &mut win);
+            ENGINE.sort_cells(c, scratch, &mut win);
         }
-        let rr = t.as_raw();
         metrics::par_collect(c, b, &|c, j| {
-            // SAFETY: read-only phase.
-            let s = unsafe { rr.get(c, j) };
+            let s = t.get(c, j);
             debug_assert!(j >= n_results || s.tag == j as u128);
             OutRes {
                 kind: (s.aux >> 72) as u8,
@@ -379,13 +367,12 @@ pub(crate) fn merge_epoch<C: Ctx>(
     // The count is a fixed-pattern reduce over the whole (public-length)
     // array, gated only by the public config bit.
     if enforce_live_bound {
-        let cr = cand_t.as_raw();
         let cand_total = par_reduce(
             c,
             0,
             m,
             grain_for(c),
-            &|c, i| unsafe { !cr.get(c, i).is_filler() as u64 },
+            &|c, i| !cand_t.get(c, i).is_filler() as u64,
             &|a, b| a + b,
         )
         .unwrap_or(0);
@@ -400,20 +387,14 @@ pub(crate) fn merge_epoch<C: Ctx>(
     table.resize(cap_new, Rec::default());
     let stats = {
         let mut tt = Tracked::new(c, table.as_mut_slice());
-        let ttr = tt.as_raw();
-        let cr = cand_t.as_raw();
-        par_for(c, 0, cap_new, grain_for(c), &|c, i| unsafe {
-            let s = cr.get(c, i);
+        par_fill(c, &mut tt, &|c, i| {
+            let s = cand_t.get(c, i);
             let keep = !s.is_filler();
-            ttr.set(
-                c,
-                i,
-                Rec {
-                    present: keep,
-                    key: select_u64(keep, 0, s.tag as u64),
-                    val: select_u64(keep, 0, s.aux as u64),
-                },
-            );
+            Rec {
+                present: keep,
+                key: select_u64(keep, 0, s.tag as u64),
+                val: select_u64(keep, 0, s.aux as u64),
+            }
         });
         // Refresh the analytics snapshot with one reduce over the new table.
         par_reduce(
@@ -422,8 +403,7 @@ pub(crate) fn merge_epoch<C: Ctx>(
             cap_new,
             grain_for(c),
             &|c, i| {
-                // SAFETY: read-only phase over the freshly written table.
-                let r = unsafe { ttr.get(c, i) };
+                let r = tt.get(c, i);
                 (r.present as u64, select_u64(r.present, 0, r.val))
             },
             // One overflow policy for both fields (see `StoreStats`):
@@ -454,7 +434,6 @@ pub(crate) fn merge_epoch<C: Ctx>(
 fn sorted_ops<'s, C: Ctx>(
     c: &C,
     scratch: &'s ScratchPool,
-    engine: Engine,
     first: &[FlatOp],
     second: &[FlatOp],
 ) -> ScratchGuard<'s, TagCell> {
@@ -468,7 +447,7 @@ fn sorted_ops<'s, C: Ctx>(
         };
     }
     c.charge_par(b2 as u64);
-    engine.sort_cells(c, scratch, &mut Tracked::new(c, &mut ops));
+    ENGINE.sort_cells(c, scratch, &mut Tracked::new(c, &mut ops));
     ops
 }
 
@@ -511,23 +490,21 @@ fn bitonic_with_table<'s, C: Ctx>(
 fn resolve_runs<C: Ctx>(
     c: &C,
     scratch: &ScratchPool,
-    sched: Schedule,
     t: &mut Tracked<'_, TagCell>,
     fix: &(impl Fn(TagCell, u8, u64) -> TagCell + Sync),
 ) {
     let m = t.len();
     let mut lww_store = scratch.lease(m, Lww::default());
     let mut lww = Tracked::new(c, &mut lww_store);
-    let (tr, lr) = (t.as_raw(), lww.as_raw());
-    par_for(c, 0, m, grain_for(c), &|c, i| unsafe {
-        let s = tr.get(c, i);
+    par_fill(c, &mut lww, &|c, i| {
+        let s = t.get(c, i);
         let mut l = transformer_of(&s);
         l.head = i == 0 || {
-            let prev = tr.get(c, i - 1);
+            let prev = t.get(c, i - 1);
             c.work(1);
             prev.is_filler() != s.is_filler() || cell_key(&prev) != cell_key(&s)
         };
-        lr.set(c, i, l);
+        l
     });
     scan_in(
         c,
@@ -537,12 +514,11 @@ fn resolve_runs<C: Ctx>(
         &lww_combine,
         true,
         false,
-        sched,
+        SCHED,
     );
-    let lr = lww.as_raw();
-    par_for(c, 0, m, grain_for(c), &|c, i| unsafe {
-        let state = lr.get(c, i);
-        tr.set(c, i, fix(tr.get(c, i), state.kind, state.val));
+    par_update(c, t, &|c, i, cell| {
+        let state = lww.get(c, i);
+        fix(cell, state.kind, state.val)
     });
 }
 
@@ -567,12 +543,9 @@ fn resolve_runs<C: Ctx>(
 ///    answer; one `q`-cell sort restores submission order.
 ///
 /// Trace: a function of the table capacities, `|log|` and `q`.
-#[allow(clippy::too_many_arguments)]
 pub(crate) fn consult<C: Ctx>(
     c: &C,
     scratch: &ScratchPool,
-    engine: Engine,
-    sched: Schedule,
     tables: &[&[Rec]],
     log: &[FlatOp],
     queries: &[FlatOp],
@@ -583,9 +556,9 @@ pub(crate) fn consult<C: Ctx>(
     debug_assert!(q.is_power_of_two() && n <= q);
     // 1. Verdicts. Queries follow the whole log in `seq`, so the state a
     //    query's run has reached at it is the log's net effect on its key.
-    let mut ops = sorted_ops(c, scratch, engine, log, queries);
+    let mut ops = sorted_ops(c, scratch, log, queries);
     let mut asked = Tracked::new(c, &mut ops);
-    resolve_runs(c, scratch, sched, &mut asked, &|s, verdict, val| {
+    resolve_runs(c, scratch, &mut asked, &|s, verdict, val| {
         let is_query = !s.is_filler() && cell_seq(&s) > l;
         TagCell {
             tag: select_u128(is_query, u128::MAX, s.tag),
@@ -602,8 +575,8 @@ pub(crate) fn consult<C: Ctx>(
         par_tracked_chunks(c, wins.borrow_mut(), q, &|c, s, mut win| {
             let mut cells = bitonic_with_table(c, scratch, tables[s], window);
             let mut t = Tracked::new(c, &mut cells);
-            engine.merge_cells(c, scratch, &mut t);
-            resolve_runs(c, scratch, sched, &mut t, &|s, state, val| {
+            ENGINE.merge_cells(c, scratch, &mut t);
+            resolve_runs(c, scratch, &mut t, &|s, state, val| {
                 // Records carry seq 0; a query keeps its tag and learns
                 // whether its key ends up set, and to what.
                 let is_query = !s.is_filler() && cell_seq(&s) != 0;
@@ -619,28 +592,23 @@ pub(crate) fn consult<C: Ctx>(
 
         // 3. Combine: each answer goes back where its question stood,
         //    tagged by submission index now.
-        let (wr, ar) = (wins.as_raw(), asked.as_raw());
-        par_for(c, 0, q, grain_for(c), &|c, j| unsafe {
-            // SAFETY: task `j` reads slot `j` of every window and writes
-            // slot `j` of the query lane.
-            let mut cell = wr.get(c, j);
+        par_fill(c, &mut asked.range(0, q), &|c, j| {
+            let mut cell = wins.get(c, j);
             for s in 1..tables.len() {
-                cell.aux |= wr.get(c, s * q + j).aux;
+                cell.aux |= wins.get(c, s * q + j).aux;
             }
             let index = cell_seq(&cell).wrapping_sub(1 + l);
             cell.tag = select_u128(cell.is_filler(), index as u128, u128::MAX);
-            ar.set(c, j, cell);
+            cell
         });
     }
     // One small sort restores submission order. The readout covers the
     // whole padded class (see `merge_epoch`); the padding suffix is dropped
     // host-side.
     let mut win = asked.range(0, q);
-    engine.sort_cells(c, scratch, &mut win);
-    let rr = win.as_raw();
+    ENGINE.sort_cells(c, scratch, &mut win);
     let answers = metrics::par_collect(c, q, &|c, j| {
-        // SAFETY: read-only phase.
-        let s = unsafe { rr.get(c, j) };
+        let s = win.get(c, j);
         debug_assert!(j >= n || s.tag == j as u128);
         ((s.aux >> 64) & 1 == 1, s.aux as u64)
     });
@@ -671,8 +639,6 @@ mod tests {
         let (res, _) = merge_epoch(
             &c,
             &scratch,
-            Engine::BitonicRec,
-            Schedule::Tree,
             table,
             cap_new,
             pending,
@@ -789,19 +755,7 @@ mod tests {
         .take(8)
         .collect();
         let snapshot = StoreStats { count: 9, sum: 99 };
-        let (res, stats) = merge_epoch(
-            &c,
-            &scratch,
-            Engine::BitonicRec,
-            Schedule::Tree,
-            &mut table,
-            8,
-            &[],
-            &batch,
-            3,
-            snapshot,
-            true,
-        );
+        let (res, stats) = merge_epoch(&c, &scratch, &mut table, 8, &[], &batch, 3, snapshot, true);
         // Aggregates answer from the pre-epoch snapshot...
         assert_eq!(res[2], OpResult::Stats(snapshot));
         // ...while the refreshed snapshot covers the new table.
@@ -879,16 +833,7 @@ mod tests {
             .map(|&key| FlatOp::of(&Op::Get { key }))
             .collect();
         queries.resize(16, FlatOp::dummy());
-        let got = consult(
-            &c,
-            &scratch,
-            Engine::BitonicRec,
-            Schedule::Tree,
-            &[&left, &right],
-            &log,
-            &queries,
-            keys.len(),
-        );
+        let got = consult(&c, &scratch, &[&left, &right], &log, &queries, keys.len());
         assert_eq!(
             got,
             vec![

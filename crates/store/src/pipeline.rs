@@ -69,8 +69,6 @@ use crate::op::{FlatOp, Op, OpResult};
 use crate::store::{validate_and_pad, ShardedStore, StoreConfig};
 use fj::{Ctx, Deferred};
 use metrics::ScratchPool;
-use obliv_core::scan::Schedule;
-use obliv_core::Engine;
 use std::collections::VecDeque;
 use std::sync::Arc;
 
@@ -131,8 +129,6 @@ pub struct PipelinedStore<T = ShardedStore> {
     store: Option<T>,
     scratch: Arc<ScratchPool>,
     cfg: StoreConfig,
-    engine: Engine,
-    schedule: Schedule,
     /// Every shard's resident table as of the last handoff (each
     /// key-sorted with reals leading, public length).
     snapshot: Vec<Vec<Rec>>,
@@ -168,8 +164,6 @@ impl PipelinedStore<ShardedStore> {
             snapshot: store.snapshot_records(),
             snapshot_pending: store.snapshot_pending(),
             cfg,
-            engine: cfg.engine,
-            schedule: cfg.schedule,
             store: Some(store),
             scratch,
             open: Vec::new(),
@@ -459,22 +453,11 @@ impl PipelinedStore<ShardedStore> {
         }
 
         let tables: Vec<&[Rec]> = self.snapshot.iter().map(Vec::as_slice).collect();
-        let (scratch, engine, schedule) = (&*self.scratch, self.engine, self.schedule);
+        let scratch = &*self.scratch;
         // One entry into the executor: a pool runs the whole consult on a
         // worker, where its nested forks are deque pushes instead of an
         // inject and a park apiece.
-        let run = |c: &C| {
-            consult(
-                c,
-                scratch,
-                engine,
-                schedule,
-                &tables,
-                &log,
-                &queries,
-                keys.len(),
-            )
-        };
+        let run = |c: &C| consult(c, scratch, &tables, &log, &queries, keys.len());
         Ok(c.join(run, |_| ()).0)
     }
 

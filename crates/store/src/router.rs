@@ -22,11 +22,12 @@
 //! the payload lane — so the return-trip network moves dense cells instead
 //! of `Slot`-wrapped records.
 
+use crate::merge::ENGINE;
 use crate::op::{kind, FlatOp, MIN_CLASS};
 use fj::{grain_for, par_for, Ctx};
 use metrics::{par_tracked_chunks, ScratchPool, Tracked};
 use obliv_core::scatter::oblivious_scatter;
-use obliv_core::{Engine, Item, Result, Slot, TagCell};
+use obliv_core::{Item, Result, Slot, TagCell};
 
 /// The public shard-assignment hash: a fixed multiplicative hash of the
 /// key, taking the top `log2(shards)` bits. Deterministic and publicly
@@ -82,7 +83,6 @@ pub(crate) struct OpResultSlot {
 pub(crate) fn route_ops<C: Ctx>(
     c: &C,
     scratch: &ScratchPool,
-    engine: Engine,
     batch: &[FlatOp],
     shards: usize,
     zcap: usize,
@@ -104,7 +104,7 @@ pub(crate) fn route_ops<C: Ctx>(
         .collect();
     c.charge_par(batch.len() as u64);
 
-    let routed = oblivious_scatter(c, scratch, &slots, shards, zcap, engine)?;
+    let routed = oblivious_scatter(c, scratch, &slots, shards, zcap, ENGINE)?;
     Ok(routed
         .chunks(zcap)
         .map(|chunk| {
@@ -148,7 +148,6 @@ pub(crate) fn route_ops<C: Ctx>(
 pub(crate) fn gather_results<C: Ctx>(
     c: &C,
     scratch: &ScratchPool,
-    engine: Engine,
     entries: &[(u64, OpResultSlot)],
     zcap: usize,
     b: usize,
@@ -183,30 +182,18 @@ pub(crate) fn gather_results<C: Ctx>(
     while w < n {
         // Every `2w`-block is [ascending | descending]: one merge each.
         par_tracked_chunks(c, t.borrow_mut(), 2 * w, &|c, _, mut block| {
-            engine.merge_cells(c, scratch, &mut block);
+            ENGINE.merge_cells(c, scratch, &mut block);
         });
         w *= 2;
         if w < n {
-            // The merges leave every block ascending; the next round wants
-            // the odd ones descending again. Fixed pattern: `n/4` swaps.
-            let tr = t.as_raw();
-            par_for(c, 0, n / 4, grain_for(c), &|c, j| unsafe {
-                // SAFETY: swap `j` owns its two cells.
-                let (block, i) = (j / (w / 2), j % (w / 2));
-                let (lo, hi) = ((2 * block + 1) * w + i, (2 * block + 2) * w - 1 - i);
-                let (a, z) = (tr.get(c, lo), tr.get(c, hi));
-                tr.set(c, lo, z);
-                tr.set(c, hi, a);
-            });
+            reverse_odd_blocks(c, &mut t, w);
         }
     }
 
     // Fixed-pattern readout over the whole padded batch prefix — reading
     // fewer slots would leak the real op count within the class.
-    let tr = t.as_raw();
     metrics::par_collect(c, b, &|c, j| {
-        // SAFETY: read-only phase.
-        let s = unsafe { tr.get(c, j) };
+        let s = t.get(c, j);
         debug_assert!(s.is_filler() || s.tag as usize == j);
         if s.is_filler() {
             OpResultSlot::default()
@@ -218,6 +205,24 @@ pub(crate) fn gather_results<C: Ctx>(
             }
         }
     })
+}
+
+/// Reverse every odd `w`-block of `t` in place: the merges leave every
+/// block ascending and the next round wants the odd ones descending again.
+/// Fixed pattern, `|t|/4` swaps in one flat loop — a task owns two mirrored
+/// cells, which no slice split hands out, so this is the crate's one raw
+/// view.
+#[allow(unsafe_code)]
+fn reverse_odd_blocks<C: Ctx>(c: &C, t: &mut Tracked<'_, TagCell>, w: usize) {
+    let tr = t.as_raw();
+    par_for(c, 0, tr.len() / 4, grain_for(c), &|c, j| unsafe {
+        // SAFETY: swap `j` owns its two cells.
+        let (block, i) = (j / (w / 2), j % (w / 2));
+        let (lo, hi) = ((2 * block + 1) * w + i, (2 * block + 2) * w - 1 - i);
+        let (a, z) = (tr.get(c, lo), tr.get(c, hi));
+        tr.set(c, lo, z);
+        tr.set(c, hi, a);
+    });
 }
 
 #[cfg(test)]
@@ -259,7 +264,7 @@ mod tests {
             .chain(std::iter::repeat_with(FlatOp::dummy))
             .take(16)
             .collect();
-        let subs = route_ops(&c, &sp, Engine::BitonicRec, &ops, 4, 16).unwrap();
+        let subs = route_ops(&c, &sp, &ops, 4, 16).unwrap();
         assert_eq!(subs.len(), 4);
         let mut seen = 0;
         for (s, sub) in subs.iter().enumerate() {
@@ -287,7 +292,7 @@ mod tests {
         let ops: Vec<FlatOp> = (0..16u64)
             .map(|i| FlatOp::of(&Op::Put { key: 7, val: i }))
             .collect();
-        let subs = route_ops(&c, &sp, Engine::BitonicRec, &ops, 4, 16).unwrap();
+        let subs = route_ops(&c, &sp, &ops, 4, 16).unwrap();
         let home = shard_of(7, 4);
         for (s, sub) in subs.iter().enumerate() {
             assert_eq!(sub.n_real, if s == home { 16 } else { 0 });
@@ -324,7 +329,7 @@ mod tests {
         let sp = ScratchPool::new();
         // 2 shards × 4 slots, 5 real results between them.
         let entries = runs(4, &[&[0, 3], &[1, 2, 4]]);
-        let out = gather_results(&c, &sp, Engine::BitonicRec, &entries, 4, 8);
+        let out = gather_results(&c, &sp, &entries, 4, 8);
         for (j, r) in out.iter().take(5).enumerate() {
             assert!(r.found);
             assert_eq!(r.val, j as u64 * 10);
@@ -335,28 +340,20 @@ mod tests {
     #[test]
     fn gather_merges_empty_full_and_ragged_runs() {
         // 4 shards × 4 slots: an empty run, a full one and two ragged
-        // ones, on the merge engine and on the engines that fall back to
-        // a full sort.
+        // ones.
         let c = SeqCtx::new();
         let sp = ScratchPool::new();
         let entries = runs(4, &[&[], &[1, 2, 5, 7], &[0], &[3, 4, 6]]);
-        for engine in [
-            Engine::BitonicRec,
-            Engine::BitonicFlat,
-            Engine::OddEven,
-            Engine::Shellsort { seed: 5 },
-        ] {
-            let out = gather_results(&c, &sp, engine, &entries, 4, 8);
-            let vals: Vec<u64> = out.iter().map(|r| r.val).collect();
-            assert_eq!(vals, (0..8).map(|j| j * 10).collect::<Vec<u64>>());
-            assert!(out.iter().all(|r| r.found && !r.agg), "{engine:?}");
-        }
+        let out = gather_results(&c, &sp, &entries, 4, 8);
+        let vals: Vec<u64> = out.iter().map(|r| r.val).collect();
+        assert_eq!(vals, (0..8).map(|j| j * 10).collect::<Vec<u64>>());
+        assert!(out.iter().all(|r| r.found && !r.agg));
         // Eight runs: three merge rounds, two of them behind a reversal.
         let idx: Vec<Vec<u64>> = (0..8u64)
             .map(|s| (0..32).filter(|j| j % 11 % 8 == s).collect())
             .collect();
         let idx: Vec<&[u64]> = idx.iter().map(Vec::as_slice).collect();
-        let out = gather_results(&c, &sp, Engine::BitonicRec, &runs(16, &idx), 16, 32);
+        let out = gather_results(&c, &sp, &runs(16, &idx), 16, 32);
         let vals: Vec<u64> = out.iter().map(|r| r.val).collect();
         assert_eq!(vals, (0..32).map(|j| j * 10).collect::<Vec<u64>>());
     }

@@ -11,7 +11,7 @@
 //! 1-shard store ([`crate::Store`]) hands its whole padded batch to its
 //! one shard.
 
-use crate::merge::{merge_epoch, Rec};
+use crate::merge::{merge_epoch, Rec, ENGINE};
 use crate::op::{kind, size_class, EpochPath, FlatOp, OpResult, StoreStats};
 use crate::store::StoreConfig;
 use fj::Ctx;
@@ -37,7 +37,7 @@ impl Shard {
     pub fn new(cfg: StoreConfig, salt: u64) -> Self {
         let oram = cfg.oram_key_space.map(|s| {
             let seed = cfg.seed ^ salt.wrapping_mul(0x9E37_79B9_7F4A_7C15);
-            Opram::new(s.max(1), cfg.oram, cfg.engine, seed)
+            Opram::new(s.max(1), cfg.oram, ENGINE, seed)
         });
         Shard {
             cfg,
@@ -169,8 +169,6 @@ impl Shard {
         let (results, stats) = merge_epoch(
             c,
             scratch,
-            self.cfg.engine,
-            self.cfg.schedule,
             &mut self.table,
             cap_new,
             &self.pending,

@@ -39,8 +39,6 @@ use crate::vfs::{OsVfs, Vfs};
 use crate::wal::{self, Durability, SnapMeta, Wal};
 use fj::{par_zip_mut, Ctx};
 use metrics::ScratchPool;
-use obliv_core::scan::Schedule;
-use obliv_core::Engine;
 use pram::OramConfig;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
@@ -72,11 +70,6 @@ pub struct ShrinkPolicy {
 /// [`ShardConfig`], the whole configuration of a 1-shard [`Store`].
 #[derive(Clone, Copy, Debug)]
 pub struct StoreConfig {
-    /// Sorting engine driving the merge path (and the ORAM's conflict
-    /// machinery).
-    pub engine: Engine,
-    /// Scan schedule for the merge path's LWW scan.
-    pub schedule: Schedule,
     /// Bounded key space enabling the ORAM path: all keys must be
     /// `< oram_key_space`. `None` disables the ORAM path (arbitrary `u64`
     /// keys, every epoch merges).
@@ -107,8 +100,6 @@ pub struct StoreConfig {
 impl Default for StoreConfig {
     fn default() -> Self {
         StoreConfig {
-            engine: Engine::BitonicRec,
-            schedule: Schedule::Tree,
             oram_key_space: None,
             oram_threshold: 64,
             pending_limit: 512,
@@ -564,17 +555,16 @@ impl ShardedStore {
         if shards == 1 {
             return Ok(Routed::Whole(batch));
         }
-        let engine = self.cfg.store.engine;
         let b = batch.len();
         let zcap = shard_class(b, shards, self.cfg.route_slack);
         if zcap < b {
-            if let Ok(jobs) = route_ops(c, scratch, engine, &batch, shards, zcap) {
+            if let Ok(jobs) = route_ops(c, scratch, &batch, shards, zcap) {
                 return Ok(Routed::Split(jobs, zcap));
             }
             self.fallbacks += 1;
         }
-        let jobs = route_ops(c, scratch, engine, &batch, shards, b)
-            .expect("full provisioning cannot overflow");
+        let jobs =
+            route_ops(c, scratch, &batch, shards, b).expect("full provisioning cannot overflow");
         Ok(Routed::Split(jobs, b))
     }
 
@@ -643,7 +633,7 @@ impl ShardedStore {
             })
             .collect();
         let b = size_class(n_results);
-        let gathered = gather_results(c, scratch, self.cfg.store.engine, &entries, zcap, b);
+        let gathered = gather_results(c, scratch, &entries, zcap, b);
 
         // Aggregates observe the pre-epoch global snapshot (each shard
         // only knows its own slice); `self.snapshot` is refreshed by the

@@ -15,6 +15,8 @@
 //! assert!(data.windows(2).all(|w| w[0] <= w[1]));
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub use fj;
 pub use graphs;
 pub use metrics;
