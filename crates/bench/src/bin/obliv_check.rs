@@ -8,11 +8,12 @@
 //! exactly: value-independence and trace-length invariance.
 
 use metrics::{measure, CacheConfig, MeterCtx, TraceMode};
+use obliv_core::binplace::Input;
 use obliv_core::scan::{seg_propagate_in, Schedule, Seg};
 use obliv_core::{
-    bin_place, compact_cells, expand, oblivious_sort_kv, oblivious_sort_u64, orp_once,
-    rec_sort_items, send_receive, Engine, Item, OSortParams, OrbaParams, ScratchPool, Slot,
-    TagCell,
+    bin_place, bin_place_from, compact_cells, expand, oblivious_sort_kv, oblivious_sort_u64,
+    orp_once, rec_sort_items, send_receive, Engine, Item, OSortParams, OrbaParams, ScratchPool,
+    Slot, TagCell,
 };
 use pram::{run_oblivious_sb, HistogramProgram};
 use sortnet::sort_slice_rec;
@@ -69,6 +70,20 @@ fn main() {
         sort_slice_rec(c, &mut v, &|x: &u64| *x as u128, true);
     });
 
+    // Merge of sorted runs: the same network cut off at the run length.
+    // Each input is cut into 8 ascending runs of 64; the inputs differ in
+    // values and in how the runs interleave — disjoint ranges in order,
+    // disjoint ranges reversed, all keys equal, and a scramble.
+    all_ok &= row("merge of sorted runs", &inputs, |c, v| {
+        let mut v = v.clone();
+        v.chunks_mut(64).for_each(|run| run.sort_unstable());
+        let mut lease = scratch.lease(n, 0u64);
+        let mut tr = metrics::Tracked::new(c, &mut v);
+        let mut tmp = metrics::Tracked::new(c, &mut lease);
+        let key = |x: &u64| *x as u128;
+        sortnet::bitonic_sort_rec_from_runs(c, &mut tr, &mut tmp, &key, true, 64);
+    });
+
     // Bin placement.
     all_ok &= row("oblivious bin placement", &inputs, |c, v| {
         let mut slots: Vec<Slot<u64>> = v
@@ -80,6 +95,42 @@ fn main() {
         let mut tr = metrics::Tracked::new(c, &mut slots);
         let _ = bin_place(c, &scratch, &mut tr, 16, 64, 0, Engine::BitonicRec);
     });
+
+    // Bin placement of sorted runs (every ORBA placement after the first):
+    // 16 runs of 64 slots, each in sort order with its fillers last. The
+    // first three inputs load the bins evenly from differently filled
+    // runs, the last sends every real to bin 0 and overflows.
+    // (run, label) per real; the bin is the label's low four bits.
+    let loads: [(bool, Vec<(usize, u64)>); 4] = [
+        (false, (0..512).map(|i| (i % 16, i as u64)).collect()),
+        (false, (0..512).map(|i| (i / 32, i as u64 * 7)).collect()),
+        (false, Vec::new()),
+        (true, (0..512).map(|i| (i % 16, i as u64 * 16)).collect()),
+    ];
+    all_ok &= row(
+        "bin placement (sorted-runs form)",
+        &loads,
+        |c, (overflows, load)| {
+            let mut runs = vec![Vec::new(); 16];
+            for &(run, label) in load {
+                runs[run].push(label);
+            }
+            let mut slots = vec![Slot::<u64>::filler(); 16 * 64];
+            for (r, labels) in runs.iter_mut().enumerate() {
+                labels.sort_unstable_by_key(|&l| (l % 16, l));
+                for (i, &l) in labels.iter().enumerate() {
+                    slots[r * 64 + i] = Slot::real(Item::new(l as u128, l), l);
+                }
+            }
+            let mut tr = metrics::Tracked::new(c, &mut slots);
+            let form = Input::Runs {
+                run: 64,
+                void: false,
+            };
+            let r = bin_place_from(c, &scratch, &mut tr, form, 16, 64, 0, Engine::BitonicRec);
+            assert_eq!(r.is_err(), *overflows);
+        },
+    );
 
     // ORBA + ORP (one attempt, fixed seed).
     all_ok &= row("oblivious random permutation", &inputs, |c, v| {

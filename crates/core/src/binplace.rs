@@ -5,21 +5,28 @@
 //! promise that no bin is wanted by more than `Z` elements, move every real
 //! element into its bin and pad each bin to exactly `Z` slots with fillers.
 //! Output is the concatenation of the `nbins` bins, in place, reals packed
-//! in front of each bin.
+//! in front of each bin in ascending label order.
 //!
 //! The algorithm is sort + rank + expansion (`place`, shared with
 //! [`crate::oblivious_scatter`]; DESIGN.md §4 records it as a substitution
-//! for Chan–Shi's two-sort placement): **one** oblivious sort of the
-//! `nbins · Z` slots by `sk = group ‖ low half` with fillers (`MAX`) last
-//! (the scatter, whose reals all sit in a public prefix, sorts only that), a
-//! segmented propagation that gives every real its rank `r` within its
-//! group, a pass that trades the group in the high half of `sk` for the
-//! absolute target `g·Z + r`, and a comparator-free monotone [`expand`]
-//! that swaps every real to its target. The sorted reals are a packed run
-//! and, under the promise, their targets strictly increase along it — the
-//! no-collision condition of the expansion.
+//! for Chan–Shi's two-sort placement): **one** oblivious sort by
+//! `sk = group ‖ low half` with fillers (`MAX`) last, a segmented
+//! propagation that gives every real its rank `r` within its group, a pass
+//! that trades the group in the high half of `sk` for the absolute target
+//! `g·Z + r`, and a comparator-free monotone [`expand`] that swaps every
+//! real to its target. The sorted reals are a packed run and, under the
+//! promise, their targets strictly increase along it — the no-collision
+//! condition of the expansion.
+//!
+//! How much of that one sort is left to do is a **public fact about the
+//! input** that the caller states ([`Input`]), never a setting: reals
+//! confined to a public prefix ([`Input::Prefix`] — the scatter, ORBA's
+//! first placement) sort only the prefix; an input that is already
+//! `Z`-slot runs in sort order ([`Input::Runs`] — every later placement of
+//! the ORBA butterfly, whose input bins are earlier placements' output
+//! bins) is merged, not sorted.
 //! Every step is an oblivious sort, a fixed-pattern scan, or a parallel
-//! map: the access pattern depends only on `(nbins, Z)`.
+//! map: the access pattern depends only on `(nbins, Z)` and the input form.
 //!
 //! A real of rank `≥ Z` means the §C.1 promise was violated (bin
 //! overflow): its target belongs to the next bin, the pass finishes on its
@@ -35,10 +42,35 @@ use fj::Ctx;
 use metrics::{par_fill, par_update, ScratchPool, Tracked};
 use std::sync::atomic::{AtomicBool, Ordering};
 
+/// What a placement's caller knows — publicly, from the shape of the
+/// computation that produced the array — about where its reals sit.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Input {
+    /// Reals anywhere in the first `prefix` slots (a power of two); every
+    /// slot behind them is a canonical filler. The sort and the rank pass
+    /// run over the prefix only — sorted, it is the whole array's sorted
+    /// order. `Prefix(len)` promises nothing.
+    Prefix(usize),
+    /// The array is aligned runs of `run` slots (a power of two), each
+    /// already in the placement's sort order — ascending by
+    /// `(bin ‖ order key)`, fillers last. The sort becomes a merge of the
+    /// runs ([`Engine::sort_slots_from_runs`]).
+    ///
+    /// `void` is the one way out of the contract: an earlier placement of
+    /// the same attempt has already overflowed, so the attempt's result is
+    /// discarded whatever happens here and the runs may be in any order.
+    /// The network runs its fixed trace and loses no element; the
+    /// debug-build checks of the contract are off.
+    Runs { run: usize, void: bool },
+}
+
 /// Oblivious bin placement over `io` (whose length must be `nbins · zcap`,
-/// with `nbins` and `zcap` powers of two). Order within a bin is
-/// unspecified. Labels are preserved; the high half of a real's `sk` holds
-/// its position on return (see [`expand`]), and fillers are canonical.
+/// with `nbins` and `zcap` powers of two) by label bits
+/// `[shift, shift + log₂ nbins)`, reals anywhere in `io`. Within a bin the
+/// reals come back packed in front, ascending by full label — so a bin is
+/// a sorted run for any later placement that routes on lower label bits.
+/// Labels are preserved; the high half of a real's `sk` holds its position
+/// on return (see [`expand`]), and fillers are canonical.
 pub fn bin_place<C: Ctx, V: Val>(
     c: &C,
     scratch: &ScratchPool,
@@ -48,10 +80,34 @@ pub fn bin_place<C: Ctx, V: Val>(
     shift: u32,
     engine: Engine,
 ) -> Result<()> {
+    bin_place_from(
+        c,
+        scratch,
+        io,
+        Input::Prefix(io.len()),
+        nbins,
+        zcap,
+        shift,
+        engine,
+    )
+}
+
+/// [`bin_place`] of an input whose form the caller can state.
+#[allow(clippy::too_many_arguments)]
+pub fn bin_place_from<C: Ctx, V: Val>(
+    c: &C,
+    scratch: &ScratchPool,
+    io: &mut Tracked<'_, Slot<V>>,
+    input: Input,
+    nbins: usize,
+    zcap: usize,
+    shift: u32,
+    engine: Engine,
+) -> Result<()> {
     let mask = nbins as u64 - 1;
-    // Reals may sit anywhere in `io`: the prefix is the whole array.
-    place(c, scratch, io, io.len(), nbins, zcap, engine, &|s| {
-        ((s.label() >> shift) & mask, s.label())
+    // `shift = 64` is the single bin that routes on no bits at all.
+    place(c, scratch, io, input, nbins, zcap, engine, &|s| {
+        (s.label().checked_shr(shift).unwrap_or(0) & mask, s.label())
     })
 }
 
@@ -59,18 +115,13 @@ pub fn bin_place<C: Ctx, V: Val>(
 /// both powers of two) into the bin named by `key(slot).0`, in ascending
 /// order of `key(slot).1` within the bin; `key(slot).1` becomes the low
 /// half of the slot's `sk`. `key` is only asked about reals and must
-/// return a bin below `nbins`.
-///
-/// `prefix` (public, a power of two) bounds where the reals are: every slot
-/// of `w[prefix..]` is a canonical filler on entry. The sort and the rank
-/// pass run over `w[..prefix]` only — sorted, it is the whole array's
-/// sorted order — and the expansion alone spans all of `w`.
+/// return a bin below `nbins`. `input` states the form `w` arrives in.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn place<C: Ctx, V: Val>(
     c: &C,
     scratch: &ScratchPool,
     w: &mut Tracked<'_, Slot<V>>,
-    prefix: usize,
+    input: Input,
     nbins: usize,
     zcap: usize,
     engine: Engine,
@@ -79,7 +130,14 @@ pub(crate) fn place<C: Ctx, V: Val>(
     let n_io = w.len();
     assert_eq!(n_io, nbins * zcap, "bin placement shape mismatch");
     assert!(nbins.is_power_of_two() && zcap.is_power_of_two());
+    // Where the reals can be, the run length the sort may assume, and
+    // whether this attempt is already void.
+    let (prefix, run, void) = match input {
+        Input::Prefix(prefix) => (prefix, 1, false),
+        Input::Runs { run, void } => (n_io, run, void),
+    };
     assert!(prefix.is_power_of_two() && prefix <= n_io);
+    assert!(run.is_power_of_two() && run <= n_io);
     debug_assert!(w.raw()[prefix..].iter().all(Slot::is_filler));
 
     // Steps 1–3 run over the prefix, in a block so the rank lease is back
@@ -99,7 +157,11 @@ pub(crate) fn place<C: Ctx, V: Val>(
                 u128::MAX
             }
         });
-        engine.sort_slots(c, scratch, w);
+        debug_assert!(
+            void || w.raw().chunks(run).all(|r| r.is_sorted_by_key(|s| s.sk)),
+            "placement input is not {run}-slot runs in sort order"
+        );
+        engine.sort_slots_from_runs(c, scratch, w, run);
 
         // Step 2: rank within group, by propagating each group's leftmost
         // index.
@@ -130,10 +192,11 @@ pub(crate) fn place<C: Ctx, V: Val>(
         overflow.into_inner()
     };
 
-    // Step 4: comparator-free distribution. Without an overflow the reals
-    // are a packed run with increasing targets, so nothing can collide.
+    // Step 4: comparator-free distribution. Without an overflow — here or,
+    // for a void input, upstream — the reals are a packed run with
+    // increasing targets, so nothing can collide.
     let placed = expand(c, w);
-    debug_assert!(overflow || placed, "monotone targets collided");
+    debug_assert!(overflow || void || placed, "monotone targets collided");
     if overflow {
         Err(OblivError::BinOverflow)
     } else {
@@ -392,6 +455,138 @@ mod tests {
         let ok = run_trace((0..8).map(|i| (i % 4, i)).collect());
         let over = run_trace((0..8).map(|i| (0, i)).collect());
         assert_eq!(ok, over);
+    }
+
+    /// `nbins` runs of `zcap` slots for the runs form at `shift = 0`: run
+    /// `r` holds the given labels (value = label) in sort order — by
+    /// `(label mod nbins ‖ label)` — and is padded with fillers.
+    fn runs_input(nbins: usize, zcap: usize, runs: &[Vec<u64>]) -> Vec<Slot<u64>> {
+        assert_eq!(runs.len(), nbins);
+        let mut v = vec![Slot::<u64>::filler(); nbins * zcap];
+        for (r, labels) in runs.iter().enumerate() {
+            let mut labels = labels.clone();
+            labels.sort_unstable_by_key(|&l| (l % nbins as u64, l));
+            for (i, &l) in labels.iter().enumerate() {
+                v[r * zcap + i] = Slot::real(Item::new(l as u128, l), l);
+            }
+        }
+        v
+    }
+
+    fn place_from(
+        c: &impl Ctx,
+        v: &mut [Slot<u64>],
+        input: Input,
+        nbins: usize,
+        zcap: usize,
+    ) -> Result<()> {
+        let sp = ScratchPool::new();
+        let mut t = Tracked::new(c, v);
+        bin_place_from(c, &sp, &mut t, input, nbins, zcap, 0, Engine::BitonicRec)
+    }
+
+    /// Run `r` of 8 holds the labels `13·j + r`, `per_run` of them.
+    fn spread_runs(per_run: u64) -> Vec<Vec<u64>> {
+        (0..8u64)
+            .map(|r| (0..per_run).map(|j| j * 13 + r).collect())
+            .collect()
+    }
+
+    #[test]
+    fn runs_form_and_prefix_form_give_the_same_bins() {
+        let c = SeqCtx::new();
+        let (nbins, zcap) = (8, 16);
+        let runs = spread_runs(7);
+        let mut from_runs = runs_input(nbins, zcap, &runs);
+        // The same multiset, run order forgotten, in the front half.
+        let mut from_prefix = vec![Slot::<u64>::filler(); nbins * zcap];
+        for (i, &l) in runs.iter().flatten().rev().enumerate() {
+            from_prefix[i] = Slot::real(Item::new(l as u128, l), l);
+        }
+        let runs_form = Input::Runs {
+            run: zcap,
+            void: false,
+        };
+        place_from(&c, &mut from_runs, runs_form, nbins, zcap).unwrap();
+        place_from(&c, &mut from_prefix, Input::Prefix(64), nbins, zcap).unwrap();
+        assert!(from_runs == from_prefix);
+        for (b, bin) in from_runs.chunks(zcap).enumerate() {
+            let load = bin.iter().take_while(|s| s.is_real()).count();
+            assert_eq!(load, 7);
+            assert!(bin[load..].iter().all(Slot::is_filler));
+            assert!(bin[..load].iter().all(|s| s.label() % 8 == b as u64));
+            assert!(bin[..load].is_sorted_by_key(|s| s.label()), "bin {b}");
+        }
+    }
+
+    #[test]
+    fn runs_form_has_one_trace_for_clean_and_overflowing_inputs() {
+        let (nbins, zcap) = (8, 16);
+        let run_trace = |runs: Vec<Vec<u64>>, void: bool| {
+            let mut v = runs_input(nbins, zcap, &runs);
+            let mut verdict = Ok(());
+            let (_, rep) = measure(CacheConfig::default(), TraceMode::Hash, |c| {
+                verdict = place_from(c, &mut v, Input::Runs { run: zcap, void }, nbins, zcap);
+            });
+            (verdict, (rep.trace_hash, rep.trace_len))
+        };
+        let (clean, clean_trace) = run_trace(spread_runs(7), false);
+        // Every run sends three labels to bin 0: 24 > 16.
+        let over: Vec<Vec<u64>> = (0..8u64)
+            .map(|r| {
+                (0..7)
+                    .map(|j| if j < 3 { 8 * (8 * j + r) } else { j * 13 + r })
+                    .collect()
+            })
+            .collect();
+        let (overflowed, over_trace) = run_trace(over, false);
+        let (empty, empty_trace) = run_trace(vec![Vec::new(); 8], false);
+        // A void attempt: the same shape, nothing promised about the runs.
+        let (_, void_trace) = run_trace(spread_runs(7), true);
+        assert_eq!(clean, Ok(()));
+        assert_eq!(empty, Ok(()));
+        assert_eq!(overflowed, Err(OblivError::BinOverflow));
+        assert_eq!(clean_trace, over_trace);
+        assert_eq!(clean_trace, empty_trace);
+        assert_eq!(clean_trace, void_trace);
+    }
+
+    /// Runs that are *not* in sort order: each holds its labels descending.
+    fn unsorted_runs(nbins: usize, zcap: usize) -> Vec<Slot<u64>> {
+        let mut v = runs_input(nbins, zcap, &spread_runs(7));
+        v.chunks_mut(zcap).for_each(|run| run[..7].reverse());
+        v
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "runs in sort order")]
+    fn a_violated_runs_contract_panics_in_debug() {
+        let mut v = unsorted_runs(8, 16);
+        let runs_form = Input::Runs {
+            run: 16,
+            void: false,
+        };
+        let _ = place_from(&SeqCtx::new(), &mut v, runs_form, 8, 16);
+    }
+
+    #[test]
+    fn a_void_attempt_may_pass_unsorted_runs_and_loses_nothing() {
+        let mut v = unsorted_runs(8, 16);
+        let void = Input::Runs {
+            run: 16,
+            void: true,
+        };
+        let _ = place_from(&SeqCtx::new(), &mut v, void, 8, 16);
+        let mut seen: Vec<u64> = v
+            .iter()
+            .filter(|s| s.is_real())
+            .map(|s| s.item.val)
+            .collect();
+        seen.sort_unstable();
+        let mut expect: Vec<u64> = spread_runs(7).concat();
+        expect.sort_unstable();
+        assert_eq!(seen, expect);
     }
 
     proptest! {

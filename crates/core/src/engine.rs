@@ -16,8 +16,8 @@ use crate::slot::{sk_of, Slot, Val};
 use fj::Ctx;
 use metrics::{ScratchPool, Tracked};
 use sortnet::{
-    active_backend, bitonic_sort_flat_par, bitonic_sort_rec, cells_merge_rec, oddeven_sort,
-    randomized_shellsort, Gate, TagCell,
+    active_backend, bitonic_sort_flat_par, bitonic_sort_rec_from_runs, cells_merge_rec,
+    oddeven_sort, randomized_shellsort, Gate, TagCell,
 };
 use std::mem::{align_of, size_of};
 
@@ -37,7 +37,12 @@ pub enum Engine {
 }
 
 impl Engine {
-    /// Sort `t` ascending through `gate` with this engine's network.
+    /// Sort `t` ascending through `gate` with this engine's network, given
+    /// that `t` is aligned ascending runs of `run` slots (`run = 1`: no
+    /// promise, the plain sort). The recursive bitonic engine merges the
+    /// runs ([`bitonic_sort_rec_from_runs`]); the engines without a merge
+    /// primitive publicly fall back to their full sort, which is correct on
+    /// any input.
     ///
     /// Merge scratch is leased from `scratch` rather than allocated; lease
     /// contents start dirty at the byte level but are filled (with
@@ -50,12 +55,13 @@ impl Engine {
         t: &mut Tracked<'_, T>,
         filler: T,
         gate: &impl Gate<T>,
+        run: usize,
     ) {
         match *self {
             Engine::BitonicRec => {
                 let mut lease = scratch.lease(t.len(), filler);
                 let mut tmp = Tracked::new(c, &mut lease);
-                bitonic_sort_rec(c, t, &mut tmp, gate, true);
+                bitonic_sort_rec_from_runs(c, t, &mut tmp, gate, true, run);
             }
             Engine::BitonicFlat => bitonic_sort_flat_par(c, t, gate, true),
             Engine::OddEven => oddeven_sort(c, t, gate),
@@ -71,17 +77,29 @@ impl Engine {
     /// Sort `t` ascending by the slots' scratch key `sk`. Length must be a
     /// power of two (callers pad with [`Slot::filler`], whose `sk` is
     /// `u128::MAX`).
+    pub fn sort_slots<C: Ctx, V: Val>(
+        &self,
+        c: &C,
+        scratch: &ScratchPool,
+        t: &mut Tracked<'_, Slot<V>>,
+    ) {
+        self.sort_slots_from_runs(c, scratch, t, 1)
+    }
+
+    /// [`Engine::sort_slots`] of aligned runs of `run` slots (a power of
+    /// two), each ascending by `sk` already — fillers last within a run.
     ///
     /// A slot with a zero-sized payload is laid out like a [`TagCell`]
     /// (`sk` = `tag`, `item.key` = `aux`) and is sorted as one, through
     /// the cell gate: the same network, trace and counters, AVX2 slabs
     /// where the hardware has them (DESIGN.md §14 has the pairs that
     /// justify the cast).
-    pub fn sort_slots<C: Ctx, V: Val>(
+    pub fn sort_slots_from_runs<C: Ctx, V: Val>(
         &self,
         c: &C,
         scratch: &ScratchPool,
         t: &mut Tracked<'_, Slot<V>>,
+        run: usize,
     ) {
         if size_of::<Slot<V>>() == size_of::<TagCell>()
             && align_of::<Slot<V>>() == align_of::<TagCell>()
@@ -91,9 +109,9 @@ impl Engine {
             // there is no room left for `val`, so `V` is zero-sized and
             // the two lanes are the whole slot. Every bit pattern is a
             // valid `u128`, so either type's values are the other's.
-            return self.sort_cells(c, scratch, &mut unsafe { t.cast() });
+            return self.sort_cells_from_runs(c, scratch, &mut unsafe { t.cast() }, run);
         }
-        self.sort_through(c, scratch, t, Slot::filler(), &sk_of);
+        self.sort_through(c, scratch, t, Slot::filler(), &sk_of, run);
     }
 
     /// Sort packed [`TagCell`]s ascending by tag (the tag-sort fast path).
@@ -105,7 +123,20 @@ impl Engine {
     /// AVX2 slabs under the bitonic base case where the hardware has
     /// them), so the trace is the engine's fixed function of `n`.
     pub fn sort_cells<C: Ctx>(&self, c: &C, scratch: &ScratchPool, t: &mut Tracked<'_, TagCell>) {
-        self.sort_through(c, scratch, t, TagCell::filler(), &active_backend());
+        self.sort_cells_from_runs(c, scratch, t, 1)
+    }
+
+    /// [`Engine::sort_cells`] of aligned runs of `run` cells (a power of
+    /// two), each ascending by tag already — the one "merge sorted runs" of
+    /// the workspace (ORBA's placements, the store's gather).
+    pub fn sort_cells_from_runs<C: Ctx>(
+        &self,
+        c: &C,
+        scratch: &ScratchPool,
+        t: &mut Tracked<'_, TagCell>,
+        run: usize,
+    ) {
+        self.sort_through(c, scratch, t, TagCell::filler(), &active_backend(), run);
     }
 
     /// Merge an already *bitonic* cell sequence (e.g. an ascending sorted
@@ -195,6 +226,31 @@ mod tests {
     }
 
     #[test]
+    fn all_engines_sort_from_runs() {
+        // Four ascending runs of 32 with their fillers last: the bitonic
+        // engine merges them, the others fall back to their full sort.
+        let c = SeqCtx::new();
+        let sp = ScratchPool::new();
+        for engine in [
+            Engine::BitonicRec,
+            Engine::BitonicFlat,
+            Engine::OddEven,
+            Engine::Shellsort { seed: 3 },
+        ] {
+            let mut slots: Vec<Slot<u64>> = (0..128u64)
+                .map(|i| match (i / 32, i % 32) {
+                    (run, j) if j < 20 + run => Slot::keyed(Item::new((j * 4 + run) as u128, i)),
+                    _ => Slot::filler(),
+                })
+                .collect();
+            let mut t = Tracked::new(&c, &mut slots);
+            engine.sort_slots_from_runs(&c, &sp, &mut t, 32);
+            assert!(slots.is_sorted_by_key(|s| s.sk), "engine {engine:?}");
+            assert_eq!(slots.iter().filter(|s| s.is_real()).count(), 86);
+        }
+    }
+
+    #[test]
     fn unit_slots_sort_as_cells_on_the_closure_gates_trace() {
         // `Slot<()>` takes the cell gate; the network, the trace and every
         // counter must be the closure gate's, fillers and payload lane
@@ -214,7 +270,7 @@ mod tests {
                 if as_cells {
                     Engine::BitonicRec.sort_slots(c, &sp, &mut t);
                 } else {
-                    Engine::BitonicRec.sort_through(c, &sp, &mut t, Slot::filler(), &sk_of);
+                    Engine::BitonicRec.sort_through(c, &sp, &mut t, Slot::filler(), &sk_of, 1);
                 }
             });
             (

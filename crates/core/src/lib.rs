@@ -43,7 +43,7 @@ pub mod slot;
 pub mod tag_sort;
 
 pub use baseline::par_merge_sort;
-pub use binplace::{bin_place, set_keys};
+pub use binplace::{bin_place, bin_place_from, set_keys};
 pub use engine::Engine;
 pub use error::{with_retries, OblivError, Result};
 pub use expand::expand;

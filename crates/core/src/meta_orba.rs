@@ -8,17 +8,21 @@
 //! neither cache-efficient nor low-span; REC-ORBA (§D.1,
 //! [`crate::rec_orba`](mod@crate::rec_orba)) is the efficient schedule of the *same* butterfly.
 //! We keep META-ORBA as the correctness reference, as the strawman for the
-//! scheduling ablations, and because the paper presents both.
+//! scheduling ablations, and because the paper presents both. It is the
+//! foil in the sorting too: labels and initial layout are REC-ORBA's own
+//! (same seed, same bins), but the levels run least significant bits
+//! first, so a level's input bins are not sorted runs and every placement
+//! is the full-sort form.
 
 use crate::binplace::bin_place;
 use crate::engine::Engine;
 use crate::error::{OblivError, Result};
-use crate::rec_orba::{bins_for, BinLayout, OrbaParams};
+use crate::rec_orba::{
+    bin_shift, bins_for, build_layout, draw_labels, first_group, BinLayout, OrbaParams,
+};
 use crate::slot::{Item, Slot, Val};
 use fj::{grain_for, par_for, Ctx};
 use metrics::{ScratchPool, Tracked};
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
 use std::sync::atomic::{AtomicBool, Ordering};
 
 /// One attempt of META-ORBA with the same functionality (and failure
@@ -30,27 +34,19 @@ pub fn meta_orba<C: Ctx, V: Val>(
     p: OrbaParams,
     seed: u64,
 ) -> Result<BinLayout<V>> {
-    let n = items.len();
-    let nbins = bins_for(n, p.z);
-    let mut rng = StdRng::seed_from_u64(seed);
-    let labels: Vec<u64> = (0..n).map(|_| rng.gen_range(0..nbins as u64)).collect();
-
-    // Initial layout: β bins of Z slots, half-filled (as in REC-ORBA).
-    let half = p.z / 2;
+    let nbins = bins_for(items.len(), p.z);
     let mut slots = vec![Slot::<V>::filler(); nbins * p.z];
-    for (idx, slot) in slots.iter_mut().enumerate() {
-        let (b, i) = (idx / p.z, idx % p.z);
-        let pos = b * half + i;
-        if i < half && pos < n {
-            *slot = Slot::real(items[pos], labels[pos]);
-        }
+    {
+        let labels = draw_labels(scratch, items.len(), seed);
+        let group = first_group(nbins, p.gamma) * p.z;
+        build_layout(c, items, &labels, group, &mut slots);
     }
 
     let overflow = AtomicBool::new(false);
     {
         let mut t = Tracked::new(c, &mut slots);
         let total_bits = nbins.trailing_zeros();
-        let mut s = 0u32; // label bits consumed so far (LSB-first)
+        let mut s = 0u32; // bin-index bits consumed so far (LSB-first)
         while s < total_bits {
             let g_bits = (total_bits - s).min(p.gamma.trailing_zeros().max(1));
             level(
@@ -107,7 +103,8 @@ fn level<C: Ctx, V: Val>(
                 unsafe { lr.copy_from(c, &tr, bin * z, k * z, z) };
             }
         }
-        if bin_place(c, scratch, &mut local, g, z, s, engine).is_err() {
+        let shift = bin_shift(nbins) + s;
+        if bin_place(c, scratch, &mut local, g, z, shift, engine).is_err() {
             overflow.store(true, Ordering::Relaxed);
         }
         // Scatter back.
@@ -143,7 +140,7 @@ mod tests {
         let (layout, _) = with_retries(64, |a| meta_orba(&c, &sp, &its, p, 10 + a as u64));
         for (b, bin) in layout.slots.chunks(layout.z).enumerate() {
             for s in bin.iter().filter(|s| s.is_real()) {
-                assert_eq!(s.label() as usize, b);
+                assert_eq!(crate::rec_orba::bin_of(s.label(), layout.nbins), b);
             }
         }
         let total: usize = layout.loads().iter().sum();

@@ -1,29 +1,37 @@
 //! Oblivious random permutation (§C.3, §D.2).
 //!
-//! ORBA followed by a per-bin shake-out: every slot (real or filler) draws
-//! a fresh 64-bit label, which takes the high half of a real's `sk` while a
-//! filler's `sk` stays `u128::MAX`, each bin is sorted by `sk` with the
-//! oblivious engine, and the fillers are removed.
+//! ORBA, then the fillers are removed — and nothing in between. §C.3 gives
+//! every element a fresh label after ORBA and sorts each bin by it; here
+//! the label ORBA routes on is one uniform 64-bit draw whose top `log₂ β`
+//! bits are the bin and whose remaining bits are that tiebreak
+//! ([`mod@crate::rec_orba`]). Every placement orders a bin by full label, so
+//! after the last one the concatenated bins are the input **sorted by its
+//! random label**: for distinct labels the rank vector of `n` i.i.d. draws
+//! is a uniform permutation, and it is independent of the label *multiset*
+//! — hence of the bin loads the removal reveals and of whether two labels
+//! collided, which the multiset determines. (A bin overflow depends on
+//! where labels sit, not only on which there are; conditioning on its
+//! absence costs its probability in statistical distance, as it does for
+//! ORBA's bin assignment in the paper. DESIGN.md §4 row 7.)
+//!
 //! The final removal is allowed to be non-oblivious: the revealed per-bin
 //! loads are simulatable from `(n, Z)` alone, as argued in
 //! [CGLS18, ACN+20] (the loads are a balls-into-bins pattern independent of
 //! the input *values*).
 //!
-//! Label collisions between reals in one bin would bias the permutation;
-//! they are detected with a fixed-pattern scan and surface as
-//! [`OblivError::LabelCollision`] (probability ≤ Z²·β/2⁶⁴ — negligible).
+//! Two equal labels would tie the order to the input order; they are
+//! detected with a fixed-pattern scan over adjacent slots (equal labels
+//! share a bin and sort next to each other) and surface as
+//! [`OblivError::LabelCollision`] — a public retry of probability at most
+//! `n²/2⁶⁵ ≤ β²Z²/2⁶⁵` per attempt.
 
 use crate::error::{with_retries, OblivError, Result};
-use crate::rec_orba::{bins_for, rec_orba_into, OrbaParams};
+use crate::rec_orba::{bins_for, draw_labels, rec_orba_with_labels, OrbaParams};
 use crate::scan::{prefix_sum_in, Schedule};
 use crate::slot::{Item, Slot, Val};
 use fj::{grain_for, par_for, Ctx};
-use metrics::{par_fill, par_tracked_chunks, par_update, ScratchPool, Tracked};
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+use metrics::{par_fill, ScratchGuard, ScratchPool, Tracked};
 use std::sync::atomic::{AtomicBool, Ordering};
-
-const PERM_SALT: u64 = 0x5bd1_e995_7b93_babd;
 
 /// One attempt at an oblivious random permutation of `items`.
 pub fn orp_once<C: Ctx, V: Val>(
@@ -39,9 +47,9 @@ pub fn orp_once<C: Ctx, V: Val>(
 }
 
 /// [`orp_once`] writing the permuted items into caller-provided storage
-/// (typically a [`ScratchPool`] lease); every intermediate — the bin
-/// layout, butterfly scratch, permutation labels, loads — is leased, so a
-/// warm pool makes the whole attempt allocation-free.
+/// (typically a [`ScratchPool`] lease); every intermediate — the labels,
+/// the bin layout, butterfly scratch, loads — is leased, so a warm pool
+/// makes the whole attempt allocation-free.
 pub fn orp_once_into<C: Ctx, V: Val>(
     c: &C,
     scratch: &ScratchPool,
@@ -50,40 +58,28 @@ pub fn orp_once_into<C: Ctx, V: Val>(
     seed: u64,
     out: &mut [Item<V>],
 ) -> Result<()> {
+    let labels = draw_labels(scratch, items.len(), seed);
+    orp_once_with_labels(c, scratch, items, &labels, p, out)
+}
+
+/// The attempt on given labels: `out` is `items` in ascending label order,
+/// or an error if a bin overflows or two labels are equal.
+fn orp_once_with_labels<C: Ctx, V: Val>(
+    c: &C,
+    scratch: &ScratchPool,
+    items: &[Item<V>],
+    labels: &[u64],
+    p: OrbaParams,
+    out: &mut [Item<V>],
+) -> Result<()> {
     assert_eq!(out.len(), items.len());
     let nbins = bins_for(items.len(), p.z);
     let z = p.z;
     let mut slots = scratch.lease(nbins * z, Slot::<V>::filler());
-    rec_orba_into(c, scratch, items, p, seed, &mut slots)?;
+    rec_orba_with_labels(c, scratch, items, labels, p, &mut slots)?;
+    let t = Tracked::new(c, &mut slots);
 
-    // Fresh permutation labels for every slot; the draw order is fixed, so
-    // the stream depends only on (n, seed).
-    let mut rng = StdRng::seed_from_u64(seed ^ PERM_SALT);
-    let mut perm_labels = scratch.lease(nbins * z, 0u64);
-    for l in perm_labels.iter_mut() {
-        *l = rng.gen();
-    }
-    // One sweep: a real's `sk` becomes `permutation label ‖ bin label`, a
-    // filler stays `MAX`.
-    let mut t = Tracked::new(c, &mut slots);
-    {
-        let perm_labels = &*perm_labels;
-        par_update(c, &mut t, &|_, i, s| {
-            if s.is_real() {
-                s.with_phase_key(perm_labels[i])
-            } else {
-                s
-            }
-        });
-    }
-
-    // Sort each bin by permutation label (fillers sink to the end).
-    let engine = p.engine;
-    par_tracked_chunks(c, t.borrow_mut(), z, &|c, _, mut bin| {
-        engine.sort_slots(c, scratch, &mut bin);
-    });
-
-    // Detect label collisions among adjacent reals (fixed-pattern scan).
+    // Detect equal labels among adjacent reals (fixed-pattern scan).
     let collision = AtomicBool::new(false);
     par_for(c, 0, t.len(), grain_for(c), &|c, i| {
         if i % z == 0 {
@@ -91,7 +87,7 @@ pub fn orp_once_into<C: Ctx, V: Val>(
         }
         let (a, b) = (t.get(c, i - 1), t.get(c, i));
         c.work(1);
-        if a.is_real() && b.is_real() && a.phase_key() == b.phase_key() {
+        if a.is_real() && b.is_real() && a.label() == b.label() {
             collision.store(true, Ordering::Relaxed);
         }
     });
@@ -164,18 +160,26 @@ pub fn orp_into<C: Ctx, V: Val>(
     seed: u64,
     out: &mut [Item<V>],
 ) -> u32 {
+    orp_retrying(c, scratch, items, p, out, |attempt| {
+        let seed = seed.wrapping_add(0x9E37_79B9 * attempt as u64);
+        draw_labels(scratch, items.len(), seed)
+    })
+}
+
+/// The retry loop over a source of labels (fresh ones per attempt).
+fn orp_retrying<'s, C: Ctx, V: Val>(
+    c: &C,
+    scratch: &'s ScratchPool,
+    items: &[Item<V>],
+    p: OrbaParams,
+    out: &mut [Item<V>],
+    mut labels_for: impl FnMut(u32) -> ScratchGuard<'s, u64>,
+) -> u32 {
     let ((), attempts) = with_retries(64, |attempt| {
         if attempt > 0 {
             c.count(fj::counters::RETRIES, 1);
         }
-        orp_once_into(
-            c,
-            scratch,
-            items,
-            p,
-            seed.wrapping_add(0x9E37_79B9 * attempt as u64),
-            out,
-        )
+        orp_once_with_labels(c, scratch, items, &labels_for(attempt), p, out)
     });
     attempts
 }
@@ -248,6 +252,82 @@ mod tests {
                 "position {pos} hit {ct} times (expected ≈{expect})"
             );
         }
+    }
+
+    #[test]
+    fn every_one_of_the_24_orders_of_four_is_equally_likely() {
+        let c = SeqCtx::new();
+        let sp = ScratchPool::new();
+        let its = items(4);
+        let trials = 4800;
+        let mut counts: HashMap<Vec<u64>, usize> = HashMap::new();
+        for s in 0..trials {
+            let (out, _) = orp(&c, &sp, &its, small_params(), 77_000 + s);
+            *counts
+                .entry(out.iter().map(|i| i.val).collect())
+                .or_default() += 1;
+        }
+        assert_eq!(counts.len(), 24, "every order occurs");
+        let expect = trials as f64 / 24.0;
+        let chi2: f64 = counts
+            .values()
+            .map(|&ct| (ct as f64 - expect).powi(2) / expect)
+            .sum();
+        // 23 degrees of freedom: mean 23, and 60 is beyond the 99.99th
+        // percentile — a biased tiebreak lands far above it.
+        assert!(chi2 < 60.0, "χ² = {chi2} over {counts:?}");
+    }
+
+    /// 300 distinct labels spread over the 64 bins of `small_params`.
+    fn spread_labels() -> Vec<u64> {
+        (0..300u64)
+            .map(|i| i.wrapping_mul(0x9E37_79B9_7F4A_7C15))
+            .collect()
+    }
+
+    #[test]
+    fn output_is_the_input_in_label_order() {
+        // The defining property: whatever the labels are, one attempt
+        // returns the items sorted by them.
+        let c = SeqCtx::new();
+        let sp = ScratchPool::new();
+        let its = items(300);
+        let labels = spread_labels();
+        let mut out = vec![Item::default(); 300];
+        orp_once_with_labels(&c, &sp, &its, &labels, small_params(), &mut out).unwrap();
+        let mut expect = its.clone();
+        expect.sort_by_key(|i| labels[i.val as usize]);
+        assert_eq!(out, expect);
+    }
+
+    #[test]
+    fn equal_labels_are_a_collision_and_the_retry_recovers() {
+        let c = SeqCtx::new();
+        let sp = ScratchPool::new();
+        let its = items(300);
+        let mut tied = spread_labels();
+        tied[17] = tied[203];
+        let mut out = vec![Item::default(); 300];
+        assert_eq!(
+            orp_once_with_labels(&c, &sp, &its, &tied, small_params(), &mut out),
+            Err(OblivError::LabelCollision)
+        );
+        // Labels that differ only below the bin field still collide on
+        // nothing: same bin, distinct tiebreaks.
+        let mut close = spread_labels();
+        close[17] = close[203] ^ 1;
+        orp_once_with_labels(&c, &sp, &its, &close, small_params(), &mut out).unwrap();
+
+        // `orp_into`'s loop: a tied draw, then a clean one.
+        let attempts = orp_retrying(&c, &sp, &its, small_params(), &mut out, |attempt| {
+            let mut lease = sp.lease(300, 0u64);
+            lease.copy_from_slice(if attempt == 0 { &tied } else { &close });
+            lease
+        });
+        assert_eq!(attempts, 2);
+        let mut expect = its.clone();
+        expect.sort_by_key(|i| close[i.val as usize]);
+        assert_eq!(out, expect);
     }
 
     #[test]

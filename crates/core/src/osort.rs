@@ -1,10 +1,10 @@
 //! Full oblivious sorting pipelines (§3.3, §3.4).
 //!
 //! The paper's blueprint: obliviously *randomly permute* the input (ORP =
-//! REC-ORBA + per-bin shake-out), then sort the permuted array with any
-//! comparison-based algorithm — the random permutation decorrelates the
-//! comparison pattern from the input (made airtight by composite tiebreak
-//! keys so all comparisons are strict).
+//! REC-ORBA on labels that carry their own tiebreak), then sort the
+//! permuted array with any comparison-based algorithm — the random
+//! permutation decorrelates the comparison pattern from the input (made
+//! airtight by composite tiebreak keys so all comparisons are strict).
 //!
 //! Two configurations are exposed:
 //!
@@ -241,12 +241,15 @@ mod tests {
 
     #[test]
     fn trace_is_input_independent_for_distinct_keys() {
-        // For fixed coins, any two inputs with distinct keys yield the same
-        // trace: after ORP the comparison pattern is a function of the
-        // (seed-determined) permutation and the rank order, which the
-        // composite tiebreaks make identical across such inputs... for the
-        // ORP phase unconditionally, and for the comparison phase because
-        // the rank pattern of the permuted array depends only on the seed.
+        // For fixed coins, these inputs yield the same trace: the ORP
+        // phase unconditionally, and the comparison phase because at this
+        // size REC-SORT is a single base case (`β ≤ γ`), one fixed sorting
+        // network over `next_pow2(n)` slots. The rank pattern of the
+        // permuted array is *not* a function of the seed alone — one
+        // permutation applied to the identity and to its reverse gives
+        // different rank sequences — so above one base case the pivot
+        // routing is distributionally oblivious and only trace lengths
+        // agree (`examples/private_analytics.rs`).
         let n = 1500;
         let run = |keys: Vec<u64>| {
             let (_, rep) = measure(CacheConfig::default(), TraceMode::Hash, |c| {

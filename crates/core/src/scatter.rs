@@ -30,7 +30,7 @@
 //! retry-with-larger-`Z` as a deliberate public signal (see `dob-store`'s
 //! routing fallback).
 
-use crate::binplace::place;
+use crate::binplace::{place, Input};
 use crate::engine::Engine;
 use crate::error::Result;
 use crate::slot::{Slot, Val};
@@ -65,7 +65,7 @@ pub fn oblivious_scatter<C: Ctx, V: Val>(
         c,
         scratch,
         &mut Tracked::new(c, &mut out),
-        items.len().next_power_of_two(),
+        Input::Prefix(items.len().next_power_of_two()),
         nbins,
         zcap,
         engine,

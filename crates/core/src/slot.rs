@@ -3,9 +3,9 @@
 //! Public inputs are [`Item`]s — a 128-bit sort key plus a `Copy` payload.
 //! Internally, algorithms work on [`Slot`]s: a cell plus a payload. The
 //! 128-bit scratch key `sk` is the only bookkeeping lane — the phase key
-//! (ORBA group, ORP permutation label, placement target, REC-SORT key)
-//! rides in its high half, the routing *label* (the random bin choice of
-//! ORBA, §C.2) in its low half, and `sk == u128::MAX` *is* the padding
+//! (ORBA group, placement target, REC-SORT key) rides in its high half,
+//! the routing *label* (ORBA's random draw, §C.2: bin in the top bits,
+//! ORP's tiebreak below) in its low half, and `sk == u128::MAX` *is* the padding
 //! element `⊥`, exactly as `tag == MAX` is a filler [`TagCell`]. A
 //! `Slot<()>` is 32 bytes and lane for lane a `TagCell` (`sk` = `tag`,
 //! `item.key` = `aux`) — [`crate::Engine::sort_slots`] sorts it as one;
@@ -95,15 +95,16 @@ impl<V: Val> Slot<V> {
         }
     }
 
-    /// The routing label: the element's random bin choice (ORBA) or its
-    /// destination bin (scatter). Meaningless in a filler.
+    /// The routing label: the element's random draw (ORBA: bin in the top
+    /// bits, tiebreak below) or its destination bin (scatter). Meaningless
+    /// in a filler.
     #[inline]
     pub fn label(&self) -> u64 {
         self.sk as u64
     }
 
-    /// The phase key (high half of `sk`): ORBA group, placement target or
-    /// ORP permutation label. `u64::MAX` in a filler.
+    /// The phase key (high half of `sk`): ORBA group or placement target.
+    /// `u64::MAX` in a filler.
     #[inline]
     pub fn phase_key(&self) -> u64 {
         (self.sk >> 64) as u64

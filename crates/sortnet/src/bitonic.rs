@@ -9,7 +9,7 @@
 //! `E1.bitonic` experiment.
 
 use crate::cx::{cex, Gate};
-use fj::{counters, par_for, Ctx, DEFAULT_GRAIN};
+use fj::{counters, grain_for, par_for, Ctx, DEFAULT_GRAIN};
 use metrics::Tracked;
 
 /// The `log k` comparator levels that merge every aligned `k`-block of
@@ -43,11 +43,26 @@ fn merge_levels<C: Ctx, T: Copy>(
 }
 
 /// Sequential bitonic sort of a power-of-two-length slice.
-pub fn bitonic_sort_seq<C: Ctx, T: Copy>(
+pub fn bitonic_sort_seq<C: Ctx, T: Copy + Send>(
     c: &C,
     t: &mut Tracked<'_, T>,
     gate: &impl Gate<T>,
     up: bool,
+) {
+    bitonic_sort_seq_from_runs(c, t, gate, up, 1)
+}
+
+/// [`bitonic_sort_seq`] of an input made of aligned `run`-blocks (a power
+/// of two) that are each ascending already: the levels `k ≤ run` are not
+/// run. They would have left the block at `s` sorted in direction
+/// `((s & run) == 0) == up`, so the blocks that are wanted descending are
+/// [`reverse`]d and the network resumes at `k = 2·run`.
+pub(crate) fn bitonic_sort_seq_from_runs<C: Ctx, T: Copy + Send>(
+    c: &C,
+    t: &mut Tracked<'_, T>,
+    gate: &impl Gate<T>,
+    up: bool,
+    run: usize,
 ) {
     let n = t.len();
     if n <= 1 {
@@ -57,11 +72,54 @@ pub fn bitonic_sort_seq<C: Ctx, T: Copy>(
         n.is_power_of_two(),
         "bitonic sort requires power-of-two length, got {n}"
     );
+    assert!(run.is_power_of_two() && run <= n, "run {run} of {n}");
     c.count(counters::SORTS, 1);
-    let mut k = 2;
+    if run > 1 {
+        for s in (0..n).step_by(run) {
+            if ((s & run) == 0) != up {
+                reverse(c, &mut t.range(s, s + run));
+            }
+        }
+    }
+    let mut k = 2 * run;
     while k <= n {
         merge_levels(c, t, gate, k, up);
         k *= 2;
+    }
+}
+
+/// Reverse `t` in place: `⌊len/2⌋` swaps of `t[i]` with `t[len − 1 − i]`,
+/// a fixed pattern. The front half and the back half are split together,
+/// `lo[..k]` with its mirror image `hi[len − k..]`, so a task holds `&mut`
+/// to exactly the cells it swaps; below a grain the swaps are sequential.
+pub(crate) fn reverse<C: Ctx, T: Copy + Send>(c: &C, t: &mut Tracked<'_, T>) {
+    let (len, half) = (t.len(), t.len() / 2);
+    let (lo, mut rest) = t.split_at_mut(half);
+    let hi = rest.range(len - 2 * half, len - half);
+    swap_mirrored(c, lo, hi, grain_for(c));
+
+    fn swap_mirrored<C: Ctx, T: Copy + Send>(
+        c: &C,
+        mut lo: Tracked<'_, T>,
+        mut hi: Tracked<'_, T>,
+        grain: usize,
+    ) {
+        let k = lo.len();
+        if k <= grain.max(1) {
+            for i in 0..k {
+                let (a, z) = (lo.get(c, i), hi.get(c, k - 1 - i));
+                lo.set(c, i, z);
+                hi.set(c, k - 1 - i, a);
+            }
+            return;
+        }
+        let mid = k / 2;
+        let (lo_front, lo_back) = lo.split_at_mut(mid);
+        let (hi_front, hi_back) = hi.split_at_mut(k - mid);
+        c.join(
+            move |c| swap_mirrored(c, lo_front, hi_back, grain),
+            move |c| swap_mirrored(c, lo_back, hi_front, grain),
+        );
     }
 }
 

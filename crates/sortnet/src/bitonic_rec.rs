@@ -15,7 +15,7 @@
 //! which is Theorem E.1. The recursion structure mirrors the FFT algorithm
 //! of Frigo et al. and is shared with REC-ORBA/REC-SORT in `obliv-core`.
 
-use crate::bitonic::{bitonic_merge_seq, bitonic_sort_seq};
+use crate::bitonic::{bitonic_merge_seq, bitonic_sort_seq_from_runs, reverse};
 use crate::cx::Gate;
 use crate::transpose::transpose;
 use fj::{base_for, counters, Ctx};
@@ -119,6 +119,26 @@ pub fn bitonic_sort_rec<C: Ctx, T: Copy + Send>(
     gate: &impl Gate<T>,
     up: bool,
 ) {
+    bitonic_sort_rec_from_runs(c, t, tmp, gate, up, 1)
+}
+
+/// [`bitonic_sort_rec`] of an input made of aligned `run`-blocks (a power
+/// of two) that are each **ascending** already — sorted runs are merged,
+/// not re-sorted. It is the same recursion cut off at `run`: a block of at
+/// most `run` elements is a sorted leaf, reversed in place when the
+/// recursion wants it descending, and only the merges above the leaves run
+/// — `Σ_{k = log run + 1}^{log n} k` comparator layers instead of
+/// `Σ_{k = 1}^{log n} k`. `run = 1` is the sort. The trace is a function
+/// of `(n, run)`; on an input that breaks the contract the network still
+/// runs it and permutes `t`, it just does not sort.
+pub fn bitonic_sort_rec_from_runs<C: Ctx, T: Copy + Send>(
+    c: &C,
+    t: &mut Tracked<'_, T>,
+    tmp: &mut Tracked<'_, T>,
+    gate: &impl Gate<T>,
+    up: bool,
+    run: usize,
+) {
     let n = t.len();
     debug_assert_eq!(tmp.len(), n);
     if n <= 1 {
@@ -128,22 +148,34 @@ pub fn bitonic_sort_rec<C: Ctx, T: Copy + Send>(
         n.is_power_of_two(),
         "bitonic sort requires power-of-two length, got {n}"
     );
+    assert!(run.is_power_of_two(), "run length {run}");
+    if n <= run {
+        if !up {
+            reverse(c, t);
+        }
+        return;
+    }
     if n <= base_for(c, size_of::<T>()) {
-        bitonic_sort_seq(c, t, gate, up);
+        bitonic_sort_seq_from_runs(c, t, gate, up, run);
         return;
     }
     c.count(counters::SORTS, 1);
-    {
+    if n / 2 <= run {
+        // Both halves are leaves and exactly one of them is the wrong way
+        // round: nothing to fork for.
+        let (mut t_lo, mut t_hi) = t.split_at_mut(n / 2);
+        reverse(c, if up { &mut t_hi } else { &mut t_lo });
+    } else {
         let (t_lo, t_hi) = t.split_at_mut(n / 2);
         let (s_lo, s_hi) = tmp.split_at_mut(n / 2);
         c.join(
             move |c| {
                 let (mut t_lo, mut s_lo) = (t_lo, s_lo);
-                bitonic_sort_rec(c, &mut t_lo, &mut s_lo, gate, up);
+                bitonic_sort_rec_from_runs(c, &mut t_lo, &mut s_lo, gate, up, run);
             },
             move |c| {
                 let (mut t_hi, mut s_hi) = (t_hi, s_hi);
-                bitonic_sort_rec(c, &mut t_hi, &mut s_hi, gate, !up);
+                bitonic_sort_rec_from_runs(c, &mut t_hi, &mut s_hi, gate, !up, run);
             },
         );
     }
@@ -353,15 +385,174 @@ mod tests {
         );
 
         let (mut v, key) = (scrambled(N), |x: &u64| *x as u128);
-        let by_closure = golden(&mut v, |c, t, s| bitonic_sort_rec(c, t, s, &key, true));
+        // The sort is the sort-from-runs at `run = 1`, bit for bit.
+        let by_closure = golden(&mut v, |c, t, s| {
+            bitonic_sort_rec_from_runs(c, t, s, &key, true, 1)
+        });
         assert_eq!(
             by_closure,
             [0x10eaa4825f2608e5, 0xc4000, 0xda286, 0x1590, 0x27000, 0x200]
         );
     }
 
+    /// `v` cut into ascending `run`-blocks, sorted from them under the
+    /// meter: the result and `[trace_hash, trace_len, work, span,
+    /// comparisons]`.
+    fn from_runs_metered(mut v: Vec<u64>, run: usize, up: bool) -> (Vec<u64>, [u64; 5]) {
+        v.chunks_mut(run).for_each(|r| r.sort_unstable());
+        let (_, rep) = measure(CacheConfig::default(), TraceMode::Hash, |c| {
+            let mut tmp = vec![0u64; v.len()];
+            let mut t = Tracked::new(c, &mut v);
+            let mut s = Tracked::new(c, &mut tmp);
+            bitonic_sort_rec_from_runs(c, &mut t, &mut s, &key64, up, run);
+        });
+        let costs = [
+            rep.trace_hash,
+            rep.trace_len,
+            rep.work,
+            rep.span,
+            rep.comparisons,
+        ];
+        (v, costs)
+    }
+
+    #[test]
+    fn from_runs_trace_is_a_function_of_length_and_run() {
+        // 256 > the metered base case of 32, so runs below, at and above
+        // the base are all covered, and both leaf directions.
+        let n = 256;
+        let mut per_run = Vec::new();
+        for run in (0..=8).map(|k| 1usize << k) {
+            let inputs = [
+                scrambled(n),
+                (0..n as u64).collect(),
+                vec![7; n],
+                // Ragged runs padded with fillers (`MAX` sorts last).
+                (0..n as u64)
+                    .map(|i| if i % 3 == 0 { u64::MAX } else { i % 11 })
+                    .collect(),
+            ];
+            let costs: Vec<[u64; 5]> = inputs
+                .into_iter()
+                .map(|v| {
+                    let (out, costs) = from_runs_metered(v, run, true);
+                    assert!(out.windows(2).all(|w| w[0] <= w[1]), "run {run}");
+                    costs
+                })
+                .collect();
+            assert!(costs.windows(2).all(|w| w[0] == w[1]), "run {run}");
+            per_run.push(costs[0]);
+        }
+        // Longer runs leave fewer layers: comparisons strictly fall, to
+        // none at all for a single run.
+        assert!(per_run.windows(2).all(|w| w[0][4] > w[1][4]));
+        assert_eq!(per_run[8][4], 0);
+        // 4 runs of 64 in 256: layers 7 + 8 of the 36, n/2 comparators each.
+        assert_eq!(per_run[6][4], (7 + 8) * 128);
+    }
+
+    #[test]
+    fn from_runs_on_host_and_pool_above_the_base_case() {
+        // 2¹⁴ `u64`s are four host base cases: runs shorter than, equal to
+        // and longer than one, leaves reversed by forked swaps on the pool.
+        let n = 1 << 14;
+        let mut expect = scrambled(n);
+        expect.sort_unstable();
+        let pool = Pool::new(4);
+        for run in [1usize, 64, 4096, 8192, n] {
+            for up in [true, false] {
+                let sorted = |v: &[u64]| v.windows(2).all(|w| w[0] == w[1] || (w[0] < w[1]) == up);
+                let mut v = scrambled(n);
+                v.chunks_mut(run).for_each(|r| r.sort_unstable());
+                let mut on_pool = v.clone();
+                let (mut tmp, mut tmp2) = (vec![0u64; n], vec![0u64; n]);
+                let c = SeqCtx::new();
+                bitonic_sort_rec_from_runs(
+                    &c,
+                    &mut Tracked::new(&c, &mut v),
+                    &mut Tracked::new(&c, &mut tmp),
+                    &key64,
+                    up,
+                    run,
+                );
+                pool.run(|p| {
+                    bitonic_sort_rec_from_runs(
+                        p,
+                        &mut Tracked::new(p, &mut on_pool),
+                        &mut Tracked::new(p, &mut tmp2),
+                        &key64,
+                        up,
+                        run,
+                    )
+                });
+                assert!(sorted(&v), "run {run} up {up}");
+                assert_eq!(v, on_pool, "run {run} up {up}");
+                v.sort_unstable();
+                assert_eq!(v, expect);
+            }
+        }
+    }
+
+    #[test]
+    fn from_runs_breaking_the_contract_still_permutes() {
+        let c = SeqCtx::new();
+        let mut v = scrambled(4096);
+        let mut tmp = vec![0u64; 4096];
+        let mut t = Tracked::new(&c, &mut v);
+        let mut s = Tracked::new(&c, &mut tmp);
+        bitonic_sort_rec_from_runs(&c, &mut t, &mut s, &key64, true, 64);
+        let mut expect = scrambled(4096);
+        expect.sort_unstable();
+        assert!(v != expect, "unsorted runs are not sorted by a merge");
+        v.sort_unstable();
+        assert_eq!(v, expect, "no element lost or duplicated");
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// Sort-from-runs equals the full sort for every run length, both
+        /// directions, duplicate keys and fillers included — under the
+        /// meter (base case 32) and on the host executor (an L1's worth).
+        #[test]
+        fn prop_from_runs_equals_sort(
+            lg_n in 0u32..10,
+            draws in proptest::collection::vec((0u8..4, any::<u64>()), 512),
+            up in any::<bool>(),
+        ) {
+            let n = 1usize << lg_n;
+            let keys: Vec<u64> = draws
+                .iter()
+                .map(|&(kind, x)| match kind {
+                    0 => x % 8,
+                    1 => u64::MAX,
+                    _ => x,
+                })
+                .collect();
+            let mut expect = keys[..n].to_vec();
+            expect.sort_unstable();
+            if !up {
+                expect.reverse();
+            }
+            for run in (0..=lg_n).map(|k| 1usize << k) {
+                let (metered, _) = from_runs_metered(keys[..n].to_vec(), run, up);
+                prop_assert_eq!(&metered, &expect, "metered, run {}", run);
+                let mut v = keys[..n].to_vec();
+                v.chunks_mut(run).for_each(|r| r.sort_unstable());
+                let mut tmp = vec![0u64; n];
+                let c = SeqCtx::new();
+                bitonic_sort_rec_from_runs(
+                    &c,
+                    &mut Tracked::new(&c, &mut v),
+                    &mut Tracked::new(&c, &mut tmp),
+                    &key64,
+                    up,
+                    run,
+                );
+                prop_assert_eq!(&v, &expect, "host, run {}", run);
+            }
+        }
+
         #[test]
         fn prop_rec_sorts(v in proptest::collection::vec(any::<u64>(), 0..300)) {
             let n = v.len().next_power_of_two().max(1);

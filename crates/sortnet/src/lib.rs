@@ -39,7 +39,8 @@ pub mod vec;
 
 pub use bitonic::{bitonic_merge_seq, bitonic_sort_flat_par, bitonic_sort_seq};
 pub use bitonic_rec::{
-    bitonic_merge_rec, bitonic_sort_rec, par_rows2, sort_slice_rec, sort_slice_rec_in,
+    bitonic_merge_rec, bitonic_sort_rec, bitonic_sort_rec_from_runs, par_rows2, sort_slice_rec,
+    sort_slice_rec_in,
 };
 pub use cx::{cex, select_u128, select_u64, Gate};
 pub use network::{Comparator, Network};

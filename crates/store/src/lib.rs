@@ -82,8 +82,7 @@
 //! drives the crash-point chaos suite in `tests/fault_injection.rs` from
 //! seeded, *public* fault schedules.
 
-// One raw view in the crate: `router::reverse_odd_blocks`.
-#![deny(unsafe_code)]
+#![forbid(unsafe_code)]
 
 mod error;
 mod merge;

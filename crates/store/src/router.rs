@@ -14,9 +14,10 @@
 //!
 //! [`gather_results`] is the send-receive return trip: per-shard results,
 //! tagged with their submission index, arrive as one ascending run per
-//! shard (the scatter was stable) and are merged pairwise back to
-//! submission order — bitonic merges, not a sort — followed by a
-//! fixed-prefix readout of the whole padded batch. The gather rides the
+//! shard (the scatter was stable) and are merged back to submission order
+//! — the engine's sort-from-runs, the same merge of sorted runs ORBA's
+//! placements use, not a sort — followed by a fixed-prefix readout of the
+//! whole padded batch. The gather rides the
 //! tag-sort fast path (DESIGN.md §10): each result packs into one 32-byte
 //! [`TagCell`] — submission index in the tag lane, `(agg ‖ found ‖ val)` in
 //! the payload lane — so the return-trip network moves dense cells instead
@@ -24,8 +25,8 @@
 
 use crate::merge::ENGINE;
 use crate::op::{kind, FlatOp, MIN_CLASS};
-use fj::{grain_for, par_for, Ctx};
-use metrics::{par_tracked_chunks, ScratchPool, Tracked};
+use fj::Ctx;
+use metrics::{ScratchPool, Tracked};
 use obliv_core::scatter::oblivious_scatter;
 use obliv_core::{Item, Result, Slot, TagCell};
 
@@ -141,10 +142,11 @@ pub(crate) fn route_ops<C: Ctx>(
 /// **Input contract:** every run is ascending by submission index with its
 /// padding (`u64::MAX`) last. [`route_ops`] scatters stably and a shard
 /// answers its sub-batch slot for slot, so the runs `commit_split` hands
-/// over always are. Sorted runs are merged, not re-sorted: `log₂ shards`
-/// rounds of pairwise bitonic merges (`O(n log n)` comparators in total
-/// against the `O(n log² n)` of a sort), then a fixed-prefix readout of
-/// the whole padded batch class `b`.
+/// over always are. Sorted runs are merged, not re-sorted
+/// ([`obliv_core::Engine::sort_cells_from_runs`]: `log₂ shards` rounds of
+/// bitonic merges, `O(n log n)` comparators in total against the
+/// `O(n log² n)` of a sort), then a fixed-prefix readout of the whole
+/// padded batch class `b`.
 pub(crate) fn gather_results<C: Ctx>(
     c: &C,
     scratch: &ScratchPool,
@@ -160,13 +162,9 @@ pub(crate) fn gather_results<C: Ctx>(
             .all(|w| w[0].0 < w[1].0 || w[1].0 == u64::MAX)),
         "gather runs must ascend by submission index, padding last"
     );
-    // Odd runs are laid down back to front, so every pair of runs is one
-    // bitonic sequence.
     let mut cells = scratch.lease(n, TagCell::filler());
-    for (j, &(i, v)) in entries.iter().enumerate() {
-        let (run, z) = (j / zcap, j % zcap);
-        let at = if run % 2 == 1 { zcap - 1 - z } else { z };
-        cells[run * zcap + at] = if i == u64::MAX {
+    for (cell, &(i, v)) in cells.iter_mut().zip(entries) {
+        *cell = if i == u64::MAX {
             TagCell::filler()
         } else {
             TagCell::new(
@@ -178,17 +176,7 @@ pub(crate) fn gather_results<C: Ctx>(
     c.charge_par(n as u64);
 
     let mut t = Tracked::new(c, &mut cells);
-    let mut w = zcap;
-    while w < n {
-        // Every `2w`-block is [ascending | descending]: one merge each.
-        par_tracked_chunks(c, t.borrow_mut(), 2 * w, &|c, _, mut block| {
-            ENGINE.merge_cells(c, scratch, &mut block);
-        });
-        w *= 2;
-        if w < n {
-            reverse_odd_blocks(c, &mut t, w);
-        }
-    }
+    ENGINE.sort_cells_from_runs(c, scratch, &mut t, zcap);
 
     // Fixed-pattern readout over the whole padded batch prefix — reading
     // fewer slots would leak the real op count within the class.
@@ -205,24 +193,6 @@ pub(crate) fn gather_results<C: Ctx>(
             }
         }
     })
-}
-
-/// Reverse every odd `w`-block of `t` in place: the merges leave every
-/// block ascending and the next round wants the odd ones descending again.
-/// Fixed pattern, `|t|/4` swaps in one flat loop — a task owns two mirrored
-/// cells, which no slice split hands out, so this is the crate's one raw
-/// view.
-#[allow(unsafe_code)]
-fn reverse_odd_blocks<C: Ctx>(c: &C, t: &mut Tracked<'_, TagCell>, w: usize) {
-    let tr = t.as_raw();
-    par_for(c, 0, tr.len() / 4, grain_for(c), &|c, j| unsafe {
-        // SAFETY: swap `j` owns its two cells.
-        let (block, i) = (j / (w / 2), j % (w / 2));
-        let (lo, hi) = ((2 * block + 1) * w + i, (2 * block + 2) * w - 1 - i);
-        let (a, z) = (tr.get(c, lo), tr.get(c, hi));
-        tr.set(c, lo, z);
-        tr.set(c, hi, a);
-    });
 }
 
 #[cfg(test)]
@@ -348,7 +318,7 @@ mod tests {
         let vals: Vec<u64> = out.iter().map(|r| r.val).collect();
         assert_eq!(vals, (0..8).map(|j| j * 10).collect::<Vec<u64>>());
         assert!(out.iter().all(|r| r.found && !r.agg));
-        // Eight runs: three merge rounds, two of them behind a reversal.
+        // Eight runs: three merge rounds over leaves of both directions.
         let idx: Vec<Vec<u64>> = (0..8u64)
             .map(|s| (0..32).filter(|j| j % 11 % 8 == s).collect())
             .collect();
