@@ -38,8 +38,10 @@
 
 use crate::slot::{sk_of, Slot, Val};
 use fj::{base_for, grain_for, par_for, Ctx};
-use metrics::{RawTracked, Tracked};
-use sortnet::Gate;
+use metrics::Tracked;
+use sortnet::{active_backend, level_index, Gate, TagCell};
+use std::mem::{align_of, size_of};
+use std::ops::Range;
 use std::sync::atomic::{AtomicBool, Ordering};
 
 /// Move every real slot of `t` (power-of-two length) to the target held in
@@ -54,6 +56,12 @@ use std::sync::atomic::{AtomicBool, Ordering};
 /// [`crate::set_keys`] overwrites the high half. Fillers are moved, never
 /// rewritten.
 ///
+/// A slot with a zero-sized payload is laid out like a [`TagCell`] and is
+/// moved as one, a grain of pairs at a time through the cell gate's
+/// [`swap_level`](sortnet::Backend::swap_level) — the same pairs, trace
+/// and counters, 256-bit exchanges where the hardware has them (DESIGN.md
+/// §14 has the pairs that justify it).
+///
 /// Returns `true` iff no pair held two reals bound for the same half —
 /// guaranteed for monotone input (module docs). Otherwise some reals sit
 /// off their targets, none is lost, and the access pattern is the same.
@@ -64,75 +72,104 @@ pub fn expand<C: Ctx, V: Val>(c: &C, t: &mut Tracked<'_, Slot<V>>) -> bool {
         "expansion requires power-of-two length, got {m}"
     );
     let collided = AtomicBool::new(false);
-    let base = base_for(c, std::mem::size_of::<Slot<V>>());
-    spread(c, &t.as_raw(), 0, m, base, &collided);
+    let base = base_for(c, size_of::<Slot<V>>());
+    if size_of::<Slot<V>>() == size_of::<TagCell>()
+        && align_of::<Slot<V>>() == align_of::<TagCell>()
+    {
+        // SAFETY: as in `Engine::sort_slots_from_runs` — both types are
+        // `repr(C)` and at equal size two `u128` lanes are all of either.
+        let cells = unsafe { t.cast::<TagCell>() }.as_raw();
+        let gate = active_backend();
+        spread(c, 0, m, base, &collided, &|c, h, pairs| {
+            let mut clash = false;
+            let judge = |i, l, r| {
+                let (swap, clashed) = verdict(i, h, l, r);
+                clash |= clashed;
+                swap
+            };
+            // SAFETY: `spread` hands out disjoint chunks of pairs of `t`.
+            unsafe { gate.swap_level(c, &cells, h, pairs, judge) };
+            clash
+        });
+    } else {
+        let slots = t.as_raw();
+        spread(c, 0, m, base, &collided, &|c, h, pairs| {
+            let mut clash = false;
+            for i in pairs.map(|p| level_index(p, h)) {
+                // SAFETY: as above.
+                unsafe {
+                    let (l, r) = (slots.get(c, i), slots.get(c, i + h));
+                    c.work(1);
+                    let (swap, clashed) = verdict(i, h, l.sk, r.sk);
+                    clash |= clashed;
+                    let (x, y) = Gate::route(&sk_of::<V>, swap, l, r);
+                    slots.set(c, i, x);
+                    slots.set(c, i + h, y);
+                }
+            }
+            clash
+        });
+    }
     !collided.load(Ordering::Relaxed)
+}
+
+/// The verdict of the pair `(i, i + h)` of a level of half-width `h`,
+/// whose slots' `sk`s are `l` and `r`: whether it swaps — the left slot is
+/// a real bound for the upper half of its block, or the right one a real
+/// bound for the lower — and whether it is a collision (two reals, one
+/// half). Blocks are aligned, so the upper half starts where `i`'s low
+/// `log h` bits run out; a target is a position, so the filler's all-ones
+/// phase key is the one value that is bound nowhere. Four range tests on
+/// the high halves, no 128-bit compare.
+#[inline(always)]
+fn verdict(i: usize, h: usize, l: u128, r: u128) -> (bool, bool) {
+    let mid = ((i | (h - 1)) + 1) as u64;
+    let up = |sk: u128| ((sk >> 64) as u64).wrapping_sub(mid) < !mid;
+    let down = |sk: u128| ((sk >> 64) as u64) < mid;
+    (up(l) | down(r), (up(l) & up(r)) | (down(l) & down(r)))
 }
 
 /// Send the reals of the aligned block `[lo, lo + n)` to their targets:
 /// one swap level across the halves, then both halves (in parallel above
-/// `base`, level by level below it).
-fn spread<C: Ctx, V: Val>(
+/// `base`, level by level below it). `swap(c, h, pairs)` runs the pairs
+/// numbered `pairs` of the level of half-width `h` — pair `p` is
+/// `(i, i + h)`, `i = `[`level_index`]`(p, h)` — in that order and says
+/// whether one collided.
+fn spread<C: Ctx>(
     c: &C,
-    t: &RawTracked<Slot<V>>,
     lo: usize,
     n: usize,
     base: usize,
     collided: &AtomicBool,
+    swap: &(impl Fn(&C, usize, Range<usize>) -> bool + Sync),
 ) {
+    // One swap level over `[lo, lo + n)`: every aligned block of width
+    // `w` in it sorts its reals into the half their target names, a grain
+    // of pairs at a time — the level's `n/2` pairs, block by block, are
+    // one `par_for`. `lo` is a multiple of `n`, hence of `w`: `lo / 2`
+    // pairs precede it.
+    let swap_level = |c: &C, w: usize| {
+        let (first, end, grain) = (lo / 2, (lo + n) / 2, grain_for(c));
+        par_for(c, 0, (n / 2).div_ceil(grain), 1, &|c, k| {
+            let pairs = first + k * grain..end.min(first + (k + 1) * grain);
+            if swap(c, w / 2, pairs) {
+                collided.store(true, Ordering::Relaxed);
+            }
+        });
+    };
     if n <= base {
         let mut w = n;
         while w >= 2 {
-            swap_level(c, t, lo, n, w, collided);
+            swap_level(c, w);
             w /= 2;
         }
         return;
     }
-    swap_level(c, t, lo, n, n, collided);
+    swap_level(c, n);
     c.join(
-        |c| spread(c, t, lo, n / 2, base, collided),
-        |c| spread(c, t, lo + n / 2, n / 2, base, collided),
+        |c| spread(c, lo, n / 2, base, collided, swap),
+        |c| spread(c, lo + n / 2, n / 2, base, collided, swap),
     );
-}
-
-/// One swap level over `[lo, lo + n)`: every aligned block of width `w` in
-/// it sorts its reals into the half their target names, a grain of pairs
-/// at a time.
-fn swap_level<C: Ctx, V: Val>(
-    c: &C,
-    t: &RawTracked<Slot<V>>,
-    lo: usize,
-    n: usize,
-    w: usize,
-    collided: &AtomicBool,
-) {
-    let h = w / 2;
-    let grain = grain_for(c);
-    par_for(c, 0, n / w, (grain / h).max(1), &|c, b| {
-        let lo = lo + b * w;
-        let mid = (lo + h) as u64;
-        par_for(c, 0, h.div_ceil(grain), 1, &|c, k| {
-            let mut clash = false;
-            for i in lo + k * grain..lo + h.min((k + 1) * grain) {
-                // SAFETY: the caller owns `[lo, lo + n)`; blocks, and the
-                // runs of one block, are disjoint.
-                let (l, r) = unsafe { (t.get(c, i), t.get(c, i + h)) };
-                c.work(1);
-                let l_up = l.is_real() & (l.phase_key() >= mid);
-                let r_down = r.is_real() & (r.phase_key() < mid);
-                clash |= l.is_real() & r.is_real() & (l_up != r_down);
-                let (x, y) = Gate::route(&sk_of::<V>, l_up | r_down, l, r);
-                // SAFETY: as the reads above.
-                unsafe {
-                    t.set(c, i, x);
-                    t.set(c, i + h, y);
-                }
-            }
-            if clash {
-                collided.store(true, Ordering::Relaxed);
-            }
-        });
-    });
 }
 
 #[cfg(test)]
@@ -142,15 +179,16 @@ mod tests {
     use fj::{Pool, SeqCtx};
     use metrics::{measure, CacheConfig, TraceMode};
 
-    /// Slots for a pattern: `Some(d)` is a real (valued by its index `i`)
-    /// bound for position `i + d`, `None` a filler.
-    fn slots_of(pattern: &[Option<usize>]) -> Vec<Slot<u64>> {
+    /// Slots for a pattern: `Some(d)` is a real (keyed by its index `i`)
+    /// bound for position `i + d`, `None` a filler. `V = ()` takes the cell
+    /// gate's swap run, any other payload the closure gate's `route`.
+    fn slots_of<V: Val>(pattern: &[Option<usize>]) -> Vec<Slot<V>> {
         pattern
             .iter()
             .enumerate()
             .map(|(i, d)| match d {
                 Some(d) => {
-                    Slot::real(Item::new(i as u128, i as u64), 7).with_phase_key((i + d) as u64)
+                    Slot::real(Item::new(i as u128, V::default()), 7).with_phase_key((i + d) as u64)
                 }
                 None => Slot::filler(),
             })
@@ -160,15 +198,15 @@ mod tests {
     /// Check `expand` against the obvious reference: real `i` at `i + d`
     /// with its target and label still in `sk`, canonical fillers
     /// everywhere else.
-    fn check(c: &SeqCtx, pattern: &[Option<usize>]) {
-        let mut v = slots_of(pattern);
+    fn check<V: Val + PartialEq + std::fmt::Debug>(c: &SeqCtx, pattern: &[Option<usize>]) {
+        let mut v = slots_of::<V>(pattern);
         let ok = expand(c, &mut Tracked::new(c, &mut v));
         assert!(ok, "collision on admissible pattern {pattern:?}");
         for (i, d) in pattern.iter().enumerate() {
             if let Some(d) = d {
                 let s = &v[i + d];
                 assert!(
-                    s.is_real() && s.item.val == i as u64 && s.label() == 7,
+                    s.is_real() && s.item.key == i as u128 && s.label() == 7,
                     "real {i} of {pattern:?} is not at {}",
                     i + d
                 );
@@ -211,13 +249,14 @@ mod tests {
     fn expand_exhaustive_small_patterns() {
         // Every real/filler pattern with every admissible (non-decreasing,
         // in-bounds) displacement vector at m = 1 … 16: the no-collision
-        // argument on all 3 524 578 cases of m = 16.
+        // argument on all 3 524 578 cases of m = 16, on both routes.
         let c = SeqCtx::new();
         // The cases of length m number Fibonacci(2m + 1).
         for (m, expect) in [(1usize, 2u32), (2, 5), (4, 34), (8, 1597), (16, 3_524_578)] {
             let mut cases = 0u32;
             for_all_admissible(&mut vec![None; m], 0, 0, &mut |pattern| {
-                check(&c, pattern);
+                check::<u64>(&c, pattern);
+                check::<()>(&c, pattern);
                 cases += 1;
             });
             assert_eq!(cases, expect, "m = {m}");
@@ -245,16 +284,20 @@ mod tests {
     fn decreasing_displacements_are_reported_not_hidden() {
         // d = (1, 0): both reals want position 1. The pass completes, the
         // collision is reported, and both reals survive it.
-        let c = SeqCtx::new();
-        let mut v = slots_of(&[Some(1), Some(0), None, None]);
-        assert!(!expand(&c, &mut Tracked::new(&c, &mut v)));
-        let mut vals: Vec<u64> = v
-            .iter()
-            .filter(|s| s.is_real())
-            .map(|s| s.item.val)
-            .collect();
-        vals.sort_unstable();
-        assert_eq!(vals, [0, 1]);
+        fn collides<V: Val>() {
+            let c = SeqCtx::new();
+            let mut v = slots_of::<V>(&[Some(1), Some(0), None, None]);
+            assert!(!expand(&c, &mut Tracked::new(&c, &mut v)));
+            let mut keys: Vec<u128> = v
+                .iter()
+                .filter(|s| s.is_real())
+                .map(|s| s.item.key)
+                .collect();
+            keys.sort_unstable();
+            assert_eq!(keys, [0, 1]);
+        }
+        collides::<u64>();
+        collides::<()>();
     }
 
     #[test]
@@ -263,7 +306,7 @@ mod tests {
         let pattern: Vec<Option<usize>> =
             (0..4096).map(|i| (i < 1000).then_some(3 * i + 3)).collect();
         let c = SeqCtx::new();
-        let mut seq = slots_of(&pattern);
+        let mut seq = slots_of::<u64>(&pattern);
         assert!(expand(&c, &mut Tracked::new(&c, &mut seq)));
         let mut par = slots_of(&pattern);
         let pool = Pool::new(4);
@@ -277,25 +320,31 @@ mod tests {
     #[test]
     fn parallel_matches_sequential_above_the_host_base() {
         // m = 65536 crosses the host `base_for` cut and every `par_for`
-        // grain: joined recursion above, flat levels inside a block.
-        let m = 1usize << 16;
-        let pattern: Vec<Option<usize>> = (0..m).map(|i| (i < m / 4).then_some(3 * i)).collect();
-        let c = SeqCtx::new();
-        let mut seq = slots_of(&pattern);
-        assert!(expand(&c, &mut Tracked::new(&c, &mut seq)));
-        let mut par = slots_of(&pattern);
-        let pool = Pool::new(4);
-        assert!(pool.run(|c| expand(c, &mut Tracked::new(c, &mut par))));
-        assert!(seq == par);
-        for (j, s) in seq.iter().step_by(4).take(m / 4).enumerate() {
-            assert!(s.is_real() && s.item.val == j as u64);
+        // grain: joined recursion above, flat levels inside a block — for
+        // wide slots and for unit slots on the cell gate's swap run.
+        fn go<V: Val + PartialEq>() {
+            let m = 1usize << 16;
+            let pattern: Vec<Option<usize>> =
+                (0..m).map(|i| (i < m / 4).then_some(3 * i)).collect();
+            let c = SeqCtx::new();
+            let mut seq = slots_of::<V>(&pattern);
+            assert!(expand(&c, &mut Tracked::new(&c, &mut seq)));
+            let mut par = slots_of::<V>(&pattern);
+            let pool = Pool::new(4);
+            assert!(pool.run(|c| expand(c, &mut Tracked::new(c, &mut par))));
+            assert!(seq == par);
+            for (j, s) in seq.iter().step_by(4).take(m / 4).enumerate() {
+                assert!(s.is_real() && s.item.key == j as u128);
+            }
         }
+        go::<u64>();
+        go::<()>();
     }
 
     /// Meter one expansion of the given pattern.
-    fn metered(pattern: Vec<Option<usize>>) -> metrics::CostReport {
+    fn metered<V: Val>(pattern: Vec<Option<usize>>) -> metrics::CostReport {
         let (_, rep) = measure(CacheConfig::default(), TraceMode::Hash, |c| {
-            let mut v = slots_of(&pattern);
+            let mut v = slots_of::<V>(&pattern);
             expand(c, &mut Tracked::new(c, &mut v));
         });
         rep
@@ -304,18 +353,25 @@ mod tests {
     #[test]
     fn trace_independent_of_pattern_and_displacements() {
         let m = 256usize;
-        let run = |pattern: Vec<Option<usize>>| {
-            let rep = metered(pattern);
-            (rep.trace_hash, rep.trace_len, rep.work, rep.comparisons)
-        };
-        let spread = run((0..m).map(|i| (i < 64).then_some(3 * i)).collect());
-        let still = run((0..m).map(|i| (i % 2 == 0).then_some(0)).collect());
-        let empty = run(vec![None; m]);
-        let colliding = run((0..m).map(|i| Some(m - 1 - i)).collect());
-        assert_eq!(spread, still, "displacements leaked into the trace");
-        assert_eq!(spread, empty, "real count leaked into the trace");
-        assert_eq!(spread, colliding, "a collision altered the trace");
-        assert_eq!(spread.3, 0, "expansion uses no comparators");
+        fn go<V: Val>(m: usize) -> [u64; 4] {
+            let run = |pattern: Vec<Option<usize>>| {
+                let rep = metered::<V>(pattern);
+                [rep.trace_hash, rep.trace_len, rep.work, rep.comparisons]
+            };
+            let spread = run((0..m).map(|i| (i < 64).then_some(3 * i)).collect());
+            let still = run((0..m).map(|i| (i % 2 == 0).then_some(0)).collect());
+            let empty = run(vec![None; m]);
+            let colliding = run((0..m).map(|i| Some(m - 1 - i)).collect());
+            assert_eq!(spread, still, "displacements leaked into the trace");
+            assert_eq!(spread, empty, "real count leaked into the trace");
+            assert_eq!(spread, colliding, "a collision altered the trace");
+            assert_eq!(spread[3], 0, "expansion uses no comparators");
+            spread
+        }
+        // The cell gate's accounting replay is the closure route's: unit
+        // slots differ from wide ones in words per touch, nothing else.
+        let (wide, unit) = (go::<u64>(m), go::<()>(m));
+        assert_eq!(wide[1..], unit[1..]);
     }
 
     #[test]
@@ -327,7 +383,7 @@ mod tests {
         // which telescopes to one fork per pair less log 32 per leaf block.
         let m = 4096u64;
         let (lg, lg_base) = (m.ilog2() as u64, 5);
-        let rep = metered(
+        let rep = metered::<u64>(
             (0..m as usize)
                 .map(|i| (i < 1000).then_some(3 * i))
                 .collect(),

@@ -151,8 +151,12 @@ pub fn grain_for<C: Ctx>(c: &C) -> usize {
 /// Base-case size of the recursive sorting networks in the cost model.
 const MODEL_BASE: usize = 32;
 
-/// Bytes of elements a host executor sorts with the flat network before
-/// the recursion's transposes pay for themselves: one L1 data cache.
+/// Bytes of elements a host executor runs the flat network over: one L1
+/// data cache. Above it the recursive networks keep a subproblem this size
+/// resident — the bitonic merge by in-place tiles
+/// (`sortnet::bitonic_rec`), the swap butterflies by depth-first halving —
+/// and never pay Theorem E.1's transposes, which on hardware cost more
+/// than the misses they save at every size measured (DESIGN.md §3).
 const HOST_BASE_BYTES: usize = 32 * 1024;
 
 /// Base-case size (in elements of `elem_bytes` each, a power of two) for

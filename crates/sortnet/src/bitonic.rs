@@ -18,7 +18,7 @@ use metrics::Tracked;
 ///
 /// Level `j` pairs `(i, i ^ j)` for every `i` with bit `j` clear, visited
 /// with `i` ascending: slabs of `j` consecutive pairs starting at the
-/// multiples of `2j`, which is how [`Gate::slab`] receives them. The
+/// multiples of `2j`, which is how [`Gate::run`] receives them. The
 /// direction `((i & k) == 0) == up` is constant within a slab because
 /// `k ≥ 2j`: no index of the slab differs from `s` in bit `k`.
 fn merge_levels<C: Ctx, T: Copy>(
@@ -36,10 +36,19 @@ fn merge_levels<C: Ctx, T: Copy>(
         for s in (0..n).step_by(2 * j) {
             // SAFETY: `&mut t` gives exclusive, sequential access, and
             // `s + 2j ≤ n` because `2j` divides `k`, which divides `n`.
-            unsafe { gate.slab(c, &raw, s, j, ((s & k) == 0) == up) };
+            unsafe { gate.run(c, &raw, s, s + j, j, ((s & k) == 0) == up) };
         }
         j /= 2;
     }
+}
+
+/// Left index `i` of comparator `p` of a butterfly level of half-width `h`
+/// (a power of two) over aligned `2h`-blocks: comparators are numbered
+/// block by block, `h` to a block, and comparator `p` pairs `(i, i + h)`,
+/// `i = 2h·⌊p/h⌋ + p mod h` — the indices with bit `h` clear, ascending.
+#[inline(always)]
+pub fn level_index(p: usize, h: usize) -> usize {
+    ((p & !(h - 1)) << 1) | (p & (h - 1))
 }
 
 /// Sequential bitonic sort of a power-of-two-length slice.
@@ -162,7 +171,7 @@ pub fn bitonic_sort_flat_par<C: Ctx, T: Copy + Send>(
             par_for(c, 0, n / 2, DEFAULT_GRAIN, &|c, p| {
                 // Comparator p of this layer: indices share all bits except
                 // bit j; disjoint across p, so raw access is safe.
-                let lo = ((p & !(j - 1)) << 1) | (p & (j - 1));
+                let lo = level_index(p, j);
                 let dir = ((lo & k) == 0) == up;
                 // SAFETY: distinct p yield disjoint {lo, lo+j} pairs, all
                 // below n.

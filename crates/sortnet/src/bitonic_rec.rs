@@ -14,12 +14,27 @@
 //!
 //! which is Theorem E.1. The recursion structure mirrors the FFT algorithm
 //! of Frigo et al. and is shared with REC-ORBA/REC-SORT in `obliv-core`.
+//!
+//! # What runs where
+//!
+//! The transpose recursion is what a **metered** context executes: the
+//! model's `Q`, span, trace and every committed counter are its. On a
+//! **host** executor ([`fj::Ctx::is_metered`] false — the rule
+//! [`fj::grain_for`] and [`fj::base_for`] already follow) the two
+//! transposes per level move every element twice to save misses that an
+//! L1-sized tile does not take in the first place, and above the base case
+//! a merge ran slower than streaming each layer flat from memory. There
+//! the levels above [`fj::base_for`] are evaluated **in place**
+//! (`merge_tiled`): the same comparators — each still sees the same two
+//! elements, so the result is the flat network's bit for bit — in an
+//! order that is a function of `(m, base)` alone, with `tmp` never
+//! touched. Below the base case both run [`bitonic_merge_seq`].
 
 use crate::bitonic::{bitonic_merge_seq, bitonic_sort_seq_from_runs, reverse};
 use crate::cx::Gate;
 use crate::transpose::transpose;
-use fj::{base_for, counters, Ctx};
-use metrics::Tracked;
+use fj::{base_for, counters, par_for, Ctx};
+use metrics::{par_tracked_chunks, Tracked};
 use std::mem::size_of;
 
 /// Run `f(row_index, a_row, b_row)` over matching length-`rowlen` rows of
@@ -56,7 +71,8 @@ pub fn par_rows2<'t, C, T, F>(
 ///
 /// `t` must hold a bitonic sequence of power-of-two length; `tmp` is
 /// equally sized scratch. On return `t` is sorted (ascending iff `up`) and
-/// `tmp` holds garbage.
+/// `tmp` holds garbage — on a host executor, what it held before: the
+/// in-place evaluation (`merge_tiled`) never reads or writes it.
 pub fn bitonic_merge_rec<C: Ctx, T: Copy + Send>(
     c: &C,
     t: &mut Tracked<'_, T>,
@@ -68,11 +84,16 @@ pub fn bitonic_merge_rec<C: Ctx, T: Copy + Send>(
     debug_assert_eq!(tmp.len(), m);
     // At or below `base_for` (32 in the model, an L1's worth on a host),
     // fall back to the sequential network.
-    if m <= base_for(c, size_of::<T>()) {
+    let base = base_for(c, size_of::<T>());
+    if m <= base {
         bitonic_merge_seq(c, t, gate, up);
         return;
     }
     debug_assert!(m.is_power_of_two());
+    if !c.is_metered() {
+        let w_min = (TILE_RUN_BYTES / size_of::<T>().max(1)).max(1);
+        return merge_tiled(c, t.borrow_mut(), gate, up, base, w_min);
+    }
     let k = m.trailing_zeros() as usize;
     let cdim = 1usize << (k / 2); // second-stage (contiguous) row length
     let rdim = m / cdim; // first-stage (strided) row length, ≥ cdim
@@ -107,6 +128,78 @@ pub fn bitonic_merge_rec<C: Ctx, T: Copy + Send>(
             bitonic_merge_rec(c, &mut row, &mut scratch, gate, up);
         },
     );
+}
+
+/// Shortest contiguous run, in bytes, a tile row may have: sixteen cache
+/// lines, so the hardware prefetcher has a stream to follow and the
+/// per-run dispatch is amortized. It bounds a tile at
+/// `base_for / (TILE_RUN_BYTES / size)` rows — 32 rows of 32 cells — and so
+/// a pass at five levels; rows a power-of-two stride apart share their L1
+/// sets, and few long rows measured better than many short ones (DESIGN.md
+/// §3 has the sweep).
+const TILE_RUN_BYTES: usize = 1024;
+
+/// The next in-place pass over a `hi`-block whose levels `hi/2 … base`
+/// are still to run: `(lo, w)` — the pass runs levels `hi/2 … lo` and its
+/// tiles are `w` columns wide.
+///
+/// View the block as `hi/lo` rows of `lo` contiguous elements. Levels
+/// `hi/2 … lo` pair indices that differ in exactly one bit of `[lo, hi)`,
+/// i.e. row `r` with row `r ^ (j/lo)` column for column, so any set of
+/// `w` adjacent columns — a *tile* of `(hi/lo)·w = base` elements, one
+/// L1's worth — is closed under all of them. A row of a tile may not be
+/// shorter than `w_min`, so a pass covers at most `log(base/w_min)`
+/// levels; when more are left they are split evenly over the fewest
+/// passes that fit (equal passes have the widest rows). A pure function
+/// of `(hi, base, w_min)`: the evaluation order is public.
+fn next_pass(hi: usize, base: usize, w_min: usize) -> (usize, usize) {
+    debug_assert!(hi.is_power_of_two() && base.is_power_of_two() && hi > base);
+    let left = (hi / base).ilog2();
+    let per_pass = (base / w_min).max(2).ilog2();
+    let levels = left.div_ceil(left.div_ceil(per_pass));
+    let lo = hi >> levels;
+    (lo, base >> levels)
+}
+
+/// The merge above `base` on a host executor: the same comparators as the
+/// transpose recursion of [`bitonic_merge_rec`], evaluated in place. Each
+/// pass of [`next_pass`] runs its levels tile by tile — a row pair of a
+/// tile is one [`Gate::run`] of `w` pairs — while the tile sits in L1;
+/// the `lo`-blocks it leaves are independent and recurse, down to
+/// [`bitonic_merge_seq`] on `base`-blocks. Tiles of a pass, then blocks,
+/// fork; nothing is copied and no scratch is touched.
+fn merge_tiled<C: Ctx, T: Copy + Send>(
+    c: &C,
+    mut t: Tracked<'_, T>,
+    gate: &impl Gate<T>,
+    up: bool,
+    base: usize,
+    w_min: usize,
+) {
+    let hi = t.len();
+    if hi <= base {
+        bitonic_merge_seq(c, &mut t, gate, up);
+        return;
+    }
+    let (lo, w) = next_pass(hi, base, w_min);
+    let rows = hi / lo;
+    let raw = t.as_raw();
+    par_for(c, 0, lo / w, 1, &|c, tile| {
+        let mut d = rows / 2;
+        while d >= 1 {
+            for r in (0..rows).filter(|r| r & d == 0) {
+                let a = r * lo + tile * w;
+                // SAFETY: row `r ^ d = r + d < rows`, so both runs lie in
+                // `t`, `d·lo ≥ w` apart; tiles are disjoint column ranges
+                // and nothing else holds `t` until the `par_for` joins.
+                unsafe { gate.run(c, &raw, a, a + d * lo, w, up) };
+            }
+            d /= 2;
+        }
+    });
+    par_tracked_chunks(c, t, lo, &|c, _, block| {
+        merge_tiled(c, block, gate, up, base, w_min)
+    });
 }
 
 /// Cache-agnostic recursive bitonic sort (BITONIC-SORT of §E.1.1):
@@ -490,6 +583,218 @@ mod tests {
                 v.sort_unstable();
                 assert_eq!(v, expect);
             }
+        }
+    }
+
+    /// The passes [`merge_tiled`] takes over an `m`-block, top down, as
+    /// `(hi, lo, w)`.
+    fn tile_plan(m: usize, base: usize, w_min: usize) -> Vec<(usize, usize, usize)> {
+        std::iter::successors(Some(m), |&hi| {
+            let (lo, _) = next_pass(hi, base, w_min);
+            (lo > base).then_some(lo)
+        })
+        .map(|hi| {
+            let (lo, w) = next_pass(hi, base, w_min);
+            (hi, lo, w)
+        })
+        .collect()
+    }
+
+    #[test]
+    fn tile_plan_covers_every_level_above_the_base_exactly_once() {
+        let check = |m: usize, base: usize, w_min: usize| {
+            let plan = tile_plan(m, base, w_min);
+            let what = format!("m {m} base {base} w_min {w_min}: {plan:?}");
+            // Pass `(hi, lo)` runs levels `hi/2 … lo`: chained from `m`
+            // down to `base`, every level `m/2 … base` is in one pass.
+            assert_eq!(plan[0].0, m, "{what}");
+            assert!(plan.windows(2).all(|p| p[0].1 == p[1].0), "{what}");
+            assert_eq!(plan.last().unwrap().1, base, "{what}");
+            let max_rows = (base / w_min).max(2);
+            for &(hi, lo, w) in &plan {
+                assert!(lo < hi && lo.is_power_of_two(), "{what}");
+                assert_eq!((hi / lo) * w, base, "a tile is one base's worth: {what}");
+                assert!(hi / lo <= max_rows && w <= lo, "{what}");
+            }
+            // The fewest passes that fit, evenly filled.
+            let (levels, per_pass) = ((m / base).ilog2(), max_rows.ilog2());
+            assert_eq!(plan.len() as u32, levels.div_ceil(per_pass), "{what}");
+            plan.len()
+        };
+        for lg_m in 11..=24 {
+            for w_min in [8, 16, 32] {
+                check(1 << lg_m, 1024, w_min);
+            }
+            // 48-byte elements: 512 per base, a run of 10.
+            check(1 << lg_m, 512, 10);
+        }
+        assert_eq!(tile_plan(1 << 16, 1024, 16), [(1 << 16, 1024, 16)]);
+        assert_eq!(
+            tile_plan(1 << 18, 1024, 16),
+            [(1 << 18, 1 << 14, 64), (1 << 14, 1024, 64)]
+        );
+        // Tiny bases: one level a pass (two rows), then two.
+        assert_eq!(check(32, 4, 2), 3);
+        assert_eq!(tile_plan(32, 4, 2), [(32, 16, 2), (16, 8, 2), (8, 4, 2)]);
+        assert_eq!(check(512, 8, 2), 3);
+        assert_eq!(check(64, 8, 2), 2);
+        assert_eq!(
+            check(64, 4, 8),
+            4,
+            "w_min above base/2 still makes progress"
+        );
+    }
+
+    #[test]
+    fn tiled_merge_zero_one_principle_exhaustive() {
+        // A merging network is correct iff it sorts every bitonic 0/1
+        // input: `0^a 1^b 0^c` and its complement, all of them, with the
+        // base forced down so that up to four passes run.
+        let c = SeqCtx::new();
+        for m in [16usize, 32] {
+            let mut inputs = Vec::new();
+            for a in 0..=m {
+                for b in 0..=m - a {
+                    let v: Vec<u64> = (0..m).map(|i| u64::from(a <= i && i < a + b)).collect();
+                    inputs.push(v.iter().map(|x| 1 - x).collect());
+                    inputs.push(v);
+                }
+            }
+            for (base, w_min) in [(2, 1), (4, 1), (4, 2)] {
+                for up in [true, false] {
+                    for input in &inputs {
+                        let mut v = input.clone();
+                        merge_tiled(&c, Tracked::new(&c, &mut v), &key64, up, base, w_min);
+                        assert!(
+                            v.windows(2).all(|w| w[0] == w[1] || (w[0] < w[1]) == up),
+                            "m {m} base {base} w_min {w_min} up {up}: {input:?} -> {v:?}"
+                        );
+                        assert_eq!(v.iter().sum::<u64>(), input.iter().sum::<u64>());
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn host_path_is_the_flat_network_bit_for_bit() {
+        // Same comparators, other order: every comparator of a merge sees
+        // the same two elements whichever schedule runs it, so the tiled
+        // merge equals the layer-by-layer one down to the order of equal
+        // tags (the payload lane tells them apart). The sorts — `run = 1`,
+        // and `run = 512` through the cut-off recursion — are held against
+        // the flat sorting network on distinct tags (the recursion directs
+        // its sub-sorts differently, so only those pin the output). 2¹⁶
+        // cells and up take two passes.
+        use crate::{Backend, TagCell};
+        #[derive(Clone, Copy, Debug)]
+        enum Case {
+            Merge,
+            SortFromRuns(usize),
+        }
+        fn on<C: Ctx>(
+            c: &C,
+            gate: &impl Gate<TagCell>,
+            case: Case,
+            v: &mut [TagCell],
+            tmp: &mut [TagCell],
+        ) {
+            let (mut t, mut s) = (Tracked::new(c, v), Tracked::new(c, tmp));
+            match case {
+                Case::Merge => bitonic_merge_rec(c, &mut t, &mut s, gate, true),
+                Case::SortFromRuns(run) => {
+                    bitonic_sort_rec_from_runs(c, &mut t, &mut s, gate, true, run)
+                }
+            }
+        }
+        let pool = Pool::new(4);
+        let seq = SeqCtx::new();
+        for lg_m in 11..=18 {
+            let m = 1usize << lg_m;
+            for case in [Case::Merge, Case::SortFromRuns(1), Case::SortFromRuns(512)] {
+                let mut input: Vec<TagCell> = scrambled(m)
+                    .iter()
+                    .zip(0u128..)
+                    .map(|(&k, i)| match case {
+                        Case::Merge => TagCell::new(k as u128 % 61, i),
+                        Case::SortFromRuns(_) => TagCell::new(((k as u128) << 64) | i, !i),
+                    })
+                    .collect();
+                let mut oracle;
+                match case {
+                    Case::Merge => {
+                        input[..m / 2].sort_by_key(|x| x.tag);
+                        input[m / 2..].sort_by_key(|x| std::cmp::Reverse(x.tag));
+                        oracle = input.clone();
+                        let mut t = Tracked::new(&seq, &mut oracle);
+                        bitonic_merge_seq(&seq, &mut t, &Backend::Scalar, true);
+                    }
+                    Case::SortFromRuns(run) => {
+                        input.chunks_mut(run).for_each(|r| r.sort_by_key(|x| x.tag));
+                        oracle = input.clone();
+                        let mut t = Tracked::new(&seq, &mut oracle);
+                        crate::bitonic::bitonic_sort_flat_par(&seq, &mut t, &Backend::Scalar, true);
+                    }
+                }
+                assert!(oracle.windows(2).all(|w| w[0].tag <= w[1].tag));
+                let mut tmp = vec![TagCell::filler(); m];
+                let mut check = |name: &str, run: &dyn Fn(&mut [TagCell], &mut [TagCell])| {
+                    let mut v = input.clone();
+                    run(&mut v, &mut tmp);
+                    assert!(v == oracle, "m {m} {case:?} {name}");
+                };
+                let by_tag = |x: &TagCell| x.tag;
+                check("closure, seq", &|v, s| on(&seq, &by_tag, case, v, s));
+                check("scalar, seq", &|v, s| {
+                    on(&seq, &Backend::Scalar, case, v, s)
+                });
+                check("avx2, seq", &|v, s| on(&seq, &Backend::Avx2, case, v, s));
+                check("closure, pool", &|v, s| {
+                    pool.run(|p| on(p, &by_tag, case, v, s))
+                });
+                check("scalar, pool", &|v, s| {
+                    pool.run(|p| on(p, &Backend::Scalar, case, v, s))
+                });
+                check("avx2, pool", &|v, s| {
+                    pool.run(|p| on(p, &Backend::Avx2, case, v, s))
+                });
+            }
+        }
+    }
+
+    #[test]
+    fn host_path_asks_for_exactly_the_networks_verdicts() {
+        /// Routes like the closure gate and counts the verdicts it gives.
+        struct Counting(std::sync::atomic::AtomicU64);
+        impl Gate<u64> for Counting {
+            fn key(&self, x: &u64) -> u128 {
+                *x as u128
+            }
+            fn route(&self, swap: bool, a: u64, b: u64) -> (u64, u64) {
+                self.0.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+                Gate::route(&key64, swap, a, b)
+            }
+        }
+        // 2¹⁵ `u64`s are eight host base cases (three tiled levels); 2²⁰
+        // take two passes.
+        for lg_m in [15u64, 20] {
+            let m = 1usize << lg_m;
+            let mut v: Vec<u64> = (0..m as u64 / 2).chain((0..m as u64 / 2).rev()).collect();
+            let mut tmp = vec![0u64; m];
+            let (c, gate) = (SeqCtx::new(), Counting(Default::default()));
+            bitonic_merge_rec(
+                &c,
+                &mut Tracked::new(&c, &mut v),
+                &mut Tracked::new(&c, &mut tmp),
+                &gate,
+                true,
+            );
+            assert!(v.windows(2).all(|w| w[0] <= w[1]));
+            assert_eq!(gate.0.into_inner(), (m as u64 / 2) * lg_m, "m = {m}");
+            assert!(
+                tmp.iter().all(|&x| x == 0),
+                "the host path leaves `tmp` alone"
+            );
         }
     }
 

@@ -16,9 +16,9 @@ use fj::{counters, Ctx};
 use metrics::RawTracked;
 
 /// What a comparator network needs from its elements: a key, the routed
-/// pair for a swap verdict, and a batched form of one bitonic-level slab.
-/// None of the three can change which addresses are touched or what is
-/// charged — [`cex`] fixes that for every gate.
+/// pair for a swap verdict, and a batched form of one run of pairs. None of
+/// the three can change which addresses are touched or what is charged —
+/// [`cex`] fixes that for every gate.
 pub trait Gate<T: Copy>: Sync {
     /// The sort key of `x`. `u128` is wide enough for every composite key
     /// the oblivious algorithms build (flag ‖ group ‖ label ‖ tiebreak).
@@ -27,19 +27,31 @@ pub trait Gate<T: Copy>: Sync {
     /// `(b, a)` if `swap`, `(a, b)` otherwise.
     fn route(&self, swap: bool, a: T, b: T) -> (T, T);
 
-    /// Compare-exchange a bitonic-level slab: the `stride` independent
-    /// pairs `(s + k, s + k + stride)` for `k in 0..stride`, in that
-    /// order, all with direction `up`. An override must leave the same
-    /// data, trace and counters as this per-pair loop.
+    /// Compare-exchange two runs against each other: the `len` independent
+    /// pairs `(a + k, b + k)` for `k in 0..len`, in that order, all with
+    /// direction `up`. It is the one batched entry of the gate: a
+    /// bitonic-level *slab* — the `stride` pairs `(s + k, s + k + stride)`
+    /// — is `run(c, t, s, s + stride, stride, up)`, and a row pair of an
+    /// in-place tile ([`crate::bitonic_rec`]) is two runs further apart
+    /// than they are long. An override must leave the same data, trace and
+    /// counters as this per-pair loop.
     ///
     /// # Safety
-    /// `s + 2 * stride <= t.len()`, and no concurrent task may access
-    /// `s..s + 2 * stride`.
+    /// `a + len <= t.len()` and `b + len <= t.len()`, the two runs must
+    /// not overlap, and no concurrent task may access either.
     #[inline]
-    unsafe fn slab<C: Ctx>(&self, c: &C, t: &RawTracked<T>, s: usize, stride: usize, up: bool) {
-        debug_assert!(s + 2 * stride <= t.len());
-        for k in 0..stride {
-            cex(c, t, self, s + k, s + k + stride, up);
+    unsafe fn run<C: Ctx>(
+        &self,
+        c: &C,
+        t: &RawTracked<T>,
+        a: usize,
+        b: usize,
+        len: usize,
+        up: bool,
+    ) {
+        debug_assert!(a.max(b) + len <= t.len() && a.abs_diff(b) >= len);
+        for k in 0..len {
+            cex(c, t, self, a + k, b + k, up);
         }
     }
 }

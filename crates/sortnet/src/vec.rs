@@ -1,13 +1,13 @@
 //! The branchless cell gate: [`Backend`] is the [`Gate`] for packed
 //! [`TagCell`]s, with runtime-dispatched AVX2 forms of the comparator
-//! slab and of compaction's index-driven swap slab
-//! ([`Backend::swap_slab`]), plus the whole-cell select the rewrite loops
-//! route through.
+//! run, of compaction's index-driven swap slab ([`Backend::swap_slab`]) and
+//! of expansion's target-driven swap level ([`Backend::swap_level`]), plus
+//! the whole-cell select the rewrite loops route through.
 //!
 //! # Dispatch model
 //!
 //! [`Backend::Scalar`] is the gate's default per-pair loop over
-//! `select_u128` lanes; [`Backend::Avx2`] overrides [`Gate::slab`] only:
+//! `select_u128` lanes; [`Backend::Avx2`] overrides [`Gate::run`] only:
 //! the accounting replay below, then the 256-bit kernel. The process-wide
 //! choice ([`active_backend`]) is made **once**: AVX2 when
 //! `is_x86_feature_detected!("avx2")` says the hardware has it and
@@ -17,14 +17,14 @@
 //!
 //! Tests and benches pass either variant to the networks to compare the
 //! two bit for bit, so safe code can name `Avx2` on a machine without it.
-//! The slab therefore runs the kernel only when `resolve` of the request
+//! A run therefore goes to the kernel only when `resolve` of the request
 //! against that cached detection says so, and the scalar gate otherwise;
 //! under `DOB_NO_SIMD=1` every request runs exactly what hardware without
 //! AVX2 executes.
 //!
 //! # Why the trace cannot change
 //!
-//! An AVX2 slab differs from the per-pair loop only in ALU width. It
+//! An AVX2 run differs from the per-pair loop only in ALU width. It
 //! first replays, pair by pair in the same order, the exact
 //! [`fj::Ctx::touch`]/[`fj::Ctx::work`]/[`fj::Ctx::count`] sequence
 //! [`cex`] (or the scalar swap loop) emits (free on non-metering
@@ -36,6 +36,7 @@
 //! *identical* across backends, on every input. DESIGN.md §14 gives the
 //! full argument and the per-kernel coverage table.
 
+use crate::bitonic::level_index;
 use crate::cx::{cex, select_u128, Gate};
 use crate::tag::TagCell;
 use fj::Ctx;
@@ -124,7 +125,7 @@ impl Backend {
                 for i in run.clone() {
                     avx2::account_pair(c, t, i, i + stride);
                 }
-                // SAFETY: AVX2 was detected (see `slab`); bounds and
+                // SAFETY: AVX2 was detected (see `run`); bounds and
                 // exclusivity are this function's own contract.
                 return avx2::swap_slab(t.as_mut_ptr(), run, stride, pivot, flip);
             }
@@ -135,6 +136,51 @@ impl Backend {
             let (lo, hi) = self.route(flip ^ (k as i64 >= pivot), a, b);
             t.set(c, i, lo);
             t.set(c, i + stride, hi);
+        }
+    }
+
+    /// Conditionally exchange pairs of one whole butterfly level: `t` in
+    /// aligned blocks of `2h` cells (`h` a power of two), pairs numbered
+    /// block by block, `h` to a block — pair `p` is `(i, i + h)` with
+    /// `i = `[`level_index`]`(p, h)`. The pairs numbered `pairs` run in that
+    /// order, and one swaps iff `verdict(i, tag of i, tag of i + h)` — the
+    /// swap level of `obliv_core::expand`, whose verdict (where each slot's
+    /// target lies) is the caller's. One call covers as many blocks as
+    /// `pairs` spans, so the narrow levels — a pair or two to a block —
+    /// cost one dispatch, not one per block. Both cells of every pair are
+    /// read and written whatever the verdict, which only ever feeds the
+    /// select mask.
+    ///
+    /// # Safety
+    /// Every pair must be in bounds — `2h·⌈pairs.end / h⌉ <= t.len()` —
+    /// and no concurrent task may access a cell of one.
+    #[inline]
+    pub unsafe fn swap_level<C: Ctx>(
+        self,
+        c: &C,
+        t: &RawTracked<TagCell>,
+        h: usize,
+        pairs: Range<usize>,
+        mut verdict: impl FnMut(usize, u128, u128) -> bool,
+    ) {
+        debug_assert!(h.is_power_of_two() && 2 * h * pairs.end.div_ceil(h) <= t.len());
+        if resolve(self, active_backend()) == Backend::Avx2 {
+            #[cfg(target_arch = "x86_64")]
+            {
+                for i in pairs.clone().map(|p| level_index(p, h)) {
+                    avx2::account_pair(c, t, i, i + h);
+                }
+                // SAFETY: AVX2 was detected (see `run`); bounds and
+                // exclusivity are this function's own contract.
+                return avx2::swap_level(t.as_mut_ptr(), h, pairs, verdict);
+            }
+        }
+        for i in pairs.map(|p| level_index(p, h)) {
+            let (a, b) = (t.get(c, i), t.get(c, i + h));
+            c.work(1);
+            let (lo, hi) = self.route(verdict(i, a.tag, b.tag), a, b);
+            t.set(c, i, lo);
+            t.set(c, i + h, hi);
         }
     }
 }
@@ -155,47 +201,49 @@ impl Gate<TagCell> for Backend {
     /// The AVX2 override; every other request runs the default loop.
     ///
     /// # Safety
-    /// As [`Gate::slab`]: `s + 2 * stride <= t.len()` — the kernel writes
-    /// through a raw pointer with no further check — and no concurrent
-    /// task may access `s..s + 2 * stride`.
+    /// As [`Gate::run`] — the kernel writes through raw pointers with no
+    /// further check.
     #[inline]
-    unsafe fn slab<C: Ctx>(
+    unsafe fn run<C: Ctx>(
         &self,
         c: &C,
         t: &RawTracked<TagCell>,
-        s: usize,
-        stride: usize,
+        a: usize,
+        b: usize,
+        len: usize,
         up: bool,
     ) {
-        debug_assert!(s + 2 * stride <= t.len());
+        debug_assert!(a.max(b) + len <= t.len() && a.abs_diff(b) >= len);
         // `detect` never reports Avx2 off x86_64, so there the branch is
         // empty and dead.
         if resolve(*self, active_backend()) == Backend::Avx2 {
             #[cfg(target_arch = "x86_64")]
             {
-                for k in 0..stride {
-                    avx2::account_cex(c, t, s + k, s + k + stride);
+                for k in 0..len {
+                    avx2::account_cex(c, t, a + k, b + k);
                 }
+                let ptr = t.as_mut_ptr();
                 // SAFETY: AVX2 is available — `resolve` returns Avx2 only
                 // if `active_backend()` did, i.e. only after
                 // `is_x86_feature_detected!("avx2")` succeeded in this
-                // process, whichever variant the caller named. Bounds and
-                // exclusivity of `s..s + 2*stride` are this function's own
-                // contract.
-                return avx2::cex_slab(t.as_mut_ptr(), s, stride, up);
+                // process, whichever variant the caller named. Bounds,
+                // disjointness and exclusivity of the two runs are this
+                // function's own contract.
+                return avx2::cex_run(ptr.add(a), ptr.add(b), len, up);
             }
         }
-        for k in 0..stride {
-            cex(c, t, self, s + k, s + k + stride, up);
+        for k in 0..len {
+            cex(c, t, self, a + k, b + k, up);
         }
     }
 }
 
-/// Compare-exchange one slab of cells through the process-wide gate:
-/// [`Gate::slab`] on [`active_backend`].
+/// Compare-exchange one bitonic-level slab of cells — the `stride` pairs
+/// `(s + k, s + k + stride)` — through the process-wide gate:
+/// [`Gate::run`] on [`active_backend`].
 ///
 /// # Safety
-/// As [`Gate::slab`]: `s + 2 * stride <= t.len()`, and no concurrent task
+/// As [`Gate::run`]: `s + 2 * stride <= t.len()`, and no concurrent task
 /// may access `s..s + 2 * stride`.
 #[inline]
 pub unsafe fn cex_cells_slab<C: Ctx>(
@@ -205,7 +253,7 @@ pub unsafe fn cex_cells_slab<C: Ctx>(
     stride: usize,
     up: bool,
 ) {
-    active_backend().slab(c, t, s, stride, up)
+    active_backend().run(c, t, s, s + stride, stride, up)
 }
 
 /// Branchless whole-cell select: `b` if `cond` else `a`. Both lanes go
@@ -256,15 +304,30 @@ mod avx2 {
         c.count(counters::COMPARISONS, 1);
     }
 
-    /// Masked xor-swap of two 32-byte cells, each one 256-bit vector: two
-    /// loads and two stores whatever `swap` is, exactly like the scalar
-    /// gate.
+    /// One branchless conditional exchange: `*pa`/`*pb` are 32-byte cells
+    /// handled as one 256-bit vector each, swapped iff `verdict(k, tag of
+    /// *pa, tag of *pb)` — two loads and two stores whatever it says,
+    /// exactly like the scalar gate. The verdict is computed on the scalar
+    /// side — for a compare-exchange a u128 compare is one `cmp`/`sbb` pair
+    /// and `-(swap as i64)` a flag materialization, all branchless — then
+    /// broadcast and applied as a vector masked xor-swap. Keeping the
+    /// verdict off the vector unit beats an all-SIMD compare chain: the
+    /// cross-lane verdict broadcast it needs is a latency-3, port-5-only
+    /// permute, while the scalar compare runs on the ports the swap leaves
+    /// idle. A verdict that ignores the tags costs no tag load.
     ///
     /// # Safety
     /// AVX2 must be available; `pa`/`pb` must be valid, disjoint cells.
     #[inline(always)]
-    unsafe fn swap1(pa: *mut TagCell, pb: *mut TagCell, swap: bool) {
-        let m = _mm256_set1_epi64x(-(swap as i64));
+    unsafe fn swap1(
+        pa: *mut TagCell,
+        pb: *mut TagCell,
+        k: usize,
+        verdict: &mut impl FnMut(usize, u128, u128) -> bool,
+    ) {
+        let ta = (pa as *const u128).read_unaligned();
+        let tb = (pb as *const u128).read_unaligned();
+        let m = _mm256_set1_epi64x(-(verdict(k, ta, tb) as i64));
         let a = _mm256_loadu_si256(pa as *const __m256i);
         let b = _mm256_loadu_si256(pb as *const __m256i);
         let diff = _mm256_and_si256(_mm256_xor_si256(a, b), m);
@@ -272,55 +335,48 @@ mod avx2 {
         _mm256_storeu_si256(pb as *mut __m256i, _mm256_xor_si256(b, diff));
     }
 
-    /// One branchless compare-exchange: `*pa`/`*pb` are 32-byte cells
-    /// handled as one 256-bit vector each. The tag verdict is computed
-    /// on the scalar side — a u128 compare is one `cmp`/`sbb` pair and
-    /// `-(swap as i64)` a flag materialization, all branchless — then
-    /// broadcast and applied as a vector masked xor-swap. Keeping the
-    /// verdict off the vector unit beats an all-SIMD compare chain: the
-    /// cross-lane verdict broadcast it needs is a latency-3,
-    /// port-5-only permute, while the scalar compare runs on the ports
-    /// the swap leaves idle.
+    /// The one data-movement loop, inlined into the three entry points
+    /// below, verdict and all: pairs `(lo + k, hi + k)`, `k in 0..len`,
+    /// four independent pairs per unrolled iteration (the pairs of a
+    /// butterfly level never overlap, so the CPU pipelines them freely).
     ///
     /// # Safety
-    /// As [`swap1`].
+    /// AVX2 must be available; `lo[..len]` and `hi[..len]` must be valid,
+    /// disjoint and exclusively owned by the caller.
     #[inline(always)]
-    unsafe fn cex1(pa: *mut TagCell, pb: *mut TagCell, up: bool) {
-        let ta = (pa as *const u128).read_unaligned();
-        let tb = (pb as *const u128).read_unaligned();
-        swap1(pa, pb, (ta > tb) == up);
-    }
-
-    /// The slab data movement: pairs `(s+k, s+k+stride)`, `k in
-    /// 0..stride`, direction `up`, four independent pairs per unrolled
-    /// iteration (the pairs of a bitonic level never overlap, so the CPU
-    /// pipelines them freely).
-    ///
-    /// # Safety
-    /// AVX2 must be available; `ptr[s..s + 2*stride]` must be valid and
-    /// exclusively owned by the caller.
-    #[target_feature(enable = "avx2")]
-    pub unsafe fn cex_slab(ptr: *mut TagCell, s: usize, stride: usize, up: bool) {
-        let lo = ptr.add(s);
-        let hi = ptr.add(s + stride);
+    unsafe fn swap_runs(
+        lo: *mut TagCell,
+        hi: *mut TagCell,
+        len: usize,
+        mut verdict: impl FnMut(usize, u128, u128) -> bool,
+    ) {
         let mut k = 0;
-        while k + 4 <= stride {
-            cex1(lo.add(k), hi.add(k), up);
-            cex1(lo.add(k + 1), hi.add(k + 1), up);
-            cex1(lo.add(k + 2), hi.add(k + 2), up);
-            cex1(lo.add(k + 3), hi.add(k + 3), up);
+        while k + 4 <= len {
+            swap1(lo.add(k), hi.add(k), k, &mut verdict);
+            swap1(lo.add(k + 1), hi.add(k + 1), k + 1, &mut verdict);
+            swap1(lo.add(k + 2), hi.add(k + 2), k + 2, &mut verdict);
+            swap1(lo.add(k + 3), hi.add(k + 3), k + 3, &mut verdict);
             k += 4;
         }
-        while k < stride {
-            cex1(lo.add(k), hi.add(k), up);
+        while k < len {
+            swap1(lo.add(k), hi.add(k), k, &mut verdict);
             k += 1;
         }
     }
 
+    /// The data movement of [`Gate::run`](crate::cx::Gate::run): pairs
+    /// `(lo + k, hi + k)`, `k in 0..len`, direction `up`.
+    ///
+    /// # Safety
+    /// As [`swap_runs`].
+    #[target_feature(enable = "avx2")]
+    pub unsafe fn cex_run(lo: *mut TagCell, hi: *mut TagCell, len: usize, up: bool) {
+        swap_runs(lo, hi, len, |_, ta, tb| (ta > tb) == up)
+    }
+
     /// The data movement of [`Backend::swap_slab`](super::Backend::swap_slab):
     /// the `k`-th pair `(run.start + k, run.start + k + stride)` swaps iff
-    /// `flip ^ (k >= pivot)`, four independent pairs per unrolled
-    /// iteration.
+    /// `flip ^ (k >= pivot)`.
     ///
     /// # Safety
     /// AVX2 must be available; both runs must be valid, disjoint and
@@ -334,20 +390,32 @@ mod avx2 {
         flip: bool,
     ) {
         let lo = ptr.add(run.start);
-        let hi = lo.add(stride);
-        let len = run.len();
-        let verdict = |k: usize| flip ^ (k as i64 >= pivot);
-        let mut k = 0;
-        while k + 4 <= len {
-            swap1(lo.add(k), hi.add(k), verdict(k));
-            swap1(lo.add(k + 1), hi.add(k + 1), verdict(k + 1));
-            swap1(lo.add(k + 2), hi.add(k + 2), verdict(k + 2));
-            swap1(lo.add(k + 3), hi.add(k + 3), verdict(k + 3));
-            k += 4;
-        }
-        while k < len {
-            swap1(lo.add(k), hi.add(k), verdict(k));
-            k += 1;
+        swap_runs(lo, lo.add(stride), run.len(), |k, _, _| {
+            flip ^ (k as i64 >= pivot)
+        })
+    }
+
+    /// The data movement of [`Backend::swap_level`](super::Backend::swap_level):
+    /// block by block, what `pairs` holds of a block is two runs `h` apart.
+    ///
+    /// # Safety
+    /// AVX2 must be available; every pair numbered in `pairs` must lie in
+    /// `ptr`'s allocation and be exclusively owned by the caller.
+    #[target_feature(enable = "avx2")]
+    pub unsafe fn swap_level(
+        ptr: *mut TagCell,
+        h: usize,
+        pairs: Range<usize>,
+        mut verdict: impl FnMut(usize, u128, u128) -> bool,
+    ) {
+        let mut p = pairs.start;
+        while p < pairs.end {
+            let i = crate::bitonic::level_index(p, h);
+            let len = (h - (p & (h - 1))).min(pairs.end - p);
+            swap_runs(ptr.add(i), ptr.add(i + h), len, |k, ta, tb| {
+                verdict(i + k, ta, tb)
+            });
+            p += len;
         }
     }
 }
@@ -365,7 +433,7 @@ mod tests {
         let raw = t.as_raw();
         // SAFETY: exclusive access, sequential; every caller passes
         // 2 * stride cells.
-        unsafe { backend.slab(&c, &raw, 0, stride, up) };
+        unsafe { backend.run(&c, &raw, 0, stride, stride, up) };
         let _ = t;
     }
 
@@ -457,6 +525,64 @@ mod tests {
                 let mut t = Tracked::new(c, &mut cells);
                 // SAFETY: 0..24 and 32..56 are in bounds and disjoint.
                 unsafe { backend.swap_slab(c, &t.as_raw(), 0..24, 32, 5, true) };
+            });
+            (r.trace_hash, r.trace_len, r.work, r.span, r.cache_misses)
+        };
+        assert_eq!(run(Backend::Scalar), run(Backend::Avx2));
+    }
+
+    #[test]
+    fn swap_level_follows_the_callers_verdict_on_both_backends() {
+        // Whole levels, part of a level and part of one block, with a
+        // verdict on the index and the tags both.
+        let c = SeqCtx::new();
+        for h in [1usize, 2, 4, 16] {
+            for blocks in [1usize, 5] {
+                let all = blocks * h;
+                for pairs in [0..all, all / 3..all, 1.min(h - 1)..h.min(7), 1..1] {
+                    for (pivot, flip) in [(0usize, false), (3, false), (3, true)] {
+                        let input: Vec<TagCell> = (0..2 * all as u128)
+                            .map(|i| TagCell::new(i * 7 % 5, !i))
+                            .collect();
+                        let verdict = |i: usize, l: u128, r: u128| {
+                            assert_eq!((l, r), (input[i].tag, input[i + h].tag));
+                            flip ^ (i >= pivot) ^ (l > r)
+                        };
+                        let mut expect = input.clone();
+                        for p in pairs.clone() {
+                            let i = 2 * h * (p / h) + p % h;
+                            if verdict(i, input[i].tag, input[i + h].tag) {
+                                expect.swap(i, i + h);
+                            }
+                        }
+                        for backend in [Backend::Scalar, Backend::Avx2] {
+                            let mut cells = input.clone();
+                            let mut t = Tracked::new(&c, &mut cells);
+                            // SAFETY: `blocks` whole `2h`-blocks are the
+                            // array, and nothing else runs.
+                            unsafe {
+                                backend.swap_level(&c, &t.as_raw(), h, pairs.clone(), verdict)
+                            };
+                            assert_eq!(
+                                cells, expect,
+                                "{backend:?} h {h} pairs {pairs:?} pivot {pivot} flip {flip}"
+                            );
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn swap_level_accounting_is_backend_independent() {
+        use metrics::{measure, CacheConfig, TraceMode};
+        let run = |backend: Backend| {
+            let (_, r) = measure(CacheConfig::default(), TraceMode::Hash, |c| {
+                let mut cells = vec![TagCell::new(1, 2); 64];
+                let mut t = Tracked::new(c, &mut cells);
+                // SAFETY: pairs 3..27 of 8-cell blocks end in block 6 of 8.
+                unsafe { backend.swap_level(c, &t.as_raw(), 4, 3..27, |i, _, _| i < 20) };
             });
             (r.trace_hash, r.trace_len, r.work, r.span, r.cache_misses)
         };
