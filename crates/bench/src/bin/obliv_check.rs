@@ -573,14 +573,7 @@ fn main() {
             .map(|(i, &x)| (i as u64 * 3 + x % 2, x))
             .collect();
         let dests: Vec<u64> = v.iter().map(|&x| x % 600).collect();
-        obliv_core::send_receive_u64(
-            c,
-            &scratch,
-            &sources,
-            &dests,
-            Engine::BitonicRec,
-            Schedule::Tree,
-        );
+        obliv_core::send_receive_u64(c, &scratch, &sources, &dests, Engine::BitonicRec);
     });
 
     // List ranking on packed cells. The pointer-jumping phase walks the

@@ -170,10 +170,10 @@ struct OptSlot<V> {
 /// the tag-sort fast path for the routing step that dominates the graph
 /// and PRAM kernels.
 ///
-/// Identical phase structure and head-propagation as the generic path, but
-/// both sorts move 32-byte cells instead of 64-byte `Slot<Route<u64>>`
-/// records. Packing (all lanes are functions of public position or ride
-/// the network unread):
+/// Identical phase structure and head-propagation as the generic path
+/// (with the [`Schedule::Tree`] scan), but both sorts move 32-byte cells
+/// instead of 64-byte `Slot<Route<u64>>` records. Packing (all lanes are
+/// functions of public position or ride the network unread):
 ///
 /// * phase 1 — `tag = key·2 + (0 sender | 1 receiver)`, fillers
 ///   `u128::MAX`; `aux = value` (senders) or input position (receivers);
@@ -190,7 +190,6 @@ pub fn send_receive_u64<C: Ctx>(
     sources: &[(u64, u64)],
     dests: &[u64],
     engine: Engine,
-    sched: Schedule,
 ) -> Vec<Option<u64>> {
     use sortnet::TagCell;
 
@@ -236,7 +235,7 @@ pub fn send_receive_u64<C: Ctx>(
         };
         Seg::new(head, h)
     });
-    seg_propagate_in(c, scratch, &mut seg, sched);
+    seg_propagate_in(c, scratch, &mut seg, Schedule::Tree);
 
     // One fixed pass: receivers compare the propagated head against their
     // own key, fold the outcome into `aux`, and move their input position
@@ -354,14 +353,7 @@ mod tests {
             Engine::BitonicRec,
             Schedule::Tree,
         );
-        let cells = send_receive_u64(
-            &c,
-            &sp,
-            &sources,
-            &dests,
-            Engine::BitonicRec,
-            Schedule::Tree,
-        );
+        let cells = send_receive_u64(&c, &sp, &sources, &dests, Engine::BitonicRec);
         assert_eq!(generic, cells);
     }
 
@@ -371,14 +363,7 @@ mod tests {
         let dests = vec![10, 10, 3, u64::MAX, 10];
         let c = SeqCtx::new();
         let sp = ScratchPool::new();
-        let got = send_receive_u64(
-            &c,
-            &sp,
-            &sources,
-            &dests,
-            Engine::BitonicRec,
-            Schedule::Tree,
-        );
+        let got = send_receive_u64(&c, &sp, &sources, &dests, Engine::BitonicRec);
         assert_eq!(got, vec![Some(100), Some(100), None, Some(7), Some(100)]);
     }
 
@@ -387,7 +372,7 @@ mod tests {
         let run = |sources: Vec<(u64, u64)>, dests: Vec<u64>| {
             let (_, rep) = measure(CacheConfig::default(), TraceMode::Hash, |c| {
                 let sp = ScratchPool::new();
-                send_receive_u64(c, &sp, &sources, &dests, Engine::BitonicRec, Schedule::Tree);
+                send_receive_u64(c, &sp, &sources, &dests, Engine::BitonicRec);
             });
             (rep.trace_hash, rep.trace_len)
         };
@@ -406,25 +391,9 @@ mod tests {
         let dests: Vec<u64> = (0..800).map(|j| (j * 7) % 1600).collect();
         let c = SeqCtx::new();
         let sp = ScratchPool::new();
-        let seq = send_receive_u64(
-            &c,
-            &sp,
-            &sources,
-            &dests,
-            Engine::BitonicRec,
-            Schedule::Tree,
-        );
+        let seq = send_receive_u64(&c, &sp, &sources, &dests, Engine::BitonicRec);
         let sp2 = ScratchPool::new();
-        let par = pool.run(|c| {
-            send_receive_u64(
-                c,
-                &sp2,
-                &sources,
-                &dests,
-                Engine::BitonicRec,
-                Schedule::Tree,
-            )
-        });
+        let par = pool.run(|c| send_receive_u64(c, &sp2, &sources, &dests, Engine::BitonicRec));
         assert_eq!(seq, par);
     }
 
@@ -440,7 +409,7 @@ mod tests {
             let map: HashMap<u64, u64> = sources.iter().copied().collect();
             let c = SeqCtx::new();
             let sp = ScratchPool::new();
-            let got = send_receive_u64(&c, &sp, &sources, &dests, Engine::BitonicRec, Schedule::Tree);
+            let got = send_receive_u64(&c, &sp, &sources, &dests, Engine::BitonicRec);
             let expect: Vec<Option<u64>> = dests.iter().map(|k| map.get(k).copied()).collect();
             prop_assert_eq!(got, expect);
         }

@@ -22,7 +22,6 @@
 
 use fj::Ctx;
 use metrics::{par_update, ScratchPool, Tracked};
-use obliv_core::scan::Schedule;
 use obliv_core::slot::composite_key;
 use obliv_core::{send_receive_u64, Engine, TagCell};
 
@@ -49,7 +48,7 @@ pub fn connected_components<C: Ctx>(
     for _round in 0..cc_rounds(n) {
         // Grand-labels rr[v] = D[D[v]].
         let sources: Vec<(u64, u64)> = (0..n).map(|v| (v as u64, d[v])).collect();
-        let rr: Vec<u64> = send_receive_u64(c, scratch, &sources, &d, engine, Schedule::Tree)
+        let rr: Vec<u64> = send_receive_u64(c, scratch, &sources, &d, engine)
             .into_iter()
             .map(|o| o.expect("label in range"))
             .collect();
@@ -60,7 +59,7 @@ pub fn connected_components<C: Ctx>(
             .iter()
             .flat_map(|&(u, v)| [u as u64, v as u64])
             .collect();
-        let end_rr = send_receive_u64(c, scratch, &rr_sources, &ends, engine, Schedule::Tree);
+        let end_rr = send_receive_u64(c, scratch, &rr_sources, &ends, engine);
 
         // Hook proposals: target = larger grand-label, value = smaller.
         let proposals: Vec<(u64, u64)> = (0..m)
@@ -82,7 +81,7 @@ pub fn connected_components<C: Ctx>(
         let winners = min_per_target(c, scratch, &proposals, engine);
 
         // Apply hooks: D[t] = min(D[t], proposal).
-        let hook_res = send_receive_u64(c, scratch, &winners, &all_v, engine, Schedule::Tree);
+        let hook_res = send_receive_u64(c, scratch, &winners, &all_v, engine);
         par_update(c, &mut Tracked::new(c, &mut d), &|_, v, cur| {
             cur.min(hook_res[v].unwrap_or(cur))
         });
@@ -90,7 +89,7 @@ pub fn connected_components<C: Ctx>(
         // Two shortcut (pointer-doubling) steps.
         for _ in 0..2 {
             let sources: Vec<(u64, u64)> = (0..n).map(|v| (v as u64, d[v])).collect();
-            d = send_receive_u64(c, scratch, &sources, &d, engine, Schedule::Tree)
+            d = send_receive_u64(c, scratch, &sources, &d, engine)
                 .into_iter()
                 .map(|o| o.expect("label in range"))
                 .collect();

@@ -115,17 +115,9 @@ pub fn contract_eval<C: Ctx>(
     assign_leaf_labels(c, scratch, &mut nodes, engine, seed);
 
     let mut leaves = nodes.iter().filter(|r| r.is_leaf).count();
-    let mut round = 0u64;
     while leaves > 1 {
         for side in [0u8, 1] {
-            rake_substep(
-                c,
-                scratch,
-                &mut nodes,
-                side,
-                engine,
-                seed ^ (round << 8 | side as u64),
-            );
+            rake_substep(c, scratch, &mut nodes, side, engine);
         }
         // Relabel the surviving (even-labelled) leaves and compact to the
         // public size 2⌊L/2⌋ − 1.
@@ -138,7 +130,6 @@ pub fn contract_eval<C: Ctx>(
         c.charge_par(nodes.len() as u64);
         leaves /= 2;
         compact_nodes(c, scratch, &mut nodes, 2 * leaves - 1, engine);
-        round += 1;
     }
 
     let last = nodes
@@ -157,7 +148,6 @@ fn rake_substep<C: Ctx>(
     nodes: &mut [CNode],
     side: u8,
     engine: Engine,
-    _seed: u64,
 ) {
     let live = nodes.len();
 
@@ -220,9 +210,9 @@ fn rake_substep<C: Ctx>(
         right_q[i] = r.id * 2 + 1;
     }
     let sib_res = send_receive(c, scratch, &sib_src, &ids, engine, Schedule::Tree);
-    let left_res = send_receive_u64(c, scratch, &child_src, &left_q, engine, Schedule::Tree);
-    let right_res = send_receive_u64(c, scratch, &child_src, &right_q, engine, Schedule::Tree);
-    let kill_res = send_receive_u64(c, scratch, &kill_src, &ids, engine, Schedule::Tree);
+    let left_res = send_receive_u64(c, scratch, &child_src, &left_q, engine);
+    let right_res = send_receive_u64(c, scratch, &child_src, &right_q, engine);
+    let kill_res = send_receive_u64(c, scratch, &kill_src, &ids, engine);
 
     // Apply updates. The sibling channel carries (c_val, op, p.a, p.b) and
     // the new parent/side arrive via the parent record we already fetched.
@@ -338,7 +328,7 @@ fn assign_leaf_labels<C: Ctx>(
             }
         })
         .collect();
-    let sib_res = send_receive_u64(c, scratch, &sib_sources, &sib_q, engine, Schedule::Tree);
+    let sib_res = send_receive_u64(c, scratch, &sib_sources, &sib_q, engine);
     for (i, r) in nodes.iter().enumerate() {
         let v = r.id as usize;
         if succ[2 * v + 1] == usize::MAX {
@@ -381,7 +371,7 @@ fn assign_leaf_labels<C: Ctx>(
         .map(|(k, s)| (s.aux as u64, k as u64 + 1))
         .collect();
     let ids: Vec<u64> = nodes.iter().map(|r| r.id).collect();
-    let labels = send_receive_u64(c, scratch, &label_sources, &ids, engine, Schedule::Tree);
+    let labels = send_receive_u64(c, scratch, &label_sources, &ids, engine);
     let leaf_count = nodes.iter().filter(|r| r.is_leaf).count() as u64;
     for (i, r) in nodes.iter_mut().enumerate() {
         if r.is_leaf {

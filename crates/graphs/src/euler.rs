@@ -95,7 +95,7 @@ pub fn euler_tour<C: Ctx>(
         .iter()
         .map(|&(u, v)| arc_key(v as usize, u as usize))
         .collect();
-    let succ = send_receive_u64(c, scratch, &sources, &dests, engine, Schedule::Tree)
+    let succ = send_receive_u64(c, scratch, &sources, &dests, engine)
         .into_iter()
         .map(|o| o.expect("reverse arc exists in a tree") as usize)
         .collect();
@@ -180,11 +180,10 @@ pub fn rooted_tree_stats<C: Ctx>(
         .iter()
         .map(|&(u, v)| arc_key(v as usize, u as usize))
         .collect();
-    let rev_pos: Vec<u64> =
-        send_receive_u64(c, scratch, &pos_sources, &rev_dests, engine, Schedule::Tree)
-            .into_iter()
-            .map(|o| o.expect("reverse arc"))
-            .collect();
+    let rev_pos: Vec<u64> = send_receive_u64(c, scratch, &pos_sources, &rev_dests, engine)
+        .into_iter()
+        .map(|o| o.expect("reverse arc"))
+        .collect();
 
     // Advance arcs descend from parent to child.
     let advance: Vec<bool> = (0..l).map(|i| pos[i] < rev_pos[i]).collect();
@@ -257,14 +256,7 @@ pub fn rooted_tree_stats<C: Ctx>(
         engine,
         Schedule::Tree,
     );
-    let post_results = send_receive_u64(
-        c,
-        scratch,
-        &post_sources,
-        &vert_dests,
-        engine,
-        Schedule::Tree,
-    );
+    let post_results = send_receive_u64(c, scratch, &post_sources, &vert_dests, engine);
     for (v, res) in results.into_iter().enumerate() {
         if let Some((p, d, pre, size)) = res {
             parent[v] = p as usize;

@@ -13,7 +13,6 @@
 
 use fj::Ctx;
 use metrics::{par_fill2, ScratchPool, Tracked};
-use obliv_core::scan::Schedule;
 use obliv_core::slot::Item;
 use obliv_core::{orp, send_receive_u64, Engine, OrbaParams};
 
@@ -109,7 +108,7 @@ pub fn list_rank_oblivious<C: Ctx>(
         .map(|(j, it)| (it.val.orig, j as u64))
         .collect();
     let dests: Vec<u64> = permuted.iter().map(|it| it.val.succ).collect();
-    let succ_pos = send_receive_u64(c, scratch, &sources, &dests, engine, Schedule::Tree);
+    let succ_pos = send_receive_u64(c, scratch, &sources, &dests, engine);
 
     // 3. Pointer jumping directly on the permuted array. The permutation is
     //    hidden and uniformly random, so these data-dependent accesses are
@@ -133,17 +132,10 @@ pub fn list_rank_oblivious<C: Ctx>(
         .map(|j| (permuted[j].val.orig, perm_rank[j]))
         .collect();
     let back_dests: Vec<u64> = (0..n as u64).collect();
-    send_receive_u64(
-        c,
-        scratch,
-        &back_sources,
-        &back_dests,
-        engine,
-        Schedule::Tree,
-    )
-    .into_iter()
-    .map(|o| o.expect("every node ranked"))
-    .collect()
+    send_receive_u64(c, scratch, &back_sources, &back_dests, engine)
+        .into_iter()
+        .map(|o| o.expect("every node ranked"))
+        .collect()
 }
 
 /// Unit-weight oblivious wrapper.

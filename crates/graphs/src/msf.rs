@@ -22,7 +22,6 @@
 
 use fj::Ctx;
 use metrics::{par_update, ScratchPool, Tracked};
-use obliv_core::scan::Schedule;
 use obliv_core::{send_receive_u64, Engine, TagCell};
 
 const DUMMY: u64 = u64::MAX;
@@ -57,7 +56,7 @@ pub fn msf<C: Ctx>(
         // 1. Flatten.
         for _ in 0..lg {
             let sources: Vec<(u64, u64)> = (0..n).map(|v| (v as u64, d[v])).collect();
-            d = send_receive_u64(c, scratch, &sources, &d, engine, Schedule::Tree)
+            d = send_receive_u64(c, scratch, &sources, &d, engine)
                 .into_iter()
                 .map(|o| o.expect("label in range"))
                 .collect();
@@ -69,7 +68,7 @@ pub fn msf<C: Ctx>(
             .iter()
             .flat_map(|&(u, v, _)| [u as u64, v as u64])
             .collect();
-        let end_comp = send_receive_u64(c, scratch, &comp_sources, &ends, engine, Schedule::Tree);
+        let end_comp = send_receive_u64(c, scratch, &comp_sources, &ends, engine);
 
         // 3. Per-component minimum incident edge: both half-edges propose.
         // Proposals ride in packed 32-byte `TagCell`s (the PR-5 fast path):
@@ -124,13 +123,13 @@ pub fn msf<C: Ctx>(
             .iter()
             .map(|&(comp, (_, other))| (comp, other))
             .collect();
-        let hooks = send_receive_u64(c, scratch, &hook_sources, &all_v, engine, Schedule::Tree);
+        let hooks = send_receive_u64(c, scratch, &hook_sources, &all_v, engine);
         par_update(c, &mut Tracked::new(c, &mut d), &|_, v, cur| {
             hooks[v].unwrap_or(cur)
         });
         // Break 2-cycles: if D[D[v]] == v, the smaller id becomes root.
         let sources: Vec<(u64, u64)> = (0..n).map(|v| (v as u64, d[v])).collect();
-        let dd = send_receive_u64(c, scratch, &sources, &d, engine, Schedule::Tree);
+        let dd = send_receive_u64(c, scratch, &sources, &d, engine);
         par_update(c, &mut Tracked::new(c, &mut d), &|_, v, cur| {
             let ddv = dd[v].expect("label in range");
             let two_cycle = ddv == v as u64 && cur != v as u64;
@@ -174,7 +173,7 @@ pub fn msf<C: Ctx>(
             .collect();
         c.charge_par(chosen.len() as u64);
         let edge_ids: Vec<u64> = (0..m as u64).collect();
-        let flags = send_receive_u64(c, scratch, &flag_sources, &edge_ids, engine, Schedule::Tree);
+        let flags = send_receive_u64(c, scratch, &flag_sources, &edge_ids, engine);
         for e in 0..m {
             let newly = flags[e].is_some() && !in_forest[e];
             in_forest[e] |= newly;
@@ -186,7 +185,7 @@ pub fn msf<C: Ctx>(
     // Final flatten for clean component labels.
     for _ in 0..lg {
         let sources: Vec<(u64, u64)> = (0..n).map(|v| (v as u64, d[v])).collect();
-        d = send_receive_u64(c, scratch, &sources, &d, engine, Schedule::Tree)
+        d = send_receive_u64(c, scratch, &sources, &d, engine)
             .into_iter()
             .map(|o| o.expect("label in range"))
             .collect();

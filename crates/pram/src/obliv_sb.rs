@@ -21,7 +21,6 @@
 use crate::model::{Program, WriteReq};
 use fj::Ctx;
 use metrics::{par_fill, par_update, par_update_fill, ScratchPool, Tracked};
-use obliv_core::scan::Schedule;
 use obliv_core::slot::composite_key;
 use obliv_core::{send_receive_u64, Engine, TagCell};
 
@@ -53,7 +52,7 @@ pub fn run_oblivious_sb<C: Ctx, P: Program>(
                 .map_or(DUMMY, |a| a as u64)
         });
         let sources: Vec<(u64, u64)> = snapshot_memory(c, &mut mem);
-        let fetched = send_receive_u64(c, scratch, &sources, &dests, engine, Schedule::Tree);
+        let fetched = send_receive_u64(c, scratch, &sources, &dests, engine);
 
         // --- Local compute.
         let mut writes: Vec<Option<WriteReq>> = vec![None; p];
@@ -68,7 +67,7 @@ pub fn run_oblivious_sb<C: Ctx, P: Program>(
 
         // --- Write step: conflict resolution + memory update.
         let winners = resolve_conflicts(c, scratch, &writes, engine);
-        let updates = send_receive_u64(c, scratch, &winners, &all_addrs, engine, Schedule::Tree);
+        let updates = send_receive_u64(c, scratch, &winners, &all_addrs, engine);
         // Unconditional read-modify-write keeps the pattern fixed.
         par_update(c, &mut Tracked::new(c, &mut mem), &|_, i, old| {
             updates[i].unwrap_or(old)

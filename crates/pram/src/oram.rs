@@ -53,7 +53,6 @@
 use crate::veb::{tree_nodes, TreeLayout};
 use fj::Ctx;
 use metrics::{ScratchPool, Tracked};
-use obliv_core::scan::Schedule;
 use obliv_core::slot::composite_key;
 use obliv_core::{send_receive_u64, Engine, TagCell};
 use rand::rngs::StdRng;
@@ -552,17 +551,10 @@ impl Opram {
 
         // Broadcast results to every request via oblivious send-receive.
         let dests: Vec<u64> = reqs.iter().map(|&(a, _)| a).collect();
-        send_receive_u64(
-            c,
-            &self.scratch,
-            &fetched,
-            &dests,
-            self.engine,
-            Schedule::Tree,
-        )
-        .into_iter()
-        .map(|o| o.expect("every request address was served"))
-        .collect()
+        send_receive_u64(c, &self.scratch, &fetched, &dests, self.engine)
+            .into_iter()
+            .map(|o| o.expect("every request address was served"))
+            .collect()
     }
 }
 

@@ -97,7 +97,6 @@ mod wal;
 
 pub use crate::store::{Epoch, ShardConfig, ShardedStore, ShrinkPolicy, Store, StoreConfig};
 pub use error::{Health, RetryPolicy, StoreError};
-pub use merge::Rec;
 pub use op::{size_class, EpochPath, Op, OpResult, StoreStats, MIN_CLASS};
 pub use pipeline::{EpochHandle, PipelinedStore, Ticket};
 pub use router::{shard_class, shard_of};

@@ -22,16 +22,17 @@
 //!    earlier writes of its run (sequential within-epoch semantics), and
 //!    every run-last element the key's final state;
 //! 4. the fix-up projects two cell lanes from the (still key-sorted)
-//!    merged array: a *results* lane tagged by submission index, written
-//!    over the merged cells themselves, and a fresh *candidates* lane
-//!    tagged by key — the wide per-element state never rides through
-//!    another network;
+//!    merged array: a *results* lane of answer cells tagged by batch
+//!    slot, written over the merged cells themselves, and a fresh
+//!    *candidates* lane of the records each key's final state leaves —
+//!    the wide per-element state never rides through another network;
 //! 5. results: one stable [`compact_cells`] pass moves the batch answers
 //!    to the front, then one small sort of the `|batch|`-cell window
 //!    restores submission order for the fixed-prefix readout;
 //! 6. rebuild: because the merged array kept key order, the candidates
 //!    lane is already key-sorted — one stable [`compact_cells`] pass (no
-//!    sort at all) rebuilds the resident table at its new public capacity.
+//!    sort at all) and a copy of its prefix rebuild the resident table at
+//!    its new public capacity.
 //!
 //! Relative to the record-sort pipeline this replaces three full wide-slot
 //! sorts with one small sort + one merge + one small sort + two
@@ -55,7 +56,7 @@
 //! answers position by position. Nothing is rebuilt and nothing but the
 //! query window is ever sorted; see DESIGN.md §11.
 
-use crate::op::{kind, FlatOp, OpResult, StoreStats};
+use crate::op::{kind, FlatOp, StoreStats};
 use fj::{grain_for, par_reduce, Ctx};
 use metrics::{
     par_fill, par_fill2, par_tracked_chunks, par_update, par_update_fill, ScratchGuard,
@@ -69,19 +70,6 @@ use obliv_core::{compact_cells, select_u128, select_u64, Engine, TagCell};
 pub(crate) const ENGINE: Engine = Engine::BitonicRec;
 const SCHED: Schedule = Schedule::Tree;
 
-/// One resident-table slot. Absent slots are padding: the number of
-/// *present* records is secret, the physical length is public.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct Rec {
-    pub present: bool,
-    pub key: u64,
-    pub val: u64,
-}
-
-/// Table records carry this pseudo-kind (they head their key run; every
-/// client op kind from [`kind`] is smaller).
-const REC_KIND: u8 = 255;
-
 /// Last-writer-wins transformer: what an element does to its key's value
 /// state. `KEEP` (gets, aggregates, padding) is the monoid identity. The
 /// three are numbered like the client ops that cause them, so a composed
@@ -93,18 +81,21 @@ const T_CLEAR: u8 = kind::DELETE;
 
 // --- Cell packing -----------------------------------------------------------
 //
-// Merge tag:  `(key << 64) | seq` for real elements, `u128::MAX` for
-// fillers (a real tag can never reach the all-ones pattern: seq ≤
-// |pending| + |batch| ≪ 2^64). Sorting by the tag groups runs by key with
-// the record (seq 0) first and ops in submission order — and keeps every
-// comparison strict, so the networks need no stability argument.
+// The store has two cell layouts (DESIGN.md §10).
 //
-// Merge aux:  `(kind << 64) | val`.
+// Op / record cell: tag = `(key << 64) | seq`, aux = `(kind << 64) | val`.
+// An op's seq is its 1-based position in `pending ++ batch`; a resident
+// record is the cell with seq 0 and aux = `val`, and an absent table slot
+// is a canonical filler (`TagCell::filler()`: tag `u128::MAX`, aux 0). A
+// real tag can never reach the all-ones pattern: seq ≤ |pending| + |batch|
+// ≪ 2^64. Sorting by the tag groups runs by key with the record first and
+// ops in submission order — and keeps every comparison strict, so the
+// networks need no stability argument. The resident table is a `Vec` of
+// these cells, and a snapshot file holds them byte for byte.
 //
-// Results lane:    tag = submission index (batch ops only, else filler);
-//                  aux = `(kind << 72) | (found << 64) | prev_val`.
-// Candidates lane: tag = key (run-last surviving states only, else
-//                  filler); aux = final value.
+// Answer cell: tag = slot in the batch, aux = `(kind << 72) | (found << 64)
+// | prev_val` ([`answer_cell`]). Every epoch path answers in it and
+// `store::decode` is its one reader.
 
 #[inline]
 fn op_cell(key: u64, seq: u64, op_kind: u8, val: u64) -> TagCell {
@@ -114,8 +105,14 @@ fn op_cell(key: u64, seq: u64, op_kind: u8, val: u64) -> TagCell {
     )
 }
 
+/// The resident record `key → val`.
 #[inline]
-fn cell_key(cell: &TagCell) -> u64 {
+pub(crate) fn record_cell(key: u64, val: u64) -> TagCell {
+    TagCell::new((key as u128) << 64, val as u128)
+}
+
+#[inline]
+pub(crate) fn cell_key(cell: &TagCell) -> u64 {
     (cell.tag >> 64) as u64
 }
 
@@ -125,7 +122,7 @@ fn cell_kind(cell: &TagCell) -> u8 {
 }
 
 #[inline]
-fn cell_val(cell: &TagCell) -> u64 {
+pub(crate) fn cell_val(cell: &TagCell) -> u64 {
     cell.aux as u64
 }
 
@@ -177,12 +174,11 @@ struct Bounds {
 
 #[inline]
 fn transformer_of(cell: &TagCell) -> Lww {
-    // Branchless: filler-ness and op kind are secret; fold them through
-    // word selects. A filler's aux lane reads as `REC_KIND`, so every
-    // predicate is gated on `real`.
+    // Branchless: filler-ness, record-ness and op kind are secret; fold
+    // them through word selects. A record (seq 0) sets its key's state.
     let real = !cell.is_filler();
     let k = cell_kind(cell);
-    let is_set = real && (k == REC_KIND || k == kind::PUT);
+    let is_set = real && (cell_seq(cell) == 0 || k == kind::PUT);
     let is_clear = real && k == kind::DELETE;
     Lww {
         head: false,
@@ -195,34 +191,48 @@ fn transformer_of(cell: &TagCell) -> Lww {
     }
 }
 
-/// Flat `Option<u64>`-plus-kind for the fixed-pattern result readout.
-#[derive(Clone, Copy, Default)]
-struct OutRes {
-    kind: u8,
-    found: bool,
-    val: u64,
+/// The answer to the op in batch slot `slot`: its kind, and the value its
+/// key held just before it ran.
+#[inline]
+pub(crate) fn answer_cell(slot: u64, op_kind: u8, found: bool, val: u64) -> TagCell {
+    TagCell::new(
+        slot as u128,
+        ((op_kind as u128) << 72) | ((found as u128) << 64) | val as u128,
+    )
+}
+
+/// Read out the `b`-cell answer window `t[..b]`. The readout covers the
+/// whole padded class — reading only the real answers would leak their
+/// count within the class — and moves the payload lanes only; each cell is
+/// re-tagged with its slot host-side.
+pub(crate) fn read_answers<C: Ctx>(c: &C, t: &Tracked<'_, TagCell>, b: usize) -> Vec<TagCell> {
+    let lanes = metrics::par_collect(c, b, &|c, j| {
+        let s = t.get(c, j);
+        debug_assert!(s.is_filler() || s.tag == j as u128);
+        s.aux
+    });
+    (0..b as u128)
+        .zip(lanes)
+        .map(|(j, aux)| TagCell::new(j, aux))
+        .collect()
 }
 
 /// Run one merge epoch. `table` holds the resident records sorted by key
 /// (padded, public length) and is rebuilt at public capacity `cap_new`;
-/// `pending` and `batch` are already padded to their public classes, with
-/// `n_results` real ops leading `batch`. Returns the batch results in
-/// submission order and the refreshed analytics snapshot. `stats_snapshot`
-/// (the pre-epoch snapshot) answers `Aggregate` ops. `enforce_live_bound`
-/// — a public config bit, set iff a shrink schedule is configured — adds
-/// the candidate-count guard pass before the rebuild.
-#[allow(clippy::too_many_arguments)]
+/// `pending` and `batch` are already padded to their public classes, the
+/// real ops leading `batch`. Returns one answer cell per batch slot (see
+/// [`answer_cell`]) and the refreshed analytics snapshot.
+/// `enforce_live_bound` — a public config bit, set iff a shrink schedule
+/// is configured — adds the candidate-count guard pass before the rebuild.
 pub(crate) fn merge_epoch<C: Ctx>(
     c: &C,
     scratch: &ScratchPool,
-    table: &mut Vec<Rec>,
+    table: &mut Vec<TagCell>,
     cap_new: usize,
     pending: &[FlatOp],
     batch: &[FlatOp],
-    n_results: usize,
-    stats_snapshot: StoreStats,
     enforce_live_bound: bool,
-) -> (Vec<OpResult>, StoreStats) {
+) -> (Vec<TagCell>, StoreStats) {
     let cap = table.len();
     let p = pending.len();
     let b = batch.len();
@@ -311,21 +321,19 @@ pub(crate) fn merge_epoch<C: Ctx>(
             let found = pre.kind == T_SET;
             let prev_val = select_u64(found, 0, pre.val);
             let is_batch_op = !s.is_filler() && cell_seq(&s) > p as u64;
-            // The submission index is computed unconditionally (wrapping:
-            // table records carry seq 0) and selected away for non-batch
+            // The batch slot is computed unconditionally (wrapping: table
+            // records carry seq 0) and selected away for non-batch
             // positions.
-            let result = TagCell {
-                tag: select_u128(
-                    is_batch_op,
-                    u128::MAX,
-                    cell_seq(&s).wrapping_sub(1 + p as u64) as u128,
-                ),
-                aux: ((cell_kind(&s) as u128) << 72) | ((found as u128) << 64) | prev_val as u128,
-            };
+            let slot = cell_seq(&s).wrapping_sub(1 + p as u64);
+            let mut result = answer_cell(slot, cell_kind(&s), found, prev_val);
+            result.tag = select_u128(is_batch_op, u128::MAX, result.tag);
+            // A candidate is the record its key's final state leaves
+            // behind; every other position a canonical filler.
             let cand = bd.last && inc_kind == T_SET && !s.is_filler();
+            let record = record_cell(cell_key(&s), inc_val);
             let candidate = TagCell {
-                tag: select_u128(cand, u128::MAX, cell_key(&s) as u128),
-                aux: inc_val as u128,
+                tag: select_u128(cand, u128::MAX, record.tag),
+                aux: select_u128(cand, 0, record.aux),
             };
             (result, candidate)
         });
@@ -333,25 +341,9 @@ pub(crate) fn merge_epoch<C: Ctx>(
 
     // 5. Results: stable-compact the batch answers to the front, then one
     //    small sort of the padded-batch window restores submission order.
-    //    The readout covers the *whole padded batch prefix* — reading
-    //    exactly `n_results` slots would leak the real op count within the
-    //    size class; the padding suffix is dropped host-side below.
-    let outs: Vec<OutRes> = {
-        compact_cells(c, scratch, &mut t);
-        {
-            let mut win = t.range(0, b);
-            ENGINE.sort_cells(c, scratch, &mut win);
-        }
-        metrics::par_collect(c, b, &|c, j| {
-            let s = t.get(c, j);
-            debug_assert!(j >= n_results || s.tag == j as u128);
-            OutRes {
-                kind: (s.aux >> 72) as u8,
-                found: (s.aux >> 64) & 1 == 1,
-                val: s.aux as u64,
-            }
-        })
-    };
+    compact_cells(c, scratch, &mut t);
+    ENGINE.sort_cells(c, scratch, &mut t.range(0, b));
+    let answers = read_answers(c, &t, b);
 
     // 6. Rebuild: the candidates lane inherited key order from the merged
     //    array, so one stable compaction (no sort) moves the surviving
@@ -383,19 +375,13 @@ pub(crate) fn merge_epoch<C: Ctx>(
         );
     }
 
+    // The candidates already are records: the new table is the
+    // compacted prefix, copied.
     table.clear();
-    table.resize(cap_new, Rec::default());
+    table.resize(cap_new, TagCell::filler());
     let stats = {
         let mut tt = Tracked::new(c, table.as_mut_slice());
-        par_fill(c, &mut tt, &|c, i| {
-            let s = cand_t.get(c, i);
-            let keep = !s.is_filler();
-            Rec {
-                present: keep,
-                key: select_u64(keep, 0, s.tag as u64),
-                val: select_u64(keep, 0, s.aux as u64),
-            }
-        });
+        par_fill(c, &mut tt, &|c, i| cand_t.get(c, i));
         // Refresh the analytics snapshot with one reduce over the new table.
         par_reduce(
             c,
@@ -404,7 +390,8 @@ pub(crate) fn merge_epoch<C: Ctx>(
             grain_for(c),
             &|c, i| {
                 let r = tt.get(c, i);
-                (r.present as u64, select_u64(r.present, 0, r.val))
+                let present = !r.is_filler();
+                (present as u64, select_u64(present, 0, cell_val(&r)))
             },
             // One overflow policy for both fields (see `StoreStats`):
             // wrap, exactly like the cross-shard fold.
@@ -413,19 +400,7 @@ pub(crate) fn merge_epoch<C: Ctx>(
         .map(|(count, sum)| StoreStats { count, sum })
         .unwrap_or_default()
     };
-
-    let results = outs
-        .into_iter()
-        .take(n_results)
-        .map(|o| {
-            if o.kind == kind::AGG {
-                OpResult::Stats(stats_snapshot)
-            } else {
-                OpResult::Value(o.found.then_some(o.val))
-            }
-        })
-        .collect();
-    (results, stats)
+    (answers, stats)
 }
 
 /// Pack `first ++ second` into cells keyed `(key ‖ 1-based position)` over
@@ -452,33 +427,22 @@ fn sorted_ops<'s, C: Ctx>(
 }
 
 /// `[table | fillers | lane reversed]` over `pow2(|table| + |lane|)` cells.
-/// `table` is key-sorted with its present records leading and `lane` is
-/// sorted with fillers last, so the result is bitonic: one
+/// `table` is key-sorted with its records leading and `lane` is sorted
+/// with fillers last, so the result is bitonic: one
 /// [`Engine::merge_cells`] sorts it, each record (seq 0) heading its key's
 /// run.
 fn bitonic_with_table<'s, C: Ctx>(
     c: &C,
     scratch: &'s ScratchPool,
-    table: &[Rec],
+    table: &[TagCell],
     lane: &[TagCell],
 ) -> ScratchGuard<'s, TagCell> {
-    let cap = table.len();
-    let m = (cap + lane.len()).next_power_of_two();
+    let m = (table.len() + lane.len()).next_power_of_two();
     let mut cells = scratch.lease(m, TagCell::filler());
-    for (i, cell) in cells.iter_mut().enumerate() {
-        *cell = if i < cap {
-            let r = table[i];
-            if r.present {
-                op_cell(r.key, 0, REC_KIND, r.val)
-            } else {
-                TagCell::filler()
-            }
-        } else if i >= m - lane.len() {
-            lane[m - 1 - i]
-        } else {
-            TagCell::filler()
-        };
-    }
+    cells[..table.len()].copy_from_slice(table);
+    let tail = &mut cells[m - lane.len()..];
+    tail.copy_from_slice(lane);
+    tail.reverse();
     c.charge_par(m as u64);
     cells
 }
@@ -522,11 +486,12 @@ fn resolve_runs<C: Ctx>(
     });
 }
 
-/// Answer `queries` (a padded `Get` batch of public class `q`, its `n`
-/// leading slots real) against `tables` — one key-sorted table per shard,
-/// keys unique across them — as the tables will read once `log` (every
+/// Answer `queries` (a padded `Get` batch of public class `q`, its real
+/// slots leading) against `tables` — one key-sorted table per shard, keys
+/// unique across them — as the tables will read once `log` (every
 /// accepted but un-merged op, oldest first, public length) has been
-/// applied. Read-only: nothing is rebuilt.
+/// applied, in one answer cell per query slot. Read-only: nothing is
+/// rebuilt.
 ///
 /// 1. `log ++ queries` are sorted as cells over their own class and the
 ///    LWW scan hands every query its **log verdict** — `KEEP`, `SET v` or
@@ -546,14 +511,13 @@ fn resolve_runs<C: Ctx>(
 pub(crate) fn consult<C: Ctx>(
     c: &C,
     scratch: &ScratchPool,
-    tables: &[&[Rec]],
+    tables: &[&[TagCell]],
     log: &[FlatOp],
     queries: &[FlatOp],
-    n: usize,
-) -> Vec<Option<u64>> {
+) -> Vec<TagCell> {
     let l = log.len() as u64;
     let q = queries.len();
-    debug_assert!(q.is_power_of_two() && n <= q);
+    debug_assert!(q.is_power_of_two());
     // 1. Verdicts. Queries follow the whole log in `seq`, so the state a
     //    query's run has reached at it is the log's net effect on its key.
     let mut ops = sorted_ops(c, scratch, log, queries);
@@ -578,7 +542,8 @@ pub(crate) fn consult<C: Ctx>(
             ENGINE.merge_cells(c, scratch, &mut t);
             resolve_runs(c, scratch, &mut t, &|s, state, val| {
                 // Records carry seq 0; a query keeps its tag and learns
-                // whether its key ends up set, and to what.
+                // whether its key ends up set, and to what: the answer
+                // payload of a `Get` (kind 0).
                 let is_query = !s.is_filler() && cell_seq(&s) != 0;
                 let found = state == T_SET;
                 TagCell {
@@ -602,31 +567,21 @@ pub(crate) fn consult<C: Ctx>(
             cell
         });
     }
-    // One small sort restores submission order. The readout covers the
-    // whole padded class (see `merge_epoch`); the padding suffix is dropped
-    // host-side.
+    // One small sort restores submission order.
     let mut win = asked.range(0, q);
     ENGINE.sort_cells(c, scratch, &mut win);
-    let answers = metrics::par_collect(c, q, &|c, j| {
-        let s = win.get(c, j);
-        debug_assert!(j >= n || s.tag == j as u128);
-        ((s.aux >> 64) & 1 == 1, s.aux as u64)
-    });
-    answers
-        .into_iter()
-        .take(n)
-        .map(|(found, val)| found.then_some(val))
-        .collect()
+    read_answers(c, &win, q)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::op::Op;
+    use crate::op::{Op, OpResult};
+    use crate::store::decode;
     use fj::SeqCtx;
 
     fn run(
-        table: &mut Vec<Rec>,
+        table: &mut Vec<TagCell>,
         cap_new: usize,
         pending: &[FlatOp],
         ops: &[Op],
@@ -636,31 +591,25 @@ mod tests {
         let scratch = ScratchPool::new();
         let mut batch: Vec<FlatOp> = ops.iter().map(FlatOp::of).collect();
         batch.resize(pad_to, FlatOp::dummy());
-        let (res, _) = merge_epoch(
-            &c,
-            &scratch,
-            table,
-            cap_new,
-            pending,
-            &batch,
-            ops.len(),
-            StoreStats::default(),
-            true,
-        );
-        res
+        let (answers, _) = merge_epoch(&c, &scratch, table, cap_new, pending, &batch, true);
+        assert_eq!(answers.len(), pad_to, "one answer per padded slot");
+        answers[..ops.len()]
+            .iter()
+            .map(|a| decode(a, StoreStats::default()))
+            .collect()
     }
 
-    fn live(table: &[Rec]) -> Vec<(u64, u64)> {
+    fn live(table: &[TagCell]) -> Vec<(u64, u64)> {
         table
             .iter()
-            .filter(|r| r.present)
-            .map(|r| (r.key, r.val))
+            .filter(|r| !r.is_filler())
+            .map(|r| (cell_key(r), cell_val(r)))
             .collect()
     }
 
     #[test]
     fn put_get_delete_sequential_semantics() {
-        let mut table = vec![Rec::default(); 8];
+        let mut table = vec![TagCell::filler(); 8];
         let ops = vec![
             Op::Put { key: 5, val: 50 },
             Op::Get { key: 5 },
@@ -687,18 +636,10 @@ mod tests {
     #[test]
     fn table_records_head_their_runs() {
         let mut table = vec![
-            Rec {
-                present: true,
-                key: 3,
-                val: 30,
-            },
-            Rec {
-                present: true,
-                key: 9,
-                val: 90,
-            },
-            Rec::default(),
-            Rec::default(),
+            record_cell(3, 30),
+            record_cell(9, 90),
+            TagCell::filler(),
+            TagCell::filler(),
         ];
         let ops = vec![
             Op::Get { key: 3 },
@@ -721,7 +662,7 @@ mod tests {
 
     #[test]
     fn pending_ops_apply_before_batch() {
-        let mut table = vec![Rec::default(); 8];
+        let mut table = vec![TagCell::filler(); 8];
         let pending = vec![
             FlatOp {
                 kind: kind::PUT,
@@ -743,7 +684,7 @@ mod tests {
     fn stats_reflect_new_table_and_aggregates_see_snapshot() {
         let c = SeqCtx::new();
         let scratch = ScratchPool::new();
-        let mut table = vec![Rec::default(); 8];
+        let mut table = vec![TagCell::filler(); 8];
         let batch: Vec<FlatOp> = [
             Op::Put { key: 1, val: 10 },
             Op::Put { key: 2, val: 5 },
@@ -755,21 +696,17 @@ mod tests {
         .take(8)
         .collect();
         let snapshot = StoreStats { count: 9, sum: 99 };
-        let (res, stats) = merge_epoch(&c, &scratch, &mut table, 8, &[], &batch, 3, snapshot, true);
+        let (res, stats) = merge_epoch(&c, &scratch, &mut table, 8, &[], &batch, true);
         // Aggregates answer from the pre-epoch snapshot...
-        assert_eq!(res[2], OpResult::Stats(snapshot));
+        assert_eq!(decode(&res[2], snapshot), OpResult::Stats(snapshot));
         // ...while the refreshed snapshot covers the new table.
         assert_eq!(stats, StoreStats { count: 2, sum: 15 });
     }
 
     #[test]
     fn capacity_growth_keeps_records() {
-        let mut table = vec![Rec {
-            present: true,
-            key: 100,
-            val: 1,
-        }];
-        table.resize(8, Rec::default());
+        let mut table = vec![record_cell(100, 1)];
+        table.resize(8, TagCell::filler());
         let ops: Vec<Op> = (0..12).map(|i| Op::Put { key: i, val: i }).collect();
         let res = run(&mut table, 16, &[], &ops, 16);
         assert!(res.iter().all(|r| *r == OpResult::Value(None)));
@@ -781,9 +718,9 @@ mod tests {
 
     #[test]
     fn rebuilt_table_is_key_sorted_with_reals_leading() {
-        // The bitonic-merge step relies on the rebuild invariant: present
-        // records ascending by key, fillers after.
-        let mut table = vec![Rec::default(); 8];
+        // The bitonic-merge step relies on the rebuild invariant: records
+        // (seq 0, bare value) ascending by key, canonical fillers after.
+        let mut table = vec![TagCell::filler(); 8];
         let ops: Vec<Op> = [9u64, 2, 7, 4]
             .iter()
             .map(|&k| Op::Put {
@@ -792,12 +729,17 @@ mod tests {
             })
             .collect();
         run(&mut table, 8, &[], &ops, 8);
-        let first_absent = table.iter().position(|r| !r.present).unwrap_or(8);
+        let first_absent = table.iter().position(TagCell::is_filler).unwrap_or(8);
         assert_eq!(first_absent, 4);
-        assert!(table[first_absent..].iter().all(|r| !r.present));
+        assert!(table[first_absent..]
+            .iter()
+            .all(|r| *r == TagCell::filler()));
+        assert!(table[..first_absent]
+            .iter()
+            .all(|r| *r == record_cell(cell_key(r), cell_val(r))));
         assert!(table[..first_absent]
             .windows(2)
-            .all(|w| w[0].key < w[1].key));
+            .all(|w| w[0].tag < w[1].tag));
     }
 
     #[test]
@@ -806,15 +748,11 @@ mod tests {
         // record, deletes another and creates a key neither table holds.
         let c = SeqCtx::new();
         let scratch = ScratchPool::new();
-        let rec = |key, val| Rec {
-            present: true,
-            key,
-            val,
-        };
+        let rec = record_cell;
         let mut left = vec![rec(2, 20), rec(4, 40), rec(u64::MAX, 9)];
-        left.resize(8, Rec::default());
+        left.resize(8, TagCell::filler());
         let mut right = vec![rec(1, 10), rec(3, 30)];
-        right.resize(8, Rec::default());
+        right.resize(8, TagCell::filler());
         let before = (left.clone(), right.clone());
         let mut log: Vec<FlatOp> = [
             Op::Put { key: 4, val: 41 },
@@ -833,7 +771,11 @@ mod tests {
             .map(|&key| FlatOp::of(&Op::Get { key }))
             .collect();
         queries.resize(16, FlatOp::dummy());
-        let got = consult(&c, &scratch, &[&left, &right], &log, &queries, keys.len());
+        let got: Vec<Option<u64>> = consult(&c, &scratch, &[&left, &right], &log, &queries)
+            [..keys.len()]
+            .iter()
+            .map(|a| decode(a, StoreStats::default()).value())
+            .collect();
         assert_eq!(
             got,
             vec![
@@ -854,7 +796,7 @@ mod tests {
     #[test]
     fn extreme_keys_do_not_collide_with_fillers() {
         // key u64::MAX packs to a tag below u128::MAX (seq keeps it real).
-        let mut table = vec![Rec::default(); 8];
+        let mut table = vec![TagCell::filler(); 8];
         let ops = vec![
             Op::Put {
                 key: u64::MAX,

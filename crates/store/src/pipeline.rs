@@ -64,11 +64,12 @@
 //! [`try_commit`]: PipelinedStore::try_commit
 
 use crate::error::{Health, StoreError};
-use crate::merge::{consult, Rec};
-use crate::op::{FlatOp, Op, OpResult};
-use crate::store::{validate_and_pad, ShardedStore, StoreConfig};
+use crate::merge::consult;
+use crate::op::{FlatOp, Op, OpResult, StoreStats};
+use crate::store::{decode, validate_and_pad, ShardedStore, StoreConfig};
 use fj::{Ctx, Deferred};
 use metrics::ScratchPool;
+use obliv_core::TagCell;
 use std::collections::VecDeque;
 use std::sync::Arc;
 
@@ -129,9 +130,9 @@ pub struct PipelinedStore<T = ShardedStore> {
     store: Option<T>,
     scratch: Arc<ScratchPool>,
     cfg: StoreConfig,
-    /// Every shard's resident table as of the last handoff (each
-    /// key-sorted with reals leading, public length).
-    snapshot: Vec<Vec<Rec>>,
+    /// Every shard's resident table cells as of the last handoff (each
+    /// key-sorted with records leading, public length).
+    snapshot: Vec<Vec<TagCell>>,
     /// Pre-handoff pending log (nonzero only for ORAM-path stores).
     snapshot_pending: Vec<FlatOp>,
     open: Vec<Op>,
@@ -452,13 +453,19 @@ impl PipelinedStore<ShardedStore> {
             log.extend(validate_and_pad(&self.cfg, &self.open)?);
         }
 
-        let tables: Vec<&[Rec]> = self.snapshot.iter().map(Vec::as_slice).collect();
+        let tables: Vec<&[TagCell]> = self.snapshot.iter().map(Vec::as_slice).collect();
         let scratch = &*self.scratch;
         // One entry into the executor: a pool runs the whole consult on a
         // worker, where its nested forks are deque pushes instead of an
         // inject and a park apiece.
-        let run = |c: &C| consult(c, scratch, &tables, &log, &queries, keys.len());
-        Ok(c.join(run, |_| ()).0)
+        let run = |c: &C| consult(c, scratch, &tables, &log, &queries);
+        let answers = c.join(run, |_| ()).0;
+        // Every query is a `Get`: no answer reads the snapshot.
+        let snapshot = StoreStats::default();
+        Ok(answers[..keys.len()]
+            .iter()
+            .map(|a| decode(a, snapshot).value())
+            .collect())
     }
 
     /// [`try_read_now`](PipelinedStore::try_read_now) for callers with no

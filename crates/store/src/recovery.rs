@@ -9,9 +9,8 @@
 //! selects for its class — exactly the calls the original epoch made. The
 //! recovered adversary trace is therefore the same public function of the
 //! logged batch classes as a fresh run of those epochs: recovery leaks
-//! nothing the original execution had not already leaked. (Replay passes
-//! `n_results = 0`; the result count only controls how many answers are
-//! copied out host-side and never touches the oblivious trace.)
+//! nothing the original execution had not already leaked. (Replay drops
+//! the answer cells; nothing host-side reads them.)
 //!
 //! # The commit horizon
 //!
@@ -147,7 +146,7 @@ pub(crate) fn recover_shards<C: Ctx>(
                 break;
             }
             let path = shard.epoch_path(batch.len());
-            shard.execute(c, scratch, batch, 0, path);
+            shard.execute(c, scratch, batch, path);
             if i == 0 {
                 last_path = Some(path);
             }

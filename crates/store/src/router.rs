@@ -12,18 +12,14 @@
 //! what preserves the store's sequential within-epoch semantics: two ops
 //! on the same key always share a shard and arrive in submission order.
 //!
-//! [`gather_results`] is the send-receive return trip: per-shard results,
-//! tagged with their submission index, arrive as one ascending run per
-//! shard (the scatter was stable) and are merged back to submission order
-//! — the engine's sort-from-runs, the same merge of sorted runs ORBA's
-//! placements use, not a sort — followed by a fixed-prefix readout of the
-//! whole padded batch. The gather rides the
-//! tag-sort fast path (DESIGN.md §10): each result packs into one 32-byte
-//! [`TagCell`] — submission index in the tag lane, `(agg ‖ found ‖ val)` in
-//! the payload lane — so the return-trip network moves dense cells instead
-//! of `Slot`-wrapped records.
+//! [`gather_results`] is the send-receive return trip: the shards' answer
+//! cells (DESIGN.md §10), re-tagged with their submission index, arrive as
+//! one ascending run per shard (the scatter was stable) and are merged
+//! back to submission order — the engine's sort-from-runs, the same merge
+//! of sorted runs ORBA's placements use, not a sort — followed by a
+//! fixed-prefix readout of the whole padded batch.
 
-use crate::merge::ENGINE;
+use crate::merge::{read_answers, ENGINE};
 use crate::op::{kind, FlatOp, MIN_CLASS};
 use fj::Ctx;
 use metrics::{ScratchPool, Tracked};
@@ -61,20 +57,6 @@ pub(crate) struct SubBatch {
     pub batch: Vec<FlatOp>,
     /// Submission index per slot; `u64::MAX` for padding.
     pub idx: Vec<u64>,
-    /// Number of real ops (host-private; the trace never reads it).
-    pub n_real: usize,
-    /// Filled by the shard commit.
-    pub results: Vec<OpResultSlot>,
-}
-
-/// Flat, `Copy` result representation carried through the gather network:
-/// `agg` marks aggregate answers (rewritten host-side with the global
-/// snapshot), otherwise `found`/`val` encode the `Option<u64>`.
-#[derive(Clone, Copy, Debug, Default)]
-pub(crate) struct OpResultSlot {
-    pub agg: bool,
-    pub found: bool,
-    pub val: u64,
 }
 
 /// Obliviously scatter a padded batch into `shards` sub-batches of `zcap`
@@ -109,97 +91,73 @@ pub(crate) fn route_ops<C: Ctx>(
     Ok(routed
         .chunks(zcap)
         .map(|chunk| {
-            let mut batch = Vec::with_capacity(zcap);
-            let mut idx = Vec::with_capacity(zcap);
-            let mut n_real = 0;
-            for s in chunk {
-                // Reals are packed in front of each chunk (scatter
-                // contract), so the sub-batch keeps the merge path's
-                // reals-lead-the-batch shape.
-                if s.is_real() {
-                    batch.push(s.item.val);
-                    idx.push(s.item.key as u64);
-                    n_real += 1;
-                } else {
-                    batch.push(FlatOp::dummy());
-                    idx.push(u64::MAX);
-                }
-            }
-            SubBatch {
-                batch,
-                idx,
-                n_real,
-                results: Vec::new(),
-            }
+            // Reals are packed in front of each chunk (scatter contract),
+            // so the sub-batch keeps the merge path's reals-lead-the-batch
+            // shape.
+            let (batch, idx) = chunk
+                .iter()
+                .map(|s| {
+                    if s.is_real() {
+                        (s.item.val, s.item.key as u64)
+                    } else {
+                        (FlatOp::dummy(), u64::MAX)
+                    }
+                })
+                .unzip();
+            SubBatch { batch, idx }
         })
         .collect())
 }
 
-/// Route per-shard results back to submission order. `entries` is the
-/// concatenation of the shards' result runs, `zcap` slots each (public
-/// length `shards · zcap`, both powers of two).
+/// Route per-shard answer cells back to submission order. `entries` is the
+/// concatenation of the shards' answer runs, `zcap` cells each (public
+/// length `shards · zcap`, both powers of two), every answer tagged by its
+/// submission index and every padding slot a filler.
 ///
-/// **Input contract:** every run is ascending by submission index with its
-/// padding (`u64::MAX`) last. [`route_ops`] scatters stably and a shard
-/// answers its sub-batch slot for slot, so the runs `commit_split` hands
-/// over always are. Sorted runs are merged, not re-sorted
+/// **Input contract:** every run is ascending by tag with its fillers
+/// last. [`route_ops`] scatters stably and a shard answers its sub-batch
+/// slot for slot, so the runs `commit_split` hands over always are. Sorted
+/// runs are merged, not re-sorted
 /// ([`obliv_core::Engine::sort_cells_from_runs`]: `log₂ shards` rounds of
 /// bitonic merges, `O(n log n)` comparators in total against the
-/// `O(n log² n)` of a sort), then a fixed-prefix readout of the whole
+/// `O(n log² n)` of a sort), then [`read_answers`] reads out the whole
 /// padded batch class `b`.
 pub(crate) fn gather_results<C: Ctx>(
     c: &C,
     scratch: &ScratchPool,
-    entries: &[(u64, OpResultSlot)],
+    entries: &[TagCell],
     zcap: usize,
     b: usize,
-) -> Vec<OpResultSlot> {
+) -> Vec<TagCell> {
     let n = entries.len();
     debug_assert!(n >= b && zcap.is_power_of_two() && n.is_power_of_two() && zcap <= n);
     debug_assert!(
         entries.chunks(zcap).all(|run| run
             .windows(2)
-            .all(|w| w[0].0 < w[1].0 || w[1].0 == u64::MAX)),
+            .all(|w| w[0].tag < w[1].tag || w[1].is_filler())),
         "gather runs must ascend by submission index, padding last"
     );
     let mut cells = scratch.lease(n, TagCell::filler());
-    for (cell, &(i, v)) in cells.iter_mut().zip(entries) {
-        *cell = if i == u64::MAX {
-            TagCell::filler()
-        } else {
-            TagCell::new(
-                i as u128,
-                ((v.agg as u128) << 65) | ((v.found as u128) << 64) | v.val as u128,
-            )
-        };
-    }
+    cells.copy_from_slice(entries);
     c.charge_par(n as u64);
 
     let mut t = Tracked::new(c, &mut cells);
     ENGINE.sort_cells_from_runs(c, scratch, &mut t, zcap);
-
-    // Fixed-pattern readout over the whole padded batch prefix — reading
-    // fewer slots would leak the real op count within the class.
-    metrics::par_collect(c, b, &|c, j| {
-        let s = t.get(c, j);
-        debug_assert!(s.is_filler() || s.tag as usize == j);
-        if s.is_filler() {
-            OpResultSlot::default()
-        } else {
-            OpResultSlot {
-                agg: (s.aux >> 65) & 1 == 1,
-                found: (s.aux >> 64) & 1 == 1,
-                val: s.aux as u64,
-            }
-        }
-    })
+    read_answers(c, &t, b)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::op::Op;
+    use crate::merge::answer_cell;
+    use crate::op::{Op, StoreStats};
+    use crate::store::decode;
     use fj::SeqCtx;
+
+    /// Real ops lead a sub-batch; padding is indexed `u64::MAX`.
+    fn n_real(sub: &SubBatch) -> usize {
+        sub.idx.iter().take_while(|&&i| i != u64::MAX).count()
+    }
 
     #[test]
     fn shard_hash_is_total_and_stable() {
@@ -240,14 +198,16 @@ mod tests {
         for (s, sub) in subs.iter().enumerate() {
             assert_eq!(sub.batch.len(), 16);
             // Each real op landed on its hash shard, in ascending
-            // submission order.
-            let idxs: Vec<u64> = sub.idx[..sub.n_real].to_vec();
+            // submission order, ahead of the padding.
+            let n_real = n_real(sub);
+            assert!(sub.idx[n_real..].iter().all(|&i| i == u64::MAX));
+            let idxs: Vec<u64> = sub.idx[..n_real].to_vec();
             assert!(idxs.windows(2).all(|w| w[0] < w[1]), "shard {s}: {idxs:?}");
-            for (z, f) in sub.batch[..sub.n_real].iter().enumerate() {
+            for (z, f) in sub.batch[..n_real].iter().enumerate() {
                 assert_eq!(shard_of(f.key, 4), s);
                 assert_eq!(f.val, idxs[z], "payload rides along");
             }
-            seen += sub.n_real;
+            seen += n_real;
         }
         assert_eq!(seen, 13, "every real op routed exactly once");
     }
@@ -265,32 +225,31 @@ mod tests {
         let subs = route_ops(&c, &sp, &ops, 4, 16).unwrap();
         let home = shard_of(7, 4);
         for (s, sub) in subs.iter().enumerate() {
-            assert_eq!(sub.n_real, if s == home { 16 } else { 0 });
+            assert_eq!(n_real(sub), if s == home { 16 } else { 0 });
         }
         assert_eq!(subs[home].idx, (0..16).collect::<Vec<u64>>());
         let vals: Vec<u64> = subs[home].batch.iter().map(|f| f.val).collect();
         assert_eq!(vals, (0..16).collect::<Vec<u64>>());
     }
 
-    fn found(v: u64) -> OpResultSlot {
-        OpResultSlot {
-            agg: false,
-            found: true,
-            val: v,
-        }
-    }
-
-    /// `zcap`-slot runs holding the given submission indices (ascending),
-    /// padded — the shape `commit_split` produces.
-    fn runs(zcap: usize, idx: &[&[u64]]) -> Vec<(u64, OpResultSlot)> {
+    /// `zcap`-cell runs answering the given submission indices
+    /// (ascending), padded with fillers — the shape `commit_split`
+    /// produces.
+    fn runs(zcap: usize, idx: &[&[u64]]) -> Vec<TagCell> {
         idx.iter()
             .flat_map(|run| {
                 assert!(run.len() <= zcap && run.windows(2).all(|w| w[0] < w[1]));
-                let real = run.iter().map(|&i| (i, found(i * 10)));
-                let pad = std::iter::repeat((u64::MAX, OpResultSlot::default()));
+                let real = run.iter().map(|&i| answer_cell(i, kind::GET, true, i * 10));
+                let pad = std::iter::repeat(TagCell::filler());
                 real.chain(pad).take(zcap).collect::<Vec<_>>()
             })
             .collect()
+    }
+
+    /// The gathered answers as the store decodes them.
+    fn values(out: &[TagCell]) -> Vec<Option<u64>> {
+        let snapshot = StoreStats::default();
+        out.iter().map(|a| decode(a, snapshot).value()).collect()
     }
 
     #[test]
@@ -300,11 +259,9 @@ mod tests {
         // 2 shards × 4 slots, 5 real results between them.
         let entries = runs(4, &[&[0, 3], &[1, 2, 4]]);
         let out = gather_results(&c, &sp, &entries, 4, 8);
-        for (j, r) in out.iter().take(5).enumerate() {
-            assert!(r.found);
-            assert_eq!(r.val, j as u64 * 10);
-        }
-        assert!(out[5..].iter().all(|r| !r.found));
+        let want: Vec<Option<u64>> = (0..8).map(|j| (j < 5).then_some(j * 10)).collect();
+        assert_eq!(values(&out), want);
+        assert!(out.iter().enumerate().all(|(j, a)| a.tag == j as u128));
     }
 
     #[test]
@@ -315,16 +272,15 @@ mod tests {
         let sp = ScratchPool::new();
         let entries = runs(4, &[&[], &[1, 2, 5, 7], &[0], &[3, 4, 6]]);
         let out = gather_results(&c, &sp, &entries, 4, 8);
-        let vals: Vec<u64> = out.iter().map(|r| r.val).collect();
-        assert_eq!(vals, (0..8).map(|j| j * 10).collect::<Vec<u64>>());
-        assert!(out.iter().all(|r| r.found && !r.agg));
+        let want: Vec<Option<u64>> = (0..8).map(|j| Some(j * 10)).collect();
+        assert_eq!(values(&out), want);
         // Eight runs: three merge rounds over leaves of both directions.
         let idx: Vec<Vec<u64>> = (0..8u64)
             .map(|s| (0..32).filter(|j| j % 11 % 8 == s).collect())
             .collect();
         let idx: Vec<&[u64]> = idx.iter().map(Vec::as_slice).collect();
         let out = gather_results(&c, &sp, &runs(16, &idx), 16, 32);
-        let vals: Vec<u64> = out.iter().map(|r| r.val).collect();
-        assert_eq!(vals, (0..32).map(|j| j * 10).collect::<Vec<u64>>());
+        let want: Vec<Option<u64>> = (0..32).map(|j| Some(j * 10)).collect();
+        assert_eq!(values(&out), want);
     }
 }

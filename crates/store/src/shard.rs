@@ -11,18 +11,20 @@
 //! 1-shard store ([`crate::Store`]) hands its whole padded batch to its
 //! one shard.
 
-use crate::merge::{merge_epoch, Rec, ENGINE};
-use crate::op::{kind, size_class, EpochPath, FlatOp, OpResult, StoreStats};
+use crate::merge::{answer_cell, cell_key, cell_val, merge_epoch, ENGINE};
+use crate::op::{size_class, EpochPath, FlatOp, StoreStats};
 use crate::store::StoreConfig;
 use fj::Ctx;
 use metrics::ScratchPool;
+use obliv_core::TagCell;
 use pram::Opram;
 
 /// Table/pending/ORAM/analytics state for one slice of the key space.
 pub(crate) struct Shard {
     cfg: StoreConfig,
-    /// Resident records, key-sorted, padded to `size_class(live_upper)`.
-    table: Vec<Rec>,
+    /// Resident record cells, key-sorted, padded with fillers to
+    /// `size_class(live_upper)`.
+    table: Vec<TagCell>,
     /// Public upper bound on the number of distinct present keys.
     live_upper: usize,
     /// Ops applied to the ORAM mirror but not yet merged into the table.
@@ -41,7 +43,7 @@ impl Shard {
         });
         Shard {
             cfg,
-            table: vec![Rec::default(); size_class(0)],
+            table: vec![TagCell::filler(); size_class(0)],
             live_upper: 0,
             pending: Vec::new(),
             oram,
@@ -50,7 +52,7 @@ impl Shard {
         }
     }
 
-    /// Rebuild a shard from a durable snapshot: the packed table plus the
+    /// Rebuild a shard from a durable snapshot: the table cells plus the
     /// public counters, with the ORAM mirror (when configured) rebuilt by
     /// one fixed-pattern access per public table slot. Snapshots are only
     /// taken at merge closes, where the pending log is empty and the
@@ -59,7 +61,7 @@ impl Shard {
         c: &C,
         cfg: StoreConfig,
         salt: u64,
-        table: Vec<Rec>,
+        table: Vec<TagCell>,
         live_upper: usize,
         merges: u64,
         stats: StoreStats,
@@ -69,10 +71,10 @@ impl Shard {
             // One access per slot, real or filler (fillers walk key 0):
             // the rebuild trace is a function of the public capacity only.
             for r in &table {
-                let (key, write) = if r.present {
-                    (r.key, Some(r.val + 1))
-                } else {
+                let (key, write) = if r.is_filler() {
                     (0, None)
+                } else {
+                    (cell_key(r), Some(cell_val(r) + 1))
                 };
                 oram.access(c, key, write);
             }
@@ -99,42 +101,40 @@ impl Shard {
         }
     }
 
-    /// Run one epoch over an already padded `batch` whose `n_results`
-    /// leading slots are real ops, on the given (publicly selected) path.
+    /// Run one epoch over an already padded `batch` (real ops leading) on
+    /// the given (publicly selected) path. Returns one answer cell per
+    /// batch slot, tagged by the slot ([`crate::merge::answer_cell`]).
     pub fn execute<C: Ctx>(
         &mut self,
         c: &C,
         scratch: &ScratchPool,
         batch: &[FlatOp],
-        n_results: usize,
         path: EpochPath,
-    ) -> Vec<OpResult> {
+    ) -> Vec<TagCell> {
         match path {
-            EpochPath::Oram => self.oram_epoch(c, batch, n_results),
-            EpochPath::Merge => self.merge_batch(c, scratch, batch, n_results),
+            EpochPath::Oram => self.oram_epoch(c, batch),
+            EpochPath::Merge => self.merge_batch(c, scratch, batch),
         }
     }
 
     /// Sub-threshold path: one fixed-pattern tree-ORAM access per padded
     /// slot (dummies walk key 0), giving sequential semantics at
     /// `O(b · polylog s)` instead of a full `O((cap + b) log² )` merge.
-    fn oram_epoch<C: Ctx>(&mut self, c: &C, batch: &[FlatOp], n_results: usize) -> Vec<OpResult> {
+    /// The answer cells are the merge path's, built host-side.
+    fn oram_epoch<C: Ctx>(&mut self, c: &C, batch: &[FlatOp]) -> Vec<TagCell> {
         let oram = self.oram.as_mut().expect("ORAM path requires a mirror");
-        let mut results = Vec::with_capacity(n_results);
-        for (i, f) in batch.iter().enumerate() {
-            let prev = oram.access(c, f.key, f.oram_write());
-            if i < n_results {
-                results.push(if f.kind == kind::AGG {
-                    OpResult::Stats(self.stats)
-                } else {
-                    OpResult::Value(prev.checked_sub(1))
-                });
-            }
-        }
+        let answers = (0..)
+            .zip(batch)
+            .map(|(slot, f)| {
+                // Presence is stored as `val + 1`; 0 is absent.
+                let prev = oram.access(c, f.key, f.oram_write());
+                answer_cell(slot, f.kind, prev != 0, prev.saturating_sub(1))
+            })
+            .collect();
         // The padded batch (dummies included: public length) joins the
         // pending log for the next merge.
         self.pending.extend_from_slice(batch);
-        results
+        answers
     }
 
     /// Merge path: replay `pending ++ batch` against the table (see
@@ -144,8 +144,7 @@ impl Shard {
         c: &C,
         scratch: &ScratchPool,
         batch: &[FlatOp],
-        n_results: usize,
-    ) -> Vec<OpResult> {
+    ) -> Vec<TagCell> {
         // Every pending/batch op could be a put of a fresh key, so the
         // public live-key bound grows by their count (clamped to the key
         // space when one is configured).
@@ -166,15 +165,13 @@ impl Shard {
         }
         let cap_new = size_class(live_upper);
 
-        let (results, stats) = merge_epoch(
+        let (answers, stats) = merge_epoch(
             c,
             scratch,
             &mut self.table,
             cap_new,
             &self.pending,
             batch,
-            n_results,
-            self.stats,
             self.cfg.shrink.is_some(),
         );
         self.live_upper = live_upper;
@@ -190,7 +187,7 @@ impl Shard {
                 oram.access(c, f.key, f.oram_write());
             }
         }
-        results
+        answers
     }
 
     pub fn stats(&self) -> StoreStats {
@@ -213,11 +210,11 @@ impl Shard {
         self.merges
     }
 
-    /// The resident table: key-sorted, present records leading, padded
-    /// to the public capacity. Public length; contents stay host-side
-    /// until a snapshot serializes them or a pipelined consult merges
-    /// its queries into a copy under tracked kernels.
-    pub fn records(&self) -> &[Rec] {
+    /// The resident table: record cells key-sorted and leading, fillers
+    /// padding it to the public capacity. Public length; contents stay
+    /// host-side until a snapshot writes them out or a pipelined consult
+    /// merges its queries into a copy under tracked kernels.
+    pub fn records(&self) -> &[TagCell] {
         &self.table
     }
 

@@ -31,14 +31,15 @@
 //! See DESIGN.md §9.
 
 use crate::error::{Health, RetryPolicy, StoreError};
-use crate::op::{size_class, EpochPath, FlatOp, Op, OpResult, StoreStats};
+use crate::op::{kind, size_class, EpochPath, FlatOp, Op, OpResult, StoreStats};
 use crate::recovery::{recover_shards, RecoveredState};
-use crate::router::{gather_results, route_ops, shard_class, OpResultSlot, SubBatch};
+use crate::router::{gather_results, route_ops, shard_class, SubBatch};
 use crate::shard::Shard;
 use crate::vfs::{OsVfs, Vfs};
 use crate::wal::{self, Durability, SnapMeta, Wal};
 use fj::{par_zip_mut, Ctx};
 use metrics::ScratchPool;
+use obliv_core::TagCell;
 use pram::OramConfig;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
@@ -144,6 +145,19 @@ pub(crate) fn validate_and_pad(cfg: &StoreConfig, ops: &[Op]) -> Result<Vec<Flat
         .chain(std::iter::repeat_with(FlatOp::dummy))
         .take(size_class(ops.len()))
         .collect())
+}
+
+/// The one reading of an answer cell (`aux = kind << 72 | found << 64 |
+/// val`, [`crate::merge::answer_cell`]) at every shard count and on both
+/// paths. An `Aggregate` answers with `snapshot`, the global snapshot as
+/// of the epoch's start; every other op with the value its key held just
+/// before it ran.
+pub(crate) fn decode(answer: &TagCell, snapshot: StoreStats) -> OpResult {
+    if (answer.aux >> 72) as u8 == kind::AGG {
+        OpResult::Stats(snapshot)
+    } else {
+        OpResult::Value(((answer.aux >> 64) & 1 == 1).then_some(answer.aux as u64))
+    }
 }
 
 /// Builder collecting one epoch's operations; [`Epoch::commit`] executes
@@ -507,17 +521,22 @@ impl ShardedStore {
         };
         self.epochs += 1;
 
-        let (path, results) = match routed {
+        let (path, answers) = match routed {
             Routed::Whole(batch) => {
                 let shard = &mut self.shards[0];
                 let path = shard.epoch_path(batch.len());
-                (path, shard.execute(c, scratch, &batch, ops.len(), path))
+                (path, shard.execute(c, scratch, &batch, path))
             }
             Routed::Split(jobs, zcap) => (
                 EpochPath::Merge,
-                self.commit_split(c, scratch, jobs, zcap, ops.len()),
+                self.commit_split(c, scratch, jobs, zcap, size_class(ops.len())),
             ),
         };
+        // `self.snapshot` is still the pre-epoch global snapshot here.
+        let results = answers[..ops.len()]
+            .iter()
+            .map(|a| decode(a, self.snapshot))
+            .collect();
         self.last_path = Some(path);
         self.snapshot = self.summed_stats();
         if path == EpochPath::Merge {
@@ -591,65 +610,32 @@ impl ShardedStore {
     }
 
     /// Commit routed sub-batches on all shards in parallel and
-    /// obliviously gather the results back to submission order.
+    /// obliviously gather their answer cells back to the submission order
+    /// of the padded batch class `b`.
     fn commit_split<C: Ctx>(
         &mut self,
         c: &C,
         scratch: &ScratchPool,
-        mut jobs: Vec<SubBatch>,
+        jobs: Vec<SubBatch>,
         zcap: usize,
-        n_results: usize,
-    ) -> Vec<OpResult> {
+        b: usize,
+    ) -> Vec<TagCell> {
+        let mut entries = vec![TagCell::filler(); jobs.len() * zcap];
+        let mut runs: Vec<&mut [TagCell]> = entries.chunks_mut(zcap).collect();
         // Every shard owns its table and leases scratch from the shared
-        // pool, so the commits are independent fork-join tasks.
-        par_zip_mut(c, &mut self.shards, &mut jobs, &|c, _s, shard, job| {
-            let res = shard.execute(c, scratch, &job.batch, job.n_real, EpochPath::Merge);
-            job.results = res
-                .into_iter()
-                .map(|r| match r {
-                    OpResult::Value(v) => OpResultSlot {
-                        agg: false,
-                        found: v.is_some(),
-                        val: v.unwrap_or(0),
-                    },
-                    OpResult::Stats(_) => OpResultSlot {
-                        agg: true,
-                        ..OpResultSlot::default()
-                    },
-                })
-                .collect();
-        });
-
-        let entries: Vec<(u64, OpResultSlot)> = jobs
-            .iter()
-            .flat_map(|job| {
-                (0..zcap).map(move |z| {
-                    if z < job.n_real {
-                        (job.idx[z], job.results[z])
-                    } else {
-                        (u64::MAX, OpResultSlot::default())
-                    }
-                })
-            })
-            .collect();
-        let b = size_class(n_results);
-        let gathered = gather_results(c, scratch, &entries, zcap, b);
-
-        // Aggregates observe the pre-epoch global snapshot (each shard
-        // only knows its own slice); `self.snapshot` is refreshed by the
-        // caller after this returns.
-        let snap = self.snapshot;
-        gathered
-            .into_iter()
-            .take(n_results)
-            .map(|r| {
-                if r.agg {
-                    OpResult::Stats(snap)
-                } else {
-                    OpResult::Value(r.found.then_some(r.val))
+        // pool, so the commits are independent fork-join tasks. Each
+        // answer trades its sub-batch slot for its submission index;
+        // padding slots stay fillers.
+        par_zip_mut(c, &mut self.shards, &mut runs, &|c, s, shard, run| {
+            let job = &jobs[s];
+            let answers = shard.execute(c, scratch, &job.batch, EpochPath::Merge);
+            for ((out, answer), &i) in run.iter_mut().zip(answers).zip(&job.idx) {
+                if i != u64::MAX {
+                    *out = TagCell::new(i as u128, answer.aux);
                 }
-            })
-            .collect()
+            }
+        });
+        gather_results(c, scratch, &entries, zcap, b)
     }
 
     /// Scheduled snapshot: at every `snapshot`-th merge (a public cadence;
@@ -829,10 +815,10 @@ impl ShardedStore {
         &self.cfg.store
     }
 
-    /// A copy of every shard's resident table (each key-sorted, reals
-    /// leading, public length) — what a pipelined consult probes while
-    /// the store itself is away merging.
-    pub(crate) fn snapshot_records(&self) -> Vec<Vec<crate::merge::Rec>> {
+    /// A copy of every shard's resident table cells (each key-sorted,
+    /// records leading, public length) — what a pipelined consult probes
+    /// while the store itself is away merging.
+    pub(crate) fn snapshot_records(&self) -> Vec<Vec<TagCell>> {
         self.shards.iter().map(|s| s.records().to_vec()).collect()
     }
 

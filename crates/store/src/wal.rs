@@ -32,10 +32,11 @@
 //!
 //! # Snapshots and truncation
 //!
-//! A snapshot file holds the packed table of one shard — `capacity` cells
-//! of 32 bytes each, the same `TagCell` packing the merge path sorts —
-//! plus the public counters needed to resume (`next_seq`, merge count,
-//! live-key bound, analytics snapshot). Snapshots are written to a
+//! A snapshot file holds the resident table of one shard — its
+//! `capacity` cells as they sit in memory, 32 bytes each, canonicalised
+//! on read ([`read_snapshot`]) — plus the public counters needed to
+//! resume (`next_seq`, merge count, live-key bound, analytics snapshot).
+//! Snapshots are written to a
 //! temporary file and atomically renamed into place, then the WAL is
 //! truncated; a crash between the two steps is benign because recovery
 //! skips WAL records with `seq < next_seq`. Snapshot points follow the
@@ -56,9 +57,10 @@
 //! contradicts the snapshot horizon (acknowledged records missing).
 
 use crate::error::{RetryFailure, RetryPolicy};
-use crate::merge::Rec;
+use crate::merge::{cell_key, cell_val, record_cell};
 use crate::op::{FlatOp, StoreStats};
 use crate::vfs::{Vfs, VfsFile};
+use obliv_core::TagCell;
 use std::io;
 use std::path::{Path, PathBuf};
 
@@ -374,17 +376,18 @@ pub(crate) struct SnapMeta {
 
 const SNAP_MAGIC: u64 = 0x444F_4253_4E41_5031; // "DOBSNAP1"
 
-/// Write one shard's snapshot: meta + the packed table (32-byte cells,
-/// the merge path's `TagCell` layout: `tag = key << 64` for present slots,
-/// all-ones for fillers; `aux = val`). Temp-file + rename keeps the old
-/// snapshot intact if the process dies (or a fault fires) mid-write.
-/// Idempotent: safe to retry wholesale.
+/// Write one shard's snapshot: meta + the table's cells as they sit in
+/// memory (32 bytes each, `tag` then `aux`, little-endian: a record is
+/// `tag = key << 64`, `aux = val`; an absent slot is a filler, `tag` all
+/// ones and `aux` 0). Temp-file + rename keeps the old snapshot intact if
+/// the process dies (or a fault fires) mid-write. Idempotent: safe to
+/// retry wholesale.
 pub(crate) fn write_snapshot(
     vfs: &dyn Vfs,
     dir: &Path,
     shard: usize,
     meta: &SnapMeta,
-    table: &[Rec],
+    table: &[TagCell],
 ) -> io::Result<()> {
     let mut buf = Vec::with_capacity(8 * 7 + 32 * table.len());
     buf.extend_from_slice(&SNAP_MAGIC.to_le_bytes());
@@ -394,14 +397,9 @@ pub(crate) fn write_snapshot(
     buf.extend_from_slice(&meta.stats.count.to_le_bytes());
     buf.extend_from_slice(&meta.stats.sum.to_le_bytes());
     buf.extend_from_slice(&(table.len() as u64).to_le_bytes());
-    for r in table {
-        let tag: u128 = if r.present {
-            (r.key as u128) << 64
-        } else {
-            u128::MAX
-        };
-        buf.extend_from_slice(&tag.to_le_bytes());
-        buf.extend_from_slice(&(r.val as u128).to_le_bytes());
+    for cell in table {
+        buf.extend_from_slice(&cell.tag.to_le_bytes());
+        buf.extend_from_slice(&cell.aux.to_le_bytes());
     }
     buf.extend_from_slice(&fnv1a(&buf).to_le_bytes());
 
@@ -417,11 +415,16 @@ pub(crate) fn write_snapshot(
 /// Read one shard's snapshot; `Ok(None)` when the file does not exist. A
 /// present-but-corrupt snapshot is a hard error (its WAL prefix was
 /// already truncated, so silently starting empty would lose data).
+///
+/// Every cell is canonicalised on the way in: a filler tag loads as the
+/// canonical filler, anything else as the record `tag >> 64 → aux as
+/// u64`, its seq bits and the high half of its `aux` dropped. Whatever the
+/// bytes say, the next merge sees records and fillers, never an op.
 pub(crate) fn read_snapshot(
     vfs: &dyn Vfs,
     dir: &Path,
     shard: usize,
-) -> io::Result<Option<(SnapMeta, Vec<Rec>)>> {
+) -> io::Result<Option<(SnapMeta, Vec<TagCell>)>> {
     let bytes = match vfs.read(&snapshot_path(dir, shard)) {
         Ok(b) => b,
         Err(e) if e.kind() == io::ErrorKind::NotFound => return Ok(None),
@@ -443,9 +446,13 @@ pub(crate) fn read_snapshot(
     if magic != SNAP_MAGIC {
         return Err(corrupt("bad magic"));
     }
-    let cap = cap as usize;
-    let total = 8 * 7 + 32 * cap + 8;
-    if cap > MAX_CLASS || bytes.len() != total {
+    // Bound the cell count before any arithmetic on it: a hostile count
+    // must not overflow the length computation.
+    if cap > MAX_CLASS as u64 {
+        return Err(corrupt("bad length"));
+    }
+    let total = 8 * 7 + 32 * cap as usize + 8;
+    if bytes.len() != total {
         return Err(corrupt("bad length"));
     }
     match le_u64(&bytes, total - 8) {
@@ -461,30 +468,18 @@ pub(crate) fn read_snapshot(
             sum: word(5).unwrap_or(0),
         },
     };
-    let mut table = Vec::with_capacity(cap);
-    let mut o = 8 * 7;
-    for _ in 0..cap {
-        let (Some(tag), Some(aux)) = (
-            bytes
-                .get(o..o + 16)
-                .map(|b| u128::from_le_bytes(b.try_into().expect("16-byte slice"))),
-            bytes
-                .get(o + 16..o + 32)
-                .map(|b| u128::from_le_bytes(b.try_into().expect("16-byte slice"))),
-        ) else {
-            return Err(corrupt("short cell block"));
-        };
-        table.push(if tag == u128::MAX {
-            Rec::default()
-        } else {
-            Rec {
-                present: true,
-                key: (tag >> 64) as u64,
-                val: aux as u64,
+    let lane = |b: &[u8]| u128::from_le_bytes(b.try_into().expect("16-byte lane"));
+    let table = bytes[8 * 7..total - 8]
+        .chunks_exact(32)
+        .map(|cell| {
+            let cell = TagCell::new(lane(&cell[..16]), lane(&cell[16..]));
+            if cell.is_filler() {
+                TagCell::filler()
+            } else {
+                record_cell(cell_key(&cell), cell_val(&cell))
             }
-        });
-        o += 32;
-    }
+        })
+        .collect();
     Ok(Some((meta, table)))
 }
 
@@ -705,14 +700,7 @@ mod tests {
         let dir = std::env::temp_dir().join(format!("dob_snap_unit_{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         std::fs::create_dir_all(&dir).unwrap();
-        let table = vec![
-            Rec {
-                present: true,
-                key: 3,
-                val: 33,
-            },
-            Rec::default(),
-        ];
+        let table = vec![record_cell(3, 33), TagCell::filler()];
         let meta = SnapMeta {
             next_seq: 5,
             merges: 4,
@@ -723,8 +711,7 @@ mod tests {
         let (m, t) = read_snapshot(&vfs, &dir, 0).unwrap().unwrap();
         assert_eq!(m.next_seq, 5);
         assert_eq!(m.stats, meta.stats);
-        assert!(t[0].present && t[0].key == 3 && t[0].val == 33);
-        assert!(!t[1].present);
+        assert_eq!(t, table);
         assert!(read_snapshot(&vfs, &dir, 1).unwrap().is_none());
         // Corruption is a hard error, never a silent empty store.
         let path = snapshot_path(&dir, 0);
@@ -733,5 +720,46 @@ mod tests {
         std::fs::write(&path, &bytes).unwrap();
         assert!(read_snapshot(&vfs, &dir, 0).is_err());
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn snapshot_read_canonicalises_every_cell() {
+        // A checksummed file whose cells are not in canonical form: a
+        // record with seq bits and a high `aux` half, a filler with a
+        // payload. They load as the record and the filler they stand for.
+        let vfs = FaultVfs::unfaulted();
+        let dir = PathBuf::from("/snap");
+        let meta = SnapMeta {
+            next_seq: 0,
+            merges: 1,
+            live_upper: 1,
+            stats: StoreStats { count: 1, sum: 30 },
+        };
+        let noisy = [
+            TagCell::new((3u128 << 64) | 5, (0xDEAD_u128 << 64) | 30),
+            TagCell::new(u128::MAX, 77),
+        ];
+        write_snapshot(&vfs, &dir, 0, &meta, &noisy).unwrap();
+        let (_, table) = read_snapshot(&vfs, &dir, 0).unwrap().unwrap();
+        assert_eq!(table, vec![record_cell(3, 30), TagCell::filler()]);
+    }
+
+    #[test]
+    fn hostile_snapshot_cell_count_is_rejected_without_overflow() {
+        // A cell count whose byte length overflows `usize` must be a
+        // corrupt snapshot, not an arithmetic panic.
+        let vfs = FaultVfs::unfaulted();
+        let dir = PathBuf::from("/snap");
+        for cap in [1u64 << 59, u64::MAX, MAX_CLASS as u64 + 1] {
+            let mut bytes = SNAP_MAGIC.to_le_bytes().to_vec();
+            bytes.extend_from_slice(&[0; 8 * 5]);
+            bytes.extend_from_slice(&cap.to_le_bytes());
+            bytes.extend_from_slice(&fnv1a(&bytes).to_le_bytes());
+            let mut f = vfs.open_truncate(&snapshot_path(&dir, 0)).unwrap();
+            f.append(&bytes).unwrap();
+            drop(f);
+            let err = read_snapshot(&vfs, &dir, 0).unwrap_err();
+            assert_eq!(err.kind(), io::ErrorKind::InvalidData, "cap {cap}: {err}");
+        }
     }
 }

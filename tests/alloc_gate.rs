@@ -4,8 +4,10 @@
 //! steady-state hot paths perform (`oblivious_sort_u64`, the tag-sort
 //! fast path, a full store merge epoch and a pipelined `read_now`
 //! consult). This file is its own integration-test binary, so the global
-//! allocator and the tests below own the whole process — and the tests
-//! serialize on a mutex so no concurrent test pollutes another's counts.
+//! allocator is the tests' own. It counts per thread: every measured
+//! section runs on `SeqCtx` on its test's thread, so allocations the
+//! harness or a concurrent test makes on other threads never reach it.
+//! The pool tests check `ScratchPool::fresh_allocs` instead.
 //!
 //! Measured history (SeqCtx, n = 20_000, practical params):
 //!
@@ -19,7 +21,7 @@
 //! win regressed, and that needs to be a deliberate decision, not drift.
 
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::cell::Cell;
 
 /// Steady-state ceiling: every intermediate of the sort pipelines is a
 /// lease, so a call on a warm pool does not touch the allocator.
@@ -27,18 +29,32 @@ const STEADY_BUDGET: u64 = 0;
 
 struct Counting;
 
-static ALLOCS: AtomicU64 = AtomicU64::new(0);
+thread_local! {
+    /// Allocations made by this thread. Const-initialised and without a
+    /// destructor, so the allocator can touch it at any point of a
+    /// thread's life without allocating itself.
+    static ALLOCS: Cell<u64> = const { Cell::new(0) };
+}
 
+fn count_one() {
+    // A thread being torn down may have lost its slot; it is never one
+    // being measured.
+    let _ = ALLOCS.try_with(|n| n.set(n.get() + 1));
+}
+
+// SAFETY: every method forwards its arguments to `System` unchanged, so
+// `System`'s guarantees carry over; the counting beside it neither
+// allocates nor unwinds.
 unsafe impl GlobalAlloc for Counting {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        count_one();
         System.alloc(layout)
     }
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
         System.dealloc(ptr, layout)
     }
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        count_one();
         System.realloc(ptr, layout, new_size)
     }
 }
@@ -46,22 +62,18 @@ unsafe impl GlobalAlloc for Counting {
 #[global_allocator]
 static A: Counting = Counting;
 
+/// Run `f` and count the heap allocations the calling thread makes in it.
 fn allocs_during<R>(f: impl FnOnce() -> R) -> (R, u64) {
-    let before = ALLOCS.load(Ordering::Relaxed);
+    let before = ALLOCS.with(Cell::get);
     let r = f();
-    (r, ALLOCS.load(Ordering::Relaxed) - before)
+    (r, ALLOCS.with(Cell::get) - before)
 }
-
-/// The test harness runs tests on threads; counting is process-global, so
-/// every test takes this lock around its measured sections.
-static GATE: std::sync::Mutex<()> = std::sync::Mutex::new(());
 
 #[test]
 fn oblivious_sort_allocation_budget() {
     use fj::SeqCtx;
     use obliv_core::{oblivious_sort_u64, OSortParams, ScratchPool};
 
-    let _gate = GATE.lock().unwrap_or_else(|e| e.into_inner());
     let c = SeqCtx::new();
     let scratch = ScratchPool::new();
     let n = 20_000usize;
@@ -111,7 +123,6 @@ fn tag_sort_allocation_budget() {
     use fj::SeqCtx;
     use obliv_core::{oblivious_sort_kv, Engine, ScratchPool};
 
-    let _gate = GATE.lock().unwrap_or_else(|e| e.into_inner());
     let c = SeqCtx::new();
     let scratch = ScratchPool::new();
     let n = 20_000usize;
@@ -156,7 +167,6 @@ fn simd_sort_steady_state_is_alloc_free() {
     use obliv_core::ScratchPool;
     use sortnet::{cells_sort_rec_with, Backend, TagCell};
 
-    let _gate = GATE.lock().unwrap_or_else(|e| e.into_inner());
     let c = SeqCtx::new();
     let scratch = ScratchPool::new();
     let n = 1usize << 14;
@@ -211,7 +221,6 @@ fn merge_epoch_pool_stays_warm_on_tag_path() {
     use obliv_core::ScratchPool;
     use store::{Op, ShrinkPolicy, Store, StoreConfig};
 
-    let _gate = GATE.lock().unwrap_or_else(|e| e.into_inner());
     let c = SeqCtx::new();
     let scratch = ScratchPool::new();
     // A shrink schedule pins the capacity, so steady epochs repeat the
@@ -265,7 +274,6 @@ fn read_now_pool_stays_warm() {
     use std::sync::Arc;
     use store::{Op, PipelinedStore, ShardConfig, ShardedStore};
 
-    let _gate = GATE.lock().unwrap_or_else(|e| e.into_inner());
     let c = SeqCtx::new();
     let scratch = Arc::new(ScratchPool::new());
     let store = ShardedStore::new(ShardConfig::with_shards(4));
@@ -314,7 +322,6 @@ fn merge_epoch_pool_stays_warm_under_pinned_pool() {
     use obliv_core::ScratchPool;
     use store::{Op, ShrinkPolicy, Store, StoreConfig};
 
-    let _gate = GATE.lock().unwrap_or_else(|e| e.into_inner());
     let pool = Pool::pinned(4);
     let scratch = ScratchPool::new();
     let cfg = StoreConfig {

@@ -609,3 +609,66 @@ fn on_disk_format_matches_golden_bytes() {
         assert_eq!(got, want, "{shards} shard(s): (wal, snapshot) hashes moved");
     }
 }
+
+/// A snapshot file for shard 0 of `dir`: header words `next_seq, merges,
+/// live_upper, count, sum`, the cell-count word `cap`, then `cells`
+/// (`tag`, `aux` little-endian) and the checksum.
+fn write_raw_snapshot(dir: &std::path::Path, header: [u64; 5], cap: u64, cells: &[(u128, u128)]) {
+    let mut bytes = 0x444F_4253_4E41_5031u64.to_le_bytes().to_vec(); // "DOBSNAP1"
+    for word in header.into_iter().chain([cap]) {
+        bytes.extend_from_slice(&word.to_le_bytes());
+    }
+    for (tag, aux) in cells {
+        bytes.extend_from_slice(&tag.to_le_bytes());
+        bytes.extend_from_slice(&aux.to_le_bytes());
+    }
+    bytes.extend_from_slice(&fnv1a64(&bytes).to_le_bytes());
+    std::fs::create_dir_all(dir).unwrap();
+    std::fs::write(dir.join("snap-0.bin"), bytes).unwrap();
+}
+
+#[test]
+fn hostile_snapshot_cell_count_is_snapshot_failed() {
+    // A cell count of 2⁵⁹ or more overflows the snapshot's byte length:
+    // recovery must refuse the file, not panic computing it.
+    let c = SeqCtx::new();
+    let sp = ScratchPool::new();
+    let dir = tdir("hostile_cap");
+    for cap in [1u64 << 59, u64::MAX] {
+        write_raw_snapshot(&dir, [0; 5], cap, &[]);
+        let got = Store::recover(&c, &sp, &dir, durable_cfg());
+        assert!(
+            matches!(got, Err(StoreError::SnapshotFailed { shard: 0, .. })),
+            "cap {cap}: {:?}",
+            got.err()
+        );
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn snapshot_bytes_cannot_inject_an_op_into_the_next_merge() {
+    // A checksummed snapshot whose record for key 3 carries seq bits (it
+    // would sort among the next merge's ops as batch slot 4) and a high
+    // `aux` half (an op kind). Recovery loads it as the plain record, so
+    // the next epoch reads key 3's value and nothing else changes.
+    let c = SeqCtx::new();
+    let sp = ScratchPool::new();
+    let dir = tdir("noisy_record");
+    let mut cells = vec![((3u128 << 64) | 5, (0x1_01u128 << 64) | 30)];
+    cells.resize(8, (u128::MAX, 9));
+    write_raw_snapshot(&dir, [0, 1, 1, 1, 30], 8, &cells);
+    let mut s = Store::recover(&c, &sp, &dir, durable_cfg()).unwrap();
+    let ops = [
+        Op::Get { key: 3 },
+        Op::Put { key: 3, val: 31 },
+        Op::Get { key: 3 },
+        Op::Get { key: 4 },
+        Op::Get { key: 5 },
+    ];
+    let res = s.execute_epoch(&c, &sp, &ops).unwrap();
+    let got: Vec<Option<u64>> = res.iter().map(OpResult::value).collect();
+    assert_eq!(got, vec![Some(30), Some(30), Some(31), None, None]);
+    assert_eq!(s.stats(), StoreStats { count: 1, sum: 31 });
+    let _ = std::fs::remove_dir_all(&dir);
+}

@@ -506,10 +506,10 @@ mod pinned_output_equality {
                 .collect();
             let seq = obliv_core::send_receive_u64(
                 &SeqCtx::new(), &ScratchPool::new(), &sources, &dests,
-                Engine::BitonicRec, Schedule::Tree);
+                Engine::BitonicRec);
             let par = Pool::pinned(4).run(|c| obliv_core::send_receive_u64(
                 c, &ScratchPool::new(), &sources, &dests,
-                Engine::BitonicRec, Schedule::Tree));
+                Engine::BitonicRec));
             prop_assert_eq!(seq, par);
         }
     }
