@@ -37,7 +37,8 @@ use crate::scan::{prefix_sum_in, Schedule};
 use crate::slot::composite_key;
 use fj::{base_for, grain_for, par_for, Ctx};
 use metrics::{par_fill, RawTracked, ScratchPool, Tracked};
-use sortnet::{active_backend, select_cell, TagCell};
+use sortnet::{active_backend, select_cell, TagCell, TILE_RUN_BYTES};
+use std::mem::size_of;
 
 /// Stable, data-oblivious sort of `(key, val)` records ascending by key:
 /// one branchless cell network over `(key ‖ index, val)` tags.
@@ -140,7 +141,7 @@ pub fn compact_cells<C: Ctx>(c: &C, scratch: &ScratchPool, t: &mut Tracked<'_, T
         });
     }
     prefix_sum_in(c, scratch, &mut rank, false, Schedule::Tree);
-    let base = base_for(c, std::mem::size_of::<TagCell>());
+    let base = base_for(c, size_of::<TagCell>());
     gather(c, &t.as_raw(), &rank, 0, m, base);
 }
 
@@ -176,8 +177,17 @@ fn gather<C: Ctx>(
 /// left half, the right half's reals start at `t = (z + cnt) mod w/2`, and
 /// pair `i` swaps iff `s ⊕ (i ≥ t)`, where `s` says whether the left
 /// half's run `[z mod w/2, z mod w/2 + cnt)` wraps exactly when `z` itself
-/// lies in the upper half. The pairs go through the cell gate's
-/// [`swap_slab`](sortnet::Backend::swap_slab), a grain at a time.
+/// lies in the upper half.
+///
+/// A block's pairs go through the cell gate's
+/// [`swap_slab`](sortnet::Backend::swap_slab), a grain at a time. On a host
+/// (`!c.is_metered()`) a level whose runs are shorter than one tile run
+/// ([`TILE_RUN_BYTES`]) — one to sixteen pairs a block — is instead one
+/// `par_for` over grains of the level's pairs, a grain one
+/// [`swap_level`](sortnet::Backend::swap_level) call with the block's
+/// split inlined into the verdict: the pairs and the cells they leave are
+/// the same, only the calls are fewer. Metered contexts keep the block
+/// loop, whose fork tree and `work` the model counts.
 fn swap_level<C: Ctx>(
     c: &C,
     t: &RawTracked<TagCell>,
@@ -189,22 +199,49 @@ fn swap_level<C: Ctx>(
     let h = w / 2;
     let grain = grain_for(c);
     let gate = active_backend();
+    if !c.is_metered() && h * size_of::<TagCell>() < TILE_RUN_BYTES {
+        // `lo` is a multiple of `n`, hence of `w`: `lo / 2` pairs precede it.
+        let (first, end) = (lo / 2, (lo + n) / 2);
+        par_for(c, 0, (n / 2).div_ceil(grain), 1, &|c, k| {
+            let pairs = first + k * grain..end.min(first + (k + 1) * grain);
+            // Pairs come block by block: the split is taken once a block.
+            let (mut at, mut cur) = (usize::MAX, (0, false));
+            let verdict = |i: usize, _, _| {
+                let b = i & !(w - 1);
+                if b != at {
+                    (at, cur) = (b, split(c, rank, b, w));
+                }
+                cur.1 ^ (i & (h - 1) >= cur.0)
+            };
+            // SAFETY: the caller owns `[lo, lo + n)` of the cells, and the
+            // grains are disjoint runs of the level's pairs in it.
+            unsafe { gate.swap_level(c, t, h, pairs, verdict) };
+        });
+        return;
+    }
     par_for(c, 0, n / w, (grain / h).max(1), &|c, b| {
         let lo = lo + b * w;
-        let (r_lo, r_mid) = (rank.get(c, lo), rank.get(c, lo + h));
-        c.work(1);
-        let z = r_lo & (w as u64 - 1);
-        let pivot = (r_mid & (h as u64 - 1)) as i64;
-        let wraps = (z & (h as u64 - 1)) + (r_mid - r_lo) >= h as u64;
-        let s = wraps ^ (z >= h as u64);
+        let (pivot, s) = split(c, rank, lo, w);
         par_for(c, 0, h.div_ceil(grain), 1, &|c, k| {
             let from = k * grain;
             let run = lo + from..lo + h.min(from + grain);
             // SAFETY: the caller owns `[lo, lo + n)` of the cells; blocks,
             // and the runs of one block, are disjoint.
-            unsafe { gate.swap_slab(c, t, run, h, pivot - from as i64, s) };
+            unsafe { gate.swap_slab(c, t, run, h, pivot as i64 - from as i64, s) };
         });
     });
+}
+
+/// The split of the `w`-block at `lo`, whose halves are gathered: pair
+/// `i` of the block swaps iff `s ⊕ (i ≥ pivot)` (see [`swap_level`]).
+#[inline(always)]
+fn split<C: Ctx>(c: &C, rank: &Tracked<'_, u64>, lo: usize, w: usize) -> (usize, bool) {
+    let h = w / 2;
+    let (r_lo, r_mid) = (rank.get(c, lo), rank.get(c, lo + h));
+    c.work(1);
+    let z = r_lo & (w as u64 - 1);
+    let wraps = (z & (h as u64 - 1)) + (r_mid - r_lo) >= h as u64;
+    ((r_mid & (h as u64 - 1)) as usize, wraps ^ (z >= h as u64))
 }
 
 #[cfg(test)]
@@ -415,6 +452,47 @@ mod tests {
             compact_cells(c, &sp, &mut t);
         });
         assert_eq!(par, expect);
+    }
+
+    #[test]
+    fn host_compaction_leaves_the_metered_cells() {
+        // On a host the narrow levels are level-wide `swap_level` calls;
+        // under the meter every level is the per-block `swap_slab` loop.
+        // Same pairs, same verdicts, so the same cells — from one pair to
+        // past the host base case (2¹⁶ joins its recursion above it), on a
+        // sequential and a 4-worker executor, fillers non-canonical.
+        let pool = Pool::new(4);
+        let sp = ScratchPool::new();
+        let random = |i: usize| (i as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 62 == 0;
+        for m in (1..=16).map(|lg| 1usize << lg) {
+            let patterns: [(&str, &dyn Fn(usize) -> bool); 6] = [
+                ("none", &|_| false),
+                ("all", &|_| true),
+                ("alternating", &|i| i % 2 == 0),
+                ("front", &|i| i < m / 2),
+                ("back", &|i| i >= m / 2),
+                ("random", &random),
+            ];
+            for (name, real) in patterns {
+                let input: Vec<TagCell> = (0..m as u128)
+                    .map(|i| match real(i as usize) {
+                        true => TagCell::new(i * 3, i),
+                        false => TagCell::new(u128::MAX, i),
+                    })
+                    .collect();
+                let mut metered = input.clone();
+                measure(CacheConfig::default(), TraceMode::Off, |c| {
+                    compact_cells(c, &sp, &mut Tracked::new(c, &mut metered))
+                });
+                assert_eq!(metered, compact_oracle(&input), "m {m} {name}");
+                let mut seq = input.clone();
+                run_compact(&mut seq);
+                assert!(seq == metered, "m {m} {name}: SeqCtx");
+                let mut par = input;
+                pool.run(|c| compact_cells(c, &sp, &mut Tracked::new(c, &mut par)));
+                assert!(par == metered, "m {m} {name}: pool");
+            }
+        }
     }
 
     proptest! {

@@ -12,36 +12,6 @@ use crate::cx::{cex, Gate};
 use fj::{counters, grain_for, par_for, Ctx, DEFAULT_GRAIN};
 use metrics::Tracked;
 
-/// The `log k` comparator levels that merge every aligned `k`-block of
-/// `t` (`k` a power of two dividing `t.len()`), blocks alternating
-/// direction starting with `up`.
-///
-/// Level `j` pairs `(i, i ^ j)` for every `i` with bit `j` clear, visited
-/// with `i` ascending: slabs of `j` consecutive pairs starting at the
-/// multiples of `2j`, which is how [`Gate::run`] receives them. The
-/// direction `((i & k) == 0) == up` is constant within a slab because
-/// `k ≥ 2j`: no index of the slab differs from `s` in bit `k`.
-fn merge_levels<C: Ctx, T: Copy>(
-    c: &C,
-    t: &mut Tracked<'_, T>,
-    gate: &impl Gate<T>,
-    k: usize,
-    up: bool,
-) {
-    let n = t.len();
-    debug_assert!(k.is_power_of_two() && n.is_multiple_of(k));
-    let raw = t.as_raw();
-    let mut j = k / 2;
-    while j >= 1 {
-        for s in (0..n).step_by(2 * j) {
-            // SAFETY: `&mut t` gives exclusive, sequential access, and
-            // `s + 2j ≤ n` because `2j` divides `k`, which divides `n`.
-            unsafe { gate.run(c, &raw, s, s + j, j, ((s & k) == 0) == up) };
-        }
-        j /= 2;
-    }
-}
-
 /// Left index `i` of comparator `p` of a butterfly level of half-width `h`
 /// (a power of two) over aligned `2h`-blocks: comparators are numbered
 /// block by block, `h` to a block, and comparator `p` pairs `(i, i + h)`,
@@ -92,7 +62,7 @@ pub(crate) fn bitonic_sort_seq_from_runs<C: Ctx, T: Copy + Send>(
     }
     let mut k = 2 * run;
     while k <= n {
-        merge_levels(c, t, gate, k, up);
+        gate.stage(c, t, k, up);
         k *= 2;
     }
 }
@@ -146,7 +116,7 @@ pub fn bitonic_merge_seq<C: Ctx, T: Copy>(
         return;
     }
     assert!(m.is_power_of_two());
-    merge_levels(c, t, gate, m, up);
+    gate.stage(c, t, m, up);
 }
 
 /// Naive parallel bitonic sort: every layer is a parallel loop over its

@@ -136,8 +136,9 @@ pub fn bitonic_merge_rec<C: Ctx, T: Copy + Send>(
 /// `base_for / (TILE_RUN_BYTES / size)` rows — 32 rows of 32 cells — and so
 /// a pass at five levels; rows a power-of-two stride apart share their L1
 /// sets, and few long rows measured better than many short ones (DESIGN.md
-/// §3 has the sweep).
-const TILE_RUN_BYTES: usize = 1024;
+/// §3 has the sweep). Compaction's swap levels take the same cut between a
+/// run worth a call of its own and one a level-wide kernel entry absorbs.
+pub const TILE_RUN_BYTES: usize = 1024;
 
 /// The next in-place pass over a `hi`-block whose levels `hi/2 … base`
 /// are still to run: `(lo, w)` — the pass runs levels `hi/2 … lo` and its

@@ -13,12 +13,12 @@
 //! [`crate::TagCell`]s.
 
 use fj::{counters, Ctx};
-use metrics::RawTracked;
+use metrics::{RawTracked, Tracked};
 
 /// What a comparator network needs from its elements: a key, the routed
-/// pair for a swap verdict, and a batched form of one run of pairs. None of
-/// the three can change which addresses are touched or what is charged —
-/// [`cex`] fixes that for every gate.
+/// pair for a swap verdict, and two batched forms — one run of pairs, one
+/// whole bitonic stage. None of them can change which addresses are
+/// touched or what is charged — [`cex`] fixes that for every gate.
 pub trait Gate<T: Copy>: Sync {
     /// The sort key of `x`. `u128` is wide enough for every composite key
     /// the oblivious algorithms build (flag ‖ group ‖ label ‖ tiebreak).
@@ -29,12 +29,13 @@ pub trait Gate<T: Copy>: Sync {
 
     /// Compare-exchange two runs against each other: the `len` independent
     /// pairs `(a + k, b + k)` for `k in 0..len`, in that order, all with
-    /// direction `up`. It is the one batched entry of the gate: a
-    /// bitonic-level *slab* — the `stride` pairs `(s + k, s + k + stride)`
-    /// — is `run(c, t, s, s + stride, stride, up)`, and a row pair of an
-    /// in-place tile ([`crate::bitonic_rec`]) is two runs further apart
-    /// than they are long. An override must leave the same data, trace and
-    /// counters as this per-pair loop.
+    /// direction `up`. A bitonic-level *slab* — the `stride` pairs
+    /// `(s + k, s + k + stride)` — is `run(c, t, s, s + stride, stride,
+    /// up)`, and a row pair of an in-place tile ([`crate::bitonic_rec`]) is
+    /// two runs further apart than they are long; the sequential networks
+    /// hand a gate whole stages instead, through [`Gate::stage`]. An
+    /// override must leave the same data, trace and counters as this
+    /// per-pair loop.
     ///
     /// # Safety
     /// `a + len <= t.len()` and `b + len <= t.len()`, the two runs must
@@ -53,6 +54,43 @@ pub trait Gate<T: Copy>: Sync {
         for k in 0..len {
             cex(c, t, self, a + k, b + k, up);
         }
+    }
+
+    /// Bitonic stage `k` over all of `t`: the `log k` comparator levels
+    /// `k/2, k/4, …, 1` that merge every aligned `k`-block (`k ≥ 2` a power
+    /// of two dividing `t.len()`), blocks alternating direction starting
+    /// with `up` — what the sequential networks ([`crate::bitonic`]) run
+    /// per stage. The default is [`stage_by_slabs`], one [`Gate::run`] per
+    /// slab; an override must leave the same data, trace and counters.
+    #[inline]
+    fn stage<C: Ctx>(&self, c: &C, t: &mut Tracked<'_, T>, k: usize, up: bool) {
+        stage_by_slabs(c, t, self, k, up)
+    }
+}
+
+/// The per-slab evaluation of [`Gate::stage`]. Level `j` pairs `(i, i ^ j)`
+/// for every `i` with bit `j` clear, visited with `i` ascending: slabs of
+/// `j` consecutive pairs starting at the multiples of `2j`, each one
+/// [`Gate::run`]. The direction `((i & k) == 0) == up` is constant within a
+/// slab because `k ≥ 2j`: no index of the slab differs from `s` in bit `k`.
+pub fn stage_by_slabs<C: Ctx, T: Copy>(
+    c: &C,
+    t: &mut Tracked<'_, T>,
+    gate: &(impl Gate<T> + ?Sized),
+    k: usize,
+    up: bool,
+) {
+    let n = t.len();
+    debug_assert!(k >= 2 && k.is_power_of_two() && n.is_multiple_of(k));
+    let raw = t.as_raw();
+    let mut j = k / 2;
+    while j >= 1 {
+        for s in (0..n).step_by(2 * j) {
+            // SAFETY: `&mut t` gives exclusive, sequential access, and
+            // `s + 2j ≤ n` because `2j` divides `k`, which divides `n`.
+            unsafe { gate.run(c, &raw, s, s + j, j, ((s & k) == 0) == up) };
+        }
+        j /= 2;
     }
 }
 
@@ -119,14 +157,11 @@ pub fn select_u128(cond: bool, a: u128, b: u128) -> u128 {
 mod tests {
     use super::*;
     use fj::SeqCtx;
-    use metrics::Tracked;
 
+    /// One compare-exchange of a two-element slice: stage 2 is one pair.
     fn cex01<T: Copy>(v: &mut [T], key: &impl Gate<T>, up: bool) {
         let c = SeqCtx::new();
-        let mut t = Tracked::new(&c, v);
-        // SAFETY: both indices are in bounds of the two-element slice and
-        // nothing else runs.
-        unsafe { cex(&c, &t.as_raw(), key, 0, 1, up) };
+        key.stage(&c, &mut Tracked::new(&c, v), 2, up);
     }
 
     #[test]

@@ -6,8 +6,8 @@
 //! compare-exchange [`Gate`] — what rides through the comparators (a
 //! `Slot`, a `u64`, a packed cell) is a parameter, never a second network:
 //!
-//! * [`cx`] — the gate: one `cex` body, the closure gates, and the slab
-//!   hook a gate may batch;
+//! * [`cx`] — the gate: one `cex` body, the closure gates, and the two
+//!   batched entries a gate may override (a run of pairs, a whole stage);
 //! * [`bitonic`] — Batcher's bitonic network, sequential and naively
 //!   parallelized (the strawman with `O(log³ n)` span);
 //! * [`bitonic_rec`] — the paper's cache-agnostic recursive bitonic sort
@@ -21,9 +21,10 @@
 //!   tag-sort fast path that keeps wide records out of the comparator
 //!   layers;
 //! * [`vec`](mod@vec) — [`Backend`], the branchless gate for cells:
-//!   `select_u128` lanes, and where the hardware has it a runtime-
-//!   dispatched AVX2 slab (scalar via `DOB_NO_SIMD=1`), trace-identical
-//!   to the per-pair gate by accounting replay (DESIGN.md §14);
+//!   `select_u128` lanes, and where the hardware has it runtime-
+//!   dispatched AVX2 kernels — one entry per run and per stage (scalar via
+//!   `DOB_NO_SIMD=1`), trace-identical to the per-pair gate by accounting
+//!   replay (DESIGN.md §14);
 //! * [`transpose`](mod@transpose) — cache-agnostic parallel matrix transposition, the
 //!   shared skeleton of every recursive butterfly in the workspace.
 
@@ -40,7 +41,7 @@ pub mod vec;
 pub use bitonic::{bitonic_merge_seq, bitonic_sort_flat_par, bitonic_sort_seq, level_index};
 pub use bitonic_rec::{
     bitonic_merge_rec, bitonic_sort_rec, bitonic_sort_rec_from_runs, par_rows2, sort_slice_rec,
-    sort_slice_rec_in,
+    sort_slice_rec_in, TILE_RUN_BYTES,
 };
 pub use cx::{cex, select_u128, select_u64, Gate};
 pub use network::{Comparator, Network};

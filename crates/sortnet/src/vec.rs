@@ -1,14 +1,17 @@
 //! The branchless cell gate: [`Backend`] is the [`Gate`] for packed
 //! [`TagCell`]s, with runtime-dispatched AVX2 forms of the comparator
-//! run, of compaction's index-driven swap slab ([`Backend::swap_slab`]) and
-//! of expansion's target-driven swap level ([`Backend::swap_level`]), plus
-//! the whole-cell select the rewrite loops route through.
+//! run, of a whole bitonic stage, of compaction's index-driven swap slab
+//! ([`Backend::swap_slab`]) and of the target- or rank-driven swap level
+//! of expansion and compaction ([`Backend::swap_level`]), plus the
+//! whole-cell select the rewrite loops route through.
 //!
 //! # Dispatch model
 //!
 //! [`Backend::Scalar`] is the gate's default per-pair loop over
-//! `select_u128` lanes; [`Backend::Avx2`] overrides [`Gate::run`] only:
-//! the accounting replay below, then the 256-bit kernel. The process-wide
+//! `select_u128` lanes; [`Backend::Avx2`] overrides the two batched
+//! entries, [`Gate::run`] (a tile row) and [`Gate::stage`] (every level of
+//! a sequential network's stage, one kernel entry): the accounting replay
+//! below, then the 256-bit kernel. The process-wide
 //! choice ([`active_backend`]) is made **once**: AVX2 when
 //! `is_x86_feature_detected!("avx2")` says the hardware has it and
 //! `DOB_NO_SIMD` is unset, scalar otherwise — a public *hardware* fact,
@@ -37,10 +40,10 @@
 //! full argument and the per-kernel coverage table.
 
 use crate::bitonic::level_index;
-use crate::cx::{cex, select_u128, Gate};
+use crate::cx::{cex, select_u128, stage_by_slabs, Gate};
 use crate::tag::TagCell;
 use fj::Ctx;
-use metrics::RawTracked;
+use metrics::{RawTracked, Tracked};
 use std::ops::Range;
 use std::sync::OnceLock;
 
@@ -144,8 +147,9 @@ impl Backend {
     /// block by block, `h` to a block — pair `p` is `(i, i + h)` with
     /// `i = `[`level_index`]`(p, h)`. The pairs numbered `pairs` run in that
     /// order, and one swaps iff `verdict(i, tag of i, tag of i + h)` — the
-    /// swap level of `obliv_core::expand`, whose verdict (where each slot's
-    /// target lies) is the caller's. One call covers as many blocks as
+    /// swap level of `obliv_core::expand` (where each slot's target lies)
+    /// and, on a host, of `compact_cells`' narrow levels (the block's rank
+    /// split). One call covers as many blocks as
     /// `pairs` spans, so the narrow levels — a pair or two to a block —
     /// cost one dispatch, not one per block. Both cells of every pair are
     /// read and written whatever the verdict, which only ever feeds the
@@ -235,6 +239,34 @@ impl Gate<TagCell> for Backend {
         for k in 0..len {
             cex(c, t, self, a + k, b + k, up);
         }
+    }
+
+    /// The AVX2 override: the slab loop's accounting replayed level by
+    /// level, then one kernel entry that takes each aligned `k`-block
+    /// through all of its levels while it sits in L1. Blocks are
+    /// independent, so block-major order leaves what level-major does;
+    /// every other request runs [`stage_by_slabs`].
+    #[inline]
+    fn stage<C: Ctx>(&self, c: &C, t: &mut Tracked<'_, TagCell>, k: usize, up: bool) {
+        let n = t.len();
+        debug_assert!(k >= 2 && k.is_power_of_two() && n.is_multiple_of(k));
+        if resolve(*self, active_backend()) == Backend::Avx2 {
+            #[cfg(target_arch = "x86_64")]
+            {
+                let raw = t.as_raw();
+                let mut j = k / 2;
+                while j >= 1 {
+                    for i in (0..n / 2).map(|p| level_index(p, j)) {
+                        avx2::account_cex(c, &raw, i, i + j);
+                    }
+                    j /= 2;
+                }
+                // SAFETY: AVX2 was detected (see `run`); `&mut t` owns all
+                // `n` cells.
+                return unsafe { avx2::stage(raw.as_mut_ptr(), n, k, up) };
+            }
+        }
+        stage_by_slabs(c, t, self, k, up)
     }
 }
 
@@ -335,7 +367,7 @@ mod avx2 {
         _mm256_storeu_si256(pb as *mut __m256i, _mm256_xor_si256(b, diff));
     }
 
-    /// The one data-movement loop, inlined into the three entry points
+    /// The one data-movement loop, inlined into the four entry points
     /// below, verdict and all: pairs `(lo + k, hi + k)`, `k in 0..len`,
     /// four independent pairs per unrolled iteration (the pairs of a
     /// butterfly level never overlap, so the CPU pipelines them freely).
@@ -372,6 +404,29 @@ mod avx2 {
     #[target_feature(enable = "avx2")]
     pub unsafe fn cex_run(lo: *mut TagCell, hi: *mut TagCell, len: usize, up: bool) {
         swap_runs(lo, hi, len, |_, ta, tb| (ta > tb) == up)
+    }
+
+    /// The data movement of [`Gate::stage`](crate::cx::Gate::stage) over
+    /// `n` cells: block-major — each aligned `k`-block through levels
+    /// `k/2 … 1`, a level as its slabs of `j` pairs — so the levels of a
+    /// block up to an L1's worth run while it is resident, and the one-
+    /// to four-pair slabs of the low levels cost a loop trip, not a call.
+    ///
+    /// # Safety
+    /// AVX2 must be available; `ptr[..n]` must be valid and exclusively
+    /// owned by the caller, and `k` a power of two dividing `n`.
+    #[target_feature(enable = "avx2")]
+    pub unsafe fn stage(ptr: *mut TagCell, n: usize, k: usize, up: bool) {
+        for b in (0..n).step_by(k) {
+            let up = ((b & k) == 0) == up;
+            let mut j = k / 2;
+            while j >= 1 {
+                for s in (b..b + k).step_by(2 * j) {
+                    swap_runs(ptr.add(s), ptr.add(s + j), j, |_, ta, tb| (ta > tb) == up);
+                }
+                j /= 2;
+            }
+        }
     }
 
     /// The data movement of [`Backend::swap_slab`](super::Backend::swap_slab):
@@ -427,14 +482,11 @@ mod tests {
     use metrics::Tracked;
     use proptest::prelude::*;
 
-    fn run_slab(backend: Backend, cells: &mut [TagCell], stride: usize, up: bool) {
+    /// Stage `2·stride` over `2·stride` cells: one block, levels
+    /// `stride … 1` — a slab of `stride` pairs, then ever shorter ones.
+    fn run_stage(backend: Backend, cells: &mut [TagCell], stride: usize, up: bool) {
         let c = SeqCtx::new();
-        let mut t = Tracked::new(&c, cells);
-        let raw = t.as_raw();
-        // SAFETY: exclusive access, sequential; every caller passes
-        // 2 * stride cells.
-        unsafe { backend.run(&c, &raw, 0, stride, stride, up) };
-        let _ = t;
+        backend.stage(&c, &mut Tracked::new(&c, cells), 2 * stride, up);
     }
 
     #[test]
@@ -451,8 +503,8 @@ mod tests {
                 for salt in [0u128, 1, u128::MAX >> 1, 42] {
                     let mut a = mk(salt);
                     let mut b = a.clone();
-                    run_slab(Backend::Scalar, &mut a, stride, up);
-                    run_slab(Backend::Avx2, &mut b, stride, up);
+                    run_stage(Backend::Scalar, &mut a, stride, up);
+                    run_stage(Backend::Avx2, &mut b, stride, up);
                     assert_eq!(a, b, "stride {stride} up {up} salt {salt}");
                 }
             }
@@ -475,8 +527,8 @@ mod tests {
                 TagCell::new(1, 10),
             ];
             let mut b = a.clone();
-            run_slab(Backend::Scalar, &mut a, 4, up);
-            run_slab(Backend::Avx2, &mut b, 4, up);
+            run_stage(Backend::Scalar, &mut a, 4, up);
+            run_stage(Backend::Avx2, &mut b, 4, up);
             assert_eq!(a, b, "up {up}");
         }
     }
@@ -517,18 +569,60 @@ mod tests {
     }
 
     #[test]
-    fn swap_slab_accounting_is_backend_independent() {
+    fn swap_kernels_account_like_scalar() {
         use metrics::{measure, CacheConfig, TraceMode};
         let run = |backend: Backend| {
             let (_, r) = measure(CacheConfig::default(), TraceMode::Hash, |c| {
                 let mut cells = vec![TagCell::new(1, 2); 64];
-                let mut t = Tracked::new(c, &mut cells);
-                // SAFETY: 0..24 and 32..56 are in bounds and disjoint.
-                unsafe { backend.swap_slab(c, &t.as_raw(), 0..24, 32, 5, true) };
+                let t = Tracked::new(c, &mut cells).as_raw();
+                // SAFETY: 0..24 and 32..56 are in bounds and disjoint;
+                // pairs 3..27 of 8-cell blocks end in block 6 of 8.
+                unsafe {
+                    backend.swap_slab(c, &t, 0..24, 32, 5, true);
+                    backend.swap_level(c, &t, 4, 3..27, |i, _, _| i < 20);
+                }
             });
             (r.trace_hash, r.trace_len, r.work, r.span, r.cache_misses)
         };
         assert_eq!(run(Backend::Scalar), run(Backend::Avx2));
+    }
+
+    #[test]
+    fn stage_entry_matches_the_slab_loop() {
+        // `Gate::stage` on the AVX2 gate — the replay, then one block-major
+        // kernel entry — against the default slab loop on both gates, for
+        // every stage of a 4096-cell array (2 … 2048 blocks), both
+        // directions. Tags are duplicate-heavy in both 64-bit halves; the
+        // payload lane tells equal tags apart, so a swapped tie shows.
+        use metrics::{measure, CacheConfig, MeterCtx, TraceMode};
+        let input: Vec<TagCell> = (0..4096u128)
+            .map(|i| TagCell::new(((i * 0x9E37_79B9 % 5) << 64) | (i % 3), i))
+            .collect();
+        type Stage<'a> = &'a dyn Fn(&MeterCtx, &mut Tracked<'_, TagCell>);
+        let run = |stage: Stage| {
+            let mut cells = input.clone();
+            let (_, r) = measure(CacheConfig::default(), TraceMode::Hash, |c| {
+                stage(c, &mut Tracked::new(c, &mut cells))
+            });
+            let costs = [r.trace_hash, r.trace_len, r.work, r.span, r.cache_misses];
+            (cells, costs, r.comparisons)
+        };
+        for k in (1..=11).map(|e| 1usize << e) {
+            for up in [true, false] {
+                let entry = run(&|c, t| Backend::Avx2.stage(c, t, k, up));
+                assert!(entry.0 != input, "k {k}: the stage moved nothing");
+                assert_eq!(entry.2, 2048 * k.ilog2() as u64);
+                let slabs: [(&str, Stage); 2] = [
+                    ("avx2 slabs", &|c, t| {
+                        stage_by_slabs(c, t, &Backend::Avx2, k, up)
+                    }),
+                    ("scalar", &|c, t| Backend::Scalar.stage(c, t, k, up)),
+                ];
+                for (name, slabs) in slabs {
+                    assert!(run(slabs) == entry, "k {k} up {up}: {name}");
+                }
+            }
+        }
     }
 
     #[test]
@@ -572,21 +666,6 @@ mod tests {
                 }
             }
         }
-    }
-
-    #[test]
-    fn swap_level_accounting_is_backend_independent() {
-        use metrics::{measure, CacheConfig, TraceMode};
-        let run = |backend: Backend| {
-            let (_, r) = measure(CacheConfig::default(), TraceMode::Hash, |c| {
-                let mut cells = vec![TagCell::new(1, 2); 64];
-                let mut t = Tracked::new(c, &mut cells);
-                // SAFETY: pairs 3..27 of 8-cell blocks end in block 6 of 8.
-                unsafe { backend.swap_level(c, &t.as_raw(), 4, 3..27, |i, _, _| i < 20) };
-            });
-            (r.trace_hash, r.trace_len, r.work, r.span, r.cache_misses)
-        };
-        assert_eq!(run(Backend::Scalar), run(Backend::Avx2));
     }
 
     #[test]
@@ -635,8 +714,8 @@ mod tests {
                     })
                     .collect();
                 let mut b = a.clone();
-                run_slab(Backend::Scalar, &mut a, stride, up);
-                run_slab(Backend::Avx2, &mut b, stride, up);
+                run_stage(Backend::Scalar, &mut a, stride, up);
+                run_stage(Backend::Avx2, &mut b, stride, up);
                 prop_assert_eq!(&a, &b);
             }
         }

@@ -21,17 +21,6 @@ pub enum Op {
     Aggregate,
 }
 
-impl Op {
-    /// The key this op addresses (aggregates address the reserved slot 0 so
-    /// padding and dispatch stay shape-only).
-    pub(crate) fn key(&self) -> u64 {
-        match *self {
-            Op::Get { key } | Op::Put { key, .. } | Op::Delete { key } => key,
-            Op::Aggregate => 0,
-        }
-    }
-}
-
 /// Result of one [`Op`], in submission order.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum OpResult {

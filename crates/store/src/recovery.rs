@@ -32,12 +32,16 @@
 //! [`StoreError::WalCorrupt`], and a present-but-corrupt snapshot is
 //! [`StoreError::SnapshotFailed`]: silently starting empty would lose
 //! acknowledged data. Torn or corrupt WAL *tails* stay benign (the
-//! crash artifact of an epoch that was never acknowledged).
+//! crash artifact of an epoch that was never acknowledged). Checksummed
+//! bytes are not trusted further than a client: a replayed op that breaks
+//! the client contract is `WalCorrupt` with its epoch, a snapshot record
+//! no put could have left is `SnapshotFailed` — never a panic in the ORAM
+//! mirror.
 
 use crate::error::StoreError;
 use crate::op::EpochPath;
 use crate::shard::Shard;
-use crate::store::StoreConfig;
+use crate::store::{first_breach, StoreConfig};
 use crate::vfs::Vfs;
 use crate::wal;
 use fj::Ctx;
@@ -138,12 +142,21 @@ pub(crate) fn recover_shards<C: Ctx>(
                 meta.live_upper as usize,
                 meta.merges,
                 meta.stats,
-            ),
+            )
+            .map_err(|source| StoreError::SnapshotFailed { shard: i, source })?,
             None => Shard::new(*cfg, i as u64),
         };
         for (seq, batch) in &records {
             if *seq >= horizon {
                 break;
+            }
+            // A checksum vouches for the bytes, not for the writer: hold
+            // the logged batch to the contract its ops were admitted under.
+            if let Some((op, reason)) = first_breach(cfg, batch) {
+                return Err(StoreError::WalCorrupt {
+                    shard: i,
+                    detail: format!("epoch {seq}, op {op}: {reason}"),
+                });
             }
             let path = shard.epoch_path(batch.len());
             shard.execute(c, scratch, batch, path);

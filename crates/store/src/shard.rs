@@ -12,12 +12,13 @@
 //! one shard.
 
 use crate::merge::{answer_cell, cell_key, cell_val, merge_epoch, ENGINE};
-use crate::op::{size_class, EpochPath, FlatOp, StoreStats};
-use crate::store::StoreConfig;
+use crate::op::{kind, size_class, EpochPath, FlatOp, StoreStats};
+use crate::store::{first_breach, StoreConfig};
 use fj::Ctx;
 use metrics::ScratchPool;
 use obliv_core::TagCell;
 use pram::Opram;
+use std::io;
 
 /// Table/pending/ORAM/analytics state for one slice of the key space.
 pub(crate) struct Shard {
@@ -57,6 +58,10 @@ impl Shard {
     /// one fixed-pattern access per public table slot. Snapshots are only
     /// taken at merge closes, where the pending log is empty and the
     /// mirror equals the table — so table + counters is the whole state.
+    ///
+    /// A record no client put could have left — a key outside the ORAM
+    /// key space, a value of `u64::MAX` ([`first_breach`]) — is refused as
+    /// `InvalidData` before the mirror sees it, checksum or not.
     pub fn from_snapshot<C: Ctx>(
         c: &C,
         cfg: StoreConfig,
@@ -65,7 +70,20 @@ impl Shard {
         live_upper: usize,
         merges: u64,
         stats: StoreStats,
-    ) -> Self {
+    ) -> io::Result<Self> {
+        let puts: Vec<FlatOp> = table
+            .iter()
+            .filter(|r| !r.is_filler())
+            .map(|r| FlatOp {
+                kind: kind::PUT,
+                key: cell_key(r),
+                val: cell_val(r),
+            })
+            .collect();
+        if let Some((index, reason)) = first_breach(&cfg, &puts) {
+            let what = format!("record {index}: {reason}");
+            return Err(io::Error::new(io::ErrorKind::InvalidData, what));
+        }
         let mut shard = Shard::new(cfg, salt);
         if let Some(oram) = shard.oram.as_mut() {
             // One access per slot, real or filler (fillers walk key 0):
@@ -83,7 +101,7 @@ impl Shard {
         shard.live_upper = live_upper;
         shard.merges = merges;
         shard.stats = stats;
-        shard
+        Ok(shard)
     }
 
     /// The path a padded batch of class `b` would take right now — a public

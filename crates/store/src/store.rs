@@ -129,22 +129,36 @@ impl StoreConfig {
 /// same public class). A violating op is a typed
 /// [`StoreError::InvalidOp`], found before anything is logged or applied.
 pub(crate) fn validate_and_pad(cfg: &StoreConfig, ops: &[Op]) -> Result<Vec<FlatOp>, StoreError> {
-    for (index, op) in ops.iter().enumerate() {
-        let reason = match (cfg.oram_key_space, op) {
-            (Some(space), _) if op.key() >= space.max(1) as u64 => {
-                "key outside the configured ORAM key space"
-            }
-            (_, Op::Put { val: u64::MAX, .. }) => "values must be < u64::MAX",
-            _ => continue,
-        };
-        return Err(StoreError::InvalidOp { index, reason });
-    }
-    Ok(ops
+    let batch: Vec<FlatOp> = ops
         .iter()
         .map(FlatOp::of)
         .chain(std::iter::repeat_with(FlatOp::dummy))
         .take(size_class(ops.len()))
-        .collect())
+        .collect();
+    match first_breach(cfg, &batch) {
+        Some((index, reason)) => Err(StoreError::InvalidOp { index, reason }),
+        None => Ok(batch),
+    }
+}
+
+/// The first op of `batch` that breaks the client contract, and which
+/// rule it breaks: an op kind the engine never emits, a key outside the
+/// configured ORAM key space (the mirror asserts it), a put of `u64::MAX`
+/// (the mirror stores `val + 1`). Clients are held to it on the way in,
+/// and so are the bytes recovery reads back — a logged batch, and a
+/// snapshot record as the put that left it.
+pub(crate) fn first_breach(cfg: &StoreConfig, batch: &[FlatOp]) -> Option<(usize, &'static str)> {
+    batch.iter().enumerate().find_map(|(index, f)| {
+        let reason = match (cfg.oram_key_space, f.kind) {
+            (_, k) if k > kind::DUMMY => "unknown op kind",
+            (Some(space), _) if f.key >= space.max(1) as u64 => {
+                "key outside the configured ORAM key space"
+            }
+            (_, kind::PUT) if f.val == u64::MAX => "values must be < u64::MAX",
+            _ => return None,
+        };
+        Some((index, reason))
+    })
 }
 
 /// The one reading of an answer cell (`aux = kind << 72 | found << 64 |

@@ -646,6 +646,82 @@ fn hostile_snapshot_cell_count_is_snapshot_failed() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// An ORAM-path store over keys `0..64`, durable.
+fn oram_cfg() -> StoreConfig {
+    StoreConfig {
+        durability: Durability::epoch(),
+        ..StoreConfig::with_oram(64)
+    }
+}
+
+#[test]
+fn snapshot_records_outside_the_client_contract_are_snapshot_failed() {
+    // Checksummed records the ORAM mirror cannot take: key 64 trips its
+    // key-space assert, value u64::MAX overflows its `val + 1`. Recovery
+    // refuses the file before the mirror is built.
+    let c = SeqCtx::new();
+    let sp = ScratchPool::new();
+    let dir = tdir("hostile_record");
+    for (key, val) in [(64u64, 1u64), (u64::MAX >> 1, 1), (3, u64::MAX)] {
+        let mut cells = vec![(1u128 << 64, 7), ((key as u128) << 64, val as u128)];
+        cells.resize(8, (u128::MAX, 0));
+        write_raw_snapshot(&dir, [0, 1, 2, 2, 0], 8, &cells);
+        let got = Store::recover(&c, &sp, &dir, oram_cfg());
+        assert!(
+            matches!(&got, Err(StoreError::SnapshotFailed { shard: 0, source }) if source.to_string().contains("record 1")),
+            "key {key} val {val}: {:?}",
+            got.err()
+        );
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn wal_ops_outside_the_client_contract_are_wal_corrupt() {
+    // Checksummed frames carrying what `validate_and_pad` turns away from
+    // clients — a put of u64::MAX, a key outside the key space — or a kind
+    // the writer never emits. Replay would hand them to the ORAM mirror;
+    // recovery names the epoch instead.
+    let c = SeqCtx::new();
+    let sp = ScratchPool::new();
+    let dir = tdir("hostile_wal_op");
+    let put = |key: u64, val: u64| (1u8, key, val);
+    for bad in [
+        put(3, u64::MAX),
+        (0, 64, 0),
+        put(1 << 40, 5),
+        (5, 3, 0),
+        (0xFF, 0, 0),
+    ] {
+        // Epoch 0 is clean; epoch 1 carries the bad op in slot 2.
+        let mut wal = Vec::new();
+        for (seq, ops) in [
+            (0u64, vec![put(1, 10)]),
+            (1, vec![put(2, 20), (0, 1, 0), bad]),
+        ] {
+            let mut frame = seq.to_le_bytes().to_vec();
+            frame.extend_from_slice(&8u32.to_le_bytes());
+            for i in 0..8 {
+                let (kind, key, val) = ops.get(i).copied().unwrap_or((4, 0, 0));
+                frame.push(kind);
+                frame.extend_from_slice(&key.to_le_bytes());
+                frame.extend_from_slice(&val.to_le_bytes());
+            }
+            frame.extend_from_slice(&fnv1a64(&frame).to_le_bytes());
+            wal.extend_from_slice(&frame);
+        }
+        std::fs::create_dir_all(&dir).unwrap();
+        std::fs::write(dir.join("wal-0.log"), wal).unwrap();
+        let got = Store::recover(&c, &sp, &dir, oram_cfg());
+        assert!(
+            matches!(&got, Err(StoreError::WalCorrupt { shard: 0, detail }) if detail.starts_with("epoch 1, op 2")),
+            "{bad:?}: {:?}",
+            got.err()
+        );
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 #[test]
 fn snapshot_bytes_cannot_inject_an_op_into_the_next_merge() {
     // A checksummed snapshot whose record for key 3 carries seq bits (it
