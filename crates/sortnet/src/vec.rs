@@ -568,23 +568,32 @@ mod tests {
         }
     }
 
-    #[test]
-    fn swap_kernels_account_like_scalar() {
+    /// The measured costs of one swap kernel call over 64 cells: the slab
+    /// (`level` false) or the level (`level` true).
+    fn swap_kernel_costs(backend: Backend, level: bool) -> (u64, u64, u64, u64, u64) {
         use metrics::{measure, CacheConfig, TraceMode};
-        let run = |backend: Backend| {
-            let (_, r) = measure(CacheConfig::default(), TraceMode::Hash, |c| {
-                let mut cells = vec![TagCell::new(1, 2); 64];
-                let t = Tracked::new(c, &mut cells).as_raw();
-                // SAFETY: 0..24 and 32..56 are in bounds and disjoint;
-                // pairs 3..27 of 8-cell blocks end in block 6 of 8.
-                unsafe {
-                    backend.swap_slab(c, &t, 0..24, 32, 5, true);
+        let (_, r) = measure(CacheConfig::default(), TraceMode::Hash, |c| {
+            let mut cells = vec![TagCell::new(1, 2); 64];
+            let t = Tracked::new(c, &mut cells).as_raw();
+            // SAFETY: 0..24 and 32..56 are in bounds and disjoint;
+            // pairs 3..27 of 8-cell blocks end in block 6 of 8.
+            unsafe {
+                if level {
                     backend.swap_level(c, &t, 4, 3..27, |i, _, _| i < 20);
+                } else {
+                    backend.swap_slab(c, &t, 0..24, 32, 5, true);
                 }
-            });
-            (r.trace_hash, r.trace_len, r.work, r.span, r.cache_misses)
-        };
-        assert_eq!(run(Backend::Scalar), run(Backend::Avx2));
+            }
+        });
+        (r.trace_hash, r.trace_len, r.work, r.span, r.cache_misses)
+    }
+
+    #[test]
+    fn swap_slab_accounting_is_backend_independent() {
+        assert_eq!(
+            swap_kernel_costs(Backend::Scalar, false),
+            swap_kernel_costs(Backend::Avx2, false)
+        );
     }
 
     #[test]
@@ -666,6 +675,14 @@ mod tests {
                 }
             }
         }
+    }
+
+    #[test]
+    fn swap_level_accounting_is_backend_independent() {
+        assert_eq!(
+            swap_kernel_costs(Backend::Scalar, true),
+            swap_kernel_costs(Backend::Avx2, true)
+        );
     }
 
     #[test]
