@@ -279,16 +279,23 @@ fn main() {
         },
     );
 
-    // Full oblivious sort — distinct-key inputs (see DESIGN.md: the rank
-    // pattern after ORP is seed-determined for distinct keys).
-    let distinct: Vec<Vec<u64>> = vec![
+    // Full oblivious sort. For fixed coins ORP's trace is a function of n,
+    // and at n = 512 REC-SORT is one network over all the keys — no pivot
+    // is consulted — so distinct, all-equal and few-distinct keys
+    // must leave one trace, exactly. (Above one network the pivot routing
+    // is distributionally oblivious: DESIGN.md §5.)
+    let keyed: Vec<Vec<u64>> = vec![
         (0..n as u64).collect(),
         (0..n as u64).rev().collect(),
         (0..n as u64).map(|i| i * 3 + 1).collect(),
+        vec![7; n],
+        (0..n as u64)
+            .map(|i| i.wrapping_mul(0x9E37_79B9) % 3)
+            .collect(),
     ];
     all_ok &= row(
-        "oblivious sort (uniform distinct keys)",
-        &distinct,
+        "oblivious sort (distinct + duplicate keys)",
+        &keyed,
         |c, v| {
             let mut v = v.clone();
             oblivious_sort_u64(c, &scratch, &mut v, OSortParams::practical(n), 999);

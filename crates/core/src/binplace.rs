@@ -28,6 +28,11 @@
 //! Every step is an oblivious sort, a fixed-pattern scan, or a parallel
 //! map: the access pattern depends only on `(nbins, Z)` and the input form.
 //!
+//! For the records of `oblivious_sort_u64` — a `u64` key, no payload —
+//! the sort and the rank pass run on 16-byte `label ‖ key` cells packed
+//! from the slots, which are unpacked back before the expansion
+//! ([`bin_place_from`]; DESIGN.md §10).
+//!
 //! A real of rank `≥ Z` means the §C.1 promise was violated (bin
 //! overflow): its target belongs to the next bin, the pass finishes on its
 //! fixed trace with the reals permuted arbitrarily (none is lost), and the
@@ -37,7 +42,7 @@ use crate::engine::Engine;
 use crate::error::{OblivError, Result};
 use crate::expand::expand;
 use crate::scan::{seg_propagate_in, Schedule, Seg};
-use crate::slot::{composite_key, Slot, Val};
+use crate::slot::{composite_key, is_bare, Item, Slot, Val};
 use fj::Ctx;
 use metrics::{par_fill, par_update, ScratchPool, Tracked};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -93,6 +98,12 @@ pub fn bin_place<C: Ctx, V: Val>(
 }
 
 /// [`bin_place`] of an input whose form the caller can state.
+///
+/// The records of `oblivious_sort_u64` are their `u64` key and nothing
+/// else, so for them steps 1–3 run on 16-byte `label ‖ key` cells instead
+/// of the slots: the sort moves half the bytes, and a bin's reals still
+/// come back ascending by label, ties by key. The route is chosen by the
+/// payload *type* (crate-private to that entry point), never by the data.
 #[allow(clippy::too_many_arguments)]
 pub fn bin_place_from<C: Ctx, V: Val>(
     c: &C,
@@ -106,9 +117,69 @@ pub fn bin_place_from<C: Ctx, V: Val>(
 ) -> Result<()> {
     let mask = nbins as u64 - 1;
     // `shift = 64` is the single bin that routes on no bits at all.
+    let group = |label: u64| label.checked_shr(shift).unwrap_or(0) & mask;
+    if is_bare::<V>() {
+        return place_keys(c, scratch, io, input, nbins, zcap, engine, &group);
+    }
     place(c, scratch, io, input, nbins, zcap, engine, &|s| {
-        (s.label().checked_shr(shift).unwrap_or(0) & mask, s.label())
+        (group(s.label()), s.label())
     })
+}
+
+/// Where the reals of a placement's input can be (`prefix`), the run
+/// length its sort may assume, and whether the attempt is already void —
+/// the [`Input`] against the shape, checked.
+fn form<V: Val>(w: &Tracked<'_, Slot<V>>, input: Input, nbins: usize, zcap: usize) -> Form {
+    let n_io = w.len();
+    assert_eq!(n_io, nbins * zcap, "bin placement shape mismatch");
+    assert!(nbins.is_power_of_two() && zcap.is_power_of_two());
+    let (prefix, run, void) = match input {
+        Input::Prefix(prefix) => (prefix, 1, false),
+        Input::Runs { run, void } => (n_io, run, void),
+    };
+    assert!(prefix.is_power_of_two() && prefix <= n_io);
+    assert!(run.is_power_of_two() && run <= n_io);
+    debug_assert!(w.raw()[prefix..].iter().all(Slot::is_filler));
+    Form { prefix, run, void }
+}
+
+struct Form {
+    prefix: usize,
+    run: usize,
+    void: bool,
+}
+
+/// Step 2: every position's group head, by propagating each group's
+/// leftmost index — `group(c, i)` is the group of sorted position `i`.
+fn rank_in_groups<C: Ctx>(
+    c: &C,
+    scratch: &ScratchPool,
+    seg: &mut Tracked<'_, Seg<u64>>,
+    group: &(impl Fn(&C, usize) -> u64 + Sync),
+) {
+    par_fill(c, seg, &|c, i| {
+        let head = i == 0 || group(c, i) != group(c, i - 1);
+        Seg::new(head, i as u64)
+    });
+    seg_propagate_in(c, scratch, seg, Schedule::Tree);
+}
+
+/// Step 4: comparator-free distribution. Without an overflow — in steps
+/// 1–3 or, for a void input, upstream — the reals are a packed run with
+/// increasing targets, so nothing can collide.
+fn distribute<C: Ctx, V: Val>(
+    c: &C,
+    w: &mut Tracked<'_, Slot<V>>,
+    form: Form,
+    overflow: bool,
+) -> Result<()> {
+    let placed = expand(c, w);
+    debug_assert!(overflow || form.void || placed, "monotone targets collided");
+    if overflow {
+        Err(OblivError::BinOverflow)
+    } else {
+        Ok(())
+    }
 }
 
 /// The placement kernel: move every real of `w` (`nbins · zcap` slots,
@@ -127,23 +198,11 @@ pub(crate) fn place<C: Ctx, V: Val>(
     engine: Engine,
     key: &(impl Fn(&Slot<V>) -> (u64, u64) + Sync),
 ) -> Result<()> {
-    let n_io = w.len();
-    assert_eq!(n_io, nbins * zcap, "bin placement shape mismatch");
-    assert!(nbins.is_power_of_two() && zcap.is_power_of_two());
-    // Where the reals can be, the run length the sort may assume, and
-    // whether this attempt is already void.
-    let (prefix, run, void) = match input {
-        Input::Prefix(prefix) => (prefix, 1, false),
-        Input::Runs { run, void } => (n_io, run, void),
-    };
-    assert!(prefix.is_power_of_two() && prefix <= n_io);
-    assert!(run.is_power_of_two() && run <= n_io);
-    debug_assert!(w.raw()[prefix..].iter().all(Slot::is_filler));
-
+    let form = form(w, input, nbins, zcap);
     // Steps 1–3 run over the prefix, in a block so the rank lease is back
     // in the pool before the caller's next lease.
     let overflow = {
-        let mut front = w.range(0, prefix);
+        let mut front = w.range(0, form.prefix);
         let w = &mut front;
 
         // Step 1: sort by (group ‖ low half), fillers last. The group rides
@@ -158,20 +217,19 @@ pub(crate) fn place<C: Ctx, V: Val>(
             }
         });
         debug_assert!(
-            void || w.raw().chunks(run).all(|r| r.is_sorted_by_key(|s| s.sk)),
-            "placement input is not {run}-slot runs in sort order"
+            form.void
+                || w.raw()
+                    .chunks(form.run)
+                    .all(|r| r.is_sorted_by_key(|s| s.sk)),
+            "placement input is not {}-slot runs in sort order",
+            form.run
         );
-        engine.sort_slots_from_runs(c, scratch, w, run);
+        engine.sort_slots_from_runs(c, scratch, w, form.run);
 
-        // Step 2: rank within group, by propagating each group's leftmost
-        // index.
-        let mut seg_store = scratch.lease(prefix, Seg::new(false, 0u64));
+        // Step 2: rank within group.
+        let mut seg_store = scratch.lease(form.prefix, Seg::new(false, 0u64));
         let mut seg = Tracked::new(c, &mut seg_store);
-        par_fill(c, &mut seg, &|c, i| {
-            let head = i == 0 || w.get(c, i).phase_key() != w.get(c, i - 1).phase_key();
-            Seg::new(head, i as u64)
-        });
-        seg_propagate_in(c, scratch, &mut seg, Schedule::Tree);
+        rank_in_groups(c, scratch, &mut seg, &|c, i| w.get(c, i).phase_key());
 
         // Step 3: each real trades its group for its absolute target;
         // fillers are rewritten canonical. Overflow iff a real's rank is
@@ -191,17 +249,87 @@ pub(crate) fn place<C: Ctx, V: Val>(
         });
         overflow.into_inner()
     };
+    distribute(c, w, form, overflow)
+}
 
-    // Step 4: comparator-free distribution. Without an overflow — here or,
-    // for a void input, upstream — the reals are a packed run with
-    // increasing targets, so nothing can collide.
-    let placed = expand(c, w);
-    debug_assert!(overflow || void || placed, "monotone targets collided");
-    if overflow {
-        Err(OblivError::BinOverflow)
-    } else {
-        Ok(())
-    }
+/// [`place`] for records that are their `u64` key ([`BareKey`]), routed by
+/// `group(label)`: steps 1–3 on 16-byte cells, the slots only for the
+/// expansion. Step 1 *packs* the prefix as `label ‖ key` cells (fillers
+/// `u128::MAX`) in place of `set_keys`, and the cells are sorted, or their
+/// runs merged, on the key gate; step 2 reads the groups from the cells;
+/// step 3 *unpacks* them into the slots — `sk = target ‖ label`, the key
+/// back in `item.key` — in place of the slot rewrite. No pass is added.
+///
+/// Label order is the placement's `(group ‖ label)` order: every real of a
+/// placement agrees on the label bits above its window (module docs of
+/// [`crate::rec_orba`]), so the group *is* the highest bits that differ.
+/// A real cannot pack to the filler: ORBA's labels stay below `u64::MAX`.
+#[allow(clippy::too_many_arguments)]
+fn place_keys<C: Ctx, V: Val>(
+    c: &C,
+    scratch: &ScratchPool,
+    w: &mut Tracked<'_, Slot<V>>,
+    input: Input,
+    nbins: usize,
+    zcap: usize,
+    engine: Engine,
+    group: &(impl Fn(u64) -> u64 + Sync),
+) -> Result<()> {
+    debug_assert!(is_bare::<V>());
+    let form = form(w, input, nbins, zcap);
+    let overflow = {
+        let mut front = w.range(0, form.prefix);
+        let w = &mut front;
+
+        // Step 1: pack and sort.
+        let mut cell_store = scratch.lease(form.prefix, u128::MAX);
+        let mut cells = Tracked::new(c, &mut cell_store);
+        par_fill(c, &mut cells, &|c, i| {
+            let s = w.get(c, i);
+            debug_assert!(s.is_filler() || (s.label() < u64::MAX && s.item.key >> 64 == 0));
+            if s.is_real() {
+                composite_key(s.label(), s.item.key as u64)
+            } else {
+                u128::MAX
+            }
+        });
+        debug_assert!(
+            form.void || cells.raw().chunks(form.run).all(|r| r.is_sorted()),
+            "placement input is not {}-slot runs in sort order",
+            form.run
+        );
+        engine.sort_keys_from_runs(c, scratch, &mut cells, form.run);
+
+        // Step 2: rank within group; a filler's group is past the end.
+        let group_of = |cell: u128| {
+            if cell == u128::MAX {
+                u64::MAX
+            } else {
+                group((cell >> 64) as u64)
+            }
+        };
+        let mut seg_store = scratch.lease(form.prefix, Seg::new(false, 0u64));
+        let mut seg = Tracked::new(c, &mut seg_store);
+        rank_in_groups(c, scratch, &mut seg, &|c, i| group_of(cells.get(c, i)));
+
+        // Step 3: unpack, each real with its absolute target.
+        let overflow = AtomicBool::new(false);
+        par_fill(c, w, &|c, i| {
+            let cell = cells.get(c, i);
+            let rank = i as u64 - seg.get(c, i).v;
+            if cell == u128::MAX {
+                return Slot::filler();
+            }
+            if rank >= zcap as u64 {
+                overflow.store(true, Ordering::Relaxed);
+            }
+            let label = (cell >> 64) as u64;
+            Slot::real(Item::new(cell as u64 as u128, V::default()), label)
+                .with_phase_key(group(label) * zcap as u64 + rank)
+        });
+        overflow.into_inner()
+    };
+    distribute(c, w, form, overflow)
 }
 
 /// Recompute every slot's scratch sort key in one fixed-pattern parallel
@@ -587,6 +715,129 @@ mod tests {
         let mut expect: Vec<u64> = spread_runs(7).concat();
         expect.sort_unstable();
         assert_eq!(seen, expect);
+    }
+
+    /// A placement's verdict and every slot's `(sk, item.key)`.
+    type Placed = (Result<()>, Vec<(u128, u128)>);
+
+    /// Place `(label, key)` reals through both routes — as bare keys
+    /// (16-byte `label ‖ key` cells) and as unit-payload slots (the 32-byte
+    /// route) — in 16 bins of 16, routing on the top four label bits as
+    /// ORBA's first level does; the 16-slot run `r` starts with `runs[r]`.
+    fn both_routes(input: Input, runs: &[Vec<(u64, u64)>]) -> [Placed; 2] {
+        fn go<V: Val>(input: Input, runs: &[Vec<(u64, u64)>]) -> Placed {
+            let mut v = vec![Slot::<V>::filler(); 256];
+            for (r, reals) in runs.iter().enumerate() {
+                for (j, &(label, key)) in reals.iter().enumerate() {
+                    v[r * 16 + j] = Slot::real(Item::new(key as u128, V::default()), label);
+                }
+            }
+            let c = SeqCtx::new();
+            let sp = ScratchPool::new();
+            let r = bin_place_from(
+                &c,
+                &sp,
+                &mut Tracked::new(&c, &mut v),
+                input,
+                16,
+                16,
+                60,
+                Engine::BitonicRec,
+            );
+            (r, v.iter().map(|s| (s.sk, s.item.key)).collect())
+        }
+        [
+            go::<crate::slot::BareKey>(input, runs),
+            go::<()>(input, runs),
+        ]
+    }
+
+    /// `per_run` reals in each of 16 runs, labels spread over all 16 bins
+    /// (distinct), keys duplicate-heavy and at both ends of their range;
+    /// each run ascending by label. `hot` sends every real to bin 0.
+    fn injected(per_run: u64, hot: bool) -> Vec<Vec<(u64, u64)>> {
+        (0..16u64)
+            .map(|r| {
+                let mut run: Vec<(u64, u64)> = (0..per_run)
+                    .map(|j| {
+                        let label = (r * per_run + j).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+                        let label = if hot { label >> 4 } else { label };
+                        (
+                            label.min(u64::MAX - 1),
+                            [0, u64::MAX, j % 3][(j % 3) as usize],
+                        )
+                    })
+                    .collect();
+                run.sort_unstable();
+                run
+            })
+            .collect()
+    }
+
+    #[test]
+    fn key_cells_and_slots_leave_the_same_bins() {
+        // Prefix, runs, overflowing and void inputs: the same verdict and
+        // the same slots, `sk` and key alike, from both routes.
+        let runs = Input::Runs {
+            run: 16,
+            void: false,
+        };
+        let void = Input::Runs {
+            run: 16,
+            void: true,
+        };
+        let mut unsorted = injected(7, false);
+        unsorted.iter_mut().for_each(|run| run.reverse());
+        let cases = [
+            (
+                "prefix",
+                Input::Prefix(128),
+                injected(8, false)[..8].to_vec(),
+                Ok(()),
+            ),
+            ("runs", runs, injected(7, false), Ok(())),
+            (
+                "overflow",
+                runs,
+                injected(4, true),
+                Err(OblivError::BinOverflow),
+            ),
+            ("void", void, unsorted, Ok(())),
+        ];
+        for (name, input, reals, verdict) in cases {
+            let [keys, slots] = both_routes(input, &reals);
+            assert_eq!(keys.0, verdict, "{name}");
+            assert!(keys == slots, "{name}: the routes differ");
+        }
+        // A clean form leaves every real in the bin its top bits name,
+        // packed in front, ascending by label.
+        let [(_, placed), _] = both_routes(runs, &injected(7, false));
+        for (b, bin) in placed.chunks(16).enumerate() {
+            let load = bin.iter().take_while(|&&(sk, _)| sk != u128::MAX).count();
+            assert!(bin[..load]
+                .iter()
+                .all(|&(sk, _)| (sk as u64 >> 60) as usize == b));
+            assert!(bin[..load].is_sorted_by_key(|&(sk, _)| sk as u64));
+            assert!(bin[load..].iter().all(|&(sk, _)| sk == u128::MAX));
+        }
+        assert_eq!(
+            placed.iter().filter(|&&(sk, _)| sk != u128::MAX).count(),
+            112
+        );
+    }
+
+    #[test]
+    fn a_real_at_the_largest_label_and_key_is_not_a_filler() {
+        // `u64::MAX − 1` is the largest label ORBA draws; with key
+        // `u64::MAX` the cell is `u128::MAX − 2⁶⁴`, one below the filler.
+        let top = (u64::MAX - 1, u64::MAX);
+        let [(r, placed), _] = both_routes(Input::Prefix(128), &[vec![top]]);
+        r.unwrap();
+        assert_eq!(
+            placed[240],
+            ((240u128 << 64) | top.0 as u128, u64::MAX as u128)
+        );
+        assert_eq!(placed.iter().filter(|&&(sk, _)| sk != u128::MAX).count(), 1);
     }
 
     proptest! {

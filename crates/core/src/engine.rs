@@ -12,14 +12,13 @@
 //! * [`Engine::Shellsort`] — Goodrich's randomized Shellsort with
 //!   `O(n log n)` comparisons, the honest stand-in for AKS.
 
-use crate::slot::{sk_of, Slot, Val};
+use crate::slot::{as_lanes, sk_of, Slot, Val};
 use fj::Ctx;
 use metrics::{ScratchPool, Tracked};
 use sortnet::{
     active_backend, bitonic_sort_flat_par, bitonic_sort_rec_from_runs, cells_merge_rec,
     oddeven_sort, randomized_shellsort, Gate, TagCell,
 };
-use std::mem::{align_of, size_of};
 
 /// Selects the data-oblivious network used for small sorts.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
@@ -101,15 +100,8 @@ impl Engine {
         t: &mut Tracked<'_, Slot<V>>,
         run: usize,
     ) {
-        if size_of::<Slot<V>>() == size_of::<TagCell>()
-            && align_of::<Slot<V>>() == align_of::<TagCell>()
-        {
-            // SAFETY: both types are `repr(C)` and start with two `u128`
-            // lanes (`Slot`: `sk`, then `Item`'s `key`); at equal size
-            // there is no room left for `val`, so `V` is zero-sized and
-            // the two lanes are the whole slot. Every bit pattern is a
-            // valid `u128`, so either type's values are the other's.
-            return self.sort_cells_from_runs(c, scratch, &mut unsafe { t.cast() }, run);
+        if let Some(mut cells) = as_lanes(t) {
+            return self.sort_cells_from_runs(c, scratch, &mut cells, run);
         }
         self.sort_through(c, scratch, t, Slot::filler(), &sk_of, run);
     }
@@ -137,6 +129,32 @@ impl Engine {
         run: usize,
     ) {
         self.sort_through(c, scratch, t, TagCell::filler(), &active_backend(), run);
+    }
+
+    /// Sort bare `u128` keys ascending — records that are their own sort
+    /// key, such as ORP's `label ‖ key` placement cells or REC-SORT's
+    /// unit-payload items. Length must be a power of two; callers pad with
+    /// `u128::MAX`, which sorts last.
+    ///
+    /// Every engine runs the same network it runs for cells and slots,
+    /// through the cell gate's 16-byte form (`Gate<u128>`: `select_u128`
+    /// exchanges, two keys a `ymm` on AVX2), so the comparators and the
+    /// trace shape are the engine's fixed function of `n`, and a key moves
+    /// half a cell's bytes.
+    pub fn sort_keys<C: Ctx>(&self, c: &C, scratch: &ScratchPool, t: &mut Tracked<'_, u128>) {
+        self.sort_keys_from_runs(c, scratch, t, 1)
+    }
+
+    /// [`Engine::sort_keys`] of aligned ascending runs of `run` keys (a
+    /// power of two), as [`Engine::sort_cells_from_runs`] is for cells.
+    pub fn sort_keys_from_runs<C: Ctx>(
+        &self,
+        c: &C,
+        scratch: &ScratchPool,
+        t: &mut Tracked<'_, u128>,
+        run: usize,
+    ) {
+        self.sort_through(c, scratch, t, u128::MAX, &active_backend(), run);
     }
 
     /// Merge an already *bitonic* cell sequence (e.g. an ascending sorted

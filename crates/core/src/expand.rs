@@ -36,11 +36,11 @@
 //! tree are functions of the length alone — for clean, overflowing and
 //! colliding inputs alike.
 
-use crate::slot::{sk_of, Slot, Val};
+use crate::slot::{as_lanes, sk_of, Slot, Val};
 use fj::{base_for, grain_for, par_for, Ctx};
 use metrics::Tracked;
-use sortnet::{active_backend, level_index, Gate, TagCell};
-use std::mem::{align_of, size_of};
+use sortnet::{active_backend, level_index, Gate};
+use std::mem::size_of;
 use std::ops::Range;
 use std::sync::atomic::{AtomicBool, Ordering};
 
@@ -56,8 +56,9 @@ use std::sync::atomic::{AtomicBool, Ordering};
 /// [`crate::set_keys`] overwrites the high half. Fillers are moved, never
 /// rewritten.
 ///
-/// A slot with a zero-sized payload is laid out like a [`TagCell`] and is
-/// moved as one, a grain of pairs at a time through the cell gate's
+/// A slot with a zero-sized payload is laid out like a
+/// [`sortnet::TagCell`] and is moved as one, a grain of pairs at a time
+/// through the cell gate's
 /// [`swap_level`](sortnet::Backend::swap_level) — the same pairs, trace
 /// and counters, 256-bit exchanges where the hardware has them (DESIGN.md
 /// §14 has the pairs that justify it).
@@ -73,12 +74,8 @@ pub fn expand<C: Ctx, V: Val>(c: &C, t: &mut Tracked<'_, Slot<V>>) -> bool {
     );
     let collided = AtomicBool::new(false);
     let base = base_for(c, size_of::<Slot<V>>());
-    if size_of::<Slot<V>>() == size_of::<TagCell>()
-        && align_of::<Slot<V>>() == align_of::<TagCell>()
-    {
-        // SAFETY: as in `Engine::sort_slots_from_runs` — both types are
-        // `repr(C)` and at equal size two `u128` lanes are all of either.
-        let cells = unsafe { t.cast::<TagCell>() }.as_raw();
+    if let Some(mut cells) = as_lanes(t) {
+        let cells = cells.as_raw();
         let gate = active_backend();
         spread(c, 0, m, base, &collided, &|c, h, pairs| {
             let mut clash = false;

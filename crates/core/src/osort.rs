@@ -6,6 +6,13 @@
 //! permutation decorrelates the comparison pattern from the input (made
 //! airtight by composite tiebreak keys so all comparisons are strict).
 //!
+//! The tiebreak is the input index for [`oblivious_sort`], whose callers
+//! see stability. [`oblivious_sort_u64`] sorts bare keys, where stability
+//! is unobservable, so its record is the `u64` key alone: ORP's bin
+//! placements sort 16-byte `label ‖ key` cells, and REC-SORT sorts
+//! `key ‖ coin` — a fresh coin per position, drawn after ORP — as 16-byte
+//! items in place (DESIGN.md §4 row 8, §10).
+//!
 //! Two configurations are exposed:
 //!
 //! * [`OSortParams::practical`] — §3.4: bitonic engine inside ORBA and
@@ -22,9 +29,11 @@ use crate::error::with_retries;
 use crate::orp::orp_into;
 use crate::rec_orba::OrbaParams;
 use crate::rec_sort::rec_sort_items;
-use crate::slot::{composite_key, Item, Val};
+use crate::slot::{composite_key, BareKey, Item, Val};
 use fj::Ctx;
 use metrics::ScratchPool;
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
 
 /// Which comparison sort runs on the permuted array.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -85,11 +94,28 @@ pub fn oblivious_sort<C: Ctx, V: Val>(
     p: OSortParams,
     seed: u64,
 ) -> SortOutcome {
-    sort_records(c, scratch, data, p, seed, &|&(k, v)| (k, v), &|k, v| (k, v))
+    sort_records(
+        c,
+        scratch,
+        data,
+        p,
+        seed,
+        &|i, &(k, v)| Item::new(composite_key(k, i as u64), v),
+        &|_| {},
+        &|it| ((it.key >> 64) as u64, it.val),
+    )
 }
 
-/// Convenience: obliviously sort plain `u64` keys. The working element is
-/// `Item<()>`, so a `Slot` is one 32-byte cell (`sk` + the composite key).
+/// Convenience: obliviously sort plain `u64` keys.
+///
+/// A bare `u64` has no observable stability, so there is no index
+/// tiebreak: the record *is* its key (`BareKey` payload), and through ORP
+/// every bin placement sorts 16-byte `label ‖ key` cells instead of
+/// 32-byte slots. REC-SORT's strict order comes from `key ‖ coin`, one
+/// fresh 64-bit coin per position drawn after ORP — independent of the
+/// permutation, so REC-SORT's rank vector is uniform for every input, as
+/// the index made it (DESIGN.md §4 row 8) — and its network sorts those
+/// 16-byte keys in place.
 pub fn oblivious_sort_u64<C: Ctx>(
     c: &C,
     scratch: &ScratchPool,
@@ -97,33 +123,61 @@ pub fn oblivious_sort_u64<C: Ctx>(
     p: OSortParams,
     seed: u64,
 ) -> SortOutcome {
-    sort_records(c, scratch, keys, p, seed, &|&k| (k, ()), &|k, ()| k)
+    sort_records(
+        c,
+        scratch,
+        keys,
+        p,
+        seed,
+        &|_, &k| Item::new(k as u128, BareKey),
+        &|items| draw_tiebreaks(c, items, seed),
+        &|it| (it.key >> 64) as u64,
+    )
 }
 
-/// The pipeline behind both entry points: `split` a record into its key
-/// and payload, sort `Item`s keyed by (key ‖ input index) — a strict total
-/// order for REC-SORT's load balance, stability for callers — and `join`
-/// each record back from the key's high half and its payload. The index
-/// tiebreak is `< n`, so no composite key is the reserved `u128::MAX` —
-/// `u64::MAX` keys included — and REC-SORT's `ReservedKey` cannot fire.
+/// Give each permuted bare key its tiebreak: `key ‖ coin`, one uniform
+/// coin per position from a stream of its own, below `u64::MAX` so that no
+/// composite is the reserved `u128::MAX`. The coins are drawn after ORP
+/// and do not depend on it. Neither would do as a tiebreak: the post-ORP
+/// position or the label make REC-SORT's rank vector the identity on
+/// all-equal keys, and the butterfly's trace would tell "all equal" from
+/// "all distinct".
+fn draw_tiebreaks<C: Ctx>(c: &C, items: &mut [Item<BareKey>], seed: u64) {
+    let mut rng = StdRng::seed_from_u64(seed ^ 0x7135_b4ea_c015_5eed);
+    for it in items.iter_mut() {
+        it.key = composite_key(it.key as u64, rng.gen_range(0..u64::MAX));
+    }
+    c.charge_par(items.len() as u64);
+}
+
+/// The pipeline behind both entry points: `split` record `i` into the item
+/// ORP permutes, `tiebreak` the permuted items into REC-SORT's strict order
+/// — a composite key whose high half is the record's key — and `join`
+/// each record back from a sorted item. [`oblivious_sort`] keys by (key ‖
+/// input index), a strict total order for REC-SORT's load balance and
+/// stability for callers; the index is `< n`, so no composite key is the
+/// reserved `u128::MAX` — `u64::MAX` keys included — and REC-SORT's
+/// `ReservedKey` cannot fire.
+#[allow(clippy::too_many_arguments)]
 fn sort_records<C: Ctx, T, V: Val>(
     c: &C,
     scratch: &ScratchPool,
     data: &mut [T],
     p: OSortParams,
     seed: u64,
-    split: &impl Fn(&T) -> (u64, V),
-    join: &impl Fn(u64, V) -> T,
+    split: &impl Fn(usize, &T) -> Item<V>,
+    tiebreak: &impl Fn(&mut [Item<V>]),
+    join: &impl Fn(&Item<V>) -> T,
 ) -> SortOutcome {
     let mut items = scratch.lease(data.len(), Item::<V>::default());
     for (i, (it, d)) in items.iter_mut().zip(data.iter()).enumerate() {
-        let (k, v) = split(d);
-        *it = Item::new(composite_key(k, i as u64), v);
+        *it = split(i, d);
     }
     c.charge_par(data.len() as u64);
 
     let mut permuted = scratch.lease(data.len(), Item::<V>::default());
     let orp_attempts = orp_into(c, scratch, &items, p.orba, seed, &mut permuted);
+    tiebreak(&mut permuted);
 
     let sort_attempts = match p.final_sorter {
         FinalSorter::MergeSort => {
@@ -151,7 +205,7 @@ fn sort_records<C: Ctx, T, V: Val>(
     };
 
     for (out, it) in data.iter_mut().zip(permuted.iter()) {
-        *out = join((it.key >> 64) as u64, it.val);
+        *out = join(it);
     }
     c.charge_par(data.len() as u64);
     SortOutcome {
@@ -176,7 +230,8 @@ mod tests {
     #[test]
     fn max_keys_sort_like_any_other() {
         // `u64::MAX` is not reserved at this level: the composite key ends
-        // in the input index. Both the small path and the full pipeline.
+        // in a tiebreak below `u64::MAX`. Both the small path and the full
+        // pipeline.
         let c = SeqCtx::new();
         let sp = ScratchPool::new();
         for n in [5usize, 3000] {
@@ -265,6 +320,54 @@ mod tests {
         let d = run((0..n as u64).map(|i| i * 3 + 1).collect());
         assert_eq!(a, b);
         assert_eq!(a, d);
+    }
+
+    #[test]
+    fn equal_keys_tiebreak_ranks_are_uniform_over_all_24_orders() {
+        // Four equal bare keys: the coins alone rank them, and every one
+        // of the 24 rank orders must be equally likely.
+        use std::collections::HashMap;
+        let c = SeqCtx::new();
+        let trials = 4800;
+        let mut counts: HashMap<Vec<usize>, usize> = HashMap::new();
+        for s in 0..trials {
+            let mut items = [Item::new(5, BareKey); 4];
+            draw_tiebreaks(&c, &mut items, 31_000 + s);
+            assert!(items
+                .iter()
+                .all(|it| it.key >> 64 == 5 && it.key < u128::MAX));
+            let mut order: Vec<usize> = (0..4).collect();
+            order.sort_by_key(|&j| items[j].key);
+            *counts.entry(order).or_default() += 1;
+        }
+        assert_eq!(counts.len(), 24, "every order occurs");
+        let expect = trials as f64 / 24.0;
+        let chi2: f64 = counts
+            .values()
+            .map(|&ct| (ct as f64 - expect).powi(2) / expect)
+            .sum();
+        // 23 degrees of freedom: 60 is beyond the 99.99th percentile.
+        assert!(chi2 < 60.0, "χ² = {chi2} over {counts:?}");
+    }
+
+    #[test]
+    fn all_equal_keys_sort_through_the_butterfly() {
+        // At n = 20000 the pivot sample makes 8 bins, so γ = 4 forces
+        // REC-SORT's butterfly (`rec_sort`'s γ-boundary test). All keys
+        // equal: only the tiebreak coins spread them over the bins —
+        // without them every key would route to one bin, and every
+        // attempt overflow.
+        let c = SeqCtx::new();
+        let sp = ScratchPool::new();
+        let n = 20_000;
+        let mut p = OSortParams::practical(n);
+        p.orba.gamma = 4;
+        for key in [0, 42, u64::MAX] {
+            let mut v = vec![key; n];
+            let out = oblivious_sort_u64(&c, &sp, &mut v, p, 5);
+            assert!(v.iter().all(|&k| k == key));
+            assert!(out.sort_attempts <= 3, "{out:?}");
+        }
     }
 
     proptest! {

@@ -146,11 +146,17 @@ pub fn rec_orba_into<C: Ctx, V: Val>(
 /// One uniform 64-bit label per element. The draw order is fixed
 /// (sequential), so the stream — and with it the whole execution — depends
 /// only on `(n, seed)`.
+///
+/// A draw of `u64::MAX` is taken as `u64::MAX − 1`, so that a real's
+/// `label ‖ key` placement cell never reads as the filler (`bin_place_from`)
+/// whatever its key. That is an event of probability `2⁻⁶⁴` a label: the
+/// labels stay i.i.d., so their rank vector stays uniform, and the one
+/// value it doubles is a collision of the kind ORP already retries.
 pub(crate) fn draw_labels(scratch: &ScratchPool, n: usize, seed: u64) -> ScratchGuard<'_, u64> {
     let mut rng = StdRng::seed_from_u64(seed);
     let mut labels = scratch.lease(n, 0u64);
     for l in labels.iter_mut() {
-        *l = rng.gen();
+        *l = rng.gen::<u64>().min(u64::MAX - 1);
     }
     labels
 }

@@ -28,7 +28,10 @@
 //!
 //! A slot's `sk` is its `item.key`, so `u128::MAX` — the filler mark — is
 //! reserved: [`rec_sort_items`] rejects it up front with
-//! [`OblivError::ReservedKey`] instead of losing the element.
+//! [`OblivError::ReservedKey`] instead of losing the element. An item
+//! with a zero-sized payload is nothing but its key, so the one-network
+//! sort builds no slots for it: it sorts the items themselves, 16 bytes a
+//! comparator operand, in place when `n` is a power of two.
 //!
 //! Layout invariant: every bin holds its reals in front of its fillers —
 //! true of the initial layout and of every base-case output, and preserved
@@ -36,12 +39,13 @@
 
 use crate::engine::Engine;
 use crate::error::{OblivError, Result};
-use crate::slot::{Item, Slot, Val};
+use crate::slot::{as_lanes, Item, Slot, Val};
 use fj::{grain_for, par_for, par_reduce, Ctx};
 use metrics::{par_fill, par_tracked_chunks, ScratchPool, Tracked};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use sortnet::{par_rows2, transpose};
+use std::mem::size_of;
 use std::sync::atomic::{AtomicBool, Ordering};
 
 /// Inputs at or below this size skip the butterfly and use one padded
@@ -240,6 +244,11 @@ fn pack_bins<C: Ctx, V: Val>(
 
 /// Padded bitonic sort for small instances, the pivot sample, and inputs
 /// whose butterfly would be a single base case.
+///
+/// A unit-payload item is nothing but its key (`as_lanes`), so it is
+/// sorted as one on the key gate — in place when `n` is a power of two:
+/// the record is what the comparators move, and no slot is built. Any
+/// other item is staged in slots keyed by `item.key`.
 fn sort_small<C: Ctx, V: Val>(
     c: &C,
     scratch: &ScratchPool,
@@ -251,6 +260,21 @@ fn sort_small<C: Ctx, V: Val>(
         return Ok(());
     }
     let m = n.next_power_of_two();
+    if size_of::<V>() == 0 {
+        let mut t = Tracked::new(c, &mut *items);
+        if let Some(mut keys) = as_lanes(&mut t) {
+            if n == m {
+                engine.sort_keys(c, scratch, &mut keys);
+            } else {
+                let mut lease = scratch.lease(m, u128::MAX);
+                let mut padded = Tracked::new(c, &mut lease);
+                par_fill(c, &mut padded.range(0, n), &|c, i| keys.get(c, i));
+                engine.sort_keys(c, scratch, &mut padded);
+                par_fill(c, &mut keys, &|c, i| padded.get(c, i));
+            }
+            return Ok(());
+        }
+    }
     let mut slots = scratch.lease(m, Slot::filler());
     {
         let mut t = Tracked::new(c, &mut slots);
@@ -539,6 +563,56 @@ mod tests {
                 cmp_staged, cmp_direct,
                 "n = {n}: γ did not force the butterfly"
             );
+        }
+    }
+
+    #[test]
+    fn unit_items_sort_as_keys_on_the_closure_gates_trace() {
+        // `Item<()>` is its key: the small sort runs the key gate in place
+        // and must leave the closure gate's keys, trace and every counter —
+        // the same network over the same buffer. Duplicates and `u128::MAX
+        // − 1` included; at other sizes the padded keys sort the same.
+        use metrics::{measure, CacheConfig, TraceMode};
+        let keys = |n: u64| -> Vec<Item<()>> {
+            (0..n)
+                .map(|i| match i % 7 {
+                    0 => Item::new(u128::MAX - 1, ()),
+                    _ => Item::new(composite_key(i.wrapping_mul(2654435761) % 61, i % 5), ()),
+                })
+                .collect()
+        };
+        let run = |mut items: Vec<Item<()>>, as_keys: bool| {
+            let (_, rep) = measure(CacheConfig::default(), TraceMode::Hash, |c| {
+                let sp = ScratchPool::new();
+                if as_keys {
+                    sort_small(c, &sp, &mut items, Engine::BitonicRec).unwrap();
+                } else {
+                    sortnet::sort_slice_rec_in(c, &sp, &mut items, &|it: &Item<()>| it.key, true);
+                }
+            });
+            let costs = [
+                rep.trace_hash,
+                rep.trace_len,
+                rep.work,
+                rep.span,
+                rep.cache_misses,
+            ];
+            (items, costs, rep.comparisons)
+        };
+        let (small, by_closure) = (run(keys(4096), true), run(keys(4096), false));
+        assert!(small == by_closure);
+        assert_sorted(&small.0);
+        for n in [3u64, 100, 3000] {
+            let (mut got, mut expect) = (keys(n), keys(n));
+            sort_small(
+                &SeqCtx::new(),
+                &ScratchPool::new(),
+                &mut got,
+                Engine::BitonicRec,
+            )
+            .unwrap();
+            expect.sort_by_key(|it| it.key);
+            assert_eq!(got, expect, "n = {n}");
         }
     }
 

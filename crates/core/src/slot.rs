@@ -6,12 +6,21 @@
 //! (ORBA group, placement target, REC-SORT key) rides in its high half,
 //! the routing *label* (ORBA's random draw, §C.2: bin in the top bits,
 //! ORP's tiebreak below) in its low half, and `sk == u128::MAX` *is* the padding
-//! element `⊥`, exactly as `tag == MAX` is a filler [`TagCell`]. A
-//! `Slot<()>` is 32 bytes and lane for lane a `TagCell` (`sk` = `tag`,
-//! `item.key` = `aux`) — [`crate::Engine::sort_slots`] sorts it as one;
-//! DESIGN.md §10 has the per-phase lane table.
+//! element `⊥`, exactly as `tag == MAX` is a filler [`TagCell`].
 //!
-//! [`TagCell`]: sortnet::TagCell
+//! A record with a zero-sized payload is nothing but its `u128` lanes
+//! (`as_lanes`): a `Slot<()>` is 32 bytes and lane for lane a `TagCell`
+//! (`sk` = `tag`, `item.key` = `aux`), sorted and moved as one; an
+//! `Item<()>` is 16 bytes, its key, and REC-SORT's network sorts it as a
+//! bare key. `oblivious_sort_u64`'s records go one step further
+//! (`BareKey`): through ORP a record is its `u64` key, so a placement
+//! sorts 16-byte `label ‖ key` cells and only the slots the expansion
+//! moves are 32 bytes. DESIGN.md §10 has the per-phase lane table.
+
+use metrics::Tracked;
+use sortnet::TagCell;
+use std::any::TypeId;
+use std::mem::{align_of, size_of};
 
 /// Payload bound for everything flowing through the oblivious algorithms.
 pub trait Val: Copy + Default + Send + Sync + 'static {}
@@ -121,6 +130,52 @@ impl<V: Val> Slot<V> {
     }
 }
 
+/// The payload of `oblivious_sort_u64`'s records: none. Through ORP such a
+/// record *is* its `u64` key, held in the low half of [`Item::key`], so a
+/// bin placement packs it with its label into one 16-byte `label ‖ key`
+/// cell ([`crate::bin_place`]); after ORP the key moves to the high half
+/// with a tiebreak coin below it. Crate-private: only that entry point
+/// makes one, so the narrow route is chosen by type and never truncates a
+/// caller's key ([`is_bare`]).
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub(crate) struct BareKey;
+
+/// Whether `V` is [`BareKey`] — a fact about the type, fixed at compile
+/// time, never about the data.
+#[inline]
+pub(crate) fn is_bare<V: Val>() -> bool {
+    TypeId::of::<V>() == TypeId::of::<BareKey>()
+}
+
+/// A record type whose values, when its payload is zero-sized, are exactly
+/// the `u128` lanes of [`Lanes::As`]: `Slot<V>` starts with `sk` and
+/// `Item<V>` with `key`, both `repr(C)`.
+pub(crate) trait Lanes: Copy {
+    type As: Copy;
+}
+
+impl<V: Val> Lanes for Slot<V> {
+    type As = TagCell;
+}
+
+impl<V: Val> Lanes for Item<V> {
+    type As = u128;
+}
+
+/// `t` viewed as the lanes its records are laid out as — same buffer, same
+/// addresses, so the trace and every counter are the record's — when the
+/// payload is zero-sized (the sizes agree); `None` otherwise.
+pub(crate) fn as_lanes<'a, R: Lanes>(t: &'a mut Tracked<'_, R>) -> Option<Tracked<'a, R::As>> {
+    (size_of::<R>() == size_of::<R::As>() && align_of::<R>() == align_of::<R::As>()).then(|| {
+        // SAFETY: `R` is `repr(C)` and starts with the `u128` lanes of
+        // `R::As`; at equal size there is no room left for the payload, so
+        // it is zero-sized and the lanes are the whole record. Every bit
+        // pattern is a valid `u128`, and a zero-sized value has no bytes,
+        // so either type's values are the other's.
+        unsafe { t.cast() }
+    })
+}
+
 /// The sort-key extractor every network call in this crate uses.
 #[inline]
 pub fn sk_of<V>(s: &Slot<V>) -> u128 {
@@ -136,8 +191,7 @@ pub fn composite_key(key: u64, tiebreak: u64) -> u128 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use sortnet::TagCell;
-    use std::mem::{align_of, offset_of, size_of};
+    use std::mem::offset_of;
 
     #[test]
     fn filler_and_real_predicates() {
@@ -161,6 +215,26 @@ mod tests {
         assert_eq!(offset_of!(Slot<()>, item), offset_of!(TagCell, aux));
         assert_eq!(offset_of!(Item<()>, key), 0);
         assert!(Slot::<u64>::default().is_filler());
+        // A unit-payload item is its key: REC-SORT's network sorts it so.
+        assert_eq!(size_of::<Item<BareKey>>(), size_of::<u128>());
+        assert_eq!(align_of::<Item<BareKey>>(), align_of::<u128>());
+    }
+
+    #[test]
+    fn lanes_views_exactly_the_zero_sized_payloads() {
+        let c = fj::SeqCtx::new();
+        let mut items = vec![Item::new(7, BareKey), Item::new(u128::MAX - 1, BareKey)];
+        let mut t = Tracked::new(&c, &mut items);
+        let keys = as_lanes(&mut t).expect("a bare-key item is its key");
+        assert_eq!(keys.raw(), [7, u128::MAX - 1]);
+        let mut wide = vec![Item::new(7, 1u64)];
+        assert!(as_lanes(&mut Tracked::new(&c, &mut wide)).is_none());
+        let mut slots = vec![Slot::real(Item::new(3, ()), 9)];
+        let mut t = Tracked::new(&c, &mut slots);
+        let cells = as_lanes(&mut t).expect("a unit slot is a cell");
+        assert_eq!(cells.raw(), [TagCell::new(9, 3)]);
+        assert!(as_lanes(&mut Tracked::new(&c, &mut [Slot::<u64>::filler()])).is_none());
+        assert!(is_bare::<BareKey>() && !is_bare::<()>() && !is_bare::<u64>());
     }
 
     #[test]

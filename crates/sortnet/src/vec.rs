@@ -1,9 +1,10 @@
 //! The branchless cell gate: [`Backend`] is the [`Gate`] for packed
-//! [`TagCell`]s, with runtime-dispatched AVX2 forms of the comparator
-//! run, of a whole bitonic stage, of compaction's index-driven swap slab
-//! ([`Backend::swap_slab`]) and of the target- or rank-driven swap level
-//! of expansion and compaction ([`Backend::swap_level`]), plus the
-//! whole-cell select the rewrite loops route through.
+//! [`TagCell`]s and for bare `u128` keys, with runtime-dispatched AVX2
+//! forms of the comparator run and of a whole bitonic stage for both, of
+//! compaction's index-driven swap slab ([`Backend::swap_slab`]) and of the
+//! target- or rank-driven swap level of expansion and compaction
+//! ([`Backend::swap_level`]), plus the whole-cell select the rewrite loops
+//! route through.
 //!
 //! # Dispatch model
 //!
@@ -11,7 +12,9 @@
 //! `select_u128` lanes; [`Backend::Avx2`] overrides the two batched
 //! entries, [`Gate::run`] (a tile row) and [`Gate::stage`] (every level of
 //! a sequential network's stage, one kernel entry): the accounting replay
-//! below, then the 256-bit kernel. The process-wide
+//! below, then the 256-bit kernel — one 32-byte cell a `ymm` with a scalar
+//! verdict, or two 16-byte keys a `ymm` with the verdict computed in-lane.
+//! The process-wide
 //! choice ([`active_backend`]) is made **once**: AVX2 when
 //! `is_x86_feature_detected!("avx2")` says the hardware has it and
 //! `DOB_NO_SIMD` is unset, scalar otherwise — a public *hardware* fact,
@@ -33,7 +36,7 @@
 //! [`cex`] (or the scalar swap loop) emits (free on non-metering
 //! executors — the `Ctx` methods are inlined no-ops there), and only then
 //! moves the data with a branchless
-//! scalar verdict + 256-bit masked xor-swap. Same addresses in the
+//! verdict + 256-bit masked xor-swap. Same addresses in the
 //! same order, same work and comparator counters, no data-dependent
 //! branch: the adversary-visible trace and the gated cost model are
 //! *identical* across backends, on every input. DESIGN.md §14 gives the
@@ -47,13 +50,14 @@ use metrics::{RawTracked, Tracked};
 use std::ops::Range;
 use std::sync::OnceLock;
 
-/// The compare-exchange gate for [`TagCell`]s.
+/// The compare-exchange gate for [`TagCell`]s and for bare `u128` keys.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Backend {
     /// Per-pair `select_u128` masks — the portable branchless gate.
     Scalar,
     /// Scalar tag verdict + 256-bit masked xor-swap of whole cells, four
-    /// pairs per unrolled iteration; `Scalar` where AVX2 was not detected.
+    /// pairs per unrolled iteration; for keys, two a `ymm` with the
+    /// verdict computed in-lane. `Scalar` where AVX2 was not detected.
     Avx2,
 }
 
@@ -128,7 +132,7 @@ impl Backend {
                 for i in run.clone() {
                     avx2::account_pair(c, t, i, i + stride);
                 }
-                // SAFETY: AVX2 was detected (see `run`); bounds and
+                // SAFETY: AVX2 was detected (see `run_avx2`); bounds and
                 // exclusivity are this function's own contract.
                 return avx2::swap_slab(t.as_mut_ptr(), run, stride, pivot, flip);
             }
@@ -174,7 +178,7 @@ impl Backend {
                 for i in pairs.clone().map(|p| level_index(p, h)) {
                     avx2::account_pair(c, t, i, i + h);
                 }
-                // SAFETY: AVX2 was detected (see `run`); bounds and
+                // SAFETY: AVX2 was detected (see `run_avx2`); bounds and
                 // exclusivity are this function's own contract.
                 return avx2::swap_level(t.as_mut_ptr(), h, pairs, verdict);
             }
@@ -202,7 +206,9 @@ impl Gate<TagCell> for Backend {
         (select_cell(swap, a, b), select_cell(swap, b, a))
     }
 
-    /// The AVX2 override; every other request runs the default loop.
+    /// The AVX2 override — the per-pair loop's accounting replayed, then
+    /// one kernel entry for the data; every other request runs the default
+    /// loop.
     ///
     /// # Safety
     /// As [`Gate::run`] — the kernel writes through raw pointers with no
@@ -222,52 +228,126 @@ impl Gate<TagCell> for Backend {
         // empty and dead.
         if resolve(*self, active_backend()) == Backend::Avx2 {
             #[cfg(target_arch = "x86_64")]
-            {
-                for k in 0..len {
-                    avx2::account_cex(c, t, a + k, b + k);
-                }
-                let ptr = t.as_mut_ptr();
-                // SAFETY: AVX2 is available — `resolve` returns Avx2 only
-                // if `active_backend()` did, i.e. only after
-                // `is_x86_feature_detected!("avx2")` succeeded in this
-                // process, whichever variant the caller named. Bounds,
-                // disjointness and exclusivity of the two runs are this
-                // function's own contract.
-                return avx2::cex_run(ptr.add(a), ptr.add(b), len, up);
-            }
+            return run_avx2(c, t, a, b, len, up);
         }
         for k in 0..len {
             cex(c, t, self, a + k, b + k, up);
         }
     }
 
-    /// The AVX2 override: the slab loop's accounting replayed level by
+    /// The AVX2 override — the slab loop's accounting replayed level by
     /// level, then one kernel entry that takes each aligned `k`-block
-    /// through all of its levels while it sits in L1. Blocks are
-    /// independent, so block-major order leaves what level-major does;
-    /// every other request runs [`stage_by_slabs`].
+    /// through all of its levels while it sits in L1; every other request
+    /// runs [`stage_by_slabs`].
     #[inline]
     fn stage<C: Ctx>(&self, c: &C, t: &mut Tracked<'_, TagCell>, k: usize, up: bool) {
-        let n = t.len();
-        debug_assert!(k >= 2 && k.is_power_of_two() && n.is_multiple_of(k));
         if resolve(*self, active_backend()) == Backend::Avx2 {
             #[cfg(target_arch = "x86_64")]
-            {
-                let raw = t.as_raw();
-                let mut j = k / 2;
-                while j >= 1 {
-                    for i in (0..n / 2).map(|p| level_index(p, j)) {
-                        avx2::account_cex(c, &raw, i, i + j);
-                    }
-                    j /= 2;
-                }
-                // SAFETY: AVX2 was detected (see `run`); `&mut t` owns all
-                // `n` cells.
-                return unsafe { avx2::stage(raw.as_mut_ptr(), n, k, up) };
-            }
+            return stage_avx2(c, t, k, up);
         }
         stage_by_slabs(c, t, self, k, up)
     }
+}
+
+/// The gate over bare 16-byte keys — a record that *is* its sort key, such
+/// as the `label ‖ key` cells of ORP's placements: the same network as any
+/// other gate's, with the pair routed through [`select_u128`] and, on AVX2,
+/// two keys a `ymm` whose verdict is computed in-lane (module docs).
+/// `u128::MAX` is the filler, as for cells.
+impl Gate<u128> for Backend {
+    #[inline]
+    fn key(&self, x: &u128) -> u128 {
+        *x
+    }
+
+    #[inline]
+    fn route(&self, swap: bool, a: u128, b: u128) -> (u128, u128) {
+        (select_u128(swap, a, b), select_u128(swap, b, a))
+    }
+
+    /// As the cell gate's: the AVX2 override, or the default loop.
+    ///
+    /// # Safety
+    /// As [`Gate::run`].
+    #[inline]
+    unsafe fn run<C: Ctx>(
+        &self,
+        c: &C,
+        t: &RawTracked<u128>,
+        a: usize,
+        b: usize,
+        len: usize,
+        up: bool,
+    ) {
+        debug_assert!(a.max(b) + len <= t.len() && a.abs_diff(b) >= len);
+        if resolve(*self, active_backend()) == Backend::Avx2 {
+            #[cfg(target_arch = "x86_64")]
+            return run_avx2(c, t, a, b, len, up);
+        }
+        for k in 0..len {
+            cex(c, t, self, a + k, b + k, up);
+        }
+    }
+
+    /// As the cell gate's: the AVX2 override, or [`stage_by_slabs`].
+    #[inline]
+    fn stage<C: Ctx>(&self, c: &C, t: &mut Tracked<'_, u128>, k: usize, up: bool) {
+        if resolve(*self, active_backend()) == Backend::Avx2 {
+            #[cfg(target_arch = "x86_64")]
+            return stage_avx2(c, t, k, up);
+        }
+        stage_by_slabs(c, t, self, k, up)
+    }
+}
+
+/// [`Gate::run`] on the AVX2 kernel: the per-pair loop's accounting
+/// replayed, then one kernel entry for the data.
+///
+/// # Safety
+/// As [`Gate::run`], and AVX2 must have been detected (`resolve`).
+#[cfg(target_arch = "x86_64")]
+#[inline]
+unsafe fn run_avx2<C: Ctx, E: avx2::Pairs>(
+    c: &C,
+    t: &RawTracked<E>,
+    a: usize,
+    b: usize,
+    len: usize,
+    up: bool,
+) {
+    for k in 0..len {
+        avx2::account_cex(c, t, a + k, b + k);
+    }
+    let ptr = t.as_mut_ptr();
+    // AVX2 is available: `resolve` returns Avx2 only if `active_backend()`
+    // did, i.e. only after `is_x86_feature_detected!("avx2")` succeeded in
+    // this process, whichever variant the caller named. Bounds,
+    // disjointness and exclusivity of the two runs are the caller's
+    // contract.
+    avx2::cex_run(ptr.add(a), ptr.add(b), len, up)
+}
+
+/// [`Gate::stage`] on the AVX2 kernel: the slab loop's accounting replayed
+/// level by level, then one kernel entry that takes each aligned `k`-block
+/// through all of its levels while it sits in L1. Blocks are independent,
+/// so block-major order leaves what level-major does. Only called once
+/// `resolve` said AVX2.
+#[cfg(target_arch = "x86_64")]
+#[inline]
+fn stage_avx2<C: Ctx, E: avx2::Pairs>(c: &C, t: &mut Tracked<'_, E>, k: usize, up: bool) {
+    let n = t.len();
+    debug_assert!(k >= 2 && k.is_power_of_two() && n.is_multiple_of(k));
+    let raw = t.as_raw();
+    let mut j = k / 2;
+    while j >= 1 {
+        for i in (0..n / 2).map(|p| level_index(p, j)) {
+            avx2::account_cex(c, &raw, i, i + j);
+        }
+        j /= 2;
+    }
+    // SAFETY: AVX2 was detected (see `run_avx2`); `&mut t` owns all `n`
+    // elements.
+    unsafe { avx2::stage(raw.as_mut_ptr(), n, k, up) }
 }
 
 /// Compare-exchange one bitonic-level slab of cells — the `stride` pairs
@@ -305,6 +385,7 @@ pub fn select_cell(cond: bool, a: TagCell, b: TagCell) -> TagCell {
 #[cfg(target_arch = "x86_64")]
 mod avx2 {
     use super::TagCell;
+    use crate::cx::select_u128;
     use core::arch::x86_64::*;
     use fj::{counters, Access, Ctx};
     use metrics::RawTracked;
@@ -315,7 +396,7 @@ mod avx2 {
     /// two writes. The AVX2 slabs call this per pair, in slab order,
     /// before the vector data movement.
     #[inline(always)]
-    pub fn account_pair<C: Ctx>(c: &C, t: &RawTracked<TagCell>, i: usize, j: usize) {
+    pub fn account_pair<C: Ctx, T: Copy>(c: &C, t: &RawTracked<T>, i: usize, j: usize) {
         let (buf, off, wpe) = (t.buf(), t.off(), t.wpe());
         c.touch(buf, off + i as u64 * wpe, wpe, Access::Read);
         c.work(1);
@@ -331,9 +412,20 @@ mod avx2 {
     /// [`account_pair`] plus the comparator count of a
     /// [`cex`](crate::cx::cex).
     #[inline(always)]
-    pub fn account_cex<C: Ctx>(c: &C, t: &RawTracked<TagCell>, i: usize, j: usize) {
+    pub fn account_cex<C: Ctx, T: Copy>(c: &C, t: &RawTracked<T>, i: usize, j: usize) {
         account_pair(c, t, i, j);
         c.count(counters::COMPARISONS, 1);
+    }
+
+    /// An element the compare-exchange kernels move: `cex_runs` is the
+    /// per-type inner loop of [`cex_run`] and [`stage`] — pairs
+    /// `(lo + k, hi + k)`, `k in 0..len`, smaller key first iff `up`, each
+    /// pair's two elements loaded and stored whatever the verdict.
+    pub trait Pairs: Copy {
+        /// # Safety
+        /// AVX2 must be available; `lo[..len]` and `hi[..len]` must be
+        /// valid, disjoint and exclusively owned by the caller.
+        unsafe fn cex_runs(lo: *mut Self, hi: *mut Self, len: usize, up: bool);
     }
 
     /// One branchless conditional exchange: `*pa`/`*pb` are 32-byte cells
@@ -396,18 +488,65 @@ mod avx2 {
         }
     }
 
+    /// A cell a `ymm`, its verdict from the scalar tag compare ([`swap1`]).
+    impl Pairs for TagCell {
+        #[inline(always)]
+        unsafe fn cex_runs(lo: *mut Self, hi: *mut Self, len: usize, up: bool) {
+            swap_runs(lo, hi, len, |_, ta, tb| (ta > tb) == up)
+        }
+    }
+
+    /// Two keys a `ymm`, their verdicts computed in-lane. A key is two
+    /// 64-bit lanes, low then high. `cmpgt_epi64` on sign-flipped lanes is
+    /// the unsigned `gt` of each half and `cmpeq_epi64` the `eq`;
+    /// `bslli_epi128(gt, 8)` moves each key's low `gt` under its high lane,
+    /// where `gt_hi | (eq_hi & gt_lo)` is the 128-bit `a > b`, and
+    /// `shuffle_epi32(0xEE)` copies that lane over both halves of its key:
+    /// a whole-key mask with no cross-lane permute. XORed with the
+    /// direction it is the swap mask of a masked xor-swap. An odd pair
+    /// left over — a slab of one, level 1 of every stage — goes through
+    /// [`select_u128`] on the scalar side.
+    impl Pairs for u128 {
+        #[inline(always)]
+        unsafe fn cex_runs(lo: *mut Self, hi: *mut Self, len: usize, up: bool) {
+            let sign = _mm256_set1_epi64x(i64::MIN);
+            let flip = _mm256_set1_epi64x(-i64::from(!up));
+            let mut k = 0;
+            while k + 2 <= len {
+                let (pa, pb) = (lo.add(k).cast::<__m256i>(), hi.add(k).cast::<__m256i>());
+                let a = _mm256_loadu_si256(pa);
+                let b = _mm256_loadu_si256(pb);
+                let gt = _mm256_cmpgt_epi64(_mm256_xor_si256(a, sign), _mm256_xor_si256(b, sign));
+                let eq = _mm256_cmpeq_epi64(a, b);
+                let v = _mm256_or_si256(gt, _mm256_and_si256(eq, _mm256_bslli_epi128::<8>(gt)));
+                let m = _mm256_xor_si256(_mm256_shuffle_epi32::<0xEE>(v), flip);
+                let diff = _mm256_and_si256(_mm256_xor_si256(a, b), m);
+                _mm256_storeu_si256(pa, _mm256_xor_si256(a, diff));
+                _mm256_storeu_si256(pb, _mm256_xor_si256(b, diff));
+                k += 2;
+            }
+            if k < len {
+                let (pa, pb) = (lo.add(k), hi.add(k));
+                let (a, b) = (pa.read(), pb.read());
+                let swap = (a > b) == up;
+                pa.write(select_u128(swap, a, b));
+                pb.write(select_u128(swap, b, a));
+            }
+        }
+    }
+
     /// The data movement of [`Gate::run`](crate::cx::Gate::run): pairs
     /// `(lo + k, hi + k)`, `k in 0..len`, direction `up`.
     ///
     /// # Safety
-    /// As [`swap_runs`].
+    /// As [`Pairs::cex_runs`].
     #[target_feature(enable = "avx2")]
-    pub unsafe fn cex_run(lo: *mut TagCell, hi: *mut TagCell, len: usize, up: bool) {
-        swap_runs(lo, hi, len, |_, ta, tb| (ta > tb) == up)
+    pub unsafe fn cex_run<E: Pairs>(lo: *mut E, hi: *mut E, len: usize, up: bool) {
+        E::cex_runs(lo, hi, len, up)
     }
 
     /// The data movement of [`Gate::stage`](crate::cx::Gate::stage) over
-    /// `n` cells: block-major — each aligned `k`-block through levels
+    /// `n` elements: block-major — each aligned `k`-block through levels
     /// `k/2 … 1`, a level as its slabs of `j` pairs — so the levels of a
     /// block up to an L1's worth run while it is resident, and the one-
     /// to four-pair slabs of the low levels cost a loop trip, not a call.
@@ -416,13 +555,13 @@ mod avx2 {
     /// AVX2 must be available; `ptr[..n]` must be valid and exclusively
     /// owned by the caller, and `k` a power of two dividing `n`.
     #[target_feature(enable = "avx2")]
-    pub unsafe fn stage(ptr: *mut TagCell, n: usize, k: usize, up: bool) {
+    pub unsafe fn stage<E: Pairs>(ptr: *mut E, n: usize, k: usize, up: bool) {
         for b in (0..n).step_by(k) {
             let up = ((b & k) == 0) == up;
             let mut j = k / 2;
             while j >= 1 {
                 for s in (b..b + k).step_by(2 * j) {
-                    swap_runs(ptr.add(s), ptr.add(s + j), j, |_, ta, tb| (ta > tb) == up);
+                    E::cex_runs(ptr.add(s), ptr.add(s + j), j, up);
                 }
                 j /= 2;
             }
@@ -484,7 +623,10 @@ mod tests {
 
     /// Stage `2·stride` over `2·stride` cells: one block, levels
     /// `stride … 1` — a slab of `stride` pairs, then ever shorter ones.
-    fn run_stage(backend: Backend, cells: &mut [TagCell], stride: usize, up: bool) {
+    fn run_stage<T: Copy>(backend: Backend, cells: &mut [T], stride: usize, up: bool)
+    where
+        Backend: Gate<T>,
+    {
         let c = SeqCtx::new();
         backend.stage(&c, &mut Tracked::new(&c, cells), 2 * stride, up);
     }
@@ -634,6 +776,77 @@ mod tests {
         }
     }
 
+    /// 4096 duplicate-heavy keys whose halves sit on the sign-flip edges:
+    /// each half is one of `0, 1, 2⁶³ − 1, 2⁶³, u64::MAX − 1, u64::MAX`, so
+    /// `u128::MAX` (the filler), `u64::MAX` halves and equal-high ties all
+    /// occur many times.
+    fn edge_keys() -> Vec<u128> {
+        const HALVES: [u64; 6] = [0, 1, i64::MAX as u64, 1 << 63, u64::MAX - 1, u64::MAX];
+        (0..4096u64)
+            .map(|i| {
+                let h = i.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 32;
+                let (hi, lo) = (HALVES[(h % 6) as usize], HALVES[(h / 6 % 6) as usize]);
+                ((hi as u128) << 64) | lo as u128
+            })
+            .collect()
+    }
+
+    #[test]
+    fn key_gate_matches_the_per_pair_loop() {
+        // `Gate<u128>` on AVX2 — the stage entry, and its `run` kernel one
+        // slab at a time — against the per-pair loop of the scalar gate
+        // and of the closure gate `|x| *x`, for every stage of 4096 keys
+        // (2 … 2048 blocks), both directions: the keys, trace hash and
+        // length, work, span, misses and comparisons. The slabs run every
+        // length from one pair (the scalar tail) to 2048.
+        use metrics::{measure, CacheConfig, MeterCtx, TraceMode};
+        let input = edge_keys();
+        type Stage<'a> = &'a dyn Fn(&MeterCtx, &mut Tracked<'_, u128>);
+        let run = |stage: Stage| {
+            let mut keys = input.clone();
+            let (_, r) = measure(CacheConfig::default(), TraceMode::Hash, |c| {
+                stage(c, &mut Tracked::new(c, &mut keys))
+            });
+            let costs = [r.trace_hash, r.trace_len, r.work, r.span, r.cache_misses];
+            (keys, costs, r.comparisons)
+        };
+        let by_key = |x: &u128| *x;
+        for k in (1..=12).map(|e| 1usize << e) {
+            for up in [true, false] {
+                let entry = run(&|c, t| Backend::Avx2.stage(c, t, k, up));
+                assert!(entry.0 != input, "k {k}: the stage moved nothing");
+                assert_eq!(entry.2, 2048 * k.ilog2() as u64);
+                let others: [(&str, Stage); 3] = [
+                    ("avx2 slabs", &|c, t| {
+                        stage_by_slabs(c, t, &Backend::Avx2, k, up)
+                    }),
+                    ("scalar", &|c, t| Backend::Scalar.stage(c, t, k, up)),
+                    ("closure", &|c, t| stage_by_slabs(c, t, &by_key, k, up)),
+                ];
+                for (name, other) in others {
+                    assert!(run(other) == entry, "k {k} up {up}: {name}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn key_gate_sorts_through_the_recursive_network() {
+        // The whole §E.1 driver on keys: host tiles (2¹⁴ keys are eight
+        // L1 bases of 16-byte elements) on both gates against `sort`.
+        let c = SeqCtx::new();
+        let mut input = edge_keys();
+        input.extend(edge_keys().iter().map(|k| k.rotate_left(7)));
+        input.resize(1 << 14, u128::MAX);
+        let mut expect = input.clone();
+        expect.sort_unstable();
+        for backend in [Backend::Scalar, Backend::Avx2] {
+            let mut keys = input.clone();
+            crate::sort_slice_rec(&c, &mut keys, &backend, true);
+            assert!(keys == expect, "{backend:?}");
+        }
+    }
+
     #[test]
     fn swap_level_follows_the_callers_verdict_on_both_backends() {
         // Whole levels, part of a level and part of one block, with a
@@ -731,9 +944,15 @@ mod tests {
                     })
                     .collect();
                 let mut b = a.clone();
+                // The same tags as bare keys, on the key gate.
+                let mut ka: Vec<u128> = a.iter().map(|cell| cell.tag).collect();
+                let mut kb = ka.clone();
                 run_stage(Backend::Scalar, &mut a, stride, up);
                 run_stage(Backend::Avx2, &mut b, stride, up);
                 prop_assert_eq!(&a, &b);
+                run_stage(Backend::Scalar, &mut ka, stride, up);
+                run_stage(Backend::Avx2, &mut kb, stride, up);
+                prop_assert_eq!(&ka, &kb);
             }
         }
     }

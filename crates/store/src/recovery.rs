@@ -36,7 +36,8 @@
 //! bytes are not trusted further than a client: a replayed op that breaks
 //! the client contract is `WalCorrupt` with its epoch, a snapshot record
 //! no put could have left is `SnapshotFailed` — never a panic in the ORAM
-//! mirror.
+//! mirror — and so is a frame or snapshot whose sequence number no store
+//! reaches (`wal::SEQ_LIMIT`), never an overflow in the epoch counter.
 
 use crate::error::StoreError;
 use crate::op::EpochPath;
@@ -83,9 +84,18 @@ pub(crate) fn recover_shards<C: Ctx>(
             }
         })?;
         let base = snap.as_ref().map_or(0, |(m, _)| m.next_seq);
-        let scan = wal::read_wal(vfs, &wal::wal_path(dir, i)).map_err(|source| StoreError::Io {
-            context: "wal read",
-            source,
+        let scan = wal::read_wal(vfs, &wal::wal_path(dir, i)).map_err(|source| {
+            if source.kind() == std::io::ErrorKind::InvalidData {
+                StoreError::WalCorrupt {
+                    shard: i,
+                    detail: source.to_string(),
+                }
+            } else {
+                StoreError::Io {
+                    context: "wal read",
+                    source,
+                }
+            }
         })?;
         // A clean prefix that *starts* above the snapshot horizon means
         // acknowledged records are missing from the log: refuse rather

@@ -55,6 +55,13 @@
 //! acknowledged; recovery escalates a reject to
 //! [`StoreError::WalCorrupt`](crate::StoreError::WalCorrupt) only when it
 //! contradicts the snapshot horizon (acknowledged records missing).
+//!
+//! A checksum vouches for bytes, not for the writer. A sequence number is
+//! an epoch count, and no store runs [`SEQ_LIMIT`] epochs, so a
+//! checksummed frame or snapshot numbered at or past it is refused outright
+//! — `InvalidData`, which recovery reports as `WalCorrupt` /
+//! `SnapshotFailed` — rather than carried into `seq + 1` arithmetic that
+//! would overflow on the next epoch.
 
 use crate::error::{RetryFailure, RetryPolicy};
 use crate::merge::{cell_key, cell_val, record_cell};
@@ -110,6 +117,12 @@ impl Durability {
         Durability::Epoch { sync_every }
     }
 }
+
+/// One past the largest sequence number a log or snapshot may carry: 2⁶³,
+/// three centuries of epochs at one a nanosecond. Below it every counter
+/// derived from a loaded store — the commit horizon, the next epoch's
+/// sequence number — has 2⁶³ epochs of headroom before it could overflow.
+pub(crate) const SEQ_LIMIT: u64 = 1 << 63;
 
 const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
@@ -284,7 +297,8 @@ fn le_u32(bytes: &[u8], at: usize) -> Option<u32> {
 
 /// Read the longest clean prefix of a WAL file. A missing file is an
 /// empty log; a torn or corrupt tail ends the scan without error but
-/// with an explicit [`FrameReject`] naming the boundary.
+/// with an explicit [`FrameReject`] naming the boundary. A checksummed
+/// frame numbered at or past [`SEQ_LIMIT`] is an `InvalidData` error.
 pub(crate) fn read_wal(vfs: &dyn Vfs, path: &Path) -> io::Result<WalScan> {
     let bytes = match vfs.read(path) {
         Ok(b) => b,
@@ -326,6 +340,12 @@ pub(crate) fn read_wal(vfs: &dyn Vfs, path: &Path) -> io::Result<WalScan> {
         };
         if fnv1a(&bytes[at..at + size - 8]) != want {
             break Some(reject_here("checksum mismatch".to_string()));
+        }
+        if seq >= SEQ_LIMIT {
+            return Err(io::Error::new(
+                io::ErrorKind::InvalidData,
+                format!("frame at offset {at}: sequence number {seq} is past any epoch count"),
+            ));
         }
         if let Some(e) = expected_seq {
             if e != seq {
@@ -459,8 +479,12 @@ pub(crate) fn read_snapshot(
         Some(want) if fnv1a(&bytes[..total - 8]) == want => {}
         _ => return Err(corrupt("checksum mismatch")),
     }
+    let next_seq = word(1).unwrap_or(0);
+    if next_seq >= SEQ_LIMIT {
+        return Err(corrupt("sequence number past any epoch count"));
+    }
     let meta = SnapMeta {
-        next_seq: word(1).unwrap_or(0),
+        next_seq,
         merges: word(2).unwrap_or(0),
         live_upper: word(3).unwrap_or(0),
         stats: StoreStats {

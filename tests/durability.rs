@@ -722,6 +722,67 @@ fn wal_ops_outside_the_client_contract_are_wal_corrupt() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// A checksummed WAL frame for `seq` of class 1 holding `put(key, val)`.
+fn wal_frame(seq: u64, key: u64, val: u64) -> Vec<u8> {
+    let mut frame = seq.to_le_bytes().to_vec();
+    frame.extend_from_slice(&1u32.to_le_bytes());
+    frame.push(1);
+    frame.extend_from_slice(&key.to_le_bytes());
+    frame.extend_from_slice(&val.to_le_bytes());
+    frame.extend_from_slice(&fnv1a64(&frame).to_le_bytes());
+    frame
+}
+
+#[test]
+fn a_checksummed_frame_numbered_u64_max_is_wal_corrupt() {
+    // `seq + 1` of such a frame overflows: a panic in a debug build, and in
+    // release a wrap that would pass a following frame 0 as consecutive.
+    // Alone, or behind a clean frame it would otherwise continue.
+    let c = SeqCtx::new();
+    let sp = ScratchPool::new();
+    let dir = tdir("hostile_seq");
+    let max = wal_frame(u64::MAX, 1, 10);
+    for wal in [
+        max.clone(),
+        [max.clone(), wal_frame(0, 2, 20)].concat(),
+        [wal_frame(u64::MAX - 1, 3, 30), max].concat(),
+    ] {
+        std::fs::create_dir_all(&dir).unwrap();
+        std::fs::write(dir.join("wal-0.log"), wal).unwrap();
+        let got = Store::recover(&c, &sp, &dir, durable_cfg());
+        assert!(
+            matches!(&got, Err(StoreError::WalCorrupt { shard: 0, .. })),
+            "{:?}",
+            got.err()
+        );
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn a_snapshot_resuming_at_u64_max_is_snapshot_failed() {
+    // It would load cleanly, and the next epoch would log frame u64::MAX and
+    // overflow the epoch counter.
+    let c = SeqCtx::new();
+    let sp = ScratchPool::new();
+    let dir = tdir("hostile_next_seq");
+    for next_seq in [u64::MAX, 1 << 63] {
+        write_raw_snapshot(&dir, [next_seq, 1, 0, 0, 0], 8, &[(u128::MAX, 0); 8]);
+        let got = Store::recover(&c, &sp, &dir, durable_cfg());
+        assert!(
+            matches!(&got, Err(StoreError::SnapshotFailed { shard: 0, .. })),
+            "next_seq {next_seq}: {:?}",
+            got.as_ref().err()
+        );
+    }
+    // Just below the limit is an ordinary (very old) store.
+    write_raw_snapshot(&dir, [(1 << 63) - 2, 1, 0, 0, 0], 8, &[(u128::MAX, 0); 8]);
+    let mut s = Store::recover(&c, &sp, &dir, durable_cfg()).unwrap();
+    s.execute_epoch(&c, &sp, &[Op::Put { key: 1, val: 2 }])
+        .unwrap();
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 #[test]
 fn snapshot_bytes_cannot_inject_an_op_into_the_next_merge() {
     // A checksummed snapshot whose record for key 3 carries seq bits (it
