@@ -13,7 +13,7 @@
 //!   `O(n log n)` comparisons, the honest stand-in for AKS.
 
 use crate::slot::{as_lanes, sk_of, Slot, Val};
-use fj::Ctx;
+use fj::{grain_for, par_for, Ctx};
 use metrics::{ScratchPool, Tracked};
 use sortnet::{
     active_backend, bitonic_sort_flat_par, bitonic_sort_rec_from_runs, cells_merge_rec,
@@ -157,21 +157,49 @@ impl Engine {
         self.sort_through(c, scratch, t, u128::MAX, &active_backend(), run);
     }
 
-    /// Merge an already *bitonic* cell sequence (e.g. an ascending sorted
-    /// run followed by a descending one) into ascending order. With the
-    /// recursive bitonic engine this is one cache-blocked merge butterfly —
-    /// `O(n log n)` comparators instead of a full `O(n log² n)` sort; the
-    /// engines without a merge primitive publicly fall back to a full
-    /// [`Engine::sort_cells`] (correct on any input, merge included).
+    /// Merge a cell sequence of any length into ascending order, given that
+    /// `t` followed by fillers up to the next power of two is *bitonic*
+    /// (e.g. a descending sorted run followed by an ascending one, fillers
+    /// at either end). With the recursive bitonic engine a power-of-two
+    /// piece is one cache-blocked merge butterfly — `O(n log n)`
+    /// comparators instead of a full `O(n log² n)` sort; the engines
+    /// without a merge primitive publicly fall back to a full
+    /// [`Engine::sort_cells`] of each piece.
+    ///
+    /// Any other length `n` is Lang's bitonic merge for `n` not a power of
+    /// two: with `h` the largest power of two below `n`, the first level of
+    /// the `2h`-cell merge pairs `(i, i + h)` — but a partner at or past `n`
+    /// is a virtual filler, which never moves, so only the `n − h` pairs
+    /// below `n` run. Every cell of `[0, h)` then sorts below every cell of
+    /// `[h, n)`, both halves (with their virtual fillers) are bitonic, and
+    /// they merge independently. The pieces are a function of `n` alone.
     pub fn merge_cells<C: Ctx>(&self, c: &C, scratch: &ScratchPool, t: &mut Tracked<'_, TagCell>) {
-        match *self {
-            Engine::BitonicRec => {
-                let mut lease = scratch.lease(t.len(), TagCell::filler());
-                let mut tmp = Tracked::new(c, &mut lease);
-                cells_merge_rec(c, t, &mut tmp, true);
+        let n = t.len();
+        if n <= 1 || n.is_power_of_two() {
+            match *self {
+                Engine::BitonicRec => {
+                    let mut lease = scratch.lease(n, TagCell::filler());
+                    let mut tmp = Tracked::new(c, &mut lease);
+                    cells_merge_rec(c, t, &mut tmp, true);
+                }
+                _ => self.sort_cells(c, scratch, t),
             }
-            _ => self.sort_cells(c, scratch, t),
+            return;
         }
+        let h = 1 << n.ilog2();
+        let (gate, grain, raw) = (active_backend(), grain_for(c), t.as_raw());
+        par_for(c, 0, (n - h).div_ceil(grain), 1, &|c, k| {
+            let from = k * grain;
+            // SAFETY: the runs at `from` and `from + h` are at most
+            // `n − h < h` long and end by `n`; the grains are disjoint and
+            // `&mut t` is held until the `par_for` joins.
+            unsafe { gate.run(c, &raw, from, from + h, grain.min(n - h - from), true) };
+        });
+        let (mut lo, mut hi) = t.split_at_mut(h);
+        c.join(
+            move |c| self.merge_cells(c, scratch, &mut lo),
+            move |c| self.merge_cells(c, scratch, &mut hi),
+        );
     }
 }
 
@@ -220,27 +248,119 @@ mod tests {
         }
     }
 
-    #[test]
-    fn all_engines_merge_bitonic_cells() {
+    const ENGINES: [Engine; 4] = [
+        Engine::BitonicRec,
+        Engine::BitonicFlat,
+        Engine::OddEven,
+        Engine::Shellsort { seed: 3 },
+    ];
+
+    /// `[desc | asc]`: `down` descending then `up` ascending, the layout
+    /// of the store's merge array.
+    fn v_cells(down: &[u128], up: &[u128]) -> Vec<TagCell> {
+        let mut desc = down.to_vec();
+        desc.sort_unstable_by(|a, b| b.cmp(a));
+        let mut asc = up.to_vec();
+        asc.sort_unstable();
+        (desc.into_iter().chain(asc))
+            .enumerate()
+            .map(|(i, k)| TagCell::new(k, i as u128))
+            .collect()
+    }
+
+    fn merged(engine: Engine, mut cells: Vec<TagCell>) -> Vec<TagCell> {
         let c = SeqCtx::new();
         let sp = ScratchPool::new();
-        for engine in [
-            Engine::BitonicRec,
-            Engine::BitonicFlat,
-            Engine::OddEven,
-            Engine::Shellsort { seed: 3 },
-        ] {
-            let mut cells: Vec<TagCell> = (0..64u128)
+        engine.merge_cells(&c, &sp, &mut Tracked::new(&c, &mut cells));
+        cells
+    }
+
+    #[test]
+    fn all_engines_merge_bitonic_cells() {
+        for engine in ENGINES {
+            let cells: Vec<TagCell> = (0..64u128)
                 .chain((0..64u128).rev())
                 .map(|k| TagCell::new(k, k))
                 .collect();
-            let mut t = Tracked::new(&c, &mut cells);
-            engine.merge_cells(&c, &sp, &mut t);
+            let cells = merged(engine, cells);
             assert!(
                 cells.windows(2).all(|w| w[0].tag <= w[1].tag),
                 "engine {engine:?}"
             );
         }
+        // Any length: `[desc b | asc c]` with `b ≠ c`, fillers at both
+        // ends as the store lays them out, and each cell's payload lane
+        // riding with its tag.
+        let keys = |n: usize, salt: u128| -> Vec<u128> {
+            (0..n as u128)
+                .map(|i| match (i * 7 + salt) % 11 {
+                    0 => u128::MAX,
+                    r => (i * 0x9E37 + salt) % 97 + r,
+                })
+                .collect()
+        };
+        for engine in ENGINES {
+            for (b, c) in [(1, 2), (3, 8), (64, 1024), (1024, 64), (100, 37), (5, 300)] {
+                let input = v_cells(&keys(b, 1), &keys(c, 2));
+                let mut expect = input.clone();
+                expect.sort_by_key(|cell| cell.tag);
+                let got = merged(engine, input);
+                let tags = |v: &[TagCell]| v.iter().map(|x| x.tag).collect::<Vec<_>>();
+                assert_eq!(tags(&got), tags(&expect), "engine {engine:?} b {b} c {c}");
+                let mut lanes: Vec<_> = got.iter().map(|x| (x.aux, x.tag)).collect();
+                lanes.sort_unstable();
+                let mut want: Vec<_> = expect.iter().map(|x| (x.aux, x.tag)).collect();
+                want.sort_unstable();
+                assert_eq!(
+                    lanes, want,
+                    "engine {engine:?} b {b} c {c}: a lane left its tag"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn merge_zero_one_exhaustive_any_length() {
+        // 0-1 principle over every `[desc b | asc c]` input, b, c ≤ 8:
+        // each side is `ones ‖ zeros` read toward the middle.
+        for engine in ENGINES {
+            for b in 0..=8usize {
+                for c in 0..=8usize {
+                    for x in 0..=b {
+                        for y in 0..=c {
+                            let down: Vec<u128> = (0..b).map(|i| (i < x) as u128).collect();
+                            let up: Vec<u128> = (0..c).map(|i| (i < y) as u128).collect();
+                            let got = merged(engine, v_cells(&down, &up));
+                            assert!(
+                                got.windows(2).all(|w| w[0].tag <= w[1].tag),
+                                "engine {engine:?} b {b} c {c} ones {x} {y}"
+                            );
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn any_length_merge_trace_is_input_independent() {
+        // n = 1091 = 1024 + 64 + 2 + 1: four pair levels before the
+        // power-of-two pieces merge.
+        use metrics::{measure, CacheConfig, TraceMode};
+        let run = |down: Vec<u128>, up: Vec<u128>| {
+            let mut cells = v_cells(&down, &up);
+            let (_, rep) = measure(CacheConfig::default(), TraceMode::Hash, |c| {
+                let sp = ScratchPool::new();
+                Engine::BitonicRec.merge_cells(c, &sp, &mut Tracked::new(c, &mut cells));
+            });
+            assert!(cells.windows(2).all(|w| w[0].tag <= w[1].tag));
+            (rep.trace_hash, rep.trace_len, rep.comparisons)
+        };
+        let a = run((0..67).collect(), (0..1024).collect());
+        let z = run(vec![5; 67], vec![5; 1024]);
+        let f = run(vec![u128::MAX; 67], (2000..3024).collect());
+        assert_eq!(a, z);
+        assert_eq!(a, f);
     }
 
     #[test]

@@ -90,7 +90,7 @@ pub fn oblivious_sort_kv<C: Ctx>(
     });
 }
 
-/// Stable oblivious tight compaction of a power-of-two cell array: every
+/// Stable oblivious tight compaction of a cell array of any length: every
 /// non-filler cell moves to the front, preserving order; the suffix is
 /// canonical fillers (whatever the input fillers carried in `aux`).
 ///
@@ -106,14 +106,25 @@ pub fn oblivious_sort_kv<C: Ctx>(
 /// the reals end up in front. Correctness needs no collision argument —
 /// every step permutes the array.
 ///
-/// `(m/2) log m` swaps, `O(m log m)` work, in place (one leased rank lane).
-/// The recursion is depth-first down to [`base_for`]-sized blocks, which
-/// run their levels flat, so a block is finished while it is
+/// A length `m` that is not a power of two is split as ORCompact splits
+/// it: `m₁` the largest power of two below `m`, `m₂ = m − m₁`. The prefix
+/// `[0, m₂)` is compacted (recursively, so its `k` reals lead it), and the
+/// suffix `[m₂, m)` — a power-of-two block — is gathered at offset
+/// `rank[m₂] + m₁ − m₂ mod m₁`, its ranks shifted by the public `m₁ − m₂`.
+/// Its reals then sit at their final positions `k, k + 1, …` where those
+/// are `≥ m₂`, and exactly `m₁` above them where they are not — across
+/// from a prefix filler. One swap level over the pairs `(i, i + m₁)`,
+/// `i < m₂`, swapping iff `i ≥ k`, brings them down. `k` and the shift
+/// feed only swap masks; a power-of-two `m` is the plain butterfly.
+///
+/// `(m/2) log m` swaps at most, `O(m log m)` work, in place (one leased
+/// rank lane). The recursion is depth-first down to [`base_for`]-sized
+/// blocks, which run their levels flat, so a block is finished while it is
 /// cache-resident: `Q = O((m/B) log(m/M))`; span `O(log² m)` (a `par_for`
 /// per level of the recursion spine).
 ///
-/// Obliviousness: `s`, `t` and the ranks are secret, and feed nothing but
-/// the swap verdict of a pair whose two cells are both read and both
+/// Obliviousness: `s`, `t`, `k` and the ranks are secret, and feed nothing
+/// but the swap verdict of a pair whose two cells are both read and both
 /// written regardless — addresses, loop bounds and the fork tree depend on
 /// `m` alone.
 pub fn compact_cells<C: Ctx>(c: &C, scratch: &ScratchPool, t: &mut Tracked<'_, TagCell>) {
@@ -121,10 +132,6 @@ pub fn compact_cells<C: Ctx>(c: &C, scratch: &ScratchPool, t: &mut Tracked<'_, T
     if m == 0 {
         return;
     }
-    assert!(
-        m.is_power_of_two(),
-        "cell compaction requires power-of-two length, got {m}"
-    );
 
     let mut rank_store = scratch.lease(m, 0u64);
     let mut rank = Tracked::new(c, &mut rank_store);
@@ -141,12 +148,38 @@ pub fn compact_cells<C: Ctx>(c: &C, scratch: &ScratchPool, t: &mut Tracked<'_, T
         });
     }
     prefix_sum_in(c, scratch, &mut rank, false, Schedule::Tree);
-    let base = base_for(c, size_of::<TagCell>());
-    gather(c, &t.as_raw(), &rank, 0, m, base);
+    compact_ranked(c, t, &mut rank, base_for(c, size_of::<TagCell>()));
+}
+
+/// Compact `t` given the exclusive ranks of its reals, `rank[0] = 0`: the
+/// power-of-two butterfly, or the split of [`compact_cells`] — prefix and
+/// suffix in parallel, then the swap level across them.
+fn compact_ranked<C: Ctx>(
+    c: &C,
+    t: &mut Tracked<'_, TagCell>,
+    rank: &mut Tracked<'_, u64>,
+    base: usize,
+) {
+    let m = t.len();
+    let m1 = 1 << m.ilog2();
+    let m2 = m - m1;
+    if m2 == 0 {
+        return gather(c, &t.as_raw(), rank, 0, m, base, 0);
+    }
+    let k = rank.get(c, m2) as usize;
+    {
+        let (mut t_lo, mut t_hi) = t.split_at_mut(m2);
+        let (mut r_lo, r_hi) = rank.split_at_mut(m2);
+        c.join(
+            move |c| compact_ranked(c, &mut t_lo, &mut r_lo, base),
+            move |c| gather(c, &t_hi.as_raw(), &r_hi, 0, m1, base, (m1 - m2) as u64),
+        );
+    }
+    swap_pairs(c, &t.as_raw(), 0, m2, m1, k, false);
 }
 
 /// Gather the reals of the aligned block `[lo, lo + n)` cyclically from
-/// position `rank[lo] mod n`: both halves first (in parallel above
+/// position `rank[lo] + shift mod n`: both halves first (in parallel above
 /// `base`, level by level below it), then one swap level across them.
 fn gather<C: Ctx>(
     c: &C,
@@ -155,20 +188,21 @@ fn gather<C: Ctx>(
     lo: usize,
     n: usize,
     base: usize,
+    shift: u64,
 ) {
     if n <= base {
         let mut w = 2;
         while w <= n {
-            swap_level(c, t, rank, lo, n, w);
+            swap_level(c, t, rank, lo, n, w, shift);
             w *= 2;
         }
         return;
     }
     c.join(
-        |c| gather(c, t, rank, lo, n / 2, base),
-        |c| gather(c, t, rank, lo + n / 2, n / 2, base),
+        |c| gather(c, t, rank, lo, n / 2, base, shift),
+        |c| gather(c, t, rank, lo + n / 2, n / 2, base, shift),
     );
-    swap_level(c, t, rank, lo, n, n);
+    swap_level(c, t, rank, lo, n, n, shift);
 }
 
 /// One swap level over `[lo, lo + n)`: every aligned block of width `w`
@@ -177,7 +211,7 @@ fn gather<C: Ctx>(
 /// left half, the right half's reals start at `t = (z + cnt) mod w/2`, and
 /// pair `i` swaps iff `s ⊕ (i ≥ t)`, where `s` says whether the left
 /// half's run `[z mod w/2, z mod w/2 + cnt)` wraps exactly when `z` itself
-/// lies in the upper half.
+/// lies in the upper half. Every rank is read `+ shift`.
 ///
 /// A block's pairs go through the cell gate's
 /// [`swap_slab`](sortnet::Backend::swap_slab), a grain at a time. On a host
@@ -195,13 +229,14 @@ fn swap_level<C: Ctx>(
     lo: usize,
     n: usize,
     w: usize,
+    shift: u64,
 ) {
     let h = w / 2;
     let grain = grain_for(c);
-    let gate = active_backend();
     if !c.is_metered() && h * size_of::<TagCell>() < TILE_RUN_BYTES {
         // `lo` is a multiple of `n`, hence of `w`: `lo / 2` pairs precede it.
         let (first, end) = (lo / 2, (lo + n) / 2);
+        let gate = active_backend();
         par_for(c, 0, (n / 2).div_ceil(grain), 1, &|c, k| {
             let pairs = first + k * grain..end.min(first + (k + 1) * grain);
             // Pairs come block by block: the split is taken once a block.
@@ -209,7 +244,7 @@ fn swap_level<C: Ctx>(
             let verdict = |i: usize, _, _| {
                 let b = i & !(w - 1);
                 if b != at {
-                    (at, cur) = (b, split(c, rank, b, w));
+                    (at, cur) = (b, split(c, rank, b, w, shift));
                 }
                 cur.1 ^ (i & (h - 1) >= cur.0)
             };
@@ -221,23 +256,40 @@ fn swap_level<C: Ctx>(
     }
     par_for(c, 0, n / w, (grain / h).max(1), &|c, b| {
         let lo = lo + b * w;
-        let (pivot, s) = split(c, rank, lo, w);
-        par_for(c, 0, h.div_ceil(grain), 1, &|c, k| {
-            let from = k * grain;
-            let run = lo + from..lo + h.min(from + grain);
-            // SAFETY: the caller owns `[lo, lo + n)` of the cells; blocks,
-            // and the runs of one block, are disjoint.
-            unsafe { gate.swap_slab(c, t, run, h, pivot as i64 - from as i64, s) };
-        });
+        let (pivot, s) = split(c, rank, lo, w, shift);
+        swap_pairs(c, t, lo, h, h, pivot, s);
+    });
+}
+
+/// The pairs `(lo + i, lo + i + stride)`, `i < pairs`, pair `i` swapping
+/// iff `s ⊕ (i ≥ pivot)`: the cell gate's
+/// [`swap_slab`](sortnet::Backend::swap_slab), a grain at a time.
+fn swap_pairs<C: Ctx>(
+    c: &C,
+    t: &RawTracked<TagCell>,
+    lo: usize,
+    pairs: usize,
+    stride: usize,
+    pivot: usize,
+    s: bool,
+) {
+    let grain = grain_for(c);
+    let gate = active_backend();
+    par_for(c, 0, pairs.div_ceil(grain), 1, &|c, k| {
+        let from = k * grain;
+        let run = lo + from..lo + pairs.min(from + grain);
+        // SAFETY: the caller owns both runs of the pairs, `pairs ≤ stride`
+        // apart, and the grains are disjoint.
+        unsafe { gate.swap_slab(c, t, run, stride, pivot as i64 - from as i64, s) };
     });
 }
 
 /// The split of the `w`-block at `lo`, whose halves are gathered: pair
 /// `i` of the block swaps iff `s ⊕ (i ≥ pivot)` (see [`swap_level`]).
 #[inline(always)]
-fn split<C: Ctx>(c: &C, rank: &Tracked<'_, u64>, lo: usize, w: usize) -> (usize, bool) {
+fn split<C: Ctx>(c: &C, rank: &Tracked<'_, u64>, lo: usize, w: usize, shift: u64) -> (usize, bool) {
     let h = w / 2;
-    let (r_lo, r_mid) = (rank.get(c, lo), rank.get(c, lo + h));
+    let (r_lo, r_mid) = (rank.get(c, lo) + shift, rank.get(c, lo + h) + shift);
     c.work(1);
     let z = r_lo & (w as u64 - 1);
     let wraps = (z & (h as u64 - 1)) + (r_mid - r_lo) >= h as u64;
@@ -339,13 +391,14 @@ mod tests {
 
     #[test]
     fn compact_exhaustive_small_patterns() {
-        // Every flag pattern up to m = 16 (four swap levels, every offset
-        // and wrap case of the butterfly), with the non-canonical fillers
-        // `merge_epoch`'s results lane really produces (`tag = MAX`,
-        // `aux ≠ 0`): the output suffix must be canonical.
+        // Every flag pattern of every length up to m = 16 (four swap
+        // levels, every offset and wrap case of the butterfly, every split
+        // of a length that is not a power of two), with the non-canonical
+        // fillers `merge_epoch`'s results lane really produces
+        // (`tag = MAX`, `aux ≠ 0`): the output suffix must be canonical.
         let c = SeqCtx::new();
         let sp = ScratchPool::new();
-        for m in [1u32, 2, 4, 8, 16] {
+        for m in 1u32..=16 {
             for mask in 0u32..1 << m {
                 let mut cells: Vec<TagCell> = (0..m as u128)
                     .map(|i| {
@@ -401,18 +454,30 @@ mod tests {
     #[test]
     fn compact_trace_independent_of_flag_positions() {
         // m = 4096 crosses the metered `base_for` cut: joined recursion
-        // above 32-cell blocks, flat levels inside them.
-        let m = 4096usize;
-        let trace = |rep: metrics::CostReport| (rep.trace_hash, rep.trace_len);
-        let alternating = trace(metered_compact(m, |i| i % 2 == 0));
-        let front = trace(metered_compact(m, |i| i < m / 2));
-        let back = trace(metered_compact(m, |i| i >= m / 2));
-        let empty = trace(metered_compact(m, |_| false));
-        let full = trace(metered_compact(m, |_| true));
-        assert_eq!(alternating, front, "flag positions leaked into the trace");
-        assert_eq!(alternating, back, "flag positions leaked into the trace");
-        assert_eq!(alternating, empty, "flag count leaked into the trace");
-        assert_eq!(alternating, full, "flag count leaked into the trace");
+        // above 32-cell blocks, flat levels inside them. 1091 = 1024 + 64 +
+        // 2 + 1 splits four times, and the pivot of every split level is
+        // secret.
+        for m in [4096usize, 1091] {
+            let trace = |rep: metrics::CostReport| (rep.trace_hash, rep.trace_len);
+            let alternating = trace(metered_compact(m, |i| i % 2 == 0));
+            let front = trace(metered_compact(m, |i| i < m / 2));
+            let back = trace(metered_compact(m, |i| i >= m / 2));
+            let empty = trace(metered_compact(m, |_| false));
+            let full = trace(metered_compact(m, |_| true));
+            assert_eq!(
+                alternating, front,
+                "m {m}: flag positions leaked into the trace"
+            );
+            assert_eq!(
+                alternating, back,
+                "m {m}: flag positions leaked into the trace"
+            );
+            assert_eq!(
+                alternating, empty,
+                "m {m}: flag count leaked into the trace"
+            );
+            assert_eq!(alternating, full, "m {m}: flag count leaked into the trace");
+        }
     }
 
     #[test]
@@ -459,12 +524,27 @@ mod tests {
         // On a host the narrow levels are level-wide `swap_level` calls;
         // under the meter every level is the per-block `swap_slab` loop.
         // Same pairs, same verdicts, so the same cells — from one pair to
-        // past the host base case (2¹⁶ joins its recursion above it), on a
-        // sequential and a 4-worker executor, fillers non-canonical.
+        // past the host base case (2¹⁶ joins its recursion above it), and
+        // at `2^k + 2^j`, whose suffix blocks start off the power-of-two
+        // grid, on a sequential and a 4-worker executor, fillers
+        // non-canonical.
         let pool = Pool::new(4);
         let sp = ScratchPool::new();
         let random = |i: usize| (i as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 62 == 0;
-        for m in (1..=16).map(|lg| 1usize << lg) {
+        let split = [
+            (1, 0),
+            (3, 1),
+            (5, 4),
+            (6, 0),
+            (9, 5),
+            (12, 3),
+            (14, 13),
+            (16, 15),
+        ];
+        let lengths = (1..=16)
+            .map(|lg| 1usize << lg)
+            .chain(split.map(|(k, j)| (1usize << k) + (1 << j)));
+        for m in lengths {
             let patterns: [(&str, &dyn Fn(usize) -> bool); 6] = [
                 ("none", &|_| false),
                 ("all", &|_| true),
@@ -516,7 +596,6 @@ mod tests {
 
         #[test]
         fn prop_compact_matches_filter(flags in proptest::collection::vec(any::<bool>(), 1..300)) {
-            let m = flags.len().next_power_of_two();
             let mut cells: Vec<TagCell> = flags
                 .iter()
                 .enumerate()
@@ -524,7 +603,6 @@ mod tests {
                     if f { TagCell::new(i as u128, i as u128 ^ 0x55) } else { TagCell::filler() }
                 })
                 .collect();
-            cells.resize(m, TagCell::filler());
             let expect = compact_oracle(&cells);
             run_compact(&mut cells);
             prop_assert_eq!(cells, expect);

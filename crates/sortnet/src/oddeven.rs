@@ -54,21 +54,20 @@ fn merge_rec<C: Ctx, T: Copy + Send>(
     r: usize,
 ) {
     let step = r * 2;
+    // A leaf (`step = n`) is the single comparator `(lo, lo + r)`.
+    let mut i = lo;
     if step < n {
         c.join(
             |c| merge_rec(c, t, gate, lo, n, step),
             |c| merge_rec(c, t, gate, lo + r, n, step),
         );
-        let mut i = lo + r;
-        while i + r < lo + n {
-            // SAFETY: this post-pass runs after both sub-merges joined; its
-            // pairs are sequential on this task.
-            unsafe { cex(c, t, gate, i, i + r, true) };
-            i += step;
-        }
-    } else {
-        // SAFETY: single comparator, no concurrency at this leaf.
-        unsafe { cex(c, t, gate, lo, lo + r, true) };
+        i += r;
+    }
+    while i + r < lo + n {
+        // SAFETY: this post-pass runs after both sub-merges joined (a leaf
+        // has none); its pairs are sequential on this task.
+        unsafe { cex(c, t, gate, i, i + r, true) };
+        i += step;
     }
 }
 

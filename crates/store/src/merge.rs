@@ -12,10 +12,11 @@
 //! 1. pack pending-log ops and the padded batch into cells keyed
 //!    `(key ‖ seq)` and sort them — the only full sort left, over the
 //!    small op class `b₂ = pow2(|pending| + |batch|)`;
-//! 2. lay out `[table ascending | fillers | sorted ops descending]` — a
-//!    bitonic sequence, because the resident table is key-sorted by the
-//!    previous rebuild — and run **one bitonic merge** (`O(m log m)`
-//!    comparators, not an `O(m log² m)` sort) to group each key's history
+//! 2. lay out `[sorted ops descending | table ascending]` over
+//!    `m = cap + b₂` cells — bitonic, because the resident table is
+//!    key-sorted by the previous rebuild — and run **one bitonic merge**
+//!    (`O(m log m)` comparators, not an `O(m log² m)` sort; `m` need not be
+//!    a power of two, [`Engine::merge_cells`]) to group each key's history
 //!    contiguously, the record (seq 0) leading its run;
 //! 3. a segmented *exclusive* scan with the last-writer-wins transformer
 //!    monoid hands every op the value state produced by the record and all
@@ -32,7 +33,8 @@
 //! 6. rebuild: because the merged array kept key order, the candidates
 //!    lane is already key-sorted — one stable [`compact_cells`] pass (no
 //!    sort at all) and a copy of its prefix rebuild the resident table at
-//!    its new public capacity.
+//!    its new public capacity, filled with fillers past `m` when a full
+//!    table grows beyond the merge array.
 //!
 //! Relative to the record-sort pipeline this replaces three full wide-slot
 //! sorts with one small sort + one merge + one small sort + two
@@ -237,8 +239,9 @@ pub(crate) fn merge_epoch<C: Ctx>(
     let p = pending.len();
     let b = batch.len();
     let b2 = (p + b).next_power_of_two();
-    let m = (cap + b2).next_power_of_two();
-    debug_assert!(cap_new <= m, "new capacity must fit the merge array");
+    // The merge array is the table and the op class side by side: no
+    // power-of-two padding (the merge and the compactions take any length).
+    let m = cap + b2;
 
     // 1. Pack and sort the epoch's ops by (key, seq) — the only full sort,
     //    over the small op class.
@@ -376,12 +379,13 @@ pub(crate) fn merge_epoch<C: Ctx>(
     }
 
     // The candidates already are records: the new table is the
-    // compacted prefix, copied.
+    // compacted prefix, copied. A full table that grows outruns the merge
+    // array (`cap_new > m`, a public fact): its tail stays fillers.
     table.clear();
     table.resize(cap_new, TagCell::filler());
     let stats = {
         let mut tt = Tracked::new(c, table.as_mut_slice());
-        par_fill(c, &mut tt, &|c, i| cand_t.get(c, i));
+        par_fill(c, &mut tt.range(0, cap_new.min(m)), &|c, i| cand_t.get(c, i));
         // Refresh the analytics snapshot with one reduce over the new table.
         par_reduce(
             c,
@@ -426,9 +430,10 @@ fn sorted_ops<'s, C: Ctx>(
     ops
 }
 
-/// `[table | fillers | lane reversed]` over `pow2(|table| + |lane|)` cells.
-/// `table` is key-sorted with its records leading and `lane` is sorted
-/// with fillers last, so the result is bitonic: one
+/// `[lane reversed | table]` over `|lane| + |table|` cells. `lane` is
+/// sorted with fillers last and `table` is key-sorted with its records
+/// leading, so the result — fillers, descending ops, ascending records,
+/// fillers, and any number of fillers after it — is bitonic: one
 /// [`Engine::merge_cells`] sorts it, each record (seq 0) heading its key's
 /// run.
 fn bitonic_with_table<'s, C: Ctx>(
@@ -437,12 +442,12 @@ fn bitonic_with_table<'s, C: Ctx>(
     table: &[TagCell],
     lane: &[TagCell],
 ) -> ScratchGuard<'s, TagCell> {
-    let m = (table.len() + lane.len()).next_power_of_two();
+    let m = lane.len() + table.len();
     let mut cells = scratch.lease(m, TagCell::filler());
-    cells[..table.len()].copy_from_slice(table);
-    let tail = &mut cells[m - lane.len()..];
-    tail.copy_from_slice(lane);
-    tail.reverse();
+    let (ops, records) = cells.split_at_mut(lane.len());
+    ops.copy_from_slice(lane);
+    ops.reverse();
+    records.copy_from_slice(table);
     c.charge_par(m as u64);
     cells
 }
@@ -498,8 +503,8 @@ fn resolve_runs<C: Ctx>(
 ///    `CLEAR`, written back as the `Get`, `Put` or `Delete` the log
 ///    amounts to for that key. One stable compaction brings the `q`-cell
 ///    window of key-sorted queries to the front.
-/// 2. Per shard, in parallel: `[table ascending | fillers | queries
-///    descending]` is bitonic, so **one merge** groups each query behind
+/// 2. Per shard, in parallel: `[queries descending | table ascending]` is
+///    bitonic, so **one merge** groups each query behind
 ///    its record, one scan composes table state and verdict into the
 ///    query's answer, and one compaction returns the window.
 /// 3. Every window lists the same queries in the same order. A key lives
@@ -791,6 +796,84 @@ mod tests {
             ]
         );
         assert_eq!((left, right), before, "the consult is read-only");
+    }
+
+    /// Run `ops` as one epoch against `table`, check every answer and the
+    /// rebuilt table (length `cap_new`, the oracle's records in key order,
+    /// canonical fillers after) against the `HashMap` oracle, and apply
+    /// them to it.
+    fn epoch_matches_oracle(
+        table: &mut Vec<TagCell>,
+        oracle: &mut std::collections::HashMap<u64, u64>,
+        cap_new: usize,
+        ops: &[Op],
+        pad_to: usize,
+    ) {
+        let res = run(table, cap_new, &[], ops, pad_to);
+        for (op, got) in ops.iter().zip(res) {
+            let want = match *op {
+                Op::Put { key, val } => oracle.insert(key, val),
+                Op::Delete { key } => oracle.remove(&key),
+                Op::Get { key } => oracle.get(&key).copied(),
+                _ => unreachable!(),
+            };
+            assert_eq!(got, OpResult::Value(want), "{op:?}");
+        }
+        assert_eq!(table.len(), cap_new);
+        let mut want: Vec<(u64, u64)> = oracle.iter().map(|(&k, &v)| (k, v)).collect();
+        want.sort_unstable();
+        assert_eq!(live(table), want);
+        assert!(table[want.len()..].iter().all(|r| *r == TagCell::filler()));
+    }
+
+    #[test]
+    fn full_table_grows_past_the_merge_array() {
+        // 32 records and a 16-op class merge over 48 cells; the grown table
+        // has 64, so its last 16 slots are fillers the merge array never
+        // held. A second epoch merges the grown table (64 + 16 cells).
+        let mut oracle = std::collections::HashMap::new();
+        let mut table: Vec<TagCell> = (0..32u64).map(|k| record_cell(3 * k, k)).collect();
+        oracle.extend((0..32u64).map(|k| (3 * k, k)));
+        let fresh: Vec<Op> = (0..9u64)
+            .map(|i| Op::Put {
+                key: 3 * i + 1,
+                val: 100 + i,
+            })
+            .collect();
+        epoch_matches_oracle(&mut table, &mut oracle, 64, &fresh, 16);
+        let mixed = [
+            Op::Get { key: 4 },
+            Op::Delete { key: 0 },
+            Op::Put { key: 93, val: 7 },
+            Op::Get { key: 93 },
+            Op::Put { key: 4, val: 8 },
+            Op::Get { key: 90 },
+            Op::Get { key: 2 },
+        ];
+        epoch_matches_oracle(&mut table, &mut oracle, 64, &mixed, 16);
+    }
+
+    #[test]
+    fn op_class_wider_than_the_table() {
+        // 40 puts against the 8-slot `MIN_CLASS` table: `b₂ = 64 > cap`,
+        // so the merge's first level pairs ops with ops and table records.
+        let mut oracle = std::collections::HashMap::new();
+        let mut table: Vec<TagCell> = [5u64, 17, 29, 41, 53]
+            .iter()
+            .map(|&k| record_cell(k, k * 2))
+            .collect();
+        table.resize(8, TagCell::filler());
+        oracle.extend([5u64, 17, 29, 41, 53].map(|k| (k, k * 2)));
+        let ops: Vec<Op> = (0..40u64)
+            .map(|i| match i % 5 {
+                4 => Op::Get { key: i * 3 % 60 },
+                _ => Op::Put {
+                    key: i * 7 % 61,
+                    val: i,
+                },
+            })
+            .collect();
+        epoch_matches_oracle(&mut table, &mut oracle, 64, &ops, 64);
     }
 
     #[test]
