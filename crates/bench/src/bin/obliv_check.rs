@@ -24,7 +24,7 @@ fn trace<F: FnOnce(&MeterCtx)>(f: F) -> (u64, u64) {
     (rep.trace_hash, rep.trace_len)
 }
 
-fn check(name: &str, traces: &[(u64, u64)]) -> bool {
+fn check<T: PartialEq>(name: &str, traces: &[T]) -> bool {
     let ok = traces.windows(2).all(|w| w[0] == w[1]);
     println!("{:<44} {}", name, if ok { "PASS" } else { "FAIL" });
     ok
@@ -454,40 +454,46 @@ fn main() {
     // are host-side I/O whose record sizes are fixed by the public
     // classes; the replay feeds the logged batches through the normal
     // merge path — both the build trace and the recovery trace must be
-    // bit-identical across datasets.
+    // bit-identical across datasets. Each dataset is built at 1 and at 4
+    // shards, where replay routes and gathers as the live epochs did.
+    let image = |k: usize, v: &[u64], shards: usize| {
+        let dir =
+            std::env::temp_dir().join(format!("dob_obliv_wal_{}_{k}_{shards}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let cfg = |store| ShardConfig {
+            shards,
+            route_slack: 0,
+            store,
+        };
+        let durable = StoreConfig {
+            durability: store::Durability::epoch(),
+            ..StoreConfig::default()
+        };
+        let build = trace(|c| {
+            let opened = ShardedStore::recover(c, &scratch, &dir, cfg(durable));
+            let mut s = or_die(opened, "open durable store");
+            for chunk in v.chunks(64) {
+                let ops: Vec<Op> = chunk
+                    .iter()
+                    .map(|&x| Op::Put {
+                        key: x % 97,
+                        val: x,
+                    })
+                    .collect();
+                or_die(s.execute_epoch(c, &scratch, &ops), "durable epoch");
+            }
+        });
+        let replay = trace(|c| {
+            let recovered = ShardedStore::recover(c, &scratch, &dir, cfg(StoreConfig::default()));
+            or_die(recovered, "recover store");
+        });
+        let _ = std::fs::remove_dir_all(&dir);
+        (build.0 ^ replay.0.rotate_left(1), build.1 + replay.1)
+    };
     let t: Vec<_> = inputs
         .iter()
         .enumerate()
-        .map(|(k, v)| {
-            let dir =
-                std::env::temp_dir().join(format!("dob_obliv_wal_{}_{k}", std::process::id()));
-            let _ = std::fs::remove_dir_all(&dir);
-            let cfg = StoreConfig {
-                durability: store::Durability::epoch(),
-                ..StoreConfig::default()
-            };
-            let build = trace(|c| {
-                let mut s = or_die(Store::recover(c, &scratch, &dir, cfg), "open durable store");
-                for chunk in v.chunks(64) {
-                    let ops: Vec<Op> = chunk
-                        .iter()
-                        .map(|&x| Op::Put {
-                            key: x % 97,
-                            val: x,
-                        })
-                        .collect();
-                    or_die(s.execute_epoch(c, &scratch, &ops), "durable epoch");
-                }
-            });
-            let replay = trace(|c| {
-                or_die(
-                    Store::recover(c, &scratch, &dir, StoreConfig::default()),
-                    "recover store",
-                );
-            });
-            let _ = std::fs::remove_dir_all(&dir);
-            (build.0 ^ replay.0.rotate_left(1), build.1 + replay.1)
-        })
+        .map(|(k, v)| [image(k, v, 1), image(k, v, 4)])
         .collect();
     all_ok &= check("WAL append + recovery replay", &t);
 

@@ -68,13 +68,12 @@ pub enum StoreError {
         /// The underlying fault.
         source: io::Error,
     },
-    /// The WAL's clean prefix is inconsistent with the snapshot horizon:
-    /// records that must exist (the snapshot says they committed) are
-    /// unreadable. Starting empty would silently lose acknowledged data,
-    /// so recovery refuses.
+    /// The store's WAL cannot be replayed as it is: its clean prefix is
+    /// inconsistent with the snapshots (records they say committed are
+    /// unreadable), a logged op breaks the client contract, or the
+    /// directory holds per-shard logs of an older layout. Starting empty
+    /// would silently lose acknowledged data, so recovery refuses.
     WalCorrupt {
-        /// Shard whose log is inconsistent.
-        shard: usize,
         /// Human-readable diagnosis.
         detail: String,
     },
@@ -127,9 +126,7 @@ impl fmt::Display for StoreError {
             StoreError::Io { context, source } => {
                 write!(f, "durable {context} failed: {source}")
             }
-            StoreError::WalCorrupt { shard, detail } => {
-                write!(f, "WAL for shard {shard} is corrupt: {detail}")
-            }
+            StoreError::WalCorrupt { detail } => write!(f, "WAL is corrupt: {detail}"),
             StoreError::SnapshotFailed { shard, source } => {
                 write!(f, "snapshot for shard {shard} failed: {source}")
             }

@@ -45,9 +45,10 @@
 //!
 //! **Durability** is opt-in: open a store with [`ShardedStore::recover`]
 //! under [`Durability::Epoch`] and every epoch is appended to a
-//! write-ahead log *before* its merge runs — one framed, checksummed
-//! record per shard per epoch whose on-disk size is fixed by the public
-//! (sub-)batch class. The `sync_every` knob group-commits the log: one `fsync`
+//! write-ahead log *before* it is routed or merged — one log per store,
+//! one framed, checksummed record per epoch holding the padded client
+//! batch, its on-disk size fixed by the public batch class. The
+//! `sync_every` knob group-commits the log: one `fsync`
 //! per `sync_every` appends, trading at most that many trailing
 //! un-acknowledged epochs on a crash for far fewer flushes. Snapshots of the packed table are written on the public
 //! [`ShrinkPolicy::snapshot`] cadence (or explicitly via

@@ -279,8 +279,8 @@ impl PipelinedStore<ShardedStore> {
         // k − 1 trailing un-synced epochs (a clean suffix — see
         // `Durability::Epoch`).
         let ops = std::mem::take(&mut self.open);
-        let logged = validate_and_pad(&self.cfg, &ops)
-            .and_then(|log| store.wal_prelog(c, &self.scratch, &ops).map(|()| log));
+        let logged =
+            validate_and_pad(&self.cfg, &ops).and_then(|log| store.wal_prelog(&log).map(|()| log));
         let log = match logged {
             Ok(log) => log,
             Err(e) => {

@@ -28,12 +28,14 @@
 //! to route or gather: the padded batch is the shard's job and its
 //! results are the epoch's. Every other step — validation, the WAL
 //! append, snapshots, health — is the same code at every shard count.
+//! The WAL logs the padded client batch, so the durability point comes
+//! before routing and the log does not depend on the shard count.
 //! See DESIGN.md §9.
 
 use crate::error::{Health, RetryPolicy, StoreError};
 use crate::op::{kind, size_class, EpochPath, FlatOp, Op, OpResult, StoreStats};
-use crate::recovery::{recover_shards, RecoveredState};
-use crate::router::{gather_results, route_ops, shard_class, SubBatch};
+use crate::recovery::recover_store;
+use crate::router::{gather_results, route_ops, shard_class};
 use crate::shard::Shard;
 use crate::vfs::{OsVfs, Vfs};
 use crate::wal::{self, Durability, SnapMeta, Wal};
@@ -306,14 +308,14 @@ pub struct ShardedStore {
     epochs: u64,
     fallbacks: u64,
     last_path: Option<EpochPath>,
-    /// `Some` iff this store logs epochs — one WAL per shard, all
-    /// carrying the same epoch sequence numbers (built via
-    /// [`ShardedStore::recover`] with [`Durability::Epoch`]).
-    durable: Option<DurableLogs>,
-    /// An epoch (by sequence number) the pipelined pre-log already routed
-    /// and appended; `execute_epoch` consumes it instead of routing and
-    /// appending a second time.
-    prerouted: Option<(u64, Routed)>,
+    /// `Some` iff this store logs epochs (built via
+    /// [`ShardedStore::recover`] with [`Durability::Epoch`]): one WAL for
+    /// the whole store, one record per epoch holding its padded client
+    /// batch, whatever the shard count.
+    durable: Option<DurableLog>,
+    /// The epoch (by sequence number) the pipelined pre-log already
+    /// appended; `execute_epoch` does not append it a second time.
+    prelogged: Option<u64>,
     /// Sticky durable health: [`Health::Degraded`] after a terminal
     /// durable-path failure (reads keep working, commits are refused).
     health: Health,
@@ -321,22 +323,12 @@ pub struct ShardedStore {
     fault: Option<String>,
 }
 
-/// Directory + per-shard append handles of a durable store, plus the
+/// Directory and WAL append handle of a durable store, plus the
 /// filesystem they write through.
-struct DurableLogs {
+struct DurableLog {
     dir: PathBuf,
-    wals: Vec<Wal>,
+    wal: Wal,
     vfs: Arc<dyn Vfs>,
-}
-
-/// One epoch's padded ops in the form its shards consume — what the WAL
-/// logs, record for record. Which variant is a function of the public
-/// shard count.
-enum Routed {
-    /// One shard: the padded batch is the job.
-    Whole(Vec<FlatOp>),
-    /// One sub-batch per shard, each padded to the public class `zcap`.
-    Split(Vec<SubBatch>, usize),
 }
 
 impl ShardedStore {
@@ -370,25 +362,21 @@ impl ShardedStore {
         let shards = (0..cfg.shards)
             .map(|i| Shard::new(cfg.store, i as u64))
             .collect();
-        let state = RecoveredState {
-            shards,
-            epochs: 0,
-            last_path: None,
-        };
-        Self::assemble(cfg, state, None)
+        Self::assemble(cfg, shards, 0)
     }
 
-    /// A healthy store over `state` (fresh or recovered shards).
-    fn assemble(cfg: ShardConfig, state: RecoveredState, durable: Option<DurableLogs>) -> Self {
+    /// A healthy, in-memory store over `shards` (fresh or restored from
+    /// snapshots) whose next epoch is `epochs`.
+    pub(crate) fn assemble(cfg: ShardConfig, shards: Vec<Shard>, epochs: u64) -> Self {
         let mut store = ShardedStore {
             cfg,
-            shards: state.shards,
+            shards,
             snapshot: StoreStats::default(),
-            epochs: state.epochs,
+            epochs,
             fallbacks: 0,
-            last_path: state.last_path,
-            durable,
-            prerouted: None,
+            last_path: None,
+            durable: None,
+            prelogged: None,
             health: Health::Ok,
             fault: None,
         };
@@ -397,27 +385,29 @@ impl ShardedStore {
     }
 
     /// Open the store persisted in `dir`, creating the directory (and an
-    /// empty store) on first use: per shard, restore the latest snapshot,
-    /// then replay every committed WAL record since it through the normal
-    /// epoch paths, so the recovered table, counters, and adversary trace
-    /// are the same public functions of the logged batch classes as the
-    /// original run's (see DESIGN.md §13). An epoch counts as committed
-    /// only once its record is on **every** shard's WAL; a crash
-    /// mid-append leaves a torn record or a ragged tail — an epoch that
-    /// was never acknowledged — which recovery uniformly drops, so shards
-    /// never diverge.
+    /// empty store) on first use: restore every shard's latest snapshot,
+    /// then replay each WAL record since the oldest of them through the
+    /// live commit path — route, shard commits, gather — so the recovered
+    /// table, counters, and adversary trace are the same public functions
+    /// of the logged batch classes as the original run's (see DESIGN.md
+    /// §13). A crash mid-append leaves a torn record — an epoch that was
+    /// never acknowledged — which recovery drops.
     ///
     /// With `cfg.durability == Durability::Epoch` the returned store
     /// keeps logging into `dir`; with [`Durability::None`] it is a
     /// read-only-ish revival — fully functional in memory, but new epochs
     /// are not persisted and `dir` is left untouched.
     ///
-    /// [`ShardedStore::routing_fallbacks`] restarts at 0: the fallback
-    /// count is diagnostic, not state, and is not persisted.
+    /// [`ShardedStore::routing_fallbacks`] restarts at 0, though replay
+    /// routes: the fallback count is diagnostic, not state, and is not
+    /// persisted.
     ///
     /// A configuration [`ShardedStore::new`] would panic on is
     /// [`StoreError::InvalidConfig`] here, returned before `dir` is
-    /// created or read.
+    /// created or read. A directory holding a non-empty `wal-{i}.log` for
+    /// some `i ≥ 1` — the per-shard logs of an older layout — is
+    /// [`StoreError::WalCorrupt`], returned before anything is replayed
+    /// or written.
     pub fn recover<C: Ctx>(
         c: &C,
         scratch: &ScratchPool,
@@ -444,22 +434,24 @@ impl ShardedStore {
             context: "store directory create",
             source,
         })?;
-        let state = recover_shards(c, scratch, &*vfs, dir, &cfg.store, cfg.shards)?;
-        let durable = match cfg.store.durability {
-            Durability::Epoch { sync_every } => Some(DurableLogs {
-                dir: dir.to_path_buf(),
-                wals: (0..cfg.shards)
-                    .map(|i| Wal::open_with(&*vfs, &wal::wal_path(dir, i), sync_every))
-                    .collect::<std::io::Result<_>>()
-                    .map_err(|source| StoreError::Io {
+        let mut store = recover_store(c, scratch, &*vfs, dir, cfg)?;
+        // The replay's fallbacks were the original run's.
+        store.fallbacks = 0;
+        if let Durability::Epoch { sync_every } = cfg.store.durability {
+            let wal =
+                Wal::open_with(&*vfs, &wal::wal_path(dir, 0), sync_every).map_err(|source| {
+                    StoreError::Io {
                         context: "wal open",
                         source,
-                    })?,
+                    }
+                })?;
+            store.durable = Some(DurableLog {
+                dir: dir.to_path_buf(),
+                wal,
                 vfs,
-            }),
-            Durability::None => None,
-        };
-        Ok(Self::assemble(cfg, state, durable))
+            });
+        }
+        Ok(store)
     }
 
     /// The path an epoch of `n_ops` operations would take right now — a
@@ -469,8 +461,9 @@ impl ShardedStore {
         self.shards[0].epoch_path(size_class(n_ops))
     }
 
-    /// Execute one epoch: pad `ops` to the public batch class, route them
-    /// to shards obliviously, commit every shard in parallel, and
+    /// Execute one epoch: pad `ops` to the public batch class, log the
+    /// padded batch (durable stores), route it to shards obliviously,
+    /// commit every shard in parallel, and
     /// obliviously gather the results back to submission order — one
     /// result per op. A 1-shard store has nothing to route or gather: the
     /// padded batch runs on the path [`epoch_path`](Self::epoch_path)
@@ -502,9 +495,7 @@ impl ShardedStore {
     /// the store stays healthy and the next valid epoch commits. On a
     /// durable store, a WAL append that fails terminally (after
     /// [`StoreConfig::retry`]) rejects the epoch **atomically** — no
-    /// counter, table, or log mutation survives; a partial per-shard
-    /// append leaves only a ragged tail below the commit horizon, which
-    /// recovery uniformly drops — and degrades the store
+    /// counter, table, or log mutation survives — and degrades the store
     /// ([`ShardedStore::health`]); further commits return
     /// [`StoreError::Poisoned`]. A snapshot failure *after* the epoch's
     /// durability point keeps the epoch acknowledged (`Ok`) but likewise
@@ -522,38 +513,18 @@ impl ShardedStore {
         if self.health == Health::Degraded {
             return Err(StoreError::Poisoned);
         }
-        let seq = self.epochs;
-        let routed = match self.prerouted.take() {
-            // Routed (with an identical trace) and logged on the caller's
-            // thread by the pipelined pre-log.
-            Some((pre, routed)) if pre == seq => routed,
-            _ => {
-                let routed = self.route(c, scratch, ops)?;
-                self.append_epoch(seq, &routed)?;
-                routed
-            }
-        };
-        self.epochs += 1;
-
-        let (path, answers) = match routed {
-            Routed::Whole(batch) => {
-                let shard = &mut self.shards[0];
-                let path = shard.epoch_path(batch.len());
-                (path, shard.execute(c, scratch, &batch, path))
-            }
-            Routed::Split(jobs, zcap) => (
-                EpochPath::Merge,
-                self.commit_split(c, scratch, jobs, zcap, size_class(ops.len())),
-            ),
-        };
-        // `self.snapshot` is still the pre-epoch global snapshot here.
+        let batch = validate_and_pad(&self.cfg.store, ops)?;
+        // The pipelined pre-log may have appended this epoch already.
+        if self.prelogged.take() != Some(self.epochs) {
+            self.append_epoch(&batch)?;
+        }
+        let before = self.snapshot;
+        let answers = self.commit(c, scratch, &batch, &[]);
         let results = answers[..ops.len()]
             .iter()
-            .map(|a| decode(a, self.snapshot))
+            .map(|a| decode(a, before))
             .collect();
-        self.last_path = Some(path);
-        self.snapshot = self.summed_stats();
-        if path == EpochPath::Merge {
+        if self.last_path == Some(EpochPath::Merge) {
             if let Err(e) = self.maybe_snapshot() {
                 // The epoch itself is acknowledged — its WAL record is
                 // durable and the merge applied — so the failure only
@@ -571,79 +542,88 @@ impl ShardedStore {
             .fold(StoreStats::default(), |acc, s| acc.merged(s.stats()))
     }
 
-    /// Validate `ops`, pad them to the public batch class and split the
-    /// batch across shards. Multi-shard stores route obliviously, every
-    /// sub-batch padded to the public class `zcap`; under scaled
-    /// provisioning a heavily skewed epoch can overflow a shard — the
-    /// fixed-trace pass reports it and the epoch publicly falls back to
-    /// full provisioning.
-    fn route<C: Ctx>(
-        &mut self,
-        c: &C,
-        scratch: &ScratchPool,
-        ops: &[Op],
-    ) -> Result<Routed, StoreError> {
-        let batch = validate_and_pad(&self.cfg.store, ops)?;
-        let shards = self.shards.len();
-        if shards == 1 {
-            return Ok(Routed::Whole(batch));
-        }
-        let b = batch.len();
-        let zcap = shard_class(b, shards, self.cfg.route_slack);
-        if zcap < b {
-            if let Ok(jobs) = route_ops(c, scratch, &batch, shards, zcap) {
-                return Ok(Routed::Split(jobs, zcap));
-            }
-            self.fallbacks += 1;
-        }
-        let jobs =
-            route_ops(c, scratch, &batch, shards, b).expect("full provisioning cannot overflow");
-        Ok(Routed::Split(jobs, b))
-    }
-
-    /// WAL-before-merge: append every shard's padded (sub-)batch under
-    /// epoch `seq` — and sync on the group-commit cadence — before any
+    /// WAL-before-merge: append the padded batch as the record of epoch
+    /// `self.epochs` — and sync on the group-commit cadence — before any
     /// state changes. No-op on non-durable stores. A terminal failure
-    /// partway through leaves a ragged tail strictly below the commit
-    /// horizon — recovery drops it on every shard, so the rejection stays
-    /// atomic — and degrades the store.
-    fn append_epoch(&mut self, seq: u64, routed: &Routed) -> Result<(), StoreError> {
+    /// leaves no record behind ([`Wal::append`] truncates it off) and
+    /// degrades the store.
+    fn append_epoch(&mut self, batch: &[FlatOp]) -> Result<(), StoreError> {
         let Some(d) = self.durable.as_mut() else {
             return Ok(());
         };
-        let retry = self.cfg.store.retry;
-        let appended = match routed {
-            Routed::Whole(batch) => d.wals[0].append(retry, seq, batch),
-            Routed::Split(jobs, _) => d
-                .wals
-                .iter_mut()
-                .zip(jobs)
-                .try_for_each(|(wal, job)| wal.append(retry, seq, &job.batch)),
-        };
+        let appended = d.wal.append(self.cfg.store.retry, self.epochs, batch);
         appended.map_err(|f| self.degrade(f.on("wal append")))
     }
 
-    /// Commit routed sub-batches on all shards in parallel and
-    /// obliviously gather their answer cells back to the submission order
-    /// of the padded batch class `b`.
+    /// Everything after the durability point, live or replayed: run the
+    /// validated, padded `batch` as epoch `self.epochs` — on one shard, on
+    /// the path [`epoch_path`](Self::epoch_path) selects; on more, routed,
+    /// committed in parallel and gathered — and close it. Returns one
+    /// answer cell per batch slot, in submission order. A shard whose
+    /// snapshot already holds the epoch (`bases[s] > seq`, only after a
+    /// crash inside a checkpoint) sits it out; a live epoch passes none.
+    pub(crate) fn commit<C: Ctx>(
+        &mut self,
+        c: &C,
+        scratch: &ScratchPool,
+        batch: &[FlatOp],
+        bases: &[u64],
+    ) -> Vec<TagCell> {
+        let seq = self.epochs;
+        self.epochs += 1;
+        let (path, answers) = if self.shards.len() == 1 {
+            let shard = &mut self.shards[0];
+            let path = shard.epoch_path(batch.len());
+            (path, shard.execute(c, scratch, batch, path))
+        } else {
+            let answers = self.commit_split(c, scratch, batch, |s| {
+                bases.get(s).is_none_or(|&base| base <= seq)
+            });
+            (EpochPath::Merge, answers)
+        };
+        self.last_path = Some(path);
+        self.snapshot = self.summed_stats();
+        answers
+    }
+
+    /// Route `batch` to the shards obliviously, commit every shard `runs`
+    /// admits in parallel, and obliviously gather their answer cells back
+    /// to submission order. Every sub-batch is padded to the public class
+    /// `zcap`; under scaled provisioning a heavily skewed epoch can
+    /// overflow a shard — the fixed-trace pass reports it and the epoch
+    /// publicly falls back to full provisioning.
     fn commit_split<C: Ctx>(
         &mut self,
         c: &C,
         scratch: &ScratchPool,
-        jobs: Vec<SubBatch>,
-        zcap: usize,
-        b: usize,
+        batch: &[FlatOp],
+        runs: impl Fn(usize) -> bool + Sync,
     ) -> Vec<TagCell> {
-        let mut entries = vec![TagCell::filler(); jobs.len() * zcap];
-        let mut runs: Vec<&mut [TagCell]> = entries.chunks_mut(zcap).collect();
+        let (shards, b) = (self.shards.len(), batch.len());
+        let mut zcap = shard_class(b, shards, self.cfg.route_slack);
+        let mut routed = route_ops(c, scratch, batch, shards, zcap);
+        if routed.is_err() {
+            self.fallbacks += 1;
+            zcap = b;
+            routed = route_ops(c, scratch, batch, shards, zcap);
+        }
+        let jobs = routed.expect("full provisioning cannot overflow");
+        let mut entries = vec![TagCell::filler(); shards * zcap];
+        let mut outs: Vec<&mut [TagCell]> = entries.chunks_mut(zcap).collect();
         // Every shard owns its table and leases scratch from the shared
         // pool, so the commits are independent fork-join tasks. Each
         // answer trades its sub-batch slot for its submission index;
         // padding slots stay fillers.
-        par_zip_mut(c, &mut self.shards, &mut runs, &|c, s, shard, run| {
+        par_zip_mut(c, &mut self.shards, &mut outs, &|c, s, shard, out| {
             let job = &jobs[s];
-            let answers = shard.execute(c, scratch, &job.batch, EpochPath::Merge);
-            for ((out, answer), &i) in run.iter_mut().zip(answers).zip(&job.idx) {
+            // A shard that sits the epoch out answers its slots blank:
+            // only a replay skips shards and it drops the answers, but
+            // the gather wants one per routed op.
+            let answers = match runs(s) {
+                true => shard.execute(c, scratch, &job.batch, EpochPath::Merge),
+                false => vec![TagCell::filler(); zcap],
+            };
+            for ((out, answer), &i) in out.iter_mut().zip(answers).zip(&job.idx) {
                 if i != u64::MAX {
                     *out = TagCell::new(i as u128, answer.aux);
                 }
@@ -669,25 +649,26 @@ impl ShardedStore {
         }
     }
 
-    /// Persist every shard's table as a snapshot and truncate its WAL,
+    /// Persist every shard's table as a snapshot, then truncate the WAL,
     /// now. An explicit, caller-scheduled snapshot point (the scheduled
     /// variant is [`ShrinkPolicy::snapshot`]): calling it is a public
     /// action, so invoke it on public schedule only. No-op (`Ok`) on
-    /// non-durable stores. Shards are checkpointed one at a time,
-    /// snapshot-then-truncate; a crash anywhere in the loop leaves each
-    /// shard with either (old snapshot + full WAL) or (new snapshot +
-    /// empty WAL), both of which recover to the same horizon.
+    /// non-durable stores. The WAL is synced first, then the snapshots
+    /// land one shard at a time, then the log is truncated once. A crash
+    /// in between leaves shards on different snapshot bases over a log
+    /// that still holds every epoch since the oldest of them, which
+    /// recovery replays to each shard from its own base.
     ///
     /// # Errors
     ///
     /// [`StoreError::CheckpointPending`] — state untouched, store not
     /// degraded — if the pending log is non-empty (the last epoch took
     /// the ORAM path): snapshots only capture the table, so checkpoint
-    /// after a merge epoch. A terminal snapshot-write or truncate failure
-    /// (after retries) returns [`StoreError::SnapshotFailed`] /
-    /// [`StoreError::Io`]; no acknowledged epoch is lost (each shard's
-    /// WAL is only truncated after its snapshot landed), but the store
-    /// degrades (re-open via [`ShardedStore::recover`] to resume).
+    /// after a merge epoch. A terminal sync, snapshot-write or truncate
+    /// failure (after retries) returns [`StoreError::SnapshotFailed`] /
+    /// [`StoreError::Io`]; no acknowledged epoch is lost (the WAL is only
+    /// truncated after every snapshot landed), but the store degrades
+    /// (re-open via [`ShardedStore::recover`] to resume).
     /// [`StoreError::Poisoned`] if it already had.
     pub fn checkpoint(&mut self) -> Result<(), StoreError> {
         if self.health == Health::Degraded {
@@ -701,52 +682,48 @@ impl ShardedStore {
             return Err(StoreError::CheckpointPending { pending });
         }
         let (retry, next_seq) = (self.cfg.store.retry, self.epochs);
-        let mut shards = self.shards.iter().zip(&mut d.wals).enumerate();
-        let result = shards.try_for_each(|(i, (shard, wal))| {
-            let meta = SnapMeta {
-                next_seq,
-                merges: shard.merges(),
-                live_upper: shard.live_upper() as u64,
-                stats: shard.stats(),
-            };
-            // Both steps are idempotent, so each retries wholesale; a
-            // crash or terminal fault between them is benign (recovery
-            // skips WAL records the new snapshot already covers).
+        // Every step is idempotent, so each retries wholesale. The sync
+        // makes every epoch a snapshot covers durable in the log before
+        // any snapshot lands; it is a no-op unless group commit left
+        // appends unsynced.
+        let synced = retry.run(|| d.wal.flush()).map_err(|f| f.on("wal sync"));
+        let snapshots = synced.and_then(|()| {
+            self.shards.iter().enumerate().try_for_each(|(i, shard)| {
+                let meta = SnapMeta {
+                    next_seq,
+                    merges: shard.merges(),
+                    live_upper: shard.live_upper() as u64,
+                    stats: shard.stats(),
+                };
+                retry
+                    .run(|| wal::write_snapshot(&*d.vfs, &d.dir, i, &meta, shard.records()))
+                    .map_err(|f| f.snapshot(i))
+            })
+        });
+        let truncated = snapshots.and_then(|()| {
             retry
-                .run(|| wal::write_snapshot(&*d.vfs, &d.dir, i, &meta, shard.records()))
-                .map_err(|f| f.snapshot(i))?;
-            retry
-                .run(|| wal.truncate())
+                .run(|| d.wal.truncate())
                 .map_err(|f| f.on("wal truncate"))
         });
-        result.map_err(|e| self.degrade(e))
+        truncated.map_err(|e| self.degrade(e))
     }
 
-    /// Append `ops` (padded and routed exactly as their epoch will run
-    /// them) to the WAL *now*, before the epoch itself runs — the
-    /// pipelined front end's durability point, invoked on the caller's
-    /// thread before the merge is handed to a detached task. The routed
-    /// batch is stashed so the matching `execute_epoch` neither re-routes
-    /// nor re-appends; the routing trace is identical to the synchronous
-    /// path's — it just runs at append time. No-op on non-durable stores
-    /// (they route inside the detached task). Error contract as for
-    /// [`ShardedStore::execute_epoch`].
-    pub(crate) fn wal_prelog<C: Ctx>(
-        &mut self,
-        c: &C,
-        scratch: &ScratchPool,
-        ops: &[Op],
-    ) -> Result<(), StoreError> {
-        if ops.is_empty() || self.durable.is_none() {
+    /// Append `log` — the padded batch `commit_async` has validated — to
+    /// the WAL *now*, as the next epoch's record: the pipelined front
+    /// end's durability point, on the caller's thread, before the epoch
+    /// is handed to a detached task. The task then routes and commits as
+    /// on a non-durable store, and its `execute_epoch` does not append
+    /// the record again. No-op on non-durable stores. Error contract as
+    /// for [`ShardedStore::execute_epoch`].
+    pub(crate) fn wal_prelog(&mut self, log: &[FlatOp]) -> Result<(), StoreError> {
+        if self.durable.is_none() {
             return Ok(());
         }
         if self.health == Health::Degraded {
             return Err(StoreError::Poisoned);
         }
-        let seq = self.epochs;
-        let routed = self.route(c, scratch, ops)?;
-        self.append_epoch(seq, &routed)?;
-        self.prerouted = Some((seq, routed));
+        self.append_epoch(log)?;
+        self.prelogged = Some(self.epochs);
         Ok(())
     }
 

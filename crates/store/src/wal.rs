@@ -3,16 +3,17 @@
 //!
 //! # Frame format
 //!
-//! The WAL is a flat sequence of fixed-layout records, one per epoch:
+//! A store keeps one WAL, `wal-0.log`, at every shard count: a flat
+//! sequence of fixed-layout records, one per epoch:
 //!
 //! ```text
 //! seq: u64 LE | class: u32 LE | class × (kind u8, key u64 LE, val u64 LE) | fnv1a64: u64 LE
 //! ```
 //!
-//! A record carries the epoch's **already padded** batch — dummies
-//! included — so its size is `20 + 17·class` bytes, a function of the
-//! public size class alone. Nothing about the record layout (offsets,
-//! lengths, flush points) depends on keys, values, op kinds, or how many
+//! A record carries the epoch's **already padded** client batch — dummies
+//! included, before any routing — so its size is `20 + 17·class` bytes, a
+//! function of the public batch class alone. Nothing about the record
+//! layout (offsets, lengths, flush points) depends on keys, values, op kinds, or how many
 //! of the `class` slots are real: the only thing an observer of the log
 //! file learns is the sequence of batch classes, which the store's
 //! padding discipline already makes public. Record *contents* are exactly
@@ -32,15 +33,16 @@
 //!
 //! # Snapshots and truncation
 //!
-//! A snapshot file holds the resident table of one shard — its
-//! `capacity` cells as they sit in memory, 32 bytes each, canonicalised
-//! on read ([`read_snapshot`]) — plus the public counters needed to
-//! resume (`next_seq`, merge count, live-key bound, analytics snapshot).
-//! Snapshots are written to a
-//! temporary file and atomically renamed into place, then the WAL is
-//! truncated; a crash between the two steps is benign because recovery
-//! skips WAL records with `seq < next_seq`. Snapshot points follow the
-//! public [`ShrinkPolicy::snapshot`](crate::ShrinkPolicy::snapshot)
+//! A snapshot file (`snap-{i}.bin`, one per shard) holds the resident
+//! table of one shard — its `capacity` cells as they sit in memory, 32
+//! bytes each, canonicalised on read ([`read_snapshot`]) — plus the
+//! public counters needed to resume (`next_seq`, merge count, live-key
+//! bound, analytics snapshot). Each snapshot is written to a temporary
+//! file and atomically renamed into place; once every shard's has
+//! landed, the WAL is truncated. A crash in between is benign: the log
+//! still holds every epoch since the oldest snapshot base (recovery
+//! skips, per shard, the records its snapshot covers). Snapshot points
+//! follow the public [`ShrinkPolicy::snapshot`](crate::ShrinkPolicy::snapshot)
 //! cadence (or an explicit
 //! [`ShardedStore::checkpoint`](crate::ShardedStore::checkpoint) call),
 //! both functions of the public merge counter — never of the data.
@@ -51,10 +53,10 @@
 //! *why* it stopped, if it did: a record with a short header or body, an
 //! implausible class, a checksum mismatch, or a non-consecutive sequence
 //! number ends the scan with an explicit [`FrameReject`]. A crash
-//! mid-append thus silently drops only the epoch that was never
+//! mid-append thus silently drops only the one epoch that was never
 //! acknowledged; recovery escalates a reject to
-//! [`StoreError::WalCorrupt`](crate::StoreError::WalCorrupt) only when it
-//! contradicts the snapshot horizon (acknowledged records missing).
+//! [`StoreError::WalCorrupt`](crate::StoreError::WalCorrupt) only when the
+//! snapshot bases prove acknowledged records missing.
 //!
 //! A checksum vouches for bytes, not for the writer. A sequence number is
 //! an epoch count, and no store runs [`SEQ_LIMIT`] epochs, so a
@@ -120,8 +122,9 @@ impl Durability {
 
 /// One past the largest sequence number a log or snapshot may carry: 2⁶³,
 /// three centuries of epochs at one a nanosecond. Below it every counter
-/// derived from a loaded store — the commit horizon, the next epoch's
-/// sequence number — has 2⁶³ epochs of headroom before it could overflow.
+/// derived from a loaded store — the end of the replayed log, the next
+/// epoch's sequence number — has 2⁶³ epochs of headroom before it could
+/// overflow.
 pub(crate) const SEQ_LIMIT: u64 = 1 << 63;
 
 const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
@@ -143,15 +146,18 @@ pub(crate) const fn record_size(class: usize) -> usize {
 /// treated as tail corruption rather than attempted as an allocation.
 const MAX_CLASS: usize = 1 << 28;
 
-pub(crate) fn wal_path(dir: &Path, shard: usize) -> PathBuf {
-    dir.join(format!("wal-{shard}.log"))
+/// `wal-0.log` is the store's log at every shard count. `wal-{i}.log` for
+/// `i ≥ 1` names the per-shard logs of an older layout, which recovery
+/// refuses.
+pub(crate) fn wal_path(dir: &Path, i: usize) -> PathBuf {
+    dir.join(format!("wal-{i}.log"))
 }
 
 pub(crate) fn snapshot_path(dir: &Path, shard: usize) -> PathBuf {
     dir.join(format!("snap-{shard}.bin"))
 }
 
-/// Append handle on one shard's WAL file, with group-commit `fsync`
+/// Append handle on the store's WAL file, with group-commit `fsync`
 /// coalescing: one `sync_data` per `sync_every` appends.
 pub(crate) struct Wal {
     file: Box<dyn VfsFile>,
@@ -255,6 +261,14 @@ impl Wal {
         Ok(())
     }
 
+    /// [`Wal::sync`] if group commit left an append unsynced.
+    pub fn flush(&mut self) -> io::Result<()> {
+        match self.unsynced {
+            0 => Ok(()),
+            _ => self.sync(),
+        }
+    }
+
     /// Drop every record (the snapshot now covers them). Force-syncs, so
     /// the truncation itself is durable and the group counter restarts.
     /// Idempotent: safe to retry wholesale.
@@ -270,7 +284,7 @@ impl Wal {
 /// is the normal crash artifact (the epoch was never acknowledged);
 /// recovery escalates it to a typed
 /// [`StoreError::WalCorrupt`](crate::StoreError::WalCorrupt) only when
-/// the snapshot horizon proves acknowledged records are missing.
+/// the snapshot bases prove acknowledged records are missing.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub(crate) struct FrameReject {
     /// Byte offset of the rejected frame.
@@ -784,6 +798,159 @@ mod tests {
             drop(f);
             let err = read_snapshot(&vfs, &dir, 0).unwrap_err();
             assert_eq!(err.kind(), io::ErrorKind::InvalidData, "cap {cap}: {err}");
+        }
+    }
+
+    /// The 1-shard images of `tests/durability.rs`'s golden script (three
+    /// 20-op epochs, a snapshot at merge 2): the golden snapshot, and the
+    /// WAL as it stood before that snapshot truncated it — three records,
+    /// the last of them the golden WAL.
+    fn golden_images() -> &'static (Vec<u8>, Vec<u8>) {
+        static IMAGES: std::sync::OnceLock<(Vec<u8>, Vec<u8>)> = std::sync::OnceLock::new();
+        IMAGES.get_or_init(build_golden_images)
+    }
+
+    fn build_golden_images() -> (Vec<u8>, Vec<u8>) {
+        use crate::{Op, ShardedStore, ShrinkPolicy, StoreConfig};
+        let image = |snapshot: u64| {
+            let vfs = std::sync::Arc::new(FaultVfs::unfaulted());
+            let cfg = StoreConfig {
+                durability: Durability::epoch(),
+                shrink: Some(ShrinkPolicy {
+                    every: 0,
+                    live_bound: 0,
+                    snapshot,
+                }),
+                ..StoreConfig::default()
+            };
+            let (c, sp) = (fj::SeqCtx::new(), metrics::ScratchPool::new());
+            let dir = Path::new("/golden");
+            let mut s = ShardedStore::recover_with(&c, &sp, dir, cfg, vfs.clone()).unwrap();
+            for salt in 0..3u64 {
+                let ops: Vec<Op> = (0..20u64)
+                    .map(|i| {
+                        let key = (i * 7 + salt * 13 + 1) % 41;
+                        match (i + salt) % 5 {
+                            0..=2 => Op::Put {
+                                key,
+                                val: salt * 10_000 + i,
+                            },
+                            3 => Op::Get { key },
+                            _ => Op::Delete { key },
+                        }
+                    })
+                    .collect();
+                s.execute_epoch(&c, &sp, &ops).unwrap();
+            }
+            let snap = vfs.read(&snapshot_path(dir, 0)).unwrap_or_default();
+            (vfs.read(&wal_path(dir, 0)).unwrap(), snap)
+        };
+        let (wal, _) = image(0);
+        let (_, snap) = image(2);
+        assert_eq!(wal.len(), 3 * record_size(32));
+        assert_eq!(fnv1a(&wal[2 * record_size(32)..]), 0x588c_eafe_a411_871c);
+        assert_eq!(fnv1a(&snap), 0xe252_75a1_15f3_e400);
+        (wal, snap)
+    }
+
+    /// One structure-aware mutation `(what, a, b)` of an image made of
+    /// `frame`-byte frames from offset `head` on; `len_field(f)` is where
+    /// the length field governing frame `f` sits. Bit flips, truncations,
+    /// a length of `u32::MAX`, and duplicated or swapped frames.
+    fn mutate(
+        bytes: &mut Vec<u8>,
+        (what, a, b): (u8, u64, u64),
+        head: usize,
+        frame: usize,
+        len_field: impl Fn(usize) -> usize,
+    ) {
+        let frames = bytes.len().saturating_sub(head) / frame;
+        let at = |i: u64| head + (i as usize % frames.max(1)) * frame;
+        match what {
+            0 if !bytes.is_empty() => {
+                let bit = a as usize % (bytes.len() * 8);
+                bytes[bit / 8] ^= 1 << (bit % 8);
+            }
+            1 => bytes.truncate(a as usize % (bytes.len() + 1)),
+            2 if frames > 0 => {
+                let o = len_field(at(a));
+                bytes[o..o + 4].copy_from_slice(&u32::MAX.to_le_bytes());
+            }
+            3 if frames > 0 => {
+                let copy = bytes[at(a)..at(a) + frame].to_vec();
+                let to = at(b);
+                bytes.splice(to..to, copy);
+            }
+            4 if frames > 0 => {
+                let (x, y) = (at(a).min(at(b)), at(a).max(at(b)));
+                if x != y {
+                    let (lo, hi) = bytes.split_at_mut(y);
+                    lo[x..x + frame].swap_with_slice(&mut hi[..frame]);
+                }
+            }
+            _ => {}
+        }
+    }
+
+    mod hostile_bytes {
+        use super::*;
+        use proptest::prelude::*;
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(96))]
+
+            /// Mutated golden images never panic the readers, nor
+            /// recovery: a WAL reads as a consecutive run of the original
+            /// records (a swapped head frame can start it late; recovery
+            /// refuses that gap) or `InvalidData`, a snapshot as itself or
+            /// `InvalidData`, and recovery as a store holding at most the
+            /// logged epochs or a typed error.
+            #[test]
+            fn mutated_images_read_cleanly_or_fail_typed(
+                wal_edits in proptest::collection::vec((0u8..5, any::<u64>(), any::<u64>()), 0usize..4),
+                snap_edits in proptest::collection::vec((0u8..3, any::<u64>(), any::<u64>()), 0usize..3),
+            ) {
+                let (mut wal, mut snap) = golden_images().clone();
+                let original = {
+                    let vfs = FaultVfs::unfaulted();
+                    vfs.open_truncate(Path::new("w")).unwrap().append(&wal).unwrap();
+                    read_wal(&vfs, Path::new("w")).unwrap().records
+                };
+                for &m in &wal_edits {
+                    mutate(&mut wal, m, 0, record_size(32), |f| f + 8);
+                }
+                for &m in &snap_edits {
+                    mutate(&mut snap, m, 8 * 7, 32, |_| 8 * 6);
+                }
+                let vfs = std::sync::Arc::new(FaultVfs::unfaulted());
+                let dir = Path::new("/hostile");
+                vfs.open_truncate(&wal_path(dir, 0)).unwrap().append(&wal).unwrap();
+                vfs.open_truncate(&snapshot_path(dir, 0)).unwrap().append(&snap).unwrap();
+
+                match read_wal(&*vfs, &wal_path(dir, 0)) {
+                    Ok(scan) => {
+                        let ops = |b: &[FlatOp]| b.iter().map(|f| (f.kind, f.key, f.val)).collect::<Vec<_>>();
+                        for (seq, batch) in &scan.records {
+                            let want = original.get(*seq as usize).map(|(_, b)| ops(b));
+                            prop_assert_eq!(want, Some(ops(batch)), "record {} is not the original", seq);
+                        }
+                    }
+                    Err(e) => prop_assert_eq!(e.kind(), io::ErrorKind::InvalidData),
+                }
+                match read_snapshot(&*vfs, dir, 0) {
+                    Ok(got) => prop_assert!(got.is_some()),
+                    Err(e) => prop_assert_eq!(e.kind(), io::ErrorKind::InvalidData),
+                }
+                let (c, sp) = (fj::SeqCtx::new(), metrics::ScratchPool::new());
+                let cfg = crate::StoreConfig::default();
+                match crate::ShardedStore::recover_with(&c, &sp, dir, cfg, vfs) {
+                    Ok(s) => prop_assert!(s.epoch_counts().0 <= 3),
+                    Err(e) => prop_assert!(
+                        matches!(e, crate::StoreError::WalCorrupt { .. } | crate::StoreError::SnapshotFailed { .. }),
+                        "{e}"
+                    ),
+                }
+            }
         }
     }
 }

@@ -1,7 +1,8 @@
 //! Durability suite: kill-and-recover against a `HashMap` oracle, torn
-//! WAL tails, snapshot/truncate cadence, sharded commit horizons, the
-//! pipelined WAL-before-merge ordering, and Definition-1 trace equality
-//! of the recovery replay (fresh-vs-dirty scratch, recovery-vs-fresh-run,
+//! WAL tails, snapshot/truncate cadence, sharded checkpoints cut between
+//! snapshots, the one-log layout, the pipelined WAL-before-merge
+//! ordering, and Definition-1 trace equality of the recovery replay
+//! (fresh-vs-dirty scratch, recovery-vs-fresh-run at 1 and 4 shards,
 //! SeqCtx-vs-pinned-Pool agreement).
 
 mod common;
@@ -382,45 +383,102 @@ fn hostile_configs_are_typed_errors_and_create_nothing() {
 }
 
 #[test]
-fn sharded_ragged_tail_drops_the_uncommitted_epoch() {
+fn a_crash_between_snapshot_renames_recovers_every_acked_epoch() {
+    // A checkpoint writes every shard's snapshot, then truncates the one
+    // WAL. Cut it after shards 0 and 1 renamed theirs: shards 0–1 resume
+    // at epoch 4, shards 2–3 at epoch 2, over a log holding epochs 2–3.
+    // Recovery replays from the older base, each record only to the
+    // shards that do not hold it yet.
     let c = SeqCtx::new();
     let sp = ScratchPool::new();
-    let dir = tdir("ragged");
     let cfg = ShardConfig {
         shards: 4,
         route_slack: 0,
         store: durable_cfg(),
     };
+    let (cut, done) = (tdir("cut_checkpoint"), tdir("done_checkpoint"));
     let mut oracle = HashMap::new();
-    {
-        let mut s = ShardedStore::recover(&c, &sp, &dir, cfg).unwrap();
-        for e in 0..3u64 {
+    for dir in [&cut, &done] {
+        oracle.clear();
+        let mut s = ShardedStore::recover(&c, &sp, dir, cfg).unwrap();
+        for e in 0..4u64 {
             let ops = mixed_ops(32, e);
             let res = s.execute_epoch(&c, &sp, &ops).unwrap();
-            if e < 2 {
-                apply_to_oracle(&mut oracle, &ops, &res);
+            apply_to_oracle(&mut oracle, &ops, &res);
+            if e == 1 || (e == 3 && dir == &done) {
+                s.checkpoint().unwrap();
             }
         }
     }
-    // Crash mid-epoch-3: its record reached shards 0–2 but not shard 3.
-    let wal3 = dir.join("wal-3.log");
-    let len = std::fs::metadata(&wal3).unwrap().len();
-    std::fs::OpenOptions::new()
-        .write(true)
-        .open(&wal3)
-        .unwrap()
-        .set_len(len - 10) // shard 3's copy of epoch 3's record is torn
-        .unwrap();
-    let mut r = ShardedStore::recover(&c, &sp, &dir, cfg).unwrap();
-    assert_eq!(
-        r.epoch_counts().0,
-        2,
-        "an epoch missing on any shard is dropped on all shards"
-    );
+    for i in 0..2 {
+        let snap = format!("snap-{i}.bin");
+        std::fs::copy(done.join(&snap), cut.join(&snap)).unwrap();
+    }
+    let mut r = ShardedStore::recover(&c, &sp, &cut, cfg).unwrap();
+    let in_memory = ShardConfig {
+        store: StoreConfig::default(),
+        ..cfg
+    };
+    let want = ShardedStore::recover(&c, &sp, &done, in_memory).unwrap();
+    assert_eq!(r.epoch_counts(), (4, 4), "every shard merged every epoch");
+    assert_eq!((r.stats(), r.capacity()), (want.stats(), want.capacity()));
     let keys: Vec<Op> = (0..41).map(|key| Op::Get { key }).collect();
     let res = r.execute_epoch(&c, &sp, &keys).unwrap();
     for (key, got) in (0..41u64).zip(&res) {
         assert_eq!(got.value(), oracle.get(&key).copied(), "key {key}");
+    }
+
+    // Without the log the older shards cannot catch up: that is lost
+    // acknowledged data, and recovery says so.
+    std::fs::write(cut.join("wal-0.log"), []).unwrap();
+    let got = ShardedStore::recover(&c, &sp, &cut, cfg);
+    assert!(
+        matches!(&got, Err(StoreError::WalCorrupt { detail }) if detail.contains("log holds epochs 2..2")),
+        "{:?}",
+        got.err()
+    );
+    let _ = std::fs::remove_dir_all(&cut);
+    let _ = std::fs::remove_dir_all(&done);
+}
+
+#[test]
+fn a_directory_with_per_shard_logs_is_refused_untouched() {
+    // An older layout kept one WAL per shard, each holding that shard's
+    // routed sub-batches. Replaying `wal-0.log` as whole batches would
+    // silently lose shards 1–3's records, so recovery refuses, names the
+    // file, and replays and writes nothing.
+    let c = SeqCtx::new();
+    let sp = ScratchPool::new();
+    let dir = tdir("per_shard_logs");
+    std::fs::create_dir_all(&dir).unwrap();
+    std::fs::write(dir.join("wal-0.log"), wal_frame(0, 4, 40)).unwrap();
+    std::fs::write(dir.join("wal-1.log"), []).unwrap();
+    std::fs::write(dir.join("wal-2.log"), wal_frame(0, 2, 20)).unwrap();
+    let listing = |dir: &PathBuf| {
+        let mut files: Vec<_> = std::fs::read_dir(dir)
+            .unwrap()
+            .map(|f| {
+                let f = f.unwrap();
+                (f.file_name(), std::fs::read(f.path()).unwrap())
+            })
+            .collect();
+        files.sort();
+        files
+    };
+    let before = listing(&dir);
+    for shards in [1, 4] {
+        let cfg = ShardConfig {
+            shards,
+            route_slack: 0,
+            store: durable_cfg(),
+        };
+        let got = ShardedStore::recover(&c, &sp, &dir, cfg);
+        assert!(
+            matches!(&got, Err(StoreError::WalCorrupt { detail }) if detail.contains("wal-2.log")),
+            "{shards} shard(s): {:?}",
+            got.err()
+        );
+        assert_eq!(listing(&dir), before, "recovery wrote to the directory");
     }
     let _ = std::fs::remove_dir_all(&dir);
 }
@@ -495,6 +553,12 @@ fn pipelined_durable_matches_sync_durable() {
 
 #[test]
 fn replay_trace_is_oblivious_and_equals_a_fresh_run() {
+    for shards in [1, 4] {
+        replay_trace_is_oblivious_and_equals_a_fresh_run_at(shards);
+    }
+}
+
+fn replay_trace_is_oblivious_and_equals_a_fresh_run_at(shards: usize) {
     // Definition-1 equality on the recovery path, three ways:
     //  1. fresh-vs-dirty scratch: replay through a dirtied pool leaves
     //     the identical trace;
@@ -502,23 +566,33 @@ fn replay_trace_is_oblivious_and_equals_a_fresh_run() {
     //     but different keys/values replay to the identical trace;
     //  3. replay-vs-fresh-run: recovery's trace equals a fresh store
     //     executing epochs of the same public classes (the WAL adds no
-    //     oblivious work — appends are host-side I/O).
+    //     oblivious work — appends are host-side I/O — and a sharded
+    //     replay routes and gathers as the live epoch did).
     let c = SeqCtx::new();
     let sp = ScratchPool::new();
+    let cfg = |store| ShardConfig {
+        shards,
+        route_slack: 0,
+        store,
+    };
     let build = |dir: &PathBuf, salt: u64| {
-        let mut s = Store::recover(&c, &sp, dir, durable_cfg()).unwrap();
+        let mut s = ShardedStore::recover(&c, &sp, dir, cfg(durable_cfg())).unwrap();
         for e in 0..4u64 {
             s.execute_epoch(&c, &sp, &mixed_ops(24, e * 3 + salt))
                 .unwrap();
         }
     };
-    let (da, db) = (tdir("trace_a"), tdir("trace_b"));
+    let (da, db) = (
+        tdir(&format!("trace_a_{shards}")),
+        tdir(&format!("trace_b_{shards}")),
+    );
     build(&da, 1);
     build(&db, 2);
 
     let replay = |dir: &PathBuf, pool: &ScratchPool| {
         trace_of(|c| {
-            let _ = Store::recover(c, pool, dir, StoreConfig::default()).unwrap();
+            let s = ShardedStore::recover(c, pool, dir, cfg(StoreConfig::default())).unwrap();
+            assert_eq!(s.routing_fallbacks(), 0, "replay counts no fallbacks");
         })
     };
     let fresh = replay(&da, &sp);
@@ -537,15 +611,14 @@ fn replay_trace_is_oblivious_and_equals_a_fresh_run() {
 
     // Fresh run of the same shapes (different data again): same trace.
     let fresh_run = trace_of(|c| {
-        let mut s = Store::new(StoreConfig::default());
+        let mut s = ShardedStore::new(cfg(StoreConfig::default()));
         for e in 0..4u64 {
             s.execute_epoch(c, &sp, &mixed_ops(24, e * 5 + 11)).unwrap();
         }
     });
     assert_eq!(
-        (fresh.0, fresh.1),
-        fresh_run,
-        "recovery replay must be trace-identical to a fresh run of the same classes"
+        fresh, fresh_run,
+        "{shards} shard(s): recovery replay must be trace-identical to a fresh run of the same classes"
     );
     let _ = std::fs::remove_dir_all(&da);
     let _ = std::fs::remove_dir_all(&db);
@@ -562,26 +635,28 @@ fn fnv1a64(bytes: &[u8]) -> u64 {
 fn on_disk_format_matches_golden_bytes() {
     // Pins the WAL and snapshot byte formats: a fixed 3-epoch script with
     // a scheduled snapshot at merge 2 (so `snap-i.bin` covers epochs 0–1
-    // and `wal-i.log` holds exactly epoch 2's record), at 1 and 4 shards.
-    // The constants were captured at the commit before the two store
-    // front ends were merged into one engine; a change here is a format
-    // change and needs a migration story, not a new constant.
+    // and `wal-0.log` holds exactly epoch 2's padded 32-op record,
+    // 20 + 17·32 = 564 bytes), at 1 and 4 shards. The snapshot constants
+    // were captured at the commit before the two store front ends were
+    // merged into one engine; a change here is a format change and needs
+    // a migration story, not a new constant. The WAL logs the client
+    // batch before routing, so its bytes do not depend on the shard
+    // count, and `wal-0.log` is the only log.
     use store::vfs::{FaultVfs, Vfs};
-    const GOLDEN: [(usize, &[(u64, u64)]); 2] = [
-        (1, &[(0x588c_eafe_a411_871c, 0xe252_75a1_15f3_e400)]),
-        (
-            4,
-            &[
-                (0x5533_6bfe_bdad_54e3, 0xb87b_c899_7e7d_6ee9),
-                (0x72ea_ac9d_24e9_79d2, 0x644a_6210_a8f9_594b),
-                (0x835b_c7a9_9989_f0f3, 0x9523_58ad_7097_fe97),
-                (0x8523_1774_dcb3_25cc, 0x25cc_74ff_b388_9cf5),
-            ],
-        ),
+    const WAL: u64 = 0x588c_eafe_a411_871c;
+    const SNAPSHOTS: [&[u64]; 2] = [
+        &[0xe252_75a1_15f3_e400],
+        &[
+            0xb87b_c899_7e7d_6ee9,
+            0x644a_6210_a8f9_594b,
+            0x9523_58ad_7097_fe97,
+            0x25cc_74ff_b388_9cf5,
+        ],
     ];
     let c = SeqCtx::new();
     let sp = ScratchPool::new();
-    for (shards, want) in GOLDEN {
+    for want in SNAPSHOTS {
+        let shards = want.len();
         let vfs = std::sync::Arc::new(FaultVfs::unfaulted());
         let dir = std::path::Path::new("/golden");
         let cfg = ShardConfig {
@@ -600,13 +675,20 @@ fn on_disk_format_matches_golden_bytes() {
         for e in 0..3u64 {
             s.execute_epoch(&c, &sp, &mixed_ops(20, e)).unwrap();
         }
-        let got: Vec<(u64, u64)> = (0..shards)
-            .map(|i| {
-                let file = |name: String| fnv1a64(&vfs.read(&dir.join(name)).unwrap());
-                (file(format!("wal-{i}.log")), file(format!("snap-{i}.bin")))
-            })
-            .collect();
-        assert_eq!(got, want, "{shards} shard(s): (wal, snapshot) hashes moved");
+        let wal = vfs.read(&dir.join("wal-0.log")).unwrap();
+        assert_eq!(wal.len(), 564, "{shards} shard(s): one 32-op record");
+        assert_eq!(fnv1a64(&wal), WAL, "{shards} shard(s): WAL hash moved");
+        for (i, &hash) in want.iter().enumerate() {
+            let snap = vfs.read(&dir.join(format!("snap-{i}.bin"))).unwrap();
+            assert_eq!(
+                fnv1a64(&snap),
+                hash,
+                "shard {i} of {shards}: snapshot hash moved"
+            );
+            if i > 0 {
+                assert!(vfs.read(&dir.join(format!("wal-{i}.log"))).is_err());
+            }
+        }
     }
 }
 
@@ -714,7 +796,7 @@ fn wal_ops_outside_the_client_contract_are_wal_corrupt() {
         std::fs::write(dir.join("wal-0.log"), wal).unwrap();
         let got = Store::recover(&c, &sp, &dir, oram_cfg());
         assert!(
-            matches!(&got, Err(StoreError::WalCorrupt { shard: 0, detail }) if detail.starts_with("epoch 1, op 2")),
+            matches!(&got, Err(StoreError::WalCorrupt { detail }) if detail.starts_with("epoch 1, op 2")),
             "{bad:?}: {:?}",
             got.err()
         );
@@ -751,7 +833,7 @@ fn a_checksummed_frame_numbered_u64_max_is_wal_corrupt() {
         std::fs::write(dir.join("wal-0.log"), wal).unwrap();
         let got = Store::recover(&c, &sp, &dir, durable_cfg());
         assert!(
-            matches!(&got, Err(StoreError::WalCorrupt { shard: 0, .. })),
+            matches!(&got, Err(StoreError::WalCorrupt { .. })),
             "{:?}",
             got.err()
         );

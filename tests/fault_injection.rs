@@ -13,9 +13,11 @@
 //!   operations a fixed workload performs; the sweep then crashes at
 //!   *every* index in that range, recovers from the frozen durable
 //!   image, and asserts the recovered state equals a `HashMap` oracle
-//!   that replayed only the acknowledged epochs. Runs at 1 and 4 shards,
-//!   synchronous and pipelined, under `SeqCtx` fully and a pinned
-//!   `Pool(4)`.
+//!   that replayed only the acknowledged epochs. The workload
+//!   checkpoints twice, so crash points also fall between per-shard
+//!   snapshot renames and before the WAL truncate. Runs at 1 and 4
+//!   shards, synchronous and pipelined, under `SeqCtx` fully and a
+//!   pinned `Pool(4)`.
 //! * **Seeded schedules** (proptest): probabilistic EIO / torn / sync
 //!   faults across seeds × shard counts × commit modes — recovery always
 //!   reproduces the acked prefix, and the fault log is identical across
@@ -35,7 +37,7 @@ use dob::prelude::*;
 use std::collections::HashMap;
 use std::sync::Arc;
 use std::time::Duration;
-use store::vfs::{FaultPlan, FaultVfs};
+use store::vfs::{FaultPlan, FaultVfs, Vfs};
 
 /// CI matrix knob: perturbs every fault-schedule seed in the suite.
 fn env_seed() -> u64 {
@@ -131,10 +133,17 @@ fn open<C: Ctx>(
     ShardedStore::recover_with(c, sp, DIR, cfg, vfs)
 }
 
+/// Epochs in the driven workload. It checkpoints at merges 2 and 4 and
+/// then runs one more epoch, so a crash inside a checkpoint — which
+/// degrades the store after acknowledging the epoch that triggered it —
+/// still costs the last epoch.
+const EPOCHS: u64 = 5;
+
 /// Drive `epochs` epochs of the fixed workload against `front` on `vfs`,
-/// stopping at the first rejected epoch. Returns the **acknowledged**
-/// batches, in commit order: exactly the epochs whose commit returned
-/// `Ok` (for the pipelined front, whose `wait` returned `Ok`).
+/// with a checkpoint every second merge, stopping at the first rejected
+/// epoch. Returns the **acknowledged** batches, in commit order: exactly
+/// the epochs whose commit returned `Ok` (for the pipelined front, whose
+/// `wait` returned `Ok`).
 fn drive<C: Ctx>(
     c: &C,
     sp: &ScratchPool,
@@ -144,7 +153,16 @@ fn drive<C: Ctx>(
     salt: u64,
 ) -> Vec<Vec<Op>> {
     let mut acked = Vec::new();
-    let Ok(mut s) = open(c, sp, front.shards(), 2, vfs) else {
+    let mut cfg = ShardConfig::with_shards(front.shards());
+    cfg.store = StoreConfig {
+        shrink: Some(ShrinkPolicy {
+            every: 0,
+            live_bound: 0,
+            snapshot: 2,
+        }),
+        ..durable_cfg(2)
+    };
+    let Ok(mut s) = ShardedStore::recover_with(c, sp, DIR, cfg, vfs) else {
         return acked;
     };
     match front {
@@ -202,10 +220,14 @@ fn assert_recovers_acked<C: Ctx>(
     }
     let mut r =
         open(c, sp, shards, 1, Arc::new(image)).expect("recovery from a crash image must succeed");
+    // Every epoch merges (no ORAM path), so shard 0's merge counter must
+    // match too: a shard that replayed an epoch its snapshot already
+    // holds would run ahead, even where last-writer-wins hides it.
+    let n = acked.len() as u64;
     assert_eq!(
-        r.epoch_counts().0,
-        acked.len() as u64,
-        "recovered epoch count != acknowledged epochs"
+        r.epoch_counts(),
+        (n, n),
+        "recovered epoch / merge counts != acknowledged epochs"
     );
     let probes: Vec<Op> = (0..41).map(|key| Op::Get { key }).collect();
     let res = r.execute_epoch(c, sp, &probes).unwrap();
@@ -223,10 +245,10 @@ fn assert_recovers_acked<C: Ctx>(
 fn sweep_front<C: Ctx>(c: &C, sp: &ScratchPool, front: Front, salt: u64) {
     let shards = front.shards();
     let dry = Arc::new(FaultVfs::unfaulted());
-    let full = drive(c, sp, front, dry.clone(), 4, salt);
+    let full = drive(c, sp, front, dry.clone(), EPOCHS, salt);
     assert_eq!(
-        full.len(),
-        4,
+        full.len() as u64,
+        EPOCHS,
         "{front:?}: unfaulted run must ack all epochs"
     );
     let n = dry.io_ops();
@@ -238,12 +260,15 @@ fn sweep_front<C: Ctx>(c: &C, sp: &ScratchPool, front: Front, salt: u64) {
             crash_at: Some(k),
             ..FaultPlan::default()
         }));
-        let acked = drive(c, sp, front, vfs.clone(), 4, salt);
+        let acked = drive(c, sp, front, vfs.clone(), EPOCHS, salt);
         assert!(
             vfs.crashed(),
             "{front:?}: crash point {k} (of {n}) never fired"
         );
-        assert!(acked.len() < 4, "{front:?}: crash at {k} lost no epoch");
+        assert!(
+            (acked.len() as u64) < EPOCHS,
+            "{front:?}: crash at {k} lost no epoch"
+        );
         assert_recovers_acked(c, sp, shards, vfs.durable_image(), &acked);
     }
 }
@@ -269,15 +294,68 @@ fn crash_point_sweep_under_pinned_pool() {
 }
 
 #[test]
+fn group_commit_checkpoints_never_leave_a_snapshot_ahead_of_the_log() {
+    // With `sync_every > 1` a checkpoint can start while appends sit
+    // unsynced. It syncs the log before the first snapshot lands, so a
+    // crash between two shards' snapshot renames never leaves a shard
+    // whose base the durable log cannot reach: every crash point
+    // recovers to a prefix of the acknowledged epochs (group commit may
+    // lose an unsynced suffix).
+    let c = SeqCtx::new();
+    let sp = ScratchPool::new();
+    let cfg = ShardConfig {
+        shards: 4,
+        route_slack: 0,
+        store: StoreConfig {
+            durability: Durability::epoch_every(4),
+            shrink: Some(ShrinkPolicy {
+                every: 0,
+                live_bound: 0,
+                snapshot: 2,
+            }),
+            retry: retry(1),
+            ..StoreConfig::default()
+        },
+    };
+    let epochs: Vec<Vec<Op>> = (0..EPOCHS).map(|e| epoch_ops(e, 0)).collect();
+    let run = |vfs: Arc<FaultVfs>| {
+        let Ok(mut s) = ShardedStore::recover_with(&c, &sp, DIR, cfg, vfs) else {
+            return 0;
+        };
+        let acked = epochs
+            .iter()
+            .take_while(|ops| s.execute_epoch(&c, &sp, ops).is_ok());
+        acked.count()
+    };
+    let dry = Arc::new(FaultVfs::unfaulted());
+    assert_eq!(run(dry.clone()), epochs.len());
+    for k in 0..dry.io_ops() {
+        let vfs = Arc::new(FaultVfs::new(FaultPlan {
+            crash_at: Some(k),
+            ..FaultPlan::default()
+        }));
+        let acked = run(vfs.clone());
+        let r = open(&c, &sp, 4, 1, Arc::new(vfs.durable_image()))
+            .unwrap_or_else(|e| panic!("crash point {k}: {e}"));
+        let m = r.epoch_counts().0 as usize;
+        assert!(
+            m <= acked,
+            "crash point {k}: recovered an unacknowledged epoch"
+        );
+        assert_recovers_acked(&c, &sp, 4, vfs.durable_image(), &epochs[..m]);
+    }
+}
+
+#[test]
 fn enospc_fails_fast_and_degrades_the_store() {
     let c = SeqCtx::new();
     let sp = ScratchPool::new();
     for shards in [1usize, 4] {
-        // Appends are the only writes here (no snapshots), one per shard
-        // per epoch, so write 2·shards is epoch 2's first WAL record:
+        // Appends are the only writes here (no snapshots), one per epoch
+        // at every shard count, so write 2 is epoch 2's WAL record:
         // epochs 0 and 1 ack, epoch 2 hits ENOSPC.
         let vfs = Arc::new(FaultVfs::new(FaultPlan {
-            enospc_write: Some(2 * shards as u64),
+            enospc_write: Some(2),
             ..FaultPlan::default()
         }));
         let mut s = open(&c, &sp, shards, 4, vfs.clone()).unwrap();
@@ -312,6 +390,36 @@ fn enospc_fails_fast_and_degrades_the_store() {
 
         // The rejected epoch left nothing behind: recovery sees epochs 0–1.
         assert_recovers_acked(&c, &sp, shards, vfs.durable_image(), &acked);
+    }
+}
+
+#[test]
+fn a_durable_epoch_is_one_append_and_one_sync_at_every_shard_count() {
+    // The WAL logs the padded client batch before routing, so a 4-shard
+    // epoch costs what a 1-shard one does: two I/O operations at
+    // `sync_every = 1`, one append (the record lands in the live file)
+    // and one sync (and it is durable).
+    let c = SeqCtx::new();
+    let sp = ScratchPool::new();
+    let wal = std::path::Path::new(DIR).join("wal-0.log");
+    for shards in [1usize, 4] {
+        let vfs = Arc::new(FaultVfs::unfaulted());
+        let mut s = open(&c, &sp, shards, 1, vfs.clone()).unwrap();
+        for e in 0..3u64 {
+            let (ops, len) = (vfs.io_ops(), vfs.read(&wal).unwrap().len());
+            s.execute_epoch(&c, &sp, &epoch_ops(e, 1)).unwrap();
+            // `read` is an I/O operation too: count before it.
+            let spent = vfs.io_ops() - ops - 1;
+            assert_eq!(spent, 2, "{shards} shard(s), epoch {e}: I/O operations");
+            let live = vfs.read(&wal).unwrap();
+            let class = store::size_class(epoch_ops(e, 1).len());
+            assert_eq!(live.len() - len, 20 + 17 * class, "one record appended");
+            assert_eq!(vfs.durable_image().read(&wal).unwrap(), live, "and synced");
+        }
+        for i in 1..shards {
+            let per_shard = std::path::Path::new(DIR).join(format!("wal-{i}.log"));
+            assert!(vfs.read(&per_shard).is_err(), "no {per_shard:?}");
+        }
     }
 }
 
@@ -370,8 +478,8 @@ fn fsync_lies_lose_only_a_clean_acked_suffix() {
     // Lying syncs ack epochs the disk never saw. The store cannot detect
     // the lie (neither can SQLite); the contract is containment: what
     // recovery finds is a clean *prefix* of the acked epochs — never a
-    // gap, never a reorder, never a partial epoch (at 4 shards: the
-    // commit horizon drops whatever some shard's lying sync lost).
+    // gap, never a reorder, never a partial epoch (one log at every
+    // shard count: an epoch's record is there whole or not at all).
     for shards in [1usize, 4] {
         let vfs = Arc::new(FaultVfs::new(FaultPlan {
             seed: env_seed() ^ 0x11E5,
@@ -435,7 +543,9 @@ fn recovery_replay_trace_under_faults_equals_unfaulted_build() {
     for shards in [1usize, 4] {
         let build = |vfs: Arc<FaultVfs>, salt: u64| {
             let mut s = open(&c, &sp, shards, 12, vfs).unwrap();
-            for e in 0..4u64 {
+            // Two appends and two syncs an epoch: eight epochs give the
+            // schedule enough coins to inject something.
+            for e in 0..8u64 {
                 s.execute_epoch(&c, &sp, &epoch_ops(e, salt))
                     .expect("the retry budget must absorb this schedule");
             }
