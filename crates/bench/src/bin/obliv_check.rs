@@ -196,6 +196,30 @@ fn main() {
         compact_cells(c, &scratch, &mut tr);
     });
 
+    // Any-length sort: 579 = 512 + 64 + 2 + 1 cells, so Lang's pieces and
+    // merge levels (bitonic engines) and the internal padding (odd-even,
+    // Shellsort) are all in the trace — every engine, one after another.
+    all_ok &= row(
+        "any-length sort (579 cells, every engine)",
+        &inputs,
+        |c, v| {
+            for engine in [
+                Engine::BitonicRec,
+                Engine::BitonicFlat,
+                Engine::OddEven,
+                Engine::Shellsort { seed: 5 },
+            ] {
+                let mut cells: Vec<TagCell> = v
+                    .iter()
+                    .chain(&v[..67])
+                    .enumerate()
+                    .map(|(i, &x)| TagCell::new(x as u128, i as u128))
+                    .collect();
+                engine.sort_cells(c, &scratch, &mut metrics::Tracked::new(c, &mut cells));
+            }
+        },
+    );
+
     // Monotone expansion (bin placement's distribution step): which slots
     // are real, how far they move, and whether the targets are even
     // admissible must all be invisible — input 1 packs 512 reals into the

@@ -11,13 +11,17 @@
 //! * [`Engine::OddEven`] — Batcher's odd-even mergesort;
 //! * [`Engine::Shellsort`] — Goodrich's randomized Shellsort with
 //!   `O(n log n)` comparisons, the honest stand-in for AKS.
+//!
+//! Every sort and merge takes any length, so no caller pads; what is
+//! compared, copied or leased is a function of `n` alone, and a power of
+//! two runs the network unchanged.
 
 use crate::slot::{as_lanes, sk_of, Slot, Val};
 use fj::{grain_for, par_for, Ctx};
-use metrics::{ScratchPool, Tracked};
+use metrics::{par_fill, ScratchPool, Tracked};
 use sortnet::{
-    active_backend, bitonic_sort_flat_par, bitonic_sort_rec_from_runs, cells_merge_rec,
-    oddeven_sort, randomized_shellsort, Gate, TagCell,
+    active_backend, bitonic_merge_rec, bitonic_sort_flat_par, bitonic_sort_rec_from_runs,
+    bitonic_stage_flat_par, oddeven_sort, randomized_shellsort, Gate, TagCell,
 };
 
 /// Selects the data-oblivious network used for small sorts.
@@ -36,46 +40,116 @@ pub enum Engine {
 }
 
 impl Engine {
-    /// Sort `t` ascending through `gate` with this engine's network, given
-    /// that `t` is aligned ascending runs of `run` slots (`run = 1`: no
-    /// promise, the plain sort). The recursive bitonic engine merges the
-    /// runs ([`bitonic_sort_rec_from_runs`]); the engines without a merge
-    /// primitive publicly fall back to their full sort, which is correct on
-    /// any input.
-    ///
-    /// Merge scratch is leased from `scratch` rather than allocated; lease
-    /// contents start dirty at the byte level but are filled (with
-    /// `filler`) before use, and the networks write every scratch position
-    /// before reading it.
-    fn sort_through<C: Ctx, T: Copy + Send>(
-        &self,
+    /// Sort `t` through `gate`, ascending iff `up`, given aligned ascending
+    /// runs of `run` (`run = 1`: the plain sort; `run > 1`: a power-of-two
+    /// length). A power of two is the engine's network; the recursive
+    /// bitonic engine merges the runs, the others sort. Any other `n` is
+    /// Lang's sort on the bitonic engines: with `h` the largest power of
+    /// two below `n`, sort `[0, n − h)` the other way beside `[n − h, n)`
+    /// this way, then [`Engine::merge`] — `[desc | asc]` then `+∞` fillers
+    /// is bitonic, as is `[asc | desc]` then `−∞`. Odd-even and Shellsort
+    /// (only ever ascending) sort a `next_pow2(n)` copy. `tmp`, the merge
+    /// scratch, is leased once (the network writes it before reading it)
+    /// and split with `t`.
+    #[allow(clippy::too_many_arguments)]
+    fn sort<C: Ctx, T: Copy + Send + Sync>(
+        self,
         c: &C,
         scratch: &ScratchPool,
         t: &mut Tracked<'_, T>,
+        mut tmp: Option<Tracked<'_, T>>,
         filler: T,
         gate: &impl Gate<T>,
+        up: bool,
         run: usize,
     ) {
-        match *self {
-            Engine::BitonicRec => {
-                let mut lease = scratch.lease(t.len(), filler);
-                let mut tmp = Tracked::new(c, &mut lease);
-                bitonic_sort_rec_from_runs(c, t, &mut tmp, gate, true, run);
+        let n = t.len();
+        let pow2 = run > 1 || n <= 1 || n.is_power_of_two();
+        match (self, &mut tmp) {
+            (Engine::BitonicRec, None) => {
+                let mut lease = scratch.lease(n, filler);
+                let tmp = Some(Tracked::new(c, &mut lease));
+                self.sort(c, scratch, t, tmp, filler, gate, up, run);
             }
-            Engine::BitonicFlat => bitonic_sort_flat_par(c, t, gate, true),
-            Engine::OddEven => oddeven_sort(c, t, gate),
-            Engine::Shellsort { seed } => {
+            (Engine::BitonicRec, Some(tmp)) if pow2 => {
+                bitonic_sort_rec_from_runs(c, t, tmp, gate, up, run)
+            }
+            (Engine::BitonicFlat, _) if pow2 => bitonic_sort_flat_par(c, t, gate, up),
+            (Engine::OddEven, _) if pow2 => oddeven_sort(c, t, gate),
+            (Engine::Shellsort { seed }, _) if pow2 => {
                 // Mix in the length so different call sites draw different
                 // coins while staying deterministic per (seed, n).
-                let seed = seed ^ (t.len() as u64).wrapping_mul(0x9E37);
+                let seed = seed ^ (n as u64).wrapping_mul(0x9E37);
                 randomized_shellsort(c, scratch, t, gate, seed);
+            }
+            (Engine::OddEven | Engine::Shellsort { .. }, _) => {
+                let mut lease = scratch.lease(n.next_power_of_two(), filler);
+                let mut padded = Tracked::new(c, &mut lease);
+                par_fill(c, &mut padded.range(0, n), &|c, i| t.get(c, i));
+                self.sort(c, scratch, &mut padded, None, filler, gate, up, 1);
+                par_fill(c, t, &|c, i| padded.get(c, i));
+            }
+            _ => {
+                let h = 1 << n.ilog2();
+                let (mut lo, mut hi) = t.split_at_mut(n - h);
+                let (s_lo, s_hi) = tmp.as_mut().map(|s| s.split_at_mut(n - h)).unzip();
+                c.join(
+                    move |c| self.sort(c, scratch, &mut lo, s_lo, filler, gate, !up, 1),
+                    move |c| self.sort(c, scratch, &mut hi, s_hi, filler, gate, up, 1),
+                );
+                self.merge(c, scratch, t, tmp, filler, gate, up);
             }
         }
     }
 
-    /// Sort `t` ascending by the slots' scratch key `sk`. Length must be a
-    /// power of two (callers pad with [`Slot::filler`], whose `sk` is
-    /// `u128::MAX`).
+    /// Lang's bitonic merge, ascending iff `up`, of a `t` that is bitonic
+    /// followed by virtual fillers up to `next_pow2(n)` (`+∞` ascending,
+    /// `−∞` descending). With `h` the largest power of two below `n`, the
+    /// first level pairs `(i, i + h)`; a virtual partner never moves, so
+    /// only the `n − h` pairs below `n` run, a [`Gate::run`] a grain. Then
+    /// `[0, h)` lies below `[h, n)`, and both merge on their own. A
+    /// power-of-two piece is the engine's merge (on `tmp`, or a lease of
+    /// its own); odd-even and Shellsort sort it.
+    #[allow(clippy::too_many_arguments)]
+    fn merge<C: Ctx, T: Copy + Send + Sync>(
+        self,
+        c: &C,
+        scratch: &ScratchPool,
+        t: &mut Tracked<'_, T>,
+        mut tmp: Option<Tracked<'_, T>>,
+        filler: T,
+        gate: &impl Gate<T>,
+        up: bool,
+    ) {
+        let n = t.len();
+        if n <= 1 || n.is_power_of_two() {
+            return match (self, tmp) {
+                (Engine::BitonicRec, Some(mut tmp)) => bitonic_merge_rec(c, t, &mut tmp, gate, up),
+                (Engine::BitonicRec, None) => {
+                    let mut lease = scratch.lease(n, filler);
+                    bitonic_merge_rec(c, t, &mut Tracked::new(c, &mut lease), gate, up)
+                }
+                (Engine::BitonicFlat, _) => bitonic_stage_flat_par(c, t, gate, n, up),
+                (_, tmp) => self.sort(c, scratch, t, tmp, filler, gate, up, 1),
+            };
+        }
+        let (h, grain, raw) = (1 << n.ilog2(), grain_for(c), t.as_raw());
+        par_for(c, 0, (n - h).div_ceil(grain), 1, &|c, k| {
+            let (from, len) = (k * grain, grain.min(n - h - k * grain));
+            // SAFETY: the runs at `from` and `from + h` are at most
+            // `n − h < h` long and end by `n`; the grains are disjoint and
+            // `&mut t` is held until the `par_for` joins.
+            unsafe { gate.run(c, &raw, from, from + h, len, up) };
+        });
+        let (mut lo, mut hi) = t.split_at_mut(h);
+        let (s_lo, s_hi) = tmp.as_mut().map(|s| s.split_at_mut(h)).unzip();
+        c.join(
+            move |c| self.merge(c, scratch, &mut lo, s_lo, filler, gate, up),
+            move |c| self.merge(c, scratch, &mut hi, s_hi, filler, gate, up),
+        );
+    }
+
+    /// Sort `t` ascending by the slots' scratch key `sk`, any length.
     pub fn sort_slots<C: Ctx, V: Val>(
         &self,
         c: &C,
@@ -103,12 +177,12 @@ impl Engine {
         if let Some(mut cells) = as_lanes(t) {
             return self.sort_cells_from_runs(c, scratch, &mut cells, run);
         }
-        self.sort_through(c, scratch, t, Slot::filler(), &sk_of, run);
+        self.sort(c, scratch, t, None, Slot::filler(), &sk_of, true, run);
     }
 
-    /// Sort packed [`TagCell`]s ascending by tag (the tag-sort fast path).
-    /// Length must be a power of two; callers pad with [`TagCell::filler`]
-    /// (tag `u128::MAX`, sorts last).
+    /// Sort packed [`TagCell`]s ascending by tag (the tag-sort fast path),
+    /// any length. Fillers ([`TagCell::filler`], tag `u128::MAX`) sort
+    /// last.
     ///
     /// Every engine runs the same network it runs for slots, through the
     /// branchless cell gate (32-byte elements, `select_u128` exchanges,
@@ -128,13 +202,13 @@ impl Engine {
         t: &mut Tracked<'_, TagCell>,
         run: usize,
     ) {
-        self.sort_through(c, scratch, t, TagCell::filler(), &active_backend(), run);
+        let gate = active_backend();
+        self.sort(c, scratch, t, None, TagCell::filler(), &gate, true, run);
     }
 
-    /// Sort bare `u128` keys ascending — records that are their own sort
-    /// key, such as ORP's `label ‖ key` placement cells or REC-SORT's
-    /// unit-payload items. Length must be a power of two; callers pad with
-    /// `u128::MAX`, which sorts last.
+    /// Sort bare `u128` keys ascending, any length — records that are
+    /// their own sort key, such as ORP's `label ‖ key` placement cells or
+    /// REC-SORT's unit-payload items. `u128::MAX` is the filler.
     ///
     /// Every engine runs the same network it runs for cells and slots,
     /// through the cell gate's 16-byte form (`Gate<u128>`: `select_u128`
@@ -145,8 +219,8 @@ impl Engine {
         self.sort_keys_from_runs(c, scratch, t, 1)
     }
 
-    /// [`Engine::sort_keys`] of aligned ascending runs of `run` keys (a
-    /// power of two), as [`Engine::sort_cells_from_runs`] is for cells.
+    /// [`Engine::sort_keys`] of aligned ascending runs of `run` keys, as
+    /// [`Engine::sort_cells_from_runs`] is for cells.
     pub fn sort_keys_from_runs<C: Ctx>(
         &self,
         c: &C,
@@ -154,52 +228,19 @@ impl Engine {
         t: &mut Tracked<'_, u128>,
         run: usize,
     ) {
-        self.sort_through(c, scratch, t, u128::MAX, &active_backend(), run);
+        self.sort(c, scratch, t, None, u128::MAX, &active_backend(), true, run);
     }
 
     /// Merge a cell sequence of any length into ascending order, given that
     /// `t` followed by fillers up to the next power of two is *bitonic*
     /// (e.g. a descending sorted run followed by an ascending one, fillers
-    /// at either end). With the recursive bitonic engine a power-of-two
-    /// piece is one cache-blocked merge butterfly — `O(n log n)`
-    /// comparators instead of a full `O(n log² n)` sort; the engines
-    /// without a merge primitive publicly fall back to a full
-    /// [`Engine::sort_cells`] of each piece.
-    ///
-    /// Any other length `n` is Lang's bitonic merge for `n` not a power of
-    /// two: with `h` the largest power of two below `n`, the first level of
-    /// the `2h`-cell merge pairs `(i, i + h)` — but a partner at or past `n`
-    /// is a virtual filler, which never moves, so only the `n − h` pairs
-    /// below `n` run. Every cell of `[0, h)` then sorts below every cell of
-    /// `[h, n)`, both halves (with their virtual fillers) are bitonic, and
-    /// they merge independently. The pieces are a function of `n` alone.
+    /// at either end): Lang's merge, whose pieces are a function of `n`
+    /// alone. With the bitonic engines a power-of-two piece is one merge
+    /// butterfly — `O(n log n)` comparators instead of a full `O(n log² n)`
+    /// sort; the engines without a merge primitive sort each piece.
     pub fn merge_cells<C: Ctx>(&self, c: &C, scratch: &ScratchPool, t: &mut Tracked<'_, TagCell>) {
-        let n = t.len();
-        if n <= 1 || n.is_power_of_two() {
-            match *self {
-                Engine::BitonicRec => {
-                    let mut lease = scratch.lease(n, TagCell::filler());
-                    let mut tmp = Tracked::new(c, &mut lease);
-                    cells_merge_rec(c, t, &mut tmp, true);
-                }
-                _ => self.sort_cells(c, scratch, t),
-            }
-            return;
-        }
-        let h = 1 << n.ilog2();
-        let (gate, grain, raw) = (active_backend(), grain_for(c), t.as_raw());
-        par_for(c, 0, (n - h).div_ceil(grain), 1, &|c, k| {
-            let from = k * grain;
-            // SAFETY: the runs at `from` and `from + h` are at most
-            // `n − h < h` long and end by `n`; the grains are disjoint and
-            // `&mut t` is held until the `par_for` joins.
-            unsafe { gate.run(c, &raw, from, from + h, grain.min(n - h - from), true) };
-        });
-        let (mut lo, mut hi) = t.split_at_mut(h);
-        c.join(
-            move |c| self.merge_cells(c, scratch, &mut lo),
-            move |c| self.merge_cells(c, scratch, &mut hi),
-        );
+        let gate = active_backend();
+        self.merge(c, scratch, t, None, TagCell::filler(), &gate, true);
     }
 }
 
@@ -343,6 +384,110 @@ mod tests {
     }
 
     #[test]
+    fn sort_zero_one_exhaustive_any_length() {
+        // 0-1 principle at every n ≤ 16, every engine, every entry: all
+        // 2ⁿ bit vectors come out sorted, and each cell's (each slot's)
+        // payload lane — its input position — still names its own bit.
+        let (c, sp) = (SeqCtx::new(), ScratchPool::new());
+        for engine in ENGINES {
+            for n in 0..=16usize {
+                for mask in 0u32..1 << n {
+                    let bit = |i: usize| ((mask >> i) & 1) as u128;
+                    let mut cells: Vec<TagCell> =
+                        (0..n).map(|i| TagCell::new(bit(i), i as u128)).collect();
+                    engine.sort_cells(&c, &sp, &mut Tracked::new(&c, &mut cells));
+                    let mut keys: Vec<u128> = (0..n).map(bit).collect();
+                    engine.sort_keys(&c, &sp, &mut Tracked::new(&c, &mut keys));
+                    let mut slots: Vec<Slot<u64>> = (0..n)
+                        .map(|i| {
+                            let mut s = Slot::real(Item::new(bit(i), i as u64), 0);
+                            s.sk = bit(i);
+                            s
+                        })
+                        .collect();
+                    engine.sort_slots(&c, &sp, &mut Tracked::new(&c, &mut slots));
+                    let ones = mask.count_ones() as usize;
+                    let want = |i: usize| (i >= n - ones) as u128;
+                    let at = format!("engine {engine:?} n {n} mask {mask:#b}");
+                    assert!(
+                        cells.iter().enumerate().all(|(i, x)| x.tag == want(i)),
+                        "{at}"
+                    );
+                    assert!(keys.iter().enumerate().all(|(i, &k)| k == want(i)), "{at}");
+                    assert!(
+                        slots.iter().enumerate().all(|(i, s)| s.sk == want(i)),
+                        "{at}"
+                    );
+                    let mut seen = 0u32;
+                    for (x, s) in cells.iter().zip(&slots) {
+                        assert_eq!(x.tag, bit(x.aux as usize), "{at}: a cell left its lane");
+                        assert_eq!(s.sk, bit(s.item.val as usize), "{at}: a slot left its lane");
+                        seen |= 1 << x.aux;
+                    }
+                    assert_eq!(seen as u64, (1u64 << n) - 1, "{at}: not a permutation");
+                }
+            }
+        }
+    }
+
+    /// Comparators of Lang's sort (`sort`) and merge (`merge`) of `n`, and
+    /// of the power-of-two bitonic sort.
+    fn lang_comparisons(n: u64) -> (u64, u64) {
+        fn pow2_sort(n: u64) -> u64 {
+            let lg = n.max(1).ilog2() as u64;
+            n * lg * (lg + 1) / 4
+        }
+        fn merge(n: u64) -> u64 {
+            match n {
+                0 | 1 => 0,
+                _ if n.is_power_of_two() => n / 2 * n.ilog2() as u64,
+                _ => {
+                    let h = 1 << n.ilog2();
+                    (n - h) + merge(h) + merge(n - h)
+                }
+            }
+        }
+        fn sort(n: u64) -> u64 {
+            match n {
+                0 | 1 => 0,
+                _ if n.is_power_of_two() => pow2_sort(n),
+                _ => {
+                    let h = 1 << n.ilog2();
+                    sort(n - h) + pow2_sort(h) + merge(n)
+                }
+            }
+        }
+        (sort(n), pow2_sort(n.next_power_of_two()))
+    }
+
+    #[test]
+    fn any_length_sort_never_runs_more_comparators_than_the_padded_network() {
+        // Closed form at every n < 2¹⁷; the engines' own counters at a few.
+        for n in 0..1u64 << 17 {
+            let (lang, padded) = lang_comparisons(n);
+            assert!(lang <= padded, "n {n}: {lang} > {padded}");
+        }
+        use metrics::{measure, CacheConfig, TraceMode};
+        for n in (0..=40).chain([579, 1091]) {
+            for engine in [Engine::BitonicRec, Engine::BitonicFlat] {
+                let mut cells: Vec<TagCell> = (0..n as u128)
+                    .map(|i| TagCell::new(i * 0x9E37 % 101, i))
+                    .collect();
+                let (_, rep) = measure(CacheConfig::default(), TraceMode::Hash, |c| {
+                    let sp = ScratchPool::new();
+                    engine.sort_cells(c, &sp, &mut Tracked::new(c, &mut cells));
+                });
+                assert!(cells.windows(2).all(|w| w[0].tag <= w[1].tag));
+                assert_eq!(
+                    rep.comparisons,
+                    lang_comparisons(n).0,
+                    "engine {engine:?} n {n}"
+                );
+            }
+        }
+    }
+
+    #[test]
     fn any_length_merge_trace_is_input_independent() {
         // n = 1091 = 1024 + 64 + 2 + 1: four pair levels before the
         // power-of-two pieces merge.
@@ -361,6 +506,44 @@ mod tests {
         let f = run(vec![u128::MAX; 67], (2000..3024).collect());
         assert_eq!(a, z);
         assert_eq!(a, f);
+
+        // The sort at 1091 and at 579 = 512 + 64 + 2 + 1, every engine and
+        // entry: sorted, reversed, all-equal and scrambled inputs.
+        for n in [1091u128, 579] {
+            for engine in ENGINES {
+                let sorted: Vec<u128> = (0..n).collect();
+                let inputs = [
+                    sorted.clone(),
+                    sorted.iter().rev().copied().collect(),
+                    vec![7; n as usize],
+                    sorted.iter().map(|i| i * 0x9E37_79B9 % 1021).collect(),
+                ];
+                let traces: Vec<_> = inputs
+                    .iter()
+                    .map(|keys| {
+                        let mut cells: Vec<TagCell> =
+                            keys.iter().map(|&k| TagCell::new(k, k)).collect();
+                        let mut bare = keys.clone();
+                        let mut slots =
+                            slots_with_keys(&bare.iter().map(|&k| k as u64).collect::<Vec<_>>());
+                        let (_, rep) = measure(CacheConfig::default(), TraceMode::Hash, |c| {
+                            let sp = ScratchPool::new();
+                            engine.sort_cells(c, &sp, &mut Tracked::new(c, &mut cells));
+                            engine.sort_keys(c, &sp, &mut Tracked::new(c, &mut bare));
+                            engine.sort_slots(c, &sp, &mut Tracked::new(c, &mut slots));
+                        });
+                        assert!(cells.windows(2).all(|w| w[0].tag <= w[1].tag));
+                        assert!(bare.is_sorted());
+                        assert!(slots.is_sorted_by_key(|s| s.sk));
+                        (rep.trace_hash, rep.trace_len, rep.comparisons)
+                    })
+                    .collect();
+                assert!(
+                    traces.windows(2).all(|w| w[0] == w[1]),
+                    "engine {engine:?} n {n}"
+                );
+            }
+        }
     }
 
     #[test]
@@ -408,7 +591,8 @@ mod tests {
                 if as_cells {
                     Engine::BitonicRec.sort_slots(c, &sp, &mut t);
                 } else {
-                    Engine::BitonicRec.sort_through(c, &sp, &mut t, Slot::filler(), &sk_of, 1);
+                    let filler = Slot::filler();
+                    Engine::BitonicRec.sort(c, &sp, &mut t, None, filler, &sk_of, true, 1);
                 }
             });
             (

@@ -299,7 +299,7 @@ mod tests {
         // For fixed coins, these inputs yield the same trace: the ORP
         // phase unconditionally, and the comparison phase because at this
         // size REC-SORT is a single base case (`β ≤ γ`), one fixed sorting
-        // network over `next_pow2(n)` slots. The rank pattern of the
+        // network over the `n` keys. The rank pattern of the
         // permuted array is *not* a function of the seed alone — one
         // permutation applied to the identity and to its reverse gives
         // different rank sequences — so above one base case the pivot

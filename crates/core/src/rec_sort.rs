@@ -16,8 +16,8 @@
 //! decorrelates its trace from the data), which is why base cases may
 //! binary-search and reveal loads — and why they sort only their reals:
 //! a base case packs the reals of its bins (`pack_bins`, the readout's
-//! pattern), sorts `next_power_of_two(total)` slots instead of the whole
-//! 4×-padded layout, and deals the sorted run back into bins.
+//! pattern), sorts those `total` slots instead of the whole 4×-padded
+//! layout, and deals the sorted run back into bins.
 //!
 //! When the sample yields no more than `γ` bins the whole butterfly would
 //! be that one base case — pack all `n` reals, sort them, deal them into
@@ -31,7 +31,7 @@
 //! [`OblivError::ReservedKey`] instead of losing the element. An item
 //! with a zero-sized payload is nothing but its key, so the one-network
 //! sort builds no slots for it: it sorts the items themselves, 16 bytes a
-//! comparator operand, in place when `n` is a power of two.
+//! comparator operand, in place.
 //!
 //! Layout invariant: every bin holds its reals in front of its fillers —
 //! true of the initial layout and of every base-case output, and preserved
@@ -242,13 +242,13 @@ fn pack_bins<C: Ctx, V: Val>(
     offsets[nbins] as usize
 }
 
-/// Padded bitonic sort for small instances, the pivot sample, and inputs
-/// whose butterfly would be a single base case.
+/// Network sort for small instances, the pivot sample, and inputs whose
+/// butterfly would be a single base case.
 ///
 /// A unit-payload item is nothing but its key (`as_lanes`), so it is
-/// sorted as one on the key gate — in place when `n` is a power of two:
-/// the record is what the comparators move, and no slot is built. Any
-/// other item is staged in slots keyed by `item.key`.
+/// sorted as one on the key gate, in place: the record is what the
+/// comparators move, and no slot is built. Any other item is staged in
+/// slots keyed by `item.key`.
 fn sort_small<C: Ctx, V: Val>(
     c: &C,
     scratch: &ScratchPool,
@@ -259,34 +259,23 @@ fn sort_small<C: Ctx, V: Val>(
     if n <= 1 {
         return Ok(());
     }
-    let m = n.next_power_of_two();
     if size_of::<V>() == 0 {
         let mut t = Tracked::new(c, &mut *items);
         if let Some(mut keys) = as_lanes(&mut t) {
-            if n == m {
-                engine.sort_keys(c, scratch, &mut keys);
-            } else {
-                let mut lease = scratch.lease(m, u128::MAX);
-                let mut padded = Tracked::new(c, &mut lease);
-                par_fill(c, &mut padded.range(0, n), &|c, i| keys.get(c, i));
-                engine.sort_keys(c, scratch, &mut padded);
-                par_fill(c, &mut keys, &|c, i| padded.get(c, i));
-            }
+            engine.sort_keys(c, scratch, &mut keys);
             return Ok(());
         }
     }
-    let mut slots = scratch.lease(m, Slot::filler());
-    {
-        let mut t = Tracked::new(c, &mut slots);
-        let items_ref: &[Item<V>] = items;
-        par_fill(c, &mut t.range(0, n), &|_, i| Slot::keyed(items_ref[i]));
-        engine.sort_slots(c, scratch, &mut t);
-        par_fill(c, &mut Tracked::new(c, items), &|c, i| {
-            let s = t.get(c, i);
-            debug_assert!(s.is_real());
-            s.item
-        });
-    }
+    let mut slots = scratch.lease(n, Slot::filler());
+    let mut t = Tracked::new(c, &mut slots);
+    let items_ref: &[Item<V>] = items;
+    par_fill(c, &mut t, &|_, i| Slot::keyed(items_ref[i]));
+    engine.sort_slots(c, scratch, &mut t);
+    par_fill(c, &mut Tracked::new(c, items), &|c, i| {
+        let s = t.get(c, i);
+        debug_assert!(s.is_real());
+        s.item
+    });
     Ok(())
 }
 
@@ -413,10 +402,7 @@ fn base_case<C: Ctx, V: Val>(
         // SAFETY: `pack_bins` hands every real a distinct position.
         unsafe { dr.set(c, at, s) }
     });
-    // Both are powers of two and total ≤ nbins·cap, so the padded run fits.
-    let padded = total.next_power_of_two();
-    par_fill(c, &mut scratch.range(total, padded), &|_, _| Slot::filler());
-    let mut run = scratch.range(0, padded);
+    let mut run = scratch.range(0, total);
     engine.sort_slots(c, pool, &mut run);
 
     // Boundary positions via binary search (upper bound of each pivot key).
@@ -546,8 +532,8 @@ mod tests {
         };
         let network = |m: usize| {
             let (_, rep) = measure(CacheConfig::default(), TraceMode::Off, |c| {
-                let mut v = vec![0u64; m];
-                sortnet::sort_slice_rec(c, &mut v, &|x: &u64| *x as u128, true);
+                let mut v = vec![0u128; m];
+                Engine::BitonicRec.sort_keys(c, &sp, &mut Tracked::new(c, &mut v));
             });
             rep.comparisons
         };
@@ -556,9 +542,9 @@ mod tests {
             let (staged, cmp_staged) = comparisons(n, butterfly_gamma);
             assert_sorted(&direct);
             assert!(direct == staged, "n = {n}: outputs differ");
-            // The shortcut is exactly one network over the padded input;
-            // the butterfly also sorts its pivot sample.
-            assert_eq!(cmp_direct, network(n.next_power_of_two()), "n = {n}");
+            // The shortcut is exactly one network over the input; the
+            // butterfly also sorts its pivot sample.
+            assert_eq!(cmp_direct, network(n), "n = {n}");
             assert_ne!(
                 cmp_staged, cmp_direct,
                 "n = {n}: γ did not force the butterfly"
@@ -571,7 +557,7 @@ mod tests {
         // `Item<()>` is its key: the small sort runs the key gate in place
         // and must leave the closure gate's keys, trace and every counter —
         // the same network over the same buffer. Duplicates and `u128::MAX
-        // − 1` included; at other sizes the padded keys sort the same.
+        // − 1` included; at other sizes the keys sort the same.
         use metrics::{measure, CacheConfig, TraceMode};
         let keys = |n: u64| -> Vec<Item<()>> {
             (0..n)

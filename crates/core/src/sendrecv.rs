@@ -56,10 +56,8 @@ pub fn send_receive<C: Ctx, V: Val>(
     if dests.is_empty() {
         return Vec::new();
     }
-    let m = total.next_power_of_two();
-
-    // Build the combined slot array (filler-filled lease, prefix rewritten).
-    let mut slots = scratch.lease(m, Slot::<Route<V>>::filler());
+    // Build the combined slot array: senders, then receivers.
+    let mut slots = scratch.lease(total, Slot::<Route<V>>::filler());
     for (slot, &(k, v)) in slots.iter_mut().zip(sources.iter()) {
         let r = Route {
             key: k,
@@ -87,18 +85,14 @@ pub fn send_receive<C: Ctx, V: Val>(
 
     let mut t = Tracked::new(c, &mut slots);
 
-    // Sort by (key, sender-before-receiver); fillers last.
+    // Sort by (key, sender-before-receiver).
     set_keys(c, &mut t, &|s: &Slot<Route<V>>| {
-        if s.is_real() {
-            ((s.item.val.key as u128) << 1) | s.item.val.tag as u128
-        } else {
-            u128::MAX
-        }
+        ((s.item.val.key as u128) << 1) | s.item.val.tag as u128
     });
     engine.sort_slots(c, scratch, &mut t);
 
     // Propagate each key-run's head to the whole run.
-    let mut seg_store = scratch.lease(m, Seg::<Head<V>>::default());
+    let mut seg_store = scratch.lease(total, Seg::<Head<V>>::default());
     let mut seg = Tracked::new(c, &mut seg_store);
     par_fill(c, &mut seg, &|c, i| {
         let s = t.get(c, i);
@@ -107,11 +101,11 @@ pub fn send_receive<C: Ctx, V: Val>(
         } else {
             let prev = t.get(c, i - 1);
             c.work(1);
-            prev.is_filler() != s.is_filler() || prev.item.val.key != s.item.val.key
+            prev.item.val.key != s.item.val.key
         };
         let h = Head {
             key: s.item.val.key,
-            is_sender: s.is_real() && s.item.val.tag == 0,
+            is_sender: s.item.val.tag == 0,
             val: s.item.val.val,
         };
         Seg::new(head, h)
@@ -121,7 +115,7 @@ pub fn send_receive<C: Ctx, V: Val>(
     // Receivers compare the propagated head against their own key.
     par_update(c, &mut t, &|c, i, mut s| {
         let h = seg.get(c, i).v;
-        let hit = s.is_real() && s.item.val.tag == 1 && h.is_sender && h.key == s.item.val.key;
+        let hit = s.item.val.tag == 1 && h.is_sender && h.key == s.item.val.key;
         // The write is unconditional: only the value depends on the data.
         s.item.val.found = hit;
         s.item.val.val = if hit { h.val } else { s.item.val.val };
@@ -175,8 +169,8 @@ struct OptSlot<V> {
 /// instead of 64-byte `Slot<Route<u64>>` records. Packing (all lanes are
 /// functions of public position or ride the network unread):
 ///
-/// * phase 1 — `tag = key·2 + (0 sender | 1 receiver)`, fillers
-///   `u128::MAX`; `aux = value` (senders) or input position (receivers);
+/// * phase 1 — `tag = key·2 + (0 sender | 1 receiver)`; `aux = value`
+///   (senders) or input position (receivers);
 /// * phase 2 — one fixed pass re-tags receivers by input position while
 ///   folding the propagated hit into `aux = found·2⁶⁴ | value`.
 ///
@@ -197,9 +191,7 @@ pub fn send_receive_u64<C: Ctx>(
     if dests.is_empty() {
         return Vec::new();
     }
-    let m = total.next_power_of_two();
-
-    let mut cells = scratch.lease(m, TagCell::filler());
+    let mut cells = scratch.lease(total, TagCell::filler());
     for (cell, &(k, v)) in cells.iter_mut().zip(sources.iter()) {
         *cell = TagCell::new((k as u128) << 1, v as u128);
     }
@@ -213,11 +205,11 @@ pub fn send_receive_u64<C: Ctx>(
 
     let mut t = Tracked::new(c, &mut cells);
 
-    // Sort by (key, sender-before-receiver); fillers last.
+    // Sort by (key, sender-before-receiver).
     engine.sort_cells(c, scratch, &mut t);
 
     // Propagate each key-run's head to the whole run.
-    let mut seg_store = scratch.lease(m, Seg::<Head<u64>>::default());
+    let mut seg_store = scratch.lease(total, Seg::<Head<u64>>::default());
     let mut seg = Tracked::new(c, &mut seg_store);
     par_fill(c, &mut seg, &|c, i| {
         let s = t.get(c, i);
@@ -230,7 +222,7 @@ pub fn send_receive_u64<C: Ctx>(
         };
         let h = Head {
             key: (s.tag >> 1) as u64,
-            is_sender: !s.is_filler() && s.tag & 1 == 0,
+            is_sender: s.tag & 1 == 0,
             val: s.aux as u64,
         };
         Seg::new(head, h)
@@ -243,7 +235,7 @@ pub fn send_receive_u64<C: Ctx>(
     // only the selected *values* depend on the data.
     par_update(c, &mut t, &|c, i, s| {
         let h = seg.get(c, i).v;
-        let is_recv = !s.is_filler() && s.tag & 1 == 1;
+        let is_recv = s.tag & 1 == 1;
         let hit = is_recv && h.is_sender && (h.key as u128) == s.tag >> 1;
         let tag = if is_recv { s.aux } else { u128::MAX };
         let aux = ((hit as u128) << 64) | if hit { h.val as u128 } else { 0 };

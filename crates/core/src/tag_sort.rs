@@ -67,25 +67,16 @@ pub fn oblivious_sort_kv<C: Ctx>(
     if n <= 1 {
         return;
     }
-    let m = n.next_power_of_two();
-    let mut cells = scratch.lease(m, TagCell::filler());
+    let mut cells = scratch.lease(n, TagCell::filler());
     let mut t = Tracked::new(c, &mut cells);
-    {
-        let input: &[(u64, u64)] = data;
-        par_fill(c, &mut t, &|_, i| {
-            // `n` is public; every cell is written exactly once.
-            if i < input.len() {
-                let (k, v) = input[i];
-                TagCell::new(composite_key(k, i as u64), v as u128)
-            } else {
-                TagCell::filler()
-            }
-        });
-    }
+    let input: &[(u64, u64)] = data;
+    par_fill(c, &mut t, &|_, i| {
+        let (k, v) = input[i];
+        TagCell::new(composite_key(k, i as u64), v as u128)
+    });
     engine.sort_cells(c, scratch, &mut t);
     par_fill(c, &mut Tracked::new(c, data), &|c, i| {
         let cell = t.get(c, i);
-        debug_assert!(!cell.is_filler());
         ((cell.tag >> 64) as u64, cell.aux as u64)
     });
 }

@@ -47,11 +47,7 @@ pub fn connected_components<C: Ctx>(
 
     for _round in 0..cc_rounds(n) {
         // Grand-labels rr[v] = D[D[v]].
-        let sources: Vec<(u64, u64)> = (0..n).map(|v| (v as u64, d[v])).collect();
-        let rr: Vec<u64> = send_receive_u64(c, scratch, &sources, &d, engine)
-            .into_iter()
-            .map(|o| o.expect("label in range"))
-            .collect();
+        let rr = jump(c, scratch, &d, engine);
 
         // Endpoint grand-labels for every edge.
         let rr_sources: Vec<(u64, u64)> = (0..n).map(|v| (v as u64, rr[v])).collect();
@@ -88,14 +84,19 @@ pub fn connected_components<C: Ctx>(
 
         // Two shortcut (pointer-doubling) steps.
         for _ in 0..2 {
-            let sources: Vec<(u64, u64)> = (0..n).map(|v| (v as u64, d[v])).collect();
-            d = send_receive_u64(c, scratch, &sources, &d, engine)
-                .into_iter()
-                .map(|o| o.expect("label in range"))
-                .collect();
+            d = jump(c, scratch, &d, engine);
         }
     }
     d
+}
+
+/// One pointer-jumping step by send-receive: `D[D[v]]` for every `v`.
+pub(crate) fn jump<C: Ctx>(c: &C, scratch: &ScratchPool, d: &[u64], engine: Engine) -> Vec<u64> {
+    let sources: Vec<(u64, u64)> = d.iter().enumerate().map(|(v, &x)| (v as u64, x)).collect();
+    send_receive_u64(c, scratch, &sources, d, engine)
+        .into_iter()
+        .map(|o| o.expect("label in range"))
+        .collect()
 }
 
 /// Keep, for every distinct target, the minimum proposed value. Output has
@@ -106,13 +107,11 @@ fn min_per_target<C: Ctx>(
     proposals: &[(u64, u64)],
     engine: Engine,
 ) -> Vec<(u64, u64)> {
-    let m = proposals.len().next_power_of_two().max(1);
     // The whole (target, value) pair fits in the 128-bit tag, so the sort
     // moves packed 32-byte `TagCell`s instead of ~96-byte slots (the PR-5
-    // fast path). Fillers carry tag `u128::MAX`, strictly above every real
-    // composite key (values are labels `< n`), so reals occupy a prefix;
-    // equal tags are identical pairs, so the unstable network is safe.
-    let mut cells = scratch.lease(m, TagCell::filler());
+    // fast path). Equal tags are identical pairs, so the unstable network
+    // is safe.
+    let mut cells = scratch.lease(proposals.len(), TagCell::filler());
     for (cell, &(t, v)) in cells.iter_mut().zip(proposals.iter()) {
         *cell = TagCell::new(composite_key(t, v), 0);
     }

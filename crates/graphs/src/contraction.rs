@@ -262,8 +262,7 @@ fn compact_nodes<C: Ctx>(
     target: usize,
     engine: Engine,
 ) {
-    let m = nodes.len().next_power_of_two();
-    let mut slots = scratch.lease(m, Slot::<CNode>::filler());
+    let mut slots = scratch.lease(nodes.len(), Slot::<CNode>::filler());
     for (slot, (i, r)) in slots.iter_mut().zip(nodes.iter().enumerate()) {
         *slot = Slot::real(Item::new(0, *r), 0);
         slot.sk = if r.alive { i as u128 } else { u128::MAX - 1 };
@@ -350,8 +349,7 @@ fn assign_leaf_labels<C: Ctx>(
     // tag = tour position for leaves (distinct) / `u128::MAX - 1` for
     // internal nodes (order among them is irrelevant — their labels are
     // never read), aux = node id.
-    let m = n.next_power_of_two();
-    let mut cells = scratch.lease(m, TagCell::filler());
+    let mut cells = scratch.lease(n, TagCell::filler());
     for (cell, r) in cells.iter_mut().zip(nodes.iter()) {
         let tag = if r.is_leaf {
             pos[2 * r.id as usize] as u128
@@ -366,7 +364,6 @@ fn assign_leaf_labels<C: Ctx>(
     }
     let label_sources: Vec<(u64, u64)> = cells
         .iter()
-        .take(n)
         .enumerate()
         .map(|(k, s)| (s.aux as u64, k as u64 + 1))
         .collect();

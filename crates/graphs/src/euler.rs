@@ -40,14 +40,12 @@ pub fn euler_tour<C: Ctx>(
 ) -> EulerTour {
     let l = 2 * edges.len();
     assert!(l >= 2, "tree must have at least one edge");
-    let m = l.next_power_of_two();
-
     // Both directions of every edge, as packed cells keyed by (tail, head):
     // the arc fits the 16-byte aux lane, so the sort moves 32-byte
     // `TagCell`s instead of ~96-byte slots (the PR-5 fast path, applied to
     // the Euler-tour keys). Arc keys are distinct in a tree, so the
     // unstable cell network needs no tiebreak.
-    let mut cells = scratch.lease(m, TagCell::filler());
+    let mut cells = scratch.lease(l, TagCell::filler());
     for (cell, (u, v)) in cells
         .iter_mut()
         .zip(edges.iter().flat_map(|&(u, v)| [(u, v), (v, u)]))
@@ -58,7 +56,7 @@ pub fn euler_tour<C: Ctx>(
         let mut t = Tracked::new(c, &mut cells);
         engine.sort_cells(c, scratch, &mut t);
     }
-    let arcs: Vec<(u32, u32)> = cells[..l]
+    let arcs: Vec<(u32, u32)> = cells
         .iter()
         .map(|s| ((s.aux >> 32) as u32, s.aux as u32))
         .collect();

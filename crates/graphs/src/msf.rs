@@ -20,6 +20,7 @@
 //! shape `O(m log² n)` work / `Õ(log² n)` span (modulo the practical
 //! engine's extra log, as everywhere).
 
+use crate::cc::jump;
 use fj::Ctx;
 use metrics::{par_update, ScratchPool, Tracked};
 use obliv_core::{send_receive_u64, Engine, TagCell};
@@ -55,11 +56,7 @@ pub fn msf<C: Ctx>(
     for _round in 0..lg {
         // 1. Flatten.
         for _ in 0..lg {
-            let sources: Vec<(u64, u64)> = (0..n).map(|v| (v as u64, d[v])).collect();
-            d = send_receive_u64(c, scratch, &sources, &d, engine)
-                .into_iter()
-                .map(|o| o.expect("label in range"))
-                .collect();
+            d = jump(c, scratch, &d, engine);
         }
 
         // 2. Endpoint components.
@@ -77,8 +74,7 @@ pub fn msf<C: Ctx>(
         // Distinct edge ids make real tags distinct (same-edge non-cross
         // duplicates are discarded regardless of order), so the unstable
         // cell network is safe.
-        let p2 = (2 * m).next_power_of_two().max(1);
-        let mut proposals = scratch.lease(p2, TagCell::filler());
+        let mut proposals = scratch.lease(2 * m, TagCell::filler());
         for e in 0..m {
             let (cu, cv) = (
                 end_comp[2 * e].expect("endpoint"),
@@ -100,15 +96,12 @@ pub fn msf<C: Ctx>(
         }
 
         // Winners: head of each component run.
-        let winners: Vec<(u64, (u64, u64))> = (0..2 * m.max(1))
+        let winners: Vec<(u64, (u64, u64))> = (0..2 * m)
             .map(|i| {
-                if i >= proposals.len() {
-                    return (DUMMY - 1, (0, 0));
-                }
                 let s = proposals[i];
                 let comp = (s.aux >> 64) as u64;
                 let head = i == 0 || (proposals[i - 1].aux >> 64) as u64 != comp;
-                if !s.is_filler() && head && comp != DUMMY {
+                if head && comp != DUMMY {
                     let (eid, other) = (s.tag as u32 as u64, s.aux as u64);
                     (comp, (eid, other))
                 } else {
@@ -116,7 +109,7 @@ pub fn msf<C: Ctx>(
                 }
             })
             .collect();
-        c.charge_par(2 * m.max(1) as u64);
+        c.charge_par(2 * m as u64);
 
         // 4. Hook each winning component onto the other endpoint.
         let hook_sources: Vec<(u64, u64)> = winners
@@ -128,11 +121,9 @@ pub fn msf<C: Ctx>(
             hooks[v].unwrap_or(cur)
         });
         // Break 2-cycles: if D[D[v]] == v, the smaller id becomes root.
-        let sources: Vec<(u64, u64)> = (0..n).map(|v| (v as u64, d[v])).collect();
-        let dd = send_receive_u64(c, scratch, &sources, &d, engine);
+        let dd = jump(c, scratch, &d, engine);
         par_update(c, &mut Tracked::new(c, &mut d), &|_, v, cur| {
-            let ddv = dd[v].expect("label in range");
-            let two_cycle = ddv == v as u64 && cur != v as u64;
+            let two_cycle = dd[v] == v as u64 && cur != v as u64;
             let fix = two_cycle && (v as u64) < cur;
             if fix {
                 v as u64
@@ -148,9 +139,9 @@ pub fn msf<C: Ctx>(
         // winners (duplicates of the same eid are identical cells, so the
         // unstable network is safe), `u128::MAX - 1` for non-winners, and
         // the aux lane carries (real flag ‖ eid) for the readout.
-        let mut chosen = scratch.lease(p2, TagCell::filler());
+        let mut chosen = scratch.lease(2 * m, TagCell::filler());
         for (cell, &(comp, (eid, _))) in chosen.iter_mut().zip(winners.iter()) {
-            let real = comp < DUMMY - (2 * m.max(1)) as u64; // non-dummy winner
+            let real = comp < DUMMY - (2 * m) as u64; // non-dummy winner
             let tag = if real { eid as u128 } else { u128::MAX - 1 };
             *cell = TagCell::new(tag, ((real as u128) << 64) | eid as u128);
         }
@@ -184,11 +175,7 @@ pub fn msf<C: Ctx>(
 
     // Final flatten for clean component labels.
     for _ in 0..lg {
-        let sources: Vec<(u64, u64)> = (0..n).map(|v| (v as u64, d[v])).collect();
-        d = send_receive_u64(c, scratch, &sources, &d, engine)
-            .into_iter()
-            .map(|o| o.expect("label in range"))
-            .collect();
+        d = jump(c, scratch, &d, engine);
     }
     MsfResult {
         total_weight,

@@ -97,11 +97,10 @@ fn resolve_conflicts<C: Ctx>(
     engine: Engine,
 ) -> Vec<(u64, u64)> {
     let p = writes.len();
-    let m = p.next_power_of_two();
     // Write requests ride in packed 32-byte `TagCell`s (the PR-5 fast
     // path): tag = composite (addr ‖ processor id) — distinct, so the
     // unstable cell network is safe — and aux = (addr ‖ value).
-    let mut cells = scratch.lease(m, TagCell::filler());
+    let mut cells = scratch.lease(p, TagCell::filler());
     for (cell, (pid, w)) in cells.iter_mut().zip(writes.iter().enumerate()) {
         let (addr, val) = w.map_or((DUMMY, 0), |w| (w.addr as u64, w.val));
         *cell = TagCell::new(
@@ -115,12 +114,12 @@ fn resolve_conflicts<C: Ctx>(
     // Two phases so neighbour reads never observe blinded slots (a fused
     // read-modify pass would let iteration i see i−1 already blinded and
     // mistake a run continuation for a head).
-    let winner: Vec<bool> = metrics::par_collect(c, m, &|c, i| {
+    let winner: Vec<bool> = metrics::par_collect(c, p, &|c, i| {
         let sl = t.get(c, i);
         let addr = (sl.tag >> 64) as u64;
         let head = i == 0 || (t.get(c, i - 1).tag >> 64) as u64 != addr;
         c.work(1);
-        !sl.is_filler() && head && addr != DUMMY
+        head && addr != DUMMY
     });
     par_update(c, &mut t, &|_, i, mut sl| {
         if !winner[i] {

@@ -133,23 +133,33 @@ pub fn bitonic_sort_flat_par<C: Ctx, T: Copy + Send>(
     }
     assert!(n.is_power_of_two());
     c.count(counters::SORTS, 1);
-    let raw = t.as_raw();
-    let mut k = 2;
-    while k <= n {
-        let mut j = k / 2;
-        while j >= 1 {
-            par_for(c, 0, n / 2, DEFAULT_GRAIN, &|c, p| {
-                // Comparator p of this layer: indices share all bits except
-                // bit j; disjoint across p, so raw access is safe.
-                let lo = level_index(p, j);
-                let dir = ((lo & k) == 0) == up;
-                // SAFETY: distinct p yield disjoint {lo, lo+j} pairs, all
-                // below n.
-                unsafe { cex(c, &raw, gate, lo, lo + j, dir) };
-            });
-            j /= 2;
-        }
-        k *= 2;
+    for lg in 1..=n.ilog2() {
+        bitonic_stage_flat_par(c, t, gate, 1 << lg, up);
+    }
+}
+
+/// Stage `k` of [`bitonic_sort_flat_par`], layer by layer; at `k = n` the
+/// flat network's bitonic merge.
+pub fn bitonic_stage_flat_par<C: Ctx, T: Copy + Send>(
+    c: &C,
+    t: &mut Tracked<'_, T>,
+    gate: &impl Gate<T>,
+    k: usize,
+    up: bool,
+) {
+    let (n, raw) = (t.len(), t.as_raw());
+    let mut j = k / 2;
+    while j >= 1 {
+        par_for(c, 0, n / 2, DEFAULT_GRAIN, &|c, p| {
+            // Comparator p of this layer: indices share all bits except
+            // bit j; disjoint across p, so raw access is safe.
+            let lo = level_index(p, j);
+            let dir = ((lo & k) == 0) == up;
+            // SAFETY: distinct p yield disjoint {lo, lo+j} pairs, all
+            // below n.
+            unsafe { cex(c, &raw, gate, lo, lo + j, dir) };
+        });
+        j /= 2;
     }
 }
 

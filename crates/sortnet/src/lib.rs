@@ -38,7 +38,7 @@ pub mod tag;
 pub mod transpose;
 pub mod vec;
 
-pub use bitonic::{bitonic_merge_seq, bitonic_sort_flat_par, bitonic_sort_seq, level_index};
+pub use bitonic::{bitonic_sort_flat_par, bitonic_sort_seq, bitonic_stage_flat_par, level_index};
 pub use bitonic_rec::{
     bitonic_merge_rec, bitonic_sort_rec, bitonic_sort_rec_from_runs, par_rows2, sort_slice_rec,
     sort_slice_rec_in, TILE_RUN_BYTES,

@@ -801,30 +801,41 @@ mod tests {
         }
     }
 
-    /// The 1-shard images of `tests/durability.rs`'s golden script (three
-    /// 20-op epochs, a snapshot at merge 2): the golden snapshot, and the
-    /// WAL as it stood before that snapshot truncated it — three records,
-    /// the last of them the golden WAL.
-    fn golden_images() -> &'static (Vec<u8>, Vec<u8>) {
-        static IMAGES: std::sync::OnceLock<(Vec<u8>, Vec<u8>)> = std::sync::OnceLock::new();
-        IMAGES.get_or_init(build_golden_images)
+    /// The images of `tests/durability.rs`'s golden script (three 20-op
+    /// epochs, a snapshot at merge 2) at `shards` = 1 or 4: the WAL as it
+    /// stood before that snapshot truncated it — three records, the last
+    /// of them the golden WAL, the same bytes at every shard count — and
+    /// every shard's golden snapshot.
+    fn golden_images(shards: usize) -> &'static (Vec<u8>, Vec<Vec<u8>>) {
+        type Images = std::sync::OnceLock<(Vec<u8>, Vec<Vec<u8>>)>;
+        static IMAGES: [Images; 2] = [Images::new(), Images::new()];
+        IMAGES[(shards > 1) as usize].get_or_init(|| build_golden_images(shards))
     }
 
-    fn build_golden_images() -> (Vec<u8>, Vec<u8>) {
-        use crate::{Op, ShardedStore, ShrinkPolicy, StoreConfig};
-        let image = |snapshot: u64| {
-            let vfs = std::sync::Arc::new(FaultVfs::unfaulted());
-            let cfg = StoreConfig {
+    /// The golden script's store: durable, snapshotting at merge `snapshot`.
+    fn golden_cfg(shards: usize, snapshot: u64) -> crate::ShardConfig {
+        crate::ShardConfig {
+            shards,
+            route_slack: 0,
+            store: crate::StoreConfig {
                 durability: Durability::epoch(),
-                shrink: Some(ShrinkPolicy {
+                shrink: Some(crate::ShrinkPolicy {
                     every: 0,
                     live_bound: 0,
                     snapshot,
                 }),
-                ..StoreConfig::default()
-            };
+                ..crate::StoreConfig::default()
+            },
+        }
+    }
+
+    fn build_golden_images(shards: usize) -> (Vec<u8>, Vec<Vec<u8>>) {
+        use crate::{Op, ShardedStore};
+        let image = |snapshot: u64| {
+            let vfs = std::sync::Arc::new(FaultVfs::unfaulted());
             let (c, sp) = (fj::SeqCtx::new(), metrics::ScratchPool::new());
             let dir = Path::new("/golden");
+            let cfg = golden_cfg(shards, snapshot);
             let mut s = ShardedStore::recover_with(&c, &sp, dir, cfg, vfs.clone()).unwrap();
             for salt in 0..3u64 {
                 let ops: Vec<Op> = (0..20u64)
@@ -842,15 +853,27 @@ mod tests {
                     .collect();
                 s.execute_epoch(&c, &sp, &ops).unwrap();
             }
-            let snap = vfs.read(&snapshot_path(dir, 0)).unwrap_or_default();
-            (vfs.read(&wal_path(dir, 0)).unwrap(), snap)
+            let snaps = (0..shards)
+                .map(|i| vfs.read(&snapshot_path(dir, i)).unwrap_or_default())
+                .collect::<Vec<_>>();
+            (vfs.read(&wal_path(dir, 0)).unwrap(), snaps)
         };
         let (wal, _) = image(0);
-        let (_, snap) = image(2);
+        let (_, snaps) = image(2);
         assert_eq!(wal.len(), 3 * record_size(32));
         assert_eq!(fnv1a(&wal[2 * record_size(32)..]), 0x588c_eafe_a411_871c);
-        assert_eq!(fnv1a(&snap), 0xe252_75a1_15f3_e400);
-        (wal, snap)
+        let hashes: Vec<u64> = snaps.iter().map(|s| fnv1a(s)).collect();
+        let want: &[u64] = match shards {
+            1 => &[0xe252_75a1_15f3_e400],
+            _ => &[
+                0xb87b_c899_7e7d_6ee9,
+                0x644a_6210_a8f9_594b,
+                0x9523_58ad_7097_fe97,
+                0x25cc_74ff_b388_9cf5,
+            ],
+        };
+        assert_eq!(hashes, want, "{shards} shard(s)");
+        (wal, snaps)
     }
 
     /// One structure-aware mutation `(what, a, b)` of an image made of
@@ -900,55 +923,66 @@ mod tests {
             #![proptest_config(ProptestConfig::with_cases(96))]
 
             /// Mutated golden images never panic the readers, nor
-            /// recovery: a WAL reads as a consecutive run of the original
-            /// records (a swapped head frame can start it late; recovery
-            /// refuses that gap) or `InvalidData`, a snapshot as itself or
-            /// `InvalidData`, and recovery as a store holding at most the
-            /// logged epochs or a typed error.
+            /// recovery, at 1 shard or 4: a WAL reads as a consecutive run
+            /// of the original records (a swapped head frame can start it
+            /// late; recovery refuses that gap) or `InvalidData`, a
+            /// snapshot as itself or `InvalidData`, and recovery as a
+            /// store holding at most the logged epochs or a typed error.
+            /// A snapshot edit `(i, …)` lands on shard `i mod shards`.
             #[test]
             fn mutated_images_read_cleanly_or_fail_typed(
                 wal_edits in proptest::collection::vec((0u8..5, any::<u64>(), any::<u64>()), 0usize..4),
-                snap_edits in proptest::collection::vec((0u8..3, any::<u64>(), any::<u64>()), 0usize..3),
+                snap_edits in proptest::collection::vec((0usize..4, (0u8..3, any::<u64>(), any::<u64>())), 0usize..3),
             ) {
-                let (mut wal, mut snap) = golden_images().clone();
-                let original = {
-                    let vfs = FaultVfs::unfaulted();
-                    vfs.open_truncate(Path::new("w")).unwrap().append(&wal).unwrap();
-                    read_wal(&vfs, Path::new("w")).unwrap().records
-                };
-                for &m in &wal_edits {
-                    mutate(&mut wal, m, 0, record_size(32), |f| f + 8);
-                }
-                for &m in &snap_edits {
-                    mutate(&mut snap, m, 8 * 7, 32, |_| 8 * 6);
-                }
-                let vfs = std::sync::Arc::new(FaultVfs::unfaulted());
-                let dir = Path::new("/hostile");
-                vfs.open_truncate(&wal_path(dir, 0)).unwrap().append(&wal).unwrap();
-                vfs.open_truncate(&snapshot_path(dir, 0)).unwrap().append(&snap).unwrap();
+                for shards in [1, 4] {
+                    let (mut wal, mut snaps) = golden_images(shards).clone();
+                    let original = {
+                        let vfs = FaultVfs::unfaulted();
+                        vfs.open_truncate(Path::new("w")).unwrap().append(&wal).unwrap();
+                        read_wal(&vfs, Path::new("w")).unwrap().records
+                    };
+                    for &m in &wal_edits {
+                        mutate(&mut wal, m, 0, record_size(32), |f| f + 8);
+                    }
+                    for &(i, m) in &snap_edits {
+                        mutate(&mut snaps[i % shards], m, 8 * 7, 32, |_| 8 * 6);
+                    }
+                    let vfs = std::sync::Arc::new(FaultVfs::unfaulted());
+                    let dir = Path::new("/hostile");
+                    vfs.open_truncate(&wal_path(dir, 0)).unwrap().append(&wal).unwrap();
+                    for (i, snap) in snaps.iter().enumerate() {
+                        vfs.open_truncate(&snapshot_path(dir, i)).unwrap().append(snap).unwrap();
+                    }
 
-                match read_wal(&*vfs, &wal_path(dir, 0)) {
-                    Ok(scan) => {
-                        let ops = |b: &[FlatOp]| b.iter().map(|f| (f.kind, f.key, f.val)).collect::<Vec<_>>();
-                        for (seq, batch) in &scan.records {
-                            let want = original.get(*seq as usize).map(|(_, b)| ops(b));
-                            prop_assert_eq!(want, Some(ops(batch)), "record {} is not the original", seq);
+                    match read_wal(&*vfs, &wal_path(dir, 0)) {
+                        Ok(scan) => {
+                            let ops = |b: &[FlatOp]| b.iter().map(|f| (f.kind, f.key, f.val)).collect::<Vec<_>>();
+                            for (seq, batch) in &scan.records {
+                                let want = original.get(*seq as usize).map(|(_, b)| ops(b));
+                                prop_assert_eq!(want, Some(ops(batch)), "record {} is not the original", seq);
+                            }
+                        }
+                        Err(e) => prop_assert_eq!(e.kind(), io::ErrorKind::InvalidData),
+                    }
+                    for i in 0..shards {
+                        match read_snapshot(&*vfs, dir, i) {
+                            Ok(got) => prop_assert!(got.is_some()),
+                            Err(e) => prop_assert_eq!(e.kind(), io::ErrorKind::InvalidData),
                         }
                     }
-                    Err(e) => prop_assert_eq!(e.kind(), io::ErrorKind::InvalidData),
-                }
-                match read_snapshot(&*vfs, dir, 0) {
-                    Ok(got) => prop_assert!(got.is_some()),
-                    Err(e) => prop_assert_eq!(e.kind(), io::ErrorKind::InvalidData),
-                }
-                let (c, sp) = (fj::SeqCtx::new(), metrics::ScratchPool::new());
-                let cfg = crate::StoreConfig::default();
-                match crate::ShardedStore::recover_with(&c, &sp, dir, cfg, vfs) {
-                    Ok(s) => prop_assert!(s.epoch_counts().0 <= 3),
-                    Err(e) => prop_assert!(
-                        matches!(e, crate::StoreError::WalCorrupt { .. } | crate::StoreError::SnapshotFailed { .. }),
-                        "{e}"
-                    ),
+                    let (c, sp) = (fj::SeqCtx::new(), metrics::ScratchPool::new());
+                    let cfg = crate::ShardConfig {
+                        shards,
+                        route_slack: 0,
+                        store: crate::StoreConfig::default(),
+                    };
+                    match crate::ShardedStore::recover_with(&c, &sp, dir, cfg, vfs) {
+                        Ok(s) => prop_assert!(s.epoch_counts().0 <= 3),
+                        Err(e) => prop_assert!(
+                            matches!(e, crate::StoreError::WalCorrupt { .. } | crate::StoreError::SnapshotFailed { .. }),
+                            "{shards} shard(s): {e}"
+                        ),
+                    }
                 }
             }
         }

@@ -123,41 +123,50 @@ fn tag_sort_allocation_budget() {
     use fj::SeqCtx;
     use obliv_core::{oblivious_sort_kv, Engine, ScratchPool};
 
+    // 20 000 and 1091 are not powers of two: the bitonic engines lease a
+    // merge scratch per piece of Lang's recursion, odd-even and Shellsort
+    // a padded copy — all of it leases.
     let c = SeqCtx::new();
-    let scratch = ScratchPool::new();
-    let n = 20_000usize;
-    let records: Vec<(u64, u64)> = (0..n as u64)
-        .map(|i| (i.wrapping_mul(0x9E3779B97F4A7C15) >> 20, i))
-        .collect();
+    for engine in [
+        Engine::BitonicRec,
+        Engine::BitonicFlat,
+        Engine::OddEven,
+        Engine::Shellsort { seed: 7 },
+    ] {
+        for n in [20_000usize, 1091] {
+            let scratch = ScratchPool::new();
+            let records: Vec<(u64, u64)> = (0..n as u64)
+                .map(|i| (i.wrapping_mul(0x9E3779B97F4A7C15) >> 20, i))
+                .collect();
 
-    // Warm-up call: populates the pool's cell classes.
-    let mut v = records.clone();
-    let (_, cold) = allocs_during(|| oblivious_sort_kv(&c, &scratch, &mut v, Engine::BitonicRec));
-    let fresh_after_warmup = scratch.fresh_allocs();
+            // Warm-up call: populates the pool's cell classes.
+            let mut v = records.clone();
+            let (_, cold) = allocs_during(|| oblivious_sort_kv(&c, &scratch, &mut v, engine));
+            let fresh_after_warmup = scratch.fresh_allocs();
 
-    // Steady state: the tag buffer and the network's merge scratch are
-    // leases, so the whole sort must stay inside the sort budget (in
-    // practice it performs zero heap allocations).
-    let mut v2 = records.clone();
-    let (_, steady) =
-        allocs_during(|| oblivious_sort_kv(&c, &scratch, &mut v2, Engine::BitonicRec));
+            // Steady state: the tag buffer and the network's merge scratch
+            // are leases, so the whole sort must stay inside the sort
+            // budget (in practice it performs zero heap allocations).
+            let mut v2 = records.clone();
+            let (_, steady) = allocs_during(|| oblivious_sort_kv(&c, &scratch, &mut v2, engine));
 
-    let mut expect = records;
-    expect.sort_by_key(|&(k, _)| k);
-    assert_eq!(v2, expect, "tag-sort must stay correct under the arena");
-    println!("tag-sort cold allocations:   {cold}");
-    println!("tag-sort steady allocations: {steady}");
+            let mut expect = records;
+            expect.sort_by_key(|&(k, _)| k);
+            assert_eq!(v2, expect, "{engine:?} n {n}: tag-sort must stay correct");
+            println!("{engine:?} n {n}: tag-sort allocations cold {cold}, steady {steady}");
 
-    assert_eq!(
-        steady, STEADY_BUDGET,
-        "steady-state oblivious_sort_kv performed {steady} heap allocations, \
-         budget is {STEADY_BUDGET}"
-    );
-    assert_eq!(
-        scratch.fresh_allocs(),
-        fresh_after_warmup,
-        "warm tag-sort calls must lease the tag buffer, not allocate backing"
-    );
+            assert_eq!(
+                steady, STEADY_BUDGET,
+                "{engine:?} n {n}: steady-state oblivious_sort_kv performed {steady} heap \
+                 allocations, budget is {STEADY_BUDGET}"
+            );
+            assert_eq!(
+                scratch.fresh_allocs(),
+                fresh_after_warmup,
+                "{engine:?} n {n}: warm tag-sort calls must lease every buffer, not allocate backing"
+            );
+        }
+    }
 }
 
 #[test]
