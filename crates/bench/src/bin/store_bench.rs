@@ -304,9 +304,10 @@ fn size_classes(sink: &mut BenchSink, scratch: &ScratchPool) {
 /// A pinned resident table of SHARD_TABLE keys (the shrink policy compacts
 /// every merge, so capacity is stable in steady state) served with
 /// SHARD_BATCH-op mixed epochs, at 1 shard vs 4 shards. The 4-shard run
-/// pays the oblivious routing (scatter + gather on O(batch)-sized arrays)
-/// and wins it back on the commits: each shard sorts a 4x smaller table
-/// slice — two log factors smaller networks, L2-resident working sets.
+/// pays the oblivious routing on O(batch)-sized arrays (the epoch's one
+/// op sort, the slack count, each shard's mask-and-compact lane and the
+/// gather) and wins it back on the commits: each shard merges a 4x
+/// smaller table slice — L2-resident working sets.
 fn sharded(sink: &mut BenchSink, scratch: &ScratchPool) {
     section(&format!(
         "sharded epochs: {SHARD_TABLE}-key table, {SHARD_BATCH}-op steady epochs"

@@ -7,9 +7,7 @@
 //! reals packed in front, and fillers padding each bin to `Z`. Unlike
 //! [`crate::bin_place`], the placement is **stable**: within a bin, reals
 //! appear in ascending `item.key` order (callers use the input position as
-//! the key), which is what lets `dob-store` route operations to shards
-//! while preserving submission order — the sequential within-epoch
-//! semantics of its merge path depend on it.
+//! the key), so a bin keeps its elements' submission order.
 //!
 //! The algorithm is bin placement's sort + rank + expansion kernel
 //! ([`crate::binplace`]) — the sort and the rank pass over the
@@ -27,8 +25,7 @@
 //! still completes with its fixed trace and reports
 //! [`crate::OblivError::BinOverflow`]. Callers either provision `Z` so
 //! overflow is impossible (`Z ≥ |items|`) or treat the
-//! retry-with-larger-`Z` as a deliberate public signal (see `dob-store`'s
-//! routing fallback).
+//! retry-with-larger-`Z` as a deliberate public signal.
 
 use crate::binplace::{place, Input};
 use crate::engine::Engine;

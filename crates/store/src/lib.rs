@@ -15,10 +15,11 @@
 //! configuration (`Store::new(StoreConfig)`), which routes nothing and
 //! is the only one with the ORAM path. With more shards, keys are
 //! assigned to shards by the public hash [`shard_of`], each epoch's ops
-//! are routed to their shards *obliviously* (every sub-batch padded to
-//! the same public class), all shards commit in parallel on the
-//! fork-join pool, and the results are obliviously routed back to
-//! submission order. Validation, the WAL append, snapshots and health
+//! are sorted once and every shard takes its own out of that order
+//! *obliviously* (a fixed mask and a compaction, every shard merging the
+//! same public class), all shards commit in parallel on the fork-join
+//! pool, and the results are obliviously routed back to submission
+//! order. Validation, the WAL append, snapshots and health
 //! are the same code at every shard count.
 //!
 //! **Leakage contract:** the client-visible access trace of every epoch is

@@ -9,9 +9,10 @@
 //! Pipeline, all fixed-pattern given the public shape `(cap, |pending|,
 //! |batch|)`:
 //!
-//! 1. pack pending-log ops and the padded batch into cells keyed
-//!    `(key ‖ seq)` and sort them — the only full sort left, over the
-//!    small op class `b₂ = pow2(|pending| + |batch|)`;
+//! 1. the caller packs the pending-log ops and the padded batch into cells
+//!    keyed `(key ‖ seq)` and sorts them ([`sorted_ops`]; a sharded epoch
+//!    sorts its batch once for all its shards) — the only full sort left,
+//!    over the small op class `b₂ = pow2(|pending| + |batch|)`;
 //! 2. lay out `[sorted ops descending | table ascending]` over
 //!    `m = cap + b₂` cells — bitonic, because the resident table is
 //!    key-sorted by the previous rebuild — and run **one bitonic merge**
@@ -220,37 +221,35 @@ pub(crate) fn read_answers<C: Ctx>(c: &C, t: &Tracked<'_, TagCell>, b: usize) ->
 }
 
 /// Run one merge epoch. `table` holds the resident records sorted by key
-/// (padded, public length) and is rebuilt at public capacity `cap_new`;
-/// `pending` and `batch` are already padded to their public classes, the
-/// real ops leading `batch`. Returns one answer cell per batch slot (see
-/// [`answer_cell`]) and the refreshed analytics snapshot.
+/// (padded, public length) and is rebuilt at public capacity `cap_new`.
+/// `ops` holds `p` pending ops and a padded batch of `b` as [`sorted_ops`]
+/// leaves them, its reals within the first `pow2(p + b)` cells; the lease
+/// goes back once they are laid into the merge array. `readout` reads the
+/// `b`-cell answer window (answer cells tagged by slot, ascending, fillers
+/// last); it is returned with the refreshed analytics snapshot.
 /// `enforce_live_bound` — a public config bit, set iff a shrink schedule
 /// is configured — adds the candidate-count guard pass before the rebuild.
-pub(crate) fn merge_epoch<C: Ctx>(
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn merge_epoch<C: Ctx, R>(
     c: &C,
     scratch: &ScratchPool,
     table: &mut Vec<TagCell>,
     cap_new: usize,
-    pending: &[FlatOp],
-    batch: &[FlatOp],
+    ops: ScratchGuard<'_, TagCell>,
+    (p, b): (usize, usize),
     enforce_live_bound: bool,
-) -> (Vec<TagCell>, StoreStats) {
+    readout: impl FnOnce(&Tracked<'_, TagCell>) -> R,
+) -> (R, StoreStats) {
     let cap = table.len();
-    let p = pending.len();
-    let b = batch.len();
     let b2 = (p + b).next_power_of_two();
     // The merge array is the table and the op class side by side: no
     // power-of-two padding (the merge and the compactions take any length).
     let m = cap + b2;
 
-    // 1. Pack and sort the epoch's ops by (key, seq) — the only full sort,
-    //    over the small op class.
-    let ops = sorted_ops(c, scratch, pending, batch);
-
     // 2. Merged array: the resident table is key-sorted (reals ascending,
     //    fillers last) by the previous rebuild, so one merge butterfly
     //    replaces the full sort of the concatenation.
-    let mut cells = bitonic_with_table(c, scratch, table, &ops);
+    let mut cells = bitonic_with_table(c, scratch, table, &ops[..b2]);
     // The op cells live on in `cells`; their lease goes back before the
     // `m`-sized lanes below are drawn.
     drop(ops);
@@ -346,7 +345,7 @@ pub(crate) fn merge_epoch<C: Ctx>(
     //    small sort of the padded-batch window restores submission order.
     compact_cells(c, scratch, &mut t);
     ENGINE.sort_cells(c, scratch, &mut t.range(0, b));
-    let answers = read_answers(c, &t, b);
+    let answers = readout(&t);
 
     // 6. Rebuild: the candidates lane inherited key order from the merged
     //    array, so one stable compaction (no sort) moves the surviving
@@ -385,7 +384,9 @@ pub(crate) fn merge_epoch<C: Ctx>(
     table.resize(cap_new, TagCell::filler());
     let stats = {
         let mut tt = Tracked::new(c, table.as_mut_slice());
-        par_fill(c, &mut tt.range(0, cap_new.min(m)), &|c, i| cand_t.get(c, i));
+        par_fill(c, &mut tt.range(0, cap_new.min(m)), &|c, i| {
+            cand_t.get(c, i)
+        });
         // Refresh the analytics snapshot with one reduce over the new table.
         par_reduce(
             c,
@@ -410,7 +411,7 @@ pub(crate) fn merge_epoch<C: Ctx>(
 /// Pack `first ++ second` into cells keyed `(key ‖ 1-based position)` over
 /// their class `pow2(|first| + |second|)` and sort them. Dummies become
 /// fillers — every position is written exactly once regardless of contents.
-fn sorted_ops<'s, C: Ctx>(
+pub(crate) fn sorted_ops<'s, C: Ctx>(
     c: &C,
     scratch: &'s ScratchPool,
     first: &[FlatOp],
@@ -585,6 +586,23 @@ mod tests {
     use crate::store::decode;
     use fj::SeqCtx;
 
+    /// One merge epoch as a 1-shard store runs it: sort `pending ++
+    /// batch`, merge, read the answers out by batch slot.
+    fn epoch(
+        table: &mut Vec<TagCell>,
+        cap_new: usize,
+        pending: &[FlatOp],
+        batch: &[FlatOp],
+    ) -> (Vec<TagCell>, StoreStats) {
+        let c = SeqCtx::new();
+        let scratch = ScratchPool::new();
+        let ops = sorted_ops(&c, &scratch, pending, batch);
+        let shape = (pending.len(), batch.len());
+        merge_epoch(&c, &scratch, table, cap_new, ops, shape, true, |t| {
+            read_answers(&c, t, batch.len())
+        })
+    }
+
     fn run(
         table: &mut Vec<TagCell>,
         cap_new: usize,
@@ -592,11 +610,9 @@ mod tests {
         ops: &[Op],
         pad_to: usize,
     ) -> Vec<OpResult> {
-        let c = SeqCtx::new();
-        let scratch = ScratchPool::new();
         let mut batch: Vec<FlatOp> = ops.iter().map(FlatOp::of).collect();
         batch.resize(pad_to, FlatOp::dummy());
-        let (answers, _) = merge_epoch(&c, &scratch, table, cap_new, pending, &batch, true);
+        let (answers, _) = epoch(table, cap_new, pending, &batch);
         assert_eq!(answers.len(), pad_to, "one answer per padded slot");
         answers[..ops.len()]
             .iter()
@@ -687,8 +703,6 @@ mod tests {
 
     #[test]
     fn stats_reflect_new_table_and_aggregates_see_snapshot() {
-        let c = SeqCtx::new();
-        let scratch = ScratchPool::new();
         let mut table = vec![TagCell::filler(); 8];
         let batch: Vec<FlatOp> = [
             Op::Put { key: 1, val: 10 },
@@ -701,7 +715,7 @@ mod tests {
         .take(8)
         .collect();
         let snapshot = StoreStats { count: 9, sum: 99 };
-        let (res, stats) = merge_epoch(&c, &scratch, &mut table, 8, &[], &batch, true);
+        let (res, stats) = epoch(&mut table, 8, &[], &batch);
         // Aggregates answer from the pre-epoch snapshot...
         assert_eq!(decode(&res[2], snapshot), OpResult::Stats(snapshot));
         // ...while the refreshed snapshot covers the new table.

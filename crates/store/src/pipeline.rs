@@ -99,10 +99,10 @@ pub struct Ticket {
 
 struct InFlight<T> {
     id: u64,
-    /// The epoch's op log, padded to its public size class — what
-    /// `read_now` consults while the merge is still running.
-    log: Vec<FlatOp>,
-    task: Deferred<(T, Result<Vec<OpResult>, StoreError>)>,
+    /// The epoch's op log, padded to its public size class — what the
+    /// detached task commits and `read_now` consults while it runs.
+    log: Arc<Vec<FlatOp>>,
+    task: Deferred<(T, Vec<OpResult>)>,
 }
 
 /// Double-buffered epoch front end; see the [crate docs](crate) for where
@@ -266,8 +266,9 @@ impl PipelinedStore<ShardedStore> {
             return EpochHandle { id };
         };
         // Pad the log to the epoch's public class *before* the handoff:
-        // this validates the batch on the caller's thread and is what
-        // `read_now` consults while the merge runs.
+        // this validates the batch on the caller's thread, once; the
+        // detached task commits this log and `read_now` consults it while
+        // the merge runs.
         //
         // Then pre-log (durable stores only): the epoch's WAL record is
         // written on the *caller's* thread, before the merge is handed to
@@ -279,8 +280,8 @@ impl PipelinedStore<ShardedStore> {
         // k − 1 trailing un-synced epochs (a clean suffix — see
         // `Durability::Epoch`).
         let ops = std::mem::take(&mut self.open);
-        let logged =
-            validate_and_pad(&self.cfg, &ops).and_then(|log| store.wal_prelog(&log).map(|()| log));
+        let logged = validate_and_pad(&self.cfg, &ops)
+            .and_then(|log| store.append_epoch(&log).map(|()| log));
         let log = match logged {
             Ok(log) => log,
             Err(e) => {
@@ -293,10 +294,11 @@ impl PipelinedStore<ShardedStore> {
                 return EpochHandle { id };
             }
         };
-        let scratch = Arc::clone(&self.scratch);
+        let (n, log) = (ops.len(), Arc::new(log));
+        let (scratch, batch) = (Arc::clone(&self.scratch), Arc::clone(&log));
         let task = c.spawn_detached(move |c| {
             let mut store = store;
-            let results = store.execute_epoch(c, &scratch, &ops);
+            let results = store.apply_logged(c, &scratch, &batch, n);
             (store, results)
         });
         self.inflight = Some(InFlight { id, log, task });
@@ -391,7 +393,7 @@ impl PipelinedStore<ShardedStore> {
                     // ORAM path).
                     self.snapshot = store.snapshot_records();
                     self.snapshot_pending = store.snapshot_pending();
-                    self.done.push_back((inf.id, results));
+                    self.done.push_back((inf.id, Ok(results)));
                     self.store = Some(store);
                     self.retired += 1;
                 }

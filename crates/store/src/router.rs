@@ -3,32 +3,33 @@
 //! Keys are assigned to shards by a **public hash** of the (private) key
 //! ([`shard_of`]): the mapping is a fixed, data-independent function, but
 //! *which* shard a given op lands on still depends on its secret key — so
-//! the routing itself must be oblivious. [`route_ops`] realizes it on
-//! [`obliv_core::oblivious_scatter`] (the §F send-receive pattern): every
-//! shard's sub-batch is padded to the same public class `zcap`
-//! ([`shard_class`]), so the adversary trace of the whole routing step is
-//! a function of `(batch class, shard count, zcap)` only. The scatter is
-//! *stable* (reals keep submission order inside each sub-batch), which is
-//! what preserves the store's sequential within-epoch semantics: two ops
-//! on the same key always share a shard and arrive in submission order.
+//! the routing itself must be oblivious. It is §F's send-receive: the
+//! store sorts the padded batch once, as `(key ‖ seq)` op cells, and
+//! [`shard_lane`] gives each shard its own ops by masking the others' to
+//! fillers and stably compacting. Every shard merges the first `zcap`
+//! cells of its lane ([`shard_class`]); under scaled provisioning a
+//! fixed-pattern count ([`overflows`]) first checks that they fit. The
+//! trace is a function of `(batch class, shard count, zcap)` only, and two
+//! ops on the same key share a shard in `seq` (submission) order, which
+//! preserves the store's sequential within-epoch semantics.
 //!
 //! [`gather_results`] is the send-receive return trip: the shards' answer
-//! cells (DESIGN.md §10), re-tagged with their submission index, arrive as
-//! one ascending run per shard (the scatter was stable) and are merged
-//! back to submission order — the engine's sort-from-runs, the same merge
-//! of sorted runs ORBA's placements use, not a sort — followed by a
-//! fixed-prefix readout of the whole padded batch.
+//! cells (DESIGN.md §10), tagged with their submission index, arrive as
+//! one ascending run per shard (each shard sorts its answer window by
+//! submission index) and are merged back to submission order — the
+//! engine's sort-from-runs, the same merge of sorted runs ORBA's
+//! placements use, not a sort — followed by a fixed-prefix readout of the
+//! whole padded batch.
 
-use crate::merge::{read_answers, ENGINE};
-use crate::op::{kind, FlatOp, MIN_CLASS};
-use fj::Ctx;
-use metrics::{ScratchPool, Tracked};
-use obliv_core::scatter::oblivious_scatter;
-use obliv_core::{Item, Result, Slot, TagCell};
+use crate::merge::{cell_key, read_answers, ENGINE};
+use crate::op::MIN_CLASS;
+use fj::{grain_for, par_reduce, Ctx};
+use metrics::{par_fill, ScratchGuard, ScratchPool, Tracked};
+use obliv_core::{compact_cells, select_u128, TagCell};
 
 /// The public shard-assignment hash: a fixed multiplicative hash of the
 /// key, taking the top `log2(shards)` bits. Deterministic and publicly
-/// known — the secrecy of the routing comes from the oblivious scatter,
+/// known — the secrecy of the routing comes from the oblivious lanes,
 /// not from the hash.
 pub fn shard_of(key: u64, shards: usize) -> usize {
     debug_assert!(shards.is_power_of_two());
@@ -42,7 +43,8 @@ pub fn shard_of(key: u64, shards: usize) -> usize {
 /// `slack = 0` provisions every shard for the full batch (`zcap = b`,
 /// routing can never overflow); `slack = k ≥ 1` provisions
 /// `size_class(k · b / shards)`, trading a public overflow-fallback signal
-/// on heavily skewed epochs for `shards/k`-fold smaller routed arrays.
+/// on heavily skewed epochs for each shard merging `cap + zcap` cells
+/// instead of `cap + b`.
 pub fn shard_class(b: usize, shards: usize, slack: usize) -> usize {
     debug_assert!(b >= MIN_CLASS && b.is_power_of_two());
     if slack == 0 || shards <= 1 {
@@ -51,62 +53,53 @@ pub fn shard_class(b: usize, shards: usize, slack: usize) -> usize {
     crate::op::size_class((b * slack).div_ceil(shards).min(b))
 }
 
-/// One shard's routed sub-batch: `zcap` padded slots with the reals (in
-/// submission order) leading, each real's submission index alongside.
-pub(crate) struct SubBatch {
-    pub batch: Vec<FlatOp>,
-    /// Submission index per slot; `u64::MAX` for padding.
-    pub idx: Vec<u64>,
+/// Whether `cell` is a real op of shard `s`. Branch-free: filler-ness and
+/// the key are secret.
+#[inline]
+fn owned(cell: &TagCell, s: usize, shards: usize) -> bool {
+    !cell.is_filler() & (shard_of(cell_key(cell), shards) == s)
 }
 
-/// Obliviously scatter a padded batch into `shards` sub-batches of `zcap`
-/// slots each. Fails with `BinOverflow` (after completing its fixed-trace
-/// pass) when more than `zcap` ops hash to one shard; `zcap = b` never
-/// fails.
-pub(crate) fn route_ops<C: Ctx>(
+/// Whether some shard owns more than `zcap` of the op cells in `ops`: a
+/// fixed-pattern count per shard over the whole lane, `shards · |ops|`
+/// reads whatever the keys. The verdict is the one public bit scaled
+/// provisioning reveals.
+pub(crate) fn overflows<C: Ctx>(
     c: &C,
-    scratch: &ScratchPool,
-    batch: &[FlatOp],
+    ops: &Tracked<'_, TagCell>,
     shards: usize,
     zcap: usize,
-) -> Result<Vec<SubBatch>> {
-    // Dummies become fillers (they consume no shard capacity); every input
-    // slot is written exactly once either way. `item.key` carries the
-    // submission index — the scatter's stability tiebreak and the gather's
-    // routing key.
-    let slots: Vec<Slot<FlatOp>> = batch
-        .iter()
-        .enumerate()
-        .map(|(j, f)| {
-            if f.kind == kind::DUMMY {
-                Slot::filler()
-            } else {
-                Slot::real(Item::new(j as u128, *f), shard_of(f.key, shards) as u64)
-            }
-        })
-        .collect();
-    c.charge_par(batch.len() as u64);
+) -> bool {
+    let load = |c: &C, s: usize| {
+        let own = |c: &C, i: usize| owned(&ops.get(c, i), s, shards) as usize;
+        par_reduce(c, 0, ops.len(), grain_for(c), &own, &|a, b| a + b).unwrap_or(0)
+    };
+    par_reduce(c, 0, shards, 1, &load, &usize::max).unwrap_or(0) > zcap
+}
 
-    let routed = oblivious_scatter(c, scratch, &slots, shards, zcap, ENGINE)?;
-    Ok(routed
-        .chunks(zcap)
-        .map(|chunk| {
-            // Reals are packed in front of each chunk (scatter contract),
-            // so the sub-batch keeps the merge path's reals-lead-the-batch
-            // shape.
-            let (batch, idx) = chunk
-                .iter()
-                .map(|s| {
-                    if s.is_real() {
-                        (s.item.val, s.item.key as u64)
-                    } else {
-                        (FlatOp::dummy(), u64::MAX)
-                    }
-                })
-                .unzip();
-            SubBatch { batch, idx }
-        })
-        .collect())
+/// Shard `s`'s lane of the sorted op cells `ops`: one fixed map turns
+/// every op another shard owns into a filler, and one stable
+/// [`compact_cells`] brings the shard's own ops to the front, still in
+/// `(key, seq)` order, fillers after. Public length `|ops|`.
+pub(crate) fn shard_lane<'s, C: Ctx>(
+    c: &C,
+    scratch: &'s ScratchPool,
+    ops: &Tracked<'_, TagCell>,
+    s: usize,
+    shards: usize,
+) -> ScratchGuard<'s, TagCell> {
+    let mut lane = scratch.lease(ops.len(), TagCell::filler());
+    let mut t = Tracked::new(c, &mut lane);
+    par_fill(c, &mut t, &|c, i| {
+        let cell = ops.get(c, i);
+        let mine = owned(&cell, s, shards);
+        TagCell {
+            tag: select_u128(mine, u128::MAX, cell.tag),
+            aux: select_u128(mine, 0, cell.aux),
+        }
+    });
+    compact_cells(c, scratch, &mut t);
+    lane
 }
 
 /// Route per-shard answer cells back to submission order. `entries` is the
@@ -115,9 +108,9 @@ pub(crate) fn route_ops<C: Ctx>(
 /// submission index and every padding slot a filler.
 ///
 /// **Input contract:** every run is ascending by tag with its fillers
-/// last. [`route_ops`] scatters stably and a shard answers its sub-batch
-/// slot for slot, so the runs `commit_split` hands over always are. Sorted
-/// runs are merged, not re-sorted
+/// last. A shard sorts its answer window by submission index
+/// ([`crate::merge::merge_epoch`] step 5), so the runs `commit_split`
+/// hands over always are. Sorted runs are merged, not re-sorted
 /// ([`obliv_core::Engine::sort_cells_from_runs`]: `log₂ shards` rounds of
 /// bitonic merges, `O(n log n)` comparators in total against the
 /// `O(n log² n)` of a sort), then [`read_answers`] reads out the whole
@@ -149,14 +142,37 @@ pub(crate) fn gather_results<C: Ctx>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::merge::answer_cell;
-    use crate::op::{Op, StoreStats};
+    use crate::merge::{answer_cell, sorted_ops};
+    use crate::op::{kind, FlatOp, Op, StoreStats};
     use crate::store::decode;
     use fj::SeqCtx;
 
-    /// Real ops lead a sub-batch; padding is indexed `u64::MAX`.
-    fn n_real(sub: &SubBatch) -> usize {
-        sub.idx.iter().take_while(|&&i| i != u64::MAX).count()
+    /// Every lane of a 4-shard split of `ops` (padded to 16 slots), each
+    /// as `(key, submission index)` of its real cells, after checking that
+    /// the lane has the public length and its fillers trail.
+    fn lanes(ops: &[Op]) -> Vec<Vec<(u64, u64)>> {
+        let c = SeqCtx::new();
+        let sp = ScratchPool::new();
+        let batch: Vec<FlatOp> = ops
+            .iter()
+            .map(FlatOp::of)
+            .chain(std::iter::repeat_with(FlatOp::dummy))
+            .take(16)
+            .collect();
+        let mut sorted = sorted_ops(&c, &sp, &[], &batch);
+        let sorted = Tracked::new(&c, &mut sorted);
+        (0..4)
+            .map(|s| {
+                let lane = shard_lane(&c, &sp, &sorted, s, 4);
+                assert_eq!(lane.len(), 16, "shard {s}: public lane length");
+                let n_real = lane.iter().take_while(|x| !x.is_filler()).count();
+                assert!(lane[n_real..].iter().all(TagCell::is_filler));
+                lane[..n_real]
+                    .iter()
+                    .map(|x| (cell_key(x), x.tag as u64 - 1))
+                    .collect()
+            })
+            .collect()
     }
 
     #[test]
@@ -184,52 +200,42 @@ mod tests {
     }
 
     #[test]
-    fn routing_preserves_submission_order_within_shards() {
-        let c = SeqCtx::new();
-        let sp = ScratchPool::new();
-        let ops: Vec<FlatOp> = (0..13u64)
-            .map(|i| FlatOp::of(&Op::Put { key: i % 5, val: i }))
-            .chain(std::iter::repeat_with(FlatOp::dummy))
-            .take(16)
-            .collect();
-        let subs = route_ops(&c, &sp, &ops, 4, 16).unwrap();
-        assert_eq!(subs.len(), 4);
+    fn shard_lanes_hold_their_shards_ops_in_key_then_submission_order() {
+        let ops: Vec<Op> = (0..13u64).map(|i| Op::Put { key: i % 5, val: i }).collect();
         let mut seen = 0;
-        for (s, sub) in subs.iter().enumerate() {
-            assert_eq!(sub.batch.len(), 16);
-            // Each real op landed on its hash shard, in ascending
-            // submission order, ahead of the padding.
-            let n_real = n_real(sub);
-            assert!(sub.idx[n_real..].iter().all(|&i| i == u64::MAX));
-            let idxs: Vec<u64> = sub.idx[..n_real].to_vec();
-            assert!(idxs.windows(2).all(|w| w[0] < w[1]), "shard {s}: {idxs:?}");
-            for (z, f) in sub.batch[..n_real].iter().enumerate() {
-                assert_eq!(shard_of(f.key, 4), s);
-                assert_eq!(f.val, idxs[z], "payload rides along");
-            }
-            seen += n_real;
+        for (s, lane) in lanes(&ops).iter().enumerate() {
+            // Exactly the ops shard `s` owns, by key and then submission.
+            let mut want: Vec<(u64, u64)> = (0..13u64)
+                .map(|i| (i % 5, i))
+                .filter(|&(key, _)| shard_of(key, 4) == s)
+                .collect();
+            want.sort_unstable();
+            assert_eq!(*lane, want, "shard {s}");
+            seen += lane.len();
         }
-        assert_eq!(seen, 13, "every real op routed exactly once");
+        assert_eq!(seen, 13, "every real op lands in exactly one lane");
     }
 
     #[test]
-    fn routing_never_overflows_at_full_provisioning() {
-        // `zcap = b` and every op on one key: the scatter sorts only the
-        // `b`-slot prefix of the `shards · b` array, and one bin takes it
-        // all, in submission order.
+    fn one_shard_can_fill_its_lane() {
+        // Every op on one key: its shard's lane is full, in submission
+        // order, and the count flags any class below the batch.
+        let ops: Vec<Op> = (0..16u64).map(|i| Op::Put { key: 7, val: i }).collect();
+        let home = shard_of(7, 4);
+        for (s, lane) in lanes(&ops).iter().enumerate() {
+            let want: Vec<(u64, u64)> = match s == home {
+                true => (0..16).map(|i| (7, i)).collect(),
+                false => Vec::new(),
+            };
+            assert_eq!(*lane, want, "shard {s}");
+        }
         let c = SeqCtx::new();
         let sp = ScratchPool::new();
-        let ops: Vec<FlatOp> = (0..16u64)
-            .map(|i| FlatOp::of(&Op::Put { key: 7, val: i }))
-            .collect();
-        let subs = route_ops(&c, &sp, &ops, 4, 16).unwrap();
-        let home = shard_of(7, 4);
-        for (s, sub) in subs.iter().enumerate() {
-            assert_eq!(n_real(sub), if s == home { 16 } else { 0 });
-        }
-        assert_eq!(subs[home].idx, (0..16).collect::<Vec<u64>>());
-        let vals: Vec<u64> = subs[home].batch.iter().map(|f| f.val).collect();
-        assert_eq!(vals, (0..16).collect::<Vec<u64>>());
+        let batch: Vec<FlatOp> = ops.iter().map(FlatOp::of).collect();
+        let mut sorted = sorted_ops(&c, &sp, &[], &batch);
+        let sorted = Tracked::new(&c, &mut sorted);
+        assert!(overflows(&c, &sorted, 4, 8));
+        assert!(!overflows(&c, &sorted, 4, 16));
     }
 
     /// `zcap`-cell runs answering the given submission indices

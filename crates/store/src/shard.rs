@@ -2,20 +2,21 @@
 //! optional tree-ORAM mirror and analytics snapshot for a slice of the key
 //! space, plus the per-shard epoch pipelines.
 //!
-//! A [`Shard`] is the unit of commit parallelism: `ShardedStore` routes
-//! every epoch's operations to shards obliviously and then commits all
-//! shards concurrently on the fork-join pool — each shard's
+//! A [`Shard`] is the unit of commit parallelism: `ShardedStore` sorts
+//! every epoch's operations once and then commits all shards concurrently
+//! on the fork-join pool — each shard's task takes its own ops out of that
+//! order ([`crate::router::shard_lane`]), and its
 //! [`merge_epoch`](crate::merge) takes the shard's table by `&mut`, leases
 //! its scratch from the shared (thread-safe) [`ScratchPool`], and touches
 //! no state outside the shard, so commits are fully independent. A
 //! 1-shard store ([`crate::Store`]) hands its whole padded batch to its
-//! one shard.
+//! one shard. Both reach the one merge core, [`Shard::merge`].
 
-use crate::merge::{answer_cell, cell_key, cell_val, merge_epoch, ENGINE};
+use crate::merge::{self, answer_cell, cell_key, cell_val, read_answers, sorted_ops, ENGINE};
 use crate::op::{kind, size_class, EpochPath, FlatOp, StoreStats};
 use crate::store::{first_breach, StoreConfig};
 use fj::Ctx;
-use metrics::ScratchPool;
+use metrics::{ScratchGuard, ScratchPool, Tracked};
 use obliv_core::TagCell;
 use pram::Opram;
 use std::io;
@@ -129,10 +130,22 @@ impl Shard {
         batch: &[FlatOp],
         path: EpochPath,
     ) -> Vec<TagCell> {
-        match path {
-            EpochPath::Oram => self.oram_epoch(c, batch),
-            EpochPath::Merge => self.merge_batch(c, scratch, batch),
+        if path == EpochPath::Oram {
+            return self.oram_epoch(c, batch);
         }
+        // Merge path: sort `pending ++ batch` into one op lane and merge.
+        let b = batch.len();
+        let ops = sorted_ops(c, scratch, &self.pending, batch);
+        let answers = self.merge(c, scratch, ops, b, |t| read_answers(c, t, b));
+        // Keep the ORAM mirror consistent: replay the batch (pending ops
+        // were applied at their own epochs). Results are discarded — the
+        // merge already produced them.
+        if let Some(oram) = self.oram.as_mut() {
+            for f in batch {
+                oram.access(c, f.key, f.oram_write());
+            }
+        }
+        answers
     }
 
     /// Sub-threshold path: one fixed-pattern tree-ORAM access per padded
@@ -155,18 +168,22 @@ impl Shard {
         answers
     }
 
-    /// Merge path: replay `pending ++ batch` against the table (see
-    /// [`crate::merge`]), then write the batch through to the ORAM mirror.
-    fn merge_batch<C: Ctx>(
+    /// The merge core of [`Shard::execute`] and of a sharded commit: grow
+    /// the public live-key bound, apply the shrink schedule, and run
+    /// [`merge::merge_epoch`] on the sorted `ops` at the new capacity.
+    pub fn merge<C: Ctx, R>(
         &mut self,
         c: &C,
         scratch: &ScratchPool,
-        batch: &[FlatOp],
-    ) -> Vec<TagCell> {
+        ops: ScratchGuard<'_, TagCell>,
+        b: usize,
+        readout: impl FnOnce(&Tracked<'_, TagCell>) -> R,
+    ) -> R {
+        let p = self.pending.len();
         // Every pending/batch op could be a put of a fresh key, so the
         // public live-key bound grows by their count (clamped to the key
         // space when one is configured).
-        let mut live_upper = self.live_upper + self.pending.len() + batch.len();
+        let mut live_upper = self.live_upper + p + b;
         if let Some(space) = self.cfg.oram_key_space {
             live_upper = live_upper.min(space.max(1));
         }
@@ -183,28 +200,20 @@ impl Shard {
         }
         let cap_new = size_class(live_upper);
 
-        let (answers, stats) = merge_epoch(
+        let (answers, stats) = merge::merge_epoch(
             c,
             scratch,
             &mut self.table,
             cap_new,
-            &self.pending,
-            batch,
+            ops,
+            (p, b),
             self.cfg.shrink.is_some(),
+            readout,
         );
         self.live_upper = live_upper;
         self.stats = stats;
         self.pending.clear();
         self.merges += 1;
-
-        // Keep the ORAM mirror consistent: replay the batch (pending ops
-        // were applied at their own epochs). Results are discarded — the
-        // merge already produced them.
-        if let Some(oram) = self.oram.as_mut() {
-            for f in batch {
-                oram.access(c, f.key, f.oram_write());
-            }
-        }
         answers
     }
 

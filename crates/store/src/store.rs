@@ -19,10 +19,11 @@
 //! # Sharded epochs
 //!
 //! A [`ShardedStore`] partitions the key space across `shards` shards by
-//! the public hash [`shard_of`](crate::shard_of). Each epoch is routed
-//! obliviously (every shard's sub-batch padded to the same public class),
-//! committed on all shards in parallel via [`fj::par_zip_mut`], and the
-//! results are obliviously routed back to submission order — the
+//! the public hash [`shard_of`](crate::shard_of). Each epoch's ops are
+//! sorted once, as op cells keyed `(key ‖ seq)`; every shard masks and
+//! compacts its own ops out of that one order, merges them (one public
+//! class per shard) in parallel with the others via [`fj::par_zip_mut`],
+//! and the results are obliviously routed back to submission order — the
 //! adversary trace of the whole epoch is a function of `(batch class,
 //! shard count, capacity history)` only. With one shard there is nothing
 //! to route or gather: the padded batch is the shard's job and its
@@ -33,14 +34,15 @@
 //! See DESIGN.md §9.
 
 use crate::error::{Health, RetryPolicy, StoreError};
+use crate::merge::sorted_ops;
 use crate::op::{kind, size_class, EpochPath, FlatOp, Op, OpResult, StoreStats};
 use crate::recovery::recover_store;
-use crate::router::{gather_results, route_ops, shard_class};
+use crate::router::{gather_results, overflows, shard_class, shard_lane};
 use crate::shard::Shard;
 use crate::vfs::{OsVfs, Vfs};
 use crate::wal::{self, Durability, SnapMeta, Wal};
 use fj::{par_zip_mut, Ctx};
-use metrics::ScratchPool;
+use metrics::{par_fill, ScratchPool, Tracked};
 use obliv_core::TagCell;
 use pram::OramConfig;
 use std::path::{Path, PathBuf};
@@ -228,10 +230,11 @@ pub struct ShardConfig {
     /// the padded batch goes straight to the single shard.
     pub shards: usize,
     /// Per-shard sub-batch provisioning (see
-    /// [`shard_class`](crate::shard_class)): `0` pads every shard to the
-    /// full batch class — routing can never overflow and the epoch trace
-    /// is *unconditionally* shape-only; `k ≥ 1` pads to
-    /// `size_class(k·b/shards)`, and an epoch whose key skew overflows a
+    /// [`shard_class`](crate::shard_class)): `0` provisions every shard
+    /// for the full batch class `b` — routing can never overflow and the
+    /// epoch trace is *unconditionally* shape-only; `k ≥ 1` provisions
+    /// `zcap = size_class(k·b/shards)`, so each shard merges `cap + zcap`
+    /// cells instead of `cap + b`, and an epoch whose key skew overflows a
     /// shard publicly falls back to full provisioning (the fallback — one
     /// bit per epoch — is the only data-dependent signal, and only under
     /// this opt-in policy).
@@ -313,9 +316,6 @@ pub struct ShardedStore {
     /// the whole store, one record per epoch holding its padded client
     /// batch, whatever the shard count.
     durable: Option<DurableLog>,
-    /// The epoch (by sequence number) the pipelined pre-log already
-    /// appended; `execute_epoch` does not append it a second time.
-    prelogged: Option<u64>,
     /// Sticky durable health: [`Health::Degraded`] after a terminal
     /// durable-path failure (reads keep working, commits are refused).
     health: Health,
@@ -376,7 +376,6 @@ impl ShardedStore {
             fallbacks: 0,
             last_path: None,
             durable: None,
-            prelogged: None,
             health: Health::Ok,
             fault: None,
         };
@@ -463,11 +462,11 @@ impl ShardedStore {
 
     /// Execute one epoch: pad `ops` to the public batch class, log the
     /// padded batch (durable stores), route it to shards obliviously,
-    /// commit every shard in parallel, and
-    /// obliviously gather the results back to submission order — one
-    /// result per op. A 1-shard store has nothing to route or gather: the
-    /// padded batch runs on the path [`epoch_path`](Self::epoch_path)
-    /// selects and the shard's results are returned as they are.
+    /// commit every shard in parallel, and obliviously gather the results
+    /// back to submission order — one result per op. A 1-shard store has
+    /// nothing to route or gather: the padded batch runs on the path
+    /// [`epoch_path`](Self::epoch_path) selects and the shard's results
+    /// are returned as they are.
     ///
     /// An **empty epoch is a public no-op**: the batch length is public,
     /// so branching on `ops.is_empty()` leaks nothing, and nothing runs —
@@ -514,16 +513,23 @@ impl ShardedStore {
             return Err(StoreError::Poisoned);
         }
         let batch = validate_and_pad(&self.cfg.store, ops)?;
-        // The pipelined pre-log may have appended this epoch already.
-        if self.prelogged.take() != Some(self.epochs) {
-            self.append_epoch(&batch)?;
-        }
+        self.append_epoch(&batch)?;
+        Ok(self.apply_logged(c, scratch, &batch, ops.len()))
+    }
+
+    /// The rest of an epoch once its padded `batch` is logged: commit it,
+    /// decode the answers of its first `n` slots (the client's ops) and,
+    /// at a merge close, run the scheduled checkpoint.
+    pub(crate) fn apply_logged<C: Ctx>(
+        &mut self,
+        c: &C,
+        scratch: &ScratchPool,
+        batch: &[FlatOp],
+        n: usize,
+    ) -> Vec<OpResult> {
         let before = self.snapshot;
-        let answers = self.commit(c, scratch, &batch, &[]);
-        let results = answers[..ops.len()]
-            .iter()
-            .map(|a| decode(a, before))
-            .collect();
+        let answers = self.commit(c, scratch, batch, &[]);
+        let results = answers[..n].iter().map(|a| decode(a, before)).collect();
         if self.last_path == Some(EpochPath::Merge) {
             if let Err(e) = self.maybe_snapshot() {
                 // The epoch itself is acknowledged — its WAL record is
@@ -532,7 +538,7 @@ impl ShardedStore {
                 let _ = self.degrade(e);
             }
         }
-        Ok(results)
+        results
     }
 
     /// Sum of the shards' analytics snapshots.
@@ -544,13 +550,19 @@ impl ShardedStore {
 
     /// WAL-before-merge: append the padded batch as the record of epoch
     /// `self.epochs` — and sync on the group-commit cadence — before any
-    /// state changes. No-op on non-durable stores. A terminal failure
+    /// state changes. The pipelined front end calls it on the caller's
+    /// thread and hands the batch to [`apply_logged`](Self::apply_logged)
+    /// in a detached task. No-op on non-durable stores. A terminal failure
     /// leaves no record behind ([`Wal::append`] truncates it off) and
-    /// degrades the store.
-    fn append_epoch(&mut self, batch: &[FlatOp]) -> Result<(), StoreError> {
+    /// degrades the store; a degraded store refuses with
+    /// [`StoreError::Poisoned`].
+    pub(crate) fn append_epoch(&mut self, batch: &[FlatOp]) -> Result<(), StoreError> {
         let Some(d) = self.durable.as_mut() else {
             return Ok(());
         };
+        if self.health == Health::Degraded {
+            return Err(StoreError::Poisoned);
+        }
         let appended = d.wal.append(self.cfg.store.retry, self.epochs, batch);
         appended.map_err(|f| self.degrade(f.on("wal append")))
     }
@@ -586,11 +598,10 @@ impl ShardedStore {
         answers
     }
 
-    /// Route `batch` to the shards obliviously, commit every shard `runs`
-    /// admits in parallel, and obliviously gather their answer cells back
-    /// to submission order. Every sub-batch is padded to the public class
-    /// `zcap`; under scaled provisioning a heavily skewed epoch can
-    /// overflow a shard — the fixed-trace pass reports it and the epoch
+    /// Sort `batch` once (`seq` = 1 + submission index), commit every shard
+    /// `runs` admits on its own lane of it ([`shard_lane`]) in parallel,
+    /// and obliviously gather their answer cells back to submission order.
+    /// A heavily skewed epoch that overflows the scaled class `zcap`
     /// publicly falls back to full provisioning.
     fn commit_split<C: Ctx>(
         &mut self,
@@ -600,34 +611,31 @@ impl ShardedStore {
         runs: impl Fn(usize) -> bool + Sync,
     ) -> Vec<TagCell> {
         let (shards, b) = (self.shards.len(), batch.len());
+        let mut sorted = sorted_ops(c, scratch, &[], batch);
+        let ops = Tracked::new(c, &mut sorted);
         let mut zcap = shard_class(b, shards, self.cfg.route_slack);
-        let mut routed = route_ops(c, scratch, batch, shards, zcap);
-        if routed.is_err() {
+        if zcap < b && overflows(c, &ops, shards, zcap) {
             self.fallbacks += 1;
             zcap = b;
-            routed = route_ops(c, scratch, batch, shards, zcap);
         }
-        let jobs = routed.expect("full provisioning cannot overflow");
         let mut entries = vec![TagCell::filler(); shards * zcap];
         let mut outs: Vec<&mut [TagCell]> = entries.chunks_mut(zcap).collect();
+        let cfg = self.cfg.store;
         // Every shard owns its table and leases scratch from the shared
-        // pool, so the commits are independent fork-join tasks. Each
-        // answer trades its sub-batch slot for its submission index;
-        // padding slots stay fillers.
+        // pool, so the commits are independent fork-join tasks. A shard
+        // that sits the epoch out merges into a blank stand-in instead:
+        // only a replay skips shards and it drops the answers, but the
+        // gather wants one per op.
         par_zip_mut(c, &mut self.shards, &mut outs, &|c, s, shard, out| {
-            let job = &jobs[s];
-            // A shard that sits the epoch out answers its slots blank:
-            // only a replay skips shards and it drops the answers, but
-            // the gather wants one per routed op.
-            let answers = match runs(s) {
-                true => shard.execute(c, scratch, &job.batch, EpochPath::Merge),
-                false => vec![TagCell::filler(); zcap],
-            };
-            for ((out, answer), &i) in out.iter_mut().zip(answers).zip(&job.idx) {
-                if i != u64::MAX {
-                    *out = TagCell::new(i as u128, answer.aux);
-                }
-            }
+            let mut stand_in = (!runs(s)).then(|| Shard::new(cfg, 0));
+            let shard = stand_in.as_mut().unwrap_or(shard);
+            let lane = shard_lane(c, scratch, &ops, s, shards);
+            // The answer window is tagged by slot, which with no pending
+            // log is the submission index: the gather's run.
+            let mut run = Tracked::new(c, out);
+            shard.merge(c, scratch, lane, zcap, |t| {
+                par_fill(c, &mut run, &|c, j| t.get(c, j))
+            });
         });
         gather_results(c, scratch, &entries, zcap, b)
     }
@@ -706,25 +714,6 @@ impl ShardedStore {
                 .map_err(|f| f.on("wal truncate"))
         });
         truncated.map_err(|e| self.degrade(e))
-    }
-
-    /// Append `log` — the padded batch `commit_async` has validated — to
-    /// the WAL *now*, as the next epoch's record: the pipelined front
-    /// end's durability point, on the caller's thread, before the epoch
-    /// is handed to a detached task. The task then routes and commits as
-    /// on a non-durable store, and its `execute_epoch` does not append
-    /// the record again. No-op on non-durable stores. Error contract as
-    /// for [`ShardedStore::execute_epoch`].
-    pub(crate) fn wal_prelog(&mut self, log: &[FlatOp]) -> Result<(), StoreError> {
-        if self.durable.is_none() {
-            return Ok(());
-        }
-        if self.health == Health::Degraded {
-            return Err(StoreError::Poisoned);
-        }
-        self.append_epoch(log)?;
-        self.prelogged = Some(self.epochs);
-        Ok(())
     }
 
     /// Record a terminal durable-path failure: flip to

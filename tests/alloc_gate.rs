@@ -2,8 +2,8 @@
 //!
 //! A counting global allocator measures how many heap allocations the
 //! steady-state hot paths perform (`oblivious_sort_u64`, the tag-sort
-//! fast path, a full store merge epoch and a pipelined `read_now`
-//! consult). This file is its own integration-test binary, so the global
+//! fast path, a full store merge epoch, a sharded epoch and a pipelined
+//! `read_now` consult). This file is its own integration-test binary, so the global
 //! allocator is the tests' own. It counts per thread: every measured
 //! section runs on `SeqCtx` on its test's thread, so allocations the
 //! harness or a concurrent test makes on other threads never reach it.
@@ -274,6 +274,59 @@ fn merge_epoch_pool_stays_warm_on_tag_path() {
         "steady merge epochs grew the scratch pool: a tag-sort lane is \
          being allocated per call instead of leased"
     );
+}
+
+#[test]
+fn sharded_epoch_pool_stays_warm() {
+    use fj::SeqCtx;
+    use obliv_core::ScratchPool;
+    use store::{Op, ShardConfig, ShardedStore, ShrinkPolicy};
+
+    for route_slack in [0, 2] {
+        let c = SeqCtx::new();
+        let scratch = ScratchPool::new();
+        // Four shards, each compacted back to the same live bound at every
+        // merge: steady epochs repeat one public shape.
+        let mut cfg = ShardConfig::with_shards(4);
+        cfg.route_slack = route_slack;
+        cfg.store.shrink = Some(ShrinkPolicy {
+            every: 1,
+            live_bound: 64,
+            snapshot: 0,
+        });
+        let mut store = ShardedStore::new(cfg);
+        // Keys spread over the shards, so slack 2 never falls back.
+        let epoch_ops = |salt: u64| -> Vec<Op> {
+            (0..128u64)
+                .map(|i| {
+                    let key = (i * 61 + salt) % 256;
+                    match i % 3 {
+                        0 => Op::Put { key, val: i + salt },
+                        1 => Op::Get { key },
+                        _ => Op::Delete { key },
+                    }
+                })
+                .collect()
+        };
+        store.execute_epoch(&c, &scratch, &epoch_ops(1)).unwrap();
+        store.execute_epoch(&c, &scratch, &epoch_ops(2)).unwrap();
+        let fresh_after_warmup = scratch.fresh_allocs();
+
+        // Steady epochs: the op sort, the count and every shard's lane are
+        // leases, and so is everything each shard's merge draws.
+        for round in 3..6u64 {
+            store
+                .execute_epoch(&c, &scratch, &epoch_ops(round))
+                .unwrap();
+        }
+        assert_eq!(store.routing_fallbacks(), 0, "slack {route_slack}");
+        assert_eq!(
+            scratch.fresh_allocs(),
+            fresh_after_warmup,
+            "slack {route_slack}: steady sharded epochs grew the scratch pool: \
+             a routing lane is being allocated per call instead of leased"
+        );
+    }
 }
 
 #[test]

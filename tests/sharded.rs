@@ -105,37 +105,62 @@ fn env_selected_shard_count_matches_oracle() {
 // Definition-1 trace equality
 // ---------------------------------------------------------------------------
 
+/// Batch sizes of every history below: classes 64, 16 and 32.
+const SIZES: [usize; 3] = [40, 12, 28];
+
 /// A fixed-shape epoch history parameterized by the secret payload: same
 /// epoch count, same batch sizes, same shard count — totally different
 /// keys/values/op-kinds.
+fn history(salt: u64) -> Vec<Vec<Op>> {
+    SIZES
+        .iter()
+        .enumerate()
+        .map(|(e, &size)| {
+            (0..size as u64)
+                .map(|i| {
+                    let key = i
+                        .wrapping_mul(salt.wrapping_mul(2654435761).wrapping_add(97))
+                        .wrapping_add(e as u64)
+                        % 512;
+                    op_from((i.wrapping_add(salt) % 4) as u8, key, salt.wrapping_add(i))
+                })
+                .collect()
+        })
+        .collect()
+}
+
+fn run_epochs<C: Ctx>(
+    c: &C,
+    sp: &ScratchPool,
+    cfg: ShardConfig,
+    epochs: &[Vec<Op>],
+) -> (Vec<Vec<OpResult>>, u64) {
+    let mut store = ShardedStore::new(cfg);
+    let out = epochs
+        .iter()
+        .map(|ops| store.execute_epoch(c, sp, ops).unwrap())
+        .collect();
+    (out, store.routing_fallbacks())
+}
+
 fn run_history<C: Ctx>(
     c: &C,
     sp: &ScratchPool,
     cfg: ShardConfig,
     salt: u64,
 ) -> (Vec<Vec<OpResult>>, u64) {
-    let mut store = ShardedStore::new(cfg);
-    let mut out = Vec::new();
-    for (e, &size) in [40usize, 12, 28].iter().enumerate() {
-        let ops: Vec<Op> = (0..size as u64)
-            .map(|i| {
-                let key = i
-                    .wrapping_mul(salt.wrapping_mul(2654435761).wrapping_add(97))
-                    .wrapping_add(e as u64)
-                    % 512;
-                op_from((i.wrapping_add(salt) % 4) as u8, key, salt.wrapping_add(i))
-            })
-            .collect();
-        out.push(store.execute_epoch(c, sp, &ops).unwrap());
-    }
-    (out, store.routing_fallbacks())
+    run_epochs(c, sp, cfg, &history(salt))
+}
+
+fn trace_epochs(sp: &ScratchPool, cfg: ShardConfig, epochs: &[Vec<Op>]) -> (u64, u64) {
+    let (_, rep) = measure(CacheConfig::default(), TraceMode::Hash, |c| {
+        run_epochs(c, sp, cfg, epochs);
+    });
+    (rep.trace_hash, rep.trace_len)
 }
 
 fn trace_history(sp: &ScratchPool, cfg: ShardConfig, salt: u64) -> (u64, u64) {
-    let (_, rep) = measure(CacheConfig::default(), TraceMode::Hash, |c| {
-        run_history(c, sp, cfg, salt);
-    });
-    (rep.trace_hash, rep.trace_len)
+    trace_epochs(sp, cfg, &history(salt))
 }
 
 #[test]
@@ -177,6 +202,43 @@ fn sharded_traces_are_shape_only_under_scaled_provisioning() {
     let a = trace_history(&sp, cfg, 3);
     let b = trace_history(&sp, cfg, 0xFEED);
     assert_eq!(a, b, "scaled routing leaked per-shard loads");
+
+    // At the count's boundary: in every epoch one shard owns exactly its
+    // class `zcap = b/2` of the ops (32, 8 and 16), the rest spread over
+    // the other three. No fallback, and the same trace as the spread load.
+    // No aggregates: they route by key 0, to whichever shard owns it.
+    let mut owned_by = vec![Vec::new(); 4];
+    for key in 0u64.. {
+        let s = shard_of(key, 4);
+        if owned_by[s].len() < 32 {
+            owned_by[s].push(key);
+        }
+        if owned_by.iter().all(|keys| keys.len() == 32) {
+            break;
+        }
+    }
+    let boundary: Vec<Vec<Op>> = SIZES
+        .iter()
+        .map(|&size| {
+            let zcap = size.next_power_of_two() / 2;
+            (0..size)
+                .map(|i| {
+                    let key = match i < zcap {
+                        true => owned_by[0][i],
+                        false => owned_by[1 + i % 3][i - zcap],
+                    };
+                    op_from((i % 3) as u8, key, i as u64)
+                })
+                .collect()
+        })
+        .collect();
+    let (_, fallbacks) = run_epochs(&c, &sp, cfg, &boundary);
+    assert_eq!(fallbacks, 0, "a shard holding exactly zcap ops fell back");
+    assert_eq!(
+        trace_epochs(&sp, cfg, &boundary),
+        a,
+        "a full shard class changed the trace"
+    );
 }
 
 #[test]
