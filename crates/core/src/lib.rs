@@ -18,7 +18,8 @@
 //!   `O(log² n)` baseline (Table 2);
 //! * [`sendrecv`] — oblivious send-receive / routing (§F);
 //! * [`scatter`] — padded multi-way oblivious scatter (stable §F routing
-//!   into fixed-capacity bins; the op→shard router of `dob-store`);
+//!   into fixed-capacity bins; `dob-store` no longer calls it: a sharded
+//!   epoch sorts its ops once and each shard compacts its own lane);
 //! * [`tag_sort`] — the tag-sort fast path: stable KV sorting and tight
 //!   compaction over packed 32-byte cells (the store's hot-path kernels);
 //! * [`baseline`] — insecure parallel mergesort (SPMS substitute).

@@ -7,8 +7,9 @@
 //! write it once against [`Ctx`] and plug in one of three executors:
 //!
 //! * [`crate::SeqCtx`] — plain sequential execution, zero accounting;
-//! * [`crate::Pool`] — real parallel execution under randomized work
-//!   stealing (the `join` of the two closures may run on different cores);
+//! * [`crate::Pool`] — real parallel execution under work stealing (each
+//!   idle worker scans the others round-robin from its own index; the
+//!   `join` of the two closures may run on different cores);
 //! * `metrics::MeterCtx` — sequential instrumented execution that counts
 //!   work, computes span through the fork-join recursion, simulates an
 //!   ideal LRU cache, and records the address trace the paper's adversary

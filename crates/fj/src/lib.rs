@@ -4,8 +4,9 @@
 //! *Data Oblivious Algorithms for Multicores* (Ramachandran & Shi,
 //! SPAA 2021). The paper's algorithms are stated in the **binary fork-join
 //! model** (§2.1, §A.2): parallelism is expressed exclusively through paired
-//! binary `fork`/`join` operations, and the scheduler is randomized work
-//! stealing in the style of Blumofe–Leiserson.
+//! binary `fork`/`join` operations, and the scheduler is work stealing in
+//! the style of Blumofe–Leiserson (deterministic round-robin victims here,
+//! where the analysis assumes random ones).
 //!
 //! The crate provides:
 //!

@@ -489,49 +489,6 @@ mod tests {
     use crate::store::{ShardConfig, ShrinkPolicy, Store};
     use fj::SeqCtx;
 
-    fn ops_mix(n: u64, salt: u64) -> Vec<Op> {
-        (0..n)
-            .map(|i| {
-                let key = (i * 7 + salt) % 37;
-                match i % 4 {
-                    0 | 1 => Op::Put {
-                        key,
-                        val: i * 100 + salt,
-                    },
-                    2 => Op::Get { key },
-                    _ => Op::Delete {
-                        key: (key + 5) % 37,
-                    },
-                }
-            })
-            .collect()
-    }
-
-    #[test]
-    fn pipelined_matches_synchronous_store() {
-        let c = SeqCtx::new();
-        let sp = ScratchPool::new();
-        let mut sync = Store::new(StoreConfig::default());
-        let mut pipe = PipelinedStore::new(Store::new(StoreConfig::default()));
-
-        let mut handles = Vec::new();
-        let mut want = Vec::new();
-        for e in 0..5 {
-            let ops = ops_mix(24, e * 13);
-            want.push(sync.execute_epoch(&c, &sp, &ops).unwrap());
-            for op in &ops {
-                pipe.submit(*op);
-            }
-            handles.push(pipe.commit_async(&c));
-        }
-        for (h, want) in handles.iter().zip(want) {
-            assert_eq!(pipe.wait(h).unwrap(), want);
-        }
-        let inner = pipe.into_inner(&c);
-        assert_eq!(inner.stats(), sync.stats());
-        assert_eq!(inner.epoch_counts(), sync.epoch_counts());
-    }
-
     #[test]
     fn read_now_sees_inflight_and_open_writes() {
         let c = SeqCtx::new();

@@ -821,37 +821,6 @@ mod tests {
     }
 
     #[test]
-    fn basic_crud_roundtrip() {
-        let c = SeqCtx::new();
-        let sp = ScratchPool::new();
-        let mut s = merge_only();
-        let res = s.execute_epoch(
-            &c,
-            &sp,
-            &[
-                Op::Put { key: 1, val: 11 },
-                Op::Put { key: 2, val: 22 },
-                Op::Get { key: 1 },
-            ],
-        );
-        let res = res.unwrap();
-        assert_eq!(res[2], OpResult::Value(Some(11)));
-        let res = s.execute_epoch(
-            &c,
-            &sp,
-            &[
-                Op::Delete { key: 1 },
-                Op::Get { key: 1 },
-                Op::Get { key: 2 },
-            ],
-        );
-        let res = res.unwrap();
-        assert_eq!(res[0], OpResult::Value(Some(11)));
-        assert_eq!(res[1], OpResult::Value(None));
-        assert_eq!(res[2], OpResult::Value(Some(22)));
-    }
-
-    #[test]
     fn aggregate_sees_last_merge_snapshot() {
         let c = SeqCtx::new();
         let sp = ScratchPool::new();

@@ -1,15 +1,15 @@
-//! Durability suite: kill-and-recover against a `HashMap` oracle, torn
-//! WAL tails, snapshot/truncate cadence, sharded checkpoints cut between
-//! snapshots, the one-log layout, the pipelined WAL-before-merge
-//! ordering, and Definition-1 trace equality of the recovery replay
-//! (fresh-vs-dirty scratch, recovery-vs-fresh-run at 1 and 4 shards,
-//! SeqCtx-vs-pinned-Pool agreement).
+//! Durability suite: fixed-seed kill-and-recover regressions of the
+//! shared store model (`tests/common/model.rs`), torn WAL tails,
+//! snapshot/truncate cadence, sharded checkpoints cut between snapshots,
+//! the one-log layout, the pipelined WAL-before-merge ordering, and
+//! Definition-1 trace equality of the recovery replay (fresh-vs-dirty
+//! scratch, recovery-vs-fresh-run at 1 and 4 shards).
 
 mod common;
 
 use common::dirty;
+use common::model::{self, Front, Oracle};
 use dob::prelude::*;
-use std::collections::HashMap;
 use std::path::PathBuf;
 
 /// Per-test scratch directory (fresh each run; tests run in parallel, so
@@ -28,44 +28,7 @@ fn durable_cfg() -> StoreConfig {
 }
 
 fn mixed_ops(n: u64, salt: u64) -> Vec<Op> {
-    (0..n)
-        .map(|i| {
-            let key = (i * 7 + salt * 13 + 1) % 41;
-            match (i + salt) % 5 {
-                0..=2 => Op::Put {
-                    key,
-                    val: salt * 10_000 + i,
-                },
-                3 => Op::Get { key },
-                _ => Op::Delete { key },
-            }
-        })
-        .collect()
-}
-
-fn apply_to_oracle(oracle: &mut HashMap<u64, u64>, ops: &[Op], res: &[OpResult]) {
-    for (op, got) in ops.iter().zip(res) {
-        match *op {
-            Op::Get { key } => assert_eq!(got.value(), oracle.get(&key).copied(), "get {key}"),
-            Op::Put { key, val } => assert_eq!(got.value(), oracle.insert(key, val), "put {key}"),
-            Op::Delete { key } => assert_eq!(got.value(), oracle.remove(&key), "delete {key}"),
-            Op::Aggregate => {}
-        }
-    }
-}
-
-/// Probe every key in `oracle`'s space against the recovered store.
-fn assert_matches_oracle<C: Ctx>(
-    c: &C,
-    sp: &ScratchPool,
-    store: &mut Store,
-    oracle: &HashMap<u64, u64>,
-) {
-    let keys: Vec<Op> = (0..41).map(|key| Op::Get { key }).collect();
-    let res = store.execute_epoch(c, sp, &keys).unwrap();
-    for (key, got) in (0..41u64).zip(&res) {
-        assert_eq!(got.value(), oracle.get(&key).copied(), "key {key}");
-    }
+    model::mixed_ops(n, salt, 41)
 }
 
 fn trace_of(f: impl FnOnce(&MeterCtx)) -> (u64, u64) {
@@ -73,54 +36,20 @@ fn trace_of(f: impl FnOnce(&MeterCtx)) -> (u64, u64) {
     (rep.trace_hash, rep.trace_len)
 }
 
+/// Kill and recover a durable store mid-script: the model's crash
+/// command recovers from the durable image and checks it against every
+/// committed epoch (`tests/common/model.rs`).
 #[test]
 fn kill_and_recover_matches_oracle() {
-    let c = SeqCtx::new();
-    let sp = ScratchPool::new();
-    let dir = tdir("kill_recover");
-    let mut oracle = HashMap::new();
-    {
-        let mut s = Store::recover(&c, &sp, &dir, durable_cfg()).unwrap();
-        for e in 0..6u64 {
-            let ops = mixed_ops(24, e);
-            let res = s.execute_epoch(&c, &sp, &ops).unwrap();
-            apply_to_oracle(&mut oracle, &ops, &res);
-        }
-        assert_eq!(s.epoch_counts().0, 6);
-        // "Kill": drop without any shutdown protocol. Every epoch was
-        // WAL-flushed before its merge, so nothing can be lost.
-    }
-    let mut r = Store::recover(&c, &sp, &dir, StoreConfig::default()).unwrap();
-    assert_eq!(r.epoch_counts().0, 6, "all acknowledged epochs replayed");
-    assert_matches_oracle(&c, &sp, &mut r, &oracle);
-    let _ = std::fs::remove_dir_all(&dir);
+    model::regress(&SeqCtx::new(), 7, |f| f == Front::sync(1));
 }
 
+/// The same crash images recovered under a pinned `Pool(4)` and under
+/// `SeqCtx` (the script's crash commands alternate) hold the same state.
 #[test]
 fn recover_under_pinned_pool_matches_seqctx() {
-    let c = SeqCtx::new();
-    let sp = ScratchPool::new();
-    let dir = tdir("pinned_pool");
-    let mut oracle = HashMap::new();
-    {
-        let mut s = Store::recover(&c, &sp, &dir, durable_cfg()).unwrap();
-        for e in 0..5u64 {
-            let ops = mixed_ops(32, e + 7);
-            let res = s.execute_epoch(&c, &sp, &ops).unwrap();
-            apply_to_oracle(&mut oracle, &ops, &res);
-        }
-    }
-    // Recovery with Durability::None leaves the directory untouched, so
-    // the same crash image can be revived under both executors.
-    let mut seq = Store::recover(&c, &sp, &dir, StoreConfig::default()).unwrap();
-    let pool = Pool::pinned(4);
-    let mut par = Store::recover(&pool, &sp, &dir, StoreConfig::default()).unwrap();
-    assert_eq!(seq.epoch_counts(), par.epoch_counts());
-    assert_eq!(seq.capacity(), par.capacity());
-    assert_eq!(seq.stats(), par.stats());
-    assert_matches_oracle(&c, &sp, &mut seq, &oracle);
-    assert_matches_oracle(&pool, &sp, &mut par, &oracle);
-    let _ = std::fs::remove_dir_all(&dir);
+    let fronts = |f| f == Front::sync(1) || f == Front::sync(4);
+    model::regress(&Pool::pinned(4), 8, fronts);
 }
 
 #[test]
@@ -128,14 +57,14 @@ fn torn_tail_record_is_dropped() {
     let c = SeqCtx::new();
     let sp = ScratchPool::new();
     let dir = tdir("torn_tail");
-    let mut oracle = HashMap::new();
+    let mut oracle = Oracle::default();
     {
         let mut s = Store::recover(&c, &sp, &dir, durable_cfg()).unwrap();
         for e in 0..3u64 {
             let ops = mixed_ops(24, e);
             let res = s.execute_epoch(&c, &sp, &ops).unwrap();
             if e < 2 {
-                apply_to_oracle(&mut oracle, &ops, &res);
+                assert_eq!(res, oracle.epoch(&ops, true));
             }
         }
     }
@@ -152,7 +81,7 @@ fn torn_tail_record_is_dropped() {
         .unwrap();
     let mut r = Store::recover(&c, &sp, &dir, StoreConfig::default()).unwrap();
     assert_eq!(r.epoch_counts().0, 2, "the torn epoch is not replayed");
-    assert_matches_oracle(&c, &sp, &mut r, &oracle);
+    oracle.assert_held_by(&c, &sp, &mut r, 41);
     let _ = std::fs::remove_dir_all(&dir);
 }
 
@@ -170,14 +99,14 @@ fn group_commit_crash_drops_only_the_unsynced_suffix() {
         durability: Durability::epoch_every(3),
         ..StoreConfig::default()
     };
-    let mut oracle = HashMap::new();
+    let mut oracle = Oracle::default();
     {
         let mut s = Store::recover(&c, &sp, &dir, cfg).unwrap();
         for e in 0..5u64 {
             let ops = mixed_ops(24, e);
             let res = s.execute_epoch(&c, &sp, &ops).unwrap();
             if e < 3 {
-                apply_to_oracle(&mut oracle, &ops, &res);
+                assert_eq!(res, oracle.epoch(&ops, true));
             }
         }
         assert_eq!(s.epoch_counts().0, 5);
@@ -199,7 +128,7 @@ fn group_commit_crash_drops_only_the_unsynced_suffix() {
         3,
         "un-synced suffix dropped, synced prefix replayed"
     );
-    assert_matches_oracle(&c, &sp, &mut r, &oracle);
+    oracle.assert_held_by(&c, &sp, &mut r, 41);
     let _ = std::fs::remove_dir_all(&dir);
 }
 
@@ -216,13 +145,13 @@ fn scheduled_snapshots_truncate_the_wal() {
         }),
         ..durable_cfg()
     };
-    let mut oracle = HashMap::new();
+    let mut oracle = Oracle::default();
     {
         let mut s = Store::recover(&c, &sp, &dir, cfg).unwrap();
         for e in 0..4u64 {
             let ops = mixed_ops(24, e);
             let res = s.execute_epoch(&c, &sp, &ops).unwrap();
-            apply_to_oracle(&mut oracle, &ops, &res);
+            assert_eq!(res, oracle.epoch(&ops, true));
         }
         // Merge 4 snapshotted and truncated; the WAL holds nothing.
         assert_eq!(std::fs::metadata(dir.join("wal-0.log")).unwrap().len(), 0);
@@ -230,13 +159,13 @@ fn scheduled_snapshots_truncate_the_wal() {
         // One more epoch lands in the (now short) WAL.
         let ops = mixed_ops(24, 9);
         let res = s.execute_epoch(&c, &sp, &ops).unwrap();
-        apply_to_oracle(&mut oracle, &ops, &res);
+        assert_eq!(res, oracle.epoch(&ops, true));
         assert!(std::fs::metadata(dir.join("wal-0.log")).unwrap().len() > 0);
     }
     // Recovery = snapshot (4 epochs) + replay (1 epoch).
     let mut r = Store::recover(&c, &sp, &dir, StoreConfig::default()).unwrap();
     assert_eq!(r.epoch_counts().0, 5);
-    assert_matches_oracle(&c, &sp, &mut r, &oracle);
+    oracle.assert_held_by(&c, &sp, &mut r, 41);
     let _ = std::fs::remove_dir_all(&dir);
 }
 
@@ -253,13 +182,13 @@ fn explicit_checkpoint_and_oram_replay() {
         ..StoreConfig::with_oram(64)
     };
     cfg.oram_threshold = 32;
-    let mut oracle = HashMap::new();
+    let mut oracle = Oracle::default();
     {
         let mut s = Store::recover(&c, &sp, &dir, cfg).unwrap();
         // Big epoch: merge path. Then checkpoint at the merge close.
         let load: Vec<Op> = (0..40).map(|i| Op::Put { key: i, val: i + 1 }).collect();
         let res = s.execute_epoch(&c, &sp, &load).unwrap();
-        apply_to_oracle(&mut oracle, &load, &res);
+        assert_eq!(res, oracle.epoch(&load, true));
         s.checkpoint().unwrap();
         assert_eq!(std::fs::metadata(dir.join("wal-0.log")).unwrap().len(), 0);
         // Small epochs: ORAM path, logged and left in the WAL.
@@ -274,7 +203,7 @@ fn explicit_checkpoint_and_oram_replay() {
             ];
             assert_eq!(s.epoch_path(ops.len()), EpochPath::Oram);
             let res = s.execute_epoch(&c, &sp, &ops).unwrap();
-            apply_to_oracle(&mut oracle, &ops, &res);
+            assert_eq!(res, oracle.epoch(&ops, false));
         }
         assert!(s.pending_len() > 0);
         // Checkpointing between merge closes is a typed refusal, not a
@@ -298,56 +227,17 @@ fn explicit_checkpoint_and_oram_replay() {
     assert!(r.pending_len() > 0, "ORAM replay rebuilds the pending log");
     // Probe through a merge epoch (41 keys ≥ threshold): consistency of
     // the recovered table + pending log + rebuilt ORAM mirror.
-    let keys: Vec<Op> = (0..41).map(|key| Op::Get { key }).collect();
-    let res = r.execute_epoch(&c, &sp, &keys).unwrap();
-    for (key, got) in (0..41u64).zip(&res) {
-        assert_eq!(got.value(), oracle.get(&key).copied(), "key {key}");
-    }
+    oracle.assert_held_by(&c, &sp, &mut r, 41);
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// Kill and recover a durable 4-shard store at every route slack:
+/// recovery replays through routing and gather.
 #[test]
 fn sharded_kill_and_recover_matches_oracle() {
-    let c = SeqCtx::new();
-    let sp = ScratchPool::new();
-    let dir = tdir("sharded");
-    let cfg = ShardConfig {
-        shards: 4,
-        route_slack: 0,
-        store: StoreConfig {
-            shrink: Some(ShrinkPolicy {
-                every: 0,
-                live_bound: 0,
-                snapshot: 3,
-            }),
-            ..durable_cfg()
-        },
-    };
-    let mut oracle = HashMap::new();
-    {
-        let mut s = ShardedStore::recover(&c, &sp, &dir, cfg).unwrap();
-        for e in 0..5u64 {
-            let ops = mixed_ops(32, e);
-            let res = s.execute_epoch(&c, &sp, &ops).unwrap();
-            apply_to_oracle(&mut oracle, &ops, &res);
-        }
-        // The snapshot cadence fired at merge 3 on every shard.
-        for i in 0..4 {
-            assert!(dir.join(format!("snap-{i}.bin")).exists(), "shard {i}");
-        }
-    }
-    let mut r = ShardedStore::recover(&c, &sp, &dir, cfg).unwrap();
-    assert_eq!(r.epoch_counts(), (5, 5));
-    let keys: Vec<Op> = (0..41).map(|key| Op::Get { key }).collect();
-    let res = r.execute_epoch(&c, &sp, &keys).unwrap();
-    for (key, got) in (0..41u64).zip(&res) {
-        assert_eq!(got.value(), oracle.get(&key).copied(), "key {key}");
-    }
-    // The probe epoch itself was durable: a second recovery sees it too.
-    drop(r);
-    let r2 = ShardedStore::recover(&c, &sp, &dir, cfg).unwrap();
-    assert_eq!(r2.epoch_counts().0, 6);
-    let _ = std::fs::remove_dir_all(&dir);
+    model::regress(&SeqCtx::new(), 9, |f| {
+        matches!(f, Front::Sync { shards: 4, .. })
+    });
 }
 
 #[test]
@@ -397,14 +287,14 @@ fn a_crash_between_snapshot_renames_recovers_every_acked_epoch() {
         store: durable_cfg(),
     };
     let (cut, done) = (tdir("cut_checkpoint"), tdir("done_checkpoint"));
-    let mut oracle = HashMap::new();
+    let mut oracle = Oracle::default();
     for dir in [&cut, &done] {
-        oracle.clear();
+        oracle = Oracle::default();
         let mut s = ShardedStore::recover(&c, &sp, dir, cfg).unwrap();
         for e in 0..4u64 {
             let ops = mixed_ops(32, e);
             let res = s.execute_epoch(&c, &sp, &ops).unwrap();
-            apply_to_oracle(&mut oracle, &ops, &res);
+            assert_eq!(res, oracle.epoch(&ops, true));
             if e == 1 || (e == 3 && dir == &done) {
                 s.checkpoint().unwrap();
             }
@@ -422,11 +312,7 @@ fn a_crash_between_snapshot_renames_recovers_every_acked_epoch() {
     let want = ShardedStore::recover(&c, &sp, &done, in_memory).unwrap();
     assert_eq!(r.epoch_counts(), (4, 4), "every shard merged every epoch");
     assert_eq!((r.stats(), r.capacity()), (want.stats(), want.capacity()));
-    let keys: Vec<Op> = (0..41).map(|key| Op::Get { key }).collect();
-    let res = r.execute_epoch(&c, &sp, &keys).unwrap();
-    for (key, got) in (0..41u64).zip(&res) {
-        assert_eq!(got.value(), oracle.get(&key).copied(), "key {key}");
-    }
+    oracle.assert_held_by(&c, &sp, &mut r, 41);
 
     // Without the log the older shards cannot catch up: that is lost
     // acknowledged data, and recovery says so.
@@ -517,38 +403,11 @@ fn pipelined_drop_with_inflight_epoch_loses_nothing() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// Same script through the pipelined front end (pre-log + detached
+/// commit) and the synchronous one: byte-identical WAL and snapshot files.
 #[test]
 fn pipelined_durable_matches_sync_durable() {
-    // Same epochs through the pipelined front end (pre-log + detached
-    // commit) and the synchronous one: identical recovered state.
-    let c = SeqCtx::new();
-    let sp = ScratchPool::new();
-    let (da, db) = (tdir("pipe_sync_a"), tdir("pipe_sync_b"));
-    {
-        let mut sync = Store::recover(&c, &sp, &da, durable_cfg()).unwrap();
-        let mut pipe = PipelinedStore::new(Store::recover(&c, &sp, &db, durable_cfg()).unwrap());
-        for e in 0..4u64 {
-            let ops = mixed_ops(24, e);
-            sync.execute_epoch(&c, &sp, &ops).unwrap();
-            for op in &ops {
-                pipe.submit(*op);
-            }
-            let _ = pipe.commit_async(&c);
-        }
-        pipe.drain(&c);
-    }
-    assert_eq!(
-        std::fs::read(da.join("wal-0.log")).unwrap(),
-        std::fs::read(db.join("wal-0.log")).unwrap(),
-        "pre-logged records are byte-identical to synchronous ones"
-    );
-    let ra = Store::recover(&c, &sp, &da, StoreConfig::default()).unwrap();
-    let rb = Store::recover(&c, &sp, &db, StoreConfig::default()).unwrap();
-    assert_eq!(ra.epoch_counts(), rb.epoch_counts());
-    assert_eq!(ra.stats(), rb.stats());
-    assert_eq!(ra.capacity(), rb.capacity());
-    let _ = std::fs::remove_dir_all(&da);
-    let _ = std::fs::remove_dir_all(&db);
+    model::assert_fronts_write_alike(|front| front.script(10, 400));
 }
 
 #[test]

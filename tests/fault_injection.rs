@@ -30,11 +30,15 @@
 //!   fault-built image equals that of an unfaulted build of the same
 //!   shapes.
 //!
-//! `DOB_FAULT_SEED` (the CI chaos matrix) is mixed into every schedule
-//! seed, so each leg explores a different deterministic fault universe.
+//! The workload runner and the acked-prefix oracle are the shared model's
+//! (`tests/common/model.rs`). `DOB_FAULT_SEED` (the CI chaos matrix) is
+//! mixed into every schedule seed, so each leg explores a different
+//! deterministic fault universe.
 
+mod common;
+
+use common::model::{self, drive, Cmd, Front, Oracle, DIR};
 use dob::prelude::*;
-use std::collections::HashMap;
 use std::sync::Arc;
 use std::time::Duration;
 use store::vfs::{FaultPlan, FaultVfs, Vfs};
@@ -65,60 +69,32 @@ fn durable_cfg(attempts: u32) -> StoreConfig {
 /// Deterministic mixed workload: epoch `e`'s batch shape is fixed (the
 /// public part); `salt` perturbs keys/values/op-kinds (the secret part).
 fn epoch_ops(e: u64, salt: u64) -> Vec<Op> {
-    let n = [12u64, 20, 8, 16][(e % 4) as usize];
-    (0..n)
-        .map(|i| {
-            let key = (i * 7 + e * 13 + salt + 1) % 41;
-            match (i + e + salt) % 5 {
-                0..=2 => Op::Put {
-                    key,
-                    val: e * 10_000 + i + salt * 100,
-                },
-                3 => Op::Get { key },
-                _ => Op::Delete { key },
-            }
-        })
-        .collect()
+    model::mixed_ops([12, 20, 8, 16][(e % 4) as usize], e + 8 * salt, 41)
 }
 
-fn apply(oracle: &mut HashMap<u64, u64>, ops: &[Op]) {
-    for op in ops {
-        match *op {
-            Op::Put { key, val } => {
-                oracle.insert(key, val);
-            }
-            Op::Delete { key } => {
-                oracle.remove(&key);
-            }
-            Op::Get { .. } | Op::Aggregate => {}
+/// The fixed workload of `epochs` epochs, one commit each; the pipelined
+/// front redeems each epoch once the next one is in flight.
+fn script(epochs: u64, salt: u64) -> Vec<Cmd> {
+    let mut cmds = Vec::new();
+    for e in 0..epochs {
+        cmds.extend(epoch_ops(e, salt).into_iter().map(Cmd::Submit));
+        cmds.push(Cmd::Commit);
+        if e > 0 {
+            cmds.push(Cmd::Wait(true));
         }
     }
+    cmds.push(Cmd::Wait(true));
+    cmds
 }
 
-/// How a run commits its epochs: synchronously or through the pipelined
-/// wrapper, each over a durable engine of the given shard count (1 = the
-/// plain `Store`: nothing routed, one WAL).
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-enum Front {
-    Sharded(usize),
-    Pipelined(usize),
-}
-
-impl Front {
-    fn shards(self) -> usize {
-        let (Front::Sharded(shards) | Front::Pipelined(shards)) = self;
-        shards
-    }
-}
-
+/// The synchronous and the pipelined front over a durable engine of 1
+/// shard (the plain `Store`: nothing routed, one WAL) and of 4.
 const FRONTS: [Front; 4] = [
-    Front::Sharded(1),
-    Front::Sharded(4),
-    Front::Pipelined(1),
-    Front::Pipelined(4),
+    Front::sync(1),
+    Front::sync(4),
+    Front::pipelined(1),
+    Front::pipelined(4),
 ];
-
-const DIR: &str = "/chaos/store";
 
 /// Open (or recover) `shards` durable shards in [`DIR`] on `vfs`.
 fn open<C: Ctx>(
@@ -133,75 +109,11 @@ fn open<C: Ctx>(
     ShardedStore::recover_with(c, sp, DIR, cfg, vfs)
 }
 
-/// Epochs in the driven workload. It checkpoints at merges 2 and 4 and
-/// then runs one more epoch, so a crash inside a checkpoint — which
-/// degrades the store after acknowledging the epoch that triggered it —
-/// still costs the last epoch.
+/// Epochs in the driven workload. The model's durable store checkpoints
+/// at merges 2 and 4 and then runs one more epoch, so a crash inside a
+/// checkpoint — which degrades the store after acknowledging the epoch
+/// that triggered it — still costs the last epoch.
 const EPOCHS: u64 = 5;
-
-/// Drive `epochs` epochs of the fixed workload against `front` on `vfs`,
-/// with a checkpoint every second merge, stopping at the first rejected
-/// epoch. Returns the **acknowledged** batches, in commit order: exactly
-/// the epochs whose commit returned `Ok` (for the pipelined front, whose
-/// `wait` returned `Ok`).
-fn drive<C: Ctx>(
-    c: &C,
-    sp: &ScratchPool,
-    front: Front,
-    vfs: Arc<FaultVfs>,
-    epochs: u64,
-    salt: u64,
-) -> Vec<Vec<Op>> {
-    let mut acked = Vec::new();
-    let mut cfg = ShardConfig::with_shards(front.shards());
-    cfg.store = StoreConfig {
-        shrink: Some(ShrinkPolicy {
-            every: 0,
-            live_bound: 0,
-            snapshot: 2,
-        }),
-        ..durable_cfg(2)
-    };
-    let Ok(mut s) = ShardedStore::recover_with(c, sp, DIR, cfg, vfs) else {
-        return acked;
-    };
-    match front {
-        Front::Sharded(_) => {
-            for e in 0..epochs {
-                let ops = epoch_ops(e, salt);
-                if s.execute_epoch(c, sp, &ops).is_err() {
-                    return acked;
-                }
-                acked.push(ops);
-            }
-        }
-        Front::Pipelined(_) => {
-            let mut p = PipelinedStore::with_scratch(s, Arc::new(ScratchPool::new()));
-            let mut pending: Option<(EpochHandle, Vec<Op>)> = None;
-            for e in 0..epochs {
-                let ops = epoch_ops(e, salt);
-                for &op in &ops {
-                    p.submit(op);
-                }
-                let h = p.commit_async(c);
-                if let Some((ph, pops)) = pending.take() {
-                    if p.wait(&ph).is_err() {
-                        let _ = p.wait(&h);
-                        return acked;
-                    }
-                    acked.push(pops);
-                }
-                pending = Some((h, ops));
-            }
-            if let Some((ph, pops)) = pending.take() {
-                if p.wait(&ph).is_ok() {
-                    acked.push(pops);
-                }
-            }
-        }
-    }
-    acked
-}
 
 /// Recover `shards` shards from the (fault-free) crash image and assert
 /// the recovered state is exactly the acked-prefix oracle: the replayed
@@ -214,10 +126,6 @@ fn assert_recovers_acked<C: Ctx>(
     image: FaultVfs,
     acked: &[Vec<Op>],
 ) {
-    let mut oracle: HashMap<u64, u64> = HashMap::new();
-    for ops in acked {
-        apply(&mut oracle, ops);
-    }
     let mut r =
         open(c, sp, shards, 1, Arc::new(image)).expect("recovery from a crash image must succeed");
     // Every epoch merges (no ORAM path), so shard 0's merge counter must
@@ -229,15 +137,11 @@ fn assert_recovers_acked<C: Ctx>(
         (n, n),
         "recovered epoch / merge counts != acknowledged epochs"
     );
-    let probes: Vec<Op> = (0..41).map(|key| Op::Get { key }).collect();
-    let res = r.execute_epoch(c, sp, &probes).unwrap();
-    for (key, got) in (0..41u64).zip(&res) {
-        assert_eq!(
-            got.value(),
-            oracle.get(&key).copied(),
-            "{shards} shard(s): key {key} diverged from the acked-prefix oracle"
-        );
+    let mut oracle = Oracle::default();
+    for ops in acked {
+        oracle.epoch(ops, true);
     }
+    oracle.assert_held_by(c, sp, &mut r, 41);
 }
 
 /// One exhaustive sweep of a front end: dry-run to count I/O operations,
@@ -245,7 +149,7 @@ fn assert_recovers_acked<C: Ctx>(
 fn sweep_front<C: Ctx>(c: &C, sp: &ScratchPool, front: Front, salt: u64) {
     let shards = front.shards();
     let dry = Arc::new(FaultVfs::unfaulted());
-    let full = drive(c, sp, front, dry.clone(), EPOCHS, salt);
+    let full = drive(c, front, dry.clone(), &script(EPOCHS, salt));
     assert_eq!(
         full.len() as u64,
         EPOCHS,
@@ -260,7 +164,7 @@ fn sweep_front<C: Ctx>(c: &C, sp: &ScratchPool, front: Front, salt: u64) {
             crash_at: Some(k),
             ..FaultPlan::default()
         }));
-        let acked = drive(c, sp, front, vfs.clone(), EPOCHS, salt);
+        let acked = drive(c, front, vfs.clone(), &script(EPOCHS, salt));
         assert!(
             vfs.crashed(),
             "{front:?}: crash point {k} (of {n}) never fired"
@@ -288,7 +192,7 @@ fn crash_point_sweep_under_pinned_pool() {
     let pool = Pool::pinned(4);
     let sp = ScratchPool::new();
     let salt = env_seed().wrapping_add(1);
-    for front in [Front::Sharded(4), Front::Pipelined(1), Front::Pipelined(4)] {
+    for &front in &FRONTS[1..] {
         pool.run(|c| sweep_front(c, &sp, front, salt));
     }
 }
@@ -513,7 +417,6 @@ fn fault_log_is_a_function_of_the_schedule_not_the_data() {
     // operation count, and the acked count must all be identical —
     // faults and retries read only public I/O outcomes (DESIGN.md §15).
     let c = SeqCtx::new();
-    let sp = ScratchPool::new();
     let run = |salt: u64| {
         let vfs = Arc::new(FaultVfs::new(FaultPlan {
             seed: env_seed() ^ 0x5EED,
@@ -522,7 +425,7 @@ fn fault_log_is_a_function_of_the_schedule_not_the_data() {
             sync_fault: 24,
             ..FaultPlan::default()
         }));
-        let acked = drive(&c, &sp, Front::Sharded(1), vfs.clone(), 4, salt);
+        let acked = drive(&c, FRONTS[0], vfs.clone(), &script(4, salt));
         (vfs.fault_log(), vfs.io_ops(), acked.len())
     };
     let (log_a, ops_a, acked_a) = run(17);
@@ -607,7 +510,7 @@ mod seeded_schedules {
                 sync_fault: 16,
                 ..FaultPlan::default()
             }));
-            let acked = drive(&c, &sp, front, vfs.clone(), 4, salt);
+            let acked = drive(&c, front, vfs.clone(), &script(4, salt));
             assert_recovers_acked(&c, &sp, front.shards(), vfs.durable_image(), &acked);
         }
 
@@ -620,7 +523,6 @@ mod seeded_schedules {
             which in 0usize..4,
         ) {
             let c = SeqCtx::new();
-            let sp = ScratchPool::new();
             let front = FRONTS[which];
             let run = |salt: u64| {
                 let vfs = Arc::new(FaultVfs::new(FaultPlan {
@@ -630,7 +532,7 @@ mod seeded_schedules {
                     sync_fault: 20,
                     ..FaultPlan::default()
                 }));
-                let acked = drive(&c, &sp, front, vfs.clone(), 4, salt);
+                let acked = drive(&c, front, vfs.clone(), &script(4, salt));
                 (vfs.fault_log(), vfs.io_ops(), acked.len())
             };
             prop_assert_eq!(run(11), run(777));

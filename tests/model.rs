@@ -1,0 +1,56 @@
+//! The store's model test: random command scripts
+//! (`tests/common/model.rs`) over every front, executor and durability
+//! mode, each step checked against the one `HashMap` oracle.
+//!
+//! Executors are built once per test, not once per case. A durable run
+//! writes an unfaulted in-memory `FaultVfs`; its crash commands recover
+//! from the durable image. Per-front fixed-seed regressions live beside
+//! the suites they replaced (`store`, `sharded`, `pipelined_store`,
+//! `durability`).
+
+mod common;
+
+use common::model::{self, Front};
+use dob::prelude::*;
+use proptest::prelude::*;
+use std::sync::OnceLock;
+
+fn raw() -> impl Strategy<Value = Vec<(u8, u64, u64)>> {
+    proptest::collection::vec((0u8..32, 0u64..1 << 32, 0u64..1_000_000), 0..160)
+}
+
+fn check<C: Ctx>(c: &C, which: usize, durable: bool, raw: &[(u8, u64, u64)]) {
+    let front = Front::all()[which];
+    model::check(c, front, durable, &front.decode(raw));
+}
+
+/// A `Pool::new(4)` and a `Pool::pinned(4)`, built once for the test
+/// binary.
+fn pools() -> &'static [Pool; 2] {
+    static POOLS: OnceLock<[Pool; 2]> = OnceLock::new();
+    POOLS.get_or_init(|| [Pool::new(4), Pool::pinned(4)])
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(96))]
+
+    #[test]
+    fn scripts_match_the_model_on_seqctx(which in 0usize..18, durable in any::<bool>(), raw in raw()) {
+        check(&SeqCtx::new(), which, durable, &raw);
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    #[test]
+    fn scripts_match_the_model_on_pools(pinned in 0usize..2, which in 0usize..18, durable in any::<bool>(), raw in raw()) {
+        check(&pools()[pinned], which, durable, &raw);
+    }
+
+    /// Both fronts write the same bytes for the same durable script.
+    #[test]
+    fn both_fronts_write_identical_files(raw in raw()) {
+        model::assert_fronts_write_alike(|front| front.decode(&raw));
+    }
+}

@@ -1,161 +1,49 @@
-//! `PipelinedStore` integration suite: submit-while-merging correctness
-//! against a `HashMap` oracle under the work-stealing pool, handle/join
-//! discipline, read-your-writes through the in-flight consult, and the
-//! public handoff cadence.
+//! `PipelinedStore` integration suite: fixed-seed model regressions of
+//! submit-while-merging under the work-stealing pool, out-of-order handle
+//! redemption and read-your-writes through the in-flight consult
+//! (`tests/common/model.rs`); drop and drain, typed consult errors, and
+//! the public handoff cadence.
 
 use dob::prelude::*;
-use proptest::prelude::*;
-use std::collections::HashMap;
 
-fn mixed_ops(n: u64, salt: u64, key_space: u64) -> Vec<Op> {
-    (0..n)
-        .map(|i| {
-            let key = (i * 7 + salt * 13 + 1) % key_space;
-            match (i + salt) % 5 {
-                0..=2 => Op::Put {
-                    key,
-                    val: salt * 10_000 + i,
-                },
-                3 => Op::Get { key },
-                _ => Op::Delete { key },
-            }
-        })
-        .collect()
-}
+mod common;
+use common::model::{self, mixed_ops, Cmd, Front};
 
-fn apply_to_oracle(oracle: &mut HashMap<u64, u64>, ops: &[Op], res: &[OpResult]) {
-    assert_eq!(res.len(), ops.len());
-    for (op, got) in ops.iter().zip(res) {
-        match *op {
-            Op::Get { key } => assert_eq!(got.value(), oracle.get(&key).copied(), "get {key}"),
-            Op::Put { key, val } => assert_eq!(got.value(), oracle.insert(key, val), "put {key}"),
-            Op::Delete { key } => assert_eq!(got.value(), oracle.remove(&key), "delete {key}"),
-            Op::Aggregate => {}
-        }
-    }
-}
-
-/// The headline stress: a Pool(4) drives a pipelined store through many
-/// client batches, interleaving fresh submissions and `read_now` consults
-/// with in-flight commits; every epoch's results and every consult answer
-/// must match a HashMap replayed in submission order.
+/// The headline stress: a Pool(4) drives the pipelined front at 1 and 4
+/// shards through fixed-seed scripts, interleaving submissions,
+/// `try_commit`s that coalesce while a merge is in flight (up to an open
+/// limit of 16, or none), `read_now` consults and out-of-order waits;
+/// every answer must be the model's (`tests/common/model.rs`).
 #[test]
 fn pool4_interleaved_submissions_match_hashmap_oracle() {
-    let pool = Pool::new(4);
-    let key_space = 97u64;
-
-    for shards in [1usize, 4] {
-        let store = ShardedStore::new(ShardConfig::with_shards(shards));
-        let mut p = PipelinedStore::new(store).with_open_limit(256);
-        let mut oracle: HashMap<u64, u64> = HashMap::new();
-        // Mirror of everything submitted but not yet oracle-applied:
-        // (epoch handle, the ops of that epoch).
-        let mut unapplied: Vec<(EpochHandle, Vec<Op>)> = Vec::new();
-        let mut open_ops: Vec<Op> = Vec::new();
-
-        for round in 0..12u64 {
-            let batch = mixed_ops(40, round, key_space);
-            for op in &batch {
-                p.submit(*op);
-                open_ops.push(*op);
-            }
-
-            // Consult mid-stream: the answer must reflect oracle state
-            // *plus* everything in flight and open, i.e. the submission
-            // order to date.
-            let probe: Vec<u64> = (0..8).map(|i| (round * 11 + i * 3) % key_space).collect();
-            let got = p.read_now(&pool, &probe);
-            let mut shadow = oracle.clone();
-            for (h, ops) in &unapplied {
-                let _ = h;
-                for op in ops {
-                    match *op {
-                        Op::Put { key, val } => {
-                            shadow.insert(key, val);
-                        }
-                        Op::Delete { key } => {
-                            shadow.remove(&key);
-                        }
-                        _ => {}
-                    }
-                }
-            }
-            for op in &open_ops {
-                match *op {
-                    Op::Put { key, val } => {
-                        shadow.insert(key, val);
-                    }
-                    Op::Delete { key } => {
-                        shadow.remove(&key);
-                    }
-                    _ => {}
-                }
-            }
-            let want: Vec<Option<u64>> = probe.iter().map(|k| shadow.get(k).copied()).collect();
-            assert_eq!(got, want, "consult diverged at round {round}");
-
-            // Opportunistic commit: whatever the cadence decides, track it.
-            if let Some(h) = p.try_commit(&pool) {
-                unapplied.push((h, std::mem::take(&mut open_ops)));
-            }
-
-            // Occasionally redeem the oldest outstanding epoch while later
-            // ones are still in flight.
-            if round % 3 == 2 && !unapplied.is_empty() {
-                let (h, ops) = unapplied.remove(0);
-                let res = p.wait(&h).unwrap();
-                apply_to_oracle(&mut oracle, &ops, &res);
-            }
-        }
-
-        // Drain: commit the tail and redeem everything outstanding.
-        if !open_ops.is_empty() {
-            let h = p.commit_async(&pool);
-            unapplied.push((h, std::mem::take(&mut open_ops)));
-        }
-        for (h, ops) in unapplied {
-            let res = p.wait(&h).unwrap();
-            apply_to_oracle(&mut oracle, &ops, &res);
-        }
-
-        // Final state agrees with the oracle, via consult and via stats.
-        let keys: Vec<u64> = (0..key_space).collect();
-        let got = p.read_now(&pool, &keys);
-        for (k, v) in keys.iter().zip(got) {
-            assert_eq!(v, oracle.get(k).copied(), "final key {k} ({shards} shards)");
-        }
-        let inner = p.into_inner(&pool);
-        assert_eq!(inner.stats().count, oracle.len() as u64);
-        let sum = oracle.values().fold(0u64, |a, &v| a.wrapping_add(v));
-        assert_eq!(inner.stats().sum, sum);
-    }
+    model::regress(&Pool::new(4), 5, |f| matches!(f, Front::Pipelined { .. }));
 }
 
 /// Handles may be redeemed out of order and long after later epochs
 /// committed; each one returns exactly its own epoch's results.
 #[test]
 fn handles_redeem_out_of_order_under_pool() {
-    let pool = Pool::new(4);
-    let c = SeqCtx::new();
-    let sp = ScratchPool::new();
-    let mut sync = Store::new(StoreConfig::default());
-    let mut p = PipelinedStore::new(Store::new(StoreConfig::default()));
+    let mut script = Vec::new();
+    for e in 0..6 {
+        script.extend(mixed_ops(20, e, 31).into_iter().map(Cmd::Submit));
+        script.push(Cmd::Commit);
+    }
+    let waits = [false, true].repeat(3).into_iter();
+    script.extend(waits.map(Cmd::Wait));
+    for shards in [1, 4] {
+        model::check(&Pool::new(4), Front::pipelined(shards), false, &script);
+    }
+}
 
-    let mut handles = Vec::new();
-    let mut want = Vec::new();
-    for e in 0..6u64 {
-        let ops = mixed_ops(20, e, 31);
-        want.push(sync.execute_epoch(&c, &sp, &ops).unwrap());
-        for op in &ops {
-            p.submit(*op);
-        }
-        handles.push(p.commit_async(&pool));
-    }
-    // Redeem evens first, then odds (odd order on purpose).
-    for i in (0..6).step_by(2).chain((1..6).step_by(2)) {
-        assert_eq!(p.wait(&handles[i]).unwrap(), want[i], "epoch {i}");
-    }
-    assert_eq!(p.epoch_counts(), (6, 6));
+/// `read_now` against the model wherever the answer lives: shards {1, 4}
+/// and the ORAM store with a pending log, with nothing in flight, an
+/// epoch in flight, or one in flight plus an open buffer; absent keys,
+/// `u64::MAX`, repeated probes, and probe counts past the per-shard
+/// capacity.
+#[test]
+fn read_now_matches_a_hashmap_wherever_the_answer_lives() {
+    let pipelined = |f| matches!(f, Front::Pipelined { .. } | Front::Oram { pipelined: true });
+    model::regress(&SeqCtx::new(), 6, pipelined);
 }
 
 /// Dropping the pipelined store (or the pool) with an epoch still in
@@ -252,102 +140,4 @@ fn try_read_now_reports_invalid_ops_and_leaves_the_store_healthy() {
     assert_eq!(p.wait(&good).unwrap().len(), 1);
     assert_eq!(p.health(), Health::Ok);
     assert_eq!(p.read_now(&c, &[3, 4, 5]), vec![Some(30), Some(41), None]);
-}
-
-/// `(kind, key index, value)` triples as ops over `key_of`.
-fn ops_of(raw: &[(u8, u64, u64)], key_of: impl Fn(u64) -> u64) -> Vec<Op> {
-    raw.iter()
-        .map(|&(kind, k, val)| match kind {
-            0 | 1 => Op::Put {
-                key: key_of(k),
-                val,
-            },
-            2 => Op::Delete { key: key_of(k) },
-            _ => Op::Get { key: key_of(k) },
-        })
-        .collect()
-}
-
-fn raw_ops(len: std::ops::Range<usize>) -> impl Strategy<Value = Vec<(u8, u64, u64)>> {
-    proptest::collection::vec((0u8..4, 0u64..48, 0u64..1_000_000), len)
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(48))]
-
-    /// `read_now` against a `HashMap`, wherever the answer lives: shards
-    /// {1, 2, 4} and a 1-shard ORAM store with a non-empty pending log,
-    /// each with nothing in flight, an epoch in flight, or an epoch in
-    /// flight plus an open buffer. Key indices 48..64 are never written
-    /// (absent keys), index 15 is `u64::MAX`, probes repeat keys, and
-    /// their count runs from 1 to past the per-shard capacity (128 once
-    /// loaded, 8 when the load is empty).
-    #[test]
-    fn read_now_matches_a_hashmap_wherever_the_answer_lives(
-        config in 0usize..4,
-        stage in 0usize..3,
-        load in raw_ops(0..100),
-        settled in raw_ops(1..20),
-        flying in raw_ops(1..40),
-        open in raw_ops(1..40),
-        probes in proptest::collection::vec(0u64..64, 1..300),
-    ) {
-        let c = SeqCtx::new();
-        let oram = config == 3;
-        let key_of = |k: u64| match (oram, k) {
-            (true, _) => k,
-            (false, 15) => u64::MAX,
-            (false, _) => k.wrapping_mul(0x9E37_79B9_7F4A_7C15),
-        };
-        let store = if oram {
-            Store::new(StoreConfig::with_oram(64))
-        } else {
-            ShardedStore::new(ShardConfig::with_shards(1 << config))
-        };
-        let mut p = PipelinedStore::new(store);
-        let mut oracle: HashMap<u64, u64> = HashMap::new();
-        let mut submit = |p: &mut PipelinedStore, raw: &[(u8, u64, u64)]| {
-            for op in ops_of(raw, key_of) {
-                p.submit(op);
-                match op {
-                    Op::Put { key, val } => drop(oracle.insert(key, val)),
-                    Op::Delete { key } => drop(oracle.remove(&key)),
-                    _ => {}
-                }
-            }
-        };
-
-        // Two retired epochs: a load, and a small one that an ORAM store
-        // serves by point lookups and leaves in its pending log.
-        for raw in [&load, &settled] {
-            submit(&mut p, raw);
-            let h = p.commit_async(&c);
-            prop_assert!(p.wait(&h).is_ok());
-        }
-        if oram {
-            prop_assert!(p.inner().unwrap().pending_len() > 0);
-        }
-        // Under `SeqCtx` the merge has run by now, but the epoch stays in
-        // flight — log consulted, snapshot not refreshed — until joined.
-        let flight = (stage >= 1).then(|| {
-            submit(&mut p, &flying);
-            p.commit_async(&c)
-        });
-        if stage == 2 {
-            submit(&mut p, &open);
-        }
-        prop_assert_eq!(p.in_flight(), stage >= 1);
-
-        let keys: Vec<u64> = probes.iter().map(|&k| key_of(k)).collect();
-        let want: Vec<Option<u64>> = keys.iter().map(|k| oracle.get(k).copied()).collect();
-        prop_assert_eq!(p.read_now(&c, &keys), want.clone());
-
-        // The consult wrote nothing back: once everything has merged, the
-        // tables alone give the same answers.
-        if let Some(h) = flight {
-            prop_assert!(p.wait(&h).is_ok());
-        }
-        p.drain(&c);
-        prop_assert_eq!(p.read_now(&c, &keys), want);
-    }
 }

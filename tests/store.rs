@@ -1,141 +1,41 @@
-//! `dob-store` integration suite: HashMap-oracle property tests for both
-//! epoch paths, and the Definition-1 obliviousness claims — two same-shape
-//! workloads with different keys/values/op-kinds must generate identical
-//! adversary traces on fresh *and* dirty scratch pools, with outputs
-//! identical under the sequential executor and the work-stealing pool.
+//! `dob-store` integration suite: the 1-shard store's fixed-seed model
+//! regressions, merge path and hybrid, and the Definition-1
+//! obliviousness claims — two same-shape workloads with different
+//! keys/values/op-kinds must generate identical adversary traces on fresh
+//! *and* dirty scratch pools, with outputs identical under the sequential
+//! executor and the work-stealing pool.
 
 use dob::prelude::*;
-use proptest::prelude::*;
-use std::collections::HashMap;
 
-/// Random flat ops over a small key universe (dense enough that gets hit,
-/// puts collide and deletes land).
-fn op_from(kind: u8, key: u64, val: u64) -> Op {
-    match kind % 4 {
-        0 => Op::Get { key },
-        1 => Op::Put { key, val },
-        2 => Op::Delete { key },
-        _ => Op::Aggregate,
-    }
+mod common;
+use common::dirty;
+use common::model::{self, Front};
+
+/// Merge path: the 1-shard store's fixed-seed model regression
+/// (`tests/common/model.rs`).
+#[test]
+fn merge_epochs_match_hashmap_oracle() {
+    model::regress(&SeqCtx::new(), 1, |f| f == Front::sync(1));
 }
 
-/// Apply `op` to the oracle with the store's sequential within-epoch
-/// semantics, checking the store's answer. `snapshot` is what aggregates
-/// must see (the stats as of the last merge).
-fn check_against_oracle(
-    oracle: &mut HashMap<u64, u64>,
-    snapshot: StoreStats,
-    op: &Op,
-    got: &OpResult,
-) {
-    match *op {
-        Op::Get { key } => assert_eq!(got.value(), oracle.get(&key).copied(), "get {key}"),
-        Op::Put { key, val } => assert_eq!(got.value(), oracle.insert(key, val), "put {key}"),
-        Op::Delete { key } => assert_eq!(got.value(), oracle.remove(&key), "delete {key}"),
-        Op::Aggregate => assert_eq!(*got, OpResult::Stats(snapshot), "aggregate"),
-    }
-}
-
-fn stats_of(oracle: &HashMap<u64, u64>) -> StoreStats {
-    StoreStats {
-        count: oracle.len() as u64,
-        sum: oracle.values().fold(0u64, |a, &v| a.wrapping_add(v)),
-    }
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(16))]
-
-    /// Merge path: random multi-epoch histories match the oracle exactly.
-    #[test]
-    fn merge_epochs_match_hashmap_oracle(
-        epochs in proptest::collection::vec(
-            proptest::collection::vec((0u8..4, 0u64..48, 0u64..1000), 0..40),
-            1..5,
-        ),
-    ) {
-        let c = SeqCtx::new();
-        let sp = ScratchPool::new();
-        let mut store = Store::new(StoreConfig::default());
-        let mut oracle: HashMap<u64, u64> = HashMap::new();
-        for raw in &epochs {
-            let ops: Vec<Op> = raw.iter().map(|&(k, key, val)| op_from(k, key, val)).collect();
-            let snapshot = store.stats();
-            let res = store.execute_epoch(&c, &sp, &ops).unwrap();
-            prop_assert_eq!(res.len(), ops.len());
-            for (op, got) in ops.iter().zip(res.iter()) {
-                check_against_oracle(&mut oracle, snapshot, op, got);
-            }
-            // Merge epochs refresh the analytics snapshot to the live state.
-            prop_assert_eq!(store.stats(), stats_of(&oracle));
-        }
-    }
-
-    /// Hybrid store: histories that bounce between the ORAM and merge
-    /// paths stay consistent with the oracle and with each other.
-    #[test]
-    fn hybrid_epochs_match_hashmap_oracle(
-        epochs in proptest::collection::vec(
-            proptest::collection::vec((0u8..4, 0u64..48, 0u64..1000), 0..40),
-            1..6,
-        ),
-    ) {
-        let c = SeqCtx::new();
-        let sp = ScratchPool::new();
-        let mut cfg = StoreConfig::with_oram(48);
-        cfg.oram_threshold = 32;
-        cfg.pending_limit = 64;
-        let mut store = Store::new(cfg);
-        let mut oracle: HashMap<u64, u64> = HashMap::new();
-        let mut snapshot = StoreStats::default();
-        for raw in &epochs {
-            let ops: Vec<Op> = raw.iter().map(|&(k, key, val)| op_from(k, key, val)).collect();
-            let merging = store.epoch_path(ops.len()) == EpochPath::Merge;
-            let res = store.execute_epoch(&c, &sp, &ops).unwrap();
-            for (op, got) in ops.iter().zip(res.iter()) {
-                check_against_oracle(&mut oracle, snapshot, op, got);
-            }
-            if merging {
-                snapshot = stats_of(&oracle);
-                prop_assert_eq!(store.stats(), snapshot);
-                prop_assert_eq!(store.pending_len(), 0);
-            }
-        }
-    }
+/// Hybrid store: a fixed-seed script bouncing between the ORAM and
+/// merge paths, checked step by step against the model.
+#[test]
+fn hybrid_epochs_match_hashmap_oracle() {
+    model::regress(&SeqCtx::new(), 2, |f| f == Front::Oram { pipelined: false });
 }
 
 // ---------------------------------------------------------------------------
 // Definition-1 trace equality
 // ---------------------------------------------------------------------------
 
-/// A fixed-shape epoch history parameterized by the secret payload: same
-/// epoch count, same batch sizes, totally different keys/values/op-kinds.
+/// [`history`](common::history) on the 1-shard store.
 fn run_history<C: Ctx>(c: &C, sp: &ScratchPool, salt: u64) -> Vec<Vec<OpResult>> {
-    let mut store = Store::new(StoreConfig::default());
-    let mut out = Vec::new();
-    for (e, &size) in [40usize, 12, 28].iter().enumerate() {
-        let ops: Vec<Op> = (0..size as u64)
-            .map(|i| {
-                let key = i
-                    .wrapping_mul(salt.wrapping_mul(2654435761).wrapping_add(97))
-                    .wrapping_add(e as u64)
-                    % 512;
-                op_from((i.wrapping_add(salt) % 4) as u8, key, salt.wrapping_add(i))
-            })
-            .collect();
-        out.push(store.execute_epoch(c, sp, &ops).unwrap());
-    }
-    out
+    common::run_history(c, sp, StoreConfig::default().into(), salt).0
 }
 
-mod common;
-use common::dirty;
-
 fn trace_history(sp: &ScratchPool, salt: u64) -> (u64, u64) {
-    let (_, rep) = measure(CacheConfig::default(), TraceMode::Hash, |c| {
-        run_history(c, sp, salt);
-    });
-    (rep.trace_hash, rep.trace_len)
+    common::trace_history(sp, StoreConfig::default().into(), salt)
 }
 
 #[test]
