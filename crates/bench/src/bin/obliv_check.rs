@@ -684,6 +684,25 @@ fn main() {
         let _ = o.access_batch(c, &reqs);
     });
 
+    // ...and trace-*length* invariance across collisions: 24 requests to
+    // one address against 24 distinct ones. Each request makes one walk,
+    // on uniform leaves (distributionally oblivious), so lengths compare.
+    let t: Vec<_> = [0u64, 13]
+        .iter()
+        .map(|&stride| {
+            let (_, len) = trace(|c| {
+                let mut o =
+                    pram::Opram::new(64, pram::OramConfig::default(), Engine::BitonicRec, 9);
+                let reqs: Vec<(u64, Option<u64>)> = (0..24u64)
+                    .map(|j| ((j * stride) % 64, (j % 2 == 0).then_some(j)))
+                    .collect();
+                let _ = o.access_batch(c, &reqs);
+            });
+            (0, len) // compare lengths only
+        })
+        .collect();
+    all_ok &= check("ORAM batched fetch (collisions, trace-len)", &t);
+
     // ORAM point path: one fused tree pass per recursion level. Same
     // address sequence and coins; the values written, and which accesses
     // write at all, differ.

@@ -6,16 +6,22 @@
 //!
 //! * a binary **bucket tree** per recursion level, stored in a
 //!   [`TreeLayout`] (vEB by default — §4.2's cache modification);
-//! * **recursion levels of position maps** with χ = 2 compression: map
-//!   level k packs the leaves of two level-(k−1) addresses per entry, down
-//!   to a constant-size top map that is scanned in full (fixed pattern);
+//! * **recursion levels of position maps**, packed by leaf width: a map
+//!   over a tree whose leaves are `h − 1` bits wide stores them in
+//!   `w`-bit fields, `w` = that width rounded up to a power of two and at
+//!   least 8, so one 64-bit entry holds χ = 64 / w leaves (χ = 4 for
+//!   10-bit leaves, 8 for 5- to 8-bit ones). The levels stop at a flat top
+//!   map, scanned in full (fixed pattern), at the depth that minimises an
+//!   access's tracked touches: the per-tree count below, summed over the
+//!   trees, plus 2 per top entry;
 //! * **fixed-capacity stash** with deterministic reverse-lexicographic
 //!   eviction of two paths per access, evicted *jointly* (overflow is
 //!   monitored, not proven);
-//! * **batched accesses**: conflict resolution by oblivious sort, one tree
-//!   walk per distinct address, results broadcast back with oblivious
-//!   send-receive — the fetch/route structure of \[CCS17\]'s per-step
-//!   simulation.
+//! * **batched accesses**: conflict resolution by oblivious sort, one walk
+//!   per request — the head of each address run served, every duplicate a
+//!   dummy walk of the same shape on fresh uniform leaves — and results
+//!   broadcast back with oblivious send-receive — the fetch/route structure
+//!   of \[CCS17\]'s per-step simulation.
 //!
 //! # One fused pass per tree
 //!
@@ -44,11 +50,15 @@
 //! That is `2b·h + 2b·(2h − 1) + 2·stash` tracked slot touches per tree —
 //! `30h + 192` at the default `b = 5`, `stash = 96`, less the `10` of the
 //! shared root — whatever the tree holds and wherever the block is found.
+//! At `s = 4096` the depth rule builds the data tree (`h = 11`), maps over
+//! 1024 and 128 addresses (`h = 9` and `6`) and a 128-entry top: 1582
+//! touches an access. At `s ≤ 128` no map pays for itself.
 //!
 //! Path choices are fresh uniform leaves independent of the address
 //! sequence (the classic tree-ORAM argument); bucket and stash scans are
-//! fixed-size, so the trace for a fixed `(s, #accesses, seed)` depends on
-//! the *coins*, not on the stored values.
+//! fixed-size, and the number of trees, their heights and χ are functions
+//! of `s` and [`OramConfig`] alone, so the trace for a fixed
+//! `(s, #accesses, seed)` depends on the *coins*, not on the stored values.
 
 use crate::veb::{tree_nodes, TreeLayout};
 use fj::Ctx;
@@ -128,9 +138,7 @@ pub struct TreeOram {
 impl TreeOram {
     /// A tree with at least `capacity` leaves-worth of room.
     pub fn new(capacity: usize, cfg: OramConfig) -> Self {
-        // Leaves ≈ capacity/bucket, height = log2(leaves) + 1; min height 1.
-        let leaves = (capacity.div_ceil(cfg.bucket)).next_power_of_two().max(1);
-        let height = leaves.trailing_zeros() as usize + 1;
+        let height = tree_height(capacity, cfg);
         let staged = 2 * height * cfg.bucket + cfg.stash + 1;
         TreeOram {
             height,
@@ -178,7 +186,33 @@ impl TreeOram {
             addr < EMPTY as u64 && leaf < self.leaves() && new_leaf < self.leaves(),
             "ORAM access out of range: addr {addr}, leaves {leaf} → {new_leaf}"
         );
-        let (addr, leaf) = (addr as u32, leaf as u32);
+        let addr = addr as u32;
+        self.walk(c, addr, leaf as u32, |found| OramSlot {
+            addr,
+            leaf: new_leaf as u32,
+            val: new_val(found),
+        })
+    }
+
+    /// A walk that looks up, removes and adds nothing: the path to `leaf`
+    /// read and rewritten, the next two eviction paths evicted — the
+    /// tracked pattern of [`TreeOram::access`] on the same leaf and
+    /// counter.
+    fn dummy_access<C: Ctx>(&mut self, c: &C, leaf: u64) {
+        assert!(leaf < self.leaves(), "ORAM dummy leaf {leaf} out of range");
+        self.walk(c, EMPTY, leaf as u32, |_| OramSlot::default());
+    }
+
+    /// The fused pass behind both accesses: `addr` (`EMPTY` for none) is
+    /// blinded wherever it is found, and `added(found)` joins the staged
+    /// slots last.
+    fn walk<C: Ctx>(
+        &mut self,
+        c: &C,
+        addr: u32,
+        leaf: u32,
+        added: impl FnOnce(Option<u64>) -> OramSlot,
+    ) -> Option<u64> {
         let TreeOram {
             height: h,
             bucket,
@@ -233,7 +267,7 @@ impl TreeOram {
         // The slot as it goes on: freed, and its value kept, if it is the
         // looked-up block.
         let mut blind = |sl: OramSlot| {
-            if sl.addr == addr {
+            if sl.addr == addr && addr != EMPTY {
                 found = Some(sl.val);
                 OramSlot::default()
             } else {
@@ -263,11 +297,7 @@ impl TreeOram {
         for k in 0..ss.len() {
             pool.push(blind(ss.get(c, k)));
         }
-        pool.push(OramSlot {
-            addr,
-            leaf: new_leaf as u32,
-            val: new_val(found),
-        });
+        pool.push(added(found));
 
         // 3. Counting sort by deepest legal bucket, free slots last:
         // afterwards `ends[n − 1]..ends[n]` of `sorted` holds the blocks of
@@ -346,6 +376,22 @@ impl TreeOram {
     }
 }
 
+/// Height of the tree [`TreeOram::new`] builds for `capacity` blocks:
+/// `capacity / bucket` leaves rounded up to a power of two (at least one),
+/// plus the root level.
+fn tree_height(capacity: usize, cfg: OramConfig) -> usize {
+    let leaves = capacity.div_ceil(cfg.bucket).next_power_of_two().max(1);
+    leaves.trailing_zeros() as usize + 1
+}
+
+/// Tracked slot touches of one access to a tree of `height` levels, the
+/// module doc's `2b·h + 2b·(2h − 1) + 2·stash`: the read path read and
+/// rewritten, the two eviction paths (sharing the root) and the stash read
+/// and written once each.
+fn touches(height: usize, cfg: OramConfig) -> usize {
+    2 * cfg.bucket * height + 2 * cfg.bucket * (2 * height - 1) + 2 * cfg.stash
+}
+
 /// Depth of the deepest bucket the paths to leaves `a` and `b` share in a
 /// tree of `height` levels: the length of their common prefix in the
 /// `(height − 1)`-bit window (0 = the root only).
@@ -364,16 +410,36 @@ fn reverse_bits(x: u64, bits: u32) -> u32 {
 // Recursive OPRAM
 // ---------------------------------------------------------------------------
 
-/// Address space at or below this size is kept in a flat, fully scanned
-/// top-level position map.
-const TOP_THRESHOLD: usize = 64;
+/// Bits of one packed leaf in a map over a tree of `height` levels: its
+/// leaves' width `height − 1`, rounded up to a power of two and at least
+/// 8, so a 64-bit entry holds `64 / w` of them.
+fn field_width(height: usize) -> u32 {
+    ((height - 1) as u32).next_power_of_two().max(8)
+}
+
+/// Field `i` of a map entry packed in `w`-bit fields.
+fn unpack(entry: u64, w: u32, i: u64) -> u64 {
+    (entry >> (w as u64 * i)) & ((1 << w) - 1)
+}
+
+/// `entry` with field `i` (of width `w`) set to `leaf`.
+fn repack(entry: u64, w: u32, i: u64, leaf: u64) -> u64 {
+    let shift = w as u64 * i;
+    (entry & !(((1 << w) - 1) << shift)) | (leaf << shift)
+}
+
+/// `Opram::access_batch`'s source key for a dummy walk's result: above
+/// every address, so no request receives it.
+const NOWHERE: u64 = u64::MAX;
 
 /// Recursive position-map ORAM over `s` addresses with batched access.
 pub struct Opram {
     s: usize,
     data: TreeOram,
-    /// maps[k] stores, at its address `j`, the packed leaves of level-k−1
-    /// addresses `2j` and `2j+1` (level 0 = data tree).
+    /// `maps[k]` stores, at its address `j`, the leaves of level-`k`
+    /// addresses `χj … χj + χ − 1` packed in `w`-bit fields, with `w` =
+    /// [`field_width`] of the level-`k` tree and `χ = 64 / w` (level 0 =
+    /// data tree, level `k + 1` = `maps[k]`).
     maps: Vec<TreeOram>,
     /// Flat top map: leaf of `maps.last()`'s address `j` (or of the data
     /// tree when there are no maps).
@@ -385,34 +451,37 @@ pub struct Opram {
     scratch: ScratchPool,
 }
 
-fn pack(lo: u32, hi: u32) -> u64 {
-    (lo as u64) | ((hi as u64) << 32)
-}
-
-fn unpack(v: u64, bit: u64) -> u32 {
-    (v >> (32 * bit)) as u32
-}
-
-fn set_half(v: u64, bit: u64, leaf: u32) -> u64 {
-    let mask = 0xFFFF_FFFFu64 << (32 * bit);
-    (v & !mask) | ((leaf as u64) << (32 * bit))
-}
-
 impl Opram {
+    /// An ORAM over addresses `0..s`, every value 0, its map levels
+    /// chosen by the depth rule (module doc) from `s` and `cfg` alone.
+    ///
+    /// # Panics
+    ///
+    /// If `s` exceeds `u32::MAX`: slots store addresses as `u32`.
     pub fn new(s: usize, cfg: OramConfig, engine: Engine, seed: u64) -> Self {
         // Addresses and leaves are stored as `u32`, `u32::MAX` = free slot.
         assert!(s <= u32::MAX as usize, "ORAM address space exceeds u32");
         let mut rng = StdRng::seed_from_u64(seed);
         let data = TreeOram::new(s.max(1), cfg);
-        let mut maps = Vec::new();
-        let mut space = s.max(1).div_ceil(2);
-        while space > TOP_THRESHOLD {
-            maps.push(TreeOram::new(space, cfg));
-            space = space.div_ceil(2);
+        // Each map level folds the one below χ addresses to an entry. Keep
+        // the levels whose trees' touches plus 2 per top entry are least.
+        let (mut space, mut height) = (s.max(1), data.height);
+        let mut cost = touches(height, cfg);
+        let (mut best, mut spaces) = ((cost + 2 * space, 0), Vec::new());
+        while space > 1 {
+            space = space.div_ceil((64 / field_width(height)) as usize);
+            height = tree_height(space, cfg);
+            cost += touches(height, cfg);
+            spaces.push(space);
+            if cost + 2 * space < best.0 {
+                best = (cost + 2 * space, spaces.len());
+            }
         }
+        spaces.truncate(best.1);
+        let maps: Vec<TreeOram> = spaces.iter().map(|&n| TreeOram::new(n, cfg)).collect();
         // The flat top covers the addresses of the deepest structure built.
         let covered: &TreeOram = maps.last().unwrap_or(&data);
-        let top_len = if maps.is_empty() { s.max(1) } else { space * 2 };
+        let top_len = spaces.last().copied().unwrap_or(s.max(1));
         let top: Vec<u64> = (0..top_len)
             .map(|_| rng.gen_range(0..covered.leaves()))
             .collect();
@@ -437,20 +506,30 @@ impl Opram {
             .unwrap_or(0)
     }
 
+    /// The level-`k` tree: the data tree at 0, `maps[k − 1]` above.
+    fn level(&self, k: usize) -> &TreeOram {
+        if k == 0 {
+            &self.data
+        } else {
+            &self.maps[k - 1]
+        }
+    }
+
     /// Single oblivious access: returns the previous value of `addr`;
     /// `write` installs a new value.
     pub fn access<C: Ctx>(&mut self, c: &C, addr: u64, write: Option<u64>) -> u64 {
         assert!((addr as usize) < self.s);
         let levels = self.maps.len();
+        // Level `k + 1` folds `log₂ χ` address bits of level `k` into one
+        // entry; `shift` is how many the current level has folded.
+        let fold = |w: u32| 6 - w.trailing_zeros();
+        let mut shift: u32 = (0..levels)
+            .map(|k| fold(field_width(self.level(k).height)))
+            .sum();
 
         // Top map: fixed full scan, fetching + remapping the deepest level.
-        let top_addr = (addr >> levels) as usize;
-        let covered_leaves = self
-            .maps
-            .last()
-            .map(|t| t.leaves())
-            .unwrap_or_else(|| self.data.leaves());
-        let new_top_leaf = self.rng.gen_range(0..covered_leaves);
+        let top_addr = (addr >> shift) as usize;
+        let new_top_leaf = self.rng.gen_range(0..self.level(levels).leaves());
         let mut leaf = 0u64;
         {
             let mut t = Tracked::new(c, &mut self.top);
@@ -467,23 +546,19 @@ impl Opram {
 
         // Walk the map levels from coarsest (deepest index) to finest.
         for k in (0..levels).rev() {
-            let map_addr = addr >> (k + 1);
-            let child_leaves = if k == 0 {
-                self.data.leaves()
-            } else {
-                self.maps[k - 1].leaves()
-            };
-            let new_child_leaf = self.rng.gen_range(0..child_leaves) as u32;
-            let bit = (addr >> k) & 1;
-            let mut fetched_child_leaf = 0u32;
-            let tree = &mut self.maps[k];
-            tree.access(c, map_addr, leaf, incoming_new_leaf, |old| {
-                let entry = old.unwrap_or_else(|| pack(0, 0));
-                fetched_child_leaf = unpack(entry, bit);
-                set_half(entry, bit, new_child_leaf)
+            let (w, child_leaves) = (field_width(self.level(k).height), self.level(k).leaves());
+            let new_child_leaf = self.rng.gen_range(0..child_leaves);
+            let map_addr = addr >> shift;
+            shift -= fold(w);
+            let field = (addr >> shift) & (64 / w as u64 - 1);
+            let mut fetched_child_leaf = 0;
+            self.maps[k].access(c, map_addr, leaf, incoming_new_leaf, |old| {
+                let entry = old.unwrap_or(0);
+                fetched_child_leaf = unpack(entry, w, field);
+                repack(entry, w, field, new_child_leaf)
             });
-            leaf = fetched_child_leaf as u64;
-            incoming_new_leaf = new_child_leaf as u64;
+            leaf = fetched_child_leaf;
+            incoming_new_leaf = new_child_leaf;
         }
 
         // Data tree.
@@ -495,10 +570,39 @@ impl Opram {
         old_val
     }
 
+    /// An access that reads and changes nothing, with the tracked shape of
+    /// [`Opram::access`]: the top scanned and rewritten as it is, then
+    /// every tree, coarsest first, walked on a fresh uniform leaf — the
+    /// leaves a real access reads are uniform and unlinked to the address
+    /// too.
+    fn dummy_access<C: Ctx>(&mut self, c: &C) {
+        let Opram {
+            data,
+            maps,
+            top,
+            rng,
+            ..
+        } = self;
+        let mut t = Tracked::new(c, top);
+        for j in 0..t.len() {
+            let cur = t.get(c, j);
+            t.set(c, j, cur);
+        }
+        for tree in maps.iter_mut().rev().chain(std::iter::once(data)) {
+            let leaf = rng.gen_range(0..tree.leaves());
+            tree.dummy_access(c, leaf);
+        }
+    }
+
     /// Batched access (the per-PRAM-step fetch of \[CCS17\]): conflict
-    /// resolution by oblivious sort, one walk per distinct address, results
+    /// resolution by oblivious sort, exactly one walk per request, results
     /// broadcast with oblivious send-receive. `reqs[j] = (addr, write)`;
     /// returns the pre-step value of each request's address.
+    ///
+    /// The trace is a function of `reqs.len()` and the coins: a request
+    /// whose address an earlier one already names walks a dummy path, so
+    /// how many requests collide changes neither the number of walks nor
+    /// the broadcast's length.
     pub fn access_batch<C: Ctx>(&mut self, c: &C, reqs: &[(u64, Option<u64>)]) -> Vec<u64> {
         if reqs.is_empty() {
             return Vec::new();
@@ -508,11 +612,13 @@ impl Opram {
         // Requests ride in packed 32-byte `TagCell`s (the PR-5 fast path):
         // tag = composite (addr ‖ request index) — distinct, so the
         // unstable cell network is safe — and aux = (has-write ‖ value).
-        let m = reqs.len().next_power_of_two();
-        let winners: Vec<(u64, Option<u64>)> = {
+        let p = reqs.len();
+        // In sorted order: each request's address, its write, and whether
+        // it heads its address's run.
+        let sorted: Vec<(u64, Option<u64>, bool)> = {
             // Scoped so the scratch lease ends before the mutable tree
             // walks below.
-            let mut cells = self.scratch.lease(m, TagCell::filler());
+            let mut cells = self.scratch.lease(p, TagCell::filler());
             for (cell, (j, &(a, w))) in cells.iter_mut().zip(reqs.iter().enumerate()) {
                 *cell = TagCell::new(
                     composite_key(a, j as u64),
@@ -523,33 +629,34 @@ impl Opram {
                 let mut t = Tracked::new(c, &mut cells);
                 self.engine.sort_cells(c, &self.scratch, &mut t);
             }
-            let mut winners: Vec<(u64, Option<u64>)> = Vec::new();
-            for i in 0..m {
-                let sl = cells[i];
-                c.work(1);
-                if sl.is_filler() {
-                    continue;
-                }
-                let a = (sl.tag >> 64) as u64;
-                let head =
-                    i == 0 || cells[i - 1].is_filler() || (cells[i - 1].tag >> 64) as u64 != a;
-                if head {
-                    let (w, has_w) = (sl.aux as u64, (sl.aux >> 64) == 1);
-                    winners.push((a, has_w.then_some(w)));
-                }
-            }
-            winners
+            let addr = |i: usize| (cells[i].tag >> 64) as u64;
+            (0..p)
+                .map(|i| {
+                    c.work(1);
+                    let aux = cells[i].aux;
+                    let w = ((aux >> 64) == 1).then_some(aux as u64);
+                    (addr(i), w, i == 0 || addr(i - 1) != addr(i))
+                })
+                .collect()
         };
 
-        // Serve distinct addresses (sequential tree walks, as in [CCS17]'s
-        // level-sequential fetch phase).
-        let mut fetched: Vec<(u64, u64)> = Vec::with_capacity(winners.len());
-        for &(a, w) in &winners {
-            let v = self.access(c, a, w);
-            fetched.push((a, v));
-        }
+        // One walk per request (sequential tree walks, as in [CCS17]'s
+        // level-sequential fetch phase): heads are served, the rest walk
+        // dummy paths and send their result nowhere.
+        let fetched: Vec<(u64, u64)> = sorted
+            .into_iter()
+            .map(|(a, w, head)| {
+                if head {
+                    (a, self.access(c, a, w))
+                } else {
+                    self.dummy_access(c);
+                    (NOWHERE, 0)
+                }
+            })
+            .collect();
 
-        // Broadcast results to every request via oblivious send-receive.
+        // Broadcast results to every request via oblivious send-receive,
+        // `p` sources to `p` requests.
         let dests: Vec<u64> = reqs.iter().map(|&(a, _)| a).collect();
         send_receive_u64(c, &self.scratch, &fetched, &dests, self.engine)
             .into_iter()
@@ -588,29 +695,129 @@ mod tests {
         }
     }
 
+    /// Every map shape the depth rule builds: none (`s ≤ 128`), one, two,
+    /// and at 2¹⁹ a first map packing the data tree's 17-bit leaves in
+    /// 32-bit fields. The highest and lowest addresses are always visited.
     #[test]
     fn opram_matches_hashmap_reference() {
         let c = SeqCtx::new();
-        let s = 500usize;
-        let mut o = Opram::new(s, OramConfig::default(), Engine::BitonicRec, 42);
-        let mut reference: HashMap<u64, u64> = HashMap::new();
-        let mut rng = StdRng::seed_from_u64(7);
-        for step in 0..400 {
-            let addr = rng.gen_range(0..s as u64);
-            if rng.gen_bool(0.5) {
-                let v = step as u64 * 3 + 1;
-                o.access(&c, addr, Some(v));
-                reference.insert(addr, v);
-            } else {
-                let got = o.access(&c, addr, None);
-                assert_eq!(
-                    got,
-                    reference.get(&addr).copied().unwrap_or(0),
-                    "addr {addr}"
-                );
+        for s in [1usize, 64, 128, 200, 500, 512, 4096, 1 << 19] {
+            let mut o = Opram::new(s, OramConfig::default(), Engine::BitonicRec, 42);
+            let mut reference: HashMap<u64, u64> = HashMap::new();
+            let mut rng = StdRng::seed_from_u64(7);
+            for step in 0..400u64 {
+                let addr = match step % 5 {
+                    0 => s as u64 - 1,
+                    1 => 0,
+                    _ => rng.gen_range(0..s as u64),
+                };
+                if rng.gen_bool(0.5) {
+                    let v = step * 3 + 1;
+                    o.access(&c, addr, Some(v));
+                    reference.insert(addr, v);
+                } else {
+                    let got = o.access(&c, addr, None);
+                    let want = reference.get(&addr).copied().unwrap_or(0);
+                    assert_eq!(got, want, "s {s}, addr {addr}");
+                }
             }
+            assert!(
+                o.max_stash() < 90,
+                "s {s}: stash peaked at {}",
+                o.max_stash()
+            );
         }
-        assert!(o.max_stash() < 90, "stash peaked at {}", o.max_stash());
+    }
+
+    #[test]
+    fn packed_fields_round_trip_at_every_width() {
+        for w in [8u32, 16, 32] {
+            let fields = 64 / w as u64;
+            let max = (1u64 << w) - 1;
+            // Every field set to a distinct value, the highest to all ones.
+            let mut entry = u64::MAX;
+            for i in 0..fields {
+                let leaf = if i == fields - 1 { max } else { i * 3 + 1 };
+                entry = repack(entry, w, i, leaf);
+            }
+            for i in 0..fields {
+                let leaf = if i == fields - 1 { max } else { i * 3 + 1 };
+                assert_eq!(unpack(entry, w, i), leaf, "w {w}, field {i}");
+            }
+            // Clearing the highest field leaves every other one alone.
+            let cleared = repack(entry, w, fields - 1, 0);
+            assert_eq!(unpack(cleared, w, fields - 1), 0, "w {w}");
+            assert_eq!(cleared, entry & (u64::MAX >> w), "w {w}");
+        }
+        assert_eq!(field_width(11), 16);
+        assert_eq!((field_width(6), field_width(9), field_width(1)), (8, 8, 8));
+        assert_eq!(field_width(18), 32);
+    }
+
+    /// What the depth rule counts for `o`'s shape: every tree's touches
+    /// plus 2 per top entry.
+    fn rule_cost(o: &Opram) -> usize {
+        let trees = std::iter::once(&o.data).chain(&o.maps);
+        let cost: usize = trees
+            .map(|t| touches(t.height, OramConfig::default()))
+            .sum();
+        cost + 2 * o.top.len()
+    }
+
+    /// The depth rule's picks: at 4096 the data tree (`h = 11`, 10-bit
+    /// leaves, χ = 4), maps over 1024 and 128 addresses and a 128-entry top
+    /// (1582 touches, against 2880 for the six trees of χ = 2); at 128 and
+    /// below the flat top alone.
+    #[test]
+    fn depth_rule_picks_the_fewest_touches() {
+        let shape = |s: usize| {
+            let o = Opram::new(s, OramConfig::default(), Engine::BitonicRec, 1);
+            let heights: Vec<usize> = o.maps.iter().map(|t| t.height).collect();
+            (o.data.height, heights, o.top.len(), rule_cost(&o))
+        };
+        assert_eq!(shape(4096), (11, vec![9, 6], 128, 1582));
+        assert_eq!(shape(128), (6, vec![], 128, 618));
+        assert_eq!(shape(1), (1, vec![], 1, 214));
+        assert_eq!(shape(1 << 19).1[0], 17);
+    }
+
+    /// One metered `Opram::access` touches exactly what the depth rule
+    /// counted.
+    #[test]
+    fn one_access_touches_what_the_rule_counts() {
+        for s in [128usize, 200, 4096] {
+            let (_, rep) = measure(CacheConfig::default(), TraceMode::Hash, |c| {
+                let mut o = Opram::new(s, OramConfig::default(), Engine::BitonicRec, 2);
+                o.access(c, s as u64 / 3, Some(1));
+            });
+            let o = Opram::new(s, OramConfig::default(), Engine::BitonicRec, 2);
+            assert_eq!(rep.trace_len, rule_cost(&o) as u64, "s {s}");
+        }
+    }
+
+    /// Requests that collide make as many walks, and as long a trace, as
+    /// requests that do not — and the duplicates change no value.
+    #[test]
+    fn colliding_batches_leave_as_long_a_trace() {
+        let run = |reqs: &[(u64, Option<u64>)]| {
+            let mut got = Vec::new();
+            let (_, rep) = measure(CacheConfig::default(), TraceMode::Hash, |c| {
+                let mut o = Opram::new(300, OramConfig::default(), Engine::BitonicRec, 4);
+                o.access_batch(c, &[(9, Some(90))]);
+                got = o.access_batch(c, reqs);
+                got.extend(o.access_batch(c, &[(9, None), (10, None)]));
+            });
+            (rep.trace_len, got)
+        };
+        let same: Vec<(u64, Option<u64>)> = (0..12).map(|j| (9, Some(77 + j))).collect();
+        let distinct: Vec<(u64, Option<u64>)> = (0..12).map(|j| (j * 25, None)).collect();
+        let (same_len, same_got) = run(&same);
+        let (distinct_len, _) = run(&distinct);
+        assert_eq!(same_len, distinct_len);
+        // Every request saw 90, the first request's write won, and the
+        // dummy walks wrote nothing anywhere.
+        assert_eq!(same_got[..12], [90; 12]);
+        assert_eq!(same_got[12..], [77, 0]);
     }
 
     #[test]
@@ -753,11 +960,28 @@ mod tests {
         assert!(leftovers_seen > 0, "no config ever left a block behind");
     }
 
-    /// The module doc's closed form, `2b·h + 2b·(2h − p) + 2·stash`: the
-    /// eviction paths of one access share the root and nothing else, `p = 1`.
-    fn touches_per_access(t: &TreeOram) -> u64 {
-        let (h, b) = (t.height, t.bucket);
-        (2 * b * h + 2 * b * (2 * h - 1) + 2 * t.stash.len()) as u64
+    /// A tree of every height from 1 to 12, real and dummy accesses: the
+    /// metered touches are the closed form the depth rule adds up.
+    #[test]
+    fn metered_touches_match_the_formula_at_every_height() {
+        let cfg = OramConfig::default();
+        for h in 1..=12 {
+            let mut t = TreeOram::new(cfg.bucket << (h - 1), cfg);
+            assert_eq!(t.height, h);
+            let c = SeqCtx::new();
+            t.access(&c, 1, 0, 0, |_| 5);
+            let leaf = t.leaves() - 1;
+            let (_, real) = measure(CacheConfig::default(), TraceMode::Hash, |c| {
+                t.access(c, 1, 0, leaf, |old| old.unwrap_or(0));
+            });
+            let (_, dummy) = measure(CacheConfig::default(), TraceMode::Hash, |c| {
+                t.dummy_access(c, leaf);
+            });
+            assert_eq!(real.trace_len, touches(h, cfg) as u64, "h {h}");
+            assert_eq!(dummy.trace_len, real.trace_len, "h {h}");
+            assert_eq!(t.access(&c, 1, leaf, 0, |old| old.unwrap_or(0)), Some(5));
+        }
+        assert_eq!(touches(11, cfg), 30 * 11 + 182);
     }
 
     #[test]
@@ -795,10 +1019,7 @@ mod tests {
                 let at = pos.insert(a, leaf).unwrap_or(0);
                 full.access(&c, a, at, leaf, |_| a);
             }
-            let want = touches_per_access(&full);
-            if cfg.bucket == 5 && cfg.stash == 96 {
-                assert_eq!(want, (30 * full.height + 192 - 10) as u64);
-            }
+            let want = touches(full.height, cfg) as u64;
 
             // Hit in the stash (starved tree only), hit in a bucket, absent —
             // each picked from the tree as the access before left it.

@@ -332,8 +332,9 @@ struct DurableLog {
 }
 
 impl ShardedStore {
-    /// The two shapes no engine exists for. One check for both
-    /// constructors: [`ShardedStore::new`] panics with the reason,
+    /// The three shapes no engine exists for. One check for both
+    /// constructors, made before anything is allocated or written:
+    /// [`ShardedStore::new`] panics with the reason,
     /// [`ShardedStore::recover_with`] returns it.
     fn check_cfg(cfg: &ShardConfig) -> Result<(), &'static str> {
         if !cfg.shards.is_power_of_two() {
@@ -341,6 +342,13 @@ impl ShardedStore {
         }
         if cfg.store.oram_key_space.is_some() && cfg.shards != 1 {
             return Err("the ORAM path requires a single shard (sharded stores are merge-only)");
+        }
+        if cfg
+            .store
+            .oram_key_space
+            .is_some_and(|space| space > u32::MAX as usize)
+        {
+            return Err("oram_key_space exceeds u32::MAX (the ORAM stores addresses as u32)");
         }
         Ok(())
     }
@@ -353,7 +361,8 @@ impl ShardedStore {
     /// # Panics
     ///
     /// If the shard count is not a power of two, or the ORAM path is
-    /// configured with more than one shard.
+    /// configured with more than one shard or with an
+    /// [`oram_key_space`](StoreConfig::oram_key_space) above `u32::MAX`.
     pub fn new(cfg: impl Into<ShardConfig>) -> Self {
         let cfg = cfg.into();
         if let Err(reason) = Self::check_cfg(&cfg) {
@@ -1143,5 +1152,13 @@ mod tests {
         let mut cfg = ShardConfig::with_shards(4);
         cfg.store = StoreConfig::with_oram(64);
         ShardedStore::new(cfg);
+    }
+
+    /// Refused by the store's own check, before the ORAM (whose
+    /// constructor asserts the same bound) is built.
+    #[test]
+    #[should_panic(expected = "oram_key_space exceeds u32::MAX")]
+    fn new_rejects_an_oram_key_space_past_u32() {
+        ShardedStore::new(StoreConfig::with_oram(u32::MAX as usize + 1));
     }
 }

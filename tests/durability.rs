@@ -257,9 +257,18 @@ fn hostile_configs_are_typed_errors_and_create_nothing() {
         },
         ..ShardConfig::default()
     };
+    let oram_past_u32 = ShardConfig {
+        shards: 1,
+        store: StoreConfig {
+            durability: Durability::epoch(),
+            ..StoreConfig::with_oram(u32::MAX as usize + 1)
+        },
+        ..ShardConfig::default()
+    };
     for (name, cfg) in [
         ("three_shards", three_shards),
         ("sharded_oram", sharded_oram),
+        ("oram_past_u32", oram_past_u32),
     ] {
         let dir = tdir(name);
         let r = ShardedStore::recover(&c, &sp, &dir, cfg);
