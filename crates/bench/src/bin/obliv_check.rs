@@ -149,12 +149,13 @@ fn main() {
         seg_propagate_in(c, &scratch, &mut tr, Schedule::Tree);
     });
 
-    // Send-receive.
+    // Send-receive, payload layout: a four-word value (the shape of
+    // Euler's vertex stats) rides beside the record's lanes.
     all_ok &= row("oblivious send-receive", &inputs, |c, v| {
-        let sources: Vec<(u64, u64)> = v
+        let sources: Vec<(u64, (u64, u64, u64, u64))> = v
             .iter()
             .enumerate()
-            .map(|(i, &x)| (i as u64 * 3 + x % 2, x))
+            .map(|(i, &x)| (i as u64 * 3 + x % 2, (x, !x, x ^ 1, i as u64)))
             .collect();
         let dests: Vec<u64> = v.iter().map(|&x| x % 600).collect();
         send_receive(
@@ -605,15 +606,23 @@ fn main() {
         all_ok &= check("pinned pool (pin-layout invariance)", &t);
     }
 
-    // Cell send-receive (the u64 fast path): same shapes, different data.
-    all_ok &= row("cell send-receive (u64 fast path)", &inputs, |c, v| {
+    // Send-receive, `u64` lane: the value rides in the record's `u128`
+    // lane, 32-byte records sorted as cells. Same shapes, different data.
+    all_ok &= row("send-receive (u64 lane)", &inputs, |c, v| {
         let sources: Vec<(u64, u64)> = v
             .iter()
             .enumerate()
             .map(|(i, &x)| (i as u64 * 3 + x % 2, x))
             .collect();
         let dests: Vec<u64> = v.iter().map(|&x| x % 600).collect();
-        obliv_core::send_receive_u64(c, &scratch, &sources, &dests, Engine::BitonicRec);
+        send_receive(
+            c,
+            &scratch,
+            &sources,
+            &dests,
+            Engine::BitonicRec,
+            Schedule::Tree,
+        );
     });
 
     // List ranking on packed cells. The pointer-jumping phase walks the

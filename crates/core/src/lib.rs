@@ -58,7 +58,7 @@ pub use scan::{
     prefix_sum_in, scan_in, seg_combine_u64, seg_propagate_in, seg_sum_right_in, Schedule, Seg,
 };
 pub use scatter::oblivious_scatter;
-pub use sendrecv::{send_receive, send_receive_u64};
+pub use sendrecv::send_receive;
 pub use slot::{composite_key, Item, Slot, Val};
 pub use sortnet::{select_cell, select_u128, select_u64, TagCell};
 pub use tag_sort::{compact_cells, oblivious_sort_kv};

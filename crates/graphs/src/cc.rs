@@ -23,7 +23,7 @@
 use fj::Ctx;
 use metrics::{par_update, ScratchPool, Tracked};
 use obliv_core::slot::composite_key;
-use obliv_core::{send_receive_u64, Engine, TagCell};
+use obliv_core::{send_receive, Engine, Schedule, TagCell};
 
 const DUMMY: u64 = u64::MAX;
 
@@ -55,7 +55,7 @@ pub fn connected_components<C: Ctx>(
             .iter()
             .flat_map(|&(u, v)| [u as u64, v as u64])
             .collect();
-        let end_rr = send_receive_u64(c, scratch, &rr_sources, &ends, engine);
+        let end_rr = send_receive(c, scratch, &rr_sources, &ends, engine, Schedule::Tree);
 
         // Hook proposals: target = larger grand-label, value = smaller.
         let proposals: Vec<(u64, u64)> = (0..m)
@@ -77,7 +77,7 @@ pub fn connected_components<C: Ctx>(
         let winners = min_per_target(c, scratch, &proposals, engine);
 
         // Apply hooks: D[t] = min(D[t], proposal).
-        let hook_res = send_receive_u64(c, scratch, &winners, &all_v, engine);
+        let hook_res = send_receive(c, scratch, &winners, &all_v, engine, Schedule::Tree);
         par_update(c, &mut Tracked::new(c, &mut d), &|_, v, cur| {
             cur.min(hook_res[v].unwrap_or(cur))
         });
@@ -93,7 +93,7 @@ pub fn connected_components<C: Ctx>(
 /// One pointer-jumping step by send-receive: `D[D[v]]` for every `v`.
 pub(crate) fn jump<C: Ctx>(c: &C, scratch: &ScratchPool, d: &[u64], engine: Engine) -> Vec<u64> {
     let sources: Vec<(u64, u64)> = d.iter().enumerate().map(|(v, &x)| (v as u64, x)).collect();
-    send_receive_u64(c, scratch, &sources, d, engine)
+    send_receive(c, scratch, &sources, d, engine, Schedule::Tree)
         .into_iter()
         .map(|o| o.expect("label in range"))
         .collect()
@@ -108,9 +108,9 @@ fn min_per_target<C: Ctx>(
     engine: Engine,
 ) -> Vec<(u64, u64)> {
     // The whole (target, value) pair fits in the 128-bit tag, so the sort
-    // moves packed 32-byte `TagCell`s instead of ~96-byte slots (the PR-5
-    // fast path). Equal tags are identical pairs, so the unstable network
-    // is safe.
+    // moves packed 32-byte `TagCell`s instead of ~96-byte slots (the tag
+    // sort of DESIGN.md §10). Equal tags are identical pairs, so the
+    // unstable network is safe.
     let mut cells = scratch.lease(proposals.len(), TagCell::filler());
     for (cell, &(t, v)) in cells.iter_mut().zip(proposals.iter()) {
         *cell = TagCell::new(composite_key(t, v), 0);

@@ -28,7 +28,7 @@ use fj::Ctx;
 use metrics::{ScratchPool, Tracked};
 use obliv_core::scan::Schedule;
 use obliv_core::slot::{Item, Slot};
-use obliv_core::{send_receive, send_receive_u64, Engine, OrbaParams, TagCell};
+use obliv_core::{send_receive, Engine, OrbaParams, TagCell};
 
 const NONE: u64 = u64::MAX;
 /// Dummy-key base for send-receive channels (above any node id).
@@ -210,9 +210,9 @@ fn rake_substep<C: Ctx>(
         right_q[i] = r.id * 2 + 1;
     }
     let sib_res = send_receive(c, scratch, &sib_src, &ids, engine, Schedule::Tree);
-    let left_res = send_receive_u64(c, scratch, &child_src, &left_q, engine);
-    let right_res = send_receive_u64(c, scratch, &child_src, &right_q, engine);
-    let kill_res = send_receive_u64(c, scratch, &kill_src, &ids, engine);
+    let left_res = send_receive(c, scratch, &child_src, &left_q, engine, Schedule::Tree);
+    let right_res = send_receive(c, scratch, &child_src, &right_q, engine, Schedule::Tree);
+    let kill_res = send_receive(c, scratch, &kill_src, &ids, engine, Schedule::Tree);
 
     // Apply updates. The sibling channel carries (c_val, op, p.a, p.b) and
     // the new parent/side arrive via the parent record we already fetched.
@@ -327,7 +327,7 @@ fn assign_leaf_labels<C: Ctx>(
             }
         })
         .collect();
-    let sib_res = send_receive_u64(c, scratch, &sib_sources, &sib_q, engine);
+    let sib_res = send_receive(c, scratch, &sib_sources, &sib_q, engine, Schedule::Tree);
     for (i, r) in nodes.iter().enumerate() {
         let v = r.id as usize;
         if succ[2 * v + 1] == usize::MAX {
@@ -345,7 +345,7 @@ fn assign_leaf_labels<C: Ctx>(
         .collect();
 
     // Leaves sorted by entry position get labels 1..L; route back by id.
-    // The sort rides in packed 32-byte `TagCell`s (the PR-5 fast path):
+    // The sort rides in packed 32-byte `TagCell`s (DESIGN.md §10):
     // tag = tour position for leaves (distinct) / `u128::MAX - 1` for
     // internal nodes (order among them is irrelevant — their labels are
     // never read), aux = node id.
@@ -368,7 +368,7 @@ fn assign_leaf_labels<C: Ctx>(
         .map(|(k, s)| (s.aux as u64, k as u64 + 1))
         .collect();
     let ids: Vec<u64> = nodes.iter().map(|r| r.id).collect();
-    let labels = send_receive_u64(c, scratch, &label_sources, &ids, engine);
+    let labels = send_receive(c, scratch, &label_sources, &ids, engine, Schedule::Tree);
     let leaf_count = nodes.iter().filter(|r| r.is_leaf).count() as u64;
     for (i, r) in nodes.iter_mut().enumerate() {
         if r.is_leaf {

@@ -17,7 +17,7 @@ use crate::listrank::list_rank_oblivious;
 use fj::Ctx;
 use metrics::{ScratchPool, Tracked};
 use obliv_core::scan::{seg_propagate_in, Schedule, Seg};
-use obliv_core::{send_receive, send_receive_u64, Engine, OrbaParams, TagCell};
+use obliv_core::{send_receive, Engine, OrbaParams, TagCell};
 
 fn arc_key(u: usize, v: usize) -> u64 {
     ((u as u64) << 32) | v as u64
@@ -42,9 +42,9 @@ pub fn euler_tour<C: Ctx>(
     assert!(l >= 2, "tree must have at least one edge");
     // Both directions of every edge, as packed cells keyed by (tail, head):
     // the arc fits the 16-byte aux lane, so the sort moves 32-byte
-    // `TagCell`s instead of ~96-byte slots (the PR-5 fast path, applied to
-    // the Euler-tour keys). Arc keys are distinct in a tree, so the
-    // unstable cell network needs no tiebreak.
+    // `TagCell`s instead of ~96-byte slots (the tag sort of DESIGN.md
+    // §10, applied to the Euler-tour keys). Arc keys are distinct in a
+    // tree, so the unstable cell network needs no tiebreak.
     let mut cells = scratch.lease(l, TagCell::filler());
     for (cell, (u, v)) in cells
         .iter_mut()
@@ -93,7 +93,7 @@ pub fn euler_tour<C: Ctx>(
         .iter()
         .map(|&(u, v)| arc_key(v as usize, u as usize))
         .collect();
-    let succ = send_receive_u64(c, scratch, &sources, &dests, engine)
+    let succ = send_receive(c, scratch, &sources, &dests, engine, Schedule::Tree)
         .into_iter()
         .map(|o| o.expect("reverse arc exists in a tree") as usize)
         .collect();
@@ -178,10 +178,11 @@ pub fn rooted_tree_stats<C: Ctx>(
         .iter()
         .map(|&(u, v)| arc_key(v as usize, u as usize))
         .collect();
-    let rev_pos: Vec<u64> = send_receive_u64(c, scratch, &pos_sources, &rev_dests, engine)
-        .into_iter()
-        .map(|o| o.expect("reverse arc"))
-        .collect();
+    let rev_pos: Vec<u64> =
+        send_receive(c, scratch, &pos_sources, &rev_dests, engine, Schedule::Tree)
+            .into_iter()
+            .map(|o| o.expect("reverse arc"))
+            .collect();
 
     // Advance arcs descend from parent to child.
     let advance: Vec<bool> = (0..l).map(|i| pos[i] < rev_pos[i]).collect();
@@ -254,7 +255,14 @@ pub fn rooted_tree_stats<C: Ctx>(
         engine,
         Schedule::Tree,
     );
-    let post_results = send_receive_u64(c, scratch, &post_sources, &vert_dests, engine);
+    let post_results = send_receive(
+        c,
+        scratch,
+        &post_sources,
+        &vert_dests,
+        engine,
+        Schedule::Tree,
+    );
     for (v, res) in results.into_iter().enumerate() {
         if let Some((p, d, pre, size)) = res {
             parent[v] = p as usize;

@@ -14,7 +14,7 @@
 use fj::Ctx;
 use metrics::{par_fill2, ScratchPool, Tracked};
 use obliv_core::slot::Item;
-use obliv_core::{orp, send_receive_u64, Engine, OrbaParams};
+use obliv_core::{orp, send_receive, Engine, OrbaParams, Schedule};
 
 /// Pointer-jumping list ranking (weighted): `rank[i]` = sum of `weight`
 /// over the nodes strictly after `i` plus `weight[i]`… concretely the sum
@@ -108,7 +108,7 @@ pub fn list_rank_oblivious<C: Ctx>(
         .map(|(j, it)| (it.val.orig, j as u64))
         .collect();
     let dests: Vec<u64> = permuted.iter().map(|it| it.val.succ).collect();
-    let succ_pos = send_receive_u64(c, scratch, &sources, &dests, engine);
+    let succ_pos = send_receive(c, scratch, &sources, &dests, engine, Schedule::Tree);
 
     // 3. Pointer jumping directly on the permuted array. The permutation is
     //    hidden and uniformly random, so these data-dependent accesses are
@@ -132,10 +132,17 @@ pub fn list_rank_oblivious<C: Ctx>(
         .map(|j| (permuted[j].val.orig, perm_rank[j]))
         .collect();
     let back_dests: Vec<u64> = (0..n as u64).collect();
-    send_receive_u64(c, scratch, &back_sources, &back_dests, engine)
-        .into_iter()
-        .map(|o| o.expect("every node ranked"))
-        .collect()
+    send_receive(
+        c,
+        scratch,
+        &back_sources,
+        &back_dests,
+        engine,
+        Schedule::Tree,
+    )
+    .into_iter()
+    .map(|o| o.expect("every node ranked"))
+    .collect()
 }
 
 /// Unit-weight oblivious wrapper.

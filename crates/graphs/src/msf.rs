@@ -23,7 +23,7 @@
 use crate::cc::jump;
 use fj::Ctx;
 use metrics::{par_update, ScratchPool, Tracked};
-use obliv_core::{send_receive_u64, Engine, TagCell};
+use obliv_core::{send_receive, Engine, Schedule, TagCell};
 
 const DUMMY: u64 = u64::MAX;
 
@@ -65,10 +65,10 @@ pub fn msf<C: Ctx>(
             .iter()
             .flat_map(|&(u, v, _)| [u as u64, v as u64])
             .collect();
-        let end_comp = send_receive_u64(c, scratch, &comp_sources, &ends, engine);
+        let end_comp = send_receive(c, scratch, &comp_sources, &ends, engine, Schedule::Tree);
 
         // 3. Per-component minimum incident edge: both half-edges propose.
-        // Proposals ride in packed 32-byte `TagCell`s (the PR-5 fast path):
+        // Proposals ride in packed 32-byte `TagCell`s (DESIGN.md §10):
         // the (component ‖ weight ‖ edge id) composite key is the tag, and
         // (component ‖ other endpoint) packs into the 128-bit aux lane.
         // Distinct edge ids make real tags distinct (same-edge non-cross
@@ -116,7 +116,7 @@ pub fn msf<C: Ctx>(
             .iter()
             .map(|&(comp, (_, other))| (comp, other))
             .collect();
-        let hooks = send_receive_u64(c, scratch, &hook_sources, &all_v, engine);
+        let hooks = send_receive(c, scratch, &hook_sources, &all_v, engine, Schedule::Tree);
         par_update(c, &mut Tracked::new(c, &mut d), &|_, v, cur| {
             hooks[v].unwrap_or(cur)
         });
@@ -164,7 +164,7 @@ pub fn msf<C: Ctx>(
             .collect();
         c.charge_par(chosen.len() as u64);
         let edge_ids: Vec<u64> = (0..m as u64).collect();
-        let flags = send_receive_u64(c, scratch, &flag_sources, &edge_ids, engine);
+        let flags = send_receive(c, scratch, &flag_sources, &edge_ids, engine, Schedule::Tree);
         for e in 0..m {
             let newly = flags[e].is_some() && !in_forest[e];
             in_forest[e] |= newly;

@@ -22,7 +22,7 @@ use crate::model::{Program, WriteReq};
 use fj::Ctx;
 use metrics::{par_fill, par_update, par_update_fill, ScratchPool, Tracked};
 use obliv_core::slot::composite_key;
-use obliv_core::{send_receive_u64, Engine, TagCell};
+use obliv_core::{send_receive, Engine, Schedule, TagCell};
 
 /// Dummy key: no memory cell has this address (`s < 2⁶⁴`).
 const DUMMY: u64 = u64::MAX;
@@ -52,7 +52,7 @@ pub fn run_oblivious_sb<C: Ctx, P: Program>(
                 .map_or(DUMMY, |a| a as u64)
         });
         let sources: Vec<(u64, u64)> = snapshot_memory(c, &mut mem);
-        let fetched = send_receive_u64(c, scratch, &sources, &dests, engine);
+        let fetched = send_receive(c, scratch, &sources, &dests, engine, Schedule::Tree);
 
         // --- Local compute.
         let mut writes: Vec<Option<WriteReq>> = vec![None; p];
@@ -67,7 +67,7 @@ pub fn run_oblivious_sb<C: Ctx, P: Program>(
 
         // --- Write step: conflict resolution + memory update.
         let winners = resolve_conflicts(c, scratch, &writes, engine);
-        let updates = send_receive_u64(c, scratch, &winners, &all_addrs, engine);
+        let updates = send_receive(c, scratch, &winners, &all_addrs, engine, Schedule::Tree);
         // Unconditional read-modify-write keeps the pattern fixed.
         par_update(c, &mut Tracked::new(c, &mut mem), &|_, i, old| {
             updates[i].unwrap_or(old)
@@ -97,9 +97,9 @@ fn resolve_conflicts<C: Ctx>(
     engine: Engine,
 ) -> Vec<(u64, u64)> {
     let p = writes.len();
-    // Write requests ride in packed 32-byte `TagCell`s (the PR-5 fast
-    // path): tag = composite (addr ‖ processor id) — distinct, so the
-    // unstable cell network is safe — and aux = (addr ‖ value).
+    // Write requests ride in packed 32-byte `TagCell`s (DESIGN.md §10):
+    // tag = composite (addr ‖ processor id) — distinct, so the unstable
+    // cell network is safe — and aux = (addr ‖ value).
     let mut cells = scratch.lease(p, TagCell::filler());
     for (cell, (pid, w)) in cells.iter_mut().zip(writes.iter().enumerate()) {
         let (addr, val) = w.map_or((DUMMY, 0), |w| (w.addr as u64, w.val));

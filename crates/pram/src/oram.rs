@@ -64,7 +64,7 @@ use crate::veb::{tree_nodes, TreeLayout};
 use fj::Ctx;
 use metrics::{ScratchPool, Tracked};
 use obliv_core::slot::composite_key;
-use obliv_core::{send_receive_u64, Engine, TagCell};
+use obliv_core::{send_receive, Engine, Schedule, TagCell};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -609,7 +609,7 @@ impl Opram {
         }
         // Conflict resolution: sort by (addr, index); head of each run is
         // the representative (priority: earliest request's write wins).
-        // Requests ride in packed 32-byte `TagCell`s (the PR-5 fast path):
+        // Requests ride in packed 32-byte `TagCell`s (DESIGN.md §10):
         // tag = composite (addr ‖ request index) — distinct, so the
         // unstable cell network is safe — and aux = (has-write ‖ value).
         let p = reqs.len();
@@ -658,10 +658,17 @@ impl Opram {
         // Broadcast results to every request via oblivious send-receive,
         // `p` sources to `p` requests.
         let dests: Vec<u64> = reqs.iter().map(|&(a, _)| a).collect();
-        send_receive_u64(c, &self.scratch, &fetched, &dests, self.engine)
-            .into_iter()
-            .map(|o| o.expect("every request address was served"))
-            .collect()
+        send_receive(
+            c,
+            &self.scratch,
+            &fetched,
+            &dests,
+            self.engine,
+            Schedule::Tree,
+        )
+        .into_iter()
+        .map(|o| o.expect("every request address was served"))
+        .collect()
     }
 }
 

@@ -401,7 +401,7 @@ fn pinned_vs_unpinned_pools_leave_identical_traces() {
 /// Output equality for the tag-cell-migrated kernels: `SeqCtx` vs a
 /// *pinned* `Pool(4)` on randomized inputs. The migrated sorts (CC
 /// min-hook, MSF proposals/chosen, Euler arcs/leaf labels, ORAM conflict
-/// resolution, PRAM write resolution, cell send-receive) must produce
+/// resolution, PRAM write resolution, `u64`-lane send-receive) must produce
 /// byte-identical results regardless of executor and pin layout.
 mod pinned_output_equality {
     use super::*;
@@ -498,18 +498,18 @@ mod pinned_output_equality {
             pairs in proptest::collection::vec((0u64..500, 0u64..1000), 0..80),
             dests in proptest::collection::vec(0u64..600, 0..120),
         ) {
-            // Sender keys must be distinct: keep first occurrence per key.
+            // A requested key has at most one sender: keep the first per key.
             let mut seen = std::collections::HashSet::new();
             let sources: Vec<(u64, u64)> = pairs
                 .into_iter()
                 .filter(|&(k, _)| seen.insert(k))
                 .collect();
-            let seq = obliv_core::send_receive_u64(
+            let seq = send_receive(
                 &SeqCtx::new(), &ScratchPool::new(), &sources, &dests,
-                Engine::BitonicRec);
-            let par = Pool::pinned(4).run(|c| obliv_core::send_receive_u64(
+                Engine::BitonicRec, Schedule::Tree);
+            let par = Pool::pinned(4).run(|c| send_receive(
                 c, &ScratchPool::new(), &sources, &dests,
-                Engine::BitonicRec));
+                Engine::BitonicRec, Schedule::Tree));
             prop_assert_eq!(seq, par);
         }
     }
