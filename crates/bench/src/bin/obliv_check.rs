@@ -11,9 +11,9 @@ use metrics::{measure, CacheConfig, MeterCtx, TraceMode};
 use obliv_core::binplace::Input;
 use obliv_core::scan::{seg_propagate_in, Schedule, Seg};
 use obliv_core::{
-    bin_place, bin_place_from, compact_cells, expand, oblivious_sort_kv, oblivious_sort_u64,
-    orp_once, rec_sort_items, send_receive, Engine, Item, OSortParams, OrbaParams, ScratchPool,
-    Slot, TagCell,
+    bin_place, bin_place_from, compact_bounded, compact_cells, expand, oblivious_sort_kv,
+    oblivious_sort_u64, orp_once, rec_sort_items, send_receive, Bound, Engine, Item, OSortParams,
+    OrbaParams, Ranks, ScratchPool, Slot, TagCell,
 };
 use pram::{run_oblivious_sb, HistogramProgram};
 use sortnet::sort_slice_rec;
@@ -196,6 +196,51 @@ fn main() {
         let mut tr = metrics::Tracked::new(c, &mut cells);
         compact_cells(c, &scratch, &mut tr);
     });
+
+    // Bounded compaction: one 579-cell lane compacted under a count bound
+    // and one under a shift bound, at their extremes — 0 vs `k` reals,
+    // reals all leading vs all trailing, displacement 0 vs exactly `d`.
+    // 579 is no multiple of either block, so the tail's smaller blocks are
+    // in the trace too.
+    let (len, k, d) = (579usize, 64usize, 128usize);
+    type Real<'a> = &'a dyn Fn(usize) -> bool;
+    let extremes: [(Real, Real); 4] = [
+        (&|_| false, &|_| true),
+        (&|i| i < k, &|i| i < 300),
+        (&|i| i >= len - k, &|i| i < 100 || i >= 100 + d),
+        (&|i| i % 9 == 4, &|_| false),
+    ];
+    all_ok &= row(
+        "bounded compaction (count and shift)",
+        &extremes,
+        |c, (count, shift)| {
+            for (real, bound) in [(count, Bound::Count(k)), (shift, Bound::Shift(d))] {
+                let mut cells: Vec<TagCell> = (0..len)
+                    .map(|i| match real(i) {
+                        true => TagCell::new(i as u128, 1),
+                        false => TagCell::filler(),
+                    })
+                    .collect();
+                let mut ranks: Vec<u64> = cells
+                    .iter()
+                    .scan(0, |r, s| {
+                        let before = *r;
+                        *r += !s.is_filler() as u64;
+                        Some(before)
+                    })
+                    .collect();
+                let mut out = vec![TagCell::filler(); len];
+                let lane = metrics::Tracked::new(c, &mut ranks);
+                compact_bounded(
+                    c,
+                    &mut metrics::Tracked::new(c, &mut cells),
+                    Ranks::of(&lane),
+                    bound,
+                    &mut metrics::Tracked::new(c, &mut out),
+                );
+            }
+        },
+    );
 
     // Any-length sort: 579 = 512 + 64 + 2 + 1 cells, so Lang's pieces and
     // merge levels (bitonic engines) and the internal padding (odd-even,

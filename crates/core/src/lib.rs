@@ -55,10 +55,11 @@ pub use osort::{oblivious_sort, oblivious_sort_u64, FinalSorter, OSortParams, So
 pub use rec_orba::{bins_for, rec_orba, rec_orba_into, BinLayout, OrbaParams};
 pub use rec_sort::rec_sort_items;
 pub use scan::{
-    prefix_sum_in, scan_in, seg_combine_u64, seg_propagate_in, seg_sum_right_in, Schedule, Seg,
+    map_scan, prefix_sum_in, scan_in, seg_combine_u64, seg_propagate_in, seg_sum_right_in, Lanes,
+    Schedule, Seg,
 };
 pub use scatter::oblivious_scatter;
 pub use sendrecv::send_receive;
 pub use slot::{composite_key, Item, Slot, Val};
 pub use sortnet::{select_cell, select_u128, select_u64, TagCell};
-pub use tag_sort::{compact_cells, oblivious_sort_kv};
+pub use tag_sort::{compact_bounded, compact_cells, oblivious_sort_kv, Bound, Ranks};

@@ -295,6 +295,218 @@ fn levels_scan<C, S, OP>(
 }
 
 // ---------------------------------------------------------------------------
+// Map-scan-consume
+// ---------------------------------------------------------------------------
+
+/// The lanes a [`map_scan`] walks together: every lane has one length, and
+/// a split at a position splits them all.
+pub trait Lanes: Sized + Send + Sync {
+    /// The number of positions.
+    fn len(&self) -> usize;
+    /// Whether there are none.
+    fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+    /// `[0, mid)` and `[mid, len)` of every lane.
+    fn split(self, mid: usize) -> (Self, Self);
+}
+
+impl<T: Copy + Send + Sync> Lanes for Tracked<'_, T> {
+    fn len(&self) -> usize {
+        Tracked::len(self)
+    }
+    fn split(self, mid: usize) -> (Self, Self) {
+        Tracked::split(self, mid)
+    }
+}
+
+impl<A: Lanes, B: Lanes> Lanes for (A, B) {
+    fn len(&self) -> usize {
+        debug_assert_eq!(self.0.len(), self.1.len());
+        self.0.len()
+    }
+    fn split(self, mid: usize) -> (Self, Self) {
+        let (a0, a1) = self.0.split(mid);
+        let (b0, b1) = self.1.split(mid);
+        ((a0, b0), (a1, b1))
+    }
+}
+
+impl<A: Lanes, B: Lanes, D: Lanes> Lanes for (A, B, D) {
+    fn len(&self) -> usize {
+        debug_assert!(self.1.len() == self.0.len() && self.2.len() == self.0.len());
+        self.0.len()
+    }
+    fn split(self, mid: usize) -> (Self, Self) {
+        let ((a0, b0), (a1, b1)) = (self.0, self.1).split(mid);
+        let (d0, d1) = self.2.split(mid);
+        ((a0, b0, d0), (a1, b1, d1))
+    }
+}
+
+/// An exclusive scan of a *mapped* input, consumed where it is computed —
+/// no element lane is stored. `map(c, lanes, k)` returns the element of
+/// position `k` of the lanes it is given and whatever else the consumer
+/// needs of them there; it is recomputed from the lanes in both sweeps of
+/// the [`Schedule::Tree`] schedule. The down-sweep then calls
+/// `consume(c, lanes, k, i, prefix, own, x)` once per position, in order
+/// within a leaf run, with the combined elements of `[0, i)` (`id` at 0)
+/// and of `i` itself and `map`'s extra `x`: `lanes` is the leaf run's
+/// piece and `k` is `i`'s index in it. `combine` is associative and `id` a
+/// left identity of it.
+///
+/// `map` may read position `k` and the one after it, where there is one
+/// (`k + 1 < lanes.len()`: a position whose successor lies in another
+/// piece is mapped before that piece is split off), and `consume` may
+/// overwrite its position: a position is always mapped before anything at
+/// or after it is consumed.
+///
+/// The tree stores one element per leaf run, the left total of the node
+/// whose right child starts there, and hands every total up the recursion
+/// as a value; the rightmost spine's totals, which no prefix needs, are
+/// never formed. Work `O(n)` (two maps a position), span `O(log n)`; host
+/// and meter run the same code, leaf runs of [`fj::grain_for`] positions
+/// but never fewer than two. Oblivious when `map` and `consume` are: the
+/// walk touches the tree by `n` alone.
+pub fn map_scan<C, L, S, X, OP, M, F>(
+    c: &C,
+    scratch: &ScratchPool,
+    lanes: L,
+    id: S,
+    combine: &OP,
+    map: &M,
+    consume: &F,
+) where
+    C: Ctx,
+    L: Lanes,
+    S: Val,
+    X: Send,
+    OP: Fn(S, S) -> S + Sync,
+    M: Fn(&C, &L, usize) -> (S, X) + Sync,
+    F: Fn(&C, &mut L, usize, usize, S, S, X) + Sync,
+{
+    let n = lanes.len();
+    if n == 0 {
+        return;
+    }
+    // Leaf runs of at least two positions: one-position runs (the metered
+    // grain) would store a tree slot per position — the element lane this
+    // walk exists not to store.
+    let grain = grain_for(c).max(2);
+    let blocks = n.div_ceil(grain);
+    let mut tree_store = scratch.lease(blocks - 1, id);
+    let mut tree = Tracked::new(c, &mut tree_store);
+    let walk = MapScan {
+        combine,
+        map,
+        consume,
+        grain,
+        id,
+    };
+    walk.up(c, &lanes, 0, blocks, true, tree.borrow_mut());
+    walk.down(c, lanes, 0, blocks, id, None, tree.borrow_mut());
+}
+
+/// One [`map_scan`]: leaf runs of `grain` positions, and a node over the
+/// runs `[lo, hi)` owning the tree slots `(lo, hi)` — its own at its split
+/// point `mid`, its children's on either side.
+struct MapScan<'a, S, OP, M, F> {
+    combine: &'a OP,
+    map: &'a M,
+    consume: &'a F,
+    grain: usize,
+    id: S,
+}
+
+impl<S: Val, OP: Fn(S, S) -> S + Sync, M, F: Sync> MapScan<'_, S, OP, M, F> {
+    /// The node's total (`id` on the rightmost spine, `spine`), after
+    /// storing its left child's.
+    fn up<C: Ctx, L: Lanes, X>(
+        &self,
+        c: &C,
+        lanes: &L,
+        lo: usize,
+        hi: usize,
+        spine: bool,
+        tree: Tracked<'_, S>,
+    ) -> S
+    where
+        M: Fn(&C, &L, usize) -> (S, X) + Sync,
+    {
+        if hi - lo == 1 {
+            if spine {
+                return self.id;
+            }
+            let (a, b) = (lo * self.grain, (hi * self.grain).min(lanes.len()));
+            let mut acc = (self.map)(c, lanes, a).0;
+            for i in a + 1..b {
+                let (x, _) = (self.map)(c, lanes, i);
+                c.work(1);
+                acc = (self.combine)(acc, x);
+            }
+            return acc;
+        }
+        let mid = lo + (hi - lo) / 2;
+        let (left, rest) = tree.split(mid - lo - 1);
+        let (mut slot, right) = rest.split(1);
+        let (l, r) = c.join(
+            move |c| self.up(c, lanes, lo, mid, false, left),
+            move |c| self.up(c, lanes, mid, hi, spine, right),
+        );
+        slot.set(c, 0, l);
+        if spine {
+            return self.id;
+        }
+        c.work(1);
+        (self.combine)(l, r)
+    }
+
+    /// Hand every position under the node its prefix: `acc` is the total
+    /// of everything before it, and `last` the mapped last position when
+    /// its successor lies past the node.
+    #[allow(clippy::too_many_arguments)]
+    fn down<C: Ctx, L: Lanes, X: Send>(
+        &self,
+        c: &C,
+        mut lanes: L,
+        lo: usize,
+        hi: usize,
+        acc: S,
+        last: Option<(S, X)>,
+        tree: Tracked<'_, S>,
+    ) where
+        M: Fn(&C, &L, usize) -> (S, X) + Sync,
+        F: Fn(&C, &mut L, usize, usize, S, S, X) + Sync,
+    {
+        if hi - lo == 1 {
+            let (first, end) = (lo * self.grain, lanes.len() - 1);
+            let mut acc = acc;
+            for k in 0..end {
+                let (own, x) = (self.map)(c, &lanes, k);
+                (self.consume)(c, &mut lanes, k, first + k, acc, own, x);
+                c.work(1);
+                acc = (self.combine)(acc, own);
+            }
+            let (own, x) = last.unwrap_or_else(|| (self.map)(c, &lanes, end));
+            return (self.consume)(c, &mut lanes, end, first + end, acc, own, x);
+        }
+        let mid = lo + (hi - lo) / 2;
+        let (left, rest) = tree.split(mid - lo - 1);
+        let (slot, right) = rest.split(1);
+        let l = slot.get(c, 0);
+        c.work(1);
+        let right_acc = (self.combine)(acc, l);
+        let at = (mid - lo) * self.grain;
+        let seam = (self.map)(c, &lanes, at - 1);
+        let (lanes_lo, lanes_hi) = lanes.split(at);
+        c.join(
+            move |c| self.down(c, lanes_lo, lo, mid, acc, Some(seam), left),
+            move |c| self.down(c, lanes_hi, mid, hi, right_acc, last, right),
+        );
+    }
+}
+
+// ---------------------------------------------------------------------------
 // Concrete scans
 // ---------------------------------------------------------------------------
 
@@ -751,6 +963,90 @@ mod tests {
             seg_propagate_in(c, &sp, &mut t, Schedule::Tree);
         });
         at_most(r, [69621, 150, 3555, 32765], "seg_propagate_in");
+    }
+
+    /// `map_scan` over `input`, each position's `(prefix, own)` written to
+    /// an output lane, and the input overwritten as it is consumed; `map`
+    /// also reads the next position, as the store's walks do.
+    fn map_scan_pairs<C: Ctx>(c: &C, input: &[(bool, u64)]) -> Vec<((bool, u64), (bool, u64))> {
+        let sp = ScratchPool::new();
+        let mut data = input.to_vec();
+        let mut out = vec![((false, 0), (false, 0)); input.len()];
+        let right_wins = |a: (bool, u64), b: (bool, u64)| if b.0 { b } else { (a.0, a.1 + b.1) };
+        map_scan(
+            c,
+            &sp,
+            (Tracked::new(c, &mut data), Tracked::new(c, &mut out)),
+            (false, 0),
+            &right_wins,
+            &|c, (d, _), k| {
+                let next = if k + 1 < d.len() {
+                    d.get(c, k + 1).1
+                } else {
+                    0
+                };
+                (d.get(c, k), next)
+            },
+            &|c, (d, o), k, i, prefix, own, next| {
+                assert_eq!(own, input[i], "position {i} mapped off its input");
+                let want = input.get(i + 1).map_or(0, |x| x.1);
+                assert_eq!(next, want, "position {i} read a consumed successor");
+                o.set(c, k, (prefix, own));
+                d.set(c, k, (true, u64::MAX));
+            },
+        );
+        assert!(
+            data.iter().all(|&x| x == (true, u64::MAX)),
+            "a position was never consumed"
+        );
+        out
+    }
+
+    #[test]
+    fn map_scan_hands_every_position_its_exclusive_prefix() {
+        // A monoid that does not commute (a reset-or-add), at sizes around
+        // the host leaf width, on a sequential, a pooled and a metered
+        // executor: one up-sweep total per node, the spine's skipped.
+        let c = SeqCtx::new();
+        let g = grain_for(&c);
+        let pool = fj::Pool::pinned(4);
+        for n in [0, 1, 2, 3, g - 1, g, g + 1, 3 * g + 7, 20_000] {
+            let input: Vec<(bool, u64)> = (0..n)
+                .map(|i| (i.wrapping_mul(0x9E37).is_multiple_of(7), i as u64 % 13))
+                .collect();
+            let mut expect = Vec::with_capacity(n);
+            let mut acc = (false, 0u64);
+            for &x in &input {
+                expect.push((acc, x));
+                acc = if x.0 { x } else { (acc.0, acc.1 + x.1) };
+            }
+            assert!(map_scan_pairs(&c, &input) == expect, "n = {n}: SeqCtx");
+            assert!(
+                pool.run(|c| map_scan_pairs(c, &input)) == expect,
+                "n = {n}: pool"
+            );
+            if n <= 4096 {
+                let (got, _) = measure(CacheConfig::default(), TraceMode::Off, |c| {
+                    map_scan_pairs(c, &input)
+                });
+                assert!(got == expect, "n = {n}: metered");
+            }
+        }
+    }
+
+    #[test]
+    fn map_scan_trace_is_input_independent() {
+        let run = |input: Vec<(bool, u64)>| {
+            let (_, rep) = measure(CacheConfig::default(), TraceMode::Hash, |c| {
+                map_scan_pairs(c, &input)
+            });
+            (rep.trace_hash, rep.trace_len, rep.work, rep.span)
+        };
+        let n = 1000u64;
+        assert_eq!(
+            run((0..n).map(|i| (i % 3 == 0, i)).collect()),
+            run((0..n).map(|_| (false, 7)).collect())
+        );
     }
 
     proptest! {

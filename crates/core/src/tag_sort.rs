@@ -20,6 +20,11 @@
 //!   `Q = O((n/B) log(n/M))`, in place, no comparators). Cheaper than
 //!   compacting with a sort, and the routing half of the tag-sort trick:
 //!   sort the dense tags, then move each wide lane exactly once.
+//! * [`compact_bounded`] — the same butterfly when a public bound limits
+//!   how far the reals travel: at most `k` of them, or none moving left by
+//!   more than `d`. Given the caller's ranks it gathers aligned blocks of
+//!   about the bound's size (`log` of the bound levels) and makes one pass
+//!   into the caller's output — the merge epoch's two compactions.
 //!
 //! Obliviousness: the cell networks touch a fixed comparator schedule, and
 //! the compaction reads and writes both cells of every pair of every
@@ -36,7 +41,7 @@ use crate::engine::Engine;
 use crate::scan::{prefix_sum_in, Schedule};
 use crate::slot::composite_key;
 use fj::{base_for, grain_for, par_for, Ctx};
-use metrics::{par_fill, RawTracked, ScratchPool, Tracked};
+use metrics::{par_fill, par_tracked_chunks, RawTracked, ScratchPool, Tracked};
 use sortnet::{active_backend, select_cell, TagCell, TILE_RUN_BYTES};
 use std::mem::size_of;
 
@@ -142,6 +147,260 @@ pub fn compact_cells<C: Ctx>(c: &C, scratch: &ScratchPool, t: &mut Tracked<'_, T
     compact_ranked(c, t, &mut rank, base_for(c, size_of::<TagCell>()));
 }
 
+/// The exclusive ranks a compaction reads: a whole `u64` lane, or one
+/// 32-bit half of it, so that two compactions can be ranked by one packed
+/// lane.
+#[derive(Clone, Copy)]
+pub struct Ranks<'r, 'a> {
+    lane: &'r Tracked<'a, u64>,
+    shift: u32,
+    mask: u64,
+}
+
+impl<'r, 'a> Ranks<'r, 'a> {
+    /// Every word of `lane` is a rank.
+    pub fn of(lane: &'r Tracked<'a, u64>) -> Self {
+        Ranks {
+            lane,
+            shift: 0,
+            mask: u64::MAX,
+        }
+    }
+
+    /// The low 32 bits of every word.
+    pub fn low(lane: &'r Tracked<'a, u64>) -> Self {
+        Ranks {
+            lane,
+            shift: 0,
+            mask: u32::MAX as u64,
+        }
+    }
+
+    /// The high 32 bits of every word.
+    pub fn high(lane: &'r Tracked<'a, u64>) -> Self {
+        Ranks {
+            lane,
+            shift: 32,
+            mask: u32::MAX as u64,
+        }
+    }
+
+    #[inline(always)]
+    fn get<C: Ctx>(&self, c: &C, i: usize) -> u64 {
+        (self.lane.get(c, i) >> self.shift) & self.mask
+    }
+
+    /// Rank `i`, unaccounted: for the debug-build contract checks only.
+    fn peek(&self, i: usize) -> u64 {
+        (self.lane.raw()[i] >> self.shift) & self.mask
+    }
+}
+
+/// A public bound on how far a compaction's reals travel — what lets
+/// [`compact_bounded`] run fewer levels than [`compact_cells`].
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Bound {
+    /// At most `k` reals.
+    Count(usize),
+    /// No real moves left by more than `d` positions: a real at `i` has
+    /// rank `≥ i − d`.
+    Shift(usize),
+}
+
+/// Stable oblivious compaction of `t` into `out` under a public [`Bound`],
+/// given the exclusive ranks of `t`'s reals (`ranks[i]` = the reals before
+/// `i`). `out[r]` receives the real of rank `r` for every `r < out.len()`,
+/// the rest of `out` canonical fillers; `t` is left permuted.
+///
+/// `t` is cut into aligned power-of-two blocks: `w`-blocks — `w` the
+/// largest power of two within both the bound and `n` — up to the last
+/// whole one, then the tail's binary digits, largest first. Every block
+/// gathers its reals in place with the butterfly of [`compact_cells`],
+/// cyclically from offset `rank mod size` — `log w` levels instead of
+/// `log n`. A block then holds the reals of ranks `first..end` (its first
+/// rank to the next block's), the one of rank `r` at offset `r mod size`.
+///
+/// * `Count(k)`: ranks stay below `k`. One pass picks, for every `x < k`,
+///   the cell at `x`'s offset of whichever block's ranks span `x`,
+///   visiting every block; when `k ≤ w`, a whole block's cell at `x` is
+///   that real if it is real at all.
+/// * `Shift(d)`: the real of rank `x` lies in `[x, x + d]`, so in one of
+///   the blocks from `x`'s own up to the one at `x + d` — at most three
+///   whole blocks, as `w > d/2` — and one pass picks it from those.
+///
+/// Work `O(n log w)`, in place; span `O(log² w + n/w)` for `Count`,
+/// whose pass visits every block, `O(log² w)` for `Shift`.
+/// Obliviousness: as for [`compact_cells`], the ranks and the reals'
+/// places feed only swap verdicts and selects, and every address is a
+/// function of `n`, the bound and `out.len()`. Debug builds check the
+/// contract: exact ranks, and the bound.
+pub fn compact_bounded<C: Ctx>(
+    c: &C,
+    t: &mut Tracked<'_, TagCell>,
+    ranks: Ranks<'_, '_>,
+    bound: Bound,
+    out: &mut Tracked<'_, TagCell>,
+) {
+    let n = t.len();
+    assert_eq!(ranks.lane.len(), n, "one rank per cell");
+    if cfg!(debug_assertions) {
+        check_contract(t.raw(), ranks, bound);
+    }
+    if n == 0 {
+        return par_fill(c, out, &|_, _| TagCell::filler());
+    }
+    let reach = match bound {
+        Bound::Count(k) | Bound::Shift(k) => k,
+    };
+    let w = 1 << reach.clamp(1, n).ilog2();
+    let full = n - n % w;
+    let tail = n - full;
+    let total = ranks.get(c, n - 1) + !t.get(c, n - 1).is_filler() as u64;
+    let base = base_for(c, size_of::<TagCell>());
+    {
+        let tr = t.as_raw();
+        c.join(
+            |c| {
+                par_for(c, 0, full / w, 1, &|c, j| {
+                    gather(c, &tr, ranks, j * w, w, base, 0)
+                })
+            },
+            |c| {
+                for (lo, size) in digits(full, tail) {
+                    gather(c, &tr, ranks, lo, size, base, 0);
+                }
+            },
+        );
+    }
+    // The block holding position `i`: a whole `w`-block, or the tail's
+    // digit at the highest bit where the tail's length and `i`'s offset
+    // into the tail differ.
+    let block = |i: usize| {
+        if i < full {
+            (i & !(w - 1), w)
+        } else {
+            let k = ((i - full) ^ tail).ilog2();
+            (full + (tail & !((2 << k) - 1)), 1 << k)
+        }
+    };
+    let first = |c: &C, lo: usize| if lo < n { ranks.get(c, lo) } else { total };
+    // The cell at `x`'s offset in block `[lo, lo + size)` if the block holds
+    // rank `x`, else a filler.
+    let holds = |c: &C, (lo, size): (usize, usize), x: usize| {
+        let x64 = x as u64;
+        let spans = (first(c, lo) <= x64) & (x64 < first(c, lo + size));
+        select_cell(spans, TagCell::filler(), t.get(c, lo + (x & (size - 1))))
+    };
+    let either = |a: TagCell, b: TagCell| select_cell(!b.is_filler(), a, b);
+    match bound {
+        Bound::Count(k) => {
+            let limit = k.min(n);
+            // Ranks stay below `limit`: at most `w`, so a whole block's
+            // cell at `x` has rank `x` if it is real at all.
+            let exact = limit <= w;
+            par_fill(c, out, &|c, x| {
+                let mut acc = TagCell::filler();
+                if x < limit {
+                    for lo in (0..full).step_by(w) {
+                        let s = if exact {
+                            t.get(c, lo + x)
+                        } else {
+                            holds(c, (lo, w), x)
+                        };
+                        acc = either(acc, s);
+                    }
+                    for digit in digits(full, tail) {
+                        acc = either(acc, holds(c, digit, x));
+                    }
+                }
+                acc
+            })
+        }
+        Bound::Shift(d) => {
+            // Every block from `x`'s own up to the one at `x + d`.
+            let pick = |c: &C, x: usize| {
+                let mut acc = TagCell::filler();
+                let mut at = block(x);
+                loop {
+                    acc = either(acc, holds(c, at, x));
+                    let next = at.0 + at.1;
+                    if next >= n || next > x + d {
+                        return acc;
+                    }
+                    at = block(next);
+                }
+            };
+            // Whole blocks a `w`-chunk of `out` at a time, the blocks they
+            // draw on — those starting before `lo + w + d`: at most three
+            // whole ones and the tail's digits — and their ranks read
+            // once; the rest a position at a time.
+            let whole = out.len().min(full) & !(w - 1);
+            let (chunks, mut rest) = out.borrow_mut().split(whole);
+            par_tracked_chunks(c, chunks, w, &|c, j, mut chunk| {
+                let lo = j * w;
+                let mut drawn = [(0, 0, 0, 0); 3 + usize::BITS as usize];
+                let (mut count, mut at) = (0, lo);
+                while at < n && at < lo + w + d {
+                    let (start, size) = block(at);
+                    drawn[count] = (start, size, first(c, start), first(c, start + size));
+                    (count, at) = (count + 1, start + size);
+                }
+                par_fill(c, &mut chunk, &|c, o| {
+                    let x = (lo + o) as u64;
+                    let mut acc = TagCell::filler();
+                    for &(start, size, first, end) in &drawn[..count] {
+                        let s = t.get(c, start + (o & (size - 1)));
+                        acc = select_cell((first <= x) & (x < end), acc, s);
+                    }
+                    acc
+                });
+            });
+            par_fill(c, &mut rest, &|c, i| {
+                let x = whole + i;
+                if x >= n {
+                    return TagCell::filler();
+                }
+                pick(c, x)
+            });
+        }
+    }
+}
+
+/// The tail's blocks `(lo, size)`: `tail`'s binary digits from `from` on,
+/// largest first, each aligned to its size.
+fn digits(from: usize, tail: usize) -> impl Iterator<Item = (usize, usize)> {
+    let top = if tail == 0 { 0 } else { tail.ilog2() + 1 };
+    (0..top)
+        .rev()
+        .filter(move |k| tail >> k & 1 == 1)
+        .map(move |k| {
+            let size = 1 << k;
+            (from + (tail & !((2 << k) - 1)), size)
+        })
+}
+
+/// The caller's side of [`compact_bounded`]: `ranks` are the exact
+/// exclusive ranks of `cells`' reals, which the bound holds for.
+fn check_contract(cells: &[TagCell], ranks: Ranks<'_, '_>, bound: Bound) {
+    let mut reals = 0u64;
+    for (i, s) in cells.iter().enumerate() {
+        assert_eq!(ranks.peek(i), reals, "rank {i} is not the reals before it");
+        if !s.is_filler() {
+            if let Bound::Shift(d) = bound {
+                assert!(
+                    i as u64 - reals <= d as u64,
+                    "the real at {i} moves {} > {d}",
+                    i as u64 - reals
+                );
+            }
+            reals += 1;
+        }
+    }
+    if let Bound::Count(k) = bound {
+        assert!(reals <= k as u64, "{reals} reals exceed the bound {k}");
+    }
+}
+
 /// Compact `t` given the exclusive ranks of its reals, `rank[0] = 0`: the
 /// power-of-two butterfly, or the split of [`compact_cells`] — prefix and
 /// suffix in parallel, then the swap level across them.
@@ -155,7 +414,7 @@ fn compact_ranked<C: Ctx>(
     let m1 = 1 << m.ilog2();
     let m2 = m - m1;
     if m2 == 0 {
-        return gather(c, &t.as_raw(), rank, 0, m, base, 0);
+        return gather(c, &t.as_raw(), Ranks::of(rank), 0, m, base, 0);
     }
     let k = rank.get(c, m2) as usize;
     {
@@ -163,7 +422,17 @@ fn compact_ranked<C: Ctx>(
         let (mut r_lo, r_hi) = rank.split_at_mut(m2);
         c.join(
             move |c| compact_ranked(c, &mut t_lo, &mut r_lo, base),
-            move |c| gather(c, &t_hi.as_raw(), &r_hi, 0, m1, base, (m1 - m2) as u64),
+            move |c| {
+                gather(
+                    c,
+                    &t_hi.as_raw(),
+                    Ranks::of(&r_hi),
+                    0,
+                    m1,
+                    base,
+                    (m1 - m2) as u64,
+                )
+            },
         );
     }
     swap_pairs(c, &t.as_raw(), 0, m2, m1, k, false);
@@ -175,7 +444,7 @@ fn compact_ranked<C: Ctx>(
 fn gather<C: Ctx>(
     c: &C,
     t: &RawTracked<TagCell>,
-    rank: &Tracked<'_, u64>,
+    rank: Ranks<'_, '_>,
     lo: usize,
     n: usize,
     base: usize,
@@ -216,7 +485,7 @@ fn gather<C: Ctx>(
 fn swap_level<C: Ctx>(
     c: &C,
     t: &RawTracked<TagCell>,
-    rank: &Tracked<'_, u64>,
+    rank: Ranks<'_, '_>,
     lo: usize,
     n: usize,
     w: usize,
@@ -278,7 +547,7 @@ fn swap_pairs<C: Ctx>(
 /// The split of the `w`-block at `lo`, whose halves are gathered: pair
 /// `i` of the block swaps iff `s ⊕ (i ≥ pivot)` (see [`swap_level`]).
 #[inline(always)]
-fn split<C: Ctx>(c: &C, rank: &Tracked<'_, u64>, lo: usize, w: usize, shift: u64) -> (usize, bool) {
+fn split<C: Ctx>(c: &C, rank: Ranks<'_, '_>, lo: usize, w: usize, shift: u64) -> (usize, bool) {
     let h = w / 2;
     let (r_lo, r_mid) = (rank.get(c, lo) + shift, rank.get(c, lo + h) + shift);
     c.work(1);
@@ -566,6 +835,213 @@ mod tests {
         }
     }
 
+    /// `compact_bounded` of `cells` into an `out_len`-cell lane, the
+    /// exclusive ranks computed host-side and packed into the high half of
+    /// a word whose low half is noise (the merge epoch's layout).
+    fn bounded<C: Ctx>(c: &C, cells: &[TagCell], bound: Bound, out_len: usize) -> Vec<TagCell> {
+        let mut reals = 0u64;
+        let mut ranks: Vec<u64> = cells
+            .iter()
+            .enumerate()
+            .map(|(i, s)| {
+                let packed = (reals << 32) | ((i as u64 * 0x9E37) & 0xFFFF_FFFF);
+                reals += !s.is_filler() as u64;
+                packed
+            })
+            .collect();
+        let mut cells = cells.to_vec();
+        let mut out = vec![TagCell::new(7, 7); out_len];
+        let lane = Tracked::new(c, &mut ranks);
+        compact_bounded(
+            c,
+            &mut Tracked::new(c, &mut cells),
+            Ranks::high(&lane),
+            bound,
+            &mut Tracked::new(c, &mut out),
+        );
+        out
+    }
+
+    /// What `compact_cells` leaves in the first `out_len` cells (fillers
+    /// past its length).
+    fn compact_prefix(cells: &[TagCell], out_len: usize) -> Vec<TagCell> {
+        let mut all = cells.to_vec();
+        run_compact(&mut all);
+        all.resize(out_len.max(all.len()), TagCell::filler());
+        all.truncate(out_len);
+        all
+    }
+
+    /// Cells real where `real(i)`, fillers non-canonical.
+    fn flagged(n: usize, real: impl Fn(usize) -> bool) -> Vec<TagCell> {
+        (0..n as u128)
+            .map(|i| match real(i as usize) {
+                true => TagCell::new(i * 5, i + 11),
+                false => TagCell::new(u128::MAX, i + 1),
+            })
+            .collect()
+    }
+
+    /// The tightest bounds `cells` meet: its real count and the longest
+    /// move left.
+    fn tight(cells: &[TagCell]) -> (usize, usize) {
+        let mut reals = 0;
+        let mut shift = 0;
+        for (i, s) in cells.iter().enumerate() {
+            if !s.is_filler() {
+                shift = shift.max(i - reals);
+                reals += 1;
+            }
+        }
+        (reals, shift)
+    }
+
+    #[test]
+    fn bounded_exhaustive_small_patterns() {
+        // Every flag pattern up to 12 cells, at the tight bounds and one
+        // past them: lengths that are and are not multiples of `w`, `w`
+        // at or past the length, and outputs shorter, equal and longer.
+        let c = SeqCtx::new();
+        for n in 0..=12usize {
+            for mask in 0u32..1 << n {
+                let cells = flagged(n, |i| (mask >> i) & 1 == 1);
+                let (k, d) = tight(&cells);
+                for out_len in [n, n.saturating_sub(2), n + 3] {
+                    let expect = compact_prefix(&cells, out_len);
+                    for bound in [
+                        Bound::Count(k),
+                        Bound::Count(k + 1),
+                        Bound::Shift(d),
+                        Bound::Shift(d + 2),
+                    ] {
+                        let got = bounded(&c, &cells, bound, out_len);
+                        assert_eq!(got, expect, "n {n} mask {mask:b} {bound:?} out {out_len}");
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn bounded_at_the_extremes() {
+        // Zero reals, exactly `k` reals, displacement exactly `d`; `m` not
+        // a multiple of `w`, and `w` past the length.
+        let c = SeqCtx::new();
+        let m = 1091;
+        let cases: [(&str, Vec<TagCell>, Bound); 7] = [
+            ("no reals, count", flagged(m, |_| false), Bound::Count(64)),
+            ("no reals, shift", flagged(m, |_| false), Bound::Shift(64)),
+            (
+                "exactly k",
+                flagged(m, |i| i % 17 == 3 && i < 17 * 64),
+                Bound::Count(64),
+            ),
+            (
+                "k trailing",
+                flagged(m, |i| i >= m - 100),
+                Bound::Count(100),
+            ),
+            (
+                "shift exactly d",
+                flagged(m, |i| !(200..456).contains(&i)),
+                Bound::Shift(256),
+            ),
+            ("shift 0", flagged(m, |i| i < 700), Bound::Shift(0)),
+            (
+                "w past the length",
+                flagged(m, |i| i % 3 == 0),
+                Bound::Count(5000),
+            ),
+        ];
+        for (name, cells, bound) in cases {
+            let out_len = match bound {
+                Bound::Count(k) => k.min(m),
+                Bound::Shift(_) => m,
+            };
+            assert_eq!(
+                bounded(&c, &cells, bound, out_len),
+                compact_prefix(&cells, out_len),
+                "{name}"
+            );
+        }
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "exceed the bound")]
+    fn bounded_count_checks_its_contract() {
+        bounded(
+            &SeqCtx::new(),
+            &flagged(40, |i| i % 2 == 0),
+            Bound::Count(19),
+            19,
+        );
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "moves")]
+    fn bounded_shift_checks_its_contract() {
+        bounded(
+            &SeqCtx::new(),
+            &flagged(40, |i| i >= 9),
+            Bound::Shift(8),
+            40,
+        );
+    }
+
+    #[test]
+    fn bounded_host_pool_and_meter_agree() {
+        // Past the host base case (blocks of `w = 2¹³` join their
+        // recursion), with a short last block, on every executor.
+        let pool = Pool::new(4);
+        let m = (1 << 16) + 1000;
+        let cells = flagged(m, |i| {
+            (i as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 61 != 0 || i < 5000
+        });
+        let (k, d) = tight(&cells);
+        for (bound, out_len) in [(Bound::Shift(d), m), (Bound::Count(k), k)] {
+            let expect = compact_prefix(&cells, out_len);
+            assert!(
+                bounded(&SeqCtx::new(), &cells, bound, out_len) == expect,
+                "{bound:?}: SeqCtx"
+            );
+            assert!(
+                pool.run(|c| bounded(c, &cells, bound, out_len)) == expect,
+                "{bound:?}: pool"
+            );
+            let (metered, _) = measure(CacheConfig::default(), TraceMode::Off, |c| {
+                bounded(c, &cells, bound, out_len)
+            });
+            assert!(metered == expect, "{bound:?}: metered");
+        }
+    }
+
+    #[test]
+    fn bounded_trace_independent_of_the_reals() {
+        // Same shape, same bound: 0 vs `k` reals, leading vs trailing,
+        // displacement 0 vs `d`.
+        let m = 1091;
+        let trace = |cells: Vec<TagCell>, bound: Bound, out_len: usize| {
+            let (_, rep) = measure(CacheConfig::default(), TraceMode::Hash, |c| {
+                bounded(c, &cells, bound, out_len)
+            });
+            (rep.trace_hash, rep.trace_len, rep.work)
+        };
+        let count = |real: &dyn Fn(usize) -> bool| trace(flagged(m, real), Bound::Count(64), 64);
+        let none = count(&|_| false);
+        assert_eq!(none, count(&|i| i < 64), "k leading reals");
+        assert_eq!(none, count(&|i| i >= m - 64), "k trailing reals");
+        let shift = |real: &dyn Fn(usize) -> bool| trace(flagged(m, real), Bound::Shift(256), m);
+        let still = shift(&|i| i < 500);
+        assert_eq!(
+            still,
+            shift(&|i| !(300..556).contains(&i)),
+            "displacement d"
+        );
+        assert_eq!(still, shift(&|_| false), "no reals");
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(32))]
 
@@ -583,6 +1059,28 @@ mod tests {
             let params = OSortParams::practical(record_path.len());
             oblivious_sort(&c, &sp, &mut record_path, params, 17);
             prop_assert_eq!(tag_path, record_path);
+        }
+
+        /// Both bounds against `compact_cells` on random lanes, at the
+        /// tight bound or past it, whatever the length's residue mod `w`.
+        #[test]
+        fn prop_bounded_matches_compact_cells(
+            flags in proptest::collection::vec(any::<bool>(), 0..300),
+            slack in 0usize..3,
+            out_extra in 0usize..4,
+        ) {
+            let c = SeqCtx::new();
+            let cells = flagged(flags.len(), |i| flags[i]);
+            let (k, d) = tight(&cells);
+            let out_len = flags.len() + out_extra;
+            prop_assert_eq!(
+                bounded(&c, &cells, Bound::Shift(d + slack), out_len),
+                compact_prefix(&cells, out_len)
+            );
+            prop_assert_eq!(
+                bounded(&c, &cells, Bound::Count(k + slack), out_len),
+                compact_prefix(&cells, out_len)
+            );
         }
 
         #[test]

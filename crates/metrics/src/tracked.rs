@@ -111,6 +111,27 @@ impl<'a, T: Copy> Tracked<'a, T> {
         )
     }
 
+    /// [`Self::split_at_mut`] by value: the halves keep the whole borrow,
+    /// so a recursion can hand them on to its forks.
+    #[inline]
+    pub fn split(self, mid: usize) -> (Tracked<'a, T>, Tracked<'a, T>) {
+        let (lo, hi) = self.data.split_at_mut(mid);
+        (
+            Tracked {
+                data: lo,
+                buf: self.buf,
+                off: self.off,
+                wpe: self.wpe,
+            },
+            Tracked {
+                data: hi,
+                buf: self.buf,
+                off: self.off + mid as u64 * self.wpe,
+                wpe: self.wpe,
+            },
+        )
+    }
+
     /// Tracked view of `lo..hi`.
     #[inline]
     pub fn range(&mut self, lo: usize, hi: usize) -> Tracked<'_, T> {

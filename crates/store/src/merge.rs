@@ -19,30 +19,37 @@
 //!    (`O(m log m)` comparators, not an `O(m log² m)` sort; `m` need not be
 //!    a power of two, [`Engine::merge_cells`]) to group each key's history
 //!    contiguously, the record (seq 0) leading its run;
-//! 3. a segmented *exclusive* scan with the last-writer-wins transformer
-//!    monoid hands every op the value state produced by the record and all
-//!    earlier writes of its run (sequential within-epoch semantics), and
-//!    every run-last element the key's final state;
-//! 4. the fix-up projects two cell lanes from the (still key-sorted)
-//!    merged array: a *results* lane of answer cells tagged by batch
-//!    slot, written over the merged cells themselves, and a fresh
-//!    *candidates* lane of the records each key's final state leaves —
-//!    the wide per-element state never rides through another network;
-//! 5. results: one stable [`compact_cells`] pass moves the batch answers
-//!    to the front, then one small sort of the `|batch|`-cell window
-//!    restores submission order for the fixed-prefix readout;
-//! 6. rebuild: because the merged array kept key order, the candidates
-//!    lane is already key-sorted — one stable [`compact_cells`] pass (no
-//!    sort at all) and a copy of its prefix rebuild the resident table at
-//!    its new public capacity, filled with fillers past `m` when a full
-//!    table grows beyond the merge array.
+//! 3. one walk over the merged array ([`map_scan`]: an exclusive scan
+//!    whose leaves are recomputed from the cells in both sweeps, so no
+//!    element lane is stored) carries the last-writer-wins state, the
+//!    batch answers so far and the candidates so far. A cell ends its
+//!    key's run where the next cell's key differs — the map reads it — so
+//!    no boundary lane is stored either;
+//! 4. its down-sweep writes three lanes at every position: the op's
+//!    answer (the state its key held just before it, sequential
+//!    within-epoch semantics) over the merged cell itself, the record a
+//!    run's last cell leaves if the run's final state is `SET` in a
+//!    *candidates* lane, and one packed rank word — the answers before the
+//!    position in the low half, the candidates in the high half;
+//! 5. rebuild: the candidates lane is key-ordered with fillers between
+//!    its records, and no record moves left by more than `2·b₂` (fillers
+//!    trail every real, and a real op leaves at most two non-candidates
+//!    ahead of a later record: itself and the record it supersedes or
+//!    clears), so one [`compact_bounded`] by that shift writes the
+//!    resident table at its new public capacity, fillers past `m` when a
+//!    full table grows beyond the merge array;
+//! 6. results: the answers number at most `|batch|`, so one
+//!    [`compact_bounded`] by that count brings them into a `|batch|`-cell
+//!    window — the front of the spent candidates lane — and one small sort
+//!    of it restores submission order for the fixed-prefix readout.
 //!
 //! Relative to the record-sort pipeline this replaces three full wide-slot
-//! sorts with one small sort + one merge + one small sort + two
-//! compactions over dense cells — several-fold less work and far less data
-//! through the cache (the `store_bench`/`bench_diff` rows gate both).
+//! sorts with one small sort + one merge + one walk + two compactions of
+//! `log` of their bounds levels over dense cells — several-fold less work
+//! and far less data through the cache (the `store_bench`/`bench_diff`
+//! rows gate both).
 //!
-//! Because every comparator network, compaction swap level, scan and
+//! Because every comparator network, compaction swap level, walk and
 //! parallel map above touches addresses that depend only on the public
 //! shape, two epochs with the same shape but different keys/values/op-kinds
 //! generate identical traces (`tests/store.rs`, `obliv_check`).
@@ -52,26 +59,23 @@
 //! [`consult`] answers a batch of point reads against tables it must not
 //! change — the pipelined front end's read-your-writes path — and is §F's
 //! send-receive in its plain form: sort and scan *the requests*, leave the
-//! table where it is. Same cells, same LWW monoid, three steps: collapse
+//! table where it is. Same cells, same LWW walk, three steps: collapse
 //! the un-merged log onto the queries (one sort over the log-and-query
-//! class), probe every shard's table with them (one merge, one scan and
+//! class), probe every shard's table with them (one merge, one walk and
 //! one compaction per shard, in parallel), and combine the per-shard
 //! answers position by position. Nothing is rebuilt and nothing but the
 //! query window is ever sorted; see DESIGN.md §11.
 
 use crate::op::{kind, FlatOp, StoreStats};
 use fj::{grain_for, par_reduce, Ctx};
-use metrics::{
-    par_fill, par_fill2, par_tracked_chunks, par_update, par_update_fill, ScratchGuard,
-    ScratchPool, Tracked,
+use metrics::{par_fill, par_tracked_chunks, ScratchGuard, ScratchPool, Tracked};
+use obliv_core::{
+    compact_bounded, map_scan, select_u128, select_u64, Bound, Engine, Ranks, TagCell,
 };
-use obliv_core::scan::{scan_in, Schedule};
-use obliv_core::{compact_cells, select_u128, select_u64, Engine, TagCell};
 
-/// The sorting engine and scan schedule of every store path (the ORAM's
-/// conflict resolution included).
+/// The sorting engine of every store path (the ORAM's conflict resolution
+/// included).
 pub(crate) const ENGINE: Engine = Engine::BitonicRec;
-const SCHED: Schedule = Schedule::Tree;
 
 /// Last-writer-wins transformer: what an element does to its key's value
 /// state. `KEEP` (gets, aggregates, padding) is the monoid identity. The
@@ -134,64 +138,134 @@ fn cell_seq(cell: &TagCell) -> u64 {
     cell.tag as u64
 }
 
-/// Scan element: segment head flag plus a value-state transformer. The
-/// combine below is the standard segmented-scan monoid over transformer
-/// composition (right transformer wins unless it is `KEEP`), so an
-/// exclusive scan yields, at every position, the composition of the run
-/// prefix before it.
-#[derive(Clone, Copy, Debug, Default)]
-struct Lww {
-    head: bool,
-    kind: u8,
-    val: u64,
-}
+/// A value state, or what an element does to one: `(kind, val)` with a
+/// transformer kind, `val` meaningful under `SET`.
+type State = (u8, u64);
 
+/// Transformer composition: the right transformer wins unless it is
+/// `KEEP`. Branchless: transformer kinds are secret cell contents, so the
+/// rule goes through word selects, not control flow (DESIGN.md §14).
 #[inline]
-fn compose(a: Lww, b: Lww) -> (u8, u64) {
-    // Branchless: transformer kinds are secret cell contents, so the
-    // right-wins-unless-KEEP rule goes through word selects, not control
-    // flow (DESIGN.md §14).
-    let keep = b.kind == T_KEEP;
+fn compose(a: State, b: State) -> State {
+    let keep = b.0 == T_KEEP;
     (
-        select_u64(keep, b.kind as u64, a.kind as u64) as u8,
-        select_u64(keep, b.val, a.val),
+        select_u64(keep, b.0 as u64, a.0 as u64) as u8,
+        select_u64(keep, b.1, a.1),
     )
 }
 
 #[inline]
-fn lww_combine(a: Lww, b: Lww) -> Lww {
-    let (k, v) = compose(a, b);
-    Lww {
-        head: a.head | b.head,
-        kind: select_u64(b.head, k as u64, b.kind as u64) as u8,
-        val: select_u64(b.head, v, b.val),
-    }
-}
-
-/// Head/last run boundaries, computed once from the merged array.
-#[derive(Clone, Copy, Debug, Default)]
-struct Bounds {
-    head: bool,
-    last: bool,
-}
-
-#[inline]
-fn transformer_of(cell: &TagCell) -> Lww {
+fn transformer_of(cell: &TagCell) -> State {
     // Branchless: filler-ness, record-ness and op kind are secret; fold
     // them through word selects. A record (seq 0) sets its key's state.
     let real = !cell.is_filler();
     let k = cell_kind(cell);
-    let is_set = real && (cell_seq(cell) == 0 || k == kind::PUT);
-    let is_clear = real && k == kind::DELETE;
-    Lww {
-        head: false,
-        kind: select_u64(
+    let is_set = real & ((cell_seq(cell) == 0) | (k == kind::PUT));
+    let is_clear = real & (k == kind::DELETE);
+    (
+        select_u64(
             is_set,
             select_u64(is_clear, T_KEEP as u64, T_CLEAR as u64),
             T_SET as u64,
         ) as u8,
-        val: select_u64(is_set, 0, cell_val(cell)),
+        select_u64(is_set, 0, cell_val(cell)),
+    )
+}
+
+/// The element of the one walk ([`map_scan`]) over a key-sorted lane, for
+/// a range of its positions. `ends` says whether the range's last position
+/// ends its key's run (the next cell's key or filler-ness differs, or
+/// there is no next cell), `inner` whether any earlier position in it
+/// does. `kind`/`val` is the state composed since the last run start inside
+/// the range (since its first position if there is none); `count` the
+/// cells the caller counts; `cands[x]` the candidates it leaves — a run's
+/// last position leaves one iff the run's final state is `SET` — when the
+/// state entering the range is `SET` (`x = 1`) or not (`x = 0`). Both
+/// counts keep the combine a monoid: the first run's verdict depends on
+/// the entering state only through that bit.
+#[derive(Clone, Copy, Debug, Default)]
+struct Run {
+    val: u64,
+    cands: [u32; 2],
+    count: u32,
+    kind: u8,
+    ends: bool,
+    inner: bool,
+}
+
+/// Whether two cells belong to different runs.
+#[inline]
+fn differ(a: &TagCell, b: &TagCell) -> bool {
+    (a.is_filler() != b.is_filler()) | (cell_key(a) != cell_key(b))
+}
+
+/// The walk's element of position `i` of the key-sorted lane `t`, counted
+/// iff `counted(t[i])`, and the cell itself. `i` ends its run where the
+/// next cell differs or `t` does: [`map_scan`] maps a position whose
+/// successor lies in another piece before it splits them, so only the
+/// whole lane's last position sees `t` end.
+#[inline]
+fn run_at<C: Ctx>(
+    c: &C,
+    t: &Tracked<'_, TagCell>,
+    i: usize,
+    counted: &impl Fn(&TagCell) -> bool,
+) -> (Run, TagCell) {
+    let s = t.get(c, i);
+    let ends = if i + 1 == t.len() {
+        true
+    } else {
+        let next = t.get(c, i + 1);
+        c.work(1);
+        differ(&s, &next)
+    };
+    let (kind, val) = transformer_of(&s);
+    // A run's last cell leaves a candidate if it sets, or keeps a `SET`.
+    let sets = ends & (kind == T_SET);
+    let keeps = ends & (kind == T_KEEP);
+    let run = Run {
+        val,
+        cands: [sets as u32, (sets | keeps) as u32],
+        count: counted(&s) as u32,
+        kind,
+        ends,
+        inner: false,
+    };
+    (run, s)
+}
+
+#[inline]
+fn run_combine(a: Run, b: Run) -> Run {
+    // `a`'s state carries into `b` unless a run starts at or inside `b`.
+    let fresh = a.ends | b.inner;
+    let carry = !fresh & (b.kind == T_KEEP);
+    // The state leaving `a` is `SET` if `a` set it, or kept whatever
+    // entered it — the second only for `x = 1`.
+    let set = a.kind == T_SET;
+    let passes = !a.inner & (a.kind == T_KEEP);
+    let into_b = |x: bool| {
+        let set_in = !a.ends & (set | (passes & x));
+        select_u64(set_in, b.cands[0] as u64, b.cands[1] as u64) as u32
+    };
+    Run {
+        val: select_u64(carry, b.val, a.val),
+        cands: [a.cands[0] + into_b(false), a.cands[1] + into_b(true)],
+        count: a.count + b.count,
+        kind: select_u64(carry, b.kind as u64, a.kind as u64) as u8,
+        ends: b.ends,
+        inner: a.inner | a.ends | b.inner,
     }
+}
+
+/// The state position `i`'s run has reached before it, given the walk's
+/// element of `[0, i)`: `KEEP` where `i` heads its run.
+#[inline]
+fn entering(i: usize, prefix: &Run) -> State {
+    let head = (i == 0) | prefix.ends;
+    (
+        select_u64(head, prefix.kind as u64, T_KEEP as u64) as u8,
+        select_u64(head, prefix.val, 0),
+    )
 }
 
 /// The answer to the op in batch slot `slot`: its kind, and the value its
@@ -228,7 +302,7 @@ pub(crate) fn read_answers<C: Ctx>(c: &C, t: &Tracked<'_, TagCell>, b: usize) ->
 /// `b`-cell answer window (answer cells tagged by slot, ascending, fillers
 /// last); it is returned with the refreshed analytics snapshot.
 /// `enforce_live_bound` — a public config bit, set iff a shrink schedule
-/// is configured — adds the candidate-count guard pass before the rebuild.
+/// is configured — checks the candidate count before the rebuild.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn merge_epoch<C: Ctx, R>(
     c: &C,
@@ -245,6 +319,7 @@ pub(crate) fn merge_epoch<C: Ctx, R>(
     // The merge array is the table and the op class side by side: no
     // power-of-two padding (the merge and the compactions take any length).
     let m = cap + b2;
+    assert!(m < 1 << 32, "ranks are packed two to a word");
 
     // 2. Merged array: the resident table is key-sorted (reals ascending,
     //    fillers last) by the previous rebuild, so one merge butterfly
@@ -253,140 +328,77 @@ pub(crate) fn merge_epoch<C: Ctx, R>(
     // The op cells live on in `cells`; their lease goes back before the
     // `m`-sized lanes below are drawn.
     drop(ops);
-
     let mut t = Tracked::new(c, &mut cells);
     ENGINE.merge_cells(c, scratch, &mut t);
 
-    // 3. Mark run boundaries and run the segmented exclusive LWW scan —
-    //    the merged array itself stays key-sorted and is never sorted
-    //    again.
+    // 3–4. One walk over the key-sorted array writes three lanes at every
+    //    position `i`, unconditionally: the answer of a batch op (the
+    //    state its key held just before it) over the merged cell itself;
+    //    the record a run's last cell leaves if the run's final state is
+    //    `SET` in the candidates lane; and the answers (low half) and
+    //    candidates (high half) before `i` in one packed rank lane.
     let mut cand_store = scratch.lease(m, TagCell::filler());
-    {
-        let mut bounds_store = scratch.lease(m, Bounds::default());
-        let mut lww_store = scratch.lease(m, Lww::default());
-        let mut bounds = Tracked::new(c, &mut bounds_store);
-        let mut lww = Tracked::new(c, &mut lww_store);
-        par_fill2(c, &mut bounds, &mut lww, &|c, i| {
-            let s = t.get(c, i);
-            let head = if i == 0 {
-                true
-            } else {
-                let prev = t.get(c, i - 1);
-                c.work(1);
-                prev.is_filler() != s.is_filler() || cell_key(&prev) != cell_key(&s)
-            };
-            let last = if i + 1 == m {
-                true
-            } else {
-                let next = t.get(c, i + 1);
-                c.work(1);
-                next.is_filler() != s.is_filler() || cell_key(&next) != cell_key(&s)
-            };
-            let mut l = transformer_of(&s);
-            l.head = head;
-            (Bounds { head, last }, l)
-        });
-
-        // Segmented exclusive scan: position i receives the composed state
-        // of its run's prefix [run start, i).
-        scan_in(
-            c,
-            scratch,
-            &mut lww,
-            Lww::default(),
-            &lww_combine,
-            false,
-            false,
-            SCHED,
-        );
-
-        // 4. Fix-up: every op learns its pre-op state; every run-last
-        //    element learns its key's final state. Both lanes written
-        //    unconditionally at every position — the results lane over
-        //    the merged cell it was computed from (nothing reads the
-        //    merged array after this pass), the candidates lane in a
-        //    lease of its own.
-        let mut cand_t = Tracked::new(c, &mut cand_store);
-        par_update_fill(c, &mut t, &mut cand_t, &|c, i, s| {
-            let bd = bounds.get(c, i);
-            let scanned = lww.get(c, i);
-            // Run heads see the empty state no matter what the scan
-            // carried over from the previous run. Selected, not branched:
-            // the head flag derives from secret keys.
-            let pre = Lww {
-                head: !bd.head & scanned.head,
-                kind: select_u64(bd.head, scanned.kind as u64, T_KEEP as u64) as u8,
-                val: select_u64(bd.head, scanned.val, 0),
-            };
-            let own = transformer_of(&s);
-            let (inc_kind, inc_val) = compose(pre, own);
-            let found = pre.kind == T_SET;
-            let prev_val = select_u64(found, 0, pre.val);
-            let is_batch_op = !s.is_filler() && cell_seq(&s) > p as u64;
+    let mut rank_store = scratch.lease(m, 0u64);
+    let mut cand = Tracked::new(c, &mut cand_store);
+    let mut rank = Tracked::new(c, &mut rank_store);
+    let is_batch_op = |s: &TagCell| !s.is_filler() & (cell_seq(s) > p as u64);
+    map_scan(
+        c,
+        scratch,
+        (t.borrow_mut(), cand.borrow_mut(), rank.borrow_mut()),
+        Run::default(),
+        &run_combine,
+        &|c, (t, _, _), k| run_at(c, t, k, &is_batch_op),
+        &|c, (t, cand, rank), k, i, prefix, own, s| {
+            let pre = entering(i, &prefix);
+            let found = pre.0 == T_SET;
             // The batch slot is computed unconditionally (wrapping: table
             // records carry seq 0) and selected away for non-batch
             // positions.
             let slot = cell_seq(&s).wrapping_sub(1 + p as u64);
-            let mut result = answer_cell(slot, cell_kind(&s), found, prev_val);
-            result.tag = select_u128(is_batch_op, u128::MAX, result.tag);
-            // A candidate is the record its key's final state leaves
-            // behind; every other position a canonical filler.
-            let cand = bd.last && inc_kind == T_SET && !s.is_filler();
-            let record = record_cell(cell_key(&s), inc_val);
+            let mut result = answer_cell(slot, cell_kind(&s), found, select_u64(found, 0, pre.1));
+            result.tag = select_u128(is_batch_op(&s), u128::MAX, result.tag);
+            t.set(c, k, result);
+            let (kind, val) = compose(pre, (own.kind, own.val));
+            let leaves = own.ends & (kind == T_SET);
+            let record = record_cell(cell_key(&s), val);
             let candidate = TagCell {
-                tag: select_u128(cand, u128::MAX, record.tag),
-                aux: select_u128(cand, 0, record.aux),
+                tag: select_u128(leaves, u128::MAX, record.tag),
+                aux: select_u128(leaves, 0, record.aux),
             };
-            (result, candidate)
-        });
-    }
-
-    // 5. Results: stable-compact the batch answers to the front, then one
-    //    small sort of the padded-batch window restores submission order.
-    compact_cells(c, scratch, &mut t);
-    ENGINE.sort_cells(c, scratch, &mut t.range(0, b));
-    let answers = readout(&t);
-
-    // 6. Rebuild: the candidates lane inherited key order from the merged
-    //    array, so one stable compaction (no sort) moves the surviving
-    //    final states to the front at the new public capacity.
-    let mut cand_t = Tracked::new(c, &mut cand_store);
-    compact_cells(c, scratch, &mut cand_t);
+            cand.set(c, k, candidate);
+            rank.set(c, k, prefix.count as u64 | (prefix.cands[0] as u64) << 32);
+        },
+    );
 
     // Guard the rebuild: the surviving final states must fit the new
     // public capacity. Without a shrink schedule this holds by
-    // construction (`cap_new` ≥ the grown live bound), so the pass is
-    // skipped; with one it is the client's declared-bound contract, and
-    // violating it must fail loudly instead of silently dropping records.
-    // The count is a fixed-pattern reduce over the whole (public-length)
-    // array, gated only by the public config bit.
+    // construction (`cap_new` ≥ the grown live bound); with one it is the
+    // client's declared-bound contract, and violating it must fail loudly
+    // instead of silently dropping records. The count is the walk's: two
+    // reads at the public position `m − 1`, gated only by the public
+    // config bit.
     if enforce_live_bound {
-        let cand_total = par_reduce(
-            c,
-            0,
-            m,
-            grain_for(c),
-            &|c, i| !cand_t.get(c, i).is_filler() as u64,
-            &|a, b| a + b,
-        )
-        .unwrap_or(0);
+        let live = (rank.get(c, m - 1) >> 32) + !cand.get(c, m - 1).is_filler() as u64;
         assert!(
-            cand_total as usize <= cap_new,
-            "{cand_total} live records exceed the public capacity bound {cap_new} \
+            live as usize <= cap_new,
+            "{live} live records exceed the public capacity bound {cap_new} \
              (shrink-policy contract violated)"
         );
     }
 
-    // The candidates already are records: the new table is the
-    // compacted prefix, copied. A full table that grows outruns the merge
-    // array (`cap_new > m`, a public fact): its tail stays fillers.
-    table.clear();
+    // 5. Rebuild: the candidates lane is key-ordered records with fillers
+    //    between them. A real op leaves at most two non-candidates ahead of
+    //    a record (itself, and a record it supersedes or clears) and
+    //    fillers trail every real, so no candidate moves left by more than
+    //    `2(p + b) ≤ 2·b₂`: one compaction bounded by that shift writes the
+    //    new table at its public capacity — fillers past `m` when a full
+    //    table grows beyond the merge array.
     table.resize(cap_new, TagCell::filler());
     let stats = {
         let mut tt = Tracked::new(c, table.as_mut_slice());
-        par_fill(c, &mut tt.range(0, cap_new.min(m)), &|c, i| {
-            cand_t.get(c, i)
-        });
+        let ranks = Ranks::high(&rank);
+        compact_bounded(c, &mut cand, ranks, Bound::Shift(2 * b2), &mut tt);
         // Refresh the analytics snapshot with one reduce over the new table.
         par_reduce(
             c,
@@ -405,7 +417,15 @@ pub(crate) fn merge_epoch<C: Ctx, R>(
         .map(|(count, sum)| StoreStats { count, sum })
         .unwrap_or_default()
     };
-    (answers, stats)
+
+    // 6. Results: at most `b` answers, so one compaction bounded by the
+    //    batch brings them to a `b`-cell window — the front of the spent
+    //    candidates lane — and one small sort of it restores submission
+    //    order.
+    let mut win = cand.range(0, b);
+    compact_bounded(c, &mut t, Ranks::low(&rank), Bound::Count(b), &mut win);
+    ENGINE.sort_cells(c, scratch, &mut win);
+    (readout(&win), stats)
 }
 
 /// Pack `first ++ second` into cells keyed `(key ‖ 1-based position)` over
@@ -453,43 +473,32 @@ fn bitonic_with_table<'s, C: Ctx>(
     cells
 }
 
-/// Over a key-sorted lane: give every cell the value state its key's run
-/// has reached *at* it — one boundary-marking map and one inclusive
-/// segmented LWW scan — and rewrite the cell in place as
-/// `fix(cell, kind, val)` of that state. `fix` must be branch-free.
+/// Over a key-sorted lane `t`: one walk gives every cell the value state
+/// its key's run has reached *at* it and rewrites it in place as
+/// `fix(cell, kind, val)` of that state; `rank[i]` becomes the number of
+/// cells before `i` that `keep` holds for. `fix` and `keep` must be
+/// branch-free.
 fn resolve_runs<C: Ctx>(
     c: &C,
     scratch: &ScratchPool,
     t: &mut Tracked<'_, TagCell>,
+    rank: &mut Tracked<'_, u64>,
+    keep: &(impl Fn(&TagCell) -> bool + Sync),
     fix: &(impl Fn(TagCell, u8, u64) -> TagCell + Sync),
 ) {
-    let m = t.len();
-    let mut lww_store = scratch.lease(m, Lww::default());
-    let mut lww = Tracked::new(c, &mut lww_store);
-    par_fill(c, &mut lww, &|c, i| {
-        let s = t.get(c, i);
-        let mut l = transformer_of(&s);
-        l.head = i == 0 || {
-            let prev = t.get(c, i - 1);
-            c.work(1);
-            prev.is_filler() != s.is_filler() || cell_key(&prev) != cell_key(&s)
-        };
-        l
-    });
-    scan_in(
+    map_scan(
         c,
         scratch,
-        &mut lww,
-        Lww::default(),
-        &lww_combine,
-        true,
-        false,
-        SCHED,
+        (t.borrow_mut(), rank.borrow_mut()),
+        Run::default(),
+        &run_combine,
+        &|c, (t, _), k| run_at(c, t, k, keep),
+        &|c, (t, rank), k, i, prefix, own, s| {
+            let (kind, val) = compose(entering(i, &prefix), (own.kind, own.val));
+            t.set(c, k, fix(s, kind, val));
+            rank.set(c, k, prefix.count as u64);
+        },
     );
-    par_update(c, t, &|c, i, cell| {
-        let state = lww.get(c, i);
-        fix(cell, state.kind, state.val)
-    });
 }
 
 /// Answer `queries` (a padded `Get` batch of public class `q`, its real
@@ -499,15 +508,15 @@ fn resolve_runs<C: Ctx>(
 /// applied, in one answer cell per query slot. Read-only: nothing is
 /// rebuilt.
 ///
-/// 1. `log ++ queries` are sorted as cells over their own class and the
-///    LWW scan hands every query its **log verdict** — `KEEP`, `SET v` or
+/// 1. `log ++ queries` are sorted as cells over their own class and one
+///    walk hands every query its **log verdict** — `KEEP`, `SET v` or
 ///    `CLEAR`, written back as the `Get`, `Put` or `Delete` the log
-///    amounts to for that key. One stable compaction brings the `q`-cell
-///    window of key-sorted queries to the front.
+///    amounts to for that key — and ranks the queries. One compaction
+///    bounded by `q` brings the `q`-cell window of key-sorted queries out.
 /// 2. Per shard, in parallel: `[queries descending | table ascending]` is
 ///    bitonic, so **one merge** groups each query behind
-///    its record, one scan composes table state and verdict into the
-///    query's answer, and one compaction returns the window.
+///    its record, one walk composes table state and verdict into the
+///    query's answer, and one compaction bounded by `q` writes the window.
 /// 3. Every window lists the same queries in the same order. A key lives
 ///    in at most one table and a `SET`/`CLEAR` verdict reads the same
 ///    everywhere, so `or`-ing the windows position by position is the
@@ -524,46 +533,67 @@ pub(crate) fn consult<C: Ctx>(
     let l = log.len() as u64;
     let q = queries.len();
     debug_assert!(q.is_power_of_two());
-    // 1. Verdicts. Queries follow the whole log in `seq`, so the state a
-    //    query's run has reached at it is the log's net effect on its key.
-    let mut ops = sorted_ops(c, scratch, log, queries);
-    let mut asked = Tracked::new(c, &mut ops);
-    resolve_runs(c, scratch, &mut asked, &|s, verdict, val| {
-        let is_query = !s.is_filler() && cell_seq(&s) > l;
-        TagCell {
-            tag: select_u128(is_query, u128::MAX, s.tag),
-            aux: ((verdict as u128) << 64) | val as u128,
-        }
-    });
-    compact_cells(c, scratch, &mut asked);
+    let mut window_store = scratch.lease(q, TagCell::filler());
+    let mut window = Tracked::new(c, &mut window_store);
+    {
+        // 1. Verdicts. Queries follow the whole log in `seq`, so the state
+        //    a query's run has reached at it is the log's net effect on
+        //    its key.
+        let mut ops = sorted_ops(c, scratch, log, queries);
+        let mut rank_store = scratch.lease(ops.len(), 0u64);
+        let mut asked = Tracked::new(c, &mut ops);
+        let mut rank = Tracked::new(c, &mut rank_store);
+        let is_query = |s: &TagCell| !s.is_filler() & (cell_seq(s) > l);
+        resolve_runs(
+            c,
+            scratch,
+            &mut asked,
+            &mut rank,
+            &is_query,
+            &|s, verdict, val| TagCell {
+                tag: select_u128(is_query(&s), u128::MAX, s.tag),
+                aux: ((verdict as u128) << 64) | val as u128,
+            },
+        );
+        let ranks = Ranks::of(&rank);
+        compact_bounded(c, &mut asked, ranks, Bound::Count(q), &mut window);
+    }
 
     {
         // 2. One probe per shard, each into its own window of `wins`.
-        let window = &asked.raw()[..q];
+        let asked = window.raw();
         let mut wins_store = scratch.lease(tables.len() * q, TagCell::filler());
         let mut wins = Tracked::new(c, &mut wins_store);
         par_tracked_chunks(c, wins.borrow_mut(), q, &|c, s, mut win| {
-            let mut cells = bitonic_with_table(c, scratch, tables[s], window);
+            let mut cells = bitonic_with_table(c, scratch, tables[s], asked);
+            let mut rank_store = scratch.lease(cells.len(), 0u64);
             let mut t = Tracked::new(c, &mut cells);
+            let mut rank = Tracked::new(c, &mut rank_store);
             ENGINE.merge_cells(c, scratch, &mut t);
-            resolve_runs(c, scratch, &mut t, &|s, state, val| {
-                // Records carry seq 0; a query keeps its tag and learns
-                // whether its key ends up set, and to what: the answer
-                // payload of a `Get` (kind 0).
-                let is_query = !s.is_filler() && cell_seq(&s) != 0;
-                let found = state == T_SET;
-                TagCell {
-                    tag: select_u128(is_query, u128::MAX, s.tag),
-                    aux: ((found as u128) << 64) | select_u64(found, 0, val) as u128,
-                }
-            });
-            compact_cells(c, scratch, &mut t);
-            win.copy_from(c, &t, 0, 0, q);
+            // Records carry seq 0; a query keeps its tag and learns
+            // whether its key ends up set, and to what: the answer
+            // payload of a `Get` (kind 0).
+            let is_query = |s: &TagCell| !s.is_filler() & (cell_seq(s) != 0);
+            resolve_runs(
+                c,
+                scratch,
+                &mut t,
+                &mut rank,
+                &is_query,
+                &|s, state, val| {
+                    let found = state == T_SET;
+                    TagCell {
+                        tag: select_u128(is_query(&s), u128::MAX, s.tag),
+                        aux: ((found as u128) << 64) | select_u64(found, 0, val) as u128,
+                    }
+                },
+            );
+            compact_bounded(c, &mut t, Ranks::of(&rank), Bound::Count(q), &mut win);
         });
 
         // 3. Combine: each answer goes back where its question stood,
         //    tagged by submission index now.
-        par_fill(c, &mut asked.range(0, q), &|c, j| {
+        par_fill(c, &mut window, &|c, j| {
             let mut cell = wins.get(c, j);
             for s in 1..tables.len() {
                 cell.aux |= wins.get(c, s * q + j).aux;
@@ -574,9 +604,8 @@ pub(crate) fn consult<C: Ctx>(
         });
     }
     // One small sort restores submission order.
-    let mut win = asked.range(0, q);
-    ENGINE.sort_cells(c, scratch, &mut win);
-    read_answers(c, &win, q)
+    ENGINE.sort_cells(c, scratch, &mut window);
+    read_answers(c, &window, q)
 }
 
 #[cfg(test)]
@@ -585,6 +614,7 @@ mod tests {
     use crate::op::{Op, OpResult};
     use crate::store::decode;
     use fj::SeqCtx;
+    use metrics::{measure, CacheConfig, TraceMode};
 
     /// One merge epoch as a 1-shard store runs it: sort `pending ++
     /// batch`, merge, read the answers out by batch slot.
@@ -888,6 +918,134 @@ mod tests {
             })
             .collect();
         epoch_matches_oracle(&mut table, &mut oracle, 64, &ops, 64);
+    }
+
+    /// One merge epoch on `c`, shrink guard on: the answers, and the table
+    /// rebuilt in place.
+    fn epoch_on<C: Ctx>(
+        c: &C,
+        table: &mut Vec<TagCell>,
+        cap_new: usize,
+        pending: &[FlatOp],
+        batch: &[FlatOp],
+    ) -> Vec<TagCell> {
+        let scratch = ScratchPool::new();
+        let ops = sorted_ops(c, &scratch, pending, batch);
+        let shape = (pending.len(), batch.len());
+        merge_epoch(c, &scratch, table, cap_new, ops, shape, true, |t| {
+            read_answers(c, t, batch.len())
+        })
+        .0
+    }
+
+    fn flat(raw: &[(u8, u64, u64)]) -> Vec<FlatOp> {
+        let op = |&(k, key, val): &(u8, u64, u64)| match k % 4 {
+            0 | 1 => Op::Put { key, val },
+            2 => Op::Delete { key },
+            _ => Op::Get { key },
+        };
+        raw.iter().map(|r| FlatOp::of(&op(r))).collect()
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(40))]
+
+        /// Random epochs — tables of up to 300 records, pending logs, batches
+        /// up to 200 ops and a padded class, growing or shrunk to fit —
+        /// against a sequential replay, on `SeqCtx` and on a metered
+        /// context, whose two-position leaf runs put the walk's combine
+        /// at nearly every seam (a host run's leaf runs span whole
+        /// small tables).
+        #[test]
+        fn random_epochs_match_a_replay(
+            keys in proptest::collection::vec(0u64..500, 0..300),
+            pending in proptest::collection::vec((0u8..4, 0u64..500, 0u64..1000), 0..40),
+            batch in proptest::collection::vec((0u8..4, 0u64..500, 0u64..1000), 0..200),
+            pad in 0usize..3,
+            shrink in proptest::prelude::any::<bool>(),
+        ) {
+            let mut oracle: std::collections::BTreeMap<u64, u64> =
+                keys.iter().map(|&k| (k, k + 1)).collect();
+            let mut table: Vec<TagCell> = oracle.iter().map(|(&k, &v)| record_cell(k, v)).collect();
+            table.resize(crate::op::size_class(table.len()), TagCell::filler());
+            let (pending, mut batch) = (flat(&pending), flat(&batch));
+            batch.resize(crate::op::size_class(batch.len() + pad), FlatOp::dummy());
+            let mut want = Vec::new();
+            for (j, f) in pending.iter().chain(&batch).enumerate() {
+                let before = oracle.get(&f.key).copied();
+                match f.kind {
+                    kind::PUT => drop(oracle.insert(f.key, f.val)),
+                    kind::DELETE => drop(oracle.remove(&f.key)),
+                    _ => {}
+                }
+                if j >= pending.len() && f.kind != kind::DUMMY {
+                    want.push(OpResult::Value(before));
+                }
+            }
+            let records: Vec<(u64, u64)> = oracle.into_iter().collect();
+            let cap_new = match shrink {
+                true => crate::op::size_class(records.len()),
+                false => crate::op::size_class(table.len() + pending.len() + batch.len()),
+            };
+            let metered = measure(CacheConfig::default(), TraceMode::Off, |c| {
+                let mut t = table.clone();
+                (epoch_on(c, &mut t, cap_new, &pending, &batch), t)
+            }).0;
+            let c = SeqCtx::new();
+            let seq = (epoch_on(&c, &mut table, cap_new, &pending, &batch), table);
+            proptest::prop_assert!(metered == seq, "metered and SeqCtx epochs differ");
+            let got: Vec<OpResult> = seq.0[..want.len()]
+                .iter()
+                .map(|a| decode(a, StoreStats::default()))
+                .collect();
+            proptest::prop_assert_eq!(got, want);
+            proptest::prop_assert_eq!(seq.1.len(), cap_new);
+            proptest::prop_assert_eq!(live(&seq.1), records);
+        }
+
+        /// The consult on a metered context answers as on `SeqCtx`, and
+        /// as a replay of the log over the tables would.
+        #[test]
+        fn random_consults_match_a_replay(
+            keys in proptest::collection::vec(0u64..300, 0..200),
+            log in proptest::collection::vec((0u8..4, 0u64..300, 0u64..1000), 0..60),
+            asked in proptest::collection::vec(0u64..320, 1..40),
+        ) {
+            let mut oracle: std::collections::BTreeMap<u64, u64> =
+                keys.iter().map(|&k| (k, k + 1)).collect();
+            let tables: Vec<Vec<TagCell>> = (0..2u64)
+                .map(|s| {
+                    let mut t: Vec<TagCell> = oracle
+                        .iter()
+                        .filter(|(&k, _)| k % 2 == s)
+                        .map(|(&k, &v)| record_cell(k, v))
+                        .collect();
+                    t.resize(crate::op::size_class(t.len()), TagCell::filler());
+                    t
+                })
+                .collect();
+            let mut log = flat(&log);
+            log.resize(crate::op::size_class(log.len()), FlatOp::dummy());
+            for f in &log {
+                match f.kind {
+                    kind::PUT => drop(oracle.insert(f.key, f.val)),
+                    kind::DELETE => drop(oracle.remove(&f.key)),
+                    _ => {}
+                }
+            }
+            let mut queries: Vec<FlatOp> = asked.iter().map(|&key| FlatOp::of(&Op::Get { key })).collect();
+            queries.resize(crate::op::size_class(queries.len()), FlatOp::dummy());
+            let refs: Vec<&[TagCell]> = tables.iter().map(Vec::as_slice).collect();
+            let metered = measure(CacheConfig::default(), TraceMode::Off, |c| {
+                consult(c, &ScratchPool::new(), &refs, &log, &queries)
+            }).0;
+            let seq = consult(&SeqCtx::new(), &ScratchPool::new(), &refs, &log, &queries);
+            proptest::prop_assert!(metered == seq, "metered and SeqCtx consults differ");
+            for (j, &key) in asked.iter().enumerate() {
+                let got = decode(&seq[j], StoreStats::default()).value();
+                proptest::prop_assert_eq!(got, oracle.get(&key).copied(), "key {}", key);
+            }
+        }
     }
 
     #[test]

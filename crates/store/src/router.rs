@@ -109,7 +109,7 @@ pub(crate) fn shard_lane<'s, C: Ctx>(
 ///
 /// **Input contract:** every run is ascending by tag with its fillers
 /// last. A shard sorts its answer window by submission index
-/// ([`crate::merge::merge_epoch`] step 5), so the runs `commit_split`
+/// ([`crate::merge::merge_epoch`] step 6), so the runs `commit_split`
 /// hands over always are. Sorted runs are merged, not re-sorted
 /// ([`obliv_core::Engine::sort_cells_from_runs`]: `log₂ shards` rounds of
 /// bitonic merges, `O(n log n)` comparators in total against the

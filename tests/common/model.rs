@@ -97,6 +97,9 @@ pub enum Front {
     /// The 1-shard ORAM store, through the pipelined front or not. Its
     /// low threshold and pending limit make scripts take both paths.
     Oram { pipelined: bool },
+    /// A synchronous 2-shard store whose shrink schedule takes every
+    /// table back to the written keys' bound at every second merge.
+    Shrink,
 }
 
 impl Front {
@@ -112,8 +115,8 @@ impl Front {
     }
 
     /// Every front: shards {1, 2, 4, 8} × slack 0..3 synchronously, shards
-    /// {1, 4} pipelined with an open limit of 16 or none, and the ORAM
-    /// store through both.
+    /// {1, 4} pipelined with an open limit of 16 or none, the ORAM store
+    /// through both, and the shrinking store.
     pub fn all() -> Vec<Front> {
         let mut fronts = Vec::new();
         for shards in [1, 2, 4, 8] {
@@ -124,6 +127,7 @@ impl Front {
             fronts.extend(limits.map(|open_limit| Front::Pipelined { shards, open_limit }));
         }
         fronts.extend([false, true].map(|pipelined| Front::Oram { pipelined }));
+        fronts.push(Front::Shrink);
         fronts
     }
 
@@ -131,6 +135,7 @@ impl Front {
         match self {
             Front::Sync { shards, .. } | Front::Pipelined { shards, .. } => shards,
             Front::Oram { .. } => 1,
+            Front::Shrink => 2,
         }
     }
 
@@ -141,12 +146,12 @@ impl Front {
         match self {
             Front::Sync { slack, .. } => cfg.route_slack = slack,
             Front::Oram { .. } => cfg.store = StoreConfig::with_oram(PROBED as usize),
-            Front::Pipelined { .. } => {}
+            Front::Pipelined { .. } | Front::Shrink => {}
         }
         (cfg.store.oram_threshold, cfg.store.pending_limit) = (32, 64);
         cfg.store.shrink = Some(ShrinkPolicy {
-            every: 0,
-            live_bound: 0,
+            every: if self == Front::Shrink { 2 } else { 0 },
+            live_bound: WRITTEN as usize,
             snapshot: 2,
         });
         cfg.store.retry = RetryPolicy {
@@ -306,7 +311,7 @@ impl<'a, C: Ctx> Model<'a, C> {
         let open_limit = match self.front {
             Front::Pipelined { open_limit, .. } => Some(open_limit),
             Front::Oram { pipelined } => pipelined.then_some(usize::MAX),
-            Front::Sync { .. } => None,
+            Front::Sync { .. } | Front::Shrink => None,
         };
         self.live = Some(match open_limit {
             None => Live::Sync(store),

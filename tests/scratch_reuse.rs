@@ -15,8 +15,11 @@
 //!    (write-before-read discipline: no kernel ever observes stale bytes).
 
 use dob::prelude::*;
-use obliv_core::scan::Schedule;
-use obliv_core::{bin_place, compact_cells, oblivious_sort_kv, orp_once, Item, Slot, TagCell};
+use obliv_core::scan::{prefix_sum_in, Schedule};
+use obliv_core::{
+    bin_place, compact_bounded, compact_cells, oblivious_sort_kv, orp_once, Bound, Item, Ranks,
+    Slot, TagCell,
+};
 
 mod common;
 use common::dirty;
@@ -131,6 +134,49 @@ fn kernel_matrix_traces_survive_reuse() {
             run(&dirty_pool),
             "{name}: dirty pool changed the adversary trace"
         );
+    }
+}
+
+#[test]
+fn bounded_compaction_survives_reuse() {
+    // The merge epoch's pairing: ranks from a scan (whose tree is a
+    // lease) feeding a bounded compaction. 250 cells are no multiple of
+    // either bound's block, so the tail splits into smaller blocks too;
+    // a dirty pool must not reach the trace or the output under either
+    // bound.
+    let cells: Vec<TagCell> = (0..250u128)
+        .map(|i| match i % 5 < 2 && i < 160 {
+            true => TagCell::new(i, i),
+            false => TagCell::filler(),
+        })
+        .collect();
+    let run = |pool: &ScratchPool, bound: Bound| {
+        let mut out = vec![TagCell::filler(); 250];
+        let t = trace(|c| {
+            let mut cells = cells.clone();
+            let mut ranks: Vec<u64> = cells.iter().map(|s| !s.is_filler() as u64).collect();
+            let mut lane = Tracked::new(c, &mut ranks);
+            prefix_sum_in(c, pool, &mut lane, false, Schedule::Tree);
+            compact_bounded(
+                c,
+                &mut Tracked::new(c, &mut cells),
+                Ranks::of(&lane),
+                bound,
+                &mut Tracked::new(c, &mut out),
+            );
+        });
+        (t, out)
+    };
+    let reals: Vec<TagCell> = cells.iter().copied().filter(|s| !s.is_filler()).collect();
+    for bound in [Bound::Count(64), Bound::Shift(96)] {
+        let fresh = run(&ScratchPool::new(), bound);
+        let dirty_pool = ScratchPool::new();
+        dirty(&dirty_pool);
+        assert!(
+            fresh == run(&dirty_pool, bound),
+            "{bound:?}: dirty pool changed the run"
+        );
+        assert_eq!(fresh.1[..reals.len()], reals[..], "{bound:?}");
     }
 }
 

@@ -160,3 +160,37 @@ fn hybrid_traces_length_invariant_and_value_independent() {
         "trace length leaked the key set"
     );
 }
+
+/// The rebuild's shift bound met exactly: against a full 256-record
+/// table, one epoch whose whole 64-op class deletes the 64 smallest keys.
+/// Each delete leaves two non-candidates (itself and the record it clears)
+/// ahead of every later record, so all 192 survivors move left by exactly
+/// `2·b₂` — the bound the rebuild compacts by (debug builds check every
+/// move against it). Answers and table must match the model.
+#[test]
+fn deleting_a_full_table_s_first_keys_moves_every_survivor_by_the_bound() {
+    let (c, sp) = (SeqCtx::new(), ScratchPool::new());
+    let cap = 256u64;
+    let cfg = StoreConfig {
+        shrink: Some(ShrinkPolicy {
+            every: 1,
+            live_bound: cap as usize,
+            snapshot: 0,
+        }),
+        ..StoreConfig::default()
+    };
+    let mut store = Store::new(cfg);
+    let mut oracle = model::Oracle::default();
+    let mut epoch = |store: &mut Store, ops: &[Op]| {
+        let got = store.execute_epoch(&c, &sp, ops).unwrap();
+        assert_eq!(got, oracle.epoch(ops, true));
+    };
+    let load: Vec<Op> = (0..cap).map(|k| Op::Put { key: 3 * k, val: k }).collect();
+    epoch(&mut store, &load);
+    assert_eq!(store.capacity(), cap as usize, "the table is full");
+    let deletes: Vec<Op> = (0..64).map(|k| Op::Delete { key: 3 * k }).collect();
+    epoch(&mut store, &deletes);
+    assert_eq!(store.capacity(), cap as usize);
+    let probes: Vec<Op> = (0..cap + 8).map(|k| Op::Get { key: 3 * k }).collect();
+    epoch(&mut store, &probes);
+}
