@@ -138,6 +138,27 @@ fn main() {
         let _ = orp_once(c, &scratch, &items, OrbaParams::for_n(n), 1234);
     });
 
+    // The same at Z = 16, γ = 4: 64 bins, recursing 64 → 8 → placements
+    // of 2 and 4 bins, so every placement but the last level's fills bins
+    // and the last only sorts its rows. Then the full sort on those
+    // parameters, whose ORP runs the bare-key cells (REC-SORT is still one
+    // network at n = 512).
+    let deep = OrbaParams {
+        z: 16,
+        gamma: 4,
+        ..OrbaParams::for_n(n)
+    };
+    all_ok &= row("ORP through a three-level butterfly", &inputs, |c, v| {
+        let items: Vec<Item<u64>> = v.iter().map(|&x| Item::new(x as u128, x)).collect();
+        let _ = orp_once(c, &scratch, &items, deep, 1234);
+        let mut keys = v.clone();
+        let p = OSortParams {
+            orba: deep,
+            ..OSortParams::practical(n)
+        };
+        oblivious_sort_u64(c, &scratch, &mut keys, p, 999);
+    });
+
     // Scans.
     all_ok &= row("oblivious propagation", &inputs, |c, v| {
         let mut segs: Vec<Seg<u64>> = v

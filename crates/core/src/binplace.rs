@@ -25,6 +25,10 @@
 //! `Z`-slot runs in sort order ([`Input::Runs`] — every later placement of
 //! the ORBA butterfly, whose input bins are earlier placements' output
 //! bins) is merged, not sorted.
+//! A caller that wants the placement's order and not its bins — ORP's last
+//! level, which reads each group's reals in label order — runs step 1
+//! alone (`order_from`): the reals come back packed in front, with no rank
+//! pass, no targets and no expansion, so nothing can overflow.
 //! Every step is an oblivious sort, a fixed-pattern scan, or a parallel
 //! map: the access pattern depends only on `(nbins, Z)` and the input form.
 //!
@@ -126,6 +130,34 @@ pub fn bin_place_from<C: Ctx, V: Val>(
     })
 }
 
+/// Step 1 of [`bin_place_from`] alone, for a caller that wants the
+/// placement's order and not its bins (ORP's last level): every real of
+/// `io` comes back packed in front, ascending by label — the placement's
+/// `(group ‖ label)` order, as its reals agree on the bits above the
+/// window ([`place_keys`]) — with the label in the low half of `sk`,
+/// fillers behind. There is no rank, no target and no expansion, so no bin
+/// can overflow.
+pub(crate) fn order_from<C: Ctx, V: Val>(
+    c: &C,
+    scratch: &ScratchPool,
+    io: &mut Tracked<'_, Slot<V>>,
+    input: Input,
+    nbins: usize,
+    zcap: usize,
+    engine: Engine,
+) {
+    let form = form(io, input, nbins, zcap);
+    let mut front = io.range(0, form.prefix);
+    if is_bare::<V>() {
+        let mut cell_store = scratch.lease(form.prefix, u128::MAX);
+        let mut cells = Tracked::new(c, &mut cell_store);
+        sort_cells(c, scratch, &front, &mut cells, &form, engine);
+        par_fill(c, &mut front, &|c, i| unpack(cells.get(c, i)));
+    } else {
+        sort_slots(c, scratch, &mut front, &form, engine, &|s| (0, s.label()));
+    }
+}
+
 /// Where the reals of a placement's input can be (`prefix`), the run
 /// length its sort may assume, and whether the attempt is already void —
 /// the [`Input`] against the shape, checked.
@@ -204,27 +236,7 @@ pub(crate) fn place<C: Ctx, V: Val>(
     let overflow = {
         let mut front = w.range(0, form.prefix);
         let w = &mut front;
-
-        // Step 1: sort by (group ‖ low half), fillers last. The group rides
-        // in the high half of `sk`, where the later steps read it back (a
-        // filler's reads as `u64::MAX`, the past-the-end group).
-        set_keys(c, w, &|s| {
-            if s.is_real() {
-                let (g, low) = key(s);
-                composite_key(g, low)
-            } else {
-                u128::MAX
-            }
-        });
-        debug_assert!(
-            form.void
-                || w.raw()
-                    .chunks(form.run)
-                    .all(|r| r.is_sorted_by_key(|s| s.sk)),
-            "placement input is not {}-slot runs in sort order",
-            form.run
-        );
-        engine.sort_slots_from_runs(c, scratch, w, form.run);
+        sort_slots(c, scratch, w, &form, engine, key);
 
         // Step 2: rank within group.
         let mut seg_store = scratch.lease(form.prefix, Seg::new(false, 0u64));
@@ -252,6 +264,36 @@ pub(crate) fn place<C: Ctx, V: Val>(
     distribute(c, w, form, overflow)
 }
 
+/// Step 1 on slots: sort the prefix `w` by (group ‖ low half), fillers
+/// last. The group rides in the high half of `sk`, where the later steps
+/// read it back (a filler's reads as `u64::MAX`, the past-the-end group).
+fn sort_slots<C: Ctx, V: Val>(
+    c: &C,
+    scratch: &ScratchPool,
+    w: &mut Tracked<'_, Slot<V>>,
+    form: &Form,
+    engine: Engine,
+    key: &(impl Fn(&Slot<V>) -> (u64, u64) + Sync),
+) {
+    set_keys(c, w, &|s| {
+        if s.is_real() {
+            let (g, low) = key(s);
+            composite_key(g, low)
+        } else {
+            u128::MAX
+        }
+    });
+    debug_assert!(
+        form.void
+            || w.raw()
+                .chunks(form.run)
+                .all(|r| r.is_sorted_by_key(|s| s.sk)),
+        "placement input is not {}-slot runs in sort order",
+        form.run
+    );
+    engine.sort_slots_from_runs(c, scratch, w, form.run);
+}
+
 /// [`place`] for records that are their `u64` key ([`BareKey`]), routed by
 /// `group(label)`: steps 1–3 on 16-byte cells, the slots only for the
 /// expansion. Step 1 *packs* the prefix as `label ‖ key` cells (fillers
@@ -275,30 +317,13 @@ fn place_keys<C: Ctx, V: Val>(
     engine: Engine,
     group: &(impl Fn(u64) -> u64 + Sync),
 ) -> Result<()> {
-    debug_assert!(is_bare::<V>());
     let form = form(w, input, nbins, zcap);
     let overflow = {
         let mut front = w.range(0, form.prefix);
         let w = &mut front;
-
-        // Step 1: pack and sort.
         let mut cell_store = scratch.lease(form.prefix, u128::MAX);
         let mut cells = Tracked::new(c, &mut cell_store);
-        par_fill(c, &mut cells, &|c, i| {
-            let s = w.get(c, i);
-            debug_assert!(s.is_filler() || (s.label() < u64::MAX && s.item.key >> 64 == 0));
-            if s.is_real() {
-                composite_key(s.label(), s.item.key as u64)
-            } else {
-                u128::MAX
-            }
-        });
-        debug_assert!(
-            form.void || cells.raw().chunks(form.run).all(|r| r.is_sorted()),
-            "placement input is not {}-slot runs in sort order",
-            form.run
-        );
-        engine.sort_keys_from_runs(c, scratch, &mut cells, form.run);
+        sort_cells(c, scratch, w, &mut cells, &form, engine);
 
         // Step 2: rank within group; a filler's group is past the end.
         let group_of = |cell: u128| {
@@ -315,21 +340,61 @@ fn place_keys<C: Ctx, V: Val>(
         // Step 3: unpack, each real with its absolute target.
         let overflow = AtomicBool::new(false);
         par_fill(c, w, &|c, i| {
-            let cell = cells.get(c, i);
+            let s = unpack(cells.get(c, i));
             let rank = i as u64 - seg.get(c, i).v;
-            if cell == u128::MAX {
-                return Slot::filler();
+            if s.is_filler() {
+                return s;
             }
             if rank >= zcap as u64 {
                 overflow.store(true, Ordering::Relaxed);
             }
-            let label = (cell >> 64) as u64;
-            Slot::real(Item::new(cell as u64 as u128, V::default()), label)
-                .with_phase_key(group(label) * zcap as u64 + rank)
+            s.with_phase_key(group(s.label()) * zcap as u64 + rank)
         });
         overflow.into_inner()
     };
     distribute(c, w, form, overflow)
+}
+
+/// Step 1 on cells: pack the prefix `w` of bare-key slots into `cells` as
+/// `label ‖ key` (fillers `u128::MAX`) and sort them, or merge their runs,
+/// on the key gate.
+fn sort_cells<C: Ctx, V: Val>(
+    c: &C,
+    scratch: &ScratchPool,
+    w: &Tracked<'_, Slot<V>>,
+    cells: &mut Tracked<'_, u128>,
+    form: &Form,
+    engine: Engine,
+) {
+    debug_assert!(is_bare::<V>());
+    par_fill(c, cells, &|c, i| {
+        let s = w.get(c, i);
+        debug_assert!(s.is_filler() || (s.label() < u64::MAX && s.item.key >> 64 == 0));
+        if s.is_real() {
+            composite_key(s.label(), s.item.key as u64)
+        } else {
+            u128::MAX
+        }
+    });
+    debug_assert!(
+        form.void || cells.raw().chunks(form.run).all(|r| r.is_sorted()),
+        "placement input is not {}-slot runs in sort order",
+        form.run
+    );
+    engine.sort_keys_from_runs(c, scratch, cells, form.run);
+}
+
+/// A `label ‖ key` cell back as its bare-key slot: the label in the low
+/// half of `sk`, the key in `item.key`; `u128::MAX` is the filler.
+fn unpack<V: Val>(cell: u128) -> Slot<V> {
+    if cell == u128::MAX {
+        Slot::filler()
+    } else {
+        Slot::real(
+            Item::new(cell as u64 as u128, V::default()),
+            (cell >> 64) as u64,
+        )
+    }
 }
 
 /// Recompute every slot's scratch sort key in one fixed-pattern parallel

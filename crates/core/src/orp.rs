@@ -1,36 +1,48 @@
 //! Oblivious random permutation (§C.3, §D.2).
 //!
-//! ORBA, then the fillers are removed — and nothing in between. §C.3 gives
-//! every element a fresh label after ORBA and sorts each bin by it; here
-//! the label ORBA routes on is one uniform 64-bit draw whose top `log₂ β`
-//! bits are the bin and whose remaining bits are that tiebreak
-//! ([`mod@crate::rec_orba`]). Every placement orders a bin by full label, so
-//! after the last one the concatenated bins are the input **sorted by its
-//! random label**: for distinct labels the rank vector of `n` i.i.d. draws
-//! is a uniform permutation, and it is independent of the label *multiset*
-//! — hence of the bin loads the removal reveals and of whether two labels
-//! collided, which the multiset determines. (A bin overflow depends on
-//! where labels sit, not only on which there are; conditioning on its
-//! absence costs its probability in statistical distance, as it does for
-//! ORBA's bin assignment in the paper. DESIGN.md §4 row 7.)
+//! ORBA's butterfly, then the fillers are removed — and nothing in
+//! between. §C.3 gives every element a fresh label after ORBA and sorts
+//! each bin by it; here the label ORBA routes on is one uniform 64-bit draw
+//! whose top `log₂ β` bits are the bin and whose remaining bits are that
+//! tiebreak ([`mod@crate::rec_orba`]). Every placement orders its bins by
+//! full label, so the butterfly's last level *is* that in-bin sort, and ORP
+//! asks it for no more (`Finish::Rows`): each last-level placement of `G`
+//! bins stops after its sort, its reals packed at the front of its `G·Z`
+//! slots in label order — no rank pass, no expansion into bins, and no
+//! copy-back. The rows come in bin order, so read in turn they are the
+//! input **sorted by its random label**: for distinct labels the rank
+//! vector of `n` i.i.d. draws is a uniform permutation, and it is
+//! independent of the label *multiset* — hence of the row loads the
+//! removal reveals and of whether two labels collided, which the multiset
+//! determines.
 //!
-//! The final removal is allowed to be non-oblivious: the revealed per-bin
-//! loads are simulatable from `(n, Z)` alone, as argued in
-//! [CGLS18, ACN+20] (the loads are a balls-into-bins pattern independent of
-//! the input *values*).
+//! A last-level row merges at most `β₁` runs of at most `Z` reals into
+//! `β₁·Z` slots (a single placement sorts a prefix of half its slots), so
+//! it cannot overflow; every earlier level still places into bins and
+//! reports [`OblivError::BinOverflow`]. (A bin overflow depends on where
+//! labels sit, not only on which there are; conditioning on its absence
+//! costs its probability in statistical distance, as it does for ORBA's bin
+//! assignment in the paper. DESIGN.md §4 row 7.)
 //!
-//! Two equal labels would tie the order to the input order; they are
-//! detected with a fixed-pattern scan over adjacent slots (equal labels
-//! share a bin and sort next to each other) and surface as
-//! [`OblivError::LabelCollision`] — a public retry of probability at most
-//! `n²/2⁶⁵ ≤ β²Z²/2⁶⁵` per attempt.
+//! The removal is allowed to be non-oblivious: it reveals each row's load,
+//! a sum of the per-bin loads that are simulatable from `(n, Z)` alone, as
+//! argued in [CGLS18, ACN+20] (the loads are a balls-into-bins pattern
+//! independent of the input *values*). It is REC-SORT's readout: row loads
+//! by binary search, one prefix sum, one copy of the reals.
+//!
+//! Two equal labels would tie the order to the input order. The copy
+//! compares each real's label with the slot before it: equal labels sort
+//! next to each other within a row, wherever its `Z`-slot bins begin, and a
+//! row's first real differs in its bin bits from everything before it.
+//! A tie surfaces as [`OblivError::LabelCollision`] — a public retry of
+//! probability at most `n²/2⁶⁵ ≤ β²Z²/2⁶⁵` per attempt.
 
 use crate::error::{with_retries, OblivError, Result};
-use crate::rec_orba::{bins_for, draw_labels, rec_orba_with_labels, OrbaParams};
-use crate::scan::{prefix_sum_in, Schedule};
+use crate::rec_orba::{bins_for, butterfly, draw_labels, Finish, OrbaParams};
+use crate::rec_sort::pack_bins;
 use crate::slot::{Item, Slot, Val};
-use fj::{grain_for, par_for, Ctx};
-use metrics::{par_fill, ScratchGuard, ScratchPool, Tracked};
+use fj::Ctx;
+use metrics::{ScratchGuard, ScratchPool, Tracked};
 use std::sync::atomic::{AtomicBool, Ordering};
 
 /// One attempt at an oblivious random permutation of `items`.
@@ -73,63 +85,39 @@ fn orp_once_with_labels<C: Ctx, V: Val>(
     out: &mut [Item<V>],
 ) -> Result<()> {
     assert_eq!(out.len(), items.len());
-    let nbins = bins_for(items.len(), p.z);
-    let z = p.z;
-    let mut slots = scratch.lease(nbins * z, Slot::<V>::filler());
-    rec_orba_with_labels(c, scratch, items, labels, p, &mut slots)?;
-    let t = Tracked::new(c, &mut slots);
+    let len = bins_for(items.len(), p.z) * p.z;
+    let mut slots = scratch.lease(len, Slot::<V>::filler());
+    let mut tmp = scratch.lease(len, Slot::<V>::filler());
+    let (rows, row) = butterfly(
+        c,
+        scratch,
+        items,
+        labels,
+        p,
+        Finish::Rows,
+        &mut slots,
+        &mut tmp,
+    )?;
 
-    // Detect equal labels among adjacent reals (fixed-pattern scan).
+    // Remove the fillers row by row, revealing the row loads, and compare
+    // each real with the slot before it: a tie sorts next to its twin.
     let collision = AtomicBool::new(false);
-    par_for(c, 0, t.len(), grain_for(c), &|c, i| {
-        if i % z == 0 {
-            return;
-        }
-        let (a, b) = (t.get(c, i - 1), t.get(c, i));
-        c.work(1);
-        if a.is_real() && b.is_real() && a.label() == b.label() {
-            collision.store(true, Ordering::Relaxed);
+    let mut out_t = Tracked::new(c, out);
+    let or = out_t.as_raw();
+    let total = pack_bins(c, scratch, &rows, len / row, row, &|c, at, i, s| {
+        // SAFETY: `pack_bins` hands every real a distinct position.
+        unsafe { or.set(c, at, s.item) };
+        if i > 0 {
+            let prev = rows.get(c, i - 1);
+            c.work(1);
+            if prev.is_real() && prev.label() == s.label() {
+                collision.store(true, Ordering::Relaxed);
+            }
         }
     });
-    if collision.load(Ordering::Relaxed) {
+    debug_assert_eq!(total, items.len());
+    if collision.into_inner() {
         return Err(OblivError::LabelCollision);
-    }
-
-    // Remove fillers. This step may be non-oblivious: per-bin loads are
-    // public. Loads -> exclusive prefix sum -> parallel bin copy-out.
-    let mut loads = scratch.lease(nbins, 0u64);
-    {
-        let mut lt = Tracked::new(c, &mut loads);
-        par_fill(c, &mut lt, &|c, b| {
-            (0..z)
-                .map(|i| u64::from(t.get(c, b * z + i).is_real()))
-                .sum()
-        });
-    }
-    let total: u64 = loads.iter().sum();
-    debug_assert_eq!(total as usize, items.len());
-    {
-        let mut offsets = Tracked::new(c, &mut loads);
-        prefix_sum_in(c, scratch, &mut offsets, false, Schedule::Tree);
-    }
-    let offsets = &*loads;
-
-    {
-        // Variable-length output runs: a scatter, so the raw view.
-        let mut out_t = Tracked::new(c, out);
-        let or = out_t.as_raw();
-        par_for(c, 0, nbins, grain_for(c), &|c, b| {
-            let mut at = offsets[b] as usize;
-            for i in 0..z {
-                let s = t.get(c, b * z + i);
-                if s.is_real() {
-                    // SAFETY: bins write disjoint output ranges
-                    // [offsets[b], offsets[b] + load_b).
-                    unsafe { or.set(c, at, s.item) };
-                    at += 1;
-                }
-            }
-        });
     }
     Ok(())
 }
@@ -188,6 +176,7 @@ fn orp_retrying<'s, C: Ctx, V: Val>(
 mod tests {
     use super::*;
     use crate::engine::Engine;
+    use crate::slot::BareKey;
     use fj::{Pool, SeqCtx};
     use metrics::{measure, CacheConfig, TraceMode};
     use std::collections::HashMap;
@@ -280,9 +269,90 @@ mod tests {
 
     /// 300 distinct labels spread over the 64 bins of `small_params`.
     fn spread_labels() -> Vec<u64> {
-        (0..300u64)
+        spread(300)
+    }
+
+    /// `n` distinct labels spread over every bin.
+    fn spread(n: usize) -> Vec<u64> {
+        (0..n as u64)
             .map(|i| i.wrapping_mul(0x9E37_79B9_7F4A_7C15))
             .collect()
+    }
+
+    /// The keys `0..labels.len()` after one attempt on `labels`, each
+    /// item carrying `val(key)`.
+    fn permuted_keys<V: Val>(labels: &[u64], val: impl Fn(u64) -> V) -> Result<Vec<u128>> {
+        let c = SeqCtx::new();
+        let sp = ScratchPool::new();
+        let its: Vec<Item<V>> = (0..labels.len() as u64)
+            .map(|i| Item::new(i as u128, val(i)))
+            .collect();
+        let mut out = vec![Item::default(); its.len()];
+        orp_once_with_labels(&c, &sp, &its, labels, small_params(), &mut out)?;
+        Ok(out.iter().map(|it| it.key).collect())
+    }
+
+    #[test]
+    fn every_butterfly_shape_returns_label_order_on_both_routes() {
+        // n = 30: one placement, first and last. n = 60: two levels, whose
+        // rows end in the butterfly's scratch. n = 300 and 1000: four
+        // levels. Bare keys run the 16-byte cells, `u64` values the slots.
+        for n in [30usize, 60, 300, 1000] {
+            let labels = spread(n);
+            let mut expect: Vec<u128> = (0..n as u128).collect();
+            expect.sort_by_key(|&i| labels[i as usize]);
+            assert_eq!(permuted_keys(&labels, |i| i), Ok(expect.clone()), "n = {n}");
+            assert_eq!(permuted_keys(&labels, |_| BareKey), Ok(expect), "n = {n}");
+        }
+    }
+
+    #[test]
+    fn equal_labels_either_side_of_a_bin_boundary_in_one_row_collide() {
+        // At n = 300 (64 bins) the last level places groups of 4 bins:
+        // rows of 64 slots named by the top four label bits, reals packed
+        // in front. Tie the 16th and 17th smallest labels of a row that
+        // holds 17: the pair sorts to row slots 15 and 16, either side of
+        // the row's first Z-slot boundary.
+        assert_eq!(crate::rec_orba::last_group(64, 4), (4, false));
+        let labels = spread(300);
+        let mut order: Vec<usize> = (0..300).collect();
+        order.sort_by_key(|&i| labels[i]);
+        let row = |r: usize| labels[order[r]] >> 60;
+        let start = (0..284)
+            .find(|&r| (r == 0 || row(r - 1) != row(r)) && row(r + 16) == row(r))
+            .expect("a row of at least 17 reals");
+        let mut tied = labels.clone();
+        tied[order[start + 16]] = labels[order[start + 15]];
+        for keys in [
+            permuted_keys(&tied, |i| i),
+            permuted_keys(&tied, |_| BareKey),
+        ] {
+            assert_eq!(keys, Err(OblivError::LabelCollision));
+        }
+    }
+
+    #[test]
+    fn a_stage_one_overflow_is_still_a_bin_overflow() {
+        // n = 128: 16 bins, and stage 1 places the first group's 32 input
+        // positions into 4 bins by the top two label bits. 24 of them draw
+        // 00: bin 0 is asked for 24 > Z reals. The last level cannot
+        // overflow, so this is the only verdict left to give.
+        let labels: Vec<u64> = (0..128u64)
+            .map(|i| {
+                let low = (((i % 16) << 60) | (i * 977)) & (u64::MAX >> 2);
+                match i {
+                    0..24 => low,
+                    24..32 => low | 1 << 62,
+                    _ => low | (i % 4) << 62,
+                }
+            })
+            .collect();
+        for keys in [
+            permuted_keys(&labels, |i| i),
+            permuted_keys(&labels, |_| BareKey),
+        ] {
+            assert_eq!(keys, Err(OblivError::BinOverflow));
+        }
     }
 
     #[test]

@@ -259,6 +259,28 @@ mod tests {
     }
 
     #[test]
+    fn both_entries_sort_through_a_multi_level_orp() {
+        // Z = 16, γ = 4: ORP's butterfly is one placement at n = 30 and
+        // four levels at n = 300 and 1000, whose last one only sorts its
+        // rows. The bare-key entry runs ORP on 16-byte cells, the record
+        // entry on slots; both must sort, the record entry stably.
+        let c = SeqCtx::new();
+        let sp = ScratchPool::new();
+        for n in [30usize, 300, 1000] {
+            let mut p = OSortParams::practical(n);
+            (p.orba.z, p.orba.gamma) = (16, 4);
+            let mut keys: Vec<u64> = scrambled(n).iter().map(|k| k % 97).collect();
+            let mut recs: Vec<(u64, u64)> = keys.iter().copied().zip(0..).collect();
+            let mut expect = recs.clone();
+            expect.sort_unstable();
+            oblivious_sort_u64(&c, &sp, &mut keys, p, 8);
+            oblivious_sort(&c, &sp, &mut recs, p, 8);
+            assert!(keys.iter().eq(expect.iter().map(|r| &r.0)), "n = {n}");
+            assert_eq!(recs, expect, "n = {n}");
+        }
+    }
+
+    #[test]
     fn theory_variant_sorts() {
         let c = SeqCtx::new();
         let n = 3000;

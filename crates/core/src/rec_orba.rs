@@ -29,6 +29,21 @@
 //! ([`Input::Runs`]). After the last level the concatenated bins are the
 //! input in label order.
 //!
+//! **The finish.** What the last level owes is a public fact of the
+//! caller's algorithm (`Finish`), stated as [`Input`] is. ORBA
+//! ([`rec_orba`]) keeps the §C.1 contract above: every real in its label
+//! bin. ORP wants only the order, and under `Finish::Rows` each last-level
+//! placement stops after its sort or merge (`binplace::order_from`),
+//! leaving its group's reals packed at the front of its `G·Z` slots in
+//! label order, and the chain of stage 2s above it skips its copy-backs:
+//! the rows stay in whichever buffer the last level wrote (`last_group`).
+//! A row merges at most `β₁` runs of at most `Z` reals into `β₁·Z` slots,
+//! so it cannot overflow; overflow is checked on the earlier levels only,
+//! which still place into bins. ORP's filler removal then reads the rows,
+//! revealing their loads — sums of per-bin loads — and finds equal labels
+//! by comparing neighbours across the whole row, bin boundaries included
+//! ([`mod@crate::orp`]).
+//!
 //! Obliviousness: every step is a bin placement (oblivious), a transpose,
 //! or a bulk copy — the access pattern depends only on `(n, Z, γ)`, never
 //! on data or labels. Bin overflow is detected inside bin placement, the
@@ -37,7 +52,7 @@
 //! the placements downstream of it receive runs in no particular order, run
 //! their fixed trace all the same, and are told so (`Input::Runs::void`).
 
-use crate::binplace::{bin_place_from, Input};
+use crate::binplace::{bin_place_from, order_from, Input};
 use crate::engine::Engine;
 use crate::error::{OblivError, Result};
 use crate::slot::{Item, Slot, Val};
@@ -90,8 +105,8 @@ pub struct BinLayout<V> {
 }
 
 impl<V: Val> BinLayout<V> {
-    /// Real-element loads per bin (public after ORP's final reveal; used by
-    /// tests and the overflow experiments).
+    /// Real-element loads per bin (ORP reveals their sums over each
+    /// last-level group; used by tests and the overflow experiments).
     pub fn loads(&self) -> Vec<usize> {
         self.slots
             .chunks(self.z)
@@ -187,6 +202,20 @@ pub(crate) fn first_group(nbins: usize, gamma: usize) -> usize {
     1 << k
 }
 
+/// What the butterfly's last level owes its caller: a public fact of the
+/// caller's algorithm, stated in the manner of [`Input`].
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub(crate) enum Finish {
+    /// §C.1: every real in its label bin, reals in front of each bin in
+    /// label order ([`rec_orba`]).
+    Bins,
+    /// Every last-level group's reals packed at the front of its `G·Z`
+    /// slots in label order (ORP). The last placements stop after their
+    /// sort ([`order_from`]), and the last level's chain of stage 2s skips
+    /// its copy-backs.
+    Rows,
+}
+
 /// [`rec_orba_into`] on given labels (one per item).
 pub(crate) fn rec_orba_with_labels<C: Ctx, V: Val>(
     c: &C,
@@ -196,13 +225,32 @@ pub(crate) fn rec_orba_with_labels<C: Ctx, V: Val>(
     p: OrbaParams,
     slots: &mut [Slot<V>],
 ) -> Result<()> {
+    let mut tmp = scratch.lease(slots.len(), Slot::<V>::filler());
+    butterfly(c, scratch, items, labels, p, Finish::Bins, slots, &mut tmp).map(drop)
+}
+
+/// The butterfly on given labels over `slots` (the layout, filler-filled)
+/// and `tmp` (its scratch, the same length). Returns the buffer holding
+/// the output and the length of its rows: `slots` in `Z`-slot bins under
+/// [`Finish::Bins`]; under [`Finish::Rows`] the last level's groups, in
+/// whichever buffer they were written ([`last_group`]).
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn butterfly<'b, C: Ctx, V: Val>(
+    c: &C,
+    scratch: &ScratchPool,
+    items: &[Item<V>],
+    labels: &[u64],
+    p: OrbaParams,
+    finish: Finish,
+    slots: &'b mut [Slot<V>],
+    tmp: &'b mut [Slot<V>],
+) -> Result<(Tracked<'b, Slot<V>>, usize)> {
     let nbins = bins_for(items.len(), p.z);
     assert!(p.z >= 2, "a bin holds its Z/2 input positions");
     assert_eq!(slots.len(), nbins * p.z, "ORBA layout shape mismatch");
     build_layout(c, items, labels, first_group(nbins, p.gamma) * p.z, slots);
     let mut t = Tracked::new(c, slots);
-    let mut scratch_store = scratch.lease(t.len(), Slot::<V>::filler());
-    let mut tmp = Tracked::new(c, &mut scratch_store);
+    let mut tmp = Tracked::new(c, tmp);
     let attempt = Attempt {
         pool: scratch,
         p,
@@ -216,11 +264,33 @@ pub(crate) fn rec_orba_with_labels<C: Ctx, V: Val>(
         nbins,
         bin_shift(nbins),
         true,
+        finish,
     );
     if attempt.overflow.into_inner() {
         return Err(OblivError::BinOverflow);
     }
-    Ok(())
+    Ok(match finish {
+        Finish::Bins => (t, p.z),
+        Finish::Rows => match last_group(nbins, p.gamma) {
+            (g, false) => (t, g * p.z),
+            (g, true) => (tmp, g * p.z),
+        },
+    })
+}
+
+/// Bin count `G` of the last level's placements, and whether their rows
+/// end in the caller's scratch once [`Finish::Rows`] skips the copy-backs.
+/// Stage 2 keeps the low `⌈k/2⌉` bits of a `k`-bit window, so the chain
+/// of stage 2s halves the window, rounding up, until it fits γ; each of its
+/// recursive levels writes the other buffer, so the rows end in the
+/// scratch iff that chain has an odd number of levels.
+pub(crate) fn last_group(nbins: usize, gamma: usize) -> (usize, bool) {
+    let (mut k, mut in_tmp) = (nbins.trailing_zeros(), false);
+    while 1usize << k > gamma {
+        k = k.div_ceil(2);
+        in_tmp = !in_tmp;
+    }
+    (1 << k, in_tmp)
 }
 
 /// Initial layout: β bins of Z slots holding, on average, Z/2 input
@@ -262,6 +332,11 @@ struct Attempt<'a> {
 /// the local bin named by label bits `[shift, shift + log₂ β)`. All reals
 /// agree on the bits above that window. `first`: `slots` is still the
 /// initial layout; otherwise every bin is an earlier placement's output.
+/// `finish`: what this subproblem's last level owes — stage 1 always owes
+/// bins (later placements merge them), stage 2 owes what its parent does.
+/// Under [`Finish::Rows`] the result stays where stage 2 wrote it: in
+/// `scratch` or `slots` as [`last_group`] says.
+#[allow(clippy::too_many_arguments)]
 fn rec<C: Ctx, V: Val>(
     c: &C,
     a: &Attempt<'_>,
@@ -270,6 +345,7 @@ fn rec<C: Ctx, V: Val>(
     nbins: usize,
     shift: u32,
     first: bool,
+    finish: Finish,
 ) {
     let z = a.p.z;
     if nbins <= a.p.gamma {
@@ -281,8 +357,18 @@ fn rec<C: Ctx, V: Val>(
             let void = a.overflow.load(Ordering::Relaxed);
             Input::Runs { run: z, void }
         };
-        if bin_place_from(c, a.pool, &mut slots, input, nbins, z, shift, a.p.engine).is_err() {
-            a.overflow.store(true, Ordering::Relaxed);
+        match finish {
+            // A row merges at most β₁ runs of at most Z reals into β₁·Z
+            // slots (or sorts a prefix of at most half its slots): it
+            // cannot overflow.
+            Finish::Rows => order_from(c, a.pool, &mut slots, input, nbins, z, a.p.engine),
+            Finish::Bins => {
+                if bin_place_from(c, a.pool, &mut slots, input, nbins, z, shift, a.p.engine)
+                    .is_err()
+                {
+                    a.overflow.store(true, Ordering::Relaxed);
+                }
+            }
         }
         return;
     }
@@ -302,7 +388,7 @@ fn rec<C: Ctx, V: Val>(
         b2 * z,
         0,
         &|c, _, s, tmp| {
-            rec(c, a, s, tmp, b2, shift + k1, first);
+            rec(c, a, s, tmp, b2, shift + k1, first, Finish::Bins);
         },
     );
 
@@ -320,20 +406,24 @@ fn rec<C: Ctx, V: Val>(
         b1 * z,
         0,
         &|c, _, s, tmp| {
-            rec(c, a, s, tmp, b1, shift, false);
+            rec(c, a, s, tmp, b1, shift, false, finish);
         },
     );
 
-    // Result currently lives in `scratch`; copy back (scan-bound).
-    par_tracked_chunks(c, slots, z, &|c, b, mut bin| {
-        bin.copy_from(c, &scratch, b * z, 0, z);
-    });
+    // Result currently lives in `scratch`; copy back (scan-bound) — unless
+    // the caller reads rows wherever they are.
+    if finish == Finish::Bins {
+        par_tracked_chunks(c, slots, z, &|c, b, mut bin| {
+            bin.copy_from(c, &scratch, b * z, 0, z);
+        });
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::error::with_retries;
+    use crate::slot::BareKey;
     use fj::{Pool, SeqCtx};
     use metrics::{measure, CacheConfig, TraceMode};
 
@@ -457,6 +547,71 @@ mod tests {
         let (r, slots) = orba_with_labels(&labels);
         assert_eq!(r, Err(OblivError::BinOverflow));
         assert_eq!(slots.iter().filter(|s| s.is_real()).count(), 128);
+    }
+
+    #[test]
+    fn last_group_and_the_buffer_its_rows_end_in() {
+        assert_eq!(last_group(1, 4), (1, false));
+        assert_eq!(last_group(4, 4), (4, false));
+        // 2³ → 2²: one level above the placements, rows in the scratch.
+        assert_eq!(last_group(8, 4), (4, true));
+        // 2⁶ → 2³ → 2², 2⁷ → 2⁴ → 2²: two levels.
+        assert_eq!(last_group(64, 4), (4, false));
+        assert_eq!(last_group(128, 4), (4, false));
+        // n = 2¹⁶ at the paper's parameters: 256 bins in two levels of 16.
+        let p = OrbaParams::for_n(1 << 16);
+        assert_eq!(last_group(bins_for(1 << 16, p.z), p.gamma), (16, true));
+    }
+
+    /// Every slot of the rows finish on `labels` (its label if real), and
+    /// the row length; items carry `val`.
+    fn rows_of<V: Val>(labels: &[u64], val: V) -> (Vec<Option<u64>>, usize) {
+        let c = SeqCtx::new();
+        let sp = ScratchPool::new();
+        let p = small_params();
+        let its: Vec<Item<V>> = (0..labels.len() as u128)
+            .map(|i| Item::new(i, val))
+            .collect();
+        let len = bins_for(its.len(), p.z) * p.z;
+        let mut slots = vec![Slot::<V>::filler(); len];
+        let mut tmp = slots.clone();
+        let finish = Finish::Rows;
+        let (rows, row) =
+            butterfly(&c, &sp, &its, labels, p, finish, &mut slots, &mut tmp).unwrap();
+        let labels = rows.raw().iter().map(|s| s.is_real().then(|| s.label()));
+        (labels.collect(), row)
+    }
+
+    #[test]
+    fn the_rows_finish_packs_each_last_level_group_in_label_order() {
+        // One placement (n = 30), two levels (60), four (300 and 1000), on
+        // the slot route and the bare-key route: every row of the last
+        // level's `G·Z` slots holds its reals in front, and read in turn
+        // they are every label, ascending.
+        for n in [30usize, 60, 300, 1000] {
+            let labels: Vec<u64> = (0..n as u64)
+                .map(|i| i.wrapping_mul(0x9E37_79B9_7F4A_7C15))
+                .collect();
+            let mut sorted = labels.clone();
+            sorted.sort_unstable();
+            let nbins = bins_for(n, 16);
+            for (slots, row) in [rows_of(&labels, 0u64), rows_of(&labels, BareKey)] {
+                assert_eq!(
+                    (slots.len(), row),
+                    (nbins * 16, last_group(nbins, 4).0 * 16)
+                );
+                let mut seen: Vec<u64> = Vec::new();
+                for r in slots.chunks(row) {
+                    let load = r.iter().take_while(|l| l.is_some()).count();
+                    assert!(
+                        r[load..].iter().all(Option::is_none),
+                        "n = {n}: row packing"
+                    );
+                    seen.extend(r[..load].iter().flatten());
+                }
+                assert_eq!(seen, sorted, "n = {n}");
+            }
+        }
     }
 
     #[test]

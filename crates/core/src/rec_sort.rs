@@ -182,7 +182,7 @@ pub fn rec_sort_items<C: Ctx, V: Val>(
         let t = Tracked::new(c, &mut slots);
         let mut out_t = Tracked::new(c, items);
         let or = out_t.as_raw();
-        let total = pack_bins(c, scratch, &t, nbins, cap, &|c, at, s| {
+        let total = pack_bins(c, scratch, &t, nbins, cap, &|c, at, _, s| {
             // SAFETY: `pack_bins` hands every real a distinct position.
             unsafe { or.set(c, at, s.item) }
         });
@@ -192,17 +192,18 @@ pub fn rec_sort_items<C: Ctx, V: Val>(
 }
 
 /// Hand the reals of a bin layout (`nbins` bins of `cap` slots, reals in
-/// front of each bin) to `emit(c, position, slot)` with the positions
-/// `0..total` in bin order, and return `total`. Per-bin loads by binary
+/// front of each bin) to `emit(c, position, index, slot)` with the
+/// positions `0..total` in bin order (`index` is the slot's in `bins`), and
+/// return `total`. Per-bin loads by binary
 /// search, a prefix sum, and one flat parallel pass, so the span stays
 /// logarithmic.
-fn pack_bins<C: Ctx, V: Val>(
+pub(crate) fn pack_bins<C: Ctx, V: Val>(
     c: &C,
     pool: &ScratchPool,
     bins: &Tracked<'_, Slot<V>>,
     nbins: usize,
     cap: usize,
-    emit: &(impl Fn(&C, usize, Slot<V>) + Sync),
+    emit: &(impl Fn(&C, usize, usize, Slot<V>) + Sync),
 ) -> usize {
     // One extra entry: after the exclusive prefix sum it holds the total.
     let mut loads = pool.lease(nbins + 1, 0u64);
@@ -236,7 +237,7 @@ fn pack_bins<C: Ctx, V: Val>(
             "bin {b} does not hold its reals in front"
         );
         if s.is_real() {
-            emit(c, offsets[b] as usize + j, s);
+            emit(c, offsets[b] as usize + j, i, s);
         }
     });
     offsets[nbins] as usize
@@ -398,7 +399,7 @@ fn base_case<C: Ctx, V: Val>(
     overflow: &AtomicBool,
 ) {
     let dr = scratch.as_raw();
-    let total = pack_bins(c, pool, slots, nbins, cap, &|c, at, s| {
+    let total = pack_bins(c, pool, slots, nbins, cap, &|c, at, _, s| {
         // SAFETY: `pack_bins` hands every real a distinct position.
         unsafe { dr.set(c, at, s) }
     });

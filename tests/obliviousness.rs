@@ -81,19 +81,37 @@ fn orp_trace_hides_values_and_reveals_only_loads() {
     assert_eq!(run(vec![1; n]), run((0..n as u64).collect()));
 }
 
+/// The trace of one ORP attempt on `0..n` with parameters `p`.
+fn orp_trace(n: usize, p: OrbaParams, seed: u64) -> (u64, u64) {
+    trace(|c| {
+        let items: Vec<obliv_core::Item<u64>> = (0..n as u64)
+            .map(|v| obliv_core::Item::new(v as u128, v))
+            .collect();
+        let _ = obliv_core::orp_once(c, &ScratchPool::new(), &items, p, seed);
+    })
+}
+
 #[test]
 fn different_seeds_give_different_traces() {
     // Sanity check that the hash actually sees the coins: same input,
-    // different seeds => different ORBA routes => different reveals.
+    // different seeds => different ORBA routes => different reveals. What
+    // ORP reveals is the load of each last-level row, so the shape needs
+    // more than one: 128 bins at γ = 4 are 32 rows of 4 bins.
     let n = 600usize;
-    let run = |seed: u64| {
-        trace(|c| {
-            let items: Vec<obliv_core::Item<u64>> = (0..n as u64)
-                .map(|v| obliv_core::Item::new(v as u128, v))
-                .collect();
-            let _ =
-                obliv_core::orp_once(c, &ScratchPool::new(), &items, OrbaParams::for_n(n), seed);
-        })
+    let p = OrbaParams {
+        z: 16,
+        gamma: 4,
+        ..OrbaParams::for_n(n)
     };
-    assert_ne!(run(1), run(2));
+    assert_ne!(orp_trace(n, p, 1), orp_trace(n, p, 2));
+}
+
+#[test]
+fn a_single_placement_orp_reveals_nothing_but_n() {
+    // At `for_n(600)` the butterfly is one placement (16 bins ≤ γ = 16):
+    // its one row holds all n reals, so the removal's reveal is n itself
+    // and the trace is the same for every seed.
+    let n = 600usize;
+    let p = OrbaParams::for_n(n);
+    assert_eq!(orp_trace(n, p, 1), orp_trace(n, p, 2));
 }

@@ -64,6 +64,18 @@ fn kernel_matrix_traces_survive_reuse() {
             let _ = orp_once(c, pool, &items, OrbaParams::for_n(400), 77);
         })
     };
+    // 64 bins at γ = 4: a butterfly of four placement levels, the last of
+    // which only sorts its rows (`for_n(400)` is a single placement).
+    let deep = OrbaParams {
+        z: 16,
+        gamma: 4,
+        ..OrbaParams::for_n(400)
+    };
+    let orp_deep_run = |pool: &ScratchPool| {
+        trace(|c| {
+            let _ = orp_once(c, pool, &items, deep, 77);
+        })
+    };
     let binplace_run = |pool: &ScratchPool| {
         trace(|c| {
             let mut slots: Vec<Slot<u64>> = (0..64u64)
@@ -120,6 +132,7 @@ fn kernel_matrix_traces_survive_reuse() {
 
     for (name, run) in [
         ("orp_once", &orp_run as &dyn Fn(&ScratchPool) -> (u64, u64)),
+        ("orp_once (multi-level)", &orp_deep_run),
         ("bin_place", &binplace_run),
         ("send_receive", &sr_run),
         ("randomized_shellsort", &shellsort_run),
