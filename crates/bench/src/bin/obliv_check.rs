@@ -11,7 +11,7 @@ use metrics::{measure, CacheConfig, MeterCtx, TraceMode};
 use obliv_core::binplace::Input;
 use obliv_core::scan::{seg_propagate_in, Schedule, Seg};
 use obliv_core::{
-    bin_place, bin_place_from, compact_bounded, compact_cells, expand, oblivious_sort_kv,
+    bin_place, bin_place_from, compact_bounded, compact_cells, expand_by_loads, oblivious_sort_kv,
     oblivious_sort_u64, orp_once, rec_sort_items, send_receive, Bound, Engine, Item, OSortParams,
     OrbaParams, Ranks, ScratchPool, Slot, TagCell,
 };
@@ -287,33 +287,35 @@ fn main() {
         },
     );
 
-    // Monotone expansion (bin placement's distribution step): which slots
-    // are real, how far they move, and whether the targets are even
-    // admissible must all be invisible — input 1 packs 512 reals into the
-    // left half and spreads them, input 2 moves nothing, input 3 is all
-    // fillers, input 4 breaks the monotone promise (everything collides).
-    // A real at `i` with displacement `d` carries its target `i + d` in
-    // the high half of `sk`, its label in the low half.
-    let m = 2 * n;
-    let patterns: [Vec<Option<usize>>; 4] = [
-        (0..m).map(|i| (i < n).then_some(i)).collect(),
-        (0..m).map(|i| (i % 3 == 0).then_some(0)).collect(),
-        vec![None; m],
-        (0..m).map(|i| Some(m - 1 - i)).collect(),
+    // Load-steered expansion (bin placement's distribution step): how many
+    // reals each bin takes must be invisible — uniform loads, every real in
+    // one bin, empty and full bins alternating, no reals at all. 16 bins
+    // of 64, as bare-key cells and as 48-byte slots, one after the other.
+    let (bins, z) = (16usize, 64usize);
+    let shapes: [Vec<u64>; 4] = [
+        vec![32; bins],
+        (0..bins).map(|g| if g == 3 { 64 } else { 0 }).collect(),
+        (0..bins as u64).map(|g| 64 * (g % 2)).collect(),
+        vec![0; bins],
     ];
-    all_ok &= row("expand (monotone distribution)", &patterns, |c, pattern| {
-        let mut slots: Vec<Slot<u64>> = pattern
+    all_ok &= row("expand (load-steered bins)", &shapes, |c, loads| {
+        let total: u64 = loads.iter().sum();
+        let mut cells: Vec<u128> = (0..(bins * z) as u128)
+            .map(|j| if j < total as u128 { j } else { u128::MAX })
+            .collect();
+        let mut slots: Vec<Slot<u64>> = cells
             .iter()
-            .enumerate()
-            .map(|(i, d)| match d {
-                Some(d) => {
-                    Slot::real(Item::new(i as u128, i as u64), 0).with_phase_key((i + d) as u64)
-                }
-                None => Slot::filler(),
+            .map(|&j| match j {
+                u128::MAX => Slot::filler(),
+                j => Slot::real(Item::new(j, j as u64), j as u64),
             })
             .collect();
-        let mut tr = metrics::Tracked::new(c, &mut slots);
-        expand(c, &mut tr);
+        let mut lane = loads.clone();
+        let mut lane = metrics::Tracked::new(c, &mut lane);
+        expand_by_loads(c, &mut metrics::Tracked::new(c, &mut cells), &mut lane, z);
+        let mut lane = loads.clone();
+        let mut lane = metrics::Tracked::new(c, &mut lane);
+        expand_by_loads(c, &mut metrics::Tracked::new(c, &mut slots), &mut lane, z);
     });
 
     // Reserved key: `u128::MAX` marks a filler, so REC-SORT rejects it —

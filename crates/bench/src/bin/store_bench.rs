@@ -18,7 +18,7 @@ use dob_bench::{header, meter, sweep_from_args, BenchSink, Row};
 use fj::SeqCtx;
 use metrics::{CostReport, MeterCtx, ScratchPool, Tracked};
 use obliv_core::scan::{scan_in, seg_combine_u64, Schedule, Seg};
-use obliv_core::{compact_cells, composite_key, expand, Engine, Item, Slot, TagCell};
+use obliv_core::{compact_cells, composite_key, expand_by_loads, Engine, Item, Slot, TagCell};
 use std::sync::Arc;
 use store::vfs::FaultVfs;
 use store::{
@@ -141,14 +141,21 @@ fn core_compact<C: fj::Ctx>(c: &C, scratch: &ScratchPool, m: usize) {
 }
 
 /// Core kernel row: bin placement's distribution step alone — a packed run
-/// of `m/2` unit-payload (32-byte) slots spread to every other position,
-/// each real's target in the high half of its `sk`.
+/// of `m/2` bare-key (16-byte) cells spread into bins of 512 at ORP's
+/// loads: half full, give or take a quarter.
 fn core_expand<C: fj::Ctx>(c: &C, scratch: &ScratchPool, m: usize) {
-    let mut slots = scratch.lease(m, Slot::<()>::filler());
-    for (j, slot) in slots.iter_mut().take(m / 2).enumerate() {
-        *slot = Slot::real(Item::new(j as u128, ()), 0).with_phase_key(2 * j as u64 + 1);
+    let z = 512;
+    let mut loads = scratch.lease(m / z, 0u64);
+    for (g, load) in loads.iter_mut().enumerate() {
+        *load = (z / 2 + (g % 2) * z / 4 - (g / 2 % 2) * z / 4) as u64;
     }
-    expand(c, &mut Tracked::new(c, &mut slots));
+    let total: u64 = loads.iter().sum();
+    let mut cells = scratch.lease(m, u128::MAX);
+    for (j, cell) in cells.iter_mut().take(total as usize).enumerate() {
+        *cell = j as u128;
+    }
+    let mut loads = Tracked::new(c, &mut loads);
+    expand_by_loads(c, &mut Tracked::new(c, &mut cells), &mut loads, z);
 }
 
 /// Core kernel row: the merge epoch's scan shape — a segmented exclusive

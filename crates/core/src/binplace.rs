@@ -7,16 +7,15 @@
 //! Output is the concatenation of the `nbins` bins, in place, reals packed
 //! in front of each bin in ascending label order.
 //!
-//! The algorithm is sort + rank + expansion (`place`, shared with
-//! [`crate::oblivious_scatter`]; DESIGN.md §4 records it as a substitution
-//! for Chan–Shi's two-sort placement): **one** oblivious sort by
-//! `sk = group ‖ low half` with fillers (`MAX`) last, a segmented
-//! propagation that gives every real its rank `r` within its group, a pass
-//! that trades the group in the high half of `sk` for the absolute target
-//! `g·Z + r`, and a comparator-free monotone [`expand`] that swaps every
-//! real to its target. The sorted reals are a packed run and, under the
-//! promise, their targets strictly increase along it — the no-collision
-//! condition of the expansion.
+//! The algorithm is sort + loads + expansion (`place`, shared with
+//! [`crate::oblivious_scatter`]; DESIGN.md §4 row 6 records it as a
+//! substitution for Chan–Shi's two-sort placement). **One** oblivious sort
+//! by `group ‖ low half`, fillers last, packs the reals in front, bin by
+//! bin. One fixed-pattern pass reads every bin's load off the sorted
+//! prefix. Then the compaction butterfly runs backwards
+//! ([`expand_by_loads`]) and spreads the packed run into the bins, steered
+//! by those loads alone: nothing is stored per element, and no real
+//! carries a target.
 //!
 //! How much of that one sort is left to do is a **public fact about the
 //! input** that the caller states ([`Input`]), never a setting: reals
@@ -26,37 +25,38 @@
 //! the ORBA butterfly, whose input bins are earlier placements' output
 //! bins) is merged, not sorted.
 //! A caller that wants the placement's order and not its bins — ORP's last
-//! level, which reads each group's reals in label order — runs step 1
-//! alone (`order_from`): the reals come back packed in front, with no rank
-//! pass, no targets and no expansion, so nothing can overflow.
-//! Every step is an oblivious sort, a fixed-pattern scan, or a parallel
-//! map: the access pattern depends only on `(nbins, Z)` and the input form.
+//! level, which reads each group's reals in label order — runs the sort
+//! alone (`Placed::order`): the reals come back packed in front, with no
+//! loads and no expansion, so nothing can overflow.
+//! Every step is an oblivious sort, a fixed-pattern pass, or the
+//! butterfly: the access pattern depends only on `(nbins, Z)` and the
+//! input form, and the loads feed nothing but swap verdicts.
 //!
-//! For the records of `oblivious_sort_u64` — a `u64` key, no payload —
-//! the sort and the rank pass run on 16-byte `label ‖ key` cells packed
-//! from the slots, which are unpacked back before the expansion
-//! ([`bin_place_from`]; DESIGN.md §10).
+//! The records are slots, whose `sk` carries the sort key — except for
+//! `oblivious_sort_u64`'s bare keys, which stay 16-byte `label ‖ key` cells
+//! from ORBA's layout to ORP's removal (`Placed`; DESIGN.md §10). A cell
+//! is its own sort key.
 //!
-//! A real of rank `≥ Z` means the §C.1 promise was violated (bin
-//! overflow): its target belongs to the next bin, the pass finishes on its
-//! fixed trace with the reals permuted arbitrarily (none is lost), and the
-//! caller gets [`OblivError::BinOverflow`] to retry with fresh labels.
+//! A load above `Z` means the §C.1 promise was violated (bin overflow): the
+//! expansion runs on the loads clamped to `Z`, finishes on its fixed trace
+//! with the reals permuted arbitrarily (none is lost), and the caller gets
+//! [`OblivError::BinOverflow`] to retry with fresh labels.
 
 use crate::engine::Engine;
 use crate::error::{OblivError, Result};
-use crate::expand::expand;
-use crate::scan::{seg_propagate_in, Schedule, Seg};
-use crate::slot::{composite_key, is_bare, Item, Slot, Val};
-use fj::Ctx;
-use metrics::{par_fill, par_update, ScratchPool, Tracked};
-use std::sync::atomic::{AtomicBool, Ordering};
+use crate::expand::expand_by_loads;
+use crate::slot::{as_lanes, composite_key, is_bare, Item, Record, Slot, Val};
+use crate::tag_sort::Swap;
+use fj::{grain_for, par_reduce, Ctx};
+use metrics::{par_update, ScratchPool, Tracked};
+use sortnet::select_u64;
 
 /// What a placement's caller knows — publicly, from the shape of the
 /// computation that produced the array — about where its reals sit.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Input {
     /// Reals anywhere in the first `prefix` slots (a power of two); every
-    /// slot behind them is a canonical filler. The sort and the rank pass
+    /// slot behind them is a canonical filler. The sort and the loads pass
     /// run over the prefix only — sorted, it is the whole array's sorted
     /// order. `Prefix(len)` promises nothing.
     Prefix(usize),
@@ -78,8 +78,8 @@ pub enum Input {
 /// `[shift, shift + log₂ nbins)`, reals anywhere in `io`. Within a bin the
 /// reals come back packed in front, ascending by full label — so a bin is
 /// a sorted run for any later placement that routes on lower label bits.
-/// Labels are preserved; the high half of a real's `sk` holds its position
-/// on return (see [`expand`]), and fillers are canonical.
+/// Labels are preserved; on return the high half of a real's `sk` holds
+/// its bin. Fillers are moved, never rewritten.
 pub fn bin_place<C: Ctx, V: Val>(
     c: &C,
     scratch: &ScratchPool,
@@ -102,12 +102,6 @@ pub fn bin_place<C: Ctx, V: Val>(
 }
 
 /// [`bin_place`] of an input whose form the caller can state.
-///
-/// The records of `oblivious_sort_u64` are their `u64` key and nothing
-/// else, so for them steps 1–3 run on 16-byte `label ‖ key` cells instead
-/// of the slots: the sort moves half the bytes, and a bin's reals still
-/// come back ascending by label, ties by key. The route is chosen by the
-/// payload *type* (crate-private to that entry point), never by the data.
 #[allow(clippy::too_many_arguments)]
 pub fn bin_place_from<C: Ctx, V: Val>(
     c: &C,
@@ -119,49 +113,161 @@ pub fn bin_place_from<C: Ctx, V: Val>(
     shift: u32,
     engine: Engine,
 ) -> Result<()> {
-    let mask = nbins as u64 - 1;
-    // `shift = 64` is the single bin that routes on no bits at all.
-    let group = |label: u64| label.checked_shr(shift).unwrap_or(0) & mask;
-    if is_bare::<V>() {
-        return place_keys(c, scratch, io, input, nbins, zcap, engine, &group);
-    }
+    let group = window(nbins, shift);
     place(c, scratch, io, input, nbins, zcap, engine, &|s| {
         (group(s.label()), s.label())
     })
 }
 
-/// Step 1 of [`bin_place_from`] alone, for a caller that wants the
-/// placement's order and not its bins (ORP's last level): every real of
-/// `io` comes back packed in front, ascending by label — the placement's
-/// `(group ‖ label)` order, as its reals agree on the bits above the
-/// window ([`place_keys`]) — with the label in the low half of `sk`,
-/// fillers behind. There is no rank, no target and no expansion, so no bin
-/// can overflow.
-pub(crate) fn order_from<C: Ctx, V: Val>(
-    c: &C,
-    scratch: &ScratchPool,
-    io: &mut Tracked<'_, Slot<V>>,
-    input: Input,
-    nbins: usize,
-    zcap: usize,
-    engine: Engine,
-) {
-    let form = form(io, input, nbins, zcap);
-    let mut front = io.range(0, form.prefix);
-    if is_bare::<V>() {
-        let mut cell_store = scratch.lease(form.prefix, u128::MAX);
-        let mut cells = Tracked::new(c, &mut cell_store);
-        sort_cells(c, scratch, &front, &mut cells, &form, engine);
-        par_fill(c, &mut front, &|c, i| unpack(cells.get(c, i)));
-    } else {
-        sort_slots(c, scratch, &mut front, &form, engine, &|s| (0, s.label()));
+/// The bin a label names among `nbins` by its bits from `shift` up;
+/// `shift = 64` is the single bin that routes on no bits at all.
+fn window(nbins: usize, shift: u32) -> impl Fn(u64) -> u64 + Sync {
+    let mask = nbins as u64 - 1;
+    move |label| label.checked_shr(shift).unwrap_or(0) & mask
+}
+
+/// A record the ORBA butterfly lays out, places and reads back: a slot, or
+/// a bare key's 16-byte `label ‖ key` cell ([`crate::slot::BareKey`]). ORP
+/// picks the record by the payload *type* (`is_bare`), never by the data.
+pub(crate) trait Placed<V: Val>: Record + Swap {
+    /// A real carrying `item`, routed by `label`.
+    fn real(item: Item<V>, label: u64) -> Self;
+
+    /// The item a real carries.
+    fn item(&self) -> Item<V>;
+
+    /// [`bin_place_from`] on these records.
+    #[allow(clippy::too_many_arguments)]
+    fn place<C: Ctx>(
+        c: &C,
+        scratch: &ScratchPool,
+        w: &mut Tracked<'_, Self>,
+        input: Input,
+        nbins: usize,
+        zcap: usize,
+        shift: u32,
+        engine: Engine,
+    ) -> Result<()>;
+
+    /// The placement's sort alone, for a caller that wants its order and
+    /// not its bins (ORP's last level): every real comes back packed in
+    /// front, ascending by label — the placement's `(group ‖ label)` order,
+    /// as its reals agree on the bits above the window (module docs of
+    /// [`crate::rec_orba`]) — fillers behind. There are no loads and no
+    /// expansion, so no bin can overflow.
+    fn order<C: Ctx>(
+        c: &C,
+        scratch: &ScratchPool,
+        w: &mut Tracked<'_, Self>,
+        input: Input,
+        nbins: usize,
+        zcap: usize,
+        engine: Engine,
+    );
+}
+
+impl<V: Val> Placed<V> for Slot<V> {
+    #[inline]
+    fn real(item: Item<V>, label: u64) -> Self {
+        Slot::real(item, label)
+    }
+
+    #[inline]
+    fn item(&self) -> Item<V> {
+        self.item
+    }
+
+    fn place<C: Ctx>(
+        c: &C,
+        scratch: &ScratchPool,
+        w: &mut Tracked<'_, Self>,
+        input: Input,
+        nbins: usize,
+        zcap: usize,
+        shift: u32,
+        engine: Engine,
+    ) -> Result<()> {
+        bin_place_from(c, scratch, w, input, nbins, zcap, shift, engine)
+    }
+
+    fn order<C: Ctx>(
+        c: &C,
+        scratch: &ScratchPool,
+        w: &mut Tracked<'_, Self>,
+        input: Input,
+        nbins: usize,
+        zcap: usize,
+        engine: Engine,
+    ) {
+        let form = form(w, input, nbins, zcap);
+        let key = |s: &Slot<V>| (0, s.label());
+        sort_slots(
+            c,
+            scratch,
+            &mut w.range(0, form.prefix),
+            &form,
+            engine,
+            &key,
+        );
+    }
+}
+
+/// A bare key and its label as one `label ‖ key` cell, sorted on the key
+/// gate. Label order is the placement's `(group ‖ label)` order: every real
+/// of a placement agrees on the label bits above its window, so the group
+/// *is* the highest bits that differ. A real cannot be the filler: ORBA's
+/// labels stay below `u64::MAX`.
+impl<V: Val> Placed<V> for u128 {
+    #[inline]
+    fn real(item: Item<V>, label: u64) -> Self {
+        debug_assert!(is_bare::<V>() && label < u64::MAX && item.key >> 64 == 0);
+        composite_key(label, item.key as u64)
+    }
+
+    #[inline]
+    fn item(&self) -> Item<V> {
+        Item::new(*self as u64 as u128, V::default())
+    }
+
+    fn place<C: Ctx>(
+        c: &C,
+        scratch: &ScratchPool,
+        w: &mut Tracked<'_, Self>,
+        input: Input,
+        nbins: usize,
+        zcap: usize,
+        shift: u32,
+        engine: Engine,
+    ) -> Result<()> {
+        let form = form(w, input, nbins, zcap);
+        sort_cells(c, scratch, &mut w.range(0, form.prefix), &form, engine);
+        let group = window(nbins, shift);
+        let bin = |cell: &u128| select_u64(cell.is_real(), u64::MAX, group(cell.label()));
+        let mut lane = scratch.lease(nbins, 0u64);
+        let mut loads = Tracked::new(c, &mut lane);
+        let overflow = count_loads(c, &w.range(0, form.prefix), zcap, &mut loads, &bin);
+        expand_by_loads(c, w, &mut loads, zcap);
+        verdict(overflow)
+    }
+
+    fn order<C: Ctx>(
+        c: &C,
+        scratch: &ScratchPool,
+        w: &mut Tracked<'_, Self>,
+        input: Input,
+        nbins: usize,
+        zcap: usize,
+        engine: Engine,
+    ) {
+        let form = form(w, input, nbins, zcap);
+        sort_cells(c, scratch, &mut w.range(0, form.prefix), &form, engine);
     }
 }
 
 /// Where the reals of a placement's input can be (`prefix`), the run
 /// length its sort may assume, and whether the attempt is already void —
 /// the [`Input`] against the shape, checked.
-fn form<V: Val>(w: &Tracked<'_, Slot<V>>, input: Input, nbins: usize, zcap: usize) -> Form {
+fn form<E: Record>(w: &Tracked<'_, E>, input: Input, nbins: usize, zcap: usize) -> Form {
     let n_io = w.len();
     assert_eq!(n_io, nbins * zcap, "bin placement shape mismatch");
     assert!(nbins.is_power_of_two() && zcap.is_power_of_two());
@@ -171,7 +277,7 @@ fn form<V: Val>(w: &Tracked<'_, Slot<V>>, input: Input, nbins: usize, zcap: usiz
     };
     assert!(prefix.is_power_of_two() && prefix <= n_io);
     assert!(run.is_power_of_two() && run <= n_io);
-    debug_assert!(w.raw()[prefix..].iter().all(Slot::is_filler));
+    debug_assert!(w.raw()[prefix..].iter().all(|e| !e.is_real()));
     Form { prefix, run, void }
 }
 
@@ -181,44 +287,12 @@ struct Form {
     void: bool,
 }
 
-/// Step 2: every position's group head, by propagating each group's
-/// leftmost index — `group(c, i)` is the group of sorted position `i`.
-fn rank_in_groups<C: Ctx>(
-    c: &C,
-    scratch: &ScratchPool,
-    seg: &mut Tracked<'_, Seg<u64>>,
-    group: &(impl Fn(&C, usize) -> u64 + Sync),
-) {
-    par_fill(c, seg, &|c, i| {
-        let head = i == 0 || group(c, i) != group(c, i - 1);
-        Seg::new(head, i as u64)
-    });
-    seg_propagate_in(c, scratch, seg, Schedule::Tree);
-}
-
-/// Step 4: comparator-free distribution. Without an overflow — in steps
-/// 1–3 or, for a void input, upstream — the reals are a packed run with
-/// increasing targets, so nothing can collide.
-fn distribute<C: Ctx, V: Val>(
-    c: &C,
-    w: &mut Tracked<'_, Slot<V>>,
-    form: Form,
-    overflow: bool,
-) -> Result<()> {
-    let placed = expand(c, w);
-    debug_assert!(overflow || form.void || placed, "monotone targets collided");
-    if overflow {
-        Err(OblivError::BinOverflow)
-    } else {
-        Ok(())
-    }
-}
-
-/// The placement kernel: move every real of `w` (`nbins · zcap` slots,
-/// both powers of two) into the bin named by `key(slot).0`, in ascending
-/// order of `key(slot).1` within the bin; `key(slot).1` becomes the low
-/// half of the slot's `sk`. `key` is only asked about reals and must
-/// return a bin below `nbins`. `input` states the form `w` arrives in.
+/// The placement kernel on slots: move every real of `w` (`nbins · zcap`
+/// slots, both powers of two) into the bin named by `key(slot).0`, in
+/// ascending order of `key(slot).1` within the bin; on return a real's
+/// `sk` is `key(slot).0 ‖ key(slot).1`. `key` is only asked about reals
+/// and must return a bin below `nbins`. `input` states the form `w`
+/// arrives in.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn place<C: Ctx, V: Val>(
     c: &C,
@@ -231,42 +305,31 @@ pub(crate) fn place<C: Ctx, V: Val>(
     key: &(impl Fn(&Slot<V>) -> (u64, u64) + Sync),
 ) -> Result<()> {
     let form = form(w, input, nbins, zcap);
-    // Steps 1–3 run over the prefix, in a block so the rank lease is back
-    // in the pool before the caller's next lease.
-    let overflow = {
-        let mut front = w.range(0, form.prefix);
-        let w = &mut front;
-        sort_slots(c, scratch, w, &form, engine, key);
+    sort_slots(c, scratch, &mut w.range(0, form.prefix), &form, engine, key);
+    // The group rides in the high half of `sk`; a filler's reads as
+    // `u64::MAX`, the past-the-end group.
+    let mut lane = scratch.lease(nbins, 0u64);
+    let mut loads = Tracked::new(c, &mut lane);
+    let bin = |s: &Slot<V>| s.phase_key();
+    let overflow = count_loads(c, &w.range(0, form.prefix), zcap, &mut loads, &bin);
+    match as_lanes(w) {
+        Some(mut cells) => expand_by_loads(c, &mut cells, &mut loads, zcap),
+        None => expand_by_loads(c, w, &mut loads, zcap),
+    }
+    verdict(overflow)
+}
 
-        // Step 2: rank within group.
-        let mut seg_store = scratch.lease(form.prefix, Seg::new(false, 0u64));
-        let mut seg = Tracked::new(c, &mut seg_store);
-        rank_in_groups(c, scratch, &mut seg, &|c, i| w.get(c, i).phase_key());
-
-        // Step 3: each real trades its group for its absolute target;
-        // fillers are rewritten canonical. Overflow iff a real's rank is
-        // `≥ Z` — a public outcome (the caller retries), so it may take a
-        // branch. The write is unconditional.
-        let overflow = AtomicBool::new(false);
-        par_update(c, w, &|c, i, s| {
-            let rank = i as u64 - seg.get(c, i).v;
-            if s.is_real() && rank >= zcap as u64 {
-                overflow.store(true, Ordering::Relaxed);
-            }
-            if s.is_real() {
-                s.with_phase_key(s.phase_key() * zcap as u64 + rank)
-            } else {
-                Slot::filler()
-            }
-        });
-        overflow.into_inner()
-    };
-    distribute(c, w, form, overflow)
+fn verdict(overflow: bool) -> Result<()> {
+    if overflow {
+        Err(OblivError::BinOverflow)
+    } else {
+        Ok(())
+    }
 }
 
 /// Step 1 on slots: sort the prefix `w` by (group ‖ low half), fillers
-/// last. The group rides in the high half of `sk`, where the later steps
-/// read it back (a filler's reads as `u64::MAX`, the past-the-end group).
+/// last. The group rides in the high half of `sk`, where the loads pass
+/// reads it back.
 fn sort_slots<C: Ctx, V: Val>(
     c: &C,
     scratch: &ScratchPool,
@@ -294,107 +357,61 @@ fn sort_slots<C: Ctx, V: Val>(
     engine.sort_slots_from_runs(c, scratch, w, form.run);
 }
 
-/// [`place`] for records that are their `u64` key ([`BareKey`]), routed by
-/// `group(label)`: steps 1–3 on 16-byte cells, the slots only for the
-/// expansion. Step 1 *packs* the prefix as `label ‖ key` cells (fillers
-/// `u128::MAX`) in place of `set_keys`, and the cells are sorted, or their
-/// runs merged, on the key gate; step 2 reads the groups from the cells;
-/// step 3 *unpacks* them into the slots — `sk = target ‖ label`, the key
-/// back in `item.key` — in place of the slot rewrite. No pass is added.
-///
-/// Label order is the placement's `(group ‖ label)` order: every real of a
-/// placement agrees on the label bits above its window (module docs of
-/// [`crate::rec_orba`]), so the group *is* the highest bits that differ.
-/// A real cannot pack to the filler: ORBA's labels stay below `u64::MAX`.
-#[allow(clippy::too_many_arguments)]
-fn place_keys<C: Ctx, V: Val>(
+/// Step 1 on cells: sort the prefix `w` of `label ‖ key` cells, or merge
+/// its runs, on the key gate.
+fn sort_cells<C: Ctx>(
     c: &C,
     scratch: &ScratchPool,
-    w: &mut Tracked<'_, Slot<V>>,
-    input: Input,
-    nbins: usize,
-    zcap: usize,
-    engine: Engine,
-    group: &(impl Fn(u64) -> u64 + Sync),
-) -> Result<()> {
-    let form = form(w, input, nbins, zcap);
-    let overflow = {
-        let mut front = w.range(0, form.prefix);
-        let w = &mut front;
-        let mut cell_store = scratch.lease(form.prefix, u128::MAX);
-        let mut cells = Tracked::new(c, &mut cell_store);
-        sort_cells(c, scratch, w, &mut cells, &form, engine);
-
-        // Step 2: rank within group; a filler's group is past the end.
-        let group_of = |cell: u128| {
-            if cell == u128::MAX {
-                u64::MAX
-            } else {
-                group((cell >> 64) as u64)
-            }
-        };
-        let mut seg_store = scratch.lease(form.prefix, Seg::new(false, 0u64));
-        let mut seg = Tracked::new(c, &mut seg_store);
-        rank_in_groups(c, scratch, &mut seg, &|c, i| group_of(cells.get(c, i)));
-
-        // Step 3: unpack, each real with its absolute target.
-        let overflow = AtomicBool::new(false);
-        par_fill(c, w, &|c, i| {
-            let s = unpack(cells.get(c, i));
-            let rank = i as u64 - seg.get(c, i).v;
-            if s.is_filler() {
-                return s;
-            }
-            if rank >= zcap as u64 {
-                overflow.store(true, Ordering::Relaxed);
-            }
-            s.with_phase_key(group(s.label()) * zcap as u64 + rank)
-        });
-        overflow.into_inner()
-    };
-    distribute(c, w, form, overflow)
-}
-
-/// Step 1 on cells: pack the prefix `w` of bare-key slots into `cells` as
-/// `label ‖ key` (fillers `u128::MAX`) and sort them, or merge their runs,
-/// on the key gate.
-fn sort_cells<C: Ctx, V: Val>(
-    c: &C,
-    scratch: &ScratchPool,
-    w: &Tracked<'_, Slot<V>>,
-    cells: &mut Tracked<'_, u128>,
+    w: &mut Tracked<'_, u128>,
     form: &Form,
     engine: Engine,
 ) {
-    debug_assert!(is_bare::<V>());
-    par_fill(c, cells, &|c, i| {
-        let s = w.get(c, i);
-        debug_assert!(s.is_filler() || (s.label() < u64::MAX && s.item.key >> 64 == 0));
-        if s.is_real() {
-            composite_key(s.label(), s.item.key as u64)
-        } else {
-            u128::MAX
-        }
-    });
     debug_assert!(
-        form.void || cells.raw().chunks(form.run).all(|r| r.is_sorted()),
+        form.void || w.raw().chunks(form.run).all(|r| r.is_sorted()),
         "placement input is not {}-slot runs in sort order",
         form.run
     );
-    engine.sort_keys_from_runs(c, scratch, cells, form.run);
+    engine.sort_keys_from_runs(c, scratch, w, form.run);
 }
 
-/// A `label ‖ key` cell back as its bare-key slot: the label in the low
-/// half of `sk`, the key in `item.key`; `u128::MAX` is the filler.
-fn unpack<V: Val>(cell: u128) -> Slot<V> {
-    if cell == u128::MAX {
-        Slot::filler()
-    } else {
-        Slot::real(
-            Item::new(cell as u64 as u128, V::default()),
-            (cell >> 64) as u64,
-        )
+/// Step 2: every bin's load, read off the sorted prefix `w` in one
+/// fixed-pattern pass into `loads` (one word a bin), clamped to `zcap`.
+/// `bin(record)` is the record's bin, `u64::MAX` for a filler. A chunk of
+/// records is read once into a byte per record — its bin, or `LANES` for
+/// one outside the pass — and every bin's lane counts the bytes equal to
+/// it: a compare, never an address, `LANES` bins a pass. Returns whether a
+/// load exceeded `zcap`: the placement's overflow, a public verdict.
+fn count_loads<C: Ctx, E: Copy + Sync>(
+    c: &C,
+    w: &Tracked<'_, E>,
+    zcap: usize,
+    loads: &mut Tracked<'_, u64>,
+    bin: &(impl Fn(&E) -> u64 + Sync),
+) -> bool {
+    const LANES: usize = 32;
+    const CHUNK: usize = 1024;
+    let (n, chunk) = (w.len(), grain_for(c).min(CHUNK));
+    let mut overflow = false;
+    for base in (0..loads.len()).step_by(LANES) {
+        let count = |c: &C, k: usize| -> [u32; LANES] {
+            let mut bins = [0u8; CHUNK];
+            let at = k * chunk..n.min((k + 1) * chunk);
+            for (b, i) in bins.iter_mut().zip(at.clone()) {
+                *b = bin(&w.get(c, i))
+                    .wrapping_sub(base as u64)
+                    .min(LANES as u64) as u8;
+            }
+            let bins = &bins[..at.len()];
+            std::array::from_fn(|l| bins.iter().map(|&b| (b == l as u8) as u32).sum())
+        };
+        let sum = |a: [u32; LANES], b: [u32; LANES]| std::array::from_fn(|l| a[l] + b[l]);
+        let counts = par_reduce(c, 0, n.div_ceil(chunk), 1, &count, &sum).unwrap_or([0; LANES]);
+        for (l, &count) in counts.iter().enumerate().take(loads.len() - base) {
+            overflow |= count as usize > zcap;
+            loads.set(c, base + l, (count as u64).min(zcap as u64));
+        }
     }
+    overflow
 }
 
 /// Recompute every slot's scratch sort key in one fixed-pattern parallel
@@ -487,11 +504,11 @@ mod tests {
     #[test]
     fn output_holds_only_reals_and_canonical_fillers() {
         // The stated `sk` contract: a real keeps its label in the low half
-        // and holds its own position in the high half; fillers are `⊥`.
+        // and holds its bin in the high half; fillers are `⊥`.
         let out = run(4, 4, &[(0, 1), (3, 2)]).unwrap();
         for (pos, s) in out.iter().enumerate() {
             if s.is_real() {
-                assert_eq!(s.phase_key(), pos as u64, "target not left in sk");
+                assert_eq!(s.phase_key(), pos as u64 / 4, "bin not left in sk");
                 assert_eq!(s.label(), pos as u64 / 4, "label lost");
             } else {
                 assert_eq!(*s, Slot::filler());
@@ -782,67 +799,176 @@ mod tests {
         assert_eq!(seen, expect);
     }
 
-    /// A placement's verdict and every slot's `(sk, item.key)`.
-    type Placed = (Result<()>, Vec<(u128, u128)>);
+    /// A placement's verdict and every position's `(label, key)`, `None` a
+    /// filler.
+    type Outcome = (Result<()>, Vec<Option<(u64, u64)>>);
 
-    /// Place `(label, key)` reals through both routes — as bare keys
-    /// (16-byte `label ‖ key` cells) and as unit-payload slots (the 32-byte
-    /// route) — in 16 bins of 16, routing on the top four label bits as
-    /// ORBA's first level does; the 16-slot run `r` starts with `runs[r]`.
-    fn both_routes(input: Input, runs: &[Vec<(u64, u64)>]) -> [Placed; 2] {
-        fn go<V: Val>(input: Input, runs: &[Vec<(u64, u64)>]) -> Placed {
-            let mut v = vec![Slot::<V>::filler(); 256];
-            for (r, reals) in runs.iter().enumerate() {
-                for (j, &(label, key)) in reals.iter().enumerate() {
-                    v[r * 16 + j] = Slot::real(Item::new(key as u128, V::default()), label);
-                }
+    /// Place `(label, key)` reals through both routes — as bare keys'
+    /// 16-byte `label ‖ key` cells and as slots, 48-byte and unit-payload
+    /// (the cell gate's 32-byte route) — in `nbins` bins of `zcap`,
+    /// routing on the top label bits as ORBA's first level does; run `r`
+    /// of `zcap` positions starts with `runs[r]`.
+    fn routes(input: Input, nbins: usize, zcap: usize, runs: &[Vec<(u64, u64)>]) -> [Outcome; 3] {
+        let shape = (nbins, zcap, 64 - nbins.trailing_zeros());
+        let mut cells = vec![u128::MAX; nbins * zcap];
+        for (r, reals) in runs.iter().enumerate() {
+            for (j, &(label, key)) in reals.iter().enumerate() {
+                cells[r * zcap + j] = composite_key(label, key);
             }
+        }
+        fn go<E: Placed<V>, V: Val>(
+            cells: &[u128],
+            input: Input,
+            (nbins, zcap, shift): (usize, usize, u32),
+            to: impl Fn(u128) -> E,
+            from: impl Fn(&E) -> u128,
+        ) -> Outcome {
             let c = SeqCtx::new();
             let sp = ScratchPool::new();
-            let r = bin_place_from(
-                &c,
-                &sp,
-                &mut Tracked::new(&c, &mut v),
-                input,
-                16,
-                16,
-                60,
-                Engine::BitonicRec,
-            );
-            (r, v.iter().map(|s| (s.sk, s.item.key)).collect())
+            let mut v: Vec<E> = cells.iter().map(|&cell| to(cell)).collect();
+            let mut t = Tracked::new(&c, &mut v);
+            let engine = Engine::BitonicRec;
+            let r = E::place(&c, &sp, &mut t, input, nbins, zcap, shift, engine);
+            let of = |cell: u128| cell.is_real().then(|| (cell.label(), cell as u64));
+            (r, v.iter().map(|e| of(from(e))).collect())
+        }
+        fn slot<V: Val>(cell: u128) -> Slot<V> {
+            match cell.is_real() {
+                true => Slot::real(Item::new(cell as u64 as u128, V::default()), cell.label()),
+                false => Slot::filler(),
+            }
+        }
+        fn cell<V: Val>(s: &Slot<V>) -> u128 {
+            match s.is_real() {
+                true => composite_key(s.label(), s.item.key as u64),
+                false => u128::MAX,
+            }
         }
         [
-            go::<crate::slot::BareKey>(input, runs),
-            go::<()>(input, runs),
+            go::<u128, crate::slot::BareKey>(&cells, input, shape, |x| x, |&x| x),
+            go(&cells, input, shape, slot::<u64>, cell),
+            go(&cells, input, shape, slot::<()>, cell),
         ]
     }
 
-    /// `per_run` reals in each of 16 runs, labels spread over all 16 bins
-    /// (distinct), keys duplicate-heavy and at both ends of their range;
-    /// each run ascending by label. `hot` sends every real to bin 0.
-    fn injected(per_run: u64, hot: bool) -> Vec<Vec<(u64, u64)>> {
-        (0..16u64)
-            .map(|r| {
-                let mut run: Vec<(u64, u64)> = (0..per_run)
-                    .map(|j| {
-                        let label = (r * per_run + j).wrapping_mul(0x9E37_79B9_7F4A_7C15);
-                        let label = if hot { label >> 4 } else { label };
-                        (
-                            label.min(u64::MAX - 1),
-                            [0, u64::MAX, j % 3][(j % 3) as usize],
-                        )
-                    })
-                    .collect();
-                run.sort_unstable();
-                run
-            })
-            .collect()
+    /// The host-side oracle: the reals of `runs` stably sorted by
+    /// `(bin, label)`, each at `bin·Z + rank` — `None` if a bin overflows.
+    fn oracle(
+        nbins: usize,
+        zcap: usize,
+        runs: &[Vec<(u64, u64)>],
+    ) -> Option<Vec<Option<(u64, u64)>>> {
+        let shift = 64 - nbins.trailing_zeros();
+        let bin = |label: u64| label.checked_shr(shift).unwrap_or(0) as usize;
+        let mut reals: Vec<(u64, u64)> = runs.concat();
+        reals.sort_by_key(|&(label, _)| (bin(label), label));
+        let mut out = vec![None; nbins * zcap];
+        let mut rank = vec![0usize; nbins];
+        for (label, key) in reals {
+            let g = bin(label);
+            if rank[g] == zcap {
+                return None;
+            }
+            out[g * zcap + rank[g]] = Some((label, key));
+            rank[g] += 1;
+        }
+        Some(out)
+    }
+
+    /// `loads[g]` reals for every bin `g` of `nbins`, distinct labels drawn
+    /// from `seed`, keys duplicate-heavy and at both ends of their range;
+    /// dealt round-robin into `runs` runs, each ascending by label (the
+    /// runs form) — or, `prefix`, all into the first.
+    fn dealt(nbins: usize, loads: &[usize], runs: usize, seed: u64) -> Vec<Vec<(u64, u64)>> {
+        let shift = 64 - nbins.trailing_zeros();
+        let mut reals = Vec::new();
+        for (g, &load) in loads.iter().enumerate() {
+            for j in 0..load as u64 {
+                let low = (seed ^ (g as u64 * 1000 + j)).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+                let low = if shift == 64 {
+                    low >> 1
+                } else {
+                    low >> (64 - shift)
+                };
+                let label = ((g as u64).checked_shl(shift).unwrap_or(0) | low).min(u64::MAX - 1);
+                reals.push((label, [0, u64::MAX, j % 3][(j % 3) as usize]));
+            }
+        }
+        reals.sort_by_key(|&(l, _)| l.wrapping_mul(0x2545_F491_4F6C_DD1D));
+        let mut out = vec![Vec::new(); runs];
+        for (i, r) in reals.into_iter().enumerate() {
+            out[i % runs].push(r);
+        }
+        out.iter_mut().for_each(|run| run.sort_unstable());
+        out
+    }
+
+    #[test]
+    fn both_routes_match_the_oracle() {
+        // One bin, G = γ = 4, 16 and 32 bins; no reals, a full bin
+        // (load = Z), uneven loads, and empty and full bins alternating;
+        // the runs form and, where the reals fit the front half, the
+        // prefix form. Every route leaves exactly the oracle's bins.
+        for (nbins, zcap) in [(1usize, 16usize), (4, 16), (16, 8), (32, 4)] {
+            let mut full = vec![0; nbins];
+            full[nbins / 2] = zcap;
+            let uneven = (0..nbins).map(|g| (g * 7 + 3) % (zcap + 1)).collect();
+            let alternating = (0..nbins).map(|g| zcap * (g % 2)).collect();
+            for loads in [vec![0; nbins], full, uneven, alternating] {
+                let runs = dealt(nbins, &loads, nbins, 7);
+                let expect = oracle(nbins, zcap, &runs).expect("fits");
+                let check = |name: &str, input: Input, reals: &[Vec<(u64, u64)>]| {
+                    let placed = routes(input, nbins, zcap, reals);
+                    for (route, (verdict, placed)) in placed.into_iter().enumerate() {
+                        let at = format!("{name}, route {route}, {nbins} × {zcap}, {loads:?}");
+                        assert_eq!(verdict, Ok(()), "{at}");
+                        assert_eq!(placed, expect, "{at}");
+                    }
+                };
+                let runs_form = Input::Runs {
+                    run: zcap,
+                    void: false,
+                };
+                check("runs", runs_form, &runs);
+                // The same reals in no order, packed into the front half.
+                let half = nbins * zcap / 2;
+                if loads.iter().sum::<usize>() <= half {
+                    let mut reals = runs.concat();
+                    reals.reverse();
+                    let front: Vec<_> = reals.chunks(zcap).map(<[_]>::to_vec).collect();
+                    check("prefix", Input::Prefix(half), &front);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn a_load_past_z_overflows_and_loses_nothing() {
+        // One bin asked for Z + 1: every route reports the overflow on the
+        // clamped loads, and leaves a permutation of its input.
+        let (nbins, zcap) = (16usize, 8usize);
+        let mut loads: Vec<usize> = (0..nbins).map(|g| g % 4).collect();
+        loads[3] = zcap + 1;
+        let runs = dealt(nbins, &loads, nbins, 11);
+        assert!(oracle(nbins, zcap, &runs).is_none());
+        let mut expect: Vec<(u64, u64)> = runs.concat();
+        expect.sort_unstable();
+        let form = Input::Runs {
+            run: zcap,
+            void: false,
+        };
+        for (verdict, placed) in routes(form, nbins, zcap, &runs) {
+            assert_eq!(verdict, Err(OblivError::BinOverflow));
+            let mut got: Vec<(u64, u64)> = placed.into_iter().flatten().collect();
+            got.sort_unstable();
+            assert_eq!(got, expect);
+        }
     }
 
     #[test]
     fn key_cells_and_slots_leave_the_same_bins() {
-        // Prefix, runs, overflowing and void inputs: the same verdict and
-        // the same slots, `sk` and key alike, from both routes.
+        // Overflowing and void inputs too: the same verdict and the same
+        // records from every route.
         let runs = Input::Runs {
             run: 16,
             void: false,
@@ -851,44 +977,24 @@ mod tests {
             run: 16,
             void: true,
         };
-        let mut unsorted = injected(7, false);
+        let mut hot = vec![0; 16];
+        hot[0] = 64;
+        let mut unsorted = dealt(16, &[7; 16], 16, 3);
         unsorted.iter_mut().for_each(|run| run.reverse());
         let cases = [
             (
-                "prefix",
-                Input::Prefix(128),
-                injected(8, false)[..8].to_vec(),
-                Ok(()),
-            ),
-            ("runs", runs, injected(7, false), Ok(())),
-            (
                 "overflow",
                 runs,
-                injected(4, true),
+                dealt(16, &hot, 16, 5),
                 Err(OblivError::BinOverflow),
             ),
             ("void", void, unsorted, Ok(())),
         ];
         for (name, input, reals, verdict) in cases {
-            let [keys, slots] = both_routes(input, &reals);
-            assert_eq!(keys.0, verdict, "{name}");
-            assert!(keys == slots, "{name}: the routes differ");
+            let [cells, wide, unit] = routes(input, 16, 16, &reals);
+            assert_eq!(cells.0, verdict, "{name}");
+            assert!(cells == wide && cells == unit, "{name}: the routes differ");
         }
-        // A clean form leaves every real in the bin its top bits name,
-        // packed in front, ascending by label.
-        let [(_, placed), _] = both_routes(runs, &injected(7, false));
-        for (b, bin) in placed.chunks(16).enumerate() {
-            let load = bin.iter().take_while(|&&(sk, _)| sk != u128::MAX).count();
-            assert!(bin[..load]
-                .iter()
-                .all(|&(sk, _)| (sk as u64 >> 60) as usize == b));
-            assert!(bin[..load].is_sorted_by_key(|&(sk, _)| sk as u64));
-            assert!(bin[load..].iter().all(|&(sk, _)| sk == u128::MAX));
-        }
-        assert_eq!(
-            placed.iter().filter(|&&(sk, _)| sk != u128::MAX).count(),
-            112
-        );
     }
 
     #[test]
@@ -896,13 +1002,11 @@ mod tests {
         // `u64::MAX − 1` is the largest label ORBA draws; with key
         // `u64::MAX` the cell is `u128::MAX − 2⁶⁴`, one below the filler.
         let top = (u64::MAX - 1, u64::MAX);
-        let [(r, placed), _] = both_routes(Input::Prefix(128), &[vec![top]]);
-        r.unwrap();
-        assert_eq!(
-            placed[240],
-            ((240u128 << 64) | top.0 as u128, u64::MAX as u128)
-        );
-        assert_eq!(placed.iter().filter(|&&(sk, _)| sk != u128::MAX).count(), 1);
+        for (r, placed) in routes(Input::Prefix(128), 16, 16, &[vec![top]]) {
+            r.unwrap();
+            assert_eq!(placed[240], Some(top));
+            assert_eq!(placed.iter().flatten().count(), 1);
+        }
     }
 
     proptest! {

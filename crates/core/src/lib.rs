@@ -3,8 +3,8 @@
 //! Data-oblivious algorithms for the binary fork-join model
 //! (Ramachandran & Shi, SPAA 2021), cache-agnostically:
 //!
-//! * [`binplace`] — oblivious bin placement (§C.1): sort + rank +
-//!   [`expand`](mod@expand), the comparator-free monotone distribution;
+//! * [`binplace`] — oblivious bin placement (§C.1): sort + per-bin loads +
+//!   [`expand`](mod@expand), the compaction butterfly run backwards;
 //! * [`meta_orba`](mod@meta_orba) / [`rec_orba`](mod@rec_orba) — oblivious random bin assignment, flat
 //!   meta-algorithm (§C.2) and the recursive cache-agnostic schedule
 //!   (§3.2, §D.1, Lemma 3.1);
@@ -47,7 +47,7 @@ pub use baseline::par_merge_sort;
 pub use binplace::{bin_place, bin_place_from, set_keys};
 pub use engine::Engine;
 pub use error::{with_retries, OblivError, Result};
-pub use expand::expand;
+pub use expand::expand_by_loads;
 pub use meta_orba::meta_orba;
 pub use metrics::{ScratchGuard, ScratchPool};
 pub use orp::{orp, orp_into, orp_once, orp_once_into};
@@ -62,4 +62,4 @@ pub use scatter::oblivious_scatter;
 pub use sendrecv::send_receive;
 pub use slot::{composite_key, Item, Slot, Val};
 pub use sortnet::{select_cell, select_u128, select_u64, TagCell};
-pub use tag_sort::{compact_bounded, compact_cells, oblivious_sort_kv, Bound, Ranks};
+pub use tag_sort::{compact_bounded, compact_cells, oblivious_sort_kv, Bound, Ranks, Swap};

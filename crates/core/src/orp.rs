@@ -8,7 +8,7 @@
 //! full label, so the butterfly's last level *is* that in-bin sort, and ORP
 //! asks it for no more (`Finish::Rows`): each last-level placement of `G`
 //! bins stops after its sort, its reals packed at the front of its `G·Z`
-//! slots in label order — no rank pass, no expansion into bins, and no
+//! slots in label order — no loads pass, no expansion into bins, and no
 //! copy-back. The rows come in bin order, so read in turn they are the
 //! input **sorted by its random label**: for distinct labels the rank
 //! vector of `n` i.i.d. draws is a uniform permutation, and it is
@@ -24,6 +24,11 @@
 //! costs its probability in statistical distance, as it does for ORBA's bin
 //! assignment in the paper. DESIGN.md §4 row 7.)
 //!
+//! The records are the payload type's: slots, or for `oblivious_sort_u64`'s
+//! bare keys 16-byte `label ‖ key` cells from the layout to the removal
+//! (`binplace::Placed`) — half a slot's bytes through every lease,
+//! transpose, placement and row.
+//!
 //! The removal is allowed to be non-oblivious: it reveals each row's load,
 //! a sum of the per-bin loads that are simulatable from `(n, Z)` alone, as
 //! argued in [CGLS18, ACN+20] (the loads are a balls-into-bins pattern
@@ -37,10 +42,11 @@
 //! A tie surfaces as [`OblivError::LabelCollision`] — a public retry of
 //! probability at most `n²/2⁶⁵ ≤ β²Z²/2⁶⁵` per attempt.
 
+use crate::binplace::Placed;
 use crate::error::{with_retries, OblivError, Result};
 use crate::rec_orba::{bins_for, butterfly, draw_labels, Finish, OrbaParams};
 use crate::rec_sort::pack_bins;
-use crate::slot::{Item, Slot, Val};
+use crate::slot::{is_bare, Item, Slot, Val};
 use fj::Ctx;
 use metrics::{ScratchGuard, ScratchPool, Tracked};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -75,8 +81,26 @@ pub fn orp_once_into<C: Ctx, V: Val>(
 }
 
 /// The attempt on given labels: `out` is `items` in ascending label order,
-/// or an error if a bin overflows or two labels are equal.
+/// or an error if a bin overflows or two labels are equal. Bare keys run
+/// as `label ‖ key` cells from the layout to the removal, every other
+/// payload as slots: the route is the payload's type.
 fn orp_once_with_labels<C: Ctx, V: Val>(
+    c: &C,
+    scratch: &ScratchPool,
+    items: &[Item<V>],
+    labels: &[u64],
+    p: OrbaParams,
+    out: &mut [Item<V>],
+) -> Result<()> {
+    if is_bare::<V>() {
+        permute::<C, V, u128>(c, scratch, items, labels, p, out)
+    } else {
+        permute::<C, V, Slot<V>>(c, scratch, items, labels, p, out)
+    }
+}
+
+/// [`orp_once_with_labels`] on records `E`.
+fn permute<C: Ctx, V: Val, E: Placed<V>>(
     c: &C,
     scratch: &ScratchPool,
     items: &[Item<V>],
@@ -86,8 +110,8 @@ fn orp_once_with_labels<C: Ctx, V: Val>(
 ) -> Result<()> {
     assert_eq!(out.len(), items.len());
     let len = bins_for(items.len(), p.z) * p.z;
-    let mut slots = scratch.lease(len, Slot::<V>::filler());
-    let mut tmp = scratch.lease(len, Slot::<V>::filler());
+    let mut slots = scratch.lease(len, E::filler());
+    let mut tmp = scratch.lease(len, E::filler());
     let (rows, row) = butterfly(
         c,
         scratch,
@@ -100,20 +124,18 @@ fn orp_once_with_labels<C: Ctx, V: Val>(
     )?;
 
     // Remove the fillers row by row, revealing the row loads, and compare
-    // each real with the slot before it: a tie sorts next to its twin.
+    // each real with the record before it: a tie sorts next to its twin.
     let collision = AtomicBool::new(false);
     let mut out_t = Tracked::new(c, out);
-    let or = out_t.as_raw();
-    let total = pack_bins(c, scratch, &rows, len / row, row, &|c, at, i, s| {
-        // SAFETY: `pack_bins` hands every real a distinct position.
-        unsafe { or.set(c, at, s.item) };
+    let total = pack_bins(c, scratch, &rows, len / row, row, &mut out_t, &|c, i, e| {
         if i > 0 {
             let prev = rows.get(c, i - 1);
             c.work(1);
-            if prev.is_real() && prev.label() == s.label() {
+            if prev.is_real() && prev.label() == e.label() {
                 collision.store(true, Ordering::Relaxed);
             }
         }
+        e.item()
     });
     debug_assert_eq!(total, items.len());
     if collision.into_inner() {

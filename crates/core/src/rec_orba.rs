@@ -29,11 +29,17 @@
 //! ([`Input::Runs`]). After the last level the concatenated bins are the
 //! input in label order.
 //!
+//! **The records.** The butterfly moves whatever records its caller lays
+//! out (`binplace::Placed`): slots, or for `oblivious_sort_u64`'s bare keys
+//! 16-byte `label ‖ key` cells, which ORP keeps from the layout through
+//! every placement and transpose to its filler removal. The route is the
+//! payload's type, never the data.
+//!
 //! **The finish.** What the last level owes is a public fact of the
 //! caller's algorithm (`Finish`), stated as [`Input`] is. ORBA
 //! ([`rec_orba`]) keeps the §C.1 contract above: every real in its label
 //! bin. ORP wants only the order, and under `Finish::Rows` each last-level
-//! placement stops after its sort or merge (`binplace::order_from`),
+//! placement stops after its sort or merge (`Placed::order`),
 //! leaving its group's reals packed at the front of its `G·Z` slots in
 //! label order, and the chain of stage 2s above it skips its copy-backs:
 //! the rows stay in whichever buffer the last level wrote (`last_group`).
@@ -52,7 +58,7 @@
 //! the placements downstream of it receive runs in no particular order, run
 //! their fixed trace all the same, and are told so (`Input::Runs::void`).
 
-use crate::binplace::{bin_place_from, order_from, Input};
+use crate::binplace::{Input, Placed};
 use crate::engine::Engine;
 use crate::error::{OblivError, Result};
 use crate::slot::{Item, Slot, Val};
@@ -163,7 +169,7 @@ pub fn rec_orba_into<C: Ctx, V: Val>(
 /// only on `(n, seed)`.
 ///
 /// A draw of `u64::MAX` is taken as `u64::MAX − 1`, so that a real's
-/// `label ‖ key` placement cell never reads as the filler (`bin_place_from`)
+/// `label ‖ key` cell never reads as the filler (`binplace::Placed`)
 /// whatever its key. That is an event of probability `2⁻⁶⁴` a label: the
 /// labels stay i.i.d., so their rank vector stays uniform, and the one
 /// value it doubles is a collision of the kind ORP already retries.
@@ -211,8 +217,8 @@ pub(crate) enum Finish {
     Bins,
     /// Every last-level group's reals packed at the front of its `G·Z`
     /// slots in label order (ORP). The last placements stop after their
-    /// sort ([`order_from`]), and the last level's chain of stage 2s skips
-    /// its copy-backs.
+    /// sort ([`Placed::order`]), and the last level's chain of stage 2s
+    /// skips its copy-backs.
     Rows,
 }
 
@@ -230,21 +236,21 @@ pub(crate) fn rec_orba_with_labels<C: Ctx, V: Val>(
 }
 
 /// The butterfly on given labels over `slots` (the layout, filler-filled)
-/// and `tmp` (its scratch, the same length). Returns the buffer holding
-/// the output and the length of its rows: `slots` in `Z`-slot bins under
-/// [`Finish::Bins`]; under [`Finish::Rows`] the last level's groups, in
-/// whichever buffer they were written ([`last_group`]).
+/// and `tmp` (its scratch, the same length), both of records `E`. Returns
+/// the buffer holding the output and the length of its rows: `slots` in
+/// `Z`-slot bins under [`Finish::Bins`]; under [`Finish::Rows`] the last
+/// level's groups, in whichever buffer they were written ([`last_group`]).
 #[allow(clippy::too_many_arguments)]
-pub(crate) fn butterfly<'b, C: Ctx, V: Val>(
+pub(crate) fn butterfly<'b, C: Ctx, V: Val, E: Placed<V>>(
     c: &C,
     scratch: &ScratchPool,
     items: &[Item<V>],
     labels: &[u64],
     p: OrbaParams,
     finish: Finish,
-    slots: &'b mut [Slot<V>],
-    tmp: &'b mut [Slot<V>],
-) -> Result<(Tracked<'b, Slot<V>>, usize)> {
+    slots: &'b mut [E],
+    tmp: &'b mut [E],
+) -> Result<(Tracked<'b, E>, usize)> {
     let nbins = bins_for(items.len(), p.z);
     assert!(p.z >= 2, "a bin holds its Z/2 input positions");
     assert_eq!(slots.len(), nbins * p.z, "ORBA layout shape mismatch");
@@ -256,7 +262,7 @@ pub(crate) fn butterfly<'b, C: Ctx, V: Val>(
         p,
         overflow: AtomicBool::new(false),
     };
-    rec(
+    rec::<C, V, E>(
         c,
         &attempt,
         t.borrow_mut(),
@@ -299,12 +305,12 @@ pub(crate) fn last_group(nbins: usize, gamma: usize) -> (usize, bool) {
 /// `group/2` input positions, so the first placement's reals sit in a
 /// public prefix. `slots` arrives filler-filled; only the front halves are
 /// (re)written.
-pub(crate) fn build_layout<C: Ctx, V: Val>(
+pub(crate) fn build_layout<C: Ctx, V: Val, E: Placed<V>>(
     c: &C,
     items: &[Item<V>],
     labels: &[u64],
     group: usize,
-    slots: &mut [Slot<V>],
+    slots: &mut [E],
 ) {
     let half = group / 2;
     let t = Tracked::new(c, slots);
@@ -312,9 +318,9 @@ pub(crate) fn build_layout<C: Ctx, V: Val>(
         par_fill(c, &mut grp.range(0, half), &|_, i| {
             let idx = g * half + i;
             if idx < items.len() {
-                Slot::real(items[idx], labels[idx])
+                E::real(items[idx], labels[idx])
             } else {
-                Slot::filler()
+                E::filler()
             }
         });
     });
@@ -337,11 +343,11 @@ struct Attempt<'a> {
 /// Under [`Finish::Rows`] the result stays where stage 2 wrote it: in
 /// `scratch` or `slots` as [`last_group`] says.
 #[allow(clippy::too_many_arguments)]
-fn rec<C: Ctx, V: Val>(
+fn rec<C: Ctx, V: Val, E: Placed<V>>(
     c: &C,
     a: &Attempt<'_>,
-    mut slots: Tracked<'_, Slot<V>>,
-    mut scratch: Tracked<'_, Slot<V>>,
+    mut slots: Tracked<'_, E>,
+    mut scratch: Tracked<'_, E>,
     nbins: usize,
     shift: u32,
     first: bool,
@@ -361,11 +367,9 @@ fn rec<C: Ctx, V: Val>(
             // A row merges at most β₁ runs of at most Z reals into β₁·Z
             // slots (or sorts a prefix of at most half its slots): it
             // cannot overflow.
-            Finish::Rows => order_from(c, a.pool, &mut slots, input, nbins, z, a.p.engine),
+            Finish::Rows => E::order(c, a.pool, &mut slots, input, nbins, z, a.p.engine),
             Finish::Bins => {
-                if bin_place_from(c, a.pool, &mut slots, input, nbins, z, shift, a.p.engine)
-                    .is_err()
-                {
+                if E::place(c, a.pool, &mut slots, input, nbins, z, shift, a.p.engine).is_err() {
                     a.overflow.store(true, Ordering::Relaxed);
                 }
             }
@@ -388,7 +392,7 @@ fn rec<C: Ctx, V: Val>(
         b2 * z,
         0,
         &|c, _, s, tmp| {
-            rec(c, a, s, tmp, b2, shift + k1, first, Finish::Bins);
+            rec::<C, V, E>(c, a, s, tmp, b2, shift + k1, first, Finish::Bins);
         },
     );
 
@@ -406,7 +410,7 @@ fn rec<C: Ctx, V: Val>(
         b1 * z,
         0,
         &|c, _, s, tmp| {
-            rec(c, a, s, tmp, b1, shift, false, finish);
+            rec::<C, V, E>(c, a, s, tmp, b1, shift, false, finish);
         },
     );
 
@@ -563,9 +567,9 @@ mod tests {
         assert_eq!(last_group(bins_for(1 << 16, p.z), p.gamma), (16, true));
     }
 
-    /// Every slot of the rows finish on `labels` (its label if real), and
-    /// the row length; items carry `val`.
-    fn rows_of<V: Val>(labels: &[u64], val: V) -> (Vec<Option<u64>>, usize) {
+    /// Every record of the rows finish on `labels` (its label if real), and
+    /// the row length; items carry `val`, laid out as records `E`.
+    fn rows_of<V: Val, E: Placed<V>>(labels: &[u64], val: V) -> (Vec<Option<u64>>, usize) {
         let c = SeqCtx::new();
         let sp = ScratchPool::new();
         let p = small_params();
@@ -573,7 +577,7 @@ mod tests {
             .map(|i| Item::new(i, val))
             .collect();
         let len = bins_for(its.len(), p.z) * p.z;
-        let mut slots = vec![Slot::<V>::filler(); len];
+        let mut slots = vec![E::filler(); len];
         let mut tmp = slots.clone();
         let finish = Finish::Rows;
         let (rows, row) =
@@ -585,7 +589,7 @@ mod tests {
     #[test]
     fn the_rows_finish_packs_each_last_level_group_in_label_order() {
         // One placement (n = 30), two levels (60), four (300 and 1000), on
-        // the slot route and the bare-key route: every row of the last
+        // slots and on bare keys' `label ‖ key` cells: every row of the last
         // level's `G·Z` slots holds its reals in front, and read in turn
         // they are every label, ascending.
         for n in [30usize, 60, 300, 1000] {
@@ -595,7 +599,11 @@ mod tests {
             let mut sorted = labels.clone();
             sorted.sort_unstable();
             let nbins = bins_for(n, 16);
-            for (slots, row) in [rows_of(&labels, 0u64), rows_of(&labels, BareKey)] {
+            let routes = [
+                rows_of::<u64, Slot<u64>>(&labels, 0),
+                rows_of::<BareKey, u128>(&labels, BareKey),
+            ];
+            for (slots, row) in routes {
                 assert_eq!(
                     (slots.len(), row),
                     (nbins * 16, last_group(nbins, 4).0 * 16)

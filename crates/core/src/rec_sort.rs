@@ -39,7 +39,7 @@
 
 use crate::engine::Engine;
 use crate::error::{OblivError, Result};
-use crate::slot::{as_lanes, Item, Slot, Val};
+use crate::slot::{as_lanes, Item, Record, Slot, Val};
 use fj::{grain_for, par_for, par_reduce, Ctx};
 use metrics::{par_fill, par_tracked_chunks, ScratchPool, Tracked};
 use rand::rngs::StdRng;
@@ -141,14 +141,13 @@ pub fn rec_sort_items<C: Ctx, V: Val>(
     // --- Build the bin layout: β bins of `cap`, input chunked across bins.
     let mut slots = scratch.lease(nbins * cap, Slot::filler());
     {
-        // Input chunk `b` fills the front of bin `b`: a strided write, so
-        // the raw view.
-        let mut t = Tracked::new(c, &mut slots);
-        let tr = t.as_raw();
-        par_for(c, 0, n, grain_for(c), &|c, i| {
-            let (b, off) = (i / chunk, i % chunk);
-            // SAFETY: (b, off) pairs are distinct.
-            unsafe { tr.set(c, b * cap + off, Slot::keyed(items[i])) };
+        // Input chunk `b` fills the front of bin `b`.
+        let t = Tracked::new(c, &mut slots);
+        par_tracked_chunks(c, t, cap, &|c, b, mut bin| {
+            let len = chunk.min(n.saturating_sub(b * chunk));
+            par_fill(c, &mut bin.range(0, len), &|_, off| {
+                Slot::keyed(items[b * chunk + off])
+            });
         });
     }
 
@@ -181,29 +180,25 @@ pub fn rec_sort_items<C: Ctx, V: Val>(
     {
         let t = Tracked::new(c, &mut slots);
         let mut out_t = Tracked::new(c, items);
-        let or = out_t.as_raw();
-        let total = pack_bins(c, scratch, &t, nbins, cap, &|c, at, _, s| {
-            // SAFETY: `pack_bins` hands every real a distinct position.
-            unsafe { or.set(c, at, s.item) }
-        });
+        let total = pack_bins(c, scratch, &t, nbins, cap, &mut out_t, &|_, _, s| s.item);
         debug_assert_eq!(total, n);
     }
     Ok(())
 }
 
-/// Hand the reals of a bin layout (`nbins` bins of `cap` slots, reals in
-/// front of each bin) to `emit(c, position, index, slot)` with the
-/// positions `0..total` in bin order (`index` is the slot's in `bins`), and
-/// return `total`. Per-bin loads by binary
-/// search, a prefix sum, and one flat parallel pass, so the span stays
-/// logarithmic.
-pub(crate) fn pack_bins<C: Ctx, V: Val>(
+/// Write the reals of a bin layout (`nbins` bins of `cap` records, reals
+/// in front of each bin) to `out[0..total]` in bin order, the real at
+/// index `i` of `bins` as `emit(c, i, real)`, and return `total`. Per-bin
+/// loads by binary search, a prefix sum, and one flat parallel pass, so
+/// the span stays logarithmic.
+pub(crate) fn pack_bins<C: Ctx, E: Record, O: Copy + Send>(
     c: &C,
     pool: &ScratchPool,
-    bins: &Tracked<'_, Slot<V>>,
+    bins: &Tracked<'_, E>,
     nbins: usize,
     cap: usize,
-    emit: &(impl Fn(&C, usize, usize, Slot<V>) + Sync),
+    out: &mut Tracked<'_, O>,
+    emit: &(impl Fn(&C, usize, E) -> O + Sync),
 ) -> usize {
     // One extra entry: after the exclusive prefix sum it holds the total.
     let mut loads = pool.lease(nbins + 1, 0u64);
@@ -228,16 +223,24 @@ pub(crate) fn pack_bins<C: Ctx, V: Val>(
         crate::scan::prefix_sum_in(c, pool, &mut lt, false, crate::scan::Schedule::Tree);
     }
     let offsets = &*loads;
+    assert!(
+        offsets[nbins] as usize <= out.len(),
+        "more reals than output"
+    );
+    let or = out.as_raw();
     par_for(c, 0, nbins * cap, grain_for(c), &|c, i| {
         let (b, j) = (i / cap, i % cap);
         let s = bins.get(c, i);
+        let front = (j as u64) < offsets[b + 1] - offsets[b];
         debug_assert_eq!(
             s.is_real(),
-            (j as u64) < offsets[b + 1] - offsets[b],
+            front,
             "bin {b} does not hold its reals in front"
         );
-        if s.is_real() {
-            emit(c, offsets[b] as usize + j, i, s);
+        if s.is_real() && front {
+            // SAFETY: `at` runs over `offsets[b]..offsets[b + 1]` within bin
+            // `b`, so distinct positions get distinct `at < total ≤ out.len()`.
+            unsafe { or.set(c, offsets[b] as usize + j, emit(c, i, s)) };
         }
     });
     offsets[nbins] as usize
@@ -398,11 +401,7 @@ fn base_case<C: Ctx, V: Val>(
     engine: Engine,
     overflow: &AtomicBool,
 ) {
-    let dr = scratch.as_raw();
-    let total = pack_bins(c, pool, slots, nbins, cap, &|c, at, _, s| {
-        // SAFETY: `pack_bins` hands every real a distinct position.
-        unsafe { dr.set(c, at, s) }
-    });
+    let total = pack_bins(c, pool, slots, nbins, cap, scratch, &|_, _, s| s);
     let mut run = scratch.range(0, total);
     engine.sort_slots(c, pool, &mut run);
 

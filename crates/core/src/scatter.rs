@@ -9,16 +9,17 @@
 //! appear in ascending `item.key` order (callers use the input position as
 //! the key), so a bin keeps its elements' submission order.
 //!
-//! The algorithm is bin placement's sort + rank + expansion kernel
-//! ([`crate::binplace`]) — the sort and the rank pass over the
+//! The algorithm is bin placement's sort + loads + expansion kernel
+//! ([`crate::binplace`]) — the sort and the loads pass over the
 //! `pow2(|items|)` leading slots only, since the padding behind them is
 //! fillers already — with the low 64 bits of `item.key` as the sort's
-//! tiebreak — it takes the label's place in the low half of `sk`, so the
-//! label is consumed: on return a real's `sk` is `position ‖ tiebreak`
-//! (see [`crate::expand()`]) and fillers are canonical. Every step is an
-//! oblivious sort, a fixed-pattern scan, or a parallel map, so the
-//! adversary trace is a function of `(|items|, nbins, Z)` only — in
-//! particular it does not depend on how full each bin is (the
+//! tiebreak. It takes the label's place in the low half of `sk`, so the
+//! label is consumed: on return a real's `sk` is `bin ‖ tiebreak`, and
+//! fillers are moved, never rewritten. Every step is an oblivious sort, a
+//! fixed-pattern pass, or the expansion butterfly
+//! ([`crate::expand_by_loads`]), whose per-bin loads feed only its swap
+//! verdicts, so the adversary trace is a function of `(|items|, nbins, Z)`
+//! only — in particular it does not depend on how full each bin is (the
 //! send-receive routing guarantee of §F).
 //!
 //! A bin wanted by more than `Z` elements voids the placement; the pass
@@ -57,7 +58,7 @@ pub fn oblivious_scatter<C: Ctx, V: Val>(
     let mask = nbins as u64 - 1;
     let key = |s: &Slot<V>| (s.label() & mask, s.item.key as u64);
     // Only the `items.len()` leading slots can be real: the sort and the
-    // rank pass cover their (public) class, not all `nbins · zcap` slots.
+    // loads pass cover their (public) class, not all `nbins · zcap` slots.
     place(
         c,
         scratch,
@@ -153,12 +154,12 @@ mod tests {
 
     #[test]
     fn output_holds_only_reals_and_canonical_fillers() {
-        // The stated `sk` contract: position ‖ tiebreak in a real (the
-        // tiebreak is the input index `item.key`), `⊥` everywhere else.
+        // The stated `sk` contract: bin ‖ tiebreak in a real (the tiebreak
+        // is the input index `item.key`), `⊥` everywhere else.
         let out = run(4, 4, &[(0, 1), (3, 2)]).unwrap();
         for (pos, s) in out.iter().enumerate() {
             if s.is_real() {
-                assert_eq!(s.sk, composite_key(pos as u64, s.item.key as u64));
+                assert_eq!(s.sk, composite_key(pos as u64 / 4, s.item.key as u64));
             } else {
                 assert_eq!(*s, Slot::filler());
             }

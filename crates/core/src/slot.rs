@@ -3,7 +3,7 @@
 //! Public inputs are [`Item`]s — a 128-bit sort key plus a `Copy` payload.
 //! Internally, algorithms work on [`Slot`]s: a cell plus a payload. The
 //! 128-bit scratch key `sk` is the only bookkeeping lane — the phase key
-//! (ORBA group, placement target, REC-SORT key) rides in its high half,
+//! (a placement's bin, REC-SORT's key) rides in its high half,
 //! the routing *label* (ORBA's random draw, §C.2: bin in the top bits,
 //! ORP's tiebreak below) in its low half, and `sk == u128::MAX` *is* the padding
 //! element `⊥`, exactly as `tag == MAX` is a filler [`TagCell`].
@@ -13,9 +13,10 @@
 //! (`sk` = `tag`, `item.key` = `aux`), sorted and moved as one; an
 //! `Item<()>` is 16 bytes, its key, and REC-SORT's network sorts it as a
 //! bare key. `oblivious_sort_u64`'s records go one step further
-//! (`BareKey`): through ORP a record is its `u64` key, so a placement
-//! sorts 16-byte `label ‖ key` cells and only the slots the expansion
-//! moves are 32 bytes. DESIGN.md §10 has the per-phase lane table.
+//! (`BareKey`): through ORP a record is its `u64` key, and ORBA's layout,
+//! every placement and the filler removal work on 16-byte `label ‖ key`
+//! cells (`Record`) — no slot is built. DESIGN.md §10 has the per-phase
+//! lane table.
 
 use metrics::Tracked;
 use sortnet::TagCell;
@@ -94,16 +95,6 @@ impl<V: Val> Slot<V> {
         Slot { sk: item.key, item }
     }
 
-    /// This slot with `key` as its phase key (high half of `sk`), label
-    /// kept. Must not be called on a filler.
-    #[inline]
-    pub fn with_phase_key(self, key: u64) -> Self {
-        Slot {
-            sk: composite_key(key, self.label()),
-            ..self
-        }
-    }
-
     /// The routing label: the element's random draw (ORBA: bin in the top
     /// bits, tiebreak below) or its destination bin (scatter). Meaningless
     /// in a filler.
@@ -112,8 +103,8 @@ impl<V: Val> Slot<V> {
         self.sk as u64
     }
 
-    /// The phase key (high half of `sk`): ORBA group or placement target.
-    /// `u64::MAX` in a filler.
+    /// The phase key (high half of `sk`): the bin a placement sorts a
+    /// real into, or REC-SORT's key. `u64::MAX` in a filler.
     #[inline]
     pub fn phase_key(&self) -> u64 {
         (self.sk >> 64) as u64
@@ -131,9 +122,9 @@ impl<V: Val> Slot<V> {
 }
 
 /// The payload of `oblivious_sort_u64`'s records: none. Through ORP such a
-/// record *is* its `u64` key, held in the low half of [`Item::key`], so a
-/// bin placement packs it with its label into one 16-byte `label ‖ key`
-/// cell ([`crate::bin_place`]); after ORP the key moves to the high half
+/// record *is* its `u64` key, held in the low half of [`Item::key`], so ORP
+/// lays it out with its label as one 16-byte `label ‖ key` cell and keeps
+/// it so to the end ([`Record`]); after ORP the key moves to the high half
 /// with a tiebreak coin below it. Crate-private: only that entry point
 /// makes one, so the narrow route is chosen by type and never truncates a
 /// caller's key ([`is_bare`]).
@@ -145,6 +136,49 @@ pub(crate) struct BareKey;
 #[inline]
 pub(crate) fn is_bare<V: Val>() -> bool {
     TypeId::of::<V>() == TypeId::of::<BareKey>()
+}
+
+/// A record of a bin layout: a [`Slot`], or a bare key's 16-byte
+/// `label ‖ key` cell ([`BareKey`]) — the routing label in the high half,
+/// `u128::MAX` the filler.
+pub(crate) trait Record: Copy + Send + Sync + 'static {
+    fn filler() -> Self;
+    fn is_real(&self) -> bool;
+    fn label(&self) -> u64;
+}
+
+impl<V: Val> Record for Slot<V> {
+    #[inline]
+    fn filler() -> Self {
+        Slot::filler()
+    }
+
+    #[inline]
+    fn is_real(&self) -> bool {
+        self.sk != u128::MAX
+    }
+
+    #[inline]
+    fn label(&self) -> u64 {
+        self.sk as u64
+    }
+}
+
+impl Record for u128 {
+    #[inline]
+    fn filler() -> Self {
+        u128::MAX
+    }
+
+    #[inline]
+    fn is_real(&self) -> bool {
+        *self != u128::MAX
+    }
+
+    #[inline]
+    fn label(&self) -> u64 {
+        (*self >> 64) as u64
+    }
 }
 
 /// A record type whose values, when its payload is zero-sized, are exactly

@@ -33,17 +33,19 @@
 //! distributional argument needed, unlike the post-ORP phases; see
 //! `obliv_check`'s tag-sort rows). Every step is a swap, so the array is
 //! permuted, never overwritten, and the offsets make each pair's verdict
-//! unambiguous — the compaction needs no collision argument, where its
-//! top-down mirror [`crate::expand()`] has to show that no pair holds two
-//! reals bound for the same half.
+//! unambiguous — the compaction needs no collision argument. Nor does its
+//! top-down mirror, bin placement's expansion
+//! ([`crate::expand_by_loads`]): the same butterfly run backwards over any
+//! [`Swap`] record, its ranks read off per-bin loads.
 
 use crate::engine::Engine;
 use crate::scan::{prefix_sum_in, Schedule};
-use crate::slot::composite_key;
-use fj::{base_for, grain_for, par_for, Ctx};
+use crate::slot::{composite_key, Slot, Val};
+use fj::{base_for, grain_for, par_for, Access, Ctx};
 use metrics::{par_fill, par_tracked_chunks, RawTracked, ScratchPool, Tracked};
-use sortnet::{active_backend, select_cell, TagCell, TILE_RUN_BYTES};
+use sortnet::{active_backend, level_index, select_cell, TagCell, TILE_RUN_BYTES};
 use std::mem::size_of;
+use std::ops::Range;
 
 /// Stable, data-oblivious sort of `(key, val)` records ascending by key:
 /// one branchless cell network over `(key ‖ index, val)` tags.
@@ -259,15 +261,16 @@ pub fn compact_bounded<C: Ctx>(
     let base = base_for(c, size_of::<TagCell>());
     {
         let tr = t.as_raw();
+        let rank = |c: &C, i| ranks.get(c, i);
         c.join(
             |c| {
                 par_for(c, 0, full / w, 1, &|c, j| {
-                    gather(c, &tr, ranks, j * w, w, base, 0)
+                    gather(c, &tr, &rank, j * w, w, base, false)
                 })
             },
             |c| {
                 for (lo, size) in digits(full, tail) {
-                    gather(c, &tr, ranks, lo, size, base, 0);
+                    gather(c, &tr, &rank, lo, size, base, false);
                 }
             },
         );
@@ -414,119 +417,254 @@ fn compact_ranked<C: Ctx>(
     let m1 = 1 << m.ilog2();
     let m2 = m - m1;
     if m2 == 0 {
-        return gather(c, &t.as_raw(), Ranks::of(rank), 0, m, base, 0);
+        let ranks = Ranks::of(rank);
+        return gather(c, &t.as_raw(), &|c, i| ranks.get(c, i), 0, m, base, false);
     }
     let k = rank.get(c, m2) as usize;
     {
         let (mut t_lo, mut t_hi) = t.split_at_mut(m2);
         let (mut r_lo, r_hi) = rank.split_at_mut(m2);
+        let shift = (m1 - m2) as u64;
         c.join(
             move |c| compact_ranked(c, &mut t_lo, &mut r_lo, base),
             move |c| {
-                gather(
-                    c,
-                    &t_hi.as_raw(),
-                    Ranks::of(&r_hi),
-                    0,
-                    m1,
-                    base,
-                    (m1 - m2) as u64,
-                )
+                let rank = |c: &C, i| r_hi.get(c, i) + shift;
+                gather(c, &t_hi.as_raw(), &rank, 0, m1, base, false)
             },
         );
     }
     swap_pairs(c, &t.as_raw(), 0, m2, m1, k, false);
 }
 
+/// A record the compaction butterfly moves: a [`TagCell`], a bare `u128`
+/// key, or a slot. Both records of every pair are read and written whatever
+/// the verdict, which only ever picks between them.
+pub trait Swap: Copy + Send + Sync {
+    /// Conditionally exchange the pairs numbered `pairs` of one butterfly
+    /// level of half-width `h` — pair `p` is `(i, i + h)`,
+    /// `i = `[`level_index`]`(p, h)` — in that order, pair `i` swapping iff
+    /// `verdict(i)`: two reads, a unit of work and two writes a pair, the
+    /// accounting of [`sortnet::Backend::swap_level`], which cells run.
+    ///
+    /// # Safety
+    /// Every pair must be in bounds, and no concurrent task may access a
+    /// record of one.
+    #[inline]
+    unsafe fn swap_level<C: Ctx>(
+        c: &C,
+        t: &RawTracked<Self>,
+        h: usize,
+        pairs: Range<usize>,
+        mut verdict: impl FnMut(usize) -> bool,
+    ) {
+        for i in pairs.map(|p| level_index(p, h)) {
+            let (a, b) = (t.get(c, i), t.get(c, i + h));
+            c.work(1);
+            let (x, y) = if verdict(i) { (b, a) } else { (a, b) };
+            t.set(c, i, x);
+            t.set(c, i + h, y);
+        }
+    }
+
+    /// The pairs `(i, i + stride)` for `i` in `run`, the `k`-th swapping
+    /// iff `flip ⊕ (k ≥ pivot)` — a block's slab, inside one aligned
+    /// `2·stride`-block: [`Swap::swap_level`] with that verdict, which cells
+    /// run through [`sortnet::Backend::swap_slab`].
+    ///
+    /// # Safety
+    /// As [`Swap::swap_level`].
+    #[inline]
+    unsafe fn swap_slab<C: Ctx>(
+        c: &C,
+        t: &RawTracked<Self>,
+        run: Range<usize>,
+        stride: usize,
+        pivot: i64,
+        flip: bool,
+    ) {
+        // The inverse of `level_index`: the pair number of `run.start`.
+        let first = (run.start >> 1 & !(stride - 1)) | (run.start & (stride - 1));
+        let pairs = first..first + run.len();
+        Self::swap_level(c, t, stride, pairs, |i| {
+            flip ^ ((i - run.start) as i64 >= pivot)
+        })
+    }
+}
+
+/// Whole cells through the cell gate's swap runs: 256-bit exchanges where
+/// the hardware has them, the same trace and counters either way.
+impl Swap for TagCell {
+    #[inline]
+    unsafe fn swap_level<C: Ctx>(
+        c: &C,
+        t: &RawTracked<Self>,
+        h: usize,
+        pairs: Range<usize>,
+        mut verdict: impl FnMut(usize) -> bool,
+    ) {
+        active_backend().swap_level(c, t, h, pairs, |i, _, _| verdict(i))
+    }
+
+    #[inline]
+    unsafe fn swap_slab<C: Ctx>(
+        c: &C,
+        t: &RawTracked<Self>,
+        run: Range<usize>,
+        stride: usize,
+        pivot: i64,
+        flip: bool,
+    ) {
+        active_backend().swap_slab(c, t, run, stride, pivot, flip)
+    }
+}
+
+/// A bare key — ORP's `label ‖ key` cells — as two 64-bit words, each a
+/// masked xor-swap: a loop the compiler vectorizes where a `u128` select
+/// does not. The per-pair loop's accounting is replayed first (free off
+/// the meter), then the words move: the trace and the counters are the
+/// per-pair loop's.
+impl Swap for u128 {
+    #[inline]
+    unsafe fn swap_level<C: Ctx>(
+        c: &C,
+        t: &RawTracked<Self>,
+        h: usize,
+        pairs: Range<usize>,
+        mut verdict: impl FnMut(usize) -> bool,
+    ) {
+        let (buf, off, wpe) = (t.buf(), t.off(), t.wpe());
+        for i in pairs.clone().map(|p| level_index(p, h)) {
+            for (at, kind) in [(i, Access::Read), (i + h, Access::Read)] {
+                c.touch(buf, off + at as u64 * wpe, wpe, kind);
+                c.work(1);
+            }
+            c.work(1);
+            for at in [i, i + h] {
+                c.touch(buf, off + at as u64 * wpe, wpe, Access::Write);
+                c.work(1);
+            }
+        }
+        let words = t.as_mut_ptr().cast::<u64>();
+        let mut p = pairs.start;
+        while p < pairs.end {
+            let first = level_index(p, h);
+            let len = (h - (p & (h - 1))).min(pairs.end - p);
+            let (a, b) = (words.add(2 * first), words.add(2 * (first + h)));
+            for k in 0..len {
+                let mask = (verdict(first + k) as u64).wrapping_neg();
+                for j in [2 * k, 2 * k + 1] {
+                    let d = (*a.add(j) ^ *b.add(j)) & mask;
+                    *a.add(j) ^= d;
+                    *b.add(j) ^= d;
+                }
+            }
+            p += len;
+        }
+    }
+}
+
+/// A slot of any payload, through the per-pair loop. A unit-payload slot
+/// is laid out like a [`TagCell`]: callers move it as one
+/// (`slot::as_lanes`).
+impl<V: Val> Swap for Slot<V> {}
+
 /// Gather the reals of the aligned block `[lo, lo + n)` cyclically from
-/// position `rank[lo] + shift mod n`: both halves first (in parallel above
-/// `base`, level by level below it), then one swap level across them.
-fn gather<C: Ctx>(
+/// position `rank(lo) mod n`: both halves first (in parallel above `base`,
+/// level by level below it), then one swap level across them.
+///
+/// `spread` runs the same levels in the opposite order — the swap level
+/// first, then the halves — so it undoes the gathering: every level's
+/// swaps are their own inverse, and their verdicts read the ranks, never
+/// the records. Given what gathering would leave, spreading puts every
+/// record back where the ranks say it stood ([`crate::expand_by_loads`]).
+pub(crate) fn gather<C: Ctx, E: Swap>(
     c: &C,
-    t: &RawTracked<TagCell>,
-    rank: Ranks<'_, '_>,
+    t: &RawTracked<E>,
+    rank: &(impl Fn(&C, usize) -> u64 + Sync),
     lo: usize,
     n: usize,
     base: usize,
-    shift: u64,
+    spread: bool,
 ) {
     if n <= base {
-        let mut w = 2;
-        while w <= n {
-            swap_level(c, t, rank, lo, n, w, shift);
-            w *= 2;
+        let widths = (1..=n.trailing_zeros()).map(|k| 1 << k);
+        let mut level = |w| swap_level(c, t, rank, lo, n, w);
+        match spread {
+            false => widths.for_each(&mut level),
+            true => widths.rev().for_each(&mut level),
         }
         return;
     }
+    if spread {
+        swap_level(c, t, rank, lo, n, n);
+    }
     c.join(
-        |c| gather(c, t, rank, lo, n / 2, base, shift),
-        |c| gather(c, t, rank, lo + n / 2, n / 2, base, shift),
+        |c| gather(c, t, rank, lo, n / 2, base, spread),
+        |c| gather(c, t, rank, lo + n / 2, n / 2, base, spread),
     );
-    swap_level(c, t, rank, lo, n, n, shift);
+    if !spread {
+        swap_level(c, t, rank, lo, n, n);
+    }
 }
 
 /// One swap level over `[lo, lo + n)`: every aligned block of width `w`
 /// in it, its halves already gathered, gathers itself. With
-/// `z = rank[block] mod w` the block's offset and `cnt` the reals of its
+/// `z = rank(block) mod w` the block's offset and `cnt` the reals of its
 /// left half, the right half's reals start at `t = (z + cnt) mod w/2`, and
 /// pair `i` swaps iff `s ⊕ (i ≥ t)`, where `s` says whether the left
 /// half's run `[z mod w/2, z mod w/2 + cnt)` wraps exactly when `z` itself
-/// lies in the upper half. Every rank is read `+ shift`.
+/// lies in the upper half.
 ///
-/// A block's pairs go through the cell gate's
-/// [`swap_slab`](sortnet::Backend::swap_slab), a grain at a time. On a host
-/// (`!c.is_metered()`) a level whose runs are shorter than one tile run
-/// ([`TILE_RUN_BYTES`]) — one to sixteen pairs a block — is instead one
-/// `par_for` over grains of the level's pairs, a grain one
-/// [`swap_level`](sortnet::Backend::swap_level) call with the block's
-/// split inlined into the verdict: the pairs and the cells they leave are
-/// the same, only the calls are fewer. Metered contexts keep the block
-/// loop, whose fork tree and `work` the model counts.
-fn swap_level<C: Ctx>(
+/// A block's pairs go through [`Swap::swap_level`], a grain at a time. On
+/// a host (`!c.is_metered()`) a level whose runs are shorter than one tile
+/// run ([`TILE_RUN_BYTES`]) — a few pairs a block — is instead one
+/// `par_for` over grains of the level's pairs, a grain one `swap_level`
+/// call with the block's split inlined into the verdict: the pairs and the
+/// records they leave are the same, only the calls are fewer. Metered
+/// contexts keep the block loop, whose fork tree and `work` the model
+/// counts.
+fn swap_level<C: Ctx, E: Swap>(
     c: &C,
-    t: &RawTracked<TagCell>,
-    rank: Ranks<'_, '_>,
+    t: &RawTracked<E>,
+    rank: &(impl Fn(&C, usize) -> u64 + Sync),
     lo: usize,
     n: usize,
     w: usize,
-    shift: u64,
 ) {
     let h = w / 2;
     let grain = grain_for(c);
-    if !c.is_metered() && h * size_of::<TagCell>() < TILE_RUN_BYTES {
+    if !c.is_metered() && h * size_of::<E>() < TILE_RUN_BYTES {
         // `lo` is a multiple of `n`, hence of `w`: `lo / 2` pairs precede it.
         let (first, end) = (lo / 2, (lo + n) / 2);
-        let gate = active_backend();
         par_for(c, 0, (n / 2).div_ceil(grain), 1, &|c, k| {
             let pairs = first + k * grain..end.min(first + (k + 1) * grain);
             // Pairs come block by block: the split is taken once a block.
             let (mut at, mut cur) = (usize::MAX, (0, false));
-            let verdict = |i: usize, _, _| {
+            let verdict = |i: usize| {
                 let b = i & !(w - 1);
                 if b != at {
-                    (at, cur) = (b, split(c, rank, b, w, shift));
+                    (at, cur) = (b, split(c, rank, b, w));
                 }
                 cur.1 ^ (i & (h - 1) >= cur.0)
             };
-            // SAFETY: the caller owns `[lo, lo + n)` of the cells, and the
+            // SAFETY: the caller owns `[lo, lo + n)` of the records, and the
             // grains are disjoint runs of the level's pairs in it.
-            unsafe { gate.swap_level(c, t, h, pairs, verdict) };
+            unsafe { E::swap_level(c, t, h, pairs, verdict) };
         });
         return;
     }
     par_for(c, 0, n / w, (grain / h).max(1), &|c, b| {
         let lo = lo + b * w;
-        let (pivot, s) = split(c, rank, lo, w, shift);
+        let (pivot, s) = split(c, rank, lo, w);
         swap_pairs(c, t, lo, h, h, pivot, s);
     });
 }
 
 /// The pairs `(lo + i, lo + i + stride)`, `i < pairs`, pair `i` swapping
-/// iff `s ⊕ (i ≥ pivot)`: the cell gate's
-/// [`swap_slab`](sortnet::Backend::swap_slab), a grain at a time.
-fn swap_pairs<C: Ctx>(
+/// iff `s ⊕ (i ≥ pivot)`: [`Swap::swap_slab`], a grain at a time.
+fn swap_pairs<C: Ctx, E: Swap>(
     c: &C,
-    t: &RawTracked<TagCell>,
+    t: &RawTracked<E>,
     lo: usize,
     pairs: usize,
     stride: usize,
@@ -534,22 +672,21 @@ fn swap_pairs<C: Ctx>(
     s: bool,
 ) {
     let grain = grain_for(c);
-    let gate = active_backend();
     par_for(c, 0, pairs.div_ceil(grain), 1, &|c, k| {
         let from = k * grain;
         let run = lo + from..lo + pairs.min(from + grain);
         // SAFETY: the caller owns both runs of the pairs, `pairs ≤ stride`
         // apart, and the grains are disjoint.
-        unsafe { gate.swap_slab(c, t, run, stride, pivot as i64 - from as i64, s) };
+        unsafe { E::swap_slab(c, t, run, stride, pivot as i64 - from as i64, s) };
     });
 }
 
 /// The split of the `w`-block at `lo`, whose halves are gathered: pair
 /// `i` of the block swaps iff `s ⊕ (i ≥ pivot)` (see [`swap_level`]).
 #[inline(always)]
-fn split<C: Ctx>(c: &C, rank: Ranks<'_, '_>, lo: usize, w: usize, shift: u64) -> (usize, bool) {
+fn split<C: Ctx>(c: &C, rank: &impl Fn(&C, usize) -> u64, lo: usize, w: usize) -> (usize, bool) {
     let h = w / 2;
-    let (r_lo, r_mid) = (rank.get(c, lo) + shift, rank.get(c, lo + h) + shift);
+    let (r_lo, r_mid) = (rank(c, lo), rank(c, lo + h));
     c.work(1);
     let z = r_lo & (w as u64 - 1);
     let wraps = (z & (h as u64 - 1)) + (r_mid - r_lo) >= h as u64;

@@ -1,10 +1,10 @@
 //! The branchless cell gate: [`Backend`] is the [`Gate`] for packed
 //! [`TagCell`]s and for bare `u128` keys, with runtime-dispatched AVX2
 //! forms of the comparator run and of a whole bitonic stage for both, of
-//! compaction's index-driven swap slab ([`Backend::swap_slab`]) and of the
-//! target- or rank-driven swap level of expansion and compaction
-//! ([`Backend::swap_level`]), plus the whole-cell select the rewrite loops
-//! route through.
+//! the compaction butterfly's index-driven swap slab
+//! ([`Backend::swap_slab`]) and rank-driven swap level
+//! ([`Backend::swap_level`]) — run bottom-up to compact, top-down to
+//! expand — plus the whole-cell select the rewrite loops route through.
 //!
 //! # Dispatch model
 //!
@@ -106,8 +106,9 @@ fn resolve(requested: Backend, detected: Backend) -> Backend {
 
 impl Backend {
     /// Conditionally exchange the cell pairs `(i, i + stride)` for `i` in
-    /// `run`: the `k`-th pair swaps iff `flip ^ (k >= pivot)` — the swap
-    /// level of `obliv_core::compact_cells`, whose verdict is an index
+    /// `run`: the `k`-th pair swaps iff `flip ^ (k >= pivot)` — a block of
+    /// a swap level of `obliv_core::compact_cells`, or of bin placement's
+    /// expansion (the same butterfly run top-down), whose verdict is an index
     /// compare against a secret pivot rather than a tag compare. Both
     /// cells of every pair are read and written whatever the verdict;
     /// `pivot` and `flip` only ever feed the select mask.
@@ -150,10 +151,11 @@ impl Backend {
     /// aligned blocks of `2h` cells (`h` a power of two), pairs numbered
     /// block by block, `h` to a block — pair `p` is `(i, i + h)` with
     /// `i = `[`level_index`]`(p, h)`. The pairs numbered `pairs` run in that
-    /// order, and one swaps iff `verdict(i, tag of i, tag of i + h)` — the
-    /// swap level of `obliv_core::expand` (where each slot's target lies)
-    /// and, on a host, of `compact_cells`' narrow levels (the block's rank
-    /// split). One call covers as many blocks as
+    /// order, and one swaps iff `verdict(i, tag of i, tag of i + h)` — on a
+    /// host, the narrow levels of `obliv_core`'s compaction butterfly, run
+    /// bottom-up (`compact_cells`) or top-down (bin placement's
+    /// expansion), each block's rank split inlined into the verdict. One
+    /// call covers as many blocks as
     /// `pairs` spans, so the narrow levels — a pair or two to a block —
     /// cost one dispatch, not one per block. Both cells of every pair are
     /// read and written whatever the verdict, which only ever feeds the

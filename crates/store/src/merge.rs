@@ -12,9 +12,10 @@
 //! 1. the caller packs the pending-log ops and the padded batch into cells
 //!    keyed `(key ‖ seq)` and sorts them ([`sorted_ops`]; a sharded epoch
 //!    sorts its batch once for all its shards) — the only full sort left,
-//!    over the small op class `b₂ = pow2(|pending| + |batch|)`;
+//!    over the op class `p + b = |pending| + |batch|`, both public, and
+//!    padded to nothing;
 //! 2. lay out `[sorted ops descending | table ascending]` over
-//!    `m = cap + b₂` cells — bitonic, because the resident table is
+//!    `m = cap + p + b` cells — bitonic, because the resident table is
 //!    key-sorted by the previous rebuild — and run **one bitonic merge**
 //!    (`O(m log m)` comparators, not an `O(m log² m)` sort; `m` need not be
 //!    a power of two, [`Engine::merge_cells`]) to group each key's history
@@ -32,7 +33,7 @@
 //!    *candidates* lane, and one packed rank word — the answers before the
 //!    position in the low half, the candidates in the high half;
 //! 5. rebuild: the candidates lane is key-ordered with fillers between
-//!    its records, and no record moves left by more than `2·b₂` (fillers
+//!    its records, and no record moves left by more than `2(p + b)` (fillers
 //!    trail every real, and a real op leaves at most two non-candidates
 //!    ahead of a later record: itself and the record it supersedes or
 //!    clears), so one [`compact_bounded`] by that shift writes the
@@ -297,7 +298,7 @@ pub(crate) fn read_answers<C: Ctx>(c: &C, t: &Tracked<'_, TagCell>, b: usize) ->
 /// Run one merge epoch. `table` holds the resident records sorted by key
 /// (padded, public length) and is rebuilt at public capacity `cap_new`.
 /// `ops` holds `p` pending ops and a padded batch of `b` as [`sorted_ops`]
-/// leaves them, its reals within the first `pow2(p + b)` cells; the lease
+/// leaves them, `p + b` cells; the lease
 /// goes back once they are laid into the merge array. `readout` reads the
 /// `b`-cell answer window (answer cells tagged by slot, ascending, fillers
 /// last); it is returned with the refreshed analytics snapshot.
@@ -315,16 +316,16 @@ pub(crate) fn merge_epoch<C: Ctx, R>(
     readout: impl FnOnce(&Tracked<'_, TagCell>) -> R,
 ) -> (R, StoreStats) {
     let cap = table.len();
-    let b2 = (p + b).next_power_of_two();
+    let class = p + b;
     // The merge array is the table and the op class side by side: no
     // power-of-two padding (the merge and the compactions take any length).
-    let m = cap + b2;
+    let m = cap + class;
     assert!(m < 1 << 32, "ranks are packed two to a word");
 
     // 2. Merged array: the resident table is key-sorted (reals ascending,
     //    fillers last) by the previous rebuild, so one merge butterfly
     //    replaces the full sort of the concatenation.
-    let mut cells = bitonic_with_table(c, scratch, table, &ops[..b2]);
+    let mut cells = bitonic_with_table(c, scratch, table, &ops[..class]);
     // The op cells live on in `cells`; their lease goes back before the
     // `m`-sized lanes below are drawn.
     drop(ops);
@@ -391,14 +392,14 @@ pub(crate) fn merge_epoch<C: Ctx, R>(
     //    between them. A real op leaves at most two non-candidates ahead of
     //    a record (itself, and a record it supersedes or clears) and
     //    fillers trail every real, so no candidate moves left by more than
-    //    `2(p + b) ≤ 2·b₂`: one compaction bounded by that shift writes the
+    //    `2(p + b)`: one compaction bounded by that shift writes the
     //    new table at its public capacity — fillers past `m` when a full
     //    table grows beyond the merge array.
     table.resize(cap_new, TagCell::filler());
     let stats = {
         let mut tt = Tracked::new(c, table.as_mut_slice());
         let ranks = Ranks::high(&rank);
-        compact_bounded(c, &mut cand, ranks, Bound::Shift(2 * b2), &mut tt);
+        compact_bounded(c, &mut cand, ranks, Bound::Shift(2 * class), &mut tt);
         // Refresh the analytics snapshot with one reduce over the new table.
         par_reduce(
             c,
@@ -428,17 +429,17 @@ pub(crate) fn merge_epoch<C: Ctx, R>(
     (readout(&win), stats)
 }
 
-/// Pack `first ++ second` into cells keyed `(key ‖ 1-based position)` over
-/// their class `pow2(|first| + |second|)` and sort them. Dummies become
-/// fillers — every position is written exactly once regardless of contents.
+/// Pack `first ++ second` into cells keyed `(key ‖ 1-based position)`, one
+/// a position, and sort them. Dummies become fillers — every position is
+/// written exactly once regardless of contents.
 pub(crate) fn sorted_ops<'s, C: Ctx>(
     c: &C,
     scratch: &'s ScratchPool,
     first: &[FlatOp],
     second: &[FlatOp],
 ) -> ScratchGuard<'s, TagCell> {
-    let b2 = (first.len() + second.len()).next_power_of_two();
-    let mut ops = scratch.lease(b2, TagCell::filler());
+    let len = first.len() + second.len();
+    let mut ops = scratch.lease(len, TagCell::filler());
     for (j, (cell, f)) in ops.iter_mut().zip(first.iter().chain(second)).enumerate() {
         *cell = if f.kind == kind::DUMMY {
             TagCell::filler()
@@ -446,7 +447,7 @@ pub(crate) fn sorted_ops<'s, C: Ctx>(
             op_cell(f.key, 1 + j as u64, f.kind, f.val)
         };
     }
-    c.charge_par(b2 as u64);
+    c.charge_par(len as u64);
     ENGINE.sort_cells(c, scratch, &mut Tracked::new(c, &mut ops));
     ops
 }
@@ -899,7 +900,7 @@ mod tests {
 
     #[test]
     fn op_class_wider_than_the_table() {
-        // 40 puts against the 8-slot `MIN_CLASS` table: `b₂ = 64 > cap`,
+        // 40 puts against the 8-slot `MIN_CLASS` table: `p + b = 64 > cap`,
         // so the merge's first level pairs ops with ops and table records.
         let mut oracle = std::collections::HashMap::new();
         let mut table: Vec<TagCell> = [5u64, 17, 29, 41, 53]

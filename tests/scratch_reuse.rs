@@ -76,6 +76,18 @@ fn kernel_matrix_traces_survive_reuse() {
             let _ = orp_once(c, pool, &items, deep, 77);
         })
     };
+    // `oblivious_sort_u64`'s bare keys through the same butterfly: ORP's
+    // layout, placements, transposes and removal all on 16-byte cells.
+    let cells_deep_run = |pool: &ScratchPool| {
+        trace(|c| {
+            let mut keys: Vec<u64> = (0..400u64).map(|i| i * 7 % 401).collect();
+            let p = OSortParams {
+                orba: deep,
+                ..OSortParams::practical(400)
+            };
+            oblivious_sort_u64(c, pool, &mut keys, p, 77);
+        })
+    };
     let binplace_run = |pool: &ScratchPool| {
         trace(|c| {
             let mut slots: Vec<Slot<u64>> = (0..64u64)
@@ -133,6 +145,7 @@ fn kernel_matrix_traces_survive_reuse() {
     for (name, run) in [
         ("orp_once", &orp_run as &dyn Fn(&ScratchPool) -> (u64, u64)),
         ("orp_once (multi-level)", &orp_deep_run),
+        ("oblivious_sort_u64 (cells, multi-level)", &cells_deep_run),
         ("bin_place", &binplace_run),
         ("send_receive", &sr_run),
         ("randomized_shellsort", &shellsort_run),
