@@ -312,10 +312,22 @@ fn main() {
             .collect();
         let mut lane = loads.clone();
         let mut lane = metrics::Tracked::new(c, &mut lane);
-        expand_by_loads(c, &mut metrics::Tracked::new(c, &mut cells), &mut lane, z);
+        expand_by_loads(
+            c,
+            &scratch,
+            &mut metrics::Tracked::new(c, &mut cells),
+            &mut lane,
+            z,
+        );
         let mut lane = loads.clone();
         let mut lane = metrics::Tracked::new(c, &mut lane);
-        expand_by_loads(c, &mut metrics::Tracked::new(c, &mut slots), &mut lane, z);
+        expand_by_loads(
+            c,
+            &scratch,
+            &mut metrics::Tracked::new(c, &mut slots),
+            &mut lane,
+            z,
+        );
     });
 
     // Reserved key: `u128::MAX` marks a filler, so REC-SORT rejects it —

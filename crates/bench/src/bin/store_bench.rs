@@ -155,7 +155,7 @@ fn core_expand<C: fj::Ctx>(c: &C, scratch: &ScratchPool, m: usize) {
         *cell = j as u128;
     }
     let mut loads = Tracked::new(c, &mut loads);
-    expand_by_loads(c, &mut Tracked::new(c, &mut cells), &mut loads, z);
+    expand_by_loads(c, scratch, &mut Tracked::new(c, &mut cells), &mut loads, z);
 }
 
 /// Core kernel row: the merge epoch's scan shape — a segmented exclusive

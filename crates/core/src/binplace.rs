@@ -45,11 +45,12 @@
 use crate::engine::Engine;
 use crate::error::{OblivError, Result};
 use crate::expand::expand_by_loads;
-use crate::slot::{as_lanes, composite_key, is_bare, Item, Record, Slot, Val};
+use crate::slot::{as_lanes, composite_key, is_bare, Item, Slot, Val};
 use crate::tag_sort::Swap;
 use fj::{grain_for, par_reduce, Ctx};
-use metrics::{par_update, ScratchPool, Tracked};
+use metrics::{par_tracked_chunks, par_update, ScratchPool, Tracked};
 use sortnet::select_u64;
+use std::sync::atomic::{AtomicBool, Ordering};
 
 /// What a placement's caller knows — publicly, from the shape of the
 /// computation that produced the array — about where its reals sit.
@@ -80,6 +81,11 @@ pub enum Input {
 /// a sorted run for any later placement that routes on lower label bits.
 /// Labels are preserved; on return the high half of a real's `sk` holds
 /// its bin. Fillers are moved, never rewritten.
+///
+/// Cost beyond the sort: the loads pass reads the prefix once for every
+/// 32 bins, `O(nbins·zcap·⌈nbins/32⌉)` work for the whole array, and the
+/// expansion's `(m/2) log m` swaps, `m = nbins·zcap`; span `O(log² m)`
+/// after the sort. `m` must stay below `2³²`: a load word packs two ranks.
 pub fn bin_place<C: Ctx, V: Val>(
     c: &C,
     scratch: &ScratchPool,
@@ -129,7 +135,16 @@ fn window(nbins: usize, shift: u32) -> impl Fn(u64) -> u64 + Sync {
 /// A record the ORBA butterfly lays out, places and reads back: a slot, or
 /// a bare key's 16-byte `label ‖ key` cell ([`crate::slot::BareKey`]). ORP
 /// picks the record by the payload *type* (`is_bare`), never by the data.
-pub(crate) trait Placed<V: Val>: Record + Swap {
+pub(crate) trait Placed<V: Val>: Swap + 'static {
+    /// The filler: a slot's `⊥`, a cell's `u128::MAX`.
+    fn filler() -> Self;
+
+    /// Whether the record is a real, not the filler.
+    fn is_real(&self) -> bool;
+
+    /// The label a real is routed by.
+    fn label(&self) -> u64;
+
     /// A real carrying `item`, routed by `label`.
     fn real(item: Item<V>, label: u64) -> Self;
 
@@ -167,6 +182,21 @@ pub(crate) trait Placed<V: Val>: Record + Swap {
 }
 
 impl<V: Val> Placed<V> for Slot<V> {
+    #[inline]
+    fn filler() -> Self {
+        Slot::filler()
+    }
+
+    #[inline]
+    fn is_real(&self) -> bool {
+        self.sk != u128::MAX
+    }
+
+    #[inline]
+    fn label(&self) -> u64 {
+        self.sk as u64
+    }
+
     #[inline]
     fn real(item: Item<V>, label: u64) -> Self {
         Slot::real(item, label)
@@ -219,6 +249,21 @@ impl<V: Val> Placed<V> for Slot<V> {
 /// labels stay below `u64::MAX`.
 impl<V: Val> Placed<V> for u128 {
     #[inline]
+    fn filler() -> Self {
+        u128::MAX
+    }
+
+    #[inline]
+    fn is_real(&self) -> bool {
+        *self != u128::MAX
+    }
+
+    #[inline]
+    fn label(&self) -> u64 {
+        (*self >> 64) as u64
+    }
+
+    #[inline]
     fn real(item: Item<V>, label: u64) -> Self {
         debug_assert!(is_bare::<V>() && label < u64::MAX && item.key >> 64 == 0);
         composite_key(label, item.key as u64)
@@ -239,14 +284,15 @@ impl<V: Val> Placed<V> for u128 {
         shift: u32,
         engine: Engine,
     ) -> Result<()> {
-        let form = form(w, input, nbins, zcap);
+        let form = form::<V, _>(w, input, nbins, zcap);
         sort_cells(c, scratch, &mut w.range(0, form.prefix), &form, engine);
         let group = window(nbins, shift);
-        let bin = |cell: &u128| select_u64(cell.is_real(), u64::MAX, group(cell.label()));
+        let (real, label) = (<Self as Placed<V>>::is_real, <Self as Placed<V>>::label);
+        let bin = |cell: &u128| select_u64(real(cell), u64::MAX, group(label(cell)));
         let mut lane = scratch.lease(nbins, 0u64);
         let mut loads = Tracked::new(c, &mut lane);
         let overflow = count_loads(c, &w.range(0, form.prefix), zcap, &mut loads, &bin);
-        expand_by_loads(c, w, &mut loads, zcap);
+        expand_by_loads(c, scratch, w, &mut loads, zcap);
         verdict(overflow)
     }
 
@@ -259,7 +305,7 @@ impl<V: Val> Placed<V> for u128 {
         zcap: usize,
         engine: Engine,
     ) {
-        let form = form(w, input, nbins, zcap);
+        let form = form::<V, _>(w, input, nbins, zcap);
         sort_cells(c, scratch, &mut w.range(0, form.prefix), &form, engine);
     }
 }
@@ -267,7 +313,7 @@ impl<V: Val> Placed<V> for u128 {
 /// Where the reals of a placement's input can be (`prefix`), the run
 /// length its sort may assume, and whether the attempt is already void —
 /// the [`Input`] against the shape, checked.
-fn form<E: Record>(w: &Tracked<'_, E>, input: Input, nbins: usize, zcap: usize) -> Form {
+fn form<V: Val, E: Placed<V>>(w: &Tracked<'_, E>, input: Input, nbins: usize, zcap: usize) -> Form {
     let n_io = w.len();
     assert_eq!(n_io, nbins * zcap, "bin placement shape mismatch");
     assert!(nbins.is_power_of_two() && zcap.is_power_of_two());
@@ -313,8 +359,8 @@ pub(crate) fn place<C: Ctx, V: Val>(
     let bin = |s: &Slot<V>| s.phase_key();
     let overflow = count_loads(c, &w.range(0, form.prefix), zcap, &mut loads, &bin);
     match as_lanes(w) {
-        Some(mut cells) => expand_by_loads(c, &mut cells, &mut loads, zcap),
-        None => expand_by_loads(c, w, &mut loads, zcap),
+        Some(mut cells) => expand_by_loads(c, scratch, &mut cells, &mut loads, zcap),
+        None => expand_by_loads(c, scratch, w, &mut loads, zcap),
     }
     verdict(overflow)
 }
@@ -376,11 +422,15 @@ fn sort_cells<C: Ctx>(
 
 /// Step 2: every bin's load, read off the sorted prefix `w` in one
 /// fixed-pattern pass into `loads` (one word a bin), clamped to `zcap`.
-/// `bin(record)` is the record's bin, `u64::MAX` for a filler. A chunk of
+/// `bin(record)` is the record's bin, `u64::MAX` for a filler. The bins
+/// are counted `LANES` at a time, the groups in parallel: a chunk of
 /// records is read once into a byte per record — its bin, or `LANES` for
-/// one outside the pass — and every bin's lane counts the bytes equal to
-/// it: a compare, never an address, `LANES` bins a pass. Returns whether a
-/// load exceeded `zcap`: the placement's overflow, a public verdict.
+/// one outside the group — and every bin's lane counts the bytes equal to
+/// it: a compare, never an address. So the work is `O(n·⌈nbins/LANES⌉)`,
+/// one read of the prefix for placements of up to `LANES` bins (every
+/// ORBA and ORP level), and the span `O(log n + log nbins + chunk)`.
+/// Returns whether a load exceeded `zcap`: the placement's overflow, a
+/// public verdict.
 fn count_loads<C: Ctx, E: Copy + Sync>(
     c: &C,
     w: &Tracked<'_, E>,
@@ -391,27 +441,29 @@ fn count_loads<C: Ctx, E: Copy + Sync>(
     const LANES: usize = 32;
     const CHUNK: usize = 1024;
     let (n, chunk) = (w.len(), grain_for(c).min(CHUNK));
-    let mut overflow = false;
-    for base in (0..loads.len()).step_by(LANES) {
+    let lanes = loads.len().min(LANES);
+    let overflow = AtomicBool::new(false);
+    par_tracked_chunks(c, loads.borrow_mut(), lanes, &|c, k, mut group| {
+        let base = (k * LANES) as u64;
         let count = |c: &C, k: usize| -> [u32; LANES] {
             let mut bins = [0u8; CHUNK];
             let at = k * chunk..n.min((k + 1) * chunk);
             for (b, i) in bins.iter_mut().zip(at.clone()) {
-                *b = bin(&w.get(c, i))
-                    .wrapping_sub(base as u64)
-                    .min(LANES as u64) as u8;
+                *b = bin(&w.get(c, i)).wrapping_sub(base).min(LANES as u64) as u8;
             }
             let bins = &bins[..at.len()];
             std::array::from_fn(|l| bins.iter().map(|&b| (b == l as u8) as u32).sum())
         };
         let sum = |a: [u32; LANES], b: [u32; LANES]| std::array::from_fn(|l| a[l] + b[l]);
         let counts = par_reduce(c, 0, n.div_ceil(chunk), 1, &count, &sum).unwrap_or([0; LANES]);
-        for (l, &count) in counts.iter().enumerate().take(loads.len() - base) {
-            overflow |= count as usize > zcap;
-            loads.set(c, base + l, (count as u64).min(zcap as u64));
+        for (l, &count) in counts.iter().enumerate().take(lanes) {
+            if count as usize > zcap {
+                overflow.store(true, Ordering::Relaxed);
+            }
+            group.set(c, l, (count as u64).min(zcap as u64));
         }
-    }
-    overflow
+    });
+    overflow.into_inner()
 }
 
 /// Recompute every slot's scratch sort key in one fixed-pattern parallel
@@ -829,12 +881,15 @@ mod tests {
             let mut t = Tracked::new(&c, &mut v);
             let engine = Engine::BitonicRec;
             let r = E::place(&c, &sp, &mut t, input, nbins, zcap, shift, engine);
-            let of = |cell: u128| cell.is_real().then(|| (cell.label(), cell as u64));
+            let of = |cell: u128| (cell != u128::MAX).then_some(((cell >> 64) as u64, cell as u64));
             (r, v.iter().map(|e| of(from(e))).collect())
         }
         fn slot<V: Val>(cell: u128) -> Slot<V> {
-            match cell.is_real() {
-                true => Slot::real(Item::new(cell as u64 as u128, V::default()), cell.label()),
+            match cell != u128::MAX {
+                true => Slot::real(
+                    Item::new(cell as u64 as u128, V::default()),
+                    (cell >> 64) as u64,
+                ),
                 false => Slot::filler(),
             }
         }

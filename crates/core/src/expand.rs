@@ -26,26 +26,28 @@
 //! addresses, loop bounds and the fork tree are functions of `(m, Z)`
 //! alone (`obliv_check` row "expand (load-steered bins)").
 
+use crate::scan::map_scan;
 use crate::tag_sort::{gather, Swap};
 use fj::{base_for, Ctx};
-use metrics::Tracked;
+use metrics::{ScratchPool, Tracked};
 use sortnet::select_u64;
 use std::mem::size_of;
 
 /// Spread the packed run at the front of `t` into its bins of `zcap`
 /// records, bin `g` taking the next `loads[g]` reals (module docs).
-/// `t.len()` and `zcap` are powers of two, `loads` holds one word per bin,
-/// each at most `zcap`. On return `loads[g]` also holds, in its high 32
-/// bits, the rank of bin `g`'s first real.
+/// `t.len()` and `zcap` are powers of two, `t.len() < 2³²`, and `loads`
+/// holds one word per bin, each at most `zcap`. On return `loads[g]` also
+/// holds, in its high 32 bits, the rank of bin `g`'s first real.
 ///
-/// `(m/2) log m` swaps and `m − 1` block splits, each split reading two
-/// load words; in place, no comparators. The recursion runs depth-first
-/// down to [`base_for`]-sized blocks, so `Q = O((m/B) log(m/M))`, and the
-/// span is `O(log² m)` plus the pass over the `m/zcap` load words. Records
-/// are swapped through [`Swap::swap_level`]: cells a 256-bit exchange each
-/// where the hardware has it.
+/// An exclusive scan over the `m/zcap` load words, then `(m/2) log m`
+/// swaps and `m − 1` block splits, each split reading two load words; in
+/// place, no comparators. The recursion runs depth-first down to
+/// [`base_for`]-sized blocks, so `Q = O((m/B) log(m/M))`, and the span is
+/// `O(log² m)`. Records are swapped through [`Swap::swap_level`]: cells a
+/// 256-bit exchange each where the hardware has it.
 pub fn expand_by_loads<C: Ctx, E: Swap>(
     c: &C,
+    scratch: &ScratchPool,
     t: &mut Tracked<'_, E>,
     loads: &mut Tracked<'_, u64>,
     zcap: usize,
@@ -54,23 +56,40 @@ pub fn expand_by_loads<C: Ctx, E: Swap>(
     assert!(m.is_power_of_two() && zcap.is_power_of_two() && zcap <= m);
     assert_eq!(loads.len(), m / zcap, "one load per bin");
     assert!(m < 1 << 32, "a load word packs two ranks");
-    // Each bin's first rank beside its load: one pass over the bins, at
-    // public addresses.
-    let mut first = 0u64;
-    for g in 0..loads.len() {
-        let load = loads.get(c, g);
-        debug_assert!(load <= zcap as u64, "bin {g} holds {load} > {zcap}");
-        loads.set(c, g, first << 32 | load);
-        first += load;
-    }
-    let (loads, lg) = (&*loads, zcap.trailing_zeros());
+    first_ranks(c, scratch, loads, zcap);
+    spread(c, t, loads, zcap);
+}
+
+/// Each bin's first rank beside its load, `P[g] << 32 | L[g]`: an
+/// exclusive scan of the loads at public addresses, span `O(log(m/zcap))`.
+fn first_ranks<C: Ctx>(c: &C, scratch: &ScratchPool, loads: &mut Tracked<'_, u64>, zcap: usize) {
+    map_scan(
+        c,
+        scratch,
+        loads.borrow_mut(),
+        0u64,
+        &|a, b| a + b,
+        &|c, loads: &Tracked<'_, u64>, k| {
+            let load = loads.get(c, k);
+            debug_assert!(load <= zcap as u64, "a bin holds {load} > {zcap}");
+            (load, ())
+        },
+        &|c, loads, k, _, first, load, ()| loads.set(c, k, first << 32 | load),
+    );
+}
+
+/// The butterfly of [`expand_by_loads`] over words that already hold
+/// `P[g] << 32 | L[g]`: the rank of position `x = g·Z + o` is
+/// `P[g] + min(o, L[g])`.
+fn spread<C: Ctx, E: Swap>(c: &C, t: &mut Tracked<'_, E>, loads: &Tracked<'_, u64>, zcap: usize) {
+    let lg = zcap.trailing_zeros();
     let rank = |c: &C, x: usize| {
         let word = loads.get(c, x >> lg);
         let (offset, load) = ((x & (zcap - 1)) as u64, word & u32::MAX as u64);
         (word >> 32) + select_u64(offset > load, offset, load)
     };
     let base = base_for(c, size_of::<E>());
-    gather(c, &t.as_raw(), &rank, 0, m, base, true);
+    gather(c, &t.as_raw(), &rank, 0, t.len(), base, true);
 }
 
 #[cfg(test)]
@@ -122,6 +141,7 @@ mod tests {
         let mut lane = loads.to_vec();
         expand_by_loads(
             c,
+            &ScratchPool::new(),
             &mut Tracked::new(c, v),
             &mut Tracked::new(c, &mut lane),
             zcap,
@@ -253,14 +273,61 @@ mod tests {
     }
 
     #[test]
+    fn the_first_ranks_are_an_exclusive_scan() {
+        let c = SeqCtx::new();
+        let mut lane = vec![3u64, 0, 4, 4, 1];
+        first_ranks(&c, &ScratchPool::new(), &mut Tracked::new(&c, &mut lane), 4);
+        let expect: Vec<u64> = [(0, 3), (3, 0), (3, 4), (7, 4), (11, 1)]
+            .map(|(first, load)| first << 32 | load)
+            .into();
+        assert_eq!(lane, expect);
+    }
+
+    #[test]
     fn metered_span_is_polylog() {
-        // m = 4096 crosses the metered `base_for` cut (32 cells); the
-        // pass over the 16 load words adds two units a bin.
-        let m = 4096u64;
-        let lg = m.ilog2() as u64;
-        let rep = metered::<TagCell>(&[200; 16], 256);
-        assert!(rep.work >= 5 * (m / 2) * lg, "every pair is touched");
-        let bound = 2 * lg * lg + 2 * 16;
-        assert!(rep.span <= bound, "span {} is not O(log² m + G)", rep.span);
+        // m = 4096 crosses the metered `base_for` cut (32 cells). The
+        // butterfly's work is exact: each of the (m/2) log m pairs costs
+        // two reads, two writes and one verdict; each of the m − 1 block
+        // splits reads two load words and decides once; a level over an
+        // n-cell block forks n/2 − 1 times and the recursion m/32 − 1
+        // times (2 per fork + join), which telescopes to one fork per pair
+        // less log 32 per leaf block.
+        let (m, zcap) = (4096u64, 256usize);
+        let (lg, lg_base) = (m.ilog2() as u64, 5);
+        let loads = [200u64; 16];
+        let (_, rep) = measure(CacheConfig::default(), TraceMode::Hash, |c| {
+            let (mut v, _) = case::<TagCell>(&loads, zcap);
+            let mut lane: Vec<u64> = (0..16).map(|g| (200 * g) << 32 | 200).collect();
+            spread(
+                c,
+                &mut Tracked::new(c, &mut v),
+                &Tracked::new(c, &mut lane),
+                zcap,
+            );
+        });
+        let pairs = (m / 2) * lg;
+        let splits = m - 1;
+        assert_eq!(
+            rep.work,
+            5 * pairs + 3 * splits + 2 * (pairs - lg_base * (m >> lg_base))
+        );
+        assert!(
+            rep.span <= 2 * lg * lg,
+            "span {} is not O(log² m)",
+            rep.span
+        );
+        // The whole kernel adds the first-rank scan over the G = m/zcap
+        // load words, whose span grows with log G — from 4 bins to one
+        // bin a record, where a pass over the words would add 2G.
+        for zcap in [1024, 256, 64, 16, 4, 1] {
+            let lg_g = (m as usize / zcap).ilog2() as u64;
+            let rep = metered::<TagCell>(&vec![zcap as u64 / 2; m as usize / zcap], zcap);
+            let bound = 2 * lg * lg + 9 * lg_g;
+            assert!(
+                rep.span <= bound,
+                "span {} is not O(log² m + log G)",
+                rep.span
+            );
+        }
     }
 }

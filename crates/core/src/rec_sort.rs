@@ -37,9 +37,10 @@
 //! true of the initial layout and of every base-case output, and preserved
 //! by the bin-granular transposes. Packing and readout rely on it.
 
+use crate::binplace::Placed;
 use crate::engine::Engine;
 use crate::error::{OblivError, Result};
-use crate::slot::{as_lanes, Item, Record, Slot, Val};
+use crate::slot::{as_lanes, Item, Slot, Val};
 use fj::{grain_for, par_for, par_reduce, Ctx};
 use metrics::{par_fill, par_tracked_chunks, ScratchPool, Tracked};
 use rand::rngs::StdRng;
@@ -191,7 +192,7 @@ pub fn rec_sort_items<C: Ctx, V: Val>(
 /// index `i` of `bins` as `emit(c, i, real)`, and return `total`. Per-bin
 /// loads by binary search, a prefix sum, and one flat parallel pass, so
 /// the span stays logarithmic.
-pub(crate) fn pack_bins<C: Ctx, E: Record, O: Copy + Send>(
+pub(crate) fn pack_bins<C: Ctx, V: Val, E: Placed<V>, O: Copy + Send>(
     c: &C,
     pool: &ScratchPool,
     bins: &Tracked<'_, E>,

@@ -22,6 +22,9 @@
 //! only — in particular it does not depend on how full each bin is (the
 //! send-receive routing guarantee of §F).
 //!
+//! The kernel's cost and its `nbins·Z < 2³²` cap are [`crate::bin_place`]'s:
+//! the loads pass reads the sorted prefix once for every 32 bins.
+//!
 //! A bin wanted by more than `Z` elements voids the placement; the pass
 //! still completes with its fixed trace and reports
 //! [`crate::OblivError::BinOverflow`]. Callers either provision `Z` so

@@ -15,7 +15,7 @@
 //! bare key. `oblivious_sort_u64`'s records go one step further
 //! (`BareKey`): through ORP a record is its `u64` key, and ORBA's layout,
 //! every placement and the filler removal work on 16-byte `label ‖ key`
-//! cells (`Record`) — no slot is built. DESIGN.md §10 has the per-phase
+//! cells (`binplace::Placed`) — no slot is built. DESIGN.md §10 has the per-phase
 //! lane table.
 
 use metrics::Tracked;
@@ -124,7 +124,7 @@ impl<V: Val> Slot<V> {
 /// The payload of `oblivious_sort_u64`'s records: none. Through ORP such a
 /// record *is* its `u64` key, held in the low half of [`Item::key`], so ORP
 /// lays it out with its label as one 16-byte `label ‖ key` cell and keeps
-/// it so to the end ([`Record`]); after ORP the key moves to the high half
+/// it so to the end (`binplace::Placed`); after ORP the key moves to the high half
 /// with a tiebreak coin below it. Crate-private: only that entry point
 /// makes one, so the narrow route is chosen by type and never truncates a
 /// caller's key ([`is_bare`]).
@@ -136,49 +136,6 @@ pub(crate) struct BareKey;
 #[inline]
 pub(crate) fn is_bare<V: Val>() -> bool {
     TypeId::of::<V>() == TypeId::of::<BareKey>()
-}
-
-/// A record of a bin layout: a [`Slot`], or a bare key's 16-byte
-/// `label ‖ key` cell ([`BareKey`]) — the routing label in the high half,
-/// `u128::MAX` the filler.
-pub(crate) trait Record: Copy + Send + Sync + 'static {
-    fn filler() -> Self;
-    fn is_real(&self) -> bool;
-    fn label(&self) -> u64;
-}
-
-impl<V: Val> Record for Slot<V> {
-    #[inline]
-    fn filler() -> Self {
-        Slot::filler()
-    }
-
-    #[inline]
-    fn is_real(&self) -> bool {
-        self.sk != u128::MAX
-    }
-
-    #[inline]
-    fn label(&self) -> u64 {
-        self.sk as u64
-    }
-}
-
-impl Record for u128 {
-    #[inline]
-    fn filler() -> Self {
-        u128::MAX
-    }
-
-    #[inline]
-    fn is_real(&self) -> bool {
-        *self != u128::MAX
-    }
-
-    #[inline]
-    fn label(&self) -> u64 {
-        (*self >> 64) as u64
-    }
 }
 
 /// A record type whose values, when its payload is zero-sized, are exactly
