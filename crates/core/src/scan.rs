@@ -7,14 +7,14 @@
 //! threads per PRAM step of the doubling algorithm (Table 2 rows "Aggr" and
 //! "Prop"). Both schedules are implemented here:
 //!
-//! * [`Schedule::Tree`] — recursive reduce/distribute tree: each tree node
-//!   is a constant-work fork, so the span is `O(log n)` (ours). A leaf of
-//!   the tree is a sequential run of [`fj::grain_for`] elements, reduced
-//!   and re-swept in place — the rule every loop and recursion cut-off in
-//!   the workspace follows (`grain_for` / [`fj::base_for`]): one element
-//!   on metered contexts, so the measured span is the model's; a
-//!   fork-amortizing run on host executors, where the tree then spans
-//!   only the `⌈n/grain⌉` block totals;
+//! * [`Schedule::Tree`] — one up/down walk over a reduce tree whose nodes
+//!   are constant-work forks, so the span is `O(log n)` (ours). It is
+//!   [`map_scan`], the tree walk every scan in the workspace runs (the
+//!   store's merge walk and the expansion's first ranks too): a leaf is a
+//!   sequential run of [`fj::grain_for`] positions, but at least two,
+//!   reduced and re-swept in place, and the tree stores one left total
+//!   per run.
+//!   A suffix scan walks the same tree over a mirrored view of the lane;
 //! * [`Schedule::Levels`] — the Blelloch up/down sweeps evaluated level by
 //!   level with a parallel loop (and its fork tree) per level:
 //!   `Σ_d O(log(n/2^d)) = O(log² n)` span (prior best).
@@ -23,8 +23,8 @@
 //! `n`.
 
 use crate::slot::Val;
-use fj::{grain_for, par_for, Ctx};
-use metrics::{par_fill, ScratchPool, Tracked};
+use fj::{grain_for, Ctx};
+use metrics::{par_fill, par_tracked_chunks, ScratchPool, Tracked};
 use sortnet::select_u64;
 
 /// Which parallel schedule evaluates the scan.
@@ -36,12 +36,17 @@ pub enum Schedule {
     Levels,
 }
 
-/// Generic scan with an associative `combine` and two-sided identity `id`
-/// (identity is only ever combined on the right of live data, so a
-/// right-identity suffices — see [`seg_propagate_in`]).
+/// Generic scan with an associative `combine` and a seed `id`.
 ///
 /// * `inclusive` — include the element itself in its result;
 /// * `reverse` — scan right-to-left (suffix scan).
+///
+/// `id` is position 0's exclusive result. The results depend on it only
+/// through `combine(id, x)`, `x` the combined elements of a range that
+/// starts at position 0 (in scan direction); the level sweeps also pad the
+/// tree with it, but no padding reaches a result. So `combine(id, x) = x`
+/// is needed for those `x` alone: [`seg_propagate_in`]'s `id` is no
+/// identity, but every such range there starts with a segment head.
 ///
 /// Work `O(n)`, cache `O(n/B)`, span per [`Schedule`]. The tree scratch is
 /// a [`ScratchPool`] lease.
@@ -60,150 +65,88 @@ pub fn scan_in<C, S, OP>(
     S: Val,
     OP: Fn(S, S) -> S + Sync,
 {
-    let n = data.len();
-    if n == 0 {
+    if data.is_empty() {
         return;
     }
     match sched {
-        Schedule::Tree => {
-            // Leaf width: see the module docs.
-            let grain = grain_for(c);
-            let blocks = n.div_ceil(grain);
-            let m = blocks.next_power_of_two();
-            // Block totals live at [m, m + blocks), their reduce tree
-            // above them; the padding leaves keep the lease's `id`.
-            let mut tree_store = scratch.lease(2 * m, id);
-            let mut tree = Tracked::new(c, &mut tree_store);
-            let t = TreeScan {
-                tree: tree.as_raw(),
-                data: data.as_raw(),
-                combine,
-                n,
-                grain,
-                blocks,
-                m,
-                inclusive,
-                reverse,
-            };
-            t.up(c, 1);
-            t.down(c, 1, id);
+        Schedule::Tree if reverse => {
+            tree_scan(c, scratch, Rev(data.borrow_mut()), id, combine, inclusive)
         }
+        Schedule::Tree => tree_scan(c, scratch, data.borrow_mut(), id, combine, inclusive),
         Schedule::Levels => levels_scan(c, scratch, data, id, combine, inclusive, reverse),
     }
 }
 
-/// One [`Schedule::Tree`] scan: `data` cut into `blocks` runs of `grain`
-/// logical positions (the last may be short), and a reduce tree of `2m`
-/// nodes over the block totals (root 1, block `b` at leaf `m + b`).
-struct TreeScan<'a, S, OP> {
-    tree: metrics::RawTracked<S>,
-    data: metrics::RawTracked<S>,
-    combine: &'a OP,
-    n: usize,
-    grain: usize,
-    blocks: usize,
-    m: usize,
+/// [`Schedule::Tree`]: a [`map_scan`] that maps each position to its own
+/// element and writes back its prefix, combined with the element when
+/// `inclusive`.
+fn tree_scan<C, L, S, OP>(
+    c: &C,
+    scratch: &ScratchPool,
+    lane: L,
+    id: S,
+    combine: &OP,
     inclusive: bool,
-    reverse: bool,
+) where
+    C: Ctx,
+    L: Lane<S>,
+    S: Val,
+    OP: Fn(S, S) -> S + Sync,
+{
+    let map = |c: &C, lane: &L, k| (lane.at(c, k), ());
+    // One consumer per mode, not one that tests `inclusive`: the write may
+    // alias the captured flag, so a host leaf would reload and test it at
+    // every position.
+    if inclusive {
+        let consume = |c: &C, lane: &mut L, k, _, prefix, own, ()| {
+            c.work(1);
+            lane.put(c, k, combine(prefix, own))
+        };
+        map_scan(c, scratch, lane, id, combine, &map, &consume);
+    } else {
+        let consume = |c: &C, lane: &mut L, k, _, prefix, _, ()| lane.put(c, k, prefix);
+        map_scan(c, scratch, lane, id, combine, &map, &consume);
+    }
 }
 
-impl<S: Val, OP: Fn(S, S) -> S + Sync> TreeScan<'_, S, OP> {
-    /// Physical index of logical (scan-order) position `j`.
-    #[inline(always)]
-    fn at(&self, j: usize) -> usize {
-        if self.reverse {
-            self.n - 1 - j
-        } else {
-            j
-        }
-    }
+/// One lane of elements in scan order.
+trait Lane<S>: Lanes {
+    fn at<C: Ctx>(&self, c: &C, k: usize) -> S;
+    fn put<C: Ctx>(&mut self, c: &C, k: usize, v: S);
+}
 
-    /// Whether every leaf under `node` is padding (prunes the walks so
-    /// work stays `O(n)` whatever `m − blocks` is).
-    fn is_empty(&self, mut node: usize) -> bool {
-        while node < self.m {
-            node *= 2;
-        }
-        node - self.m >= self.blocks
+impl<S: Copy + Send + Sync> Lane<S> for Tracked<'_, S> {
+    fn at<C: Ctx>(&self, c: &C, k: usize) -> S {
+        self.get(c, k)
     }
-
-    /// Up-sweep: reduce every block straight out of `data`, then combine
-    /// the totals pairwise up the tree.
-    fn up<C: Ctx>(&self, c: &C, node: usize) {
-        if self.is_empty(node) {
-            return;
-        }
-        if node >= self.m {
-            let b = node - self.m;
-            // The last block's total is no position's prefix.
-            if b + 1 < self.blocks {
-                let lo = b * self.grain;
-                // SAFETY: nothing writes `data` during the up-sweep; this
-                // leaf is written only here.
-                unsafe {
-                    let mut acc = self.data.get(c, self.at(lo));
-                    for j in lo + 1..lo + self.grain {
-                        c.work(1);
-                        acc = (self.combine)(acc, self.data.get(c, self.at(j)));
-                    }
-                    self.tree.set(c, node, acc);
-                }
-            }
-            return;
-        }
-        c.join(|c| self.up(c, 2 * node), |c| self.up(c, 2 * node + 1));
-        // SAFETY: children finished; this node written only here.
-        unsafe {
-            let l = self.tree.get(c, 2 * node);
-            let r = self.tree.get(c, 2 * node + 1);
-            c.work(1);
-            self.tree.set(c, node, (self.combine)(l, r));
-        }
+    fn put<C: Ctx>(&mut self, c: &C, k: usize, v: S) {
+        self.set(c, k, v)
     }
+}
 
-    /// Down-sweep: `acc` is the combined value of everything before the
-    /// leaves under `node`; each block finishes with a sequential pass.
-    fn down<C: Ctx>(&self, c: &C, node: usize, acc: S) {
-        if self.is_empty(node) {
-            return;
-        }
-        if node >= self.m {
-            let lo = (node - self.m) * self.grain;
-            let hi = (lo + self.grain).min(self.n);
-            let mut acc = acc;
-            // SAFETY: blocks are disjoint and `at` is a bijection, so each
-            // data slot is read and written by this task alone.
-            unsafe {
-                if self.inclusive {
-                    for j in lo..hi {
-                        let i = self.at(j);
-                        c.work(1);
-                        acc = (self.combine)(acc, self.data.get(c, i));
-                        self.data.set(c, i, acc);
-                    }
-                } else {
-                    // The block's last element feeds no later prefix, so
-                    // it is overwritten unread.
-                    for j in lo..hi - 1 {
-                        let i = self.at(j);
-                        let x = self.data.get(c, i);
-                        self.data.set(c, i, acc);
-                        c.work(1);
-                        acc = (self.combine)(acc, x);
-                    }
-                    self.data.set(c, self.at(hi - 1), acc);
-                }
-            }
-            return;
-        }
-        // SAFETY: the left child's total was finalized during `up`.
-        let left_total = unsafe { self.tree.get(c, 2 * node) };
-        c.work(1);
-        let right_acc = (self.combine)(acc, left_total);
-        c.join(
-            |c| self.down(c, 2 * node, acc),
-            |c| self.down(c, 2 * node + 1, right_acc),
-        );
+/// A lane read back to front: position `k` is the inner lane's
+/// `len − 1 − k`, so a split at `mid` splits the inner lane at
+/// `len − mid` and swaps the halves.
+struct Rev<'a, S>(Tracked<'a, S>);
+
+impl<S: Copy + Send + Sync> Lanes for Rev<'_, S> {
+    fn len(&self) -> usize {
+        self.0.len()
+    }
+    fn split(self, mid: usize) -> (Self, Self) {
+        let at = self.0.len() - mid;
+        let (front, back) = self.0.split(at);
+        (Rev(back), Rev(front))
+    }
+}
+
+impl<S: Copy + Send + Sync> Lane<S> for Rev<'_, S> {
+    fn at<C: Ctx>(&self, c: &C, k: usize) -> S {
+        self.0.get(c, self.0.len() - 1 - k)
+    }
+    fn put<C: Ctx>(&mut self, c: &C, k: usize, v: S) {
+        let i = self.0.len() - 1 - k;
+        self.0.set(c, i, v)
     }
 }
 
@@ -222,14 +165,14 @@ fn levels_scan<C, S, OP>(
 {
     let n = data.len();
     let m = n.next_power_of_two();
+    // Physical index of logical (scan-order) position `j`.
+    let at = |j: usize| if reverse { n - 1 - j } else { j };
 
-    // Gather leaves (logical order: reversed for suffix scans) into a
-    // padded scratch tree of size 2m; leaves live at [m, 2m).
+    // Gather leaves in logical order into a padded scratch tree of size
+    // 2m; leaves live at [m, 2m).
     let mut tree_store = scratch.lease(2 * m, id);
     let mut tree = Tracked::new(c, &mut tree_store);
-    par_fill(c, &mut tree.range(m, m + n), &|c, j| {
-        data.get(c, if reverse { n - 1 - j } else { j })
-    });
+    par_fill(c, &mut tree.range(m, m + n), &|c, j| data.get(c, at(j)));
 
     // Work on the leaf row [m, 2m) of the scratch; keep original leaves for
     // the inclusive fix-up.
@@ -239,58 +182,41 @@ fn levels_scan<C, S, OP>(
         par_fill(c, &mut orig, &|c, j| tree.get(c, m + j));
     }
 
-    let tr = tree.as_raw();
-    // Up-sweep.
-    let mut offset = 1;
-    while offset < m {
-        let step = offset * 2;
-        par_for(c, 0, m / step, grain_for(c), &|c, i| {
-            let idx = m + i * step;
-            // SAFETY: disjoint `idx` ranges per i.
-            unsafe {
-                let a = tr.get(c, idx + offset - 1);
-                let b = tr.get(c, idx + step - 1);
-                c.work(1);
-                tr.set(c, idx + step - 1, combine(a, b));
-            }
+    // Up-sweep: each run of `step` leaves stores its total in its last.
+    let mut step = 2;
+    while step <= m {
+        par_tracked_chunks(c, tree.range(m, 2 * m), step, &|c, _, mut run| {
+            let a = run.get(c, step / 2 - 1);
+            let b = run.get(c, step - 1);
+            c.work(1);
+            run.set(c, step - 1, combine(a, b));
         });
-        offset = step;
+        step *= 2;
     }
     // Down-sweep (exclusive).
     tree.set(c, 2 * m - 1, id);
-    let tr = tree.as_raw();
-    let mut offset = m / 2;
-    while offset >= 1 {
-        let step = offset * 2;
-        par_for(c, 0, m / step, grain_for(c), &|c, i| {
-            let idx = m + i * step;
-            // SAFETY: disjoint `idx` ranges per i.
-            unsafe {
-                let t = tr.get(c, idx + offset - 1);
-                let top = tr.get(c, idx + step - 1);
-                c.work(1);
-                tr.set(c, idx + offset - 1, top);
-                // `top` is the prefix arriving from the parent and `t` the
-                // left subtotal: parent-prefix first (combine need not be
-                // commutative — segmented scans are not).
-                tr.set(c, idx + step - 1, combine(top, t));
-            }
+    while step > 2 {
+        step /= 2;
+        par_tracked_chunks(c, tree.range(m, 2 * m), step, &|c, _, mut run| {
+            let t = run.get(c, step / 2 - 1);
+            let top = run.get(c, step - 1);
+            c.work(1);
+            run.set(c, step / 2 - 1, top);
+            // `top` is the prefix arriving from the parent and `t` the
+            // left subtotal: parent-prefix first (combine need not be
+            // commutative — segmented scans are not).
+            run.set(c, step - 1, combine(top, t));
         });
-        offset /= 2;
     }
     // Write back (with inclusive fix-up); a suffix scan lands mirrored.
-    let dr = data.as_raw();
-    par_for(c, 0, n, grain_for(c), &|c, j| {
-        let dst = if reverse { n - 1 - j } else { j };
-        let ex = tree.get(c, m + j);
-        let out = if inclusive {
+    par_fill(c, data, &|c, i| {
+        let ex = tree.get(c, m + at(i));
+        if inclusive {
             c.work(1);
-            combine(ex, orig.get(c, j))
+            combine(ex, orig.get(c, at(i)))
         } else {
             ex
-        };
-        // SAFETY: bijective logical-index map.
-        unsafe { dr.set(c, dst, out) };
+        }
     });
 }
 
@@ -352,8 +278,9 @@ impl<A: Lanes, B: Lanes, D: Lanes> Lanes for (A, B, D) {
 /// `consume(c, lanes, k, i, prefix, own, x)` once per position, in order
 /// within a leaf run, with the combined elements of `[0, i)` (`id` at 0)
 /// and of `i` itself and `map`'s extra `x`: `lanes` is the leaf run's
-/// piece and `k` is `i`'s index in it. `combine` is associative and `id` a
-/// left identity of it.
+/// piece and `k` is `i`'s index in it. `combine` is associative. `id` is
+/// combined only on the left, and only of the combined elements of some
+/// `[0, i]`, so it need be a left identity of those alone.
 ///
 /// `map` may read position `k` and the one after it, where there is one
 /// (`k + 1 < lanes.len()`: a position whose successor lies in another
@@ -479,16 +406,18 @@ impl<S: Val, OP: Fn(S, S) -> S + Sync, M, F: Sync> MapScan<'_, S, OP, M, F> {
         F: Fn(&C, &mut L, usize, usize, S, S, X) + Sync,
     {
         if hi - lo == 1 {
-            let (first, end) = (lo * self.grain, lanes.len() - 1);
-            let mut acc = acc;
-            for k in 0..end {
+            // Bounded by the lanes' length, the loop keeps no index check
+            // a position (over `0..len − 1` the compiler keeps one).
+            let (first, mut acc, mut k) = (lo * self.grain, acc, 0);
+            while k + 1 < lanes.len() {
                 let (own, x) = (self.map)(c, &lanes, k);
                 (self.consume)(c, &mut lanes, k, first + k, acc, own, x);
                 c.work(1);
                 acc = (self.combine)(acc, own);
+                k += 1;
             }
-            let (own, x) = last.unwrap_or_else(|| (self.map)(c, &lanes, end));
-            return (self.consume)(c, &mut lanes, end, first + end, acc, own, x);
+            let (own, x) = last.unwrap_or_else(|| (self.map)(c, &lanes, k));
+            return (self.consume)(c, &mut lanes, k, first + k, acc, own, x);
         }
         let mid = lo + (hi - lo) / 2;
         let (left, rest) = tree.split(mid - lo - 1);
@@ -548,28 +477,6 @@ impl<V> Seg<V> {
     }
 }
 
-fn seg_combine<V: Val, OP: Fn(V, V) -> V + Sync>(
-    op: &OP,
-) -> impl Fn(Seg<V>, Seg<V>) -> Seg<V> + Sync + '_ {
-    // The head flags are secret-dependent values living in tracked
-    // memory; under Definition 1 only the *addresses* are observable, so
-    // this branch leaks nothing — the concrete `u64` scans below still
-    // route through word selects as best-effort hardening, matching the
-    // branchless discipline of the `sortnet::vec` kernel layer. The
-    // generic combine keeps the branch because `V` cannot be mask-selected
-    // generically.
-    move |a, b| {
-        if b.head {
-            b
-        } else {
-            Seg {
-                head: a.head || b.head,
-                v: op(a.v, b.v),
-            }
-        }
-    }
-}
-
 /// Branchless segmented combine over `u64` values: the inner-loop gate of
 /// the store's segmented LWW/aggregation scans. `head` composes with
 /// boolean arithmetic and the value lane with a [`select_u64`] mask — no
@@ -601,14 +508,17 @@ pub fn seg_propagate_in<C: Ctx, V: Val>(
         t.is_empty() || t.get(c, 0).head,
         "element 0 must head a segment"
     );
-    // Left projection is associative and right-identity for any id value,
-    // which is all `scan` requires (identity only pads on the right).
+    // The last head wins. `id` is no identity of that, but the scan
+    // combines it only on the left of ranges that start at element 0, and
+    // each of those holds a head. The head flags are secret, but only
+    // addresses are observable (Definition 1), so the branch leaks nothing;
+    // `V` cannot be mask-selected generically.
     scan_in(
         c,
         scratch,
         t,
         Seg::new(false, V::default()),
-        &seg_combine(&|a, _b| a),
+        &|a: Seg<V>, b: Seg<V>| if b.head { b } else { a },
         true,
         false,
         sched,
@@ -869,7 +779,8 @@ mod tests {
     }
 
     /// `scan_in` against a sequential fold, every direction and
-    /// inclusivity, at sizes around the host leaf width `g`.
+    /// inclusivity, at sizes around the host leaf width `g` (odd and even
+    /// ones, so the meter's two-position runs end short and full).
     fn check_against_fold<C: Ctx, S: Val + PartialEq + std::fmt::Debug>(
         c: &C,
         g: usize,
@@ -912,8 +823,8 @@ mod tests {
 
     #[test]
     fn host_leaf_runs_match_a_sequential_fold() {
-        // Metered contexts never see a leaf wider than one element; the
-        // host executors scan `grain_for` runs, so the block seams are
+        // The host executors scan `grain_for` runs and the meter runs of
+        // two positions, so every block seam, forwards and mirrored, is
         // tested here, with monoids that do not commute.
         let seg = |i: usize| Seg::new(i.wrapping_mul(0x9E37).is_multiple_of(5), i as u64 + 1);
         let seg_add = seg_combine_u64(|a, b| a.wrapping_add(b));
@@ -929,13 +840,18 @@ mod tests {
             check_against_fold(c, g, seg, Seg::new(false, 0), &seg_add);
             check_against_fold(c, g, lww, (false, 0), &right_wins);
         });
+        measure(CacheConfig::default(), TraceMode::Off, |c| {
+            check_against_fold(c, g, seg, Seg::new(false, 0), &seg_add);
+            check_against_fold(c, g, lww, (false, 0), &right_wins);
+        });
     }
 
     #[test]
     fn metered_counters_not_above_the_leaf_copy_tree() {
         // `[work, span, cache_misses, trace_len]` at n = 4096 of the scan
         // that copied every leaf into a `2m` tree first (the parent of the
-        // grain-leaf rewrite); one-element leaves must not cost more.
+        // grain-leaf rewrite); the walk over metered leaf runs must not
+        // cost more.
         let n = 4096;
         let at_most = |r: metrics::CostReport, old: [u64; 4], what: &str| {
             let new = [r.work, r.span, r.cache_misses, r.trace_len];

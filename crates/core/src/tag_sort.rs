@@ -884,7 +884,7 @@ mod tests {
         let r = metered_compact(4096, |i| i % 3 == 0);
         assert_eq!(
             [r.work, r.span, r.cache_misses, r.trace_len],
-            [256751, 412, 3459, 147448]
+            [236261, 395, 2965, 135162]
         );
     }
 
