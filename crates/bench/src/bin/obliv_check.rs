@@ -807,6 +807,53 @@ fn main() {
         },
     );
 
+    // The store's ORAM path: every sub-threshold epoch is one OPRAM step,
+    // one walk per op, its key's run deciding which walks are real. At a
+    // fixed key sequence (a repeat in each epoch) neither the values nor
+    // which ops get, put or delete move a single event.
+    let oram_store = |c: &MeterCtx, keys: &[u64], op: &dyn Fn(usize, u64) -> Op| {
+        let sp = ScratchPool::new();
+        let mut cfg = StoreConfig::with_oram(256);
+        cfg.oram_threshold = 32;
+        let mut s = Store::new(cfg);
+        for e in 0..4 {
+            let ops: Vec<Op> = (0..)
+                .zip(keys)
+                .map(|(i, &k)| op(e * keys.len() + i, k))
+                .collect();
+            assert_eq!(s.epoch_path(ops.len()), store::EpochPath::Oram);
+            s.execute_epoch(c, &sp, &ops).unwrap();
+        }
+    };
+    let keys: Vec<u64> = vec![5, 42, 5, 200, 17, 42, 99, 5];
+    all_ok &= row("store ORAM path (values, op kinds)", &FOUR, |c, &salt| {
+        oram_store(c, &keys, &|i, key| match (i as u64 + salt) % 3 {
+            0 => Op::Put {
+                key,
+                val: i as u64 * 7 + salt,
+            },
+            1 => Op::Get { key },
+            _ => Op::Delete { key },
+        });
+    });
+
+    // ...and trace-*length* invariance across collisions: every op of an
+    // epoch on one key against every op on its own. The same walks are
+    // made, on uniform leaves, whichever of them are real.
+    let t: Vec<_> = [[9u64; 8], [3, 250, 17, 64, 128, 0, 99, 201]]
+        .iter()
+        .map(|keys| {
+            let (_, len) = trace(|c| {
+                oram_store(c, keys, &|i, key| match i % 2 {
+                    0 => Op::Put { key, val: i as u64 },
+                    _ => Op::Get { key },
+                })
+            });
+            (0, len) // compare lengths only
+        })
+        .collect();
+    all_ok &= check("store ORAM path (collisions, trace-len)", &t);
+
     println!(
         "\n{}",
         if all_ok {

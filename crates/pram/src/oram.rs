@@ -11,60 +11,73 @@
 //!   `w`-bit fields, `w` = that width rounded up to a power of two and at
 //!   least 8, so one 64-bit entry holds χ = 64 / w leaves (χ = 4 for
 //!   10-bit leaves, 8 for 5- to 8-bit ones). The levels stop at a flat top
-//!   map, scanned in full (fixed pattern), at the depth that minimises an
-//!   access's tracked touches: the per-tree count below, summed over the
-//!   trees, plus 2 per top entry;
+//!   map, scanned in full (fixed pattern), at the depth that minimises a
+//!   single access's tracked touches: the per-tree count below at `p = 1`,
+//!   summed over the trees, plus 2 per top entry;
 //! * **fixed-capacity stash** with deterministic reverse-lexicographic
-//!   eviction of two paths per access, evicted *jointly* (overflow is
-//!   monitored, not proven);
-//! * **batched accesses**: conflict resolution by oblivious sort, one walk
-//!   per request — the head of each address run served, every duplicate a
-//!   dummy walk of the same shape on fresh uniform leaves — and results
-//!   broadcast back with oblivious send-receive — the fetch/route structure
-//!   of \[CCS17\]'s per-step simulation.
+//!   eviction, two paths per request, all of a step's paths evicted
+//!   *jointly* (overflow is monitored, not proven);
+//! * **one step per batch** ([`Opram::step`]): the top map scanned once for
+//!   all `p` requests, then every tree, coarsest first, walked by one
+//!   [`TreeOram`] step — requests that share an address at that level make
+//!   one real walk, the rest dummy walks of the same shape on fresh uniform
+//!   leaves, and the real walk writes back its map entry with every group
+//!   member's new leaf. [`Opram::access_batch`] (the PRAM step: priority
+//!   writes, every request sees the pre-step value) and the store's
+//!   sequential epochs are resolution layers over it.
 //!
-//! # One fused pass per tree
+//! # One pass per tree per step
 //!
-//! [`TreeOram::access`] touches tracked memory in one fixed sequence, a
-//! function of `(height, bucket, stash, layout, read leaf, evict_ctr)` and
-//! nothing else. With `h` = height and `b` = bucket (the two eviction paths
-//! of one access are `evict_ctr` and `evict_ctr + 1` bit-reversed, `evict_ctr`
-//! even: they differ in their top bit and share the root only):
+//! A step of `p` walks on a tree touches tracked memory in one fixed
+//! sequence, a function of `(height, bucket, stash, layout, p, the read
+//! leaves, evict_ctr)` and nothing else. The step evicts the next `2p`
+//! reverse-lexicographic paths, `evict_ctr … evict_ctr + 2p − 1` bit-reversed.
+//! Their union is a public subtree: at depth `d` it holds the buckets on the
+//! paths of those counters mod `2^d`, `min(2^d, 2p)` of them, so it has
+//! `U = Σ_{d<h} min(2^d, 2p)` buckets whatever the counter (`2h − 1` at
+//! `p = 1`: two paths sharing the root). With `h` = height and `b` =
+//! bucket:
 //!
-//! 1. the `h·b` slots of the read path are read and rewritten (the
-//!    looked-up block blinded in passing);
-//! 2. the `(2h − 1)·b` bucket slots of the two eviction paths and then the
-//!    `stash` slots are read once each — the shared root once, not once per
-//!    path;
-//! 3. in private, untraced staging the looked-up block is dropped and the
-//!    re-leafed block added, every slot is keyed by the deepest bucket on
-//!    either path that its leaf allows (`leading_zeros` of `leaf ⊕ path`;
-//!    free slots sort last), the slots are counting-sorted by that bucket
-//!    and the buckets filled deepest-first — linear in the staged slots,
-//!    and every loop of it runs a public number of times: free slots are
-//!    staged, sorted and written like real ones, so the work of an access
-//!    does not follow how full the tree is or where the block was;
-//! 4. the same `(2h − 1)·b` bucket slots and `stash` slots are written
-//!    once each, leaves first, then the root, then the stash.
+//! 1. the `h·b` slots of each of the `p` read paths are read and rewritten,
+//!    one path after another (each looked-up block blinded in passing);
+//! 2. the `U·b` union slots, in the union's in-order, and then the `stash`
+//!    slots are read once each — the stash once for all `p` lookups;
+//! 3. in private, untraced staging the looked-up blocks are dropped and the
+//!    `p` re-leafed blocks added (a dummy walk adds a free slot), every
+//!    slot is keyed by the deepest union bucket its leaf allows (one table
+//!    lookup: slots keep their leaves bit-reversed), the slots are
+//!    counting-sorted by that bucket and the buckets filled deepest-first
+//!    from a stack of the sorted stretches — linear in the staged slots,
+//!    and every loop of it runs a public number of times with no branch on
+//!    a slot's contents (masks and selects only): free slots are staged,
+//!    sorted and written like real ones, so the work of a step does not
+//!    follow how full the tree is or where the blocks were;
+//! 4. the same `U·b` union slots are written once each, in post-order
+//!    (every bucket after the buckets below it), then the `stash` slots.
 //!
-//! That is `2b·h + 2b·(2h − 1) + 2·stash` tracked slot touches per tree —
-//! `30h + 192` at the default `b = 5`, `stash = 96`, less the `10` of the
-//! shared root — whatever the tree holds and wherever the block is found.
-//! At `s = 4096` the depth rule builds the data tree (`h = 11`), maps over
-//! 1024 and 128 addresses (`h = 9` and `6`) and a 128-entry top: 1582
-//! touches an access. At `s ≤ 128` no map pays for itself.
+//! That is `2b·p·h + 2b·U + 2·stash` tracked slot touches per tree —
+//! `10ph + 10U + 192` at the default `b = 5`, `stash = 96` — whatever the
+//! tree holds and wherever the blocks are found. At `p = 1` it is
+//! `30h + 182`, one access: at `s = 4096` the depth rule builds the data
+//! tree (`h = 11`), maps over 1024 and 128 addresses (`h = 9` and `6`) and
+//! a 128-entry top: 1582 touches an access. At `s ≤ 128` no map pays for
+//! itself. A step of `p = 8` on the same shape touches
+//! `(880 + 1270 + 192) + (720 + 950 + 192) + (480 + 470 + 192) + 256 =
+//! 5602` slots where eight accesses touched 12 656.
 //!
 //! Path choices are fresh uniform leaves independent of the address
 //! sequence (the classic tree-ORAM argument); bucket and stash scans are
 //! fixed-size, and the number of trees, their heights and χ are functions
 //! of `s` and [`OramConfig`] alone, so the trace for a fixed
-//! `(s, #accesses, seed)` depends on the *coins*, not on the stored values.
+//! `(s, step sizes, seed)` depends on the *coins*, not on the addresses'
+//! values beyond which requests of a step share them, nor on the stored
+//! values.
 
 use crate::veb::{tree_nodes, TreeLayout};
 use fj::Ctx;
 use metrics::{ScratchPool, Tracked};
 use obliv_core::slot::composite_key;
-use obliv_core::{send_receive, Engine, Schedule, TagCell};
+use obliv_core::{select_u64, Engine, TagCell};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -91,6 +104,31 @@ impl Default for OramSlot {
     }
 }
 
+/// `b` if `cond`, else `a`, by masks (no branch on `cond`).
+#[inline(always)]
+fn select_slot(cond: bool, a: OramSlot, b: OramSlot) -> OramSlot {
+    let ids = |s: OramSlot| s.addr as u64 | (s.leaf as u64) << 32;
+    let both = select_u64(cond, ids(a), ids(b));
+    OramSlot {
+        addr: both as u32,
+        leaf: (both >> 32) as u32,
+        val: select_u64(cond, a.val, b.val),
+    }
+}
+
+/// `sl` as it goes on, freed if `hit` — its value then kept in `found`: masks,
+/// no branch. A block is in one place, so at most one slot hits a lookup.
+#[inline(always)]
+fn take_if(hit: bool, found: &mut (bool, u64), sl: OramSlot) -> OramSlot {
+    let mask = (hit as u64).wrapping_neg();
+    *found = (found.0 | hit, found.1 | (sl.val & mask));
+    OramSlot {
+        addr: sl.addr | mask as u32,
+        leaf: sl.leaf & !mask as u32,
+        val: sl.val & !mask,
+    }
+}
+
 /// Tuning for the tree ORAM.
 #[derive(Clone, Copy, Debug)]
 pub struct OramConfig {
@@ -112,34 +150,200 @@ impl Default for OramConfig {
     }
 }
 
+/// The union of `m` consecutive reverse-lexicographic eviction paths in a
+/// tree of some height: a function of `(height, m)` alone, whatever the
+/// counter. At depth `d` the paths of counters `ctr … ctr + m − 1` meet
+/// `min(2^d, m)` buckets, bucket `j` lying on the path of `ctr + j` (mod
+/// `2^d`); its children are buckets `j` and `j + 2^d` one level down, when
+/// there. A bucket's id is `first[d] + j` (depth-major).
+///
+/// A step reads the buckets in an in-order — child `j + 2^d` before its
+/// parent and child `j` after it, an only child on the side its parent
+/// hangs on — and writes them in the matching post-order. At `m = 2` that
+/// is one path leaf to root and then the other root to leaf, written leaves
+/// first and the root last.
+#[derive(Debug)]
+struct Union {
+    m: usize,
+    /// `deepest[x]`: the id of the deepest bucket on the path of the leaf
+    /// whose bits reversed are `ctr + x` (mod the leaf count) — the same
+    /// for every counter `ctr`. That path meets the union at depth `d` iff
+    /// `x mod 2^d < m`, at bucket `x mod 2^d`.
+    deepest: Vec<u32>,
+    /// `first[d]`: the id of depth `d`'s bucket 0.
+    first: Vec<usize>,
+    /// Each bucket's parent's id; the root's is the bucket count.
+    parent: Vec<usize>,
+    /// Ids in the read order.
+    inorder: Vec<usize>,
+    /// Ids in the write order: every bucket after its children.
+    post: Vec<usize>,
+}
+
+impl Union {
+    fn new(height: usize, m: usize) -> Self {
+        let mut first = Vec::with_capacity(height + 1);
+        let mut at = 0;
+        for d in 0..=height {
+            first.push(at);
+            if d < height {
+                at += m.min(1 << d);
+            }
+        }
+        let deepest = (0..1usize << (height - 1))
+            .map(|x| {
+                let d = (0..height).rev().find(|&d| x % (1 << d) < m).unwrap_or(0);
+                (first[d] + x % (1 << d)) as u32
+            })
+            .collect();
+        let mut u = Union {
+            m,
+            deepest,
+            first,
+            parent: vec![at; at],
+            inorder: Vec::with_capacity(at),
+            post: Vec::with_capacity(at),
+        };
+        u.visit(height, 0, 0, true);
+        u
+    }
+
+    /// Order bucket `(d, j)`'s subtree, which hangs before its parent if
+    /// `before`.
+    fn visit(&mut self, height: usize, d: usize, j: usize, before: bool) {
+        let id = self.first[d] + j;
+        let mut kids = [None, None];
+        if d + 1 < height {
+            let (lower, upper) = (self.first[d + 1] + j, j + (1 << d));
+            if upper < self.m {
+                kids = [Some((upper, true)), Some((j, false))];
+            } else {
+                kids[!before as usize] = Some((j, before));
+            }
+            self.parent[lower] = id;
+            if upper < self.m {
+                self.parent[self.first[d + 1] + upper] = id;
+            }
+        }
+        if let Some((k, side)) = kids[0] {
+            self.visit(height, d + 1, k, side);
+        }
+        self.inorder.push(id);
+        if let Some((k, side)) = kids[1] {
+            self.visit(height, d + 1, k, side);
+        }
+        self.post.push(id);
+    }
+
+    /// Id of the deepest union bucket on the path to the leaf whose bits
+    /// reversed are `rev`, for the union of counters `ctr …`.
+    #[inline(always)]
+    fn deepest(&self, ctr: u64, rev: u32) -> usize {
+        let mask = self.deepest.len() as u64 - 1;
+        self.deepest[((rev as u64).wrapping_sub(ctr) & mask) as usize] as usize
+    }
+
+    fn len(&self) -> usize {
+        self.parent.len()
+    }
+}
+
+/// The stretches of a step's sorted slots not yet placed, as a stack: the
+/// top two in registers, the bottom an empty stretch at the free slot that
+/// is never popped. A stretch `lo..hi` is packed as `lo << 32 | hi`. Pushes
+/// and pops go by masks, so the fill branches on nothing it stages.
+struct Stretches<'a> {
+    stack: &'a mut [u64],
+    /// Entries of `stack` in use: `stack[depth − 1]` is `under`.
+    depth: usize,
+    top: u64,
+    under: u64,
+    /// Index of the free slot.
+    free: u64,
+}
+
+impl<'a> Stretches<'a> {
+    /// `stack` must hold a push per bucket and two more, filled with the
+    /// empty stretch at `free`.
+    fn new(stack: &'a mut [u64], free: usize) -> Self {
+        Stretches {
+            stack,
+            depth: 1,
+            top: Self::at(free),
+            under: Self::at(free),
+            free: free as u64,
+        }
+    }
+
+    /// The empty stretch at `free`, which `new`'s `stack` is filled with.
+    fn at(free: usize) -> u64 {
+        (free as u64) << 32 | free as u64
+    }
+
+    /// Push stretch `lo..hi` if it is not empty.
+    #[inline(always)]
+    fn push(&mut self, lo: usize, hi: usize) {
+        let on = hi > lo;
+        self.stack[self.depth] = self.top;
+        self.depth += on as usize;
+        self.under = select_u64(on, self.under, self.top);
+        self.top = select_u64(on, self.top, (lo as u64) << 32 | hi as u64);
+    }
+
+    /// The index of the last slot of the top stretch, removed from it, if
+    /// `live`; else the free slot's. A live pop needs a slot on the stack.
+    #[inline(always)]
+    fn pop(&mut self, live: bool) -> usize {
+        let i = select_u64(live, self.free, (self.top as u32).wrapping_sub(1) as u64) as usize;
+        self.top -= live as u64;
+        let empty = live & ((self.top >> 32) as u32 == self.top as u32);
+        self.top = select_u64(empty, self.top, self.under);
+        self.depth -= empty as usize;
+        self.under = select_u64(empty, self.under, self.stack[self.depth - 1]);
+        i
+    }
+}
+
 /// A single-level bucket tree with a fixed stash.
 pub struct TreeOram {
     height: usize,
     bucket: usize,
     layout: TreeLayout,
+    /// Buckets and stash. A slot here keeps its leaf bit-reversed — in the
+    /// eviction counter's coordinates, where a step's union is a range.
     store: Vec<OramSlot>,
     stash: Vec<OramSlot>,
     evict_ctr: u64,
-    /// Most real blocks any one access has written back to the stash — the
+    /// Most real blocks any one step has written back to the stash — the
     /// quantity the overflow assert bounds by the stash capacity
     /// (monitoring, §4.2 simplification).
     pub max_stash: usize,
-    /// Private, untraced staging, sized once in [`TreeOram::new`] so
-    /// steady-state accesses perform no heap allocation: every gathered
-    /// slot, the same slots counting-sorted by deepest legal bucket, the
-    /// first slot of every bucket the access visits, and where each
-    /// bucket's blocks end in `sorted`.
-    pool: Vec<OramSlot>,
-    sorted: Vec<OramSlot>,
+    /// The eviction union of the last step's size.
+    union: Union,
+    /// Private, untraced staging, grown to the largest step seen so that
+    /// steady-state steps perform no heap allocation: the union's bucket
+    /// positions, every gathered slot and its key, the same slots
+    /// counting-sorted (one free slot behind them), where each key's
+    /// slots end in `sorted`, how many blocks each bucket's children pass
+    /// up to it, the stack of stretches of `sorted` not yet placed, and
+    /// each walk's lookup and added block.
     bases: Vec<usize>,
+    pool: Vec<OramSlot>,
+    keys: Vec<usize>,
+    sorted: Vec<OramSlot>,
     ends: Vec<usize>,
+    carry: Vec<usize>,
+    stack: Vec<u64>,
+    found: Vec<(bool, u64)>,
+    added: Vec<OramSlot>,
 }
 
 impl TreeOram {
     /// A tree with at least `capacity` leaves-worth of room.
     pub fn new(capacity: usize, cfg: OramConfig) -> Self {
         let height = tree_height(capacity, cfg);
-        let staged = 2 * height * cfg.bucket + cfg.stash + 1;
+        let union = Union::new(height, 2);
+        let staged = union.len() * cfg.bucket + cfg.stash + 1;
         TreeOram {
             height,
             bucket: cfg.bucket,
@@ -148,10 +352,16 @@ impl TreeOram {
             stash: vec![OramSlot::default(); cfg.stash],
             evict_ctr: 0,
             max_stash: 0,
+            bases: Vec::with_capacity(union.len()),
             pool: Vec::with_capacity(staged),
-            sorted: vec![OramSlot::default(); staged],
-            bases: vec![0; 3 * height - 1],
-            ends: vec![0; 2 * height],
+            keys: Vec::with_capacity(staged),
+            sorted: Vec::with_capacity(staged + 1),
+            ends: Vec::with_capacity(union.len() + 8),
+            carry: Vec::with_capacity(union.len() + 1),
+            stack: Vec::with_capacity(union.len() + 2),
+            found: Vec::with_capacity(1),
+            added: Vec::with_capacity(1),
+            union,
         }
     }
 
@@ -162,17 +372,8 @@ impl TreeOram {
 
     /// Read-and-remove `addr` along the path to `leaf`, then reinsert it
     /// with `new_leaf` and value `new_val(old)`; returns the old value
-    /// (`None` if absent), and evict the next two reverse-lexicographic
-    /// paths jointly — one fused pass, see the module doc.
-    ///
-    /// The two eviction paths and the stash form one pool. A block may sit
-    /// in any bucket whose path prefix its leaf shares, on either path; the
-    /// buckets are refilled deepest-first, each taking `min(bucket,
-    /// |eligible|)` of the blocks not yet placed, and what is left returns
-    /// to the stash. Which slots are real, where the looked-up block was
-    /// found and where anything is placed live only in private memory: the
-    /// tracked pattern reads every slot it visits and unconditionally
-    /// rewrites it, and every staging loop runs a public number of times.
+    /// (`None` if absent). A one-walk step (module doc): the next two
+    /// reverse-lexicographic paths are evicted jointly.
     pub fn access<C: Ctx>(
         &mut self,
         c: &C,
@@ -187,32 +388,52 @@ impl TreeOram {
             "ORAM access out of range: addr {addr}, leaves {leaf} → {new_leaf}"
         );
         let addr = addr as u32;
-        self.walk(c, addr, leaf as u32, |found| OramSlot {
-            addr,
-            leaf: new_leaf as u32,
-            val: new_val(found),
-        })
+        let mut old = None;
+        self.step(c, &[(addr, leaf as u32)], |found, added| {
+            old = found[0].0.then_some(found[0].1);
+            added[0] = OramSlot {
+                addr,
+                leaf: new_leaf as u32,
+                val: new_val(old),
+            };
+        });
+        old
     }
 
-    /// A walk that looks up, removes and adds nothing: the path to `leaf`
-    /// read and rewritten, the next two eviction paths evicted — the
-    /// tracked pattern of [`TreeOram::access`] on the same leaf and
-    /// counter.
-    fn dummy_access<C: Ctx>(&mut self, c: &C, leaf: u64) {
-        assert!(leaf < self.leaves(), "ORAM dummy leaf {leaf} out of range");
-        self.walk(c, EMPTY, leaf as u32, |_| OramSlot::default());
-    }
-
-    /// The fused pass behind both accesses: `addr` (`EMPTY` for none) is
-    /// blinded wherever it is found, and `added(found)` joins the staged
-    /// slots last.
-    fn walk<C: Ctx>(
+    /// One step of `walks.len()` walks, `walks[i] = (addr, leaf)`: the path
+    /// to each `leaf` read and rewritten with `addr` (`EMPTY` for a dummy
+    /// walk) blinded wherever it is found, then the next `2p` eviction
+    /// paths evicted jointly — one pass, see the module doc. The real
+    /// addresses must be distinct.
+    ///
+    /// `finish(found, added)` runs once every lookup is done: `found[i]` is
+    /// whether walk `i`'s block was there and its value (0 if not), and it
+    /// sets `added[i]`, the block walk `i` puts back (a free slot, as
+    /// given, for none).
+    ///
+    /// The union of the eviction paths, the stash and the added blocks
+    /// form one pool. A block may sit in any union bucket whose path prefix
+    /// its leaf shares; the buckets are refilled deepest-first, each taking
+    /// `min(bucket, |eligible|)` of the blocks not yet placed, and what is
+    /// left returns to the stash. Which slots are real, where the blocks
+    /// were found and where anything is placed live only in private memory:
+    /// the tracked pattern reads every slot it visits and unconditionally
+    /// rewrites it, and every staging loop runs a public number of times.
+    fn step<C: Ctx>(
         &mut self,
         c: &C,
-        addr: u32,
-        leaf: u32,
-        added: impl FnOnce(Option<u64>) -> OramSlot,
-    ) -> Option<u64> {
+        walks: &[(u32, u32)],
+        finish: impl FnOnce(&[(bool, u64)], &mut [OramSlot]),
+    ) {
+        let p = walks.len();
+        assert!(p > 0, "an ORAM step makes at least one walk");
+        assert!(
+            walks.iter().all(|&(_, leaf)| (leaf as u64) < self.leaves()),
+            "ORAM walk leaf out of range"
+        );
+        if self.union.m != 2 * p {
+            self.union = Union::new(self.height, 2 * p);
+        }
         let TreeOram {
             height: h,
             bucket,
@@ -221,158 +442,138 @@ impl TreeOram {
             ref mut stash,
             ref mut evict_ctr,
             ref mut max_stash,
-            ref mut pool,
-            ref mut sorted,
+            ref union,
             ref mut bases,
+            ref mut pool,
+            ref mut keys,
+            ref mut sorted,
             ref mut ends,
+            ref mut carry,
+            ref mut stack,
+            ref mut found,
+            ref mut added,
         } = *self;
-
-        // `evict_ctr` is even, so the two paths differ in their top bit:
-        // they share the root and nothing below it, whatever the counter.
         let bits = (h - 1) as u32;
-        let paths = [
-            reverse_bits(*evict_ctr, bits),
-            reverse_bits(*evict_ctr + 1, bits),
-        ];
-        *evict_ctr += 2;
-        debug_assert_eq!(meet(h, paths[0], paths[1]), 0);
-        // The eviction buckets are numbered along the walk from path 1's
-        // leaf up to the root (`0..root`) and down to path 0's leaf
-        // (`root + 1..nodes`): depth `d` is `root − d` on path 1 and
-        // `root + d` on path 0, and a block may sit anywhere between its
-        // deepest legal bucket and the root.
-        let (root, nodes) = (h - 1, 2 * h - 1);
-        let node_of = |block_leaf: u32| {
-            let d = paths.map(|path| meet(h, block_leaf, path));
-            if d[1] > d[0] {
-                root - d[1]
-            } else {
-                root + d[0]
-            }
-        };
+        let ctr = *evict_ctr;
+        *evict_ctr += 2 * p as u64;
 
-        // The only place bucket positions are computed: the read path, then
-        // the eviction buckets in their numbering.
-        let base_of =
-            |path: u32, d: usize| layout.pos(h, d, (path >> (h - 1 - d)) as usize) * bucket;
-        let (read_bases, evict_bases) = bases.split_at_mut(h);
+        // The union's bucket positions, by id.
+        let base_of = |d: usize, idx: usize| layout.pos(h, d, idx) * bucket;
+        bases.clear();
         for d in 0..h {
-            read_bases[d] = base_of(leaf, d);
-            evict_bases[root + d] = base_of(paths[0], d);
-            evict_bases[root - d] = base_of(paths[1], d);
+            bases.extend(
+                (0..union.first[d + 1] - union.first[d])
+                    .map(|j| base_of(d, reverse_bits(ctr + j as u64, d as u32) as usize)),
+            );
         }
-        let evict_bases = &*evict_bases;
 
-        let mut found: Option<u64> = None;
-        // The slot as it goes on: freed, and its value kept, if it is the
-        // looked-up block.
-        let mut blind = |sl: OramSlot| {
-            if sl.addr == addr && addr != EMPTY {
-                found = Some(sl.val);
-                OramSlot::default()
-            } else {
-                sl
-            }
-        };
+        let free = OramSlot::default();
+        found.clear();
+        found.resize(p, (false, 0));
         let mut st = Tracked::new(c, store);
         let mut ss = Tracked::new(c, stash);
 
-        // 1. Read path: read + conditional blind + unconditional rewrite.
-        for &base in read_bases.iter() {
-            for k in base..base + bucket {
-                let sl = blind(st.get(c, k));
-                st.set(c, k, sl);
+        // 1. Read paths, one per walk: read + blind + rewrite.
+        for (&(addr, leaf), got) in walks.iter().zip(found.iter_mut()) {
+            let mut acc = *got;
+            for d in 0..h {
+                let base = base_of(d, (leaf >> (bits as usize - d)) as usize);
+                for k in base..base + bucket {
+                    let sl = st.get(c, k);
+                    st.set(
+                        c,
+                        k,
+                        take_if((addr != EMPTY) & (sl.addr == addr), &mut acc, sl),
+                    );
+                }
             }
+            *got = acc;
         }
 
-        // 2. Gather both eviction paths and the stash, once: every slot is
-        // staged, free or not. The looked-up block is dropped here if the
-        // stash held it, and the re-leafed block joins last.
+        // 2. Gather the union and the stash, once: every slot is staged,
+        // free or not. The stash is blinded against every walk.
         pool.clear();
-        for &base in evict_bases {
-            for k in base..base + bucket {
+        for &u in union.inorder.iter() {
+            for k in bases[u]..bases[u] + bucket {
                 pool.push(st.get(c, k));
             }
         }
+        let stashed = pool.len();
         for k in 0..ss.len() {
-            pool.push(blind(ss.get(c, k)));
+            pool.push(ss.get(c, k));
         }
-        pool.push(added(found));
-
-        // 3. Counting sort by deepest legal bucket, free slots last:
-        // afterwards `ends[n − 1]..ends[n]` of `sorted` holds the blocks of
-        // bucket `n`. One unit of work per staged slot for the sort, one for
-        // the fill.
-        c.work(2 * pool.len() as u64);
-        let class = |sl: &OramSlot| {
-            if sl.addr == EMPTY {
-                nodes
-            } else {
-                node_of(sl.leaf)
+        for (&(addr, _), got) in walks.iter().zip(found.iter_mut()) {
+            for sl in pool[stashed..].iter_mut() {
+                *sl = take_if((addr != EMPTY) & (sl.addr == addr), got, *sl);
             }
-        };
-        let counts = &mut ends[..nodes + 1];
-        counts.fill(0);
-        for sl in pool.iter() {
-            counts[class(sl)] += 1;
+        }
+        added.clear();
+        added.resize(p, free);
+        finish(found, added);
+        for a in added.iter_mut() {
+            a.leaf = reverse_bits(a.leaf as u64, bits);
+        }
+        pool.extend_from_slice(added);
+
+        // 3. Counting sort by deepest legal union bucket: afterwards
+        // `ends[u − 1]..ends[u]` of `sorted` holds the blocks of bucket `u`
+        // and `sorted[n_staged]` is free. Free slots are counted on eight
+        // spare keys (not all on one, which would chain every count) and
+        // stored over that free slot. One unit of work per staged slot for
+        // the sort, one for the fill.
+        let (n, nodes) = (pool.len(), union.len());
+        c.work(2 * n as u64);
+        keys.clear();
+        ends.clear();
+        ends.resize(nodes + 8, 0);
+        for (i, sl) in pool.iter().enumerate() {
+            let key = union.deepest(ctr, sl.leaf);
+            let key = select_u64(sl.addr == EMPTY, key as u64, (nodes + i % 8) as u64) as usize;
+            keys.push(key);
+            ends[key] += 1;
         }
         let mut at = 0;
-        for n in counts.iter_mut() {
-            at += std::mem::replace(n, at);
+        for e in ends[..nodes].iter_mut() {
+            at += std::mem::replace(e, at);
         }
-        for sl in pool.iter() {
-            let n = class(sl);
-            sorted[ends[n]] = *sl;
-            ends[n] += 1;
+        sorted.resize(n + 1, free);
+        for (sl, &key) in pool.iter().zip(keys.iter()) {
+            let i = ends[key];
+            sorted[select_u64(key >= nodes, i as u64, n as u64) as usize] = *sl;
+            ends[key] = i + 1;
         }
-        // Slot `i` of `sorted` if `live`, else a free slot.
-        let pick = |i: usize, live: bool| {
-            if live {
-                sorted[i]
-            } else {
-                OramSlot::default()
-            }
-        };
+        sorted[n] = free;
 
         // 4. Deepest-first fill and write-back, every slot written once.
-        // Path 1's blocks lie deepest-first from the left of `sorted`, path
-        // 0's deepest-first from the right end of the real blocks, the
-        // root's own in between: each bucket takes from its path's end what
-        // its level and the deeper ones have left, so the two ends close in
-        // on exactly the blocks that the root, and then the stash, may hold.
-        let (mut lo, mut hi) = (0, ends[nodes - 1]);
-        for n in 0..root {
-            let take = bucket.min(ends[n] - lo);
+        // In post-order, the blocks of a bucket's subtree not yet placed
+        // are the top stretches of a stack: a bucket pushes its own
+        // stretch and pops what fits — its own blocks first, then what its
+        // children passed up — and passes the rest to its parent.
+        carry.clear();
+        carry.resize(nodes + 1, 0);
+        stack.clear();
+        stack.resize(nodes + 2, Stretches::at(n));
+        let mut open = Stretches::new(stack, n);
+        for &u in union.post.iter() {
+            let own = (if u == 0 { 0 } else { ends[u - 1] }, ends[u]);
+            open.push(own.0, own.1);
+            let reach = own.1 - own.0 + carry[u];
+            let take = bucket.min(reach);
+            carry[union.parent[u]] += reach - take;
             for k in 0..bucket {
-                st.set(c, evict_bases[n] + k, pick(lo + k, k < take));
+                st.set(c, bases[u] + k, sorted[open.pop(k < take)]);
             }
-            lo += take;
         }
-        for n in (root + 1..nodes).rev() {
-            let take = bucket.min(hi - ends[n - 1]);
-            for k in 0..bucket {
-                st.set(
-                    c,
-                    evict_bases[n] + k,
-                    pick(hi.wrapping_sub(k + 1), k < take),
-                );
-            }
-            hi -= take;
-        }
-        let left = hi - lo;
+        let left = carry[nodes];
         assert!(
-            left <= bucket + ss.len(),
+            left <= ss.len(),
             "ORAM stash overflow (capacity {})",
             ss.len()
         );
-        *max_stash = (*max_stash).max(left.saturating_sub(bucket));
-        for k in 0..bucket {
-            st.set(c, evict_bases[root] + k, pick(lo + k, k < left));
-        }
+        *max_stash = (*max_stash).max(left);
         for k in 0..ss.len() {
-            ss.set(c, k, pick(lo + bucket + k, bucket + k < left));
+            ss.set(c, k, sorted[open.pop(k < left)]);
         }
-        found
     }
 }
 
@@ -384,19 +585,13 @@ fn tree_height(capacity: usize, cfg: OramConfig) -> usize {
     leaves.trailing_zeros() as usize + 1
 }
 
-/// Tracked slot touches of one access to a tree of `height` levels, the
-/// module doc's `2b·h + 2b·(2h − 1) + 2·stash`: the read path read and
-/// rewritten, the two eviction paths (sharing the root) and the stash read
-/// and written once each.
-fn touches(height: usize, cfg: OramConfig) -> usize {
-    2 * cfg.bucket * height + 2 * cfg.bucket * (2 * height - 1) + 2 * cfg.stash
-}
-
-/// Depth of the deepest bucket the paths to leaves `a` and `b` share in a
-/// tree of `height` levels: the length of their common prefix in the
-/// `(height − 1)`-bit window (0 = the root only).
-fn meet(height: usize, a: u32, b: u32) -> usize {
-    height - 1 - (32 - (a ^ b).leading_zeros() as usize)
+/// Tracked slot touches of one step of `p` walks on a tree of `height`
+/// levels, the module doc's `2b·p·h + 2b·U + 2·stash`: the read paths read
+/// and rewritten, the union of the `2p` eviction paths (`U` buckets) and
+/// the stash read and written once each.
+fn touches(height: usize, p: usize, cfg: OramConfig) -> usize {
+    let union: usize = (0..height).map(|d| (2 * p).min(1 << d)).sum();
+    2 * cfg.bucket * (p * height + union) + 2 * cfg.stash
 }
 
 fn reverse_bits(x: u64, bits: u32) -> u32 {
@@ -428,9 +623,21 @@ fn repack(entry: u64, w: u32, i: u64, leaf: u64) -> u64 {
     (entry & !(((1 << w) - 1) << shift)) | (leaf << shift)
 }
 
-/// `Opram::access_batch`'s source key for a dummy walk's result: above
-/// every address, so no request receives it.
-const NOWHERE: u64 = u64::MAX;
+/// Per-request staging of [`Opram::step`], reused across steps: each
+/// request's leaf to read in the current tree, the leaf it drew for the
+/// current tree (a run head's new leaf, a duplicate's read leaf) and for
+/// the tree below, its walk, the map entry its run has built so far, its
+/// pre-step value; and, per top entry, the request that fetches it.
+#[derive(Default)]
+struct Lanes {
+    read: Vec<u32>,
+    drawn: Vec<u32>,
+    below: Vec<u32>,
+    walks: Vec<(u32, u32)>,
+    entry: Vec<u64>,
+    vals: Vec<u64>,
+    top_hit: Vec<usize>,
+}
 
 /// Recursive position-map ORAM over `s` addresses with batched access.
 pub struct Opram {
@@ -441,14 +648,19 @@ pub struct Opram {
     /// [`field_width`] of the level-`k` tree and `χ = 64 / w` (level 0 =
     /// data tree, level `k + 1` = `maps[k]`).
     maps: Vec<TreeOram>,
+    /// `shifts[k]`: address bits folded below level `k` — a data address
+    /// `a` is address `a >> shifts[k]` of the level-`k` tree, and the top
+    /// map's address `a >> shifts[maps.len()]`.
+    shifts: Vec<u32>,
     /// Flat top map: leaf of `maps.last()`'s address `j` (or of the data
     /// tree when there are no maps).
     top: Vec<u64>,
     rng: StdRng,
     engine: Engine,
-    /// Private scratch arena: batched accesses reuse sort/routing buffers
-    /// across the ORAM's lifetime instead of allocating per batch.
+    /// Private scratch arena: batched accesses reuse sort buffers across
+    /// the ORAM's lifetime instead of allocating per batch.
     scratch: ScratchPool,
+    lanes: Lanes,
 }
 
 impl Opram {
@@ -466,12 +678,12 @@ impl Opram {
         // Each map level folds the one below χ addresses to an entry. Keep
         // the levels whose trees' touches plus 2 per top entry are least.
         let (mut space, mut height) = (s.max(1), data.height);
-        let mut cost = touches(height, cfg);
+        let mut cost = touches(height, 1, cfg);
         let (mut best, mut spaces) = ((cost + 2 * space, 0), Vec::new());
         while space > 1 {
             space = space.div_ceil((64 / field_width(height)) as usize);
             height = tree_height(space, cfg);
-            cost += touches(height, cfg);
+            cost += touches(height, 1, cfg);
             spaces.push(space);
             if cost + 2 * space < best.0 {
                 best = (cost + 2 * space, spaces.len());
@@ -479,6 +691,11 @@ impl Opram {
         }
         spaces.truncate(best.1);
         let maps: Vec<TreeOram> = spaces.iter().map(|&n| TreeOram::new(n, cfg)).collect();
+        // Level `k + 1` folds `log₂ χ` address bits of level `k`.
+        let mut shifts = vec![0];
+        for t in std::iter::once(&data).chain(&maps).take(maps.len()) {
+            shifts.push(shifts.last().unwrap() + 6 - field_width(t.height).trailing_zeros());
+        }
         // The flat top covers the addresses of the deepest structure built.
         let covered: &TreeOram = maps.last().unwrap_or(&data);
         let top_len = spaces.last().copied().unwrap_or(s.max(1));
@@ -489,6 +706,11 @@ impl Opram {
             s,
             data,
             maps,
+            shifts,
+            lanes: Lanes {
+                top_hit: vec![0; top.len()],
+                ..Lanes::default()
+            },
             top,
             rng,
             engine,
@@ -506,118 +728,172 @@ impl Opram {
             .unwrap_or(0)
     }
 
-    /// The level-`k` tree: the data tree at 0, `maps[k − 1]` above.
-    fn level(&self, k: usize) -> &TreeOram {
-        if k == 0 {
-            &self.data
-        } else {
-            &self.maps[k - 1]
-        }
-    }
-
     /// Single oblivious access: returns the previous value of `addr`;
-    /// `write` installs a new value.
+    /// `write` installs a new value. A one-request [`Opram::step`].
     pub fn access<C: Ctx>(&mut self, c: &C, addr: u64, write: Option<u64>) -> u64 {
-        assert!((addr as usize) < self.s);
-        let levels = self.maps.len();
-        // Level `k + 1` folds `log₂ χ` address bits of level `k` into one
-        // entry; `shift` is how many the current level has folded.
-        let fold = |w: u32| 6 - w.trailing_zeros();
-        let mut shift: u32 = (0..levels)
-            .map(|k| fold(field_width(self.level(k).height)))
-            .sum();
-
-        // Top map: fixed full scan, fetching + remapping the deepest level.
-        let top_addr = (addr >> shift) as usize;
-        let new_top_leaf = self.rng.gen_range(0..self.level(levels).leaves());
-        let mut leaf = 0u64;
-        {
-            let mut t = Tracked::new(c, &mut self.top);
-            for j in 0..t.len() {
-                let cur = t.get(c, j);
-                let hit = j == top_addr;
-                if hit {
-                    leaf = cur;
-                }
-                t.set(c, j, if hit { new_top_leaf } else { cur });
-            }
-        }
-        let mut incoming_new_leaf = new_top_leaf;
-
-        // Walk the map levels from coarsest (deepest index) to finest.
-        for k in (0..levels).rev() {
-            let (w, child_leaves) = (field_width(self.level(k).height), self.level(k).leaves());
-            let new_child_leaf = self.rng.gen_range(0..child_leaves);
-            let map_addr = addr >> shift;
-            shift -= fold(w);
-            let field = (addr >> shift) & (64 / w as u64 - 1);
-            let mut fetched_child_leaf = 0;
-            self.maps[k].access(c, map_addr, leaf, incoming_new_leaf, |old| {
-                let entry = old.unwrap_or(0);
-                fetched_child_leaf = unpack(entry, w, field);
-                repack(entry, w, field, new_child_leaf)
-            });
-            leaf = fetched_child_leaf;
-            incoming_new_leaf = new_child_leaf;
-        }
-
-        // Data tree.
-        let mut old_val = 0u64;
-        self.data.access(c, addr, leaf, incoming_new_leaf, |old| {
-            old_val = old.unwrap_or(0);
-            write.unwrap_or(old_val)
-        });
-        old_val
+        self.step(c, &[(addr, write)])[0]
     }
 
-    /// An access that reads and changes nothing, with the tracked shape of
-    /// [`Opram::access`]: the top scanned and rewritten as it is, then
-    /// every tree, coarsest first, walked on a fresh uniform leaf — the
-    /// leaves a real access reads are uniform and unlinked to the address
-    /// too.
-    fn dummy_access<C: Ctx>(&mut self, c: &C) {
+    /// One OPRAM step over `reqs = [(addr, write)]`, sorted by address;
+    /// returns each request's pre-step value. The first request of each
+    /// address's run installs its write (if any); the others write nothing.
+    ///
+    /// The top map is scanned once for all requests, then every tree,
+    /// coarsest first, is walked by one tree step (module doc) of `p =
+    /// reqs.len()` walks. At each level the requests whose address at that
+    /// level is the same — a run, since the requests are sorted — make one
+    /// real walk, by the run's first request; the others walk dummy paths on
+    /// fresh uniform leaves. The real walk at a map level writes its entry
+    /// back with the new leaf of every run one level down that it indexes.
+    /// Each request draws one leaf per tree whatever the runs, so the
+    /// trace is a function of `p`, the coins and which requests share
+    /// addresses at each level — never of the values.
+    ///
+    /// # Panics
+    ///
+    /// If an address is out of range or the requests are not sorted.
+    pub fn step<C: Ctx>(&mut self, c: &C, reqs: &[(u64, Option<u64>)]) -> &[u64] {
+        let p = reqs.len();
+        assert!(
+            reqs.iter().all(|&(a, _)| (a as usize) < self.s),
+            "ORAM address out of range (space {})",
+            self.s
+        );
+        assert!(
+            reqs.windows(2).all(|w| w[0].0 <= w[1].0),
+            "an OPRAM step's requests are sorted by address"
+        );
         let Opram {
             data,
             maps,
+            shifts,
             top,
             rng,
+            lanes,
             ..
         } = self;
+        let Lanes {
+            read,
+            drawn,
+            below,
+            walks,
+            entry,
+            vals,
+            top_hit,
+        } = lanes;
+        vals.clear();
+        if p == 0 {
+            return vals;
+        }
+        let levels = maps.len();
+        let at = |i: usize, n: usize| reqs[i].0 >> shifts[n];
+        // Request `i` heads its run of level-`n` addresses.
+        let head = |i: usize, n: usize| i == 0 || at(i - 1, n) != at(i, n);
+        let draw = |rng: &mut StdRng, lane: &mut Vec<u32>, tree: &TreeOram| {
+            let leaves = tree.leaves();
+            lane.clear();
+            lane.extend((0..p).map(|_| rng.gen_range(0..leaves) as u32));
+        };
+
+        // Top map: one full scan, each run of the coarsest tree's addresses
+        // fetching its entry and remapping it to its head's draw.
+        draw(rng, drawn, maps.last().unwrap_or(data));
+        read.clone_from(drawn);
+        for i in (0..p).filter(|&i| head(i, levels)) {
+            top_hit[at(i, levels) as usize] = i + 1;
+        }
         let mut t = Tracked::new(c, top);
-        for j in 0..t.len() {
+        for (j, fetch) in top_hit.iter_mut().enumerate() {
             let cur = t.get(c, j);
-            t.set(c, j, cur);
+            let (hit, i) = (*fetch != 0, fetch.saturating_sub(1));
+            read[i] = select_u64(hit, read[i] as u64, cur) as u32;
+            t.set(c, j, select_u64(hit, cur, drawn[i] as u64));
+            *fetch = 0;
         }
-        for tree in maps.iter_mut().rev().chain(std::iter::once(data)) {
-            let leaf = rng.gen_range(0..tree.leaves());
-            tree.dummy_access(c, leaf);
+
+        // Every tree, coarsest first.
+        for n in (0..=levels).rev() {
+            walks.clear();
+            walks.extend((0..p).map(|i| {
+                let addr = select_u64(head(i, n), EMPTY as u64, at(i, n));
+                (addr as u32, read[i])
+            }));
+            if n == 0 {
+                vals.resize(p, 0);
+                data.step(c, walks, |found, added| {
+                    let mut pre = 0;
+                    for i in 0..p {
+                        let real = head(i, 0);
+                        pre = select_u64(real, pre, found[i].1);
+                        vals[i] = pre;
+                        let (has, w) = (reqs[i].1.is_some(), reqs[i].1.unwrap_or(0));
+                        let block = OramSlot {
+                            addr: reqs[i].0 as u32,
+                            leaf: drawn[i],
+                            val: select_u64(has, pre, w),
+                        };
+                        added[i] = select_slot(real, added[i], block);
+                    }
+                });
+                break;
+            }
+            // Entries of tree `n` hold level-`(n − 1)` leaves in `w`-bit
+            // fields; each request draws its level-`(n − 1)` leaf first.
+            let child = if n == 1 { &*data } else { &maps[n - 2] };
+            let w = field_width(child.height);
+            let fields = 64 / w as u64;
+            draw(rng, below, child);
+            entry.resize(p, 0);
+            maps[n - 1].step(c, walks, |found, added| {
+                // Forward: each run of tree `n` starts from its found entry
+                // and re-leafs, in turn, every level-`(n − 1)` run it
+                // indexes; a level-`(n − 1)` head reads the leaf it held.
+                let mut e = 0;
+                for i in 0..p {
+                    e = select_u64(head(i, n), e, found[i].1);
+                    let (sub, field) = (head(i, n - 1), at(i, n - 1) & (fields - 1));
+                    read[i] = select_u64(sub, below[i] as u64, unpack(e, w, field)) as u32;
+                    e = select_u64(sub, e, repack(e, w, field, below[i] as u64));
+                    entry[i] = e;
+                }
+                // Backward: each head puts back its run's final entry.
+                let mut last = 0;
+                for i in (0..p).rev() {
+                    last = select_u64(i + 1 == p || head(i + 1, n), last, entry[i]);
+                    let block = OramSlot {
+                        addr: at(i, n) as u32,
+                        leaf: drawn[i],
+                        val: last,
+                    };
+                    added[i] = select_slot(head(i, n), added[i], block);
+                }
+            });
+            std::mem::swap(drawn, below);
         }
+        vals
     }
 
-    /// Batched access (the per-PRAM-step fetch of \[CCS17\]): conflict
-    /// resolution by oblivious sort, exactly one walk per request, results
-    /// broadcast with oblivious send-receive. `reqs[j] = (addr, write)`;
-    /// returns the pre-step value of each request's address.
+    /// Batched access (the PRAM step of \[CCS17\]): conflict resolution by
+    /// oblivious sort, one [`Opram::step`], the results sorted back to the
+    /// requests. `reqs[j] = (addr, write)`; returns the pre-step value of
+    /// each request's address, and the earliest request naming an address
+    /// wins its write (priority CRCW).
     ///
-    /// The trace is a function of `reqs.len()` and the coins: a request
-    /// whose address an earlier one already names walks a dummy path, so
-    /// how many requests collide changes neither the number of walks nor
-    /// the broadcast's length.
+    /// The trace is a function of `reqs.len()`, the coins and which
+    /// requests share addresses: a request whose address an earlier one
+    /// already names walks dummy paths, so how many requests collide
+    /// changes neither the number of walks nor the length of the trace.
     pub fn access_batch<C: Ctx>(&mut self, c: &C, reqs: &[(u64, Option<u64>)]) -> Vec<u64> {
         if reqs.is_empty() {
             return Vec::new();
         }
-        // Conflict resolution: sort by (addr, index); head of each run is
-        // the representative (priority: earliest request's write wins).
-        // Requests ride in packed 32-byte `TagCell`s (DESIGN.md §10):
-        // tag = composite (addr ‖ request index) — distinct, so the
-        // unstable cell network is safe — and aux = (has-write ‖ value).
+        // Requests ride in packed 32-byte `TagCell`s (DESIGN.md §10): tag =
+        // composite (addr ‖ request index) — distinct, so the unstable cell
+        // network is safe — and aux = (has-write ‖ value).
         let p = reqs.len();
-        // In sorted order: each request's address, its write, and whether
-        // it heads its address's run.
-        let sorted: Vec<(u64, Option<u64>, bool)> = {
-            // Scoped so the scratch lease ends before the mutable tree
-            // walks below.
+        let mut order = Vec::with_capacity(p);
+        let sorted: Vec<(u64, Option<u64>)> = {
+            // Scoped so the scratch lease ends before the step below.
             let mut cells = self.scratch.lease(p, TagCell::filler());
             for (cell, (j, &(a, w))) in cells.iter_mut().zip(reqs.iter().enumerate()) {
                 *cell = TagCell::new(
@@ -625,50 +901,29 @@ impl Opram {
                     ((w.is_some() as u128) << 64) | w.unwrap_or(0) as u128,
                 );
             }
-            {
-                let mut t = Tracked::new(c, &mut cells);
-                self.engine.sort_cells(c, &self.scratch, &mut t);
-            }
-            let addr = |i: usize| (cells[i].tag >> 64) as u64;
-            (0..p)
-                .map(|i| {
-                    c.work(1);
-                    let aux = cells[i].aux;
-                    let w = ((aux >> 64) == 1).then_some(aux as u64);
-                    (addr(i), w, i == 0 || addr(i - 1) != addr(i))
+            self.engine
+                .sort_cells(c, &self.scratch, &mut Tracked::new(c, &mut cells));
+            c.work(p as u64);
+            order.extend(cells.iter().map(|cell| cell.tag as u64));
+            cells
+                .iter()
+                .map(|cell| {
+                    let w = ((cell.aux >> 64) == 1).then_some(cell.aux as u64);
+                    ((cell.tag >> 64) as u64, w)
                 })
                 .collect()
         };
+        let vals = self.step(c, &sorted).to_vec();
 
-        // One walk per request (sequential tree walks, as in [CCS17]'s
-        // level-sequential fetch phase): heads are served, the rest walk
-        // dummy paths and send their result nowhere.
-        let fetched: Vec<(u64, u64)> = sorted
-            .into_iter()
-            .map(|(a, w, head)| {
-                if head {
-                    (a, self.access(c, a, w))
-                } else {
-                    self.dummy_access(c);
-                    (NOWHERE, 0)
-                }
-            })
-            .collect();
-
-        // Broadcast results to every request via oblivious send-receive,
-        // `p` sources to `p` requests.
-        let dests: Vec<u64> = reqs.iter().map(|&(a, _)| a).collect();
-        send_receive(
-            c,
-            &self.scratch,
-            &fetched,
-            &dests,
-            self.engine,
-            Schedule::Tree,
-        )
-        .into_iter()
-        .map(|o| o.expect("every request address was served"))
-        .collect()
+        // Back to request order: re-key each value by its request's index.
+        let mut cells = self.scratch.lease(p, TagCell::filler());
+        for (cell, (&j, &v)) in cells.iter_mut().zip(order.iter().zip(&vals)) {
+            *cell = TagCell::new(j as u128, v as u128);
+        }
+        self.engine
+            .sort_cells(c, &self.scratch, &mut Tracked::new(c, &mut cells));
+        c.work(p as u64);
+        cells.iter().map(|cell| cell.aux as u64).collect()
     }
 }
 
@@ -766,7 +1021,7 @@ mod tests {
     fn rule_cost(o: &Opram) -> usize {
         let trees = std::iter::once(&o.data).chain(&o.maps);
         let cost: usize = trees
-            .map(|t| touches(t.height, OramConfig::default()))
+            .map(|t| touches(t.height, 1, OramConfig::default()))
             .sum();
         cost + 2 * o.top.len()
     }
@@ -878,6 +1133,11 @@ mod tests {
         }
     }
 
+    /// The leaf of a block stored in `t` (which keeps it bit-reversed).
+    fn leaf_of(t: &TreeOram, sl: &OramSlot) -> u32 {
+        reverse_bits(sl.leaf as u64, (t.height - 1) as u32)
+    }
+
     /// Every real block of `t`, as `(addr, leaf, val)`, sorted; panics if a
     /// block sits in a bucket off its own leaf's path.
     fn blocks_on_their_paths(t: &TreeOram) -> Vec<(u32, u32, u64)> {
@@ -888,11 +1148,11 @@ mod tests {
                 for sl in &t.store[base..base + t.bucket] {
                     if sl.addr != EMPTY {
                         assert_eq!(
-                            sl.leaf as usize >> (t.height - 1 - d),
+                            leaf_of(t, sl) as usize >> (t.height - 1 - d),
                             idx,
                             "block {sl:?} is off its path at depth {d}"
                         );
-                        all.push((sl.addr, sl.leaf, sl.val));
+                        all.push((sl.addr, leaf_of(t, sl), sl.val));
                     }
                 }
             }
@@ -901,64 +1161,111 @@ mod tests {
             t.stash
                 .iter()
                 .filter(|sl| sl.addr != EMPTY)
-                .map(|sl| (sl.addr, sl.leaf, sl.val)),
+                .map(|sl| (sl.addr, leaf_of(t, sl), sl.val)),
         );
         all.sort_unstable();
         all
     }
 
+    /// Depth of the deepest bucket the paths to leaves `a` and `b` share in
+    /// a tree of `height` levels (0 = the root only).
+    fn meet(height: usize, a: u32, b: u32) -> usize {
+        height - 1 - (32 - (a ^ b).leading_zeros() as usize)
+    }
+
+    /// One step of `p` walks on `t` against `held` (addr → (leaf, val)): up
+    /// to `p` distinct addresses below `space` drawn from `rng`, a repeat
+    /// walking a dummy path; every real walk re-leafs its block and writes
+    /// `val`. Checks every lookup.
+    fn random_step(
+        t: &mut TreeOram,
+        rng: &mut StdRng,
+        held: &mut HashMap<u64, (u64, u64)>,
+        (p, space, val): (usize, u64, u64),
+    ) {
+        let c = SeqCtx::new();
+        let leaves = t.leaves();
+        let mut walks = Vec::new();
+        let mut want = Vec::new();
+        for _ in 0..p {
+            let addr = rng.gen_range(0..space);
+            if walks.iter().any(|&(a, _)| a as u64 == addr) {
+                walks.push((EMPTY, rng.gen_range(0..leaves) as u32));
+                want.push(None);
+                continue;
+            }
+            let (at, old) = match held.get(&addr) {
+                Some(&(leaf, v)) => (leaf, Some(v)),
+                None => (rng.gen_range(0..leaves), None),
+            };
+            walks.push((addr as u32, at as u32));
+            want.push(Some((old, rng.gen_range(0..leaves))));
+        }
+        t.step(&c, &walks, |found, added| {
+            for i in 0..p {
+                if let Some((old, new_leaf)) = want[i] {
+                    assert_eq!(found[i].0.then_some(found[i].1), old, "walk {i}");
+                    added[i] = OramSlot {
+                        addr: walks[i].0,
+                        leaf: new_leaf as u32,
+                        val,
+                    };
+                    held.insert(walks[i].0 as u64, (new_leaf, val));
+                } else {
+                    assert_eq!(found[i], (false, 0), "dummy walk {i}");
+                }
+            }
+        });
+    }
+
+    /// Steps of every size the store and the PRAM step use, on trees whose
+    /// buckets are too small for the load: after each step nothing is lost
+    /// or duplicated, every block sits on its own path, and a block left in
+    /// the stash found every bucket it could have used on the step's `2p`
+    /// eviction paths full.
     #[test]
     fn placement_keeps_every_block_legal_and_is_greedy() {
-        let c = SeqCtx::new();
         let mut leftovers_seen = 0;
-        for (seed, capacity, bucket, layout) in [
-            (1u64, 100usize, 1usize, TreeLayout::Veb),
-            (2, 100, 2, TreeLayout::Level),
-            (3, 37, 3, TreeLayout::Veb),
-            (4, 1, 2, TreeLayout::Veb),
-        ] {
-            let cfg = OramConfig {
-                bucket,
-                stash: 64,
-                layout,
-            };
-            let mut t = TreeOram::new(capacity, cfg);
-            let (h, leaves) = (t.height, t.leaves());
-            let mut rng = StdRng::seed_from_u64(seed);
-            // addr → (leaf, val): what the tree must hold.
-            let mut held: HashMap<u64, (u64, u64)> = HashMap::new();
-            for step in 0..600u64 {
-                let addr = rng.gen_range(0..capacity as u64);
-                let new_leaf = rng.gen_range(0..leaves);
-                let (at, old) = match held.get(&addr) {
-                    Some(&(leaf, val)) => (leaf, Some(val)),
-                    None => (rng.gen_range(0..leaves), None),
+        for p in [1usize, 2, 8, 32] {
+            for (seed, capacity, bucket, layout) in [
+                (1u64, 100usize, 1usize, TreeLayout::Veb),
+                (2, 100, 2, TreeLayout::Level),
+                (3, 37, 3, TreeLayout::Veb),
+                (4, 1, 2, TreeLayout::Veb),
+            ] {
+                let cfg = OramConfig {
+                    bucket,
+                    stash: 64,
+                    layout,
                 };
-                let ctr = t.evict_ctr;
-                assert_eq!(t.access(&c, addr, at, new_leaf, |_| step), old);
-                held.insert(addr, (new_leaf, step));
+                let mut t = TreeOram::new(capacity, cfg);
+                let h = t.height;
+                let mut rng = StdRng::seed_from_u64(seed * 100 + p as u64);
+                let mut held: HashMap<u64, (u64, u64)> = HashMap::new();
+                for step in 0..(1200 / p as u64).max(40) {
+                    let ctr = t.evict_ctr;
+                    random_step(&mut t, &mut rng, &mut held, (p, capacity as u64, step));
+                    assert_eq!(t.evict_ctr, ctr + 2 * p as u64);
 
-                // Nothing lost, nothing duplicated, everything on its path
-                // (a bucket is `bucket` slots, so none can hold more).
-                let mut expect: Vec<(u32, u32, u64)> = held
-                    .iter()
-                    .map(|(&a, &(l, v))| (a as u32, l as u32, v))
-                    .collect();
-                expect.sort_unstable();
-                assert_eq!(blocks_on_their_paths(&t), expect, "step {step}");
+                    let mut expect: Vec<(u32, u32, u64)> = held
+                        .iter()
+                        .map(|(&a, &(l, v))| (a as u32, l as u32, v))
+                        .collect();
+                    expect.sort_unstable();
+                    assert_eq!(blocks_on_their_paths(&t), expect, "p {p}, step {step}");
 
-                // Greedy maximality: a block left in the stash found every
-                // bucket it could have used, on either path, full.
-                for sl in t.stash.iter().filter(|sl| sl.addr != EMPTY) {
-                    leftovers_seen += 1;
-                    for path in [ctr, ctr + 1].map(|x| reverse_bits(x, (h - 1) as u32)) {
-                        for d in 0..=meet(h, sl.leaf, path) {
-                            let idx = (path >> (h - 1 - d)) as usize;
-                            let base = t.layout.pos(h, d, idx) * bucket;
-                            assert!(
-                                t.store[base..base + bucket].iter().all(|b| b.addr != EMPTY),
-                                "step {step}: {sl:?} fits depth {d} of path {path}"
-                            );
+                    for sl in t.stash.iter().filter(|sl| sl.addr != EMPTY) {
+                        leftovers_seen += 1;
+                        for x in ctr..ctr + 2 * p as u64 {
+                            let path = reverse_bits(x, (h - 1) as u32);
+                            for d in 0..=meet(h, leaf_of(&t, sl), path) {
+                                let idx = (path >> (h - 1 - d)) as usize;
+                                let base = t.layout.pos(h, d, idx) * bucket;
+                                assert!(
+                                    t.store[base..base + bucket].iter().all(|b| b.addr != EMPTY),
+                                    "p {p}, step {step}: {sl:?} fits depth {d} of path {path}"
+                                );
+                            }
                         }
                     }
                 }
@@ -967,28 +1274,56 @@ mod tests {
         assert!(leftovers_seen > 0, "no config ever left a block behind");
     }
 
-    /// A tree of every height from 1 to 12, real and dummy accesses: the
-    /// metered touches are the closed form the depth rule adds up.
+    /// A tree of every height from 1 to 12 and steps of 1, 2, 8 and 32
+    /// walks, real and dummy: the metered touches are the closed form
+    /// `2b·p·h + 2b·Σ_{d<h} min(2^d, 2p) + 2·stash`.
     #[test]
     fn metered_touches_match_the_formula_at_every_height() {
         let cfg = OramConfig::default();
         for h in 1..=12 {
-            let mut t = TreeOram::new(cfg.bucket << (h - 1), cfg);
-            assert_eq!(t.height, h);
-            let c = SeqCtx::new();
-            t.access(&c, 1, 0, 0, |_| 5);
-            let leaf = t.leaves() - 1;
-            let (_, real) = measure(CacheConfig::default(), TraceMode::Hash, |c| {
-                t.access(c, 1, 0, leaf, |old| old.unwrap_or(0));
-            });
-            let (_, dummy) = measure(CacheConfig::default(), TraceMode::Hash, |c| {
-                t.dummy_access(c, leaf);
-            });
-            assert_eq!(real.trace_len, touches(h, cfg) as u64, "h {h}");
-            assert_eq!(dummy.trace_len, real.trace_len, "h {h}");
-            assert_eq!(t.access(&c, 1, leaf, 0, |old| old.unwrap_or(0)), Some(5));
+            for p in [1usize, 2, 8, 32] {
+                let mut t = TreeOram::new(cfg.bucket << (h - 1), cfg);
+                assert_eq!(t.height, h);
+                let leaves = t.leaves() as u32;
+                let c = SeqCtx::new();
+                let addrs: Vec<(u32, u32)> = (0..p as u32).map(|a| (a, 0)).collect();
+                t.step(&c, &addrs, |_, added| {
+                    for (a, slot) in added.iter_mut().enumerate() {
+                        *slot = OramSlot {
+                            addr: a as u32,
+                            leaf: a as u32 % leaves,
+                            val: 5 + a as u64,
+                        };
+                    }
+                });
+                let reads: Vec<(u32, u32)> = (0..p as u32).map(|a| (a, a % leaves)).collect();
+                let (_, real) = measure(CacheConfig::default(), TraceMode::Hash, |c| {
+                    t.step(c, &reads, |found, added| {
+                        for (a, (&got, slot)) in found.iter().zip(added.iter_mut()).enumerate() {
+                            assert_eq!(got, (true, 5 + a as u64), "h {h}, p {p}");
+                            *slot = OramSlot {
+                                addr: a as u32,
+                                leaf: leaves - 1,
+                                val: got.1,
+                            };
+                        }
+                    });
+                });
+                let dummies: Vec<(u32, u32)> = (0..p as u32).map(|_| (EMPTY, leaves - 1)).collect();
+                let (_, dummy) = measure(CacheConfig::default(), TraceMode::Hash, |c| {
+                    t.step(c, &dummies, |_, _| {});
+                });
+                assert_eq!(real.trace_len, touches(h, p, cfg) as u64, "h {h}, p {p}");
+                assert_eq!(dummy.trace_len, real.trace_len, "h {h}, p {p}");
+                assert_eq!(
+                    t.access(&c, 0, leaves as u64 - 1, 0, |old| old.unwrap_or(0)),
+                    Some(5)
+                );
+            }
         }
-        assert_eq!(touches(11, cfg), 30 * 11 + 182);
+        assert_eq!(touches(11, 1, cfg), 30 * 11 + 182);
+        // The union of 2p paths: the top log₂ 2p levels in full, 2p tails.
+        assert_eq!(touches(11, 8, cfg), 10 * 8 * 11 + 10 * (15 + 16 * 7) + 192);
     }
 
     #[test]
@@ -1026,13 +1361,13 @@ mod tests {
                 let at = pos.insert(a, leaf).unwrap_or(0);
                 full.access(&c, a, at, leaf, |_| a);
             }
-            let want = touches(full.height, cfg) as u64;
+            let want = touches(full.height, 1, cfg) as u64;
 
             // Hit in the stash (starved tree only), hit in a bucket, absent —
             // each picked from the tree as the access before left it.
             for case in ["stash", "bucket", "absent"] {
                 let (addr, leaf) = match (case, waiting(&full)) {
-                    ("stash", Some(sl)) => (sl.addr as u64, sl.leaf as u64),
+                    ("stash", Some(sl)) => (sl.addr as u64, leaf_of(&full, &sl) as u64),
                     ("stash", None) => {
                         assert!(cfg.bucket > 1, "a starved tree keeps blocks waiting");
                         continue;

@@ -8,8 +8,8 @@
 //! an **epoch**; at epoch close the batch is padded to a public size class
 //! and resolved against the resident table with oblivious sorts and a
 //! segmented last-writer-wins scan (the send-receive pattern of §F), or —
-//! for sub-threshold batches over a bounded key space — with per-op
-//! recursive tree-ORAM point lookups (§4.2).
+//! for sub-threshold batches over a bounded key space — as one step of the
+//! recursive tree ORAM, a walk per op (§4.2).
 //!
 //! There is one engine, [`ShardedStore`]; [`Store`] names its 1-shard
 //! configuration (`Store::new(StoreConfig)`), which routes nothing and

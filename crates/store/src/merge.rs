@@ -125,7 +125,7 @@ pub(crate) fn cell_key(cell: &TagCell) -> u64 {
 }
 
 #[inline]
-fn cell_kind(cell: &TagCell) -> u8 {
+pub(crate) fn cell_kind(cell: &TagCell) -> u8 {
     (cell.aux >> 64) as u8
 }
 
@@ -135,7 +135,7 @@ pub(crate) fn cell_val(cell: &TagCell) -> u64 {
 }
 
 #[inline]
-fn cell_seq(cell: &TagCell) -> u64 {
+pub(crate) fn cell_seq(cell: &TagCell) -> u64 {
     cell.tag as u64
 }
 

@@ -130,17 +130,6 @@ impl FlatOp {
             val: 0,
         }
     }
-
-    /// The ORAM-mirror write this op performs, under the presence-as-
-    /// `val + 1` encoding (0 = absent) — the single source of truth for
-    /// both the ORAM path and the merge path's write-through.
-    pub fn oram_write(&self) -> Option<u64> {
-        match self.kind {
-            kind::PUT => Some(self.val + 1),
-            kind::DELETE => Some(0),
-            _ => None,
-        }
-    }
 }
 
 /// Smallest padded batch the store accepts.

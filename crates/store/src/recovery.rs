@@ -76,6 +76,7 @@ pub(crate) fn recover_store<C: Ctx>(
             Some((meta, table)) => {
                 let shard = Shard::from_snapshot(
                     c,
+                    scratch,
                     cfg.store,
                     i as u64,
                     table,

@@ -12,14 +12,23 @@
 //! 1-shard store ([`crate::Store`]) hands its whole padded batch to its
 //! one shard. Both reach the one merge core, [`Shard::merge`].
 
-use crate::merge::{self, answer_cell, cell_key, cell_val, read_answers, sorted_ops, ENGINE};
-use crate::op::{kind, size_class, EpochPath, FlatOp, StoreStats};
+use crate::merge::{
+    self, answer_cell, cell_key, cell_kind, cell_seq, cell_val, read_answers, sorted_ops, ENGINE,
+};
+use crate::op::{kind, size_class, EpochPath, FlatOp, StoreStats, MIN_CLASS};
 use crate::store::{first_breach, StoreConfig};
 use fj::Ctx;
 use metrics::{ScratchGuard, ScratchPool, Tracked};
-use obliv_core::TagCell;
+use obliv_core::{select_cell, select_u64, TagCell};
 use pram::Opram;
 use std::io;
+
+/// The most ops a merge's write-through or a snapshot rebuild applies to
+/// the ORAM mirror in one step: the store's smallest class, a public
+/// constant, so their steps are a function of the batch class or the
+/// capacity and the mirror's staging stays sized for the ORAM path's own
+/// steps.
+const MIRROR_STEP: usize = MIN_CLASS;
 
 /// Table/pending/ORAM/analytics state for one slice of the key space.
 pub(crate) struct Shard {
@@ -56,15 +65,18 @@ impl Shard {
 
     /// Rebuild a shard from a durable snapshot: the table cells plus the
     /// public counters, with the ORAM mirror (when configured) rebuilt by
-    /// one fixed-pattern access per public table slot. Snapshots are only
+    /// [`mirror_step`]s of [`MIRROR_STEP`] public table slots, a filler
+    /// slot a dummy op. Snapshots are only
     /// taken at merge closes, where the pending log is empty and the
     /// mirror equals the table — so table + counters is the whole state.
     ///
     /// A record no client put could have left — a key outside the ORAM
     /// key space, a value of `u64::MAX` ([`first_breach`]) — is refused as
     /// `InvalidData` before the mirror sees it, checksum or not.
+    #[allow(clippy::too_many_arguments)]
     pub fn from_snapshot<C: Ctx>(
         c: &C,
+        scratch: &ScratchPool,
         cfg: StoreConfig,
         salt: u64,
         table: Vec<TagCell>,
@@ -74,11 +86,16 @@ impl Shard {
     ) -> io::Result<Self> {
         let puts: Vec<FlatOp> = table
             .iter()
-            .filter(|r| !r.is_filler())
-            .map(|r| FlatOp {
-                kind: kind::PUT,
-                key: cell_key(r),
-                val: cell_val(r),
+            .map(|r| {
+                if r.is_filler() {
+                    FlatOp::dummy()
+                } else {
+                    FlatOp {
+                        kind: kind::PUT,
+                        key: cell_key(r),
+                        val: cell_val(r),
+                    }
+                }
             })
             .collect();
         if let Some((index, reason)) = first_breach(&cfg, &puts) {
@@ -87,15 +104,8 @@ impl Shard {
         }
         let mut shard = Shard::new(cfg, salt);
         if let Some(oram) = shard.oram.as_mut() {
-            // One access per slot, real or filler (fillers walk key 0):
-            // the rebuild trace is a function of the public capacity only.
-            for r in &table {
-                let (key, write) = if r.is_filler() {
-                    (0, None)
-                } else {
-                    (cell_key(r), Some(cell_val(r) + 1))
-                };
-                oram.access(c, key, write);
+            for step in puts.chunks(MIRROR_STEP) {
+                mirror_step(c, scratch, oram, step);
             }
         }
         shard.table = table;
@@ -131,37 +141,52 @@ impl Shard {
         path: EpochPath,
     ) -> Vec<TagCell> {
         if path == EpochPath::Oram {
-            return self.oram_epoch(c, batch);
+            return self.oram_epoch(c, scratch, batch);
         }
         // Merge path: sort `pending ++ batch` into one op lane and merge.
         let b = batch.len();
         let ops = sorted_ops(c, scratch, &self.pending, batch);
         let answers = self.merge(c, scratch, ops, b, |t| read_answers(c, t, b));
-        // Keep the ORAM mirror consistent: replay the batch (pending ops
-        // were applied at their own epochs). Results are discarded — the
-        // merge already produced them.
+        // Keep the ORAM mirror consistent: apply the batch, in steps of
+        // `MIRROR_STEP` ops in submission order (pending ops were applied at
+        // their own epochs). Its values are discarded — the merge already
+        // answered.
         if let Some(oram) = self.oram.as_mut() {
-            for f in batch {
-                oram.access(c, f.key, f.oram_write());
+            for step in batch.chunks(MIRROR_STEP) {
+                mirror_step(c, scratch, oram, step);
             }
         }
         answers
     }
 
-    /// Sub-threshold path: one fixed-pattern tree-ORAM access per padded
-    /// slot (dummies walk key 0), giving sequential semantics at
-    /// `O(b · polylog s)` instead of a full `O((cap + b) log² )` merge.
-    /// The answer cells are the merge path's, built host-side.
-    fn oram_epoch<C: Ctx>(&mut self, c: &C, batch: &[FlatOp]) -> Vec<TagCell> {
+    /// Sub-threshold path: the padded class as one OPRAM step
+    /// ([`mirror_step`]), giving sequential semantics at `O(b · polylog
+    /// s)` instead of a full `O((cap + b) log²)` merge. Each op's answer is
+    /// its run's pre-step value moved on by the earlier writes of its run;
+    /// the answer cells are the merge path's, sorted back to slot order.
+    fn oram_epoch<C: Ctx>(
+        &mut self,
+        c: &C,
+        scratch: &ScratchPool,
+        batch: &[FlatOp],
+    ) -> Vec<TagCell> {
         let oram = self.oram.as_mut().expect("ORAM path requires a mirror");
-        let answers = (0..)
-            .zip(batch)
-            .map(|(slot, f)| {
-                // Presence is stored as `val + 1`; 0 is absent.
-                let prev = oram.access(c, f.key, f.oram_write());
-                answer_cell(slot, f.kind, prev != 0, prev.saturating_sub(1))
-            })
-            .collect();
+        let ops = mirror_step(c, scratch, oram, batch);
+        let b = ops.len();
+        let mut answers = scratch.lease(b, TagCell::filler());
+        let mut t = Tracked::new(c, &mut answers);
+        let mut state = 0;
+        for (i, &(op, head, before)) in ops.iter().enumerate() {
+            // Presence is stored as `val + 1`; 0 is absent.
+            state = select_u64(head, state, before);
+            let slot = cell_seq(&op).wrapping_sub(1);
+            let answer = answer_cell(slot, cell_kind(&op), state != 0, state.saturating_sub(1));
+            t.set(c, i, select_cell(op.is_filler(), answer, TagCell::filler()));
+            let (writes, val) = write_of(&op);
+            state = select_u64(writes, state, val);
+        }
+        ENGINE.sort_cells(c, scratch, &mut t);
+        let answers = read_answers(c, &t, b);
         // The padded batch (dummies included: public length) joins the
         // pending log for the next merge.
         self.pending.extend_from_slice(batch);
@@ -250,4 +275,55 @@ impl Shard {
     pub fn pending_ops(&self) -> &[FlatOp] {
         &self.pending
     }
+}
+
+/// The ORAM-mirror write of an op cell, under the presence-as-`val + 1`
+/// encoding (0 = absent): whether it writes, and what — the one source of
+/// truth for the ORAM path, the merge path's write-through and the rebuild.
+fn write_of(op: &TagCell) -> (bool, u64) {
+    let k = cell_kind(op);
+    let put = k == kind::PUT;
+    (
+        put | (k == kind::DELETE),
+        select_u64(put, 0, cell_val(op).wrapping_add(1)),
+    )
+}
+
+/// Apply a padded class to the ORAM mirror as one [`Opram::step`], with the
+/// store's sequential semantics. The class is sorted by `(key, seq)`
+/// ([`sorted_ops`], dummies last); each run of one key makes one request
+/// carrying the run's last write, or none, and every later op of the run a
+/// dummy walk (a dummy op joins the run before it). Returns the sorted op
+/// cells, each with whether it heads its run and the value its key held
+/// before the step (`val + 1`, 0 absent).
+fn mirror_step<C: Ctx>(
+    c: &C,
+    scratch: &ScratchPool,
+    oram: &mut Opram,
+    batch: &[FlatOp],
+) -> Vec<(TagCell, bool, u64)> {
+    let mut sorted = sorted_ops(c, scratch, &[], batch);
+    let t = Tracked::new(c, &mut sorted);
+    let ops: Vec<TagCell> = (0..t.len()).map(|i| t.get(c, i)).collect();
+    let b = ops.len();
+    let mut reqs = Vec::with_capacity(b);
+    let mut key = 0;
+    for op in &ops {
+        key = select_u64(op.is_filler(), cell_key(op), key);
+        reqs.push((key, None));
+    }
+    // Backward, segmented: the last write of each run rides on its head.
+    let (mut has, mut val) = (false, 0);
+    for i in (0..b).rev() {
+        let end = i + 1 == b || reqs[i + 1].0 != reqs[i].0;
+        has &= !end;
+        let (writes, w) = write_of(&ops[i]);
+        val = select_u64(!has & writes, val, w);
+        has |= writes;
+        reqs[i].1 = has.then_some(val);
+    }
+    let pre = oram.step(c, &reqs);
+    (0..b)
+        .map(|i| (ops[i], i == 0 || reqs[i - 1].0 != reqs[i].0, pre[i]))
+        .collect()
 }

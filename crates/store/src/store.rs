@@ -10,8 +10,8 @@
 //! ([`StoreConfig::oram_key_space`]), a 1-shard store additionally keeps a
 //! recursive tree-ORAM **mirror** ([`pram::Opram`], §4.2) of the same
 //! key→value map, and epochs whose *public* padded size falls below
-//! [`StoreConfig::oram_threshold`] are served by per-op ORAM point lookups
-//! instead of paying a full merge. The two representations stay consistent
+//! [`StoreConfig::oram_threshold`] are served as one OPRAM step (one walk
+//! per op, [`pram::Opram::step`]) instead of paying a full merge. The two representations stay consistent
 //! LSM-style (see [`crate::shard`]). Path selection reads only public
 //! quantities (padded batch class, pending-log length), so the dispatch
 //! itself leaks nothing about the operations.

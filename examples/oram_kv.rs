@@ -2,8 +2,9 @@
 // the tree-ORAM point-lookup path (§4.2) enabled for small batches.
 //
 // Clients submit Get/Put/Delete/Aggregate ops into epochs; the path each
-// epoch takes — full §F merge against the resident table, or per-op ORAM
-// walks — is selected by the *public* padded batch size alone.
+// epoch takes — full §F merge against the resident table, or one OPRAM
+// step of one walk per op — is selected by the *public* padded batch size
+// alone.
 //
 // ```sh
 // cargo run --release --example oram_kv

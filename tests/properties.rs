@@ -125,6 +125,76 @@ proptest! {
         }
     }
 
+    /// PRAM steps with duplicates: every request sees its address's
+    /// pre-step value and the earliest request naming an address installs
+    /// its write, if it has one. The addresses crowd `0..24`, so requests
+    /// share map entries, and at `s = 4096` the top entry, in most steps.
+    #[test]
+    fn oram_batches_match_map(
+        steps in proptest::collection::vec(
+            proptest::collection::vec((0u64..24, proptest::option::of(0u64..1000)), 1..12),
+            1..10,
+        ),
+        space in 0usize..3,
+    ) {
+        let c = SeqCtx::new();
+        let s = [24, 600, 4096][space];
+        let mut o = Opram::new(s, OramConfig::default(), Engine::BitonicRec, 13);
+        let mut reference = std::collections::HashMap::new();
+        for reqs in &steps {
+            let got = o.access_batch(&c, reqs);
+            let want: Vec<u64> = reqs
+                .iter()
+                .map(|&(a, _)| reference.get(&a).copied().unwrap_or(0))
+                .collect();
+            prop_assert_eq!(got, want);
+            for (j, &(a, w)) in reqs.iter().enumerate() {
+                let first = reqs[..j].iter().all(|&(b, _)| b != a);
+                if let (true, Some(v)) = (first, w) {
+                    reference.insert(a, v);
+                }
+            }
+        }
+    }
+
+    /// The store's ORAM path — each epoch one OPRAM step over its class —
+    /// against sequential semantics, with every op kind and many ops on
+    /// one key in an epoch.
+    #[test]
+    fn oram_epochs_match_sequential_semantics(
+        epochs in proptest::collection::vec(
+            proptest::collection::vec((0u8..3, 0u64..12, 0u64..1000), 1..16),
+            1..10,
+        ),
+    ) {
+        let (c, sp) = (SeqCtx::new(), ScratchPool::new());
+        let mut cfg = StoreConfig::with_oram(64);
+        cfg.oram_threshold = 32;
+        let mut s = Store::new(cfg);
+        let mut map = std::collections::HashMap::new();
+        for raw in &epochs {
+            let ops: Vec<Op> = raw
+                .iter()
+                .map(|&(kind, key, val)| match kind {
+                    0 => Op::Put { key, val },
+                    1 => Op::Get { key },
+                    _ => Op::Delete { key },
+                })
+                .collect();
+            prop_assert_eq!(s.epoch_path(ops.len()), EpochPath::Oram);
+            let got = s.execute_epoch(&c, &sp, &ops).unwrap();
+            for (op, res) in ops.iter().zip(got) {
+                let want = match *op {
+                    Op::Put { key, val } => map.insert(key, val),
+                    Op::Get { key } => map.get(&key).copied(),
+                    Op::Delete { key } => map.remove(&key),
+                    Op::Aggregate => unreachable!(),
+                };
+                prop_assert_eq!(res, OpResult::Value(want), "{:?}", op);
+            }
+        }
+    }
+
     #[test]
     fn expr_trees_evaluate_correctly(
         leaves in 2usize..40,

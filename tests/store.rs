@@ -25,6 +25,43 @@ fn hybrid_epochs_match_hashmap_oracle() {
     model::regress(&SeqCtx::new(), 2, |f| f == Front::Oram { pipelined: false });
 }
 
+/// The ORAM path runs an epoch as one OPRAM step. Put, get, delete and get
+/// on one key, padded with dummies to the 8-op class, then a full class
+/// crowding two keys: every answer is the model oracle's, in submission
+/// order.
+#[test]
+fn one_oram_step_keeps_sequential_semantics() {
+    let (c, sp) = (SeqCtx::new(), ScratchPool::new());
+    let mut cfg = StoreConfig::with_oram(64);
+    cfg.oram_threshold = 32;
+    let mut s = Store::new(cfg);
+    let mut oracle = model::Oracle::default();
+    let epochs = [
+        vec![
+            Op::Put { key: 7, val: 70 },
+            Op::Get { key: 7 },
+            Op::Delete { key: 7 },
+            Op::Get { key: 7 },
+        ],
+        vec![
+            Op::Put { key: 7, val: 71 },
+            Op::Put { key: 9, val: 90 },
+            Op::Get { key: 7 },
+            Op::Put { key: 7, val: 72 },
+            Op::Delete { key: 9 },
+            Op::Get { key: 9 },
+            Op::Get { key: 7 },
+            Op::Get { key: 3 },
+        ],
+        vec![Op::Get { key: 7 }, Op::Get { key: 9 }],
+    ];
+    for ops in epochs {
+        assert_eq!(s.epoch_path(ops.len()), EpochPath::Oram);
+        let got = s.execute_epoch(&c, &sp, &ops).unwrap();
+        assert_eq!(got, oracle.epoch(&ops, false), "{ops:?}");
+    }
+}
+
 // ---------------------------------------------------------------------------
 // Definition-1 trace equality
 // ---------------------------------------------------------------------------
