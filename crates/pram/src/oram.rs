@@ -42,16 +42,25 @@
 //!    one path after another (each looked-up block blinded in passing);
 //! 2. the `U·b` union slots, in the union's in-order, and then the `stash`
 //!    slots are read once each — the stash once for all `p` lookups;
-//! 3. in private, untraced staging the looked-up blocks are dropped and the
-//!    `p` re-leafed blocks added (a dummy walk adds a free slot), every
-//!    slot is keyed by the deepest union bucket its leaf allows (one table
-//!    lookup: slots keep their leaves bit-reversed), the slots are
-//!    counting-sorted by that bucket and the buckets filled deepest-first
-//!    from a stack of the sorted stretches — linear in the staged slots,
-//!    and every loop of it runs a public number of times with no branch on
-//!    a slot's contents (masks and selects only): free slots are staged,
-//!    sorted and written like real ones, so the work of a step does not
-//!    follow how full the tree is or where the blocks were;
+//! 3. in private, untraced staging, in passes over slices of the step's
+//!    public length:
+//!    * every bucket position, here and in step 1, is one read of a table
+//!      the tree builds once (a node's first slot by heap index,
+//!      [`TreeLayout::pos`] times the bucket size);
+//!    * the staged stash is blinded against each walk in turn;
+//!    * the `p` re-leafed blocks are added (a dummy walk adds a free slot);
+//!    * a key pass gives every slot the deepest union bucket its leaf
+//!      allows (one table lookup: slots keep their leaves bit-reversed),
+//!      a free slot one of eight spare keys;
+//!    * a histogram and a scatter counting-sort the slots by key;
+//!    * the buckets are filled deepest-first from a stack of the sorted
+//!      stretches.
+//!
+//!    It is linear in the staged slots, and every loop of it runs a public
+//!    number of times with no branch on a slot's contents (masks and
+//!    selects only): free slots are staged, sorted and written like real
+//!    ones, so the work of a step does not follow how full the tree is or
+//!    where the blocks were;
 //! 4. the same `U·b` union slots are written once each, in post-order
 //!    (every bucket after the buckets below it), then the `stash` slots.
 //!
@@ -235,16 +244,53 @@ impl Union {
         self.post.push(id);
     }
 
-    /// Id of the deepest union bucket on the path to the leaf whose bits
-    /// reversed are `rev`, for the union of counters `ctr …`.
-    #[inline(always)]
-    fn deepest(&self, ctr: u64, rev: u32) -> usize {
-        let mask = self.deepest.len() as u64 - 1;
-        self.deepest[((rev as u64).wrapping_sub(ctr) & mask) as usize] as usize
-    }
-
     fn len(&self) -> usize {
         self.parent.len()
+    }
+
+    /// Counting-sort `pool` by the deepest union bucket each slot's leaf
+    /// allows, for the union of counters `ctr …`: afterwards `ends[u −
+    /// 1]..ends[u]` of `sorted` holds bucket `u`'s blocks and
+    /// `sorted[pool.len()]` is free. Free slots are counted on eight spare
+    /// keys (not all on one, which would chain every count) and stored over
+    /// that free slot. The keys come in one pass, then the histogram and
+    /// the scatter read them, each over slices of the step's public length.
+    fn sort(
+        &self,
+        ctr: u64,
+        pool: &[OramSlot],
+        keys: &mut Vec<u32>,
+        ends: &mut Vec<usize>,
+        sorted: &mut Vec<OramSlot>,
+    ) {
+        let (n, nodes) = (pool.len(), self.len());
+        keys.resize(n, 0);
+        ends.clear();
+        ends.resize(nodes + 8, 0);
+        sorted.resize(n + 1, OramSlot::default());
+        let (keys, ends, sorted) = (&mut keys[..], &mut ends[..], &mut sorted[..]);
+        // The deepest bucket of leaf `rev` is `deepest[rev − ctr]`, the
+        // index taken mod the leaf count, a power of two: the low bits of
+        // the `u32` difference.
+        let (deepest, wrap) = (&self.deepest[..], self.deepest.len() - 1);
+        for (i, (key, sl)) in keys.iter_mut().zip(pool).enumerate() {
+            let own = deepest[sl.leaf.wrapping_sub(ctr as u32) as usize & wrap];
+            *key = select_u64(sl.addr == EMPTY, own as u64, (nodes + i % 8) as u64) as u32;
+        }
+        for &key in keys.iter() {
+            ends[key as usize] += 1;
+        }
+        let mut at = 0;
+        for e in ends[..nodes].iter_mut() {
+            at += std::mem::replace(e, at);
+        }
+        for (sl, &key) in pool.iter().zip(keys.iter()) {
+            let key = key as usize;
+            let i = ends[key];
+            sorted[select_u64(key >= nodes, i as u64, n as u64) as usize] = *sl;
+            ends[key] = i + 1;
+        }
+        sorted[n] = OramSlot::default();
     }
 }
 
@@ -304,11 +350,20 @@ impl<'a> Stretches<'a> {
     }
 }
 
+/// Unions a tree keeps, one per recent step size, most recent first: the
+/// store alternates two sizes (its class and the merge's mirror steps), so
+/// a bounded few rebuild nothing after warm-up.
+const UNIONS: usize = 4;
+
 /// A single-level bucket tree with a fixed stash.
 pub struct TreeOram {
     height: usize,
     bucket: usize,
-    layout: TreeLayout,
+    /// `slots[v]`: the first slot in `store` of the node with heap index
+    /// `v` — node `(d, i)` at `2^d − 1 + i` — under the tree's layout,
+    /// `layout.pos(height, d, i) · bucket`. Built once, so a step reads a
+    /// node's position instead of walking the layout's recursion.
+    slots: Vec<u32>,
     /// Buckets and stash. A slot here keeps its leaf bit-reversed — in the
     /// eviction counter's coordinates, where a step's union is a range.
     store: Vec<OramSlot>,
@@ -318,24 +373,25 @@ pub struct TreeOram {
     /// quantity the overflow assert bounds by the stash capacity
     /// (monitoring, §4.2 simplification).
     pub max_stash: usize,
-    /// The eviction union of the last step's size.
-    union: Union,
+    /// The eviction unions of the last few step sizes, the current step's
+    /// first (at most [`UNIONS`]).
+    unions: Vec<Union>,
     /// Private, untraced staging, grown to the largest step seen so that
     /// steady-state steps perform no heap allocation: the union's bucket
-    /// positions, every gathered slot and its key, the same slots
-    /// counting-sorted (one free slot behind them), where each key's
-    /// slots end in `sorted`, how many blocks each bucket's children pass
-    /// up to it, the stack of stretches of `sorted` not yet placed, and
-    /// each walk's lookup and added block.
-    bases: Vec<usize>,
+    /// positions, every staged slot (the union's, the stash's, then each
+    /// walk's added block) and its key, the same slots counting-sorted
+    /// (one free slot behind them), where each key's slots end in
+    /// `sorted`, how many blocks each bucket's children pass up to it, the
+    /// stack of stretches of `sorted` not yet placed, and each walk's
+    /// lookup.
+    bases: Vec<u32>,
     pool: Vec<OramSlot>,
-    keys: Vec<usize>,
+    keys: Vec<u32>,
     sorted: Vec<OramSlot>,
     ends: Vec<usize>,
     carry: Vec<usize>,
     stack: Vec<u64>,
     found: Vec<(bool, u64)>,
-    added: Vec<OramSlot>,
 }
 
 impl TreeOram {
@@ -344,11 +400,16 @@ impl TreeOram {
         let height = tree_height(capacity, cfg);
         let union = Union::new(height, 2);
         let staged = union.len() * cfg.bucket + cfg.stash + 1;
+        let slots = tree_nodes(height) * cfg.bucket;
+        assert!(slots <= u32::MAX as usize, "ORAM tree exceeds u32 slots");
         TreeOram {
             height,
             bucket: cfg.bucket,
-            layout: cfg.layout,
-            store: vec![OramSlot::default(); tree_nodes(height) * cfg.bucket],
+            slots: (0..height)
+                .flat_map(|d| (0..1 << d).map(move |i| cfg.layout.pos(height, d, i)))
+                .map(|pos| (pos * cfg.bucket) as u32)
+                .collect(),
+            store: vec![OramSlot::default(); slots],
             stash: vec![OramSlot::default(); cfg.stash],
             evict_ctr: 0,
             max_stash: 0,
@@ -360,8 +421,19 @@ impl TreeOram {
             carry: Vec::with_capacity(union.len() + 1),
             stack: Vec::with_capacity(union.len() + 2),
             found: Vec::with_capacity(1),
-            added: Vec::with_capacity(1),
-            union,
+            unions: vec![union],
+        }
+    }
+
+    /// Put the union of `m` eviction paths first in `unions`, building it
+    /// only if none of the last [`UNIONS`] step sizes had it.
+    fn union_first(&mut self, m: usize) {
+        match self.unions.iter().position(|u| u.m == m) {
+            Some(i) => self.unions[..=i].rotate_right(1),
+            None => {
+                self.unions.truncate(UNIONS - 1);
+                self.unions.insert(0, Union::new(self.height, m));
+            }
         }
     }
 
@@ -431,18 +503,16 @@ impl TreeOram {
             walks.iter().all(|&(_, leaf)| (leaf as u64) < self.leaves()),
             "ORAM walk leaf out of range"
         );
-        if self.union.m != 2 * p {
-            self.union = Union::new(self.height, 2 * p);
-        }
+        self.union_first(2 * p);
         let TreeOram {
             height: h,
             bucket,
-            layout,
+            ref slots,
             ref mut store,
             ref mut stash,
             ref mut evict_ctr,
             ref mut max_stash,
-            ref union,
+            ref unions,
             ref mut bases,
             ref mut pool,
             ref mut keys,
@@ -451,19 +521,20 @@ impl TreeOram {
             ref mut carry,
             ref mut stack,
             ref mut found,
-            ref mut added,
         } = *self;
-        let bits = (h - 1) as u32;
+        let union = &unions[0];
+        let bits = h - 1;
         let ctr = *evict_ctr;
         *evict_ctr += 2 * p as u64;
 
-        // The union's bucket positions, by id.
-        let base_of = |d: usize, idx: usize| layout.pos(h, d, idx) * bucket;
+        // The union's bucket positions, by id: depth `d`'s bucket `j` is
+        // that depth's node `ctr + j` (mod `2^d`) bit-reversed.
         bases.clear();
         for d in 0..h {
+            let depth = &slots[(1 << d) - 1..(2 << d) - 1];
             bases.extend(
                 (0..union.first[d + 1] - union.first[d])
-                    .map(|j| base_of(d, reverse_bits(ctr + j as u64, d as u32) as usize)),
+                    .map(|j| depth[reverse_bits(ctr + j as u64, d as u32) as usize]),
             );
         }
 
@@ -473,11 +544,14 @@ impl TreeOram {
         let mut st = Tracked::new(c, store);
         let mut ss = Tracked::new(c, stash);
 
-        // 1. Read paths, one per walk: read + blind + rewrite.
+        // 1. Read paths, one per walk: read + blind + rewrite. The leaf's
+        // heap index is `2^bits + leaf` counted from 1; its ancestor at
+        // depth `d` is that shifted right by `bits − d`.
         for (&(addr, leaf), got) in walks.iter().zip(found.iter_mut()) {
             let mut acc = *got;
+            let node = 1 << bits | leaf as usize;
             for d in 0..h {
-                let base = base_of(d, (leaf >> (bits as usize - d)) as usize);
+                let base = slots[(node >> (bits - d)) - 1] as usize;
                 for k in base..base + bucket {
                     let sl = st.get(c, k);
                     st.set(
@@ -492,57 +566,35 @@ impl TreeOram {
 
         // 2. Gather the union and the stash, once: every slot is staged,
         // free or not. The stash is blinded against every walk.
-        pool.clear();
-        for &u in union.inorder.iter() {
-            for k in bases[u]..bases[u] + bucket {
-                pool.push(st.get(c, k));
+        let (nodes, stashed) = (union.len(), union.len() * bucket);
+        let n = stashed + ss.len() + p;
+        pool.resize(n, free);
+        let (tree, rest) = pool.split_at_mut(stashed);
+        let (held, fetched) = rest.split_at_mut(ss.len());
+        for (&u, dst) in union.inorder.iter().zip(tree.chunks_exact_mut(bucket)) {
+            let base = bases[u] as usize;
+            for (k, sl) in dst.iter_mut().enumerate() {
+                *sl = st.get(c, base + k);
             }
         }
-        let stashed = pool.len();
-        for k in 0..ss.len() {
-            pool.push(ss.get(c, k));
+        for (k, sl) in held.iter_mut().enumerate() {
+            *sl = ss.get(c, k);
         }
         for (&(addr, _), got) in walks.iter().zip(found.iter_mut()) {
-            for sl in pool[stashed..].iter_mut() {
+            for sl in held.iter_mut() {
                 *sl = take_if((addr != EMPTY) & (sl.addr == addr), got, *sl);
             }
         }
-        added.clear();
-        added.resize(p, free);
-        finish(found, added);
-        for a in added.iter_mut() {
-            a.leaf = reverse_bits(a.leaf as u64, bits);
+        fetched.fill(free);
+        finish(found, fetched);
+        for a in fetched.iter_mut() {
+            a.leaf = reverse_bits(a.leaf as u64, bits as u32);
         }
-        pool.extend_from_slice(added);
 
-        // 3. Counting sort by deepest legal union bucket: afterwards
-        // `ends[u − 1]..ends[u]` of `sorted` holds the blocks of bucket `u`
-        // and `sorted[n_staged]` is free. Free slots are counted on eight
-        // spare keys (not all on one, which would chain every count) and
-        // stored over that free slot. One unit of work per staged slot for
-        // the sort, one for the fill.
-        let (n, nodes) = (pool.len(), union.len());
+        // 3. Counting sort by deepest legal union bucket. One unit of work
+        // per staged slot for the sort, one for the fill.
         c.work(2 * n as u64);
-        keys.clear();
-        ends.clear();
-        ends.resize(nodes + 8, 0);
-        for (i, sl) in pool.iter().enumerate() {
-            let key = union.deepest(ctr, sl.leaf);
-            let key = select_u64(sl.addr == EMPTY, key as u64, (nodes + i % 8) as u64) as usize;
-            keys.push(key);
-            ends[key] += 1;
-        }
-        let mut at = 0;
-        for e in ends[..nodes].iter_mut() {
-            at += std::mem::replace(e, at);
-        }
-        sorted.resize(n + 1, free);
-        for (sl, &key) in pool.iter().zip(keys.iter()) {
-            let i = ends[key];
-            sorted[select_u64(key >= nodes, i as u64, n as u64) as usize] = *sl;
-            ends[key] = i + 1;
-        }
-        sorted[n] = free;
+        union.sort(ctr, pool, keys, ends, sorted);
 
         // 4. Deepest-first fill and write-back, every slot written once.
         // In post-order, the blocks of a bucket's subtree not yet placed
@@ -560,8 +612,9 @@ impl TreeOram {
             let reach = own.1 - own.0 + carry[u];
             let take = bucket.min(reach);
             carry[union.parent[u]] += reach - take;
+            let base = bases[u] as usize;
             for k in 0..bucket {
-                st.set(c, bases[u] + k, sorted[open.pop(k < take)]);
+                st.set(c, base + k, sorted[open.pop(k < take)]);
             }
         }
         let left = carry[nodes];
@@ -1096,6 +1149,66 @@ mod tests {
         assert_eq!(after, vec![61]);
     }
 
+    /// The position table is the layout's definition: every node's first
+    /// slot is `layout.pos(h, d, i) · bucket`, at every height a tree of
+    /// up to 2¹⁵ leaves has, on both layouts.
+    #[test]
+    fn slot_table_is_the_layout_at_every_height() {
+        for layout in [TreeLayout::Veb, TreeLayout::Level] {
+            for bucket in [1, 5] {
+                let cfg = OramConfig {
+                    bucket,
+                    stash: 8,
+                    layout,
+                };
+                for h in 1..=16 {
+                    let t = TreeOram::new(bucket << (h - 1), cfg);
+                    assert_eq!(t.height, h);
+                    assert_eq!(t.slots.len(), tree_nodes(h));
+                    for d in 0..h {
+                        for i in 0..1 << d {
+                            assert_eq!(
+                                t.slots[(1 << d) - 1 + i] as usize,
+                                layout.pos(h, d, i) * bucket,
+                                "{layout:?}, bucket {bucket}, h {h}, node ({d}, {i})"
+                            );
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    /// Steps that alternate sizes build each size's union once: a tree
+    /// keeps the unions of its last [`UNIONS`] step sizes, the current
+    /// one first, and a new size drops the oldest.
+    #[test]
+    fn unions_of_recent_step_sizes_are_kept() {
+        let mut t = TreeOram::new(1024, OramConfig::default());
+        let leaf = t.leaves() as u32 - 1;
+        let c = SeqCtx::new();
+        let step = |t: &mut TreeOram, p: usize| {
+            t.step(&c, &vec![(EMPTY, leaf); p], |_, _| {});
+            let sizes: Vec<usize> = t.unions.iter().map(|u| u.m).collect();
+            let built: Vec<*const u32> = t.unions.iter().map(|u| u.deepest.as_ptr()).collect();
+            (sizes, built)
+        };
+        for p in [8, 4, 8] {
+            step(&mut t, p);
+        }
+        let (sizes, built) = step(&mut t, 4);
+        assert_eq!(sizes, [8, 16, 2]);
+        let (sizes, again) = step(&mut t, 8);
+        assert_eq!(sizes, [16, 8, 2]);
+        assert_eq!(
+            again,
+            [built[1], built[0], built[2]],
+            "a kept union was rebuilt"
+        );
+        assert_eq!(step(&mut t, 2).0, [4, 16, 8, 2]);
+        assert_eq!(step(&mut t, 3).0, [6, 4, 16, 8]);
+    }
+
     #[test]
     fn slot_is_16_bytes() {
         assert_eq!(std::mem::size_of::<OramSlot>(), 16);
@@ -1138,13 +1251,14 @@ mod tests {
         reverse_bits(sl.leaf as u64, (t.height - 1) as u32)
     }
 
-    /// Every real block of `t`, as `(addr, leaf, val)`, sorted; panics if a
-    /// block sits in a bucket off its own leaf's path.
-    fn blocks_on_their_paths(t: &TreeOram) -> Vec<(u32, u32, u64)> {
+    /// Every real block of `t`, laid out by `layout`, as `(addr, leaf,
+    /// val)`, sorted; panics if a block sits in a bucket off its own leaf's
+    /// path.
+    fn blocks_on_their_paths(t: &TreeOram, layout: TreeLayout) -> Vec<(u32, u32, u64)> {
         let mut all = Vec::new();
         for d in 0..t.height {
             for idx in 0..1usize << d {
-                let base = t.layout.pos(t.height, d, idx) * t.bucket;
+                let base = layout.pos(t.height, d, idx) * t.bucket;
                 for sl in &t.store[base..base + t.bucket] {
                     if sl.addr != EMPTY {
                         assert_eq!(
@@ -1252,7 +1366,11 @@ mod tests {
                         .map(|(&a, &(l, v))| (a as u32, l as u32, v))
                         .collect();
                     expect.sort_unstable();
-                    assert_eq!(blocks_on_their_paths(&t), expect, "p {p}, step {step}");
+                    assert_eq!(
+                        blocks_on_their_paths(&t, layout),
+                        expect,
+                        "p {p}, step {step}"
+                    );
 
                     for sl in t.stash.iter().filter(|sl| sl.addr != EMPTY) {
                         leftovers_seen += 1;
@@ -1260,7 +1378,7 @@ mod tests {
                             let path = reverse_bits(x, (h - 1) as u32);
                             for d in 0..=meet(h, leaf_of(&t, sl), path) {
                                 let idx = (path >> (h - 1 - d)) as usize;
-                                let base = t.layout.pos(h, d, idx) * bucket;
+                                let base = layout.pos(h, d, idx) * bucket;
                                 assert!(
                                     t.store[base..base + bucket].iter().all(|b| b.addr != EMPTY),
                                     "p {p}, step {step}: {sl:?} fits depth {d} of path {path}"

@@ -279,20 +279,19 @@ pub(crate) fn answer_cell(slot: u64, op_kind: u8, found: bool, val: u64) -> TagC
     )
 }
 
-/// Read out the `b`-cell answer window `t[..b]`. The readout covers the
-/// whole padded class — reading only the real answers would leak their
-/// count within the class — and moves the payload lanes only; each cell is
-/// re-tagged with its slot host-side.
-pub(crate) fn read_answers<C: Ctx>(c: &C, t: &Tracked<'_, TagCell>, b: usize) -> Vec<TagCell> {
-    let lanes = metrics::par_collect(c, b, &|c, j| {
+/// Read out the `b`-cell answer window `t[..b]` as answer words: the
+/// payload lane of slot `j`'s answer cell at `j` (what [`decode`] reads).
+/// The readout covers the whole padded class — reading only the real
+/// answers would leak their count within the class — and moves the payload
+/// lanes only.
+///
+/// [`decode`]: crate::store::decode
+pub(crate) fn read_answers<C: Ctx>(c: &C, t: &Tracked<'_, TagCell>, b: usize) -> Vec<u128> {
+    metrics::par_collect(c, b, &|c, j| {
         let s = t.get(c, j);
         debug_assert!(s.is_filler() || s.tag == j as u128);
         s.aux
-    });
-    (0..b as u128)
-        .zip(lanes)
-        .map(|(j, aux)| TagCell::new(j, aux))
-        .collect()
+    })
 }
 
 /// Run one merge epoch. `table` holds the resident records sorted by key
@@ -530,7 +529,7 @@ pub(crate) fn consult<C: Ctx>(
     tables: &[&[TagCell]],
     log: &[FlatOp],
     queries: &[FlatOp],
-) -> Vec<TagCell> {
+) -> Vec<u128> {
     let l = log.len() as u64;
     let q = queries.len();
     debug_assert!(q.is_power_of_two());
@@ -624,7 +623,7 @@ mod tests {
         cap_new: usize,
         pending: &[FlatOp],
         batch: &[FlatOp],
-    ) -> (Vec<TagCell>, StoreStats) {
+    ) -> (Vec<u128>, StoreStats) {
         let c = SeqCtx::new();
         let scratch = ScratchPool::new();
         let ops = sorted_ops(&c, &scratch, pending, batch);
@@ -647,7 +646,7 @@ mod tests {
         assert_eq!(answers.len(), pad_to, "one answer per padded slot");
         answers[..ops.len()]
             .iter()
-            .map(|a| decode(a, StoreStats::default()))
+            .map(|&a| decode(a, StoreStats::default()))
             .collect()
     }
 
@@ -748,7 +747,7 @@ mod tests {
         let snapshot = StoreStats { count: 9, sum: 99 };
         let (res, stats) = epoch(&mut table, 8, &[], &batch);
         // Aggregates answer from the pre-epoch snapshot...
-        assert_eq!(decode(&res[2], snapshot), OpResult::Stats(snapshot));
+        assert_eq!(decode(res[2], snapshot), OpResult::Stats(snapshot));
         // ...while the refreshed snapshot covers the new table.
         assert_eq!(stats, StoreStats { count: 2, sum: 15 });
     }
@@ -824,7 +823,7 @@ mod tests {
         let got: Vec<Option<u64>> = consult(&c, &scratch, &[&left, &right], &log, &queries)
             [..keys.len()]
             .iter()
-            .map(|a| decode(a, StoreStats::default()).value())
+            .map(|&a| decode(a, StoreStats::default()).value())
             .collect();
         assert_eq!(
             got,
@@ -929,7 +928,7 @@ mod tests {
         cap_new: usize,
         pending: &[FlatOp],
         batch: &[FlatOp],
-    ) -> Vec<TagCell> {
+    ) -> Vec<u128> {
         let scratch = ScratchPool::new();
         let ops = sorted_ops(c, &scratch, pending, batch);
         let shape = (pending.len(), batch.len());
@@ -997,7 +996,7 @@ mod tests {
             proptest::prop_assert!(metered == seq, "metered and SeqCtx epochs differ");
             let got: Vec<OpResult> = seq.0[..want.len()]
                 .iter()
-                .map(|a| decode(a, StoreStats::default()))
+                .map(|&a| decode(a, StoreStats::default()))
                 .collect();
             proptest::prop_assert_eq!(got, want);
             proptest::prop_assert_eq!(seq.1.len(), cap_new);
@@ -1043,7 +1042,7 @@ mod tests {
             let seq = consult(&SeqCtx::new(), &ScratchPool::new(), &refs, &log, &queries);
             proptest::prop_assert!(metered == seq, "metered and SeqCtx consults differ");
             for (j, &key) in asked.iter().enumerate() {
-                let got = decode(&seq[j], StoreStats::default()).value();
+                let got = decode(seq[j], StoreStats::default()).value();
                 proptest::prop_assert_eq!(got, oracle.get(&key).copied(), "key {}", key);
             }
         }

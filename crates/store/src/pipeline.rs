@@ -466,7 +466,7 @@ impl PipelinedStore<ShardedStore> {
         let snapshot = StoreStats::default();
         Ok(answers[..keys.len()]
             .iter()
-            .map(|a| decode(a, snapshot).value())
+            .map(|&a| decode(a, snapshot).value())
             .collect())
     }
 

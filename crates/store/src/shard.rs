@@ -40,7 +40,7 @@ pub(crate) struct Shard {
     live_upper: usize,
     /// Ops applied to the ORAM mirror but not yet merged into the table.
     pending: Vec<FlatOp>,
-    oram: Option<Opram>,
+    mirror: Option<Mirror>,
     stats: StoreStats,
     merges: u64,
 }
@@ -48,16 +48,20 @@ pub(crate) struct Shard {
 impl Shard {
     /// `salt` decorrelates the ORAM position-map coins of sibling shards.
     pub fn new(cfg: StoreConfig, salt: u64) -> Self {
-        let oram = cfg.oram_key_space.map(|s| {
+        let mirror = cfg.oram_key_space.map(|s| {
             let seed = cfg.seed ^ salt.wrapping_mul(0x9E37_79B9_7F4A_7C15);
-            Opram::new(s.max(1), cfg.oram, ENGINE, seed)
+            Mirror {
+                oram: Opram::new(s.max(1), cfg.oram, ENGINE, seed),
+                ops: Vec::new(),
+                reqs: Vec::new(),
+            }
         });
         Shard {
             cfg,
             table: vec![TagCell::filler(); size_class(0)],
             live_upper: 0,
             pending: Vec::new(),
-            oram,
+            mirror,
             stats: StoreStats::default(),
             merges: 0,
         }
@@ -65,7 +69,7 @@ impl Shard {
 
     /// Rebuild a shard from a durable snapshot: the table cells plus the
     /// public counters, with the ORAM mirror (when configured) rebuilt by
-    /// [`mirror_step`]s of [`MIRROR_STEP`] public table slots, a filler
+    /// [`Mirror::step`]s of [`MIRROR_STEP`] public table slots, a filler
     /// slot a dummy op. Snapshots are only
     /// taken at merge closes, where the pending log is empty and the
     /// mirror equals the table — so table + counters is the whole state.
@@ -103,9 +107,9 @@ impl Shard {
             return Err(io::Error::new(io::ErrorKind::InvalidData, what));
         }
         let mut shard = Shard::new(cfg, salt);
-        if let Some(oram) = shard.oram.as_mut() {
+        if let Some(mirror) = shard.mirror.as_mut() {
             for step in puts.chunks(MIRROR_STEP) {
-                mirror_step(c, scratch, oram, step);
+                mirror.step(c, scratch, step);
             }
         }
         shard.table = table;
@@ -118,7 +122,7 @@ impl Shard {
     /// The path a padded batch of class `b` would take right now — a public
     /// function of the class and the (public) pending-log length.
     pub fn epoch_path(&self, b: usize) -> EpochPath {
-        match self.oram {
+        match self.mirror {
             None => EpochPath::Merge,
             Some(_)
                 if b >= self.cfg.oram_threshold
@@ -131,15 +135,15 @@ impl Shard {
     }
 
     /// Run one epoch over an already padded `batch` (real ops leading) on
-    /// the given (publicly selected) path. Returns one answer cell per
-    /// batch slot, tagged by the slot ([`crate::merge::answer_cell`]).
+    /// the given (publicly selected) path. Returns one answer word per
+    /// batch slot ([`read_answers`]).
     pub fn execute<C: Ctx>(
         &mut self,
         c: &C,
         scratch: &ScratchPool,
         batch: &[FlatOp],
         path: EpochPath,
-    ) -> Vec<TagCell> {
+    ) -> Vec<u128> {
         if path == EpochPath::Oram {
             return self.oram_epoch(c, scratch, batch);
         }
@@ -151,27 +155,22 @@ impl Shard {
         // `MIRROR_STEP` ops in submission order (pending ops were applied at
         // their own epochs). Its values are discarded — the merge already
         // answered.
-        if let Some(oram) = self.oram.as_mut() {
+        if let Some(mirror) = self.mirror.as_mut() {
             for step in batch.chunks(MIRROR_STEP) {
-                mirror_step(c, scratch, oram, step);
+                mirror.step(c, scratch, step);
             }
         }
         answers
     }
 
     /// Sub-threshold path: the padded class as one OPRAM step
-    /// ([`mirror_step`]), giving sequential semantics at `O(b · polylog
+    /// ([`Mirror::step`]), giving sequential semantics at `O(b · polylog
     /// s)` instead of a full `O((cap + b) log²)` merge. Each op's answer is
     /// its run's pre-step value moved on by the earlier writes of its run;
     /// the answer cells are the merge path's, sorted back to slot order.
-    fn oram_epoch<C: Ctx>(
-        &mut self,
-        c: &C,
-        scratch: &ScratchPool,
-        batch: &[FlatOp],
-    ) -> Vec<TagCell> {
-        let oram = self.oram.as_mut().expect("ORAM path requires a mirror");
-        let ops = mirror_step(c, scratch, oram, batch);
+    fn oram_epoch<C: Ctx>(&mut self, c: &C, scratch: &ScratchPool, batch: &[FlatOp]) -> Vec<u128> {
+        let mirror = self.mirror.as_mut().expect("ORAM path requires a mirror");
+        let ops = mirror.step(c, scratch, batch);
         let b = ops.len();
         let mut answers = scratch.lease(b, TagCell::filler());
         let mut t = Tracked::new(c, &mut answers);
@@ -289,41 +288,58 @@ fn write_of(op: &TagCell) -> (bool, u64) {
     )
 }
 
-/// Apply a padded class to the ORAM mirror as one [`Opram::step`], with the
-/// store's sequential semantics. The class is sorted by `(key, seq)`
-/// ([`sorted_ops`], dummies last); each run of one key makes one request
-/// carrying the run's last write, or none, and every later op of the run a
-/// dummy walk (a dummy op joins the run before it). Returns the sorted op
-/// cells, each with whether it heads its run and the value its key held
-/// before the step (`val + 1`, 0 absent).
-fn mirror_step<C: Ctx>(
-    c: &C,
-    scratch: &ScratchPool,
-    oram: &mut Opram,
-    batch: &[FlatOp],
-) -> Vec<(TagCell, bool, u64)> {
-    let mut sorted = sorted_ops(c, scratch, &[], batch);
-    let t = Tracked::new(c, &mut sorted);
-    let ops: Vec<TagCell> = (0..t.len()).map(|i| t.get(c, i)).collect();
-    let b = ops.len();
-    let mut reqs = Vec::with_capacity(b);
-    let mut key = 0;
-    for op in &ops {
-        key = select_u64(op.is_filler(), cell_key(op), key);
-        reqs.push((key, None));
+/// The tree-ORAM mirror of a shard's table, with the private staging its
+/// steps reuse, so a steady ORAM epoch leaves nothing on the heap.
+struct Mirror {
+    oram: Opram,
+    /// The last step's sorted op cells, each with whether it heads its
+    /// key's run and the value its key held before the step.
+    ops: Vec<(TagCell, bool, u64)>,
+    /// The last step's requests, one per op.
+    reqs: Vec<(u64, Option<u64>)>,
+}
+
+impl Mirror {
+    /// Apply a padded class as one [`Opram::step`], with the store's
+    /// sequential semantics. The class is sorted by `(key, seq)`
+    /// ([`sorted_ops`], dummies last); each run of one key makes one
+    /// request carrying the run's last write, or none, and every later op
+    /// of the run a dummy walk (a dummy op joins the run before it).
+    /// Returns the sorted op cells, each with whether it heads its run and
+    /// the value its key held before the step (`val + 1`, 0 absent).
+    fn step<C: Ctx>(
+        &mut self,
+        c: &C,
+        scratch: &ScratchPool,
+        batch: &[FlatOp],
+    ) -> &[(TagCell, bool, u64)] {
+        let Mirror { oram, ops, reqs } = self;
+        let mut sorted = sorted_ops(c, scratch, &[], batch);
+        let t = Tracked::new(c, &mut sorted);
+        let b = t.len();
+        ops.clear();
+        reqs.clear();
+        let mut key = 0;
+        for i in 0..b {
+            let op = t.get(c, i);
+            key = select_u64(op.is_filler(), cell_key(&op), key);
+            ops.push((op, false, 0));
+            reqs.push((key, None));
+        }
+        // Backward, segmented: the last write of each run rides on its head.
+        let (mut has, mut val) = (false, 0);
+        for i in (0..b).rev() {
+            let end = i + 1 == b || reqs[i + 1].0 != reqs[i].0;
+            has &= !end;
+            let (writes, w) = write_of(&ops[i].0);
+            val = select_u64(!has & writes, val, w);
+            has |= writes;
+            reqs[i].1 = has.then_some(val);
+        }
+        let pre = oram.step(c, reqs);
+        for (i, (op, &before)) in ops.iter_mut().zip(pre).enumerate() {
+            *op = (op.0, i == 0 || reqs[i - 1].0 != reqs[i].0, before);
+        }
+        ops
     }
-    // Backward, segmented: the last write of each run rides on its head.
-    let (mut has, mut val) = (false, 0);
-    for i in (0..b).rev() {
-        let end = i + 1 == b || reqs[i + 1].0 != reqs[i].0;
-        has &= !end;
-        let (writes, w) = write_of(&ops[i]);
-        val = select_u64(!has & writes, val, w);
-        has |= writes;
-        reqs[i].1 = has.then_some(val);
-    }
-    let pre = oram.step(c, &reqs);
-    (0..b)
-        .map(|i| (ops[i], i == 0 || reqs[i - 1].0 != reqs[i].0, pre[i]))
-        .collect()
 }

@@ -165,16 +165,16 @@ pub(crate) fn first_breach(cfg: &StoreConfig, batch: &[FlatOp]) -> Option<(usize
     })
 }
 
-/// The one reading of an answer cell (`aux = kind << 72 | found << 64 |
-/// val`, [`crate::merge::answer_cell`]) at every shard count and on both
-/// paths. An `Aggregate` answers with `snapshot`, the global snapshot as
+/// The one reading of an answer word (an answer cell's `aux = kind << 72
+/// | found << 64 | val`, [`crate::merge::answer_cell`]) at every shard
+/// count and on both paths. An `Aggregate` answers with `snapshot`, the global snapshot as
 /// of the epoch's start; every other op with the value its key held just
 /// before it ran.
-pub(crate) fn decode(answer: &TagCell, snapshot: StoreStats) -> OpResult {
-    if (answer.aux >> 72) as u8 == kind::AGG {
+pub(crate) fn decode(answer: u128, snapshot: StoreStats) -> OpResult {
+    if (answer >> 72) as u8 == kind::AGG {
         OpResult::Stats(snapshot)
     } else {
-        OpResult::Value(((answer.aux >> 64) & 1 == 1).then_some(answer.aux as u64))
+        OpResult::Value(((answer >> 64) & 1 == 1).then_some(answer as u64))
     }
 }
 
@@ -538,7 +538,7 @@ impl ShardedStore {
     ) -> Vec<OpResult> {
         let before = self.snapshot;
         let answers = self.commit(c, scratch, batch, &[]);
-        let results = answers[..n].iter().map(|a| decode(a, before)).collect();
+        let results = answers[..n].iter().map(|&a| decode(a, before)).collect();
         if self.last_path == Some(EpochPath::Merge) {
             if let Err(e) = self.maybe_snapshot() {
                 // The epoch itself is acknowledged — its WAL record is
@@ -580,7 +580,7 @@ impl ShardedStore {
     /// validated, padded `batch` as epoch `self.epochs` — on one shard, on
     /// the path [`epoch_path`](Self::epoch_path) selects; on more, routed,
     /// committed in parallel and gathered — and close it. Returns one
-    /// answer cell per batch slot, in submission order. A shard whose
+    /// answer word per batch slot, in submission order. A shard whose
     /// snapshot already holds the epoch (`bases[s] > seq`, only after a
     /// crash inside a checkpoint) sits it out; a live epoch passes none.
     pub(crate) fn commit<C: Ctx>(
@@ -589,7 +589,7 @@ impl ShardedStore {
         scratch: &ScratchPool,
         batch: &[FlatOp],
         bases: &[u64],
-    ) -> Vec<TagCell> {
+    ) -> Vec<u128> {
         let seq = self.epochs;
         self.epochs += 1;
         let (path, answers) = if self.shards.len() == 1 {
@@ -618,7 +618,7 @@ impl ShardedStore {
         scratch: &ScratchPool,
         batch: &[FlatOp],
         runs: impl Fn(usize) -> bool + Sync,
-    ) -> Vec<TagCell> {
+    ) -> Vec<u128> {
         let (shards, b) = (self.shards.len(), batch.len());
         let mut sorted = sorted_ops(c, scratch, &[], batch);
         let ops = Tracked::new(c, &mut sorted);

@@ -2,8 +2,8 @@
 //!
 //! A counting global allocator measures how many heap allocations the
 //! steady-state hot paths perform (`oblivious_sort_u64`, the tag-sort
-//! fast path, a full store merge epoch, a sharded epoch and a pipelined
-//! `read_now` consult). This file is its own integration-test binary, so the global
+//! fast path, a full store merge epoch, a sharded epoch, a pipelined
+//! `read_now` consult and an ORAM epoch). This file is its own integration-test binary, so the global
 //! allocator is the tests' own. It counts per thread: every measured
 //! section runs on `SeqCtx` on its test's thread, so allocations the
 //! harness or a concurrent test makes on other threads never reach it.
@@ -452,5 +452,74 @@ fn merge_epoch_pool_stays_warm_under_pinned_pool() {
     assert!(
         scratch.lane_hits() + scratch.spill_leases() + scratch.fresh_allocs() <= scratch.leases(),
         "lane/spill/fresh accounting exceeded total leases"
+    );
+}
+
+#[test]
+fn oram_epoch_pool_stays_warm() {
+    use fj::SeqCtx;
+    use obliv_core::ScratchPool;
+    use store::{EpochPath, Op, Store, StoreConfig};
+
+    /// Heap allocations of a steady ORAM epoch: the padded batch, the
+    /// answer words and the results handed back. What the store stages
+    /// for it — the mirror's op cells and requests, every tree step's
+    /// staging, the sorts' lanes — is reused or leased.
+    const ORAM_EPOCH_ALLOCS: u64 = 3;
+
+    let c = SeqCtx::new();
+    let scratch = ScratchPool::new();
+    // A small key space pins the merge capacity; a small pending limit
+    // forces a merge every few epochs, whose mirror steps are 8 ops wide.
+    let mut cfg = StoreConfig::with_oram(256);
+    cfg.pending_limit = 96;
+    let mut store = Store::new(cfg);
+    // Classes 8 and 16 interleaved: the ORAM step sizes alternate.
+    let epoch_ops = |round: u64| -> Vec<Op> {
+        let n = if round.is_multiple_of(2) { 8 } else { 13 };
+        (0..n)
+            .map(|i| {
+                let key = (i * 37 + round * 11) % 256;
+                match i % 3 {
+                    0 => Op::Put {
+                        key,
+                        val: i + round,
+                    },
+                    1 => Op::Get { key },
+                    _ => Op::Delete { key },
+                }
+            })
+            .collect()
+    };
+    for round in 0..40 {
+        store
+            .execute_epoch(&c, &scratch, &epoch_ops(round))
+            .unwrap();
+    }
+    let fresh_after_warmup = scratch.fresh_allocs();
+
+    let (mut oram, mut merge) = (0, 0);
+    for round in 40..80 {
+        let ops = epoch_ops(round);
+        let path = store.epoch_path(ops.len());
+        let (results, allocs) = allocs_during(|| store.execute_epoch(&c, &scratch, &ops).unwrap());
+        assert_eq!(results.len(), ops.len());
+        if path == EpochPath::Oram {
+            oram += 1;
+            assert_eq!(
+                allocs,
+                ORAM_EPOCH_ALLOCS,
+                "round {round}: a steady {}-op ORAM epoch made {allocs} heap allocations",
+                ops.len()
+            );
+        } else {
+            merge += 1;
+        }
+    }
+    assert!(oram > 20 && merge > 2, "{oram} ORAM epochs, {merge} merges");
+    assert_eq!(
+        scratch.fresh_allocs(),
+        fresh_after_warmup,
+        "steady ORAM epochs and merges grew the scratch pool"
     );
 }
