@@ -47,11 +47,19 @@
 //!    * every bucket position, here and in step 1, is one read of a table
 //!      the tree builds once (a node's first slot by heap index,
 //!      [`TreeLayout::pos`] times the bucket size);
-//!    * the staged stash is blinded against each walk in turn;
+//!    * a dummy walk looks up `DUMMY = u32::MAX − 1`, an address no slot
+//!      ever holds (a free slot's is `u32::MAX`), so every lookup, on a
+//!      path or in the stash, is `sl.addr == addr` and nothing tests
+//!      whether the walk is real;
+//!    * the staged stash is looked up for all walks at once: one
+//!      OR-reduction per walk over the whole stash yields the walk's
+//!      found flag and value and marks the slot it hit, then one pass
+//!      frees the marked slots;
 //!    * the `p` re-leafed blocks are added (a dummy walk adds a free slot);
-//!    * a key pass gives every slot the deepest union bucket its leaf
-//!      allows (one table lookup: slots keep their leaves bit-reversed),
-//!      a free slot one of eight spare keys;
+//!    * the keys come in two passes: a table pass gives every slot the
+//!      deepest union bucket its leaf allows (one lookup: slots keep their
+//!      leaves bit-reversed), then a masked pass moves every free slot to
+//!      one of eight spare keys;
 //!    * a histogram and a scatter counting-sort the slots by key;
 //!    * the buckets are filled deepest-first from a stack of the sorted
 //!      stretches.
@@ -59,8 +67,15 @@
 //!    It is linear in the staged slots, and every loop of it runs a public
 //!    number of times with no branch on a slot's contents (masks and
 //!    selects only): free slots are staged, sorted and written like real
-//!    ones, so the work of a step does not follow how full the tree is or
-//!    where the blocks were;
+//!    ones, so the work of a step does not follow how full the tree is,
+//!    where the blocks were or how many requests share an address. That
+//!    holds in the machine code too, as `objdump -d` of a release build
+//!    shows: no conditional jump on a compare with the free address in
+//!    `Opram::step` or `Union::sort`, and none on a slot's address in the
+//!    stash lookup. Where LLVM would turn an equality mask back into a
+//!    branch (a vectorised loop's scalar remainder), the mask is an
+//!    arithmetic shift by an amount passed through `black_box` once per
+//!    pass;
 //! 4. the same `U·b` union slots are written once each, in post-order
 //!    (every bucket after the buckets below it), then the `stash` slots.
 //!
@@ -93,10 +108,16 @@ use rand::{Rng, SeedableRng};
 /// `OramSlot::addr` of a free slot.
 const EMPTY: u32 = u32::MAX;
 
+/// The address a dummy walk looks up: above every real address and below
+/// [`EMPTY`], so no slot ever holds it and a lookup is `sl.addr == addr`
+/// whatever the walk.
+const DUMMY: u32 = u32::MAX - 1;
+
 /// One storage slot in a bucket, the stash, or private staging: 16 bytes.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct OramSlot {
-    /// Block address; `u32::MAX` marks a free slot.
+    /// Block address; `u32::MAX` marks a free slot, and `u32::MAX − 1` is
+    /// never stored.
     pub addr: u32,
     pub leaf: u32,
     pub val: u64,
@@ -125,16 +146,63 @@ fn select_slot(cond: bool, a: OramSlot, b: OramSlot) -> OramSlot {
     }
 }
 
+/// `sl` freed if `mask` is all ones, as it was if zero: masks, no branch.
+#[inline(always)]
+fn free_if(mask: u64, sl: OramSlot) -> OramSlot {
+    OramSlot {
+        addr: sl.addr | mask as u32,
+        leaf: sl.leaf & !mask as u32,
+        val: sl.val & !mask,
+    }
+}
+
 /// `sl` as it goes on, freed if `hit` — its value then kept in `found`: masks,
 /// no branch. A block is in one place, so at most one slot hits a lookup.
 #[inline(always)]
 fn take_if(hit: bool, found: &mut (bool, u64), sl: OramSlot) -> OramSlot {
     let mask = (hit as u64).wrapping_neg();
     *found = (found.0 | hit, found.1 | (sl.val & mask));
-    OramSlot {
-        addr: sl.addr | mask as u32,
-        leaf: sl.leaf & !mask as u32,
-        val: sl.val & !mask,
+    free_if(mask, sl)
+}
+
+/// All ones if `a == b`, else zero, with no branch: `x | −x`, for `x = a ^
+/// b`, has its top bit set exactly when the two differ, so an arithmetic
+/// shift right by `shift` = 31 spreads that bit over the word, and the
+/// complement is the mask. Callers pass `shift` through `black_box` once
+/// per pass: a mask LLVM can read as a comparison it may turn back into a
+/// branch, in a vectorised loop's scalar remainder for one.
+#[inline(always)]
+fn eq_mask(a: u32, b: u32, shift: u32) -> u64 {
+    let x = a ^ b;
+    !(((x | x.wrapping_neg()) as i32 >> shift) as i64 as u64)
+}
+
+/// Look every walk's address up in `held` at once: one OR-reduction per
+/// walk over all of `held` folds the hits into `found` and marks them in
+/// `hits` (one mask per slot, cleared here), then one pass frees every
+/// marked slot. Masks only, and the passes are fixed by `walks.len()` and
+/// `held.len()`. It does what one [`take_if`] per walk and slot does, since
+/// the real addresses are distinct and a dummy's is in no slot.
+fn take_all(
+    walks: &[(u32, u32)],
+    held: &mut [OramSlot],
+    hits: &mut [u64],
+    found: &mut [(bool, u64)],
+) {
+    hits.fill(0);
+    let shift = std::hint::black_box(31);
+    for (&(addr, _), got) in walks.iter().zip(found.iter_mut()) {
+        let (mut any, mut val) = (0, 0);
+        for (sl, hit) in held.iter().zip(hits.iter_mut()) {
+            let mask = eq_mask(sl.addr, addr, shift);
+            any |= mask;
+            val |= sl.val & mask;
+            *hit |= mask;
+        }
+        *got = (got.0 | (any != 0), got.1 | val);
+    }
+    for (sl, &hit) in held.iter_mut().zip(hits.iter()) {
+        *sl = free_if(hit, *sl);
     }
 }
 
@@ -253,7 +321,7 @@ impl Union {
     /// 1]..ends[u]` of `sorted` holds bucket `u`'s blocks and
     /// `sorted[pool.len()]` is free. Free slots are counted on eight spare
     /// keys (not all on one, which would chain every count) and stored over
-    /// that free slot. The keys come in one pass, then the histogram and
+    /// that free slot. The keys come in two passes, then the histogram and
     /// the scatter read them, each over slices of the step's public length.
     fn sort(
         &self,
@@ -269,13 +337,19 @@ impl Union {
         ends.resize(nodes + 8, 0);
         sorted.resize(n + 1, OramSlot::default());
         let (keys, ends, sorted) = (&mut keys[..], &mut ends[..], &mut sorted[..]);
-        // The deepest bucket of leaf `rev` is `deepest[rev − ctr]`, the
-        // index taken mod the leaf count, a power of two: the low bits of
-        // the `u32` difference.
+        // The keys come in two passes, because fused, the select between
+        // the loaded bucket and a spare key compiles to a branch. First
+        // every slot's deepest bucket: for leaf `rev` it is `deepest[rev −
+        // ctr]`, the index taken mod the leaf count, a power of two: the
+        // low bits of the `u32` difference. Then the free slots' spares.
         let (deepest, wrap) = (&self.deepest[..], self.deepest.len() - 1);
+        for (key, sl) in keys.iter_mut().zip(pool) {
+            *key = deepest[sl.leaf.wrapping_sub(ctr as u32) as usize & wrap];
+        }
+        let (shift, spare) = (std::hint::black_box(31), nodes as u32);
         for (i, (key, sl)) in keys.iter_mut().zip(pool).enumerate() {
-            let own = deepest[sl.leaf.wrapping_sub(ctr as u32) as usize & wrap];
-            *key = select_u64(sl.addr == EMPTY, own as u64, (nodes + i % 8) as u64) as u32;
+            let free = eq_mask(sl.addr, EMPTY, shift) as u32;
+            *key ^= (*key ^ (spare + (i as u32 & 7))) & free;
         }
         for &key in keys.iter() {
             ends[key as usize] += 1;
@@ -382,8 +456,8 @@ pub struct TreeOram {
     /// walk's added block) and its key, the same slots counting-sorted
     /// (one free slot behind them), where each key's slots end in
     /// `sorted`, how many blocks each bucket's children pass up to it, the
-    /// stack of stretches of `sorted` not yet placed, and each walk's
-    /// lookup.
+    /// stack of stretches of `sorted` not yet placed, each walk's lookup,
+    /// and which stash slots the lookups hit (one mask per slot).
     bases: Vec<u32>,
     pool: Vec<OramSlot>,
     keys: Vec<u32>,
@@ -392,6 +466,7 @@ pub struct TreeOram {
     carry: Vec<usize>,
     stack: Vec<u64>,
     found: Vec<(bool, u64)>,
+    hits: Vec<u64>,
 }
 
 impl TreeOram {
@@ -421,6 +496,7 @@ impl TreeOram {
             carry: Vec::with_capacity(union.len() + 1),
             stack: Vec::with_capacity(union.len() + 2),
             found: Vec::with_capacity(1),
+            hits: vec![0; cfg.stash],
             unions: vec![union],
         }
     }
@@ -454,9 +530,10 @@ impl TreeOram {
         new_leaf: u64,
         new_val: impl FnOnce(Option<u64>) -> u64,
     ) -> Option<u64> {
-        // Slots hold addresses and leaves as `u32`, `u32::MAX` = free.
+        // Slots hold addresses and leaves as `u32`, `u32::MAX` = free and
+        // `u32::MAX − 1` the dummy walks' address.
         assert!(
-            addr < EMPTY as u64 && leaf < self.leaves() && new_leaf < self.leaves(),
+            addr < DUMMY as u64 && leaf < self.leaves() && new_leaf < self.leaves(),
             "ORAM access out of range: addr {addr}, leaves {leaf} → {new_leaf}"
         );
         let addr = addr as u32;
@@ -473,7 +550,7 @@ impl TreeOram {
     }
 
     /// One step of `walks.len()` walks, `walks[i] = (addr, leaf)`: the path
-    /// to each `leaf` read and rewritten with `addr` (`EMPTY` for a dummy
+    /// to each `leaf` read and rewritten with `addr` ([`DUMMY`] for a dummy
     /// walk) blinded wherever it is found, then the next `2p` eviction
     /// paths evicted jointly — one pass, see the module doc. The real
     /// addresses must be distinct.
@@ -521,6 +598,7 @@ impl TreeOram {
             ref mut carry,
             ref mut stack,
             ref mut found,
+            ref mut hits,
         } = *self;
         let union = &unions[0];
         let bits = h - 1;
@@ -554,18 +632,14 @@ impl TreeOram {
                 let base = slots[(node >> (bits - d)) - 1] as usize;
                 for k in base..base + bucket {
                     let sl = st.get(c, k);
-                    st.set(
-                        c,
-                        k,
-                        take_if((addr != EMPTY) & (sl.addr == addr), &mut acc, sl),
-                    );
+                    st.set(c, k, take_if(sl.addr == addr, &mut acc, sl));
                 }
             }
             *got = acc;
         }
 
         // 2. Gather the union and the stash, once: every slot is staged,
-        // free or not. The stash is blinded against every walk.
+        // free or not. The stash is blinded against every walk at once.
         let (nodes, stashed) = (union.len(), union.len() * bucket);
         let n = stashed + ss.len() + p;
         pool.resize(n, free);
@@ -580,11 +654,7 @@ impl TreeOram {
         for (k, sl) in held.iter_mut().enumerate() {
             *sl = ss.get(c, k);
         }
-        for (&(addr, _), got) in walks.iter().zip(found.iter_mut()) {
-            for sl in held.iter_mut() {
-                *sl = take_if((addr != EMPTY) & (sl.addr == addr), got, *sl);
-            }
-        }
+        take_all(walks, held, hits, found);
         fetched.fill(free);
         finish(found, fetched);
         for a in fetched.iter_mut() {
@@ -722,10 +792,12 @@ impl Opram {
     ///
     /// # Panics
     ///
-    /// If `s` exceeds `u32::MAX`: slots store addresses as `u32`.
+    /// If `s` exceeds `u32::MAX − 1`: slots store addresses as `u32`, and
+    /// `u32::MAX − 1` is the dummy walks' address.
     pub fn new(s: usize, cfg: OramConfig, engine: Engine, seed: u64) -> Self {
-        // Addresses and leaves are stored as `u32`, `u32::MAX` = free slot.
-        assert!(s <= u32::MAX as usize, "ORAM address space exceeds u32");
+        // Addresses and leaves are stored as `u32`, `u32::MAX` = free slot
+        // and `u32::MAX − 1` the dummy walks' address.
+        assert!(s <= DUMMY as usize, "ORAM address space exceeds u32");
         let mut rng = StdRng::seed_from_u64(seed);
         let data = TreeOram::new(s.max(1), cfg);
         // Each map level folds the one below χ addresses to an entry. Keep
@@ -852,7 +924,9 @@ impl Opram {
         // fetching its entry and remapping it to its head's draw.
         draw(rng, drawn, maps.last().unwrap_or(data));
         read.clone_from(drawn);
-        for i in (0..p).filter(|&i| head(i, levels)) {
+        // Every request writes its entry's slot, last to first, so the run
+        // head's index is what stays: as many writes whatever the runs.
+        for i in (0..p).rev() {
             top_hit[at(i, levels) as usize] = i + 1;
         }
         let mut t = Tracked::new(c, top);
@@ -868,7 +942,7 @@ impl Opram {
         for n in (0..=levels).rev() {
             walks.clear();
             walks.extend((0..p).map(|i| {
-                let addr = select_u64(head(i, n), EMPTY as u64, at(i, n));
+                let addr = select_u64(head(i, n), DUMMY as u64, at(i, n));
                 (addr as u32, read[i])
             }));
             if n == 0 {
@@ -985,6 +1059,7 @@ mod tests {
     use super::*;
     use fj::SeqCtx;
     use metrics::{measure, CacheConfig, TraceMode};
+    use proptest::prelude::*;
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
     use std::collections::HashMap;
@@ -1188,7 +1263,7 @@ mod tests {
         let leaf = t.leaves() as u32 - 1;
         let c = SeqCtx::new();
         let step = |t: &mut TreeOram, p: usize| {
-            t.step(&c, &vec![(EMPTY, leaf); p], |_, _| {});
+            t.step(&c, &vec![(DUMMY, leaf); p], |_, _| {});
             let sizes: Vec<usize> = t.unions.iter().map(|u| u.m).collect();
             let built: Vec<*const u32> = t.unions.iter().map(|u| u.deepest.as_ptr()).collect();
             (sizes, built)
@@ -1207,6 +1282,127 @@ mod tests {
         );
         assert_eq!(step(&mut t, 2).0, [4, 16, 8, 2]);
         assert_eq!(step(&mut t, 3).0, [6, 4, 16, 8]);
+    }
+
+    /// The dummy walks' address is above every address a tree is given.
+    #[test]
+    #[should_panic(expected = "ORAM access out of range")]
+    fn access_rejects_the_dummy_address() {
+        let mut t = TreeOram::new(8, OramConfig::default());
+        t.access(&SeqCtx::new(), DUMMY as u64, 0, 0, |_| 1);
+    }
+
+    /// Every slot of every tree of `o`, stash included.
+    fn every_slot(o: &Opram) -> impl Iterator<Item = &OramSlot> {
+        std::iter::once(&o.data)
+            .chain(&o.maps)
+            .flat_map(|t| t.store.iter().chain(&t.stash))
+    }
+
+    /// Dummy walks look up [`DUMMY`] and put back free slots: after steps
+    /// of 1 to 32 requests, most of them colliding, on every map shape,
+    /// no slot holds it — and every value read back is right.
+    #[test]
+    fn no_slot_ever_holds_the_dummy_address() {
+        let c = SeqCtx::new();
+        let mut rng = StdRng::seed_from_u64(43);
+        for s in [3usize, 200, 4096] {
+            let mut o = Opram::new(s, OramConfig::default(), Engine::BitonicRec, 8);
+            let mut reference: HashMap<u64, u64> = HashMap::new();
+            for step in 0..60u64 {
+                let p = [1, 2, 8, 13, 32][step as usize % 5];
+                // A narrow window of addresses, so most requests collide
+                // at the map levels and many at the data level.
+                let lo = rng.gen_range(0..s as u64);
+                let mut reqs: Vec<(u64, Option<u64>)> = (0..p)
+                    .map(|j| {
+                        let addr = (lo + rng.gen_range(0..4)) % s as u64;
+                        (addr, rng.gen_bool(0.5).then_some(step * 100 + j as u64))
+                    })
+                    .collect();
+                reqs.sort_by_key(|r| r.0);
+                let got = o.step(&c, &reqs).to_vec();
+                for (&(addr, _), &v) in reqs.iter().zip(&got) {
+                    assert_eq!(v, reference.get(&addr).copied().unwrap_or(0));
+                }
+                // Each run's first request writes.
+                for (i, &(addr, w)) in reqs.iter().enumerate() {
+                    if let (Some(v), true) = (w, i == 0 || reqs[i - 1].0 != addr) {
+                        reference.insert(addr, v);
+                    }
+                }
+                assert!(
+                    every_slot(&o).all(|sl| sl.addr != DUMMY),
+                    "s {s}, step {step}: a slot holds the dummy address"
+                );
+            }
+        }
+    }
+
+    /// The address stash slot `j` holds, when real, in
+    /// [`prop_batched_lookup_matches_the_take_if_chain`]: `2j`, or `DUMMY −
+    /// 1 − 2j` near the top of the range. Real addresses are distinct, and
+    /// `addr ^ 1` of one is in no slot.
+    fn real_addr(j: usize, high: bool) -> u32 {
+        if high {
+            DUMMY - 1 - 2 * j as u32
+        } else {
+            2 * j as u32
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        /// The batched stash lookup against the per-walk `take_if` chain it
+        /// replaces: any stash occupancy, walks that hit, miss or are
+        /// dummies (real addresses distinct), lookups already found on a
+        /// path. Same freed stash, same lookups.
+        #[test]
+        fn prop_batched_lookup_matches_the_take_if_chain(
+            slots in proptest::collection::vec((0u8..3, (any::<u32>(), any::<u64>())), 0..48),
+            picks in proptest::collection::vec((0u8..3, 0usize..48), 1..16),
+            prior in proptest::collection::vec((any::<bool>(), any::<u64>()), 16),
+            high in any::<bool>(),
+        ) {
+            // Free slots (kind 0) keep a leaf and a value too: a lookup
+            // must not read them.
+            let held: Vec<OramSlot> = slots
+                .iter()
+                .enumerate()
+                .map(|(j, &(kind, (leaf, val)))| OramSlot {
+                    addr: if kind == 0 { EMPTY } else { real_addr(j, high) },
+                    leaf,
+                    val,
+                })
+                .collect();
+            let mut walks: Vec<(u32, u32)> = Vec::new();
+            for &(kind, j) in &picks {
+                // A hit names a slot's address (a real one or not), a miss
+                // one no slot holds.
+                let at = real_addr(j, high);
+                let addr = match kind {
+                    0 => DUMMY,
+                    1 => at,
+                    _ => at ^ 1,
+                };
+                let repeat = walks.iter().any(|&(a, _)| a == addr);
+                walks.push((if repeat { DUMMY } else { addr }, 0));
+            }
+            let p = walks.len();
+
+            let (mut want, mut want_found) = (held.clone(), prior[..p].to_vec());
+            for (&(addr, _), got) in walks.iter().zip(want_found.iter_mut()) {
+                for sl in want.iter_mut() {
+                    *sl = take_if(sl.addr == addr, got, *sl);
+                }
+            }
+            let (mut got, mut found) = (held.clone(), prior[..p].to_vec());
+            let mut hits = vec![u64::MAX; held.len()];
+            take_all(&walks, &mut got, &mut hits, &mut found);
+            prop_assert_eq!(got, want);
+            prop_assert_eq!(found, want_found);
+        }
     }
 
     #[test]
@@ -1304,7 +1500,7 @@ mod tests {
         for _ in 0..p {
             let addr = rng.gen_range(0..space);
             if walks.iter().any(|&(a, _)| a as u64 == addr) {
-                walks.push((EMPTY, rng.gen_range(0..leaves) as u32));
+                walks.push((DUMMY, rng.gen_range(0..leaves) as u32));
                 want.push(None);
                 continue;
             }
@@ -1427,7 +1623,7 @@ mod tests {
                         }
                     });
                 });
-                let dummies: Vec<(u32, u32)> = (0..p as u32).map(|_| (EMPTY, leaves - 1)).collect();
+                let dummies: Vec<(u32, u32)> = (0..p as u32).map(|_| (DUMMY, leaves - 1)).collect();
                 let (_, dummy) = measure(CacheConfig::default(), TraceMode::Hash, |c| {
                     t.step(c, &dummies, |_, _| {});
                 });
