@@ -40,17 +40,6 @@ impl CostReport {
         }
         self.work as f64 / self.span as f64
     }
-
-    /// Work per input element, for normalized scaling plots.
-    pub fn work_per(&self, n: usize) -> f64 {
-        self.work as f64 / n.max(1) as f64
-    }
-
-    /// Cache misses normalized by the compulsory bound `n/B`.
-    pub fn misses_over_scan(&self, n: usize) -> f64 {
-        let scan = (n as f64 / self.b_words as f64).max(1.0);
-        self.cache_misses as f64 / scan
-    }
 }
 
 impl fmt::Display for CostReport {

@@ -25,6 +25,6 @@ pub mod veb;
 pub use direct::run_direct;
 pub use model::{Program, WriteReq};
 pub use obliv_sb::run_oblivious_sb;
-pub use oram::{Opram, OramConfig, OramSlot, TreeOram};
+pub use oram::{Opram, OramConfig};
 pub use progs::{HistogramProgram, MaxProgram, PointerJumpProgram};
 pub use veb::{path_blocks, tree_nodes, TreeLayout};

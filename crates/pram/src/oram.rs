@@ -19,7 +19,7 @@
 //!   *jointly* (overflow is monitored, not proven);
 //! * **one step per batch** ([`Opram::step`]): the top map scanned once for
 //!   all `p` requests, then every tree, coarsest first, walked by one
-//!   [`TreeOram`] step — requests that share an address at that level make
+//!   `TreeOram` step — requests that share an address at that level make
 //!   one real walk, the rest dummy walks of the same shape on fresh uniform
 //!   leaves, and the real walk writes back its map entry with every group
 //!   member's new leaf. [`Opram::access_batch`] (the PRAM step: priority
@@ -115,7 +115,7 @@ const DUMMY: u32 = u32::MAX - 1;
 
 /// One storage slot in a bucket, the stash, or private staging: 16 bytes.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct OramSlot {
+pub(crate) struct OramSlot {
     /// Block address; `u32::MAX` marks a free slot, and `u32::MAX − 1` is
     /// never stored.
     pub addr: u32,
@@ -430,7 +430,7 @@ impl<'a> Stretches<'a> {
 const UNIONS: usize = 4;
 
 /// A single-level bucket tree with a fixed stash.
-pub struct TreeOram {
+pub(crate) struct TreeOram {
     height: usize,
     bucket: usize,
     /// `slots[v]`: the first slot in `store` of the node with heap index
@@ -522,7 +522,8 @@ impl TreeOram {
     /// with `new_leaf` and value `new_val(old)`; returns the old value
     /// (`None` if absent). A one-walk step (module doc): the next two
     /// reverse-lexicographic paths are evicted jointly.
-    pub fn access<C: Ctx>(
+    #[cfg(test)]
+    fn access<C: Ctx>(
         &mut self,
         c: &C,
         addr: u64,

@@ -6,9 +6,10 @@
 //!
 //! The engine upholds one contract at every shard count, synchronous or
 //! pipelined: **an epoch's merge effects are staged and applied only
-//! after its WAL durability point**.
-//! `execute_epoch` appends (and syncs, per the group-commit cadence)
-//! before any counter bumps or table mutation, so an append that fails —
+//! after its WAL durability point**. The append that returns `Ok` is
+//! synced: that return is the durability point, and the acknowledgement
+//! of an epoch follows it. `execute_epoch` appends and syncs before any
+//! counter bumps or table mutation, so an append that fails —
 //! even after retries — rejects the epoch *atomically*: the store is
 //! bitwise what it was before the call, and the caller simply never
 //! received an acknowledgement. There is no half-applied state to roll

@@ -48,10 +48,10 @@
 //! under [`Durability::Epoch`] and every epoch is appended to a
 //! write-ahead log *before* it is routed or merged — one log per store,
 //! one framed, checksummed record per epoch holding the padded client
-//! batch, its on-disk size fixed by the public batch class. The
-//! `sync_every` knob group-commits the log: one `fsync`
-//! per `sync_every` appends, trading at most that many trailing
-//! un-acknowledged epochs on a crash for far fewer flushes. Snapshots of the packed table are written on the public
+//! batch, its on-disk size fixed by the public batch class. The append
+//! that returns `Ok` is synced: one `fsync` per epoch, so every
+//! acknowledged epoch survives a crash. Snapshots of the packed table
+//! are written on the public
 //! [`ShrinkPolicy::snapshot`] cadence (or explicitly via
 //! [`ShardedStore::checkpoint`]), truncating the WAL. Recovery replays the
 //! logged batches through the normal epoch path, so the recovered trace —

@@ -49,7 +49,7 @@
 //! Wrapping a durable store (one opened via
 //! [`ShardedStore::recover`] with
 //! [`Durability::Epoch`](crate::Durability::Epoch)) keeps the WAL-before-
-//! merge contract: [`commit_async`] appends and flushes the epoch's WAL
+//! merge contract: [`commit_async`] appends and syncs the epoch's WAL
 //! record on the **caller's** thread *before* spawning the detached merge
 //! task, so an acknowledged commit is on disk even if the process dies
 //! while the merge is still in flight. Dropping a `PipelinedStore` with
@@ -272,12 +272,8 @@ impl PipelinedStore<ShardedStore> {
         //
         // Then pre-log (durable stores only): the epoch's WAL record is
         // written on the *caller's* thread, before the merge is handed to
-        // a detached task. With `sync_every == 1` that write is flushed
-        // and this method returning is the durability point; with group
-        // commit (`sync_every == k`) consecutive pre-logs share one
-        // `sync_data` per k appends, so the durability point is the
-        // append completing the group and a crash drops at most the
-        // k − 1 trailing un-synced epochs (a clean suffix — see
+        // a detached task. The append that returns `Ok` is synced, so
+        // this method returning is the durability point (see
         // `Durability::Epoch`).
         let ops = std::mem::take(&mut self.open);
         let logged = validate_and_pad(&self.cfg, &ops)

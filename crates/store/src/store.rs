@@ -445,13 +445,11 @@ impl ShardedStore {
         let mut store = recover_store(c, scratch, &*vfs, dir, cfg)?;
         // The replay's fallbacks were the original run's.
         store.fallbacks = 0;
-        if let Durability::Epoch { sync_every } = cfg.store.durability {
+        if cfg.store.durability == Durability::Epoch {
             let wal =
-                Wal::open_with(&*vfs, &wal::wal_path(dir, 0), sync_every).map_err(|source| {
-                    StoreError::Io {
-                        context: "wal open",
-                        source,
-                    }
+                Wal::open(&*vfs, &wal::wal_path(dir, 0)).map_err(|source| StoreError::Io {
+                    context: "wal open",
+                    source,
                 })?;
             store.durable = Some(DurableLog {
                 dir: dir.to_path_buf(),
@@ -558,13 +556,13 @@ impl ShardedStore {
     }
 
     /// WAL-before-merge: append the padded batch as the record of epoch
-    /// `self.epochs` — and sync on the group-commit cadence — before any
-    /// state changes. The pipelined front end calls it on the caller's
-    /// thread and hands the batch to [`apply_logged`](Self::apply_logged)
-    /// in a detached task. No-op on non-durable stores. A terminal failure
-    /// leaves no record behind ([`Wal::append`] truncates it off) and
-    /// degrades the store; a degraded store refuses with
-    /// [`StoreError::Poisoned`].
+    /// `self.epochs` before any state changes. The append that returns
+    /// `Ok` is synced: it is the epoch's durability point. The pipelined
+    /// front end calls it on the caller's thread and hands the batch to
+    /// [`apply_logged`](Self::apply_logged) in a detached task. No-op on
+    /// non-durable stores. A terminal failure leaves no record behind
+    /// ([`Wal::append`] truncates it off) and degrades the store; a
+    /// degraded store refuses with [`StoreError::Poisoned`].
     pub(crate) fn append_epoch(&mut self, batch: &[FlatOp]) -> Result<(), StoreError> {
         let Some(d) = self.durable.as_mut() else {
             return Ok(());
@@ -670,18 +668,18 @@ impl ShardedStore {
     /// now. An explicit, caller-scheduled snapshot point (the scheduled
     /// variant is [`ShrinkPolicy::snapshot`]): calling it is a public
     /// action, so invoke it on public schedule only. No-op (`Ok`) on
-    /// non-durable stores. The WAL is synced first, then the snapshots
-    /// land one shard at a time, then the log is truncated once. A crash
-    /// in between leaves shards on different snapshot bases over a log
-    /// that still holds every epoch since the oldest of them, which
-    /// recovery replays to each shard from its own base.
+    /// non-durable stores. The snapshots land one shard at a time, then
+    /// the log is truncated once. A crash in between leaves shards on
+    /// different snapshot bases over a log that still holds every epoch
+    /// since the oldest of them, which recovery replays to each shard
+    /// from its own base.
     ///
     /// # Errors
     ///
     /// [`StoreError::CheckpointPending`] — state untouched, store not
     /// degraded — if the pending log is non-empty (the last epoch took
     /// the ORAM path): snapshots only capture the table, so checkpoint
-    /// after a merge epoch. A terminal sync, snapshot-write or truncate
+    /// after a merge epoch. A terminal snapshot-write or truncate
     /// failure (after retries) returns [`StoreError::SnapshotFailed`] /
     /// [`StoreError::Io`]; no acknowledged epoch is lost (the WAL is only
     /// truncated after every snapshot landed), but the store degrades
@@ -699,23 +697,19 @@ impl ShardedStore {
             return Err(StoreError::CheckpointPending { pending });
         }
         let (retry, next_seq) = (self.cfg.store.retry, self.epochs);
-        // Every step is idempotent, so each retries wholesale. The sync
-        // makes every epoch a snapshot covers durable in the log before
-        // any snapshot lands; it is a no-op unless group commit left
-        // appends unsynced.
-        let synced = retry.run(|| d.wal.flush()).map_err(|f| f.on("wal sync"));
-        let snapshots = synced.and_then(|()| {
-            self.shards.iter().enumerate().try_for_each(|(i, shard)| {
-                let meta = SnapMeta {
-                    next_seq,
-                    merges: shard.merges(),
-                    live_upper: shard.live_upper() as u64,
-                    stats: shard.stats(),
-                };
-                retry
-                    .run(|| wal::write_snapshot(&*d.vfs, &d.dir, i, &meta, shard.records()))
-                    .map_err(|f| f.snapshot(i))
-            })
+        // Every step is idempotent, so each retries wholesale. Every epoch
+        // a snapshot covers is already synced in the log: its append
+        // returned `Ok`.
+        let snapshots = self.shards.iter().enumerate().try_for_each(|(i, shard)| {
+            let meta = SnapMeta {
+                next_seq,
+                merges: shard.merges(),
+                live_upper: shard.live_upper() as u64,
+                stats: shard.stats(),
+            };
+            retry
+                .run(|| wal::write_snapshot(&*d.vfs, &d.dir, i, &meta, shard.records()))
+                .map_err(|f| f.snapshot(i))
         });
         let truncated = snapshots.and_then(|()| {
             retry

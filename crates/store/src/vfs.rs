@@ -36,7 +36,9 @@
 //! append or `set_len` mutates `data` only; a successful, honest `sync`
 //! copies `data` into `durable`. A lying sync returns `Ok` without the
 //! copy — but a *later* honest sync persists everything, so lost epochs
-//! are always a clean suffix, matching the group-commit contract. Renames
+//! are always a clean suffix. The store's rule is that the append that
+//! returns `Ok` is synced; a lying sync is the one way an acknowledged
+//! epoch can be lost, and then only with a clean suffix of them. Renames
 //! are atomic and immediately durable (the journalled-metadata assumption
 //! the snapshot temp-file dance already relies on). After the crash point
 //! every operation fails and the durable halves freeze;

@@ -88,35 +88,20 @@ pub enum Durability {
     #[default]
     None,
     /// Epoch durability: each epoch's padded batch is appended to the WAL
-    /// *before* the merge runs (WAL-before-merge), and the file is
-    /// `fsync`ed every `sync_every`-th append (group commit). With
-    /// `sync_every == 1` every append is its own durability point: the
-    /// epoch survives a crash the moment its append returns. With
-    /// `sync_every == k > 1` up to `k − 1` trailing epochs may sit in the
-    /// OS page cache; a crash drops that un-synced suffix and recovery
-    /// replays the longest clean (synced) prefix — epochs are still never
-    /// reordered or partially applied. `sync_every` is public
-    /// configuration: flush points are a function of the append counter
-    /// alone, never of keys, values, or op kinds. The table is
-    /// snapshotted and the WAL truncated on the public snapshot cadence
-    /// regardless of the knob. A value of 0 is treated as 1.
-    Epoch {
-        /// `fsync` the WAL every this-many appends (group commit).
-        sync_every: u32,
-    },
+    /// *before* the merge runs (WAL-before-merge). The append that returns
+    /// `Ok` is synced: every append is its own durability point, and the
+    /// epoch survives a crash the moment its append returns. A crash
+    /// mid-append drops only that unacknowledged epoch; recovery replays
+    /// the longest clean prefix, never reordered or partially applied. The
+    /// table is snapshotted and the WAL truncated on the public snapshot
+    /// cadence.
+    Epoch,
 }
 
 impl Durability {
-    /// Epoch durability with the strictest setting: one `fsync` per
-    /// append (`sync_every = 1`).
+    /// Epoch durability: one `fsync` per append.
     pub const fn epoch() -> Durability {
-        Durability::Epoch { sync_every: 1 }
-    }
-
-    /// Epoch durability with group commit: one `fsync` per `sync_every`
-    /// appends.
-    pub const fn epoch_every(sync_every: u32) -> Durability {
-        Durability::Epoch { sync_every }
+        Durability::Epoch
     }
 }
 
@@ -157,44 +142,25 @@ pub(crate) fn snapshot_path(dir: &Path, shard: usize) -> PathBuf {
     dir.join(format!("snap-{shard}.bin"))
 }
 
-/// Append handle on the store's WAL file, with group-commit `fsync`
-/// coalescing: one `sync_data` per `sync_every` appends.
+/// Append handle on the store's WAL file: one `sync_data` per append.
 pub(crate) struct Wal {
     file: Box<dyn VfsFile>,
     /// Clean length: the byte just past the last fully appended record.
     /// Torn-write repair truncates back to this before a retry.
     len: u64,
-    sync_every: u32,
-    unsynced: u32,
 }
 
 impl Wal {
-    /// Open with the strictest cadence: `fsync` on every append.
-    #[cfg(test)]
+    /// Open the log at `path` for appending after its last byte.
     pub fn open(vfs: &dyn Vfs, path: &Path) -> io::Result<Wal> {
-        Self::open_with(vfs, path, 1)
-    }
-
-    /// Open with a group-commit cadence of `sync_every` appends per
-    /// `fsync` (0 is treated as 1).
-    pub fn open_with(vfs: &dyn Vfs, path: &Path, sync_every: u32) -> io::Result<Wal> {
         let file = vfs.open_append(path)?;
         let len = file.size()?;
-        Ok(Wal {
-            file,
-            len,
-            sync_every: sync_every.max(1),
-            unsynced: 0,
-        })
+        Ok(Wal { file, len })
     }
 
-    /// Append epoch `seq`'s padded batch as one framed record, flushing
-    /// to stable storage on every `sync_every`-th append. With
-    /// `sync_every == 1` this call returning *is* the durability point;
-    /// with a larger cadence the durability point is the append that
-    /// completes the group (or [`Wal::sync`]), and a crash drops at most
-    /// the `sync_every − 1` trailing un-synced epochs — always a clean
-    /// suffix, because records are written in sequence order.
+    /// Append epoch `seq`'s padded batch as one framed record and sync it
+    /// to stable storage: the append that returns `Ok` is synced, so this
+    /// call returning *is* the durability point.
     ///
     /// Transient faults are retried per `policy`, each phase separately
     /// and idempotently: a failed *write* is repaired (the file truncated
@@ -234,48 +200,25 @@ impl Wal {
                 )),
             },
         })?;
-        let new_len = base + buf.len() as u64;
 
-        // Sync phase (group-commit cadence): retried alone — the record
-        // is already written, so attempts here never duplicate it.
-        if self.unsynced + 1 >= self.sync_every {
-            if let Err(f) = policy.run(|| self.file.sync()) {
-                // Unacknowledged epoch: truncate it off the live file
-                // (best-effort; the failed sync never made it durable).
-                let _ = self.file.set_len(base);
-                return Err(f);
-            }
-            self.unsynced = 0;
-        } else {
-            self.unsynced += 1;
+        // Sync phase: retried alone — the record is already written, so
+        // attempts here never duplicate it.
+        if let Err(f) = policy.run(|| self.file.sync()) {
+            // Unacknowledged epoch: truncate it off the live file
+            // (best-effort; the failed sync never made it durable).
+            let _ = self.file.set_len(base);
+            return Err(f);
         }
-        self.len = new_len;
+        self.len = base + buf.len() as u64;
         Ok(())
     }
 
-    /// Force the durability point now: flush any appends still in the OS
-    /// page cache and reset the group counter.
-    pub fn sync(&mut self) -> io::Result<()> {
-        self.file.sync()?;
-        self.unsynced = 0;
-        Ok(())
-    }
-
-    /// [`Wal::sync`] if group commit left an append unsynced.
-    pub fn flush(&mut self) -> io::Result<()> {
-        match self.unsynced {
-            0 => Ok(()),
-            _ => self.sync(),
-        }
-    }
-
-    /// Drop every record (the snapshot now covers them). Force-syncs, so
-    /// the truncation itself is durable and the group counter restarts.
-    /// Idempotent: safe to retry wholesale.
+    /// Drop every record (the snapshot now covers them). Syncs, so the
+    /// truncation itself is durable. Idempotent: safe to retry wholesale.
     pub fn truncate(&mut self) -> io::Result<()> {
         self.file.set_len(0)?;
         self.len = 0;
-        self.sync()
+        self.file.sync()
     }
 }
 
@@ -562,28 +505,6 @@ mod tests {
             std::fs::metadata(&path).unwrap().len(),
             (record_size(8) + record_size(16)) as u64
         );
-        w.truncate().unwrap();
-        assert!(read_wal(&vfs, &path).unwrap().records.is_empty());
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn group_commit_appends_stay_readable() {
-        let vfs = OsVfs;
-        let dir = std::env::temp_dir().join(format!("dob_wal_group_{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = wal_path(&dir, 0);
-        // Cadence 0 is clamped to 1; a cadence larger than the append
-        // count leaves records in the page cache but still readable.
-        let mut w = Wal::open_with(&vfs, &path, 0).unwrap();
-        w.append(relaxed(), 0, &batch(8)).unwrap();
-        drop(w);
-        let mut w = Wal::open_with(&vfs, &path, 4).unwrap();
-        w.append(relaxed(), 1, &batch(8)).unwrap();
-        w.append(relaxed(), 2, &batch(8)).unwrap();
-        w.sync().unwrap();
-        assert_eq!(read_wal(&vfs, &path).unwrap().records.len(), 3);
         w.truncate().unwrap();
         assert!(read_wal(&vfs, &path).unwrap().records.is_empty());
         let _ = std::fs::remove_dir_all(&dir);

@@ -86,53 +86,6 @@ fn torn_tail_record_is_dropped() {
 }
 
 #[test]
-fn group_commit_crash_drops_only_the_unsynced_suffix() {
-    // `Durability::epoch_every(3)`: appends 1–3 share one `fsync` (fired
-    // by the 3rd), appends 4–5 sit in the OS page cache. A crash at that
-    // point leaves — at worst — the synced 3-record prefix on disk;
-    // simulate exactly that image by truncating the WAL to the prefix.
-    // Recovery must replay the clean synced prefix and nothing else.
-    let c = SeqCtx::new();
-    let sp = ScratchPool::new();
-    let dir = tdir("group_commit");
-    let cfg = StoreConfig {
-        durability: Durability::epoch_every(3),
-        ..StoreConfig::default()
-    };
-    let mut oracle = Oracle::default();
-    {
-        let mut s = Store::recover(&c, &sp, &dir, cfg).unwrap();
-        for e in 0..5u64 {
-            let ops = mixed_ops(24, e);
-            let res = s.execute_epoch(&c, &sp, &ops).unwrap();
-            if e < 3 {
-                assert_eq!(res, oracle.epoch(&ops, true));
-            }
-        }
-        assert_eq!(s.epoch_counts().0, 5);
-    }
-    // Every epoch shares one public size class, so one record is exactly
-    // a fifth of the file and the synced prefix is the first 3 records.
-    let wal = dir.join("wal-0.log");
-    let len = std::fs::metadata(&wal).unwrap().len();
-    assert_eq!(len % 5, 0, "five same-class records");
-    std::fs::OpenOptions::new()
-        .write(true)
-        .open(&wal)
-        .unwrap()
-        .set_len(3 * (len / 5))
-        .unwrap();
-    let mut r = Store::recover(&c, &sp, &dir, StoreConfig::default()).unwrap();
-    assert_eq!(
-        r.epoch_counts().0,
-        3,
-        "un-synced suffix dropped, synced prefix replayed"
-    );
-    oracle.assert_held_by(&c, &sp, &mut r, 41);
-    let _ = std::fs::remove_dir_all(&dir);
-}
-
-#[test]
 fn scheduled_snapshots_truncate_the_wal() {
     let c = SeqCtx::new();
     let sp = ScratchPool::new();

@@ -198,59 +198,6 @@ fn crash_point_sweep_under_pinned_pool() {
 }
 
 #[test]
-fn group_commit_checkpoints_never_leave_a_snapshot_ahead_of_the_log() {
-    // With `sync_every > 1` a checkpoint can start while appends sit
-    // unsynced. It syncs the log before the first snapshot lands, so a
-    // crash between two shards' snapshot renames never leaves a shard
-    // whose base the durable log cannot reach: every crash point
-    // recovers to a prefix of the acknowledged epochs (group commit may
-    // lose an unsynced suffix).
-    let c = SeqCtx::new();
-    let sp = ScratchPool::new();
-    let cfg = ShardConfig {
-        shards: 4,
-        route_slack: 0,
-        store: StoreConfig {
-            durability: Durability::epoch_every(4),
-            shrink: Some(ShrinkPolicy {
-                every: 0,
-                live_bound: 0,
-                snapshot: 2,
-            }),
-            retry: retry(1),
-            ..StoreConfig::default()
-        },
-    };
-    let epochs: Vec<Vec<Op>> = (0..EPOCHS).map(|e| epoch_ops(e, 0)).collect();
-    let run = |vfs: Arc<FaultVfs>| {
-        let Ok(mut s) = ShardedStore::recover_with(&c, &sp, DIR, cfg, vfs) else {
-            return 0;
-        };
-        let acked = epochs
-            .iter()
-            .take_while(|ops| s.execute_epoch(&c, &sp, ops).is_ok());
-        acked.count()
-    };
-    let dry = Arc::new(FaultVfs::unfaulted());
-    assert_eq!(run(dry.clone()), epochs.len());
-    for k in 0..dry.io_ops() {
-        let vfs = Arc::new(FaultVfs::new(FaultPlan {
-            crash_at: Some(k),
-            ..FaultPlan::default()
-        }));
-        let acked = run(vfs.clone());
-        let r = open(&c, &sp, 4, 1, Arc::new(vfs.durable_image()))
-            .unwrap_or_else(|e| panic!("crash point {k}: {e}"));
-        let m = r.epoch_counts().0 as usize;
-        assert!(
-            m <= acked,
-            "crash point {k}: recovered an unacknowledged epoch"
-        );
-        assert_recovers_acked(&c, &sp, 4, vfs.durable_image(), &epochs[..m]);
-    }
-}
-
-#[test]
 fn enospc_fails_fast_and_degrades_the_store() {
     let c = SeqCtx::new();
     let sp = ScratchPool::new();
@@ -300,30 +247,56 @@ fn enospc_fails_fast_and_degrades_the_store() {
 #[test]
 fn a_durable_epoch_is_one_append_and_one_sync_at_every_shard_count() {
     // The WAL logs the padded client batch before routing, so a 4-shard
-    // epoch costs what a 1-shard one does: two I/O operations at
-    // `sync_every = 1`, one append (the record lands in the live file)
-    // and one sync (and it is durable).
-    let c = SeqCtx::new();
-    let sp = ScratchPool::new();
-    let wal = std::path::Path::new(DIR).join("wal-0.log");
+    // epoch costs what a 1-shard one does: two I/O operations, one append
+    // (the record lands in the live file) and one sync (and it is
+    // durable). The pipelined front spends both in `commit_async`'s
+    // pre-log; redeeming the epoch with `wait` spends none.
+    let (c, sp) = (&SeqCtx::new(), &ScratchPool::new());
     for shards in [1usize, 4] {
         let vfs = Arc::new(FaultVfs::unfaulted());
-        let mut s = open(&c, &sp, shards, 1, vfs.clone()).unwrap();
-        for e in 0..3u64 {
-            let (ops, len) = (vfs.io_ops(), vfs.read(&wal).unwrap().len());
-            s.execute_epoch(&c, &sp, &epoch_ops(e, 1)).unwrap();
-            // `read` is an I/O operation too: count before it.
-            let spent = vfs.io_ops() - ops - 1;
-            assert_eq!(spent, 2, "{shards} shard(s), epoch {e}: I/O operations");
-            let live = vfs.read(&wal).unwrap();
-            let class = store::size_class(epoch_ops(e, 1).len());
-            assert_eq!(live.len() - len, 20 + 17 * class, "one record appended");
-            assert_eq!(vfs.durable_image().read(&wal).unwrap(), live, "and synced");
-        }
-        for i in 1..shards {
-            let per_shard = std::path::Path::new(DIR).join(format!("wal-{i}.log"));
-            assert!(vfs.read(&per_shard).is_err(), "no {per_shard:?}");
-        }
+        let mut s = open(c, sp, shards, 1, vfs.clone()).unwrap();
+        assert_one_append_and_one_sync_per_epoch(&vfs, shards, "sync", |ops| {
+            s.execute_epoch(c, sp, ops).unwrap();
+        });
+        let vfs = Arc::new(FaultVfs::unfaulted());
+        let mut p = PipelinedStore::new(open(c, sp, shards, 1, vfs.clone()).unwrap());
+        assert_one_append_and_one_sync_per_epoch(&vfs, shards, "pipelined", |ops| {
+            for &op in ops {
+                p.submit(op);
+            }
+            let h = p.commit_async(c);
+            p.wait(&h).unwrap();
+        });
+    }
+}
+
+/// Commit three epochs of a fresh durable store on `vfs` through `commit`,
+/// which acknowledges each, and assert every one spent exactly one append
+/// and one sync of the one log.
+fn assert_one_append_and_one_sync_per_epoch(
+    vfs: &FaultVfs,
+    shards: usize,
+    front: &str,
+    mut commit: impl FnMut(&[Op]),
+) {
+    let wal = std::path::Path::new(DIR).join("wal-0.log");
+    for e in 0..3u64 {
+        let (ops, len) = (vfs.io_ops(), vfs.read(&wal).unwrap().len());
+        commit(&epoch_ops(e, 1));
+        // `read` is an I/O operation too: count before it.
+        let spent = vfs.io_ops() - ops - 1;
+        assert_eq!(
+            spent, 2,
+            "{shards} shard(s), {front}, epoch {e}: I/O operations"
+        );
+        let live = vfs.read(&wal).unwrap();
+        let class = store::size_class(epoch_ops(e, 1).len());
+        assert_eq!(live.len() - len, 20 + 17 * class, "one record appended");
+        assert_eq!(vfs.durable_image().read(&wal).unwrap(), live, "and synced");
+    }
+    for i in 1..shards {
+        let per_shard = std::path::Path::new(DIR).join(format!("wal-{i}.log"));
+        assert!(vfs.read(&per_shard).is_err(), "no {per_shard:?}");
     }
 }
 
