@@ -24,9 +24,15 @@ fn trace<F: FnOnce(&MeterCtx)>(f: F) -> (u64, u64) {
     (rep.trace_hash, rep.trace_len)
 }
 
-fn check<T: PartialEq>(name: &str, traces: &[T]) -> bool {
+/// Print the row's verdict and the value its inputs were compared on (the
+/// first input's; every input's on a FAIL), so a refactor that keeps the
+/// verdict but moves a trace still shows in a diff of this output.
+fn check<T: PartialEq + std::fmt::Debug>(name: &str, traces: &[T]) -> bool {
     let ok = traces.windows(2).all(|w| w[0] == w[1]);
-    println!("{:<44} {}", name, if ok { "PASS" } else { "FAIL" });
+    match ok {
+        true => println!("{name:<44} PASS {:?}", traces[0]),
+        false => println!("{name:<44} FAIL {traces:?}"),
+    }
     ok
 }
 
