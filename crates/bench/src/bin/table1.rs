@@ -1,325 +1,28 @@
 //! Regenerates **Table 1**: work / span / cache complexity of our
-//! data-oblivious algorithms against their insecure (or naive-schedule)
-//! baselines, for Sort, LR, ET-Tree, TC, CC, and MSF.
+//! data-oblivious algorithms for Sort, LR, ET-Tree, TC, CC and MSF, each
+//! beside the baseline it has, if any:
+//!
+//! * Sort: an insecure REC-SORT after a free random shuffle (the SPMS
+//!   substitute of DESIGN.md §4), plus two ablations of our own sort —
+//!   packed tag cells vs Slot-wrapped records, SIMD vs scalar
+//!   compare-exchange;
+//! * LR: insecure pointer jumping;
+//! * ET-Tree: insecure list ranking of the tour, the term that dominates
+//!   the insecure bound;
+//! * TC: no insecure baseline; the same oblivious shunt driven by the flat
+//!   network (the naive-schedule strawman) stands beside it;
+//! * CC: an insecure SV-style run that charges `work(n + m)` per round on
+//!   plain `Vec`s, so its row is unmetered (work = span, `Q` = 0) and its
+//!   ratios to ours are not measurements (ROADMAP item 15);
+//! * MSF: no baseline row.
 //!
 //! Absolute constants differ from the paper's testbed (our substrate is a
 //! cost-model simulator and the AKS/SPMS substitutions of DESIGN.md §4
 //! apply); the reproduction target is the *shape*: matching work and cache
 //! columns between the oblivious algorithm and its baseline, and the span
-//! separations Table 1 claims. Run with `--full` for two more doublings.
-
-use dob_bench::{growth_exponent, header, lg, meter, sweep_from_args, BenchSink, Row};
-use graphs::{
-    connected_components, connected_components_insecure, contract_eval, list_rank_insecure_unit,
-    list_rank_oblivious_unit, msf, random_expr_tree, random_list, random_tree,
-    random_weighted_graph, rooted_tree_stats,
-};
-use metrics::Tracked;
-use obliv_core::{
-    composite_key, oblivious_sort_kv, oblivious_sort_u64, rec_sort_items, with_retries, Engine,
-    Item, OSortParams, ScratchPool, Slot,
-};
-use rand::rngs::StdRng;
-use rand::seq::SliceRandom;
-use rand::SeedableRng;
-use sortnet::{cells_sort_rec_with, Backend, TagCell};
-
-fn scrambled(n: usize) -> Vec<u64> {
-    (0..n as u64)
-        .map(|i| i.wrapping_mul(0x9E3779B97F4A7C15) >> 17)
-        .collect()
-}
-
-/// Tag-sort side of the sort ablation: the records as packed 32-byte
-/// cells through `oblivious_sort_kv`.
-fn ablation_tag_sort<C: fj::Ctx>(c: &C, scratch: &ScratchPool, records: &[(u64, u64)]) {
-    let mut v = records.to_vec();
-    oblivious_sort_kv(c, scratch, &mut v, Engine::BitonicRec);
-}
-
-/// Record-sort side: the same records Slot-wrapped through the same
-/// BitonicRec schedule — how every sort site carried records before the
-/// tag-sort fast path landed.
-fn ablation_record_sort<C: fj::Ctx>(c: &C, scratch: &ScratchPool, records: &[(u64, u64)]) {
-    let mut slots = scratch.lease(records.len(), Slot::<(u64, u64)>::filler());
-    for (i, (slot, &(k, v))) in slots.iter_mut().zip(records.iter()).enumerate() {
-        *slot = Slot::keyed(Item::new(composite_key(k, i as u64), (k, v)));
-    }
-    let mut t = Tracked::new(c, &mut slots);
-    Engine::BitonicRec.sort_slots(c, scratch, &mut t);
-}
+//! separations Table 1 claims. The rows are `Table::Table1` in
+//! `dob_bench::rows`; `--json` writes `BENCH_table1.json`.
 
 fn main() {
-    let scratch = ScratchPool::new();
-    let mut sink = BenchSink::from_args("table1");
-    println!("== Table 1: oblivious vs insecure, binary fork-join, cache-agnostic ==\n");
-    header();
-    let mut shapes: Vec<(&str, Vec<(usize, f64)>)> = Vec::new();
-
-    // ---- Sort ----------------------------------------------------------
-    let mut ours = Vec::new();
-    for n in sweep_from_args(&[1 << 10, 1 << 11, 1 << 12, 1 << 13]) {
-        let rep = meter(|c| {
-            let mut v = scrambled(n);
-            oblivious_sort_u64(c, &scratch, &mut v, OSortParams::practical(n), 42);
-        });
-        sink.record(Row {
-            task: "sort",
-            algo: "ours: oblivious practical",
-            n,
-            rep,
-        });
-        ours.push((n, rep.work as f64));
-
-        let rep = meter(|c| {
-            // Insecure baseline: REC-SORT after a (free) random shuffle —
-            // the SPMS substitute of DESIGN.md §4.
-            let mut items: Vec<Item<u64>> = scrambled(n)
-                .into_iter()
-                .enumerate()
-                .map(|(i, k)| Item::new(obliv_core::composite_key(k, i as u64), k))
-                .collect();
-            items.shuffle(&mut StdRng::seed_from_u64(1));
-            with_retries(16, |a| {
-                rec_sort_items(
-                    c,
-                    &scratch,
-                    &mut items,
-                    Engine::BitonicRec,
-                    16,
-                    5 + a as u64,
-                )
-            });
-        });
-        sink.record(Row {
-            task: "sort",
-            algo: "insecure: rec-sort",
-            n,
-            rep,
-        });
-    }
-    shapes.push(("sort work", ours));
-
-    // ---- Sort ablation: tag-sort vs record-sort --------------------------
-    // The same (u64 key, u64 val) records through the same BitonicRec
-    // comparator schedule, once as packed 32-byte tag cells
-    // (`oblivious_sort_kv`, the store's fast path) and once Slot-wrapped
-    // the way every sort site carried records before the fast path. Both
-    // are deterministic, so the gate tracks the gain row by row.
-    let mut tag_rows = Vec::new();
-    let mut rec_rows = Vec::new();
-    for n in sweep_from_args(&[1 << 10, 1 << 12, 1 << 14]) {
-        let records: Vec<(u64, u64)> = scrambled(n)
-            .into_iter()
-            .enumerate()
-            .map(|(i, k)| (k, i as u64))
-            .collect();
-        let rep = meter(|c| ablation_tag_sort(c, &scratch, &records));
-        sink.record(Row {
-            task: "sort",
-            algo: "ours: tag-sort",
-            n,
-            rep,
-        });
-        tag_rows.push(rep);
-
-        let rep = meter(|c| ablation_record_sort(c, &scratch, &records));
-        sink.record(Row {
-            task: "sort",
-            algo: "ours: record-sort",
-            n,
-            rep,
-        });
-        rec_rows.push(rep);
-    }
-    if let (Some(tag_rep), Some(rec_rep)) = (tag_rows.last(), rec_rows.last()) {
-        println!(
-            "tag-sort vs record-sort headline (largest n): {:.2}x cache misses, \
-             same {} comparators",
-            rec_rep.cache_misses as f64 / tag_rep.cache_misses.max(1) as f64,
-            tag_rep.comparisons,
-        );
-    }
-
-    // ---- Sort ablation: SIMD vs scalar compare-exchange ------------------
-    // The same packed cells through the *identical* comparator schedule,
-    // trace, and counters (accounting replay, DESIGN.md §14) — only the
-    // compare-exchange ALU width differs. The gate pins the shared
-    // counters; the measured vector win is `benchmark/`'s
-    // `sortnet.scalar_over_simd.64k`.
-    let mut simd_rows = Vec::new();
-    let mut scalar_rows = Vec::new();
-    for n in sweep_from_args(&[1 << 12, 1 << 14, 1 << 16]) {
-        let cells: Vec<TagCell> = scrambled(n)
-            .into_iter()
-            .enumerate()
-            .map(|(i, k)| TagCell::new(((k as u128) << 64) | i as u128, i as u128))
-            .collect();
-        for (backend, algo, rows) in [
-            (Backend::Avx2, "sort: simd cells", &mut simd_rows),
-            (Backend::Scalar, "sort: scalar cells", &mut scalar_rows),
-        ] {
-            let rep = meter(|c| {
-                let mut v = cells.clone();
-                let mut lease = scratch.lease(n, TagCell::filler());
-                let mut t = Tracked::new(c, &mut v);
-                let mut tmp = Tracked::new(c, &mut lease);
-                cells_sort_rec_with(backend, c, &mut t, &mut tmp, true);
-            });
-            sink.record(Row {
-                task: "sort",
-                algo,
-                n,
-                rep,
-            });
-            rows.push(rep);
-        }
-    }
-    if let (Some(simd_rep), Some(scalar_rep)) = (simd_rows.last(), scalar_rows.last()) {
-        assert_eq!(
-            (simd_rep.work, simd_rep.comparisons, simd_rep.trace_len),
-            (
-                scalar_rep.work,
-                scalar_rep.comparisons,
-                scalar_rep.trace_len
-            ),
-            "SIMD and scalar backends must share every deterministic counter"
-        );
-        println!(
-            "simd vs scalar cells headline (largest n): identical work, trace and {} comparators \
-             (backend: {})",
-            simd_rep.comparisons,
-            sortnet::active_backend().name(),
-        );
-    }
-
-    // ---- List ranking ----------------------------------------------------
-    let mut ours = Vec::new();
-    for n in sweep_from_args(&[1 << 10, 1 << 11, 1 << 12]) {
-        let (succ, _) = random_list(n, n as u64);
-        let rep = meter(|c| {
-            list_rank_oblivious_unit(c, &scratch, &succ, 7);
-        });
-        sink.record(Row {
-            task: "LR",
-            algo: "ours: oblivious",
-            n,
-            rep,
-        });
-        ours.push((n, rep.work as f64));
-        let rep = meter(|c| {
-            list_rank_insecure_unit(c, &scratch, &succ);
-        });
-        sink.record(Row {
-            task: "LR",
-            algo: "insecure: pointer jumping",
-            n,
-            rep,
-        });
-    }
-    shapes.push(("LR work", ours));
-
-    // ---- Euler tour / tree computations ---------------------------------
-    for n in sweep_from_args(&[1 << 8, 1 << 9, 1 << 10]) {
-        let edges = random_tree(n, 3);
-        let rep = meter(|c| {
-            rooted_tree_stats(c, &scratch, n, &edges, 0, Engine::BitonicRec, 5);
-        });
-        sink.record(Row {
-            task: "ET-Tree",
-            algo: "ours: oblivious",
-            n,
-            rep,
-        });
-        let (succ, _) = random_list(2 * (n - 1), 4);
-        let rep = meter(|c| {
-            // The insecure bound is dominated by list ranking the tour.
-            list_rank_insecure_unit(c, &scratch, &succ);
-        });
-        sink.record(Row {
-            task: "ET-Tree",
-            algo: "insecure: LR on tour",
-            n,
-            rep,
-        });
-    }
-
-    // ---- Tree contraction -----------------------------------------------
-    for leaves in sweep_from_args(&[1 << 6, 1 << 7, 1 << 8]) {
-        let t = random_expr_tree(leaves, 5);
-        let n = t.nodes.len();
-        let rep = meter(|c| {
-            contract_eval(c, &scratch, &t, Engine::BitonicRec, 11);
-        });
-        sink.record(Row {
-            task: "TC",
-            algo: "ours: oblivious shunt",
-            n,
-            rep,
-        });
-        let rep = meter(|c| {
-            // Prior-best schedule: the same contraction driven by the naive
-            // flat network (the per-PRAM-step forking strawman).
-            contract_eval(c, &scratch, &t, Engine::BitonicFlat, 11);
-        });
-        sink.record(Row {
-            task: "TC",
-            algo: "naive: flat-network shunt",
-            n,
-            rep,
-        });
-    }
-
-    // ---- Connected components -------------------------------------------
-    for n in sweep_from_args(&[1 << 7, 1 << 8, 1 << 9]) {
-        let m = 2 * n;
-        let edges = graphs::random_graph(n, m, 9);
-        let rep = meter(|c| {
-            connected_components(c, &scratch, n, &edges, Engine::BitonicRec);
-        });
-        sink.record(Row {
-            task: "CC",
-            algo: "ours: oblivious SV-style",
-            n: m,
-            rep,
-        });
-        let rep = meter(|c| {
-            connected_components_insecure(c, n, &edges);
-        });
-        sink.record(Row {
-            task: "CC",
-            algo: "insecure: direct SV-style",
-            n: m,
-            rep,
-        });
-    }
-
-    // ---- Minimum spanning forest ----------------------------------------
-    for n in sweep_from_args(&[1 << 6, 1 << 7, 1 << 8]) {
-        let m = 2 * n;
-        let edges = random_weighted_graph(n, m, 13);
-        let rep = meter(|c| {
-            msf(c, &scratch, n, &edges, Engine::BitonicRec);
-        });
-        sink.record(Row {
-            task: "MSF",
-            algo: "ours: oblivious Boruvka",
-            n: m,
-            rep,
-        });
-    }
-
-    sink.finish().expect("failed to write BENCH_table1.json");
-    println!("\n== growth exponents (expect ≈1 for W = Θ(n·polylog)) ==");
-    for (name, pts) in shapes {
-        let norm: Vec<(usize, f64)> = pts
-            .iter()
-            .map(|&(n, w)| (n, w / (n as f64 * lg(n))))
-            .collect();
-        println!(
-            "{name}: raw {:+.2}, normalized by n·log n {:+.2} (≈0 ⇒ matches n·log n up to log-factors)",
-            growth_exponent(&pts),
-            growth_exponent(&norm)
-        );
-    }
+    dob_bench::rows::run_table(dob_bench::rows::Table::Table1);
 }
