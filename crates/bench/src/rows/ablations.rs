@@ -102,9 +102,14 @@ pub(super) fn report(arenas: &Arenas, rows: &[Row]) {
                 Err(_) => overflows += 1,
             }
         }
+        // The load is read off completed trials only: with none, say so.
+        let load = match overflows == trials {
+            true => "every trial overflowed".to_string(),
+            false => format!("max bin load {max_load} (cap {})", p.z),
+        };
         println!(
-            "ORBA n={n} {label:<18} Z={:<4} overflow {}/{} trials, max bin load {} (cap {})",
-            p.z, overflows, trials, max_load, p.z
+            "ORBA n={n} {label:<18} Z={:<4} overflow {overflows}/{trials} trials, {load}",
+            p.z
         );
     }
     println!("(§C.2: overflow probability falls off steeply in Z — negligible at Z = log² n)\n");

@@ -109,7 +109,7 @@ impl Engine {
     /// only the `n − h` pairs below `n` run, a [`Gate::run`] a grain. Then
     /// `[0, h)` lies below `[h, n)`, and both merge on their own. A
     /// power-of-two piece is the engine's merge (on `tmp`, or a lease of
-    /// its own); odd-even and Shellsort sort it.
+    /// its own on a metered context); odd-even and Shellsort sort it.
     #[allow(clippy::too_many_arguments)]
     fn merge<C: Ctx, T: Copy + Send + Sync>(
         self,
@@ -125,9 +125,14 @@ impl Engine {
         if n <= 1 || n.is_power_of_two() {
             return match (self, tmp) {
                 (Engine::BitonicRec, Some(mut tmp)) => bitonic_merge_rec(c, t, &mut tmp, gate, up),
-                (Engine::BitonicRec, None) => {
+                // Only the metered transpose recursion uses the scratch; a
+                // host's in-place tiles never touch it, so none is leased.
+                (Engine::BitonicRec, None) if c.is_metered() => {
                     let mut lease = scratch.lease(n, filler);
                     bitonic_merge_rec(c, t, &mut Tracked::new(c, &mut lease), gate, up)
+                }
+                (Engine::BitonicRec, None) => {
+                    bitonic_merge_rec(c, t, &mut Tracked::new(c, &mut [][..]), gate, up)
                 }
                 (Engine::BitonicFlat, _) => bitonic_stage_flat_par(c, t, gate, n, up),
                 (_, tmp) => self.sort(c, scratch, t, tmp, filler, gate, up, 1),

@@ -36,6 +36,6 @@ pub mod topo;
 
 pub use ctx::{base_for, counters, grain_for, Access, BufId, Ctx, DEFAULT_GRAIN};
 pub use par::{par_chunks_mut, par_for, par_reduce, par_zip_mut};
-pub use pool::{current_worker_index, Pool, PoolConfig};
+pub use pool::{current_worker_index, Idle, Pool, PoolConfig};
 pub use seq::SeqCtx;
 pub use task::Deferred;

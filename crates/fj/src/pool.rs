@@ -35,10 +35,10 @@ use crossbeam::deque::{Injector, Steal, Stealer, Worker as Deque};
 use parking_lot::{Condvar, Mutex};
 use std::cell::{Cell, UnsafeCell};
 use std::panic::{self, AssertUnwindSafe};
-use std::sync::atomic::{fence, AtomicBool, AtomicUsize, Ordering};
+use std::sync::atomic::{fence, AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Once};
 use std::thread;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 /// A one-shot flag set by the executor of a job. Workers that own the job
 /// [`probe`](Latch::probe) it between other jobs; a thread outside the
@@ -175,6 +175,10 @@ struct Registry {
     wake: Condvar,
     /// Workers inside [`Registry::sleep`].
     idle: AtomicUsize,
+    /// Condvar waits in [`Registry::sleep`] so far, and the nanoseconds
+    /// spent in them ([`Pool::idle`]).
+    waits: AtomicU64,
+    asleep_ns: AtomicU64,
     terminate: AtomicBool,
     pin: bool,
     /// Workers whose `sched_setaffinity` actually succeeded (diagnostics).
@@ -201,7 +205,11 @@ impl Registry {
         fence(Ordering::SeqCst);
         let work = || !self.injector.is_empty() || self.stealers.iter().any(|s| !s.is_empty());
         if !self.terminate.load(Ordering::Acquire) && !work() {
+            let start = Instant::now();
             self.wake.wait_for(&mut guard, Duration::from_millis(1));
+            let ns = start.elapsed().as_nanos() as u64;
+            self.waits.fetch_add(1, Ordering::Relaxed);
+            self.asleep_ns.fetch_add(ns, Ordering::Relaxed);
         }
         self.idle.fetch_sub(1, Ordering::SeqCst);
     }
@@ -352,6 +360,16 @@ impl PoolConfig {
     }
 }
 
+/// Idle time of a pool's workers ([`Pool::idle`]).
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct Idle {
+    /// Waits on the pool's condvar: each ends at a wake-up or at the 1 ms
+    /// timeout.
+    pub waits: u64,
+    /// Nanoseconds spent in those waits.
+    pub asleep_ns: u64,
+}
+
 /// A binary fork-join thread pool scheduled by work stealing.
 ///
 /// `Pool` implements [`Ctx`], so any algorithm written against the context
@@ -399,6 +417,8 @@ impl Pool {
             sleep: Mutex::new(()),
             wake: Condvar::new(),
             idle: AtomicUsize::new(0),
+            waits: AtomicU64::new(0),
+            asleep_ns: AtomicU64::new(0),
             terminate: AtomicBool::new(false),
             pin: cfg.pin,
             pinned_ok: AtomicUsize::new(0),
@@ -450,6 +470,16 @@ impl Pool {
     /// or after graceful degradation).
     pub fn pinned_workers(&self) -> usize {
         self.registry.pinned_ok.load(Ordering::SeqCst)
+    }
+
+    /// How long the workers have slept for want of work since the pool was
+    /// built, summed over them: the condvar waits of the idle protocol
+    /// and the time spent in them (diagnostics). Both only grow.
+    pub fn idle(&self) -> Idle {
+        Idle {
+            waits: self.registry.waits.load(Ordering::Relaxed),
+            asleep_ns: self.registry.asleep_ns.load(Ordering::Relaxed),
+        }
     }
 
     /// The calling thread's worker, if it is a worker of *this* pool.
@@ -610,6 +640,27 @@ mod tests {
         // Pinning is best-effort: on linux we normally expect success, but
         // a restrictive cpuset may legally leave workers unpinned.
         assert!(pool.pinned_workers() <= 4);
+    }
+
+    #[test]
+    fn idle_workers_count_their_waits() {
+        // Workers with nothing to do go to sleep at once and wake at least
+        // every millisecond.
+        let pool = Pool::new(2);
+        let deadline = Instant::now() + Duration::from_secs(20);
+        let mut last = pool.idle();
+        while last.waits == 0 {
+            assert!(Instant::now() < deadline, "no worker slept");
+            thread::sleep(Duration::from_millis(1));
+            last = pool.idle();
+        }
+        for _ in 0..50 {
+            assert_eq!(fib(&pool, 14), fib_seq(14));
+            let now = pool.idle();
+            assert!(now.waits >= last.waits && now.asleep_ns >= last.asleep_ns);
+            last = now;
+        }
+        assert!(last.asleep_ns > 0);
     }
 
     #[test]

@@ -28,7 +28,7 @@ mod tracked;
 pub use cache::{CacheConfig, CacheSim};
 pub use meter::{measure, Counter, MeterCtx};
 pub use report::CostReport;
-pub use scratch::{ScratchGuard, ScratchPool};
+pub use scratch::{Lane, ScratchGuard, ScratchPool};
 pub use trace::{TraceEvent, TraceMode, TraceRec};
 pub use tracked::{
     par_collect, par_fill, par_fill2, par_tracked_chunks, par_update, par_update_fill, words_per,

@@ -229,6 +229,38 @@ mod pages {
     }
 }
 
+/// Backings are 16-byte aligned (an empty one too: its pointer is a
+/// dangling `u128`'s), so no element type may ask for more.
+fn check_align<T>() {
+    assert!(
+        std::mem::align_of::<T>() <= MIN_BYTES,
+        "scratch elements must have alignment <= 16"
+    );
+}
+
+/// The class of a buffer of `len` elements of `T`.
+fn class_for<T>(len: usize) -> usize {
+    check_align::<T>();
+    let bytes = len
+        .checked_mul(std::mem::size_of::<T>())
+        .expect("scratch lease size overflow")
+        .max(1);
+    class_of(bytes)
+}
+
+/// Write `fill` over the first `len` elements of `store`, a backing of at
+/// least [`class_for::<T>(len)`](class_for).
+fn fill_with<T: Copy>(store: &Backing, len: usize, fill: T) {
+    assert!(len * std::mem::size_of::<T>() <= store.words * std::mem::size_of::<u128>());
+    let ptr = store.ptr.as_ptr().cast::<T>();
+    for i in 0..len {
+        // SAFETY: `len * size_of::<T>()` bytes fit in the backing (asserted
+        // above), the base pointer is 16-byte aligned, which `class_for`
+        // requires of `T`, and `T: Copy` needs no drop.
+        unsafe { ptr.add(i).write(fill) };
+    }
+}
+
 fn class_of(bytes: usize) -> usize {
     let b = bytes.next_power_of_two().max(MIN_BYTES);
     let class = b.trailing_zeros() as usize - MIN_BYTES.trailing_zeros() as usize;
@@ -329,15 +361,7 @@ impl ScratchPool {
     /// exactly the initialization `vec![fill; len]` would have performed.
     /// The storage returns to the pool when the guard drops.
     pub fn lease<T: Copy + Send>(&self, len: usize, fill: T) -> ScratchGuard<'_, T> {
-        assert!(
-            std::mem::align_of::<T>() <= MIN_BYTES,
-            "scratch elements must have alignment <= 16"
-        );
-        let bytes = len
-            .checked_mul(std::mem::size_of::<T>())
-            .expect("scratch lease size overflow")
-            .max(1);
-        let class = class_of(bytes);
+        let class = class_for::<T>(len);
         let recycled = self.recycle(class, Self::lane_of_current());
         let store = recycled.unwrap_or_else(|| {
             self.fresh.fetch_add(1, Ordering::Relaxed);
@@ -347,16 +371,11 @@ impl ScratchPool {
         });
         self.leases.fetch_add(1, Ordering::Relaxed);
         debug_assert_eq!(store.words, class_words(class));
-        let ptr = store.ptr.as_ptr().cast::<T>();
-        for i in 0..len {
-            // SAFETY: `len * size_of::<T>()` bytes fit in the class, the
-            // base pointer is 16-byte aligned, and `T: Copy` needs no drop.
-            unsafe { ptr.add(i).write(fill) };
-        }
+        fill_with(&store, len, fill);
         ScratchGuard {
             store,
             len,
-            pool: self,
+            pool: Some(self),
             _elem: PhantomData,
         }
     }
@@ -415,7 +434,9 @@ impl ScratchPool {
 pub struct ScratchGuard<'p, T: Copy + Send> {
     store: Backing,
     len: usize,
-    pool: &'p ScratchPool,
+    /// Where the storage goes on drop; `None` in a [`Lane`], whose storage
+    /// goes back to the system.
+    pool: Option<&'p ScratchPool>,
     _elem: PhantomData<fn() -> T>,
 }
 
@@ -437,7 +458,64 @@ impl<T: Copy + Send> DerefMut for ScratchGuard<'_, T> {
 
 impl<T: Copy + Send> Drop for ScratchGuard<'_, T> {
     fn drop(&mut self) {
-        self.pool.give_back(std::mem::take(&mut self.store));
+        if let Some(pool) = self.pool {
+            pool.give_back(std::mem::take(&mut self.store));
+        }
+    }
+}
+
+/// A buffer a long-lived owner keeps from call to call — a store shard's
+/// merge lanes — in the pool's storage classes but outside any pool: a
+/// class of 128 KiB or more is a page mapping of its own, like a lease's
+/// (module docs, "Large classes are page mappings"), so the footprint does
+/// not depend on which thread's `malloc` arena a lane was carved from.
+/// [`Lane::fit`] is its only fill: it sets the length, and fills every
+/// element, only when the length changes. Its storage is always its
+/// length's class: kept while the class holds, mapped afresh (and the old
+/// storage freed) when it does not, so a lane grown for one large call
+/// does not keep its pages after it. A dropped lane frees its storage.
+pub struct Lane<T: Copy + Send>(ScratchGuard<'static, T>);
+
+impl<T: Copy + Send> Default for Lane<T> {
+    fn default() -> Self {
+        check_align::<T>();
+        Lane(ScratchGuard {
+            store: Backing::default(),
+            len: 0,
+            pool: None,
+            _elem: PhantomData,
+        })
+    }
+}
+
+impl<T: Copy + Send> Lane<T> {
+    /// The lane at `len` elements: as it stands if it has that length,
+    /// else every element `fill`.
+    pub fn fit(&mut self, len: usize, fill: T) -> &mut [T] {
+        let lane = &mut self.0;
+        if lane.len != len || lane.store.words == 0 {
+            let words = class_words(class_for::<T>(len));
+            if lane.store.words != words {
+                lane.store = Backing::zeroed(words);
+            }
+            fill_with(&lane.store, len, fill);
+            lane.len = len;
+        }
+        lane
+    }
+}
+
+impl<T: Copy + Send> Deref for Lane<T> {
+    type Target = [T];
+
+    fn deref(&self) -> &[T] {
+        &self.0
+    }
+}
+
+impl<T: Copy + Send> DerefMut for Lane<T> {
+    fn deref_mut(&mut self) -> &mut [T] {
+        &mut self.0
     }
 }
 
@@ -451,6 +529,20 @@ mod tests {
         let g = sp.lease(100, 7u64);
         assert_eq!(g.len(), 100);
         assert!(g.iter().all(|&x| x == 7));
+    }
+
+    #[test]
+    fn a_lane_is_filled_only_when_its_length_changes() {
+        let mut lane = Lane::default();
+        assert!(lane.is_empty());
+        lane.fit(100, 7u64)[3] = 9;
+        // Same length: the lane as it stands, not refilled.
+        assert_eq!(lane.fit(100, 0)[..4], [7, 7, 7, 9]);
+        // New length, in the same class or another: filled afresh.
+        assert!(lane.fit(120, 5).iter().all(|&x| x == 5));
+        assert!(lane.fit(3000, 6).iter().all(|&x| x == 6));
+        assert!(lane.fit(2, 1).iter().all(|&x| x == 1));
+        assert_eq!(lane.len(), 2);
     }
 
     #[test]

@@ -14,8 +14,9 @@
 //!    sorts its batch once for all its shards) — the only full sort left,
 //!    over the op class `p + b = |pending| + |batch|`, both public, and
 //!    padded to nothing;
-//! 2. lay out `[sorted ops descending | table ascending]` over
-//!    `m = cap + p + b` cells — bitonic, because the resident table is
+//! 2. lay out `[sorted ops descending | table ascending]` over the
+//!    shard's `m = cap + p + b`-cell merge array ([`Lanes`]) in one
+//!    parallel pass — bitonic, because the resident table is
 //!    key-sorted by the previous rebuild — and run **one bitonic merge**
 //!    (`O(m log m)` comparators, not an `O(m log² m)` sort; `m` need not be
 //!    a power of two, [`Engine::merge_cells`]) to group each key's history
@@ -68,8 +69,8 @@
 //! query window is ever sorted; see DESIGN.md §11.
 
 use crate::op::{kind, FlatOp, StoreStats};
-use fj::{grain_for, par_reduce, Ctx};
-use metrics::{par_fill, par_tracked_chunks, ScratchGuard, ScratchPool, Tracked};
+use fj::{grain_for, par_chunks_mut, par_reduce, Ctx};
+use metrics::{par_fill, par_tracked_chunks, Lane, ScratchGuard, ScratchPool, Tracked};
 use obliv_core::{
     compact_bounded, map_scan, select_u128, select_u64, Bound, Engine, Ranks, TagCell,
 };
@@ -294,13 +295,43 @@ pub(crate) fn read_answers<C: Ctx>(c: &C, t: &Tracked<'_, TagCell>, b: usize) ->
     })
 }
 
-/// Run one merge epoch. `table` holds the resident records sorted by key
-/// (padded, public length) and is rebuilt at public capacity `cap_new`.
-/// `ops` holds `p` pending ops and a padded batch of `b` as [`sorted_ops`]
-/// leaves them, `p + b` cells; the lease
-/// goes back once they are laid into the merge array. `readout` reads the
-/// `b`-cell answer window (answer cells tagged by slot, ascending, fillers
-/// last); it is returned with the refreshed analytics snapshot.
+/// The three `m`-cell lanes of a merge epoch, `m = cap + p + b`: the merge
+/// array, the candidates lane and the packed rank lane. A shard owns its
+/// lanes and keeps them from epoch to epoch; they are resized, and only
+/// then filled, when the public `m` changes. No epoch fills them: the
+/// layout writes every cell of the merge array, and the walk every
+/// position of the other two, before anything reads them (DESIGN.md §7).
+#[derive(Default)]
+pub(crate) struct Lanes {
+    cells: Lane<TagCell>,
+    cand: Lane<TagCell>,
+    rank: Lane<u64>,
+}
+
+impl Lanes {
+    /// The merge array, the candidates lane and the rank lane, `m` long.
+    fn at(&mut self, m: usize) -> (&mut [TagCell], &mut [TagCell], &mut [u64]) {
+        (
+            self.cells.fit(m, TagCell::filler()),
+            self.cand.fit(m, TagCell::filler()),
+            self.rank.fit(m, 0),
+        )
+    }
+
+    /// The lanes as they stand, for a test to dirty them.
+    #[cfg(test)]
+    pub(crate) fn raw(&mut self) -> (&mut [TagCell], &mut [TagCell], &mut [u64]) {
+        (&mut self.cells, &mut self.cand, &mut self.rank)
+    }
+}
+
+/// Run one merge epoch on the shard's `lanes`. `table` holds the resident
+/// records sorted by key (padded, public length) and is rebuilt at public
+/// capacity `cap_new`. `ops` holds `p` pending ops and a padded batch of
+/// `b` as [`sorted_ops`] leaves them, `p + b` cells; the lease goes back
+/// once they are laid into the merge array. `readout` reads the `b`-cell
+/// answer window (answer cells tagged by slot, ascending, fillers last);
+/// it is returned with the refreshed analytics snapshot.
 /// `enforce_live_bound` — a public config bit, set iff a shrink schedule
 /// is configured — checks the candidate count before the rebuild.
 #[allow(clippy::too_many_arguments)]
@@ -308,6 +339,7 @@ pub(crate) fn merge_epoch<C: Ctx, R>(
     c: &C,
     scratch: &ScratchPool,
     table: &mut Vec<TagCell>,
+    lanes: &mut Lanes,
     cap_new: usize,
     ops: ScratchGuard<'_, TagCell>,
     (p, b): (usize, usize),
@@ -320,15 +352,16 @@ pub(crate) fn merge_epoch<C: Ctx, R>(
     // power-of-two padding (the merge and the compactions take any length).
     let m = cap + class;
     assert!(m < 1 << 32, "ranks are packed two to a word");
+    let (cells, cand, rank) = lanes.at(m);
 
     // 2. Merged array: the resident table is key-sorted (reals ascending,
     //    fillers last) by the previous rebuild, so one merge butterfly
     //    replaces the full sort of the concatenation.
-    let mut cells = bitonic_with_table(c, scratch, table, &ops[..class]);
+    lay_out(c, cells, table, &ops[..class]);
     // The op cells live on in `cells`; their lease goes back before the
-    // `m`-sized lanes below are drawn.
+    // merge draws its own.
     drop(ops);
-    let mut t = Tracked::new(c, &mut cells);
+    let mut t = Tracked::new(c, cells);
     ENGINE.merge_cells(c, scratch, &mut t);
 
     // 3–4. One walk over the key-sorted array writes three lanes at every
@@ -337,10 +370,8 @@ pub(crate) fn merge_epoch<C: Ctx, R>(
     //    the record a run's last cell leaves if the run's final state is
     //    `SET` in the candidates lane; and the answers (low half) and
     //    candidates (high half) before `i` in one packed rank lane.
-    let mut cand_store = scratch.lease(m, TagCell::filler());
-    let mut rank_store = scratch.lease(m, 0u64);
-    let mut cand = Tracked::new(c, &mut cand_store);
-    let mut rank = Tracked::new(c, &mut rank_store);
+    let mut cand = Tracked::new(c, cand);
+    let mut rank = Tracked::new(c, rank);
     let is_batch_op = |s: &TagCell| !s.is_filler() & (cell_seq(s) > p as u64);
     map_scan(
         c,
@@ -451,26 +482,37 @@ pub(crate) fn sorted_ops<'s, C: Ctx>(
     ops
 }
 
-/// `[lane reversed | table]` over `|lane| + |table|` cells. `lane` is
-/// sorted with fillers last and `table` is key-sorted with its records
-/// leading, so the result — fillers, descending ops, ascending records,
-/// fillers, and any number of fillers after it — is bitonic: one
-/// [`Engine::merge_cells`] sorts it, each record (seq 0) heading its key's
-/// run.
-fn bitonic_with_table<'s, C: Ctx>(
-    c: &C,
-    scratch: &'s ScratchPool,
-    table: &[TagCell],
-    lane: &[TagCell],
-) -> ScratchGuard<'s, TagCell> {
-    let m = lane.len() + table.len();
-    let mut cells = scratch.lease(m, TagCell::filler());
-    let (ops, records) = cells.split_at_mut(lane.len());
-    ops.copy_from_slice(lane);
-    ops.reverse();
-    records.copy_from_slice(table);
+/// Host leaves of [`lay_out`]: 128 KiB of cells each.
+const LAYOUT_GRAIN: usize = 4096;
+
+/// Write `[lane reversed | table]` over `cells`, `|lane| + |table|` of
+/// them. `lane` is sorted with fillers last and `table` is key-sorted with
+/// its records leading, so the result — fillers, descending ops, ascending
+/// records, fillers — is bitonic: one [`Engine::merge_cells`] sorts it,
+/// each record (seq 0) heading its key's run. One parallel pass writes
+/// every cell, whatever `cells` held. The meter charges it as the parallel
+/// map it is and runs it as one leaf, so the pass forks on hosts only.
+fn lay_out<C: Ctx>(c: &C, cells: &mut [TagCell], table: &[TagCell], lane: &[TagCell]) {
+    let (m, class) = (cells.len(), lane.len());
+    assert_eq!(m, class + table.len(), "the layout covers lane and table");
+    let chunks = match c.is_metered() {
+        true => 1,
+        false => m.div_ceil(LAYOUT_GRAIN),
+    };
+    par_chunks_mut(c, cells, chunks, &|_, j, chunk| {
+        // Chunk `j` starts at `j·m/chunks`; position `i` holds
+        // `lane[class − 1 − i]` below `class`, `table[i − class]` above.
+        let lo = j * m / chunks;
+        let split = class.saturating_sub(lo).min(chunk.len());
+        let (ops, records) = chunk.split_at_mut(split);
+        let from = class.saturating_sub(lo + split);
+        for (cell, op) in ops.iter_mut().zip(lane[from..from + split].iter().rev()) {
+            *cell = *op;
+        }
+        let first = (lo + split).saturating_sub(class);
+        records.copy_from_slice(&table[first..first + records.len()]);
+    });
     c.charge_par(m as u64);
-    cells
 }
 
 /// Over a key-sorted lane `t`: one walk gives every cell the value state
@@ -565,7 +607,8 @@ pub(crate) fn consult<C: Ctx>(
         let mut wins_store = scratch.lease(tables.len() * q, TagCell::filler());
         let mut wins = Tracked::new(c, &mut wins_store);
         par_tracked_chunks(c, wins.borrow_mut(), q, &|c, s, mut win| {
-            let mut cells = bitonic_with_table(c, scratch, tables[s], asked);
+            let mut cells = scratch.lease(q + tables[s].len(), TagCell::filler());
+            lay_out(c, &mut cells, tables[s], asked);
             let mut rank_store = scratch.lease(cells.len(), 0u64);
             let mut t = Tracked::new(c, &mut cells);
             let mut rank = Tracked::new(c, &mut rank_store);
@@ -628,9 +671,17 @@ mod tests {
         let scratch = ScratchPool::new();
         let ops = sorted_ops(&c, &scratch, pending, batch);
         let shape = (pending.len(), batch.len());
-        merge_epoch(&c, &scratch, table, cap_new, ops, shape, true, |t| {
-            read_answers(&c, t, batch.len())
-        })
+        merge_epoch(
+            &c,
+            &scratch,
+            table,
+            &mut Lanes::default(),
+            cap_new,
+            ops,
+            shape,
+            true,
+            |t| read_answers(&c, t, batch.len()),
+        )
     }
 
     fn run(
@@ -932,9 +983,17 @@ mod tests {
         let scratch = ScratchPool::new();
         let ops = sorted_ops(c, &scratch, pending, batch);
         let shape = (pending.len(), batch.len());
-        merge_epoch(c, &scratch, table, cap_new, ops, shape, true, |t| {
-            read_answers(c, t, batch.len())
-        })
+        merge_epoch(
+            c,
+            &scratch,
+            table,
+            &mut Lanes::default(),
+            cap_new,
+            ops,
+            shape,
+            true,
+            |t| read_answers(c, t, batch.len()),
+        )
         .0
     }
 
@@ -1045,6 +1104,146 @@ mod tests {
                 let got = decode(seq[j], StoreStats::default()).value();
                 proptest::prop_assert_eq!(got, oracle.get(&key).copied(), "key {}", key);
             }
+        }
+    }
+
+    /// A shard's lanes outlive its epochs and no epoch fills them, so
+    /// every position must be written before it is read. One shard runs
+    /// epochs whose class and capacity grow and shrink — a full table
+    /// growing past the merge array, ORAM epochs that lengthen the pending
+    /// log, shrink merges — with its lanes dirtied before every other
+    /// epoch. Answers, table and stats must match a replay, and a twin
+    /// whose lanes are fresh at every epoch.
+    #[test]
+    fn dirty_lanes_change_no_epoch() {
+        use crate::op::{size_class, EpochPath};
+        use crate::shard::Shard;
+        use crate::store::{ShrinkPolicy, StoreConfig};
+
+        fn drive<C: Ctx>(c: &C) -> usize {
+            let cfg = StoreConfig {
+                oram_key_space: Some(128),
+                oram_threshold: 16,
+                pending_limit: 48,
+                shrink: Some(ShrinkPolicy {
+                    every: 4,
+                    live_bound: 48,
+                    snapshot: 0,
+                }),
+                ..StoreConfig::default()
+            };
+            let scratch = ScratchPool::new();
+            let (mut dirty, mut fresh) = (Shard::new(cfg, 1), Shard::new(cfg, 1));
+            let mut oracle = std::collections::BTreeMap::new();
+            let mut rng = 0x9E37_79B9_7F4A_7C15u64;
+            let mut next = move |bound: u64| {
+                rng ^= rng << 13;
+                rng ^= rng >> 7;
+                rng ^= rng << 17;
+                rng % bound
+            };
+            // 32 distinct puts fill a 32-slot table; 5 gets go to the ORAM
+            // path; 16 more merge with them into 32 + 24 cells and grow the
+            // full table to 64.
+            let mut epochs: Vec<Vec<Op>> = vec![
+                (0..32).map(|key| Op::Put { key, val: key }).collect(),
+                (0..5).map(|key| Op::Get { key }).collect(),
+                (0..16).map(|key| Op::Get { key: 2 * key }).collect(),
+            ];
+            for _ in 0..24 {
+                let len = 1 + next(100) as usize;
+                epochs.push(
+                    (0..len)
+                        .map(|_| match (next(4), next(44)) {
+                            (0 | 1, key) => Op::Put {
+                                key,
+                                val: next(1000),
+                            },
+                            (2, key) => Op::Delete { key },
+                            (_, key) => Op::Get { key },
+                        })
+                        .collect(),
+                );
+            }
+            let (mut merges, mut grew_past, mut caps) = (0, false, Vec::new());
+            for (e, ops) in epochs.iter().enumerate() {
+                let mut batch: Vec<FlatOp> = ops.iter().map(FlatOp::of).collect();
+                batch.resize(size_class(ops.len()), FlatOp::dummy());
+                let path = dirty.epoch_path(batch.len());
+                let full = oracle.len() == dirty.capacity();
+                let m = dirty.capacity() + dirty.pending_len() + batch.len();
+                if e % 2 == 1 {
+                    let (cells, cand, rank) = dirty.lanes_mut().raw();
+                    for cell in cells.iter_mut().chain(cand) {
+                        *cell = op_cell(next(64), next(9), next(4) as u8, next(1 << 40));
+                    }
+                    rank.iter_mut().for_each(|r| *r = next(u64::MAX));
+                }
+                *fresh.lanes_mut() = Lanes::default();
+                let got = dirty.execute(c, &scratch, &batch, path);
+                assert_eq!(got, fresh.execute(c, &scratch, &batch, path), "epoch {e}");
+                for (op, &answer) in ops.iter().zip(&got) {
+                    let want = match *op {
+                        Op::Put { key, val } => oracle.insert(key, val),
+                        Op::Delete { key } => oracle.remove(&key),
+                        Op::Get { key } => oracle.get(&key).copied(),
+                        _ => unreachable!(),
+                    };
+                    assert_eq!(decode(answer, StoreStats::default()), OpResult::Value(want));
+                }
+                assert_eq!(dirty.records(), fresh.records(), "epoch {e}");
+                assert_eq!(dirty.stats(), fresh.stats(), "epoch {e}");
+                if path == EpochPath::Merge {
+                    merges += 1;
+                    grew_past |= full && dirty.capacity() > m;
+                    caps.push(dirty.capacity());
+                    let want: Vec<(u64, u64)> = oracle.iter().map(|(&k, &v)| (k, v)).collect();
+                    assert_eq!(live(dirty.records()), want, "epoch {e}");
+                    let sum = want.iter().fold(0u64, |s, r| s.wrapping_add(r.1));
+                    let stats = StoreStats {
+                        count: want.len() as u64,
+                        sum,
+                    };
+                    assert_eq!(dirty.stats(), stats, "epoch {e}");
+                }
+            }
+            assert!(grew_past, "no full table grew past its merge array");
+            assert!(
+                caps.windows(2).any(|w| w[1] < w[0]),
+                "capacity never shrank: {caps:?}"
+            );
+            merges
+        }
+        let merges = drive(&SeqCtx::new());
+        assert!(merges >= 12, "{merges} merges");
+        measure(CacheConfig::default(), TraceMode::Off, drive);
+    }
+
+    /// The layout on a host splits `m` into [`LAYOUT_GRAIN`]-cell chunks;
+    /// on every split, on a pool too, it is the reversed lane and the table.
+    #[test]
+    fn layout_is_the_reversed_lane_then_the_table() {
+        let cells = |n: usize, salt: u64| -> Vec<TagCell> {
+            (0..n as u64)
+                .map(|i| record_cell(i * 7 + salt, i))
+                .collect()
+        };
+        let pool = fj::Pool::new(2);
+        for (class, cap) in [
+            (8, 8),
+            (1, LAYOUT_GRAIN),
+            (LAYOUT_GRAIN + 3, 5),
+            (5000, 9000),
+            (16384, 1024),
+        ] {
+            let (lane, table) = (cells(class, 1), cells(cap, 2));
+            let want: Vec<TagCell> = lane.iter().rev().chain(&table).copied().collect();
+            let mut got = vec![TagCell::filler(); class + cap];
+            lay_out(&SeqCtx::new(), &mut got, &table, &lane);
+            assert!(got == want, "SeqCtx, {class} + {cap}");
+            got.fill(record_cell(3, 3));
+            pool.run(|c| lay_out(c, &mut got, &table, &lane));
+            assert!(got == want, "pool, {class} + {cap}");
         }
     }
 

@@ -6,9 +6,10 @@
 //! every epoch's operations once and then commits all shards concurrently
 //! on the fork-join pool — each shard's task takes its own ops out of that
 //! order ([`crate::router::shard_lane`]), and its
-//! [`merge_epoch`](crate::merge) takes the shard's table by `&mut`, leases
-//! its scratch from the shared (thread-safe) [`ScratchPool`], and touches
-//! no state outside the shard, so commits are fully independent. A
+//! [`merge_epoch`](crate::merge) takes the shard's table and merge lanes
+//! by `&mut`, leases the rest of its scratch from the shared (thread-safe)
+//! [`ScratchPool`], and touches no state outside the shard, so commits
+//! are fully independent. A
 //! 1-shard store ([`crate::Store`]) hands its whole padded batch to its
 //! one shard. Both reach the one merge core, [`Shard::merge`].
 
@@ -43,6 +44,8 @@ pub(crate) struct Shard {
     mirror: Option<Mirror>,
     stats: StoreStats,
     merges: u64,
+    /// The merge path's lanes, kept across epochs ([`merge::Lanes`]).
+    lanes: merge::Lanes,
 }
 
 impl Shard {
@@ -64,6 +67,7 @@ impl Shard {
             mirror,
             stats: StoreStats::default(),
             merges: 0,
+            lanes: merge::Lanes::default(),
         }
     }
 
@@ -228,6 +232,7 @@ impl Shard {
             c,
             scratch,
             &mut self.table,
+            &mut self.lanes,
             cap_new,
             ops,
             (p, b),
@@ -259,6 +264,12 @@ impl Shard {
 
     pub fn merges(&self) -> u64 {
         self.merges
+    }
+
+    /// The merge path's lanes, for a test to dirty or drop them.
+    #[cfg(test)]
+    pub(crate) fn lanes_mut(&mut self) -> &mut merge::Lanes {
+        &mut self.lanes
     }
 
     /// The resident table: record cells key-sorted and leading, fillers

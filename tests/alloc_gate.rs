@@ -27,6 +27,14 @@ use std::cell::Cell;
 /// lease, so a call on a warm pool does not touch the allocator.
 const STEADY_BUDGET: u64 = 0;
 
+/// Scratch leases of one steady 64-op merge epoch of a 1-shard store, on
+/// `SeqCtx` and on a pool alike (the `merge_epoch_pool_stays_warm_*`
+/// tests): the op lane, the working lanes of the op sort, the merge and
+/// the answer sort, and the walk's tree. The merge array, the candidates
+/// lane and the rank lane are the shard's own (`merge::Lanes`), kept
+/// across epochs, not leases.
+const MERGE_EPOCH_LEASES: u64 = 4;
+
 struct Counting;
 
 thread_local! {
@@ -264,9 +272,16 @@ fn merge_epoch_pool_stays_warm_on_tag_path() {
     // cell lane (op sort, merge array, result/candidate lanes, compaction
     // rank lane) is leased, never allocated per call.
     for round in 3..6u64 {
+        let before = scratch.leases();
         store
             .execute_epoch(&c, &scratch, &epoch_ops(round))
             .unwrap();
+        let leases = scratch.leases() - before;
+        println!("steady merge epoch leases: {leases}");
+        assert_eq!(
+            leases, MERGE_EPOCH_LEASES,
+            "a steady merge epoch took {leases} scratch leases"
+        );
     }
     assert_eq!(
         scratch.fresh_allocs(),
@@ -428,8 +443,14 @@ fn merge_epoch_pool_stays_warm_under_pinned_pool() {
     // every other lane (exact spill accounting), so a fresh backing alloc
     // here would mean a buffer class is not being returned at all.
     for round in 8..11u64 {
+        let before = scratch.leases();
         pool.run(|c| store.execute_epoch(c, &scratch, &epoch_ops(round)))
             .unwrap();
+        let leases = scratch.leases() - before;
+        assert_eq!(
+            leases, MERGE_EPOCH_LEASES,
+            "a steady merge epoch under a pinned Pool(4) took {leases} scratch leases"
+        );
     }
     println!(
         "pinned({} of 4 workers pinned): {} leases, {} lane hits, {} spills, {} fresh",
