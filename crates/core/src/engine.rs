@@ -49,8 +49,9 @@ impl Engine {
     /// this way, then [`Engine::merge`] — `[desc | asc]` then `+∞` fillers
     /// is bitonic, as is `[asc | desc]` then `−∞`. Odd-even and Shellsort
     /// (only ever ascending) sort a `next_pow2(n)` copy. `tmp`, the merge
-    /// scratch, is leased once (the network writes it before reading it)
-    /// and split with `t`.
+    /// scratch, is leased once on a metered context (the network writes it
+    /// before reading it) and split with `t`; only the metered transpose
+    /// recursion reads it, so a host sorts with an empty one.
     #[allow(clippy::too_many_arguments)]
     fn sort<C: Ctx, T: Copy + Send + Sync>(
         self,
@@ -67,9 +68,9 @@ impl Engine {
         let pow2 = run > 1 || n <= 1 || n.is_power_of_two();
         match (self, &mut tmp) {
             (Engine::BitonicRec, None) => {
-                let mut lease = scratch.lease(n, filler);
-                let tmp = Some(Tracked::new(c, &mut lease));
-                self.sort(c, scratch, t, tmp, filler, gate, up, run);
+                let mut lease = c.is_metered().then(|| scratch.lease(n, filler));
+                let tmp = Tracked::new(c, lease.as_deref_mut().unwrap_or_default());
+                self.sort(c, scratch, t, Some(tmp), filler, gate, up, run);
             }
             (Engine::BitonicRec, Some(tmp)) if pow2 => {
                 bitonic_sort_rec_from_runs(c, t, tmp, gate, up, run)
@@ -92,7 +93,10 @@ impl Engine {
             _ => {
                 let h = 1 << n.ilog2();
                 let (mut lo, mut hi) = t.split_at_mut(n - h);
-                let (s_lo, s_hi) = tmp.as_mut().map(|s| s.split_at_mut(n - h)).unzip();
+                let (s_lo, s_hi) = tmp
+                    .as_mut()
+                    .map(|s| s.split_at_mut(s.len().min(n - h)))
+                    .unzip();
                 c.join(
                     move |c| self.sort(c, scratch, &mut lo, s_lo, filler, gate, !up, 1),
                     move |c| self.sort(c, scratch, &mut hi, s_hi, filler, gate, up, 1),
@@ -147,7 +151,7 @@ impl Engine {
             unsafe { gate.run(c, &raw, from, from + h, len, up) };
         });
         let (mut lo, mut hi) = t.split_at_mut(h);
-        let (s_lo, s_hi) = tmp.as_mut().map(|s| s.split_at_mut(h)).unzip();
+        let (s_lo, s_hi) = tmp.as_mut().map(|s| s.split_at_mut(s.len().min(h))).unzip();
         c.join(
             move |c| self.merge(c, scratch, &mut lo, s_lo, filler, gate, up),
             move |c| self.merge(c, scratch, &mut hi, s_hi, filler, gate, up),

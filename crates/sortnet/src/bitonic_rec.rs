@@ -225,7 +225,8 @@ pub fn bitonic_sort_rec<C: Ctx, T: Copy + Send>(
 /// — `Σ_{k = log run + 1}^{log n} k` comparator layers instead of
 /// `Σ_{k = 1}^{log n} k`. `run = 1` is the sort. The trace is a function
 /// of `(n, run)`; on an input that breaks the contract the network still
-/// runs it and permutes `t`, it just does not sort.
+/// runs it and permutes `t`, it just does not sort. `tmp` holds `n`
+/// elements; a host, whose merges tile in place, may pass an empty one.
 pub fn bitonic_sort_rec_from_runs<C: Ctx, T: Copy + Send>(
     c: &C,
     t: &mut Tracked<'_, T>,
@@ -235,7 +236,7 @@ pub fn bitonic_sort_rec_from_runs<C: Ctx, T: Copy + Send>(
     run: usize,
 ) {
     let n = t.len();
-    debug_assert_eq!(tmp.len(), n);
+    debug_assert!(tmp.len() == n || tmp.is_empty() && !c.is_metered());
     if n <= 1 {
         return;
     }
@@ -262,7 +263,7 @@ pub fn bitonic_sort_rec_from_runs<C: Ctx, T: Copy + Send>(
         reverse(c, if up { &mut t_hi } else { &mut t_lo });
     } else {
         let (t_lo, t_hi) = t.split_at_mut(n / 2);
-        let (s_lo, s_hi) = tmp.split_at_mut(n / 2);
+        let (s_lo, s_hi) = tmp.split_at_mut(tmp.len().min(n / 2));
         c.join(
             move |c| {
                 let (mut t_lo, mut s_lo) = (t_lo, s_lo);

@@ -41,9 +41,12 @@
 //!    resident table at its new public capacity, fillers past `m` when a
 //!    full table grows beyond the merge array;
 //! 6. results: the answers number at most `|batch|`, so one
-//!    [`compact_bounded`] by that count brings them into a `|batch|`-cell
-//!    window — the front of the spent candidates lane — and one small sort
-//!    of it restores submission order for the fixed-prefix readout.
+//!    [`compact_bounded`] by that count brings them, in key order, into a
+//!    `|batch|`-cell window — the front of the spent candidates lane. The
+//!    caller restores submission order: a single shard sorts its window
+//!    for the fixed-prefix readout ([`crate::shard::Shard::execute`]); a
+//!    sharded epoch hands every window over unsorted and sorts once, in
+//!    the gather ([`crate::router::gather_results`]).
 //!
 //! Relative to the record-sort pipeline this replaces three full wide-slot
 //! sorts with one small sort + one merge + one walk + two compactions of
@@ -280,15 +283,22 @@ pub(crate) fn answer_cell(slot: u64, op_kind: u8, found: bool, val: u64) -> TagC
     )
 }
 
-/// Read out the `b`-cell answer window `t[..b]` as answer words: the
+/// Sort the answer window `t` — one cell per slot of a padded class `b =
+/// |t|`, answers tagged by slot and fillers in any order — back to slot
+/// order with one `b`-cell sort, and read it out as answer words: the
 /// payload lane of slot `j`'s answer cell at `j` (what [`decode`] reads).
 /// The readout covers the whole padded class — reading only the real
 /// answers would leak their count within the class — and moves the payload
 /// lanes only.
 ///
 /// [`decode`]: crate::store::decode
-pub(crate) fn read_answers<C: Ctx>(c: &C, t: &Tracked<'_, TagCell>, b: usize) -> Vec<u128> {
-    metrics::par_collect(c, b, &|c, j| {
+pub(crate) fn read_answers<C: Ctx>(
+    c: &C,
+    scratch: &ScratchPool,
+    t: &mut Tracked<'_, TagCell>,
+) -> Vec<u128> {
+    ENGINE.sort_cells(c, scratch, t);
+    metrics::par_collect(c, t.len(), &|c, j| {
         let s = t.get(c, j);
         debug_assert!(s.is_filler() || s.tag == j as u128);
         s.aux
@@ -330,8 +340,9 @@ impl Lanes {
 /// capacity `cap_new`. `ops` holds `p` pending ops and a padded batch of
 /// `b` as [`sorted_ops`] leaves them, `p + b` cells; the lease goes back
 /// once they are laid into the merge array. `readout` reads the `b`-cell
-/// answer window (answer cells tagged by slot, ascending, fillers last);
-/// it is returned with the refreshed analytics snapshot.
+/// answer window — answer cells tagged by slot, in key order, fillers
+/// last — and may sort it in place; what it returns comes back with the
+/// refreshed analytics snapshot.
 /// `enforce_live_bound` — a public config bit, set iff a shrink schedule
 /// is configured — checks the candidate count before the rebuild.
 #[allow(clippy::too_many_arguments)]
@@ -344,7 +355,7 @@ pub(crate) fn merge_epoch<C: Ctx, R>(
     ops: ScratchGuard<'_, TagCell>,
     (p, b): (usize, usize),
     enforce_live_bound: bool,
-    readout: impl FnOnce(&Tracked<'_, TagCell>) -> R,
+    readout: impl FnOnce(&mut Tracked<'_, TagCell>) -> R,
 ) -> (R, StoreStats) {
     let cap = table.len();
     let class = p + b;
@@ -450,13 +461,11 @@ pub(crate) fn merge_epoch<C: Ctx, R>(
     };
 
     // 6. Results: at most `b` answers, so one compaction bounded by the
-    //    batch brings them to a `b`-cell window — the front of the spent
-    //    candidates lane — and one small sort of it restores submission
-    //    order.
+    //    batch brings them, still in key order, to a `b`-cell window — the
+    //    front of the spent candidates lane — for the caller to read.
     let mut win = cand.range(0, b);
     compact_bounded(c, &mut t, Ranks::low(&rank), Bound::Count(b), &mut win);
-    ENGINE.sort_cells(c, scratch, &mut win);
-    (readout(&win), stats)
+    (readout(&mut win), stats)
 }
 
 /// Pack `first ++ second` into cells keyed `(key ‖ 1-based position)`, one
@@ -647,8 +656,7 @@ pub(crate) fn consult<C: Ctx>(
         });
     }
     // One small sort restores submission order.
-    ENGINE.sort_cells(c, scratch, &mut window);
-    read_answers(c, &window, q)
+    read_answers(c, scratch, &mut window)
 }
 
 #[cfg(test)]
@@ -680,7 +688,7 @@ mod tests {
             ops,
             shape,
             true,
-            |t| read_answers(&c, t, batch.len()),
+            |t| read_answers(&c, &scratch, t),
         )
     }
 
@@ -992,7 +1000,7 @@ mod tests {
             ops,
             shape,
             true,
-            |t| read_answers(c, t, batch.len()),
+            |t| read_answers(c, &scratch, t),
         )
         .0
     }

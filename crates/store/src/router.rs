@@ -13,15 +13,16 @@
 //! ops on the same key share a shard in `seq` (submission) order, which
 //! preserves the store's sequential within-epoch semantics.
 //!
-//! [`gather_results`] is the send-receive return trip: the shards' answer
-//! cells (DESIGN.md §10), tagged with their submission index, arrive as
-//! one ascending run per shard (each shard sorts its answer window by
-//! submission index) and are merged back to submission order — the
-//! engine's sort-from-runs, the same merge of sorted runs ORBA's
-//! placements use, not a sort — followed by a fixed-prefix readout of the
-//! whole padded batch.
+//! [`gather_results`] is the send-receive return trip, and the one place a
+//! sharded epoch sorts its answers: the shards' answer cells (DESIGN.md
+//! §10), tagged with their submission index, arrive as one `zcap`-cell
+//! window per shard, in the key order the shard's merge left them. One
+//! oblivious compaction of the concatenated windows brings the at most
+//! `b` answers to the front, and one `b`-cell sort by submission index
+//! puts them back in order for a fixed-prefix readout of the whole padded
+//! batch.
 
-use crate::merge::{cell_key, read_answers, ENGINE};
+use crate::merge::{cell_key, read_answers};
 use crate::op::MIN_CLASS;
 use fj::{grain_for, par_reduce, Ctx};
 use metrics::{par_fill, ScratchGuard, ScratchPool, Tracked};
@@ -102,41 +103,31 @@ pub(crate) fn shard_lane<'s, C: Ctx>(
     lane
 }
 
-/// Route per-shard answer cells back to submission order. `entries` is the
-/// concatenation of the shards' answer runs, `zcap` cells each (public
-/// length `shards · zcap`, both powers of two), every answer tagged by its
-/// submission index and every padding slot a filler.
+/// Route the shards' answer windows back to submission order. `entries`
+/// is their concatenation, `zcap` cells each (public length `shards ·
+/// zcap`, at least the padded batch class `b`): every answer cell tagged
+/// by its submission index, every other cell a filler, at most `b`
+/// answers in all.
 ///
-/// **Input contract:** every run is ascending by tag with its fillers
-/// last. A shard sorts its answer window by submission index
-/// ([`crate::merge::merge_epoch`] step 6), so the runs `commit_split`
-/// hands over always are. Sorted runs are merged, not re-sorted
-/// ([`obliv_core::Engine::sort_cells_from_runs`]: `log₂ shards` rounds of
-/// bitonic merges, `O(n log n)` comparators in total against the
-/// `O(n log² n)` of a sort), then [`read_answers`] reads out the answer
-/// words of the whole padded batch class `b`.
+/// **Input contract:** nothing about order. A shard hands its window over
+/// as [`crate::merge::merge_epoch`] step 6 leaves it — answers in key
+/// order, fillers last — but any arrangement gathers alike: one
+/// [`compact_cells`] of all of `entries` brings the answers to the front
+/// in place, and [`read_answers`] sorts the first `b` cells by submission
+/// index and reads out the answer words of the whole padded class.
 pub(crate) fn gather_results<C: Ctx>(
     c: &C,
     scratch: &ScratchPool,
-    entries: &[TagCell],
-    zcap: usize,
+    entries: &mut Tracked<'_, TagCell>,
     b: usize,
 ) -> Vec<u128> {
-    let n = entries.len();
-    debug_assert!(n >= b && zcap.is_power_of_two() && n.is_power_of_two() && zcap <= n);
+    debug_assert!(entries.len() >= b);
     debug_assert!(
-        entries.chunks(zcap).all(|run| run
-            .windows(2)
-            .all(|w| w[0].tag < w[1].tag || w[1].is_filler())),
-        "gather runs must ascend by submission index, padding last"
+        entries.raw().iter().filter(|x| !x.is_filler()).count() <= b,
+        "the shards answer at most the batch"
     );
-    let mut cells = scratch.lease(n, TagCell::filler());
-    cells.copy_from_slice(entries);
-    c.charge_par(n as u64);
-
-    let mut t = Tracked::new(c, &mut cells);
-    ENGINE.sort_cells_from_runs(c, scratch, &mut t, zcap);
-    read_answers(c, &t, b)
+    compact_cells(c, scratch, entries);
+    read_answers(c, scratch, &mut entries.range(0, b))
 }
 
 #[cfg(test)]
@@ -238,54 +229,94 @@ mod tests {
         assert!(!overflows(&c, &sorted, 4, 16));
     }
 
-    /// `zcap`-cell runs answering the given submission indices
-    /// (ascending), padded with fillers — the shape `commit_split`
-    /// produces.
-    fn runs(zcap: usize, idx: &[&[u64]]) -> Vec<TagCell> {
+    /// `zcap`-cell windows answering the given submission indices, each
+    /// in the order listed and padded with fillers — the shape
+    /// `commit_split` hands over, whatever order a window's answers take.
+    fn windows(zcap: usize, idx: &[&[u64]]) -> Vec<TagCell> {
         idx.iter()
-            .flat_map(|run| {
-                assert!(run.len() <= zcap && run.windows(2).all(|w| w[0] < w[1]));
-                let real = run.iter().map(|&i| answer_cell(i, kind::GET, true, i * 10));
+            .flat_map(|win| {
+                assert!(win.len() <= zcap);
+                let real = win.iter().map(|&i| answer_cell(i, kind::GET, true, i * 10));
                 let pad = std::iter::repeat(TagCell::filler());
                 real.chain(pad).take(zcap).collect::<Vec<_>>()
             })
             .collect()
     }
 
-    /// The gathered answers as the store decodes them.
-    fn values(out: &[u128]) -> Vec<Option<u64>> {
+    /// Gather [`windows`] for a padded batch of class `b`: the answers as
+    /// the store decodes them.
+    fn gather(zcap: usize, b: usize, idx: &[&[u64]]) -> Vec<Option<u64>> {
+        let c = SeqCtx::new();
+        let sp = ScratchPool::new();
+        let mut entries = windows(zcap, idx);
+        let out = gather_results(&c, &sp, &mut Tracked::new(&c, &mut entries), b);
         let snapshot = StoreStats::default();
         out.iter().map(|&a| decode(a, snapshot).value()).collect()
     }
 
-    #[test]
-    fn gather_returns_submission_order() {
-        let c = SeqCtx::new();
-        let sp = ScratchPool::new();
-        // 2 shards × 4 slots, 5 real results between them.
-        let entries = runs(4, &[&[0, 3], &[1, 2, 4]]);
-        let out = gather_results(&c, &sp, &entries, 4, 8);
-        let want: Vec<Option<u64>> = (0..8).map(|j| (j < 5).then_some(j * 10)).collect();
-        assert_eq!(values(&out), want);
+    /// What a class-`b` batch whose first `r` slots are real reads back.
+    fn answered(r: u64, b: u64) -> Vec<Option<u64>> {
+        (0..b).map(|j| (j < r).then_some(j * 10)).collect()
     }
 
     #[test]
-    fn gather_merges_empty_full_and_ragged_runs() {
-        // 4 shards × 4 slots: an empty run, a full one and two ragged
-        // ones.
-        let c = SeqCtx::new();
-        let sp = ScratchPool::new();
-        let entries = runs(4, &[&[], &[1, 2, 5, 7], &[0], &[3, 4, 6]]);
-        let out = gather_results(&c, &sp, &entries, 4, 8);
-        let want: Vec<Option<u64>> = (0..8).map(|j| Some(j * 10)).collect();
-        assert_eq!(values(&out), want);
-        // Eight runs: three merge rounds over leaves of both directions.
+    fn gather_puts_key_ordered_answers_in_submission_order() {
+        // 2 shards × 8 slots, 7 real ops: each window lists its answers by
+        // key, which is no order of their slots.
+        assert_eq!(gather(8, 8, &[&[5, 0, 3], &[6, 1, 2, 4]]), answered(7, 8));
+    }
+
+    #[test]
+    fn gather_takes_unequal_shard_loads() {
+        let idx: [&[u64]; 4] = [&[2], &[7, 0, 5, 1, 6], &[], &[4, 3]];
+        assert_eq!(gather(8, 8, &idx), answered(8, 8));
+        // A part-full batch: two slots are padding.
+        let idx: [&[u64]; 4] = [&[], &[5, 0], &[3, 1, 4], &[2]];
+        assert_eq!(gather(8, 8, &idx), answered(6, 8));
+    }
+
+    #[test]
+    fn gather_takes_one_full_window_beside_three_empty_ones() {
+        let full: &[u64] = &[6, 3, 0, 7, 1, 4, 2, 5];
+        for home in 0..4 {
+            let mut idx: [&[u64]; 4] = [&[]; 4];
+            idx[home] = full;
+            assert_eq!(
+                gather(8, 8, &idx),
+                answered(8, 8),
+                "answers on shard {home}"
+            );
+        }
+    }
+
+    #[test]
+    fn gather_reads_the_batch_out_of_wider_provisioning() {
+        // Slack 2 over 4 shards: `zcap = 8` for a batch of 16, so the
+        // windows hold twice the batch, and the answers come from all of
+        // them.
+        assert_eq!(shard_class(16, 4, 2), 8);
+        let idx: [&[u64]; 4] = [
+            &[9, 2, 14],
+            &[0, 11, 5, 7, 12, 1],
+            &[3, 15, 8],
+            &[10, 4, 13, 6],
+        ];
+        assert_eq!(gather(8, 16, &idx), answered(16, 16));
+        let idx: [&[u64]; 4] = [&[], &[8, 2], &[0, 10, 5, 7, 1], &[9, 3, 6, 4]];
+        assert_eq!(gather(8, 16, &idx), answered(11, 16));
+    }
+
+    #[test]
+    fn gather_takes_windows_whose_tags_descend() {
+        assert_eq!(
+            gather(4, 8, &[&[7, 5, 3, 1], &[6, 4, 2, 0]]),
+            answered(8, 8)
+        );
+        // Eight descending windows of 16 slots, 32 real ops.
         let idx: Vec<Vec<u64>> = (0..8u64)
-            .map(|s| (0..32).filter(|j| j % 11 % 8 == s).collect())
+            .map(|s| (0..32).rev().filter(|j| j % 11 % 8 == s).collect())
             .collect();
         let idx: Vec<&[u64]> = idx.iter().map(Vec::as_slice).collect();
-        let out = gather_results(&c, &sp, &runs(16, &idx), 16, 32);
-        let want: Vec<Option<u64>> = (0..32).map(|j| Some(j * 10)).collect();
-        assert_eq!(values(&out), want);
+        assert_eq!(gather(16, 32, &idx), answered(32, 32));
     }
 }

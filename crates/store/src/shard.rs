@@ -154,7 +154,7 @@ impl Shard {
         // Merge path: sort `pending ++ batch` into one op lane and merge.
         let b = batch.len();
         let ops = sorted_ops(c, scratch, &self.pending, batch);
-        let answers = self.merge(c, scratch, ops, b, |t| read_answers(c, t, b));
+        let answers = self.merge(c, scratch, ops, b, |t| read_answers(c, scratch, t));
         // Keep the ORAM mirror consistent: apply the batch, in steps of
         // `MIRROR_STEP` ops in submission order (pending ops were applied at
         // their own epochs). Its values are discarded — the merge already
@@ -188,8 +188,7 @@ impl Shard {
             let (writes, val) = write_of(&op);
             state = select_u64(writes, state, val);
         }
-        ENGINE.sort_cells(c, scratch, &mut t);
-        let answers = read_answers(c, &t, b);
+        let answers = read_answers(c, scratch, &mut t);
         // The padded batch (dummies included: public length) joins the
         // pending log for the next merge.
         self.pending.extend_from_slice(batch);
@@ -199,13 +198,14 @@ impl Shard {
     /// The merge core of [`Shard::execute`] and of a sharded commit: grow
     /// the public live-key bound, apply the shrink schedule, and run
     /// [`merge::merge_epoch`] on the sorted `ops` at the new capacity.
+    /// `readout` gets the answer window in key order, not yet sorted.
     pub fn merge<C: Ctx, R>(
         &mut self,
         c: &C,
         scratch: &ScratchPool,
         ops: ScratchGuard<'_, TagCell>,
         b: usize,
-        readout: impl FnOnce(&Tracked<'_, TagCell>) -> R,
+        readout: impl FnOnce(&mut Tracked<'_, TagCell>) -> R,
     ) -> R {
         let p = self.pending.len();
         // Every pending/batch op could be a put of a fresh key, so the

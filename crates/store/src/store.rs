@@ -607,7 +607,8 @@ impl ShardedStore {
 
     /// Sort `batch` once (`seq` = 1 + submission index), commit every shard
     /// `runs` admits on its own lane of it ([`shard_lane`]) in parallel,
-    /// and obliviously gather their answer cells back to submission order.
+    /// and obliviously gather their answer windows, as the merges leave
+    /// them, back to submission order ([`gather_results`]).
     /// A heavily skewed epoch that overflows the scaled class `zcap`
     /// publicly falls back to full provisioning.
     fn commit_split<C: Ctx>(
@@ -625,7 +626,7 @@ impl ShardedStore {
             self.fallbacks += 1;
             zcap = b;
         }
-        let mut entries = vec![TagCell::filler(); shards * zcap];
+        let mut entries = scratch.lease(shards * zcap, TagCell::filler());
         let mut outs: Vec<&mut [TagCell]> = entries.chunks_mut(zcap).collect();
         let cfg = self.cfg.store;
         // Every shard owns its table and leases scratch from the shared
@@ -638,13 +639,13 @@ impl ShardedStore {
             let shard = stand_in.as_mut().unwrap_or(shard);
             let lane = shard_lane(c, scratch, &ops, s, shards);
             // The answer window is tagged by slot, which with no pending
-            // log is the submission index: the gather's run.
-            let mut run = Tracked::new(c, out);
+            // log is the submission index; it goes to the gather unsorted.
+            let mut window = Tracked::new(c, out);
             shard.merge(c, scratch, lane, zcap, |t| {
-                par_fill(c, &mut run, &|c, j| t.get(c, j))
+                par_fill(c, &mut window, &|c, j| t.get(c, j))
             });
         });
-        gather_results(c, scratch, &entries, zcap, b)
+        gather_results(c, scratch, &mut Tracked::new(c, &mut entries), b)
     }
 
     /// Scheduled snapshot: at every `snapshot`-th merge (a public cadence;

@@ -29,11 +29,20 @@ const STEADY_BUDGET: u64 = 0;
 
 /// Scratch leases of one steady 64-op merge epoch of a 1-shard store, on
 /// `SeqCtx` and on a pool alike (the `merge_epoch_pool_stays_warm_*`
-/// tests): the op lane, the working lanes of the op sort, the merge and
-/// the answer sort, and the walk's tree. The merge array, the candidates
-/// lane and the rank lane are the shard's own (`merge::Lanes`), kept
-/// across epochs, not leases.
-const MERGE_EPOCH_LEASES: u64 = 4;
+/// tests): the op lane and the walk's tree. The merge array, the
+/// candidates lane and the rank lane are the shard's own
+/// (`merge::Lanes`), kept across epochs, not leases; the op sort, the
+/// merge and the answer sort lease no scratch on a host, whose merges
+/// tile in place.
+const MERGE_EPOCH_LEASES: u64 = 2;
+
+/// Scratch leases of one steady 128-op epoch of a 4-shard store on
+/// `SeqCtx` (`sharded_epoch_pool_stays_warm`), at `route_slack` 0 and 2
+/// alike: the op lane; per shard its routing lane, that lane's
+/// compaction ranks and their scan tree, and the merge walk's tree; and
+/// the gather's windows, their compaction ranks and scan tree. The
+/// overflow count of slack 2 leases nothing, and no sort leases on a host.
+const SHARDED_EPOCH_LEASES: u64 = 1 + 4 * 4 + 3;
 
 struct Counting;
 
@@ -328,11 +337,19 @@ fn sharded_epoch_pool_stays_warm() {
         let fresh_after_warmup = scratch.fresh_allocs();
 
         // Steady epochs: the op sort, the count and every shard's lane are
-        // leases, and so is everything each shard's merge draws.
+        // leases, and so is everything each shard's merge and the gather
+        // draw.
         for round in 3..6u64 {
+            let before = scratch.leases();
             store
                 .execute_epoch(&c, &scratch, &epoch_ops(round))
                 .unwrap();
+            let leases = scratch.leases() - before;
+            println!("slack {route_slack}: steady sharded epoch leases: {leases}");
+            assert_eq!(
+                leases, SHARDED_EPOCH_LEASES,
+                "slack {route_slack}: a steady sharded epoch took {leases} scratch leases"
+            );
         }
         assert_eq!(store.routing_fallbacks(), 0, "slack {route_slack}");
         assert_eq!(
