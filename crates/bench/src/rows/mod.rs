@@ -532,6 +532,6 @@ mod tests {
             .lines()
             .filter_map(|l| Some(l.split_once(" PASS ")?.0.trim_end()));
         assert_eq!(traces, names.collect::<Vec<_>>());
-        assert_eq!((model.len(), traces.len()), (132, 34));
+        assert_eq!((model.len(), traces.len()), (133, 35));
     }
 }

@@ -1,8 +1,8 @@
 //! The `dob-store` sweep's rows and their report. The merge and ORAM paths
-//! are reported at overlapping batch sizes so the crossover the size-class
-//! dispatcher exploits (per-op merge cost falls with batch size; per-op
-//! ORAM cost is flat) is visible in the table. Host time (ops/s, thread
-//! scaling, pipelined throughput, recovery latency) is `benchmark/`'s job.
+//! are reported at overlapping batch sizes so their per-op costs compare
+//! in the table (per-op merge cost falls with batch size; per-op ORAM cost
+//! is flat). Host time (ops/s, thread scaling, pipelined throughput,
+//! recovery latency) is `benchmark/`'s job.
 
 use super::{largest, or_die, slot_sort, Arenas, ModelRow, Row, Run, Table};
 use crate::meter;
@@ -15,8 +15,8 @@ use std::rc::Rc;
 use std::sync::Arc;
 use store::vfs::FaultVfs;
 use store::{
-    shard_of, Durability, Op, PipelinedStore, RetryPolicy, ShardConfig, ShardedStore, ShrinkPolicy,
-    Store, StoreConfig,
+    shard_of, Durability, EpochPath, Op, PipelinedStore, RetryPolicy, ShardConfig, ShardedStore,
+    ShrinkPolicy, Store, StoreConfig,
 };
 
 /// A deterministic mixed workload: ~half gets, ~3/8 puts, the rest
@@ -204,7 +204,7 @@ pub(super) fn rows(arenas: &Arenas) -> Vec<ModelRow<'_>> {
     let mut rows = Vec::new();
 
     // Size classes: the merge path (arbitrary u64 keys, every epoch merges)
-    // and the ORAM path (bounded key space, sub-threshold batches).
+    // and the ORAM path (bounded key space, pending log within its limit).
     for n in [64, 256, 1024] {
         let key_space = (2 * n) as u64;
         let st = Rc::new(RefCell::new(Store::new(StoreConfig::default())));
@@ -219,16 +219,16 @@ pub(super) fn rows(arenas: &Arenas) -> Vec<ModelRow<'_>> {
             rows.push(epoch.watch(scratch));
         }
     }
-    // A 2048-key ORAM store, populated through one merge epoch; the
-    // pending limit keeps the sweep on the ORAM path.
+    // A 2048-key ORAM store, populated through one merge epoch: the
+    // 512-put load passes the pending limit, and the sweep's 344 ops stay
+    // within it, so every metered epoch takes the ORAM path.
     let oram: Shared<Store> = Rc::default();
-    for n in [8, 16, 64] {
+    for n in [8, 16, 64, 256] {
         let oram = Rc::clone(&oram);
         rows.push(staged("oram: steady mixed", n, scratch, move || {
             oram.borrow_mut().get_or_insert_with(|| {
                 let mut cfg = StoreConfig::with_oram(2048);
-                cfg.oram_threshold = 128;
-                cfg.pending_limit = 1 << 20;
+                cfg.pending_limit = 511;
                 let mut st = Store::new(cfg);
                 let load = st.execute_epoch(&SeqCtx::new(), scratch, &puts(512, 2048));
                 load.unwrap();
@@ -238,6 +238,7 @@ pub(super) fn rows(arenas: &Arenas) -> Vec<ModelRow<'_>> {
                 let ops = mixed_ops(n, 2048, 13);
                 let mut st = oram.borrow_mut();
                 let st = st.as_mut().unwrap();
+                assert_eq!(st.epoch_path(n), EpochPath::Oram);
                 st.execute_epoch(c, scratch, &ops).unwrap();
             })
         }));
@@ -502,8 +503,9 @@ pub(super) fn report(rows: &[Row]) {
     let row = |algo| largest(rows, "store", algo);
     println!(
         "crossover: compare per-op work of 'merge: steady mixed' vs \
-         'oram: steady mixed' at n=64 — the size-class dispatcher picks \
-         the cheaper side of this line."
+         'oram: steady mixed' at n=64 and n=256 — the path rule sends \
+         every class within pending_limit to the ORAM (host-time sweep: \
+         DESIGN.md §8)."
     );
     for (what, tag, rec) in [
         (

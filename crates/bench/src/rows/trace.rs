@@ -92,9 +92,7 @@ fn cells579(v: &[u64], cell: impl Fn(usize, u64) -> TagCell) -> Vec<TagCell> {
 /// `op` makes the `i`-th op on its key.
 fn oram_store(c: &MeterCtx, keys: &[u64], op: &dyn Fn(usize, u64) -> Op) {
     let sp = ScratchPool::new();
-    let mut cfg = StoreConfig::with_oram(256);
-    cfg.oram_threshold = 32;
-    let mut s = Store::new(cfg);
+    let mut s = Store::new(StoreConfig::with_oram(256));
     for e in 0..4 {
         let ops: Vec<Op> = (0..)
             .zip(keys)
@@ -771,10 +769,10 @@ pub(super) fn rows(arenas: &Arenas) -> Vec<TraceRow<'_>> {
         },
     ));
 
-    // The store's ORAM path: every sub-threshold epoch is one OPRAM step,
-    // one walk per op, its key's run deciding which walks are real. At a
-    // fixed key sequence (a repeat in each epoch) neither the values nor
-    // which ops get, put or delete move a single event.
+    // The store's ORAM path: every epoch within the pending limit is one
+    // OPRAM step, one walk per op, its key's run deciding which walks are
+    // real. At a fixed key sequence (a repeat in each epoch) neither the
+    // values nor which ops get, put or delete move a single event.
     rows.push(
         Exact.over("store ORAM path (values, op kinds)", &FOUR, |c, &salt| {
             oram_store(
@@ -798,6 +796,20 @@ pub(super) fn rows(arenas: &Arenas) -> Vec<TraceRow<'_>> {
     rows.push(Length.over(
         "store ORAM path (collisions, trace-len)",
         &[[9u64; 8], [3, 250, 17, 64, 128, 0, 99, 201]],
+        |c, keys| {
+            oram_store(c, keys, &|i, key| match i % 2 {
+                0 => Op::Put { key, val: i as u64 },
+                _ => Op::Get { key },
+            });
+        },
+    ));
+
+    // The same over 64-op epochs: 64 ops on one key against 64 on keys of
+    // their own. It is its own row, since a `Length` row compares one
+    // length across its inputs.
+    rows.push(Length.over(
+        "store ORAM path at class 64 (collisions, trace-len)",
+        &[[9u64; 64], std::array::from_fn(|i| i as u64 * 4 + 1)],
         |c, keys| {
             oram_store(c, keys, &|i, key| match i % 2 {
                 0 => Op::Put { key, val: i as u64 },

@@ -1131,8 +1131,7 @@ mod tests {
         fn drive<C: Ctx>(c: &C) -> usize {
             let cfg = StoreConfig {
                 oram_key_space: Some(128),
-                oram_threshold: 16,
-                pending_limit: 48,
+                pending_limit: 16,
                 shrink: Some(ShrinkPolicy {
                     every: 4,
                     live_bound: 48,

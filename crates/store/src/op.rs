@@ -74,7 +74,7 @@ impl StoreStats {
 /// the (public) pending-log length, never of the operations themselves.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum EpochPath {
-    /// Sub-threshold batch: per-op tree-ORAM point lookups (§4.2).
+    /// Pending log within its limit: one OPRAM step, a walk per op (§4.2).
     Oram,
     /// Batched §F merge against the resident table.
     Merge,

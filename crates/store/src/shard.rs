@@ -128,12 +128,7 @@ impl Shard {
     pub fn epoch_path(&self, b: usize) -> EpochPath {
         match self.mirror {
             None => EpochPath::Merge,
-            Some(_)
-                if b >= self.cfg.oram_threshold
-                    || self.pending.len() + b > self.cfg.pending_limit =>
-            {
-                EpochPath::Merge
-            }
+            Some(_) if self.pending.len() + b > self.cfg.pending_limit => EpochPath::Merge,
             Some(_) => EpochPath::Oram,
         }
     }
@@ -167,7 +162,7 @@ impl Shard {
         answers
     }
 
-    /// Sub-threshold path: the padded class as one OPRAM step
+    /// ORAM path: the padded class as one OPRAM step
     /// ([`Mirror::step`]), giving sequential semantics at `O(b · polylog
     /// s)` instead of a full `O((cap + b) log²)` merge. Each op's answer is
     /// its run's pre-step value moved on by the earlier writes of its run;

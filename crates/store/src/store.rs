@@ -9,12 +9,13 @@
 //! path resolves whole epochs against it. When the key space is bounded
 //! ([`StoreConfig::oram_key_space`]), a 1-shard store additionally keeps a
 //! recursive tree-ORAM **mirror** ([`pram::Opram`], §4.2) of the same
-//! key→value map, and epochs whose *public* padded size falls below
-//! [`StoreConfig::oram_threshold`] are served as one OPRAM step (one walk
-//! per op, [`pram::Opram::step`]) instead of paying a full merge. The two representations stay consistent
-//! LSM-style (see [`crate::shard`]). Path selection reads only public
-//! quantities (padded batch class, pending-log length), so the dispatch
-//! itself leaks nothing about the operations.
+//! key→value map. An epoch is served as one OPRAM step (one walk per op,
+//! [`pram::Opram::step`]) unless its padded class would take the pending
+//! log past [`StoreConfig::pending_limit`]; then it pays a full merge. The
+//! two representations stay consistent LSM-style (see [`crate::shard`]).
+//! Path selection reads only public quantities (padded batch class,
+//! pending-log length), so the dispatch itself leaks nothing about the
+//! operations.
 //!
 //! # Sharded epochs
 //!
@@ -79,11 +80,9 @@ pub struct StoreConfig {
     /// `< oram_key_space`. `None` disables the ORAM path (arbitrary `u64`
     /// keys, every epoch merges).
     pub oram_key_space: Option<usize>,
-    /// Epochs whose padded batch class is `>=` this merge; smaller ones
-    /// take the ORAM path (when enabled).
-    pub oram_threshold: usize,
-    /// A merge is forced once `pending + batch` would exceed this, bounding
-    /// the pending log.
+    /// The one path rule: an epoch merges once `pending + batch` would
+    /// exceed this, bounding the pending log; every other epoch takes the
+    /// ORAM path (when enabled).
     pub pending_limit: usize,
     /// Tree-ORAM tuning (bucket size, stash, layout).
     pub oram: OramConfig,
@@ -106,7 +105,6 @@ impl Default for StoreConfig {
     fn default() -> Self {
         StoreConfig {
             oram_key_space: None,
-            oram_threshold: 64,
             pending_limit: 512,
             oram: OramConfig::default(),
             seed: 0xD0B_5707,
@@ -969,11 +967,11 @@ mod tests {
         let c = SeqCtx::new();
         let sp = ScratchPool::new();
         let mut cfg = StoreConfig::with_oram(256);
-        cfg.oram_threshold = 32;
+        cfg.pending_limit = 32;
         let mut s = Store::new(cfg);
         let mut oracle: HashMap<u64, u64> = HashMap::new();
 
-        // Big load epoch → merge path.
+        // Big load epoch, past the pending limit → merge path.
         let ops: Vec<Op> = (0..40)
             .map(|i| Op::Put {
                 key: i,
@@ -986,7 +984,8 @@ mod tests {
             oracle.insert(i, 100 + i);
         }
 
-        // Small epochs → ORAM path, fully consistent with the oracle.
+        // Small epochs, within the limit → ORAM path, fully consistent with
+        // the oracle.
         for round in 0..4u64 {
             let ops = vec![
                 Op::Get { key: round * 7 },
@@ -1024,8 +1023,14 @@ mod tests {
     fn pending_limit_forces_merge() {
         let c = SeqCtx::new();
         let sp = ScratchPool::new();
+        // On an empty log every class up to the default limit of 512 takes
+        // the ORAM path, and class 1024 merges.
+        let s = Store::new(StoreConfig::with_oram(64));
+        for class in [64, 256, 512] {
+            assert_eq!(s.epoch_path(class), EpochPath::Oram, "class {class}");
+        }
+        assert_eq!(s.epoch_path(1024), EpochPath::Merge);
         let mut cfg = StoreConfig::with_oram(64);
-        cfg.oram_threshold = 64;
         cfg.pending_limit = 16;
         let mut s = Store::new(cfg);
         assert_eq!(s.epoch_path(1), EpochPath::Oram);

@@ -1,10 +1,11 @@
 // An oblivious key-value store: `dob-store`'s batched epoch engine with
-// the tree-ORAM point-lookup path (§4.2) enabled for small batches.
+// the tree-ORAM point-lookup path (§4.2) enabled by a bounded key space.
 //
 // Clients submit Get/Put/Delete/Aggregate ops into epochs; the path each
 // epoch takes — full §F merge against the resident table, or one OPRAM
-// step of one walk per op — is selected by the *public* padded batch size
-// alone.
+// step of one walk per op — is selected by *public* sizes alone: an epoch
+// merges when its padded class would take the pending log of ORAM-path
+// ops past `pending_limit`.
 //
 // ```sh
 // cargo run --release --example oram_kv
@@ -17,11 +18,12 @@ fn main() {
     let space = dob::env_size("DOB_ORAM_SPACE", 4096);
     let scratch = ScratchPool::new();
     let mut cfg = StoreConfig::with_oram(space);
-    cfg.oram_threshold = 64;
+    cfg.pending_limit = 64;
     let mut store = Store::new(cfg);
 
-    // Bulk load: a big batch takes the merge path. Keys may collide for
-    // small DOB_ORAM_SPACE values — last writer wins, like any KV map.
+    // Bulk load: a batch past the pending limit takes the merge path. Keys
+    // may collide for small DOB_ORAM_SPACE values — last writer wins, like
+    // any KV map.
     let load_keys: Vec<u64> = (0..128u64).map(|i| (i * 61) % space as u64).collect();
     let distinct: std::collections::HashSet<u64> = load_keys.iter().copied().collect();
     let mut epoch = store.epoch();
@@ -42,7 +44,8 @@ fn main() {
         store.capacity()
     );
 
-    // Point lookups: small batches walk the ORAM instead of merging.
+    // Point lookups: a batch within the limit walks the ORAM instead of
+    // merging.
     let (k1, k2, k3) = (61 % space as u64, 122 % space as u64, 183 % space as u64);
     let reqs = vec![
         Op::Get { key: k1 },
@@ -79,8 +82,6 @@ fn main() {
     let trace = |scale: u64| {
         let (_, rep) = measure(CacheConfig::default(), TraceMode::Hash, |c| {
             let sp = ScratchPool::new();
-            let mut cfg = StoreConfig::with_oram(space);
-            cfg.oram_threshold = 64;
             let mut s = Store::new(cfg);
             let load: Vec<Op> = (0..96u64)
                 .map(|i| Op::Put {

@@ -95,7 +95,7 @@ pub enum Front {
     /// A `PipelinedStore` over a `ShardedStore`.
     Pipelined { shards: usize, open_limit: usize },
     /// The 1-shard ORAM store, through the pipelined front or not. Its
-    /// low threshold and pending limit make scripts take both paths.
+    /// low pending limit makes scripts take both paths.
     Oram { pipelined: bool },
     /// A synchronous 2-shard store whose shrink schedule takes every
     /// table back to the written keys' bound at every second merge.
@@ -148,7 +148,7 @@ impl Front {
             Front::Oram { .. } => cfg.store = StoreConfig::with_oram(PROBED as usize),
             Front::Pipelined { .. } | Front::Shrink => {}
         }
-        (cfg.store.oram_threshold, cfg.store.pending_limit) = (32, 64);
+        cfg.store.pending_limit = 32;
         cfg.store.shrink = Some(ShrinkPolicy {
             every: if self == Front::Shrink { 2 } else { 0 },
             live_bound: WRITTEN as usize,
@@ -404,9 +404,7 @@ impl<'a, C: Ctx> Model<'a, C> {
         }
         let cfg = self.front.config(false).store;
         let b = store::size_class(ops.len());
-        let oram = cfg.oram_key_space.is_some()
-            && b < cfg.oram_threshold
-            && self.pending + b <= cfg.pending_limit;
+        let oram = cfg.oram_key_space.is_some() && self.pending + b <= cfg.pending_limit;
         self.counts.0 += 1;
         self.counts.1 += !oram as u64;
         self.pending = if oram { self.pending + b } else { 0 };

@@ -134,11 +134,12 @@ fn explicit_checkpoint_and_oram_replay() {
         durability: Durability::epoch(),
         ..StoreConfig::with_oram(64)
     };
-    cfg.oram_threshold = 32;
+    cfg.pending_limit = 32;
     let mut oracle = Oracle::default();
     {
         let mut s = Store::recover(&c, &sp, &dir, cfg).unwrap();
-        // Big epoch: merge path. Then checkpoint at the merge close.
+        // Big epoch, past the pending limit: merge path. Then checkpoint
+        // at the merge close.
         let load: Vec<Op> = (0..40).map(|i| Op::Put { key: i, val: i + 1 }).collect();
         let res = s.execute_epoch(&c, &sp, &load).unwrap();
         assert_eq!(res, oracle.epoch(&load, true));
@@ -178,7 +179,7 @@ fn explicit_checkpoint_and_oram_replay() {
     assert_eq!(r.epoch_counts().0, 4);
     assert_eq!(r.last_path(), Some(EpochPath::Oram));
     assert!(r.pending_len() > 0, "ORAM replay rebuilds the pending log");
-    // Probe through a merge epoch (41 keys ≥ threshold): consistency of
+    // Probe through a merge epoch (41 keys pass the limit): consistency of
     // the recovered table + pending log + rebuilt ORAM mirror.
     oracle.assert_held_by(&c, &sp, &mut r, 41);
     let _ = std::fs::remove_dir_all(&dir);

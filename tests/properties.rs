@@ -168,9 +168,7 @@ proptest! {
         ),
     ) {
         let (c, sp) = (SeqCtx::new(), ScratchPool::new());
-        let mut cfg = StoreConfig::with_oram(64);
-        cfg.oram_threshold = 32;
-        let mut s = Store::new(cfg);
+        let mut s = Store::new(StoreConfig::with_oram(64));
         let mut map = std::collections::HashMap::new();
         for raw in &epochs {
             let ops: Vec<Op> = raw

@@ -32,9 +32,7 @@ fn hybrid_epochs_match_hashmap_oracle() {
 #[test]
 fn one_oram_step_keeps_sequential_semantics() {
     let (c, sp) = (SeqCtx::new(), ScratchPool::new());
-    let mut cfg = StoreConfig::with_oram(64);
-    cfg.oram_threshold = 32;
-    let mut s = Store::new(cfg);
+    let mut s = Store::new(StoreConfig::with_oram(64));
     let mut oracle = model::Oracle::default();
     let epochs = [
         vec![
@@ -59,6 +57,38 @@ fn one_oram_step_keeps_sequential_semantics() {
         assert_eq!(s.epoch_path(ops.len()), EpochPath::Oram);
         let got = s.execute_epoch(&c, &sp, &ops).unwrap();
         assert_eq!(got, oracle.epoch(&ops, false), "{ops:?}");
+    }
+}
+
+/// A 512-op class on an empty log is one OPRAM step with more requests
+/// than the store has keys: on a 1-key and a 16-key store, alternating
+/// with the merges the pending limit forces, every answer is the model
+/// oracle's.
+#[test]
+fn full_class_oram_steps_crowd_a_tiny_key_space() {
+    let (c, sp) = (SeqCtx::new(), ScratchPool::new());
+    for space in [1u64, 16] {
+        let mut s = Store::new(StoreConfig::with_oram(space as usize));
+        let mut oracle = model::Oracle::default();
+        let mut rng = space;
+        for e in 0..4 {
+            let ops: Vec<Op> = (0..512u64)
+                .map(|i| {
+                    rng = rng.wrapping_mul(0x5851_F42D_4C95_7F2D).wrapping_add(1);
+                    let key = (rng >> 33) % space;
+                    match (rng >> 60) % 3 {
+                        0 => Op::Put { key, val: i },
+                        1 => Op::Get { key },
+                        _ => Op::Delete { key },
+                    }
+                })
+                .collect();
+            let path = [EpochPath::Oram, EpochPath::Merge][e % 2];
+            assert_eq!(s.epoch_path(ops.len()), path, "space {space}, epoch {e}");
+            let got = s.execute_epoch(&c, &sp, &ops).unwrap();
+            let want = oracle.epoch(&ops, path == EpochPath::Merge);
+            assert_eq!(got, want, "space {space}, epoch {e}");
+        }
     }
 }
 
@@ -155,9 +185,10 @@ fn hybrid_traces_length_invariant_and_value_independent() {
         let (_, rep) = measure(CacheConfig::default(), TraceMode::Hash, |c| {
             let sp = ScratchPool::new();
             let mut cfg = StoreConfig::with_oram(256);
-            cfg.oram_threshold = 64;
+            cfg.pending_limit = 32;
             let mut store = Store::new(cfg);
-            // Merge-path load, then two ORAM-path epochs.
+            // A load past the pending limit merges, then two ORAM-path
+            // epochs.
             let load: Vec<Op> = (0..64u64)
                 .map(|i| Op::Put {
                     key: i.wrapping_mul(keys_salt) % 256,
