@@ -502,9 +502,11 @@ pub(super) fn rows(arenas: &Arenas) -> Vec<ModelRow<'_>> {
 pub(super) fn report(rows: &[Row]) {
     let row = |algo| largest(rows, "store", algo);
     println!(
-        "crossover: compare per-op work of 'merge: steady mixed' vs \
-         'oram: steady mixed' at n=64 and n=256 — the path rule sends \
-         every class within pending_limit to the ORAM (host-time sweep: \
+        "crossover: per-op work of 'merge: steady mixed' (key space 2n: \
+         128 keys at n=64, 512 at n=256) vs 'oram: steady mixed' (key \
+         space 2048) at n=64 and n=256 — unequal key spaces, so not one \
+         table's two paths. The path rule sends every class within \
+         pending_limit to the ORAM (host-time sweep at equal key spaces: \
          DESIGN.md §8)."
     );
     for (what, tag, rec) in [

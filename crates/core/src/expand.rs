@@ -43,8 +43,9 @@ use std::mem::size_of;
 /// swaps and `m − 1` block splits, each split reading two load words; in
 /// place, no comparators. The recursion runs depth-first down to
 /// [`base_for`]-sized blocks, so `Q = O((m/B) log(m/M))`, and the span is
-/// `O(log² m)`. Records are swapped through [`Swap::swap_level`]: cells a
-/// 256-bit exchange each where the hardware has it.
+/// `O(log² m)`. Records are swapped through [`Swap::swap_slab`], and on a
+/// host the narrow levels a block at a time through [`Swap::swap_block`]:
+/// cells a 256-bit exchange each where the hardware has it.
 pub fn expand_by_loads<C: Ctx, E: Swap>(
     c: &C,
     scratch: &ScratchPool,
@@ -234,6 +235,43 @@ mod tests {
         }
         go::<u128>();
         go::<TagCell>();
+        go::<Slot<u64>>();
+    }
+
+    #[test]
+    fn host_expansion_leaves_the_metered_records() {
+        // On a host the narrow levels run block-major — one
+        // `Swap::swap_block` a block of 32 cells or 64 keys, the slab loop
+        // for slots — and under the meter level by level. Same pairs, same
+        // verdicts, so the same records: for every record type, lengths
+        // below, at and past a block and past the host base case, bins
+        // from one record to several blocks, on a sequential and a
+        // 4-worker executor.
+        fn go<E: Rec>() {
+            let pool = Pool::new(4);
+            for m in [2usize, 16, 32, 64, 128, 1024, 1 << 16] {
+                for zcap in [1usize, 4, 32, 64, 256].into_iter().filter(|&z| z <= m) {
+                    let loads: Vec<u64> = (0..(m / zcap) as u64)
+                        .map(|g| (g.wrapping_mul(0x9E37_79B9) >> 7) % (zcap as u64 + 1))
+                        .collect();
+                    let (input, expect) = case::<E>(&loads, zcap);
+                    let what = format!("{} m {m} Z {zcap}", std::any::type_name::<E>());
+                    let mut metered = input.clone();
+                    measure(CacheConfig::default(), TraceMode::Off, |c| {
+                        run(c, &mut metered, &loads, zcap)
+                    });
+                    assert!(metered == expect, "{what}: metered");
+                    let mut seq = input.clone();
+                    run(&SeqCtx::new(), &mut seq, &loads, zcap);
+                    assert!(seq == metered, "{what}: SeqCtx");
+                    let mut par = input;
+                    pool.run(|c| run(c, &mut par, &loads, zcap));
+                    assert!(par == metered, "{what}: pool");
+                }
+            }
+        }
+        go::<TagCell>();
+        go::<u128>();
         go::<Slot<u64>>();
     }
 

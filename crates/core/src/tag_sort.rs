@@ -43,7 +43,7 @@ use crate::scan::{prefix_sum_in, Schedule};
 use crate::slot::{composite_key, Slot, Val};
 use fj::{base_for, grain_for, par_for, Access, Ctx};
 use metrics::{par_fill, par_tracked_chunks, RawTracked, ScratchPool, Tracked};
-use sortnet::{active_backend, level_index, select_cell, TagCell, TILE_RUN_BYTES};
+use sortnet::{active_backend, block_slabs, select_cell, TagCell, TILE_RUN_BYTES};
 use std::mem::size_of;
 use std::ops::Range;
 
@@ -440,39 +440,14 @@ fn compact_ranked<C: Ctx>(
 /// key, or a slot. Both records of every pair are read and written whatever
 /// the verdict, which only ever picks between them.
 pub trait Swap: Copy + Send + Sync {
-    /// Conditionally exchange the pairs numbered `pairs` of one butterfly
-    /// level of half-width `h` — pair `p` is `(i, i + h)`,
-    /// `i = `[`level_index`]`(p, h)` — in that order, pair `i` swapping iff
-    /// `verdict(i)`: two reads, a unit of work and two writes a pair, the
-    /// accounting of [`sortnet::Backend::swap_level`], which cells run.
+    /// The pairs `(i, i + stride)` for `i` in `run`, the `k`-th swapping
+    /// iff `flip ⊕ (k ≥ pivot)` — a block's slab, inside one aligned
+    /// `2·stride`-block: two reads, a unit of work and two writes a pair,
+    /// the accounting of [`sortnet::Backend::swap_slab`], which cells run.
     ///
     /// # Safety
     /// Every pair must be in bounds, and no concurrent task may access a
     /// record of one.
-    #[inline]
-    unsafe fn swap_level<C: Ctx>(
-        c: &C,
-        t: &RawTracked<Self>,
-        h: usize,
-        pairs: Range<usize>,
-        mut verdict: impl FnMut(usize) -> bool,
-    ) {
-        for i in pairs.map(|p| level_index(p, h)) {
-            let (a, b) = (t.get(c, i), t.get(c, i + h));
-            c.work(1);
-            let (x, y) = if verdict(i) { (b, a) } else { (a, b) };
-            t.set(c, i, x);
-            t.set(c, i + h, y);
-        }
-    }
-
-    /// The pairs `(i, i + stride)` for `i` in `run`, the `k`-th swapping
-    /// iff `flip ⊕ (k ≥ pivot)` — a block's slab, inside one aligned
-    /// `2·stride`-block: [`Swap::swap_level`] with that verdict, which cells
-    /// run through [`sortnet::Backend::swap_slab`].
-    ///
-    /// # Safety
-    /// As [`Swap::swap_level`].
     #[inline]
     unsafe fn swap_slab<C: Ctx>(
         c: &C,
@@ -482,29 +457,48 @@ pub trait Swap: Copy + Send + Sync {
         pivot: i64,
         flip: bool,
     ) {
-        // The inverse of `level_index`: the pair number of `run.start`.
-        let first = (run.start >> 1 & !(stride - 1)) | (run.start & (stride - 1));
-        let pairs = first..first + run.len();
-        Self::swap_level(c, t, stride, pairs, |i| {
-            flip ^ ((i - run.start) as i64 >= pivot)
+        for (k, i) in run.enumerate() {
+            let (a, b) = (t.get(c, i), t.get(c, i + stride));
+            c.work(1);
+            let (x, y) = if flip ^ (k as i64 >= pivot) {
+                (b, a)
+            } else {
+                (a, b)
+            };
+            t.set(c, i, x);
+            t.set(c, i + stride, y);
+        }
+    }
+
+    /// Every narrow level of one aligned block, block-major: widths
+    /// `2 → len`, or `len → 2` when `spread`, in the order of
+    /// [`sortnet::block_slabs`], the sub-block at `b` a slab whose
+    /// `(pivot, flip)` is `split(b, w)` — what
+    /// [`sortnet::Backend::swap_block`] runs for cells and keys, one kernel
+    /// entry a block. The compaction butterfly's host entry: it does no
+    /// accounting, so a metered butterfly never calls it. The default is
+    /// the per-pair loop.
+    #[inline]
+    fn swap_block(
+        block: &mut [Self],
+        spread: bool,
+        split: impl FnMut(usize, usize) -> (usize, bool),
+    ) {
+        block_slabs(block, spread, split, |lo, hi, pivot, flip| {
+            for (k, (a, b)) in lo.iter_mut().zip(hi).enumerate() {
+                (*a, *b) = if flip ^ (k >= pivot) {
+                    (*b, *a)
+                } else {
+                    (*a, *b)
+                };
+            }
         })
     }
 }
 
-/// Whole cells through the cell gate's swap runs: 256-bit exchanges where
-/// the hardware has them, the same trace and counters either way.
+/// Whole cells through the cell gate: 256-bit exchanges where the hardware
+/// has them, the same trace and counters either way.
 impl Swap for TagCell {
-    #[inline]
-    unsafe fn swap_level<C: Ctx>(
-        c: &C,
-        t: &RawTracked<Self>,
-        h: usize,
-        pairs: Range<usize>,
-        mut verdict: impl FnMut(usize) -> bool,
-    ) {
-        active_backend().swap_level(c, t, h, pairs, |i, _, _| verdict(i))
-    }
-
     #[inline]
     unsafe fn swap_slab<C: Ctx>(
         c: &C,
@@ -516,6 +510,15 @@ impl Swap for TagCell {
     ) {
         active_backend().swap_slab(c, t, run, stride, pivot, flip)
     }
+
+    #[inline]
+    fn swap_block(
+        block: &mut [Self],
+        spread: bool,
+        split: impl FnMut(usize, usize) -> (usize, bool),
+    ) {
+        active_backend().swap_block(block, spread, split)
+    }
 }
 
 /// A bare key — ORP's `label ‖ key` cells — as two 64-bit words, each a
@@ -525,41 +528,51 @@ impl Swap for TagCell {
 /// per-pair loop's.
 impl Swap for u128 {
     #[inline]
-    unsafe fn swap_level<C: Ctx>(
+    unsafe fn swap_slab<C: Ctx>(
         c: &C,
         t: &RawTracked<Self>,
-        h: usize,
-        pairs: Range<usize>,
-        mut verdict: impl FnMut(usize) -> bool,
+        run: Range<usize>,
+        stride: usize,
+        pivot: i64,
+        flip: bool,
     ) {
         let (buf, off, wpe) = (t.buf(), t.off(), t.wpe());
-        for i in pairs.clone().map(|p| level_index(p, h)) {
-            for (at, kind) in [(i, Access::Read), (i + h, Access::Read)] {
+        for i in run.clone() {
+            for (at, kind) in [(i, Access::Read), (i + stride, Access::Read)] {
                 c.touch(buf, off + at as u64 * wpe, wpe, kind);
                 c.work(1);
             }
             c.work(1);
-            for at in [i, i + h] {
+            for at in [i, i + stride] {
                 c.touch(buf, off + at as u64 * wpe, wpe, Access::Write);
                 c.work(1);
             }
         }
+        // A mask made from a `bool` compiles to a branch that skips the
+        // swap: `k − pivot` shifted right by a `black_box`ed 63 is all ones
+        // iff `k < pivot`, as in the cell gate's scalar block slab.
+        let shift = std::hint::black_box(63);
+        let keep = ((flip as i64) << 63 >> shift) as u64;
         let words = t.as_mut_ptr().cast::<u64>();
-        let mut p = pairs.start;
-        while p < pairs.end {
-            let first = level_index(p, h);
-            let len = (h - (p & (h - 1))).min(pairs.end - p);
-            let (a, b) = (words.add(2 * first), words.add(2 * (first + h)));
-            for k in 0..len {
-                let mask = (verdict(first + k) as u64).wrapping_neg();
-                for j in [2 * k, 2 * k + 1] {
-                    let d = (*a.add(j) ^ *b.add(j)) & mask;
-                    *a.add(j) ^= d;
-                    *b.add(j) ^= d;
-                }
+        let a = words.add(2 * run.start);
+        let b = a.add(2 * stride);
+        for k in 0..run.len() {
+            let mask = !(((k as i64).wrapping_sub(pivot) >> shift) as u64 ^ keep);
+            for j in [2 * k, 2 * k + 1] {
+                let d = (*a.add(j) ^ *b.add(j)) & mask;
+                *a.add(j) ^= d;
+                *b.add(j) ^= d;
             }
-            p += len;
         }
+    }
+
+    #[inline]
+    fn swap_block(
+        block: &mut [Self],
+        spread: bool,
+        split: impl FnMut(usize, usize) -> (usize, bool),
+    ) {
+        active_backend().swap_block(block, spread, split)
     }
 }
 
@@ -568,9 +581,36 @@ impl Swap for u128 {
 /// (`slot::as_lanes`).
 impl<V: Val> Swap for Slot<V> {}
 
+/// The ranks a narrow block reads, at most.
+const RANKS: usize = 64;
+
+/// The widest narrow level for records of `E`, at most [`RANKS`]: the
+/// largest `w` whose runs of `w/2` records are shorter than a tile run
+/// ([`TILE_RUN_BYTES`]) — 32 cells, or 64 bare keys.
+fn narrow_width<E>() -> usize {
+    let h = (TILE_RUN_BYTES - 1) / size_of::<E>();
+    if h == 0 {
+        1
+    } else {
+        (2 << h.ilog2()).min(RANKS)
+    }
+}
+
 /// Gather the reals of the aligned block `[lo, lo + n)` cyclically from
 /// position `rank(lo) mod n`: both halves first (in parallel above `base`,
 /// level by level below it), then one swap level across them.
+///
+/// On a host the narrow levels — runs shorter than a tile run, widths up
+/// to `f` = [`narrow_width`], 32 cells or 64 keys — go block-major: one
+/// [`Swap::swap_block`] an aligned `f`-block reads the block's `f` ranks
+/// once and takes it through widths `2 → f` (`f → 2` when spreading)
+/// while it sits in L1; the wider levels then run as under the meter.
+/// The blocks are independent, so this leaves what level-major order
+/// does. The entry reads and writes both records of every pair of every
+/// level whatever the ranks, which feed only its swap masks, so the
+/// addresses it touches are a function of `n` alone. It does no
+/// accounting: metered contexts run every level block by block through
+/// [`swap_level`], whose fork tree, work and trace the model counts.
 ///
 /// `spread` runs the same levels in the opposite order — the swap level
 /// first, then the halves — so it undoes the gathering: every level's
@@ -587,11 +627,21 @@ pub(crate) fn gather<C: Ctx, E: Swap>(
     spread: bool,
 ) {
     if n <= base {
-        let widths = (1..=n.trailing_zeros()).map(|k| 1 << k);
+        let f = match c.is_metered() {
+            true => 1,
+            false => narrow_width::<E>().min(n),
+        };
+        let wide = (f.trailing_zeros() + 1..=n.trailing_zeros()).map(|k| 1 << k);
         let mut level = |w| swap_level(c, t, rank, lo, n, w);
         match spread {
-            false => widths.for_each(&mut level),
-            true => widths.rev().for_each(&mut level),
+            false => {
+                swap_blocks(c, t, rank, lo, n, f, false);
+                wide.for_each(&mut level);
+            }
+            true => {
+                wide.rev().for_each(&mut level);
+                swap_blocks(c, t, rank, lo, n, f, true);
+            }
         }
         return;
     }
@@ -607,22 +657,49 @@ pub(crate) fn gather<C: Ctx, E: Swap>(
     }
 }
 
+/// The narrow levels of `[lo, lo + n)`, widths `2 → f` (`f → 2` when
+/// `spread`): one [`Swap::swap_block`] a `f`-block, a grain of blocks a
+/// task. A block's `f` ranks are read once, into a local array its splits
+/// read. Nothing when `f` is 1.
+fn swap_blocks<C: Ctx, E: Swap>(
+    c: &C,
+    t: &RawTracked<E>,
+    rank: &(impl Fn(&C, usize) -> u64 + Sync),
+    lo: usize,
+    n: usize,
+    f: usize,
+    spread: bool,
+) {
+    if f == 1 {
+        return;
+    }
+    par_for(c, 0, n / f, (grain_for(c) / f).max(1), &|c, j| {
+        let lo = lo + j * f;
+        let mut ranks = [0u64; RANKS];
+        for (i, r) in ranks[..f].iter_mut().enumerate() {
+            *r = rank(c, lo + i);
+        }
+        // `b + w/2 < f ≤ RANKS`: the masks only spare the kernel a bounds
+        // check.
+        let split = |b: usize, w: usize| {
+            let at = |i: usize| ranks[i & (RANKS - 1)];
+            split_of(at(b), at(b + w / 2), w)
+        };
+        // SAFETY: the caller owns `[lo, lo + n)` of the records, and the
+        // blocks are disjoint.
+        let block = unsafe { std::slice::from_raw_parts_mut(t.as_mut_ptr().add(lo), f) };
+        E::swap_block(block, spread, split);
+    });
+}
+
 /// One swap level over `[lo, lo + n)`: every aligned block of width `w`
 /// in it, its halves already gathered, gathers itself. With
 /// `z = rank(block) mod w` the block's offset and `cnt` the reals of its
 /// left half, the right half's reals start at `t = (z + cnt) mod w/2`, and
 /// pair `i` swaps iff `s ⊕ (i ≥ t)`, where `s` says whether the left
 /// half's run `[z mod w/2, z mod w/2 + cnt)` wraps exactly when `z` itself
-/// lies in the upper half.
-///
-/// A block's pairs go through [`Swap::swap_level`], a grain at a time. On
-/// a host (`!c.is_metered()`) a level whose runs are shorter than one tile
-/// run ([`TILE_RUN_BYTES`]) — a few pairs a block — is instead one
-/// `par_for` over grains of the level's pairs, a grain one `swap_level`
-/// call with the block's split inlined into the verdict: the pairs and the
-/// records they leave are the same, only the calls are fewer. Metered
-/// contexts keep the block loop, whose fork tree and `work` the model
-/// counts.
+/// lies in the upper half. A block's pairs go through [`Swap::swap_slab`],
+/// a grain at a time.
 fn swap_level<C: Ctx, E: Swap>(
     c: &C,
     t: &RawTracked<E>,
@@ -632,28 +709,7 @@ fn swap_level<C: Ctx, E: Swap>(
     w: usize,
 ) {
     let h = w / 2;
-    let grain = grain_for(c);
-    if !c.is_metered() && h * size_of::<E>() < TILE_RUN_BYTES {
-        // `lo` is a multiple of `n`, hence of `w`: `lo / 2` pairs precede it.
-        let (first, end) = (lo / 2, (lo + n) / 2);
-        par_for(c, 0, (n / 2).div_ceil(grain), 1, &|c, k| {
-            let pairs = first + k * grain..end.min(first + (k + 1) * grain);
-            // Pairs come block by block: the split is taken once a block.
-            let (mut at, mut cur) = (usize::MAX, (0, false));
-            let verdict = |i: usize| {
-                let b = i & !(w - 1);
-                if b != at {
-                    (at, cur) = (b, split(c, rank, b, w));
-                }
-                cur.1 ^ (i & (h - 1) >= cur.0)
-            };
-            // SAFETY: the caller owns `[lo, lo + n)` of the records, and the
-            // grains are disjoint runs of the level's pairs in it.
-            unsafe { E::swap_level(c, t, h, pairs, verdict) };
-        });
-        return;
-    }
-    par_for(c, 0, n / w, (grain / h).max(1), &|c, b| {
+    par_for(c, 0, n / w, (grain_for(c) / h).max(1), &|c, b| {
         let lo = lo + b * w;
         let (pivot, s) = split(c, rank, lo, w);
         swap_pairs(c, t, lo, h, h, pivot, s);
@@ -685,12 +741,18 @@ fn swap_pairs<C: Ctx, E: Swap>(
 /// `i` of the block swaps iff `s ⊕ (i ≥ pivot)` (see [`swap_level`]).
 #[inline(always)]
 fn split<C: Ctx>(c: &C, rank: &impl Fn(&C, usize) -> u64, lo: usize, w: usize) -> (usize, bool) {
-    let h = w / 2;
-    let (r_lo, r_mid) = (rank(c, lo), rank(c, lo + h));
+    let (r_lo, r_mid) = (rank(c, lo), rank(c, lo + w / 2));
     c.work(1);
+    split_of(r_lo, r_mid, w)
+}
+
+/// [`split`] from the block's ranks at its start and its middle.
+#[inline(always)]
+fn split_of(r_lo: u64, r_mid: u64, w: usize) -> (usize, bool) {
+    let h = w as u64 / 2;
     let z = r_lo & (w as u64 - 1);
-    let wraps = (z & (h as u64 - 1)) + (r_mid - r_lo) >= h as u64;
-    ((r_mid & (h as u64 - 1)) as usize, wraps ^ (z >= h as u64))
+    let wraps = (z & (h - 1)) + (r_mid - r_lo) >= h;
+    ((r_mid & (h - 1)) as usize, wraps ^ (z >= h))
 }
 
 #[cfg(test)]
@@ -918,9 +980,10 @@ mod tests {
 
     #[test]
     fn host_compaction_leaves_the_metered_cells() {
-        // On a host the narrow levels are level-wide `swap_level` calls;
-        // under the meter every level is the per-block `swap_slab` loop.
-        // Same pairs, same verdicts, so the same cells — from one pair to
+        // On a host the narrow levels run block-major, one `swap_block`
+        // entry a 32-cell block; under the meter every level is the
+        // per-block `swap_slab` loop. Same pairs, same verdicts, so the
+        // same cells — from one pair to
         // past the host base case (2¹⁶ joins its recursion above it), and
         // at `2^k + 2^j`, whose suffix blocks start off the power-of-two
         // grid, on a sequential and a 4-worker executor, fillers
@@ -968,6 +1031,52 @@ mod tests {
                 let mut par = input;
                 pool.run(|c| compact_cells(c, &sp, &mut Tracked::new(c, &mut par)));
                 assert!(par == metered, "m {m} {name}: pool");
+            }
+        }
+    }
+
+    #[test]
+    fn host_bounded_compaction_leaves_the_metered_cells() {
+        // `compact_bounded` on a host — narrow levels a 32-cell block at a
+        // time — against the metered per-block loop, on a sequential and a
+        // 4-worker executor: both bounds, with a reach below, at and above
+        // the 32-cell block (blocks of 4, 32 and 64 cells: all narrow, the
+        // narrow levels exactly, one wide level over them), at lengths
+        // `2^k + 2^j` and at whole blocks plus a tail of 1 to 31 cells,
+        // whose digits are blocks of every narrow size.
+        let pool = Pool::new(4);
+        let hash = |i: usize, salt: u64| {
+            ((i as u64 ^ salt).wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 40) as usize
+        };
+        let lengths = [33usize, 96, 136, 1025, 4608, 12288, 159, 113, 2081, 1055];
+        for n in lengths {
+            for reach in [5usize, 32, 100] {
+                // At most `reach` reals, anywhere.
+                let count = flagged(n, |i| hash(i, 1) % n < reach.min(n) / 2 + 1);
+                // At most `reach` fillers before any real, at random.
+                let fillers = std::cell::Cell::new(0);
+                let shift = flagged(n, |i| {
+                    let filler = fillers.get() < reach && hash(i, 2) % 3 == 0;
+                    fillers.set(fillers.get() + filler as usize);
+                    !filler
+                });
+                let (k, _) = tight(&count);
+                let (_, d) = tight(&shift);
+                assert!(k <= reach && d <= reach);
+                for (cells, bound, out_len) in [
+                    (&count, Bound::Count(reach), reach.min(n)),
+                    (&shift, Bound::Shift(reach), n),
+                ] {
+                    let what = format!("n {n} {bound:?}");
+                    let (metered, _) = measure(CacheConfig::default(), TraceMode::Off, |c| {
+                        bounded(c, cells, bound, out_len)
+                    });
+                    assert_eq!(metered, compact_prefix(cells, out_len), "{what}");
+                    let seq = bounded(&SeqCtx::new(), cells, bound, out_len);
+                    assert!(seq == metered, "{what}: SeqCtx");
+                    let par = pool.run(|c| bounded(c, cells, bound, out_len));
+                    assert!(par == metered, "{what}: pool");
+                }
             }
         }
     }

@@ -138,7 +138,8 @@ pub fn bitonic_merge_rec<C: Ctx, T: Copy + Send>(
 /// a pass at five levels; rows a power-of-two stride apart share their L1
 /// sets, and few long rows measured better than many short ones (DESIGN.md
 /// §3 has the sweep). Compaction's swap levels take the same cut between a
-/// run worth a call of its own and one a level-wide kernel entry absorbs.
+/// run worth a call of its own and one a block's kernel entry absorbs: the
+/// levels below it run a block of one run's width at a time.
 pub const TILE_RUN_BYTES: usize = 1024;
 
 /// The next in-place pass over a `hi`-block whose levels `hi/2 … base`

@@ -22,9 +22,10 @@
 //!   layers;
 //! * [`vec`](mod@vec) — [`Backend`], the branchless gate for cells:
 //!   `select_u128` lanes, and where the hardware has it runtime-
-//!   dispatched AVX2 kernels — one entry per run and per stage (scalar via
-//!   `DOB_NO_SIMD=1`), trace-identical to the per-pair gate by accounting
-//!   replay (DESIGN.md §14);
+//!   dispatched AVX2 kernels — one entry per run, per stage and per
+//!   compaction block (scalar via `DOB_NO_SIMD=1`). The run and stage
+//!   entries are trace-identical to the per-pair gate by accounting
+//!   replay; the block entry runs on hosts only (DESIGN.md §14);
 //! * [`transpose`](mod@transpose) — cache-agnostic parallel matrix transposition, the
 //!   shared skeleton of every recursive butterfly in the workspace.
 
@@ -49,4 +50,4 @@ pub use oddeven::oddeven_sort;
 pub use shellsort::randomized_shellsort;
 pub use tag::{cells_merge_rec, cells_sort_rec, cells_sort_rec_with, TagCell};
 pub use transpose::transpose;
-pub use vec::{active_backend, cex_cells_slab, select_cell, Backend};
+pub use vec::{active_backend, block_slabs, cex_cells_slab, select_cell, Backend};

@@ -2,9 +2,10 @@
 //! [`TagCell`]s and for bare `u128` keys, with runtime-dispatched AVX2
 //! forms of the comparator run and of a whole bitonic stage for both, of
 //! the compaction butterfly's index-driven swap slab
-//! ([`Backend::swap_slab`]) and rank-driven swap level
-//! ([`Backend::swap_level`]) — run bottom-up to compact, top-down to
-//! expand — plus the whole-cell select the rewrite loops route through.
+//! ([`Backend::swap_slab`]) and its host block entry, every narrow level
+//! of one block ([`Backend::swap_block`]) — run bottom-up to compact,
+//! top-down to expand — plus the whole-cell select the rewrite loops
+//! route through.
 //!
 //! # Dispatch model
 //!
@@ -47,6 +48,7 @@ use crate::cx::{cex, select_u128, stage_by_slabs, Gate};
 use crate::tag::TagCell;
 use fj::Ctx;
 use metrics::{RawTracked, Tracked};
+use std::mem::size_of;
 use std::ops::Range;
 use std::sync::OnceLock;
 
@@ -147,50 +149,113 @@ impl Backend {
         }
     }
 
-    /// Conditionally exchange pairs of one whole butterfly level: `t` in
-    /// aligned blocks of `2h` cells (`h` a power of two), pairs numbered
-    /// block by block, `h` to a block — pair `p` is `(i, i + h)` with
-    /// `i = `[`level_index`]`(p, h)`. The pairs numbered `pairs` run in that
-    /// order, and one swaps iff `verdict(i, tag of i, tag of i + h)` — on a
-    /// host, the narrow levels of `obliv_core`'s compaction butterfly, run
-    /// bottom-up (`compact_cells`) or top-down (bin placement's
-    /// expansion), each block's rank split inlined into the verdict. One
-    /// call covers as many blocks as
-    /// `pairs` spans, so the narrow levels — a pair or two to a block —
-    /// cost one dispatch, not one per block. Both cells of every pair are
-    /// read and written whatever the verdict, which only ever feeds the
-    /// select mask.
+    /// Every narrow level of one aligned block of the compaction butterfly
+    /// (`obliv_core`'s `gather`), block-major ([`block_slabs`]): `block` (a
+    /// power of two long) through widths `2 → len` — `len → 2` when
+    /// `spread`, bin placement's expansion — a width `w` as the block's
+    /// aligned `w`-sub-blocks in order. In the sub-block at `b`, pair
+    /// `(b + k, b + k + w/2)` swaps iff `flip ⊕ (k ≥ pivot)`, where
+    /// `(pivot, flip) = split(b, w)`. The block stays in L1 through all its
+    /// levels and costs one kernel entry, however few pairs a sub-block
+    /// has.
     ///
-    /// # Safety
-    /// Every pair must be in bounds — `2h·⌈pairs.end / h⌉ <= t.len()` —
-    /// and no concurrent task may access a cell of one.
+    /// Data movement only, with no accounting: this is the host entry, and
+    /// a metered butterfly runs [`Backend::swap_slab`] per sub-block. Both
+    /// records of every pair are loaded and stored whatever the verdict,
+    /// as whole words under a mask, so the addresses touched are a function
+    /// of the block's length alone and `split` feeds only the masks.
     #[inline]
-    pub unsafe fn swap_level<C: Ctx>(
+    pub fn swap_block<E: Words>(
         self,
-        c: &C,
-        t: &RawTracked<TagCell>,
-        h: usize,
-        pairs: Range<usize>,
-        mut verdict: impl FnMut(usize, u128, u128) -> bool,
+        block: &mut [E],
+        spread: bool,
+        split: impl FnMut(usize, usize) -> (usize, bool),
     ) {
-        debug_assert!(h.is_power_of_two() && 2 * h * pairs.end.div_ceil(h) <= t.len());
+        debug_assert!(block.len().is_power_of_two());
         if resolve(self, active_backend()) == Backend::Avx2 {
             #[cfg(target_arch = "x86_64")]
-            {
-                for i in pairs.clone().map(|p| level_index(p, h)) {
-                    avx2::account_pair(c, t, i, i + h);
-                }
-                // SAFETY: AVX2 was detected (see `run_avx2`); bounds and
-                // exclusivity are this function's own contract.
-                return avx2::swap_level(t.as_mut_ptr(), h, pairs, verdict);
-            }
+            // SAFETY: AVX2 was detected (see `run_avx2`).
+            return unsafe { avx2::swap_block(block, spread, split) };
         }
-        for i in pairs.map(|p| level_index(p, h)) {
-            let (a, b) = (t.get(c, i), t.get(c, i + h));
-            c.work(1);
-            let (lo, hi) = self.route(verdict(i, a.tag, b.tag), a, b);
-            t.set(c, i, lo);
-            t.set(c, i + h, hi);
+        scalar_block(block, spread, split)
+    }
+}
+
+/// A record [`Backend::swap_block`] moves as whole 64-bit words, with no
+/// padding: a [`TagCell`] (four words) or a bare `u128` key (two).
+pub trait Words: Copy + sealed::Plain {}
+
+impl Words for TagCell {}
+impl Words for u128 {}
+
+mod sealed {
+    /// Only the gate's own records are [`super::Words`].
+    pub trait Plain {}
+    impl Plain for super::TagCell {}
+    impl Plain for u128 {}
+}
+
+/// [`Backend::swap_block`] without AVX2: one entry a block, as with it.
+#[inline(never)]
+fn scalar_block<E: Words>(
+    block: &mut [E],
+    spread: bool,
+    split: impl FnMut(usize, usize) -> (usize, bool),
+) {
+    block_slabs(block, spread, split, swap_words)
+}
+
+/// The order of one aligned block's narrow levels in the compaction
+/// butterfly: widths `2 → len` (`len → 2` when `spread`), a width `w` as
+/// the block's aligned `w`-sub-blocks in order, each handed to
+/// `slab(lo, hi, pivot, flip)` as its two halves, with
+/// `(pivot, flip) = split(b, w)` for the sub-block at `b`. Pair
+/// `(lo[k], hi[k])` is to swap iff `flip ⊕ (k ≥ pivot)`. Widths and
+/// sub-blocks are loop control on the block's length. The loop of
+/// [`Backend::swap_block`] and of any other record's block entry.
+#[inline(always)]
+pub fn block_slabs<E>(
+    block: &mut [E],
+    spread: bool,
+    mut split: impl FnMut(usize, usize) -> (usize, bool),
+    mut slab: impl FnMut(&mut [E], &mut [E], usize, bool),
+) {
+    let top = block.len().trailing_zeros();
+    for l in 1..=top {
+        let w = 1usize << if spread { top + 1 - l } else { l };
+        for (j, sub) in block.chunks_exact_mut(w).enumerate() {
+            let (pivot, flip) = split(j * w, w);
+            let (lo, hi) = sub.split_at_mut(w / 2);
+            slab(lo, hi, pivot, flip);
+        }
+    }
+}
+
+/// The scalar slab of [`Backend::swap_block`]: every word of both records
+/// of a pair read and written, under a mask. LLVM reads a mask made from a
+/// `bool` as a select, and turns it back into a branch that skips the
+/// swap. So the masks are arithmetic shifts by an amount passed through
+/// `black_box`: `k − pivot` shifted right by 63 is all ones iff
+/// `k < pivot`, and `flip` shifted into the sign bit and back is all ones
+/// iff `flip`.
+#[inline(always)]
+fn swap_words<E: Words>(lo: &mut [E], hi: &mut [E], pivot: usize, flip: bool) {
+    let shift = std::hint::black_box(63);
+    let keep = ((flip as i64) << 63 >> shift) as u64;
+    let (a, b) = (lo.as_mut_ptr().cast::<u64>(), hi.as_mut_ptr().cast::<u64>());
+    let words = size_of::<E>() / 8;
+    for k in 0..lo.len().min(hi.len()) {
+        let below = ((k as i64).wrapping_sub(pivot as i64) >> shift) as u64;
+        let mask = !(below ^ keep);
+        for j in k * words..(k + 1) * words {
+            // SAFETY: records `k` of both halves are in bounds, and a
+            // `Words` record is `words` initialized 64-bit words, aligned
+            // to at least 8 bytes.
+            unsafe {
+                let d = (*a.add(j) ^ *b.add(j)) & mask;
+                *a.add(j) ^= d;
+                *b.add(j) ^= d;
+            }
         }
     }
 }
@@ -391,6 +456,7 @@ mod avx2 {
     use core::arch::x86_64::*;
     use fj::{counters, Access, Ctx};
     use metrics::RawTracked;
+    use std::mem::size_of;
     use std::ops::Range;
 
     /// Replay the accounting of one scalar pair exchange on `(i, j)`
@@ -461,7 +527,7 @@ mod avx2 {
         _mm256_storeu_si256(pb as *mut __m256i, _mm256_xor_si256(b, diff));
     }
 
-    /// The one data-movement loop, inlined into the four entry points
+    /// The one data-movement loop, inlined into the entry points
     /// below, verdict and all: pairs `(lo + k, hi + k)`, `k in 0..len`,
     /// four independent pairs per unrolled iteration (the pairs of a
     /// butterfly level never overlap, so the CPU pipelines them freely).
@@ -591,28 +657,44 @@ mod avx2 {
         })
     }
 
-    /// The data movement of [`Backend::swap_level`](super::Backend::swap_level):
-    /// block by block, what `pairs` holds of a block is two runs `h` apart.
-    ///
-    /// # Safety
-    /// AVX2 must be available; every pair numbered in `pairs` must lie in
-    /// `ptr`'s allocation and be exclusively owned by the caller.
+    /// [`Backend::swap_block`](super::Backend::swap_block) compiled for
+    /// AVX2. A cell is one `ymm`, and its slab computes the masks in-lane:
+    /// `pivot` and `flip` broadcast once, then per pair a compare of the
+    /// pair number against `pivot` xored with `¬flip`, and a masked
+    /// xor-swap — no verdict on the scalar side. A key goes through the
+    /// scalar slab.
     #[target_feature(enable = "avx2")]
-    pub unsafe fn swap_level(
-        ptr: *mut TagCell,
-        h: usize,
-        pairs: Range<usize>,
-        mut verdict: impl FnMut(usize, u128, u128) -> bool,
+    pub fn swap_block<E: super::Words>(
+        block: &mut [E],
+        spread: bool,
+        split: impl FnMut(usize, usize) -> (usize, bool),
     ) {
-        let mut p = pairs.start;
-        while p < pairs.end {
-            let i = crate::bitonic::level_index(p, h);
-            let len = (h - (p & (h - 1))).min(pairs.end - p);
-            swap_runs(ptr.add(i), ptr.add(i + h), len, |k, ta, tb| {
-                verdict(i + k, ta, tb)
-            });
-            p += len;
+        if size_of::<E>() != size_of::<TagCell>() {
+            return super::block_slabs(block, spread, split, super::swap_words);
         }
+        super::block_slabs(block, spread, split, |lo, hi, pivot, flip| {
+            let h = lo.len().min(hi.len());
+            let (lo, hi) = (
+                lo.as_mut_ptr().cast::<__m256i>(),
+                hi.as_mut_ptr().cast::<__m256i>(),
+            );
+            let (one, pivot) = (_mm256_set1_epi64x(1), _mm256_set1_epi64x(pivot as i64));
+            let not_flip = _mm256_set1_epi64x(flip as i64 - 1);
+            let mut k = _mm256_setzero_si256();
+            for j in 0..h {
+                let m = _mm256_xor_si256(_mm256_cmpgt_epi64(pivot, k), not_flip);
+                // SAFETY: records `j` of both halves are in bounds, and a
+                // record is a cell: one 32-byte vector.
+                unsafe {
+                    let (pa, pb) = (lo.add(j), hi.add(j));
+                    let (a, b) = (_mm256_loadu_si256(pa), _mm256_loadu_si256(pb));
+                    let d = _mm256_and_si256(_mm256_xor_si256(a, b), m);
+                    _mm256_storeu_si256(pa, _mm256_xor_si256(a, d));
+                    _mm256_storeu_si256(pb, _mm256_xor_si256(b, d));
+                }
+                k = _mm256_add_epi64(k, one);
+            }
+        })
     }
 }
 
@@ -712,22 +794,14 @@ mod tests {
         }
     }
 
-    /// The measured costs of one swap kernel call over 64 cells: the slab
-    /// (`level` false) or the level (`level` true).
-    fn swap_kernel_costs(backend: Backend, level: bool) -> (u64, u64, u64, u64, u64) {
+    /// The measured costs of one swap slab over 64 cells.
+    fn swap_slab_costs(backend: Backend) -> (u64, u64, u64, u64, u64) {
         use metrics::{measure, CacheConfig, TraceMode};
         let (_, r) = measure(CacheConfig::default(), TraceMode::Hash, |c| {
             let mut cells = vec![TagCell::new(1, 2); 64];
             let t = Tracked::new(c, &mut cells).as_raw();
-            // SAFETY: 0..24 and 32..56 are in bounds and disjoint;
-            // pairs 3..27 of 8-cell blocks end in block 6 of 8.
-            unsafe {
-                if level {
-                    backend.swap_level(c, &t, 4, 3..27, |i, _, _| i < 20);
-                } else {
-                    backend.swap_slab(c, &t, 0..24, 32, 5, true);
-                }
-            }
+            // SAFETY: 0..24 and 32..56 are in bounds and disjoint.
+            unsafe { backend.swap_slab(c, &t, 0..24, 32, 5, true) }
         });
         (r.trace_hash, r.trace_len, r.work, r.span, r.cache_misses)
     }
@@ -735,8 +809,8 @@ mod tests {
     #[test]
     fn swap_slab_accounting_is_backend_independent() {
         assert_eq!(
-            swap_kernel_costs(Backend::Scalar, false),
-            swap_kernel_costs(Backend::Avx2, false)
+            swap_slab_costs(Backend::Scalar),
+            swap_slab_costs(Backend::Avx2)
         );
     }
 
@@ -849,55 +923,64 @@ mod tests {
         }
     }
 
-    #[test]
-    fn swap_level_follows_the_callers_verdict_on_both_backends() {
-        // Whole levels, part of a level and part of one block, with a
-        // verdict on the index and the tags both.
-        let c = SeqCtx::new();
-        for h in [1usize, 2, 4, 16] {
-            for blocks in [1usize, 5] {
-                let all = blocks * h;
-                for pairs in [0..all, all / 3..all, 1.min(h - 1)..h.min(7), 1..1] {
-                    for (pivot, flip) in [(0usize, false), (3, false), (3, true)] {
-                        let input: Vec<TagCell> = (0..2 * all as u128)
-                            .map(|i| TagCell::new(i * 7 % 5, !i))
-                            .collect();
-                        let verdict = |i: usize, l: u128, r: u128| {
-                            assert_eq!((l, r), (input[i].tag, input[i + h].tag));
-                            flip ^ (i >= pivot) ^ (l > r)
-                        };
-                        let mut expect = input.clone();
-                        for p in pairs.clone() {
-                            let i = 2 * h * (p / h) + p % h;
-                            if verdict(i, input[i].tag, input[i + h].tag) {
-                                expect.swap(i, i + h);
-                            }
-                        }
-                        for backend in [Backend::Scalar, Backend::Avx2] {
-                            let mut cells = input.clone();
-                            let mut t = Tracked::new(&c, &mut cells);
-                            // SAFETY: `blocks` whole `2h`-blocks are the
-                            // array, and nothing else runs.
-                            unsafe {
-                                backend.swap_level(&c, &t.as_raw(), h, pairs.clone(), verdict)
-                            };
-                            assert_eq!(
-                                cells, expect,
-                                "{backend:?} h {h} pairs {pairs:?} pivot {pivot} flip {flip}"
-                            );
-                        }
+    /// What [`Backend::swap_block`] leaves, pair by pair on a copy: widths
+    /// `2 → len` (`len → 2` spreading), sub-blocks in order.
+    fn block_oracle<T: Copy>(
+        input: &[T],
+        lo: usize,
+        len: usize,
+        spread: bool,
+        split: impl Fn(usize, usize) -> (usize, bool),
+    ) -> Vec<T> {
+        let mut out = input.to_vec();
+        let mut widths: Vec<usize> = (1..=len.trailing_zeros()).map(|k| 1 << k).collect();
+        if spread {
+            widths.reverse();
+        }
+        for w in widths {
+            for b in (0..len).step_by(w) {
+                let (pivot, flip) = split(b, w);
+                for k in 0..w / 2 {
+                    if flip ^ (k >= pivot) {
+                        out.swap(lo + b + k, lo + b + k + w / 2);
                     }
                 }
             }
         }
+        out
     }
 
     #[test]
-    fn swap_level_accounting_is_backend_independent() {
-        assert_eq!(
-            swap_kernel_costs(Backend::Scalar, true),
-            swap_kernel_costs(Backend::Avx2, true)
-        );
+    fn swap_block_follows_the_split_on_both_backends() {
+        // Cells and bare keys, blocks of one pair up to 64 records, both
+        // directions, at an offset into the array, with splits that vary
+        // by sub-block and level: every pivot from 0 to `w/2`, both flips.
+        for len in [2usize, 4, 8, 32, 64] {
+            for spread in [false, true] {
+                for salt in [0usize, 1, 7] {
+                    let split = |b: usize, w: usize| {
+                        let mix = (b * 31 + w * 7 + salt) * 0x9E37;
+                        ((mix >> 3) % (w / 2 + 1), mix & 1 == 1)
+                    };
+                    let lo = 3;
+                    let cells: Vec<TagCell> = (0..(len + 5) as u128)
+                        .map(|i| TagCell::new(i * 0x1_0000_0001, !i))
+                        .collect();
+                    let keys: Vec<u128> = cells.iter().map(|x| x.tag ^ x.aux << 7).collect();
+                    let expect = block_oracle(&cells, lo, len, spread, split);
+                    let expect_keys = block_oracle(&keys, lo, len, spread, split);
+                    for backend in [Backend::Scalar, Backend::Avx2] {
+                        let what = format!("{backend:?} len {len} spread {spread} salt {salt}");
+                        let mut got = cells.clone();
+                        let mut got_keys = keys.clone();
+                        backend.swap_block(&mut got[lo..lo + len], spread, split);
+                        backend.swap_block(&mut got_keys[lo..lo + len], spread, split);
+                        assert_eq!(got, expect, "cells: {what}");
+                        assert_eq!(got_keys, expect_keys, "keys: {what}");
+                    }
+                }
+            }
+        }
     }
 
     #[test]

@@ -43,7 +43,7 @@ use crate::shard::Shard;
 use crate::vfs::{OsVfs, Vfs};
 use crate::wal::{self, Durability, SnapMeta, Wal};
 use fj::{par_zip_mut, Ctx};
-use metrics::{par_fill, ScratchPool, Tracked};
+use metrics::{par_fill, Lane, ScratchPool, Tracked};
 use obliv_core::TagCell;
 use pram::OramConfig;
 use std::path::{Path, PathBuf};
@@ -319,6 +319,11 @@ pub struct ShardedStore {
     health: Health,
     /// Display form of the fault that degraded the store.
     fault: Option<String>,
+    /// The gather's `S·zcap`-cell lane of answer windows, kept across
+    /// epochs. Every shard's readout writes its whole window before the
+    /// gather reads it, so the lane is filled only when the public
+    /// `S·zcap` changes.
+    gather: Lane<TagCell>,
 }
 
 /// Directory and WAL append handle of a durable store, plus the
@@ -385,6 +390,7 @@ impl ShardedStore {
             durable: None,
             health: Health::Ok,
             fault: None,
+            gather: Lane::default(),
         };
         store.snapshot = store.summed_stats();
         store
@@ -624,7 +630,7 @@ impl ShardedStore {
             self.fallbacks += 1;
             zcap = b;
         }
-        let mut entries = scratch.lease(shards * zcap, TagCell::filler());
+        let entries = self.gather.fit(shards * zcap, TagCell::filler());
         let mut outs: Vec<&mut [TagCell]> = entries.chunks_mut(zcap).collect();
         let cfg = self.cfg.store;
         // Every shard owns its table and leases scratch from the shared
@@ -643,7 +649,7 @@ impl ShardedStore {
                 par_fill(c, &mut window, &|c, j| t.get(c, j))
             });
         });
-        gather_results(c, scratch, &mut Tracked::new(c, &mut entries), b)
+        gather_results(c, scratch, &mut Tracked::new(c, entries), b)
     }
 
     /// Scheduled snapshot: at every `snapshot`-th merge (a public cadence;

@@ -40,9 +40,10 @@ const MERGE_EPOCH_LEASES: u64 = 2;
 /// `SeqCtx` (`sharded_epoch_pool_stays_warm`), at `route_slack` 0 and 2
 /// alike: the op lane; per shard its routing lane, that lane's
 /// compaction ranks and their scan tree, and the merge walk's tree; and
-/// the gather's windows, their compaction ranks and scan tree. The
-/// overflow count of slack 2 leases nothing, and no sort leases on a host.
-const SHARDED_EPOCH_LEASES: u64 = 1 + 4 * 4 + 3;
+/// the gather's compaction ranks and scan tree. The gather's windows are
+/// the store's own lane, kept across epochs, not a lease. The overflow
+/// count of slack 2 leases nothing, and no sort leases on a host.
+const SHARDED_EPOCH_LEASES: u64 = 1 + 4 * 4 + 2;
 
 struct Counting;
 
