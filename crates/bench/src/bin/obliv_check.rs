@@ -4,6 +4,6 @@
 //! the expected output); exits non-zero on any FAIL.
 
 fn main() {
-    let all_pass = dob_bench::rows::check_traces();
+    let all_pass = dob_bench::rows::check_traces(&mut std::io::stdout()).expect("write to stdout");
     std::process::exit(if all_pass { 0 } else { 1 });
 }

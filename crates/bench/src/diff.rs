@@ -6,7 +6,7 @@
 //! — any drift is a real change, not noise, and a source change that is
 //! meant to keep behaviour must regenerate every artifact bit for bit
 //! ([`DiffOutcome::changed`]). The parser below reads exactly the flat
-//! shape `BenchSink::finish` writes (the container has no serde; see
+//! shape `BenchSink::json` writes (the container has no serde; see
 //! DESIGN.md §6).
 
 use std::collections::BTreeMap;
@@ -54,7 +54,7 @@ pub struct BenchFile {
 /// Parse the `BenchSink` JSON shape: one `"bin"` string and a `"rows"`
 /// array of flat objects whose values are strings or non-negative
 /// integers. Strings are read verbatim between quotes — no escape
-/// handling — which `BenchSink::finish` guarantees by rejecting row names
+/// handling — which `BenchSink::json` guarantees by rejecting row names
 /// containing `"` or `\`. Two rows under one `(task, algo, n)` identity
 /// are an error: [`diff_benches`] could only compare one of them.
 pub fn parse_bench_json(text: &str) -> Result<BenchFile, String> {

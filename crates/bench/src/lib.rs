@@ -71,7 +71,7 @@ mod tests {
     #[should_panic(expected = "duplicate bench row: store / merge path / n=256")]
     fn a_repeated_row_identity_panics() {
         let rep = meter(|_| {});
-        let mut sink = BenchSink::from_args("store");
+        let mut sink = BenchSink::new("store");
         for n in [256, 512, 256] {
             sink.record(Row {
                 task: "store",

@@ -10,16 +10,19 @@
 //! The five table binaries are [`run_table`] on their [`Table`]: one
 //! meter, one printer (`W / (n·log n)`, `T∞ / log² n` and
 //! `Q / ((n/B)·log_M n)` beside the counters) and one [`BenchSink`] for
-//! every row. `obliv_check` is [`check_traces`]. Rows run in list order,
-//! and the order is part of the counts: a table's rows share its arenas,
-//! and a buffer class is fresh only the first time a row leases it
-//! (`store`'s `allocs` column). What a table prints that is not a row —
+//! every row. `obliv_check` is [`check_traces`]. Both write through
+//! `impl Write`, so `tests/registry.rs` holds the same text to
+//! `benches/baseline/` ([`measure_table`] and [`BenchSink::json`] for the
+//! tables). Rows run in list order, and the order is part of the counts:
+//! a table's rows share its arenas, and a buffer class is fresh only the
+//! first time a row leases it (`store`'s `allocs` column). What a table prints that is not a row —
 //! Figure 1's drawing, E2's overflow trials, E4's path blocks, the
 //! headlines, growth exponents and crossover table — is its report,
 //! printed after its rows from what they measured.
 
 use metrics::{measure, CacheConfig, CostReport, MeterCtx, ScratchPool, TraceMode};
 use obliv_core::{composite_key, Engine, Item, Slot, Val};
+use std::io::{self, Write};
 use std::sync::Arc;
 
 mod ablations;
@@ -236,10 +239,10 @@ fn custom<'a>(name: &'static str, observe: impl FnOnce() -> Vec<Seen> + 'a) -> T
 }
 
 impl TraceRow<'_> {
-    /// Print the verdict and the value the inputs were compared on (the
+    /// Write the verdict and the value the inputs were compared on (the
     /// first input's; every input's on a FAIL), so a change that keeps the
     /// verdict but moves a trace still shows in a diff of the output.
-    fn check(self) -> bool {
+    fn check(self, out: &mut impl Write) -> io::Result<bool> {
         let seen = (self.observe)();
         let ok = seen.windows(2).all(|w| w[0] == w[1]);
         let show = |s: &Seen| match &s[..] {
@@ -251,8 +254,8 @@ impl TraceRow<'_> {
             false => seen.iter().map(show).collect(),
         };
         let verdict = if ok { "PASS" } else { "FAIL" };
-        println!("{:<44} {verdict} {}", self.name, shown.join(" "));
-        ok
+        writeln!(out, "{:<44} {verdict} {}", self.name, shown.join(" "))?;
+        Ok(ok)
     }
 }
 
@@ -279,36 +282,55 @@ pub fn entries(arenas: &Arenas) -> Vec<Entry<'_>> {
 /// `BENCH_<bin>.json` under `--json`, then print its report.
 pub fn run_table(table: Table) {
     let arenas = Arenas::default();
-    let mut sink = BenchSink::from_args(table.bin());
     println!("== {} ==\n", table.title());
-    header();
-    for entry in entries(&arenas) {
-        match entry {
-            Entry::Model(row) if row.table == table => sink.record(row.measure()),
-            _ => {}
-        }
+    let sink = measure_table(table, &arenas, &mut io::stdout()).expect("write to stdout");
+    if std::env::args().any(|a| a == "--json") {
+        let path = format!("BENCH_{}.json", table.bin());
+        std::fs::write(&path, sink.json())
+            .unwrap_or_else(|e| panic!("failed to write {path}: {e}"));
+        eprintln!("wrote {path}");
     }
-    sink.finish()
-        .unwrap_or_else(|e| panic!("failed to write BENCH_{}.json: {e}", table.bin()));
     println!();
     table.report(&arenas, &sink.rows);
 }
 
-/// Run every trace row and print the PASS/FAIL matrix; true when all pass.
-pub fn check_traces() -> bool {
+/// Measure `table`'s rows in list order on `arenas`, writing the column
+/// header and each row to `out` as it is recorded.
+pub fn measure_table(table: Table, arenas: &Arenas, out: &mut impl Write) -> io::Result<BenchSink> {
+    let mut sink = BenchSink::new(table.bin());
+    header(out)?;
+    for entry in entries(arenas) {
+        match entry {
+            Entry::Model(row) if row.table == table => {
+                let row = row.measure();
+                print_row(out, &row)?;
+                sink.record(row);
+            }
+            _ => {}
+        }
+    }
+    Ok(sink)
+}
+
+/// Run every trace row and write the PASS/FAIL matrix to `out`; true when
+/// all pass.
+pub fn check_traces(out: &mut impl Write) -> io::Result<bool> {
     let arenas = Arenas::default();
-    println!("== E3: trace-equality checks (Definition 1, fixed coins) ==\n");
+    writeln!(
+        out,
+        "== E3: trace-equality checks (Definition 1, fixed coins) ==\n"
+    )?;
     let mut all_ok = true;
     for entry in entries(&arenas) {
         if let Entry::Trace(row) = entry {
-            all_ok &= row.check();
+            all_ok &= row.check(out)?;
         }
     }
     match all_ok {
-        true => println!("\nall oblivious routines passed trace equality"),
-        false => println!("\nFAILURES detected"),
+        true => writeln!(out, "\nall oblivious routines passed trace equality")?,
+        false => writeln!(out, "\nFAILURES detected")?,
     }
-    all_ok
+    Ok(all_ok)
 }
 
 /// One measured model row, as printed and as serialised.
@@ -344,19 +366,21 @@ fn q_sort_bound(n: usize, rep: &CostReport) -> f64 {
     ((n as f64 / rep.b_words as f64) * log_m).max(1.0)
 }
 
-fn header() {
-    println!(
+fn header(out: &mut impl Write) -> io::Result<()> {
+    writeln!(
+        out,
         "{:<10} {:<28} {:>9} {:>14} {:>10} {:>12} {:>9} {:>9} {:>9}",
         "task", "algorithm", "n", "work", "span", "Q(M,B)", "W/nlogn", "T/log^2", "Q/Qsort"
-    );
-    println!("{}", "-".repeat(118));
+    )?;
+    writeln!(out, "{}", "-".repeat(118))
 }
 
 /// The one printer: the row's counters and the three normalised columns.
-fn print_row(r: &Row) {
+fn print_row(out: &mut impl Write, r: &Row) -> io::Result<()> {
     let lg = crate::lg(r.n);
     let n = r.n.max(2) as f64;
-    println!(
+    writeln!(
+        out,
         "{:<10} {:<28} {:>9} {:>14} {:>10} {:>12} {:>9.2} {:>9.1} {:>9.2}",
         r.task,
         r.algo,
@@ -367,31 +391,29 @@ fn print_row(r: &Row) {
         r.rep.work as f64 / (n * lg),
         r.rep.span as f64 / (lg * lg),
         r.rep.cache_misses as f64 / q_sort_bound(r.n, &r.rep),
-    );
+    )
 }
 
-/// Collects measured rows and, when `--json` was passed, writes them as a
-/// machine-readable `BENCH_<bin>.json` in the working directory so CI can
-/// archive the perf trajectory of every push.
+/// Collects one table's measured rows and serialises them as its
+/// machine-readable `BENCH_<bin>.json`, so CI can archive the perf
+/// trajectory of every push.
 pub struct BenchSink {
     bin: &'static str,
     rows: Vec<Row>,
-    json: bool,
 }
 
 impl BenchSink {
-    /// `--json` on the command line enables the JSON artifact.
-    pub fn from_args(bin: &'static str) -> Self {
+    /// An empty sink for `bin`'s rows.
+    pub fn new(bin: &'static str) -> Self {
         BenchSink {
             bin,
             rows: Vec::new(),
-            json: std::env::args().any(|a| a == "--json"),
         }
     }
 
-    /// Print the row and retain it for the JSON artifact. `(task, algo, n)`
-    /// is what `bench_diff` keys a row by, so a second row under one
-    /// identity could only shadow the first.
+    /// Retain the row for the JSON artifact. `(task, algo, n)` is what
+    /// `bench_diff` keys a row by, so a second row under one identity could
+    /// only shadow the first.
     pub fn record(&mut self, row: Row) {
         assert!(
             !self
@@ -403,17 +425,12 @@ impl BenchSink {
             row.algo,
             row.n,
         );
-        print_row(&row);
         self.rows.push(row);
     }
 
-    /// Write `BENCH_<bin>.json` when `--json` was requested. Hand-rolled
-    /// serialization: every field is numeric or a plain string, and the
-    /// container has no serde.
-    pub fn finish(&self) -> std::io::Result<()> {
-        if !self.json {
-            return Ok(());
-        }
+    /// The text of `BENCH_<bin>.json`. Hand-rolled serialization: every
+    /// field is numeric or a plain string, and the container has no serde.
+    pub fn json(&self) -> String {
         let mut out = format!("{{\n  \"bin\": \"{}\",\n  \"rows\": [\n", self.bin);
         for (i, r) in self.rows.iter().enumerate() {
             // The regression gate's parser (`diff::parse_bench_json`) reads
@@ -444,10 +461,7 @@ impl BenchSink {
             out.push_str(&format!("    {{{id}{counters}}}{sep}\n"));
         }
         out.push_str("  ]\n}\n");
-        let path = format!("BENCH_{}.json", self.bin);
-        std::fs::write(&path, out)?;
-        eprintln!("wrote {path}");
-        Ok(())
+        out
     }
 }
 
@@ -488,50 +502,4 @@ fn slot_sort<V: Val>(
         *slot = Slot::keyed(Item::new(composite_key(key, i), v));
     }
     Engine::BitonicRec.sort_slots(c, scratch, &mut metrics::Tracked::new(c, &mut slots));
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use crate::diff::parse_bench_json;
-
-    fn baseline(file: &str) -> String {
-        let path = format!(
-            "{}/../../benches/baseline/{file}",
-            env!("CARGO_MANIFEST_DIR")
-        );
-        std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("read {path}: {e}"))
-    }
-
-    /// Without metering anything: the registry's model rows are exactly the
-    /// committed baselines' rows, table by table and in order, and its trace
-    /// rows are exactly the golden `obliv_check` output's.
-    #[test]
-    fn registry_identities_match_the_baselines() {
-        let id = |bin: &str, task: &str, algo: &str, n| format!("{bin} / {task} / {algo} / {n}");
-        let (mut model, mut traces) = (Vec::new(), Vec::new());
-        for entry in entries(&Arenas::default()) {
-            match entry {
-                Entry::Model(r) => model.push(id(r.table.bin(), r.task, r.algo, r.n as u64)),
-                Entry::Trace(r) => traces.push(r.name),
-            }
-        }
-        let mut want = Vec::new();
-        for table in Table::ALL {
-            let base = parse_bench_json(&baseline(&format!("BENCH_{}.json", table.bin())));
-            let base = base.unwrap_or_else(|e| panic!("parse {}: {e}", table.bin()));
-            want.extend(
-                base.rows
-                    .iter()
-                    .map(|r| id(&base.bin, &r.task, &r.algo, r.n)),
-            );
-        }
-        assert_eq!(model, want);
-        let golden = baseline("obliv_check.txt");
-        let names = golden
-            .lines()
-            .filter_map(|l| Some(l.split_once(" PASS ")?.0.trim_end()));
-        assert_eq!(traces, names.collect::<Vec<_>>());
-        assert_eq!((model.len(), traces.len()), (133, 35));
-    }
 }

@@ -285,16 +285,18 @@ pub(super) fn rows(arenas: &Arenas) -> Vec<ModelRow<'_>> {
     // a stream needs, and what that buys on a host, is
     // `kv-sharded-pipelined` and `store.pipeline.merges_per_batch` in
     // `benchmark/`.
-    let steady_epoch = |algo, salt| {
-        staged(algo, PIPE_BATCH, scratch, move || {
+    rows.push(staged(
+        "sync: per-batch commit",
+        PIPE_BATCH,
+        scratch,
+        move || {
             let mut st = pipe_store(scratch);
             Box::new(move |c: &MeterCtx| {
-                let steady = mixed_ops(PIPE_BATCH, PIPE_TABLE as u64, salt);
+                let steady = mixed_ops(PIPE_BATCH, PIPE_TABLE as u64, 7);
                 st.execute_epoch(c, scratch, &steady).unwrap();
             })
-        })
-    };
-    rows.push(steady_epoch("sync: per-batch commit", 7));
+        },
+    ));
 
     rows.push(staged(
         "pipelined: coalesced commit",
@@ -359,13 +361,6 @@ pub(super) fn rows(arenas: &Arenas) -> Vec<ModelRow<'_>> {
             Box::new(move |c: &MeterCtx| drop(p.read_now(c, &probe)))
         },
     ));
-
-    // The steady epoch again under another op mix. Model counters are
-    // executor-independent by construction (the trace-equality suite
-    // asserts it), so this one metered row stands for every pool size and
-    // pin layout; what threads do to host time is `kv-merge-pool` against
-    // `kv-merge-seq` and `fj.sort_speedup.64k` in `benchmark/`.
-    rows.push(steady_epoch("scaling: steady mixed", 29));
 
     // Tag cells vs record slots: one comparator network, once over packed
     // 32-byte tag cells and once over the Slot records the same site

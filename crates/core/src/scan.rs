@@ -505,7 +505,7 @@ pub fn seg_propagate_in<C: Ctx, V: Val>(
     sched: Schedule,
 ) {
     debug_assert!(
-        t.is_empty() || t.get(c, 0).head,
+        t.is_empty() || t.raw()[0].head,
         "element 0 must head a segment"
     );
     // The last head wins. `id` is no identity of that, but the scan

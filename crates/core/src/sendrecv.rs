@@ -308,8 +308,7 @@ mod tests {
     #[test]
     fn u64_lane_trace_and_counters_are_pinned() {
         // `[trace_hash, trace_len, work, span, comparisons, cache_misses]`
-        // of the `u64` lane. A debug build makes one more tracked read
-        // (`seg_propagate_in` checks its first head).
+        // of the `u64` lane.
         let sources: Vec<(u64, u64)> = (0..300).map(|i| (i * 5 + 1, i * i)).collect();
         let dests: Vec<u64> = (0..450).map(|j| (j * 11) % 1700).collect();
         let (_, r) = measure(CacheConfig::default(), TraceMode::Hash, |c| {
@@ -324,11 +323,7 @@ mod tests {
             r.comparisons,
             r.cache_misses,
         ];
-        let golden = if cfg!(debug_assertions) {
-            [0x4a6cc1c34614f0bb, 0x2dec4, 0x377d5, 0x1e21, 0x957e, 0x387]
-        } else {
-            [0x0c057a26c9c181be, 0x2dec3, 0x377d4, 0x1e20, 0x957e, 0x387]
-        };
+        let golden = [0x0c057a26c9c181be, 0x2dec3, 0x377d4, 0x1e20, 0x957e, 0x387];
         assert_eq!(got, golden);
     }
 
