@@ -1,33 +1,16 @@
-//! Bench-JSON comparison for the CI perf-regression gate.
+//! Bench-JSON comparison: what `tests/registry.rs` prints when a table's
+//! rows move from `benches/baseline/`.
 //!
 //! The `BENCH_*.json` artifacts are produced by [`crate::BenchSink`] under
-//! the metering executor, so every gated counter (work, span, cache,
-//! comparisons, moves, allocs) is **deterministic** for a given source tree
-//! — any drift is a real change, not noise, and a source change that is
+//! the metering executor, so every counter (work, span, cache, comparisons,
+//! moves, retries, allocs) is **deterministic** for a given source tree —
+//! any drift is a real change, not noise, and a source change that is
 //! meant to keep behaviour must regenerate every artifact bit for bit
 //! ([`DiffOutcome::changed`]). The parser below reads exactly the flat
 //! shape `BenchSink::json` writes (the container has no serde; see
 //! DESIGN.md §6).
 
-use std::collections::BTreeMap;
-
-/// Counters gated at the >10% threshold. `retries` is absent because a
-/// seed change legitimately moves it between small integers.
-pub const GATED: &[&str] = &[
-    "work",
-    "span",
-    "cache_misses",
-    "cache_accesses",
-    "comparisons",
-    "moves",
-    "allocs",
-];
-
-/// Relative regression threshold (fractional): fail above +10%.
-pub const THRESHOLD: f64 = 0.10;
-/// Absolute slack so tiny counters (0 or near-0 baselines) don't trip the
-/// relative gate on ±a-few-units drift.
-pub const ABS_SLACK: u64 = 8;
+use std::collections::{BTreeMap, BTreeSet};
 
 /// One measured row: identity plus its numeric counters.
 #[derive(Clone, Debug, PartialEq)]
@@ -139,39 +122,21 @@ fn find_string_field(text: &str, key: &str) -> Option<String> {
     Some(rest[..rest.find('"')?].to_string())
 }
 
-/// One counter regression beyond the gate.
-#[derive(Clone, Debug)]
-pub struct Regression {
-    pub row: String,
-    pub counter: String,
-    pub baseline: u64,
-    pub fresh: u64,
-}
-
 /// Result of comparing a fresh artifact against its committed baseline.
 #[derive(Clone, Debug, Default)]
 pub struct DiffOutcome {
-    /// Markdown comparison table (one line per baseline row).
-    pub markdown: String,
-    /// Gated counters that regressed by more than the threshold.
-    pub regressions: Vec<Regression>,
-    /// Baseline rows absent from the fresh artifact (coverage loss — also
-    /// a failure).
+    /// Baseline rows absent from the fresh artifact.
     pub missing: Vec<String>,
-    /// Fresh rows absent from the baseline (new coverage — fine; commit a
-    /// new baseline to start gating them).
+    /// Fresh rows absent from the baseline.
     pub added: Vec<String>,
     /// Rows present on both sides.
     pub compared: usize,
-    /// Of those, the ones that are not bit-identical: any counter — gated
-    /// or not, up or down — differs. Each entry names the row and its
-    /// moved counters. Informational; see [`changed_summary`].
+    /// Of those, the ones that are not bit-identical: any counter, up or
+    /// down, differs. Each entry names the row and its moved counters.
     pub changed: Vec<String>,
 }
 
-/// "N rows, K with any counter changed", then one line per changed row —
-/// what a behaviour-preserving change shows as `K = 0` in the CI log
-/// instead of claiming in prose.
+/// "N rows, K with any counter changed", then one line per changed row.
 pub fn changed_summary(compared: usize, changed: &[String]) -> String {
     let mut s = format!(
         "{compared} rows, {} with any counter changed\n",
@@ -183,46 +148,19 @@ pub fn changed_summary(compared: usize, changed: &[String]) -> String {
     s
 }
 
-/// Did `fresh` regress past the gate relative to `baseline`?
-pub fn is_regression(baseline: u64, fresh: u64) -> bool {
-    fresh > baseline.saturating_add(ABS_SLACK)
-        && (fresh as f64) > (baseline as f64) * (1.0 + THRESHOLD)
-}
-
-fn pct(baseline: u64, fresh: u64) -> String {
-    if baseline == 0 {
-        return if fresh == 0 {
-            "±0%".into()
-        } else {
-            "new".into()
-        };
-    }
-    let d = 100.0 * (fresh as f64 - baseline as f64) / baseline as f64;
-    format!("{d:+.1}%")
-}
-
-/// Compare two parsed artifacts row by row (keyed on task/algo/n) and
-/// render the markdown table for `$GITHUB_STEP_SUMMARY`.
+/// Compare two parsed artifacts row by row, keyed on task/algo/n.
 pub fn diff_benches(baseline: &BenchFile, fresh: &BenchFile) -> DiffOutcome {
     let mut out = DiffOutcome::default();
     let fresh_by_id: BTreeMap<String, &BenchRow> = fresh.rows.iter().map(|r| (r.id(), r)).collect();
-    let base_ids: std::collections::BTreeSet<String> =
-        baseline.rows.iter().map(|r| r.id()).collect();
-
-    let mut md = String::new();
-    md.push_str(&format!("### `{}`\n\n", baseline.bin));
-    md.push_str("| row | work | span | cache misses | allocs | status |\n");
-    md.push_str("|---|---|---|---|---|---|\n");
     for brow in &baseline.rows {
         let id = brow.id();
         let Some(frow) = fresh_by_id.get(&id) else {
-            md.push_str(&format!("| {id} | — | — | — | — | ❌ missing |\n"));
             out.missing.push(id);
             continue;
         };
         out.compared += 1;
         if brow.counters != frow.counters {
-            let names: std::collections::BTreeSet<&String> =
+            let names: BTreeSet<&String> =
                 brow.counters.keys().chain(frow.counters.keys()).collect();
             let show = |v: Option<&u64>| v.map_or("absent".to_string(), u64::to_string);
             let moved: Vec<String> = names
@@ -233,59 +171,14 @@ pub fn diff_benches(baseline: &BenchFile, fresh: &BenchFile) -> DiffOutcome {
                 .collect();
             out.changed.push(format!("{id}: {}", moved.join(", ")));
         }
-        let mut row_regressed = false;
-        for &counter in GATED {
-            // A counter the baseline gates but the fresh artifact no
-            // longer emits means the instrumentation broke — fail hard
-            // rather than fail open on an implicit 0. (A counter absent
-            // from the *baseline* is simply not gated yet: old artifacts
-            // predate e.g. the `allocs` column.)
-            match (brow.counters.get(counter), frow.counters.get(counter)) {
-                (Some(&b), Some(&f)) => {
-                    if is_regression(b, f) {
-                        row_regressed = true;
-                        out.regressions.push(Regression {
-                            row: id.clone(),
-                            counter: counter.to_string(),
-                            baseline: b,
-                            fresh: f,
-                        });
-                    }
-                }
-                (Some(_), None) => {
-                    row_regressed = true;
-                    out.missing.push(format!("{id} — counter {counter:?}"));
-                }
-                (None, _) => {}
-            }
-        }
-        let cell = |name: &str| {
-            let b = brow.counters.get(name).copied().unwrap_or(0);
-            let f = frow.counters.get(name).copied().unwrap_or(0);
-            format!("{f} ({})", pct(b, f))
-        };
-        md.push_str(&format!(
-            "| {id} | {} | {} | {} | {} | {} |\n",
-            cell("work"),
-            cell("span"),
-            cell("cache_misses"),
-            cell("allocs"),
-            if row_regressed {
-                "❌ regressed"
-            } else {
-                "✅"
-            },
-        ));
     }
-    for frow in &fresh.rows {
-        let id = frow.id();
-        if !base_ids.contains(&id) {
-            md.push_str(&format!("| {id} | — | — | — | — | 🆕 unbaselined |\n"));
-            out.added.push(id);
-        }
-    }
-    md.push('\n');
-    out.markdown = md;
+    let base_ids: BTreeSet<String> = baseline.rows.iter().map(|r| r.id()).collect();
+    out.added = fresh
+        .rows
+        .iter()
+        .map(|r| r.id())
+        .filter(|id| !base_ids.contains(id))
+        .collect();
     out
 }
 
@@ -320,7 +213,7 @@ mod tests {
     #[test]
     fn parses_artifacts_without_the_allocs_field() {
         // Pre-allocs artifacts (older baselines) must still parse; the
-        // missing counter reads as 0.
+        // missing counter is absent, not 0.
         let text = sample(10, 0).replace("\"allocs\": 0, ", "");
         let f = parse_bench_json(&text).unwrap();
         assert_eq!(f.rows[0].counters.get("allocs"), None);
@@ -330,50 +223,8 @@ mod tests {
     fn identical_files_pass() {
         let f = parse_bench_json(&sample(1000, 4)).unwrap();
         let d = diff_benches(&f, &f);
-        assert!(d.regressions.is_empty() && d.missing.is_empty() && d.added.is_empty());
-        assert!(d.markdown.contains("✅"));
-    }
-
-    #[test]
-    fn ten_percent_gate_trips_on_work_and_allocs() {
-        let base = parse_bench_json(&sample(1000, 100)).unwrap();
-        let ok = parse_bench_json(&sample(1090, 100)).unwrap();
-        assert!(diff_benches(&base, &ok).regressions.is_empty());
-        let bad = parse_bench_json(&sample(1200, 100)).unwrap();
-        let d = diff_benches(&base, &bad);
-        assert_eq!(d.regressions.len(), 1);
-        assert_eq!(d.regressions[0].counter, "work");
-        let bad_allocs = parse_bench_json(&sample(1000, 150)).unwrap();
-        assert_eq!(
-            diff_benches(&base, &bad_allocs).regressions[0].counter,
-            "allocs"
-        );
-    }
-
-    #[test]
-    fn gated_counter_vanishing_from_fresh_fails_hard() {
-        // Fresh artifact stopped emitting a gated counter (instrumentation
-        // broke): must fail, not read as 0 and pass.
-        let base = parse_bench_json(&sample(1000, 4)).unwrap();
-        let fresh =
-            parse_bench_json(&sample(1000, 4).replace("\"comparisons\": 50, ", "")).unwrap();
-        let d = diff_benches(&base, &fresh);
-        assert_eq!(d.missing.len(), 1);
-        assert!(d.missing[0].contains("comparisons"), "{:?}", d.missing);
-        // The converse — a counter the baseline predates — is fine.
-        let old_base = parse_bench_json(&sample(1000, 0).replace("\"allocs\": 0, ", "")).unwrap();
-        let new_fresh = parse_bench_json(&sample(1000, 4)).unwrap();
-        let d = diff_benches(&old_base, &new_fresh);
-        assert!(d.missing.is_empty() && d.regressions.is_empty());
-    }
-
-    #[test]
-    fn absolute_slack_spares_tiny_counters() {
-        assert!(!is_regression(0, 8));
-        assert!(is_regression(0, 9));
-        assert!(!is_regression(4, 8));
-        assert!(is_regression(100, 120));
-        assert!(!is_regression(100, 108));
+        assert!(d.changed.is_empty() && d.missing.is_empty() && d.added.is_empty());
+        assert_eq!(d.compared, 1);
     }
 
     #[test]
@@ -382,10 +233,8 @@ mod tests {
         let mut fresh = base.clone();
         fresh.rows[0].n = 512; // same row measured at a different size
         let d = diff_benches(&base, &fresh);
-        assert_eq!(d.missing.len(), 1);
-        assert_eq!(d.added.len(), 1);
-        assert!(d.markdown.contains("❌ missing"));
-        assert!(d.markdown.contains("🆕 unbaselined"));
+        assert_eq!(d.missing, ["store / merge path / n=256"]);
+        assert_eq!(d.added, ["store / merge path / n=512"]);
     }
 
     #[test]
@@ -409,16 +258,21 @@ mod tests {
             changed_summary(same.compared, &same.changed),
             "1 rows, 0 with any counter changed\n"
         );
-        // One unit of work and one ungated counter: far inside the 10 %
-        // gate, and still not bit-identical.
+        // One unit of work and one retry: not bit-identical.
         let moved =
             parse_bench_json(&sample(999, 4).replace("\"retries\": 0", "\"retries\": 1")).unwrap();
         let d = diff_benches(&base, &moved);
-        assert!(d.regressions.is_empty() && d.missing.is_empty());
+        assert!(d.missing.is_empty());
         assert_eq!(
             changed_summary(d.compared, &d.changed),
             "1 rows, 1 with any counter changed\n\
              - store / merge path / n=256: retries 0 → 1, work 1000 → 999\n"
+        );
+        // A counter the fresh file no longer writes is a change too.
+        let lost = parse_bench_json(&sample(1000, 4).replace("\"comparisons\": 50, ", "")).unwrap();
+        assert_eq!(
+            diff_benches(&base, &lost).changed,
+            ["store / merge path / n=256: comparisons 50 → absent"]
         );
     }
 }

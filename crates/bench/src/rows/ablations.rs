@@ -9,6 +9,7 @@ use obliv_core::{
 };
 use pram::{Opram, OramConfig, TreeLayout};
 use sortnet::{bitonic_sort_flat_par, sort_slice_rec};
+use std::io::{self, Write};
 
 pub(super) fn rows(arenas: &Arenas) -> Vec<ModelRow<'_>> {
     let scratch = &arenas.scratch;
@@ -73,10 +74,13 @@ pub(super) fn rows(arenas: &Arenas) -> Vec<ModelRow<'_>> {
     rows
 }
 
-pub(super) fn report(arenas: &Arenas, rows: &[Row]) {
-    println!("E1: same comparator count; recursive wins on span and on Q (Thm E.1)\n");
+pub(super) fn report(arenas: &Arenas, rows: &[Row], out: &mut impl Write) -> io::Result<()> {
+    writeln!(
+        out,
+        "E1: same comparator count; recursive wins on span and on Q (Thm E.1)\n"
+    )?;
 
-    println!("== E2: bin-load concentration and overflow ==\n");
+    writeln!(out, "== E2: bin-load concentration and overflow ==\n")?;
     // Load concentration and overflow frequency at paper vs aggressive Z.
     let n = 1 << 12;
     let items: Vec<Item<u64>> = (0..n as u64).map(|i| Item::new(i as u128, i)).collect();
@@ -107,16 +111,23 @@ pub(super) fn report(arenas: &Arenas, rows: &[Row]) {
             true => "every trial overflowed".to_string(),
             false => format!("max bin load {max_load} (cap {})", p.z),
         };
-        println!(
+        writeln!(
+            out,
             "ORBA n={n} {label:<18} Z={:<4} overflow {overflows}/{trials} trials, {load}",
             p.z
-        );
+        )?;
     }
-    println!("(§C.2: overflow probability falls off steeply in Z — negligible at Z = log² n)\n");
+    writeln!(
+        out,
+        "(§C.2: overflow probability falls off steeply in Z — negligible at Z = log² n)\n"
+    )?;
 
-    println!("== E4: van Emde Boas vs level-order ORAM layout ==\n");
+    writeln!(out, "== E4: van Emde Boas vs level-order ORAM layout ==\n")?;
     // Pure layout effect first: blocks touched by a root-to-leaf path.
-    println!("root-to-leaf path, blocks touched (B = 8 tree nodes/block):");
+    writeln!(
+        out,
+        "root-to-leaf path, blocks touched (B = 8 tree nodes/block):"
+    )?;
     for h in [12usize, 16, 20] {
         let leaves = 1usize << (h - 1);
         let sample: Vec<usize> = (0..64).map(|i| i * (leaves / 64)).collect();
@@ -127,28 +138,34 @@ pub(super) fn report(arenas: &Arenas, rows: &[Row]) {
                 .sum::<usize>() as f64
                 / sample.len() as f64
         };
-        println!(
+        writeln!(
+            out,
             "  height {h:>2}: vEB {:>5.1} vs level-order {:>5.1}  (log_B n = {:.1}, log n = {})",
             avg(TreeLayout::Veb),
             avg(TreeLayout::Level),
             h as f64 / 3.0,
             h
-        );
+        )?;
     }
-    println!(
+    writeln!(
+        out,
         "(§4.2: vEB paths cost O(log_B s) blocks instead of O(log s); the E4 rows above \
          meter 48 accesses end to end at M=512, B=8 words)\n"
-    );
+    )?;
 
-    println!("== E6: practical vs theory variant constants ==\n");
+    writeln!(out, "== E6: practical vs theory variant constants ==\n")?;
     for algo in ["practical (bitonic+recsort)", "theory (shellsort+merge)"] {
         for r in series(rows, "E6", algo) {
             let cmp_per = r.rep.comparisons as f64 / (r.n as f64 * lg(r.n));
-            println!(
+            writeln!(
+                out,
                 "{algo:<28} n={:<6} comparisons / (n log n) = {cmp_per:.2}",
                 r.n
-            );
+            )?;
         }
     }
-    println!("(the practical variant trades a log log n work factor for small constants — §3.4)");
+    writeln!(
+        out,
+        "(the practical variant trades a log log n work factor for small constants — §3.4)"
+    )
 }

@@ -5,6 +5,7 @@
 use super::{key64, scrambled, series, ModelRow, Row, Table};
 use metrics::Tracked;
 use sortnet::{bitonic_sort_flat_par, oddeven_sort, sort_slice_rec, Network};
+use std::io::{self, Write};
 
 pub(super) fn rows<'a>() -> Vec<ModelRow<'a>> {
     let t = Table::Figure1;
@@ -22,30 +23,39 @@ pub(super) fn rows<'a>() -> Vec<ModelRow<'a>> {
     ]
 }
 
-pub(super) fn report(rows: &[Row]) {
-    let verdict = |net: &Network| match net.is_sorting_network() {
-        true => "verified",
-        false => "FAILED",
+pub(super) fn report(rows: &[Row], out: &mut impl Write) -> io::Result<()> {
+    let verified = |net: &Network| {
+        assert!(
+            net.is_sorting_network(),
+            "{} wires: not a sorting network",
+            net.n
+        );
+        "verified"
     };
     let net = Network::bitonic(16);
-    println!("== Figure 1: bitonic sorting network, n = 16 ==\n");
-    println!("{}", net.render_ascii());
-    println!("wires:        {}", net.n);
-    println!(
+    writeln!(out, "== Figure 1: bitonic sorting network, n = 16 ==\n")?;
+    writeln!(out, "{}", net.render_ascii())?;
+    writeln!(out, "wires:        {}", net.n)?;
+    writeln!(
+        out,
         "layers:       {} (= 1 + 2 + 3 + 4 bitonic-merge stages)",
         net.depth()
-    );
-    println!("comparators:  {} (= n/2 per layer)", net.size());
-    println!(
+    )?;
+    writeln!(out, "comparators:  {} (= n/2 per layer)", net.size())?;
+    writeln!(
+        out,
         "sorting net:  {} (exhaustive 0-1 principle over 2^16 inputs)",
-        verdict(&net)
-    );
+        verified(&net)
+    )?;
 
     let oe = Network::oddeven(16);
-    println!("\nfor contrast, Batcher odd-even mergesort on 16 wires:");
-    println!("layers:       {}", oe.depth());
-    println!("comparators:  {}", oe.size());
-    println!("sorting net:  {}", verdict(&oe));
+    writeln!(
+        out,
+        "\nfor contrast, Batcher odd-even mergesort on 16 wires:"
+    )?;
+    writeln!(out, "layers:       {}", oe.depth())?;
+    writeln!(out, "comparators:  {}", oe.size())?;
+    writeln!(out, "sorting net:  {}", verified(&oe))?;
 
     // The rows tie the drawing to the code paths that run it: the bitonic
     // rows spend exactly `net.size()` comparisons, the odd-even row exactly
@@ -58,4 +68,5 @@ pub(super) fn report(rows: &[Row]) {
         let row = series(rows, "figure1", algo)[0];
         assert_eq!(row.rep.comparisons as usize, want, "{what}");
     }
+    Ok(())
 }

@@ -18,10 +18,12 @@
 //! first time a row leases it (`store`'s `allocs` column). What a table prints that is not a row —
 //! Figure 1's drawing, E2's overflow trials, E4's path blocks, the
 //! headlines, growth exponents and crossover table — is its report,
-//! printed after its rows from what they measured.
+//! written after its rows from what they measured; its assertions hold
+//! the rows to what it prints, in the binaries and in the registry test.
 
 use metrics::{measure, CacheConfig, CostReport, MeterCtx, ScratchPool, TraceMode};
 use obliv_core::{composite_key, Engine, Item, Slot, Val};
+use std::cell::Cell;
 use std::io::{self, Write};
 use std::sync::Arc;
 
@@ -114,13 +116,13 @@ impl Table {
         }
     }
 
-    fn report(self, arenas: &Arenas, rows: &[Row]) {
+    fn report(self, arenas: &Arenas, rows: &[Row], out: &mut impl Write) -> io::Result<()> {
         match self {
-            Table::Table1 => table1::report(rows),
-            Table::Table2 => table2::report(rows),
-            Table::Ablations => ablations::report(arenas, rows),
-            Table::Figure1 => figure1::report(rows),
-            Table::Store => store::report(rows),
+            Table::Table1 => table1::report(rows, out),
+            Table::Table2 => table2::report(rows, out),
+            Table::Ablations => ablations::report(arenas, rows, out),
+            Table::Figure1 => figure1::report(rows, out),
+            Table::Store => store::report(arenas, rows, out),
         }
     }
 }
@@ -131,6 +133,9 @@ impl Table {
 pub struct Arenas {
     pub scratch: ScratchPool,
     pub pipe: Arc<ScratchPool>,
+    /// Fresh leases of the store's cold-start consult into `pipe`, which
+    /// runs outside the rows; the store report prints it.
+    consult_cold: Cell<u64>,
 }
 
 /// What a model row runs under the meter.
@@ -278,24 +283,23 @@ pub fn entries(arenas: &Arenas) -> Vec<Entry<'_>> {
     model.map(Entry::Model).chain(traces).collect()
 }
 
-/// Run `table`'s rows in list order, printing each and writing
-/// `BENCH_<bin>.json` under `--json`, then print its report.
+/// Run `table`'s rows and report, printing both, then write
+/// `BENCH_<bin>.json` under `--json`.
 pub fn run_table(table: Table) {
-    let arenas = Arenas::default();
     println!("== {} ==\n", table.title());
-    let sink = measure_table(table, &arenas, &mut io::stdout()).expect("write to stdout");
+    let sink =
+        measure_table(table, &Arenas::default(), &mut io::stdout()).expect("write to stdout");
     if std::env::args().any(|a| a == "--json") {
         let path = format!("BENCH_{}.json", table.bin());
         std::fs::write(&path, sink.json())
             .unwrap_or_else(|e| panic!("failed to write {path}: {e}"));
         eprintln!("wrote {path}");
     }
-    println!();
-    table.report(&arenas, &sink.rows);
 }
 
 /// Measure `table`'s rows in list order on `arenas`, writing the column
-/// header and each row to `out` as it is recorded.
+/// header and each row to `out` as it is recorded, then write the table's
+/// report, whose assertions hold the rows to the claims it prints.
 pub fn measure_table(table: Table, arenas: &Arenas, out: &mut impl Write) -> io::Result<BenchSink> {
     let mut sink = BenchSink::new(table.bin());
     header(out)?;
@@ -309,6 +313,8 @@ pub fn measure_table(table: Table, arenas: &Arenas, out: &mut impl Write) -> io:
             _ => {}
         }
     }
+    writeln!(out)?;
+    table.report(arenas, &sink.rows, out)?;
     Ok(sink)
 }
 
@@ -395,8 +401,7 @@ fn print_row(out: &mut impl Write, r: &Row) -> io::Result<()> {
 }
 
 /// Collects one table's measured rows and serialises them as its
-/// machine-readable `BENCH_<bin>.json`, so CI can archive the perf
-/// trajectory of every push.
+/// machine-readable `BENCH_<bin>.json`, the file `benches/baseline/` holds.
 pub struct BenchSink {
     bin: &'static str,
     rows: Vec<Row>,
@@ -412,8 +417,8 @@ impl BenchSink {
     }
 
     /// Retain the row for the JSON artifact. `(task, algo, n)` is what
-    /// `bench_diff` keys a row by, so a second row under one identity could
-    /// only shadow the first.
+    /// `diff::diff_benches` keys a row by, so a second row under one
+    /// identity could only shadow the first.
     pub fn record(&mut self, row: Row) {
         assert!(
             !self
@@ -433,7 +438,7 @@ impl BenchSink {
     pub fn json(&self) -> String {
         let mut out = format!("{{\n  \"bin\": \"{}\",\n  \"rows\": [\n", self.bin);
         for (i, r) in self.rows.iter().enumerate() {
-            // The regression gate's parser (`diff::parse_bench_json`) reads
+            // The registry test's parser (`diff::parse_bench_json`) reads
             // plain quoted strings; keep names free of escape sequences so
             // `{:?}` serialization stays a verbatim quote.
             assert!(

@@ -11,6 +11,7 @@ use metrics::{MeterCtx, ScratchPool, Tracked};
 use obliv_core::scan::{scan_in, seg_combine_u64, Schedule, Seg};
 use obliv_core::{compact_cells, composite_key, expand_by_loads, Engine, TagCell};
 use std::cell::RefCell;
+use std::io::{self, Write};
 use std::rc::Rc;
 use std::sync::Arc;
 use store::vfs::FaultVfs;
@@ -318,7 +319,8 @@ pub(super) fn rows(arenas: &Arenas) -> Vec<ModelRow<'_>> {
     // One consult runs before the row: it compacts at the log's class and
     // sorts at the query's, buffer classes no commit above has leased, and
     // that one-time cost would land on whichever of the two consult rows
-    // runs first. Both rows measure steady state; the cold start is printed.
+    // runs first. Both rows measure steady state; the report prints the
+    // cold start.
     rows.push(staged("pipelined: read_now consult", 64, pipe, || {
         let mut p = PipelinedStore::with_scratch(pipe_store(pipe), Arc::clone(&arenas.pipe));
         for op in mixed_ops(PIPE_BATCH, PIPE_TABLE as u64, 19) {
@@ -331,11 +333,7 @@ pub(super) fn rows(arenas: &Arenas) -> Vec<ModelRow<'_>> {
         let probe: Vec<u64> = (0..64u64).map(|i| (i * 127) % PIPE_TABLE as u64).collect();
         let cold = pipe.fresh_allocs();
         meter(|c| drop(p.read_now(c, &probe)));
-        println!(
-            "consult headline: {} fresh leases on the first call into this arena, \
-             outside the rows; the consult rows measure the calls after it",
-            pipe.fresh_allocs() - cold
-        );
+        arenas.consult_cold.set(pipe.fresh_allocs() - cold);
         Box::new(move |c: &MeterCtx| drop(p.read_now(c, &probe)))
     }));
 
@@ -494,16 +492,23 @@ pub(super) fn rows(arenas: &Arenas) -> Vec<ModelRow<'_>> {
     rows
 }
 
-pub(super) fn report(rows: &[Row]) {
+pub(super) fn report(arenas: &Arenas, rows: &[Row], out: &mut impl Write) -> io::Result<()> {
     let row = |algo| largest(rows, "store", algo);
-    println!(
+    writeln!(
+        out,
         "crossover: per-op work of 'merge: steady mixed' (key space 2n: \
          128 keys at n=64, 512 at n=256) vs 'oram: steady mixed' (key \
          space 2048) at n=64 and n=256 — unequal key spaces, so not one \
          table's two paths. The path rule sends every class within \
          pending_limit to the ORAM (host-time sweep at equal key spaces: \
          DESIGN.md §8)."
-    );
+    )?;
+    writeln!(
+        out,
+        "consult headline: {} fresh leases on the first call into this arena, \
+         outside the rows; the consult rows measure the calls after it",
+        arenas.consult_cold.get()
+    )?;
     for (what, tag, rec) in [
         (
             "graphs tag-cell headline (CC min-hook sort)",
@@ -517,11 +522,12 @@ pub(super) fn report(rows: &[Row]) {
         ),
     ] {
         let (tag, rec) = (&row(tag).rep, &row(rec).rep);
-        println!(
+        writeln!(
+            out,
             "{what}: record / tag = {:.2}x cache misses (identical {} comparators)",
             rec.cache_misses as f64 / tag.cache_misses.max(1) as f64,
             tag.comparisons,
-        );
+        )?;
     }
     let allocs = [
         row("durable: commit retry=1").allocs,
@@ -531,9 +537,10 @@ pub(super) fn report(rows: &[Row]) {
         allocs[0], allocs[1],
         "retry machinery must be alloc-free on the no-fault durable path"
     );
-    println!(
+    writeln!(
+        out,
         "retry headline (no-fault durable commit, n=256): {} fresh allocs under either \
          policy — the policy itself allocates nothing",
         allocs[0],
-    );
+    )
 }

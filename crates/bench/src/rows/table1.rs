@@ -17,6 +17,7 @@ use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
 use sortnet::{cells_sort_rec_with, Backend, TagCell};
+use std::io::{self, Write};
 
 /// `(key, index)` records over [`scrambled`] keys.
 fn records(n: usize) -> Vec<(u64, u64)> {
@@ -141,15 +142,16 @@ pub(super) fn rows(arenas: &Arenas) -> Vec<ModelRow<'_>> {
     rows
 }
 
-pub(super) fn report(rows: &[Row]) {
+pub(super) fn report(rows: &[Row], out: &mut impl Write) -> io::Result<()> {
     let tag = &largest(rows, "sort", "ours: tag-sort").rep;
     let rec = &largest(rows, "sort", "ours: record-sort").rep;
-    println!(
+    writeln!(
+        out,
         "tag-sort vs record-sort headline (largest n): {:.2}x cache misses, \
          same {} comparators",
         rec.cache_misses as f64 / tag.cache_misses.max(1) as f64,
         tag.comparisons,
-    );
+    )?;
 
     let simd = &largest(rows, "sort", "sort: simd cells").rep;
     let scalar = &largest(rows, "sort", "sort: scalar cells").rep;
@@ -158,14 +160,18 @@ pub(super) fn report(rows: &[Row]) {
         (scalar.work, scalar.comparisons, scalar.trace_len),
         "SIMD and scalar backends must share every deterministic counter"
     );
-    println!(
+    writeln!(
+        out,
         "simd vs scalar cells headline (largest n): identical work, trace and {} comparators \
          (backend: {})",
         simd.comparisons,
         sortnet::active_backend().name(),
-    );
+    )?;
 
-    println!("\n== growth exponents (expect ≈1 for W = Θ(n·polylog)) ==");
+    writeln!(
+        out,
+        "\n== growth exponents (expect ≈1 for W = Θ(n·polylog)) =="
+    )?;
     for (name, task, algo) in [
         ("sort work", "sort", "ours: oblivious practical"),
         ("LR work", "LR", "ours: oblivious"),
@@ -178,10 +184,12 @@ pub(super) fn report(rows: &[Row]) {
             .iter()
             .map(|&(n, w)| (n, w / (n as f64 * lg(n))))
             .collect();
-        println!(
+        writeln!(
+            out,
             "{name}: raw {:+.2}, normalized by n·log n {:+.2} (≈0 ⇒ matches n·log n up to log-factors)",
             growth_exponent(&pts),
             growth_exponent(&norm)
-        );
+        )?;
     }
+    Ok(())
 }

@@ -7,6 +7,7 @@ use obliv_core::scan::{seg_propagate_in, seg_sum_right_in, Seg};
 use obliv_core::send_receive;
 use obliv_core::Engine::{BitonicFlat, BitonicRec};
 use pram::{run_oblivious_sb, HistogramProgram, Opram, OramConfig};
+use std::io::{self, Write};
 
 /// Requests per step of the large-space crossover rows.
 const XOVER_P: usize = 32;
@@ -93,20 +94,30 @@ pub(super) fn rows(arenas: &Arenas) -> Vec<ModelRow<'_>> {
     rows
 }
 
-pub(super) fn report(rows: &[Row]) {
-    println!("== PRAM large-space crossover (fixed p = {XOVER_P} requests/step) ==");
-    println!(
+pub(super) fn report(rows: &[Row], out: &mut impl Write) -> io::Result<()> {
+    writeln!(
+        out,
+        "== PRAM large-space crossover (fixed p = {XOVER_P} requests/step) =="
+    )?;
+    writeln!(
+        out,
         "{:<10} {:>9} {:>14} {:>14} {:>10}",
         "s", "p", "W sb/step", "W opram/step", "winner"
-    );
+    )?;
     let sb = series(rows, "PRAM-xover", "space-bounded");
     let op = series(rows, "PRAM-xover", "opram");
     for (sb, op) in sb.iter().zip(&op) {
         let (sb, op, s) = (sb.rep.work, op.rep.work, sb.n);
         let winner = if op < sb { "opram" } else { "space-bounded" };
-        println!("{s:<10} {XOVER_P:>9} {sb:>14} {op:>14} {winner:>10}");
+        writeln!(out, "{s:<10} {XOVER_P:>9} {sb:>14} {op:>14} {winner:>10}")?;
     }
-    println!("\n(expected: space-bounded wins at small s, opram wins once s ≫ p —");
-    println!(" the Table 2 'PRAM' rows' two regimes; opram setup cost excluded in paper,");
-    println!(" included here, shifting the crossover right)");
+    writeln!(
+        out,
+        "\n(expected: space-bounded wins at small s, opram wins once s ≫ p —"
+    )?;
+    writeln!(
+        out,
+        " the Table 2 'PRAM' rows' two regimes; opram setup cost excluded in paper,"
+    )?;
+    writeln!(out, " included here, shifting the crossover right)")
 }

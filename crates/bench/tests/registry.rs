@@ -1,14 +1,13 @@
-//! The whole row registry against the committed baselines: every trace
-//! row's line against `benches/baseline/obliv_check.txt` and every table's
-//! rows against its `benches/baseline/BENCH_<bin>.json`, through the printer
-//! and serialiser the binaries use. Counters and traces are a function of
-//! the source tree alone (DESIGN.md §5), so these hold in every build
-//! profile, not only in the release build CI's golden diff runs.
+//! The one gate for counters and traces: every trace row's line against
+//! `benches/baseline/obliv_check.txt` and every table's rows against its
+//! `benches/baseline/BENCH_<bin>.json`, through the printer and serialiser
+//! the binaries use, with each table's report (and its assertions) after
+//! its rows. Counters and traces are a function of the source tree alone
+//! (DESIGN.md §5), so these hold in every build profile; CI also runs this
+//! test in release, on the AVX2 and on the scalar backend.
 //!
-//! A change that means to move a row regenerates the file
-//! (`obliv_check > benches/baseline/obliv_check.txt`, or a table binary's
-//! `--json` copied over `benches/baseline/`) and lists the moved rows in
-//! CHANGES.md.
+//! A change that means to move a row regenerates the file, as each failure
+//! message says, and lists the moved rows in CHANGES.md.
 
 use dob_bench::diff::{changed_summary, diff_benches, parse_bench_json};
 use dob_bench::rows::{check_traces, measure_table, Arenas, Table};
@@ -40,7 +39,9 @@ fn trace_rows_print_the_golden_output() {
         .collect();
     assert!(
         moved.is_empty(),
-        "{} of {} lines differ from benches/baseline/obliv_check.txt:\n{}",
+        "{} of {} lines differ from benches/baseline/obliv_check.txt:\n{}\n\n\
+         to accept an intended change: cargo run --release -p dob-bench --bin obliv_check \
+         > benches/baseline/obliv_check.txt",
         moved.len(),
         want.len(),
         moved.join("\n"),
@@ -60,7 +61,7 @@ fn table_rows_serialise_to_the_baselines() {
         let runs = Table::ALL.map(|table| s.spawn(move || measure(table)));
         runs.map(|run| run.join().expect("a table's rows ran"))
     });
-    let mut report = String::new();
+    let (mut report, mut accept) = (String::new(), String::new());
     for (table, fresh) in Table::ALL.into_iter().zip(fresh) {
         let file = format!("BENCH_{}.json", table.bin());
         let base = baseline(&file);
@@ -82,9 +83,16 @@ fn table_rows_serialise_to_the_baselines() {
         if d.changed.is_empty() && d.missing.is_empty() && d.added.is_empty() {
             report.push_str("- same rows and counters, in another order or layout\n");
         }
+        let bin = match table {
+            Table::Store => "store_bench",
+            _ => table.bin(),
+        };
+        accept.push_str(&format!(
+            "cargo run --release -p dob-bench --bin {bin} -- --json && cp {file} benches/baseline/\n"
+        ));
     }
     assert!(
         report.is_empty(),
-        "rows moved from benches/baseline/:\n{report}"
+        "rows moved from benches/baseline/:\n{report}\nto accept an intended change:\n{accept}"
     );
 }

@@ -305,28 +305,6 @@ mod tests {
         assert_ne!(lane, pay, "the layout is a fact about the value type");
     }
 
-    #[test]
-    fn u64_lane_trace_and_counters_are_pinned() {
-        // `[trace_hash, trace_len, work, span, comparisons, cache_misses]`
-        // of the `u64` lane.
-        let sources: Vec<(u64, u64)> = (0..300).map(|i| (i * 5 + 1, i * i)).collect();
-        let dests: Vec<u64> = (0..450).map(|j| (j * 11) % 1700).collect();
-        let (_, r) = measure(CacheConfig::default(), TraceMode::Hash, |c| {
-            let sp = ScratchPool::new();
-            send_receive(c, &sp, &sources, &dests, Engine::BitonicRec, Schedule::Tree);
-        });
-        let got = [
-            r.trace_hash,
-            r.trace_len,
-            r.work,
-            r.span,
-            r.comparisons,
-            r.cache_misses,
-        ];
-        let golden = [0x0c057a26c9c181be, 0x2dec3, 0x377d4, 0x1e20, 0x957e, 0x387];
-        assert_eq!(got, golden);
-    }
-
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(48))]
         #[test]

@@ -940,17 +940,6 @@ mod tests {
     }
 
     #[test]
-    fn compact_golden_counters_at_4096() {
-        // `[work, span, cache_misses, trace_len]` of the butterfly at the
-        // default cache geometry.
-        let r = metered_compact(4096, |i| i % 3 == 0);
-        assert_eq!(
-            [r.work, r.span, r.cache_misses, r.trace_len],
-            [236261, 395, 2965, 135162]
-        );
-    }
-
-    #[test]
     fn compact_parallel_matches() {
         // m = 65536 crosses the host `base_for` cut and every `par_for`
         // grain: the pool's forked recursion must land every cell where

@@ -436,59 +436,33 @@ mod tests {
     #[test]
     fn golden_trace_and_counters_at_4096() {
         // `[trace_hash, trace_len, work, span, comparisons, cache_misses]`
-        // of the three instances of the §E.1 driver, captured at the commit
-        // before the cell driver was folded into this one (PR 14). Any
-        // reordering of a single comparator pair changes the hash.
-        use crate::{cells_merge_rec, cells_sort_rec, TagCell};
+        // of the §E.1 driver's merge of cells, captured at the commit
+        // before the cell driver was folded into this one. Any reordering
+        // of a single comparator pair changes the hash. The driver's sorts
+        // are pinned by the registry's rows (`benches/baseline/`); no row
+        // runs this merge.
+        use crate::{cells_merge_rec, TagCell};
         const N: usize = 4096;
-        fn golden<T: Copy + Default>(
-            data: &mut [T],
-            f: impl FnOnce(&metrics::MeterCtx, &mut Tracked<'_, T>, &mut Tracked<'_, T>),
-        ) -> [u64; 6] {
-            let (_, r) = measure(CacheConfig::default(), TraceMode::Hash, |c| {
-                let mut tmp = vec![T::default(); data.len()];
-                let mut t = Tracked::new(c, data);
-                let mut s = Tracked::new(c, &mut tmp);
-                f(c, &mut t, &mut s);
-            });
+        let mut bitonic: Vec<TagCell> = (0..N as u128 / 2)
+            .chain((0..N as u128 / 2).rev())
+            .map(|k| TagCell::new(k, k))
+            .collect();
+        let (_, r) = measure(CacheConfig::default(), TraceMode::Hash, |c| {
+            let mut tmp = vec![TagCell::default(); N];
+            let mut t = Tracked::new(c, &mut bitonic);
+            let mut s = Tracked::new(c, &mut tmp);
+            cells_merge_rec(c, &mut t, &mut s, true);
+        });
+        assert_eq!(
             [
                 r.trace_hash,
                 r.trace_len,
                 r.work,
                 r.span,
                 r.comparisons,
-                r.cache_misses,
-            ]
-        }
-
-        let mut cells: Vec<TagCell> = scrambled(N)
-            .iter()
-            .map(|&k| TagCell::new(k as u128, !k as u128))
-            .collect();
-        let sort = golden(&mut cells, |c, t, s| cells_sort_rec(c, t, s, true));
-        assert_eq!(
-            sort,
-            [0x790e33d2f5de825, 0xc4000, 0xda286, 0x1590, 0x27000, 0x2774]
-        );
-
-        let mut bitonic: Vec<TagCell> = (0..N as u128 / 2)
-            .chain((0..N as u128 / 2).rev())
-            .map(|k| TagCell::new(k, k))
-            .collect();
-        let merge = golden(&mut bitonic, |c, t, s| cells_merge_rec(c, t, s, true));
-        assert_eq!(
-            merge,
+                r.cache_misses
+            ],
             [0xc2be4c0585197725, 0x24000, 0x24ff8, 0x2b8, 0x6000, 0x1f74]
-        );
-
-        let (mut v, key) = (scrambled(N), |x: &u64| *x as u128);
-        // The sort is the sort-from-runs at `run = 1`, bit for bit.
-        let by_closure = golden(&mut v, |c, t, s| {
-            bitonic_sort_rec_from_runs(c, t, s, &key, true, 1)
-        });
-        assert_eq!(
-            by_closure,
-            [0x10eaa4825f2608e5, 0xc4000, 0xda286, 0x1590, 0x27000, 0x200]
         );
     }
 

@@ -51,8 +51,8 @@
 //! Relative to the record-sort pipeline this replaces three full wide-slot
 //! sorts with one small sort + one merge + one walk + two compactions of
 //! `log` of their bounds levels over dense cells — several-fold less work
-//! and far less data through the cache (the `store_bench`/`bench_diff`
-//! rows gate both).
+//! and far less data through the cache (the `store_bench` rows, held to
+//! `benches/baseline/` by `dob-bench`'s registry test, gate both).
 //!
 //! Because every comparator network, compaction swap level, walk and
 //! parallel map above touches addresses that depend only on the public

@@ -172,6 +172,26 @@ fn oram_step_reads_the_slot_table(root: &Path) -> Result<(), String> {
     }
 }
 
+/// No second counter gate: the binary that diffed fresh tables against the
+/// baselines at a threshold is gone, and no threshold is declared in its
+/// place under `crates/bench/src`.
+fn one_counter_gate(root: &Path) -> Result<(), String> {
+    const BIN: &str = "crates/bench/src/bin/bench_diff.rs";
+    let message = "counters and traces have one gate, crates/bench/tests/registry.rs: \
+                   it fails on every moved row";
+    if root.join(BIN).exists() {
+        return Err(format!("{BIN} exists\n{message}"));
+    }
+    let threshold = Grep {
+        opts: &["-rnE"],
+        patterns: &["fn is_regression|const THRESHOLD"],
+        paths: &["crates/bench/src"],
+        except: NOTHING,
+        message,
+    };
+    threshold.run(root)
+}
+
 /// No `debug_assert*!(…)` in non-test code under `crates/*/src` holds a
 /// tracked access in its arguments, however many lines they span.
 fn debug_asserts_are_unmetered(root: &Path) -> Result<(), String> {
@@ -329,9 +349,17 @@ guards! {
             opts: &["-nE"],
             patterns: &[r"meter\(|meter_with\(|measure\(|Row \{"],
             paths: &["crates/bench/src/bin/*.rs"],
-            except: &["crates/bench/src/bin/bench_diff.rs"],
+            except: NOTHING,
             message: "declare rows in dob_bench::rows: see its module doc",
         }]),
+    },
+    one_counter_gate_holds: Rule {
+        name: "One counter gate",
+        reason: "Every registry row is held byte for byte to benches/baseline/ by \
+                 crates/bench/tests/registry.rs, in tier-1 and in CI, with each table's report \
+                 after its rows. A gate that fails only past a growth threshold can only fail \
+                 where that test already has. Keep the second gate from growing back.",
+        check: Check::Code(one_counter_gate),
     },
     no_snapshot_sort_in_crates_store: Rule {
         name: "No snapshot sort in crates/store",
